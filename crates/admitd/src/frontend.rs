@@ -94,17 +94,17 @@ pub enum QueueEvent {
     },
     /// A running application was evicted to make room for a blocked
     /// higher-priority request. The victim is preempted, not dropped: it
-    /// re-enters the queue as a retryable request under the fresh
-    /// `ticket`, carrying its previously accumulated wait (an `Enqueued`
-    /// for that ticket follows — or a `Rejected { QueueFull }` when its
-    /// class queue is full).
+    /// re-enters the queue as a retryable request under `ticket`
+    /// ([`Ticket::requeue_of`] the victim), carrying its previously
+    /// accumulated wait (an `Enqueued` for that ticket follows — or a
+    /// `Rejected { QueueFull }` when its class queue is full).
     Preempted {
         /// The evicted application.
         victim: AppId,
         /// The victim's priority class (strictly lower than the
         /// preempting request's).
         class: PriorityClass,
-        /// The fresh ticket the victim re-enters the queue under.
+        /// The ticket the victim re-enters the queue under.
         ticket: Ticket,
         /// The blocked request the eviction was performed for.
         by: Ticket,
@@ -229,6 +229,8 @@ pub struct Admitd {
     kairos: Kairos,
     policy: AdmitPolicy,
     queue: AdmissionQueue,
+    /// Mint for requests that arrive without a ticket (a standalone
+    /// front-end is then the outermost layer).
     next_ticket: u64,
     /// Monotone count of capacity-freeing events (releases, repairs,
     /// evictions, relocations); the clock retry backoff is measured
@@ -411,24 +413,27 @@ impl Admitd {
         class: PriorityClass,
         now: u64,
     ) -> (Ticket, Vec<QueueEvent>) {
-        self.submit_traced(app, class, now, TraceContext::NONE)
+        self.submit_traced(app, class, now, TraceContext::NONE, None)
     }
 
-    /// [`Admitd::submit`] under an externally minted trace context. `ctx`
-    /// rides through queue residency and every retry; the terminal
-    /// outcome records the cumulative `queue` span and closes the root —
-    /// the front-end owns the queued request's end of its trace.
-    /// [`TraceContext::NONE`] traces nothing.
+    /// [`Admitd::submit`] under an externally minted trace context and
+    /// ticket. `ctx` rides through queue residency and every retry; the
+    /// terminal outcome records the cumulative `queue` span and closes
+    /// the root — the front-end owns the queued request's end of its
+    /// trace. [`TraceContext::NONE`] traces nothing. A `Some` ticket (an
+    /// outer service already minted it) is used verbatim and returned;
+    /// `None` mints one here.
     pub fn submit_traced(
         &mut self,
         app: Application,
         class: PriorityClass,
         now: u64,
         ctx: TraceContext,
+        ticket: Option<Ticket>,
     ) -> (Ticket, Vec<QueueEvent>) {
         let _span = self.kairos.telemetry().span("kairos_admitd", "submit");
         let mut events = Vec::new();
-        let (ticket, entered) = self.through_the_door(app, class, now, ctx, &mut events);
+        let (ticket, entered) = self.through_the_door(app, class, now, ctx, ticket, &mut events);
         if entered {
             events.extend(self.drain(now));
         }
@@ -458,24 +463,27 @@ impl Admitd {
         requests: Vec<(Application, PriorityClass)>,
         now: u64,
     ) -> (Vec<Ticket>, Vec<QueueEvent>) {
-        let requests =
-            requests.into_iter().map(|(app, class)| (app, class, TraceContext::NONE)).collect();
+        let requests = requests
+            .into_iter()
+            .map(|(app, class)| (app, class, TraceContext::NONE, None))
+            .collect();
         self.submit_batch_traced(requests, now)
     }
 
-    /// [`Admitd::submit_batch`] with a trace context per request — the
-    /// batch analogue of [`Admitd::submit_traced`].
+    /// [`Admitd::submit_batch`] with a trace context and an optional
+    /// pre-minted ticket per request — the batch analogue of
+    /// [`Admitd::submit_traced`].
     pub fn submit_batch_traced(
         &mut self,
-        requests: Vec<(Application, PriorityClass, TraceContext)>,
+        requests: Vec<(Application, PriorityClass, TraceContext, Option<Ticket>)>,
         now: u64,
     ) -> (Vec<Ticket>, Vec<QueueEvent>) {
         let _span = self.kairos.telemetry().span("kairos_admitd", "submit_batch");
         self.kairos.begin_batch();
         let mut tickets = Vec::with_capacity(requests.len());
         let mut events = Vec::new();
-        for (app, class, ctx) in requests {
-            let (ticket, _) = self.through_the_door(app, class, now, ctx, &mut events);
+        for (app, class, ctx, ticket) in requests {
+            let (ticket, _) = self.through_the_door(app, class, now, ctx, ticket, &mut events);
             tickets.push(ticket);
         }
         events.extend(self.drain(now));
@@ -487,18 +495,19 @@ impl Admitd {
     /// Takes one request through the door: enqueues it (emitting
     /// `Enqueued`), or resolves it at the door — `QueueFull`
     /// backpressure, with the critical preemption hook as the last
-    /// resort. Returns the allocated ticket and whether the request
-    /// actually entered the queue (and so needs a drain pass).
+    /// resort. Returns the request's ticket (`stamped`, or minted here)
+    /// and whether the request actually entered the queue (and so needs a
+    /// drain pass).
     fn through_the_door(
         &mut self,
         app: Application,
         class: PriorityClass,
         now: u64,
         ctx: TraceContext,
+        stamped: Option<Ticket>,
         events: &mut Vec<QueueEvent>,
     ) -> (Ticket, bool) {
-        let ticket = Ticket(self.next_ticket);
-        self.next_ticket += 1;
+        let ticket = Ticket::resolve(stamped, &mut self.next_ticket);
         if self.queue.is_full(class) {
             if class == PriorityClass::Critical
                 && self.policy.preemption != PreemptionPolicy::Disabled
@@ -953,8 +962,7 @@ impl Admitd {
                             &[("victim", format!("{victim:?}"))],
                         );
                     }
-                    let ticket = Ticket(self.next_ticket);
-                    self.next_ticket += 1;
+                    let ticket = Ticket::requeue_of(victim);
                     events.push(QueueEvent::Preempted { victim, class: meta.class, ticket, by });
                     // The evicted victim re-enters as a fresh request with
                     // its own trace root (when tracing is on at all), so

@@ -13,6 +13,7 @@ use std::fmt;
 use serde::{Deserialize, Serialize};
 
 use kairos_app::Application;
+use kairos_platform::AppId;
 use kairos_telemetry::TraceContext;
 
 /// Priority class of an admission request; lower classes drain first.
@@ -55,14 +56,50 @@ impl fmt::Display for PriorityClass {
     }
 }
 
-/// Identity of one admission request, unique per front-end for its whole
-/// lifetime (queued, admitted, or dropped).
+/// Identity of one request, unique across the whole service stack for its
+/// lifetime — the one ticket type of the workspace (`kairos-svc`
+/// re-exports it).
+///
+/// One rule governs it: the *outermost* layer that sees a request without
+/// a ticket mints one from its own counter, and every layer below carries
+/// that value verbatim. The only tickets born *inside* the stack are
+/// preemption requeues, and those are derived from the evicted victim
+/// ([`Ticket::requeue_of`]) instead of minted — so no layer keeps a
+/// translation table.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
 pub struct Ticket(pub u64);
 
+impl Ticket {
+    /// Tag bit of the requeue range: minted request tickets count up from
+    /// zero and never reach it.
+    const REQUEUE_TAG: u64 = 1 << 63;
+
+    /// The ticket an evicted `victim` re-enters the queue under. Stateless
+    /// and collision-free: application ids are unique across a cluster
+    /// (each shard numbers from its own base) and an id is evicted at most
+    /// once — a re-admitted victim runs under a fresh id.
+    pub fn requeue_of(victim: AppId) -> Ticket {
+        Ticket(Self::REQUEUE_TAG | u64::from(victim.0))
+    }
+
+    /// The ticket a request runs under at a layer whose mint stands at
+    /// `next`: the `stamped` one verbatim when an outer layer already
+    /// minted it, a fresh one otherwise. Either way the mint moves past
+    /// the value, so a layer never later issues a ticket it has honoured.
+    /// Stamped tickets must lie below the requeue range.
+    pub fn resolve(stamped: Option<Ticket>, next: &mut u64) -> Ticket {
+        let ticket = stamped.unwrap_or(Ticket(*next));
+        *next = (*next).max(ticket.0.saturating_add(1));
+        ticket
+    }
+}
+
 impl fmt::Display for Ticket {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "req{}", self.0)
+        match self.0 & Self::REQUEUE_TAG {
+            0 => write!(f, "req{}", self.0),
+            _ => write!(f, "requeue-of-app{}", self.0 & !Self::REQUEUE_TAG),
+        }
     }
 }
 
@@ -207,6 +244,22 @@ mod tests {
             preempt_attempts: 0,
             trace: TraceContext::NONE,
         }
+    }
+
+    #[test]
+    fn stamped_tickets_pass_verbatim_and_requeues_sit_above_every_mint() {
+        let mut next = 0;
+        assert_eq!(Ticket::resolve(None, &mut next), Ticket(0));
+        assert_eq!(Ticket::resolve(Some(Ticket(9)), &mut next), Ticket(9));
+        assert_eq!(Ticket::resolve(Some(Ticket(3)), &mut next), Ticket(3));
+        assert_eq!(Ticket::resolve(None, &mut next), Ticket(10));
+        let requeue = Ticket::requeue_of(AppId(7));
+        assert!(requeue > Ticket(u64::MAX >> 1));
+        assert_ne!(requeue, Ticket::requeue_of(AppId(8)));
+        assert_eq!(
+            (Ticket(10).to_string(), requeue.to_string()),
+            ("req10".into(), "requeue-of-app7".into())
+        );
     }
 
     #[test]

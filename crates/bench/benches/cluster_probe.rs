@@ -1,7 +1,7 @@
 //! Sharded parallel versus monolithic sequential admission probing.
 //!
 //! A `kairos-cluster` batched admission places its whole arrival wave
-//! with one parallel fan-out: one scoped thread per shard probes every
+//! with one parallel fan-out: one worker thread per shard probes every
 //! wave member against its own region
 //! (`ClusterService::probe_admit_wave`), so the wall-clock is the
 //! slowest *shard's* pass over the wave — and each shard's platform is

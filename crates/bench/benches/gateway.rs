@@ -1,5 +1,5 @@
 //! Gateway serving throughput — monolithic versus sync-cluster versus
-//! async-cluster admission, plus pooled versus scoped probe executors.
+//! async-cluster admission.
 //!
 //! The `kairos-gateway` front-end accepts admissions into bounded lanes
 //! and drives the service from its deterministic executor, so a storm
@@ -13,12 +13,6 @@
 //! synchronously request by request (CI executes the assertion as a
 //! smoke check; multi-core hosts must pass it strictly, a single-core
 //! host gets a scheduling-noise tolerance).
-//!
-//! The second table times the persistent probe worker pool
-//! ([`ProbeExecutor::Pooled`]) against the legacy per-wave
-//! `thread::scope` fan-out ([`ProbeExecutor::Scoped`]) on the same
-//! storm: the pool pays thread spawns once at construction instead of
-//! per wave, so it must never be slower.
 
 use std::time::Instant;
 
@@ -26,7 +20,7 @@ use kairos_admitd::PriorityClass;
 use kairos_app::Application;
 use kairos_appgen::{DatasetSpec, MixEntry, Orientation, SizeClass, WorkloadMix, WorkloadSampler};
 use kairos_bench::print_table;
-use kairos_cluster::{ClusterBuilder, ClusterService, LeastLoaded, ProbeExecutor};
+use kairos_cluster::{ClusterBuilder, ClusterService, LeastLoaded};
 use kairos_gateway::{Gateway, GatewayConfig};
 use kairos_platform::topology;
 use kairos_svc::{Request, ResourceService, ServiceBuilder};
@@ -47,11 +41,10 @@ fn storm(n: usize, seed: u64) -> Vec<Application> {
     (0..n).map(|_| sampler.next_app()).collect()
 }
 
-fn cluster(shards: usize, executor: ProbeExecutor) -> ClusterService {
+fn cluster(shards: usize) -> ClusterService {
     ClusterBuilder::new(topology::crisp(), shards)
         .deterministic(true)
         .placement(Box::new(LeastLoaded))
-        .probe_executor(executor)
         .build()
         .expect("shard counts fit CRISP")
 }
@@ -95,7 +88,7 @@ fn gateway_micros(shards: usize, wave_len: usize, apps: &[Application], reps: u3
     let mut best = f64::INFINITY;
     let mut admitted = 0;
     for _ in 0..reps {
-        let inner = cluster(shards, ProbeExecutor::Pooled);
+        let inner = cluster(shards);
         let mut gateway = Gateway::new(
             Box::new(inner),
             GatewayConfig { coalesce: true, ..GatewayConfig::default() },
@@ -116,21 +109,6 @@ fn gateway_micros(shards: usize, wave_len: usize, apps: &[Application], reps: u3
     (best, admitted)
 }
 
-/// Batched placement of the storm under `executor`, timing only the
-/// probe-bearing `submit_batch`. Best of `reps`.
-fn executor_micros(shards: usize, executor: ProbeExecutor, apps: &[Application], reps: u32) -> f64 {
-    let mut best = f64::INFINITY;
-    for _ in 0..reps {
-        let mut service = cluster(shards, executor);
-        let wave = requests(apps);
-        let start = Instant::now();
-        service.submit_batch(wave);
-        best = best.min(start.elapsed().as_secs_f64() * 1e6);
-        service.take_events();
-    }
-    best
-}
-
 fn main() {
     const APPS: usize = 48;
     const REPS: u32 = 7;
@@ -143,8 +121,7 @@ fn main() {
         &apps,
         REPS,
     );
-    let (sync_cluster, sync_admitted) =
-        sync_micros(|| Box::new(cluster(SHARDS, ProbeExecutor::Pooled)), &apps, REPS);
+    let (sync_cluster, sync_admitted) = sync_micros(|| Box::new(cluster(SHARDS)), &apps, REPS);
     let (async_cluster, async_admitted) = gateway_micros(SHARDS, WAVE, &apps, REPS);
 
     let rate = |admitted: usize, micros: f64| admitted as f64 / (micros / 1e6);
@@ -173,25 +150,6 @@ fn main() {
         ],
     );
 
-    let mut rows = Vec::new();
-    let mut worst_ratio = 0.0f64;
-    for shards in [2usize, 3, 4] {
-        let pooled = executor_micros(shards, ProbeExecutor::Pooled, &apps, REPS);
-        let scoped = executor_micros(shards, ProbeExecutor::Scoped, &apps, REPS);
-        worst_ratio = worst_ratio.max(pooled / scoped);
-        rows.push(vec![
-            shards.to_string(),
-            format!("{pooled:.0}"),
-            format!("{scoped:.0}"),
-            format!("{:.2}x", scoped / pooled),
-        ]);
-    }
-    print_table(
-        "batched storm placement: persistent pool vs per-wave scoped spawns",
-        &["shards", "pooled us", "scoped us", "pool speedup"],
-        &rows,
-    );
-
     // With ≥2 cores the coalesced wave's parallel probe fan-out must beat
     // sequential per-request probing outright; a single-core host
     // serialises the shard workers, so only a noise tolerance applies.
@@ -204,16 +162,9 @@ fn main() {
         "the async gateway path must not admit slower than the sync cluster \
          ({async_rate:.0}/s vs {sync_rate:.0}/s on {cores} core(s))"
     );
-    // The pool pays its spawns once at construction; per wave it must
-    // never lose to respawning a thread per shard (noise margin only).
-    assert!(
-        worst_ratio <= 1.15,
-        "the persistent probe pool must never be slower than scoped spawns \
-         (worst pooled/scoped ratio {worst_ratio:.2})"
-    );
     println!(
         "OK ({cores} core(s)): async {async_rate:.0} admissions/s vs sync cluster \
-         {sync_rate:.0}/s ({:.2}x), worst pooled/scoped ratio {worst_ratio:.2}",
+         {sync_rate:.0}/s ({:.2}x)",
         async_rate / sync_rate
     );
 }

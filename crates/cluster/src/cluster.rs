@@ -1,7 +1,6 @@
 //! The sharded [`ResourceService`]: one `Kairos` manager per platform
 //! region, parallel admission probes, and cross-shard rebalancing.
 
-use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use kairos_admitd::{AdmitPolicy, PriorityClass};
@@ -17,7 +16,7 @@ use kairos_svc::{
 use kairos_telemetry::{Counter, Histogram, Level, Telemetry, TraceContext};
 
 use crate::policy::{FirstFit, PlacementPolicy, ShardFit, ShardLoad, ShardProbe};
-use crate::pool::{ProbeExecutor, ProbePool};
+use crate::pool::ProbePool;
 
 /// Size of each shard's [`AppId`] namespace: shard `i` mints ids from
 /// `i * APP_ID_STRIDE`, so an id alone identifies its home shard and ids
@@ -29,8 +28,8 @@ pub const APP_ID_STRIDE: u32 = 1 << 24;
 /// [`Command::Rebalance`] sweep moves work across the boundary.
 const REBALANCE_GAP: f64 = 0.05;
 
-/// One region shard: its service, its slice of the global element id
-/// space, and the translation of its service tickets into the cluster's.
+/// One region shard: its service and its slice of the global element id
+/// space.
 #[derive(Debug)]
 struct Shard {
     /// The shard's manager. `None` only *during* a pooled probe wave,
@@ -40,10 +39,6 @@ struct Shard {
     service: Option<KairosService>,
     /// Local element index → global element id.
     globals: Vec<ElementId>,
-    /// Shard-service ticket → cluster ticket. Entries are never removed:
-    /// a ticket may be referenced by later events (a requeued victim's
-    /// admission).
-    tickets: BTreeMap<u64, Ticket>,
 }
 
 impl Shard {
@@ -56,66 +51,21 @@ impl Shard {
     }
 }
 
-/// Translates one shard's event batch into the cluster's id spaces:
-/// tickets through the shard's translation map, element ids from the
-/// shard's local space back to the global platform. App ids pass through
-/// untouched — they are globally unique by construction (the per-shard
-/// [`APP_ID_STRIDE`] namespace). Admission-report layouts stay in
-/// shard-local element coordinates; translate them through
+/// Translates one shard's event batch into the cluster's id space:
+/// element ids from the shard's local space back to the global platform.
+/// Tickets pass through untouched — the cluster stamped them on the way
+/// down — and so do app ids, globally unique by construction (the
+/// per-shard [`APP_ID_STRIDE`] namespace). Admission-report layouts stay
+/// in shard-local element coordinates; translate them through
 /// [`ClusterService::regions`] when needed.
-fn translate_events(next: &mut u64, shard: &mut Shard, events: Vec<Event>) -> Vec<Event> {
-    let Shard { globals, tickets, .. } = shard;
-    // The cluster ticket of a shard-service ticket, minted on first sight
-    // (shards mint tickets of their own for preemption requeues; they
-    // join the cluster's uniform ticket space here, in event order).
-    let mut t = |ticket: Ticket| -> Ticket {
-        if let Some(&t) = tickets.get(&ticket.0) {
-            return t;
+fn translate_events(globals: &[ElementId], mut events: Vec<Event>) -> Vec<Event> {
+    for event in &mut events {
+        if let Event::ElementFailed { element, .. } | Event::ElementRepaired { element, .. } = event
+        {
+            *element = globals[element.index()];
         }
-        let minted = Ticket(*next);
-        *next += 1;
-        tickets.insert(ticket.0, minted);
-        minted
-    };
+    }
     events
-        .into_iter()
-        .map(|event| match event {
-            Event::Queued { ticket, class, depth } => {
-                Event::Queued { ticket: t(ticket), class, depth }
-            }
-            Event::Admitted { ticket, class, app, report, waited, attempts } => {
-                Event::Admitted { ticket: t(ticket), class, app, report, waited, attempts }
-            }
-            Event::AttemptFailed { ticket, class, attempt, phase } => {
-                Event::AttemptFailed { ticket: t(ticket), class, attempt, phase }
-            }
-            Event::Rejected { ticket, class, cause, waited } => {
-                Event::Rejected { ticket: t(ticket), class, cause, waited }
-            }
-            Event::Preempted { victim, class, requeued_as, by } => {
-                Event::Preempted { victim, class, by: t(by), requeued_as: t(requeued_as) }
-            }
-            Event::Migrated { ticket, app, moved_tasks } => {
-                Event::Migrated { ticket: t(ticket), app, moved_tasks }
-            }
-            Event::MigrationFailed { ticket, app, error } => {
-                Event::MigrationFailed { ticket: t(ticket), app, error }
-            }
-            Event::Released { ticket, app, found } => {
-                Event::Released { ticket: t(ticket), app, found }
-            }
-            Event::ElementFailed { ticket, element, evicted } => Event::ElementFailed {
-                ticket: t(ticket),
-                element: globals[element.index()],
-                evicted,
-            },
-            Event::ElementRepaired { ticket, element } => {
-                Event::ElementRepaired { ticket: t(ticket), element: globals[element.index()] }
-            }
-            Event::Defragged { ticket, moves } => Event::Defragged { ticket: t(ticket), moves },
-            Event::Rebalanced { ticket, moves } => Event::Rebalanced { ticket: t(ticket), moves },
-        })
-        .collect()
 }
 
 /// Builds a [`ClusterService`]: the platform, the shard count, and the
@@ -145,7 +95,6 @@ pub struct ClusterBuilder {
     admission: Option<AdmitPolicy>,
     policy: Box<dyn PlacementPolicy>,
     telemetry: Telemetry,
-    executor: ProbeExecutor,
 }
 
 impl ClusterBuilder {
@@ -160,19 +109,7 @@ impl ClusterBuilder {
             admission: None,
             policy: Box::new(FirstFit),
             telemetry: Telemetry::disabled(),
-            executor: ProbeExecutor::default(),
         }
-    }
-
-    /// Selects the probe fan-out executor (default:
-    /// [`ProbeExecutor::Pooled`] — one persistent worker thread per
-    /// shard). [`ProbeExecutor::Scoped`] restores the legacy per-wave
-    /// `std::thread::scope` spawns; both produce byte-identical probe
-    /// rows, event streams and metric snapshots (the
-    /// `pooled_and_scoped_probe_executors_are_byte_identical` pin).
-    pub fn probe_executor(mut self, executor: ProbeExecutor) -> Self {
-        self.executor = executor;
-        self
     }
 
     /// Replaces the per-shard manager configuration (each shard's
@@ -243,20 +180,18 @@ impl ClusterBuilder {
             shards.push(Shard {
                 service: Some(builder.build()?),
                 globals: region.elements(r).to_vec(),
-                tickets: BTreeMap::new(),
             });
         }
         let metrics = ClusterMetrics::new(&self.telemetry, region.region_count());
         // One-shard clusters probe inline (monolithic byte-identity), so
         // the pool only exists where a fan-out actually happens.
-        let pool =
-            (self.executor == ProbeExecutor::Pooled && region.region_count() > 1).then(|| {
-                ProbePool::new(
-                    region.region_count(),
-                    &self.telemetry,
-                    metrics.as_ref().map(|m| m.probe_ns.as_slice()),
-                )
-            });
+        let pool = (region.region_count() > 1).then(|| {
+            ProbePool::new(
+                region.region_count(),
+                &self.telemetry,
+                metrics.as_ref().map(|m| m.probe_ns.as_slice()),
+            )
+        });
         Ok(ClusterService {
             shards,
             region,
@@ -278,9 +213,9 @@ impl ClusterBuilder {
 ///
 /// * **Admissions** fan out as parallel what-if probes across all shards
 ///   (a persistent worker-pool probe executor — one long-lived thread
-///   per shard fed through job channels, see [`ProbeExecutor`]; each
-///   probe runs in a claim-journal transaction that is always rolled
-///   back, so losing probes cost nothing). Probe results are merged in
+///   per shard fed through job channels; each probe runs in a
+///   claim-journal transaction that is always rolled back, so losing
+///   probes cost nothing). Probe results are merged in
 ///   shard-id order and the
 ///   injected [`PlacementPolicy`] picks the winning shard — making the
 ///   outcome independent of thread scheduling. The admission is then
@@ -322,16 +257,15 @@ pub struct ClusterService {
     shards: Vec<Shard>,
     region: RegionMap,
     policy: Box<dyn PlacementPolicy>,
-    /// Next cluster ticket; allocation order is submission order, with
-    /// shard-minted tickets (preemption requeues) numbered at the instant
-    /// their first event is translated.
+    /// Mint for requests that arrive without a ticket (the cluster is
+    /// then the outermost layer); allocation order is submission order.
     next_ticket: u64,
     /// Events accumulated since the last [`ResourceService::take_events`].
     events: Vec<Event>,
     telemetry: Telemetry,
     metrics: Option<ClusterMetrics>,
-    /// The persistent probe workers; `None` on one-shard clusters and
-    /// under [`ProbeExecutor::Scoped`].
+    /// The persistent probe workers; `Some` iff the cluster has more than
+    /// one shard.
     pool: Option<ProbePool>,
 }
 
@@ -342,13 +276,12 @@ pub const SCORE_E6_BOUNDS: &[u64] = &[100_000, 250_000, 500_000, 750_000, 900_00
 
 /// Pre-resolved registry handles for the cluster layer, built once at
 /// construction. The per-shard probe histograms are recorded from inside
-/// the fan-out's probe threads (pool workers or scoped spawns alike);
-/// that stays deterministic under the zero clock because every recorded
-/// duration is `0` and atomic increments commute, so the snapshot is a
-/// pure function of the probe count — independent of thread scheduling,
-/// of whether telemetry is lit, and of which [`ProbeExecutor`] ran the
-/// wave (the `pooled_and_scoped_probe_executors_are_byte_identical` pin
-/// holds all of this in place).
+/// the pool's worker threads; that stays deterministic under the zero
+/// clock because every recorded duration is `0` and atomic increments
+/// commute, so the snapshot is a pure function of the probe count —
+/// independent of thread scheduling and of whether telemetry is lit (the
+/// `pooled_probe_waves_match_sequential_standalone_probes` pin holds
+/// this in place).
 #[derive(Debug, Clone)]
 struct ClusterMetrics {
     probe_waves: Arc<Counter>,
@@ -450,84 +383,43 @@ impl ClusterService {
     /// `app` — in parallel on a multi-shard cluster — and returns the
     /// results merged in shard-id order. Nothing changes anywhere: each
     /// probe runs in a claim-journal transaction its shard always rolls
-    /// back.
+    /// back. The one-element case of [`Self::probe_admit_wave`].
     pub fn probe_admit(&mut self, app: &Application) -> Vec<ShardProbe> {
-        let _span = self.telemetry.span("kairos_cluster", "probe_admit");
-        let metrics = &self.metrics;
-        let telemetry = &self.telemetry;
-        if let Some(m) = metrics {
-            m.probe_waves.inc();
-            m.probes.add(self.shards.len() as u64);
-        }
-        let row = if self.shards.len() == 1 {
-            let start = telemetry.clock();
-            let fit = fit_of(self.shards[0].svc_mut().probe_admit(app).ok());
-            if let Some(m) = &self.metrics {
-                m.probe_ns[0].record(Telemetry::elapsed_ns(start));
-            }
-            vec![ShardProbe { shard: 0, fit }]
-        } else {
-            let per_shard = self.fan_out(&[app]);
-            per_shard
-                .into_iter()
-                .enumerate()
-                .map(|(shard, mut fits)| ShardProbe { shard, fit: fits.pop().flatten() })
-                .collect()
-        };
-        if let Some(m) = &self.metrics {
-            m.note_fits(&row);
-        }
-        row
+        self.probe_wave(&[app]).pop().expect("one probe row per application")
     }
 
     /// Probes every shard with a state-neutral what-if admission of a
-    /// whole arrival wave: one scoped thread per shard probes *all* of
-    /// `apps` against its region, so the fan-out cost is one thread per
-    /// shard per wave instead of per application. Returns one shard-id-
-    /// ordered probe row per application, identical to calling
-    /// [`ClusterService::probe_admit`] per app (probes are state-neutral,
-    /// so the rows are independent) — this is what batched submission
-    /// places its admissions with, and the workload the `cluster_probe`
-    /// bench measures against the monolithic sequential baseline.
+    /// whole arrival wave: each shard's worker probes *all* of `apps`
+    /// against its region, so the fan-out cost is one hand-off per shard
+    /// per wave instead of per application. Returns one shard-id-ordered
+    /// probe row per application (probes are state-neutral, so the rows
+    /// are independent) — this is what batched submission places its
+    /// admissions with, and the workload the `cluster_probe` bench
+    /// measures against the monolithic sequential baseline.
     pub fn probe_admit_wave(&mut self, apps: &[Application]) -> Vec<Vec<ShardProbe>> {
         let refs: Vec<&Application> = apps.iter().collect();
         self.probe_wave(&refs)
     }
 
     /// [`Self::probe_admit_wave`] over borrowed applications (what the
-    /// batched submission path calls — the wave is still owned by the
-    /// requests being placed).
+    /// submission paths call — the wave is still owned by the requests
+    /// being placed).
     fn probe_wave(&mut self, apps: &[&Application]) -> Vec<Vec<ShardProbe>> {
         let _span = self.telemetry.span("kairos_cluster", "probe_wave");
-        let metrics = &self.metrics;
-        let telemetry = &self.telemetry;
-        if let Some(m) = metrics {
+        if let Some(m) = &self.metrics {
             m.probe_waves.inc();
             m.probes.add((self.shards.len() * apps.len()) as u64);
         }
-        let rows: Vec<Vec<ShardProbe>> = if self.shards.len() == 1 {
-            apps.iter()
-                .map(|app| {
-                    let start = telemetry.clock();
-                    let fit = fit_of(self.shards[0].svc_mut().probe_admit(app).ok());
-                    if let Some(m) = &self.metrics {
-                        m.probe_ns[0].record(Telemetry::elapsed_ns(start));
-                    }
-                    vec![ShardProbe { shard: 0, fit }]
-                })
-                .collect()
-        } else {
-            let per_shard = self.fan_out(apps);
-            (0..apps.len())
-                .map(|a| {
-                    per_shard
-                        .iter()
-                        .enumerate()
-                        .map(|(shard, fits)| ShardProbe { shard, fit: fits[a] })
-                        .collect()
-                })
-                .collect()
-        };
+        let per_shard = self.fan_out(apps);
+        let rows: Vec<Vec<ShardProbe>> = (0..apps.len())
+            .map(|a| {
+                per_shard
+                    .iter()
+                    .enumerate()
+                    .map(|(shard, fits)| ShardProbe { shard, fit: fits[a] })
+                    .collect()
+            })
+            .collect();
         if let Some(m) = &self.metrics {
             for row in &rows {
                 m.note_fits(row);
@@ -536,69 +428,32 @@ impl ClusterService {
         rows
     }
 
-    /// The multi-shard fan-out behind [`Self::probe_admit`] and
-    /// [`Self::probe_wave`]: every shard probes the whole wave, timings
-    /// recorded inside the executor's threads, fit rows merged in
-    /// shard-id order (outer index = shard). Runs on the persistent
-    /// [`ProbePool`] when one exists, or falls back to per-wave scoped
-    /// spawns ([`ProbeExecutor::Scoped`]) — the two are byte-identical
-    /// in results, events and metric values.
+    /// Every shard probes the whole wave, timings recorded where the work
+    /// happens, fit rows merged in shard-id order (outer index = shard).
+    /// A one-shard cluster probes inline; otherwise the wave runs on the
+    /// persistent [`ProbePool`].
     fn fan_out(&mut self, apps: &[&Application]) -> Vec<Vec<Option<ShardFit>>> {
-        if let Some(pool) = &self.pool {
-            // Ownership transfer: lend each shard's manager to its
-            // persistent worker together with one shared copy of the
-            // wave, then take managers and fit rows back in shard-id
-            // order.
-            let wave: Arc<Vec<Application>> =
-                Arc::new(apps.iter().map(|&app| app.clone()).collect());
-            for (i, shard) in self.shards.iter_mut().enumerate() {
-                let service = shard.service.take().expect("shard manager is checked in");
-                pool.submit(i, service, wave.clone());
-            }
-            self.shards
-                .iter_mut()
-                .enumerate()
-                .map(|(i, shard)| {
-                    let (service, fits) = pool.collect(i);
-                    shard.service = Some(service);
-                    fits
-                })
-                .collect()
-        } else {
-            // Legacy executor: one scoped thread per shard per wave. Each
-            // thread exclusively owns its shard's manager (`iter_mut`
-            // hands out disjoint borrows) and joining in spawn order
-            // re-imposes shard-id order on the results.
-            let metrics = &self.metrics;
-            let telemetry = &self.telemetry;
-            std::thread::scope(|scope| {
-                let handles: Vec<_> = self
-                    .shards
-                    .iter_mut()
-                    .enumerate()
-                    .map(|(i, shard)| {
-                        let hist = metrics.as_ref().map(|m| m.probe_ns[i].clone());
-                        scope.spawn(move || {
-                            let service = shard.svc_mut();
-                            apps.iter()
-                                .map(|app| {
-                                    let start = telemetry.clock();
-                                    let fit = fit_of(service.probe_admit(app).ok());
-                                    if let Some(hist) = &hist {
-                                        hist.record(Telemetry::elapsed_ns(start));
-                                    }
-                                    fit
-                                })
-                                .collect()
-                        })
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|handle| handle.join().expect("probe thread panicked"))
-                    .collect()
-            })
+        let Some(pool) = &self.pool else {
+            let hist = self.metrics.as_ref().map(|m| &m.probe_ns[0]);
+            return vec![probe_all(self.shards[0].svc_mut(), apps, &self.telemetry, hist)];
+        };
+        // Ownership transfer: lend each shard's manager to its persistent
+        // worker together with one shared copy of the wave, then take
+        // managers and fit rows back in shard-id order.
+        let wave: Arc<Vec<Application>> = Arc::new(apps.iter().map(|&app| app.clone()).collect());
+        for (i, shard) in self.shards.iter_mut().enumerate() {
+            let service = shard.service.take().expect("shard manager is checked in");
+            pool.submit(i, service, wave.clone());
         }
+        self.shards
+            .iter_mut()
+            .enumerate()
+            .map(|(i, shard)| {
+                let (service, fits) = pool.collect(i);
+                shard.service = Some(service);
+                fits
+            })
+            .collect()
     }
 
     /// Current per-shard loads, in shard-id order.
@@ -612,12 +467,6 @@ impl ClusterService {
                 queue_depth: s.svc().queue_depth(),
             })
             .collect()
-    }
-
-    fn alloc_ticket(&mut self) -> Ticket {
-        let ticket = Ticket(self.next_ticket);
-        self.next_ticket += 1;
-        ticket
     }
 
     /// Probes, asks the policy, falls back: the shard this admission is
@@ -664,24 +513,21 @@ impl ClusterService {
     fn drain_shard(&mut self, shard: usize) {
         let s = &mut self.shards[shard];
         let events = s.svc_mut().take_events();
-        let translated = translate_events(&mut self.next_ticket, s, events);
-        self.events.extend(translated);
+        self.events.extend(translate_events(&s.globals, events));
     }
 
-    /// Submits `request` to `shard` under the cluster ticket `ticket` and
-    /// drains the fallout.
+    /// Submits `request`, stamped with the cluster ticket `ticket`, to
+    /// `shard` and drains the fallout.
     fn forward(&mut self, shard: usize, ticket: Ticket, request: Request) {
-        let s = &mut self.shards[shard];
-        let shard_ticket = s.svc_mut().submit(request);
-        s.tickets.insert(shard_ticket.0, ticket);
+        self.shards[shard].svc_mut().submit(request.with_ticket(ticket));
         self.drain_shard(shard);
     }
 
-    /// Performs one command under an already-allocated cluster ticket.
-    /// For admissions the cluster is the outermost service: it mints the
-    /// request's trace root when `trace` is still unset and stamps the
-    /// context onto the request it forwards, so the shard continues the
-    /// same trace instead of minting its own.
+    /// Performs one command under its settled ticket. For admissions the
+    /// cluster may be the outermost service: it mints the request's trace
+    /// root when `trace` is still unset and stamps context and ticket
+    /// onto the request it forwards, so the shard continues the same
+    /// trace under the same ticket instead of minting its own.
     fn dispatch(&mut self, ticket: Ticket, at: u64, command: Command, trace: TraceContext) {
         match command {
             Command::Admit { app, class } => {
@@ -736,10 +582,9 @@ impl ClusterService {
         let mut tail = Vec::new();
         for i in 0..self.shards.len() {
             let s = &mut self.shards[i];
-            let shard_ticket = s.svc_mut().submit(Request::new(at, Command::Defrag { max_moves }));
-            s.tickets.insert(shard_ticket.0, ticket);
+            s.svc_mut().submit(Request::new(at, Command::Defrag { max_moves }).with_ticket(ticket));
             let events = s.svc_mut().take_events();
-            for event in translate_events(&mut self.next_ticket, s, events) {
+            for event in translate_events(&s.globals, events) {
                 match event {
                     Event::Defragged { moves: m, .. } => moves += m,
                     other => tail.push(other),
@@ -869,8 +714,7 @@ impl ClusterService {
                 dst_elements.sort_unstable();
                 dst_elements.dedup();
                 self.shards[dst].svc_mut().invalidate_cached_points(&dst_elements);
-                let s = &mut self.shards[src];
-                tail.extend(translate_events(&mut self.next_ticket, s, drained));
+                tail.extend(translate_events(&self.shards[src].globals, drained));
                 moves.push((id, report.app_id));
                 continue 'sweep;
             }
@@ -893,6 +737,27 @@ impl ClusterService {
     }
 }
 
+/// Probes every application of a wave against one shard's manager,
+/// recording each probe's duration on `hist` — the loop a pool worker
+/// runs on its thread and a one-shard cluster runs inline.
+pub(crate) fn probe_all<A: std::borrow::Borrow<Application>>(
+    service: &mut KairosService,
+    apps: &[A],
+    telemetry: &Telemetry,
+    hist: Option<&Arc<Histogram>>,
+) -> Vec<Option<ShardFit>> {
+    apps.iter()
+        .map(|app| {
+            let start = telemetry.clock();
+            let fit = fit_of(service.probe_admit(app.borrow()).ok());
+            if let Some(hist) = hist {
+                hist.record(Telemetry::elapsed_ns(start));
+            }
+            fit
+        })
+        .collect()
+}
+
 pub(crate) fn fit_of(probe: Option<AdmissionProbe>) -> Option<ShardFit> {
     probe.map(|p| ShardFit {
         fragmentation: p.after.external_fragmentation,
@@ -903,20 +768,13 @@ pub(crate) fn fit_of(probe: Option<AdmissionProbe>) -> Option<ShardFit> {
 
 impl ResourceService for ClusterService {
     fn submit(&mut self, request: Request) -> Ticket {
-        let Request { at, command, trace } = request;
-        let ticket = self.alloc_ticket();
+        let Request { at, command, trace, ticket } = request;
+        let ticket = Ticket::resolve(ticket, &mut self.next_ticket);
         self.dispatch(ticket, at, command, trace);
         ticket
     }
 
     fn submit_batch(&mut self, requests: Vec<Request>) -> Vec<Ticket> {
-        // Cluster tickets are allocated up front in submission order —
-        // batching changes how work is performed, never how it is
-        // identified (mirroring the monolithic service).
-        let requests: Vec<(Ticket, Request)> =
-            requests.into_iter().map(|r| (self.alloc_ticket(), r)).collect();
-        let tickets: Vec<Ticket> = requests.iter().map(|(t, _)| *t).collect();
-
         // Place every admission against the pre-wave state — probes are
         // state-neutral, so the whole wave is probed in one per-shard
         // parallel fan-out ([`Self::probe_admit_wave`]) — group the wave
@@ -924,10 +782,17 @@ impl ResourceService for ClusterService {
         // batched submission (one platform transaction, one drain pass —
         // per shard). Non-admission commands run after the wave, in
         // submission order, exactly as the monolithic service does.
+        //
+        // Tickets are settled up front in submission order — batching
+        // changes how work is performed, never how it is identified
+        // (mirroring the monolithic service).
+        let mut tickets = Vec::with_capacity(requests.len());
         let mut admissions: Vec<(Ticket, u64, Application, PriorityClass, TraceContext)> =
             Vec::new();
         let mut rest: Vec<(Ticket, u64, Command, TraceContext)> = Vec::new();
-        for (ticket, Request { at, command, trace }) in requests {
+        for Request { at, command, trace, ticket } in requests {
+            let ticket = Ticket::resolve(ticket, &mut self.next_ticket);
+            tickets.push(ticket);
             match command {
                 Command::Admit { app, class } => {
                     // Roots are minted here, in submission order, so trace
@@ -947,11 +812,13 @@ impl ResourceService for ClusterService {
                 other => rest.push((ticket, at, other, trace)),
             }
         }
-        let mut waves: Vec<Vec<(Ticket, Request)>> =
-            (0..self.shards.len()).map(|_| Vec::new()).collect();
+        let stamped = |ticket, at, app, class, ctx| {
+            Request::admit(at, app, class).with_trace(ctx).with_ticket(ticket)
+        };
+        let mut waves: Vec<Vec<Request>> = (0..self.shards.len()).map(|_| Vec::new()).collect();
         if self.shards.len() == 1 {
             for (ticket, at, app, class, ctx) in admissions {
-                waves[0].push((ticket, Request::admit(at, app, class).with_trace(ctx)));
+                waves[0].push(stamped(ticket, at, app, class, ctx));
             }
         } else {
             let apps: Vec<&Application> = admissions.iter().map(|(_, _, app, _, _)| app).collect();
@@ -963,20 +830,14 @@ impl ResourceService for ClusterService {
                     None => self.policy.fallback(&self.loads()),
                 };
                 self.trace_probes(ctx, at, &row, target);
-                waves[target].push((ticket, Request::admit(at, app, class).with_trace(ctx)));
+                waves[target].push(stamped(ticket, at, app, class, ctx));
             }
         }
         for (i, wave) in waves.into_iter().enumerate() {
             if wave.is_empty() {
                 continue;
             }
-            let (cluster_tickets, shard_requests): (Vec<Ticket>, Vec<Request>) =
-                wave.into_iter().unzip();
-            let s = &mut self.shards[i];
-            let shard_tickets = s.svc_mut().submit_batch(shard_requests);
-            for (cluster_ticket, shard_ticket) in cluster_tickets.into_iter().zip(shard_tickets) {
-                s.tickets.insert(shard_ticket.0, cluster_ticket);
-            }
+            self.shards[i].svc_mut().submit_batch(wave);
             self.drain_shard(i);
         }
         for (ticket, at, command, trace) in rest {
@@ -990,7 +851,7 @@ impl ResourceService for ClusterService {
         for i in 0..self.shards.len() {
             let s = &mut self.shards[i];
             let events = s.svc_mut().pump(event);
-            out.extend(translate_events(&mut self.next_ticket, s, events));
+            out.extend(translate_events(&s.globals, events));
         }
         out
     }
@@ -1153,56 +1014,79 @@ mod tests {
         );
     }
 
-    /// Satellite pin: the persistent worker-pool probe executor and the
-    /// legacy per-wave scoped fan-out are byte-identical — tickets,
-    /// event streams, occupancy, and (lit) the rendered metric snapshot,
-    /// including the per-shard probe-timing histograms, whose recording
-    /// is commutative and therefore independent of executor scheduling.
+    /// Pins the pooled fan-out against a reference that is not a second
+    /// production path: one standalone service per [`RegionMap::extract`]
+    /// region, probed sequentially on the test thread. Probe rows must
+    /// match — and (lit) so must the rendered per-shard probe histograms,
+    /// whose recording is commutative and therefore independent of worker
+    /// scheduling under the zero clock.
     #[test]
-    fn pooled_and_scoped_probe_executors_are_byte_identical() {
-        let traffic = || -> Vec<Request> {
-            let mut t: Vec<Request> = (0..8)
-                .map(|i| Request::admit(i, chain(&format!("p{i}"), 2, 600), PriorityClass::Normal))
-                .collect();
-            t.push(Request::new(8, Command::Rebalance { max_moves: 2 }));
-            t
-        };
-        let batch: Vec<Request> = (0..4)
-            .map(|i| Request::admit(9, chain(&format!("b{i}"), 1, 400), PriorityClass::Low))
-            .collect();
+    fn pooled_probe_waves_match_sequential_standalone_probes() {
+        let platform = topology::crisp();
+        let mut wave: Vec<Application> =
+            (0..6).map(|i| chain(&format!("w{i}"), 1 + i % 3, 400 + 100 * i as u64)).collect();
+        wave.push(chain("hopeless", 70, 990));
         for lit in [false, true] {
-            let build = |executor: ProbeExecutor| {
-                let telemetry = if lit {
-                    Telemetry::new(kairos_telemetry::TelemetryConfig::default())
-                } else {
-                    Telemetry::disabled()
-                };
-                ClusterBuilder::new(topology::crisp(), 3)
-                    .deterministic(true)
-                    .telemetry(telemetry)
-                    .probe_executor(executor)
-                    .build()
-                    .unwrap()
+            let hub = || match lit {
+                true => Telemetry::new(kairos_telemetry::TelemetryConfig::default()),
+                false => Telemetry::disabled(),
             };
-            let mut pooled = build(ProbeExecutor::Pooled);
-            let mut scoped = build(ProbeExecutor::Scoped);
-            let pooled_tickets: Vec<Ticket> =
-                traffic().into_iter().map(|r| pooled.submit(r)).collect();
-            let scoped_tickets: Vec<Ticket> =
-                traffic().into_iter().map(|r| scoped.submit(r)).collect();
-            assert_eq!(pooled_tickets, scoped_tickets);
-            assert_eq!(pooled.submit_batch(batch.clone()), scoped.submit_batch(batch.clone()));
-            let (a, b) = (pooled.take_events(), scoped.take_events());
-            assert_eq!(format!("{a:?}"), format!("{b:?}"), "lit={lit}: event streams diverged");
-            assert_eq!(pooled.occupancy(), scoped.occupancy());
-            assert_eq!(pooled.queue_depth(), scoped.queue_depth());
-            if lit {
+            let mut pooled = ClusterBuilder::new(platform.clone(), 3)
+                .deterministic(true)
+                .telemetry(hub())
+                .build()
+                .unwrap();
+            let mut standalone: Vec<KairosService> = (0..3)
+                .map(|r| {
+                    ServiceBuilder::new(pooled.regions().extract(&platform, r))
+                        .config(KairosConfig {
+                            app_id_base: r as u32 * APP_ID_STRIDE,
+                            ..KairosConfig::default()
+                        })
+                        .deterministic(true)
+                        .build()
+                        .unwrap()
+                })
+                .collect();
+            // Load every shard and its standalone mirror identically,
+            // bypassing placement (and its probes).
+            for i in 0..8 {
+                let app = chain(&format!("p{i}"), 2, 600);
+                pooled.shards[i % 3].svc_mut().admit_now(&app, PriorityClass::Normal).unwrap();
+                standalone[i % 3].admit_now(&app, PriorityClass::Normal).unwrap();
+            }
+            for (s, service) in standalone.iter().enumerate() {
                 assert_eq!(
-                    pooled.telemetry().render_text(),
-                    scoped.telemetry().render_text(),
-                    "metric snapshots (probe histograms included) must match byte-for-byte"
+                    service.kairos().platform().checkpoint(),
+                    pooled.shard(s).kairos().platform().checkpoint()
                 );
             }
+
+            let reference_hub = hub();
+            let expected: Vec<Vec<ShardProbe>> = wave
+                .iter()
+                .map(|app| {
+                    let probe = |(shard, service): (usize, &mut KairosService)| {
+                        let start = reference_hub.clock();
+                        let fit = fit_of(service.probe_admit(app).ok());
+                        let name = format!("kairos.cluster.shard{shard}.probe.ns");
+                        if let Some(hist) = reference_hub.histogram(&name, DURATION_NS_BOUNDS) {
+                            hist.record(Telemetry::elapsed_ns(start));
+                        }
+                        ShardProbe { shard, fit }
+                    };
+                    standalone.iter_mut().enumerate().map(probe).collect()
+                })
+                .collect();
+            assert_eq!(pooled.probe_admit_wave(&wave), expected, "lit={lit}");
+            assert!(expected.iter().flatten().any(|p| p.fit.is_some()));
+            assert!(expected.last().unwrap().iter().all(|p| p.fit.is_none()));
+            let probe_histograms = |hub: &Telemetry| -> Vec<String> {
+                let text = hub.render_text();
+                text.lines().filter(|l| l.contains("_probe_ns")).map(str::to_owned).collect()
+            };
+            assert_eq!(probe_histograms(pooled.telemetry()), probe_histograms(&reference_hub));
+            assert_eq!(probe_histograms(&reference_hub).is_empty(), !lit);
         }
     }
 

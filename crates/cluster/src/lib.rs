@@ -20,8 +20,7 @@
 //!   worker-pool probe executor: one long-lived thread per shard, fed
 //!   whole waves through job channels (no executor crate, no extra
 //!   dependencies; each probe is a claim-journal transaction its shard
-//!   always rolls back, and [`ProbeExecutor::Scoped`] keeps the legacy
-//!   per-wave `std::thread::scope` fan-out selectable for comparison).
+//!   always rolls back).
 //!   Results are merged **in shard-id order**, so thread scheduling can
 //!   never leak into a decision: cluster output is byte-deterministic.
 //! * **Pluggable placement** — a [`PlacementPolicy`] trait object picks
@@ -32,10 +31,12 @@
 //! * **One service surface** — [`ClusterService`] implements
 //!   [`ResourceService`](kairos_svc::ResourceService), so every existing
 //!   driver — the `kairos-sim` scenario engine included — runs unchanged
-//!   over a fleet of managers. Tickets, app ids ([`APP_ID_STRIDE`]
-//!   namespaces) and element ids all translate into one uniform global
-//!   id space; a one-shard cluster reproduces the monolithic service
-//!   byte for byte.
+//!   over a fleet of managers. Tickets ride down to the shards by value
+//!   (the cluster stamps each forwarded request, so nothing is
+//!   translated on the way back), app ids are globally unique by
+//!   construction ([`APP_ID_STRIDE`] namespaces), and only element ids
+//!   translate between the shard-local and global spaces; a one-shard
+//!   cluster reproduces the monolithic service byte for byte.
 //! * **Cross-shard rebalancing** —
 //!   [`Command::Rebalance`](kairos_svc::Command::Rebalance) pairs the
 //!   most- with the least-loaded shard and moves running applications
@@ -79,7 +80,6 @@ pub use policy::{
     BestFitFragmentation, FirstFit, LeastLoaded, PlacementPolicy, PlacementPolicyKind, ShardFit,
     ShardLoad, ShardProbe,
 };
-pub use pool::ProbeExecutor;
 
 impl ClusterService {
     /// Sum of admitted applications over all shards (convenience for the
@@ -91,10 +91,10 @@ impl ClusterService {
 }
 
 // Compile-time thread-safety pins. Sharding lends whole manager stacks
-// to the persistent probe workers (or scoped probe threads) and shares
-// the probed wave between them; if any layer (platform, manager,
-// service, injected policy objects) silently stopped being `Send`/
-// `Sync`, parallel probing would regress. Fail the build here instead.
+// to the persistent probe workers and shares the probed wave between
+// them; if any layer (platform, manager, service, injected policy
+// objects) silently stopped being `Send`/`Sync`, parallel probing would
+// regress. Fail the build here instead.
 const fn _assert_send<T: Send>() {}
 const fn _assert_send_sync<T: Send + Sync>() {}
 const _: () = _assert_send_sync::<kairos_platform::Platform>();

@@ -1,9 +1,10 @@
 //! The persistent worker-pool probe executor.
 //!
-//! Earlier revisions spawned one scoped OS thread per shard for *every*
-//! probe fan-out (`std::thread::scope`), paying thread creation and
-//! teardown on each arrival. The pool keeps one long-lived worker per
-//! shard instead: a probe wave **lends** each shard's manager to its
+//! Spawning one OS thread per shard for every probe fan-out would pay
+//! thread creation and teardown on each arrival. The pool keeps one
+//! long-lived worker per shard instead (multi-shard clusters only; a
+//! one-shard cluster probes inline, preserving monolithic
+//! byte-identity): a probe wave **lends** each shard's manager to its
 //! worker through a job channel (plain ownership transfer — no locks, no
 //! shared mutable state, which also keeps the cluster's `&`-returning
 //! accessors sound: the manager is always checked back in before any
@@ -12,11 +13,10 @@
 //! fit row — receiving **in shard-id order**, so thread scheduling can
 //! never leak into a placement decision.
 //!
-//! Per-shard probe-timing histograms are recorded inside the workers,
-//! exactly as the scoped fan-out recorded them inside its threads; that
-//! stays byte-deterministic because histogram recording is commutative
-//! (see the cluster metrics docs) and under the deterministic zero clock
-//! every recorded duration is `0`.
+//! Per-shard probe-timing histograms are recorded inside the workers;
+//! that stays byte-deterministic because histogram recording is
+//! commutative (see the cluster metrics docs) and under the
+//! deterministic zero clock every recorded duration is `0`.
 
 use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::Arc;
@@ -26,23 +26,8 @@ use kairos_app::Application;
 use kairos_svc::KairosService;
 use kairos_telemetry::{Histogram, Telemetry};
 
-use crate::cluster::fit_of;
+use crate::cluster::probe_all;
 use crate::policy::ShardFit;
-
-/// How a [`ClusterService`](crate::ClusterService) fans admission probes
-/// out across its shards (multi-shard clusters only; a one-shard cluster
-/// probes inline either way, preserving monolithic byte-identity).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ProbeExecutor {
-    /// One long-lived worker thread per shard, fed whole waves through
-    /// job channels (the default).
-    #[default]
-    Pooled,
-    /// One fresh scoped thread per shard per wave — the legacy
-    /// `std::thread::scope` fan-out, kept for the pooled-vs-scoped
-    /// equivalence pin and the `gateway` bench comparison.
-    Scoped,
-}
 
 /// One wave of work for a worker: the shard's manager (lent for the
 /// duration of the wave) and the applications to probe.
@@ -92,17 +77,8 @@ impl ProbePool {
                     .name(format!("kairos-probe-{i}"))
                     .spawn(move || {
                         while let Ok((mut service, apps)) = job_rx.recv() {
-                            let fits: Vec<Option<ShardFit>> = apps
-                                .iter()
-                                .map(|app| {
-                                    let start = telemetry.clock();
-                                    let fit = fit_of(service.probe_admit(app).ok());
-                                    if let Some(hist) = &hist {
-                                        hist.record(Telemetry::elapsed_ns(start));
-                                    }
-                                    fit
-                                })
-                                .collect();
+                            let fits =
+                                probe_all(&mut service, apps.as_slice(), &telemetry, hist.as_ref());
                             if done_tx.send((service, fits)).is_err() {
                                 break;
                             }

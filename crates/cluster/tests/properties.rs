@@ -1,15 +1,23 @@
 //! Property tests of the sharded service: cluster output is a pure
 //! function of its inputs — parallel probe threads never leak scheduling
-//! into the event stream — and a one-shard cluster is indistinguishable
-//! from the monolithic service.
+//! into the event stream — a one-shard cluster is indistinguishable from
+//! the monolithic service, and one ticket names a request at every layer
+//! of the stack (monolith, cluster, gateway over cluster).
 
 use proptest::prelude::*;
 
-use kairos_admitd::{AdmitPolicy, PriorityClass};
+use std::collections::{BTreeMap, BTreeSet};
+use std::sync::{Arc, Mutex};
+
+use kairos_admitd::{AdmitPolicy, PreemptionPolicy, PriorityClass};
 use kairos_app::{Application, ApplicationBuilder, Implementation, TaskRole};
 use kairos_cluster::{ClusterBuilder, ClusterService, LeastLoaded};
+use kairos_gateway::{Gateway, GatewayConfig};
 use kairos_platform::{topology, AppId, ElementId, ElementKind, ResourceVector};
-use kairos_svc::{Command, Event, KairosService, Request, ResourceService, ServiceBuilder};
+use kairos_svc::{
+    CapacityEvent, Command, Event, Kairos, KairosService, Request, ResourceService, ServiceBuilder,
+    Ticket,
+};
 
 fn chain(name: &str, tasks: usize, cpu: u64) -> Application {
     let imp = Implementation::new(ElementKind::Dsp, ResourceVector::new(cpu, 8, 0, 0), 50, 1);
@@ -113,8 +121,228 @@ fn monolith(queued: bool) -> KairosService {
     .unwrap()
 }
 
+/// One call a gateway made into the service it wraps.
+#[derive(Debug, Clone)]
+enum Call {
+    Submit(Request),
+    Pump(CapacityEvent),
+}
+
+/// A pass-through [`ResourceService`] recording every mutating call (the
+/// requests exactly as forwarded, stamped tickets included), so a test
+/// can replay the gateway's traffic against a bare service.
+#[derive(Debug)]
+struct Tap {
+    inner: Box<dyn ResourceService + Send>,
+    calls: Arc<Mutex<Vec<Call>>>,
+}
+
+impl ResourceService for Tap {
+    fn submit(&mut self, request: Request) -> Ticket {
+        self.calls.lock().unwrap().push(Call::Submit(request.clone()));
+        self.inner.submit(request)
+    }
+    fn submit_batch(&mut self, requests: Vec<Request>) -> Vec<Ticket> {
+        unreachable!("the storms forward one request at a time, not {requests:?}")
+    }
+    fn pump(&mut self, event: CapacityEvent) -> Vec<Event> {
+        self.calls.lock().unwrap().push(Call::Pump(event));
+        self.inner.pump(event)
+    }
+    fn take_events(&mut self) -> Vec<Event> {
+        self.inner.take_events()
+    }
+    fn kairos(&self) -> &Kairos {
+        self.inner.kairos()
+    }
+    fn queue_depth(&self) -> usize {
+        self.inner.queue_depth()
+    }
+    fn shard_count(&self) -> usize {
+        self.inner.shard_count()
+    }
+}
+
+/// Queue policy of the storms: evicting preemption, no timeouts, room for
+/// every requeue.
+fn evict_policy() -> AdmitPolicy {
+    AdmitPolicy {
+        class_capacity: [16, 16, 16, 16],
+        max_wait: None,
+        preemption: PreemptionPolicy::Evict,
+        ..AdmitPolicy::default()
+    }
+}
+
+/// The platform of the storms: twelve DSPs, four per shard of three.
+fn storm_cluster() -> ClusterService {
+    ClusterBuilder::new(topology::dsp_mesh(4, 3), 3)
+        .deterministic(true)
+        .admission(evict_policy())
+        .build()
+        .unwrap()
+}
+
+/// Drives an eviction storm — a low-priority fill of near-whole-DSP
+/// chains, one critical that must preempt, then `ops` accepted six at a
+/// time (`accept`) between settling passes (`settle`) — and a final
+/// shutdown flush. Returns every ticket handed back, in acceptance order,
+/// and the whole event stream.
+fn storm<S: ResourceService>(
+    stack: &mut S,
+    accept: fn(&mut S, Request) -> Ticket,
+    settle: fn(&mut S) -> Vec<Event>,
+    ops: &[Op],
+) -> (Vec<Ticket>, Vec<Event>) {
+    let mut requests: Vec<Op> = (0..6).map(|_| (0, 1, 3)).collect();
+    requests.push((0, 1, 0));
+    requests.extend_from_slice(ops);
+    let mut tickets = Vec::new();
+    let mut events = Vec::new();
+    let mut live: Vec<AppId> = Vec::new();
+    let mut at = 0;
+    for chunk in requests.chunks(6) {
+        for &(op, a, b) in chunk {
+            at += 1;
+            let request = match op % 5 {
+                0..=2 => {
+                    let app = chain(&format!("s{at}"), 1 + (a % 3) as usize, 900);
+                    Request::admit(at, app, PriorityClass::ALL[(b % 4) as usize])
+                }
+                3 if !live.is_empty() => Request::release(at, live[(a as usize) % live.len()]),
+                _ => Request::new(at, Command::Defrag { max_moves: 2 }),
+            };
+            tickets.push(accept(stack, request));
+        }
+        let settled = settle(stack);
+        for event in &settled {
+            match event {
+                Event::Admitted { report, .. } => live.push(report.app_id),
+                Event::Released { app, .. } => live.retain(|id| id != app),
+                Event::Preempted { victim, .. } => live.retain(|id| id != victim),
+                _ => {}
+            }
+        }
+        events.extend(settled);
+    }
+    events.extend(stack.pump(CapacityEvent::Shutdown { now: at + 1 }));
+    (tickets, events)
+}
+
+/// The ticket laws every stack obeys: no value is issued twice, every
+/// issued ticket — minted or requeue-derived — reaches exactly one
+/// terminal event, and a requeue's ticket is a pure function of its
+/// victim.
+fn check_ticket_laws(tickets: &[Ticket], events: &[Event]) {
+    let mut issued: BTreeSet<Ticket> = BTreeSet::new();
+    for &ticket in tickets {
+        assert!(issued.insert(ticket), "{ticket} returned twice");
+    }
+    let mut preemptions = 0;
+    let mut terminals: BTreeMap<Ticket, usize> = BTreeMap::new();
+    for event in events {
+        match event {
+            Event::Preempted { victim, requeued_as, by, .. } => {
+                preemptions += 1;
+                assert_eq!(*requeued_as, Ticket::requeue_of(*victim));
+                assert!(issued.contains(by), "{by} preempted but was never issued");
+                assert!(issued.insert(*requeued_as), "{requeued_as} issued twice");
+            }
+            Event::Queued { .. } | Event::AttemptFailed { .. } => {}
+            terminal => *terminals.entry(terminal.ticket()).or_default() += 1,
+        }
+    }
+    assert!(preemptions > 0, "the storm's critical must evict something");
+    for ticket in &issued {
+        assert_eq!(terminals.get(ticket), Some(&1), "{} terminal events", ticket);
+    }
+    assert_eq!(terminals.len(), issued.len(), "a terminal event names an unissued ticket");
+}
+
+/// A ticket stamped on a request comes back verbatim — as the return
+/// value and on every event — and the layer that honoured it never later
+/// mints a value at or below it.
+fn assert_stamped_tickets_are_honoured(service: &mut dyn ResourceService) {
+    let stamped = Ticket(41);
+    let admit = |name: &str| Request::admit(0, chain(name, 1, 300), PriorityClass::Normal);
+    assert_eq!(service.submit(admit("stamped").with_ticket(stamped)), stamped);
+    let events = service.take_events();
+    assert!(!events.is_empty() && events.iter().all(|e| e.ticket() == stamped), "{events:?}");
+    let minted = service.submit(admit("minted"));
+    assert!(minted > stamped, "{minted} minted after honouring {stamped}");
+    // Out of order and inside a batch, stamped and unstamped side by side.
+    let wave = vec![admit("w0").with_ticket(Ticket(7)), admit("w1"), admit("w2")];
+    let tickets = service.submit_batch(wave);
+    assert_eq!(tickets[0], Ticket(7));
+    assert!(tickets[1] > minted && tickets[2] > tickets[1], "{tickets:?}");
+    let tail = service.submit(Request::new(1, Command::Defrag { max_moves: 1 }));
+    assert!(tail > tickets[2]);
+}
+
+#[test]
+fn every_layer_honours_a_stamped_ticket_and_mints_past_it() {
+    assert_stamped_tickets_are_honoured(&mut monolith(false));
+    assert_stamped_tickets_are_honoured(&mut monolith(true));
+    assert_stamped_tickets_are_honoured(&mut cluster(1, true));
+    assert_stamped_tickets_are_honoured(&mut cluster(3, false));
+    assert_stamped_tickets_are_honoured(&mut cluster(3, true));
+    let gateway = |inner: ClusterService| Gateway::new(Box::new(inner), GatewayConfig::default());
+    assert_stamped_tickets_are_honoured(&mut gateway(cluster(3, true)));
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
+
+    /// One ticket, minted once: under eviction storms the ticket laws
+    /// hold on a monolith, on a 3-shard queued cluster, and on the same
+    /// cluster behind a two-slot-lane gateway — where parked requests
+    /// reach the cluster out of ticket order and the gateway's stream is
+    /// still, byte for byte, what the bare cluster answers to the very
+    /// requests the gateway forwarded.
+    #[test]
+    fn tickets_are_unique_and_terminate_exactly_once_at_every_layer(
+        ops in proptest::collection::vec((0u8..5, any::<u8>(), any::<u8>()), 0..24),
+    ) {
+        let mut monolith = ServiceBuilder::new(topology::dsp_mesh(4, 3))
+            .deterministic(true)
+            .admission(evict_policy())
+            .build()
+            .unwrap();
+        let (tickets, events) =
+            storm(&mut monolith, KairosService::submit, KairosService::take_events, &ops);
+        check_ticket_laws(&tickets, &events);
+
+        let (tickets, events) =
+            storm(&mut storm_cluster(), ClusterService::submit, ClusterService::take_events, &ops);
+        check_ticket_laws(&tickets, &events);
+
+        // Driven with `enqueue` + `drive`, a two-slot lane bound forwards
+        // parked requests out of ticket order.
+        let calls = Arc::new(Mutex::new(Vec::new()));
+        let tap = Tap { inner: Box::new(storm_cluster()), calls: Arc::clone(&calls) };
+        let config = GatewayConfig { channel_capacity: 2, ..GatewayConfig::default() };
+        let settle = |gateway: &mut Gateway| {
+            gateway.drive();
+            gateway.take_events()
+        };
+        let (tickets, events) =
+            storm(&mut Gateway::new(Box::new(tap), config), Gateway::enqueue, settle, &ops);
+        check_ticket_laws(&tickets, &events);
+
+        let mut direct = storm_cluster();
+        let mut replayed = Vec::new();
+        for call in calls.lock().unwrap().drain(..) {
+            match call {
+                Call::Submit(request) => {
+                    prop_assert!(request.ticket.is_some(), "the gateway stamps what it forwards");
+                    direct.submit(request);
+                    replayed.extend(direct.take_events());
+                }
+                Call::Pump(event) => replayed.extend(direct.pump(event)),
+            }
+        }
+        prop_assert_eq!(format!("{events:?}"), format!("{replayed:?}"));
+    }
 
     /// Determinism under parallelism: the same operation sequence against
     /// a fresh multi-shard cluster produces the byte-identical event

@@ -82,7 +82,7 @@ pub use routing::{release_routes, route_channels, RouteAlgorithm};
 pub use validation::{layout_to_sdf, validate, ValidationConfig, ValidationReport};
 
 /// Compile-time thread-safety pin: `kairos-cluster` moves one manager
-/// per shard into scoped probe threads, so `Kairos` (and everything it
+/// per shard into probe worker threads, so `Kairos` (and everything it
 /// owns) must stay `Send + Sync`. A field change that silently dropped
 /// either would regress sharding — fail the build here instead.
 const fn _assert_send_sync<T: Send + Sync>() {}

@@ -28,8 +28,11 @@
 //!   front-end.
 //! * **One service surface** — [`Gateway`] itself implements
 //!   [`ResourceService`], driving each submission to completion before
-//!   returning. In that lockstep mode the gateway mints the same ticket
-//!   numbers as the wrapped service and reproduces its event stream byte
+//!   returning. As the outermost layer the gateway mints each request's
+//!   ticket and stamps it on the request it forwards
+//!   ([`Request::ticket`]), so the wrapped service answers under the
+//!   very same ticket and its events pass through untranslated; in that
+//!   lockstep mode the event stream is the wrapped service's own, byte
 //!   for byte (the `gateway_equivalence` suite pins this across queued,
 //!   clustered, preempting and cached regimes). The async API
 //!   ([`Gateway::enqueue`] + [`Gateway::drive`]) relaxes only *when*
@@ -217,12 +220,13 @@ impl Expect {
     }
 }
 
-/// A request the executor has accepted but not yet pushed into the inner
-/// service: the flush between polls forwards these in ticket order.
+/// A request (already stamped with its gateway ticket) the executor has
+/// accepted but not yet pushed into the inner service: the flush between
+/// polls forwards these in poll order.
 #[derive(Debug)]
 enum Forward {
-    Single(u64, Request),
-    Batch(Vec<u64>, Vec<Request>),
+    Single(Request),
+    Batch(Vec<Request>),
 }
 
 /// One bounded per-shard request lane.
@@ -234,13 +238,6 @@ struct Lane {
     /// lane handoff order is deterministic.
     waiters: BTreeMap<u64, Waker>,
     depth: Option<Arc<Gauge>>,
-}
-
-/// Completion state of one accepted ticket.
-#[derive(Debug)]
-enum Terminal {
-    Waiting(Option<Waker>),
-    Done,
 }
 
 /// Per-subscriber event buffer for one ticket.
@@ -259,7 +256,11 @@ struct Core {
     /// flushes into the inner service before its final drain.
     draining: bool,
     forwards: Vec<Forward>,
-    terminals: BTreeMap<u64, Terminal>,
+    /// Accepted tickets still owed their terminal event, each with the
+    /// waker of the request future parked on it (if it got that far). An
+    /// entry is retired at completion, so an absent ticket is a finished
+    /// one.
+    terminals: BTreeMap<u64, Option<Waker>>,
     streams: BTreeMap<u64, SubState>,
     stats: GatewayCounters,
 }
@@ -304,8 +305,8 @@ impl Core {
 
     fn poll_terminal(&mut self, ticket: u64, cx: &mut Context<'_>) -> Poll<()> {
         match self.terminals.get_mut(&ticket) {
-            Some(Terminal::Done) | None => Poll::Ready(()),
-            Some(Terminal::Waiting(waker)) => {
+            None => Poll::Ready(()),
+            Some(waker) => {
                 *waker = Some(cx.waker().clone());
                 Poll::Pending
             }
@@ -313,8 +314,7 @@ impl Core {
     }
 
     fn complete(&mut self, ticket: u64) {
-        if let Some(Terminal::Waiting(Some(waker))) = self.terminals.insert(ticket, Terminal::Done)
-        {
+        if let Some(Some(waker)) = self.terminals.remove(&ticket) {
             waker.wake();
         }
         if let Some(sub) = self.streams.get_mut(&ticket) {
@@ -342,12 +342,10 @@ pub struct Gateway {
     /// The executor: one future per accepted request, drained in ticket
     /// order by the shim's deterministic ready-queue.
     tasks: FuturesUnordered<BoxFuture<'static, ()>>,
-    /// Gateway ticket mint; tracks the inner service numerically in
-    /// lockstep mode.
+    /// Mint for requests that arrive without a ticket (the gateway is
+    /// normally the outermost layer); every ticket below it has been
+    /// accepted at some point.
     next_ticket: u64,
-    /// inner ticket → gateway ticket, minted on first sight in event
-    /// order (covers preemption requeues the inner service mints).
-    tickets: BTreeMap<u64, Ticket>,
     /// Acceptance time of each in-flight ticket, for the completion
     /// latency histogram.
     started: BTreeMap<u64, u64>,
@@ -407,7 +405,6 @@ impl Gateway {
             })),
             tasks: FuturesUnordered::new(),
             next_ticket: 0,
-            tickets: BTreeMap::new(),
             started: BTreeMap::new(),
             expects: BTreeMap::new(),
             outbox: Vec::new(),
@@ -445,51 +442,36 @@ impl Gateway {
         GatewayStats { core: Arc::clone(&self.core) }
     }
 
-    fn mint(&mut self) -> Ticket {
-        let ticket = Ticket(self.next_ticket);
-        self.next_ticket += 1;
-        ticket
-    }
-
-    /// The gateway ticket of an inner ticket, minting one on first sight
-    /// (the inner service mints fresh tickets for preemption requeues;
-    /// they join the gateway's ticket space here, in event order).
-    fn map(&mut self, inner: Ticket) -> Ticket {
-        if let Some(&ticket) = self.tickets.get(&inner.0) {
-            return ticket;
-        }
-        let ticket = self.mint();
-        self.tickets.insert(inner.0, ticket);
-        ticket
-    }
-
-    fn note_accept(&mut self, ticket: Ticket, request: &Request) {
+    /// Settles `request`'s ticket (minting one unless an outer layer
+    /// stamped it), stamps it on the request for the trip inward, and
+    /// opens the ticket's in-flight bookkeeping.
+    fn accept(&mut self, request: Request) -> (Ticket, Request) {
+        let ticket = Ticket::resolve(request.ticket, &mut self.next_ticket);
         self.now = self.now.max(request.at);
         self.started.insert(ticket.0, request.at);
         self.expects.insert(ticket.0, Expect::of(&request.command));
         if let Some(metrics) = &self.metrics {
             metrics.submitted.add(1);
         }
+        let mut core = self.core.lock().expect("gateway core");
+        core.stats.submitted += 1;
+        core.terminals.insert(ticket.0, None);
+        drop(core);
+        (ticket, request.with_ticket(ticket))
     }
 
     /// Accepts one request without driving it: the returned ticket's
     /// future acquires a lane slot, forwards on the next [`Gateway::drive`]
     /// pass, and resolves at the request's terminal event.
     pub fn enqueue(&mut self, request: Request) -> Ticket {
-        let ticket = self.mint();
-        self.note_accept(ticket, &request);
+        let (ticket, request) = self.accept(request);
         let lane = (ticket.0 as usize) % self.lane_count();
-        {
-            let mut core = self.core.lock().expect("gateway core");
-            core.stats.submitted += 1;
-            core.terminals.insert(ticket.0, Terminal::Waiting(None));
-        }
         let core = Arc::clone(&self.core);
         let id = ticket.0;
         self.tasks.push(
             async move {
                 poll_fn(|cx| core.lock().expect("gateway core").poll_acquire(lane, id, cx)).await;
-                core.lock().expect("gateway core").forwards.push(Forward::Single(id, request));
+                core.lock().expect("gateway core").forwards.push(Forward::Single(request));
                 poll_fn(|cx| core.lock().expect("gateway core").poll_terminal(id, cx)).await;
                 core.lock().expect("gateway core").release(lane);
             }
@@ -503,27 +485,10 @@ impl Gateway {
     /// per request, forwarded through [`ResourceService::submit_batch`]).
     pub fn enqueue_batch(&mut self, requests: Vec<Request>) -> Vec<Ticket> {
         let lanes = self.lane_count();
-        let mut ids = Vec::with_capacity(requests.len());
-        {
-            let mut core = self.core.lock().expect("gateway core");
-            core.stats.submitted += requests.len() as u64;
-        }
-        let tickets: Vec<Ticket> = requests
-            .iter()
-            .map(|request| {
-                let ticket = self.mint();
-                self.note_accept(ticket, request);
-                self.core
-                    .lock()
-                    .expect("gateway core")
-                    .terminals
-                    .insert(ticket.0, Terminal::Waiting(None));
-                ids.push(ticket.0);
-                ticket
-            })
-            .collect();
+        let (tickets, requests): (Vec<Ticket>, Vec<Request>) =
+            requests.into_iter().map(|request| self.accept(request)).unzip();
         let core = Arc::clone(&self.core);
-        let members = ids;
+        let members: Vec<u64> = tickets.iter().map(|ticket| ticket.0).collect();
         self.tasks.push(
             async move {
                 // Claim every member's lane slot in ticket order, then
@@ -533,10 +498,7 @@ impl Gateway {
                     poll_fn(|cx| core.lock().expect("gateway core").poll_acquire(lane, id, cx))
                         .await;
                 }
-                core.lock()
-                    .expect("gateway core")
-                    .forwards
-                    .push(Forward::Batch(members.clone(), requests));
+                core.lock().expect("gateway core").forwards.push(Forward::Batch(requests));
                 for &id in &members {
                     poll_fn(|cx| core.lock().expect("gateway core").poll_terminal(id, cx)).await;
                     core.lock().expect("gateway core").release((id as usize) % lanes);
@@ -558,10 +520,11 @@ impl Gateway {
 
     /// Streams every event correlated to `ticket` as it is delivered,
     /// ending after its terminal event. Subscribe before driving;
-    /// events delivered earlier are not replayed.
+    /// events delivered earlier are not replayed, so the stream of an
+    /// already-finished ticket ends immediately.
     pub fn subscribe(&mut self, ticket: Ticket) -> CompletionStream {
         let mut core = self.core.lock().expect("gateway core");
-        let done = matches!(core.terminals.get(&ticket.0), Some(Terminal::Done));
+        let done = ticket.0 < self.next_ticket && !core.terminals.contains_key(&ticket.0);
         let sub = core.streams.entry(ticket.0).or_default();
         sub.done = sub.done || done;
         drop(core);
@@ -598,9 +561,8 @@ impl Gateway {
         let forwards = if self.config.coalesce { self.coalesce(forwards) } else { forwards };
         for forward in forwards {
             match forward {
-                Forward::Single(id, request) => {
-                    let inner = self.inner.submit(request);
-                    self.tickets.insert(inner.0, Ticket(id));
+                Forward::Single(request) => {
+                    self.inner.submit(request);
                     let mut core = self.core.lock().expect("gateway core");
                     core.stats.forwarded += 1;
                     core.stats.singles += 1;
@@ -609,12 +571,9 @@ impl Gateway {
                         metrics.forwarded.add(1);
                     }
                 }
-                Forward::Batch(ids, requests) => {
-                    let count = ids.len() as u64;
-                    let inners = self.inner.submit_batch(requests);
-                    for (inner, id) in inners.iter().zip(ids) {
-                        self.tickets.insert(inner.0, Ticket(id));
-                    }
+                Forward::Batch(requests) => {
+                    let count = requests.len() as u64;
+                    self.inner.submit_batch(requests);
                     let mut core = self.core.lock().expect("gateway core");
                     core.stats.forwarded += count;
                     core.stats.batches += 1;
@@ -634,51 +593,40 @@ impl Gateway {
     /// Merges contiguous runs of single admissions into one batched
     /// wave each; other commands keep their position and break runs.
     fn coalesce(&mut self, forwards: Vec<Forward>) -> Vec<Forward> {
-        fn flush(
-            ids: &mut Vec<u64>,
-            requests: &mut Vec<Request>,
-            out: &mut Vec<Forward>,
-            core: &Arc<Mutex<Core>>,
-        ) {
-            match ids.len() {
+        fn flush(run: &mut Vec<Request>, out: &mut Vec<Forward>, core: &Arc<Mutex<Core>>) {
+            match run.len() {
                 0 => {}
-                1 => out.push(Forward::Single(ids.remove(0), requests.remove(0))),
+                1 => out.push(Forward::Single(run.remove(0))),
                 n => {
                     core.lock().expect("gateway core").stats.coalesced += n as u64;
-                    out.push(Forward::Batch(std::mem::take(ids), std::mem::take(requests)));
+                    out.push(Forward::Batch(std::mem::take(run)));
                 }
             }
         }
         let mut out = Vec::with_capacity(forwards.len());
-        let mut run_ids: Vec<u64> = Vec::new();
-        let mut run_requests: Vec<Request> = Vec::new();
+        let mut run: Vec<Request> = Vec::new();
         for forward in forwards {
             match forward {
-                Forward::Single(id, request)
-                    if matches!(request.command, Command::Admit { .. }) =>
-                {
-                    run_ids.push(id);
-                    run_requests.push(request);
+                Forward::Single(request) if matches!(request.command, Command::Admit { .. }) => {
+                    run.push(request);
                 }
                 other => {
-                    flush(&mut run_ids, &mut run_requests, &mut out, &self.core);
+                    flush(&mut run, &mut out, &self.core);
                     out.push(other);
                 }
             }
         }
-        flush(&mut run_ids, &mut run_requests, &mut out, &self.core);
+        flush(&mut run, &mut out, &self.core);
         out
     }
 
-    /// Translates inner events into the gateway ticket space, completes
-    /// tickets reaching their expected terminal event, feeds completion
-    /// streams, and either buffers the events for
+    /// Completes tickets reaching their expected terminal event, feeds
+    /// completion streams, and either buffers the inner events for
     /// [`ResourceService::take_events`] (`to_outbox`) or returns them
     /// (the pump path).
     fn deliver(&mut self, events: Vec<Event>, to_outbox: bool) -> Vec<Event> {
         let mut out = Vec::with_capacity(events.len());
         for event in events {
-            let event = self.translate(event);
             let subject = event.ticket();
             self.core.lock().expect("gateway core").feed_stream(subject.0, &event);
             let terminal =
@@ -704,53 +652,6 @@ impl Gateway {
         let mut core = self.core.lock().expect("gateway core");
         core.stats.completions += 1;
         core.complete(ticket.0);
-    }
-
-    /// Rewrites every ticket field of `event` into the gateway ticket
-    /// space. Field order mirrors the inner service's own front-end
-    /// translation (`by` before `requeued_as`) so mint-on-first-sight
-    /// produces the same numbering.
-    fn translate(&mut self, event: Event) -> Event {
-        match event {
-            Event::Queued { ticket, class, depth } => {
-                Event::Queued { ticket: self.map(ticket), class, depth }
-            }
-            Event::Admitted { ticket, class, app, report, waited, attempts } => {
-                Event::Admitted { ticket: self.map(ticket), class, app, report, waited, attempts }
-            }
-            Event::AttemptFailed { ticket, class, attempt, phase } => {
-                Event::AttemptFailed { ticket: self.map(ticket), class, attempt, phase }
-            }
-            Event::Rejected { ticket, class, cause, waited } => {
-                Event::Rejected { ticket: self.map(ticket), class, cause, waited }
-            }
-            Event::Preempted { victim, class, requeued_as, by } => {
-                let by = self.map(by);
-                let requeued_as = self.map(requeued_as);
-                Event::Preempted { victim, class, requeued_as, by }
-            }
-            Event::Migrated { ticket, app, moved_tasks } => {
-                Event::Migrated { ticket: self.map(ticket), app, moved_tasks }
-            }
-            Event::MigrationFailed { ticket, app, error } => {
-                Event::MigrationFailed { ticket: self.map(ticket), app, error }
-            }
-            Event::Released { ticket, app, found } => {
-                Event::Released { ticket: self.map(ticket), app, found }
-            }
-            Event::ElementFailed { ticket, element, evicted } => {
-                Event::ElementFailed { ticket: self.map(ticket), element, evicted }
-            }
-            Event::ElementRepaired { ticket, element } => {
-                Event::ElementRepaired { ticket: self.map(ticket), element }
-            }
-            Event::Defragged { ticket, moves } => {
-                Event::Defragged { ticket: self.map(ticket), moves }
-            }
-            Event::Rebalanced { ticket, moves } => {
-                Event::Rebalanced { ticket: self.map(ticket), moves }
-            }
-        }
     }
 }
 
@@ -1075,5 +976,47 @@ mod tests {
         gateway.drive();
         drop(gateway);
         assert_eq!(handle.snapshot().completions, 4);
+    }
+
+    /// Per-ticket state is retired with the ticket: once every request
+    /// has reached its terminal event nothing is left behind, and a late
+    /// subscription to a finished ticket ends at once instead of hanging.
+    #[test]
+    fn finished_tickets_leave_no_per_ticket_state() {
+        let cluster = ClusterBuilder::new(topology::crisp(), 2)
+            .deterministic(true)
+            .admission(AdmitPolicy { class_capacity: [8, 8, 16, 8], ..AdmitPolicy::default() })
+            .build()
+            .unwrap();
+        let mut gateway = Gateway::new(Box::new(cluster), GatewayConfig::default());
+        let tickets: Vec<Ticket> =
+            admits(12, 21).into_iter().map(|request| gateway.enqueue(request)).collect();
+        let stream = gateway.subscribe(tickets[0]);
+        gateway.drive();
+        let admitted: Vec<_> = gateway
+            .take_events()
+            .into_iter()
+            .filter_map(|event| match event {
+                Event::Admitted { report, .. } => Some(report.app_id),
+                _ => None,
+            })
+            .collect();
+        assert!(!admitted.is_empty());
+        for app in admitted {
+            gateway.enqueue(Request::release(20, app));
+        }
+        gateway.drive();
+        // Whatever is still queued reaches its terminal event here.
+        gateway.pump(CapacityEvent::Shutdown { now: 30 });
+        drop(stream);
+        assert_eq!(gateway.inflight(), 0);
+        assert!(gateway.started.is_empty() && gateway.expects.is_empty());
+        {
+            let core = gateway.core.lock().unwrap();
+            assert!(core.terminals.is_empty(), "terminals leaked: {:?}", core.terminals);
+            assert!(core.streams.is_empty());
+        }
+        let mut late = gateway.subscribe(tickets[0]);
+        assert!(block_on(late.next()).is_none(), "a finished ticket's stream ends immediately");
     }
 }

@@ -68,7 +68,7 @@ pub use render::{render_link_load, render_occupancy, render_strip};
 pub use resource::{ResourceKind, ResourceVector, RESOURCE_KIND_COUNT};
 
 /// Compile-time thread-safety pin (sharded deployments move platforms and
-/// probe them from scoped threads; a field change that silently dropped
+/// probe them from worker threads; a field change that silently dropped
 /// `Send`/`Sync` would regress `kairos-cluster`'s parallel probes).
 const fn _assert_send_sync<T: Send + Sync>() {}
 const _: () = _assert_send_sync::<Platform>();

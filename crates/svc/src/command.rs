@@ -7,7 +7,7 @@
 //! and [`ResourceService::submit_batch`](crate::ResourceService::submit_batch)
 //! can sort, group and transact over it.
 
-use kairos_admitd::PriorityClass;
+use kairos_admitd::{PriorityClass, Ticket};
 use kairos_app::Application;
 use kairos_platform::{AppId, ElementId};
 use kairos_telemetry::TraceContext;
@@ -104,12 +104,19 @@ pub struct Request {
     /// context is honoured as-is (a sharded service forwards to its
     /// shards this way).
     pub trace: TraceContext,
+    /// The ticket this request runs under. `None` (the constructors'
+    /// default) means "not yet identified": the *outermost* service mints
+    /// one and propagates it down the stack by value. An already-set
+    /// ticket is honoured verbatim and returned (a gateway forwards to
+    /// its cluster, and a cluster to its shards, this way), so every
+    /// layer names the request identically and none translates.
+    pub ticket: Option<Ticket>,
 }
 
 impl Request {
     /// A request performing `command` at virtual time `at`.
     pub fn new(at: u64, command: Command) -> Self {
-        Request { at, command, trace: TraceContext::NONE }
+        Request { at, command, trace: TraceContext::NONE, ticket: None }
     }
 
     /// Shorthand for an admission request.
@@ -127,6 +134,14 @@ impl Request {
     #[must_use]
     pub fn with_trace(mut self, trace: TraceContext) -> Self {
         self.trace = trace;
+        self
+    }
+
+    /// The same request running under `ticket` — how an outer service
+    /// stamps the ticket it minted onto the request it forwards inward.
+    #[must_use]
+    pub fn with_ticket(mut self, ticket: Ticket) -> Self {
+        self.ticket = Some(ticket);
         self
     }
 }

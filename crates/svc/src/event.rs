@@ -9,28 +9,17 @@
 //! applications are additionally correlated by their stable
 //! [`AppId`](kairos_platform::AppId).
 
-use std::fmt;
-
-use kairos_admitd::{PriorityClass, RejectReason};
+use kairos_admitd::{PriorityClass, QueueEvent, RejectReason};
 use kairos_app::Application;
 use kairos_core::{AdmissionReport, MigrationError, Phase};
 use kairos_platform::{AppId, ElementId};
 
-/// Identity of one service request, unique for the lifetime of the
-/// service. Distinct from `kairos_admitd::Ticket` (which only numbers
-/// admission requests inside the front-end): every
-/// [`Command`](crate::Command) gets a service ticket, and tickets minted
-/// internally by the front-end — preemption-victim requeues — are
-/// surfaced as fresh service tickets too, so callers see one uniform
-/// identifier space.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub struct Ticket(pub u64);
-
-impl fmt::Display for Ticket {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "svc{}", self.0)
-    }
-}
+/// Identity of one service request — the workspace's single ticket type,
+/// defined beside the admission queue and re-exported here. One rule: the
+/// outermost service mints it, every layer below carries it verbatim
+/// ([`Request::ticket`](crate::Request::ticket)); preemption requeues
+/// derive theirs from the victim ([`Ticket::requeue_of`]).
+pub use kairos_admitd::Ticket;
 
 /// Why a request left the service without being admitted.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -143,14 +132,15 @@ pub enum Event {
     },
     /// A running application was evicted to make room for a blocked
     /// higher-priority request. The victim is preempted, not dropped: it
-    /// re-enters the queue under the fresh service ticket `requeued_as`,
-    /// carrying its previously accumulated wait.
+    /// re-enters the queue under the ticket `requeued_as` — always
+    /// [`Ticket::requeue_of`] the victim, so it needs no bookkeeping to
+    /// correlate — carrying its previously accumulated wait.
     Preempted {
         /// The evicted application.
         victim: AppId,
         /// The victim's priority class.
         class: PriorityClass,
-        /// The fresh ticket the victim's requeue runs under.
+        /// The ticket the victim's requeue runs under.
         requeued_as: Ticket,
         /// The blocked request the eviction was performed for.
         by: Ticket,
@@ -225,6 +215,31 @@ pub enum Event {
         /// Completed moves, in sweep order: `(old id, new id)`.
         moves: Vec<(AppId, AppId)>,
     },
+}
+
+/// The front-end's events are a subset of the service's: same tickets,
+/// same payloads, only the rejection vocabulary widens.
+impl From<QueueEvent> for Event {
+    fn from(event: QueueEvent) -> Self {
+        match event {
+            QueueEvent::Enqueued { ticket, class, depth } => Event::Queued { ticket, class, depth },
+            QueueEvent::Admitted { ticket, class, app, report, waited, attempts } => {
+                Event::Admitted { ticket, class, app, report, waited, attempts }
+            }
+            QueueEvent::AttemptFailed { ticket, class, attempt, phase } => {
+                Event::AttemptFailed { ticket, class, attempt, phase }
+            }
+            QueueEvent::Rejected { ticket, class, reason, waited } => {
+                Event::Rejected { ticket, class, cause: reason.into(), waited }
+            }
+            QueueEvent::Preempted { victim, class, ticket, by } => {
+                Event::Preempted { victim, class, requeued_as: ticket, by }
+            }
+            QueueEvent::Migrated { app, by, moved_tasks, .. } => {
+                Event::Migrated { ticket: by, app, moved_tasks }
+            }
+        }
+    }
 }
 
 impl Event {

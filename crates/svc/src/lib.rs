@@ -76,7 +76,7 @@ pub use kairos_admitd::{AdmitPolicy, Admitd, PreemptionPolicy, PriorityClass, Vi
 pub use kairos_core::{Kairos, KairosConfig};
 
 /// Compile-time thread-safety pin: `kairos-cluster` owns one
-/// `KairosService` per shard and probes them from scoped threads, so the
+/// `KairosService` per shard and lends them to probe worker threads, so the
 /// whole service stack must stay `Send` (and `Sync` for shared probing
 /// inputs). A field change that silently dropped either would regress
 /// sharding — fail the build here instead.

@@ -1,10 +1,9 @@
 //! The [`ResourceService`] trait and its canonical [`KairosService`]
 //! implementation.
 
-use std::collections::BTreeMap;
 use std::sync::Arc;
 
-use kairos_admitd::{Admitd, PriorityClass, QueueEvent, Ticket as QueueTicket};
+use kairos_admitd::{Admitd, PriorityClass, QueueEvent};
 use kairos_app::Application;
 use kairos_core::{CacheStats, ElementActivity, Kairos, OccupancySnapshot};
 use kairos_platform::AppId;
@@ -191,14 +190,9 @@ impl SvcMetrics {
 #[derive(Debug)]
 pub struct KairosService {
     backend: Backend,
-    /// Next service ticket; allocation order is submission order, with
-    /// front-end-minted tickets (preemption requeues) numbered at the
-    /// instant their first event is translated.
+    /// Mint for requests that arrive without a ticket (this service is
+    /// then the outermost layer); allocation order is submission order.
     next_ticket: u64,
-    /// Front-end ticket → service ticket, for the queued backend. Grows
-    /// with the run; entries are never removed because a ticket may be
-    /// referenced by later events (a requeued victim's admission).
-    tickets: BTreeMap<u64, Ticket>,
     /// Events accumulated since the last [`ResourceService::take_events`].
     events: Vec<Event>,
     metrics: Option<SvcMetrics>,
@@ -215,7 +209,6 @@ impl KairosService {
         KairosService {
             backend: Backend::Direct(kairos),
             next_ticket: 0,
-            tickets: BTreeMap::new(),
             events: Vec::new(),
             metrics: None,
             reloc_metrics: None,
@@ -227,7 +220,6 @@ impl KairosService {
         KairosService {
             backend: Backend::Queued(admitd),
             next_ticket: 0,
-            tickets: BTreeMap::new(),
             events: Vec::new(),
             metrics: None,
             reloc_metrics: None,
@@ -262,75 +254,9 @@ impl KairosService {
         }
     }
 
-    fn alloc_ticket(&mut self) -> Ticket {
-        let ticket = Ticket(self.next_ticket);
-        self.next_ticket += 1;
-        ticket
-    }
-
-    /// The service ticket of a front-end ticket, minting one on first
-    /// sight (the front-end mints tickets of its own for preemption
-    /// requeues; they join the uniform service ticket space here).
-    fn service_ticket(&mut self, queue_ticket: QueueTicket) -> Ticket {
-        if let Some(&ticket) = self.tickets.get(&queue_ticket.0) {
-            return ticket;
-        }
-        let ticket = self.alloc_ticket();
-        self.tickets.insert(queue_ticket.0, ticket);
-        ticket
-    }
-
-    /// Translates a front-end event batch into unified service events.
-    fn translate(&mut self, queue_events: Vec<QueueEvent>) -> Vec<Event> {
-        queue_events
-            .into_iter()
-            .map(|event| match event {
-                QueueEvent::Enqueued { ticket, class, depth } => {
-                    Event::Queued { ticket: self.service_ticket(ticket), class, depth }
-                }
-                QueueEvent::Admitted { ticket, class, app, report, waited, attempts } => {
-                    Event::Admitted {
-                        ticket: self.service_ticket(ticket),
-                        class,
-                        app,
-                        report,
-                        waited,
-                        attempts,
-                    }
-                }
-                QueueEvent::AttemptFailed { ticket, class, attempt, phase } => {
-                    Event::AttemptFailed {
-                        ticket: self.service_ticket(ticket),
-                        class,
-                        attempt,
-                        phase,
-                    }
-                }
-                QueueEvent::Rejected { ticket, class, reason, waited } => Event::Rejected {
-                    ticket: self.service_ticket(ticket),
-                    class,
-                    cause: reason.into(),
-                    waited,
-                },
-                QueueEvent::Preempted { victim, class, ticket, by } => Event::Preempted {
-                    victim,
-                    class,
-                    // `by` is always an already-known ticket; the requeue
-                    // ticket is fresh and minted here, in event order.
-                    by: self.service_ticket(by),
-                    requeued_as: self.service_ticket(ticket),
-                },
-                QueueEvent::Migrated { app, by, moved_tasks, .. } => {
-                    Event::Migrated { ticket: self.service_ticket(by), app, moved_tasks }
-                }
-            })
-            .collect()
-    }
-
-    /// Translates and buffers a front-end event batch.
+    /// Buffers a front-end event batch as service events.
     fn ingest(&mut self, queue_events: Vec<QueueEvent>) {
-        let translated = self.translate(queue_events);
-        self.events.extend(translated);
+        self.events.extend(queue_events.into_iter().map(Event::from));
     }
 
     /// One direct-path admission: run the pipeline once, admit or reject.
@@ -524,19 +450,18 @@ impl KairosService {
             Backend::Direct(kairos) => (kairos.release(app), Vec::new()),
             Backend::Queued(admitd) => admitd.release(app, at),
         };
-        let events = self.translate(queued);
-        (found, events)
+        (found, queued.into_iter().map(Event::from).collect())
     }
 }
 
 impl ResourceService for KairosService {
     fn submit(&mut self, request: Request) -> Ticket {
         let _span = self.telemetry().span("kairos_svc", "submit");
-        let Request { at, command, trace } = request;
+        let Request { at, command, trace, ticket } = request;
         if let Some(m) = &self.metrics {
             m.note_command(&command);
         }
-        let ticket = self.alloc_ticket();
+        let ticket = Ticket::resolve(ticket, &mut self.next_ticket);
         if let Command::Admit { app, class } = command {
             // The outermost service mints the request's trace root; a
             // context already stamped on the request (a sharded service
@@ -555,8 +480,7 @@ impl ResourceService for KairosService {
                     Self::admit_direct(kairos, ticket, app, class, ctx, at, &mut self.events);
                 }
                 Backend::Queued(admitd) => {
-                    let (queue_ticket, queued) = admitd.submit_traced(app, class, at, ctx);
-                    self.tickets.insert(queue_ticket.0, ticket);
+                    let (_, queued) = admitd.submit_traced(app, class, at, ctx, Some(ticket));
                     self.ingest(queued);
                 }
             }
@@ -574,16 +498,15 @@ impl ResourceService for KairosService {
                 m.note_command(&request.command);
             }
         }
-        // Allocate every ticket up front, in submission order — batching
+        // Settle every ticket up front, in submission order — batching
         // changes how work is performed, never how it is identified.
-        let requests: Vec<(Ticket, Request)> =
-            requests.into_iter().map(|r| (self.alloc_ticket(), r)).collect();
-        let tickets: Vec<Ticket> = requests.iter().map(|(t, _)| *t).collect();
-
+        let mut tickets = Vec::with_capacity(requests.len());
         let mut admissions: Vec<(Ticket, u64, Application, PriorityClass, TraceContext)> =
             Vec::new();
         let mut rest: Vec<(Ticket, u64, Command)> = Vec::new();
-        for (ticket, Request { at, command, trace }) in requests {
+        for Request { at, command, trace, ticket } in requests {
+            let ticket = Ticket::resolve(ticket, &mut self.next_ticket);
+            tickets.push(ticket);
             match command {
                 Command::Admit { app, class } => {
                     // Roots are minted here, in submission order, so trace
@@ -632,16 +555,11 @@ impl ResourceService for KairosService {
                     // The front-end's batch path: every request through
                     // the door, then one drain pass (which is itself
                     // priority-then-FIFO ordered) in one batch scope.
-                    let service_tickets: Vec<Ticket> =
-                        admissions.iter().map(|(ticket, ..)| *ticket).collect();
-                    let wave: Vec<(Application, PriorityClass, TraceContext)> = admissions
+                    let wave = admissions
                         .into_iter()
-                        .map(|(_, _, app, class, ctx)| (app, class, ctx))
+                        .map(|(ticket, _, app, class, ctx)| (app, class, ctx, Some(ticket)))
                         .collect();
-                    let (queue_tickets, queued) = admitd.submit_batch_traced(wave, wave_at);
-                    for (ticket, queue_ticket) in service_tickets.into_iter().zip(queue_tickets) {
-                        self.tickets.insert(queue_ticket.0, ticket);
-                    }
+                    let (_, queued) = admitd.submit_batch_traced(wave, wave_at);
                     self.ingest(queued);
                 }
             }
@@ -659,7 +577,7 @@ impl ResourceService for KairosService {
             (Backend::Queued(admitd), CapacityEvent::Tick { now }) => admitd.expire(now),
             (Backend::Queued(admitd), CapacityEvent::Shutdown { now }) => admitd.shutdown(now),
         };
-        let events = self.translate(queued);
+        let events: Vec<Event> = queued.into_iter().map(Event::from).collect();
         if let Some(m) = &self.metrics {
             m.events.add(events.len() as u64);
         }

@@ -9,7 +9,7 @@ use kairos_admitd::{AdmitPolicy, PriorityClass};
 use kairos_app::{Application, ApplicationBuilder, Implementation, TaskRole};
 use kairos_platform::{topology, ElementKind, ResourceVector};
 use kairos_svc::{
-    CapacityEvent, Command, Event, KairosService, Request, ResourceService, ServiceBuilder,
+    CapacityEvent, Command, Event, KairosService, Request, ResourceService, ServiceBuilder, Ticket,
 };
 
 /// A chain of `tasks` DSP tasks, each demanding `cpu`.
@@ -35,7 +35,7 @@ fn roomy_policy() -> AdmitPolicy {
 
 /// Terminal outcome of an admission request: `Some(true)` admitted,
 /// `Some(false)` rejected, `None` still queued.
-fn outcome_of(events: &[Event], ticket: kairos_svc::Ticket) -> Option<bool> {
+fn outcome_of(events: &[Event], ticket: Ticket) -> Option<bool> {
     events.iter().find_map(|e| match e {
         Event::Admitted { ticket: t, .. } if *t == ticket => Some(true),
         Event::Rejected { ticket: t, .. } if *t == ticket => Some(false),
@@ -244,7 +244,7 @@ fn direct_rejections_carry_the_refusing_phase() {
 }
 
 #[test]
-fn preemption_requeues_surface_as_fresh_service_tickets() {
+fn preemption_requeues_run_under_the_ticket_derived_from_the_victim() {
     let mut service = ServiceBuilder::new(topology::dsp_mesh(2, 2))
         .deterministic(true)
         .admission(AdmitPolicy { max_wait: None, ..roomy_policy() })
@@ -255,19 +255,23 @@ fn preemption_requeues_surface_as_fresh_service_tickets() {
     service.take_events();
     let crit = service.submit(Request::admit(1, chain("crit", 4, 900), PriorityClass::Critical));
     let events = service.take_events();
-    let preempt = events
+    let (victim, requeued_as, by) = events
         .iter()
         .find_map(|e| match e {
-            Event::Preempted { requeued_as, by, .. } => Some((*requeued_as, *by)),
+            Event::Preempted { victim, requeued_as, by, .. } => Some((*victim, *requeued_as, *by)),
             _ => None,
         })
         .expect("the critical must preempt: {events:?}");
-    assert_eq!(preempt.1, crit, "attribution maps back to the blocked request's ticket");
-    assert!(preempt.0 != low && preempt.0 != crit, "the requeue runs under a fresh ticket");
+    assert_eq!(by, crit, "attribution names the blocked request's ticket");
+    assert_eq!(requeued_as, Ticket::requeue_of(victim), "requeues derive from the victim");
+    assert!(requeued_as != low && requeued_as != crit, "and never collide with minted tickets");
     assert!(events
         .iter()
-        .any(|e| matches!(e, Event::Queued { ticket, .. } if *ticket == preempt.0)));
+        .any(|e| matches!(e, Event::Queued { ticket, .. } if *ticket == requeued_as)));
     assert!(events.iter().any(|e| matches!(e, Event::Admitted { ticket, .. } if *ticket == crit)));
+    // The requeue consumed nothing from the mint: numbering stays dense.
+    let next = service.submit(Request::release(2, victim));
+    assert_eq!(next.0, crit.0 + 1);
 }
 
 /// The batching acceptance criterion: a batched wave costs strictly
