@@ -2,7 +2,7 @@
 //! async-cluster admission.
 //!
 //! The `kairos-gateway` front-end accepts admissions into bounded lanes
-//! and drives the service from its deterministic executor, so a storm
+//! and drives the service from its deterministic task queue, so a storm
 //! streamed through it flushes in *waves*: each enqueue-then-drive pass
 //! coalesces its contiguous single admissions into one batched
 //! submission, and the cluster underneath places that wave with one

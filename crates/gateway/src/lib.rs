@@ -1,31 +1,41 @@
 //! # kairos-gateway
 //!
-//! An async serving front-end over the
-//! [`ResourceService`] surface — the layer
+//! A queueing front-end over the [`ResourceService`] surface — the layer
 //! that turns the synchronous request/event API into a deterministic
 //! admission *server*.
 //!
 //! The paper's run-time manager answers one admission at a time; a
 //! deployment serves tens of thousands of concurrent requests. The
-//! gateway bridges the two without giving up byte-determinism:
+//! gateway bridges the two without giving up byte-determinism, and it
+//! does so as a plain, single-threaded queue with no async machinery:
 //!
-//! * **Hand-rolled single-threaded executor** — every accepted request
-//!   becomes one future on a `FuturesUnordered` ready-queue (from the
-//!   offline `futures` shim; no executor crate). The queue drains ready
-//!   entries **in ticket order**, so concurrency never reorders
+//! * **A ticket-ordered task queue** — every accepted request, or batch,
+//!   is one small state-machine value (waiting for lane slots, then
+//!   waiting for terminal events) in a map keyed by acceptance order,
+//!   beside a run-queue holding the keys of the tasks that can make
+//!   progress. [`Gateway::drive`] always steps the lowest runnable key
+//!   next — including keys that became runnable during the same pass —
+//!   then flushes what that pass forwarded into the wrapped service, in
+//!   order, and delivers the events. Concurrency therefore never reorders
 //!   decisions: a double run is byte-identical, tens of thousands of
 //!   admissions in flight or not.
 //! * **Per-shard bounded lanes** — requests are striped over one bounded
 //!   lane per shard of the inner service
 //!   ([`ResourceService::shard_count`]). A full lane parks the request
-//!   future (counted in [`GatewayCounters::parked`]) until a completion
-//!   frees a slot — bounded-channel backpressure, deterministic because
-//!   waiters wake lowest-ticket-first.
+//!   (counted in [`GatewayCounters::parked`], once per park) until a
+//!   finished request hands its slot back — bounded-channel backpressure,
+//!   deterministic because the slot goes to the lowest parked ticket. A
+//!   finished request returns its slot when its task is next stepped, not
+//!   when its terminal event is delivered. A batch claims its members'
+//!   slots in ticket order while holding the earlier ones, is forwarded
+//!   as one [`ResourceService::submit_batch`], and returns the slots
+//!   member by member.
 //! * **Completion streams** — [`Gateway::subscribe`] returns a
-//!   [`CompletionStream`] that yields every event correlated to one
-//!   ticket as it happens, ending after the terminal event (admitted,
-//!   rejected, released, …) — the "response stream" of the serving
-//!   front-end.
+//!   [`CompletionStream`]: an iterator over the events correlated to one
+//!   ticket that have been delivered so far, with
+//!   [`CompletionStream::is_done`] turning true at the terminal event
+//!   (admitted, rejected, released, …) — the "response stream" of the
+//!   serving front-end.
 //! * **One service surface** — [`Gateway`] itself implements
 //!   [`ResourceService`], driving each submission to completion before
 //!   returning. As the outermost layer the gateway mints each request's
@@ -34,7 +44,7 @@
 //!   very same ticket and its events pass through untranslated; in that
 //!   lockstep mode the event stream is the wrapped service's own, byte
 //!   for byte (the `gateway_equivalence` suite pins this across queued,
-//!   clustered, preempting and cached regimes). The async API
+//!   clustered, preempting and cached regimes). The queueing API
 //!   ([`Gateway::enqueue`] + [`Gateway::drive`]) relaxes only *when*
 //!   work happens, never what is decided.
 //! * **Optional admit coalescing** — [`GatewayConfig::coalesce`] merges
@@ -42,7 +52,7 @@
 //!   [`ResourceService::submit_batch`] wave (one platform transaction,
 //!   one drain pass). That changes how the inner service is driven, so
 //!   it is off by default and excluded from the sync-equivalence
-//!   guarantee; the `gateway` bench uses it for the async-throughput
+//!   guarantee; the `gateway` bench uses it for the queued-throughput
 //!   comparison.
 //!
 //! Telemetry: when constructed over a lit hub
@@ -66,7 +76,7 @@
 //! let mut gateway = Gateway::new(Box::new(inner), GatewayConfig::default());
 //! let mut generator = AppGenerator::new(GeneratorConfig::default(), 7);
 //!
-//! // Async serving: accept a burst, then drive it to completion.
+//! // Queued serving: accept a burst, then drive it to completion.
 //! for i in 0..16 {
 //!     gateway.enqueue(Request::admit(i, generator.generate(format!("app-{i}")), PriorityClass::Normal));
 //! }
@@ -79,15 +89,9 @@
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
 
-use std::collections::{BTreeMap, VecDeque};
-use std::pin::Pin;
-use std::sync::{Arc, Mutex};
-use std::task::{Context, Poll, Waker};
-
-use futures::future::poll_fn;
-use futures::stream::FuturesUnordered;
-use futures::task::noop_waker;
-use futures::{future::BoxFuture, FutureExt, Stream};
+use std::collections::btree_map::Entry;
+use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::sync::{Arc, Mutex, MutexGuard};
 
 use kairos_core::{CacheStats, ElementActivity, Kairos, OccupancySnapshot};
 use kairos_svc::{CapacityEvent, Command, Event, Request, ResourceService, Ticket};
@@ -135,23 +139,30 @@ pub struct GatewayCounters {
     pub coalesced: u64,
     /// Requests driven to their terminal event.
     pub completions: u64,
-    /// Most request futures in flight at once.
+    /// Most tasks in flight at once (see [`Gateway::inflight`]: a batch
+    /// counts once).
     pub peak_inflight: u64,
     /// Times a request parked on a full lane.
     pub parked: u64,
+}
+
+/// Locks state shared with a handle that can outlive the gateway (the
+/// counters, the stream buffers). Poisoned only if a holder panicked.
+fn locked<T>(shared: &Mutex<T>) -> MutexGuard<'_, T> {
+    shared.lock().expect("a holder of this gateway lock panicked")
 }
 
 /// A cloneable read handle on a gateway's counters, for reporting after
 /// the gateway itself (or the service stack owning it) is consumed.
 #[derive(Debug, Clone)]
 pub struct GatewayStats {
-    core: Arc<Mutex<Core>>,
+    counters: Arc<Mutex<GatewayCounters>>,
 }
 
 impl GatewayStats {
     /// The counters as of now.
     pub fn snapshot(&self) -> GatewayCounters {
-        self.core.lock().expect("gateway core").stats
+        *locked(&self.counters)
     }
 }
 
@@ -220,9 +231,9 @@ impl Expect {
     }
 }
 
-/// A request (already stamped with its gateway ticket) the executor has
-/// accepted but not yet pushed into the inner service: the flush between
-/// polls forwards these in poll order.
+/// What a task hands the inner service once it holds all its lane slots
+/// (the requests already stamped with their gateway tickets): the flush
+/// after each pass forwards these in the order the pass produced them.
 #[derive(Debug)]
 enum Forward {
     Single(Request),
@@ -234,10 +245,52 @@ enum Forward {
 struct Lane {
     capacity: usize,
     inflight: usize,
-    /// Parked acquirers by gateway ticket; woken lowest-ticket-first so
-    /// lane handoff order is deterministic.
-    waiters: BTreeMap<u64, Waker>,
+    /// Parked members by ticket, each with the key of the task to make
+    /// runnable; a freed slot goes to the lowest ticket, so lane hand-off
+    /// order is deterministic.
+    waiters: BTreeMap<Ticket, u64>,
     depth: Option<Arc<Gauge>>,
+}
+
+impl Lane {
+    fn set_inflight(&mut self, inflight: usize) {
+        self.inflight = inflight;
+        if let Some(depth) = &self.depth {
+            depth.set(inflight as i64);
+        }
+    }
+}
+
+/// Where an accepted request or batch stands.
+#[derive(Debug, Clone, Copy)]
+enum State {
+    /// Claiming lane slots in member (= ticket) order while holding the
+    /// earlier ones; `next_member` is the first member without a slot.
+    AwaitingSlot { next_member: usize },
+    /// Forwarded; every member before `member` has reached its terminal
+    /// event and returned its slot.
+    AwaitingTerminal { member: usize },
+}
+
+/// One accepted request (a single member) or batch.
+#[derive(Debug)]
+struct Task {
+    members: Vec<Ticket>,
+    /// The requests, until every member holds a slot and they are
+    /// forwarded.
+    payload: Option<Forward>,
+    state: State,
+}
+
+/// An accepted ticket still owed its terminal event. The entry is retired
+/// at completion, so an absent ticket is a finished one.
+#[derive(Debug)]
+struct Pending {
+    expect: Expect,
+    /// Acceptance time, for the completion latency histogram.
+    accepted_at: u64,
+    /// Key of the task to make runnable at completion.
+    task: u64,
 }
 
 /// Per-subscriber event buffer for one ticket.
@@ -245,116 +298,38 @@ struct Lane {
 struct SubState {
     queue: VecDeque<Event>,
     done: bool,
-    waker: Option<Waker>,
 }
 
-/// State shared between the gateway and its request futures.
-#[derive(Debug)]
-struct Core {
+type Streams = Arc<Mutex<BTreeMap<Ticket, SubState>>>;
+
+/// The queueing front-end. See the crate docs for the model.
+pub struct Gateway {
+    inner: Box<dyn ResourceService + Send>,
     lanes: Vec<Lane>,
     /// Set at shutdown: lanes stop bounding so every parked request
     /// flushes into the inner service before its final drain.
     draining: bool,
+    /// Every unfinished request or batch, keyed by acceptance order.
+    tasks: BTreeMap<u64, Task>,
+    /// Keys of the tasks that can make progress; a pass always steps the
+    /// lowest. "Waking" a task is inserting its key.
+    runnable: BTreeSet<u64>,
+    next_task: u64,
+    /// What the current pass has forwarded, not yet flushed.
     forwards: Vec<Forward>,
-    /// Accepted tickets still owed their terminal event, each with the
-    /// waker of the request future parked on it (if it got that far). An
-    /// entry is retired at completion, so an absent ticket is a finished
-    /// one.
-    terminals: BTreeMap<u64, Option<Waker>>,
-    streams: BTreeMap<u64, SubState>,
-    stats: GatewayCounters,
-}
-
-impl Core {
-    fn poll_acquire(&mut self, lane: usize, ticket: u64, cx: &mut Context<'_>) -> Poll<()> {
-        let draining = self.draining;
-        let l = &mut self.lanes[lane];
-        if draining || l.inflight < l.capacity {
-            l.inflight += 1;
-            if let Some(depth) = &l.depth {
-                depth.set(l.inflight as i64);
-            }
-            Poll::Ready(())
-        } else {
-            if l.waiters.insert(ticket, cx.waker().clone()).is_none() {
-                self.stats.parked += 1;
-            }
-            Poll::Pending
-        }
-    }
-
-    fn release(&mut self, lane: usize) {
-        let l = &mut self.lanes[lane];
-        l.inflight = l.inflight.saturating_sub(1);
-        if let Some(depth) = &l.depth {
-            depth.set(l.inflight as i64);
-        }
-        if let Some((_, waker)) = l.waiters.pop_first() {
-            waker.wake();
-        }
-    }
-
-    fn drain(&mut self) {
-        self.draining = true;
-        for lane in &mut self.lanes {
-            while let Some((_, waker)) = lane.waiters.pop_first() {
-                waker.wake();
-            }
-        }
-    }
-
-    fn poll_terminal(&mut self, ticket: u64, cx: &mut Context<'_>) -> Poll<()> {
-        match self.terminals.get_mut(&ticket) {
-            None => Poll::Ready(()),
-            Some(waker) => {
-                *waker = Some(cx.waker().clone());
-                Poll::Pending
-            }
-        }
-    }
-
-    fn complete(&mut self, ticket: u64) {
-        if let Some(Some(waker)) = self.terminals.remove(&ticket) {
-            waker.wake();
-        }
-        if let Some(sub) = self.streams.get_mut(&ticket) {
-            sub.done = true;
-            if let Some(waker) = sub.waker.take() {
-                waker.wake();
-            }
-        }
-    }
-
-    fn feed_stream(&mut self, ticket: u64, event: &Event) {
-        if let Some(sub) = self.streams.get_mut(&ticket) {
-            sub.queue.push_back(event.clone());
-            if let Some(waker) = sub.waker.take() {
-                waker.wake();
-            }
-        }
-    }
-}
-
-/// The async serving front-end. See the crate docs for the model.
-pub struct Gateway {
-    inner: Box<dyn ResourceService + Send>,
-    core: Arc<Mutex<Core>>,
-    /// The executor: one future per accepted request, drained in ticket
-    /// order by the shim's deterministic ready-queue.
-    tasks: FuturesUnordered<BoxFuture<'static, ()>>,
+    pending: BTreeMap<Ticket, Pending>,
     /// Mint for requests that arrive without a ticket (the gateway is
     /// normally the outermost layer); every ticket below it has been
     /// accepted at some point.
     next_ticket: u64,
-    /// Acceptance time of each in-flight ticket, for the completion
-    /// latency histogram.
-    started: BTreeMap<u64, u64>,
-    /// Expected terminal event kind per in-flight ticket.
-    expects: BTreeMap<u64, Expect>,
     outbox: Vec<Event>,
     now: u64,
     config: GatewayConfig,
     metrics: Option<GatewayMetrics>,
+    /// Shared with every [`GatewayStats`] handle.
+    counters: Arc<Mutex<GatewayCounters>>,
+    /// Shared with every [`CompletionStream`].
+    streams: Streams,
 }
 
 impl std::fmt::Debug for Gateway {
@@ -395,22 +370,20 @@ impl Gateway {
             .collect();
         Gateway {
             inner,
-            core: Arc::new(Mutex::new(Core {
-                lanes,
-                draining: false,
-                forwards: Vec::new(),
-                terminals: BTreeMap::new(),
-                streams: BTreeMap::new(),
-                stats: GatewayCounters::default(),
-            })),
-            tasks: FuturesUnordered::new(),
+            lanes,
+            draining: false,
+            tasks: BTreeMap::new(),
+            runnable: BTreeSet::new(),
+            next_task: 0,
+            forwards: Vec::new(),
+            pending: BTreeMap::new(),
             next_ticket: 0,
-            started: BTreeMap::new(),
-            expects: BTreeMap::new(),
             outbox: Vec::new(),
             now: 0,
             config: GatewayConfig { channel_capacity: capacity, ..config },
             metrics: GatewayMetrics::new(&telemetry),
+            counters: Arc::default(),
+            streams: Arc::default(),
         }
     }
 
@@ -422,125 +395,99 @@ impl Gateway {
     /// Number of per-shard request lanes (the inner service's shard
     /// count).
     pub fn lane_count(&self) -> usize {
-        self.core.lock().expect("gateway core").lanes.len()
+        self.lanes.len()
     }
 
-    /// Request futures currently in flight (accepted, not yet at their
-    /// terminal event).
+    /// Tasks currently in flight: accepted requests and batches not yet
+    /// at their terminal events. A batch counts once, however many
+    /// members it has.
     pub fn inflight(&self) -> usize {
         self.tasks.len()
     }
 
     /// The counters as of now.
     pub fn stats(&self) -> GatewayCounters {
-        self.core.lock().expect("gateway core").stats
+        *locked(&self.counters)
     }
 
     /// A cloneable counter handle that outlives the gateway's ownership
     /// (drivers embed it in their final report).
     pub fn stats_handle(&self) -> GatewayStats {
-        GatewayStats { core: Arc::clone(&self.core) }
+        GatewayStats { counters: Arc::clone(&self.counters) }
     }
 
     /// Settles `request`'s ticket (minting one unless an outer layer
     /// stamped it), stamps it on the request for the trip inward, and
-    /// opens the ticket's in-flight bookkeeping.
-    fn accept(&mut self, request: Request) -> (Ticket, Request) {
+    /// opens the ticket's in-flight bookkeeping under task `task`.
+    fn accept(&mut self, request: Request, task: u64) -> (Ticket, Request) {
         let ticket = Ticket::resolve(request.ticket, &mut self.next_ticket);
         self.now = self.now.max(request.at);
-        self.started.insert(ticket.0, request.at);
-        self.expects.insert(ticket.0, Expect::of(&request.command));
+        let expect = Expect::of(&request.command);
+        self.pending.insert(ticket, Pending { expect, accepted_at: request.at, task });
         if let Some(metrics) = &self.metrics {
             metrics.submitted.add(1);
         }
-        let mut core = self.core.lock().expect("gateway core");
-        core.stats.submitted += 1;
-        core.terminals.insert(ticket.0, None);
-        drop(core);
+        locked(&self.counters).submitted += 1;
         (ticket, request.with_ticket(ticket))
     }
 
-    /// Accepts one request without driving it: the returned ticket's
-    /// future acquires a lane slot, forwards on the next [`Gateway::drive`]
-    /// pass, and resolves at the request's terminal event.
+    /// The key the next accepted request or batch runs under.
+    fn next_key(&mut self) -> u64 {
+        self.next_task += 1;
+        self.next_task - 1
+    }
+
+    /// Queues the task `key` for its first step.
+    fn spawn(&mut self, key: u64, members: Vec<Ticket>, payload: Forward) {
+        let state = State::AwaitingSlot { next_member: 0 };
+        self.tasks.insert(key, Task { members, payload: Some(payload), state });
+        self.runnable.insert(key);
+        let inflight = self.tasks.len() as u64;
+        let mut counters = locked(&self.counters);
+        counters.peak_inflight = counters.peak_inflight.max(inflight);
+    }
+
+    /// Accepts one request without driving it: on the next
+    /// [`Gateway::drive`] it claims a lane slot and is forwarded, and it
+    /// holds the slot until its terminal event.
     pub fn enqueue(&mut self, request: Request) -> Ticket {
-        let (ticket, request) = self.accept(request);
-        let lane = (ticket.0 as usize) % self.lane_count();
-        let core = Arc::clone(&self.core);
-        let id = ticket.0;
-        self.tasks.push(
-            async move {
-                poll_fn(|cx| core.lock().expect("gateway core").poll_acquire(lane, id, cx)).await;
-                core.lock().expect("gateway core").forwards.push(Forward::Single(request));
-                poll_fn(|cx| core.lock().expect("gateway core").poll_terminal(id, cx)).await;
-                core.lock().expect("gateway core").release(lane);
-            }
-            .boxed(),
-        );
-        self.note_peak();
+        let key = self.next_key();
+        let (ticket, request) = self.accept(request, key);
+        self.spawn(key, vec![ticket], Forward::Single(request));
         ticket
     }
 
     /// Accepts a whole arrival wave as one batched operation (one ticket
     /// per request, forwarded through [`ResourceService::submit_batch`]).
     pub fn enqueue_batch(&mut self, requests: Vec<Request>) -> Vec<Ticket> {
-        let lanes = self.lane_count();
+        let key = self.next_key();
         let (tickets, requests): (Vec<Ticket>, Vec<Request>) =
-            requests.into_iter().map(|request| self.accept(request)).unzip();
-        let core = Arc::clone(&self.core);
-        let members: Vec<u64> = tickets.iter().map(|ticket| ticket.0).collect();
-        self.tasks.push(
-            async move {
-                // Claim every member's lane slot in ticket order, then
-                // forward the wave as one batch.
-                for &id in &members {
-                    let lane = (id as usize) % lanes;
-                    poll_fn(|cx| core.lock().expect("gateway core").poll_acquire(lane, id, cx))
-                        .await;
-                }
-                core.lock().expect("gateway core").forwards.push(Forward::Batch(requests));
-                for &id in &members {
-                    poll_fn(|cx| core.lock().expect("gateway core").poll_terminal(id, cx)).await;
-                    core.lock().expect("gateway core").release((id as usize) % lanes);
-                }
-            }
-            .boxed(),
-        );
-        self.note_peak();
+            requests.into_iter().map(|request| self.accept(request, key)).unzip();
+        self.spawn(key, tickets.clone(), Forward::Batch(requests));
         tickets
     }
 
-    fn note_peak(&mut self) {
-        let inflight = self.tasks.len() as u64;
-        let mut core = self.core.lock().expect("gateway core");
-        if core.stats.peak_inflight < inflight {
-            core.stats.peak_inflight = inflight;
-        }
-    }
-
-    /// Streams every event correlated to `ticket` as it is delivered,
-    /// ending after its terminal event. Subscribe before driving;
-    /// events delivered earlier are not replayed, so the stream of an
-    /// already-finished ticket ends immediately.
+    /// The events correlated to `ticket`, buffered as they are delivered;
+    /// [`CompletionStream::is_done`] turns true at the terminal event.
+    /// Subscribe before driving: events delivered earlier are not
+    /// replayed, so the stream of an already-finished ticket is empty
+    /// and done at once.
     pub fn subscribe(&mut self, ticket: Ticket) -> CompletionStream {
-        let mut core = self.core.lock().expect("gateway core");
-        let done = ticket.0 < self.next_ticket && !core.terminals.contains_key(&ticket.0);
-        let sub = core.streams.entry(ticket.0).or_default();
-        sub.done = sub.done || done;
-        drop(core);
-        CompletionStream { ticket: ticket.0, core: Arc::clone(&self.core) }
+        let finished = ticket.0 < self.next_ticket && !self.pending.contains_key(&ticket);
+        locked(&self.streams).entry(ticket).or_default().done |= finished;
+        CompletionStream { ticket, streams: Arc::clone(&self.streams) }
     }
 
-    /// Runs the executor until no request future can make progress:
-    /// polls every ready future (in ticket order), flushes the requests
-    /// they forwarded into the inner service, delivers the resulting
-    /// events (completing tickets, waking their futures), and repeats
-    /// until a pass forwards nothing.
+    /// Runs the queue until no task can make progress: steps every
+    /// runnable task, lowest key first (keys made runnable on the way
+    /// included), flushes the requests they forwarded into the inner
+    /// service, delivers the resulting events (completing tickets, making
+    /// their tasks runnable), and repeats until a pass forwards nothing.
     pub fn drive(&mut self) {
         loop {
-            let waker = noop_waker();
-            let mut cx = Context::from_waker(&waker);
-            while let Poll::Ready(Some(())) = Pin::new(&mut self.tasks).poll_next(&mut cx) {}
+            while let Some(key) = self.runnable.pop_first() {
+                self.step(key);
+            }
             if !self.flush_forwards() {
                 break;
             }
@@ -550,42 +497,81 @@ impl Gateway {
         }
     }
 
-    /// Pushes every forward parked by the last poll pass into the inner
-    /// service, delivering the inner events after each push. Returns
-    /// whether anything was forwarded.
+    /// Advances task `key` until it has to wait — for a lane slot or for
+    /// a terminal event — or is finished.
+    fn step(&mut self, key: u64) {
+        let Some(task) = self.tasks.get_mut(&key) else { return };
+        let lanes = self.lanes.len();
+        loop {
+            task.state = match task.state {
+                State::AwaitingSlot { next_member } => match task.members.get(next_member) {
+                    Some(&ticket) => {
+                        let lane = &mut self.lanes[ticket.0 as usize % lanes];
+                        if !self.draining && lane.inflight >= lane.capacity {
+                            lane.waiters.insert(ticket, key);
+                            locked(&self.counters).parked += 1;
+                            return;
+                        }
+                        lane.set_inflight(lane.inflight + 1);
+                        State::AwaitingSlot { next_member: next_member + 1 }
+                    }
+                    None => {
+                        self.forwards.extend(task.payload.take());
+                        State::AwaitingTerminal { member: 0 }
+                    }
+                },
+                State::AwaitingTerminal { member } => match task.members.get(member) {
+                    Some(ticket) if self.pending.contains_key(ticket) => return,
+                    Some(&ticket) => {
+                        let lane = &mut self.lanes[ticket.0 as usize % lanes];
+                        lane.set_inflight(lane.inflight.saturating_sub(1));
+                        if let Some((_, waiter)) = lane.waiters.pop_first() {
+                            self.runnable.insert(waiter);
+                        }
+                        State::AwaitingTerminal { member: member + 1 }
+                    }
+                    None => {
+                        self.tasks.remove(&key);
+                        return;
+                    }
+                },
+            };
+        }
+    }
+
+    /// Pushes everything the last pass forwarded into the inner service,
+    /// delivering the inner events after each push. Returns whether
+    /// anything was forwarded.
     fn flush_forwards(&mut self) -> bool {
-        let forwards = std::mem::take(&mut self.core.lock().expect("gateway core").forwards);
+        let forwards = std::mem::take(&mut self.forwards);
         if forwards.is_empty() {
             return false;
         }
         let forwards = if self.config.coalesce { self.coalesce(forwards) } else { forwards };
         for forward in forwards {
-            match forward {
+            let (count, singles, batches) = match forward {
                 Forward::Single(request) => {
                     self.inner.submit(request);
-                    let mut core = self.core.lock().expect("gateway core");
-                    core.stats.forwarded += 1;
-                    core.stats.singles += 1;
-                    drop(core);
-                    if let Some(metrics) = &self.metrics {
-                        metrics.forwarded.add(1);
-                    }
+                    (1, 1, 0)
                 }
                 Forward::Batch(requests) => {
                     let count = requests.len() as u64;
                     self.inner.submit_batch(requests);
-                    let mut core = self.core.lock().expect("gateway core");
-                    core.stats.forwarded += count;
-                    core.stats.batches += 1;
-                    drop(core);
-                    if let Some(metrics) = &self.metrics {
-                        metrics.forwarded.add(count);
-                        metrics.batches.add(1);
-                    }
+                    (count, 0, 1)
                 }
+            };
+            let mut counters = locked(&self.counters);
+            counters.forwarded += count;
+            counters.singles += singles;
+            counters.batches += batches;
+            drop(counters);
+            if let Some(metrics) = &self.metrics {
+                metrics.forwarded.add(count);
+                metrics.batches.add(batches);
             }
-            let events = self.inner.take_events();
-            self.deliver(events, true);
+            let mut events = self.inner.take_events();
+            self.deliver(&events);
+            self.outbox.append(&mut events);
         }
         true
     }
@@ -593,65 +579,65 @@ impl Gateway {
     /// Merges contiguous runs of single admissions into one batched
     /// wave each; other commands keep their position and break runs.
     fn coalesce(&mut self, forwards: Vec<Forward>) -> Vec<Forward> {
-        fn flush(run: &mut Vec<Request>, out: &mut Vec<Forward>, core: &Arc<Mutex<Core>>) {
+        fn flush(run: &mut Vec<Request>, out: &mut Vec<Forward>, coalesced: &mut u64) {
             match run.len() {
                 0 => {}
                 1 => out.push(Forward::Single(run.remove(0))),
                 n => {
-                    core.lock().expect("gateway core").stats.coalesced += n as u64;
+                    *coalesced += n as u64;
                     out.push(Forward::Batch(std::mem::take(run)));
                 }
             }
         }
         let mut out = Vec::with_capacity(forwards.len());
         let mut run: Vec<Request> = Vec::new();
+        let mut coalesced = 0;
         for forward in forwards {
             match forward {
                 Forward::Single(request) if matches!(request.command, Command::Admit { .. }) => {
                     run.push(request);
                 }
                 other => {
-                    flush(&mut run, &mut out, &self.core);
+                    flush(&mut run, &mut out, &mut coalesced);
                     out.push(other);
                 }
             }
         }
-        flush(&mut run, &mut out, &self.core);
+        flush(&mut run, &mut out, &mut coalesced);
+        locked(&self.counters).coalesced += coalesced;
         out
     }
 
-    /// Completes tickets reaching their expected terminal event, feeds
-    /// completion streams, and either buffers the inner events for
-    /// [`ResourceService::take_events`] (`to_outbox`) or returns them
-    /// (the pump path).
-    fn deliver(&mut self, events: Vec<Event>, to_outbox: bool) -> Vec<Event> {
-        let mut out = Vec::with_capacity(events.len());
+    /// Books `events` coming out of the inner service: feeds the
+    /// completion streams, and retires each ticket that reached its
+    /// expected terminal event, making its task runnable.
+    fn deliver(&mut self, events: &[Event]) {
+        let mut streams = locked(&self.streams);
         for event in events {
-            let subject = event.ticket();
-            self.core.lock().expect("gateway core").feed_stream(subject.0, &event);
-            let terminal =
-                self.expects.get(&subject.0).is_some_and(|expect| expect.is_terminal(&event));
-            if terminal {
-                self.expects.remove(&subject.0);
-                self.finish(subject);
+            let ticket = event.ticket();
+            let finished = match self.pending.entry(ticket) {
+                Entry::Occupied(entry) if entry.get().expect.is_terminal(event) => {
+                    Some(entry.remove())
+                }
+                _ => None,
+            };
+            if let Some(sub) = streams.get_mut(&ticket) {
+                sub.queue.push_back(event.clone());
+                // A preemption requeue runs under a ticket the inner
+                // service derived (`Ticket::requeue_of`), so it has no
+                // `pending` entry; its life ends the way an admission's
+                // does.
+                sub.done |= finished.is_some()
+                    || matches!(event, Event::Admitted { .. } | Event::Rejected { .. });
             }
-            out.push(event);
-        }
-        if to_outbox {
-            self.outbox.append(&mut out);
-        }
-        out
-    }
-
-    fn finish(&mut self, ticket: Ticket) {
-        if let Some(start) = self.started.remove(&ticket.0) {
-            if let Some(metrics) = &self.metrics {
-                metrics.completion.record(self.now.saturating_sub(start));
+            if let Some(Pending { accepted_at, task, .. }) = finished {
+                if let Some(metrics) = &self.metrics {
+                    metrics.completion.record(self.now.saturating_sub(accepted_at));
+                }
+                locked(&self.counters).completions += 1;
+                self.runnable.insert(task);
             }
         }
-        let mut core = self.core.lock().expect("gateway core");
-        core.stats.completions += 1;
-        core.complete(ticket.0);
     }
 }
 
@@ -676,8 +662,8 @@ impl ResourceService for Gateway {
         match event {
             CapacityEvent::Tick { now } => {
                 self.now = self.now.max(now);
-                let events = self.inner.pump(event);
-                let mut out = self.deliver(events, false);
+                let mut out = self.inner.pump(event);
+                self.deliver(&out);
                 // Completions may have freed lane slots: let parked
                 // requests forward, and hand their events back with the
                 // pump's (in lockstep mode nothing is ever parked, so
@@ -692,14 +678,19 @@ impl ResourceService for Gateway {
                 // Unbound the lanes and flush every parked request into
                 // the inner service so its shutdown drain sees them;
                 // their events precede the drain's chronologically.
-                self.core.lock().expect("gateway core").drain();
+                self.draining = true;
+                for lane in &mut self.lanes {
+                    self.runnable.extend(std::mem::take(&mut lane.waiters).into_values());
+                }
                 let flushed = self.outbox.len();
                 self.drive();
                 let mut out = self.outbox.split_off(flushed);
-                let events = self.inner.pump(event);
-                out.extend(self.deliver(events, false));
-                // Retire the futures those completions woke (everything
-                // is already flushed, so this forwards nothing new).
+                let mut events = self.inner.pump(event);
+                self.deliver(&events);
+                out.append(&mut events);
+                // Retire the tasks those completions made runnable
+                // (everything is already flushed, so this forwards
+                // nothing new).
                 self.drive();
                 out
             }
@@ -735,39 +726,38 @@ impl ResourceService for Gateway {
     }
 }
 
-/// The per-ticket event stream returned by [`Gateway::subscribe`]:
-/// yields every event correlated to the ticket, then ends after its
-/// terminal event. Dropping the stream unsubscribes.
+/// The per-ticket event stream returned by [`Gateway::subscribe`]: an
+/// iterator over the events correlated to the ticket that have been
+/// delivered and not yet taken. `next()` returning `None` means "nothing
+/// more *yet*" until [`CompletionStream::is_done`] says the terminal
+/// event is in; after that it means the stream has ended. Dropping the
+/// stream unsubscribes.
 #[derive(Debug)]
 pub struct CompletionStream {
-    ticket: u64,
-    core: Arc<Mutex<Core>>,
+    ticket: Ticket,
+    streams: Streams,
 }
 
-impl Stream for CompletionStream {
+impl CompletionStream {
+    /// Whether the ticket's terminal event has been delivered, so no
+    /// event will follow the ones already buffered.
+    pub fn is_done(&self) -> bool {
+        locked(&self.streams).get(&self.ticket).is_none_or(|sub| sub.done)
+    }
+}
+
+impl Iterator for CompletionStream {
     type Item = Event;
 
-    fn poll_next(self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<Option<Event>> {
-        let this = self.get_mut();
-        let mut core = this.core.lock().expect("gateway core");
-        let Some(sub) = core.streams.get_mut(&this.ticket) else {
-            return Poll::Ready(None);
-        };
-        if let Some(event) = sub.queue.pop_front() {
-            return Poll::Ready(Some(event));
-        }
-        if sub.done {
-            return Poll::Ready(None);
-        }
-        sub.waker = Some(cx.waker().clone());
-        Poll::Pending
+    fn next(&mut self) -> Option<Event> {
+        locked(&self.streams).get_mut(&self.ticket)?.queue.pop_front()
     }
 }
 
 impl Drop for CompletionStream {
     fn drop(&mut self) {
-        if let Ok(mut core) = self.core.lock() {
-            core.streams.remove(&self.ticket);
+        if let Ok(mut streams) = self.streams.lock() {
+            streams.remove(&self.ticket);
         }
     }
 }
@@ -785,8 +775,6 @@ const _: () = _assert_send::<CompletionStream>();
 mod tests {
     use super::*;
 
-    use futures::executor::block_on;
-    use futures::StreamExt;
     use kairos_admitd::AdmitPolicy;
     use kairos_appgen::{AppGenerator, GeneratorConfig};
     use kairos_cluster::ClusterBuilder;
@@ -846,8 +834,8 @@ mod tests {
         assert_eq!(sync.queue_depth(), gateway.queue_depth());
     }
 
-    /// Two identical async runs produce identical event streams and
-    /// counters — the executor's ticket-order ready queue at work.
+    /// Two identical queued runs produce identical event streams and
+    /// counters — the lowest-key-first run-queue at work.
     #[test]
     fn double_runs_are_byte_identical() {
         let run = || {
@@ -863,7 +851,7 @@ mod tests {
         assert_eq!(run(), run());
     }
 
-    /// Full lanes park request futures; the shutdown drain unbounds the
+    /// Full lanes park requests; the shutdown drain unbounds the
     /// lanes and flushes every parked request into the inner service.
     #[test]
     fn full_lanes_park_requests_until_drain() {
@@ -923,8 +911,9 @@ mod tests {
         gateway.enqueue(second);
         gateway.drive();
         gateway.pump(CapacityEvent::Shutdown { now: 300 });
+        assert!(stream.is_done());
         let mut kinds = Vec::new();
-        while let Some(event) = block_on(stream.next()) {
+        for event in stream.by_ref() {
             assert_eq!(event.ticket(), ticket);
             kinds.push(match event {
                 Event::Queued { .. } => "queued",
@@ -1010,13 +999,192 @@ mod tests {
         gateway.pump(CapacityEvent::Shutdown { now: 30 });
         drop(stream);
         assert_eq!(gateway.inflight(), 0);
-        assert!(gateway.started.is_empty() && gateway.expects.is_empty());
-        {
-            let core = gateway.core.lock().unwrap();
-            assert!(core.terminals.is_empty(), "terminals leaked: {:?}", core.terminals);
-            assert!(core.streams.is_empty());
-        }
+        assert!(gateway.runnable.is_empty());
+        assert!(gateway.pending.is_empty(), "tickets leaked: {:?}", gateway.pending);
+        assert!(gateway.streams.lock().unwrap().is_empty());
         let mut late = gateway.subscribe(tickets[0]);
-        assert!(block_on(late.next()).is_none(), "a finished ticket's stream ends immediately");
+        assert!(late.is_done() && late.next().is_none(), "a finished ticket's stream is over");
+    }
+
+    /// A preemption requeue runs under a ticket no command of the
+    /// gateway's carries; its completion stream still ends when the
+    /// requeue is admitted or rejected.
+    #[test]
+    fn requeue_completion_streams_end() {
+        use kairos_admitd::PreemptionPolicy;
+        let inner = ServiceBuilder::new(topology::crisp())
+            .deterministic(true)
+            .admission(AdmitPolicy {
+                class_capacity: [8, 8, 8, 8],
+                preemption: PreemptionPolicy::Evict,
+                ..AdmitPolicy::default()
+            })
+            .build()
+            .unwrap();
+        let mut gateway = Gateway::new(Box::new(inner), GatewayConfig::default());
+        let mut generator = AppGenerator::new(GeneratorConfig::default(), 17);
+        let mut admit = |gateway: &mut Gateway, class| {
+            gateway.submit(Request::admit(0, generator.generate("app"), class));
+            gateway.take_events()
+        };
+        // Low-class residents until the platform is full (the first one
+        // left waiting), then criticals until one has to evict a resident.
+        while admit(&mut gateway, PriorityClass::Low)
+            .iter()
+            .any(|event| matches!(event, Event::Admitted { .. }))
+        {}
+        let requeued_as = (0..32)
+            .find_map(|_| {
+                admit(&mut gateway, PriorityClass::Critical).into_iter().find_map(|event| {
+                    match event {
+                        Event::Preempted { requeued_as, .. } => Some(requeued_as),
+                        _ => None,
+                    }
+                })
+            })
+            .expect("a critical preempts a low-class resident");
+        let mut stream = gateway.subscribe(requeued_as);
+        assert!(!stream.is_done());
+        gateway.drive();
+        gateway.pump(CapacityEvent::Shutdown { now: 50 });
+        let events: Vec<Event> = stream.by_ref().collect();
+        assert!(events.iter().all(|event| event.ticket() == requeued_as));
+        assert!(matches!(events.last(), Some(Event::Admitted { .. } | Event::Rejected { .. })));
+        assert!(stream.is_done(), "the requeue's terminal event ends its stream");
+    }
+
+    /// Records every call the gateway makes into the service below it, in
+    /// order: what was forwarded (and how), and where the pumps fell.
+    #[derive(Debug)]
+    struct Tap {
+        inner: Box<dyn ResourceService + Send>,
+        calls: Arc<Mutex<Vec<String>>>,
+    }
+
+    impl Tap {
+        fn log(&self, call: String) {
+            self.calls.lock().unwrap().push(call);
+        }
+    }
+
+    impl ResourceService for Tap {
+        fn submit(&mut self, request: Request) -> Ticket {
+            self.log(format!("submit {}", request.ticket.expect("stamped by the gateway")));
+            self.inner.submit(request)
+        }
+        fn submit_batch(&mut self, requests: Vec<Request>) -> Vec<Ticket> {
+            let tickets: Vec<String> = requests
+                .iter()
+                .map(|request| request.ticket.expect("stamped by the gateway").to_string())
+                .collect();
+            self.log(format!("batch {}", tickets.join(" ")));
+            self.inner.submit_batch(requests)
+        }
+        fn pump(&mut self, event: CapacityEvent) -> Vec<Event> {
+            self.log(match event {
+                CapacityEvent::Tick { .. } => "tick".to_owned(),
+                CapacityEvent::Shutdown { .. } => "shutdown".to_owned(),
+            });
+            self.inner.pump(event)
+        }
+        fn take_events(&mut self) -> Vec<Event> {
+            self.inner.take_events()
+        }
+        fn kairos(&self) -> &Kairos {
+            self.inner.kairos()
+        }
+        fn queue_depth(&self) -> usize {
+            self.inner.queue_depth()
+        }
+        fn shard_count(&self) -> usize {
+            self.inner.shard_count()
+        }
+    }
+
+    /// The parked hand-off order, pinned: a batch of four and three
+    /// singles over two bounded lanes of a queued cluster, releases of
+    /// whatever was admitted, a tick and the shutdown drain. The expected
+    /// call orders and counters are literals captured by running this
+    /// body against the executor this state machine replaced.
+    ///
+    /// With one slot per lane the batch waits on itself — it holds req0's
+    /// slot while asking for req2's on the same lane — so everything parks
+    /// behind it until the shutdown drain unbounds the lanes. With two, the
+    /// batch forwards at once and releases member by member: req0's slot
+    /// goes to req4, whose rejection hands it on to req6 in the same drive,
+    /// while req5 stays parked behind the batch's queued req1 and req3, and
+    /// the releases (req7, req8) are forwarded out of ticket order.
+    #[test]
+    fn parked_requests_are_handed_slots_in_a_pinned_order() {
+        use kairos_appgen::{generate_dataset, DatasetSpec, Orientation, SizeClass};
+        let run = |channel_capacity: usize| {
+            let cluster = ClusterBuilder::new(topology::crisp(), 2)
+                .deterministic(true)
+                .admission(AdmitPolicy { class_capacity: [8, 8, 16, 8], ..AdmitPolicy::default() })
+                .build()
+                .unwrap();
+            let calls = Arc::new(Mutex::new(Vec::new()));
+            let tap = Tap { inner: Box::new(cluster), calls: Arc::clone(&calls) };
+            let config = GatewayConfig { channel_capacity, ..GatewayConfig::default() };
+            let mut gateway = Gateway::new(Box::new(tap), config);
+            let spec =
+                DatasetSpec { orientation: Orientation::Computation, size: SizeClass::Large };
+            let mut admits = generate_dataset(spec, 7, 7)
+                .into_iter()
+                .enumerate()
+                .map(|(i, app)| Request::admit(i as u64, app, PriorityClass::Normal));
+            gateway.enqueue_batch(admits.by_ref().take(4).collect());
+            for request in admits {
+                gateway.enqueue(request);
+            }
+            gateway.drive();
+            for event in gateway.take_events() {
+                if let Event::Admitted { report, .. } = event {
+                    gateway.enqueue(Request::release(10, report.app_id));
+                }
+            }
+            gateway.pump(CapacityEvent::Tick { now: 20 });
+            gateway.pump(CapacityEvent::Shutdown { now: 30 });
+            assert_eq!(gateway.inflight(), 0);
+            let calls = calls.lock().unwrap().join(", ");
+            (calls, gateway.stats())
+        };
+        let (calls, stats) = run(1);
+        assert_eq!(
+            calls,
+            "tick, batch req0 req1 req2 req3, submit req4, submit req5, submit req6, shutdown"
+        );
+        assert_eq!(
+            stats,
+            GatewayCounters {
+                submitted: 7,
+                forwarded: 7,
+                singles: 3,
+                batches: 1,
+                coalesced: 0,
+                completions: 7,
+                peak_inflight: 4,
+                parked: 4,
+            }
+        );
+        let (calls, stats) = run(2);
+        assert_eq!(
+            calls,
+            "batch req0 req1 req2 req3, submit req4, submit req6, tick, \
+             submit req8, submit req5, submit req7, shutdown"
+        );
+        assert_eq!(
+            stats,
+            GatewayCounters {
+                submitted: 9,
+                forwarded: 9,
+                singles: 5,
+                batches: 1,
+                coalesced: 0,
+                completions: 9,
+                peak_inflight: 4,
+                parked: 4,
+            }
+        );
     }
 }

@@ -32,7 +32,7 @@
 //!   same-shape admission storm replayed from the cache) and
 //!   `cache-invalidation-churn` (element faults and repairs sweeping
 //!   cached points out from under continuing admissions), and two that
-//!   run behind the `kairos-gateway` async serving front-end
+//!   run behind the `kairos-gateway` queueing front-end
 //!   ([`GatewaySpec`]) — `gateway-arrival-storm` (a sharded storm
 //!   streamed through per-shard bounded lanes, byte-identical to its
 //!   unwrapped twin) and `gateway-backpressure` (a queued overload

@@ -246,7 +246,8 @@ pub struct GatewayReport {
     pub coalesced: u64,
     /// Requests that reached their terminal completion event.
     pub completions: u64,
-    /// Most gateway futures ever simultaneously in flight.
+    /// Most gateway tasks ever simultaneously in flight (a batch counts
+    /// once).
     pub peak_inflight: u64,
     /// Requests that found their lane full and parked for a free slot.
     pub parked: u64,

@@ -28,7 +28,7 @@
 //! the cache hot, and `cache-invalidation-churn`, which interleaves
 //! element faults and repairs with cached admissions to exercise the
 //! invalidation hooks; both run with [`Scenario::cache`] enabled), and
-//! two exercising the `kairos-gateway` async serving front-end
+//! two exercising the `kairos-gateway` queueing front-end
 //! (`gateway-arrival-storm`, a sharded storm streamed through the
 //! gateway's default lanes and pinned byte-identical to the unwrapped
 //! run, and `gateway-backpressure`, a queued overload behind a
@@ -213,11 +213,11 @@ pub struct ClusterSpec {
     pub rebalance: Option<RebalanceSpec>,
 }
 
-/// Async serving front-end over the scenario's service: the engine wraps
+/// Queueing front-end over the scenario's service: the engine wraps
 /// the (possibly clustered) service in a `kairos-gateway`
 /// [`Gateway`](kairos_gateway::Gateway) — requests stream through
-/// per-shard bounded lanes on the gateway's deterministic single-threaded
-/// executor, and the report grows a `gateway` section with the serving
+/// per-shard bounded lanes in the gateway's deterministic ticket-ordered
+/// queue, and the report grows a `gateway` section with the serving
 /// counters. Under the default knobs the gateway is byte-identical to
 /// driving the service directly (the `gateway_equivalence` suite pins
 /// that); a small [`GatewaySpec::channel_capacity`] makes full lanes park
@@ -226,7 +226,7 @@ pub struct ClusterSpec {
 pub struct GatewaySpec {
     /// Bound of each per-shard request lane (must be at least 1).
     pub channel_capacity: usize,
-    /// Merge contiguous single admissions flushed in one executor pass
+    /// Merge contiguous single admissions flushed in one drive pass
     /// into one batched wave (changes how the service is driven, so
     /// excluded from the sync-equivalence guarantee).
     pub coalesce: bool,
@@ -390,10 +390,10 @@ pub struct Scenario {
     /// with parallel admission probes and optional cross-shard
     /// rebalancing.
     pub cluster: Option<ClusterSpec>,
-    /// Async serving front-end. `None` drives the service directly;
+    /// Queueing front-end. `None` drives the service directly;
     /// `Some` wraps it in a `kairos-gateway` [`Gateway`](kairos_gateway::Gateway)
-    /// (per-shard bounded request lanes on a deterministic
-    /// single-threaded executor) and embeds the serving counters as the
+    /// (per-shard bounded request lanes in a deterministic
+    /// ticket-ordered queue) and embeds the serving counters as the
     /// report's `gateway` section. With default knobs the wrapped run is
     /// byte-identical to the unwrapped one apart from that section.
     pub gateway: Option<GatewaySpec>,
@@ -1551,12 +1551,12 @@ fn cache_invalidation_churn() -> Scenario {
     }
 }
 
-/// Gateway arrival storm: the async serving-front-end showcase. The
+/// Gateway arrival storm: the queueing-front-end showcase. The
 /// sharded-arrival recipe — a heavy storm of small applications over a
 /// three-shard least-loaded CRISP cluster — runs behind a
 /// `kairos-gateway` [`Gateway`](kairos_gateway::Gateway) with the default
 /// knobs: every admission streams through a per-shard bounded request
-/// lane on the gateway's deterministic single-threaded executor before
+/// lane in the gateway's deterministic ticket-ordered queue before
 /// reaching the cluster. The run is byte-identical to the unwrapped
 /// scenario apart from the report's `gateway` section (the
 /// `gateway_equivalence` suite pins exactly this), which tallies the
@@ -1794,7 +1794,7 @@ mod tests {
                 "power-cap-skew",
             ]
         );
-        // Exactly the two gateway scenarios run behind the async serving
+        // Exactly the two gateway scenarios run behind the queueing
         // front-end; only the backpressure one narrows the lane bound.
         let gatewayed: Vec<&str> =
             catalog.iter().filter(|s| s.gateway.is_some()).map(|s| s.name.as_str()).collect();

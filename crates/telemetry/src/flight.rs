@@ -4,7 +4,7 @@ use std::collections::VecDeque;
 use std::fmt;
 use std::sync::Mutex;
 
-use tracing::Level;
+use crate::level::Level;
 
 /// One recorded trace event: a span boundary or a point event.
 #[derive(Debug, Clone, PartialEq, Eq)]

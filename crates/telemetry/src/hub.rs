@@ -1,13 +1,10 @@
 //! The [`Telemetry`] handle every instrumented layer holds.
 
-use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::time::Instant;
 
-use tracing::Level;
-
 use crate::flight::{FlightRecorder, TraceEvent};
+use crate::level::Level;
 use crate::metric::{Counter, Gauge, Histogram};
 use crate::registry::{Registry, Snapshot};
 use crate::trace::{SpanRecord, TraceContext, TraceSink};
@@ -247,26 +244,6 @@ impl Telemetry {
     pub fn chrome_trace(&self) -> String {
         crate::trace::chrome_trace(&self.trace_dump())
     }
-
-    /// A [`tracing::Dispatch`] feeding this hub: spans and events emitted
-    /// through the `tracing` macros land in this handle's flight recorder
-    /// and count under the `kairos.tracing.events` / `.spans` metrics.
-    /// Install it with `tracing::dispatcher::with_default` (scoped) or
-    /// `set_global_default`. Disabled handles yield a discarding
-    /// dispatch.
-    pub fn dispatch(&self) -> tracing::Dispatch {
-        match &self.inner {
-            None => tracing::Dispatch::none(),
-            Some(inner) => tracing::Dispatch::new(TelemetrySubscriber {
-                inner: inner.clone(),
-                events: inner.registry.counter("kairos.tracing.events"),
-                spans: inner.registry.counter("kairos.tracing.spans"),
-                open_spans: inner.registry.gauge("kairos.tracing.open_spans"),
-                next_id: AtomicU64::new(0),
-                names: Mutex::new(BTreeMap::new()),
-            }),
-        }
-    }
 }
 
 /// An open [`Telemetry::span`]; records the matching exit event on drop.
@@ -282,81 +259,6 @@ impl Drop for SpanGuard {
         if let Some(inner) = &self.inner {
             inner.recorder.record(Level::DEBUG, self.target, format!("exit {}", self.name));
         }
-    }
-}
-
-/// The bridge from the `tracing` macro surface into a [`Telemetry`] hub.
-///
-/// The `names` map holds one refcounted entry per *live* span handle:
-/// `new_span` inserts at refcount one, `clone_span` increments, and
-/// `try_close` decrements and evicts the entry when the last handle
-/// drops — so long runs never grow the map without bound. The
-/// `kairos.tracing.open_spans` gauge tracks the live entry count.
-struct TelemetrySubscriber {
-    inner: Arc<Inner>,
-    events: Arc<Counter>,
-    spans: Arc<Counter>,
-    open_spans: Arc<Gauge>,
-    next_id: AtomicU64,
-    names: Mutex<BTreeMap<u64, (String, u64)>>,
-}
-
-impl tracing::Subscriber for TelemetrySubscriber {
-    fn enabled(&self, _metadata: &tracing::Metadata<'_>) -> bool {
-        true
-    }
-
-    fn new_span(&self, metadata: &tracing::Metadata<'_>) -> tracing::span::Id {
-        self.spans.inc();
-        self.open_spans.add(1);
-        let id = self.next_id.fetch_add(1, Ordering::Relaxed);
-        self.names.lock().expect("span names lock").insert(id, (metadata.name().to_owned(), 1));
-        tracing::span::Id::from_u64(id)
-    }
-
-    fn event(&self, event: &tracing::Event<'_>) {
-        self.events.inc();
-        let metadata = event.metadata();
-        self.inner.recorder.record(
-            *metadata.level(),
-            metadata.target(),
-            event.message().to_string(),
-        );
-    }
-
-    fn enter(&self, span: &tracing::span::Id) {
-        let names = self.names.lock().expect("span names lock");
-        if let Some((name, _)) = names.get(&span.into_u64()) {
-            self.inner.recorder.record(Level::DEBUG, "tracing", format!("enter {name}"));
-        }
-    }
-
-    fn exit(&self, span: &tracing::span::Id) {
-        let names = self.names.lock().expect("span names lock");
-        if let Some((name, _)) = names.get(&span.into_u64()) {
-            self.inner.recorder.record(Level::DEBUG, "tracing", format!("exit {name}"));
-        }
-    }
-
-    fn clone_span(&self, span: &tracing::span::Id) -> tracing::span::Id {
-        let mut names = self.names.lock().expect("span names lock");
-        if let Some((_, refs)) = names.get_mut(&span.into_u64()) {
-            *refs += 1;
-        }
-        span.clone()
-    }
-
-    fn try_close(&self, span: tracing::span::Id) -> bool {
-        let mut names = self.names.lock().expect("span names lock");
-        let id = span.into_u64();
-        let Some((_, refs)) = names.get_mut(&id) else { return false };
-        *refs -= 1;
-        if *refs > 0 {
-            return false;
-        }
-        names.remove(&id);
-        self.open_spans.add(-1);
-        true
     }
 }
 
@@ -439,40 +341,5 @@ mod tests {
         assert_eq!(spans.len(), 2, "the child's span lands in the parent's sink");
         assert_eq!(spans[1].name, "probe.shard0");
         assert_eq!(spans[0].end, 7);
-    }
-
-    #[test]
-    fn subscriber_evicts_span_names_when_the_last_handle_closes() {
-        let t = Telemetry::new(TelemetryConfig::default());
-        let dispatch = t.dispatch();
-        tracing::dispatcher::with_default(&dispatch, || {
-            for _ in 0..100 {
-                let span = tracing::info_span!("wave");
-                let clone = span.clone();
-                drop(span);
-                assert_eq!(
-                    t.gauge("kairos.tracing.open_spans").unwrap().get(),
-                    1,
-                    "a live clone keeps the name entry alive"
-                );
-                drop(clone);
-                assert_eq!(t.gauge("kairos.tracing.open_spans").unwrap().get(), 0);
-            }
-        });
-        assert_eq!(t.counter("kairos.tracing.spans").unwrap().get(), 100);
-    }
-
-    #[test]
-    fn dispatch_bridges_tracing_macros_into_the_hub() {
-        let t = Telemetry::new(TelemetryConfig::default());
-        let dispatch = t.dispatch();
-        tracing::dispatcher::with_default(&dispatch, || {
-            let span = tracing::info_span!("wave");
-            span.in_scope(|| tracing::warn!("queue {} full", "low"));
-        });
-        let messages: Vec<_> = t.flight_dump().into_iter().map(|event| event.message).collect();
-        assert_eq!(messages, vec!["enter wave", "queue low full", "exit wave"]);
-        assert_eq!(t.counter("kairos.tracing.events").unwrap().get(), 1);
-        assert_eq!(t.counter("kairos.tracing.spans").unwrap().get(), 1);
     }
 }

@@ -1,8 +1,8 @@
 //! # kairos-telemetry
 //!
-//! The unified observability layer of the Kairos workspace: structured
-//! tracing, an atomic metrics registry and a bounded flight recorder
-//! behind one cheap-clone [`Telemetry`] handle.
+//! The unified observability layer of the Kairos workspace: levelled
+//! spans and events, an atomic metrics registry and a bounded flight
+//! recorder behind one cheap-clone [`Telemetry`] handle.
 //!
 //! The paper's evaluation measures the run-time cost of every allocation
 //! phase; before this crate that signal existed only as diagnostic-only
@@ -17,11 +17,9 @@
 //!   that renders as a Prometheus text exposition
 //!   ([`Snapshot::render_text`]) or embeds as byte-stable JSON in the sim
 //!   report.
-//! * **Tracing** — spans ([`Telemetry::span`]) and typed events
-//!   ([`Telemetry::event`]) over the minimal `tracing`-compatible facade
-//!   under `shims/tracing`; [`Telemetry::dispatch`] bridges the upstream
-//!   macro surface (`tracing::info!`, `tracing::info_span!`) into the
-//!   same hub.
+//! * **Spans and events** — spans ([`Telemetry::span`]) and point events
+//!   ([`Telemetry::event`]), each tagged with a [`Level`] and the
+//!   emitting subsystem, recorded straight into the hub.
 //! * **Flight recorder** — a bounded ring of recent [`TraceEvent`]s per
 //!   shard ([`FlightRecorder`]), cheap enough to leave always-on and
 //!   dumped post-mortem on admission failures, rollbacks or aborted
@@ -66,8 +64,7 @@
 //! ## Example
 //!
 //! ```
-//! use kairos_telemetry::{Telemetry, TelemetryConfig};
-//! use tracing::Level;
+//! use kairos_telemetry::{Level, Telemetry, TelemetryConfig};
 //!
 //! let telemetry = Telemetry::new(TelemetryConfig::default());
 //! let admissions = telemetry.counter("kairos.example.admissions").unwrap();
@@ -88,16 +85,14 @@
 
 mod flight;
 mod hub;
+mod level;
 mod metric;
 mod registry;
 mod trace;
 
 pub use flight::{FlightRecorder, TraceEvent};
 pub use hub::{SpanGuard, Telemetry, TelemetryConfig};
+pub use level::Level;
 pub use metric::{Counter, Gauge, Histogram, HistogramSnapshot};
 pub use registry::{MetricSnapshot, MetricValue, Registry, Snapshot};
 pub use trace::{chrome_trace, summarize, SpanRecord, TraceContext, TraceSummary, ROOT_PARENT};
-
-// Re-export the facade level type so instrumented crates can emit events
-// without a direct `tracing` dependency.
-pub use tracing::Level;

@@ -39,20 +39,19 @@
 //!   shard-id order, pluggable placement policies (first-fit /
 //!   best-fit-by-fragmentation / least-loaded) and cross-shard
 //!   rebalancing sweeps;
-//! * [`gateway`] — the async serving front-end: a decorator over any
+//! * [`gateway`] — the queueing front-end: a decorator over any
 //!   `ResourceService` that streams admissions through per-shard bounded
-//!   request lanes on a hand-rolled deterministic single-threaded
-//!   executor (the `futures` shim), keeps tens of thousands of requests
-//!   in flight, exposes per-ticket completion streams, and stays
-//!   byte-identical to driving the service directly under the default
-//!   knobs;
+//!   request lanes in a deterministic single-threaded ticket-ordered
+//!   queue, keeps tens of thousands of requests in flight, exposes
+//!   per-ticket completion streams, and stays byte-identical to driving
+//!   the service directly under the default knobs;
 //! * [`sim`] — a deterministic discrete-event scenario engine driving the
 //!   service through long-running multi-application workloads with
 //!   arrivals (lone or in batched waves), departures and element faults,
 //!   with or without the admission queue;
 //! * [`telemetry`] — the unified observability layer (see
-//!   `docs/OBSERVABILITY.md`): structured tracing spans and events over a
-//!   minimal `tracing`-compatible shim, a registry of named counters,
+//!   `docs/OBSERVABILITY.md`): levelled spans and events recorded
+//!   straight into the hub, a registry of named counters,
 //!   gauges and fixed-bucket latency histograms with atomic hot-path
 //!   recording and deterministic snapshot/render (Prometheus-style text
 //!   exposition, byte-stable JSON embedding in sim reports), and bounded
