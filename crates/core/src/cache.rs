@@ -1,12 +1,25 @@
-//! The run-time side of the operating-point cache (`kairos-opcache`).
+//! Replayable pipeline decisions, and the two carriers that bring one
+//! back to the manager that computed it.
 //!
-//! `kairos-opcache` stores decisions keyed by `(ShapeKey, StateStamp)`;
-//! this module defines *what* is stored for the admission pipeline: the
-//! complete, replayable outcome of one `run_phases` call. A cache hit is
-//! only sound because the key pins the exact platform byte-state the
-//! decision was computed against — replaying the recorded claims from
-//! that state reproduces the cold run's platform bytes exactly, so a
-//! warm cache changes *which work runs*, never *what is decided*.
+//! [`CachedDecision`] is the complete outcome of one `run_phases` call —
+//! a [`CachedPoint`] whose recorded claims reproduce the cold run's
+//! platform mutations byte for byte, or the exact refusal. Replaying one
+//! is only sound from the exact platform byte-state it was computed
+//! against, so a carrier changes *which work runs*, never *what is
+//! decided*. Each carrier proves that state its own way:
+//!
+//! * the **operating-point cache** (`kairos-opcache`, when
+//!   `KairosConfig::cache` is set) keys decisions by
+//!   `(ShapeKey, StateStamp)` — a hash of the whole mutable platform
+//!   state — so a decision can come back any number of admissions later;
+//! * the **probe hand-off** (the `handoff` field of an uncached
+//!   `Kairos`) keeps the last `probe_admit`'s decision beside the
+//!   platform's `state_epoch`, read after the probe's rollback —
+//!   rollback restores the bytes exactly and every later mutation bumps
+//!   the epoch, so an equal epoch proves the same state without hashing
+//!   anything. It serves the one admission that follows the probe.
+//!
+//! Neither key covers the cost weights: `Kairos::set_weights` voids both.
 
 use kairos_opcache::OperatingPoint;
 use kairos_platform::{ElementId, ResourceVector};

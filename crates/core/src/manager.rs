@@ -265,6 +265,19 @@ pub struct Kairos {
     metrics: Option<CoreMetrics>,
     /// The operating-point cache, present iff [`KairosConfig::cache`] is.
     cache: Option<MappingCache<CachedDecision>>,
+    /// The probe-to-admission hand-off of an uncached manager: what the
+    /// last [`Kairos::probe_admit`] decided, as `(shape, state epoch read
+    /// after the probe's rollback, decision)`, so the admission that
+    /// follows commits that decision instead of recomputing it.
+    /// Rollback restores the platform bytes exactly and every later
+    /// mutation bumps `state_epoch`, so an equal epoch proves the state
+    /// the decision was computed against. Hence only `probe_admit` writes
+    /// it — `probe_admit_without` and a declined `migrate_if` decide
+    /// against a state their rollback erases — `admit_traced` alone
+    /// takes it, and `set_weights`, the one decision input no epoch
+    /// covers, clears it. Always `None` with a cache configured: the
+    /// cache already carries a probe's decision to the admission.
+    handoff: Option<(ShapeKey, u64, CachedDecision)>,
 }
 
 /// Duration bucket bounds shared by all pipeline latency histograms:
@@ -282,6 +295,9 @@ struct CoreMetrics {
     phase_ns: [Arc<Histogram>; 4],
     admit_ok: Arc<Counter>,
     admit_fail: Arc<Counter>,
+    /// Admissions decided by a probe hand-off instead of a pipeline run
+    /// (each also counts in `admit_ok` or `admit_fail`).
+    admit_replayed: Arc<Counter>,
     probes: Arc<Counter>,
     txn_begin: Arc<Counter>,
     txn_commit: Arc<Counter>,
@@ -312,6 +328,7 @@ impl CoreMetrics {
             ],
             admit_ok: registry.counter("kairos.core.admit.ok"),
             admit_fail: registry.counter("kairos.core.admit.fail"),
+            admit_replayed: registry.counter("kairos.core.admit.replayed"),
             probes: registry.counter("kairos.core.probes"),
             txn_begin: registry.counter("kairos.core.txn.begin"),
             txn_commit: registry.counter("kairos.core.txn.commit"),
@@ -372,6 +389,7 @@ impl Kairos {
             telemetry: Telemetry::disabled(),
             metrics: None,
             cache: config.cache.map(MappingCache::new),
+            handoff: None,
         }
     }
 
@@ -399,8 +417,18 @@ impl Kairos {
     }
 
     /// Replaces the cost-function weights for subsequent admissions.
+    ///
+    /// Every remembered decision — each cached operating point and the
+    /// probe hand-off — was computed under the old weights, and neither
+    /// the shape key nor the platform state records them, so all are
+    /// dropped (cached points count as invalidations).
     pub fn set_weights(&mut self, weights: CostWeights) {
         self.config.weights = weights;
+        self.handoff = None;
+        if let Some(cache) = self.cache.as_mut() {
+            let dropped = cache.clear();
+            self.note_invalidated(dropped);
+        }
     }
 
     /// Number of currently admitted applications.
@@ -505,6 +533,13 @@ impl Kairos {
     /// scenario time), annotated with its outcome. With
     /// [`TraceContext::NONE`] this *is* `admit`.
     ///
+    /// When the call right before was a [`Kairos::probe_admit`] of the
+    /// same application and nothing has touched the platform since, the
+    /// probe's decision is committed instead of recomputed: its claims
+    /// are replayed (one `commit.replay` span stands in for the phase
+    /// spans) or its refusal returned, with the result and platform
+    /// state a cold run would have produced and zero `timings`.
+    ///
     /// # Errors
     ///
     /// See [`Kairos::admit`].
@@ -522,7 +557,15 @@ impl Kairos {
         let app_id = AppId(self.next_app);
         let mut timings = PhaseTimings::default();
 
-        let result = self.place(app, app_id, &mut timings, ctx, now);
+        // Taken whatever it holds, so a hand-off serves one admission.
+        let epoch = self.platform.state_epoch();
+        let handoff = self.handoff.take().filter(|h| h.1 == epoch && h.0 == shape_of(app));
+        let result = match handoff {
+            Some((_, _, decision)) => {
+                self.commit_handoff(decision, app, app_id, &mut timings, ctx, now)
+            }
+            None => self.place(app, app_id, &mut timings, ctx, now),
+        };
         match result {
             Ok((layout, validation)) => {
                 self.txn_commit();
@@ -611,6 +654,14 @@ impl Kairos {
     /// probe runs in one claim-journal transaction that is always rolled
     /// back.
     ///
+    /// A manager without an operating-point cache remembers what the
+    /// probe decided, so the winning shard's [`Kairos::admit`] that
+    /// follows commits it in O(claims) instead of running the pipeline
+    /// again; any platform mutation or [`Kairos::set_weights`] in
+    /// between voids the memory and that admission runs cold. The record
+    /// is built on every such probe, used or not (a layout clone and the
+    /// seat capture — within measurement noise of a pipeline run).
+    ///
     /// # Errors
     ///
     /// The [`AdmissionFailure`] the pipeline would report, if any.
@@ -626,11 +677,15 @@ impl Kairos {
         // threads, and the trace sink is coordinator-only by design (the
         // coordinator synthesizes probe spans after the join).
         let result = self.place(app, scratch, &mut timings, TraceContext::NONE, 0);
+        // Captured while the trial claims are still seated; with a cache
+        // `place` has already stored the same decision there.
+        let decision = self.cache.is_none().then(|| self.decision_of(app, scratch, &result));
         let probe = match result {
             Ok((layout, _)) => Ok(AdmissionProbe { layout, after: self.occupancy() }),
             Err(error) => Err(AdmissionFailure { error, timings }),
         };
         self.txn_rollback();
+        self.handoff = decision.map(|d| (shape_of(app), self.platform.state_epoch(), d));
         probe
     }
 
@@ -826,9 +881,10 @@ impl Kairos {
         }
     }
 
-    /// Records one `phase.*` child span of `ctx` at tick `now` — zero
-    /// width (the pipeline takes no virtual time), annotated with the
-    /// phase's outcome. Free when tracing is off or `ctx` is absent.
+    /// Records one pipeline-step child span of `ctx` (a `phase.*`, or
+    /// `commit.replay`) at tick `now` — zero width (the pipeline takes no
+    /// virtual time), annotated with the step's outcome. Free when
+    /// tracing is off or `ctx` is absent.
     fn trace_phase(&self, ctx: TraceContext, now: u64, name: &str, ok: bool) {
         if ctx.is_some() {
             let outcome = if ok { "ok" } else { "rejected" };
@@ -991,15 +1047,7 @@ impl Kairos {
             m.cache_misses.inc();
         }
         let result = self.run_phases(app, app_id, timings, ctx, now);
-        let decision = match &result {
-            Ok((layout, validation)) => CachedDecision::Admit(CachedPoint {
-                layout: layout.clone(),
-                seats: capture_seats(&self.platform, app_id, layout),
-                bandwidths: app.channels().map(|c| c.bandwidth()).collect(),
-                validation: validation.clone(),
-            }),
-            Err(error) => CachedDecision::Refuse(error.clone()),
-        };
+        let decision = self.decision_of(app, app_id, &result);
         let cache = self.cache.as_mut().expect("place_cold runs only with a cache");
         let before = cache.len() as i64;
         cache.insert(shape, stamp, decision);
@@ -1011,6 +1059,60 @@ impl Kairos {
             // every manager on the hub.
             m.cache_points.add(cache.len() as i64 - before);
         }
+        result
+    }
+
+    /// The replayable record of a pipeline `result` whose claims (made
+    /// under `app_id`) are still on the platform: what the cache stores
+    /// and what the probe hand-off carries.
+    fn decision_of(
+        &self,
+        app: &Application,
+        app_id: AppId,
+        result: &Result<(ExecutionLayout, Option<ValidationReport>), AllocationError>,
+    ) -> CachedDecision {
+        match result {
+            Ok((layout, validation)) => CachedDecision::Admit(CachedPoint {
+                layout: layout.clone(),
+                seats: capture_seats(&self.platform, app_id, layout),
+                bandwidths: app.channels().map(|c| c.bandwidth()).collect(),
+                validation: validation.clone(),
+            }),
+            Err(error) => CachedDecision::Refuse(error.clone()),
+        }
+    }
+
+    /// Commits the decision the preceding [`Kairos::probe_admit`] handed
+    /// off, in place of a pipeline run: replays the probed point's claims
+    /// under `app_id`, or returns the probed refusal. Recorded as one
+    /// `commit.replay` trace span where the four `phase.*` spans would
+    /// be; `timings` stays zero, as on a cache hit.
+    fn commit_handoff(
+        &mut self,
+        decision: CachedDecision,
+        app: &Application,
+        app_id: AppId,
+        timings: &mut PhaseTimings,
+        ctx: TraceContext,
+        now: u64,
+    ) -> Result<(ExecutionLayout, Option<ValidationReport>), AllocationError> {
+        let result = match decision {
+            CachedDecision::Admit(point) => {
+                if !self.replay_point(&point, app_id) {
+                    // Unreachable while the epoch guard holds: the claims
+                    // succeeded against this exact state a moment ago.
+                    // Degrade to the cold pipeline regardless — a replay
+                    // must never change an admission outcome.
+                    return self.run_phases(app, app_id, timings, ctx, now);
+                }
+                Ok((point.layout, point.validation))
+            }
+            CachedDecision::Refuse(error) => Err(error),
+        };
+        if let Some(m) = &self.metrics {
+            m.admit_replayed.inc();
+        }
+        self.trace_phase(ctx, now, "commit.replay", result.is_ok());
         result
     }
 
@@ -1054,13 +1156,18 @@ impl Kairos {
     pub fn invalidate_cached_points(&mut self, elements: &[ElementId]) -> u64 {
         let Some(cache) = self.cache.as_mut() else { return 0 };
         let dropped = cache.invalidate_elements(elements);
+        self.note_invalidated(dropped);
+        dropped
+    }
+
+    /// Counts `dropped` cached points on the invalidation instruments.
+    fn note_invalidated(&self, dropped: u64) {
         if let Some(m) = &self.metrics {
             m.cache_invalidations.add(dropped);
             // Delta, not `set` — see `place_cold`: the gauge is shared
             // across cluster shards and must only see commutative writes.
             m.cache_points.add(-(dropped as i64));
         }
-        dropped
     }
 
     /// Lifetime counters of the operating-point cache, `None` when no

@@ -1,15 +1,18 @@
 //! Property-based tests of the resource-manager core: knapsack safety and
-//! dominance, GAP capacity respect, and whole-pipeline invariants on random
-//! workloads.
+//! dominance, GAP capacity respect, whole-pipeline invariants on random
+//! workloads, and the invisibility of the probe-to-admission hand-off.
 
 use proptest::prelude::*;
 
-use kairos_app::{ApplicationBuilder, Implementation, TaskId, TaskRole};
+use kairos_app::{Application, ApplicationBuilder, Implementation, TaskId, TaskRole};
+use kairos_appgen::{generate_dataset, DatasetSpec};
 use kairos_core::{
     bind, map_application, CostPolicy, GapState, Kairos, KairosConfig, KnapsackItem,
-    KnapsackSolver, MapperConfig,
+    KnapsackSolver, MapperConfig, ValidationConfig,
 };
-use kairos_platform::{topology, AppId, ElementId, ElementKind, ResourceVector};
+use kairos_opcache::shape_of;
+use kairos_platform::{topology, AppId, ElementId, ElementKind, Platform, ResourceVector};
+use kairos_telemetry::{Telemetry, TelemetryConfig};
 
 fn items() -> impl Strategy<Value = Vec<KnapsackItem>> {
     proptest::collection::vec(
@@ -164,5 +167,135 @@ proptest! {
         }
         prop_assert!(kairos.platform().is_idle());
         prop_assert_eq!(kairos.platform().total_free(), initial_free);
+    }
+}
+
+/// A manager on the zero clock (so whole admission results compare
+/// equal) with a lit hub (so `kairos.core.admit.replayed` counts).
+fn lit_manager(platform: Platform) -> Kairos {
+    let config = KairosConfig {
+        deterministic: true,
+        validation: ValidationConfig { max_events: 10_000, ..ValidationConfig::default() },
+        ..KairosConfig::default()
+    };
+    let mut kairos = Kairos::new(platform, config);
+    kairos.set_telemetry(Telemetry::new(TelemetryConfig::default()));
+    kairos
+}
+
+fn replayed(kairos: &Kairos) -> u64 {
+    kairos.telemetry().counter("kairos.core.admit.replayed").expect("the hub is lit").get()
+}
+
+/// `per_dataset` applications of each Table-I dataset, interleaved.
+fn storm_apps(seed: u64, per_dataset: usize) -> Vec<Application> {
+    let sets: Vec<Vec<Application>> = DatasetSpec::all()
+        .into_iter()
+        .enumerate()
+        .map(|(d, spec)| generate_dataset(spec, per_dataset, seed.wrapping_add(d as u64)))
+        .collect();
+    (0..per_dataset).flat_map(|i| sets.iter().map(move |set| set[i].clone())).collect()
+}
+
+/// The differential behind both hand-off properties. `a` runs `probe`,
+/// then `between`, then `admit(app)`; a reference cloned from `a` before
+/// the probe runs only `between` and `admit(app)` — it never sees a
+/// probe, so it always decides cold. Both must return the same result
+/// (layout, id, validation report, or the same refusal) and reach the
+/// same platform bytes and occupancy. Returns whether `app` was admitted
+/// and how many of `a`'s admissions committed a hand-off.
+fn handoff_differential(
+    a: &mut Kairos,
+    probe: impl FnOnce(&mut Kairos),
+    between: impl Fn(&mut Kairos),
+    app: &Application,
+) -> (bool, u64) {
+    let mut reference = a.clone();
+    reference.set_telemetry(Telemetry::disabled());
+    let before = replayed(a);
+    probe(a);
+    between(a);
+    between(&mut reference);
+    let result = a.admit(app);
+    assert_eq!(result, reference.admit(app), "{}: a different decision", app.name());
+    assert_eq!(a.platform().checkpoint(), reference.platform().checkpoint(), "{}", app.name());
+    assert_eq!(a.occupancy(), reference.occupancy(), "{}", app.name());
+    (result.is_ok(), replayed(a) - before)
+}
+
+fn probe_of(app: &Application) -> impl Fn(&mut Kairos) + '_ {
+    move |kairos| drop(kairos.probe_admit(app))
+}
+
+/// One step of a hand-off scenario.
+type Step<'a> = &'a dyn Fn(&mut Kairos);
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(6))]
+
+    /// A probe followed by the admission of the same application commits
+    /// the probed decision — admission or refusal — and nothing in the
+    /// result or on the platform tells it from a cold run.
+    #[test]
+    fn the_probe_handoff_is_invisible(seed in any::<u64>()) {
+        for platform in [topology::crisp(), topology::heterogeneous_mesh(6, 6)] {
+            let mut a = lit_manager(platform);
+            let (mut admitted, mut refused) = (0, 0);
+            for (i, app) in storm_apps(seed, 8).iter().enumerate() {
+                let (ok, commits) = handoff_differential(&mut a, probe_of(app), |_| {}, app);
+                prop_assert_eq!(commits, 1, "every probe→admit pair commits the hand-off");
+                if ok { admitted += 1 } else { refused += 1 }
+                // Churn: every third step the oldest resident leaves.
+                if i % 3 == 2 {
+                    if let Some(&oldest) = a.admitted_ids().first() {
+                        a.release(oldest);
+                    }
+                }
+            }
+            prop_assert!(admitted > 0 && refused > 0, "{admitted} admitted, {refused} refused");
+        }
+    }
+
+    /// Anything between the probe and the admission that could change
+    /// the decision leaves the hand-off unused: the admission equals the
+    /// cold run and `admit.replayed` does not move.
+    #[test]
+    fn a_stale_handoff_is_never_committed(seed in any::<u64>()) {
+        let mut base = lit_manager(topology::crisp());
+        let apps = storm_apps(seed, 3);
+        let (fill, candidates) = apps.split_at(10);
+        for app in fill {
+            let _ = base.admit(app);
+        }
+        let x = *base.admitted_ids().first().expect("an idle CRISP admits something");
+        let seat = base.layout(x).unwrap().placement.iter().next().unwrap().1;
+        for app in candidates {
+            // A probe of an equal shape would legitimately hand off.
+            let other = fill.iter().find(|other| shape_of(other) != shape_of(app));
+            let other = other.expect("ten applications of six datasets are not all one shape");
+            let nothing: Step = &|_| {};
+            let probe: Step = &probe_of(app);
+            // (what runs, the probe, what follows it on both sides)
+            let stale: [(&str, Step, Step); 6] = [
+                ("probe of another application", &probe_of(other), nothing),
+                ("probe / release", probe, &|k| assert!(k.release(x))),
+                ("probe / fail_element", probe, &|k| drop(k.fail_element(seat))),
+                ("probe / checkpoint+restore", probe, &|k| k.restore(k.checkpoint())),
+                ("probe / set_weights", probe, &|k| {
+                    k.set_weights(CostPolicy::Communication.weights())
+                }),
+                ("probe_admit_without", &|k| drop(k.probe_admit_without(app, &[x])), nothing),
+            ];
+            for (what, probe, between) in stale {
+                let (_, commits) = handoff_differential(&mut base.clone(), probe, between, app);
+                prop_assert_eq!(commits, 0, "{} / admit", what);
+            }
+            // Consumed once: the admission right after the probe commits
+            // it, the one after that runs cold.
+            let mut a = base.clone();
+            let (_, first) = handoff_differential(&mut a, probe, nothing, app);
+            let (_, second) = handoff_differential(&mut a, nothing, nothing, app);
+            prop_assert_eq!((first, second), (1, 0), "probe / admit / admit");
+        }
     }
 }

@@ -52,8 +52,7 @@
 //!   [`ResourceService::submit_batch`] wave (one platform transaction,
 //!   one drain pass). That changes how the inner service is driven, so
 //!   it is off by default and excluded from the sync-equivalence
-//!   guarantee; the `gateway` bench uses it for the queued-throughput
-//!   comparison.
+//!   guarantee; the `gateway` bench measures it against the default path.
 //!
 //! Telemetry: when constructed over a lit hub
 //! ([`Gateway::with_telemetry`]) the gateway registers

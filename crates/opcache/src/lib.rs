@@ -188,7 +188,7 @@ pub struct CacheStats {
     /// Lookups that found nothing and fell back to the cold pipeline.
     pub misses: u64,
     /// Entries removed by element-level invalidation (faults, repairs,
-    /// migrations, rebalances).
+    /// migrations, rebalances) or by [`MappingCache::clear`].
     pub invalidations: u64,
     /// Entries stored after cold pipeline runs.
     pub insertions: u64,
@@ -345,6 +345,19 @@ impl<P: OperatingPoint + Clone> MappingCache<P> {
         dropped
     }
 
+    /// Removes every resident point, returning how many were dropped
+    /// (also added to the `invalidations` counter). For a change no key
+    /// covers — the manager's cost weights are in neither the shape nor
+    /// the stamp. The lifetime counters and the stamp memo survive:
+    /// only the stored decisions are void, not the platform state.
+    pub fn clear(&mut self) -> u64 {
+        let dropped = self.entries.len() as u64;
+        self.entries.clear();
+        self.order.clear();
+        self.invalidations += dropped;
+        dropped
+    }
+
     /// A snapshot of the cache's lifetime counters.
     pub fn stats(&self) -> CacheStats {
         CacheStats {
@@ -462,6 +475,26 @@ mod tests {
         // Eviction after invalidation skips the stale order entries.
         cache.insert(shape, StateStamp(2), Point(vec![ElementId(4)]));
         assert_eq!(cache.stats().evictions, 0);
+    }
+
+    #[test]
+    fn clear_drops_every_point_and_keeps_the_lifetime_counters() {
+        let mut cache: MappingCache<Point> = MappingCache::new(CacheConfig { max_points: 2 });
+        let shape = shape_of(&app("a", 100));
+        cache.insert(shape, StateStamp(0), Point(vec![ElementId(0)]));
+        cache.insert(shape, StateStamp(1), Point(vec![]));
+        assert!(cache.lookup(shape, StateStamp(0)).is_some());
+        assert_eq!(cache.clear(), 2);
+        assert_eq!(cache.clear(), 0, "already empty");
+        assert!(cache.lookup(shape, StateStamp(0)).is_none());
+        let stats = cache.stats();
+        assert_eq!((stats.hits, stats.misses, stats.insertions), (1, 1, 2));
+        assert_eq!((stats.invalidations, stats.evictions, stats.points), (2, 0, 0));
+        // The eviction queue was emptied with the entries: refilling to
+        // capacity evicts nothing.
+        cache.insert(shape, StateStamp(2), Point(vec![]));
+        cache.insert(shape, StateStamp(3), Point(vec![]));
+        assert_eq!((cache.len(), cache.stats().evictions), (2, 0));
     }
 
     #[test]

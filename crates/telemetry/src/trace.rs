@@ -215,9 +215,10 @@ pub struct TraceSummary {
 /// nonzero **queue** wait dominates outright; otherwise the latency is
 /// zero and the dominant segment is structural — a **preempt** detour if
 /// one ran, a losing **probe** if the fan-out rejected somewhere, else
-/// the *deciding* pipeline phase (the last `phase.*` span: the rejecting
-/// phase of a failure, the final phase of a success), else plain
-/// **dispatch**.
+/// the *deciding* pipeline step (the last `phase.*` span: the rejecting
+/// phase of a failure, the final phase of a success — or the
+/// `commit.replay` span of an admission that committed its probe's
+/// decision instead of running the phases), else plain **dispatch**.
 pub fn summarize(spans: &[SpanRecord]) -> Vec<TraceSummary> {
     let mut summaries = Vec::new();
     let mut index = 0;
@@ -238,7 +239,8 @@ pub fn summarize(spans: &[SpanRecord]) -> Vec<TraceSummary> {
         let preempted = group.iter().any(|s| s.name.starts_with("preempt."));
         let losing_probe =
             group.iter().any(|s| s.name.starts_with("probe.") && s.arg("fit") == Some("no"));
-        let deciding_phase = group.iter().rev().find(|s| s.name.starts_with("phase."));
+        let deciding_phase =
+            group.iter().rev().find(|s| s.name.starts_with("phase.") || s.name == "commit.replay");
         let (critical, critical_ticks) = if queue_ticks > 0 {
             ("queue".to_owned(), queue_ticks)
         } else if preempted {
@@ -423,12 +425,20 @@ mod tests {
         sink.record_child(c, "phase.binding", 7, 7, &[]);
         sink.record_child(c, "phase.mapping", 7, 7, &[]);
         sink.close_root(c, 7, &[]);
+        // ...a replayed probe decision stands where the phases would...
+        let r = sink.open_root("request", 8, &[]);
+        sink.record_child(r, "probe.shard0", 8, 8, &[("fit", "yes".into())]);
+        sink.record_child(r, "commit.replay", 8, 8, &[]);
+        sink.close_root(r, 8, &[]);
         // ...and a bare root falls back to dispatch.
-        let d = sink.open_root("request", 8, &[]);
-        sink.close_root(d, 8, &[]);
+        let d = sink.open_root("request", 9, &[]);
+        sink.close_root(d, 9, &[]);
         let criticals: Vec<String> =
             summarize(&sink.dump()).into_iter().map(|s| s.critical).collect();
-        assert_eq!(criticals, vec!["probe", "preempt", "phase.mapping", "dispatch"]);
+        assert_eq!(
+            criticals,
+            vec!["probe", "preempt", "phase.mapping", "commit.replay", "dispatch"]
+        );
     }
 
     #[test]

@@ -7,8 +7,13 @@
 //! and warm runs are themselves byte-reproducible, cache section
 //! included. The acceptance checks at the bottom pin the two cache
 //! catalog scenarios: the warm storm must actually hit, and the
-//! invalidation churn must actually invalidate.
+//! invalidation churn must actually invalidate. The last test pins the
+//! one decision input no cache key covers, the cost weights.
 
+use kairos::appgen::{generate_dataset, DatasetSpec};
+use kairos::core::{CostPolicy, Kairos, KairosConfig};
+use kairos::opcache::CacheConfig;
+use kairos::platform::topology;
 use kairos::sim::testkit::generated;
 use kairos::sim::{Scenario, Simulator};
 use proptest::prelude::*;
@@ -106,4 +111,33 @@ fn cache_catalog_scenarios_hit_and_invalidate() {
     assert!(cache.invalidations > 0, "each fault must sweep the points using its element");
     assert_eq!(churn.totals.faults_injected, 4);
     assert_eq!(churn.totals.repairs, 4);
+}
+
+/// Regression: the `(shape, state)` key ignores the cost weights, so a
+/// point decided under the old weights must not survive `set_weights`.
+/// Re-admitting each application onto the same idle platform after a
+/// weight change must decide what an uncached manager decides.
+#[test]
+fn a_weight_change_voids_every_cached_decision() {
+    let cached = KairosConfig { cache: Some(CacheConfig::default()), ..KairosConfig::default() };
+    let (mut compared, mut differing, mut stale_hits) = (0, 0, 0);
+    for (d, spec) in DatasetSpec::all().into_iter().enumerate() {
+        for app in generate_dataset(spec, 40, 0x5e7 + d as u64) {
+            let [cold, warm] = [KairosConfig::default(), cached].map(|config| {
+                let mut kairos = Kairos::new(topology::crisp(), config);
+                if let Ok(report) = kairos.admit(&app) {
+                    kairos.release(report.app_id);
+                }
+                kairos.set_weights(CostPolicy::Communication.weights());
+                let layout = kairos.admit(&app).map(|r| r.layout).map_err(|f| f.error);
+                (layout, kairos.cache_stats())
+            });
+            compared += 1;
+            differing += usize::from(cold.0 != warm.0);
+            stale_hits += warm.1.expect("the warm manager has a cache").hits;
+        }
+    }
+    assert_eq!(compared, 240);
+    assert_eq!(differing, 0, "{differing} of {compared} layouts differ after set_weights");
+    assert_eq!(stale_hits, 0, "nothing decided under the old weights may be replayed");
 }

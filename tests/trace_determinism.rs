@@ -3,8 +3,9 @@
 //! byte-identical Chrome-trace timelines (and reports) across reruns —
 //! and the `traced-preemption-storm` acceptance scenario assembles, for
 //! every admitted request, the full causal chain the exporter promises:
-//! queue residency, per-shard probe fan-out, pipeline phases, and a
-//! computed critical path on the root.
+//! queue residency, per-shard probe fan-out, pipeline phases (or the
+//! `commit.replay` of the winning probe's decision), and a computed
+//! critical path on the root.
 
 use kairos::sim::testkit::traced_run;
 use kairos::sim::{Scenario, Simulator};
@@ -52,7 +53,9 @@ fn every_admitted_storm_request_assembles_the_full_causal_chain() {
     let summaries = summarize(&spans);
     assert_eq!(summaries.len(), traces(&spans).len(), "every trace has exactly one root");
 
-    let mut admitted_front_door = 0u64;
+    // Front-door admissions by deciding step: a full pipeline run, or the
+    // commit of the decision the winning shard's probe handed off.
+    let (mut ran_phases, mut replayed) = (0u64, 0u64);
     for group in traces(&spans) {
         let root = group.iter().find(|s| s.parent == ROOT_PARENT).expect("root span");
         assert_eq!(root.name, "request");
@@ -73,19 +76,21 @@ fn every_admitted_storm_request_assembles_the_full_causal_chain() {
             "queued admission always records queue residency"
         );
         if outcome == "admitted" {
-            admitted_front_door += 1;
-            assert!(
-                group.iter().any(|s| s.name.starts_with("phase.")),
-                "an admitted request passed through the core pipeline"
-            );
-            assert_eq!(
-                group.iter().rev().find(|s| s.name.starts_with("phase.")).unwrap().name,
-                "phase.validation",
-                "a successful admission's deciding phase is validation"
-            );
+            let deciding = group
+                .iter()
+                .rev()
+                .find(|s| s.name.starts_with("phase.") || s.name == "commit.replay")
+                .expect("an admitted request passed through the core pipeline");
+            assert_eq!(deciding.arg("outcome"), Some("ok"));
+            match deciding.name.as_str() {
+                "phase.validation" => ran_phases += 1,
+                "commit.replay" => replayed += 1,
+                other => panic!("a successful admission cannot be decided by {other}"),
+            }
         }
     }
-    assert!(admitted_front_door > 0, "the storm must admit front-door work");
+    assert!(ran_phases > 0, "the storm must admit front-door work through the pipeline");
+    assert!(replayed > 0, "the storm must admit front-door work by probe replay");
 
     // Every summary computed a critical path, and the aggregate report
     // section agrees with the raw span set.
