@@ -6,10 +6,10 @@ use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criteri
 use kairos_app::binfmt;
 use kairos_appgen::{beamforming_app, AppGenerator, DatasetSpec, GeneratorConfig};
 use kairos_core::{
-    bind, map_application, route_channels, validate, CostPolicy, Kairos, KairosConfig,
+    bind, map_application, route_channels, validate, Binding, CostPolicy, Kairos, KairosConfig,
     KnapsackItem, KnapsackSolver, MapperConfig, RouteAlgorithm, ValidationConfig,
 };
-use kairos_platform::{external_fragmentation, topology, AppId, ResourceVector};
+use kairos_platform::{external_fragmentation, topology, AppId, Platform, ResourceVector};
 use kairos_sdf::{throughput, SdfGraphBuilder};
 
 /// Generates an application of the requested size that provably binds and
@@ -53,22 +53,11 @@ fn bench_phases(c: &mut Criterion) {
             b.iter(|| bind(black_box(app), black_box(&platform)).unwrap());
         });
         let binding = bind(&app, &platform).unwrap();
-        group.bench_with_input(BenchmarkId::new("mapping", tasks), &app, |b, app| {
-            b.iter_batched(
-                || platform.clone(),
-                |mut p| {
-                    map_application(
-                        black_box(app),
-                        &binding,
-                        &mut p,
-                        AppId(0),
-                        &MapperConfig::default(),
-                    )
-                    .unwrap()
-                },
-                criterion::BatchSize::SmallInput,
-            );
-        });
+        group.bench_with_input(
+            BenchmarkId::new("mapping", tasks),
+            &app,
+            mapping_run(&binding, &platform),
+        );
         let mut mapped_platform = platform.clone();
         let report = map_application(
             &app,
@@ -101,7 +90,49 @@ fn bench_phases(c: &mut Criterion) {
             b.iter(|| validate(black_box(app), &layout, &ValidationConfig::default()).unwrap());
         });
     }
+    // The scale axis of the mapping phase: the same applications on
+    // heterogeneous meshes, whose single FPGA and ARM sit in opposite
+    // corners, so the search from the pinned I/O tasks crosses the platform.
+    for (label, side) in [("mapping-mesh16", 16), ("mapping-mesh32", 32)] {
+        let platform = topology::heterogeneous_mesh(side, side);
+        for tasks in [4u32, 8, 16] {
+            let app = app_of_size(tasks);
+            let binding = bind(&app, &platform).unwrap();
+            group.bench_with_input(
+                BenchmarkId::new(label, tasks),
+                &app,
+                mapping_run(&binding, &platform),
+            );
+        }
+    }
     group.finish();
+}
+
+/// The body of a `phases/mapping*` row: `map_application` onto a fresh
+/// clone of the idle `platform`. The clone is handed back with the report
+/// so that freeing it — thousands of small vectors on a 32x32 mesh — is not
+/// timed as mapping.
+fn mapping_run<'a>(
+    binding: &'a Binding,
+    platform: &'a Platform,
+) -> impl FnMut(&mut criterion::Bencher, &kairos_app::Application) + 'a {
+    move |b, app| {
+        b.iter_batched(
+            || platform.clone(),
+            |mut p| {
+                let report = map_application(
+                    black_box(app),
+                    binding,
+                    &mut p,
+                    AppId(0),
+                    &MapperConfig::default(),
+                )
+                .unwrap();
+                (report, p)
+            },
+            criterion::BatchSize::SmallInput,
+        );
+    }
 }
 
 fn bench_knapsack(c: &mut Criterion) {

@@ -153,16 +153,16 @@ impl CostContext<'_> {
 
     /// The fragmentation bonus of placing `t` on `e` (higher is better).
     pub fn fragmentation_bonus(&self, t: TaskId, e: ElementId) -> f64 {
-        let peers = self.app.peers(t);
+        let is_peer = |task: u32| {
+            self.app.consumers(t).iter().chain(self.app.producers(t)).any(|&(p, _)| p.0 == task)
+        };
         let mut bonus = 0.0;
-        for n in self.platform.neighbors(e) {
+        for &n in self.platform.neighbors(e) {
             let residents = self.platform.residents(n);
             if residents.is_empty() {
                 continue;
             }
-            let retains_peer = residents
-                .iter()
-                .any(|o| o.app == self.app_id && peers.iter().any(|&p| p.0 == o.task));
+            let retains_peer = residents.iter().any(|o| o.app == self.app_id && is_peer(o.task));
             let same_app = residents.iter().any(|o| o.app == self.app_id);
             bonus += if retains_peer {
                 BONUS_PEER

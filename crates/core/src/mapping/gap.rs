@@ -9,12 +9,10 @@
 //! examined once per invocation, so the state can be kept and resumed when
 //! `MapApplication` grows the candidate element set (paper Fig. 4).
 
-use std::collections::HashMap;
-
 use kairos_app::TaskId;
 use kairos_platform::{ElementId, ResourceVector};
 
-use crate::mapping::knapsack::{KnapsackItem, KnapsackSolver};
+use crate::mapping::knapsack::{KnapsackItem, KnapsackScratch, KnapsackSolver};
 
 /// Cost of an unassigned task (the paper initialises `c1` "to very large
 /// values"). Large enough that any feasible first assignment dominates any
@@ -26,24 +24,49 @@ const UNASSIGNED_COST: f64 = 1e9;
 ///
 /// Reused across [`GapState::solve`] invocations as the candidate element
 /// set grows, preserving best-known costs and assignments exactly as the
-/// paper describes.
-#[derive(Debug, Clone)]
+/// paper describes. Per-task state is indexed by the task's position in the
+/// ring, the capacity overlay by element id; [`GapState::restart`] hands the
+/// same allocations to the next ring.
+#[derive(Debug, Clone, Default)]
 pub struct GapState {
     tasks: Vec<TaskId>,
-    /// Best known mapping cost per task (`c1`).
-    best_cost: HashMap<TaskId, f64>,
-    /// Current assignment per task.
-    assignment: HashMap<TaskId, ElementId>,
-    /// Remaining free resources per candidate element (overlay over the
-    /// platform ledger; populated lazily on first sight of an element).
-    free: HashMap<ElementId, ResourceVector>,
+    /// Best known mapping cost (`c1`) of `tasks[i]`.
+    best_cost: Vec<f64>,
+    /// Current assignment of `tasks[i]`.
+    assignment: Vec<Option<ElementId>>,
+    /// Remaining free resources per candidate element, indexed by element
+    /// id (overlay over the platform ledger; grown and populated lazily on
+    /// first sight of an element).
+    free: Vec<Option<ResourceVector>>,
+    /// The elements holding an overlay entry, so that `restart` clears
+    /// those instead of the whole table.
+    seen: Vec<ElementId>,
+    /// The knapsack instance of the element under consideration:
+    /// `(task position, c2)` per candidate, and the matching items.
+    candidates: Vec<(usize, f64)>,
+    items: Vec<KnapsackItem>,
+    knapsack: KnapsackScratch,
 }
 
 impl GapState {
     /// Creates a fresh state for the tasks of one ring.
     pub fn new(tasks: Vec<TaskId>) -> Self {
-        let best_cost = tasks.iter().map(|&t| (t, UNASSIGNED_COST)).collect();
-        GapState { tasks, best_cost, assignment: HashMap::new(), free: HashMap::new() }
+        let mut state = GapState::default();
+        state.restart(&tasks);
+        state
+    }
+
+    /// Forgets everything and starts over with the tasks of another ring.
+    pub fn restart(&mut self, tasks: &[TaskId]) {
+        self.tasks.clear();
+        self.tasks.extend_from_slice(tasks);
+        self.best_cost.clear();
+        self.best_cost.resize(tasks.len(), UNASSIGNED_COST);
+        self.assignment.clear();
+        self.assignment.resize(tasks.len(), None);
+        for e in self.seen.drain(..) {
+            self.free[e.index()] = None;
+        }
     }
 
     /// The tasks this state manages.
@@ -53,27 +76,33 @@ impl GapState {
 
     /// Current assignment of `task`, if any.
     pub fn assignment(&self, task: TaskId) -> Option<ElementId> {
-        self.assignment.get(&task).copied()
+        let pos = self.tasks.iter().position(|&t| t == task)?;
+        self.assignment[pos]
     }
 
     /// `true` when every task has an assignment.
     pub fn all_assigned(&self) -> bool {
-        self.tasks.iter().all(|t| self.assignment.contains_key(t))
+        self.assignment.iter().all(Option::is_some)
     }
 
     /// Tasks still lacking an assignment.
     pub fn unassigned(&self) -> Vec<TaskId> {
-        self.tasks.iter().copied().filter(|t| !self.assignment.contains_key(t)).collect()
+        self.tasks
+            .iter()
+            .zip(&self.assignment)
+            .filter(|(_, a)| a.is_none())
+            .map(|(&t, _)| t)
+            .collect()
     }
 
     /// Final `(task, element)` pairs, in task order.
-    pub fn assignments(&self) -> Vec<(TaskId, ElementId)> {
-        self.tasks.iter().filter_map(|&t| self.assignment.get(&t).map(|&e| (t, e))).collect()
+    pub fn assignments(&self) -> impl Iterator<Item = (TaskId, ElementId)> + '_ {
+        self.tasks.iter().zip(&self.assignment).filter_map(|(&t, a)| a.map(|e| (t, e)))
     }
 
     /// Remaining overlay capacity of `element`, if it was ever considered.
     pub fn free_of(&self, element: ElementId) -> Option<ResourceVector> {
-        self.free.get(&element).copied()
+        self.free.get(element.index()).copied().flatten()
     }
 
     /// Processes `new_elements` (bins discovered since the last call).
@@ -93,43 +122,47 @@ impl GapState {
         mut cost: impl FnMut(TaskId, ElementId) -> f64,
     ) -> bool {
         for &e in new_elements {
-            let capacity = *self.free.entry(e).or_insert_with(|| initial_free(e));
+            if self.free.len() <= e.index() {
+                self.free.resize(e.index() + 1, None);
+            }
+            let capacity = *self.free[e.index()].get_or_insert_with(|| {
+                self.seen.push(e);
+                initial_free(e)
+            });
 
             // Build the knapsack instance: candidate tasks with positive
             // cost reduction over their current best assignment.
-            let mut candidates: Vec<(TaskId, f64)> = Vec::new();
-            for &t in &self.tasks {
-                if self.assignment.get(&t) == Some(&e) || !availability(t, e) {
+            self.candidates.clear();
+            self.items.clear();
+            for (pos, &t) in self.tasks.iter().enumerate() {
+                if self.assignment[pos] == Some(e) || !availability(t, e) {
                     continue;
                 }
                 let c2 = cost(t, e);
-                let reduction = self.best_cost[&t] - c2;
+                let reduction = self.best_cost[pos] - c2;
                 if reduction > 0.0 {
-                    candidates.push((t, c2));
+                    self.candidates.push((pos, c2));
+                    self.items.push(KnapsackItem { value: reduction, weight: demand(t) });
                 }
             }
-            if candidates.is_empty() {
+            if self.candidates.is_empty() {
                 continue;
             }
-            let items: Vec<KnapsackItem> = candidates
-                .iter()
-                .map(|&(t, c2)| KnapsackItem { value: self.best_cost[&t] - c2, weight: demand(t) })
-                .collect();
-            let chosen = solver.solve(&items, capacity);
+            let chosen = solver.solve_with(&self.items, capacity, &mut self.knapsack);
 
             // Move the winners onto e.
-            for idx in chosen {
-                let (t, c2) = candidates[idx];
-                if let Some(old) = self.assignment.insert(t, e) {
-                    let back = self
-                        .free
-                        .get_mut(&old)
+            for &idx in chosen {
+                let (pos, c2) = self.candidates[idx];
+                let weight = self.items[idx].weight;
+                if let Some(old) = self.assignment[pos].replace(e) {
+                    let back = self.free[old.index()]
+                        .as_mut()
                         .expect("previous assignment must have an overlay entry");
-                    *back = back.saturating_add(&demand(t));
+                    *back = back.saturating_add(&weight);
                 }
-                let slot = self.free.get_mut(&e).expect("entry created above");
-                *slot = slot.checked_sub(&demand(t)).expect("knapsack respects remaining capacity");
-                self.best_cost.insert(t, c2);
+                let slot = self.free[e.index()].as_mut().expect("entry created above");
+                *slot = slot.checked_sub(&weight).expect("knapsack respects remaining capacity");
+                self.best_cost[pos] = c2;
             }
         }
         self.all_assigned()
@@ -233,7 +266,7 @@ mod tests {
             |_, _| 1.0,
         );
         assert!(!done);
-        assert_eq!(state.assignments(), vec![]);
+        assert_eq!(state.assignments().count(), 0);
     }
 
     #[test]
@@ -261,5 +294,24 @@ mod tests {
         assert!(!state.all_assigned());
         assert_eq!(state.unassigned(), vec![TaskId(3), TaskId(4)]);
         assert_eq!(state.free_of(ElementId(0)), None);
+    }
+
+    #[test]
+    fn a_restarted_state_forgets_the_previous_ring() {
+        let mut state = GapState::new(vec![TaskId(0), TaskId(1)]);
+        assert!(solve_simple(&mut state, &[ElementId(0), ElementId(2)], 100, &[60, 60], |_, _| {
+            1.0
+        }));
+        assert_eq!(state.free_of(ElementId(2)), Some(rv(40)));
+
+        state.restart(&[TaskId(5)]);
+        assert_eq!(state.tasks(), &[TaskId(5)]);
+        assert_eq!(state.unassigned(), vec![TaskId(5)]);
+        assert_eq!(state.free_of(ElementId(0)), None, "the overlay starts empty again");
+        assert_eq!(state.free_of(ElementId(2)), None);
+        let demands = [0, 0, 0, 0, 0, 70];
+        assert!(solve_simple(&mut state, &[ElementId(2)], 100, &demands, |_, _| 1.0));
+        assert_eq!(state.assignment(TaskId(5)), Some(ElementId(2)));
+        assert_eq!(state.free_of(ElementId(2)), Some(rv(30)));
     }
 }

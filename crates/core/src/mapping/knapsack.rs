@@ -41,17 +41,53 @@ impl Default for KnapsackSolver {
     }
 }
 
+/// The working vectors of one knapsack solve. `SolveGAP` solves one
+/// instance per candidate element, so [`GapState`](super::GapState) keeps
+/// one of these and hands it to every [`KnapsackSolver::solve_with`] call.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct KnapsackScratch {
+    /// Positive-value item indices by descending value/size ratio.
+    order: Vec<usize>,
+    /// Suffix sums of value over `order` (the optimistic bound).
+    suffix: Vec<f64>,
+    /// The branch being explored.
+    current: Vec<usize>,
+    /// The best set found; the result of the solve.
+    best: Vec<usize>,
+}
+
 impl KnapsackSolver {
     /// Selects a subset of `items` maximising total value subject to the
     /// component-wise `capacity`, returning the chosen indices in ascending
     /// order. Items with non-positive value are never selected.
     pub fn solve(&self, items: &[KnapsackItem], capacity: ResourceVector) -> Vec<usize> {
+        self.solve_with(items, capacity, &mut KnapsackScratch::default()).to_vec()
+    }
+
+    /// [`Self::solve`] into caller-owned working memory; the returned slice
+    /// borrows it.
+    pub(crate) fn solve_with<'s>(
+        &self,
+        items: &[KnapsackItem],
+        capacity: ResourceVector,
+        scratch: &'s mut KnapsackScratch,
+    ) -> &'s [usize] {
+        // Order by ratio: greedy takes in this order, and it tightens the
+        // exact search's optimistic bound quickly.
+        scratch.order.clear();
+        scratch.order.extend((0..items.len()).filter(|&i| items[i].value > 0.0));
+        scratch.order.sort_by(|&a, &b| {
+            ratio(&items[b]).partial_cmp(&ratio(&items[a])).unwrap_or(std::cmp::Ordering::Equal)
+        });
+        scratch.best.clear();
         match *self {
             KnapsackSolver::Exact { max_exact_items } if items.len() <= max_exact_items => {
-                solve_exact(items, capacity)
+                solve_exact(items, capacity, scratch)
             }
-            _ => solve_greedy(items, capacity),
+            _ => solve_greedy(items, capacity, scratch),
         }
+        scratch.best.sort_unstable();
+        &scratch.best
     }
 }
 
@@ -60,49 +96,40 @@ fn ratio(item: &KnapsackItem) -> f64 {
     item.value / (item.weight.total() as f64 + 1.0)
 }
 
-fn solve_greedy(items: &[KnapsackItem], capacity: ResourceVector) -> Vec<usize> {
-    let mut order: Vec<usize> = (0..items.len()).filter(|&i| items[i].value > 0.0).collect();
-    order.sort_by(|&a, &b| {
-        ratio(&items[b]).partial_cmp(&ratio(&items[a])).unwrap_or(std::cmp::Ordering::Equal)
-    });
+fn solve_greedy(items: &[KnapsackItem], capacity: ResourceVector, scratch: &mut KnapsackScratch) {
     let mut free = capacity;
-    let mut chosen = Vec::new();
-    for i in order {
+    for &i in &scratch.order {
         if let Some(rest) = free.checked_sub(&items[i].weight) {
             free = rest;
-            chosen.push(i);
+            scratch.best.push(i);
         }
     }
-    chosen.sort_unstable();
-    chosen
 }
 
-fn solve_exact(items: &[KnapsackItem], capacity: ResourceVector) -> Vec<usize> {
-    // Order by ratio so the optimistic bound tightens quickly.
-    let mut order: Vec<usize> = (0..items.len()).filter(|&i| items[i].value > 0.0).collect();
-    order.sort_by(|&a, &b| {
-        ratio(&items[b]).partial_cmp(&ratio(&items[a])).unwrap_or(std::cmp::Ordering::Equal)
-    });
-    // Suffix sums of value for the optimistic bound.
-    let mut suffix = vec![0.0; order.len() + 1];
+fn solve_exact(items: &[KnapsackItem], capacity: ResourceVector, scratch: &mut KnapsackScratch) {
+    let KnapsackScratch { order, suffix, current, best } = scratch;
+    suffix.clear();
+    suffix.resize(order.len() + 1, 0.0);
     for k in (0..order.len()).rev() {
         suffix[k] = suffix[k + 1] + items[order[k]].value;
     }
+    current.clear();
 
     struct Search<'a> {
         items: &'a [KnapsackItem],
         order: &'a [usize],
         suffix: &'a [f64],
         best_value: f64,
-        best_set: Vec<usize>,
-        current: Vec<usize>,
+        best_set: &'a mut Vec<usize>,
+        current: &'a mut Vec<usize>,
     }
 
     impl Search<'_> {
         fn dfs(&mut self, k: usize, free: ResourceVector, value: f64) {
             if value > self.best_value {
                 self.best_value = value;
-                self.best_set = self.current.clone();
+                self.best_set.clear();
+                self.best_set.extend_from_slice(self.current);
             }
             if k == self.order.len() || value + self.suffix[k] <= self.best_value {
                 return;
@@ -119,18 +146,7 @@ fn solve_exact(items: &[KnapsackItem], capacity: ResourceVector) -> Vec<usize> {
         }
     }
 
-    let mut search = Search {
-        items,
-        order: &order,
-        suffix: &suffix,
-        best_value: 0.0,
-        best_set: Vec::new(),
-        current: Vec::new(),
-    };
-    search.dfs(0, capacity, 0.0);
-    let mut best = search.best_set;
-    best.sort_unstable();
-    best
+    Search { items, order, suffix, best_value: 0.0, best_set: best, current }.dfs(0, capacity, 0.0);
 }
 
 #[cfg(test)]

@@ -148,6 +148,23 @@ fn available(
     platform.element(e).kind() == imp.target() && platform.is_available(e, &imp.requires())
 }
 
+/// Every element with `av(e, t)`, ascending — read off the platform's
+/// per-kind table, so the other kinds are never visited.
+fn available_elements<'a>(
+    app: &Application,
+    binding: &Binding,
+    platform: &'a Platform,
+    t: TaskId,
+) -> impl Iterator<Item = ElementId> + 'a {
+    let imp = binding.implementation(app, t);
+    let demand = imp.requires();
+    platform
+        .ids_of_kind(imp.target())
+        .iter()
+        .copied()
+        .filter(move |&e| platform.is_available(e, &demand))
+}
+
 fn claim_task(
     app: &Application,
     binding: &Binding,
@@ -159,6 +176,40 @@ fn claim_task(
     platform.claim(e, Occupant { app: app_id, task: t.0, claimed: demand_of(app, binding, t) })
 }
 
+/// Working memory of one [`map_application`] call. Every set the element
+/// search and `SolveGAP` grow lives here and is restarted — not reallocated
+/// — for each ring and each start attempt, so the number of allocations a
+/// call makes does not depend on how far it has to search.
+struct Scratch {
+    distances: SparseDistanceMatrix,
+    search: ElementSearch,
+    gap: GapState,
+    /// Elements discovered since the last `SolveGAP` invocation.
+    fresh: Vec<ElementId>,
+    /// The still-unmapped tasks of the ring being placed.
+    tasks: Vec<TaskId>,
+    /// Per entry of `tasks`: some discovered element is available to it.
+    hosted: Vec<bool>,
+    /// `E+` / `E-` of the ring being placed.
+    forward_origins: Vec<ElementId>,
+    backward_origins: Vec<ElementId>,
+}
+
+impl Scratch {
+    fn new(element_count: usize) -> Self {
+        Scratch {
+            distances: SparseDistanceMatrix::with_elements(element_count),
+            search: ElementSearch::new(element_count, &[], &[]),
+            gap: GapState::default(),
+            fresh: Vec::new(),
+            tasks: Vec::new(),
+            hosted: Vec::new(),
+            forward_origins: Vec::new(),
+            backward_origins: Vec::new(),
+        }
+    }
+}
+
 fn map_inner(
     app: &Application,
     binding: &Binding,
@@ -166,68 +217,72 @@ fn map_inner(
     app_id: AppId,
     config: &MapperConfig,
 ) -> Result<MappingReport, MappingError> {
-    let n = app.task_count();
+    let mut placement: Vec<Option<ElementId>> = vec![None; app.task_count()];
 
     // --- M0: pinned tasks (exactly one available element). -----------------
-    let mut pinned: Vec<(TaskId, ElementId)> = Vec::new();
+    // Only "none, one or more" matters, so each scan stops at the second
+    // available element. Nothing is claimed before every task was scanned:
+    // a claim would change what the later scans see.
     for t in app.task_ids() {
-        let candidates: Vec<ElementId> =
-            platform.element_ids().filter(|&e| available(app, binding, platform, t, e)).collect();
-        match candidates.as_slice() {
-            [] => return Err(MappingError::NoStartingPoint { task: t }),
-            [only] => pinned.push((t, *only)),
+        let mut candidates = available_elements(app, binding, platform, t);
+        match (candidates.next(), candidates.next()) {
+            (None, _) => return Err(MappingError::NoStartingPoint { task: t }),
+            (Some(only), None) => placement[t.index()] = Some(only),
             _ => {}
         }
     }
+    let mut scratch = Scratch::new(platform.element_count());
 
-    if !pinned.is_empty() {
-        let mut placement: Vec<Option<ElementId>> = vec![None; n];
-        for &(t, e) in &pinned {
-            claim_task(app, binding, platform, app_id, t, e)
-                .map_err(|_| MappingError::PinnedTaskInfeasible { task: t, element: e })?;
-            placement[t.index()] = Some(e);
+    if placement.iter().any(Option::is_some) {
+        for t in app.task_ids() {
+            if let Some(e) = placement[t.index()] {
+                claim_task(app, binding, platform, app_id, t, e)
+                    .map_err(|_| MappingError::PinnedTaskInfeasible { task: t, element: e })?;
+            }
         }
-        return map_rings(app, binding, platform, app_id, config, placement);
+        return map_rings(app, binding, platform, app_id, config, &mut placement, &mut scratch);
     }
 
     // --- M0 fallback: minimum-degree task on the cheapest element. ---------
     // Rank every available start by the cost function; when the mapping
     // dead-ends from a start (e.g. its free region is too small), retry the
     // whole process from the next-best start — "multiple iterations are
-    // required to improve the solution".
+    // required to improve the solution". Only `start_retries + 1` starts
+    // are ever tried, so only that many are kept: cheapest first, equal
+    // costs in id order — the head of a stable sort of all of them.
     let t0 = *app.min_degree_tasks().first().expect("applications are validated non-empty");
-    let mut starts: Vec<(ElementId, f64)> = Vec::new();
+    let attempts = config.start_retries as usize + 1;
+    let mut starts: Vec<(ElementId, f64)> = Vec::with_capacity(attempts + 1);
     {
-        let placement: Vec<Option<ElementId>> = vec![None; n];
-        let distances = SparseDistanceMatrix::new();
         let ctx = CostContext {
             app,
             platform,
             app_id,
             placement: &placement,
-            distances: &distances,
+            distances: &scratch.distances,
             weights: config.weights,
             miss_penalty: config.distance_miss_penalty,
         };
-        for e in platform.element_ids() {
-            if available(app, binding, platform, t0, e) {
-                starts.push((e, ctx.mapping_cost(t0, e)));
+        for e in available_elements(app, binding, platform, t0) {
+            let cost = ctx.mapping_cost(t0, e);
+            let rank = starts.partition_point(|&(_, ranked)| ranked <= cost);
+            if rank < attempts {
+                starts.insert(rank, (e, cost));
+                starts.truncate(attempts);
             }
         }
     }
     if starts.is_empty() {
         return Err(MappingError::NoStartingPoint { task: t0 });
     }
-    starts.sort_by(|a, b| a.1.partial_cmp(&b.1).unwrap_or(std::cmp::Ordering::Equal));
 
-    let attempts = (config.start_retries as usize + 1).min(starts.len());
     let mut last_err = None;
-    for &(e0, _) in starts.iter().take(attempts) {
+    for &(e0, _) in &starts {
         platform.begin_txn();
-        let mut placement: Vec<Option<ElementId>> = vec![None; n];
+        placement.fill(None);
         claim_task(app, binding, platform, app_id, t0, e0).expect("availability was checked above");
         placement[t0.index()] = Some(e0);
-        match map_rings(app, binding, platform, app_id, config, placement) {
+        match map_rings(app, binding, platform, app_id, config, &mut placement, &mut scratch) {
             Ok(report) => {
                 platform.commit_txn();
                 return Ok(report);
@@ -241,15 +296,20 @@ fn map_inner(
     Err(last_err.expect("at least one attempt was made"))
 }
 
+/// Places every task `placement` leaves open, ring by ring from the seeds
+/// it holds, claiming each ring as it is solved.
 fn map_rings(
     app: &Application,
     binding: &Binding,
     platform: &mut Platform,
     app_id: AppId,
     config: &MapperConfig,
-    mut placement: Vec<Option<ElementId>>,
+    placement: &mut [Option<ElementId>],
+    scratch: &mut Scratch,
 ) -> Result<MappingReport, MappingError> {
-    let mut distances = SparseDistanceMatrix::new();
+    let Scratch { distances, search, gap, fresh, tasks, hosted, forward_origins, backward_origins } =
+        scratch;
+    distances.clear();
 
     // --- Neighborhood decomposition from the seeds. -------------------------
     let seeds: Vec<TaskId> = app.task_ids().filter(|t| placement[t.index()].is_some()).collect();
@@ -260,17 +320,17 @@ fn map_rings(
     let mut stats_elements = 0usize;
 
     for (i, ring) in rings.iter().enumerate().skip(1) {
-        let tasks: Vec<TaskId> =
-            ring.iter().copied().filter(|t| placement[t.index()].is_none()).collect();
+        tasks.clear();
+        tasks.extend(ring.iter().copied().filter(|t| placement[t.index()].is_none()));
         if tasks.is_empty() {
             continue;
         }
         stats_rings += 1;
 
         // E+ / E-: elements of mapped peers with channels into/out of Ti.
-        let mut forward_origins: Vec<ElementId> = Vec::new();
-        let mut backward_origins: Vec<ElementId> = Vec::new();
-        for &t2 in &tasks {
+        forward_origins.clear();
+        backward_origins.clear();
+        for &t2 in tasks.iter() {
             for &(t1, _) in app.producers(t2) {
                 if let Some(e1) = placement[t1.index()] {
                     forward_origins.push(e1); // data flows t1 -> t2
@@ -284,36 +344,43 @@ fn map_rings(
         }
         if forward_origins.is_empty() && backward_origins.is_empty() {
             // Disconnected component: restart from every mapped element.
-            let mapped: Vec<ElementId> = placement.iter().flatten().copied().collect();
-            forward_origins = mapped.clone();
-            backward_origins = mapped;
+            forward_origins.extend(placement.iter().flatten());
+            backward_origins.extend_from_slice(forward_origins);
         }
 
-        let mut search = ElementSearch::new(&forward_origins, &backward_origins);
-        let mut gap = GapState::new(tasks.clone());
-        let mut fresh: Vec<ElementId> = Vec::new();
+        search.restart(forward_origins, backward_origins);
+        gap.restart(tasks);
+        fresh.clear();
+        hosted.clear();
+        hosted.resize(tasks.len(), false);
+        let mut sufficient = false;
         let mut extra_remaining = config.extra_search_rings;
 
         loop {
-            let ring_elements = search.expand(platform, &mut distances);
-            fresh.extend(ring_elements);
+            let ring_start = fresh.len();
+            search.expand(platform, distances, fresh);
 
             // Grow until the candidate set looks sufficient (every task has
             // a compatible discovered element, and there are at least as
-            // many candidates as tasks).
-            let discovered = search.discovered();
-            let sufficient = discovered.len() >= tasks.len()
-                && tasks
-                    .iter()
-                    .all(|&t| discovered.iter().any(|&e| available(app, binding, platform, t, e)));
+            // many candidates as tasks). Nothing is claimed inside this
+            // loop, so availability is fixed, the test is monotone in the
+            // discovered set, and only the new ring has to be looked at.
+            if !sufficient {
+                for (&t, has_host) in tasks.iter().zip(hosted.iter_mut()) {
+                    *has_host = *has_host
+                        || fresh[ring_start..]
+                            .iter()
+                            .any(|&e| available(app, binding, platform, t, e));
+                }
+                sufficient = search.discovered().len() >= tasks.len() && hosted.iter().all(|&h| h);
+            }
             if !sufficient && !search.is_exhausted() {
                 continue;
             }
             // One extra ring beyond the first sufficient set (§III-B).
             while sufficient && extra_remaining > 0 && !search.is_exhausted() {
                 extra_remaining -= 1;
-                let extra = search.expand(platform, &mut distances);
-                fresh.extend(extra);
+                search.expand(platform, distances, fresh);
             }
 
             let solved = {
@@ -321,14 +388,14 @@ fn map_rings(
                     app,
                     platform,
                     app_id,
-                    placement: &placement,
-                    distances: &distances,
+                    placement,
+                    distances,
                     weights: config.weights,
                     miss_penalty: config.distance_miss_penalty,
                 };
                 stats_gap += 1;
                 gap.solve(
-                    &fresh,
+                    fresh,
                     config.knapsack,
                     |e| platform.free(e),
                     |t, e| available(app, binding, platform, t, e),
@@ -355,7 +422,7 @@ fn map_rings(
     }
 
     let final_placement: Vec<ElementId> =
-        placement.into_iter().map(|p| p.expect("all rings committed")).collect();
+        placement.iter().map(|p| p.expect("all rings committed")).collect();
     Ok(MappingReport {
         placement: Placement::new(final_placement),
         rings: stats_rings,

@@ -15,27 +15,40 @@
 //! [`SparseDistanceMatrix`]; lookups that the search never reached stay
 //! absent and are charged the miss penalty by the cost function.
 
-use std::collections::HashSet;
-
 use kairos_platform::{ElementId, Platform, SparseDistanceMatrix};
 
 /// Incremental multi-source directed BFS over the platform.
+///
+/// The working sets are dense, indexed by `ElementId`: one flag per element
+/// for each visited set plus the list of discovered elements. A search value
+/// is reusable — [`ElementSearch::restart`] re-seeds it without giving up
+/// its allocations.
 #[derive(Debug, Clone)]
 pub struct ElementSearch {
     /// Current forward frontier: `(element, origin)` pairs.
     forward: Vec<(ElementId, ElementId)>,
     /// Current backward frontier: `(element, origin)` pairs.
     backward: Vec<(ElementId, ElementId)>,
-    visited_forward: HashSet<ElementId>,
-    visited_backward: HashSet<ElementId>,
-    /// Everything ever returned by `expand`.
-    discovered: HashSet<ElementId>,
+    /// The frontier under construction inside `expand`, swapped with
+    /// `forward`/`backward` so no ring allocates a new one.
+    next: Vec<(ElementId, ElementId)>,
+    visited_forward: Vec<bool>,
+    visited_backward: Vec<bool>,
+    is_discovered: Vec<bool>,
+    /// Everything ever reported by `expand`, in the order reported.
+    discovered: Vec<ElementId>,
     /// Hops from the frontier origins.
     depth: u32,
 }
 
+/// Marks `e` in a dense element set; `true` when it was not yet a member.
+fn first_visit(set: &mut [bool], e: ElementId) -> bool {
+    !std::mem::replace(&mut set[e.index()], true)
+}
+
 impl ElementSearch {
-    /// Creates a search starting *at* the given origin sets.
+    /// Creates a search over a platform of `element_count` elements,
+    /// starting *at* the given origin sets.
     ///
     /// `forward_origins` are the elements `E+` of already-mapped producers:
     /// the search follows links in their direction of data flow. Conversely
@@ -43,26 +56,45 @@ impl ElementSearch {
     /// The origins themselves form ring 0 and are reported by the first
     /// [`ElementSearch::expand`] call — an element already hosting a mapped
     /// task may still have capacity for more.
-    pub fn new(forward_origins: &[ElementId], backward_origins: &[ElementId]) -> Self {
+    pub fn new(
+        element_count: usize,
+        forward_origins: &[ElementId],
+        backward_origins: &[ElementId],
+    ) -> Self {
         let mut search = ElementSearch {
             forward: Vec::new(),
             backward: Vec::new(),
-            visited_forward: HashSet::new(),
-            visited_backward: HashSet::new(),
-            discovered: HashSet::new(),
+            next: Vec::new(),
+            visited_forward: vec![false; element_count],
+            visited_backward: vec![false; element_count],
+            is_discovered: vec![false; element_count],
+            discovered: Vec::new(),
             depth: 0,
         };
+        search.restart(forward_origins, backward_origins);
+        search
+    }
+
+    /// Forgets everything and starts over at the given origin sets (see
+    /// [`ElementSearch::new`]), on the same platform.
+    pub fn restart(&mut self, forward_origins: &[ElementId], backward_origins: &[ElementId]) {
+        self.forward.clear();
+        self.backward.clear();
+        self.visited_forward.fill(false);
+        self.visited_backward.fill(false);
+        self.is_discovered.fill(false);
+        self.discovered.clear();
+        self.depth = 0;
         for &o in forward_origins {
-            if search.visited_forward.insert(o) {
-                search.forward.push((o, o));
+            if first_visit(&mut self.visited_forward, o) {
+                self.forward.push((o, o));
             }
         }
         for &o in backward_origins {
-            if search.visited_backward.insert(o) {
-                search.backward.push((o, o));
+            if first_visit(&mut self.visited_backward, o) {
+                self.backward.push((o, o));
             }
         }
-        search
     }
 
     /// Number of BFS rings expanded so far.
@@ -75,72 +107,71 @@ impl ElementSearch {
         self.forward.is_empty() && self.backward.is_empty()
     }
 
-    /// All elements discovered so far.
-    pub fn discovered(&self) -> &HashSet<ElementId> {
+    /// All elements discovered so far, in discovery order (ring by ring,
+    /// ascending within a ring).
+    pub fn discovered(&self) -> &[ElementId] {
         &self.discovered
     }
 
-    /// Advances the search by one ring and returns the newly discovered
-    /// elements (ring 0 = the origins themselves). Failed elements are
-    /// neither reported nor traversed. Distances from each origin are
-    /// recorded into `distances`.
+    /// Advances the search by one ring and appends the newly discovered
+    /// elements to `fresh`, ascending (ring 0 = the origins themselves).
+    /// Failed elements are neither reported nor traversed. Distances from
+    /// each origin are recorded into `distances`.
     ///
-    /// Returns an empty vector once the search is exhausted.
+    /// Appends nothing once the search is exhausted.
     pub fn expand(
         &mut self,
         platform: &Platform,
         distances: &mut SparseDistanceMatrix,
-    ) -> Vec<ElementId> {
-        let mut fresh = Vec::new();
+        fresh: &mut Vec<ElementId>,
+    ) {
+        let ring_start = self.discovered.len();
 
         if self.depth == 0 {
             // Ring 0: report the origins.
             for &(e, origin) in self.forward.iter().chain(self.backward.iter()) {
                 distances.record(origin, e, 0);
-                if !platform.is_failed(e) && self.discovered.insert(e) {
-                    fresh.push(e);
+                if !platform.is_failed(e) && first_visit(&mut self.is_discovered, e) {
+                    self.discovered.push(e);
                 }
             }
-            self.depth = 1;
-            fresh.sort_unstable();
-            return fresh;
-        }
-
-        let mut next_forward = Vec::new();
-        for &(e, origin) in &self.forward {
-            for &(n, _) in platform.successors(e) {
-                if platform.is_failed(n) {
-                    continue;
-                }
-                distances.record(origin, n, self.depth);
-                if self.visited_forward.insert(n) {
-                    next_forward.push((n, origin));
-                    if self.discovered.insert(n) {
-                        fresh.push(n);
+        } else {
+            self.next.clear();
+            for &(e, origin) in &self.forward {
+                for &(n, _) in platform.successors(e) {
+                    if platform.is_failed(n) {
+                        continue;
+                    }
+                    distances.record(origin, n, self.depth);
+                    if first_visit(&mut self.visited_forward, n) {
+                        self.next.push((n, origin));
+                        if first_visit(&mut self.is_discovered, n) {
+                            self.discovered.push(n);
+                        }
                     }
                 }
             }
-        }
-        let mut next_backward = Vec::new();
-        for &(e, origin) in &self.backward {
-            for &(n, _) in platform.predecessors(e) {
-                if platform.is_failed(n) {
-                    continue;
-                }
-                distances.record(origin, n, self.depth);
-                if self.visited_backward.insert(n) {
-                    next_backward.push((n, origin));
-                    if self.discovered.insert(n) {
-                        fresh.push(n);
+            std::mem::swap(&mut self.forward, &mut self.next);
+            self.next.clear();
+            for &(e, origin) in &self.backward {
+                for &(n, _) in platform.predecessors(e) {
+                    if platform.is_failed(n) {
+                        continue;
+                    }
+                    distances.record(origin, n, self.depth);
+                    if first_visit(&mut self.visited_backward, n) {
+                        self.next.push((n, origin));
+                        if first_visit(&mut self.is_discovered, n) {
+                            self.discovered.push(n);
+                        }
                     }
                 }
             }
+            std::mem::swap(&mut self.backward, &mut self.next);
         }
-        self.forward = next_forward;
-        self.backward = next_backward;
         self.depth += 1;
-        fresh.sort_unstable();
-        fresh
+        self.discovered[ring_start..].sort_unstable();
+        fresh.extend_from_slice(&self.discovered[ring_start..]);
     }
 }
 
@@ -149,15 +180,26 @@ mod tests {
     use super::*;
     use kairos_platform::topology;
 
+    /// One `expand` into a fresh buffer: the ring it discovered.
+    fn ring(
+        search: &mut ElementSearch,
+        platform: &Platform,
+        dist: &mut SparseDistanceMatrix,
+    ) -> Vec<ElementId> {
+        let mut fresh = Vec::new();
+        search.expand(platform, dist, &mut fresh);
+        fresh
+    }
+
     #[test]
     fn rings_expand_in_hop_order() {
         let platform = topology::dsp_line(5);
         let e: Vec<_> = platform.element_ids().collect();
         let mut dist = SparseDistanceMatrix::new();
-        let mut search = ElementSearch::new(&[e[0]], &[]);
-        assert_eq!(search.expand(&platform, &mut dist), vec![e[0]]);
-        assert_eq!(search.expand(&platform, &mut dist), vec![e[1]]);
-        assert_eq!(search.expand(&platform, &mut dist), vec![e[2]]);
+        let mut search = ElementSearch::new(platform.element_count(), &[e[0]], &[]);
+        assert_eq!(ring(&mut search, &platform, &mut dist), vec![e[0]]);
+        assert_eq!(ring(&mut search, &platform, &mut dist), vec![e[1]]);
+        assert_eq!(ring(&mut search, &platform, &mut dist), vec![e[2]]);
         assert_eq!(search.depth(), 3);
         assert_eq!(dist.get(e[0], e[2]), Some(2));
         assert_eq!(dist.get(e[0], e[4]), None, "not yet reached");
@@ -168,14 +210,14 @@ mod tests {
         let platform = topology::dsp_line(3);
         let e: Vec<_> = platform.element_ids().collect();
         let mut dist = SparseDistanceMatrix::new();
-        let mut search = ElementSearch::new(&[e[1]], &[]);
+        let mut search = ElementSearch::new(platform.element_count(), &[e[1]], &[]);
         let mut all = Vec::new();
         loop {
-            let ring = search.expand(&platform, &mut dist);
-            if ring.is_empty() {
+            let found = ring(&mut search, &platform, &mut dist);
+            if found.is_empty() {
                 break;
             }
-            all.extend(ring);
+            all.extend(found);
         }
         assert!(search.is_exhausted());
         assert_eq!(all.len(), 3);
@@ -195,17 +237,17 @@ mod tests {
         let platform = b.build();
 
         let mut dist = SparseDistanceMatrix::new();
-        let mut fwd = ElementSearch::new(&[ea], &[]);
-        fwd.expand(&platform, &mut dist);
-        assert_eq!(fwd.expand(&platform, &mut dist), vec![eb]);
+        let mut fwd = ElementSearch::new(platform.element_count(), &[ea], &[]);
+        ring(&mut fwd, &platform, &mut dist);
+        assert_eq!(ring(&mut fwd, &platform, &mut dist), vec![eb]);
 
-        let mut bwd = ElementSearch::new(&[], &[ec]);
-        bwd.expand(&platform, &mut dist);
-        assert_eq!(bwd.expand(&platform, &mut dist), vec![eb]);
+        let mut bwd = ElementSearch::new(platform.element_count(), &[], &[ec]);
+        ring(&mut bwd, &platform, &mut dist);
+        assert_eq!(ring(&mut bwd, &platform, &mut dist), vec![eb]);
         // Forward from c finds nothing.
-        let mut dead = ElementSearch::new(&[ec], &[]);
-        dead.expand(&platform, &mut dist);
-        assert!(dead.expand(&platform, &mut dist).is_empty());
+        let mut dead = ElementSearch::new(platform.element_count(), &[ec], &[]);
+        ring(&mut dead, &platform, &mut dist);
+        assert!(ring(&mut dead, &platform, &mut dist).is_empty());
         assert!(dead.is_exhausted());
     }
 
@@ -214,14 +256,14 @@ mod tests {
         let platform = topology::dsp_line(5);
         let e: Vec<_> = platform.element_ids().collect();
         let mut dist = SparseDistanceMatrix::new();
-        let mut search = ElementSearch::new(&[e[0], e[4]], &[]);
-        search.expand(&platform, &mut dist); // origins
-        search.expand(&platform, &mut dist); // ring 1
+        let mut search = ElementSearch::new(platform.element_count(), &[e[0], e[4]], &[]);
+        ring(&mut search, &platform, &mut dist); // origins
+        ring(&mut search, &platform, &mut dist); // ring 1
         assert_eq!(dist.get(e[0], e[1]), Some(1));
         assert_eq!(dist.get(e[4], e[3]), Some(1));
         // e2 not yet discovered from either side.
         assert_eq!(dist.get(e[0], e[2]), None);
-        let ring2 = search.expand(&platform, &mut dist);
+        let ring2 = ring(&mut search, &platform, &mut dist);
         assert_eq!(ring2, vec![e[2]]);
         // Discovered once (shared visited set), but distance recorded from
         // whichever origin reached it.
@@ -234,9 +276,9 @@ mod tests {
         let e: Vec<_> = platform.element_ids().collect();
         platform.fail_element(e[1]);
         let mut dist = SparseDistanceMatrix::new();
-        let mut search = ElementSearch::new(&[e[0]], &[]);
-        assert_eq!(search.expand(&platform, &mut dist), vec![e[0]]);
-        assert!(search.expand(&platform, &mut dist).is_empty(), "wall of failure");
+        let mut search = ElementSearch::new(platform.element_count(), &[e[0]], &[]);
+        assert_eq!(ring(&mut search, &platform, &mut dist), vec![e[0]]);
+        assert!(ring(&mut search, &platform, &mut dist).is_empty(), "wall of failure");
     }
 
     #[test]
@@ -244,7 +286,26 @@ mod tests {
         let platform = topology::dsp_line(3);
         let e: Vec<_> = platform.element_ids().collect();
         let mut dist = SparseDistanceMatrix::new();
-        let mut search = ElementSearch::new(&[e[0], e[0]], &[e[0]]);
-        assert_eq!(search.expand(&platform, &mut dist), vec![e[0]]);
+        let mut search = ElementSearch::new(platform.element_count(), &[e[0], e[0]], &[e[0]]);
+        assert_eq!(ring(&mut search, &platform, &mut dist), vec![e[0]]);
+    }
+
+    #[test]
+    fn a_restarted_search_forgets_the_previous_one() {
+        let platform = topology::dsp_line(4);
+        let e: Vec<_> = platform.element_ids().collect();
+        let mut dist = SparseDistanceMatrix::new();
+        let mut search = ElementSearch::new(platform.element_count(), &[e[0]], &[e[3]]);
+        while !search.is_exhausted() {
+            ring(&mut search, &platform, &mut dist);
+        }
+        assert_eq!(search.discovered().len(), 4);
+
+        search.restart(&[e[3]], &[]);
+        assert_eq!(search.depth(), 0);
+        assert!(search.discovered().is_empty());
+        assert_eq!(ring(&mut search, &platform, &mut dist), vec![e[3]]);
+        assert_eq!(ring(&mut search, &platform, &mut dist), vec![e[2]]);
+        assert_eq!(search.discovered(), [e[3], e[2]]);
     }
 }

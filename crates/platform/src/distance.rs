@@ -6,7 +6,7 @@
 //! (§III-D). [`SparseDistanceMatrix`] is that structure; the free functions
 //! provide full single-source BFS for metrics and baselines.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 
 use crate::element::ElementId;
 use crate::platform::Platform;
@@ -38,13 +38,19 @@ pub fn bfs_distances(
     dist[source.index()] = Some(0);
     queue.push_back(source);
     while let Some(e) = queue.pop_front() {
-        let d = dist[e.index()].expect("queued elements have distances");
-        for n in step(platform, e, direction) {
-            if platform.is_failed(n) || dist[n.index()].is_some() {
-                continue;
+        let next = dist[e.index()].expect("queued elements have distances") + 1;
+        let mut visit = |n: ElementId| {
+            if !platform.is_failed(n) && dist[n.index()].is_none() {
+                dist[n.index()] = Some(next);
+                queue.push_back(n);
             }
-            dist[n.index()] = Some(d + 1);
-            queue.push_back(n);
+        };
+        match direction {
+            SearchDirection::Forward => platform.successors(e).iter().for_each(|&(n, _)| visit(n)),
+            SearchDirection::Backward => {
+                platform.predecessors(e).iter().for_each(|&(n, _)| visit(n))
+            }
+            SearchDirection::Undirected => platform.neighbors(e).iter().for_each(|&n| visit(n)),
         }
     }
     dist
@@ -55,14 +61,6 @@ pub fn hop_distance(platform: &Platform, src: ElementId, dst: ElementId) -> Opti
     bfs_distances(platform, src, SearchDirection::Forward)[dst.index()]
 }
 
-fn step(platform: &Platform, e: ElementId, direction: SearchDirection) -> Vec<ElementId> {
-    match direction {
-        SearchDirection::Forward => platform.successors(e).iter().map(|&(n, _)| n).collect(),
-        SearchDirection::Backward => platform.predecessors(e).iter().map(|&(n, _)| n).collect(),
-        SearchDirection::Undirected => platform.neighbors(e),
-    }
-}
-
 /// Sparse pairwise hop distances discovered during element search.
 ///
 /// Keys are `(origin, discovered)` pairs. The matrix only ever contains
@@ -70,6 +68,13 @@ fn step(platform: &Platform, e: ElementId, direction: SearchDirection) -> Vec<El
 /// returns `None` for everything else, which the mapping cost function
 /// converts into a penalty (the paper's "relative high penalty" on lookup
 /// failure).
+///
+/// Sparse in *origins*, dense per origin: the search records from a handful
+/// of origins (the elements of already-mapped peers) towards many
+/// discovered elements, so each origin owns one row indexed by the
+/// discovered element's id. Recording and looking up are two array reads;
+/// [`SparseDistanceMatrix::clear`] keeps every row's allocation for the
+/// next search.
 ///
 /// # Examples
 ///
@@ -83,8 +88,27 @@ fn step(platform: &Platform, e: ElementId, direction: SearchDirection) -> Vec<El
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct SparseDistanceMatrix {
-    entries: HashMap<(ElementId, ElementId), u32>,
+    /// `row_of[origin]` is the origin's index into `rows`, or [`NO_ROW`].
+    /// Sized by [`Self::with_elements`], else grown on demand to the
+    /// largest origin id seen.
+    row_of: Vec<u32>,
+    /// One row per origin, indexed by discovered element id: allocated as
+    /// long as `row_of` on first use and grown on demand beyond that;
+    /// [`UNKNOWN`] marks pairs never recorded. Only the first
+    /// `origins.len()` rows are live, the rest are spare allocations kept
+    /// by [`Self::clear`].
+    rows: Vec<Vec<u32>>,
+    /// The origins owning `rows[..origins.len()]`, in first-recorded order.
+    origins: Vec<ElementId>,
+    /// Number of recorded pairs.
+    len: usize,
 }
+
+/// `row_of` entry of an element that never was an origin.
+const NO_ROW: u32 = u32::MAX;
+/// Row cell of a pair never recorded. Real hop counts are bounded by the
+/// element count, itself a `u32`.
+const UNKNOWN: u32 = u32::MAX;
 
 impl SparseDistanceMatrix {
     /// Creates an empty matrix.
@@ -92,13 +116,38 @@ impl SparseDistanceMatrix {
         Self::default()
     }
 
+    /// Creates an empty matrix for a platform of `element_count` elements:
+    /// same behaviour as [`Self::new`], but every row is allocated at its
+    /// final length the first time its origin records anything, instead of
+    /// growing as higher element ids are discovered.
+    pub fn with_elements(element_count: usize) -> Self {
+        SparseDistanceMatrix { row_of: vec![NO_ROW; element_count], ..Self::default() }
+    }
+
     /// Records the distance from `origin` to `discovered`, keeping the
-    /// minimum when called twice for the same pair.
+    /// minimum when called twice for the same pair. `hops` must be below
+    /// `u32::MAX`, which no hop count on a `u32`-indexed platform reaches.
     pub fn record(&mut self, origin: ElementId, discovered: ElementId, hops: u32) {
-        self.entries
-            .entry((origin, discovered))
-            .and_modify(|d| *d = (*d).min(hops))
-            .or_insert(hops);
+        debug_assert_ne!(hops, UNKNOWN, "hop counts are bounded by the element count");
+        if self.row_of.len() <= origin.index() {
+            self.row_of.resize(origin.index() + 1, NO_ROW);
+        }
+        if self.row_of[origin.index()] == NO_ROW {
+            self.row_of[origin.index()] = self.origins.len() as u32;
+            self.origins.push(origin);
+            if self.rows.len() < self.origins.len() {
+                self.rows.push(Vec::new());
+            }
+        }
+        let row = &mut self.rows[self.row_of[origin.index()] as usize];
+        if row.len() <= discovered.index() {
+            row.resize(self.row_of.len().max(discovered.index() + 1), UNKNOWN);
+        }
+        let cell = &mut row[discovered.index()];
+        if *cell == UNKNOWN {
+            self.len += 1;
+        }
+        *cell = (*cell).min(hops);
     }
 
     /// Looks up the recorded distance from `origin` to `discovered`.
@@ -106,7 +155,11 @@ impl SparseDistanceMatrix {
         if origin == discovered {
             return Some(0);
         }
-        self.entries.get(&(origin, discovered)).copied()
+        let row = *self.row_of.get(origin.index())?;
+        if row == NO_ROW {
+            return None;
+        }
+        self.rows[row as usize].get(discovered.index()).copied().filter(|&hops| hops != UNKNOWN)
     }
 
     /// Distance in either direction, preferring `origin -> discovered`.
@@ -120,17 +173,21 @@ impl SparseDistanceMatrix {
 
     /// Number of recorded pairs.
     pub fn len(&self) -> usize {
-        self.entries.len()
+        self.len
     }
 
     /// `true` when nothing has been recorded.
     pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
+        self.len == 0
     }
 
-    /// Removes all recorded pairs.
+    /// Removes all recorded pairs, keeping the allocations.
     pub fn clear(&mut self) {
-        self.entries.clear();
+        for (row, origin) in self.rows.iter_mut().zip(self.origins.drain(..)) {
+            row.clear();
+            self.row_of[origin.index()] = NO_ROW;
+        }
+        self.len = 0;
     }
 }
 
@@ -194,6 +251,28 @@ mod tests {
         m.record(ElementId(0), ElementId(1), 9);
         assert_eq!(m.get(ElementId(0), ElementId(1)), Some(3));
         assert_eq!(m.len(), 1);
+    }
+
+    #[test]
+    fn presized_matrix_behaves_like_a_grown_one() {
+        let mut grown = SparseDistanceMatrix::new();
+        let mut presized = SparseDistanceMatrix::with_elements(4);
+        for m in [&mut grown, &mut presized] {
+            m.record(ElementId(1), ElementId(3), 2);
+            m.record(ElementId(1), ElementId(3), 1);
+            // Ids beyond the announced element count still work.
+            m.record(ElementId(9), ElementId(7), 4);
+        }
+        for (a, b) in [(1, 3), (3, 1), (1, 2), (9, 7), (7, 9), (2, 2), (0, 1)] {
+            let (a, b) = (ElementId(a), ElementId(b));
+            assert_eq!(presized.get(a, b), grown.get(a, b), "{a} -> {b}");
+        }
+        assert_eq!(presized.len(), 2);
+        presized.clear();
+        assert!(presized.is_empty());
+        assert_eq!(presized.get(ElementId(1), ElementId(3)), None);
+        presized.record(ElementId(3), ElementId(1), 5);
+        assert_eq!(presized.get_symmetric(ElementId(1), ElementId(3)), Some(5));
     }
 
     #[test]

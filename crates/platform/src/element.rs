@@ -50,7 +50,7 @@ pub enum ElementKind {
 }
 
 impl ElementKind {
-    /// All element kinds.
+    /// All element kinds, in declaration order (`ALL[k] as usize == k`).
     pub const ALL: [ElementKind; 6] = [
         ElementKind::Arm,
         ElementKind::Dsp,
@@ -150,6 +150,14 @@ mod tests {
         assert_eq!(e.kind(), ElementKind::Dsp);
         assert_eq!(e.name(), "pkg0/dsp3");
         assert_eq!(e.capacity().get(crate::ResourceKind::Compute), 1000);
+    }
+
+    #[test]
+    fn kinds_index_their_own_position_in_all() {
+        // `Platform` keys its per-kind table on `kind as usize`.
+        for (k, kind) in ElementKind::ALL.into_iter().enumerate() {
+            assert_eq!(kind as usize, k);
+        }
     }
 
     #[test]

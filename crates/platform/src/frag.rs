@@ -10,20 +10,21 @@
 use crate::element::ElementId;
 use crate::platform::Platform;
 
+/// The unordered adjacent element pairs of the platform, without
+/// materialising them: each `{a, b}` with a link in either direction is
+/// yielded once, as `(a, b)` with `a < b`, in ascending order.
+fn pairs(platform: &Platform) -> impl Iterator<Item = (ElementId, ElementId)> + '_ {
+    platform.element_ids().flat_map(move |e| {
+        platform.neighbors(e).iter().filter(move |&&n| e < n).map(move |&n| (e, n))
+    })
+}
+
 /// All unordered adjacent element pairs of the platform.
 ///
 /// A pair `{a, b}` is adjacent when a link exists in either direction; the
 /// pair is reported once with `a < b`.
 pub fn adjacent_pairs(platform: &Platform) -> Vec<(ElementId, ElementId)> {
-    let mut pairs = Vec::new();
-    for e in platform.element_ids() {
-        for n in platform.neighbors(e) {
-            if e < n {
-                pairs.push((e, n));
-            }
-        }
-    }
-    pairs
+    pairs(platform).collect()
 }
 
 /// External resource fragmentation in `[0, 1]`.
@@ -39,12 +40,15 @@ pub fn adjacent_pairs(platform: &Platform) -> Vec<(ElementId, ElementId)> {
 /// assert_eq!(external_fragmentation(&platform), 0.0); // nothing used
 /// ```
 pub fn external_fragmentation(platform: &Platform) -> f64 {
-    let pairs = adjacent_pairs(platform);
-    if pairs.is_empty() {
+    let (mut total, mut mixed) = (0usize, 0usize);
+    for (a, b) in pairs(platform) {
+        total += 1;
+        mixed += usize::from(platform.is_used(a) != platform.is_used(b));
+    }
+    if total == 0 {
         return 0.0;
     }
-    let mixed = pairs.iter().filter(|&&(a, b)| platform.is_used(a) != platform.is_used(b)).count();
-    mixed as f64 / pairs.len() as f64
+    mixed as f64 / total as f64
 }
 
 /// Fraction of elements with at least one resident task, in `[0, 1]`.
@@ -72,7 +76,7 @@ pub fn free_island_count(platform: &Platform) -> usize {
         let mut stack = vec![start];
         visited[start.index()] = true;
         while let Some(e) = stack.pop() {
-            for nb in platform.neighbors(e) {
+            for &nb in platform.neighbors(e) {
                 if !visited[nb.index()] && !platform.is_used(nb) && !platform.is_failed(nb) {
                     visited[nb.index()] = true;
                     stack.push(nb);

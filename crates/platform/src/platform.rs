@@ -2,7 +2,12 @@
 //!
 //! A [`Platform`] separates immutable *structure* (elements, links, adjacency)
 //! from mutable *state* (free resources, residing tasks, link occupancy,
-//! failed elements). The state can be checkpointed and restored in O(|E|+|L|),
+//! failed elements). Every structural query — directed and undirected
+//! adjacency, degree, maximum degree, the elements of a kind — is answered
+//! from tables built once at
+//! construction, so the mapping phase's cost function can ask them per
+//! `(task, element)` evaluation without allocating or re-scanning the
+//! platform. The state can be checkpointed and restored in O(|E|+|L|),
 //! which is how the resource manager rolls back a failed allocation attempt
 //! midway through the binding/mapping/routing/validation pipeline.
 
@@ -148,6 +153,20 @@ pub struct Platform {
     out_adj: Vec<Vec<(ElementId, LinkId)>>,
     /// Incoming adjacency: for each element, `(neighbor, link)` pairs.
     in_adj: Vec<Vec<(ElementId, LinkId)>>,
+    /// Undirected adjacency in compressed rows: the distinct endpoints of
+    /// `e`'s in- and out-links, ascending, are
+    /// `neighbor_ids[neighbor_offsets[e] .. neighbor_offsets[e + 1]]`.
+    /// Two flat vectors rather than one `Vec` per element, so a platform
+    /// clone copies them in two allocations.
+    neighbor_offsets: Vec<u32>,
+    neighbor_ids: Vec<ElementId>,
+    /// The largest row length of the table above.
+    max_degree: usize,
+    /// Element ids grouped by kind, ascending within a kind: the elements
+    /// of kind `k` are `kind_ids[kind_offsets[k] .. kind_offsets[k + 1]]`
+    /// with `k` the kind's position in [`ElementKind::ALL`].
+    kind_offsets: [u32; ElementKind::ALL.len() + 1],
+    kind_ids: Vec<ElementId>,
     state: PlatformState,
     /// Undo log of ledger mutations since the outermost open transaction.
     /// Empty whenever no transaction is open.
@@ -196,6 +215,35 @@ impl Platform {
             out_adj[link.src().index()].push((link.dst(), link.id()));
             in_adj[link.dst().index()].push((link.src(), link.id()));
         }
+        let mut neighbor_offsets = Vec::with_capacity(n + 1);
+        let mut neighbor_ids = Vec::new();
+        let mut row: Vec<ElementId> = Vec::new();
+        neighbor_offsets.push(0);
+        for e in 0..n {
+            row.clear();
+            row.extend(out_adj[e].iter().chain(&in_adj[e]).map(|&(nb, _)| nb));
+            row.sort_unstable();
+            row.dedup();
+            neighbor_ids.extend_from_slice(&row);
+            neighbor_offsets.push(neighbor_ids.len() as u32);
+        }
+        let max_degree =
+            neighbor_offsets.windows(2).map(|w| (w[1] - w[0]) as usize).max().unwrap_or(0);
+        // Counting sort of the ids by kind (stable, so ascending per kind).
+        let mut kind_offsets = [0u32; ElementKind::ALL.len() + 1];
+        for element in &elements {
+            kind_offsets[element.kind() as usize + 1] += 1;
+        }
+        for k in 0..ElementKind::ALL.len() {
+            kind_offsets[k + 1] += kind_offsets[k];
+        }
+        let mut next_slot = kind_offsets;
+        let mut kind_ids = vec![ElementId(0); n];
+        for element in &elements {
+            let slot = &mut next_slot[element.kind() as usize];
+            kind_ids[*slot as usize] = element.id();
+            *slot += 1;
+        }
         let state = PlatformState {
             free: elements.iter().map(|e| e.capacity()).collect(),
             residents: vec![Vec::new(); n],
@@ -208,6 +256,11 @@ impl Platform {
             links,
             out_adj,
             in_adj,
+            neighbor_offsets,
+            neighbor_ids,
+            max_degree,
+            kind_offsets,
+            kind_ids,
             state,
             journal: Vec::new(),
             txn_marks: Vec::new(),
@@ -278,9 +331,17 @@ impl Platform {
         self.links.iter()
     }
 
-    /// Elements of a given kind.
+    /// Elements of a given kind, in ascending id order.
     pub fn elements_of_kind(&self, kind: ElementKind) -> impl Iterator<Item = &Element> {
-        self.elements.iter().filter(move |e| e.kind() == kind)
+        self.ids_of_kind(kind).iter().map(|e| &self.elements[e.index()])
+    }
+
+    /// Ids of the elements of a given kind, ascending. A borrowed slice of
+    /// a table built at construction, so a search for "an element that can
+    /// host this task" visits that kind only, not the whole platform.
+    pub fn ids_of_kind(&self, kind: ElementKind) -> &[ElementId] {
+        let k = kind as usize;
+        &self.kind_ids[self.kind_offsets[k] as usize..self.kind_offsets[k + 1] as usize]
     }
 
     /// Outgoing `(neighbor, link)` pairs of `e`.
@@ -293,16 +354,13 @@ impl Platform {
         &self.in_adj[e.index()]
     }
 
-    /// All distinct neighbors of `e`, ignoring link direction.
-    pub fn neighbors(&self, e: ElementId) -> Vec<ElementId> {
-        let mut out: Vec<ElementId> = self.out_adj[e.index()]
-            .iter()
-            .map(|&(n, _)| n)
-            .chain(self.in_adj[e.index()].iter().map(|&(n, _)| n))
-            .collect();
-        out.sort_unstable();
-        out.dedup();
-        out
+    /// All distinct neighbors of `e`, ignoring link direction, in ascending
+    /// id order. A borrowed row of the adjacency table built at
+    /// construction: no allocation, no sorting.
+    pub fn neighbors(&self, e: ElementId) -> &[ElementId] {
+        let row = self.neighbor_offsets[e.index()] as usize
+            ..self.neighbor_offsets[e.index() + 1] as usize;
+        &self.neighbor_ids[row]
     }
 
     /// The undirected degree of `e` (number of distinct neighbors).
@@ -310,9 +368,10 @@ impl Platform {
         self.neighbors(e).len()
     }
 
-    /// The maximum undirected degree over all elements, 0 for an empty platform.
+    /// The maximum undirected degree over all elements, 0 for an empty
+    /// platform. Fixed at construction.
     pub fn max_degree(&self) -> usize {
-        self.element_ids().map(|e| self.degree(e)).max().unwrap_or(0)
+        self.max_degree
     }
 
     /// The link from `src` to `dst`, if one exists.
@@ -862,8 +921,8 @@ mod tests {
         assert_eq!(p.predecessors(a).len(), 0);
         assert_eq!(p.successors(c).len(), 0);
         assert_eq!(p.predecessors(c).len(), 1);
-        assert_eq!(p.neighbors(a), vec![c]);
-        assert_eq!(p.neighbors(c), vec![a]);
+        assert_eq!(p.neighbors(a), [c]);
+        assert_eq!(p.neighbors(c), [a]);
         assert_eq!(p.degree(a), 1);
         assert_eq!(p.link_between(c, a), None);
     }

@@ -98,7 +98,7 @@ impl RegionMap {
                 // by how many links they already share with it.
                 let mut best: Option<(usize, ElementId)> = None;
                 for &m in &members {
-                    for nb in platform.neighbors(m) {
+                    for &nb in platform.neighbors(m) {
                         if !unassigned[nb.index()] || in_region[nb.index()] {
                             continue;
                         }
@@ -140,10 +140,8 @@ impl RegionMap {
                 if !unassigned[e.index()] {
                     continue;
                 }
-                let Some(nb) = platform
-                    .neighbors(e)
-                    .into_iter()
-                    .find(|nb| region_of[nb.index()] != usize::MAX)
+                let Some(&nb) =
+                    platform.neighbors(e).iter().find(|nb| region_of[nb.index()] != usize::MAX)
                 else {
                     continue;
                 };
@@ -272,7 +270,7 @@ mod tests {
         seen[members[0].index()] = true;
         let mut reached = 1;
         while let Some(e) = stack.pop() {
-            for nb in platform.neighbors(e) {
+            for &nb in platform.neighbors(e) {
                 if map.region_of(nb) == r && !seen[nb.index()] {
                     seen[nb.index()] = true;
                     reached += 1;
@@ -351,7 +349,7 @@ mod tests {
             assert_eq!(sub.element_count(), map.elements(r).len());
             // Every intra-region adjacency survives with its capacity.
             for &e in map.elements(r) {
-                for nb in p.neighbors(e) {
+                for &nb in p.neighbors(e) {
                     if map.region_of(nb) != r {
                         continue;
                     }

@@ -1,16 +1,50 @@
 //! Property-based tests of the platform substrate: resource-vector algebra,
-//! ledger conservation, checkpoint/rollback and distance symmetry.
+//! ledger conservation, checkpoint/rollback, distance symmetry and the
+//! precomputed structure tables.
 
 use proptest::prelude::*;
 
 use kairos_platform::{
-    bfs_distances, external_fragmentation, topology, AppId, ElementKind, Occupant, PlatformBuilder,
-    ResourceVector, SearchDirection,
+    bfs_distances, external_fragmentation, topology, AppId, ElementId, ElementKind, Occupant,
+    Platform, PlatformBuilder, RegionMap, ResourceVector, SearchDirection,
 };
 
 fn vector() -> impl Strategy<Value = ResourceVector> {
     (0u64..1000, 0u64..1000, 0u64..1000, 0u64..1000)
         .prop_map(|(a, b, c, d)| ResourceVector::new(a, b, c, d))
+}
+
+/// The definition the platform's structure tables cache: the distinct
+/// endpoints of `e`'s in- and out-links, ascending.
+fn neighbors_from_links(p: &Platform, e: ElementId) -> Vec<ElementId> {
+    let mut out: Vec<ElementId> = p
+        .links()
+        .filter_map(|l| match (l.src() == e, l.dst() == e) {
+            (true, _) => Some(l.dst()),
+            (_, true) => Some(l.src()),
+            _ => None,
+        })
+        .collect();
+    out.sort_unstable();
+    out.dedup();
+    out
+}
+
+fn assert_structure_matches_its_definition(p: &Platform) {
+    let mut max_degree = 0;
+    for e in p.element_ids() {
+        let expected = neighbors_from_links(p, e);
+        assert_eq!(p.neighbors(e), expected.as_slice());
+        assert_eq!(p.degree(e), expected.len());
+        max_degree = max_degree.max(expected.len());
+    }
+    assert_eq!(p.max_degree(), max_degree);
+    for kind in ElementKind::ALL {
+        let expected: Vec<ElementId> =
+            p.elements().filter(|e| e.kind() == kind).map(|e| e.id()).collect();
+        assert_eq!(p.ids_of_kind(kind), expected.as_slice());
+        assert!(p.elements_of_kind(kind).map(|e| e.id()).eq(expected));
+    }
 }
 
 proptest! {
@@ -187,5 +221,50 @@ proptest! {
         }
         prop_assert_eq!(successor_pairs, p.link_count());
         prop_assert_eq!(predecessor_pairs, p.link_count());
+    }
+
+    /// `neighbors` / `degree` / `max_degree` / `ids_of_kind` are read from
+    /// tables built at construction; the tables equal the from-scratch computation on any
+    /// link list — one-way links, both-way links, duplicates, isolated
+    /// elements — and on every sub-platform a region map extracts from it,
+    /// and no state mutation, clone or restore moves them.
+    #[test]
+    fn structure_cache_is_the_definition(
+        elements in 1usize..14,
+        edges in proptest::collection::vec((0u32..14, 0u32..14, any::<bool>()), 0..40),
+        shards in 1usize..4,
+    ) {
+        let mut b = PlatformBuilder::new("prop");
+        for i in 0..elements {
+            b.add_element(ElementKind::ALL[i * 5 % 6], ResourceVector::splat(10));
+        }
+        for (x, y, both_ways) in edges {
+            let (x, y) = (ElementId(x % elements as u32), ElementId(y % elements as u32));
+            if x == y {
+                continue;
+            }
+            if both_ways {
+                b.connect(x, y, 100, 2);
+            } else {
+                b.connect_directed(x, y, 100, 2);
+            }
+        }
+        let mut p = b.build();
+        assert_structure_matches_its_definition(&p);
+
+        let map = RegionMap::new(&p, shards.min(elements)).unwrap();
+        for r in 0..map.region_count() {
+            assert_structure_matches_its_definition(&map.extract(&p, r));
+        }
+
+        let idle = p.checkpoint();
+        let first = ElementId(0);
+        p.claim(first, Occupant { app: AppId(1), task: 0, claimed: ResourceVector::splat(3) })
+            .unwrap();
+        p.fail_element(first);
+        assert_structure_matches_its_definition(&p);
+        assert_structure_matches_its_definition(&p.clone());
+        p.restore(idle);
+        assert_structure_matches_its_definition(&p);
     }
 }
