@@ -47,8 +47,11 @@ fn main() {
     println!("\nlayout: {}", report.layout);
     if let Some(validation) = &report.validation {
         println!(
-            "steady-state period: {:.1} cycles ({} SDF actors, {} states explored)",
-            validation.iteration_period, validation.actors, validation.states_explored
+            "steady-state period: {:.1} cycles = {} / {} ({} SDF actors)",
+            validation.iteration_period,
+            validation.period_cycles,
+            validation.period_iterations,
+            validation.actors
         );
     }
     println!(

@@ -6,26 +6,25 @@
 //! streamed through it flushes in *waves* (enqueue a wave, `drive`
 //! once). By default each admission of a wave is forwarded on its own,
 //! and the cluster underneath places it exactly as it places a direct
-//! `submit`: one probe fan-out, then the winning shard commits its own
-//! probe by replay. The coalescing gateway (`GatewayConfig::coalesce`)
-//! merges each wave into one batched submission, which the cluster
-//! places with a single per-shard fan-out over the pre-wave state — but
-//! a batched wave's admissions then run the pipeline cold (a shard
-//! remembers only its last probe, and each admission of the sub-wave
-//! moves the state the others were probed against), so it pays N+1
-//! pipeline runs per request where the per-request path pays N.
+//! `submit`: every shard probed in turn on the calling thread, then the
+//! winning shard commits its own probe by replay. The coalescing gateway
+//! (`GatewayConfig::coalesce`) merges each wave into one batched
+//! submission, which the cluster places with a single fan-out over the
+//! pre-wave state on its probe workers — but a batched wave's admissions
+//! then run the pipeline cold (a shard remembers only its last probe,
+//! and each admission of the sub-wave moves the state the others were
+//! probed against), so it pays one more pipeline run per request than
+//! the per-request path, plus the hand-off to the workers and back.
 //!
-//! What this bench pins is that batching costs that one extra pipeline
-//! run and no more. With the fan-out taking `r = ceil(shards / cores)` probe rounds, a
-//! per-request admission costs about `r` runs and a coalesced one
-//! `r + 1`, so the coalescing gateway must admit at least
-//! `0.85 * r / (r + 1)` times as fast as the default gateway over the
-//! same cluster — 0.64x on one core, 0.57x on two, 0.43x on three or
-//! more (measured 0.71–0.73x and 0.66–0.82x on one and two cores: the
-//! wave's shared fan-out buys some of the handicap back). CI executes
-//! the assertion as a smoke check. The sync cluster is reported beside
-//! the default gateway (they differ by lane bookkeeping only,
-//! ~0.95–1.05x).
+//! A pipeline run on a third of CRISP costs 5–7 µs, less than the wave's
+//! hand-off and the batch's own bookkeeping, so counting runs does not
+//! predict the ratio: over the same cluster the coalescing gateway reads
+//! 0.45–0.55x the default gateway on two cores (the low end while the
+//! second core is busy elsewhere). What this bench pins is that batching
+//! has not fallen off a cliff: at least 0.3x. CI executes the assertion
+//! as a smoke check; ROADMAP items 1(e) and 4(a) retire it with the
+//! knob. The sync cluster is reported beside the default gateway (they
+//! differ by lane bookkeeping only, ~0.9–1.0x).
 
 use std::time::Instant;
 
@@ -167,11 +166,8 @@ fn main() {
 
     let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
     let [_, sync, queued, coalesced] = best.map(rate);
-    // A coalesced admission pays the fan-out's probe rounds plus one cold
-    // run where a per-request one pays the rounds plus a replay; 15% of
-    // scheduling-noise tolerance on top.
-    let rounds = SHARDS.div_ceil(cores.min(SHARDS)) as f64;
-    let floor = 0.85 * rounds / (rounds + 1.0);
+    // A smoke floor, not a cost model: see the module docs.
+    let floor = 0.3;
     assert!(
         coalesced >= floor * queued,
         "the coalescing gateway must admit at least {floor:.2}x as fast as the default gateway \

@@ -28,6 +28,14 @@ pub const APP_ID_STRIDE: u32 = 1 << 24;
 /// [`Command::Rebalance`] sweep moves work across the boundary.
 const REBALANCE_GAP: f64 = 0.05;
 
+/// Fewest applications a probe wave must hold before it is handed to the
+/// [`ProbePool`]. A single probe — every per-request placement — runs on
+/// the calling thread: it costs tens of microseconds a shard, less than
+/// waking a parked worker and being woken by it, and the hand-off's
+/// latency is the host scheduler's to decide where the inline pass is the
+/// same work every time.
+const POOLED_WAVE_MIN: usize = 2;
+
 /// One region shard: its service and its slice of the global element id
 /// space.
 #[derive(Debug)]
@@ -211,11 +219,13 @@ impl ClusterBuilder {
 /// regions; each region is owned by its own [`KairosService`] (direct or
 /// queued, exactly as a monolithic service would be). Traffic flows:
 ///
-/// * **Admissions** fan out as parallel what-if probes across all shards
-///   (a persistent worker-pool probe executor — one long-lived thread
-///   per shard fed through job channels; each probe runs in a
-///   claim-journal transaction that is always rolled back, so losing
-///   probes cost nothing). Probe results are merged in
+/// * **Admissions** fan out as what-if probes across all shards (each
+///   probe runs in a claim-journal transaction that is always rolled
+///   back, so losing probes cost nothing). A batched wave is probed in
+///   parallel on a persistent worker-pool probe executor — one
+///   long-lived thread per shard fed through job channels; a single
+///   admission is probed shard by shard on the calling thread, which is
+///   cheaper than the hand-off. Probe results are merged in
 ///   shard-id order and the
 ///   injected [`PlacementPolicy`] picks the winning shard — making the
 ///   outcome independent of thread scheduling. The admission is then
@@ -275,10 +285,11 @@ pub struct ClusterService {
 pub const SCORE_E6_BOUNDS: &[u64] = &[100_000, 250_000, 500_000, 750_000, 900_000, 1_000_000];
 
 /// Pre-resolved registry handles for the cluster layer, built once at
-/// construction. The per-shard probe histograms are recorded from inside
-/// the pool's worker threads; that stays deterministic under the zero
-/// clock because every recorded duration is `0` and atomic increments
-/// commute, so the snapshot is a pure function of the probe count —
+/// construction. The per-shard probe histograms of a pooled wave are
+/// recorded from inside the pool's worker threads; that stays
+/// deterministic under the zero clock because every recorded duration is
+/// `0` and atomic increments commute, so the snapshot is a pure function
+/// of the probe count —
 /// independent of thread scheduling and of whether telemetry is lit (the
 /// `pooled_probe_waves_match_sequential_standalone_probes` pin holds
 /// this in place).
@@ -380,7 +391,7 @@ impl ClusterService {
     }
 
     /// Probes every shard with a state-neutral what-if admission of
-    /// `app` — in parallel on a multi-shard cluster — and returns the
+    /// `app` — shard by shard on the calling thread — and returns the
     /// results merged in shard-id order. Nothing changes anywhere: each
     /// probe runs in a claim-journal transaction its shard always rolls
     /// back. The one-element case of [`Self::probe_admit_wave`].
@@ -430,12 +441,25 @@ impl ClusterService {
 
     /// Every shard probes the whole wave, timings recorded where the work
     /// happens, fit rows merged in shard-id order (outer index = shard).
-    /// A one-shard cluster probes inline; otherwise the wave runs on the
-    /// persistent [`ProbePool`].
+    /// A one-shard cluster and a wave below [`POOLED_WAVE_MIN`] probe
+    /// inline, shard by shard; otherwise the wave runs on the persistent
+    /// [`ProbePool`]. Both paths call [`probe_all`] once per shard, so
+    /// rows and histograms cannot tell them apart.
     fn fan_out(&mut self, apps: &[&Application]) -> Vec<Vec<Option<ShardFit>>> {
-        let Some(pool) = &self.pool else {
-            let hist = self.metrics.as_ref().map(|m| &m.probe_ns[0]);
-            return vec![probe_all(self.shards[0].svc_mut(), apps, &self.telemetry, hist)];
+        let pool = match &self.pool {
+            Some(pool) if apps.len() >= POOLED_WAVE_MIN => pool,
+            _ => {
+                let (metrics, telemetry) = (&self.metrics, &self.telemetry);
+                return self
+                    .shards
+                    .iter_mut()
+                    .enumerate()
+                    .map(|(i, shard)| {
+                        let hist = metrics.as_ref().map(|m| &m.probe_ns[i]);
+                        probe_all(shard.svc_mut(), apps, telemetry, hist)
+                    })
+                    .collect();
+            }
         };
         // Ownership transfer: lend each shard's manager to its persistent
         // worker together with one shared copy of the wave, then take
@@ -1063,22 +1087,29 @@ mod tests {
             }
 
             let reference_hub = hub();
-            let expected: Vec<Vec<ShardProbe>> = wave
-                .iter()
-                .map(|app| {
-                    let probe = |(shard, service): (usize, &mut KairosService)| {
-                        let start = reference_hub.clock();
-                        let fit = fit_of(service.probe_admit(app).ok());
-                        let name = format!("kairos.cluster.shard{shard}.probe.ns");
-                        if let Some(hist) = reference_hub.histogram(&name, DURATION_NS_BOUNDS) {
-                            hist.record(Telemetry::elapsed_ns(start));
-                        }
-                        ShardProbe { shard, fit }
-                    };
-                    standalone.iter_mut().enumerate().map(probe).collect()
-                })
-                .collect();
+            let mut reference_rows = || -> Vec<Vec<ShardProbe>> {
+                wave.iter()
+                    .map(|app| {
+                        let probe = |(shard, service): (usize, &mut KairosService)| {
+                            let start = reference_hub.clock();
+                            let fit = fit_of(service.probe_admit(app).ok());
+                            let name = format!("kairos.cluster.shard{shard}.probe.ns");
+                            if let Some(hist) = reference_hub.histogram(&name, DURATION_NS_BOUNDS) {
+                                hist.record(Telemetry::elapsed_ns(start));
+                            }
+                            ShardProbe { shard, fit }
+                        };
+                        standalone.iter_mut().enumerate().map(probe).collect()
+                    })
+                    .collect()
+            };
+            let expected = reference_rows();
             assert_eq!(pooled.probe_admit_wave(&wave), expected, "lit={lit}");
+            // One application at a time stays on the calling thread
+            // (`POOLED_WAVE_MIN`): the same rows, the same histograms.
+            let singles: Vec<Vec<ShardProbe>> =
+                wave.iter().map(|app| pooled.probe_admit(app)).collect();
+            assert_eq!(singles, reference_rows(), "lit={lit}");
             assert!(expected.iter().flatten().any(|p| p.fit.is_some()));
             assert!(expected.last().unwrap().iter().all(|p| p.fit.is_none()));
             let probe_histograms = |hub: &Telemetry| -> Vec<String> {

@@ -15,12 +15,13 @@
 //!   by its own [`Kairos`](kairos_svc::Kairos) manager (queued behind
 //!   `kairos-admitd` when an admission policy is set — identical knobs to
 //!   the monolithic [`ServiceBuilder`](kairos_svc::ServiceBuilder)).
-//! * **Parallel admission probes** — every admission fans out as
-//!   state-neutral what-if probes across all shards on a persistent
+//! * **Admission probes** — every admission fans out as state-neutral
+//!   what-if probes across all shards (each a claim-journal transaction
+//!   its shard always rolls back). A batched wave runs on a persistent
 //!   worker-pool probe executor: one long-lived thread per shard, fed
 //!   whole waves through job channels (no executor crate, no extra
-//!   dependencies; each probe is a claim-journal transaction its shard
-//!   always rolls back).
+//!   dependencies). A single admission is probed shard by shard on the
+//!   calling thread — the probe is cheaper than the hand-off.
 //!   Results are merged **in shard-id order**, so thread scheduling can
 //!   never leak into a decision: cluster output is byte-deterministic.
 //! * **Pluggable placement** — a [`PlacementPolicy`] trait object picks

@@ -4,7 +4,9 @@
 //! thread creation and teardown on each arrival. The pool keeps one
 //! long-lived worker per shard instead (multi-shard clusters only; a
 //! one-shard cluster probes inline, preserving monolithic
-//! byte-identity): a probe wave **lends** each shard's manager to its
+//! byte-identity, and so does a wave of one application — a probe is
+//! cheaper than the two wake-ups that would carry it to a worker and
+//! back): a probe wave **lends** each shard's manager to its
 //! worker through a job channel (plain ownership transfer — no locks, no
 //! shared mutable state, which also keeps the cluster's `&`-returning
 //! accessors sound: the manager is always checked back in before any

@@ -159,7 +159,9 @@ pub enum ValidationError {
         /// Steady-state period achieved by the layout, in cycles.
         achieved_period: f64,
     },
-    /// The SDF analysis itself failed (deadlock, divergence, ...).
+    /// The model has no period: the application's task graph has a cycle
+    /// (the model deadlocks) or its cycle counts overflow the analysis.
+    /// Inherent to the application, whatever the layout.
     Analysis(String),
 }
 
@@ -210,9 +212,13 @@ impl AllocationError {
     /// this platform ([`FailureDurability::Permanent`]).
     ///
     /// The classification is conservative: `Permanent` is only reported
-    /// when the request is provably hopeless (a task that exceeds every
-    /// element's raw capacity, or an SDF analysis failure inherent to the
-    /// application's graph). Everything load-dependent — mapping and
+    /// when the request is provably hopeless: a task that exceeds every
+    /// element's raw capacity, or a [`ValidationError::Analysis`]. The
+    /// throughput analysis is a computation without a budget, so it fails
+    /// only when the application's task graph has a cycle (its model
+    /// deadlocks under any layout) or its cycle counts overflow the
+    /// arithmetic — neither depends on where the tasks landed or on how
+    /// many hops their channels took. Everything load-dependent — mapping and
     /// routing contention, pool exhaustion under occupancy, constraint
     /// violations that a less contended layout might avoid — is
     /// `Transient`; retry front-ends bound such retries by policy.

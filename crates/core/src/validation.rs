@@ -11,12 +11,22 @@
 //!   implementation's cycle count;
 //! * every routed channel as a *transport actor* whose execution time grows
 //!   with the route's hop count (NoC store-and-forward latency);
-//! * bounded channel buffers as back-edge tokens, making the self-timed
-//!   state space finite.
+//! * bounded channel buffers as back-edge tokens.
+//!
+//! That model is never multirate: every channel produces what it consumes,
+//! holds either nothing or a whole number of firings' worth of tokens, and
+//! is mirrored by a back-edge. It is a homogeneous graph, strongly connected
+//! per connected component, so its self-timed period *is* its maximum cycle
+//! ratio and [`validate`] computes it exactly
+//! ([`kairos_sdf::max_cycle_ratio`]) instead of exploring the state space —
+//! the paper's result by another method, with a cost bounded by the model's
+//! size rather than by the length of its transient. The state-space analysis
+//! ([`kairos_sdf::throughput_with`]) remains the oracle the tests compare
+//! against. See `docs/ARCHITECTURE.md`, "The validation phase".
 
-use kairos_app::{Application, TaskRole};
+use kairos_app::{Application, ChannelId, TaskRole};
 use kairos_sdf::{
-    measure_latency, throughput_with, LatencyConfig, SdfGraph, SdfGraphBuilder, StateSpaceConfig,
+    max_cycle_ratio, measure_latency, ActorId, LatencyConfig, SdfGraph, SdfGraphBuilder,
 };
 
 use crate::error::ValidationError;
@@ -32,10 +42,12 @@ pub struct ValidationConfig {
     /// Buffer tokens per channel direction (back-edge initial tokens),
     /// multiplied by the channel's tokens-per-firing.
     pub buffer_depth: u32,
-    /// Event budget of the state-space exploration.
+    /// Event budget of the optional [`measure_latency`](Self::measure_latency)
+    /// simulation. The throughput analysis is computed, not explored: it has
+    /// no budget and never reads this.
     pub max_events: usize,
     /// Also measure steady-state end-to-end latency (first input task to
-    /// first output task). Costs a second bounded simulation.
+    /// first output task). Costs a bounded simulation of the model.
     pub measure_latency: bool,
 }
 
@@ -54,12 +66,17 @@ impl Default for ValidationConfig {
 /// Outcome of a successful validation.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ValidationReport {
-    /// Steady-state cycles per graph iteration.
+    /// Steady-state cycles per graph iteration (`1.0 / throughput`).
     pub iteration_period: f64,
-    /// Steady-state iterations per cycle.
+    /// Steady-state iterations per cycle
+    /// (`period_iterations / period_cycles`).
     pub throughput: f64,
-    /// Number of execution states explored by the analysis.
-    pub states_explored: usize,
+    /// The exact period, in lowest terms: `period_iterations` graph
+    /// iterations complete every `period_cycles` cycles. Constraints are
+    /// checked against this ratio, not against the rounded floats.
+    pub period_cycles: u64,
+    /// See [`period_cycles`](Self::period_cycles).
+    pub period_iterations: u64,
     /// Number of SDF actors in the analysed model (tasks + transports).
     pub actors: usize,
     /// Steady-state end-to-end latency (input start to output completion),
@@ -68,98 +85,139 @@ pub struct ValidationReport {
     pub end_to_end_latency: Option<u64>,
 }
 
+/// The performance model of a layout, flat: what [`validate`] hands the
+/// cycle-ratio solver and what [`layout_to_sdf`] names and renders as an
+/// [`SdfGraph`], so the two cannot drift.
+struct LayoutModel {
+    /// Execution time per actor. Task `t` is actor `t`; one transport actor
+    /// per non-local route follows, in channel order.
+    exec: Vec<u64>,
+    /// The channel each transport actor carries, in actor order.
+    transports: Vec<ChannelId>,
+    /// `(src, dst, tokens)` with tokens counted in firings: the edge moves
+    /// `rate` tokens per firing at both ends and holds `tokens * rate`.
+    edges: Vec<(u32, u32, u32)>,
+    /// The `rate` of each edge.
+    rates: Vec<u32>,
+}
+
+impl LayoutModel {
+    fn new(app: &Application, layout: &ExecutionLayout, config: &ValidationConfig) -> Self {
+        let channels = app.channel_count();
+        let mut model = LayoutModel {
+            exec: Vec::with_capacity(app.task_count() + channels),
+            transports: Vec::new(),
+            edges: Vec::with_capacity(4 * channels),
+            rates: Vec::with_capacity(4 * channels),
+        };
+        // One actor per task; execution times come from the binding.
+        model.exec.extend(
+            app.task_ids().map(|t| layout.binding.implementation(app, t).exec_cycles().max(1)),
+        );
+        let buffer = config.buffer_depth.max(1);
+        for channel in app.channels() {
+            let route = &layout.routes[channel.id().index()];
+            let rate = channel.tokens_per_firing().max(1);
+            let (src, dst) = (channel.src().0, channel.dst().0);
+            if route.is_local() {
+                model.link(src, dst, rate, buffer);
+            } else {
+                // Saturates on a hostile configuration; the solver's checked
+                // sums then refuse the model.
+                let latency = config
+                    .transport_overhead_cycles
+                    .saturating_add(config.hop_latency_cycles.saturating_mul(route.hops() as u64));
+                let transport = model.exec.len() as u32;
+                model.exec.push(latency.max(1));
+                model.transports.push(channel.id());
+                model.link(src, transport, rate, buffer);
+                model.link(transport, dst, rate, buffer);
+            }
+        }
+        model
+    }
+
+    /// A data edge and the back-edge that bounds its buffer to `buffer`
+    /// firings.
+    fn link(&mut self, src: u32, dst: u32, rate: u32, buffer: u32) {
+        self.edges.push((src, dst, 0));
+        self.edges.push((dst, src, buffer));
+        self.rates.extend([rate, rate]);
+    }
+
+    /// The model as a named multirate graph, for the latency simulation,
+    /// the state-space oracle and inspection.
+    fn to_graph(&self, app: &Application) -> SdfGraph {
+        let mut b = SdfGraphBuilder::new(format!("{}::model", app.name()));
+        let (tasks, transports) = self.exec.split_at(app.task_count());
+        for (task, &cycles) in app.tasks().zip(tasks) {
+            b.add_actor(task.name().to_owned(), cycles);
+        }
+        for (channel, &latency) in self.transports.iter().zip(transports) {
+            b.add_actor(format!("transport-{channel}"), latency);
+        }
+        for (&(src, dst, tokens), &rate) in self.edges.iter().zip(&self.rates) {
+            b.add_channel(ActorId(src), ActorId(dst), rate, rate, tokens * rate);
+        }
+        b.build().expect("layout model is structurally valid by construction")
+    }
+}
+
 /// Builds the SDF performance model of `app` under `layout`.
 ///
 /// Exposed separately so benchmarks and tests can inspect the model the
-/// validation phase analyses.
+/// validation phase analyses, and run the state-space oracle on it.
 pub fn layout_to_sdf(
     app: &Application,
     layout: &ExecutionLayout,
     config: &ValidationConfig,
 ) -> SdfGraph {
-    let mut b = SdfGraphBuilder::new(format!("{}::model", app.name()));
-    // One actor per task; execution times come from the binding.
-    let actors: Vec<_> = app
-        .task_ids()
-        .map(|t| {
-            let cycles = layout.binding.implementation(app, t).exec_cycles().max(1);
-            b.add_actor(app.task(t).name().to_owned(), cycles)
-        })
-        .collect();
-
-    for channel in app.channels() {
-        let route = &layout.routes[channel.id().index()];
-        let rate = channel.tokens_per_firing().max(1);
-        let buffer = config.buffer_depth.max(1) * rate;
-        let src = actors[channel.src().index()];
-        let dst = actors[channel.dst().index()];
-        if route.is_local() {
-            b.add_channel(src, dst, rate, rate, 0);
-            b.add_channel(dst, src, rate, rate, buffer);
-        } else {
-            let latency =
-                config.transport_overhead_cycles + config.hop_latency_cycles * route.hops() as u64;
-            let transport = b.add_actor(format!("transport-{}", channel.id()), latency.max(1));
-            b.add_channel(src, transport, rate, rate, 0);
-            b.add_channel(transport, src, rate, rate, buffer);
-            b.add_channel(transport, dst, rate, rate, 0);
-            b.add_channel(dst, transport, rate, rate, buffer);
-        }
-    }
-    b.build().expect("layout model is structurally valid by construction")
+    LayoutModel::new(app, layout, config).to_graph(app)
 }
 
-/// Runs the validation phase: analyses the layout's steady-state throughput
-/// and checks every constraint of the application.
+/// Runs the validation phase: computes the layout's steady-state period and
+/// checks every constraint of the application against it, exactly.
 ///
 /// # Errors
 ///
-/// [`ValidationError::Analysis`] when the SDF analysis fails (deadlock,
-/// divergence), [`ValidationError::ConstraintViolated`] when the achieved
+/// [`ValidationError::Analysis`] when the model has no period — the
+/// application's task graph has a cycle (its model deadlocks), or its cycle
+/// counts overflow the analysis; both are properties of the application, not
+/// of the layout. [`ValidationError::ConstraintViolated`] when the achieved
 /// period exceeds a constraint's allowance.
 pub fn validate(
     app: &Application,
     layout: &ExecutionLayout,
     config: &ValidationConfig,
 ) -> Result<ValidationReport, ValidationError> {
-    let model = layout_to_sdf(app, layout, config);
+    let model = LayoutModel::new(app, layout, config);
+    let sink = app.tasks().find(|t| t.role() == TaskRole::Output).map(|t| t.id());
 
     // Reference actor: the first output task, or task 0 for sink-less graphs.
-    let reference = app
-        .tasks()
-        .find(|t| t.role() == TaskRole::Output)
-        .map(|t| kairos_sdf::ActorId(t.id().0))
-        .unwrap_or(kairos_sdf::ActorId(0));
-
-    let report =
-        throughput_with(&model, reference, &StateSpaceConfig { max_events: config.max_events })
-            .map_err(|e| ValidationError::Analysis(e.to_string()))?;
+    let reference = sink.map_or(0, |t| t.index());
+    let period = max_cycle_ratio(&model.exec, &model.edges, reference)
+        .map_err(|e| ValidationError::Analysis(e.to_string()))?;
+    let throughput = period.iterations as f64 / period.cycles as f64;
+    let iteration_period = 1.0 / throughput;
 
     for (index, constraint) in app.constraints().iter().enumerate() {
         let allowed = constraint.as_max_period_cycles();
-        if report.iteration_period > allowed as f64 {
+        if u128::from(period.cycles) > u128::from(allowed) * u128::from(period.iterations) {
             return Err(ValidationError::ConstraintViolated {
                 constraint_index: index,
                 allowed_period: allowed,
-                achieved_period: report.iteration_period,
+                achieved_period: iteration_period,
             });
         }
     }
 
     let end_to_end_latency = if config.measure_latency {
-        let source = app
-            .tasks()
-            .find(|t| t.role() == TaskRole::Input)
-            .map(|t| kairos_sdf::ActorId(t.id().0));
-        let sink = app
-            .tasks()
-            .find(|t| t.role() == TaskRole::Output)
-            .map(|t| kairos_sdf::ActorId(t.id().0));
+        let source = app.tasks().find(|t| t.role() == TaskRole::Input).map(|t| t.id());
         match (source, sink) {
             (Some(source), Some(sink)) => measure_latency(
-                &model,
-                source,
-                sink,
+                &model.to_graph(app),
+                ActorId(source.0),
+                ActorId(sink.0),
                 &LatencyConfig { max_events: config.max_events, ..LatencyConfig::default() },
             )
             .ok()
@@ -171,10 +229,11 @@ pub fn validate(
     };
 
     Ok(ValidationReport {
-        iteration_period: report.iteration_period,
-        throughput: report.throughput,
-        states_explored: report.states_explored,
-        actors: model.actor_count(),
+        iteration_period,
+        throughput,
+        period_cycles: period.cycles,
+        period_iterations: period.iterations,
+        actors: model.exec.len(),
         end_to_end_latency,
     })
 }
@@ -314,6 +373,119 @@ mod tests {
         let on = validate(&app, &layout, &config).unwrap();
         let latency = on.end_to_end_latency.expect("input and output tasks exist");
         assert!(latency >= 60, "wavefront must traverse all three stages, got {latency}");
+    }
+
+    #[test]
+    fn exact_fit_constraints_are_met() {
+        // A bottleneck of `c` cycles against "period <= c": `1.0 / (1.0 / c)`
+        // rounds above `c` for 140 of these (49, 98, 103, 107, 196, ...).
+        for c in 1..=2000u64 {
+            let mut b = ApplicationBuilder::new("fit");
+            let t0 = b.add_task("a", TaskRole::Input, vec![imp(1)]);
+            let t1 = b.add_task("b", TaskRole::Output, vec![imp(c)]);
+            b.add_channel(t0, t1, 100, 1);
+            b.add_constraint(Constraint::Throughput { max_period_cycles: c });
+            let app = b.build().unwrap();
+            let report = validate(&app, &layout_for(&app, &[0]), &ValidationConfig::default())
+                .unwrap_or_else(|e| panic!("a {c}-cycle period must fit {c}: {e}"));
+            assert_eq!((report.period_cycles, report.period_iterations), (c, 1));
+        }
+    }
+
+    #[test]
+    fn one_cycle_over_is_still_refused() {
+        let mut b = ApplicationBuilder::new("over");
+        let t0 = b.add_task("a", TaskRole::Input, vec![imp(1)]);
+        let t1 = b.add_task("b", TaskRole::Output, vec![imp(50)]);
+        b.add_channel(t0, t1, 100, 1);
+        b.add_constraint(Constraint::Throughput { max_period_cycles: 49 });
+        let app = b.build().unwrap();
+        let err = validate(&app, &layout_for(&app, &[0]), &ValidationConfig::default());
+        assert!(matches!(err, Err(ValidationError::ConstraintViolated { allowed_period: 49, .. })));
+    }
+
+    #[test]
+    fn hostile_cycle_counts_are_an_analysis_error() {
+        // `now + exec_time` used to wrap in release and panic in debug.
+        let app = pipeline_app(&[u64::MAX / 2; 3]);
+        let err = validate(&app, &layout_for(&app, &[0, 1]), &ValidationConfig::default());
+        match err {
+            Err(ValidationError::Analysis(message)) => assert!(message.contains("overflow")),
+            other => panic!("expected an analysis error, got {other:?}"),
+        }
+        let hostile = ValidationConfig { hop_latency_cycles: u64::MAX, ..Default::default() };
+        let app = pipeline_app(&[10, 10]);
+        assert!(matches!(
+            validate(&app, &layout_for(&app, &[3]), &hostile),
+            Err(ValidationError::Analysis(_))
+        ));
+    }
+
+    #[test]
+    fn cyclic_applications_deadlock_permanently() {
+        let mut b = ApplicationBuilder::new("loop");
+        let t0 = b.add_task("a", TaskRole::Input, vec![imp(10)]);
+        let t1 = b.add_task("b", TaskRole::Internal, vec![imp(10)]);
+        let t2 = b.add_task("c", TaskRole::Output, vec![imp(10)]);
+        b.add_channel(t0, t1, 100, 1);
+        b.add_channel(t1, t2, 100, 1);
+        b.add_channel(t2, t1, 100, 1);
+        let app = b.build().unwrap();
+        // Whatever the layout: the feedback channel holds no initial token.
+        for hops in [[0, 0, 0], [1, 4, 2], [9, 0, 7]] {
+            let err =
+                validate(&app, &layout_for(&app, &hops), &ValidationConfig::default()).unwrap_err();
+            assert_eq!(err, ValidationError::Analysis("self-timed execution deadlocked".into()));
+            let failure = crate::error::AllocationError::from(err);
+            assert_eq!(failure.durability(), crate::error::FailureDurability::Permanent);
+        }
+    }
+
+    #[test]
+    fn the_event_budget_only_bounds_the_latency_simulation() {
+        let app = pipeline_app(&[7, 31, 13, 5]);
+        let layout = layout_for(&app, &[2, 0, 5]);
+        let default = validate(&app, &layout, &ValidationConfig::default()).unwrap();
+        let starved = ValidationConfig { max_events: 1, ..ValidationConfig::default() };
+        assert_eq!(validate(&app, &layout, &starved).unwrap(), default);
+        // With the simulation on, the budget is what runs out — and only
+        // the latency goes missing.
+        let starved = ValidationConfig { measure_latency: true, ..starved };
+        assert_eq!(validate(&app, &layout, &starved).unwrap(), default);
+    }
+
+    #[test]
+    fn the_graph_is_the_flat_model() {
+        let mut b = ApplicationBuilder::new("rates");
+        let t0 = b.add_task("a", TaskRole::Input, vec![imp(5)]);
+        let t1 = b.add_task("b", TaskRole::Internal, vec![imp(0)]);
+        let t2 = b.add_task("c", TaskRole::Output, vec![imp(9)]);
+        b.add_channel(t0, t1, 100, 3);
+        b.add_channel(t0, t2, 100, 1);
+        b.add_channel(t1, t2, 100, 2);
+        let app = b.build().unwrap();
+        let layout = layout_for(&app, &[2, 0, 6]);
+        let config = ValidationConfig { buffer_depth: 3, ..ValidationConfig::default() };
+        let model = LayoutModel::new(&app, &layout, &config);
+        let graph = layout_to_sdf(&app, &layout, &config);
+
+        assert_eq!(model.exec, [5, 1, 9, 4 + 8 * 2, 4 + 8 * 6]);
+        let exec: Vec<u64> = graph.actors().map(|a| a.exec_time()).collect();
+        assert_eq!(exec, model.exec);
+        let names: Vec<&str> = graph.actors().map(|a| a.name()).collect();
+        assert_eq!(names, ["a", "b", "c", "transport-c0", "transport-c2"]);
+
+        assert_eq!(graph.channel_count(), model.edges.len());
+        for (c, (&(src, dst, tokens), &rate)) in
+            graph.channels().zip(model.edges.iter().zip(&model.rates))
+        {
+            assert_eq!((c.src().0, c.dst().0), (src, dst));
+            // Homogeneous up to the rate: what the solver's equivalence to
+            // the state-space analysis rests on.
+            assert_eq!((c.produce(), c.consume()), (rate, rate));
+            assert_eq!(c.initial_tokens(), tokens * rate);
+            assert!(tokens == 0 || tokens == 3);
+        }
     }
 
     #[test]

@@ -11,7 +11,8 @@ pub enum SdfAnalysisError {
     Inconsistent,
     /// The graph deadlocks before completing one iteration.
     Deadlock,
-    /// Intermediate arithmetic overflowed (pathological rates).
+    /// Intermediate arithmetic overflowed (pathological rates or cycle
+    /// counts).
     Overflow,
 }
 
@@ -20,14 +21,14 @@ impl fmt::Display for SdfAnalysisError {
         match self {
             SdfAnalysisError::Inconsistent => f.write_str("SDF graph is inconsistent"),
             SdfAnalysisError::Deadlock => f.write_str("SDF graph deadlocks"),
-            SdfAnalysisError::Overflow => f.write_str("rate arithmetic overflowed"),
+            SdfAnalysisError::Overflow => f.write_str("analysis arithmetic overflowed"),
         }
     }
 }
 
 impl std::error::Error for SdfAnalysisError {}
 
-fn gcd(mut a: u64, mut b: u64) -> u64 {
+pub(crate) fn gcd(mut a: u64, mut b: u64) -> u64 {
     while b != 0 {
         (a, b) = (b, a % b);
     }

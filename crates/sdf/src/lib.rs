@@ -3,16 +3,20 @@
 //! Synchronous dataflow (SDF) graphs and throughput analysis — the substrate
 //! behind the *validation* phase of the Kairos run-time resource manager
 //! (*ter Braak et al., DATE 2010*, §II): the influence of platform and
-//! application is modelled as an SDF graph, whose steady-state throughput is
-//! computed by self-timed state-space exploration (Ghamarian et al., ACSD
-//! 2006) and compared against the application's constraints.
+//! application is modelled as an SDF graph, whose steady-state throughput
+//! the paper finds by self-timed state-space exploration (Ghamarian et al.,
+//! ACSD 2006) and compares against the application's constraints.
 //!
 //! * [`SdfGraph`] / [`SdfGraphBuilder`] — multirate SDF graphs with initial
 //!   tokens and per-actor execution times;
 //! * [`repetition_vector`] / [`check_deadlock_free`] — static consistency and
 //!   liveness analysis;
 //! * [`throughput`] — self-timed state-space throughput analysis with
-//!   transient/periodic phase separation.
+//!   transient/periodic phase separation: the general (multirate) method;
+//! * [`max_cycle_ratio`] — the same period computed exactly, without
+//!   exploration, for *homogeneous* graphs (every channel produces what it
+//!   consumes). The manager's layout models are all of that kind, so this is
+//!   what its validation phase runs; [`throughput_with`] is its test oracle.
 //!
 //! ## Example
 //!
@@ -36,6 +40,7 @@
 mod analysis;
 mod graph;
 mod latency;
+mod mcr;
 mod statespace;
 
 pub use analysis::{check_deadlock_free, is_consistent, repetition_vector, SdfAnalysisError};
@@ -43,6 +48,7 @@ pub use graph::{
     Actor, ActorId, SdfChannel, SdfChannelId, SdfGraph, SdfGraphBuilder, SdfGraphError,
 };
 pub use latency::{measure_latency, LatencyConfig, LatencyReport};
+pub use mcr::{max_cycle_ratio, CycleRatio};
 pub use statespace::{
     throughput, throughput_with, StateSpaceConfig, StateSpaceError, ThroughputReport,
 };

@@ -1,0 +1,456 @@
+//! Exact maximum-cycle-ratio analysis of homogeneous dataflow graphs.
+//!
+//! In a *homogeneous* graph every actor fires exactly once per iteration:
+//! each channel produces as many tokens per firing as it consumes. The
+//! self-timed execution of such a graph needs no exploration — the start
+//! time of an actor's `k`-th firing is the max-plus recurrence
+//! `x_v(k) = max over in-edges (u → v, t) of x_u(k − t) + exec(u)`, and its
+//! growth rate, the steady-state cycles per iteration, is the **maximum
+//! cycle ratio** `Σ exec / Σ tokens` over the cycles upstream of the actor
+//! (Reiter 1968; Ghamarian et al. 2006 §3 use the same fact to check their
+//! state-space method). An implicit one-token self-loop per actor forbids
+//! auto-concurrency, as [`throughput_with`](crate::throughput_with) does.
+//!
+//! The ratio is found by Howard's policy iteration (Cochet-Terrasson et
+//! al., "Numerical computation of spectral elements in max-plus algebra",
+//! 1998) in integer arithmetic: ratios are compared by cross-multiplication
+//! and potentials are kept scaled by their ratio's denominator, so there is
+//! no epsilon and the answer is the exact rational. One round costs
+//! `O(actors + edges)` and no state is stored.
+
+use crate::analysis::{gcd, SdfAnalysisError};
+use crate::statespace::StateSpaceError;
+
+/// The steady-state period of a homogeneous graph, as an exact ratio in
+/// lowest terms.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct CycleRatio {
+    /// Cycles per [`iterations`](Self::iterations) graph iterations.
+    pub cycles: u64,
+    /// Graph iterations completed every [`cycles`](Self::cycles) cycles.
+    pub iterations: u64,
+    /// Policy-iteration rounds the solver took (each `O(actors + edges)`).
+    pub rounds: u32,
+}
+
+const OVERFLOW: StateSpaceError = StateSpaceError::Analysis(SdfAnalysisError::Overflow);
+
+/// Marks the implicit self-loop in a policy.
+const SELF_LOOP: u32 = u32::MAX;
+
+/// A ratio `(cycles, tokens)` in lowest terms, `tokens >= 1`.
+type Ratio = (u64, u64);
+
+fn exceeds(a: Ratio, b: Ratio) -> bool {
+    u128::from(a.0) * u128::from(b.1) > u128::from(b.0) * u128::from(a.1)
+}
+
+/// The weight `w − ratio · t` of an edge, scaled by the ratio's denominator.
+fn reduced(w: u64, t: u32, (cycles, tokens): Ratio) -> Option<i128> {
+    // `cycles * t` stays below 2^96; only the first product can overflow.
+    let gain = i128::from(tokens).checked_mul(i128::from(w))?;
+    Some(gain - i128::from(cycles) * i128::from(t))
+}
+
+/// Walk state of an actor during policy evaluation.
+#[derive(Clone, Copy, PartialEq)]
+enum Walk {
+    Unseen,
+    OnPath,
+    Done,
+}
+
+/// The graph, indexed by destination.
+struct Graph<'a> {
+    exec: &'a [u64],
+    edges: &'a [(u32, u32, u32)],
+    /// CSR of edge indices by destination: `incoming[first[v]..first[v + 1]]`.
+    first: Vec<u32>,
+    incoming: Vec<u32>,
+}
+
+impl<'a> Graph<'a> {
+    fn new(exec: &'a [u64], edges: &'a [(u32, u32, u32)]) -> Self {
+        let n = exec.len();
+        // Counting sort by destination; the counts sit one slot late so that
+        // placing the edges leaves `first[v]` at the start of `v`'s slice.
+        let mut first = vec![0u32; n + 2];
+        for &(src, dst, _) in edges {
+            assert!((src as usize) < n && (dst as usize) < n, "edge endpoint out of range");
+            first[dst as usize + 2] += 1;
+        }
+        for v in 2..n + 2 {
+            first[v] += first[v - 1];
+        }
+        let mut incoming = vec![0u32; edges.len()];
+        for (e, &(_, dst, _)) in edges.iter().enumerate() {
+            let slot = &mut first[dst as usize + 1];
+            incoming[*slot as usize] = e as u32;
+            *slot += 1;
+        }
+        Graph { exec, edges, first, incoming }
+    }
+
+    /// `(edge index, source, tokens)` of every explicit edge into `v`.
+    fn incoming(&self, v: usize) -> impl Iterator<Item = (u32, usize, u32)> + '_ {
+        self.incoming[self.first[v] as usize..self.first[v + 1] as usize].iter().map(|&e| {
+            let (src, _, tokens) = self.edges[e as usize];
+            (e, src as usize, tokens)
+        })
+    }
+
+    /// The actors `reference` depends on (itself included), or the error
+    /// that makes the analysis pointless: a zero-token cycle among them, or
+    /// execution times whose sum does not fit `u64`.
+    fn upstream_of(&self, reference: usize) -> Result<Vec<usize>, StateSpaceError> {
+        let mut seen = vec![false; self.exec.len()];
+        seen[reference] = true;
+        let mut members = vec![reference];
+        // Zero-token out-edges per member; all of them stay among the members.
+        let mut blocking = vec![0u32; self.exec.len()];
+        let mut total = 0u64;
+        let mut next = 0;
+        while let Some(&v) = members.get(next) {
+            next += 1;
+            // No cycle weighs more than all members together, so the cycle
+            // sums of `evaluate` cannot overflow once this one has not.
+            total = total.checked_add(self.exec[v]).ok_or(OVERFLOW)?;
+            for (_, src, tokens) in self.incoming(v) {
+                blocking[src] += u32::from(tokens == 0);
+                if !std::mem::replace(&mut seen[src], true) {
+                    members.push(src);
+                }
+            }
+        }
+        // Peel actors with no zero-token out-edge left; what remains sits on
+        // a cycle that holds no token and can never fire.
+        let mut ready: Vec<usize> = members.iter().copied().filter(|&v| blocking[v] == 0).collect();
+        let mut peeled = 0;
+        while let Some(v) = ready.pop() {
+            peeled += 1;
+            for (_, src, tokens) in self.incoming(v) {
+                if tokens == 0 {
+                    blocking[src] -= 1;
+                    if blocking[src] == 0 {
+                        ready.push(src);
+                    }
+                }
+            }
+        }
+        if peeled < members.len() {
+            return Err(StateSpaceError::Deadlock);
+        }
+        Ok(members)
+    }
+}
+
+/// Howard's iterate: one chosen in-edge per actor and its evaluation.
+struct Policy {
+    /// The chosen in-edge of every actor ([`SELF_LOOP`] for the implicit one).
+    chosen: Vec<u32>,
+    /// Ratio of the policy cycle each actor hangs under.
+    ratio: Vec<Ratio>,
+    /// Potential of each actor, scaled by its ratio's denominator.
+    dist: Vec<i128>,
+    walk: Vec<Walk>,
+}
+
+impl Policy {
+    /// Every actor on its implicit self-loop.
+    fn new(n: usize) -> Self {
+        Policy {
+            chosen: vec![SELF_LOOP; n],
+            ratio: vec![(0, 0); n],
+            dist: vec![0; n],
+            walk: vec![Walk::Unseen; n],
+        }
+    }
+
+    /// Source, weight and tokens of `v`'s chosen in-edge.
+    fn chosen(&self, graph: &Graph, v: usize) -> (usize, u64, u32) {
+        match self.chosen[v] {
+            SELF_LOOP => (v, graph.exec[v], 1),
+            e => {
+                let (src, _, tokens) = graph.edges[e as usize];
+                (src as usize, graph.exec[src as usize], tokens)
+            }
+        }
+    }
+
+    /// Policy evaluation: following chosen in-edges from any actor ends in
+    /// exactly one cycle; every actor gets that cycle's ratio and its
+    /// potential relative to a root on the cycle.
+    fn evaluate(&mut self, graph: &Graph, members: &[usize]) -> Result<(), StateSpaceError> {
+        self.walk.fill(Walk::Unseen);
+        let mut path = Vec::with_capacity(members.len());
+        for &start in members {
+            path.clear();
+            let mut v = start;
+            while self.walk[v] == Walk::Unseen {
+                self.walk[v] = Walk::OnPath;
+                path.push(v);
+                v = self.chosen(graph, v).0;
+            }
+            if self.walk[v] == Walk::OnPath {
+                // The walk closed a cycle through `v`; `v` becomes its root.
+                let (mut cycles, mut tokens) = (0u64, 0u64);
+                let mut x = v;
+                loop {
+                    let (src, w, t) = self.chosen(graph, x);
+                    cycles += w;
+                    tokens += u64::from(t);
+                    x = src;
+                    if x == v {
+                        break;
+                    }
+                }
+                let g = gcd(cycles, tokens);
+                let ratio = (cycles / g, tokens / g);
+                // A root keeps its potential while its ratio stands (the
+                // cycle is then an old one): potentials only grow between
+                // ratio changes, which is what rules out cycling among
+                // policies of equal ratio.
+                if self.ratio[v] != ratio {
+                    self.ratio[v] = ratio;
+                    self.dist[v] = 0;
+                }
+                self.walk[v] = Walk::Done;
+            }
+            for &x in path.iter().rev() {
+                if self.walk[x] == Walk::Done {
+                    continue;
+                }
+                let (src, w, t) = self.chosen(graph, x);
+                let ratio = self.ratio[src];
+                self.ratio[x] = ratio;
+                self.dist[x] = reduced(w, t, ratio)
+                    .and_then(|r| r.checked_add(self.dist[src]))
+                    .ok_or(OVERFLOW)?;
+                self.walk[x] = Walk::Done;
+            }
+        }
+        Ok(())
+    }
+
+    /// Policy improvement; `false` when the policy is optimal. An actor
+    /// first adopts a predecessor under a larger ratio; only when no actor
+    /// can, one that raises its potential under the same ratio. The implicit
+    /// self-loops are the initial policy and never an improvement: ratios
+    /// only grow from there.
+    fn improve(&mut self, graph: &Graph, members: &[usize]) -> Result<bool, StateSpaceError> {
+        let mut changed = false;
+        for &v in members {
+            let mut best = self.ratio[v];
+            for (e, src, _) in graph.incoming(v) {
+                if exceeds(self.ratio[src], best) {
+                    best = self.ratio[src];
+                    self.chosen[v] = e;
+                    changed = true;
+                }
+            }
+        }
+        if changed {
+            return Ok(true);
+        }
+        for &v in members {
+            let ratio = self.ratio[v];
+            let mut best = self.dist[v];
+            for (e, src, tokens) in graph.incoming(v) {
+                if self.ratio[src] != ratio {
+                    continue;
+                }
+                let dist = reduced(graph.exec[src], tokens, ratio)
+                    .and_then(|r| r.checked_add(self.dist[src]))
+                    .ok_or(OVERFLOW)?;
+                if dist > best {
+                    best = dist;
+                    self.chosen[v] = e;
+                    changed = true;
+                }
+            }
+        }
+        Ok(changed)
+    }
+}
+
+/// Computes the exact steady-state period of actor `reference` in the
+/// homogeneous graph whose actor `i` executes for `exec[i]` cycles and whose
+/// `edges` are `(src, dst, initial tokens)`; every actor also carries an
+/// implicit one-token self-loop (no auto-concurrency). The period is the
+/// maximum of `Σ exec / Σ tokens` over the cycles `reference` depends on,
+/// which on a strongly connected graph is every cycle.
+///
+/// # Errors
+///
+/// * [`StateSpaceError::Deadlock`] when a cycle without tokens lies upstream
+///   of `reference`: it can never fire, and `reference` starves with it;
+/// * [`StateSpaceError::ZeroTimeCycle`] when the period is zero (every actor
+///   upstream executes in zero time);
+/// * [`StateSpaceError::Analysis`] with [`SdfAnalysisError::Overflow`] when
+///   the upstream execution times do not sum within `u64`, or a potential
+///   leaves `i128`.
+///
+/// # Panics
+///
+/// Panics if `reference` or an edge endpoint is out of range for `exec`.
+///
+/// # Examples
+///
+/// ```
+/// use kairos_sdf::max_cycle_ratio;
+///
+/// // A 2-cycle and a 3-cycle actor around a ring holding one token: the
+/// // ring (5 cycles per token) outweighs either self-loop.
+/// let ring = max_cycle_ratio(&[2, 3], &[(0, 1, 1), (1, 0, 0)], 0)?;
+/// assert_eq!((ring.cycles, ring.iterations), (5, 1));
+/// // A second token lets the two overlap; the slower actor sets the pace.
+/// let pipelined = max_cycle_ratio(&[2, 3], &[(0, 1, 1), (1, 0, 1)], 0)?;
+/// assert_eq!((pipelined.cycles, pipelined.iterations), (3, 1));
+/// # Ok::<(), kairos_sdf::StateSpaceError>(())
+/// ```
+pub fn max_cycle_ratio(
+    exec: &[u64],
+    edges: &[(u32, u32, u32)],
+    reference: usize,
+) -> Result<CycleRatio, StateSpaceError> {
+    assert!(reference < exec.len(), "reference actor out of range");
+    let graph = Graph::new(exec, edges);
+    let members = graph.upstream_of(reference)?;
+    let mut policy = Policy::new(exec.len());
+    let mut rounds = 0;
+    loop {
+        rounds += 1;
+        policy.evaluate(&graph, &members)?;
+        if !policy.improve(&graph, &members)? {
+            break;
+        }
+    }
+    let (cycles, iterations) = policy.ratio[reference];
+    if cycles == 0 {
+        return Err(StateSpaceError::ZeroTimeCycle);
+    }
+    Ok(CycleRatio { cycles, iterations, rounds })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::graph::{ActorId, SdfGraphBuilder};
+    use crate::statespace::throughput;
+
+    /// The solver's ratio, after checking it against the state-space oracle
+    /// on the same graph.
+    fn checked(exec: &[u64], edges: &[(u32, u32, u32)], reference: usize) -> (u64, u64) {
+        let ratio = max_cycle_ratio(exec, edges, reference).unwrap();
+        let mut b = SdfGraphBuilder::new("oracle");
+        for (i, &e) in exec.iter().enumerate() {
+            b.add_actor(format!("a{i}"), e);
+        }
+        for &(src, dst, tokens) in edges {
+            b.add_channel(ActorId(src), ActorId(dst), 1, 1, tokens);
+        }
+        let oracle = throughput(&b.build().unwrap(), ActorId(reference as u32)).unwrap();
+        assert_eq!(
+            u128::from(ratio.cycles) * u128::from(oracle.period_firings),
+            u128::from(oracle.period_time) * u128::from(ratio.iterations),
+            "solver {ratio:?} vs oracle {oracle:?}"
+        );
+        (ratio.cycles, ratio.iterations)
+    }
+
+    #[test]
+    fn ping_pong_runs_at_the_slower_actor() {
+        assert_eq!(checked(&[2, 5], &[(0, 1, 1), (1, 0, 1)], 0), (5, 1));
+        assert_eq!(checked(&[2, 5], &[(0, 1, 1), (1, 0, 1)], 1), (5, 1));
+    }
+
+    #[test]
+    fn single_token_ring_serialises() {
+        assert_eq!(checked(&[2, 3], &[(0, 1, 1), (1, 0, 0)], 0), (5, 1));
+        // Two tokens on a ring of 7 + 4 + 8 cycles: 19 / 2 beats the
+        // 8-cycle self-loop, and the ratio stays a fraction.
+        assert_eq!(checked(&[7, 4, 8], &[(0, 1, 1), (1, 2, 1), (2, 0, 0)], 2), (19, 2));
+    }
+
+    #[test]
+    fn diamond_critical_cycle_goes_out_long_and_back_short() {
+        // a -> b -> c -> d along the long branch, a -> d along the short
+        // one; every channel is backed by a two-token back-edge except the
+        // short one's, which holds one. The critical cycle runs forward
+        // through b and c and returns over that single token:
+        // (3 + 4 + 5 + 6) / 1, above every two-actor cycle and self-loop.
+        let exec = [3, 4, 5, 6];
+        let edges = [
+            (0, 1, 0),
+            (1, 0, 2),
+            (1, 2, 0),
+            (2, 1, 2),
+            (2, 3, 0),
+            (3, 2, 2),
+            (0, 3, 0),
+            (3, 0, 1),
+        ];
+        for reference in 0..4 {
+            assert_eq!(checked(&exec, &edges, reference), (18, 1));
+        }
+    }
+
+    #[test]
+    fn zero_token_cycle_is_a_deadlock() {
+        let err = max_cycle_ratio(&[1, 1], &[(0, 1, 0), (1, 0, 0)], 0).unwrap_err();
+        assert_eq!(err, StateSpaceError::Deadlock);
+        // Also when only upstream of the reference, and whatever it weighs.
+        let edges = [(0, 1, 0), (1, 0, 0), (1, 2, 0), (2, 1, 3)];
+        assert_eq!(max_cycle_ratio(&[0, 0, 9], &edges, 2).unwrap_err(), StateSpaceError::Deadlock);
+    }
+
+    #[test]
+    fn components_are_analysed_apart() {
+        // {0, 1} ping-pong at 5 cycles; {2, 3} is a dead ring. The reference
+        // decides which one is analysed.
+        let exec = [2, 5, 1, 1];
+        let edges = [(0, 1, 1), (1, 0, 1), (2, 3, 0), (3, 2, 0)];
+        assert_eq!(checked(&exec, &edges, 0), (5, 1));
+        assert_eq!(max_cycle_ratio(&exec, &edges, 2).unwrap_err(), StateSpaceError::Deadlock);
+        // Two live components with different periods.
+        let edges = [(0, 1, 1), (1, 0, 1), (2, 3, 1), (3, 2, 0)];
+        assert_eq!(checked(&exec, &edges, 1), (5, 1));
+        assert_eq!(checked(&exec, &edges, 3), (2, 1));
+    }
+
+    #[test]
+    fn only_upstream_cycles_bound_the_reference() {
+        // The one-token ring 0 <-> 1 feeds 2 over an edge with no back-edge:
+        // a fast consumer cannot outrun its producer...
+        let edges = [(0, 1, 1), (1, 0, 0), (1, 2, 0)];
+        assert_eq!(checked(&[10, 10, 1], &edges, 2), (20, 1));
+        // ...and a slow one does not hold the ring back (its input just
+        // piles up, which is why the oracle has no answer here).
+        let slow = max_cycle_ratio(&[1, 1, 50], &edges, 0).unwrap();
+        assert_eq!((slow.cycles, slow.iterations), (2, 1));
+        let slow = max_cycle_ratio(&[1, 1, 50], &edges, 2).unwrap();
+        assert_eq!((slow.cycles, slow.iterations), (50, 1));
+    }
+
+    #[test]
+    fn hostile_cycle_counts_overflow_cleanly() {
+        let huge = u64::MAX / 2;
+        let edges = [(0, 1, 0), (1, 0, 2), (1, 2, 0), (2, 1, 2)];
+        assert_eq!(max_cycle_ratio(&[huge; 3], &edges, 2).unwrap_err(), OVERFLOW);
+        // Two of them still fit, and the answer is exact.
+        let pair = max_cycle_ratio(&[huge; 2], &edges[..2], 1).unwrap();
+        assert_eq!((pair.cycles, pair.iterations), (huge, 1));
+    }
+
+    #[test]
+    fn zero_time_graphs_are_refused() {
+        let err = max_cycle_ratio(&[0, 0], &[(0, 1, 1), (1, 0, 1)], 0).unwrap_err();
+        assert_eq!(err, StateSpaceError::ZeroTimeCycle);
+    }
+
+    #[test]
+    #[should_panic(expected = "reference actor out of range")]
+    fn bad_reference_panics() {
+        let _ = max_cycle_ratio(&[1], &[], 1);
+    }
+}

@@ -1,12 +1,13 @@
 //! Property-based tests of the SDF substrate: repetition vectors balance
-//! rates, bounded graphs always reach a periodic phase, and throughput
-//! respects the bottleneck bound.
+//! rates, bounded graphs always reach a periodic phase, throughput
+//! respects the bottleneck bound, and on homogeneous graphs the computed
+//! maximum cycle ratio is the explored period.
 
 use proptest::prelude::*;
 
 use kairos_sdf::{
-    check_deadlock_free, repetition_vector, throughput, throughput_with, ActorId, SdfGraph,
-    SdfGraphBuilder, StateSpaceConfig,
+    check_deadlock_free, max_cycle_ratio, repetition_vector, throughput, throughput_with, ActorId,
+    SdfGraph, SdfGraphBuilder, StateSpaceConfig, StateSpaceError,
 };
 
 /// A random chain graph with bounded buffers (always consistent & live).
@@ -108,6 +109,54 @@ proptest! {
         let base = throughput(&build(1), ActorId(0)).unwrap();
         let scaled = throughput(&build(k), ActorId(0)).unwrap();
         prop_assert!((scaled.iteration_period - k as f64 * base.iteration_period).abs() < 1e-6);
+    }
+
+    /// On a homogeneous graph the maximum cycle ratio is the self-timed
+    /// period: tokens anywhere (0-3 on either direction of a link, so some
+    /// graphs deadlock), parallel links, several components, any reference.
+    #[test]
+    fn cycle_ratio_is_the_explored_period(
+        exec in proptest::collection::vec(1u64..50, 1..7),
+        links in proptest::collection::vec((0usize..60, 0usize..60, 0u32..4, 0u32..4), 0..10),
+        reference in 0usize..60,
+    ) {
+        let n = exec.len();
+        let reference = reference % n;
+        // Every link is a pair of opposed edges, which keeps the state
+        // space finite for the oracle.
+        let edges: Vec<(u32, u32, u32)> = links
+            .iter()
+            .filter(|&&(a, b, ..)| a % n != b % n)
+            .flat_map(|&(a, b, there, back)| {
+                let (a, b) = ((a % n) as u32, (b % n) as u32);
+                [(a, b, there), (b, a, back)]
+            })
+            .collect();
+        let mut b = SdfGraphBuilder::new("homogeneous");
+        for (i, &e) in exec.iter().enumerate() {
+            b.add_actor(format!("a{i}"), e);
+        }
+        for &(src, dst, tokens) in &edges {
+            b.add_channel(ActorId(src), ActorId(dst), 1, 1, tokens);
+        }
+        let config = StateSpaceConfig { max_events: 100_000 };
+        let explored = throughput_with(&b.build().unwrap(), ActorId(reference as u32), &config);
+        match (max_cycle_ratio(&exec, &edges, reference), explored) {
+            // Components with co-prime periods recur late; no verdict to compare.
+            (_, Err(StateSpaceError::Diverged { .. })) => {}
+            (Ok(ratio), Ok(explored)) => prop_assert_eq!(
+                ratio.cycles * explored.period_firings,
+                explored.period_time * ratio.iterations,
+                "{:?} vs {:?}", ratio, explored
+            ),
+            // The oracle tells a global stop from a starved reference; the
+            // solver sees the reference's component only.
+            (Err(StateSpaceError::Deadlock), Err(explored)) => prop_assert!(matches!(
+                explored,
+                StateSpaceError::Deadlock | StateSpaceError::ReferenceStarved
+            )),
+            (ratio, explored) => prop_assert!(false, "{:?} vs {:?}", ratio, explored),
+        }
     }
 
     /// The event budget is respected: tiny budgets yield Diverged, never a
