@@ -3,6 +3,7 @@
 use std::collections::VecDeque;
 use std::fmt;
 
+use kairos_platform::Digest;
 use serde::{Deserialize, Serialize};
 
 use crate::channel::{Channel, ChannelId};
@@ -67,6 +68,45 @@ pub struct Application {
     out_adj: Vec<Vec<(TaskId, ChannelId)>>,
     /// Incoming adjacency per task: `(producer, channel)`.
     in_adj: Vec<Vec<(TaskId, ChannelId)>>,
+    /// See [`Application::shape_hash`]; a function of the fields above.
+    shape: u128,
+}
+
+/// Hashes everything of an application but its name, in declaration order.
+fn shape_hash(tasks: &[Task], channels: &[Channel], constraints: &[Constraint]) -> u128 {
+    let mut d = Digest::new(tasks.len() as u64);
+    for t in tasks {
+        d.str(t.name());
+        d.word(t.role() as u64);
+        d.word(t.implementations().len() as u64);
+        for imp in t.implementations() {
+            d.word(imp.target() as u64);
+            imp.requires().as_array().iter().for_each(|&r| d.word(r));
+            d.word(imp.exec_cycles());
+            d.word(imp.energy());
+        }
+    }
+    d.word(channels.len() as u64);
+    for c in channels {
+        d.word((u64::from(c.src().0) << 32) | u64::from(c.dst().0));
+        d.word(c.bandwidth());
+        d.word(u64::from(c.tokens_per_firing()));
+    }
+    d.word(constraints.len() as u64);
+    for k in constraints {
+        match *k {
+            Constraint::Throughput { max_period_cycles } => {
+                d.word(0);
+                d.word(max_period_cycles);
+            }
+            Constraint::Latency { max_latency_cycles, pipeline_depth } => {
+                d.word(1);
+                d.word(max_latency_cycles);
+                d.word(u64::from(pipeline_depth));
+            }
+        }
+    }
+    d.finish()
 }
 
 impl Application {
@@ -100,12 +140,23 @@ impl Application {
             out_adj[c.src().index()].push((c.dst(), c.id()));
             in_adj[c.dst().index()].push((c.src(), c.id()));
         }
-        Ok(Application { name, tasks, channels, constraints, out_adj, in_adj })
+        let shape = shape_hash(&tasks, &channels, &constraints);
+        Ok(Application { name, tasks, channels, constraints, out_adj, in_adj, shape })
     }
 
     /// The application's name.
     pub fn name(&self) -> &str {
         &self.name
+    }
+
+    /// A 128-bit structural hash of everything an admission pipeline reads
+    /// — tasks with their names, roles and implementations, channels,
+    /// constraints — *except* the application's name, which it never
+    /// reads: two instances of one shape under different names hash
+    /// equal. An application is immutable once built, so the hash is
+    /// computed there, once, and this is a field read.
+    pub fn shape_hash(&self) -> u128 {
+        self.shape
     }
 
     /// Number of tasks.
@@ -472,6 +523,104 @@ mod tests {
         let t0 = b.add_task("a", TaskRole::Input, vec![imp()]);
         b.add_channel(t0, t0, 1, 1);
         assert_eq!(b.build().unwrap_err(), ApplicationError::SelfChannel(t0));
+    }
+
+    #[test]
+    fn shape_hash_sees_every_field_but_the_name() {
+        /// Everything a two-task application is made of, as plain values.
+        #[derive(Clone)]
+        struct Spec {
+            task_names: [&'static str; 2],
+            roles: [TaskRole; 2],
+            target: ElementKind,
+            requires: [u64; 4],
+            exec_cycles: u64,
+            energy: u64,
+            second_impl: bool,
+            third_task: bool,
+            channel: (u32, u32, u64, u32),
+            second_channel: bool,
+            constraint: Option<Constraint>,
+        }
+        fn build(name: &str, spec: &Spec) -> Application {
+            let [compute, memory, area, io] = spec.requires;
+            let imp = Implementation::new(
+                spec.target,
+                ResourceVector::new(compute, memory, area, io),
+                spec.exec_cycles,
+                spec.energy,
+            );
+            let impls = if spec.second_impl { vec![imp, imp] } else { vec![imp] };
+            let mut b = ApplicationBuilder::new(name);
+            b.add_task(spec.task_names[0], spec.roles[0], impls);
+            b.add_task(spec.task_names[1], spec.roles[1], vec![imp]);
+            if spec.third_task {
+                b.add_task("extra", TaskRole::Internal, vec![imp]);
+            }
+            let (src, dst, bandwidth, tokens) = spec.channel;
+            b.add_channel(TaskId(src), TaskId(dst), bandwidth, tokens);
+            if spec.second_channel {
+                b.add_channel(TaskId(src), TaskId(dst), bandwidth, tokens);
+            }
+            if let Some(constraint) = spec.constraint {
+                b.add_constraint(constraint);
+            }
+            b.build().unwrap()
+        }
+        let base = Spec {
+            task_names: ["in", "out"],
+            roles: [TaskRole::Input, TaskRole::Output],
+            target: ElementKind::Dsp,
+            requires: [500, 16, 2, 1],
+            exec_cycles: 100,
+            energy: 5,
+            second_impl: false,
+            third_task: false,
+            channel: (0, 1, 120, 1),
+            second_channel: false,
+            constraint: Some(Constraint::Latency { max_latency_cycles: 900, pipeline_depth: 2 }),
+        };
+        let shape = build("a", &base).shape_hash();
+        assert_eq!(build("b", &base).shape_hash(), shape, "the name is not part of the shape");
+
+        type Edit = (&'static str, fn(&mut Spec));
+        let edits: [Edit; 19] = [
+            ("task name", |s| s.task_names[0] = "inn"),
+            ("task role", |s| s.roles[1] = TaskRole::Internal),
+            ("implementation count", |s| s.second_impl = true),
+            ("target kind", |s| s.target = ElementKind::Arm),
+            ("compute demand", |s| s.requires[0] += 1),
+            ("memory demand", |s| s.requires[1] += 1),
+            ("area demand", |s| s.requires[2] += 1),
+            ("io demand", |s| s.requires[3] += 1),
+            ("execution time", |s| s.exec_cycles += 1),
+            ("energy", |s| s.energy += 1),
+            ("task count", |s| s.third_task = true),
+            ("channel direction", |s| s.channel = (1, 0, 120, 1)),
+            ("channel bandwidth", |s| s.channel.2 += 1),
+            ("tokens per firing", |s| s.channel.3 += 1),
+            ("channel count", |s| s.second_channel = true),
+            ("constraint presence", |s| s.constraint = None),
+            ("constraint kind", |s| {
+                s.constraint = Some(Constraint::Throughput { max_period_cycles: 900 })
+            }),
+            ("latency bound", |s| {
+                s.constraint =
+                    Some(Constraint::Latency { max_latency_cycles: 901, pipeline_depth: 2 })
+            }),
+            ("pipeline depth", |s| {
+                s.constraint =
+                    Some(Constraint::Latency { max_latency_cycles: 900, pipeline_depth: 3 })
+            }),
+        ];
+        let mut seen = vec![shape];
+        for (field, edit) in edits {
+            let mut spec = base.clone();
+            edit(&mut spec);
+            let edited = build("a", &spec).shape_hash();
+            assert!(!seen.contains(&edited), "{field} does not reach the shape hash");
+            seen.push(edited);
+        }
     }
 
     #[test]

@@ -68,8 +68,36 @@ prop_compose! {
     }
 }
 
+/// `app` rebuilt part by part under another name.
+fn renamed(app: &Application, name: &str) -> Application {
+    let mut b = ApplicationBuilder::new(name);
+    for t in app.tasks() {
+        b.add_task(t.name(), t.role(), t.implementations().to_vec());
+    }
+    for c in app.channels() {
+        b.add_channel(c.src(), c.dst(), c.bandwidth(), c.tokens_per_firing());
+    }
+    for &k in app.constraints() {
+        b.add_constraint(k);
+    }
+    b.build().expect("a rebuilt application is as valid as its original")
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
+
+    /// The shape hash is a function of everything but the name: a rename,
+    /// a clone and a trip through the binary format all keep it.
+    #[test]
+    fn shape_hash_survives_rename_clone_and_binfmt(app in application()) {
+        let shape = app.shape_hash();
+        let other = renamed(&app, "another-name");
+        prop_assert!(other != app);
+        prop_assert_eq!(other.shape_hash(), shape);
+        prop_assert_eq!(app.clone().shape_hash(), shape);
+        let decoded = binfmt::decode(&binfmt::encode(&other)).expect("decode must succeed");
+        prop_assert_eq!(decoded.shape_hash(), shape);
+    }
 
     /// The binary format round-trips every valid application exactly.
     #[test]

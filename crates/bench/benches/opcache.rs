@@ -10,9 +10,14 @@
 //! cache-enabled manager (primed, so every timed admission hits) with
 //! the identical cold manager.
 //!
-//! The run asserts the inequality the subsystem exists for — warm
-//! replay-path admission must be strictly faster than the cold pipeline
-//! on this workload — which CI executes as a smoke check.
+//! Neither half of the key is computed per lookup (the shape is a field
+//! of the application, the stamp re-digests only the records the
+//! previous admit/release cycle touched), so a hit costs its replayed
+//! claims: the warm path reads about 10x the cold one on CRISP (8.7-15.6x
+//! over ten runs on a shared two-core box; 1.8x while every lookup
+//! re-hashed the platform). The run asserts half of that — warm at least
+//! [`FLOOR`] times faster — which CI executes as a smoke check; a reading
+//! near 2x means something recomputes a key.
 
 use std::time::Instant;
 
@@ -72,6 +77,9 @@ fn cycle_micros(kairos: &mut Kairos, apps: &[Application], reps: u32) -> f64 {
     best
 }
 
+/// The asserted warm-over-cold speed-up: half the usual 10x reading.
+const FLOOR: f64 = 5.0;
+
 fn main() {
     const APPS: usize = 32;
     const REPS: u32 = 9;
@@ -114,8 +122,8 @@ fn main() {
 
     assert_eq!(timed_hits, timed_lookups, "every timed admission must hit the primed cache");
     assert!(
-        warm_us < cold_us,
-        "warm replay-path admission must beat the cold pipeline \
+        warm_us * FLOOR <= cold_us,
+        "warm replay-path admission must be at least {FLOOR}x faster than the cold pipeline \
          (warm {warm_us:.0}us vs cold {cold_us:.0}us over {APPS} cycles)"
     );
     println!(

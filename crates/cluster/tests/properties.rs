@@ -124,7 +124,7 @@ fn monolith(queued: bool) -> KairosService {
 /// One call a gateway made into the service it wraps.
 #[derive(Debug, Clone)]
 enum Call {
-    Submit(Request),
+    Submit(Box<Request>),
     Pump(CapacityEvent),
 }
 
@@ -139,7 +139,7 @@ struct Tap {
 
 impl ResourceService for Tap {
     fn submit(&mut self, request: Request) -> Ticket {
-        self.calls.lock().unwrap().push(Call::Submit(request.clone()));
+        self.calls.lock().unwrap().push(Call::Submit(Box::new(request.clone())));
         self.inner.submit(request)
     }
     fn submit_batch(&mut self, requests: Vec<Request>) -> Vec<Ticket> {
@@ -335,7 +335,7 @@ proptest! {
             match call {
                 Call::Submit(request) => {
                     prop_assert!(request.ticket.is_some(), "the gateway stamps what it forwards");
-                    direct.submit(request);
+                    direct.submit(*request);
                     replayed.extend(direct.take_events());
                 }
                 Call::Pump(event) => replayed.extend(direct.pump(event)),

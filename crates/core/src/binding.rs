@@ -8,14 +8,14 @@
 //! only asserts that the required resources are available *somewhere* in the
 //! platform; *where* is the mapping phase's problem.
 //!
-//! Feasibility is tracked against a virtual copy of the platform's free
+//! Feasibility is tracked against a virtual view of the platform's free
 //! resources: as tasks are bound, their demands are debited from a best-fit
 //! element of the pool, so an application whose aggregate demand exceeds the
 //! remaining platform capacity is rejected here — exactly the failure mode
 //! that dominates the computation-oriented datasets of Table I.
 
 use kairos_app::{Application, ImplId, Implementation, TaskId};
-use kairos_platform::{ElementKind, Platform, ResourceVector};
+use kairos_platform::{ElementId, ElementKind, Platform, ResourceVector};
 
 use crate::error::BindingError;
 use crate::layout::Binding;
@@ -27,60 +27,78 @@ struct Candidate {
     energy: u64,
 }
 
-/// Virtual free-resource pool, one entry per element, debited as bindings
-/// are decided.
+/// Virtual free-resource pool: the platform's free vectors under a small
+/// overlay of the debits made as bindings are decided. Nothing
+/// platform-sized is copied, and every query walks only the elements of
+/// the kind it asks about.
 #[derive(Debug)]
-struct Pool {
-    kinds: Vec<ElementKind>,
-    free: Vec<ResourceVector>,
-    alive: Vec<bool>,
+struct Pool<'a> {
+    platform: &'a Platform,
+    /// Elements debited so far with what they have left, ascending by
+    /// element id; at most one entry per bound task.
+    debited: Vec<(ElementId, ResourceVector)>,
 }
 
-impl Pool {
-    fn of(platform: &Platform) -> Pool {
-        Pool {
-            kinds: platform.elements().map(|e| e.kind()).collect(),
-            free: platform.element_ids().map(|e| platform.free(e)).collect(),
-            alive: platform.element_ids().map(|e| !platform.is_failed(e)).collect(),
-        }
+impl<'a> Pool<'a> {
+    fn of(platform: &'a Platform) -> Self {
+        Pool { platform, debited: Vec::new() }
+    }
+
+    /// The alive elements of `kind` with their virtual free vectors, in
+    /// ascending id order — the order the overlay is kept in, so one
+    /// cursor walks it alongside.
+    fn free_of_kind(
+        &self,
+        kind: ElementKind,
+    ) -> impl Iterator<Item = (ElementId, ResourceVector)> + '_ {
+        let mut debited = self.debited.iter().peekable();
+        self.platform.ids_of_kind(kind).iter().filter(|&&e| !self.platform.is_failed(e)).map(
+            move |&e| {
+                while debited.next_if(|&&(d, _)| d < e).is_some() {}
+                match debited.peek() {
+                    Some(&&(d, left)) if d == e => (e, left),
+                    _ => (e, self.platform.free(e)),
+                }
+            },
+        )
     }
 
     /// `true` when some element of `kind` still covers `demand`.
     fn feasible(&self, kind: ElementKind, demand: &ResourceVector) -> bool {
-        self.best_fit(kind, demand).is_some()
+        self.free_of_kind(kind).any(|(_, free)| free.fits(demand))
     }
 
-    /// Index of the element of `kind` that fits `demand` with the least
-    /// leftover capacity (best fit), if any.
-    fn best_fit(&self, kind: ElementKind, demand: &ResourceVector) -> Option<usize> {
-        let mut best: Option<(usize, u64)> = None;
-        for i in 0..self.free.len() {
-            if !self.alive[i] || self.kinds[i] != kind || !self.free[i].fits(demand) {
-                continue;
-            }
-            let leftover = self.free[i].saturating_sub(demand).total();
-            match best {
-                Some((_, l)) if l <= leftover => {}
-                _ => best = Some((i, leftover)),
+    /// The element of `kind` that fits `demand` with the least leftover
+    /// capacity (best fit; the lowest id among equals), with what it would
+    /// have left.
+    fn best_fit(
+        &self,
+        kind: ElementKind,
+        demand: &ResourceVector,
+    ) -> Option<(ElementId, ResourceVector)> {
+        let mut best: Option<(u64, ElementId, ResourceVector)> = None;
+        for (e, free) in self.free_of_kind(kind) {
+            let Some(left) = free.checked_sub(demand) else { continue };
+            let leftover = left.total();
+            if best.is_none_or(|(least, ..)| leftover < least) {
+                best = Some((leftover, e, left));
             }
         }
-        best.map(|(i, _)| i)
+        best.map(|(_, e, left)| (e, left))
     }
 
     /// Debits `demand` from the best-fit element of `kind`.
     fn commit(&mut self, kind: ElementKind, demand: &ResourceVector) -> bool {
-        match self.best_fit(kind, demand) {
-            Some(i) => {
-                self.free[i] =
-                    self.free[i].checked_sub(demand).expect("best_fit guarantees the demand fits");
-                true
-            }
-            None => false,
+        let Some((e, left)) = self.best_fit(kind, demand) else { return false };
+        match self.debited.binary_search_by_key(&e, |&(d, _)| d) {
+            Ok(at) => self.debited[at].1 = left,
+            Err(at) => self.debited.insert(at, (e, left)),
         }
+        true
     }
 }
 
-fn feasible_candidates(task_impls: &[Implementation], pool: &Pool) -> Vec<Candidate> {
+fn feasible_candidates(task_impls: &[Implementation], pool: &Pool<'_>) -> Vec<Candidate> {
     let mut out = Vec::new();
     for (i, imp) in task_impls.iter().enumerate() {
         if pool.feasible(imp.target(), &imp.requires()) {
@@ -98,7 +116,7 @@ fn feasible_candidates(task_impls: &[Implementation], pool: &Pool) -> Vec<Candid
 /// hopeless".
 fn structurally_infeasible(task_impls: &[Implementation], platform: &Platform) -> bool {
     task_impls.iter().all(|imp| {
-        !platform.elements().any(|e| e.kind() == imp.target() && e.capacity().fits(&imp.requires()))
+        !platform.elements_of_kind(imp.target()).any(|e| e.capacity().fits(&imp.requires()))
     })
 }
 
@@ -192,6 +210,68 @@ mod tests {
 
     fn arm_impl(cpu: u64, energy: u64) -> Implementation {
         Implementation::new(ElementKind::Arm, ResourceVector::new(cpu, 64, 0, 0), 100, energy)
+    }
+
+    /// The pool's definition: a dense copy of every free vector, debited
+    /// in place, scanned whole.
+    fn dense_best_fit(
+        platform: &Platform,
+        free: &[ResourceVector],
+        kind: ElementKind,
+        demand: &ResourceVector,
+    ) -> Option<usize> {
+        let mut best: Option<(usize, u64)> = None;
+        for (i, element) in platform.elements().enumerate() {
+            if platform.is_failed(element.id()) || element.kind() != kind || !free[i].fits(demand) {
+                continue;
+            }
+            let leftover = free[i].saturating_sub(demand).total();
+            if best.is_none_or(|(_, least)| leftover < least) {
+                best = Some((i, leftover));
+            }
+        }
+        best.map(|(i, _)| i)
+    }
+
+    #[test]
+    fn overlay_pool_decides_what_a_dense_copy_decides() {
+        // A loaded heterogeneous platform with dead elements, then a long
+        // run of debits that interleaves kinds and returns to elements
+        // already debited, so the overlay's cursor has to skip entries of
+        // other kinds and update entries in place.
+        let mut platform = topology::heterogeneous_mesh(6, 6);
+        let ids: Vec<_> = platform.element_ids().collect();
+        for (i, &e) in ids.iter().enumerate() {
+            let claimed = platform.free(e).scaled((i as u64 * 7) % 10, 10);
+            platform.claim(e, Occupant { app: AppId(0), task: i as u32, claimed }).unwrap();
+            if i % 11 == 3 {
+                platform.fail_element(e);
+            }
+        }
+        let mut pool = Pool::of(&platform);
+        let mut dense: Vec<ResourceVector> = ids.iter().map(|&e| platform.free(e)).collect();
+        let mut committed = 0;
+        for step in 0..400u64 {
+            let kind = [
+                ElementKind::Dsp,
+                ElementKind::Memory,
+                ElementKind::Dsp,
+                ElementKind::Fpga,
+                ElementKind::Arm,
+                ElementKind::TestUnit, // none on this platform
+            ][step as usize % 6];
+            let demand = ResourceVector::new(step * 37 % 150, step * 13 % 8, 0, 0);
+            let expected = dense_best_fit(&platform, &dense, kind, &demand);
+            assert_eq!(pool.best_fit(kind, &demand).map(|(e, _)| e.index()), expected);
+            assert_eq!(pool.feasible(kind, &demand), expected.is_some());
+            assert_eq!(pool.commit(kind, &demand), expected.is_some());
+            if let Some(i) = expected {
+                dense[i] = dense[i].checked_sub(&demand).unwrap();
+                committed += 1;
+            }
+        }
+        assert!(committed > 100 && committed < 300, "{committed} debits: both outcomes exercised");
+        assert!(pool.debited.len() < committed, "debits returned to debited elements");
     }
 
     #[test]

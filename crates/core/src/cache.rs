@@ -10,14 +10,24 @@
 //!
 //! * the **operating-point cache** (`kairos-opcache`, when
 //!   `KairosConfig::cache` is set) keys decisions by
-//!   `(ShapeKey, StateStamp)` — a hash of the whole mutable platform
-//!   state — so a decision can come back any number of admissions later;
+//!   `(ShapeKey, StateStamp)` — a digest of the whole mutable platform
+//!   state — so a decision can come back any number of admissions later.
+//!   Neither half is computed per lookup: the shape is a field the
+//!   application hashed when it was built, and the stamp is a sum of
+//!   per-record digests the platform maintains, re-digesting at a lookup
+//!   only the records mutated since the previous one (a probe's
+//!   claim-and-rollback dirties a handful and leaves the sum where it
+//!   was; only `Platform::restore` voids all of them). `Kairos::place`
+//!   asserts the maintained stamp equal to the from-scratch
+//!   `kairos_opcache::stamp_of` on every lookup in debug builds;
 //! * the **probe hand-off** (the `handoff` field of an uncached
 //!   `Kairos`) keeps the last `probe_admit`'s decision beside the
 //!   platform's `state_epoch`, read after the probe's rollback —
 //!   rollback restores the bytes exactly and every later mutation bumps
-//!   the epoch, so an equal epoch proves the same state without hashing
-//!   anything. It serves the one admission that follows the probe.
+//!   the epoch, so an equal epoch proves the same state without
+//!   digesting anything, not even the dirty records: an uncached
+//!   manager never stamps, so its platform never builds the digest
+//!   tables. It serves the one admission that follows the probe.
 //!
 //! Neither key covers the cost weights: `Kairos::set_weights` voids both.
 

@@ -13,7 +13,9 @@ use std::fmt;
 use std::sync::Arc;
 
 use kairos_app::Application;
-use kairos_opcache::{shape_of, CacheConfig, CacheStats, MappingCache, ShapeKey, StateStamp};
+use kairos_opcache::{
+    shape_of, stamp_of, CacheConfig, CacheStats, MappingCache, ShapeKey, StateStamp,
+};
 use kairos_platform::{AppId, ElementId, Occupant, Platform, PlatformCheckpoint, ResourceVector};
 use kairos_telemetry::{Counter, Gauge, Histogram, Level, Telemetry, TraceContext};
 
@@ -468,11 +470,27 @@ impl Kairos {
     /// An instantaneous snapshot of all occupancy metrics, for time-series
     /// sampling by long-running drivers (the `kairos-sim` scenario engine).
     pub fn occupancy(&self) -> OccupancySnapshot {
-        let free: u64 = self.platform.total_free().as_array().iter().sum();
-        let capacity: u64 = self.platform.total_capacity().as_array().iter().sum();
+        // One walk for what `total_free`, `total_capacity`,
+        // `element_utilisation` and `failed_elements` would each walk for:
+        // this runs after every successful probe.
+        let (mut free, mut capacity) = (ResourceVector::ZERO, ResourceVector::ZERO);
+        let (mut used, mut failed) = (0usize, 0usize);
+        for element in self.platform.elements() {
+            let id = element.id();
+            used += usize::from(self.platform.is_used(id));
+            if self.platform.is_failed(id) {
+                failed += 1;
+            } else {
+                free += self.platform.free(id);
+                capacity += element.capacity();
+            }
+        }
+        let free: u64 = free.as_array().iter().sum();
+        let capacity: u64 = capacity.as_array().iter().sum();
+        let elements = self.platform.element_count();
         OccupancySnapshot {
             admitted_apps: self.admitted.len(),
-            element_utilisation: kairos_platform::element_utilisation(&self.platform),
+            element_utilisation: if elements == 0 { 0.0 } else { used as f64 / elements as f64 },
             resource_utilisation: if capacity == 0 {
                 0.0
             } else {
@@ -480,7 +498,7 @@ impl Kairos {
             },
             external_fragmentation: kairos_platform::external_fragmentation(&self.platform),
             free_islands: kairos_platform::free_island_count(&self.platform),
-            failed_elements: self.platform.failed_elements().len(),
+            failed_elements: failed,
         }
     }
 
@@ -973,7 +991,10 @@ impl Kairos {
     /// to (and populating from) the cold four-phase pipeline on a miss.
     ///
     /// A hit requires the exact `(shape, platform-state)` key, so the
-    /// replayed claims reproduce the cold run's platform bytes precisely;
+    /// replayed claims reproduce the cold run's platform bytes precisely.
+    /// Both halves of the key are kept, not computed: the shape is a field
+    /// of the application and the stamp re-digests only the platform
+    /// records mutated since the previous lookup.
     /// `timings` stays zero on the warm path (there are no phases to
     /// time — deterministic drivers zero the cold path's clock too, so
     /// the cache never changes report bytes).
@@ -985,15 +1006,17 @@ impl Kairos {
         ctx: TraceContext,
         now: u64,
     ) -> Result<(ExecutionLayout, Option<ValidationReport>), AllocationError> {
-        if self.cache.is_none() {
+        let Some(cache) = self.cache.as_mut() else {
             return self.run_phases(app, app_id, timings, ctx, now);
-        }
-        let shape = shape_of(app);
-        let (stamp, cached) = {
-            let cache = self.cache.as_mut().expect("checked above");
-            let stamp = cache.stamp(&self.platform);
-            (stamp, cache.lookup(shape, stamp))
         };
+        let shape = shape_of(app);
+        let stamp = StateStamp::maintained(&mut self.platform);
+        debug_assert_eq!(
+            stamp,
+            stamp_of(&self.platform),
+            "a platform mutation went unmarked in the stamp ledger"
+        );
+        let cached = cache.lookup(shape, stamp);
         if ctx.is_some() {
             let outcome = if cached.is_some() { "hit" } else { "miss" };
             self.telemetry.trace_child(
@@ -1180,10 +1203,10 @@ impl Kairos {
     /// admission registry and id counter — for a later
     /// [`Kairos::restore`]. The operating-point cache is *not* part of
     /// the image: cached decisions are keyed by platform state, so they
-    /// stay valid across a rewind. What makes that safe is the state
-    /// epoch bump inside `Platform::restore`, which forces the next
-    /// cache lookup to re-stamp the platform instead of trusting a memo
-    /// from before the rewind.
+    /// stay valid across a rewind. What makes that safe is that
+    /// `Platform::restore` voids the maintained stamp wholesale, so the
+    /// next cache lookup digests the restored state instead of trusting
+    /// per-record digests from before the rewind.
     ///
     /// A checkpoint may be taken while a transaction is open; see
     /// `Platform::checkpoint`.
@@ -1413,6 +1436,19 @@ mod tests {
         assert!(busy.element_utilisation > 0.0);
         assert!(busy.resource_utilisation > 0.0);
         assert_eq!(busy.element_utilisation, kairos.utilisation());
+
+        // The snapshot's single walk reads what the platform's own totals
+        // read, failed elements excluded from both sides of the ratio.
+        let spare = kairos.platform().element_ids().find(|&e| !kairos.platform().is_used(e));
+        kairos.fail_element(spare.unwrap());
+        let degraded = kairos.occupancy();
+        let free: u64 = kairos.platform().total_free().as_array().iter().sum();
+        let capacity: u64 = kairos.platform().total_capacity().as_array().iter().sum();
+        assert_eq!(degraded.resource_utilisation, 1.0 - free as f64 / capacity as f64);
+        assert_eq!(degraded.element_utilisation, kairos.utilisation());
+        assert_eq!(degraded.failed_elements, kairos.platform().failed_elements().len());
+        assert!(degraded.resource_utilisation > busy.resource_utilisation);
+        kairos.repair_element(spare.unwrap());
 
         kairos.release(report.app_id);
         assert_eq!(kairos.occupancy(), idle, "release restores the idle snapshot");

@@ -12,8 +12,10 @@
 //!
 //! * [`ShapeKey`] — a structural hash of the [`Application`] *excluding
 //!   its name* (the pipeline never reads the name), so identical
-//!   workload-sampled applications share cache entries;
-//! * [`StateStamp`] — a hash of the complete mutable platform state
+//!   workload-sampled applications share cache entries. An application
+//!   is immutable once built and hashes itself there
+//!   ([`Application::shape_hash`]); [`shape_of`] is a field read.
+//! * [`StateStamp`] — a digest of the complete mutable platform state
 //!   (free vectors, resident order, link occupancy, failure marks). A
 //!   cache hit therefore certifies that the platform is byte-identical
 //!   to the state the point was computed on, and since the pipeline is
@@ -21,15 +23,27 @@
 //!   decision the cold pipeline would have made. A warm cache changes
 //!   which work runs, never what is decided.
 //!
-//! Stamping the full state per lookup would be `O(|E| + |L|)`, so the
-//! cache memoizes the stamp against [`Platform::state_epoch`], the
-//! monotone mutation counter every ledger mutation bumps. Entries are
-//! additionally invalidated eagerly on fault/repair/migration events via
-//! [`MappingCache::invalidate_element`] — the stamp alone already keeps
-//! stale points from being *used* (a mutated platform stamps
-//! differently), so eager invalidation is what keeps dead elements from
-//! pinning memory and what the `kairos.opcache.invalidations` counter
-//! observes.
+//! The stamp is a *maintained commutative digest*: the wrapping `u128`
+//! sum of one digest per element record and one per link record, each
+//! carrying its record's index so equal contents in two places never
+//! cancel. The platform keeps the per-record digests and marks a record
+//! dirty whenever a mutator — claim, release, transfer, link claim or
+//! release, failure-mark flip — or the rollback of one rewrites it;
+//! [`StateStamp::maintained`] re-digests only the marked records, so a
+//! lookup costs O(records mutated since the previous lookup), not
+//! `O(|E| + |L|)`. A probe's claim-and-rollback dirties a handful of
+//! records and leaves the stamp exactly where it was. Only
+//! `Platform::restore` marks everything at once: a checkpoint carries
+//! state, not digests. [`stamp_of`] is the from-scratch definition of the
+//! same sum, which the manager asserts equal on every lookup in debug
+//! builds.
+//!
+//! Entries are additionally invalidated eagerly on fault/repair/migration
+//! events via [`MappingCache::invalidate_element`] — the stamp alone
+//! already keeps stale points from being *used* (a mutated platform
+//! stamps differently), so eager invalidation is what keeps dead elements
+//! from pinning cache capacity and what the
+//! `kairos.opcache.invalidations` counter observes.
 //!
 //! The cache is generic over the stored point type `P` (the manager
 //! stores its own decision record, including refusals) through the
@@ -44,41 +58,7 @@
 use std::collections::{BTreeMap, VecDeque};
 
 use kairos_app::Application;
-use kairos_platform::{ElementId, LinkId, Platform};
-
-/// 128-bit FNV-1a, the workspace's dependency-free structural hash.
-#[derive(Debug, Clone, Copy)]
-struct Fnv(u128);
-
-const FNV_OFFSET: u128 = 0x6c62272e07bb014262b821756295c58d;
-const FNV_PRIME: u128 = 0x0000000001000000000000000000013B;
-
-impl Fnv {
-    fn new() -> Self {
-        Fnv(FNV_OFFSET)
-    }
-
-    #[inline]
-    fn byte(&mut self, b: u8) {
-        self.0 ^= b as u128;
-        self.0 = self.0.wrapping_mul(FNV_PRIME);
-    }
-
-    #[inline]
-    fn u64(&mut self, v: u64) {
-        for b in v.to_le_bytes() {
-            self.byte(b);
-        }
-    }
-
-    #[inline]
-    fn str(&mut self, s: &str) {
-        self.u64(s.len() as u64);
-        for b in s.as_bytes() {
-            self.byte(*b);
-        }
-    }
-}
+use kairos_platform::{ElementId, Platform};
 
 /// Structural signature of an [`Application`]: everything the admission
 /// pipeline reads — tasks, roles, implementations, channels, constraints
@@ -87,80 +67,34 @@ impl Fnv {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct ShapeKey(u128);
 
-/// Computes the [`ShapeKey`] of `app`.
+/// The [`ShapeKey`] of `app`: the hash the application computed when it
+/// was built.
 pub fn shape_of(app: &Application) -> ShapeKey {
-    let mut h = Fnv::new();
-    h.u64(app.task_count() as u64);
-    for t in app.tasks() {
-        h.str(t.name());
-        h.u64(t.role() as u64);
-        h.u64(t.implementations().len() as u64);
-        for imp in t.implementations() {
-            h.str(imp.target().label());
-            for &r in imp.requires().as_array() {
-                h.u64(r);
-            }
-            h.u64(imp.exec_cycles());
-            h.u64(imp.energy());
-        }
-    }
-    h.u64(app.channel_count() as u64);
-    for c in app.channels() {
-        h.u64(c.src().0 as u64);
-        h.u64(c.dst().0 as u64);
-        h.u64(c.bandwidth());
-        h.u64(c.tokens_per_firing() as u64);
-    }
-    h.u64(app.constraints().len() as u64);
-    for k in app.constraints() {
-        match *k {
-            kairos_app::Constraint::Throughput { max_period_cycles } => {
-                h.u64(0);
-                h.u64(max_period_cycles);
-            }
-            kairos_app::Constraint::Latency { max_latency_cycles, pipeline_depth } => {
-                h.u64(1);
-                h.u64(max_latency_cycles);
-                h.u64(pipeline_depth as u64);
-            }
-        }
-    }
-    ShapeKey(h.0)
+    ShapeKey(app.shape_hash())
 }
 
-/// Hash of the complete mutable platform state: per-element free vectors,
-/// residents *in order*, per-link occupancy and failure marks. Equal
-/// stamps certify byte-identical platform state (up to hash collision on
-/// a 128-bit FNV, which the equivalence suite treats as impossible).
+/// Digest of the complete mutable platform state: per-element free
+/// vectors, residents *in order* and failure marks, per-link occupancy —
+/// [`Platform::state_stamp`]. Equal stamps certify byte-identical
+/// platform state, up to a collision of the 128-bit sum; the manager
+/// still checks every claim of a replayed point and falls back to the
+/// cold pipeline when one fails.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct StateStamp(u128);
 
-/// Computes the [`StateStamp`] of `platform`, hashing `O(|E| + |L|)`
-/// state. Prefer [`MappingCache::stamp`], which memoizes this against
-/// [`Platform::state_epoch`].
+impl StateStamp {
+    /// The stamp the platform maintains, brought up to date: costs the
+    /// records mutated since the platform was last stamped.
+    pub fn maintained(platform: &mut Platform) -> StateStamp {
+        StateStamp(platform.state_stamp())
+    }
+}
+
+/// The [`StateStamp`] of `platform` from scratch — every record digested
+/// and summed, `O(|E| + |L|)`. The definition [`StateStamp::maintained`]
+/// must always equal; lookups use that one.
 pub fn stamp_of(platform: &Platform) -> StateStamp {
-    let mut h = Fnv::new();
-    for e in platform.element_ids() {
-        for &r in platform.free(e).as_array() {
-            h.u64(r);
-        }
-        let residents = platform.residents(e);
-        h.u64(residents.len() as u64);
-        for occ in residents {
-            h.u64(occ.app.0 as u64);
-            h.u64(occ.task as u64);
-            for &r in occ.claimed.as_array() {
-                h.u64(r);
-            }
-        }
-        h.byte(platform.is_failed(e) as u8);
-    }
-    for i in 0..platform.link_count() as u32 {
-        let l = LinkId(i);
-        h.u64(platform.link_free_bandwidth(l));
-        h.u64(platform.link_free_virtual_channels(l) as u64);
-    }
-    StateStamp(h.0)
+    StateStamp(platform.state_stamp_from_scratch())
 }
 
 /// Configuration of a [`MappingCache`].
@@ -222,17 +156,14 @@ pub trait OperatingPoint {
 
 /// The operating-point cache: a deterministic map from
 /// `(ShapeKey, StateStamp)` to a stored point, with FIFO capacity
-/// eviction, element-level invalidation and an epoch-memoized state
-/// stamp.
+/// eviction and element-level invalidation.
 #[derive(Debug, Clone)]
 pub struct MappingCache<P> {
     config: CacheConfig,
     entries: BTreeMap<(ShapeKey, StateStamp), P>,
-    /// Insertion order of live keys, for deterministic FIFO eviction.
-    /// Invalidated keys linger here and are skipped at eviction time.
+    /// Insertion order of exactly the keys of `entries`, oldest first,
+    /// for deterministic FIFO eviction.
     order: VecDeque<(ShapeKey, StateStamp)>,
-    /// Memoized `(state_epoch, stamp)` of the last stamped platform.
-    memo: Option<(u64, StateStamp)>,
     hits: u64,
     misses: u64,
     invalidations: u64,
@@ -247,7 +178,6 @@ impl<P: OperatingPoint + Clone> MappingCache<P> {
             config,
             entries: BTreeMap::new(),
             order: VecDeque::new(),
-            memo: None,
             hits: 0,
             misses: 0,
             invalidations: 0,
@@ -269,21 +199,6 @@ impl<P: OperatingPoint + Clone> MappingCache<P> {
     /// `true` when no points are resident.
     pub fn is_empty(&self) -> bool {
         self.entries.is_empty()
-    }
-
-    /// The current [`StateStamp`] of `platform`, memoized against
-    /// [`Platform::state_epoch`] so repeated lookups between mutations
-    /// cost O(1) instead of `O(|E| + |L|)`.
-    pub fn stamp(&mut self, platform: &Platform) -> StateStamp {
-        let epoch = platform.state_epoch();
-        if let Some((at, stamp)) = self.memo {
-            if at == epoch {
-                return stamp;
-            }
-        }
-        let stamp = stamp_of(platform);
-        self.memo = Some((epoch, stamp));
-        stamp
     }
 
     /// Looks up the point stored for `(shape, stamp)`, counting the hit
@@ -311,12 +226,10 @@ impl<P: OperatingPoint + Clone> MappingCache<P> {
         let key = (shape, stamp);
         if self.entries.insert(key, point).is_none() {
             self.order.push_back(key);
-            while self.entries.len() > self.config.max_points {
-                // Skip order entries already removed by invalidation.
-                let old = self.order.pop_front().expect("entries outnumber the order queue");
-                if self.entries.remove(&old).is_some() {
-                    self.evictions += 1;
-                }
+            if self.entries.len() > self.config.max_points {
+                let oldest = self.order.pop_front().expect("the order queue lists every entry");
+                self.entries.remove(&oldest);
+                self.evictions += 1;
             }
         }
         self.insertions += 1;
@@ -325,11 +238,15 @@ impl<P: OperatingPoint + Clone> MappingCache<P> {
     /// Removes every point whose layout uses `element`, returning how
     /// many were dropped (also added to the `invalidations` counter).
     pub fn invalidate_element(&mut self, element: ElementId) -> u64 {
-        let stale: Vec<(ShapeKey, StateStamp)> =
-            self.entries.iter().filter(|(_, p)| p.uses_element(element)).map(|(&k, _)| k).collect();
-        let dropped = stale.len() as u64;
-        for key in stale {
-            self.entries.remove(&key);
+        let before = self.entries.len();
+        self.entries.retain(|_, point| !point.uses_element(element));
+        let dropped = (before - self.entries.len()) as u64;
+        if dropped > 0 {
+            // A key left behind would be pushed a second time when it is
+            // inserted again, and the eviction that reaches the stale
+            // position would drop that newest entry instead of the oldest.
+            let entries = &self.entries;
+            self.order.retain(|key| entries.contains_key(key));
         }
         self.invalidations += dropped;
         dropped
@@ -348,8 +265,8 @@ impl<P: OperatingPoint + Clone> MappingCache<P> {
     /// Removes every resident point, returning how many were dropped
     /// (also added to the `invalidations` counter). For a change no key
     /// covers — the manager's cost weights are in neither the shape nor
-    /// the stamp. The lifetime counters and the stamp memo survive:
-    /// only the stored decisions are void, not the platform state.
+    /// the stamp. The lifetime counters survive: only the stored
+    /// decisions are void.
     pub fn clear(&mut self) -> u64 {
         let dropped = self.entries.len() as u64;
         self.entries.clear();
@@ -420,27 +337,37 @@ mod tests {
     }
 
     #[test]
-    fn memoized_stamp_follows_the_epoch_across_restore() {
-        let mut cache: MappingCache<Point> = MappingCache::new(CacheConfig::default());
+    fn maintained_stamp_follows_the_state_across_rollback_and_restore() {
         let mut p = topology::crisp();
         let e = p.element_ids().next().unwrap();
-        let s0 = cache.stamp(&p);
-        assert_eq!(cache.stamp(&p), s0, "memo answers unchanged state");
+        let seat =
+            Occupant { app: kairos_platform::AppId(1), task: 0, claimed: ResourceVector::ZERO };
+        let s0 = StateStamp::maintained(&mut p);
+        assert_eq!(s0, stamp_of(&p), "the maintained stamp is the from-scratch sum");
+        assert_eq!(StateStamp::maintained(&mut p), s0, "unchanged state, unchanged stamp");
+
+        // A probe: the claim and its rollback both mark the record, and
+        // the stamp comes back to where it was although the epoch moved.
+        let epoch = p.state_epoch();
+        p.begin_txn();
+        p.claim(e, seat).unwrap();
+        assert_ne!(StateStamp::maintained(&mut p), s0);
+        p.rollback_txn();
+        assert!(p.state_epoch() > epoch);
+        assert_eq!(StateStamp::maintained(&mut p), s0, "the bytes are back, so is the stamp");
 
         let cp = p.checkpoint();
-        p.claim(
-            e,
-            Occupant { app: kairos_platform::AppId(1), task: 0, claimed: ResourceVector::ZERO },
-        )
-        .unwrap();
-        let s1 = cache.stamp(&p);
+        p.claim(e, seat).unwrap();
+        let s1 = StateStamp::maintained(&mut p);
         assert_ne!(s0, s1);
 
-        // The regression this PR fixes: restore() must advance the epoch,
-        // otherwise this memoized stamp would still answer `s1` for a
-        // platform that is byte-identical to the checkpoint.
+        // restore() rewrites every record without touching any mutator:
+        // it must void the ledger wholesale, otherwise this stamp would
+        // still answer `s1` for a platform byte-identical to the
+        // checkpoint.
         p.restore(cp);
-        assert_eq!(cache.stamp(&p), s0, "restore invalidates the stamp memo");
+        assert_eq!(StateStamp::maintained(&mut p), s0, "restore voids the maintained digests");
+        assert_eq!(stamp_of(&p), s0);
     }
 
     #[test]
@@ -472,8 +399,43 @@ mod tests {
         assert_eq!(cache.invalidate_elements(&[ElementId(2), ElementId(3)]), 1);
         assert!(cache.is_empty());
         assert_eq!(cache.stats().invalidations, 2);
-        // Eviction after invalidation skips the stale order entries.
         cache.insert(shape, StateStamp(2), Point(vec![ElementId(4)]));
+        assert_eq!(cache.stats().evictions, 0);
+    }
+
+    #[test]
+    fn eviction_stays_fifo_after_invalidate_and_reinsert() {
+        let mut cache: MappingCache<Point> = MappingCache::new(CacheConfig { max_points: 3 });
+        let shape = shape_of(&app("a", 100));
+        let key = |i: u128| StateStamp(i);
+        cache.insert(shape, key(0), Point(vec![ElementId(0)]));
+        cache.insert(shape, key(1), Point(vec![ElementId(1)]));
+        assert_eq!(cache.invalidate_element(ElementId(0)), 1);
+        cache.insert(shape, key(2), Point(vec![ElementId(2)]));
+        // Key 0 comes back as the *newest* entry. A copy of it left at the
+        // front of the queue would make the next eviction drop it instead
+        // of key 1, the oldest.
+        cache.insert(shape, key(0), Point(vec![ElementId(0)]));
+        cache.insert(shape, key(3), Point(vec![ElementId(3)]));
+        assert!(cache.lookup(shape, key(1)).is_none(), "the oldest entry is the one evicted");
+        assert!(cache.lookup(shape, key(0)).is_some(), "the re-inserted entry is the newest");
+        assert_eq!((cache.len(), cache.stats().evictions), (3, 1));
+    }
+
+    #[test]
+    fn invalidation_churn_keeps_the_queue_as_long_as_the_map() {
+        // Invalidation keeps this cache well below capacity, so nothing is
+        // ever evicted; the queue must not remember the dropped keys.
+        let mut cache: MappingCache<Point> = MappingCache::new(CacheConfig { max_points: 64 });
+        let shape = shape_of(&app("a", 100));
+        for round in 0..50u128 {
+            for i in 0..4 {
+                cache.insert(shape, StateStamp(round * 4 + i), Point(vec![ElementId(i as u32)]));
+            }
+            cache.invalidate_elements(&[ElementId(0), ElementId(1), ElementId(2)]);
+            assert_eq!(cache.order.len(), cache.entries.len());
+        }
+        assert_eq!(cache.len(), 50);
         assert_eq!(cache.stats().evictions, 0);
     }
 

@@ -45,6 +45,7 @@
 #![warn(missing_docs)]
 
 mod builder;
+mod digest;
 mod distance;
 mod element;
 mod frag;
@@ -57,6 +58,7 @@ mod resource;
 pub mod topology;
 
 pub use builder::PlatformBuilder;
+pub use digest::Digest;
 pub use distance::{bfs_distances, hop_distance, SearchDirection, SparseDistanceMatrix};
 pub use element::{Element, ElementId, ElementKind};
 pub use frag::{adjacent_pairs, element_utilisation, external_fragmentation, free_island_count};

@@ -7,15 +7,21 @@
 //! from tables built once at
 //! construction, so the mapping phase's cost function can ask them per
 //! `(task, element)` evaluation without allocating or re-scanning the
-//! platform. The state can be checkpointed and restored in O(|E|+|L|),
-//! which is how the resource manager rolls back a failed allocation attempt
-//! midway through the binding/mapping/routing/validation pipeline.
+//! platform. The state can be checkpointed and restored in O(|E|+|L|), and
+//! a claim journal undoes a failed allocation attempt in O(its mutations).
+//!
+//! Beside the state sit two *history* fields that never take part in
+//! equality: the mutation epoch ([`Platform::state_epoch`]) and the stamp
+//! ledger behind [`Platform::state_stamp`], a 128-bit digest of the whole
+//! mutable state that costs only the records mutated since it was last
+//! asked for.
 
 use std::fmt;
 
 use kairos_telemetry::Counter;
 use serde::{Deserialize, Serialize};
 
+use crate::digest::Digest;
 use crate::element::{Element, ElementId, ElementKind};
 use crate::link::{Link, LinkId, LinkState};
 use crate::resource::ResourceVector;
@@ -125,6 +131,126 @@ struct PlatformState {
     failed: Vec<bool>,
 }
 
+/// Domain tags of the two record kinds of [`Platform::state_stamp`].
+const ELEMENT_RECORD: u64 = 0;
+const LINK_RECORD: u64 = 1;
+
+impl PlatformState {
+    /// Digest of element `idx`'s record: its index, free vector, residents
+    /// in order and failure mark. The index is part of the digest, so equal
+    /// contents on two elements never cancel in the stamp's sum.
+    fn element_digest(&self, idx: usize) -> u128 {
+        let mut d = Digest::new(ELEMENT_RECORD);
+        d.word(idx as u64);
+        self.free[idx].as_array().iter().for_each(|&r| d.word(r));
+        let residents = &self.residents[idx];
+        d.word(residents.len() as u64);
+        for occupant in residents {
+            d.word((u64::from(occupant.app.0) << 32) | u64::from(occupant.task));
+            occupant.claimed.as_array().iter().for_each(|&r| d.word(r));
+        }
+        d.word(u64::from(self.failed[idx]));
+        d.finish()
+    }
+
+    /// Digest of link `idx`'s record: its index, free bandwidth and free
+    /// virtual channels.
+    fn link_digest(&self, idx: usize) -> u128 {
+        let link = &self.links[idx];
+        let mut d = Digest::new(LINK_RECORD);
+        d.word(idx as u64);
+        d.word(link.free_bandwidth);
+        d.word(u64::from(link.free_virtual_channels));
+        d.finish()
+    }
+
+    /// Digest of record `record` in ledger numbering: elements first, then
+    /// links at `element count + link index`.
+    fn record_digest(&self, record: usize) -> u128 {
+        match record.checked_sub(self.free.len()) {
+            None => self.element_digest(record),
+            Some(link) => self.link_digest(link),
+        }
+    }
+
+    fn record_count(&self) -> usize {
+        self.free.len() + self.links.len()
+    }
+}
+
+/// The bookkeeping behind [`Platform::state_stamp`]: one digest per record
+/// as of the last stamp, their sum, and which records were mutated since.
+///
+/// Like [`MutationEpoch`] it describes history, not state, and opts out of
+/// equality: two platforms with identical ledgers of *resources* compare
+/// equal whether or not either was ever stamped.
+#[derive(Debug, Clone)]
+struct StampLedger {
+    /// Per-record digests as of the last refresh, in
+    /// [`PlatformState::record_digest`] numbering. Meaningless while
+    /// `stale`.
+    digests: Vec<u128>,
+    /// Wrapping sum of `digests`.
+    sum: u128,
+    /// Records mutated since the last refresh, each listed once.
+    dirty: Vec<u32>,
+    /// Membership flags of `dirty`, one per record.
+    is_dirty: Vec<bool>,
+    /// Every digest is out of date: the platform was never stamped, or was
+    /// restored since. Mutations then mark nothing — a platform nobody
+    /// stamps (a manager without a cache) pays this one branch per
+    /// mutation and never allocates the tables.
+    stale: bool,
+}
+
+impl PartialEq for StampLedger {
+    fn eq(&self, _: &Self) -> bool {
+        true
+    }
+}
+
+impl StampLedger {
+    fn new() -> Self {
+        StampLedger {
+            digests: Vec::new(),
+            sum: 0,
+            dirty: Vec::new(),
+            is_dirty: Vec::new(),
+            stale: true,
+        }
+    }
+
+    #[inline]
+    fn mark(&mut self, record: usize) {
+        if !self.stale && !self.is_dirty[record] {
+            self.is_dirty[record] = true;
+            self.dirty.push(record as u32);
+        }
+    }
+
+    /// Brings the digests of the dirty records (all of them when `stale`)
+    /// up to date with `state` and returns the sum.
+    fn refresh(&mut self, state: &PlatformState) -> u128 {
+        if self.stale {
+            self.digests.clear();
+            self.digests.extend((0..state.record_count()).map(|r| state.record_digest(r)));
+            self.sum = self.digests.iter().fold(0, |sum, &d| sum.wrapping_add(d));
+            self.dirty.clear();
+            self.is_dirty.clear();
+            self.is_dirty.resize(self.digests.len(), false);
+            self.stale = false;
+        }
+        for record in self.dirty.drain(..) {
+            let record = record as usize;
+            let fresh = state.record_digest(record);
+            self.sum = self.sum.wrapping_add(fresh).wrapping_sub(self.digests[record]);
+            self.digests[record] = fresh;
+            self.is_dirty[record] = false;
+        }
+        self.sum
+    }
+}
+
 /// A heterogeneous MPSoC platform: elements, directed links and the
 /// run-time resource ledger.
 ///
@@ -182,13 +308,14 @@ pub struct Platform {
     /// checkpoints freeze the tally exactly like the former plain field.
     txns_begun: Counter,
     /// Monotone mutation epoch: bumped by every mutation of the ledger
-    /// state, including transaction rollbacks and checkpoint restores.
-    /// Occupancy-dependent observers (the `kairos-opcache` state-stamp
-    /// memo) key their caches on this instead of re-hashing `O(|E|+|L|)`
-    /// state per query. The epoch over-approximates change — a bump does
-    /// not guarantee the state differs, but an unchanged epoch guarantees
-    /// it is byte-identical.
+    /// state, including each undone op of a transaction rollback and
+    /// checkpoint restores. The epoch over-approximates change — a bump
+    /// does not guarantee the state differs, but an unchanged epoch
+    /// guarantees it is byte-identical, which is what the resource
+    /// manager's probe hand-off keys on.
     epoch: MutationEpoch,
+    /// The maintained state stamp; see [`Platform::state_stamp`].
+    stamp: StampLedger,
 }
 
 /// The [`Platform::state_epoch`] counter. A newtype so it can opt out of
@@ -266,21 +393,60 @@ impl Platform {
             txn_marks: Vec::new(),
             txns_begun: Counter::new(),
             epoch: MutationEpoch::default(),
+            stamp: StampLedger::new(),
         }
     }
 
     /// The current mutation epoch (see the field documentation): strictly
     /// monotone over the platform's lifetime, bumped by every state
-    /// mutation — claims, releases, failure-mark flips, transfers,
-    /// transaction rollbacks *and* [`Self::restore`].
+    /// mutation — claims, releases, failure-mark flips, transfers, every
+    /// op a transaction rollback undoes *and* [`Self::restore`].
     pub fn state_epoch(&self) -> u64 {
         self.epoch.0
     }
 
-    /// Bumps the mutation epoch; called by every state mutator.
+    /// The stamp of the complete mutable state: the wrapping `u128` sum of
+    /// one digest per element record (index, free vector, residents *in
+    /// order*, failure mark) and one per link record (index, free
+    /// bandwidth, free virtual channels). Equal stamps certify
+    /// byte-identical state, up to a collision of the 128-bit sum;
+    /// platforms that compare equal stamp equal whatever their histories.
+    ///
+    /// The sum is *maintained*: every mutator, and every op a rollback
+    /// undoes, marks the record it touched, and this call re-digests only
+    /// the marked records — O(records mutated since the last stamp), not
+    /// O(|E|+|L|). A claim that a rollback takes back costs two marks of
+    /// one record and leaves the stamp where it was. The first stamp, and
+    /// the first after a [`Self::restore`] (a checkpoint carries state,
+    /// not digests), digests every record.
+    /// [`Self::state_stamp_from_scratch`] is the definition this must
+    /// always equal.
+    pub fn state_stamp(&mut self) -> u128 {
+        self.stamp.refresh(&self.state)
+    }
+
+    /// [`Self::state_stamp`] computed from nothing but the current state:
+    /// every record digested and summed, O(|E|+|L|). The reference the
+    /// maintained stamp is tested against.
+    pub fn state_stamp_from_scratch(&self) -> u128 {
+        (0..self.state.record_count())
+            .fold(0, |sum, record| sum.wrapping_add(self.state.record_digest(record)))
+    }
+
+    /// Notes a mutation of element `e`'s record: bumps the epoch and marks
+    /// the record for the next stamp. Every element mutator and undo arm
+    /// calls it.
     #[inline]
-    fn touch(&mut self) {
+    fn touch_element(&mut self, e: ElementId) {
         self.epoch.0 += 1;
+        self.stamp.mark(e.index());
+    }
+
+    /// [`Self::touch_element`] for link `l`'s record.
+    #[inline]
+    fn touch_link(&mut self, l: LinkId) {
+        self.epoch.0 += 1;
+        self.stamp.mark(self.elements.len() + l.index());
     }
 
     /// The platform's name.
@@ -428,7 +594,7 @@ impl Platform {
                     task: occupant.task,
                 });
                 self.state.residents[e.index()].push(occupant);
-                self.touch();
+                self.touch_element(e);
                 Ok(())
             }
             None => Err(ClaimError::InsufficientResources {
@@ -448,7 +614,7 @@ impl Platform {
         let occupant = self.state.residents[e.index()].swap_remove(pos);
         self.state.free[e.index()] = self.state.free[e.index()].saturating_add(&occupant.claimed);
         self.record(|| JournalOp::Release { element: e, occupant, pos });
-        self.touch();
+        self.touch_element(e);
         Some(occupant.claimed)
     }
 
@@ -463,19 +629,14 @@ impl Platform {
                 if self.state.residents[idx][i].app == app {
                     let occ = self.state.residents[idx].swap_remove(i);
                     self.state.free[idx] = self.state.free[idx].saturating_add(&occ.claimed);
-                    self.record(|| JournalOp::Release {
-                        element: ElementId(idx as u32),
-                        occupant: occ,
-                        pos: i,
-                    });
+                    let element = ElementId(idx as u32);
+                    self.record(|| JournalOp::Release { element, occupant: occ, pos: i });
+                    self.touch_element(element);
                     count += 1;
                 } else {
                     i += 1;
                 }
             }
-        }
-        if count > 0 {
-            self.touch();
         }
         count
     }
@@ -511,18 +672,12 @@ impl Platform {
                          occupant on element {idx}"
                     );
                     self.state.residents[idx][pos].app = to;
-                    self.record(|| JournalOp::Transfer {
-                        element: ElementId(idx as u32),
-                        task,
-                        from,
-                        to,
-                    });
+                    let element = ElementId(idx as u32);
+                    self.record(|| JournalOp::Transfer { element, task, from, to });
+                    self.touch_element(element);
                     count += 1;
                 }
             }
-        }
-        if count > 0 {
-            self.touch();
         }
         count
     }
@@ -559,7 +714,7 @@ impl Platform {
         s.free_virtual_channels -= 1;
         s.free_bandwidth -= bandwidth;
         self.record(|| JournalOp::ClaimLink { link: l, bandwidth });
-        self.touch();
+        self.touch_link(l);
         Ok(())
     }
 
@@ -580,7 +735,7 @@ impl Platform {
             "unbalanced link release on {l}"
         );
         self.record(|| JournalOp::ReleaseLink { link: l, bandwidth });
-        self.touch();
+        self.touch_link(l);
     }
 
     // ---- faults -----------------------------------------------------------------
@@ -592,7 +747,7 @@ impl Platform {
         let was = self.state.failed[e.index()];
         self.state.failed[e.index()] = true;
         self.record(|| JournalOp::SetFailed { element: e, was });
-        self.touch();
+        self.touch_element(e);
     }
 
     /// Clears the failure mark on `e`.
@@ -600,7 +755,7 @@ impl Platform {
         let was = self.state.failed[e.index()];
         self.state.failed[e.index()] = false;
         self.record(|| JournalOp::SetFailed { element: e, was });
-        self.touch();
+        self.touch_element(e);
     }
 
     /// Ids of all currently failed elements.
@@ -666,9 +821,6 @@ impl Platform {
     /// Panics when no transaction is open.
     pub fn rollback_txn(&mut self) {
         let mark = self.txn_marks.pop().expect("rollback_txn without an open transaction");
-        if self.journal.len() > mark {
-            self.touch();
-        }
         while self.journal.len() > mark {
             let op = self.journal.pop().expect("journal length checked");
             self.undo(op);
@@ -680,7 +832,8 @@ impl Platform {
         !self.txn_marks.is_empty()
     }
 
-    /// Inverts one journaled op, bypassing journal recording.
+    /// Inverts one journaled op, bypassing journal recording. An undo is a
+    /// mutation like any other: each arm touches the record it rewrites.
     fn undo(&mut self, op: JournalOp) {
         match op {
             JournalOp::Claim { element, app, task } => {
@@ -692,6 +845,7 @@ impl Platform {
                 let occ = residents.swap_remove(pos);
                 self.state.free[element.index()] =
                     self.state.free[element.index()].saturating_add(&occ.claimed);
+                self.touch_element(element);
             }
             JournalOp::Release { element, occupant, pos } => {
                 self.state.free[element.index()] = self.state.free[element.index()]
@@ -703,19 +857,23 @@ impl Platform {
                 residents.push(occupant);
                 let last = residents.len() - 1;
                 residents.swap(pos, last);
+                self.touch_element(element);
             }
             JournalOp::ClaimLink { link, bandwidth } => {
                 let s = &mut self.state.links[link.index()];
                 s.free_virtual_channels += 1;
                 s.free_bandwidth += bandwidth;
+                self.touch_link(link);
             }
             JournalOp::ReleaseLink { link, bandwidth } => {
                 let s = &mut self.state.links[link.index()];
                 s.free_virtual_channels -= 1;
                 s.free_bandwidth -= bandwidth;
+                self.touch_link(link);
             }
             JournalOp::SetFailed { element, was } => {
                 self.state.failed[element.index()] = was;
+                self.touch_element(element);
             }
             JournalOp::Transfer { element, task, from, to } => {
                 let occ = self.state.residents[element.index()]
@@ -723,6 +881,7 @@ impl Platform {
                     .find(|o| o.app == to && o.task == task)
                     .expect("journaled transfer target is still seated");
                 occ.app = from;
+                self.touch_element(element);
             }
         }
     }
@@ -765,11 +924,15 @@ impl Platform {
             "checkpoint does not belong to this platform"
         );
         self.state = checkpoint.state;
-        // A restore is a state mutation like any other: without this bump,
-        // epoch-keyed observers (the opcache state-stamp memo) would keep
-        // serving the pre-restore state and, for example, admit a cached
-        // layout computed against occupancy that no longer exists.
-        self.touch();
+        // A restore is a state mutation like any other — of every record at
+        // once. Without the bump the manager's probe hand-off would replay
+        // a decision computed against occupancy that no longer exists;
+        // without the wholesale mark the next stamp would answer for the
+        // pre-restore state. A checkpoint carries no digests (it would
+        // double in size for a path nothing hot takes), so the next stamp
+        // starts from scratch.
+        self.epoch.0 += 1;
+        self.stamp.stale = true;
     }
 
     /// `true` when no resources are claimed anywhere (all elements idle,
@@ -1112,8 +1275,9 @@ mod tests {
         assert!(p.state_epoch() > before_txn, "rollback still bumps the epoch");
 
         // The PR 8 regression: restore() is a mutation too. An unchanged
-        // epoch across restore would let a memoized state observer keep
-        // answering for the pre-restore occupancy.
+        // epoch across restore would let an epoch-keyed observer (the
+        // manager's probe hand-off) keep answering for the pre-restore
+        // occupancy.
         let fuller = {
             p.claim(c, occ(2, 0, ResourceVector::new(7, 0, 0, 0))).unwrap();
             p.checkpoint()

@@ -1,12 +1,13 @@
 //! Property-based tests of the platform substrate: resource-vector algebra,
-//! ledger conservation, checkpoint/rollback, distance symmetry and the
-//! precomputed structure tables.
+//! ledger conservation, checkpoint/rollback, distance symmetry, the
+//! precomputed structure tables and the maintained state stamp.
 
 use proptest::prelude::*;
 
 use kairos_platform::{
-    bfs_distances, external_fragmentation, topology, AppId, ElementId, ElementKind, Occupant,
-    Platform, PlatformBuilder, RegionMap, ResourceVector, SearchDirection,
+    bfs_distances, external_fragmentation, topology, AppId, ElementId, ElementKind, LinkId,
+    Occupant, Platform, PlatformBuilder, PlatformCheckpoint, RegionMap, ResourceVector,
+    SearchDirection,
 };
 
 fn vector() -> impl Strategy<Value = ResourceVector> {
@@ -266,5 +267,158 @@ proptest! {
         assert_structure_matches_its_definition(&p.clone());
         p.restore(idle);
         assert_structure_matches_its_definition(&p);
+    }
+}
+
+/// The platform the stamp properties run on: a 3x3 DSP mesh — 9 elements
+/// and 24 directed links of identical capacities, so records differ by
+/// nothing but their index and what the operations did to them.
+fn stamp_platform() -> Platform {
+    topology::dsp_mesh(3, 3)
+}
+
+/// One generated operation: `(kind, element or link, app, amount)`.
+type Op = (u8, u32, u32, u64);
+
+/// A platform under a generated operation sequence, with what must be
+/// remembered beside it to keep the operations valid.
+struct Driven {
+    platform: Platform,
+    /// Outstanding link claims, so releases stay balanced.
+    live: Vec<(LinkId, u64)>,
+    /// Open transactions, innermost last: the from-scratch stamp and the
+    /// outstanding link claims when each was opened.
+    open: Vec<(u128, Vec<(LinkId, u64)>)>,
+    /// The last checkpoint taken, with its outstanding link claims.
+    saved: Option<(PlatformCheckpoint, Vec<(LinkId, u64)>)>,
+}
+
+impl Driven {
+    fn new() -> Self {
+        Driven { platform: stamp_platform(), live: Vec::new(), open: Vec::new(), saved: None }
+    }
+
+    fn apply(&mut self, step: usize, (op, a, b, amount): Op) {
+        let p = &mut self.platform;
+        let e = ElementId(a % p.element_count() as u32);
+        let l = LinkId(a % p.link_count() as u32);
+        let app = AppId(b % 4);
+        match op {
+            0 | 1 => {
+                // Task indices are unique per step, so a transfer can never
+                // seat two occupants under one `(app, task)`.
+                let claimed = ResourceVector::new(amount, amount % 7, 0, 0);
+                let _ = p.claim(e, Occupant { app, task: step as u32, claimed });
+            }
+            2 => {
+                if let Some(o) = p.residents(e).get(b as usize % 3).copied() {
+                    p.release(e, o.app, o.task).unwrap();
+                }
+            }
+            3 => drop(p.release_app(app)),
+            4 => drop(p.transfer_app(app, AppId(4 + b % 4))),
+            5 | 6 => {
+                if p.claim_link(l, amount).is_ok() {
+                    self.live.push((l, amount));
+                }
+            }
+            7 => {
+                if !self.live.is_empty() {
+                    let (l, bandwidth) = self.live.swap_remove(b as usize % self.live.len());
+                    p.release_link(l, bandwidth);
+                }
+            }
+            8 => p.fail_element(e),
+            9 => p.repair_element(e),
+            10 => {
+                self.open.push((p.state_stamp_from_scratch(), self.live.clone()));
+                p.begin_txn();
+            }
+            11 => {
+                if let Some((stamp_at_begin, live_at_begin)) = self.open.pop() {
+                    if amount % 2 == 0 {
+                        p.commit_txn();
+                    } else {
+                        // Whatever length the journal reached, undoing it
+                        // brings the pre-transaction stamp back.
+                        p.rollback_txn();
+                        self.live = live_at_begin;
+                        assert_eq!(p.state_stamp_from_scratch(), stamp_at_begin);
+                    }
+                }
+            }
+            12 => self.saved = Some((p.checkpoint(), self.live.clone())),
+            _ => {
+                if let (true, Some((checkpoint, live))) = (self.open.is_empty(), &self.saved) {
+                    p.restore(checkpoint.clone());
+                    self.live = live.clone();
+                }
+            }
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(96))]
+
+    /// The maintained stamp equals the from-scratch sum after every step of
+    /// any sequence of claims, releases, transfers, link claims and
+    /// releases, faults, repairs, nested transactions and restores — on a
+    /// platform stamped after every step, and on a twin stamped only now
+    /// and then, whose dirty set therefore spans several mutations,
+    /// rollbacks and restores at a time. The twins compare equal
+    /// throughout (the ledger is no part of equality), and a third
+    /// platform brought to the same state by a single restore stamps the
+    /// same: the stamp is a function of the state, not of its history.
+    #[test]
+    fn state_stamp_is_the_from_scratch_sum_after_every_step(
+        ops in proptest::collection::vec((0u8..14, 0u32..64, 0u32..64, 0u64..700), 1..80),
+        stamp_lazy in proptest::collection::vec(any::<bool>(), 80),
+    ) {
+        let mut eager = Driven::new();
+        let mut lazy = Driven::new();
+        for (step, &op) in ops.iter().enumerate() {
+            eager.apply(step, op);
+            lazy.apply(step, op);
+            let expected = eager.platform.state_stamp_from_scratch();
+            prop_assert_eq!(eager.platform.state_stamp(), expected, "step {}: {:?}", step, op);
+            if stamp_lazy[step] {
+                prop_assert_eq!(lazy.platform.state_stamp(), expected, "step {}: {:?}", step, op);
+            }
+            prop_assert_eq!(&eager.platform, &lazy.platform);
+        }
+        let expected = eager.platform.state_stamp_from_scratch();
+        prop_assert_eq!(lazy.platform.state_stamp(), expected);
+        prop_assert_eq!(lazy.platform.clone().state_stamp(), expected, "a clone carries the ledger");
+
+        let mut restored = stamp_platform();
+        restored.restore(eager.platform.checkpoint());
+        prop_assert_eq!(restored.state_stamp(), expected);
+    }
+
+    /// The record index is part of its digest: the same claim on another
+    /// element, or the same reservation on another link, leaves the
+    /// multiset of record *contents* as it was and must still move the sum.
+    #[test]
+    fn equal_contents_on_different_records_never_cancel(
+        elements in (0u32..9, 0u32..9),
+        links in (0u32..24, 0u32..24),
+        amount in 0u64..500,
+    ) {
+        let seat = Occupant { app: AppId(1), task: 0, claimed: ResourceVector::new(amount, 0, 0, 0) };
+        let seated_on = |e: u32| {
+            let mut p = stamp_platform();
+            p.claim(ElementId(e), seat).unwrap();
+            p.state_stamp()
+        };
+        let reserved_on = |l: u32| {
+            let mut p = stamp_platform();
+            p.claim_link(LinkId(l), amount).unwrap();
+            p.state_stamp()
+        };
+        prop_assert_eq!(seated_on(elements.0) == seated_on(elements.1), elements.0 == elements.1);
+        prop_assert_eq!(reserved_on(links.0) == reserved_on(links.1), links.0 == links.1);
+        // Nor does an element record ever stand in for a link record.
+        prop_assert!(seated_on(elements.0) != reserved_on(links.0));
     }
 }

@@ -175,11 +175,13 @@ fn migration_sweeps_points_on_both_footprints() {
 
 #[test]
 fn restore_rewinds_the_stamp_memo_not_just_the_bytes() {
-    // The regression this pins: `Platform::restore` must bump the state
-    // epoch. The cache memoizes the platform stamp against that epoch,
-    // so a rewind that restored the bytes but not the epoch would leave
-    // the memo pointing at the pre-restore state — the next admission
-    // would look up (and replay) against the wrong stamp.
+    // The regression this pins: `Platform::restore` must void the stamp
+    // the platform maintains. Its per-record digests are kept up to date
+    // by the mutators marking what they touch, and a restore rewrites
+    // every record without going through any of them — a rewind that
+    // restored the bytes but kept the digests would leave the stamp
+    // answering for the pre-restore state, and the next admission would
+    // look up (and replay) against the wrong key.
     let (mut warm, _telemetry) = cached_kairos();
     let mut cold = Kairos::new(
         topology::crisp(),
