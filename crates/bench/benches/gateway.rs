@@ -6,25 +6,22 @@
 //! streamed through it flushes in *waves* (enqueue a wave, `drive`
 //! once). By default each admission of a wave is forwarded on its own,
 //! and the cluster underneath places it exactly as it places a direct
-//! `submit`: every shard probed in turn on the calling thread, then the
-//! winning shard commits its own probe by replay. The coalescing gateway
+//! `submit`: every shard probed in turn, then the winning shard commits
+//! its own probe by replay. The coalescing gateway
 //! (`GatewayConfig::coalesce`) merges each wave into one batched
-//! submission, which the cluster places with a single fan-out over the
-//! pre-wave state on its probe workers — but a batched wave's admissions
-//! then run the pipeline cold (a shard remembers only its last probe,
-//! and each admission of the sub-wave moves the state the others were
-//! probed against), so it pays one more pipeline run per request than
-//! the per-request path, plus the hand-off to the workers and back.
+//! submission, which the cluster places with a single pass over the
+//! pre-wave state — but a batched wave's admissions then run the pipeline
+//! cold (a shard remembers only its last probe, and each admission of the
+//! sub-wave moves the state the others were probed against), so it pays
+//! one more pipeline run per request than the per-request path, plus the
+//! batch's own bookkeeping.
 //!
-//! A pipeline run on a third of CRISP costs 5–7 µs, less than the wave's
-//! hand-off and the batch's own bookkeeping, so counting runs does not
-//! predict the ratio: over the same cluster the coalescing gateway reads
-//! 0.45–0.55x the default gateway on two cores (the low end while the
-//! second core is busy elsewhere). What this bench pins is that batching
-//! has not fallen off a cliff: at least 0.3x. CI executes the assertion
-//! as a smoke check; ROADMAP items 1(e) and 4(a) retire it with the
-//! knob. The sync cluster is reported beside the default gateway (they
-//! differ by lane bookkeeping only, ~0.9–1.0x).
+//! Over the same cluster the coalescing gateway reads 0.55–0.59x the
+//! default gateway. What this bench pins is that batching has not fallen
+//! off a cliff: at least 0.3x. CI executes the assertion as a smoke
+//! check; ROADMAP items 1(e) and 4(a) retire it with the knob. The sync
+//! cluster is reported beside the default gateway (they differ by lane
+//! bookkeeping only, ~0.9–1.0x).
 
 use std::time::Instant;
 
@@ -68,8 +65,8 @@ fn requests(apps: &[Application]) -> Vec<Request> {
         .collect()
 }
 
-/// Synchronous baseline: one `submit` per request against `service`,
-/// sequential probes all the way down. Wall micros and admitted count.
+/// Synchronous baseline: one `submit` per request against `service`.
+/// Wall micros and admitted count.
 fn sync_run(mut service: Box<dyn ResourceService + Send>, apps: &[Application]) -> (f64, usize) {
     let wave = requests(apps);
     let start = Instant::now();
@@ -164,17 +161,16 @@ fn main() {
         &rows,
     );
 
-    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
     let [_, sync, queued, coalesced] = best.map(rate);
     // A smoke floor, not a cost model: see the module docs.
     let floor = 0.3;
     assert!(
         coalesced >= floor * queued,
         "the coalescing gateway must admit at least {floor:.2}x as fast as the default gateway \
-         ({coalesced:.0}/s vs {queued:.0}/s on {cores} core(s))"
+         ({coalesced:.0}/s vs {queued:.0}/s)"
     );
     println!(
-        "OK ({cores} core(s)): coalescing gateway {coalesced:.0} admissions/s vs default gateway \
+        "OK: coalescing gateway {coalesced:.0} admissions/s vs default gateway \
          {queued:.0}/s ({:.2}x, floor {floor:.2}x); sync cluster {sync:.0}/s",
         coalesced / queued
     );

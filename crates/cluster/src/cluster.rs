@@ -1,5 +1,6 @@
 //! The sharded [`ResourceService`]: one `Kairos` manager per platform
-//! region, parallel admission probes, and cross-shard rebalancing.
+//! region, what-if admission probes across all of them, and cross-shard
+//! rebalancing.
 
 use std::sync::Arc;
 
@@ -9,14 +10,13 @@ use kairos_core::{
     AdmissionProbe, CacheStats, ElementActivity, Kairos, KairosConfig, OccupancySnapshot,
     DURATION_NS_BOUNDS,
 };
-use kairos_platform::{adjacent_pairs, AppId, ElementId, Platform, RegionMap};
+use kairos_platform::{adjacent_pair_counts, AppId, ElementId, Platform, RegionMap};
 use kairos_svc::{
     CapacityEvent, Command, Event, KairosService, Request, ResourceService, ServiceBuilder, Ticket,
 };
 use kairos_telemetry::{Counter, Histogram, Level, Telemetry, TraceContext};
 
 use crate::policy::{FirstFit, PlacementPolicy, ShardFit, ShardLoad, ShardProbe};
-use crate::pool::ProbePool;
 
 /// Size of each shard's [`AppId`] namespace: shard `i` mints ids from
 /// `i * APP_ID_STRIDE`, so an id alone identifies its home shard and ids
@@ -28,35 +28,13 @@ pub const APP_ID_STRIDE: u32 = 1 << 24;
 /// [`Command::Rebalance`] sweep moves work across the boundary.
 const REBALANCE_GAP: f64 = 0.05;
 
-/// Fewest applications a probe wave must hold before it is handed to the
-/// [`ProbePool`]. A single probe — every per-request placement — runs on
-/// the calling thread: it costs tens of microseconds a shard, less than
-/// waking a parked worker and being woken by it, and the hand-off's
-/// latency is the host scheduler's to decide where the inline pass is the
-/// same work every time.
-const POOLED_WAVE_MIN: usize = 2;
-
 /// One region shard: its service and its slice of the global element id
 /// space.
 #[derive(Debug)]
 struct Shard {
-    /// The shard's manager. `None` only *during* a pooled probe wave,
-    /// while the manager is lent to the shard's worker thread
-    /// ([`ProbePool`]); every fan-out checks it back in before
-    /// returning, so the accessors below never observe the gap.
-    service: Option<KairosService>,
+    service: KairosService,
     /// Local element index → global element id.
     globals: Vec<ElementId>,
-}
-
-impl Shard {
-    fn svc(&self) -> &KairosService {
-        self.service.as_ref().expect("shard manager is checked in")
-    }
-
-    fn svc_mut(&mut self) -> &mut KairosService {
-        self.service.as_mut().expect("shard manager is checked in")
-    }
 }
 
 /// Translates one shard's event batch into the cluster's id space:
@@ -154,9 +132,7 @@ impl ClusterBuilder {
     /// land in its registry, and every shard gets a
     /// [`Telemetry::child`] handle labelled `shard{i}` — sharing the
     /// registry, but recording its spans and events into a flight
-    /// recorder of its own (each shard is driven by exactly one thread,
-    /// so per-shard rings stay deterministically ordered even under the
-    /// parallel probe fan-out).
+    /// recorder of its own.
     pub fn telemetry(mut self, telemetry: Telemetry) -> Self {
         self.telemetry = telemetry;
         self
@@ -185,21 +161,9 @@ impl ClusterBuilder {
             if let Some(policy) = self.admission {
                 builder = builder.admission(policy);
             }
-            shards.push(Shard {
-                service: Some(builder.build()?),
-                globals: region.elements(r).to_vec(),
-            });
+            shards.push(Shard { service: builder.build()?, globals: region.elements(r).to_vec() });
         }
         let metrics = ClusterMetrics::new(&self.telemetry, region.region_count());
-        // One-shard clusters probe inline (monolithic byte-identity), so
-        // the pool only exists where a fan-out actually happens.
-        let pool = (region.region_count() > 1).then(|| {
-            ProbePool::new(
-                region.region_count(),
-                &self.telemetry,
-                metrics.as_ref().map(|m| m.probe_ns.as_slice()),
-            )
-        });
         Ok(ClusterService {
             shards,
             region,
@@ -208,7 +172,6 @@ impl ClusterBuilder {
             events: Vec::new(),
             telemetry: self.telemetry,
             metrics,
-            pool,
         })
     }
 }
@@ -221,17 +184,12 @@ impl ClusterBuilder {
 ///
 /// * **Admissions** fan out as what-if probes across all shards (each
 ///   probe runs in a claim-journal transaction that is always rolled
-///   back, so losing probes cost nothing). A batched wave is probed in
-///   parallel on a persistent worker-pool probe executor — one
-///   long-lived thread per shard fed through job channels; a single
-///   admission is probed shard by shard on the calling thread, which is
-///   cheaper than the hand-off. Probe results are merged in
-///   shard-id order and the
-///   injected [`PlacementPolicy`] picks the winning shard — making the
-///   outcome independent of thread scheduling. The admission is then
-///   submitted to that shard's service, queueing semantics and all. When
-///   no shard fits, the policy's fallback shard takes the request (to
-///   queue or reject it).
+///   back, so losing probes cost nothing), shard by shard in shard-id
+///   order — a single admission and a batched wave alike — and the
+///   injected [`PlacementPolicy`] picks the winning shard from the
+///   row. The admission is then submitted to that shard's service,
+///   queueing semantics and all. When no shard fits, the policy's
+///   fallback shard takes the request (to queue or reject it).
 /// * **Releases, migrations, faults and repairs** route to the owning
 ///   shard: app ids encode their home shard ([`APP_ID_STRIDE`]), element
 ///   ids translate through the [`RegionMap`].
@@ -274,9 +232,6 @@ pub struct ClusterService {
     events: Vec<Event>,
     telemetry: Telemetry,
     metrics: Option<ClusterMetrics>,
-    /// The persistent probe workers; `Some` iff the cluster has more than
-    /// one shard.
-    pool: Option<ProbePool>,
 }
 
 /// Bucket bounds for the placement-score histograms: scores are fractions
@@ -285,14 +240,10 @@ pub struct ClusterService {
 pub const SCORE_E6_BOUNDS: &[u64] = &[100_000, 250_000, 500_000, 750_000, 900_000, 1_000_000];
 
 /// Pre-resolved registry handles for the cluster layer, built once at
-/// construction. The per-shard probe histograms of a pooled wave are
-/// recorded from inside the pool's worker threads; that stays
-/// deterministic under the zero clock because every recorded duration is
-/// `0` and atomic increments commute, so the snapshot is a pure function
-/// of the probe count —
-/// independent of thread scheduling and of whether telemetry is lit (the
-/// `pooled_probe_waves_match_sequential_standalone_probes` pin holds
-/// this in place).
+/// construction. Under the zero clock every recorded probe duration is
+/// `0`, so the per-shard probe histograms are a pure function of the
+/// probe count (`pooled_probe_waves_match_sequential_standalone_probes`
+/// pins them against standalone services).
 #[derive(Debug, Clone)]
 struct ClusterMetrics {
     probe_waves: Arc<Counter>,
@@ -370,7 +321,7 @@ impl ClusterService {
     ///
     /// Panics when `shard` is out of range.
     pub fn shard(&self, shard: usize) -> &KairosService {
-        self.shards[shard].svc()
+        &self.shards[shard].service
     }
 
     /// The injected placement policy's name.
@@ -391,22 +342,20 @@ impl ClusterService {
     }
 
     /// Probes every shard with a state-neutral what-if admission of
-    /// `app` — shard by shard on the calling thread — and returns the
-    /// results merged in shard-id order. Nothing changes anywhere: each
-    /// probe runs in a claim-journal transaction its shard always rolls
-    /// back. The one-element case of [`Self::probe_admit_wave`].
+    /// `app` and returns the results in shard-id order. Nothing changes
+    /// anywhere: each probe runs in a claim-journal transaction its shard
+    /// always rolls back. The one-element case of
+    /// [`Self::probe_admit_wave`].
     pub fn probe_admit(&mut self, app: &Application) -> Vec<ShardProbe> {
         self.probe_wave(&[app]).pop().expect("one probe row per application")
     }
 
     /// Probes every shard with a state-neutral what-if admission of a
-    /// whole arrival wave: each shard's worker probes *all* of `apps`
-    /// against its region, so the fan-out cost is one hand-off per shard
-    /// per wave instead of per application. Returns one shard-id-ordered
-    /// probe row per application (probes are state-neutral, so the rows
-    /// are independent) — this is what batched submission places its
-    /// admissions with, and the workload the `cluster_probe` bench
-    /// measures against the monolithic sequential baseline.
+    /// whole arrival wave: each shard in turn probes *all* of `apps`
+    /// against its region. Returns one shard-id-ordered probe row per
+    /// application (probes are state-neutral, so the rows are independent
+    /// and row `i` is what [`Self::probe_admit`] returns for `apps[i]`) —
+    /// this is what batched submission places its admissions with.
     pub fn probe_admit_wave(&mut self, apps: &[Application]) -> Vec<Vec<ShardProbe>> {
         let refs: Vec<&Application> = apps.iter().collect();
         self.probe_wave(&refs)
@@ -439,43 +388,16 @@ impl ClusterService {
         rows
     }
 
-    /// Every shard probes the whole wave, timings recorded where the work
-    /// happens, fit rows merged in shard-id order (outer index = shard).
-    /// A one-shard cluster and a wave below [`POOLED_WAVE_MIN`] probe
-    /// inline, shard by shard; otherwise the wave runs on the persistent
-    /// [`ProbePool`]. Both paths call [`probe_all`] once per shard, so
-    /// rows and histograms cannot tell them apart.
+    /// Every shard, in shard-id order, probes the whole wave (outer index
+    /// of the result = shard).
     fn fan_out(&mut self, apps: &[&Application]) -> Vec<Vec<Option<ShardFit>>> {
-        let pool = match &self.pool {
-            Some(pool) if apps.len() >= POOLED_WAVE_MIN => pool,
-            _ => {
-                let (metrics, telemetry) = (&self.metrics, &self.telemetry);
-                return self
-                    .shards
-                    .iter_mut()
-                    .enumerate()
-                    .map(|(i, shard)| {
-                        let hist = metrics.as_ref().map(|m| &m.probe_ns[i]);
-                        probe_all(shard.svc_mut(), apps, telemetry, hist)
-                    })
-                    .collect();
-            }
-        };
-        // Ownership transfer: lend each shard's manager to its persistent
-        // worker together with one shared copy of the wave, then take
-        // managers and fit rows back in shard-id order.
-        let wave: Arc<Vec<Application>> = Arc::new(apps.iter().map(|&app| app.clone()).collect());
-        for (i, shard) in self.shards.iter_mut().enumerate() {
-            let service = shard.service.take().expect("shard manager is checked in");
-            pool.submit(i, service, wave.clone());
-        }
+        let (metrics, telemetry) = (&self.metrics, &self.telemetry);
         self.shards
             .iter_mut()
             .enumerate()
             .map(|(i, shard)| {
-                let (service, fits) = pool.collect(i);
-                shard.service = Some(service);
-                fits
+                let hist = metrics.as_ref().map(|m| &m.probe_ns[i]);
+                probe_all(&mut shard.service, apps, telemetry, hist)
             })
             .collect()
     }
@@ -487,21 +409,27 @@ impl ClusterService {
             .enumerate()
             .map(|(shard, s)| ShardLoad {
                 shard,
-                resource_utilisation: s.svc().occupancy().resource_utilisation,
-                queue_depth: s.svc().queue_depth(),
+                resource_utilisation: s.service.kairos().resource_utilisation(),
+                queue_depth: s.service.queue_depth(),
             })
             .collect()
     }
 
-    /// Probes, asks the policy, falls back: the shard this admission is
-    /// routed to. A set `ctx` gets one coordinator-side `probe.shard{i}`
-    /// span per probed shard.
+    /// Probes and routes: the shard this admission is submitted to.
     fn place(&mut self, app: &Application, ctx: TraceContext, at: u64) -> usize {
         if self.shards.len() == 1 {
             return 0;
         }
         let probes = self.probe_admit(app);
-        let (shard, fell_back) = match self.policy.choose(&probes) {
+        self.route(&probes, ctx, at)
+    }
+
+    /// Asks the policy, falls back, counts the placement: the shard the
+    /// admission behind probe row `probes` is routed to. A set `ctx` gets
+    /// one `probe.shard{i}` span per probed shard, in shard-id order
+    /// (probes themselves never trace — see `Kairos::probe_admit`).
+    fn route(&self, probes: &[ShardProbe], ctx: TraceContext, at: u64) -> usize {
+        let (chosen, fell_back) = match self.policy.choose(probes) {
             Some(shard) => (shard, false),
             None => (self.policy.fallback(&self.loads()), true),
         };
@@ -511,39 +439,31 @@ impl ClusterService {
                 m.fallbacks.inc();
             }
         }
-        self.trace_probes(ctx, at, &probes, shard);
-        shard
-    }
-
-    /// Records the fan-out's probe spans under `ctx`, one per shard in
-    /// shard-id order. Always coordinator-side, after the probe threads
-    /// have joined — the threads themselves never touch the trace sink,
-    /// so trace ids stay allocation-ordered regardless of scheduling.
-    fn trace_probes(&self, ctx: TraceContext, at: u64, probes: &[ShardProbe], chosen: usize) {
-        if ctx.is_none() {
-            return;
-        }
-        for probe in probes {
-            let fit = if probe.fit.is_some() { "yes" } else { "no" };
-            let mut args = vec![("fit", fit.to_owned())];
-            if probe.shard == chosen {
-                args.push(("chosen", "yes".to_owned()));
+        if ctx.is_some() {
+            for probe in probes {
+                let fit = if probe.fit.is_some() { "yes" } else { "no" };
+                let mut args = vec![("fit", fit.to_owned())];
+                if probe.shard == chosen {
+                    args.push(("chosen", "yes".to_owned()));
+                }
+                let name = format!("probe.shard{}", probe.shard);
+                self.telemetry.trace_child(ctx, &name, at, at, &args);
             }
-            self.telemetry.trace_child(ctx, &format!("probe.shard{}", probe.shard), at, at, &args);
         }
+        chosen
     }
 
     /// Drains one shard's buffered events into the cluster's, translated.
     fn drain_shard(&mut self, shard: usize) {
         let s = &mut self.shards[shard];
-        let events = s.svc_mut().take_events();
+        let events = s.service.take_events();
         self.events.extend(translate_events(&s.globals, events));
     }
 
     /// Submits `request`, stamped with the cluster ticket `ticket`, to
     /// `shard` and drains the fallout.
     fn forward(&mut self, shard: usize, ticket: Ticket, request: Request) {
-        self.shards[shard].svc_mut().submit(request.with_ticket(ticket));
+        self.shards[shard].service.submit(request.with_ticket(ticket));
         self.drain_shard(shard);
     }
 
@@ -606,8 +526,8 @@ impl ClusterService {
         let mut tail = Vec::new();
         for i in 0..self.shards.len() {
             let s = &mut self.shards[i];
-            s.svc_mut().submit(Request::new(at, Command::Defrag { max_moves }).with_ticket(ticket));
-            let events = s.svc_mut().take_events();
+            s.service.submit(Request::new(at, Command::Defrag { max_moves }).with_ticket(ticket));
+            let events = s.service.take_events();
             for event in translate_events(&s.globals, events) {
                 match event {
                     Event::Defragged { moves: m, .. } => moves += m,
@@ -669,14 +589,14 @@ impl ClusterService {
             {
                 break;
             }
-            for id in self.shards[src].svc().kairos().admitted_ids() {
+            for id in self.shards[src].service.kairos().admitted_ids() {
                 let app = self.shards[src]
-                    .svc()
+                    .service
                     .kairos()
                     .application(id)
                     .expect("admitted ids resolve")
                     .clone();
-                let Ok(probe) = self.shards[dst].svc_mut().probe_admit(&app) else {
+                let Ok(probe) = self.shards[dst].service.probe_admit(&app) else {
                     continue;
                 };
                 // Convergence guard: the move must leave the destination
@@ -688,7 +608,7 @@ impl ClusterService {
                     continue;
                 }
                 let class = self.shards[src]
-                    .svc()
+                    .service
                     .admitd()
                     .and_then(|a| a.admitted_class(id))
                     .unwrap_or(PriorityClass::Normal);
@@ -696,7 +616,7 @@ impl ClusterService {
                 // source-side elements the move frees, for cache
                 // invalidation once the move is final.
                 let src_elements: Vec<ElementId> = self.shards[src]
-                    .svc()
+                    .service
                     .kairos()
                     .layout(id)
                     .map(|l| {
@@ -707,13 +627,13 @@ impl ClusterService {
                     })
                     .unwrap_or_default();
                 // Phase 1 (make): claim the new home across the boundary.
-                let Ok(report) = self.shards[dst].svc_mut().admit_now(&app, class) else {
+                let Ok(report) = self.shards[dst].service.admit_now(&app, class) else {
                     continue;
                 };
                 // Phase 2 (break): free the old home, draining waiters.
-                let (found, drained) = self.shards[src].svc_mut().release_now(id, at);
+                let (found, drained) = self.shards[src].service.release_now(id, at);
                 if !found {
-                    self.shards[dst].svc_mut().release_now(report.app_id, at);
+                    self.shards[dst].service.release_now(report.app_id, at);
                     if let Some(m) = &self.metrics {
                         m.rebalance_aborts.inc();
                         self.telemetry.event(
@@ -732,12 +652,12 @@ impl ClusterService {
                 // changed occupancy on the source's freed elements and
                 // the destination's fresh ones, so cached points touching
                 // either are superseded.
-                self.shards[src].svc_mut().invalidate_cached_points(&src_elements);
+                self.shards[src].service.invalidate_cached_points(&src_elements);
                 let mut dst_elements: Vec<ElementId> =
                     report.layout.placement.iter().map(|(_, e)| e).collect();
                 dst_elements.sort_unstable();
                 dst_elements.dedup();
-                self.shards[dst].svc_mut().invalidate_cached_points(&dst_elements);
+                self.shards[dst].service.invalidate_cached_points(&dst_elements);
                 tail.extend(translate_events(&self.shards[src].globals, drained));
                 moves.push((id, report.app_id));
                 continue 'sweep;
@@ -762,18 +682,17 @@ impl ClusterService {
 }
 
 /// Probes every application of a wave against one shard's manager,
-/// recording each probe's duration on `hist` — the loop a pool worker
-/// runs on its thread and a one-shard cluster runs inline.
-pub(crate) fn probe_all<A: std::borrow::Borrow<Application>>(
+/// recording each probe's duration on `hist`.
+fn probe_all(
     service: &mut KairosService,
-    apps: &[A],
+    apps: &[&Application],
     telemetry: &Telemetry,
     hist: Option<&Arc<Histogram>>,
 ) -> Vec<Option<ShardFit>> {
     apps.iter()
-        .map(|app| {
+        .map(|&app| {
             let start = telemetry.clock();
-            let fit = fit_of(service.probe_admit(app.borrow()).ok());
+            let fit = fit_of(service.probe_admit(app).ok());
             if let Some(hist) = hist {
                 hist.record(Telemetry::elapsed_ns(start));
             }
@@ -782,7 +701,7 @@ pub(crate) fn probe_all<A: std::borrow::Borrow<Application>>(
         .collect()
 }
 
-pub(crate) fn fit_of(probe: Option<AdmissionProbe>) -> Option<ShardFit> {
+fn fit_of(probe: Option<AdmissionProbe>) -> Option<ShardFit> {
     probe.map(|p| ShardFit {
         fragmentation: p.after.external_fragmentation,
         resource_utilisation: p.after.resource_utilisation,
@@ -801,7 +720,7 @@ impl ResourceService for ClusterService {
     fn submit_batch(&mut self, requests: Vec<Request>) -> Vec<Ticket> {
         // Place every admission against the pre-wave state — probes are
         // state-neutral, so the whole wave is probed in one per-shard
-        // parallel fan-out ([`Self::probe_admit_wave`]) — group the wave
+        // pass ([`Self::probe_admit_wave`]) — group the wave
         // by winning shard, and hand each shard its sub-wave as one
         // batched submission (one platform transaction, one drain pass —
         // per shard). Non-admission commands run after the wave, in
@@ -849,11 +768,7 @@ impl ResourceService for ClusterService {
             let probes = self.probe_wave(&apps);
             drop(apps);
             for ((ticket, at, app, class, ctx), row) in admissions.into_iter().zip(probes) {
-                let target = match self.policy.choose(&row) {
-                    Some(shard) => shard,
-                    None => self.policy.fallback(&self.loads()),
-                };
-                self.trace_probes(ctx, at, &row, target);
+                let target = self.route(&row, ctx, at);
                 waves[target].push(stamped(ticket, at, app, class, ctx));
             }
         }
@@ -861,7 +776,7 @@ impl ResourceService for ClusterService {
             if wave.is_empty() {
                 continue;
             }
-            self.shards[i].svc_mut().submit_batch(wave);
+            self.shards[i].service.submit_batch(wave);
             self.drain_shard(i);
         }
         for (ticket, at, command, trace) in rest {
@@ -874,7 +789,7 @@ impl ResourceService for ClusterService {
         let mut out = Vec::new();
         for i in 0..self.shards.len() {
             let s = &mut self.shards[i];
-            let events = s.svc_mut().pump(event);
+            let events = s.service.pump(event);
             out.extend(translate_events(&s.globals, events));
         }
         out
@@ -885,11 +800,11 @@ impl ResourceService for ClusterService {
     }
 
     fn kairos(&self) -> &Kairos {
-        self.shards[0].svc().kairos()
+        self.shards[0].service.kairos()
     }
 
     fn queue_depth(&self) -> usize {
-        self.shards.iter().map(|s| s.svc().queue_depth()).sum()
+        self.shards.iter().map(|s| s.service.queue_depth()).sum()
     }
 
     fn shard_count(&self) -> usize {
@@ -901,7 +816,7 @@ impl ResourceService for ClusterService {
     /// when no shard has a cache (all shards share one configuration, so
     /// it is all or none).
     fn cache_stats(&self) -> Option<CacheStats> {
-        self.shards.iter().filter_map(|s| s.svc().cache_stats()).reduce(CacheStats::merge)
+        self.shards.iter().filter_map(|s| s.service.cache_stats()).reduce(CacheStats::merge)
     }
 
     /// Whole-cluster occupancy, aggregated exactly: utilisations from the
@@ -918,18 +833,18 @@ impl ResourceService for ClusterService {
         let mut free_islands = 0;
         let mut failed_elements = 0;
         for s in &self.shards {
-            let kairos = s.svc().kairos();
+            let kairos = s.service.kairos();
             let p = kairos.platform();
             admitted_apps += kairos.admitted_count();
             used += p.element_ids().filter(|&e| p.is_used(e)).count();
             elements += p.element_count();
             free += p.total_free().as_array().iter().sum::<u64>();
             capacity += p.total_capacity().as_array().iter().sum::<u64>();
-            let shard_pairs = adjacent_pairs(p);
-            mixed += shard_pairs.iter().filter(|&&(a, b)| p.is_used(a) != p.is_used(b)).count();
-            pairs += shard_pairs.len();
+            let (shard_mixed, shard_pairs) = adjacent_pair_counts(p);
+            mixed += shard_mixed;
+            pairs += shard_pairs;
             free_islands += kairos_platform::free_island_count(p);
-            failed_elements += p.failed_elements().len();
+            failed_elements += p.element_ids().filter(|&e| p.is_failed(e)).count();
         }
         OccupancySnapshot {
             admitted_apps,
@@ -953,7 +868,7 @@ impl ResourceService for ClusterService {
     fn element_activity(&self) -> Vec<ElementActivity> {
         let mut out = Vec::new();
         for (shard_index, s) in self.shards.iter().enumerate() {
-            for mut activity in s.svc().kairos().element_activity() {
+            for mut activity in s.service.kairos().element_activity() {
                 activity.element = s.globals[activity.element.index()];
                 activity.shard = shard_index;
                 out.push(activity);
@@ -1038,31 +953,29 @@ mod tests {
         );
     }
 
-    /// Pins the pooled fan-out against a reference that is not a second
-    /// production path: one standalone service per [`RegionMap::extract`]
-    /// region, probed sequentially on the test thread. Probe rows must
-    /// match — and (lit) so must the rendered per-shard probe histograms,
-    /// whose recording is commutative and therefore independent of worker
-    /// scheduling under the zero clock.
+    /// Pins the probe fan-out against a reference that is not production
+    /// code: one standalone service per [`RegionMap::extract`] region,
+    /// probed sequentially. Probe rows must match for waves of any length
+    /// — and (lit) so must the rendered per-shard probe histograms.
     #[test]
     fn pooled_probe_waves_match_sequential_standalone_probes() {
         let platform = topology::crisp();
         let mut wave: Vec<Application> =
-            (0..6).map(|i| chain(&format!("w{i}"), 1 + i % 3, 400 + 100 * i as u64)).collect();
-        wave.push(chain("hopeless", 70, 990));
+            (0..16).map(|i| chain(&format!("w{i}"), 1 + i % 3, 400 + 35 * i as u64)).collect();
+        wave[7] = chain("hopeless", 70, 990);
         for lit in [false, true] {
             let hub = || match lit {
                 true => Telemetry::new(kairos_telemetry::TelemetryConfig::default()),
                 false => Telemetry::disabled(),
             };
-            let mut pooled = ClusterBuilder::new(platform.clone(), 3)
+            let mut cluster = ClusterBuilder::new(platform.clone(), 3)
                 .deterministic(true)
                 .telemetry(hub())
                 .build()
                 .unwrap();
             let mut standalone: Vec<KairosService> = (0..3)
                 .map(|r| {
-                    ServiceBuilder::new(pooled.regions().extract(&platform, r))
+                    ServiceBuilder::new(cluster.regions().extract(&platform, r))
                         .config(KairosConfig {
                             app_id_base: r as u32 * APP_ID_STRIDE,
                             ..KairosConfig::default()
@@ -1076,19 +989,19 @@ mod tests {
             // bypassing placement (and its probes).
             for i in 0..8 {
                 let app = chain(&format!("p{i}"), 2, 600);
-                pooled.shards[i % 3].svc_mut().admit_now(&app, PriorityClass::Normal).unwrap();
+                cluster.shards[i % 3].service.admit_now(&app, PriorityClass::Normal).unwrap();
                 standalone[i % 3].admit_now(&app, PriorityClass::Normal).unwrap();
             }
             for (s, service) in standalone.iter().enumerate() {
                 assert_eq!(
                     service.kairos().platform().checkpoint(),
-                    pooled.shard(s).kairos().platform().checkpoint()
+                    cluster.shard(s).kairos().platform().checkpoint()
                 );
             }
 
             let reference_hub = hub();
-            let mut reference_rows = || -> Vec<Vec<ShardProbe>> {
-                wave.iter()
+            let mut reference_rows = |apps: &[Application]| -> Vec<Vec<ShardProbe>> {
+                apps.iter()
                     .map(|app| {
                         let probe = |(shard, service): (usize, &mut KairosService)| {
                             let start = reference_hub.clock();
@@ -1103,20 +1016,20 @@ mod tests {
                     })
                     .collect()
             };
-            let expected = reference_rows();
-            assert_eq!(pooled.probe_admit_wave(&wave), expected, "lit={lit}");
-            // One application at a time stays on the calling thread
-            // (`POOLED_WAVE_MIN`): the same rows, the same histograms.
-            let singles: Vec<Vec<ShardProbe>> =
-                wave.iter().map(|app| pooled.probe_admit(app)).collect();
-            assert_eq!(singles, reference_rows(), "lit={lit}");
-            assert!(expected.iter().flatten().any(|p| p.fit.is_some()));
-            assert!(expected.last().unwrap().iter().all(|p| p.fit.is_none()));
+            for len in [0, 1, 8, 16] {
+                let expected = reference_rows(&wave[..len]);
+                assert_eq!(cluster.probe_admit_wave(&wave[..len]), expected, "lit={lit} len={len}");
+                assert_eq!(expected.len(), len);
+                if len > 7 {
+                    assert!(expected.iter().flatten().any(|p| p.fit.is_some()));
+                    assert!(expected[7].iter().all(|p| p.fit.is_none()));
+                }
+            }
             let probe_histograms = |hub: &Telemetry| -> Vec<String> {
                 let text = hub.render_text();
                 text.lines().filter(|l| l.contains("_probe_ns")).map(str::to_owned).collect()
             };
-            assert_eq!(probe_histograms(pooled.telemetry()), probe_histograms(&reference_hub));
+            assert_eq!(probe_histograms(cluster.telemetry()), probe_histograms(&reference_hub));
             assert_eq!(probe_histograms(&reference_hub).is_empty(), !lit);
         }
     }
@@ -1206,7 +1119,7 @@ mod tests {
     }
 
     #[test]
-    fn parallel_probes_are_deterministic_and_state_neutral() {
+    fn probes_are_deterministic_and_state_neutral() {
         let mut cluster = ClusterBuilder::new(topology::crisp(), 4)
             .deterministic(true)
             .placement(Box::new(BestFitFragmentation))

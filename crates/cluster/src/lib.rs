@@ -1,6 +1,6 @@
 //! # kairos-cluster
 //!
-//! Sharded platform regions with parallel admission probes behind the
+//! Sharded platform regions with what-if admission probes behind the
 //! [`ResourceService`](kairos_svc::ResourceService) surface — the first
 //! step from one resource manager to a fleet of them.
 //!
@@ -17,13 +17,10 @@
 //!   the monolithic [`ServiceBuilder`](kairos_svc::ServiceBuilder)).
 //! * **Admission probes** — every admission fans out as state-neutral
 //!   what-if probes across all shards (each a claim-journal transaction
-//!   its shard always rolls back). A batched wave runs on a persistent
-//!   worker-pool probe executor: one long-lived thread per shard, fed
-//!   whole waves through job channels (no executor crate, no extra
-//!   dependencies). A single admission is probed shard by shard on the
-//!   calling thread — the probe is cheaper than the hand-off.
-//!   Results are merged **in shard-id order**, so thread scheduling can
-//!   never leak into a decision: cluster output is byte-deterministic.
+//!   its shard always rolls back), one shard after another **in
+//!   shard-id order** — a single admission and a batched wave alike. The
+//!   cluster, like everything below it, runs on its caller's thread and
+//!   spawns none: its output is a pure function of its inputs.
 //! * **Pluggable placement** — a [`PlacementPolicy`] trait object picks
 //!   the winning shard from the merged probes: [`FirstFit`],
 //!   [`BestFitFragmentation`] (lowest post-admission §III-A
@@ -74,7 +71,6 @@
 
 mod cluster;
 mod policy;
-mod pool;
 
 pub use cluster::{ClusterBuilder, ClusterService, APP_ID_STRIDE, SCORE_E6_BOUNDS};
 pub use policy::{
@@ -91,11 +87,12 @@ impl ClusterService {
     }
 }
 
-// Compile-time thread-safety pins. Sharding lends whole manager stacks
-// to the persistent probe workers and shares the probed wave between
-// them; if any layer (platform, manager, service, injected policy
-// objects) silently stopped being `Send`/`Sync`, parallel probing would
-// regress. Fail the build here instead.
+// Compile-time thread-safety pins. Nothing here spawns a thread, but the
+// cluster's owner may sit on any: drivers box it as `dyn ResourceService +
+// Send` (the gateway's wrapped service, the benchmark's stacks). If any
+// layer (platform, manager, service, injected policy objects) silently
+// stopped being `Send`/`Sync`, they would stop compiling — fail the build
+// here instead.
 const fn _assert_send<T: Send>() {}
 const fn _assert_send_sync<T: Send + Sync>() {}
 const _: () = _assert_send_sync::<kairos_platform::Platform>();

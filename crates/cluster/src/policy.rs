@@ -1,10 +1,10 @@
 //! Pluggable shard-placement policies.
 //!
 //! When an admission arrives at a [`ClusterService`](crate::ClusterService),
-//! every shard is probed with a state-neutral what-if admission — in
-//! parallel — and the probe results, merged in shard-id order, are handed
-//! to a [`PlacementPolicy`] to pick the winning shard. The policy is a
-//! trait object injected at construction
+//! every shard is probed with a state-neutral what-if admission and the
+//! probe results, in shard-id order, are handed to a [`PlacementPolicy`]
+//! to pick the winning shard. The policy is a trait object injected at
+//! construction
 //! ([`ClusterBuilder::placement`](crate::ClusterBuilder::placement)), so
 //! deployments can bring their own scoring; the three built-ins cover the
 //! classic spectrum: [`FirstFit`] (cheapest), [`BestFitFragmentation`]
@@ -52,10 +52,9 @@ pub struct ShardLoad {
 /// Picks the shard an admission is routed to.
 ///
 /// Implementations must be deterministic pure functions of their inputs:
-/// the cluster merges probe results in shard-id order precisely so the
-/// choice is independent of probe-thread scheduling, and every policy
-/// must preserve that. `Send + Sync` is required because policies ride
-/// along when a cluster (or its shards) crosses threads.
+/// cluster output is a pure function of the request stream, and every
+/// policy must preserve that. `Send + Sync` is required because policies
+/// ride along when a cluster's owner moves it to another thread.
 pub trait PlacementPolicy: std::fmt::Debug + Send + Sync {
     /// The policy's name (used in reports and diagnostics).
     fn name(&self) -> &'static str;

@@ -1,8 +1,8 @@
 //! Property tests of the sharded service: cluster output is a pure
-//! function of its inputs — parallel probe threads never leak scheduling
-//! into the event stream — a one-shard cluster is indistinguishable from
-//! the monolithic service, and one ticket names a request at every layer
-//! of the stack (monolith, cluster, gateway over cluster).
+//! function of its inputs, a probe wave is its applications probed one
+//! by one and changes nothing, a one-shard cluster is indistinguishable
+//! from the monolithic service, and one ticket names a request at every
+//! layer of the stack (monolith, cluster, gateway over cluster).
 
 use proptest::prelude::*;
 
@@ -18,6 +18,7 @@ use kairos_svc::{
     CapacityEvent, Command, Event, Kairos, KairosService, Request, ResourceService, ServiceBuilder,
     Ticket,
 };
+use kairos_telemetry::{Telemetry, TelemetryConfig};
 
 fn chain(name: &str, tasks: usize, cpu: u64) -> Application {
     let imp = Implementation::new(ElementKind::Dsp, ResourceVector::new(cpu, 8, 0, 0), 50, 1);
@@ -290,6 +291,97 @@ fn every_layer_honours_a_stamped_ticket_and_mints_past_it() {
     assert_stamped_tickets_are_honoured(&mut gateway(cluster(3, true)));
 }
 
+/// Regression test: a batched wave's placements are counted exactly as
+/// per-request ones are — `placements` once per admission, `fallbacks`
+/// once per admission no shard's probe fits.
+#[test]
+fn batched_placements_are_counted_like_per_request_ones() {
+    let build = || {
+        ClusterBuilder::new(topology::crisp(), 2)
+            .deterministic(true)
+            .telemetry(Telemetry::new(TelemetryConfig::default()))
+            .build()
+            .unwrap()
+    };
+    let wave = || -> Vec<Request> {
+        let mut wave: Vec<Request> = (0..6)
+            .map(|i| Request::admit(0, chain(&format!("a{i}"), 2, 600), PriorityClass::Normal))
+            .collect();
+        wave.push(Request::admit(0, chain("hopeless", 70, 990), PriorityClass::Normal));
+        wave.push(Request::admit(0, chain("hopeless-too", 70, 990), PriorityClass::Normal));
+        wave
+    };
+    let counts = |cluster: &ClusterService| {
+        let count = |name: &str| cluster.telemetry().counter(name).unwrap().get();
+        (count("kairos.cluster.placements"), count("kairos.cluster.placement.fallbacks"))
+    };
+    let mut single = build();
+    for request in wave() {
+        single.submit(request);
+    }
+    let mut batched = build();
+    batched.submit_batch(wave());
+    assert_eq!(counts(&single), (8, 2));
+    assert_eq!(counts(&batched), (8, 2), "one count per admission, however it arrived");
+}
+
+/// `loads()` and `occupancy()` read the platform without building
+/// what they do not report; the values are the ones the full snapshot
+/// and the materialised pair / failure lists give, bit for bit.
+#[test]
+fn loads_and_occupancy_equal_their_materialising_definitions() {
+    let mut cluster = ClusterBuilder::new(topology::crisp(), 3)
+        .deterministic(true)
+        .placement(Box::new(LeastLoaded))
+        .build()
+        .unwrap();
+    for i in 0..9 {
+        let app = chain(&format!("l{i}"), 1 + i % 3, 500 + 40 * i as u64);
+        cluster.submit(Request::admit(i as u64, app, PriorityClass::Normal));
+    }
+    cluster.submit(Request::new(9, Command::InjectFault { element: ElementId(3) }));
+    cluster.take_events();
+
+    for (shard, load) in cluster.loads().into_iter().enumerate() {
+        let service = cluster.shard(shard);
+        assert_eq!(load.shard, shard);
+        assert_eq!(load.queue_depth, service.queue_depth());
+        let full = service.occupancy().resource_utilisation;
+        assert!(full > 0.0, "shard {shard} is loaded");
+        assert_eq!(load.resource_utilisation.to_bits(), full.to_bits(), "shard {shard}");
+    }
+
+    let (mut admitted, mut used, mut elements) = (0, 0, 0);
+    let (mut free, mut capacity) = (0u64, 0u64);
+    let (mut mixed, mut pairs, mut islands, mut failed) = (0, 0, 0, 0);
+    for shard in 0..cluster.shard_count() {
+        let kairos = cluster.shard(shard).kairos();
+        let p = kairos.platform();
+        admitted += kairos.admitted_count();
+        used += p.element_ids().filter(|&e| p.is_used(e)).count();
+        elements += p.element_count();
+        free += p.total_free().as_array().iter().sum::<u64>();
+        capacity += p.total_capacity().as_array().iter().sum::<u64>();
+        let shard_pairs: Vec<(ElementId, ElementId)> = p
+            .element_ids()
+            .flat_map(|a| p.neighbors(a).iter().filter(move |&&b| a < b).map(move |&b| (a, b)))
+            .collect();
+        mixed += shard_pairs.iter().filter(|&&(a, b)| p.is_used(a) != p.is_used(b)).count();
+        pairs += shard_pairs.len();
+        islands += kairos_platform::free_island_count(p);
+        failed += p.failed_elements().len();
+    }
+    assert_eq!(failed, 1);
+    let occ = cluster.occupancy();
+    assert_eq!(occ.admitted_apps, admitted);
+    assert_eq!(occ.element_utilisation.to_bits(), (used as f64 / elements as f64).to_bits());
+    assert_eq!(occ.resource_utilisation.to_bits(), (1.0 - free as f64 / capacity as f64).to_bits());
+    assert!(mixed > 0 && mixed < pairs);
+    assert_eq!(occ.external_fragmentation.to_bits(), (mixed as f64 / pairs as f64).to_bits());
+    assert_eq!(occ.free_islands, islands);
+    assert_eq!(occ.failed_elements, failed);
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
@@ -344,10 +436,9 @@ proptest! {
         prop_assert_eq!(format!("{events:?}"), format!("{replayed:?}"));
     }
 
-    /// Determinism under parallelism: the same operation sequence against
-    /// a fresh multi-shard cluster produces the byte-identical event
-    /// stream on every run, however the probe threads were scheduled
-    /// (probes merge in shard-id order; nothing else is concurrent).
+    /// Replay determinism: the same operation sequence against a fresh
+    /// multi-shard cluster produces the byte-identical event stream on
+    /// every run.
     #[test]
     fn multi_shard_replays_are_byte_identical(
         ops in proptest::collection::vec((0u8..6, any::<u8>(), any::<u8>()), 1..28),
@@ -357,8 +448,43 @@ proptest! {
         let first = drive(&mut cluster(shards, queued), &ops);
         for _ in 0..3 {
             let again = drive(&mut cluster(shards, queued), &ops);
-            prop_assert_eq!(&first, &again, "thread scheduling leaked into the stream");
+            prop_assert_eq!(&first, &again, "a replay diverged");
         }
+    }
+
+    /// A wave is its applications probed one by one — row `i` of
+    /// `probe_admit_wave(apps)` is `probe_admit(&apps[i])` — and probing
+    /// is state-neutral: every shard's platform digests to the same
+    /// from-scratch stamp before and after the wave.
+    #[test]
+    fn a_probe_wave_equals_its_single_probes_and_changes_nothing(
+        ops in proptest::collection::vec((0u8..6, any::<u8>(), any::<u8>()), 1..28),
+        wave in proptest::collection::vec((any::<u8>(), any::<u8>()), 0..12),
+        shards in 2usize..5,
+        queued in any::<bool>(),
+    ) {
+        let mut service = cluster(shards, queued);
+        drive(&mut service, &ops);
+        let apps: Vec<Application> = wave
+            .iter()
+            .enumerate()
+            .map(|(i, &(a, b))| {
+                chain(&format!("w{i}"), 1 + (a % 4) as usize, 300 + 100 * (b % 7) as u64)
+            })
+            .collect();
+        let stamps = |service: &ClusterService| -> Vec<u128> {
+            (0..service.shard_count())
+                .map(|s| service.shard(s).kairos().platform().state_stamp_from_scratch())
+                .collect()
+        };
+        let before = stamps(&service);
+        let rows = service.probe_admit_wave(&apps);
+        prop_assert_eq!(stamps(&service), before.clone(), "the wave left a mark");
+        prop_assert_eq!(rows.len(), apps.len());
+        for (app, row) in apps.iter().zip(&rows) {
+            prop_assert_eq!(&service.probe_admit(app), row);
+        }
+        prop_assert_eq!(stamps(&service), before);
     }
 
     /// A one-shard cluster is the monolithic service: identical event

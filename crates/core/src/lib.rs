@@ -81,10 +81,11 @@ pub use metrics::{ElementActivity, OccupancySnapshot, PhaseClock, PhaseStart, Ph
 pub use routing::{release_routes, route_channels, RouteAlgorithm};
 pub use validation::{layout_to_sdf, validate, ValidationConfig, ValidationReport};
 
-/// Compile-time thread-safety pin: `kairos-cluster` moves one manager
-/// per shard into probe worker threads, so `Kairos` (and everything it
-/// owns) must stay `Send + Sync`. A field change that silently dropped
-/// either would regress sharding — fail the build here instead.
+/// Compile-time thread-safety pin: nothing in the product spawns a
+/// thread, but a service stack's owner may sit on any (drivers box
+/// `dyn ResourceService + Send`), so `Kairos` (and everything it owns)
+/// must stay `Send + Sync`. A field change that silently dropped either
+/// would break them — fail the build here instead.
 const fn _assert_send_sync<T: Send + Sync>() {}
 const _: () = _assert_send_sync::<Kairos>();
 const _: () = _assert_send_sync::<AdmissionProbe>();

@@ -470,9 +470,31 @@ impl Kairos {
     /// An instantaneous snapshot of all occupancy metrics, for time-series
     /// sampling by long-running drivers (the `kairos-sim` scenario engine).
     pub fn occupancy(&self) -> OccupancySnapshot {
-        // One walk for what `total_free`, `total_capacity`,
-        // `element_utilisation` and `failed_elements` would each walk for:
-        // this runs after every successful probe.
+        let (used, failed, resource_utilisation) = self.tally();
+        let elements = self.platform.element_count();
+        OccupancySnapshot {
+            admitted_apps: self.admitted.len(),
+            element_utilisation: if elements == 0 { 0.0 } else { used as f64 / elements as f64 },
+            resource_utilisation,
+            external_fragmentation: kairos_platform::external_fragmentation(&self.platform),
+            free_islands: kairos_platform::free_island_count(&self.platform),
+            failed_elements: failed,
+        }
+    }
+
+    /// Fraction of the non-failed elements' resources currently claimed:
+    /// [`OccupancySnapshot::resource_utilisation`] without the
+    /// fragmentation walk and the island flood fill the rest of the
+    /// snapshot costs.
+    pub fn resource_utilisation(&self) -> f64 {
+        self.tally().2
+    }
+
+    /// `(used elements, failed elements, resource utilisation)` — one walk
+    /// for what `total_free`, `total_capacity`, `element_utilisation` and
+    /// `failed_elements` would each walk for: this runs after every
+    /// successful probe.
+    fn tally(&self) -> (usize, usize, f64) {
         let (mut free, mut capacity) = (ResourceVector::ZERO, ResourceVector::ZERO);
         let (mut used, mut failed) = (0usize, 0usize);
         for element in self.platform.elements() {
@@ -487,19 +509,8 @@ impl Kairos {
         }
         let free: u64 = free.as_array().iter().sum();
         let capacity: u64 = capacity.as_array().iter().sum();
-        let elements = self.platform.element_count();
-        OccupancySnapshot {
-            admitted_apps: self.admitted.len(),
-            element_utilisation: if elements == 0 { 0.0 } else { used as f64 / elements as f64 },
-            resource_utilisation: if capacity == 0 {
-                0.0
-            } else {
-                1.0 - free as f64 / capacity as f64
-            },
-            external_fragmentation: kairos_platform::external_fragmentation(&self.platform),
-            free_islands: kairos_platform::free_island_count(&self.platform),
-            failed_elements: failed,
-        }
+        let utilisation = if capacity == 0 { 0.0 } else { 1.0 - free as f64 / capacity as f64 };
+        (used, failed, utilisation)
     }
 
     /// Per-element busy/failed/resident-apps activity, in element-id order.
@@ -665,12 +676,10 @@ impl Kairos {
     /// would reach.
     ///
     /// This is the fan-out query behind sharded admission
-    /// (`kairos-cluster`): every shard manager is probed — concurrently,
-    /// which is safe because the probe is state-neutral and each thread
-    /// owns its shard exclusively — and a placement policy compares the
-    /// returned [`AdmissionProbe`]s to pick the winning shard. The whole
-    /// probe runs in one claim-journal transaction that is always rolled
-    /// back.
+    /// (`kairos-cluster`): every shard manager is probed in turn and a
+    /// placement policy compares the returned [`AdmissionProbe`]s to
+    /// pick the winning shard. The whole probe runs in one claim-journal
+    /// transaction that is always rolled back.
     ///
     /// A manager without an operating-point cache remembers what the
     /// probe decided, so the winning shard's [`Kairos::admit`] that
@@ -691,9 +700,9 @@ impl Kairos {
         }
         let scratch = AppId(self.next_app);
         let mut timings = PhaseTimings::default();
-        // Probes never trace: they run on the cluster's parallel probe
-        // threads, and the trace sink is coordinator-only by design (the
-        // coordinator synthesizes probe spans after the join).
+        // Probes never trace: the phases of a trial that is rolled back
+        // are not part of the request's causal chain (the cluster records
+        // one `probe.shard{i}` span per probe instead).
         let result = self.place(app, scratch, &mut timings, TraceContext::NONE, 0);
         // Captured while the trial claims are still seated; with a cache
         // `place` has already stored the same decision there.
@@ -1076,10 +1085,8 @@ impl Kairos {
         cache.insert(shape, stamp, decision);
         if let Some(m) = &self.metrics {
             // Delta update, not `set`: cluster shards share this gauge by
-            // name and probe on parallel worker threads, so only
-            // commutative writes keep the snapshot deterministic. The
-            // gauge therefore reads as the resident-point total across
-            // every manager on the hub.
+            // name, so it reads as the resident-point total across every
+            // manager on the hub.
             m.cache_points.add(cache.len() as i64 - before);
         }
         result
@@ -1188,7 +1195,7 @@ impl Kairos {
         if let Some(m) = &self.metrics {
             m.cache_invalidations.add(dropped);
             // Delta, not `set` — see `place_cold`: the gauge is shared
-            // across cluster shards and must only see commutative writes.
+            // across cluster shards.
             m.cache_points.add(-(dropped as i64));
         }
     }

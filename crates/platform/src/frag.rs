@@ -19,12 +19,17 @@ fn pairs(platform: &Platform) -> impl Iterator<Item = (ElementId, ElementId)> + 
     })
 }
 
-/// All unordered adjacent element pairs of the platform.
-///
-/// A pair `{a, b}` is adjacent when a link exists in either direction; the
-/// pair is reported once with `a < b`.
-pub fn adjacent_pairs(platform: &Platform) -> Vec<(ElementId, ElementId)> {
-    pairs(platform).collect()
+/// `(mixed, total)`: how many of the platform's unordered adjacent element
+/// pairs have exactly one used element, and how many pairs there are — the
+/// numerator and denominator of [`external_fragmentation`], for callers
+/// that aggregate the ratio over several platforms.
+pub fn adjacent_pair_counts(platform: &Platform) -> (usize, usize) {
+    let (mut mixed, mut total) = (0usize, 0usize);
+    for (a, b) in pairs(platform) {
+        total += 1;
+        mixed += usize::from(platform.is_used(a) != platform.is_used(b));
+    }
+    (mixed, total)
 }
 
 /// External resource fragmentation in `[0, 1]`.
@@ -40,11 +45,7 @@ pub fn adjacent_pairs(platform: &Platform) -> Vec<(ElementId, ElementId)> {
 /// assert_eq!(external_fragmentation(&platform), 0.0); // nothing used
 /// ```
 pub fn external_fragmentation(platform: &Platform) -> f64 {
-    let (mut total, mut mixed) = (0usize, 0usize);
-    for (a, b) in pairs(platform) {
-        total += 1;
-        mixed += usize::from(platform.is_used(a) != platform.is_used(b));
-    }
+    let (mixed, total) = adjacent_pair_counts(platform);
     if total == 0 {
         return 0.0;
     }
@@ -120,8 +121,9 @@ mod tests {
     #[test]
     fn adjacent_pairs_are_unique_and_undirected() {
         let (p, _) = line(4);
-        let pairs = adjacent_pairs(&p);
+        let pairs: Vec<_> = pairs(&p).collect();
         assert_eq!(pairs.len(), 3);
+        assert_eq!(adjacent_pair_counts(&p), (0, 3));
         for (a, b) in &pairs {
             assert!(a < b);
         }
@@ -171,7 +173,7 @@ mod tests {
         b.add_element(ElementKind::Dsp, ResourceVector::splat(1));
         b.add_element(ElementKind::Dsp, ResourceVector::splat(1));
         let p = b.build();
-        assert!(adjacent_pairs(&p).is_empty());
+        assert_eq!(adjacent_pair_counts(&p), (0, 0));
         assert_eq!(external_fragmentation(&p), 0.0);
     }
 }

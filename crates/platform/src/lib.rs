@@ -61,7 +61,9 @@ pub use builder::PlatformBuilder;
 pub use digest::Digest;
 pub use distance::{bfs_distances, hop_distance, SearchDirection, SparseDistanceMatrix};
 pub use element::{Element, ElementId, ElementKind};
-pub use frag::{adjacent_pairs, element_utilisation, external_fragmentation, free_island_count};
+pub use frag::{
+    adjacent_pair_counts, element_utilisation, external_fragmentation, free_island_count,
+};
 pub use link::{Link, LinkId};
 pub use platform::{AppId, ClaimError, Occupant, Platform, PlatformCheckpoint};
 pub use power::{PowerModel, PowerRate};
@@ -69,9 +71,10 @@ pub use region::RegionMap;
 pub use render::{render_link_load, render_occupancy, render_strip};
 pub use resource::{ResourceKind, ResourceVector, RESOURCE_KIND_COUNT};
 
-/// Compile-time thread-safety pin (sharded deployments move platforms and
-/// probe them from worker threads; a field change that silently dropped
-/// `Send`/`Sync` would regress `kairos-cluster`'s parallel probes).
+/// Compile-time thread-safety pin (nothing in the product spawns a
+/// thread, but a service stack's owner may move it to any: drivers box
+/// `dyn ResourceService + Send`; a field change that silently dropped
+/// `Send`/`Sync` would break them).
 const fn _assert_send_sync<T: Send + Sync>() {}
 const _: () = _assert_send_sync::<Platform>();
 const _: () = _assert_send_sync::<RegionMap>();

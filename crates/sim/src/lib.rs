@@ -20,7 +20,7 @@
 //!   — `batch-arrival-wave`, which admits synchronized arrival waves
 //!   through the batched service path, two that exercise the
 //!   `kairos-cluster` sharded deployment ([`ClusterSpec`]) —
-//!   `sharded-arrival-storm` (parallel admission probes over four region
+//!   `sharded-arrival-storm` (admission probes fanned out over four region
 //!   shards) and `cross-shard-rebalance` (periodic evict-and-readmit
 //!   sweeps against a skewed first-fit fill, [`RebalanceSpec`]) —
 //!   `telemetry-probe-latency`, which runs a sharded preempting workload

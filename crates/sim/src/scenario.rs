@@ -16,7 +16,7 @@
 //! migration versus evict-and-readmit, defragmenting compaction sweeps),
 //! one exercising batched submission through the `kairos-svc` service
 //! API (synchronized arrival waves), two exercising the
-//! `kairos-cluster` sharded deployment (a parallel-probe arrival storm
+//! `kairos-cluster` sharded deployment (a probe-fan-out arrival storm
 //! over four region shards, and cross-shard rebalancing of a skewed
 //! first-fit fill), one exercising the `kairos-telemetry`
 //! observability layer (`telemetry-probe-latency`, which runs a sharded
@@ -387,8 +387,8 @@ pub struct Scenario {
     /// Sharded platform deployment. `None` runs the monolithic service
     /// (one manager owning the whole platform); `Some` partitions the
     /// platform into region shards behind a `kairos-cluster` service,
-    /// with parallel admission probes and optional cross-shard
-    /// rebalancing.
+    /// with admission probes fanned out over the shards and optional
+    /// cross-shard rebalancing.
     pub cluster: Option<ClusterSpec>,
     /// Queueing front-end. `None` drives the service directly;
     /// `Some` wraps it in a `kairos-gateway` [`Gateway`](kairos_gateway::Gateway)
@@ -1239,12 +1239,10 @@ fn batch_arrival_wave() -> Scenario {
 
 /// Sharded arrival storm: a heavy-tailed Pareto storm of mixed-size
 /// applications slams a CRISP platform partitioned into four region
-/// shards. Every arrival fans out as parallel what-if probes across all
-/// four shard managers; the least-loaded policy routes it to the shard
-/// that would end up emptiest, and requests no shard can take queue at
-/// the policy's fallback shard under per-shard backpressure. The same
-/// storm against `shards: 1` is the monolithic baseline the
-/// `cluster_probe` bench compares against.
+/// shards. Every arrival fans out as what-if probes across all four
+/// shard managers; the least-loaded policy routes it to the shard that
+/// would end up emptiest, and requests no shard can take queue at the
+/// policy's fallback shard under per-shard backpressure.
 fn sharded_arrival_storm() -> Scenario {
     // Mostly small applications: a shard is a third of the platform, and
     // an application must fit inside one shard (placements never span the
@@ -1337,7 +1335,7 @@ fn cross_shard_rebalance() -> Scenario {
 /// workload — low-priority residents first, then a critical surge that
 /// live-migrates victims — with [`Scenario::telemetry`] enabled, so the
 /// report embeds the full metric snapshot: per-shard probe-latency
-/// histograms and placement-score distributions from the parallel probe
+/// histograms and placement-score distributions from the probe
 /// fan-out, pipeline-phase and transaction counters from every shard
 /// manager, queue-transition counters from the admission front-ends, and
 /// the two-phase migration tallies. Under the engine's deterministic zero

@@ -75,11 +75,12 @@ pub use service::{KairosService, ResourceService};
 pub use kairos_admitd::{AdmitPolicy, Admitd, PreemptionPolicy, PriorityClass, VictimOrder};
 pub use kairos_core::{Kairos, KairosConfig};
 
-/// Compile-time thread-safety pin: `kairos-cluster` owns one
-/// `KairosService` per shard and lends them to probe worker threads, so the
-/// whole service stack must stay `Send` (and `Sync` for shared probing
-/// inputs). A field change that silently dropped either would regress
-/// sharding — fail the build here instead.
+/// Compile-time thread-safety pin: nothing in the product spawns a
+/// thread, but drivers box services as `dyn ResourceService + Send` (the
+/// gateway's wrapped service among them), so the whole service stack must
+/// stay `Send` (and `Sync`, so it can be shared behind a reference). A
+/// field change that silently dropped either would break them — fail the
+/// build here instead.
 const fn _assert_send_sync<T: Send + Sync>() {}
 const _: () = _assert_send_sync::<KairosService>();
 const _: () = _assert_send_sync::<Event>();

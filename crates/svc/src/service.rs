@@ -389,7 +389,7 @@ impl KairosService {
 
     /// Probes whether `app` could be admitted right now, leaving the
     /// service (platform, queue, registries) exactly as it was. The
-    /// per-shard half of `kairos-cluster`'s parallel admission fan-out.
+    /// per-shard half of `kairos-cluster`'s admission probe fan-out.
     ///
     /// # Errors
     ///

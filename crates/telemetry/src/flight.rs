@@ -30,10 +30,10 @@ impl fmt::Display for TraceEvent {
 /// enough to leave always-on, dumped after the fact when something went
 /// wrong (an admission failure, a rollback, an aborted rebalance sweep).
 ///
-/// Each recorder belongs to one shard (or the monolithic manager), and a
-/// shard's operations run on one thread at a time, so the recorded order
-/// is the deterministic operation order; the mutex only guards the
-/// example-facing case of dumping while another thread records.
+/// Each recorder belongs to one shard (or the monolithic manager), so
+/// the recorded order is that manager's deterministic operation order;
+/// the mutex only guards the example-facing case of dumping while another
+/// thread records.
 #[derive(Debug)]
 pub struct FlightRecorder {
     label: String,

@@ -51,10 +51,9 @@ pub(crate) struct Inner {
 /// effect the test-suite pins to zero.
 ///
 /// [`Telemetry::child`] derives per-shard handles that share the registry
-/// (metric totals aggregate across shards; atomic increments commute, so
-/// totals stay deterministic under the cluster's probe parallelism) while
-/// owning their own flight recorder (each shard's event order is its own
-/// deterministic operation order).
+/// (metric totals aggregate across shards) while owning their own flight
+/// recorder (each shard's event order is its own deterministic operation
+/// order).
 #[derive(Debug, Clone, Default)]
 pub struct Telemetry {
     inner: Option<Arc<Inner>>,

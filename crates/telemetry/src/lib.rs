@@ -48,15 +48,13 @@
 //!    histograms — counts, sums, min/max — are a pure function of the
 //!    operation sequence.
 //! 3. Snapshots iterate the registry in name order and hold only
-//!    integers; rendering is byte-stable for identical runs even under
-//!    the cluster's probe parallelism, because shared counters only ever
-//!    receive commutative atomic increments.
-//! 4. Request traces carry only virtual ticks handed in by the caller,
-//!    ids come from one sequence behind the sink's mutex, and every sink
-//!    access happens on the coordinating thread — the cluster's probe
-//!    threads never record spans (the coordinator synthesizes per-shard
-//!    probe spans after the join, in shard-id order). Dumps sort by
-//!    `(trace, id)`, so trace exports are byte-stable too.
+//!    integers; rendering is byte-stable for identical runs. The product
+//!    spawns no thread, so every instrument is written in the operation
+//!    order of the one thread driving the stack.
+//! 4. Request traces carry only virtual ticks handed in by the caller
+//!    and ids come from one sequence, allocated in that same operation
+//!    order. Dumps sort by `(trace, id)`, so trace exports are
+//!    byte-stable too.
 //!
 //! See `docs/OBSERVABILITY.md` for the span taxonomy and the metric-name
 //! catalogue.

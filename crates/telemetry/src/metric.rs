@@ -103,8 +103,8 @@ impl Gauge {
 /// or in the implicit overflow bucket past the last bound. Alongside the
 /// buckets the histogram tracks count, saturating sum, min and max, so
 /// per-phase min/mean/max summaries need no extra machinery. Every
-/// recording is a handful of relaxed atomics — safe and deterministic to
-/// share across probe threads, because increments commute.
+/// recording is a handful of relaxed atomics, so handles are shared as
+/// plain `Arc`s.
 #[derive(Debug)]
 pub struct Histogram {
     bounds: Vec<u64>,

@@ -13,10 +13,9 @@
 //! `lib.rs`):
 //!
 //! 1. Span and trace ids come from one global sequence behind the sink's
-//!    mutex, and every sink access happens on the coordinating thread —
-//!    the cluster's parallel probe threads never touch the sink (probe
-//!    spans are synthesized by the coordinator after the join, in
-//!    shard-id order).
+//!    mutex, allocated in operation order: the product spawns no thread,
+//!    so one caller drives the whole stack (the cluster records its
+//!    per-shard probe spans itself, in shard-id order).
 //! 2. All span times are virtual ticks carried in by the caller; the
 //!    wall clock is never consulted.
 //! 3. [`Telemetry::trace_dump`](crate::Telemetry::trace_dump) orders

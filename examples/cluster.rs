@@ -1,6 +1,6 @@
 //! Guided tour of the `kairos-cluster` sharded deployment: partition a
-//! platform into region shards, admit an arrival wave through parallel
-//! what-if probes, then force a cross-shard rebalance.
+//! platform into region shards, admit an arrival wave through what-if
+//! probes of every shard, then force a cross-shard rebalance.
 //!
 //! ```text
 //! cargo run --release --example cluster
@@ -47,10 +47,10 @@ fn main() {
         cluster.regions().cross_region_links(&topology::crisp())
     );
 
-    // 2. Admission wave: every arrival fans out as parallel what-if
-    // probes across all shards; the policy picks the winner from results
-    // merged in shard-id order.
-    println!("-- a wave of 9 arrivals, placed by parallel probes ({}) --", cluster.policy_name());
+    // 2. Admission wave: every arrival fans out as what-if probes across
+    // all shards; the policy picks the winner from the results, in
+    // shard-id order.
+    println!("-- a wave of 9 arrivals, placed by probe fan-out ({}) --", cluster.policy_name());
     let mut sampler = WorkloadSampler::new("cluster-demo", WorkloadMix::all_datasets(), 42);
     for i in 0..9 {
         let app = sampler.next_app();

@@ -35,7 +35,7 @@
 //! * [`cluster`] — the sharded deployment: the platform partitioned into
 //!   contiguous capacity-balanced region shards (`RegionMap`), one
 //!   manager per shard behind the same `ResourceService` surface
-//!   (`ClusterService`), parallel what-if admission probes merged in
+//!   (`ClusterService`), what-if admission probes across all shards in
 //!   shard-id order, pluggable placement policies (first-fit /
 //!   best-fit-by-fragmentation / least-loaded) and cross-shard
 //!   rebalancing sweeps;
