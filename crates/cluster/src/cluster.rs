@@ -475,15 +475,7 @@ impl ClusterService {
     fn dispatch(&mut self, ticket: Ticket, at: u64, command: Command, trace: TraceContext) {
         match command {
             Command::Admit { app, class } => {
-                let ctx = if trace.is_some() {
-                    trace
-                } else {
-                    self.telemetry.trace_root(
-                        "request",
-                        at,
-                        &[("class", class.to_string()), ("origin", "request".to_owned())],
-                    )
-                };
+                let ctx = self.telemetry.request_root(trace, at, &class);
                 let target = self.place(&app, ctx, at);
                 self.forward(target, ticket, Request::admit(at, app, class).with_trace(ctx));
             }
@@ -741,15 +733,7 @@ impl ResourceService for ClusterService {
                     // Roots are minted here, in submission order, so trace
                     // id allocation never depends on where the wave's rows
                     // end up being placed.
-                    let ctx = if trace.is_some() {
-                        trace
-                    } else {
-                        self.telemetry.trace_root(
-                            "request",
-                            at,
-                            &[("class", class.to_string()), ("origin", "request".to_owned())],
-                        )
-                    };
+                    let ctx = self.telemetry.request_root(trace, at, &class);
                     admissions.push((ticket, at, app, class, ctx));
                 }
                 other => rest.push((ticket, at, other, trace)),

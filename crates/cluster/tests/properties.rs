@@ -13,7 +13,9 @@ use kairos_admitd::{AdmitPolicy, PreemptionPolicy, PriorityClass};
 use kairos_app::{Application, ApplicationBuilder, Implementation, TaskRole};
 use kairos_cluster::{ClusterBuilder, ClusterService, LeastLoaded};
 use kairos_gateway::{Gateway, GatewayConfig};
-use kairos_platform::{topology, AppId, ElementId, ElementKind, ResourceVector};
+use kairos_platform::{
+    topology, AppId, ElementId, ElementKind, PlatformCheckpoint, ResourceVector,
+};
 use kairos_svc::{
     CapacityEvent, Command, Event, Kairos, KairosService, Request, ResourceService, ServiceBuilder,
     Ticket,
@@ -454,8 +456,9 @@ proptest! {
 
     /// A wave is its applications probed one by one — row `i` of
     /// `probe_admit_wave(apps)` is `probe_admit(&apps[i])` — and probing
-    /// is state-neutral: every shard's platform digests to the same
-    /// from-scratch stamp before and after the wave.
+    /// is state-neutral: every shard's platform checkpoint — the exact
+    /// bytes, not a digest of some of them — is the same before and after
+    /// the wave.
     #[test]
     fn a_probe_wave_equals_its_single_probes_and_changes_nothing(
         ops in proptest::collection::vec((0u8..6, any::<u8>(), any::<u8>()), 1..28),
@@ -472,19 +475,19 @@ proptest! {
                 chain(&format!("w{i}"), 1 + (a % 4) as usize, 300 + 100 * (b % 7) as u64)
             })
             .collect();
-        let stamps = |service: &ClusterService| -> Vec<u128> {
+        let states = |service: &ClusterService| -> Vec<PlatformCheckpoint> {
             (0..service.shard_count())
-                .map(|s| service.shard(s).kairos().platform().state_stamp_from_scratch())
+                .map(|s| service.shard(s).kairos().platform().checkpoint())
                 .collect()
         };
-        let before = stamps(&service);
+        let before = states(&service);
         let rows = service.probe_admit_wave(&apps);
-        prop_assert_eq!(stamps(&service), before.clone(), "the wave left a mark");
+        prop_assert_eq!(states(&service), before.clone(), "the wave left a mark");
         prop_assert_eq!(rows.len(), apps.len());
         for (app, row) in apps.iter().zip(&rows) {
             prop_assert_eq!(&service.probe_admit(app), row);
         }
-        prop_assert_eq!(stamps(&service), before);
+        prop_assert_eq!(states(&service), before);
     }
 
     /// A one-shard cluster is the monolithic service: identical event

@@ -3,15 +3,25 @@
 //!
 //! [`CachedDecision`] is the complete outcome of one `run_phases` call —
 //! a [`CachedPoint`] whose recorded claims reproduce the cold run's
-//! platform mutations byte for byte, or the exact refusal. Replaying one
-//! is only sound from the exact platform byte-state it was computed
-//! against, so a carrier changes *which work runs*, never *what is
-//! decided*. Each carrier proves that state its own way:
+//! platform mutations, or the exact refusal. A decision is a function of
+//! the application's shape and of what the pipeline *reads* of the
+//! platform — free vectors, failure marks, which elements are used, link
+//! occupancy — so replaying one is sound from any state that agrees on
+//! those, and lands on the platform a cold run from that state would
+//! have produced. A carrier changes *which work runs*, never *what is
+//! decided*. Each carrier proves the state its own way:
 //!
 //! * the **operating-point cache** (`kairos-opcache`, when
 //!   `KairosConfig::cache` is set) keys decisions by
-//!   `(ShapeKey, StateStamp)` — a digest of the whole mutable platform
-//!   state — so a decision can come back any number of admissions later.
+//!   `(ShapeKey, StateStamp)` — a digest of exactly that admission view,
+//!   not of who the residents are — so a decision can come back any
+//!   number of admissions later, and under other tenants, as long as the
+//!   same resources are free in the same places. What makes leaving
+//!   identity out sound: the only reader of it on the admission path is
+//!   `CostContext::fragmentation_bonus` ("does this neighbour hold a task
+//!   of the application I am placing?"), and `Kairos::place` is always
+//!   handed an id no resident carries (asserted there in debug builds),
+//!   so every pre-existing occupant answers "no" whatever its id.
 //!   Neither half is computed per lookup: the shape is a field the
 //!   application hashed when it was built, and the stamp is a sum of
 //!   per-record digests the platform maintains, re-digesting at a lookup
@@ -51,16 +61,17 @@ pub(crate) enum CachedDecision {
 }
 
 /// A replayable operating point: the execution layout plus everything
-/// needed to reproduce the cold run's platform mutations byte-for-byte.
+/// needed to reproduce the cold run's platform mutations claim for claim.
 #[derive(Debug, Clone)]
 pub(crate) struct CachedPoint {
     /// The layout the pipeline computed.
     pub layout: ExecutionLayout,
     /// The admitted application's final per-element claims, captured in
     /// resident order after the cold run: `(element, task, claimed)`.
-    /// Replaying claims in this order lands every occupant at the same
-    /// resident index the cold pipeline left it at. The app id is *not*
-    /// stored — seats relabel to whatever id the warm admission uses.
+    /// Replaying claims in this order seats the occupants behind the
+    /// element's earlier residents in the order the cold pipeline left
+    /// them in. The app id is *not* stored — seats relabel to whatever id
+    /// the warm admission uses.
     pub seats: Vec<(ElementId, u32, ResourceVector)>,
     /// Channel bandwidths aligned with `layout.routes`, for link claims.
     pub bandwidths: Vec<u64>,

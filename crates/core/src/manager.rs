@@ -66,8 +66,9 @@ pub struct KairosConfig {
     /// The design-time operating-point cache (`kairos-opcache`): when
     /// set, every pipeline entry point first looks up the request's
     /// `(shape, platform-state)` key and replays the stored decision on a
-    /// hit — O(claims) instead of a full pipeline run. Keys pin the exact
-    /// platform byte-state a decision was computed against, so a warm
+    /// hit — O(claims) instead of a full pipeline run. Keys pin everything
+    /// an admission reads of the platform (what is free where, what is
+    /// used, what has failed — not who the residents are), so a warm
     /// cache changes *which work runs*, never *what is decided*. `None`
     /// (the default) bypasses the cache code path entirely.
     pub cache: Option<CacheConfig>,
@@ -356,9 +357,11 @@ fn duration_ns(elapsed: std::time::Duration) -> u64 {
 
 /// The freshly admitted application's per-element claims in final
 /// resident order — the replay recipe of a cached operating point.
-/// Replaying claims in this order lands every occupant at the same
-/// resident index the cold pipeline left it at, so the warm platform is
-/// byte-identical to the cold one.
+/// The application's occupants sit behind every earlier resident of an
+/// element, so their order among themselves does not depend on who those
+/// are: replaying the claims in this order seats each occupant where a
+/// cold run from the replay's own starting state would have left it, and
+/// the warm platform equals that cold one.
 fn capture_seats(
     platform: &Platform,
     app_id: AppId,
@@ -999,11 +1002,16 @@ impl Kairos {
     /// configured, replaying a stored decision on a hit and falling back
     /// to (and populating from) the cold four-phase pipeline on a miss.
     ///
-    /// A hit requires the exact `(shape, platform-state)` key, so the
-    /// replayed claims reproduce the cold run's platform bytes precisely.
-    /// Both halves of the key are kept, not computed: the shape is a field
-    /// of the application and the stamp re-digests only the platform
-    /// records mutated since the previous lookup.
+    /// A hit requires the exact `(shape, admission-view)` key — the stamp
+    /// digests what the pipeline reads of the platform, not who resides
+    /// on it — so the replayed claims land on the platform a cold run
+    /// from this state would have produced. That rests on `app_id` being
+    /// fresh: the pipeline tells its own occupants from everyone else's
+    /// and nothing more, so a resident already carrying `app_id` is the
+    /// one thing the key could not see (asserted below). Both halves of
+    /// the key are kept, not computed: the shape is a field of the
+    /// application and the stamp re-digests only the platform records
+    /// mutated since the previous lookup.
     /// `timings` stays zero on the warm path (there are no phases to
     /// time — deterministic drivers zero the cold path's clock too, so
     /// the cache never changes report bytes).
@@ -1018,6 +1026,14 @@ impl Kairos {
         let Some(cache) = self.cache.as_mut() else {
             return self.run_phases(app, app_id, timings, ctx, now);
         };
+        debug_assert!(
+            self.platform
+                .element_ids()
+                .flat_map(|e| self.platform.residents(e))
+                .all(|o| o.app != app_id),
+            "{app_id} is already resident: the state stamp leaves resident identity out \
+             because the id being placed is never on the platform"
+        );
         let shape = shape_of(app);
         let stamp = StateStamp::maintained(&mut self.platform);
         debug_assert_eq!(
@@ -1051,9 +1067,10 @@ impl Kairos {
                     Ok((point.layout, point.validation))
                 } else {
                     // Unreachable short of a 128-bit stamp collision: the
-                    // key pins the exact byte-state the claims succeeded
-                    // against. Degrade to the cold pipeline regardless —
-                    // a collision must never change an admission outcome.
+                    // key pins every free vector, failure mark and link
+                    // the claims succeeded against. Degrade to the cold
+                    // pipeline regardless — a collision must never change
+                    // an admission outcome.
                     self.place_cold(app, app_id, shape, stamp, timings, ctx, now)
                 }
             }
@@ -1151,9 +1168,9 @@ impl Kairos {
     /// tracks pipeline attempts, and the enclosing entry point already
     /// opened one). Seats are claimed in recorded resident order and
     /// route links in layout order, so a successful replay leaves the
-    /// platform byte-identical to the cold run the point was captured
-    /// from. Any claim failure rolls the nested transaction back
-    /// completely and reports `false`.
+    /// platform equal to what the cold pipeline would have left from the
+    /// same starting state. Any claim failure rolls the nested
+    /// transaction back completely and reports `false`.
     fn replay_point(&mut self, point: &CachedPoint, app_id: AppId) -> bool {
         self.platform.begin_txn();
         for &(element, task, claimed) in &point.seats {
@@ -1594,5 +1611,45 @@ mod tests {
         assert_eq!(kairos.fragmentation(), 0.0);
         kairos.admit(&chain("c", 3, 700, 100)).unwrap();
         assert!(kairos.fragmentation() > 0.0);
+    }
+
+    #[test]
+    fn a_recurring_occupancy_hits_whoever_holds_it() {
+        let cached =
+            KairosConfig { cache: Some(CacheConfig::default()), ..KairosConfig::default() };
+        let mut kairos = Kairos::new(topology::crisp(), cached);
+        let (a, b) = (chain("a", 3, 600, 80), chain("b", 4, 700, 100));
+        let hits = |k: &Kairos| k.cache_stats().unwrap().hits;
+
+        let b1 = kairos.admit(&b).unwrap();
+        let a1 = kairos.admit(&a).unwrap();
+        assert_eq!(hits(&kairos), 0);
+        let under_b1 = kairos.platform().checkpoint();
+        kairos.release(a1.app_id);
+        kairos.release(b1.app_id);
+
+        // The same shape under a new id: the idle platform recurs, so this
+        // replays b1's point — and leaves every element b1 held to b2.
+        let b2 = kairos.admit(&b).unwrap();
+        assert_ne!(b2.app_id, b1.app_id, "ids are never recycled");
+        assert_eq!(b2.layout, b1.layout);
+        assert_eq!(hits(&kairos), 1);
+
+        // The occupancy `a` was first decided against is back, held by
+        // another tenant. Nothing the pipeline reads tells b2 from b1.
+        let a2 = kairos.admit(&a).unwrap();
+        assert_eq!(hits(&kairos), 2, "who the neighbours are is not part of the key");
+        assert_eq!(a2.layout, a1.layout);
+        assert_ne!(kairos.platform().checkpoint(), under_b1, "other tenants: not the same bytes");
+
+        // And both replays left what the pipeline leaves: an uncached
+        // manager through the same history ends on the same bytes.
+        let mut cold = Kairos::new(topology::crisp(), KairosConfig::default());
+        for id in [cold.admit(&b).unwrap().app_id, cold.admit(&a).unwrap().app_id] {
+            assert!(cold.release(id));
+        }
+        assert_eq!(cold.admit(&b).unwrap().app_id, b2.app_id);
+        assert_eq!(cold.admit(&a).unwrap().app_id, a2.app_id);
+        assert_eq!(kairos.platform().checkpoint(), cold.platform().checkpoint());
     }
 }

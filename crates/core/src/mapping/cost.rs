@@ -152,6 +152,14 @@ impl CostContext<'_> {
     }
 
     /// The fragmentation bonus of placing `t` on `e` (higher is better).
+    ///
+    /// The only reader of occupant identity on the admission path: it asks
+    /// of each neighbour whether it is idle, holds a task of *this*
+    /// application, or holds anyone else's. `Platform::state_stamp` relies
+    /// on that — it digests the used flag and leaves identity out, which is
+    /// sound because `self.app_id` is never resident before its placement
+    /// starts. Reading more of an [`Occupant`](kairos_platform::Occupant)
+    /// here means putting it in the stamp.
     pub fn fragmentation_bonus(&self, t: TaskId, e: ElementId) -> f64 {
         let is_peer = |task: u32| {
             self.app.consumers(t).iter().chain(self.app.producers(t)).any(|&(p, _)| p.0 == task)

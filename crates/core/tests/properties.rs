@@ -1,17 +1,22 @@
 //! Property-based tests of the resource-manager core: knapsack safety and
 //! dominance, GAP capacity respect, whole-pipeline invariants on random
-//! workloads, and the invisibility of the probe-to-admission hand-off.
+//! workloads, the invisibility of the probe-to-admission hand-off, and the
+//! soundness of keying the operating-point cache on what an admission reads
+//! of the platform instead of on who resides there.
 
 use proptest::prelude::*;
 
 use kairos_app::{Application, ApplicationBuilder, Implementation, TaskId, TaskRole};
 use kairos_appgen::{generate_dataset, DatasetSpec};
 use kairos_core::{
-    bind, map_application, CostPolicy, GapState, Kairos, KairosConfig, KnapsackItem,
-    KnapsackSolver, MapperConfig, ValidationConfig,
+    bind, map_application, AdmissionFailure, AdmissionReport, AllocationError, CostPolicy,
+    ExecutionLayout, GapState, Kairos, KairosConfig, KnapsackItem, KnapsackSolver, MapperConfig,
+    ValidationConfig, ValidationReport,
 };
-use kairos_opcache::shape_of;
-use kairos_platform::{topology, AppId, ElementId, ElementKind, Platform, ResourceVector};
+use kairos_opcache::{shape_of, CacheConfig};
+use kairos_platform::{
+    topology, AppId, ElementId, ElementKind, Occupant, Platform, ResourceVector,
+};
 use kairos_telemetry::{Telemetry, TelemetryConfig};
 
 fn items() -> impl Strategy<Value = Vec<KnapsackItem>> {
@@ -296,6 +301,149 @@ proptest! {
             let (_, first) = handoff_differential(&mut a, probe, nothing, app);
             let (_, second) = handoff_differential(&mut a, nothing, nothing, app);
             prop_assert_eq!((first, second), (1, 0), "probe / admit / admit");
+        }
+    }
+}
+
+/// What a pipeline run decided, without the id it ran under or how long
+/// it took: the layout and validation report, or the refusal.
+fn decision_of(
+    result: Result<AdmissionReport, AdmissionFailure>,
+) -> Result<(ExecutionLayout, Option<ValidationReport>), AllocationError> {
+    result.map(|r| (r.layout, r.validation)).map_err(|f| f.error)
+}
+
+/// First id of the stand-in tenants of [`retenanted`]: far above anything
+/// a manager counting up from zero assigns in these tests.
+const TENANT_BASE: u32 = 1 << 20;
+
+/// An idle copy of `kairos`'s platform brought to the same *admission
+/// view* by another route: every element's residents re-seated under ids
+/// no manager ever assigned, in reverse order, and — per element, by
+/// `modes` — left one for one, split in two occupants whose claims sum to
+/// the original, or merged into a single occupant holding the element's
+/// whole claim. Link reservations are re-made application by application
+/// in descending id order; failure marks are copied.
+fn retenanted(kairos: &Kairos, idle: Platform, modes: &[u8]) -> Platform {
+    let from = kairos.platform();
+    let mut to = idle;
+    let mut next = TENANT_BASE;
+    let mut seat = |to: &mut Platform, e: ElementId, claimed: ResourceVector| {
+        to.claim(e, Occupant { app: AppId(next), task: next % 3, claimed }).unwrap();
+        next += 1;
+    };
+    for e in from.element_ids() {
+        let residents = from.residents(e);
+        match modes[e.index() % modes.len()] % 3 {
+            0 => residents.iter().rev().for_each(|o| seat(&mut to, e, o.claimed)),
+            1 => {
+                for o in residents.iter().rev() {
+                    let half = o.claimed.scaled(1, 2);
+                    seat(&mut to, e, o.claimed.checked_sub(&half).unwrap());
+                    seat(&mut to, e, half);
+                }
+            }
+            _ if residents.is_empty() => {}
+            _ => seat(&mut to, e, residents.iter().map(|o| o.claimed).sum()),
+        }
+        if from.is_failed(e) {
+            to.fail_element(e);
+        }
+    }
+    for id in kairos.admitted_ids().into_iter().rev() {
+        let app = kairos.application(id).unwrap();
+        for route in &kairos.layout(id).unwrap().routes {
+            let bandwidth = app.channel(route.channel()).bandwidth();
+            route.links().iter().for_each(|&l| to.claim_link(l, bandwidth).unwrap());
+        }
+    }
+    to
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// The soundness argument of the cache key, executable. A cached
+    /// manager lives through a random admit / release / fault history;
+    /// a second platform is brought to the same admission view by a
+    /// route that shares nothing else with it — other tenants, other
+    /// resident order, one resident where there were two and two where
+    /// there was one. Then, for every candidate application: the two
+    /// states stamp equal; cold managers on each decide the same (layout
+    /// and validation report, or refusal); and the decision the first
+    /// manager cached on *its* state replays on the *other* state to a
+    /// platform whose every byte (`checkpoint()`s compare `==`) is what the
+    /// cold pipeline leaves there.
+    #[test]
+    fn equal_stamps_mean_equal_decisions_and_replays_land_on_the_cold_state(
+        seed in any::<u64>(),
+        history in proptest::collection::vec((0u8..8, any::<u8>()), 4..40),
+        modes in proptest::collection::vec(0u8..3, 1..9),
+    ) {
+        let cold = KairosConfig { deterministic: true, ..KairosConfig::default() };
+        let warm = KairosConfig { cache: Some(CacheConfig::default()), ..cold };
+        let pool = storm_apps(seed, 4);
+        let mut first = Kairos::new(topology::crisp(), warm);
+        for &(op, pick) in &history {
+            let pick = pick as usize;
+            match op {
+                0..=4 => drop(first.admit(&pool[pick % pool.len()])),
+                5 | 6 => {
+                    let ids = first.admitted_ids();
+                    if !ids.is_empty() {
+                        first.release(ids[pick % ids.len()]);
+                    }
+                }
+                _ => {
+                    let e = ElementId((pick % first.platform().element_count()) as u32);
+                    if first.platform().is_failed(e) {
+                        first.repair_element(e);
+                    } else {
+                        first.fail_element(e);
+                    }
+                }
+            }
+        }
+
+        let other = retenanted(&first, topology::crisp(), &modes);
+        prop_assert_eq!(other.state_stamp_from_scratch(), first.platform().state_stamp_from_scratch());
+        prop_assert_eq!(
+            other.checkpoint() == first.platform().checkpoint(),
+            first.platform().is_idle(),
+            "the two routes share an admission view and, unless idle, nothing else"
+        );
+        let second = Kairos::new(other, cold);
+
+        for app in pool.iter().step_by(3) {
+            // A cold manager on a copy of the first state, counting ids
+            // from where no resident of that copy has one.
+            let fresh_ids = KairosConfig { app_id_base: 2 * TENANT_BASE, ..cold };
+            let here = decision_of(Kairos::new(first.platform().clone(), fresh_ids).admit(app));
+            let mut reference = second.clone();
+            let there = decision_of(reference.admit(app));
+            prop_assert_eq!(&here, &there, "{}: equal stamps, different decisions", app.name());
+
+            // `first` decides on its own state (a probe: nothing moves)
+            // and is then rewound onto the other one. A manager
+            // checkpoint carries no cache, so the decision comes along.
+            let mut carrier = first.clone();
+            drop(carrier.probe_admit(app));
+            let before = carrier.cache_stats().unwrap();
+            carrier.restore(second.checkpoint());
+            let replayed = decision_of(carrier.admit(app));
+            let after = carrier.cache_stats().unwrap();
+            prop_assert_eq!(
+                (after.hits, after.misses),
+                (before.hits + 1, before.misses),
+                "{}: the other route's state must hit", app.name()
+            );
+            prop_assert_eq!(&replayed, &there);
+            prop_assert_eq!(
+                carrier.platform().checkpoint(),
+                reference.platform().checkpoint(),
+                "{}: the replay and the cold run left different bytes", app.name()
+            );
+            prop_assert_eq!(carrier.occupancy(), reference.occupancy());
         }
     }
 }

@@ -5,8 +5,9 @@
 //! once the full binding/mapping/routing pipeline has computed an
 //! execution layout for an application *shape* on a given platform
 //! occupancy, that operating point is remembered, and the next admission
-//! of an identical shape against byte-identical occupancy replays the
-//! stored point in O(claims) instead of re-running the whole pipeline.
+//! of an identical shape against an occupancy that *offers the same
+//! resources* replays the stored point in O(claims) instead of re-running
+//! the whole pipeline — whoever holds the rest of the platform by then.
 //!
 //! Two keys make this sound:
 //!
@@ -15,13 +16,23 @@
 //!   workload-sampled applications share cache entries. An application
 //!   is immutable once built and hashes itself there
 //!   ([`Application::shape_hash`]); [`shape_of`] is a field read.
-//! * [`StateStamp`] — a digest of the complete mutable platform state
-//!   (free vectors, resident order, link occupancy, failure marks). A
-//!   cache hit therefore certifies that the platform is byte-identical
-//!   to the state the point was computed on, and since the pipeline is
-//!   deterministic, replaying the point reproduces *exactly* the
-//!   decision the cold pipeline would have made. A warm cache changes
-//!   which work runs, never what is decided.
+//! * [`StateStamp`] — a digest of the platform's *admission view*: what
+//!   an admission reads of the mutable state, and nothing else. Per
+//!   element that is the free vector, whether the element is used at all,
+//!   and the failure mark; per link the free bandwidth and free virtual
+//!   channels. It is **not** a digest of who the residents are. The
+//!   pipeline places an application under a fresh id, so it can tell a
+//!   used neighbour from an idle one but never one tenant from another
+//!   (the one reader of occupant identity, the mapping cost's
+//!   fragmentation bonus, asks only "is this a task of the application I
+//!   am placing?", and for every pre-existing resident the answer is no).
+//!   A deterministic pipeline is therefore a function of
+//!   `(shape, admission view)`: equal stamps certify the same answer to
+//!   every admission question, and replaying a stored point lands on
+//!   exactly the platform the cold run would have produced *from the
+//!   state the replay starts on*. A warm cache changes which work runs,
+//!   never what is decided — and an occupancy that comes back after its
+//!   tenants were replaced by identical later instances hits.
 //!
 //! The stamp is a *maintained commutative digest*: the wrapping `u128`
 //! sum of one digest per element record and one per link record, each
@@ -40,9 +51,9 @@
 //!
 //! Entries are additionally invalidated eagerly on fault/repair/migration
 //! events via [`MappingCache::invalidate_element`] — the stamp alone
-//! already keeps stale points from being *used* (a mutated platform
-//! stamps differently), so eager invalidation is what keeps dead elements
-//! from pinning cache capacity and what the
+//! already keeps stale points from being *used* (a platform that offers
+//! different resources stamps differently), so eager invalidation is what
+//! keeps dead elements from pinning cache capacity and what the
 //! `kairos.opcache.invalidations` counter observes.
 //!
 //! The cache is generic over the stored point type `P` (the manager
@@ -73,12 +84,15 @@ pub fn shape_of(app: &Application) -> ShapeKey {
     ShapeKey(app.shape_hash())
 }
 
-/// Digest of the complete mutable platform state: per-element free
-/// vectors, residents *in order* and failure marks, per-link occupancy —
-/// [`Platform::state_stamp`]. Equal stamps certify byte-identical
-/// platform state, up to a collision of the 128-bit sum; the manager
-/// still checks every claim of a replayed point and falls back to the
-/// cold pipeline when one fails.
+/// Digest of the platform's admission view — per element the free
+/// vector, the used flag and the failure mark, per link the free
+/// bandwidth and virtual channels; resident identity and order are not
+/// in it — [`Platform::state_stamp`]. Equal stamps certify the same
+/// answer to every admission question, and that a replay lands on the
+/// state the cold run would have produced, up to a collision of the
+/// 128-bit sum; they do not certify equal platforms. The manager still
+/// checks every claim of a replayed point and falls back to the cold
+/// pipeline when one fails.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct StateStamp(u128);
 
@@ -329,11 +343,37 @@ mod tests {
         )
         .unwrap();
         let occupied = stamp_of(&p);
-        assert_ne!(idle, occupied, "a zero-vector occupant still changes resident order");
+        assert_ne!(idle, occupied, "a zero-vector occupant still makes the element used");
         p.release(e, kairos_platform::AppId(0), 0).unwrap();
-        assert_eq!(stamp_of(&p), idle, "identical state bytes stamp identically");
+        assert_eq!(stamp_of(&p), idle, "identical state stamps identically");
         p.fail_element(e);
         assert_ne!(stamp_of(&p), idle, "failure marks are part of the stamp");
+    }
+
+    #[test]
+    fn stamp_sees_what_is_free_not_who_holds_the_rest() {
+        let seat = |app: u32, task: u32, cpu: u64| Occupant {
+            app: kairos_platform::AppId(app),
+            task,
+            claimed: ResourceVector::new(cpu, 4, 0, 0),
+        };
+        let e = topology::crisp().element_ids().next().unwrap();
+        let stamp_with = |seats: &[Occupant]| {
+            let mut p = topology::crisp();
+            seats.iter().for_each(|&s| p.claim(e, s).unwrap());
+            stamp_of(&p)
+        };
+        let one = stamp_with(&[seat(1, 0, 100)]);
+        assert_eq!(one, stamp_with(&[seat(7, 3, 100)]), "another tenant, the same hole");
+        assert_ne!(one, stamp_with(&[seat(1, 0, 101)]), "one unit less free is another state");
+        // Two residents whose claims sum to one resident's: the same free
+        // vector, the same used flag — and different platforms.
+        let split = [
+            Occupant { claimed: ResourceVector::new(60, 3, 0, 0), ..seat(2, 0, 0) },
+            Occupant { claimed: ResourceVector::new(40, 1, 0, 0), ..seat(3, 0, 0) },
+        ];
+        assert_eq!(one, stamp_with(&split));
+        assert_eq!(stamp_with(&split), stamp_with(&[split[1], split[0]]), "in either order");
     }
 
     #[test]
@@ -354,7 +394,7 @@ mod tests {
         assert_ne!(StateStamp::maintained(&mut p), s0);
         p.rollback_txn();
         assert!(p.state_epoch() > epoch);
-        assert_eq!(StateStamp::maintained(&mut p), s0, "the bytes are back, so is the stamp");
+        assert_eq!(StateStamp::maintained(&mut p), s0, "the state is back, so is the stamp");
 
         let cp = p.checkpoint();
         p.claim(e, seat).unwrap();
@@ -363,8 +403,7 @@ mod tests {
 
         // restore() rewrites every record without touching any mutator:
         // it must void the ledger wholesale, otherwise this stamp would
-        // still answer `s1` for a platform byte-identical to the
-        // checkpoint.
+        // still answer `s1` for a platform equal to the checkpoint.
         p.restore(cp);
         assert_eq!(StateStamp::maintained(&mut p), s0, "restore voids the maintained digests");
         assert_eq!(stamp_of(&p), s0);

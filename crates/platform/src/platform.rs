@@ -12,9 +12,9 @@
 //!
 //! Beside the state sit two *history* fields that never take part in
 //! equality: the mutation epoch ([`Platform::state_epoch`]) and the stamp
-//! ledger behind [`Platform::state_stamp`], a 128-bit digest of the whole
-//! mutable state that costs only the records mutated since it was last
-//! asked for.
+//! ledger behind [`Platform::state_stamp`], a 128-bit digest of what an
+//! admission reads of the mutable state that costs only the records
+//! mutated since it was last asked for.
 
 use std::fmt;
 
@@ -136,19 +136,24 @@ const ELEMENT_RECORD: u64 = 0;
 const LINK_RECORD: u64 = 1;
 
 impl PlatformState {
-    /// Digest of element `idx`'s record: its index, free vector, residents
-    /// in order and failure mark. The index is part of the digest, so equal
-    /// contents on two elements never cancel in the stamp's sum.
+    /// Digest of element `idx`'s record as an admission sees it: its index,
+    /// free vector, whether anything resides on it, and failure mark. The
+    /// index is part of the digest, so equal contents on two elements never
+    /// cancel in the stamp's sum.
+    ///
+    /// *Who* resides there is deliberately absent. The admission pipeline
+    /// reads occupant identity in one place — `CostContext::
+    /// fragmentation_bonus` in `kairos-core` asks whether a neighbour holds
+    /// a task of the application being placed — and that application's id
+    /// is fresh (`Kairos::place` asserts no resident carries it), so every
+    /// pre-existing occupant answers "another application" whatever its id,
+    /// task or claim. A new reader of `Occupant` fields on the admission
+    /// path must either keep that property or put what it reads here.
     fn element_digest(&self, idx: usize) -> u128 {
         let mut d = Digest::new(ELEMENT_RECORD);
         d.word(idx as u64);
         self.free[idx].as_array().iter().for_each(|&r| d.word(r));
-        let residents = &self.residents[idx];
-        d.word(residents.len() as u64);
-        for occupant in residents {
-            d.word((u64::from(occupant.app.0) << 32) | u64::from(occupant.task));
-            occupant.claimed.as_array().iter().for_each(|&r| d.word(r));
-        }
+        d.word(u64::from(!self.residents[idx].is_empty()));
         d.word(u64::from(self.failed[idx]));
         d.finish()
     }
@@ -405,12 +410,20 @@ impl Platform {
         self.epoch.0
     }
 
-    /// The stamp of the complete mutable state: the wrapping `u128` sum of
-    /// one digest per element record (index, free vector, residents *in
-    /// order*, failure mark) and one per link record (index, free
-    /// bandwidth, free virtual channels). Equal stamps certify
-    /// byte-identical state, up to a collision of the 128-bit sum;
-    /// platforms that compare equal stamp equal whatever their histories.
+    /// The stamp of the platform's *admission view*: the wrapping `u128`
+    /// sum of one digest per element record (index, free vector, whether
+    /// the element is used, failure mark) and one per link record (index,
+    /// free bandwidth, free virtual channels) — everything an admission
+    /// reads of the mutable state, and nothing else. Resident identity
+    /// (which application, which task, what each one claimed, in what
+    /// order) is not part of it: the pipeline places a fresh id, so it can
+    /// tell a used element from an idle one but not one tenant from
+    /// another. Equal stamps therefore certify the same answer to every
+    /// admission question, up to a collision of the 128-bit sum — not
+    /// equal platforms: two occupancies reached by different applications
+    /// in a different order stamp equal when they leave the same resources
+    /// free in the same places. Byte equality is `==` on
+    /// [`Self::checkpoint`]s.
     ///
     /// The sum is *maintained*: every mutator, and every op a rollback
     /// undoes, marks the record it touched, and this call re-digests only

@@ -286,9 +286,9 @@ struct Driven {
     platform: Platform,
     /// Outstanding link claims, so releases stay balanced.
     live: Vec<(LinkId, u64)>,
-    /// Open transactions, innermost last: the from-scratch stamp and the
+    /// Open transactions, innermost last: the exact state and the
     /// outstanding link claims when each was opened.
-    open: Vec<(u128, Vec<(LinkId, u64)>)>,
+    open: Vec<(PlatformCheckpoint, Vec<(LinkId, u64)>)>,
     /// The last checkpoint taken, with its outstanding link claims.
     saved: Option<(PlatformCheckpoint, Vec<(LinkId, u64)>)>,
 }
@@ -331,19 +331,21 @@ impl Driven {
             8 => p.fail_element(e),
             9 => p.repair_element(e),
             10 => {
-                self.open.push((p.state_stamp_from_scratch(), self.live.clone()));
+                self.open.push((p.checkpoint(), self.live.clone()));
                 p.begin_txn();
             }
             11 => {
-                if let Some((stamp_at_begin, live_at_begin)) = self.open.pop() {
+                if let Some((state_at_begin, live_at_begin)) = self.open.pop() {
                     if amount % 2 == 0 {
                         p.commit_txn();
                     } else {
                         // Whatever length the journal reached, undoing it
-                        // brings the pre-transaction stamp back.
+                        // brings the pre-transaction state back — every
+                        // byte, resident order included, which the stamp
+                        // would not see.
                         p.rollback_txn();
                         self.live = live_at_begin;
-                        assert_eq!(p.state_stamp_from_scratch(), stamp_at_begin);
+                        assert_eq!(p.checkpoint(), state_at_begin);
                     }
                 }
             }

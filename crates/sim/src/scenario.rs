@@ -24,8 +24,9 @@
 //! the metric snapshot in its report), one exercising per-request causal
 //! tracing (`traced-preemption-storm`, with [`Scenario::trace`] enabled),
 //! and two exercising the `kairos-opcache` operating-point cache
-//! (`cache-warm-storm`, a repeating same-shape admission storm that keeps
-//! the cache hot, and `cache-invalidation-churn`, which interleaves
+//! (`cache-warm-storm`, a small-application storm over three cached
+//! shards whose every commit replays the point its own probe stored, and
+//! `cache-invalidation-churn`, which interleaves
 //! element faults and repairs with cached admissions to exercise the
 //! invalidation hooks; both run with [`Scenario::cache`] enabled), and
 //! two exercising the `kairos-gateway` queueing front-end
@@ -1447,20 +1448,27 @@ fn traced_preemption_storm() -> Scenario {
     }
 }
 
-/// Cache warm storm: the operating-point cache showcase. A three-shard
-/// CRISP cluster under the least-loaded policy takes a long deterministic
-/// storm of short-lived applications drawn from a deliberately tiny
-/// dataset mixture, so the same application *shapes* recur hundreds of
-/// times. With [`Scenario::cache`] enabled every shard manager runs a
-/// `kairos-opcache` [`MappingCache`](kairos_core::CacheConfig): each
-/// admit/release cycle returns the shard to a previously stamped platform
-/// state, so repeat admissions replay the cached operating point in
-/// O(claims) instead of re-running the four-phase pipeline. The report's
-/// `cache` section pins the hit/miss split; the `opcache` bench runs the
-/// same recipe warm versus cold.
+/// Cache warm storm: the operating-point cache's *wiring* scenario. A
+/// three-shard CRISP cluster under the least-loaded policy takes a long
+/// deterministic storm of short-lived applications drawn from a mixture
+/// of just two datasets, with [`Scenario::cache`] enabled so every shard
+/// manager runs a `kairos-opcache`
+/// [`MappingCache`](kairos_core::CacheConfig). What it shows is the
+/// probe-to-commit replay, not recurrence: the sampler draws a *new*
+/// application per arrival, and two sampled applications of one dataset
+/// never share a shape, so every probe of the fan-out misses and runs the
+/// pipeline (224 arrivals x 3 shards = 672 misses and insertions) and the
+/// one hit per arrival is the winning shard's commit replaying the point
+/// its own probe stored a moment earlier (224 hits). The report's `cache`
+/// section pins exactly that split. Decisions recurring *across* requests
+/// — the same shapes against occupancies that come back under other
+/// tenants — are what the frozen benchmark's `cluster2-recurring-cached`
+/// workload and `tests/opcache_equivalence.rs`'s recurring regime
+/// exercise; the `opcache` bench times a warm replay against the cold
+/// pipeline.
 fn cache_warm_storm() -> Scenario {
-    // Two shapes only: recurrence, not variety, is the point — the storm
-    // is a worst case for pipeline latency and a best case for the cache.
+    // Two datasets only, small ones: every arrival fits some shard, so
+    // each one exercises the full probe, store, commit-replay sequence.
     let storm_mix = vec![
         MixEntry::new(spec(Orientation::Computation, SizeClass::Small), 3),
         MixEntry::new(spec(Orientation::Communication, SizeClass::Small), 1),

@@ -466,15 +466,7 @@ impl ResourceService for KairosService {
             // The outermost service mints the request's trace root; a
             // context already stamped on the request (a sharded service
             // forwarding to its shard) is honoured as-is.
-            let ctx = if trace.is_some() {
-                trace
-            } else {
-                self.telemetry().trace_root(
-                    "request",
-                    at,
-                    &[("class", class.to_string()), ("origin", "request".to_owned())],
-                )
-            };
+            let ctx = self.telemetry().request_root(trace, at, &class);
             match &mut self.backend {
                 Backend::Direct(kairos) => {
                     Self::admit_direct(kairos, ticket, app, class, ctx, at, &mut self.events);
@@ -511,15 +503,7 @@ impl ResourceService for KairosService {
                 Command::Admit { app, class } => {
                     // Roots are minted here, in submission order, so trace
                     // id allocation never depends on the class sort below.
-                    let ctx = if trace.is_some() {
-                        trace
-                    } else {
-                        self.telemetry().trace_root(
-                            "request",
-                            at,
-                            &[("class", class.to_string()), ("origin", "request".to_owned())],
-                        )
-                    };
+                    let ctx = self.telemetry().request_root(trace, at, &class);
                     admissions.push((ticket, at, app, class, ctx));
                 }
                 other => rest.push((ticket, at, other)),

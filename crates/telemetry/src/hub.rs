@@ -207,6 +207,31 @@ impl Telemetry {
         }
     }
 
+    /// The trace context of an admission request of priority `class`
+    /// arriving at a service at tick `at`: the context already stamped on
+    /// it (`inherited` — an outer layer minted the root), else a fresh
+    /// `request` root annotated with the class and `origin = request`.
+    /// The annotations are formatted only when tracing is on, so an
+    /// untraced submission allocates nothing here.
+    pub fn request_root(
+        &self,
+        inherited: TraceContext,
+        at: u64,
+        class: &dyn std::fmt::Display,
+    ) -> TraceContext {
+        if inherited.is_some() {
+            return inherited;
+        }
+        match self.tracer() {
+            Some(sink) => sink.open_root(
+                "request",
+                at,
+                &[("class", class.to_string()), ("origin", "request".to_owned())],
+            ),
+            None => TraceContext::NONE,
+        }
+    }
+
     /// Records one complete child span under `ctx` spanning virtual ticks
     /// `[start, end]`. A no-op when tracing is off or `ctx` is the absent
     /// context.
@@ -340,5 +365,30 @@ mod tests {
         assert_eq!(spans.len(), 2, "the child's span lands in the parent's sink");
         assert_eq!(spans[1].name, "probe.shard0");
         assert_eq!(spans[0].end, 7);
+    }
+
+    #[test]
+    fn request_root_honours_an_inherited_context_and_mints_one_otherwise() {
+        /// Panics when formatted: the dark path must never format.
+        struct NeverShown;
+        impl std::fmt::Display for NeverShown {
+            fn fmt(&self, _: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+                panic!("formatted with tracing off");
+            }
+        }
+        let dark = Telemetry::new(TelemetryConfig::default());
+        assert!(dark.request_root(TraceContext::NONE, 0, &NeverShown).is_none());
+        assert!(Telemetry::disabled().request_root(TraceContext::NONE, 0, &NeverShown).is_none());
+
+        let t = Telemetry::new(TelemetryConfig { tracing: true, ..TelemetryConfig::default() });
+        let minted = t.request_root(TraceContext::NONE, 4, &"batch");
+        assert!(minted.is_some());
+        assert_eq!(t.request_root(minted, 9, &NeverShown), minted, "inherited, not re-minted");
+        let by_hand =
+            t.trace_root("request", 4, &[("class", "batch".into()), ("origin", "request".into())]);
+        let spans = t.trace_dump();
+        assert_eq!(spans.len(), 2);
+        assert_ne!(minted, by_hand);
+        assert_eq!((&spans[0].name, &spans[0].args), (&spans[1].name, &spans[1].args));
     }
 }

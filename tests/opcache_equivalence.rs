@@ -7,15 +7,30 @@
 //! and warm runs are themselves byte-reproducible, cache section
 //! included. The acceptance checks at the bottom pin the two cache
 //! catalog scenarios: the warm storm must actually hit, and the
-//! invalidation churn must actually invalidate. The last test pins the
+//! invalidation churn must actually invalidate. The next test pins the
 //! one decision input no cache key covers, the cost weights.
+//!
+//! Everything above draws its arrivals from `generate_dataset`, so no
+//! shape ever comes twice and the only hits those runs see are a winning
+//! shard replaying its own probe. The recurring regime at the bottom is
+//! the pin for what the cache is for: a handful of named applications
+//! cycling through FIFO lifetimes, where occupancies come back under
+//! other tenants and decisions are replayed *across* requests.
 
+use std::collections::VecDeque;
+
+use kairos::admitd::{AdmitPolicy, PriorityClass};
+use kairos::app::Application;
 use kairos::appgen::{generate_dataset, DatasetSpec};
+use kairos::cluster::{ClusterBuilder, ClusterService};
 use kairos::core::{CostPolicy, Kairos, KairosConfig};
-use kairos::opcache::CacheConfig;
-use kairos::platform::topology;
+use kairos::opcache::{CacheConfig, CacheStats};
+use kairos::platform::{topology, AppId, PlatformCheckpoint};
 use kairos::sim::testkit::generated;
 use kairos::sim::{Scenario, Simulator};
+use kairos::svc::{
+    CapacityEvent, Command, Event, KairosService, Request, ResourceService, ServiceBuilder,
+};
 use proptest::prelude::*;
 
 proptest! {
@@ -140,4 +155,105 @@ fn a_weight_change_voids_every_cached_decision() {
     assert_eq!(compared, 240);
     assert_eq!(differing, 0, "{differing} of {compared} layouts differ after set_weights");
     assert_eq!(stale_hits, 0, "nothing decided under the old weights may be replayed");
+}
+
+/// The recurring tenants: the first application of each Table-I dataset,
+/// under the names the generator gave them.
+fn recurring_apps() -> Vec<Application> {
+    DatasetSpec::all().into_iter().flat_map(|spec| generate_dataset(spec, 1, 0x2010)).collect()
+}
+
+/// How many arrivals one recurring run submits.
+const RECURRING_ARRIVALS: u64 = 360;
+
+/// Cycles [`recurring_apps`] through `service`, every admitted
+/// application leaving when the fifth after it has been admitted, with a
+/// tick every eighth arrival and a shutdown at the end. Returns every
+/// event in order.
+fn drive_recurring(service: &mut dyn ResourceService) -> Vec<Event> {
+    let apps = recurring_apps();
+    let mut events: Vec<Event> = Vec::new();
+    let mut live: VecDeque<AppId> = VecDeque::new();
+    for at in 0..RECURRING_ARRIVALS {
+        let app = apps[at as usize % apps.len()].clone();
+        let class = PriorityClass::ALL[at as usize % 4];
+        service.submit(Request::admit(at, app, class));
+        if live.len() > 4 {
+            let oldest = live.pop_front().unwrap();
+            service.submit(Request::new(at, Command::Release { app: oldest }));
+        }
+        let mut fresh = service.take_events();
+        if at % 8 == 7 {
+            fresh.extend(service.pump(CapacityEvent::Tick { now: at }));
+        }
+        live.extend(fresh.iter().filter_map(|e| match e {
+            Event::Admitted { report, .. } => Some(report.app_id),
+            _ => None,
+        }));
+        events.extend(fresh);
+    }
+    events.extend(service.pump(CapacityEvent::Shutdown { now: RECURRING_ARRIVALS }));
+    events
+}
+
+/// One recurring run cached against one uncached through services built
+/// by `build`: the same events, the same final platform bytes (as
+/// `platforms` reads them). Returns the cached run's counters.
+fn recurring_differential<S: ResourceService>(
+    regime: &str,
+    build: impl Fn(KairosConfig) -> S,
+    platforms: impl Fn(&S) -> Vec<PlatformCheckpoint>,
+) -> CacheStats {
+    let plain = KairosConfig { deterministic: true, ..KairosConfig::default() };
+    let mut cold = build(plain);
+    let mut warm = build(KairosConfig { cache: Some(CacheConfig::default()), ..plain });
+    let cold_events = drive_recurring(&mut cold);
+    let warm_events = drive_recurring(&mut warm);
+    assert_eq!(cold_events.len(), warm_events.len(), "{regime}");
+    for (i, (c, w)) in cold_events.iter().zip(&warm_events).enumerate() {
+        assert_eq!(c, w, "{regime}: event {i} differs");
+    }
+    assert_eq!(platforms(&cold), platforms(&warm), "{regime}: different final platform bytes");
+    let admitted = cold_events.iter().filter(|e| matches!(e, Event::Admitted { .. })).count();
+    let rejected = cold_events.iter().filter(|e| matches!(e, Event::Rejected { .. })).count();
+    assert!(admitted > 100 && rejected > 10, "{regime}: {admitted} admitted, {rejected} rejected");
+    assert!(cold.cache_stats().is_none());
+    warm.cache_stats().expect("the warm run has a cache")
+}
+
+/// The pin that sees what it pins: when shapes recur, the cache must
+/// serve decisions *across* requests — and still change nothing. A
+/// service does one lookup per admission attempt, so any hit there is a
+/// decision of an earlier request; a cluster does one per shard probe
+/// plus one for the commit, and the commit replaying its own probe
+/// accounts for at most one hit per arrival — more hits than arrivals
+/// cannot come from there.
+#[test]
+fn recurring_shapes_replay_across_requests_and_change_nothing() {
+    let one = |s: &KairosService| vec![s.kairos().platform().checkpoint()];
+    let direct = recurring_differential(
+        "direct",
+        |config| ServiceBuilder::new(topology::crisp()).config(config).build().unwrap(),
+        one,
+    );
+    assert!(direct.hits * 2 > RECURRING_ARRIVALS, "direct: {direct:?}");
+
+    let queue = AdmitPolicy { max_wait: Some(40), ..AdmitPolicy::default() };
+    let queued = recurring_differential(
+        "queued",
+        |config| {
+            ServiceBuilder::new(topology::crisp()).config(config).admission(queue).build().unwrap()
+        },
+        one,
+    );
+    assert!(queued.hits * 2 > RECURRING_ARRIVALS, "queued: {queued:?}");
+
+    let clustered = recurring_differential(
+        "2-shard cluster",
+        |config| ClusterBuilder::new(topology::crisp(), 2).config(config).build().unwrap(),
+        |c: &ClusterService| {
+            (0..c.shard_count()).map(|s| c.shard(s).kairos().platform().checkpoint()).collect()
+        },
+    );
+    assert!(clustered.hits > RECURRING_ARRIVALS, "2-shard cluster: {clustered:?}");
 }
