@@ -1,7 +1,7 @@
 //! Applications — annotated task graphs `A = <T, C>` with constraints.
 
-use std::collections::VecDeque;
 use std::fmt;
+use std::sync::Arc;
 
 use kairos_platform::Digest;
 use serde::{Deserialize, Serialize};
@@ -60,6 +60,13 @@ impl std::error::Error for ApplicationError {}
 /// ```
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Application {
+    /// An application is immutable once built, so its clones share one
+    /// body: `clone` is a reference-count bump, whatever the graph's size.
+    body: Arc<Body>,
+}
+
+#[derive(Debug, PartialEq, Serialize, Deserialize)]
+struct Body {
     name: String,
     tasks: Vec<Task>,
     channels: Vec<Channel>,
@@ -70,6 +77,13 @@ pub struct Application {
     in_adj: Vec<Vec<(TaskId, ChannelId)>>,
     /// See [`Application::shape_hash`]; a function of the fields above.
     shape: u128,
+    /// The distinct peers of task `t`, ascending, are
+    /// `peers[peer_ends[t - 1]..peer_ends[t]]` (from 0 for task 0). Like
+    /// `min_degree`, a function of the adjacency, computed once here.
+    peers: Vec<TaskId>,
+    peer_ends: Vec<u32>,
+    /// See [`Application::min_degree_tasks`].
+    min_degree: Vec<TaskId>,
 }
 
 /// Hashes everything of an application but its name, in declaration order.
@@ -109,6 +123,40 @@ fn shape_hash(tasks: &[Task], channels: &[Channel], constraints: &[Constraint]) 
     d.finish()
 }
 
+/// `dist` entry of a task no seed reaches.
+const UNREACHED: u32 = u32::MAX;
+
+/// The neighbourhood decomposition of a task graph
+/// ([`Application::neighborhood_rings_into`]), flat: reusable from one
+/// decomposition to the next without giving up its allocations.
+#[derive(Debug, Clone, Default)]
+pub struct TaskRings {
+    /// Every task, ring after ring, ascending within a ring.
+    tasks: Vec<TaskId>,
+    /// Ring `i` is `tasks[ends[i - 1]..ends[i]]` (from 0 for ring 0).
+    ends: Vec<u32>,
+    /// Graph distance of each task from the nearest seed.
+    dist: Vec<u32>,
+}
+
+impl TaskRings {
+    /// Number of rings, the seeds' ring 0 included.
+    pub fn len(&self) -> usize {
+        self.ends.len()
+    }
+
+    /// `true` before the first decomposition.
+    pub fn is_empty(&self) -> bool {
+        self.ends.is_empty()
+    }
+
+    /// The rings in distance order, each ascending by task id.
+    pub fn iter(&self) -> impl Iterator<Item = &[TaskId]> {
+        let starts = std::iter::once(&0).chain(&self.ends);
+        starts.zip(&self.ends).map(|(&start, &end)| &self.tasks[start as usize..end as usize])
+    }
+}
+
 impl Application {
     fn from_parts(
         name: String,
@@ -141,12 +189,47 @@ impl Application {
             in_adj[c.dst().index()].push((c.src(), c.id()));
         }
         let shape = shape_hash(&tasks, &channels, &constraints);
-        Ok(Application { name, tasks, channels, constraints, out_adj, in_adj, shape })
+
+        let mut peers = Vec::with_capacity(2 * channels.len());
+        let mut peer_ends = Vec::with_capacity(n);
+        for t in 0..n {
+            let start = peers.len();
+            peers.extend(out_adj[t].iter().chain(&in_adj[t]).map(|&(p, _)| p));
+            peers[start..].sort_unstable();
+            // `dedup` on this task's tail only: an equal id across the
+            // boundary belongs to the task before.
+            let mut kept = start;
+            for i in start..peers.len() {
+                if i == start || peers[i] != peers[kept - 1] {
+                    peers[kept] = peers[i];
+                    kept += 1;
+                }
+            }
+            peers.truncate(kept);
+            peer_ends.push(kept as u32);
+        }
+        let degree = |t: usize| peer_ends[t] - if t == 0 { 0 } else { peer_ends[t - 1] };
+        let min = (0..n).map(degree).min().unwrap_or(0);
+        let min_degree = (0..n).filter(|&t| degree(t) == min).map(|t| TaskId(t as u32)).collect();
+
+        let body = Body {
+            name,
+            tasks,
+            channels,
+            constraints,
+            out_adj,
+            in_adj,
+            shape,
+            peers,
+            peer_ends,
+            min_degree,
+        };
+        Ok(Application { body: Arc::new(body) })
     }
 
     /// The application's name.
     pub fn name(&self) -> &str {
-        &self.name
+        &self.body.name
     }
 
     /// A 128-bit structural hash of everything an admission pipeline reads
@@ -156,17 +239,17 @@ impl Application {
     /// equal. An application is immutable once built, so the hash is
     /// computed there, once, and this is a field read.
     pub fn shape_hash(&self) -> u128 {
-        self.shape
+        self.body.shape
     }
 
     /// Number of tasks.
     pub fn task_count(&self) -> usize {
-        self.tasks.len()
+        self.body.tasks.len()
     }
 
     /// Number of channels.
     pub fn channel_count(&self) -> usize {
-        self.channels.len()
+        self.body.channels.len()
     }
 
     /// The task with the given id.
@@ -175,7 +258,7 @@ impl Application {
     ///
     /// Panics if `id` is out of range.
     pub fn task(&self, id: TaskId) -> &Task {
-        &self.tasks[id.index()]
+        &self.body.tasks[id.index()]
     }
 
     /// The channel with the given id.
@@ -184,61 +267,57 @@ impl Application {
     ///
     /// Panics if `id` is out of range.
     pub fn channel(&self, id: ChannelId) -> &Channel {
-        &self.channels[id.index()]
+        &self.body.channels[id.index()]
     }
 
     /// Iterates over all tasks.
     pub fn tasks(&self) -> impl Iterator<Item = &Task> {
-        self.tasks.iter()
+        self.body.tasks.iter()
     }
 
     /// Iterates over all task ids.
     pub fn task_ids(&self) -> impl Iterator<Item = TaskId> {
-        (0..self.tasks.len() as u32).map(TaskId)
+        (0..self.body.tasks.len() as u32).map(TaskId)
     }
 
     /// Iterates over all channels.
     pub fn channels(&self) -> impl Iterator<Item = &Channel> {
-        self.channels.iter()
+        self.body.channels.iter()
     }
 
     /// The performance constraints of this application.
     pub fn constraints(&self) -> &[Constraint] {
-        &self.constraints
+        &self.body.constraints
     }
 
     /// Outgoing `(consumer, channel)` pairs of `t`.
     pub fn consumers(&self, t: TaskId) -> &[(TaskId, ChannelId)] {
-        &self.out_adj[t.index()]
+        &self.body.out_adj[t.index()]
     }
 
     /// Incoming `(producer, channel)` pairs of `t`.
     pub fn producers(&self, t: TaskId) -> &[(TaskId, ChannelId)] {
-        &self.in_adj[t.index()]
+        &self.body.in_adj[t.index()]
     }
 
     /// All channels incident to `t`, in both directions.
     pub fn incident_channels(&self, t: TaskId) -> Vec<ChannelId> {
-        let mut out: Vec<ChannelId> = self.out_adj[t.index()]
+        let mut out: Vec<ChannelId> = self.body.out_adj[t.index()]
             .iter()
             .map(|&(_, c)| c)
-            .chain(self.in_adj[t.index()].iter().map(|&(_, c)| c))
+            .chain(self.body.in_adj[t.index()].iter().map(|&(_, c)| c))
             .collect();
         out.sort_unstable();
         out.dedup();
         out
     }
 
-    /// Distinct communication peers of `t`, ignoring direction.
-    pub fn peers(&self, t: TaskId) -> Vec<TaskId> {
-        let mut out: Vec<TaskId> = self.out_adj[t.index()]
-            .iter()
-            .map(|&(p, _)| p)
-            .chain(self.in_adj[t.index()].iter().map(|&(p, _)| p))
-            .collect();
-        out.sort_unstable();
-        out.dedup();
-        out
+    /// Distinct communication peers of `t`, ignoring direction, ascending.
+    /// A slice of a table built with the application.
+    pub fn peers(&self, t: TaskId) -> &[TaskId] {
+        let ends = &self.body.peer_ends;
+        let start = if t.index() == 0 { 0 } else { ends[t.index() - 1] };
+        &self.body.peers[start as usize..ends[t.index()] as usize]
     }
 
     /// The undirected degree `d(t)`: number of distinct peers.
@@ -246,11 +325,11 @@ impl Application {
         self.peers(t).len()
     }
 
-    /// Tasks of minimum degree `δ(T)` — the starting-point candidates of the
-    /// mapping heuristic when no task is pinned.
-    pub fn min_degree_tasks(&self) -> Vec<TaskId> {
-        let min = self.task_ids().map(|t| self.degree(t)).min().unwrap_or(0);
-        self.task_ids().filter(|&t| self.degree(t) == min).collect()
+    /// Tasks of minimum degree `δ(T)`, ascending — the starting-point
+    /// candidates of the mapping heuristic when no task is pinned. Computed
+    /// once, when the application is built.
+    pub fn min_degree_tasks(&self) -> &[TaskId] {
+        &self.body.min_degree
     }
 
     /// Undirected BFS rings from a seed set: element `i` of the result is the
@@ -265,61 +344,83 @@ impl Application {
     ///
     /// Panics if any seed id is out of range.
     pub fn neighborhood_rings(&self, seeds: &[TaskId]) -> Vec<Vec<TaskId>> {
-        let n = self.tasks.len();
-        let mut dist: Vec<Option<u32>> = vec![None; n];
-        let mut queue = VecDeque::new();
+        let mut rings = TaskRings::default();
+        self.neighborhood_rings_into(seeds, &mut rings);
+        rings.iter().map(<[TaskId]>::to_vec).collect()
+    }
+
+    /// [`Self::neighborhood_rings`] into caller-owned memory: `rings` is
+    /// overwritten, and allocates only while it grows to this
+    /// application's size.
+    ///
+    /// # Panics
+    ///
+    /// Panics if any seed id is out of range.
+    pub fn neighborhood_rings_into(&self, seeds: &[TaskId], rings: &mut TaskRings) {
+        let n = self.body.tasks.len();
+        let TaskRings { tasks, ends, dist } = rings;
+        tasks.clear();
+        ends.clear();
+        dist.clear();
+        dist.resize(n, UNREACHED);
+        // `tasks` is the BFS queue and, once drained, its visit order: the
+        // rings back to back, each yet to be put in id order.
         for &s in seeds {
             assert!(s.index() < n, "seed task {s} out of range");
-            if dist[s.index()].is_none() {
-                dist[s.index()] = Some(0);
-                queue.push_back(s);
+            if dist[s.index()] == UNREACHED {
+                dist[s.index()] = 0;
+                tasks.push(s);
             }
         }
-        while let Some(t) = queue.pop_front() {
-            let d = dist[t.index()].expect("queued tasks have distances");
-            for p in self.peers(t) {
-                if dist[p.index()].is_none() {
-                    dist[p.index()] = Some(d + 1);
-                    queue.push_back(p);
+        let mut head = 0;
+        while let Some(&t) = tasks.get(head) {
+            head += 1;
+            for &p in self.peers(t) {
+                if dist[p.index()] == UNREACHED {
+                    dist[p.index()] = dist[t.index()] + 1;
+                    tasks.push(p);
                 }
             }
         }
-        let max_d = dist.iter().flatten().copied().max().unwrap_or(0);
-        let mut rings: Vec<Vec<TaskId>> = vec![Vec::new(); (max_d + 1) as usize];
-        let mut unreachable = Vec::new();
-        for t in self.task_ids() {
-            match dist[t.index()] {
-                Some(d) => rings[d as usize].push(t),
-                None => unreachable.push(t),
-            }
+        ends.extend(
+            (1..tasks.len())
+                .filter(|&i| dist[tasks[i].index()] != dist[tasks[i - 1].index()])
+                .map(|i| i as u32),
+        );
+        // Ring 0 exists even without seeds.
+        ends.push(tasks.len() as u32);
+        if tasks.len() < n {
+            tasks.extend(self.task_ids().filter(|t| dist[t.index()] == UNREACHED));
+            ends.push(n as u32);
         }
-        if !unreachable.is_empty() {
-            rings.push(unreachable);
+        let mut start = 0;
+        for &end in ends.iter() {
+            tasks[start..end as usize].sort_unstable();
+            start = end as usize;
         }
-        rings
     }
 
     /// `true` when the task graph is connected (ignoring direction).
     pub fn is_connected(&self) -> bool {
-        let mut visited = vec![false; self.tasks.len()];
+        let mut visited = vec![false; self.body.tasks.len()];
         let mut stack = vec![TaskId(0)];
         let mut seen = 0;
         visited[0] = true;
         while let Some(t) = stack.pop() {
             seen += 1;
-            for p in self.peers(t) {
+            for &p in self.peers(t) {
                 if !visited[p.index()] {
                     visited[p.index()] = true;
                     stack.push(p);
                 }
             }
         }
-        seen == self.tasks.len()
+        seen == self.body.tasks.len()
     }
 
     /// Sum of bandwidth over all channels — a crude communication weight.
     pub fn total_bandwidth(&self) -> u64 {
-        self.channels.iter().map(|c| c.bandwidth()).sum()
+        self.body.channels.iter().map(|c| c.bandwidth()).sum()
     }
 }
 
@@ -328,7 +429,7 @@ impl fmt::Display for Application {
         write!(
             f,
             "application '{}': {} tasks, {} channels",
-            self.name,
+            self.body.name,
             self.task_count(),
             self.channel_count()
         )
@@ -443,7 +544,7 @@ mod tests {
         assert_eq!(app.producers(TaskId(3)).len(), 2);
         assert_eq!(app.degree(TaskId(0)), 2);
         assert_eq!(app.degree(TaskId(1)), 2);
-        assert_eq!(app.peers(TaskId(1)), vec![TaskId(0), TaskId(3)]);
+        assert_eq!(app.peers(TaskId(1)), [TaskId(0), TaskId(3)]);
         assert_eq!(app.incident_channels(TaskId(3)), vec![ChannelId(2), ChannelId(3)]);
     }
 
@@ -456,7 +557,7 @@ mod tests {
         b.add_channel(t0, t1, 1, 1);
         b.add_channel(t1, t2, 1, 1);
         let app = b.build().unwrap();
-        assert_eq!(app.min_degree_tasks(), vec![t0, t2]);
+        assert_eq!(app.min_degree_tasks(), [t0, t2]);
     }
 
     #[test]
@@ -490,6 +591,42 @@ mod tests {
         assert_eq!(rings.last().unwrap(), &vec![t2]);
         assert!(!app.is_connected());
         assert_eq!(rings.iter().map(Vec::len).sum::<usize>(), 3);
+    }
+
+    #[test]
+    fn a_reused_decomposition_forgets_the_previous_one() {
+        let mut rings = TaskRings::default();
+        assert!(rings.is_empty());
+        diamond().neighborhood_rings_into(&[TaskId(0)], &mut rings);
+        assert_eq!(rings.len(), 3);
+        // A smaller graph after a larger one: no ring, task or distance of
+        // the diamond survives.
+        let mut b = ApplicationBuilder::new("pair");
+        let t0 = b.add_task("a", TaskRole::Input, vec![imp()]);
+        let t1 = b.add_task("b", TaskRole::Output, vec![imp()]);
+        b.add_channel(t0, t1, 1, 1);
+        b.add_channel(t0, t1, 1, 1);
+        let pair = b.build().unwrap();
+        pair.neighborhood_rings_into(&[t1], &mut rings);
+        assert_eq!(rings.iter().collect::<Vec<_>>(), [[t1], [t0]]);
+        assert_eq!(pair.peers(t0), [t1], "parallel channels make one peer");
+        assert_eq!(pair.degree(t1), 1);
+        // No seed at all: an empty ring 0, then everything as unreachable.
+        pair.neighborhood_rings_into(&[], &mut rings);
+        assert_eq!(rings.iter().collect::<Vec<_>>(), [&[][..], &[t0, t1][..]]);
+        assert_eq!(pair.neighborhood_rings(&[]), vec![vec![], vec![t0, t1]]);
+    }
+
+    #[test]
+    fn clones_share_one_body_and_compare_by_value() {
+        let app = diamond();
+        let copy = app.clone();
+        assert!(Arc::ptr_eq(&app.body, &copy.body), "a clone is a reference-count bump");
+        assert_eq!(app, copy);
+        let rebuilt = diamond();
+        assert!(!Arc::ptr_eq(&app.body, &rebuilt.body));
+        assert_eq!(app, rebuilt, "equality is structural, not identity");
+        assert_eq!(app.shape_hash(), rebuilt.shape_hash());
     }
 
     #[test]

@@ -41,7 +41,7 @@ mod constraints;
 mod implementation;
 mod task;
 
-pub use application::{Application, ApplicationBuilder, ApplicationError};
+pub use application::{Application, ApplicationBuilder, ApplicationError, TaskRings};
 pub use channel::{Channel, ChannelId};
 pub use constraints::Constraint;
 pub use implementation::{ImplId, Implementation};

@@ -150,13 +150,25 @@ proptest! {
         }
     }
 
-    /// Degrees equal the number of distinct peers and bound channel counts.
+    /// The peer, degree and minimum-degree tables built with the
+    /// application are what a walk over its adjacency derives.
     #[test]
     fn degrees_match_adjacency(app in application()) {
+        let naive_peers = |t: TaskId| {
+            let mut peers: Vec<TaskId> =
+                app.consumers(t).iter().chain(app.producers(t)).map(|&(p, _)| p).collect();
+            peers.sort_unstable();
+            peers.dedup();
+            peers
+        };
+        let min = app.task_ids().map(|t| naive_peers(t).len()).min().unwrap();
+        let lowest: Vec<TaskId> = app.task_ids().filter(|&t| naive_peers(t).len() == min).collect();
+        prop_assert_eq!(app.min_degree_tasks(), &lowest[..]);
         for t in app.task_ids() {
+            prop_assert_eq!(app.peers(t), &naive_peers(t)[..]);
             prop_assert_eq!(app.degree(t), app.peers(t).len());
             prop_assert!(app.incident_channels(t).len() >= app.peers(t).len() / 2);
-            for p in app.peers(t) {
+            for &p in app.peers(t) {
                 prop_assert!(app.peers(p).contains(&t), "peer relation must be symmetric");
             }
         }

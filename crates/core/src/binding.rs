@@ -27,6 +27,21 @@ struct Candidate {
     energy: u64,
 }
 
+/// Working memory of one [`bind`] call, each buffer emptied before it is
+/// filled: what a manager's workspace keeps so that binding takes from the
+/// heap only the [`Binding`] it returns.
+#[derive(Debug, Default)]
+pub(crate) struct BindingScratch {
+    /// The [`Pool`]'s overlay.
+    debited: Vec<(ElementId, ResourceVector)>,
+    /// Tasks with their regret, highest regret first once sorted.
+    order: Vec<(TaskId, u64)>,
+    /// The feasible implementations of the task at hand, cheapest first.
+    candidates: Vec<Candidate>,
+    /// The implementation chosen per task, by task id.
+    choices: Vec<ImplId>,
+}
+
 /// Virtual free-resource pool: the platform's free vectors under a small
 /// overlay of the debits made as bindings are decided. Nothing
 /// platform-sized is copied, and every query walks only the elements of
@@ -36,12 +51,14 @@ struct Pool<'a> {
     platform: &'a Platform,
     /// Elements debited so far with what they have left, ascending by
     /// element id; at most one entry per bound task.
-    debited: Vec<(ElementId, ResourceVector)>,
+    debited: &'a mut Vec<(ElementId, ResourceVector)>,
 }
 
 impl<'a> Pool<'a> {
-    fn of(platform: &'a Platform) -> Self {
-        Pool { platform, debited: Vec::new() }
+    /// The undebited pool of `platform`, its overlay kept in `debited`.
+    fn of(platform: &'a Platform, debited: &'a mut Vec<(ElementId, ResourceVector)>) -> Self {
+        debited.clear();
+        Pool { platform, debited }
     }
 
     /// The alive elements of `kind` with their virtual free vectors, in
@@ -98,15 +115,17 @@ impl<'a> Pool<'a> {
     }
 }
 
-fn feasible_candidates(task_impls: &[Implementation], pool: &Pool<'_>) -> Vec<Candidate> {
-    let mut out = Vec::new();
+/// Fills `out` with the implementations of a task that still fit `pool`,
+/// cheapest (by energy) first.
+fn feasible_candidates(task_impls: &[Implementation], pool: &Pool<'_>, out: &mut Vec<Candidate>) {
+    out.clear();
     for (i, imp) in task_impls.iter().enumerate() {
         if pool.feasible(imp.target(), &imp.requires()) {
             out.push(Candidate { impl_id: ImplId(i as u16), energy: imp.energy() });
         }
     }
-    out.sort_by_key(|c| c.energy);
-    out
+    // Declaration order among equals, without the stable sort's buffer.
+    out.sort_unstable_by_key(|c| (c.energy, c.impl_id));
 }
 
 /// `true` when no implementation of the task fits *any* element's raw
@@ -148,13 +167,23 @@ fn structurally_infeasible(task_impls: &[Implementation], platform: &Platform) -
 /// # Ok::<(), Box<dyn std::error::Error>>(())
 /// ```
 pub fn bind(app: &Application, platform: &Platform) -> Result<Binding, BindingError> {
-    let mut pool = Pool::of(platform);
+    bind_in(app, platform, &mut BindingScratch::default())
+}
+
+/// [`bind`] in a manager's working memory.
+pub(crate) fn bind_in(
+    app: &Application,
+    platform: &Platform,
+    scratch: &mut BindingScratch,
+) -> Result<Binding, BindingError> {
+    let BindingScratch { debited, order, candidates, choices } = scratch;
+    let mut pool = Pool::of(platform, debited);
 
     // Regret pass: candidates per task against the *initial* pool.
-    let mut order: Vec<(TaskId, u64)> = Vec::with_capacity(app.task_count());
+    order.clear();
     for task in app.tasks() {
-        let cands = feasible_candidates(task.implementations(), &pool);
-        let regret = match cands.as_slice() {
+        feasible_candidates(task.implementations(), &pool, candidates);
+        let regret = match candidates.as_slice() {
             [] => {
                 return Err(BindingError::NoFeasibleImplementation {
                     task: task.id(),
@@ -168,34 +197,32 @@ pub fn bind(app: &Application, platform: &Platform) -> Result<Binding, BindingEr
     }
     // Highest regret first: tasks whose second choice is much worse must
     // pick early, while the pool still has room.
-    order.sort_by(|a, b| b.1.cmp(&a.1).then_with(|| a.0.cmp(&b.0)));
+    order.sort_unstable_by(|a, b| b.1.cmp(&a.1).then_with(|| a.0.cmp(&b.0)));
 
-    let mut choices: Vec<Option<ImplId>> = vec![None; app.task_count()];
-    for (task_id, _) in order {
+    // Every task is in `order`, so every slot is written before it is read.
+    choices.clear();
+    choices.resize(app.task_count(), ImplId(0));
+    for &(task_id, _) in order.iter() {
         let task = app.task(task_id);
         // Re-evaluate against the *current* pool: earlier bindings may have
         // consumed what this task hoped for.
-        let cands = feasible_candidates(task.implementations(), &pool);
-        let mut bound = false;
-        for cand in cands {
+        feasible_candidates(task.implementations(), &pool, candidates);
+        let bound = candidates.iter().find(|cand| {
             let imp = &task.implementations()[cand.impl_id.index()];
-            if pool.commit(imp.target(), &imp.requires()) {
-                choices[task_id.index()] = Some(cand.impl_id);
-                bound = true;
-                break;
+            pool.commit(imp.target(), &imp.requires())
+        });
+        match bound {
+            Some(cand) => choices[task_id.index()] = cand.impl_id,
+            None => {
+                return Err(BindingError::NoFeasibleImplementation {
+                    task: task_id,
+                    structural: structurally_infeasible(task.implementations(), platform),
+                })
             }
-        }
-        if !bound {
-            return Err(BindingError::NoFeasibleImplementation {
-                task: task_id,
-                structural: structurally_infeasible(task.implementations(), platform),
-            });
         }
     }
 
-    Ok(Binding::new(
-        choices.into_iter().map(|c| c.expect("all tasks bound or error returned")).collect(),
-    ))
+    Ok(Binding::new(choices.clone()))
 }
 
 #[cfg(test)]
@@ -248,7 +275,9 @@ mod tests {
                 platform.fail_element(e);
             }
         }
-        let mut pool = Pool::of(&platform);
+        let mut debited = vec![(ElementId(0), ResourceVector::ZERO)];
+        let mut pool = Pool::of(&platform, &mut debited);
+        assert!(pool.debited.is_empty(), "a pool starts undebited, whatever the buffer held");
         let mut dense: Vec<ResourceVector> = ids.iter().map(|&e| platform.free(e)).collect();
         let mut committed = 0;
         for step in 0..400u64 {

@@ -58,6 +58,7 @@ mod mapping;
 mod metrics;
 mod routing;
 mod validation;
+mod workspace;
 
 pub use binding::bind;
 pub use error::{

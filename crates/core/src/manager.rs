@@ -19,14 +19,15 @@ use kairos_opcache::{
 use kairos_platform::{AppId, ElementId, Occupant, Platform, PlatformCheckpoint, ResourceVector};
 use kairos_telemetry::{Counter, Gauge, Histogram, Level, Telemetry, TraceContext};
 
-use crate::binding::bind;
+use crate::binding::bind_in;
 use crate::cache::{CachedDecision, CachedPoint};
 use crate::error::{AllocationError, Phase};
 use crate::layout::ExecutionLayout;
-use crate::mapping::{map_application, CostWeights, KnapsackSolver, MapperConfig};
+use crate::mapping::{map_application_in, CostWeights, KnapsackSolver, MapperConfig};
 use crate::metrics::{ElementActivity, OccupancySnapshot, PhaseClock, PhaseTimings};
-use crate::routing::{release_routes, route_channels, RouteAlgorithm};
-use crate::validation::{validate, ValidationConfig, ValidationReport};
+use crate::routing::{release_routes, route_channels_in, RouteAlgorithm};
+use crate::validation::{validate_in, ValidationConfig, ValidationReport};
+use crate::workspace::Workspace;
 
 /// Configuration of the resource manager, covering all four phases.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -158,7 +159,7 @@ impl fmt::Display for AdmissionFailure {
 
 impl std::error::Error for AdmissionFailure {}
 
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 struct AdmittedApp {
     /// The admitted application itself, retained so relocation (live
     /// migration, preemption re-queueing) can re-run the pipeline for it.
@@ -227,8 +228,8 @@ pub struct AdmissionProbe {
 /// A point-in-time image of a manager's complete admission state
 /// ([`Kairos::checkpoint`]): the platform ledger plus the admission
 /// registry and the id counter. Opaque — it exists only to be handed
-/// back to [`Kairos::restore`].
-#[derive(Debug, Clone)]
+/// back to [`Kairos::restore`], or compared with another one.
+#[derive(Debug, Clone, PartialEq)]
 pub struct KairosCheckpoint {
     platform: PlatformCheckpoint,
     admitted: HashMap<AppId, AdmittedApp>,
@@ -281,6 +282,11 @@ pub struct Kairos {
     /// covers, clears it. Always `None` with a cache configured: the
     /// cache already carries a probe's decision to the admission.
     handoff: Option<(ShapeKey, u64, CachedDecision)>,
+    /// The working memory of `run_phases`: capacity, never state. Every
+    /// phase clears what it uses before reading it, so no decision depends
+    /// on what an earlier call left here — which is why a clone starts
+    /// with an empty one and checkpoints do not carry it.
+    workspace: Workspace,
 }
 
 /// Duration bucket bounds shared by all pipeline latency histograms:
@@ -395,6 +401,7 @@ impl Kairos {
             metrics: None,
             cache: config.cache.map(MappingCache::new),
             handoff: None,
+            workspace: Workspace::default(),
         }
     }
 
@@ -667,10 +674,8 @@ impl Kairos {
     /// undoable what-if releases; `release` wraps it for the real thing.
     fn release_claims_of(&mut self, id: AppId) {
         let Some(admitted) = self.admitted.get(&id) else { return };
-        let routes = admitted.layout.routes.clone();
-        let bandwidths = admitted.channel_bandwidths.clone();
         self.platform.release_app(id);
-        release_routes(&mut self.platform, &routes, &bandwidths);
+        release_routes(&mut self.platform, &admitted.layout.routes, &admitted.channel_bandwidths);
     }
 
     /// Probes whether `app` could be admitted right now, leaving the
@@ -936,7 +941,7 @@ impl Kairos {
         let start = clock.start();
         let binding = {
             let _span = self.telemetry.span("kairos_core", "phase.binding");
-            bind(app, &self.platform)
+            bind_in(app, &self.platform, &mut self.workspace.binding)
         };
         let elapsed = start.elapsed();
         timings.set(Phase::Binding, elapsed);
@@ -950,7 +955,14 @@ impl Kairos {
         let start = clock.start();
         let mapping = {
             let _span = self.telemetry.span("kairos_core", "phase.mapping");
-            map_application(app, &binding, &mut self.platform, app_id, &self.config.mapper())
+            map_application_in(
+                app,
+                &binding,
+                &mut self.platform,
+                app_id,
+                &self.config.mapper(),
+                &mut self.workspace.mapping,
+            )
         };
         let elapsed = start.elapsed();
         timings.set(Phase::Mapping, elapsed);
@@ -964,7 +976,13 @@ impl Kairos {
         let start = clock.start();
         let routes = {
             let _span = self.telemetry.span("kairos_core", "phase.routing");
-            route_channels(app, &mapping.placement, &mut self.platform, self.config.route_algorithm)
+            route_channels_in(
+                app,
+                &mapping.placement,
+                &mut self.platform,
+                self.config.route_algorithm,
+                &mut self.workspace.routing,
+            )
         };
         let elapsed = start.elapsed();
         timings.set(Phase::Routing, elapsed);
@@ -981,7 +999,7 @@ impl Kairos {
             let start = clock.start();
             let report = {
                 let _span = self.telemetry.span("kairos_core", "phase.validation");
-                validate(app, &layout, &self.config.validation)
+                validate_in(app, &layout, &self.config.validation, &mut self.workspace.validation)
             };
             let elapsed = start.elapsed();
             timings.set(Phase::Validation, elapsed);

@@ -27,7 +27,7 @@ pub use gap::GapState;
 pub use knapsack::{KnapsackItem, KnapsackSolver};
 pub use search::ElementSearch;
 
-use kairos_app::{Application, TaskId};
+use kairos_app::{Application, TaskId, TaskRings};
 use kairos_platform::{AppId, ElementId, Occupant, Platform, ResourceVector, SparseDistanceMatrix};
 
 use crate::error::MappingError;
@@ -119,8 +119,20 @@ pub fn map_application(
     app_id: AppId,
     config: &MapperConfig,
 ) -> Result<MappingReport, MappingError> {
+    map_application_in(app, binding, platform, app_id, config, &mut MappingScratch::default())
+}
+
+/// [`map_application`] in a manager's working memory.
+pub(crate) fn map_application_in(
+    app: &Application,
+    binding: &Binding,
+    platform: &mut Platform,
+    app_id: AppId,
+    config: &MapperConfig,
+    scratch: &mut MappingScratch,
+) -> Result<MappingReport, MappingError> {
     platform.begin_txn();
-    match map_inner(app, binding, platform, app_id, config) {
+    match map_inner(app, binding, platform, app_id, config, scratch) {
         Ok(report) => {
             platform.commit_txn();
             Ok(report)
@@ -178,12 +190,22 @@ fn claim_task(
 
 /// Working memory of one [`map_application`] call. Every set the element
 /// search and `SolveGAP` grow lives here and is restarted — not reallocated
-/// — for each ring and each start attempt, so the number of allocations a
-/// call makes does not depend on how far it has to search.
-struct Scratch {
+/// — for each ring and each start attempt, and a manager keeps the whole of
+/// it between calls, so the only thing a call takes from the heap is the
+/// [`Placement`] it returns.
+#[derive(Debug, Default)]
+pub(crate) struct MappingScratch {
     distances: SparseDistanceMatrix,
     search: ElementSearch,
     gap: GapState,
+    /// The partial placement: the committed element of each mapped task.
+    placement: Vec<Option<ElementId>>,
+    /// The cheapest starts of an unpinned application, cheapest first.
+    starts: Vec<(ElementId, f64)>,
+    /// The tasks `placement` holds when a ring decomposition starts, and
+    /// the decomposition from them.
+    seeds: Vec<TaskId>,
+    rings: TaskRings,
     /// Elements discovered since the last `SolveGAP` invocation.
     fresh: Vec<ElementId>,
     /// The still-unmapped tasks of the ring being placed.
@@ -195,29 +217,17 @@ struct Scratch {
     backward_origins: Vec<ElementId>,
 }
 
-impl Scratch {
-    fn new(element_count: usize) -> Self {
-        Scratch {
-            distances: SparseDistanceMatrix::with_elements(element_count),
-            search: ElementSearch::new(element_count, &[], &[]),
-            gap: GapState::default(),
-            fresh: Vec::new(),
-            tasks: Vec::new(),
-            hosted: Vec::new(),
-            forward_origins: Vec::new(),
-            backward_origins: Vec::new(),
-        }
-    }
-}
-
 fn map_inner(
     app: &Application,
     binding: &Binding,
     platform: &mut Platform,
     app_id: AppId,
     config: &MapperConfig,
+    scratch: &mut MappingScratch,
 ) -> Result<MappingReport, MappingError> {
-    let mut placement: Vec<Option<ElementId>> = vec![None; app.task_count()];
+    scratch.distances.reset(platform.element_count());
+    scratch.placement.clear();
+    scratch.placement.resize(app.task_count(), None);
 
     // --- M0: pinned tasks (exactly one available element). -----------------
     // Only "none, one or more" matters, so each scan stops at the second
@@ -227,20 +237,19 @@ fn map_inner(
         let mut candidates = available_elements(app, binding, platform, t);
         match (candidates.next(), candidates.next()) {
             (None, _) => return Err(MappingError::NoStartingPoint { task: t }),
-            (Some(only), None) => placement[t.index()] = Some(only),
+            (Some(only), None) => scratch.placement[t.index()] = Some(only),
             _ => {}
         }
     }
-    let mut scratch = Scratch::new(platform.element_count());
 
-    if placement.iter().any(Option::is_some) {
+    if scratch.placement.iter().any(Option::is_some) {
         for t in app.task_ids() {
-            if let Some(e) = placement[t.index()] {
+            if let Some(e) = scratch.placement[t.index()] {
                 claim_task(app, binding, platform, app_id, t, e)
                     .map_err(|_| MappingError::PinnedTaskInfeasible { task: t, element: e })?;
             }
         }
-        return map_rings(app, binding, platform, app_id, config, &mut placement, &mut scratch);
+        return map_rings(app, binding, platform, app_id, config, scratch);
     }
 
     // --- M0 fallback: minimum-degree task on the cheapest element. ---------
@@ -252,17 +261,18 @@ fn map_inner(
     // costs in id order — the head of a stable sort of all of them.
     let t0 = *app.min_degree_tasks().first().expect("applications are validated non-empty");
     let attempts = config.start_retries as usize + 1;
-    let mut starts: Vec<(ElementId, f64)> = Vec::with_capacity(attempts + 1);
+    scratch.starts.clear();
     {
         let ctx = CostContext {
             app,
             platform,
             app_id,
-            placement: &placement,
+            placement: &scratch.placement,
             distances: &scratch.distances,
             weights: config.weights,
             miss_penalty: config.distance_miss_penalty,
         };
+        let starts = &mut scratch.starts;
         for e in available_elements(app, binding, platform, t0) {
             let cost = ctx.mapping_cost(t0, e);
             let rank = starts.partition_point(|&(_, ranked)| ranked <= cost);
@@ -272,17 +282,18 @@ fn map_inner(
             }
         }
     }
-    if starts.is_empty() {
+    if scratch.starts.is_empty() {
         return Err(MappingError::NoStartingPoint { task: t0 });
     }
 
     let mut last_err = None;
-    for &(e0, _) in &starts {
+    for attempt in 0..scratch.starts.len() {
+        let (e0, _) = scratch.starts[attempt];
         platform.begin_txn();
-        placement.fill(None);
+        scratch.placement.fill(None);
         claim_task(app, binding, platform, app_id, t0, e0).expect("availability was checked above");
-        placement[t0.index()] = Some(e0);
-        match map_rings(app, binding, platform, app_id, config, &mut placement, &mut scratch) {
+        scratch.placement[t0.index()] = Some(e0);
+        match map_rings(app, binding, platform, app_id, config, scratch) {
             Ok(report) => {
                 platform.commit_txn();
                 return Ok(report);
@@ -296,24 +307,36 @@ fn map_inner(
     Err(last_err.expect("at least one attempt was made"))
 }
 
-/// Places every task `placement` leaves open, ring by ring from the seeds
-/// it holds, claiming each ring as it is solved.
+/// Places every task `scratch.placement` leaves open, ring by ring from the
+/// seeds it holds, claiming each ring as it is solved.
 fn map_rings(
     app: &Application,
     binding: &Binding,
     platform: &mut Platform,
     app_id: AppId,
     config: &MapperConfig,
-    placement: &mut [Option<ElementId>],
-    scratch: &mut Scratch,
+    scratch: &mut MappingScratch,
 ) -> Result<MappingReport, MappingError> {
-    let Scratch { distances, search, gap, fresh, tasks, hosted, forward_origins, backward_origins } =
-        scratch;
+    let MappingScratch {
+        distances,
+        search,
+        gap,
+        placement,
+        starts: _,
+        seeds,
+        rings,
+        fresh,
+        tasks,
+        hosted,
+        forward_origins,
+        backward_origins,
+    } = scratch;
     distances.clear();
 
     // --- Neighborhood decomposition from the seeds. -------------------------
-    let seeds: Vec<TaskId> = app.task_ids().filter(|t| placement[t.index()].is_some()).collect();
-    let rings = app.neighborhood_rings(&seeds);
+    seeds.clear();
+    seeds.extend(app.task_ids().filter(|t| placement[t.index()].is_some()));
+    app.neighborhood_rings_into(seeds, rings);
 
     let mut stats_rings = 0usize;
     let mut stats_gap = 0usize;
@@ -348,7 +371,7 @@ fn map_rings(
             backward_origins.extend_from_slice(forward_origins);
         }
 
-        search.restart(forward_origins, backward_origins);
+        search.restart_on(platform.element_count(), forward_origins, backward_origins);
         gap.restart(tasks);
         fresh.clear();
         hosted.clear();

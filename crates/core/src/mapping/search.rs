@@ -17,13 +17,15 @@
 
 use kairos_platform::{ElementId, Platform, SparseDistanceMatrix};
 
+use crate::workspace::Marks;
+
 /// Incremental multi-source directed BFS over the platform.
 ///
-/// The working sets are dense, indexed by `ElementId`: one flag per element
-/// for each visited set plus the list of discovered elements. A search value
-/// is reusable — [`ElementSearch::restart`] re-seeds it without giving up
-/// its allocations.
-#[derive(Debug, Clone)]
+/// The working sets are dense, indexed by `ElementId`: one generation stamp
+/// per element for each visited set plus the list of discovered elements. A
+/// search value is reusable — [`ElementSearch::restart`] re-seeds it without
+/// giving up its allocations, and forgets the visited sets in O(1).
+#[derive(Debug, Clone, Default)]
 pub struct ElementSearch {
     /// Current forward frontier: `(element, origin)` pairs.
     forward: Vec<(ElementId, ElementId)>,
@@ -32,18 +34,15 @@ pub struct ElementSearch {
     /// The frontier under construction inside `expand`, swapped with
     /// `forward`/`backward` so no ring allocates a new one.
     next: Vec<(ElementId, ElementId)>,
-    visited_forward: Vec<bool>,
-    visited_backward: Vec<bool>,
-    is_discovered: Vec<bool>,
+    /// Size of the platform searched: what the three sets below cover.
+    element_count: usize,
+    visited_forward: Marks,
+    visited_backward: Marks,
+    is_discovered: Marks,
     /// Everything ever reported by `expand`, in the order reported.
     discovered: Vec<ElementId>,
     /// Hops from the frontier origins.
     depth: u32,
-}
-
-/// Marks `e` in a dense element set; `true` when it was not yet a member.
-fn first_visit(set: &mut [bool], e: ElementId) -> bool {
-    !std::mem::replace(&mut set[e.index()], true)
 }
 
 impl ElementSearch {
@@ -61,18 +60,21 @@ impl ElementSearch {
         forward_origins: &[ElementId],
         backward_origins: &[ElementId],
     ) -> Self {
-        let mut search = ElementSearch {
-            forward: Vec::new(),
-            backward: Vec::new(),
-            next: Vec::new(),
-            visited_forward: vec![false; element_count],
-            visited_backward: vec![false; element_count],
-            is_discovered: vec![false; element_count],
-            discovered: Vec::new(),
-            depth: 0,
-        };
-        search.restart(forward_origins, backward_origins);
+        let mut search = ElementSearch::default();
+        search.restart_on(element_count, forward_origins, backward_origins);
         search
+    }
+
+    /// [`ElementSearch::restart`] on a platform of `element_count` elements,
+    /// which need not be the one searched before.
+    pub(crate) fn restart_on(
+        &mut self,
+        element_count: usize,
+        forward_origins: &[ElementId],
+        backward_origins: &[ElementId],
+    ) {
+        self.element_count = element_count;
+        self.restart(forward_origins, backward_origins);
     }
 
     /// Forgets everything and starts over at the given origin sets (see
@@ -80,18 +82,18 @@ impl ElementSearch {
     pub fn restart(&mut self, forward_origins: &[ElementId], backward_origins: &[ElementId]) {
         self.forward.clear();
         self.backward.clear();
-        self.visited_forward.fill(false);
-        self.visited_backward.fill(false);
-        self.is_discovered.fill(false);
+        self.visited_forward.reset(self.element_count);
+        self.visited_backward.reset(self.element_count);
+        self.is_discovered.reset(self.element_count);
         self.discovered.clear();
         self.depth = 0;
         for &o in forward_origins {
-            if first_visit(&mut self.visited_forward, o) {
+            if self.visited_forward.insert(o.index()) {
                 self.forward.push((o, o));
             }
         }
         for &o in backward_origins {
-            if first_visit(&mut self.visited_backward, o) {
+            if self.visited_backward.insert(o.index()) {
                 self.backward.push((o, o));
             }
         }
@@ -131,7 +133,7 @@ impl ElementSearch {
             // Ring 0: report the origins.
             for &(e, origin) in self.forward.iter().chain(self.backward.iter()) {
                 distances.record(origin, e, 0);
-                if !platform.is_failed(e) && first_visit(&mut self.is_discovered, e) {
+                if !platform.is_failed(e) && self.is_discovered.insert(e.index()) {
                     self.discovered.push(e);
                 }
             }
@@ -143,9 +145,9 @@ impl ElementSearch {
                         continue;
                     }
                     distances.record(origin, n, self.depth);
-                    if first_visit(&mut self.visited_forward, n) {
+                    if self.visited_forward.insert(n.index()) {
                         self.next.push((n, origin));
-                        if first_visit(&mut self.is_discovered, n) {
+                        if self.is_discovered.insert(n.index()) {
                             self.discovered.push(n);
                         }
                     }
@@ -159,9 +161,9 @@ impl ElementSearch {
                         continue;
                     }
                     distances.record(origin, n, self.depth);
-                    if first_visit(&mut self.visited_backward, n) {
+                    if self.visited_backward.insert(n.index()) {
                         self.next.push((n, origin));
-                        if first_visit(&mut self.is_discovered, n) {
+                        if self.is_discovered.insert(n.index()) {
                             self.discovered.push(n);
                         }
                     }

@@ -9,13 +9,14 @@
 //! ablation benchmark can test that claim.
 
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, VecDeque};
+use std::collections::BinaryHeap;
 
-use kairos_app::Application;
+use kairos_app::{Application, ChannelId};
 use kairos_platform::{ElementId, LinkId, Platform};
 
 use crate::error::RoutingError;
 use crate::layout::{Placement, Route};
+use crate::workspace::Marks;
 
 /// Path-search strategy for the routing phase.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
@@ -57,8 +58,19 @@ pub fn route_channels(
     platform: &mut Platform,
     algorithm: RouteAlgorithm,
 ) -> Result<Vec<Route>, RoutingError> {
+    route_channels_in(app, placement, platform, algorithm, &mut RoutingScratch::default())
+}
+
+/// [`route_channels`] in a manager's working memory.
+pub(crate) fn route_channels_in(
+    app: &Application,
+    placement: &Placement,
+    platform: &mut Platform,
+    algorithm: RouteAlgorithm,
+    scratch: &mut RoutingScratch,
+) -> Result<Vec<Route>, RoutingError> {
     platform.begin_txn();
-    match route_inner(app, placement, platform, algorithm) {
+    match route_inner(app, placement, platform, algorithm, scratch) {
         Ok(routes) => {
             platform.commit_txn();
             Ok(routes)
@@ -70,84 +82,127 @@ pub fn route_channels(
     }
 }
 
+/// Working memory of one [`route_channels`] call: the path searches' tables,
+/// re-stamped per channel instead of reallocated, and the routes found so
+/// far, kept flat so that only a complete set is turned into [`Route`]s.
+#[derive(Debug, Default)]
+pub(crate) struct RoutingScratch {
+    /// The channels in routing order.
+    order: Vec<ChannelId>,
+    /// Every link of every route found so far, and per channel id the
+    /// `start..end` of its route in there.
+    links: Vec<LinkId>,
+    spans: Vec<(u32, u32)>,
+    /// The elements a search has reached, and for each of them the element
+    /// and link it was reached over. A search reads `prev` only at elements
+    /// it reached itself, so the table is never cleared.
+    visited: Marks,
+    prev: Vec<(ElementId, LinkId)>,
+    /// The BFS frontier: a queue that is only ever appended to.
+    queue: Vec<ElementId>,
+    /// Dijkstra's tentative distances and frontier.
+    dist: Vec<u64>,
+    heap: BinaryHeap<Reverse<(u64, u32)>>,
+}
+
 fn route_inner(
     app: &Application,
     placement: &Placement,
     platform: &mut Platform,
     algorithm: RouteAlgorithm,
+    scratch: &mut RoutingScratch,
 ) -> Result<Vec<Route>, RoutingError> {
-    let mut order: Vec<_> = app.channels().collect();
-    order.sort_by(|a, b| b.bandwidth().cmp(&a.bandwidth()).then(a.id().cmp(&b.id())));
+    scratch.order.clear();
+    scratch.order.extend(app.channels().map(|c| c.id()));
+    // Ids break ties, so the order is total and needs no stable sort.
+    scratch.order.sort_unstable_by_key(|&c| (Reverse(app.channel(c).bandwidth()), c));
+    scratch.links.clear();
+    scratch.spans.clear();
+    scratch.spans.resize(app.channel_count(), (0, 0));
+    scratch.prev.resize(platform.element_count(), (ElementId(0), LinkId(0)));
 
-    let mut routes: Vec<Option<Route>> = vec![None; app.channel_count()];
-    for channel in order {
+    for at in 0..scratch.order.len() {
+        let channel = app.channel(scratch.order[at]);
         let src = placement.element(channel.src());
         let dst = placement.element(channel.dst());
         if src == dst {
-            routes[channel.id().index()] = Some(Route::new(channel.id(), Vec::new()));
             continue;
         }
-        let links = match algorithm {
-            RouteAlgorithm::Bfs => bfs_path(platform, src, dst, channel.bandwidth()),
-            RouteAlgorithm::Dijkstra => dijkstra_path(platform, src, dst, channel.bandwidth()),
+        let start = scratch.links.len();
+        let found = match algorithm {
+            RouteAlgorithm::Bfs => bfs_path(platform, src, dst, channel.bandwidth(), scratch),
+            RouteAlgorithm::Dijkstra => {
+                dijkstra_path(platform, src, dst, channel.bandwidth(), scratch)
+            }
+        };
+        if !found {
+            return Err(RoutingError::NoRoute { channel: channel.id(), src, dst });
         }
-        .ok_or(RoutingError::NoRoute { channel: channel.id(), src, dst })?;
-        for &l in &links {
+        for &l in &scratch.links[start..] {
             platform
                 .claim_link(l, channel.bandwidth())
                 .expect("path search only returns links with available capacity");
         }
-        routes[channel.id().index()] = Some(Route::new(channel.id(), links));
+        scratch.spans[channel.id().index()] = (start as u32, scratch.links.len() as u32);
     }
-    Ok(routes.into_iter().map(|r| r.expect("every channel routed")).collect())
+    let routes = app.channels().zip(&scratch.spans).map(|(channel, &(start, end))| {
+        Route::new(channel.id(), scratch.links[start as usize..end as usize].to_vec())
+    });
+    Ok(routes.collect())
 }
 
-/// Fewest-hops path from `src` to `dst` over links that can still carry
-/// `bandwidth`, or `None`. Failed elements are not traversed (but `src` and
-/// `dst` themselves are permitted, so that draining routes stay discoverable).
+/// Appends to `scratch.links` the fewest-hops path from `src` to `dst` over
+/// links that can still carry `bandwidth`; `false` when there is none.
+/// Failed elements are not traversed (but `src` and `dst` themselves are
+/// permitted, so that draining routes stay discoverable).
 fn bfs_path(
     platform: &Platform,
     src: ElementId,
     dst: ElementId,
     bandwidth: u64,
-) -> Option<Vec<LinkId>> {
-    let n = platform.element_count();
-    let mut prev: Vec<Option<(ElementId, LinkId)>> = vec![None; n];
-    let mut visited = vec![false; n];
-    visited[src.index()] = true;
-    let mut queue = VecDeque::new();
-    queue.push_back(src);
-    while let Some(e) = queue.pop_front() {
+    scratch: &mut RoutingScratch,
+) -> bool {
+    let RoutingScratch { links, visited, prev, queue, .. } = scratch;
+    visited.reset(platform.element_count());
+    visited.insert(src.index());
+    queue.clear();
+    queue.push(src);
+    let mut head = 0;
+    while let Some(&e) = queue.get(head) {
+        head += 1;
         if e == dst {
-            return Some(reconstruct(&prev, src, dst));
+            reconstruct(prev, src, dst, links);
+            return true;
         }
         for &(next, link) in platform.successors(e) {
-            if visited[next.index()]
+            if visited.contains(next.index())
                 || !platform.link_available(link, bandwidth)
                 || (platform.is_failed(next) && next != dst)
             {
                 continue;
             }
-            visited[next.index()] = true;
-            prev[next.index()] = Some((e, link));
-            queue.push_back(next);
+            visited.insert(next.index());
+            prev[next.index()] = (e, link);
+            queue.push(next);
         }
     }
-    None
+    false
 }
 
-/// Load-aware shortest path: link weight `1 + used_fraction`, scaled to
-/// integer milli-weights for a deterministic priority queue.
+/// Load-aware shortest path, appended to `scratch.links` like
+/// [`bfs_path`]'s: link weight `1 + used_fraction`, scaled to integer
+/// milli-weights for a deterministic priority queue.
 fn dijkstra_path(
     platform: &Platform,
     src: ElementId,
     dst: ElementId,
     bandwidth: u64,
-) -> Option<Vec<LinkId>> {
-    let n = platform.element_count();
-    let mut dist: Vec<u64> = vec![u64::MAX; n];
-    let mut prev: Vec<Option<(ElementId, LinkId)>> = vec![None; n];
-    let mut heap: BinaryHeap<Reverse<(u64, u32)>> = BinaryHeap::new();
+    scratch: &mut RoutingScratch,
+) -> bool {
+    let RoutingScratch { links, prev, dist, heap, .. } = scratch;
+    dist.clear();
+    dist.resize(platform.element_count(), u64::MAX);
+    heap.clear();
     dist[src.index()] = 0;
     heap.push(Reverse((0, src.0)));
     while let Some(Reverse((d, e_raw))) = heap.pop() {
@@ -156,7 +211,8 @@ fn dijkstra_path(
             continue;
         }
         if e == dst {
-            return Some(reconstruct(&prev, src, dst));
+            reconstruct(prev, src, dst, links);
+            return true;
         }
         for &(next, link) in platform.successors(e) {
             if !platform.link_available(link, bandwidth)
@@ -170,28 +226,30 @@ fn dijkstra_path(
             let nd = d.saturating_add(weight);
             if nd < dist[next.index()] {
                 dist[next.index()] = nd;
-                prev[next.index()] = Some((e, link));
+                prev[next.index()] = (e, link);
                 heap.push(Reverse((nd, next.0)));
             }
         }
     }
-    None
+    false
 }
 
+/// Appends the links of the path the search left in `prev`, in traversal
+/// order.
 fn reconstruct(
-    prev: &[Option<(ElementId, LinkId)>],
+    prev: &[(ElementId, LinkId)],
     src: ElementId,
     dst: ElementId,
-) -> Vec<LinkId> {
-    let mut links = Vec::new();
+    links: &mut Vec<LinkId>,
+) {
+    let start = links.len();
     let mut cursor = dst;
     while cursor != src {
-        let (parent, link) = prev[cursor.index()].expect("reconstruct follows visited chain");
+        let (parent, link) = prev[cursor.index()];
         links.push(link);
         cursor = parent;
     }
-    links.reverse();
-    links
+    links[start..].reverse();
 }
 
 /// Releases the link claims of previously established routes.

@@ -26,7 +26,8 @@
 
 use kairos_app::{Application, ChannelId, TaskRole};
 use kairos_sdf::{
-    max_cycle_ratio, measure_latency, ActorId, LatencyConfig, SdfGraph, SdfGraphBuilder,
+    max_cycle_ratio_in, measure_latency, ActorId, CycleRatioScratch, LatencyConfig, SdfGraph,
+    SdfGraphBuilder,
 };
 
 use crate::error::ValidationError;
@@ -88,6 +89,7 @@ pub struct ValidationReport {
 /// The performance model of a layout, flat: what [`validate`] hands the
 /// cycle-ratio solver and what [`layout_to_sdf`] names and renders as an
 /// [`SdfGraph`], so the two cannot drift.
+#[derive(Debug, Default)]
 struct LayoutModel {
     /// Execution time per actor. Task `t` is actor `t`; one transport actor
     /// per non-local route follows, in channel order.
@@ -101,17 +103,23 @@ struct LayoutModel {
     rates: Vec<u32>,
 }
 
+/// Working memory of one [`validate`] call — the layout's model and the
+/// solver's vectors, each rebuilt from nothing by the call that uses it.
+#[derive(Debug, Default)]
+pub(crate) struct ValidationScratch {
+    model: LayoutModel,
+    solver: CycleRatioScratch,
+}
+
 impl LayoutModel {
-    fn new(app: &Application, layout: &ExecutionLayout, config: &ValidationConfig) -> Self {
-        let channels = app.channel_count();
-        let mut model = LayoutModel {
-            exec: Vec::with_capacity(app.task_count() + channels),
-            transports: Vec::new(),
-            edges: Vec::with_capacity(4 * channels),
-            rates: Vec::with_capacity(4 * channels),
-        };
+    /// Replaces whatever model this was with the one of `layout`.
+    fn rebuild(&mut self, app: &Application, layout: &ExecutionLayout, config: &ValidationConfig) {
+        self.exec.clear();
+        self.transports.clear();
+        self.edges.clear();
+        self.rates.clear();
         // One actor per task; execution times come from the binding.
-        model.exec.extend(
+        self.exec.extend(
             app.task_ids().map(|t| layout.binding.implementation(app, t).exec_cycles().max(1)),
         );
         let buffer = config.buffer_depth.max(1);
@@ -120,21 +128,20 @@ impl LayoutModel {
             let rate = channel.tokens_per_firing().max(1);
             let (src, dst) = (channel.src().0, channel.dst().0);
             if route.is_local() {
-                model.link(src, dst, rate, buffer);
+                self.link(src, dst, rate, buffer);
             } else {
                 // Saturates on a hostile configuration; the solver's checked
                 // sums then refuse the model.
                 let latency = config
                     .transport_overhead_cycles
                     .saturating_add(config.hop_latency_cycles.saturating_mul(route.hops() as u64));
-                let transport = model.exec.len() as u32;
-                model.exec.push(latency.max(1));
-                model.transports.push(channel.id());
-                model.link(src, transport, rate, buffer);
-                model.link(transport, dst, rate, buffer);
+                let transport = self.exec.len() as u32;
+                self.exec.push(latency.max(1));
+                self.transports.push(channel.id());
+                self.link(src, transport, rate, buffer);
+                self.link(transport, dst, rate, buffer);
             }
         }
-        model
     }
 
     /// A data edge and the back-edge that bounds its buffer to `buffer`
@@ -172,7 +179,9 @@ pub fn layout_to_sdf(
     layout: &ExecutionLayout,
     config: &ValidationConfig,
 ) -> SdfGraph {
-    LayoutModel::new(app, layout, config).to_graph(app)
+    let mut model = LayoutModel::default();
+    model.rebuild(app, layout, config);
+    model.to_graph(app)
 }
 
 /// Runs the validation phase: computes the layout's steady-state period and
@@ -190,12 +199,23 @@ pub fn validate(
     layout: &ExecutionLayout,
     config: &ValidationConfig,
 ) -> Result<ValidationReport, ValidationError> {
-    let model = LayoutModel::new(app, layout, config);
+    validate_in(app, layout, config, &mut ValidationScratch::default())
+}
+
+/// [`validate`] in a manager's working memory.
+pub(crate) fn validate_in(
+    app: &Application,
+    layout: &ExecutionLayout,
+    config: &ValidationConfig,
+    scratch: &mut ValidationScratch,
+) -> Result<ValidationReport, ValidationError> {
+    let ValidationScratch { model, solver } = scratch;
+    model.rebuild(app, layout, config);
     let sink = app.tasks().find(|t| t.role() == TaskRole::Output).map(|t| t.id());
 
     // Reference actor: the first output task, or task 0 for sink-less graphs.
     let reference = sink.map_or(0, |t| t.index());
-    let period = max_cycle_ratio(&model.exec, &model.edges, reference)
+    let period = max_cycle_ratio_in(&model.exec, &model.edges, reference, solver)
         .map_err(|e| ValidationError::Analysis(e.to_string()))?;
     let throughput = period.iterations as f64 / period.cycles as f64;
     let iteration_period = 1.0 / throughput;
@@ -466,7 +486,8 @@ mod tests {
         let app = b.build().unwrap();
         let layout = layout_for(&app, &[2, 0, 6]);
         let config = ValidationConfig { buffer_depth: 3, ..ValidationConfig::default() };
-        let model = LayoutModel::new(&app, &layout, &config);
+        let mut model = LayoutModel::default();
+        model.rebuild(&app, &layout, &config);
         let graph = layout_to_sdf(&app, &layout, &config);
 
         assert_eq!(model.exec, [5, 1, 9, 4 + 8 * 2, 4 + 8 * 6]);

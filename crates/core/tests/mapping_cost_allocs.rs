@@ -4,6 +4,9 @@
 //! read. Before PR 16 each evaluation re-derived the platform's maximum
 //! degree — one sorted, deduplicated `Vec` per element — and this test
 //! counted more than |E| allocations per call.
+//!
+//! The same counting allocator holds a whole warm admission to a budget:
+//! see [`a_warm_admission_allocates_only_what_outlives_it`].
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -12,7 +15,8 @@ use std::hint::black_box;
 use kairos_app::TaskId;
 use kairos_appgen::{generate_dataset, DatasetSpec};
 use kairos_core::{
-    bind, map_application, CostContext, CostPolicy, MapperConfig, DEFAULT_MISS_PENALTY,
+    bind, map_application, CostContext, CostPolicy, Kairos, KairosConfig, MapperConfig,
+    DEFAULT_MISS_PENALTY,
 };
 use kairos_platform::{
     bfs_distances, topology, AppId, ElementId, SearchDirection, SparseDistanceMatrix,
@@ -118,4 +122,59 @@ fn mapping_cost_does_not_allocate() {
 
     assert!(total.is_finite() && total != 0.0, "both cost terms were evaluated");
     assert_eq!(allocated, 0, "mapping_cost allocated {allocated} times over 1000 evaluations");
+}
+
+/// Mean allocations of one `Kairos::admit`, admitted and refused apart, on
+/// a warm manager: CRISP under a FIFO churn of all six Table-I datasets.
+/// Only what outlives the call may come from the heap, because the
+/// pipeline's working memory lives in the manager's workspace and an
+/// application clones by reference count. An admitted request pays for its
+/// layout twice (the report's and the registry's: a binding, a placement,
+/// the route list and one link list per non-local channel, 10.4 on this
+/// churn) and for the registry's bandwidth list; a refused one for the
+/// binding and placement it got to before the refusal. At `292cf97`, where
+/// every phase rebuilt its working sets per call, this churn read 171.07
+/// and 158.67 (most refusals here come from routing, after a full mapping
+/// run). The counts are exact: a change that moves them is a change to what
+/// an admission allocates, and says so here.
+#[test]
+fn a_warm_admission_allocates_only_what_outlives_it() {
+    let apps: Vec<_> =
+        DatasetSpec::all().into_iter().flat_map(|spec| generate_dataset(spec, 12, 22)).collect();
+    let mut kairos = Kairos::new(topology::crisp(), KairosConfig::default());
+    let mut resident = std::collections::VecDeque::new();
+    // (requests, allocations) of admitted and of refused admissions.
+    let (mut admitted, mut refused) = ((0u64, 0u64), (0u64, 0u64));
+    for pass in 0..2 {
+        let warm_up = pass == 0;
+        for i in 0..apps.len() * 5 {
+            let app = &apps[(i * 7 + pass) % apps.len()];
+            let before = allocations();
+            let result = kairos.admit(app);
+            let allocated = allocations() - before;
+            let tally = if result.is_ok() { &mut admitted } else { &mut refused };
+            if !warm_up {
+                tally.0 += 1;
+                tally.1 += allocated;
+            }
+            match result {
+                Ok(report) => resident.push_back(report.app_id),
+                // A refusal frees the two oldest residents, as does a
+                // platform that has filled up.
+                Err(_) => {
+                    for id in resident.drain(..resident.len().min(2)) {
+                        assert!(kairos.release(id));
+                    }
+                }
+            }
+            if resident.len() > 6 {
+                assert!(kairos.release(resident.pop_front().unwrap()));
+            }
+        }
+    }
+    assert!(admitted.0 >= 100 && refused.0 >= 50, "{admitted:?} admitted, {refused:?} refused");
+    let per_admitted = admitted.1 as f64 / admitted.0 as f64;
+    let per_refused = refused.1 as f64 / refused.0 as f64;
+    assert!(per_admitted <= 21.8, "{per_admitted:.2} allocations per admitted request");
+    assert!(per_refused <= 2.0, "{per_refused:.2} allocations per refused request");
 }

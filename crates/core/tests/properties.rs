@@ -1,12 +1,15 @@
 //! Property-based tests of the resource-manager core: knapsack safety and
 //! dominance, GAP capacity respect, whole-pipeline invariants on random
-//! workloads, the invisibility of the probe-to-admission hand-off, and the
+//! workloads, the invisibility of the probe-to-admission hand-off, the
 //! soundness of keying the operating-point cache on what an admission reads
-//! of the platform instead of on who resides there.
+//! of the platform instead of on who resides there, and the emptiness — as
+//! far as any decision can tell — of a manager's working memory.
+
+use std::sync::atomic::{AtomicU32, Ordering};
 
 use proptest::prelude::*;
 
-use kairos_app::{Application, ApplicationBuilder, Implementation, TaskId, TaskRole};
+use kairos_app::{Application, ApplicationBuilder, Constraint, Implementation, TaskId, TaskRole};
 use kairos_appgen::{generate_dataset, DatasetSpec};
 use kairos_core::{
     bind, map_application, AdmissionFailure, AdmissionReport, AllocationError, CostPolicy,
@@ -444,6 +447,131 @@ proptest! {
                 "{}: the replay and the cold run left different bytes", app.name()
             );
             prop_assert_eq!(carrier.occupancy(), reference.occupancy());
+        }
+    }
+}
+
+/// Four applications built to be turned away by one phase each on an
+/// otherwise welcoming CRISP, in phase order: a task no element can hold; ten
+/// whole-DSP tasks, which bind wherever ten DSPs are free but map only
+/// where ten are *connected* (never behind [`package_walls`]); two tasks
+/// that cannot share an element joined by a channel no link can carry; and
+/// a pair held to a one-cycle period.
+fn hostile_apps() -> [Application; 4] {
+    let dsp = |cpu| Implementation::new(ElementKind::Dsp, ResourceVector::new(cpu, 8, 0, 0), 40, 1);
+    let chain = |name: &str, tasks: usize, cpu: u64, bandwidth: u64, period: Option<u64>| {
+        let mut b = ApplicationBuilder::new(name);
+        let ids: Vec<TaskId> = (0..tasks)
+            .map(|i| b.add_task(format!("t{i}"), TaskRole::Internal, vec![dsp(cpu)]))
+            .collect();
+        for pair in ids.windows(2) {
+            b.add_channel(pair[0], pair[1], bandwidth, 1);
+        }
+        if let Some(max_period_cycles) = period {
+            b.add_constraint(Constraint::Throughput { max_period_cycles });
+        }
+        b.build().unwrap()
+    };
+    [
+        chain("unbindable", 1, 1_000_000, 0, None),
+        chain("unmappable-behind-walls", 10, 900, 10, None),
+        chain("unroutable", 2, 600, 1_000_000, None),
+        chain("too-slow", 2, 300, 10, Some(1)),
+    ]
+}
+
+/// The DSPs every bridge between two CRISP packages starts from: with all
+/// eight failed, no package reaches another and the largest island holds
+/// nine DSPs.
+fn package_walls(platform: &Platform) -> Vec<ElementId> {
+    let walls: Vec<ElementId> = platform
+        .elements()
+        .filter(|e| {
+            let name = e.name();
+            !name.starts_with("pkg4/") && (name.ends_with("/dsp2") || name.ends_with("/dsp8"))
+        })
+        .map(|e| e.id())
+        .collect();
+    assert_eq!(walls.len(), 8);
+    walls
+}
+
+/// Refusals per phase over every case of the property below, and the
+/// number of cases run: the last case checks that the op vocabulary did
+/// reach all four phases.
+static HYGIENE_REFUSALS: [AtomicU32; 4] = [const { AtomicU32::new(0) }; 4];
+static HYGIENE_CASES: AtomicU32 = AtomicU32::new(0);
+
+proptest! {
+    /// A manager's working memory carries capacity, never a decision.
+    /// Whatever a warm manager has been through — admissions that each of
+    /// the four phases refused, releases, faults and repairs, migrations,
+    /// probes with and without victims, weight changes, rewinds, with the
+    /// cache on or off — its next admission is the one a manager that has
+    /// never run a pipeline makes from the same checkpoint: same result,
+    /// same layout, same state afterwards.
+    #[test]
+    fn a_workspace_carries_no_decision_across_calls(
+        seed in 0u64..1 << 20,
+        cached in any::<bool>(),
+        history in proptest::collection::vec((0u8..20, any::<u8>()), 0..40),
+        last in any::<u8>(),
+    ) {
+        let config = KairosConfig {
+            deterministic: true,
+            cache: cached.then(CacheConfig::default),
+            ..KairosConfig::default()
+        };
+        let mut pool = storm_apps(seed, 2);
+        pool.extend(hostile_apps());
+        let mut warm = Kairos::new(topology::crisp(), config);
+        let walls = package_walls(warm.platform());
+        let mut saved = warm.checkpoint();
+        let note = |result: Result<AdmissionReport, AdmissionFailure>| {
+            if let Err(failure) = result {
+                HYGIENE_REFUSALS[failure.phase() as usize].fetch_add(1, Ordering::Relaxed);
+            }
+        };
+        for &(op, pick) in &history {
+            let pick = pick as usize;
+            let app = &pool[pick % pool.len()];
+            let resident = {
+                let ids = warm.admitted_ids();
+                (!ids.is_empty()).then(|| ids[pick % ids.len()])
+            };
+            let element = ElementId((pick % warm.platform().element_count()) as u32);
+            match (op, resident) {
+                (0..=7, _) => note(warm.admit(app)),
+                (8 | 9, Some(id)) => assert!(warm.release(id)),
+                (10, _) if warm.platform().is_failed(element) => warm.repair_element(element),
+                (10, _) => drop(warm.fail_element(element)),
+                (11, _) if warm.platform().is_failed(walls[0]) => {
+                    walls.iter().for_each(|&e| warm.repair_element(e));
+                }
+                (11 | 12, _) => walls.iter().for_each(|&e| drop(warm.fail_element(e))),
+                (13, Some(id)) => drop(warm.migrate(id, &[element])),
+                (14, _) => drop(warm.probe_admit(app)),
+                (15, Some(id)) => drop(warm.probe_admit_without(app, &[id])),
+                (16, _) => warm.set_weights(CostPolicy::ALL[pick % 4].weights()),
+                (17, _) => saved = warm.checkpoint(),
+                (18, _) => warm.restore(saved.clone()),
+                _ => {}
+            }
+        }
+
+        let image = warm.checkpoint();
+        let mut fresh = Kairos::new(topology::crisp(), *warm.config());
+        fresh.restore(image.clone());
+        prop_assert_eq!(fresh.checkpoint(), image);
+        let app = &pool[last as usize % pool.len()];
+        let decided = warm.admit(app);
+        prop_assert_eq!(&decided, &fresh.admit(app), "{} after {:?}", app.name(), history);
+        prop_assert_eq!(warm.checkpoint(), fresh.checkpoint(), "{} after {:?}", app.name(), history);
+        note(decided);
+
+        if HYGIENE_CASES.fetch_add(1, Ordering::Relaxed) + 1 == ProptestConfig::default().cases {
+            let refusals = HYGIENE_REFUSALS.each_ref().map(|n| n.load(Ordering::Relaxed));
+            prop_assert!(refusals.iter().all(|&n| n > 0), "refusals per phase: {refusals:?}");
         }
     }
 }

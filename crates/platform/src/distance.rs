@@ -181,6 +181,15 @@ impl SparseDistanceMatrix {
         self.len == 0
     }
 
+    /// [`Self::clear`], then sizes the matrix for a platform of
+    /// `element_count` elements as [`Self::with_elements`] does: what a
+    /// long-lived matrix calls before each use, so it serves whatever
+    /// platform it is handed.
+    pub fn reset(&mut self, element_count: usize) {
+        self.clear();
+        self.row_of.resize(element_count, NO_ROW);
+    }
+
     /// Removes all recorded pairs, keeping the allocations.
     pub fn clear(&mut self) {
         for (row, origin) in self.rows.iter_mut().zip(self.origins.drain(..)) {
@@ -273,6 +282,13 @@ mod tests {
         assert_eq!(presized.get(ElementId(1), ElementId(3)), None);
         presized.record(ElementId(3), ElementId(1), 5);
         assert_eq!(presized.get_symmetric(ElementId(1), ElementId(3)), Some(5));
+        // Reset for a smaller platform: nothing of the larger one shows.
+        presized.reset(2);
+        assert!(presized.is_empty());
+        assert_eq!(presized.get(ElementId(3), ElementId(1)), None);
+        presized.record(ElementId(1), ElementId(0), 1);
+        assert_eq!(presized.get(ElementId(1), ElementId(0)), Some(1));
+        assert_eq!(presized.get(ElementId(1), ElementId(3)), None, "no stale tail in a reused row");
     }
 
     #[test]

@@ -48,7 +48,7 @@ pub use graph::{
     Actor, ActorId, SdfChannel, SdfChannelId, SdfGraph, SdfGraphBuilder, SdfGraphError,
 };
 pub use latency::{measure_latency, LatencyConfig, LatencyReport};
-pub use mcr::{max_cycle_ratio, CycleRatio};
+pub use mcr::{max_cycle_ratio, max_cycle_ratio_in, CycleRatio, CycleRatioScratch};
 pub use statespace::{
     throughput, throughput_with, StateSpaceConfig, StateSpaceError, ThroughputReport,
 };

@@ -53,28 +53,64 @@ fn reduced(w: u64, t: u32, (cycles, tokens): Ratio) -> Option<i128> {
 }
 
 /// Walk state of an actor during policy evaluation.
-#[derive(Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 enum Walk {
     Unseen,
     OnPath,
     Done,
 }
 
+/// Working memory of [`max_cycle_ratio_in`]: every vector the solver fills,
+/// kept between calls so a caller that solves one model after another (the
+/// validation phase of an admission pipeline) pays for them once. Each call
+/// overwrites all of it before reading any of it; nothing carries over.
+#[derive(Debug, Clone, Default)]
+pub struct CycleRatioScratch {
+    /// CSR of edge indices by destination: `incoming[first[v]..first[v + 1]]`.
+    first: Vec<u32>,
+    incoming: Vec<u32>,
+    /// The actors the reference depends on, itself included.
+    members: Vec<usize>,
+    seen: Vec<bool>,
+    /// Zero-token out-edges per member, and the peeling stack over them.
+    blocking: Vec<u32>,
+    ready: Vec<usize>,
+    /// Howard's iterate: the chosen in-edge of every actor ([`SELF_LOOP`]
+    /// for the implicit one), the ratio of the policy cycle it hangs under,
+    /// its potential scaled by that ratio's denominator.
+    chosen: Vec<u32>,
+    ratio: Vec<Ratio>,
+    dist: Vec<i128>,
+    walk: Vec<Walk>,
+    path: Vec<usize>,
+}
+
+/// Empties `v` and refills it with `n` copies of `value`.
+fn refill<T: Clone>(v: &mut Vec<T>, n: usize, value: T) -> &mut [T] {
+    v.clear();
+    v.resize(n, value);
+    v
+}
+
 /// The graph, indexed by destination.
 struct Graph<'a> {
     exec: &'a [u64],
     edges: &'a [(u32, u32, u32)],
-    /// CSR of edge indices by destination: `incoming[first[v]..first[v + 1]]`.
-    first: Vec<u32>,
-    incoming: Vec<u32>,
+    first: &'a [u32],
+    incoming: &'a [u32],
 }
 
 impl<'a> Graph<'a> {
-    fn new(exec: &'a [u64], edges: &'a [(u32, u32, u32)]) -> Self {
+    fn new(
+        exec: &'a [u64],
+        edges: &'a [(u32, u32, u32)],
+        first: &'a mut Vec<u32>,
+        incoming: &'a mut Vec<u32>,
+    ) -> Self {
         let n = exec.len();
         // Counting sort by destination; the counts sit one slot late so that
         // placing the edges leaves `first[v]` at the start of `v`'s slice.
-        let mut first = vec![0u32; n + 2];
+        let first = refill(first, n + 2, 0);
         for &(src, dst, _) in edges {
             assert!((src as usize) < n && (dst as usize) < n, "edge endpoint out of range");
             first[dst as usize + 2] += 1;
@@ -82,7 +118,7 @@ impl<'a> Graph<'a> {
         for v in 2..n + 2 {
             first[v] += first[v - 1];
         }
-        let mut incoming = vec![0u32; edges.len()];
+        let incoming = refill(incoming, edges.len(), 0);
         for (e, &(_, dst, _)) in edges.iter().enumerate() {
             let slot = &mut first[dst as usize + 1];
             incoming[*slot as usize] = e as u32;
@@ -99,15 +135,24 @@ impl<'a> Graph<'a> {
         })
     }
 
-    /// The actors `reference` depends on (itself included), or the error
-    /// that makes the analysis pointless: a zero-token cycle among them, or
-    /// execution times whose sum does not fit `u64`.
-    fn upstream_of(&self, reference: usize) -> Result<Vec<usize>, StateSpaceError> {
-        let mut seen = vec![false; self.exec.len()];
+    /// Collects into `members` the actors `reference` depends on (itself
+    /// included), or returns the error that makes the analysis pointless: a
+    /// zero-token cycle among them, or execution times whose sum does not
+    /// fit `u64`.
+    fn upstream_of(
+        &self,
+        reference: usize,
+        members: &mut Vec<usize>,
+        seen: &mut Vec<bool>,
+        blocking: &mut Vec<u32>,
+        ready: &mut Vec<usize>,
+    ) -> Result<(), StateSpaceError> {
+        let seen = refill(seen, self.exec.len(), false);
         seen[reference] = true;
-        let mut members = vec![reference];
+        members.clear();
+        members.push(reference);
         // Zero-token out-edges per member; all of them stay among the members.
-        let mut blocking = vec![0u32; self.exec.len()];
+        let blocking = refill(blocking, self.exec.len(), 0);
         let mut total = 0u64;
         let mut next = 0;
         while let Some(&v) = members.get(next) {
@@ -124,7 +169,8 @@ impl<'a> Graph<'a> {
         }
         // Peel actors with no zero-token out-edge left; what remains sits on
         // a cycle that holds no token and can never fire.
-        let mut ready: Vec<usize> = members.iter().copied().filter(|&v| blocking[v] == 0).collect();
+        ready.clear();
+        ready.extend(members.iter().copied().filter(|&v| blocking[v] == 0));
         let mut peeled = 0;
         while let Some(v) = ready.pop() {
             peeled += 1;
@@ -140,32 +186,23 @@ impl<'a> Graph<'a> {
         if peeled < members.len() {
             return Err(StateSpaceError::Deadlock);
         }
-        Ok(members)
+        Ok(())
     }
 }
 
 /// Howard's iterate: one chosen in-edge per actor and its evaluation.
-struct Policy {
+struct Policy<'a> {
     /// The chosen in-edge of every actor ([`SELF_LOOP`] for the implicit one).
-    chosen: Vec<u32>,
+    chosen: &'a mut [u32],
     /// Ratio of the policy cycle each actor hangs under.
-    ratio: Vec<Ratio>,
+    ratio: &'a mut [Ratio],
     /// Potential of each actor, scaled by its ratio's denominator.
-    dist: Vec<i128>,
-    walk: Vec<Walk>,
+    dist: &'a mut [i128],
+    walk: &'a mut [Walk],
+    path: &'a mut Vec<usize>,
 }
 
-impl Policy {
-    /// Every actor on its implicit self-loop.
-    fn new(n: usize) -> Self {
-        Policy {
-            chosen: vec![SELF_LOOP; n],
-            ratio: vec![(0, 0); n],
-            dist: vec![0; n],
-            walk: vec![Walk::Unseen; n],
-        }
-    }
-
+impl Policy<'_> {
     /// Source, weight and tokens of `v`'s chosen in-edge.
     fn chosen(&self, graph: &Graph, v: usize) -> (usize, u64, u32) {
         match self.chosen[v] {
@@ -182,13 +219,12 @@ impl Policy {
     /// potential relative to a root on the cycle.
     fn evaluate(&mut self, graph: &Graph, members: &[usize]) -> Result<(), StateSpaceError> {
         self.walk.fill(Walk::Unseen);
-        let mut path = Vec::with_capacity(members.len());
         for &start in members {
-            path.clear();
+            self.path.clear();
             let mut v = start;
             while self.walk[v] == Walk::Unseen {
                 self.walk[v] = Walk::OnPath;
-                path.push(v);
+                self.path.push(v);
                 v = self.chosen(graph, v).0;
             }
             if self.walk[v] == Walk::OnPath {
@@ -216,7 +252,8 @@ impl Policy {
                 }
                 self.walk[v] = Walk::Done;
             }
-            for &x in path.iter().rev() {
+            for i in (0..self.path.len()).rev() {
+                let x = self.path[i];
                 if self.walk[x] == Walk::Done {
                     continue;
                 }
@@ -313,15 +350,55 @@ pub fn max_cycle_ratio(
     edges: &[(u32, u32, u32)],
     reference: usize,
 ) -> Result<CycleRatio, StateSpaceError> {
+    max_cycle_ratio_in(exec, edges, reference, &mut CycleRatioScratch::default())
+}
+
+/// [`max_cycle_ratio`] in caller-owned working memory: same answer, and no
+/// allocation once `scratch` has seen a graph as large.
+///
+/// # Errors
+///
+/// See [`max_cycle_ratio`].
+///
+/// # Panics
+///
+/// See [`max_cycle_ratio`].
+pub fn max_cycle_ratio_in(
+    exec: &[u64],
+    edges: &[(u32, u32, u32)],
+    reference: usize,
+    scratch: &mut CycleRatioScratch,
+) -> Result<CycleRatio, StateSpaceError> {
     assert!(reference < exec.len(), "reference actor out of range");
-    let graph = Graph::new(exec, edges);
-    let members = graph.upstream_of(reference)?;
-    let mut policy = Policy::new(exec.len());
+    let CycleRatioScratch {
+        first,
+        incoming,
+        members,
+        seen,
+        blocking,
+        ready,
+        chosen,
+        ratio,
+        dist,
+        walk,
+        path,
+    } = scratch;
+    let graph = Graph::new(exec, edges, first, incoming);
+    graph.upstream_of(reference, members, seen, blocking, ready)?;
+    // Every actor starts on its implicit self-loop.
+    let n = exec.len();
+    let mut policy = Policy {
+        chosen: refill(chosen, n, SELF_LOOP),
+        ratio: refill(ratio, n, (0, 0)),
+        dist: refill(dist, n, 0),
+        walk: refill(walk, n, Walk::Unseen),
+        path,
+    };
     let mut rounds = 0;
     loop {
         rounds += 1;
-        policy.evaluate(&graph, &members)?;
-        if !policy.improve(&graph, &members)? {
+        policy.evaluate(&graph, members)?;
+        if !policy.improve(&graph, members)? {
             break;
         }
     }
@@ -446,6 +523,40 @@ mod tests {
     fn zero_time_graphs_are_refused() {
         let err = max_cycle_ratio(&[0, 0], &[(0, 1, 1), (1, 0, 1)], 0).unwrap_err();
         assert_eq!(err, StateSpaceError::ZeroTimeCycle);
+    }
+
+    #[test]
+    fn reused_scratch_answers_like_a_fresh_one() {
+        // Large then small then failing then large again: every vector is
+        // refilled before it is read, so no call sees the one before it.
+        let diamond_exec = [3, 4, 5, 6];
+        let diamond = [
+            (0, 1, 0),
+            (1, 0, 2),
+            (1, 2, 0),
+            (2, 1, 2),
+            (2, 3, 0),
+            (3, 2, 2),
+            (0, 3, 0),
+            (3, 0, 1),
+        ];
+        type Case<'a> = (&'a [u64], &'a [(u32, u32, u32)], usize);
+        let cases: [Case; 6] = [
+            (&diamond_exec, &diamond, 3),
+            (&[2, 5], &[(0, 1, 1), (1, 0, 1)], 1),
+            (&[1, 1], &[(0, 1, 0), (1, 0, 0)], 0),
+            (&[9], &[], 0),
+            (&[7, 4, 8], &[(0, 1, 1), (1, 2, 1), (2, 0, 0)], 2),
+            (&diamond_exec, &diamond, 0),
+        ];
+        let mut scratch = CycleRatioScratch::default();
+        for (exec, edges, reference) in cases {
+            assert_eq!(
+                max_cycle_ratio_in(exec, edges, reference, &mut scratch),
+                max_cycle_ratio(exec, edges, reference),
+                "{exec:?} from {reference}"
+            );
+        }
     }
 
     #[test]
