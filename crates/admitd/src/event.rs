@@ -1,25 +1,20 @@
-//! The unified event stream.
+//! The workspace's one event vocabulary.
 //!
-//! One tagged [`Event`] enum replaces the per-crate observation types a
-//! caller previously had to stitch together (`kairos-admitd`'s
-//! `QueueEvent`, `kairos-core`'s `AdmissionReport` returns, relocation
-//! notifications). Every event carries a [`Ticket`] correlating it to the
-//! [`Request`](crate::Request) that caused it — or, for relocation
-//! events, to the blocked request they were performed for — and admitted
-//! applications are additionally correlated by their stable
-//! [`AppId`](kairos_platform::AppId).
+//! Every mutating call of the front-end returns the ordered [`Event`]
+//! list of what happened, and `kairos-svc` passes those values through
+//! untouched, adding the command-result variants (`Released`,
+//! `ElementFailed`, …) it wraps around its own calls — an outcome is
+//! constructed once, where it is decided. Every event carries a
+//! [`Ticket`] correlating it to the request that caused it — or, for
+//! relocation events, to the blocked request they were performed for —
+//! and admitted applications are additionally correlated by their stable
+//! [`AppId`].
 
-use kairos_admitd::{PriorityClass, QueueEvent, RejectReason};
 use kairos_app::Application;
 use kairos_core::{AdmissionReport, MigrationError, Phase};
 use kairos_platform::{AppId, ElementId};
 
-/// Identity of one service request — the workspace's single ticket type,
-/// defined beside the admission queue and re-exported here. One rule: the
-/// outermost service mints it, every layer below carries it verbatim
-/// ([`Request::ticket`](crate::Request::ticket)); preemption requeues
-/// derive theirs from the victim ([`Ticket::requeue_of`]).
-pub use kairos_admitd::Ticket;
+use crate::queue::{PriorityClass, Ticket};
 
 /// Why a request left the service without being admitted.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -32,7 +27,9 @@ pub enum RejectCause {
         /// The pipeline phase that rejected the request.
         phase: Phase,
     },
-    /// The failure can never clear up; `phase` rejected it permanently.
+    /// The failure can never clear up
+    /// ([`FailureDurability::Permanent`](kairos_core::FailureDurability));
+    /// `phase` rejected it permanently.
     Permanent {
         /// The pipeline phase that rejected the request.
         phase: Phase,
@@ -56,18 +53,6 @@ impl RejectCause {
             | RejectCause::Permanent { phase }
             | RejectCause::RetriesExhausted { phase } => Some(phase),
             RejectCause::QueueFull | RejectCause::Timeout | RejectCause::Shutdown => None,
-        }
-    }
-}
-
-impl From<RejectReason> for RejectCause {
-    fn from(reason: RejectReason) -> Self {
-        match reason {
-            RejectReason::QueueFull => RejectCause::QueueFull,
-            RejectReason::Permanent { phase } => RejectCause::Permanent { phase },
-            RejectReason::Timeout => RejectCause::Timeout,
-            RejectReason::RetriesExhausted { phase } => RejectCause::RetriesExhausted { phase },
-            RejectReason::Shutdown => RejectCause::Shutdown,
         }
     }
 }
@@ -100,7 +85,7 @@ pub enum Event {
         /// ids are in the *admitting manager's own* coordinate space —
         /// translate them through the cluster's region map before
         /// feeding them back into element-addressed commands such as
-        /// [`Command::Migrate`](crate::Command::Migrate).
+        /// `Command::Migrate`.
         report: Box<AdmissionReport>,
         /// Ticks spent queued (`0` for immediate admissions).
         waited: u64,
@@ -134,11 +119,14 @@ pub enum Event {
     /// higher-priority request. The victim is preempted, not dropped: it
     /// re-enters the queue under the ticket `requeued_as` — always
     /// [`Ticket::requeue_of`] the victim, so it needs no bookkeeping to
-    /// correlate — carrying its previously accumulated wait.
+    /// correlate — carrying its previously accumulated wait (a `Queued`
+    /// for that ticket follows, or a `Rejected { QueueFull }` when its
+    /// class queue is full).
     Preempted {
         /// The evicted application.
         victim: AppId,
-        /// The victim's priority class.
+        /// The victim's priority class (strictly lower than the
+        /// preempting request's).
         class: PriorityClass,
         /// The ticket the victim's requeue runs under.
         requeued_as: Ticket,
@@ -146,7 +134,7 @@ pub enum Event {
         by: Ticket,
     },
     /// An application was live-migrated: by a
-    /// [`Command::Migrate`](crate::Command::Migrate), or by a preemption
+    /// `Command::Migrate`, or by a preemption
     /// under the `Migrate` policy (a defrag sweep's internal moves
     /// surface in [`Event::Defragged`] counts instead). Its id is stable
     /// across the move.
@@ -159,7 +147,7 @@ pub enum Event {
         /// Tasks whose hosting element changed.
         moved_tasks: usize,
     },
-    /// A [`Command::Migrate`](crate::Command::Migrate) found no
+    /// A `Command::Migrate` found no
     /// acceptable move; the platform is exactly as it was.
     MigrationFailed {
         /// The command's ticket.
@@ -169,7 +157,7 @@ pub enum Event {
         /// Why the move failed, boxed to keep the enum small.
         error: Box<MigrationError>,
     },
-    /// A [`Command::Release`](crate::Command::Release) completed.
+    /// A `Command::Release` completed.
     Released {
         /// The command's ticket.
         ticket: Ticket,
@@ -179,7 +167,7 @@ pub enum Event {
         /// already-released ids — nothing changed then).
         found: bool,
     },
-    /// A [`Command::InjectFault`](crate::Command::InjectFault) completed.
+    /// A `Command::InjectFault` completed.
     ElementFailed {
         /// The command's ticket.
         ticket: Ticket,
@@ -189,21 +177,21 @@ pub enum Event {
         /// for the caller's re-submission policy.
         evicted: Vec<AppId>,
     },
-    /// A [`Command::Repair`](crate::Command::Repair) completed.
+    /// A `Command::Repair` completed.
     ElementRepaired {
         /// The command's ticket.
         ticket: Ticket,
         /// The repaired element.
         element: ElementId,
     },
-    /// A [`Command::Defrag`](crate::Command::Defrag) sweep completed.
+    /// A `Command::Defrag` sweep completed.
     Defragged {
         /// The command's ticket.
         ticket: Ticket,
         /// Applications the sweep migrated.
         moves: usize,
     },
-    /// A [`Command::Rebalance`](crate::Command::Rebalance) sweep
+    /// A `Command::Rebalance` sweep
     /// completed. Each move relocated one running application across a
     /// shard boundary by evict-and-readmit: it keeps running, but under a
     /// fresh id minted by its new shard manager (ids encode their home
@@ -217,35 +205,10 @@ pub enum Event {
     },
 }
 
-/// The front-end's events are a subset of the service's: same tickets,
-/// same payloads, only the rejection vocabulary widens.
-impl From<QueueEvent> for Event {
-    fn from(event: QueueEvent) -> Self {
-        match event {
-            QueueEvent::Enqueued { ticket, class, depth } => Event::Queued { ticket, class, depth },
-            QueueEvent::Admitted { ticket, class, app, report, waited, attempts } => {
-                Event::Admitted { ticket, class, app, report, waited, attempts }
-            }
-            QueueEvent::AttemptFailed { ticket, class, attempt, phase } => {
-                Event::AttemptFailed { ticket, class, attempt, phase }
-            }
-            QueueEvent::Rejected { ticket, class, reason, waited } => {
-                Event::Rejected { ticket, class, cause: reason.into(), waited }
-            }
-            QueueEvent::Preempted { victim, class, ticket, by } => {
-                Event::Preempted { victim, class, requeued_as: ticket, by }
-            }
-            QueueEvent::Migrated { app, by, moved_tasks, .. } => {
-                Event::Migrated { ticket: by, app, moved_tasks }
-            }
-        }
-    }
-}
-
 impl Event {
-    /// The service ticket the event concerns: for [`Event::Preempted`]
-    /// that is the victim's requeue ticket (mirroring the front-end's
-    /// convention).
+    /// The service ticket the event concerns: for the relocation events
+    /// [`Event::Preempted`] and [`Event::Migrated`] that is the victim's
+    /// requeue ticket and the blocked requester respectively.
     pub fn ticket(&self) -> Ticket {
         match *self {
             Event::Queued { ticket, .. }

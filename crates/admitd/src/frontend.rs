@@ -6,139 +6,14 @@ use std::sync::Arc;
 use kairos_app::Application;
 use kairos_core::{
     AdmissionReport, FailureDurability, Kairos, MigrationError, MigrationReport, OccupancySnapshot,
-    Phase,
 };
 use kairos_platform::{AppId, ElementId};
 use kairos_reloc::{compact_with, select_victims_with, CompactReport, RelocMetrics, VictimPlan};
 use kairos_telemetry::{Counter, Gauge, Histogram, Level, Telemetry, TraceContext};
 
+use crate::event::{Event, RejectCause};
 use crate::policy::{AdmitPolicy, PreemptionPolicy, VictimOrder};
 use crate::queue::{AdmissionQueue, PriorityClass, QueuedRequest, Ticket};
-
-/// Why a request left the front-end without being admitted.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum RejectReason {
-    /// Its priority class was at capacity when it arrived (backpressure).
-    QueueFull,
-    /// The pipeline failure can never clear up
-    /// ([`FailureDurability::Permanent`]); `phase` rejected it.
-    Permanent {
-        /// The pipeline phase that rejected the request.
-        phase: Phase,
-    },
-    /// The request waited past its deadline.
-    Timeout,
-    /// The retry budget ran out; `phase` rejected the final attempt.
-    RetriesExhausted {
-        /// The pipeline phase that rejected the final attempt.
-        phase: Phase,
-    },
-    /// The front-end shut down with the request still queued.
-    Shutdown,
-}
-
-/// One observable state change of the front-end. Every mutating call
-/// returns the full ordered list of what happened, so drivers (the
-/// `kairos-sim` engine) can account for queue-jumping admissions, retries
-/// and drops without polling.
-#[derive(Debug, Clone)]
-pub enum QueueEvent {
-    /// The request entered its class queue.
-    Enqueued {
-        /// The request's identity.
-        ticket: Ticket,
-        /// Its priority class.
-        class: PriorityClass,
-        /// Total queue depth right after the enqueue.
-        depth: usize,
-    },
-    /// The request was admitted (possibly after waiting and retries).
-    Admitted {
-        /// The request's identity.
-        ticket: Ticket,
-        /// Its priority class.
-        class: PriorityClass,
-        /// The admitted application, returned to the caller for lifetime
-        /// bookkeeping (departures, fault re-admission). Boxed to keep
-        /// the event enum small.
-        app: Box<Application>,
-        /// The manager's admission report, boxed for the same reason.
-        report: Box<AdmissionReport>,
-        /// Ticks spent queued (`0` for immediate admissions).
-        waited: u64,
-        /// Total admission attempts, the successful one included.
-        attempts: u32,
-    },
-    /// An eligible attempt failed transiently; the request stays queued
-    /// and backs off.
-    AttemptFailed {
-        /// The request's identity.
-        ticket: Ticket,
-        /// Its priority class.
-        class: PriorityClass,
-        /// The failed attempt's number (1-based).
-        attempt: u32,
-        /// The pipeline phase that rejected the attempt.
-        phase: Phase,
-    },
-    /// The request left the front-end unadmitted.
-    Rejected {
-        /// The request's identity.
-        ticket: Ticket,
-        /// Its priority class.
-        class: PriorityClass,
-        /// Why it was rejected.
-        reason: RejectReason,
-        /// Ticks spent queued (`0` when it never entered the queue).
-        waited: u64,
-    },
-    /// A running application was evicted to make room for a blocked
-    /// higher-priority request. The victim is preempted, not dropped: it
-    /// re-enters the queue as a retryable request under `ticket`
-    /// ([`Ticket::requeue_of`] the victim), carrying its previously
-    /// accumulated wait (an `Enqueued` for that ticket follows — or a
-    /// `Rejected { QueueFull }` when its class queue is full).
-    Preempted {
-        /// The evicted application.
-        victim: AppId,
-        /// The victim's priority class (strictly lower than the
-        /// preempting request's).
-        class: PriorityClass,
-        /// The ticket the victim re-enters the queue under.
-        ticket: Ticket,
-        /// The blocked request the eviction was performed for.
-        by: Ticket,
-    },
-    /// A running application was live-migrated to a different placement
-    /// to clear the region a blocked request needs. The application keeps
-    /// running under the same id throughout — nothing is evicted.
-    Migrated {
-        /// The migrated application (its id is stable across the move).
-        app: AppId,
-        /// The migrated application's priority class.
-        class: PriorityClass,
-        /// Tasks whose hosting element changed.
-        moved_tasks: usize,
-        /// The blocked request the migration was performed for.
-        by: Ticket,
-    },
-}
-
-impl QueueEvent {
-    /// The ticket the event concerns: for relocation events
-    /// ([`QueueEvent::Preempted`], [`QueueEvent::Migrated`]) that is the
-    /// victim's requeue ticket and the blocked requester respectively.
-    pub fn ticket(&self) -> Ticket {
-        match *self {
-            QueueEvent::Enqueued { ticket, .. }
-            | QueueEvent::Admitted { ticket, .. }
-            | QueueEvent::AttemptFailed { ticket, .. }
-            | QueueEvent::Rejected { ticket, .. }
-            | QueueEvent::Preempted { ticket, .. } => ticket,
-            QueueEvent::Migrated { by, .. } => by,
-        }
-    }
-}
 
 /// What the front-end remembers about an admitted application, for the
 /// benefit of the preemption hook: the class decides who may be
@@ -154,9 +29,10 @@ struct AdmittedMeta {
 pub const WAIT_TICKS_BOUNDS: &[u64] = &[1, 2, 4, 8, 16, 32, 64, 128];
 
 /// Pre-resolved registry handles for the front-end's queue-transition
-/// accounting, built once when telemetry is attached. Every variant of
-/// [`QueueEvent`] (and every [`RejectReason`]) maps onto exactly one
-/// counter, so the text exposition reads as a complete transition ledger.
+/// accounting, resolved once at construction from the managed manager's
+/// hub. Every [`Event`] variant the front-end emits (and every
+/// [`RejectCause`] it gives) maps onto exactly one counter, so the text
+/// exposition reads as a complete transition ledger.
 #[derive(Debug, Clone)]
 struct AdmitdMetrics {
     enqueued: Arc<Counter>,
@@ -205,7 +81,7 @@ impl AdmitdMetrics {
 /// # Examples
 ///
 /// ```
-/// use kairos_admitd::{Admitd, AdmitPolicy, PriorityClass, QueueEvent};
+/// use kairos_admitd::{AdmitPolicy, Admitd, Event, PriorityClass};
 /// use kairos_core::{Kairos, KairosConfig};
 /// use kairos_app::{ApplicationBuilder, TaskRole, Implementation};
 /// use kairos_platform::{topology, ElementKind, ResourceVector};
@@ -220,7 +96,7 @@ impl AdmitdMetrics {
 /// let app = b.build()?;
 ///
 /// let (ticket, events) = admitd.submit(app, PriorityClass::Normal, 0);
-/// assert!(events.iter().any(|e| matches!(e, QueueEvent::Admitted { .. })));
+/// assert!(events.iter().any(|e| matches!(e, Event::Admitted { .. })));
 /// assert_eq!(events[0].ticket(), ticket);
 /// # Ok::<(), Box<dyn std::error::Error>>(())
 /// ```
@@ -248,7 +124,10 @@ pub struct Admitd {
 }
 
 impl Admitd {
-    /// A front-end managing `kairos` under `policy`.
+    /// A front-end managing `kairos` under `policy`. Observability comes
+    /// with the manager: over one whose hub is lit
+    /// ([`Kairos::set_telemetry`]) queue transitions land on the
+    /// `kairos.admitd.*` metrics; over a dark one nothing is registered.
     ///
     /// # Panics
     ///
@@ -256,29 +135,18 @@ impl Admitd {
     pub fn new(kairos: Kairos, policy: AdmitPolicy) -> Self {
         policy.validate().unwrap_or_else(|e| panic!("invalid admission policy: {e}"));
         Admitd {
-            kairos,
             queue: AdmissionQueue::with_capacity(policy.class_capacity),
             policy,
             next_ticket: 0,
             capacity_events: 0,
             admitted_meta: BTreeMap::new(),
-            metrics: None,
-            reloc_metrics: None,
+            metrics: AdmitdMetrics::new(kairos.telemetry()),
+            reloc_metrics: RelocMetrics::new(kairos.telemetry()),
+            kairos,
         }
     }
 
-    /// Attaches an observability hub to the front-end *and* the managed
-    /// manager: queue transitions land on the `kairos.admitd.*` metrics
-    /// and the pipeline's own `kairos.core.*` instrumentation comes along
-    /// via [`Kairos::set_telemetry`]. Attaching a disabled hub detaches
-    /// both again.
-    pub fn set_telemetry(&mut self, telemetry: Telemetry) {
-        self.metrics = AdmitdMetrics::new(&telemetry);
-        self.reloc_metrics = RelocMetrics::new(&telemetry);
-        self.kairos.set_telemetry(telemetry);
-    }
-
-    /// The attached observability hub (disabled by default).
+    /// The managed manager's observability hub (disabled by default).
     pub fn telemetry(&self) -> &Telemetry {
         self.kairos.telemetry()
     }
@@ -288,12 +156,12 @@ impl Admitd {
     /// the queue, a flight-recorder line per noteworthy transition, and
     /// the live depth gauge. Called exactly once per public entry point,
     /// on the final event list, so no transition is double-counted.
-    fn record_events(&self, events: &[QueueEvent]) {
+    fn record_events(&self, events: &[Event]) {
         let Some(m) = &self.metrics else { return };
         let telemetry = self.kairos.telemetry();
         for event in events {
             match event {
-                QueueEvent::Enqueued { ticket, class, depth } => {
+                Event::Queued { ticket, class, depth } => {
                     m.enqueued.inc();
                     telemetry.event(
                         Level::DEBUG,
@@ -301,7 +169,7 @@ impl Admitd {
                         format!("{ticket} enqueued ({class}), depth {depth}"),
                     );
                 }
-                QueueEvent::Admitted { ticket, class, waited, attempts, .. } => {
+                Event::Admitted { ticket, class, waited, attempts, .. } => {
                     m.admitted.inc();
                     m.wait_ticks.record(*waited);
                     telemetry.event(
@@ -312,7 +180,7 @@ impl Admitd {
                         ),
                     );
                 }
-                QueueEvent::AttemptFailed { ticket, attempt, phase, .. } => {
+                Event::AttemptFailed { ticket, attempt, phase, .. } => {
                     m.attempt_failed.inc();
                     telemetry.event(
                         Level::DEBUG,
@@ -320,37 +188,48 @@ impl Admitd {
                         format!("{ticket} attempt {attempt} failed in {phase} phase, backing off"),
                     );
                 }
-                QueueEvent::Rejected { ticket, class, reason, waited } => {
-                    match reason {
-                        RejectReason::QueueFull => m.rejected_queue_full.inc(),
-                        RejectReason::Permanent { .. } => m.rejected_permanent.inc(),
-                        RejectReason::Timeout => m.rejected_timeout.inc(),
-                        RejectReason::RetriesExhausted { .. } => m.rejected_retries.inc(),
-                        RejectReason::Shutdown => m.rejected_shutdown.inc(),
+                Event::Rejected { ticket, class, cause, waited } => {
+                    match cause {
+                        RejectCause::QueueFull => m.rejected_queue_full.inc(),
+                        // `Refused` is the queue-less service's one-shot
+                        // verdict; the front-end never emits it.
+                        RejectCause::Refused { .. } => {}
+                        RejectCause::Permanent { .. } => m.rejected_permanent.inc(),
+                        RejectCause::Timeout => m.rejected_timeout.inc(),
+                        RejectCause::RetriesExhausted { .. } => m.rejected_retries.inc(),
+                        RejectCause::Shutdown => m.rejected_shutdown.inc(),
                     }
                     m.wait_ticks.record(*waited);
                     telemetry.event(
                         Level::WARN,
                         "kairos_admitd",
-                        format!("{ticket} rejected ({class}): {reason:?} after {waited} ticks"),
+                        format!("{ticket} rejected ({class}): {cause:?} after {waited} ticks"),
                     );
                 }
-                QueueEvent::Preempted { victim, ticket, by, .. } => {
+                Event::Preempted { victim, requeued_as, by, .. } => {
                     m.preempted.inc();
                     telemetry.event(
                         Level::WARN,
                         "kairos_admitd",
-                        format!("{victim} preempted for {by}, requeued as {ticket}"),
+                        format!("{victim} preempted for {by}, requeued as {requeued_as}"),
                     );
                 }
-                QueueEvent::Migrated { app, moved_tasks, by, .. } => {
+                Event::Migrated { ticket, app, moved_tasks } => {
                     m.migrated.inc();
                     telemetry.event(
                         Level::INFO,
                         "kairos_admitd",
-                        format!("{app} migrated for {by}, {moved_tasks} tasks moved"),
+                        format!("{app} migrated for {ticket}, {moved_tasks} tasks moved"),
                     );
                 }
+                // Command results: the service wraps these around its
+                // calls into the front-end, which never builds one.
+                Event::MigrationFailed { .. }
+                | Event::Released { .. }
+                | Event::ElementFailed { .. }
+                | Event::ElementRepaired { .. }
+                | Event::Defragged { .. }
+                | Event::Rebalanced { .. } => {}
             }
         }
         m.depth.set(i64::try_from(self.queue.len()).unwrap_or(i64::MAX));
@@ -398,7 +277,7 @@ impl Admitd {
     /// Submits `app` for admission at virtual time `now`.
     ///
     /// The request is enqueued (or refused with
-    /// [`RejectReason::QueueFull`] when its class is at capacity) and a
+    /// [`RejectCause::QueueFull`] when its class is at capacity) and a
     /// drain pass runs immediately, so an uncontended request is admitted
     /// in the same call with zero wait. The returned events may also
     /// concern *other* requests the drain reached.
@@ -412,7 +291,7 @@ impl Admitd {
         app: Application,
         class: PriorityClass,
         now: u64,
-    ) -> (Ticket, Vec<QueueEvent>) {
+    ) -> (Ticket, Vec<Event>) {
         self.submit_traced(app, class, now, TraceContext::NONE, None)
     }
 
@@ -430,7 +309,7 @@ impl Admitd {
         now: u64,
         ctx: TraceContext,
         ticket: Option<Ticket>,
-    ) -> (Ticket, Vec<QueueEvent>) {
+    ) -> (Ticket, Vec<Event>) {
         let _span = self.kairos.telemetry().span("kairos_admitd", "submit");
         let mut events = Vec::new();
         let (ticket, entered) = self.through_the_door(app, class, now, ctx, ticket, &mut events);
@@ -462,7 +341,7 @@ impl Admitd {
         &mut self,
         requests: Vec<(Application, PriorityClass)>,
         now: u64,
-    ) -> (Vec<Ticket>, Vec<QueueEvent>) {
+    ) -> (Vec<Ticket>, Vec<Event>) {
         let requests = requests
             .into_iter()
             .map(|(app, class)| (app, class, TraceContext::NONE, None))
@@ -477,7 +356,7 @@ impl Admitd {
         &mut self,
         requests: Vec<(Application, PriorityClass, TraceContext, Option<Ticket>)>,
         now: u64,
-    ) -> (Vec<Ticket>, Vec<QueueEvent>) {
+    ) -> (Vec<Ticket>, Vec<Event>) {
         let _span = self.kairos.telemetry().span("kairos_admitd", "submit_batch");
         self.kairos.begin_batch();
         let mut tickets = Vec::with_capacity(requests.len());
@@ -493,7 +372,7 @@ impl Admitd {
     }
 
     /// Takes one request through the door: enqueues it (emitting
-    /// `Enqueued`), or resolves it at the door — `QueueFull`
+    /// `Queued`), or resolves it at the door — `QueueFull`
     /// backpressure, with the critical preemption hook as the last
     /// resort. Returns the request's ticket (`stamped`, or minted here)
     /// and whether the request actually entered the queue (and so needs a
@@ -505,7 +384,7 @@ impl Admitd {
         now: u64,
         ctx: TraceContext,
         stamped: Option<Ticket>,
-        events: &mut Vec<QueueEvent>,
+        events: &mut Vec<Event>,
     ) -> (Ticket, bool) {
         let ticket = Ticket::resolve(stamped, &mut self.next_ticket);
         if self.queue.is_full(class) {
@@ -518,10 +397,10 @@ impl Admitd {
                 }
             }
             self.trace_terminal(ctx, now, 0, "rejected", Some("QueueFull"), 0);
-            events.push(QueueEvent::Rejected {
+            events.push(Event::Rejected {
                 ticket,
                 class,
-                reason: RejectReason::QueueFull,
+                cause: RejectCause::QueueFull,
                 waited: 0,
             });
             return (ticket, false);
@@ -538,7 +417,7 @@ impl Admitd {
             preempt_attempts: 0,
             trace: ctx,
         });
-        events.push(QueueEvent::Enqueued { ticket, class, depth: self.queue.len() });
+        events.push(Event::Queued { ticket, class, depth: self.queue.len() });
         (ticket, true)
     }
 
@@ -582,7 +461,7 @@ impl Admitd {
     /// Releases an admitted application; on success this is a capacity
     /// event, so the queue is drained in priority order. Returns whether
     /// the id was known, plus everything the drain did.
-    pub fn release(&mut self, id: AppId, now: u64) -> (bool, Vec<QueueEvent>) {
+    pub fn release(&mut self, id: AppId, now: u64) -> (bool, Vec<Event>) {
         if !self.kairos.release(id) {
             return (false, Vec::new());
         }
@@ -597,7 +476,7 @@ impl Admitd {
     /// the caller's re-admission bookkeeping). Evictions free claims, so
     /// a non-empty eviction counts as a capacity event and triggers a
     /// drain — some queued request may fit the surviving elements.
-    pub fn fail_element(&mut self, element: ElementId, now: u64) -> (Vec<AppId>, Vec<QueueEvent>) {
+    pub fn fail_element(&mut self, element: ElementId, now: u64) -> (Vec<AppId>, Vec<Event>) {
         let victims = self.kairos.fail_element(element);
         if victims.is_empty() {
             return (victims, Vec::new());
@@ -614,7 +493,7 @@ impl Admitd {
     /// Repairs `element`. A repair of an actually-failed element is a
     /// capacity event and drains the queue; repairing a healthy element
     /// is a no-op and must not burn anyone's retry budget.
-    pub fn repair_element(&mut self, element: ElementId, now: u64) -> Vec<QueueEvent> {
+    pub fn repair_element(&mut self, element: ElementId, now: u64) -> Vec<Event> {
         if !self.kairos.platform().is_failed(element) {
             return Vec::new();
         }
@@ -627,13 +506,13 @@ impl Admitd {
 
     /// Drops every queued request whose deadline has passed by `now`.
     /// Unlike a drain this makes no admission attempts — nothing freed up.
-    pub fn expire(&mut self, now: u64) -> Vec<QueueEvent> {
+    pub fn expire(&mut self, now: u64) -> Vec<Event> {
         let mut events = Vec::new();
         for class in 0..4 {
             let mut i = 0;
             while i < self.queue.class_len(class) {
                 if self.is_overdue(class, i, now) {
-                    events.push(self.reject_at(class, i, RejectReason::Timeout, now));
+                    events.push(self.reject_at(class, i, RejectCause::Timeout, now));
                 } else {
                     i += 1;
                 }
@@ -643,13 +522,13 @@ impl Admitd {
         events
     }
 
-    /// Drops every queued request with [`RejectReason::Shutdown`] — the
+    /// Drops every queued request with [`RejectCause::Shutdown`] — the
     /// end-of-run flush that keeps request accounting conservative.
-    pub fn shutdown(&mut self, now: u64) -> Vec<QueueEvent> {
+    pub fn shutdown(&mut self, now: u64) -> Vec<Event> {
         let mut events = Vec::new();
         for class in 0..4 {
             while self.queue.class_len(class) > 0 {
-                events.push(self.reject_at(class, 0, RejectReason::Shutdown, now));
+                events.push(self.reject_at(class, 0, RejectCause::Shutdown, now));
             }
         }
         self.record_events(&events);
@@ -695,12 +574,12 @@ impl Admitd {
 
     /// Removes the request at `(class, i)` and builds its rejection event,
     /// reporting the cumulative wait across requeues.
-    fn reject_at(&mut self, class: usize, i: usize, reason: RejectReason, now: u64) -> QueueEvent {
+    fn reject_at(&mut self, class: usize, i: usize, cause: RejectCause, now: u64) -> Event {
         let req = self.queue.remove(class, i);
         let waited = req.waited(now);
-        let cause = format!("{reason:?}");
-        self.trace_terminal(req.trace, now, waited, "rejected", Some(&cause), req.attempts);
-        QueueEvent::Rejected { ticket: req.ticket, class: req.class, reason, waited }
+        let why = format!("{cause:?}");
+        self.trace_terminal(req.trace, now, waited, "rejected", Some(&why), req.attempts);
+        Event::Rejected { ticket: req.ticket, class: req.class, cause, waited }
     }
 
     /// One batch drain pass at `now`: walks the queue in priority-then-
@@ -709,13 +588,13 @@ impl Admitd {
     /// overdue requests are dropped on the way. Capacity only shrinks
     /// during a pass, so a single pass is complete — nothing skipped
     /// could have become admissible by the end.
-    fn drain(&mut self, now: u64) -> Vec<QueueEvent> {
+    fn drain(&mut self, now: u64) -> Vec<Event> {
         let mut events = Vec::new();
         for class in 0..4 {
             let mut i = 0;
             while i < self.queue.class_len(class) {
                 if self.is_overdue(class, i, now) {
-                    events.push(self.reject_at(class, i, RejectReason::Timeout, now));
+                    events.push(self.reject_at(class, i, RejectCause::Timeout, now));
                     continue;
                 }
                 let eligible =
@@ -743,7 +622,7 @@ impl Admitd {
                         );
                         self.admitted_meta
                             .insert(report.app_id, AdmittedMeta { class: req.class, waited });
-                        events.push(QueueEvent::Admitted {
+                        events.push(Event::Admitted {
                             ticket: req.ticket,
                             class: req.class,
                             app: Box::new(req.app),
@@ -753,8 +632,8 @@ impl Admitd {
                         });
                     }
                     Err(failure) if failure.durability() == FailureDurability::Permanent => {
-                        let reason = RejectReason::Permanent { phase: failure.phase() };
-                        events.push(self.reject_at(class, i, reason, now));
+                        let cause = RejectCause::Permanent { phase: failure.phase() };
+                        events.push(self.reject_at(class, i, cause, now));
                     }
                     Err(failure) => {
                         // Preemption hook: a blocked critical may relocate
@@ -780,8 +659,8 @@ impl Admitd {
                             req.attempts >= self.policy.max_attempts
                         };
                         if exhausted {
-                            let reason = RejectReason::RetriesExhausted { phase: failure.phase() };
-                            events.push(self.reject_at(class, i, reason, now));
+                            let cause = RejectCause::RetriesExhausted { phase: failure.phase() };
+                            events.push(self.reject_at(class, i, cause, now));
                         } else {
                             let backoff = {
                                 let req = self
@@ -804,7 +683,7 @@ impl Admitd {
                                     ],
                                 );
                             }
-                            events.push(QueueEvent::AttemptFailed {
+                            events.push(Event::AttemptFailed {
                                 ticket: backoff.0,
                                 class: backoff.1,
                                 attempt: backoff.2,
@@ -869,7 +748,7 @@ impl Admitd {
         by: Ticket,
         ctx: TraceContext,
         now: u64,
-        events: &mut Vec<QueueEvent>,
+        events: &mut Vec<Event>,
     ) -> bool {
         let candidates = self.preemption_candidates(class);
         let Some(plan) = select_victims_with(
@@ -888,13 +767,7 @@ impl Admitd {
     /// Plans and applies a relocation for the blocked request at
     /// `(class, i)`. Returns whether a relocation actually happened (the
     /// caller then re-attempts the request against the freed room).
-    fn relocate_for(
-        &mut self,
-        class: usize,
-        i: usize,
-        now: u64,
-        events: &mut Vec<QueueEvent>,
-    ) -> bool {
+    fn relocate_for(&mut self, class: usize, i: usize, now: u64, events: &mut Vec<Event>) -> bool {
         let (ticket, req_class, app, ctx) = {
             let req = self.queue.get(class, i).expect("index bounded by class_len");
             (req.ticket, req.class, req.app.clone(), req.trace)
@@ -914,7 +787,7 @@ impl Admitd {
         by: Ticket,
         ctx: TraceContext,
         now: u64,
-        events: &mut Vec<QueueEvent>,
+        events: &mut Vec<Event>,
     ) {
         let targets = plan.target_elements();
         for victim in plan.victims {
@@ -938,11 +811,10 @@ impl Admitd {
                             ],
                         );
                     }
-                    events.push(QueueEvent::Migrated {
+                    events.push(Event::Migrated {
+                        ticket: by,
                         app: victim,
-                        class: meta.class,
                         moved_tasks: report.moved_tasks,
-                        by,
                     });
                 }
                 None => {
@@ -963,7 +835,12 @@ impl Admitd {
                         );
                     }
                     let ticket = Ticket::requeue_of(victim);
-                    events.push(QueueEvent::Preempted { victim, class: meta.class, ticket, by });
+                    events.push(Event::Preempted {
+                        victim,
+                        class: meta.class,
+                        requeued_as: ticket,
+                        by,
+                    });
                     // The evicted victim re-enters as a fresh request with
                     // its own trace root (when tracing is on at all), so
                     // its second life is analysable separately from the
@@ -985,10 +862,10 @@ impl Admitd {
                             Some("QueueFull"),
                             0,
                         );
-                        events.push(QueueEvent::Rejected {
+                        events.push(Event::Rejected {
                             ticket,
                             class: meta.class,
-                            reason: RejectReason::QueueFull,
+                            cause: RejectCause::QueueFull,
                             waited: meta.waited,
                         });
                     } else {
@@ -1004,7 +881,7 @@ impl Admitd {
                             preempt_attempts: 0,
                             trace: victim_trace,
                         });
-                        events.push(QueueEvent::Enqueued {
+                        events.push(Event::Queued {
                             ticket,
                             class: meta.class,
                             depth: self.queue.len(),
@@ -1026,13 +903,13 @@ impl Admitd {
         class: PriorityClass,
         now: u64,
         ctx: TraceContext,
-    ) -> Option<Vec<QueueEvent>> {
+    ) -> Option<Vec<Event>> {
         let mut events = Vec::new();
         // Door admissions never queued: zero wait, one attempt.
         let door_admit = |this: &mut Self, report: AdmissionReport| {
             this.trace_terminal(ctx, now, 0, "admitted", None, 1);
             this.admitted_meta.insert(report.app_id, AdmittedMeta { class, waited: 0 });
-            QueueEvent::Admitted {
+            Event::Admitted {
                 ticket,
                 class,
                 app: Box::new(app.clone()),
@@ -1057,10 +934,10 @@ impl Admitd {
                 // cases, leave the probed layout unreachable; the request
                 // still cannot enter the full queue.
                 self.trace_terminal(ctx, now, 0, "rejected", Some("QueueFull"), 0);
-                events.push(QueueEvent::Rejected {
+                events.push(Event::Rejected {
                     ticket,
                     class,
-                    reason: RejectReason::QueueFull,
+                    cause: RejectCause::QueueFull,
                     waited: 0,
                 });
             }
@@ -1075,7 +952,7 @@ impl Admitd {
     /// at most `max_moves` applications to strictly reduce external
     /// fragmentation. A sweep that moved anything counts as a capacity
     /// event (contiguous room appeared) and drains the queue.
-    pub fn defrag(&mut self, now: u64, max_moves: usize) -> (CompactReport, Vec<QueueEvent>) {
+    pub fn defrag(&mut self, now: u64, max_moves: usize) -> (CompactReport, Vec<Event>) {
         let report = compact_with(&mut self.kairos, max_moves, self.reloc_metrics.as_ref());
         if report.move_count() == 0 {
             return (report, Vec::new());
@@ -1097,7 +974,7 @@ impl Admitd {
         id: AppId,
         avoid: &[ElementId],
         now: u64,
-    ) -> (Result<MigrationReport, MigrationError>, Vec<QueueEvent>) {
+    ) -> (Result<MigrationReport, MigrationError>, Vec<Event>) {
         match self.kairos.migrate(id, avoid) {
             Ok(report) => {
                 self.capacity_events += 1;

@@ -10,7 +10,7 @@
 //! * **Priority queueing** — four priority classes drained
 //!   highest-priority-first, FIFO within a class ([`AdmissionQueue`]);
 //! * **Backpressure** — hard per-class capacities; a full class refuses
-//!   new requests ([`RejectReason::QueueFull`]) so queue memory is bounded
+//!   new requests ([`RejectCause::QueueFull`]) so queue memory is bounded
 //!   under any overload;
 //! * **Bounded retry** — transient failures (mapping/routing contention,
 //!   load-dependent binding failures; see
@@ -23,29 +23,33 @@
 //!   pass that walks the whole queue in priority-then-FIFO order, so one
 //!   big release can admit many small waiters at once;
 //! * **Timeouts** — requests that wait past [`AdmitPolicy::max_wait`] are
-//!   dropped ([`RejectReason::Timeout`]);
+//!   dropped ([`RejectCause::Timeout`]);
 //! * **Preemption** — under an enabled [`PreemptionPolicy`], a blocked
 //!   critical request may relocate running lower-priority applications: a
 //!   minimal victim set is planned by `kairos-reloc`, then either evicted
-//!   and re-queued as retryable requests ([`QueueEvent::Preempted`] —
+//!   and re-queued as retryable requests ([`Event::Preempted`] —
 //!   preempted, not dropped, with cumulative wait preserved across the
 //!   requeue) or live-migrated off the request's target region with their
-//!   identity intact ([`QueueEvent::Migrated`]). [`Admitd::defrag`] runs
+//!   identity intact ([`Event::Migrated`]). [`Admitd::defrag`] runs
 //!   the same migration machinery as a fragmentation-reducing sweep.
 //!
-//! Every mutating call returns the ordered [`QueueEvent`] list of what
-//! happened, and everything is deterministic: same call sequence, same
-//! events — the property the `kairos-sim` byte-reproducibility tests lean
-//! on.
+//! Every mutating call returns the ordered [`Event`] list of what
+//! happened — the workspace's one event vocabulary, defined here beside
+//! [`Ticket`] and re-exported by `kairos-svc`, which adds its
+//! command-result variants around these calls and translates nothing.
+//! Everything is deterministic: same call sequence, same events — the
+//! property the `kairos-sim` byte-reproducibility tests lean on.
 
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
 
+mod event;
 mod frontend;
 mod policy;
 mod queue;
 
-pub use frontend::{Admitd, QueueEvent, RejectReason, WAIT_TICKS_BOUNDS};
+pub use event::{Event, RejectCause};
+pub use frontend::{Admitd, WAIT_TICKS_BOUNDS};
 pub use policy::{AdmitPolicy, PreemptionPolicy, VictimOrder};
 pub use queue::{AdmissionQueue, PriorityClass, Ticket};
 
@@ -81,9 +85,9 @@ mod tests {
         Admitd::new(Kairos::new(topology::dsp_mesh(2, 2), KairosConfig::default()), policy)
     }
 
-    fn admitted_id(events: &[QueueEvent]) -> Option<kairos_platform::AppId> {
+    fn admitted_id(events: &[Event]) -> Option<kairos_platform::AppId> {
         events.iter().find_map(|e| match e {
-            QueueEvent::Admitted { report, .. } => Some(report.app_id),
+            Event::Admitted { report, .. } => Some(report.app_id),
             _ => None,
         })
     }
@@ -94,9 +98,9 @@ mod tests {
         let (ticket, events) = admitd.submit(chain("a", 2), PriorityClass::Normal, 5);
         let admitted = events
             .iter()
-            .find(|e| matches!(e, QueueEvent::Admitted { .. }))
+            .find(|e| matches!(e, Event::Admitted { .. }))
             .expect("admitted in the same call");
-        if let QueueEvent::Admitted { ticket: t, waited, attempts, .. } = admitted {
+        if let Event::Admitted { ticket: t, waited, attempts, .. } = admitted {
             assert_eq!(*t, ticket);
             assert_eq!(*waited, 0);
             assert_eq!(*attempts, 1);
@@ -113,18 +117,15 @@ mod tests {
         admitd.submit(chain("fill", 4), PriorityClass::Normal, 0);
         // One queues, the second is refused.
         let (_, e1) = admitd.submit(chain("q1", 1), PriorityClass::Normal, 1);
-        assert!(e1.iter().any(|e| matches!(e, QueueEvent::AttemptFailed { .. })));
+        assert!(e1.iter().any(|e| matches!(e, Event::AttemptFailed { .. })));
         let (_, e2) = admitd.submit(chain("q2", 1), PriorityClass::Normal, 2);
         assert!(matches!(
             e2.as_slice(),
-            [QueueEvent::Rejected { reason: RejectReason::QueueFull, waited: 0, .. }]
+            [Event::Rejected { cause: RejectCause::QueueFull, waited: 0, .. }]
         ));
         // A disabled class refuses instantly.
         let (_, e3) = admitd.submit(chain("c", 1), PriorityClass::Critical, 3);
-        assert!(matches!(
-            e3.as_slice(),
-            [QueueEvent::Rejected { reason: RejectReason::QueueFull, .. }]
-        ));
+        assert!(matches!(e3.as_slice(), [Event::Rejected { cause: RejectCause::QueueFull, .. }]));
         assert_eq!(admitd.queue_depth(), 1, "memory stays bounded at the class capacity");
     }
 
@@ -149,13 +150,13 @@ mod tests {
         let admitted: Vec<Ticket> = events
             .iter()
             .filter_map(|e| match e {
-                QueueEvent::Admitted { ticket, .. } => Some(*ticket),
+                Event::Admitted { ticket, .. } => Some(*ticket),
                 _ => None,
             })
             .collect();
         assert_eq!(admitted, vec![crit], "highest priority wins the freed capacity");
         // The others were attempted (in order) and failed transiently.
-        let attempted: Vec<Ticket> = events.iter().map(QueueEvent::ticket).collect();
+        let attempted: Vec<Ticket> = events.iter().map(Event::ticket).collect();
         assert_eq!(attempted, vec![crit, norm, low], "drain order is priority-then-FIFO");
     }
 
@@ -174,7 +175,7 @@ mod tests {
         let fill_id = admitted_id(&fill).unwrap();
         let (waiter, e) = admitd.submit(chain("w", 4), PriorityClass::Normal, 1);
         assert!(e.iter().any(
-            |ev| matches!(ev, QueueEvent::AttemptFailed { ticket, attempt: 1, .. } if *ticket == waiter)
+            |ev| matches!(ev, Event::AttemptFailed { ticket, attempt: 1, .. } if *ticket == waiter)
         ));
         // Backoff after attempt 1 is 2 capacity events: an admit+release
         // of a tiny app (one event) must NOT re-attempt the waiter...
@@ -189,7 +190,7 @@ mod tests {
         // fill app gone it is admitted.
         let (_, e) = admitd.release(fill_id, 4);
         assert!(e.iter().any(
-            |ev| matches!(ev, QueueEvent::Admitted { ticket, attempts: 2, waited: 3, .. } if *ticket == waiter)
+            |ev| matches!(ev, Event::Admitted { ticket, attempts: 2, waited: 3, .. } if *ticket == waiter)
         ));
     }
 
@@ -216,7 +217,7 @@ mod tests {
             if let Some(ev) = e.iter().find(|ev| {
                 matches!(
                     ev,
-                    QueueEvent::Rejected { ticket, reason: RejectReason::RetriesExhausted { .. }, .. }
+                    Event::Rejected { ticket, cause: RejectCause::RetriesExhausted { .. }, .. }
                     if *ticket == waiter
                 )
             }) {
@@ -224,8 +225,7 @@ mod tests {
                 break;
             }
         }
-        let Some(QueueEvent::Rejected { reason: RejectReason::RetriesExhausted { phase }, .. }) =
-            dropped
+        let Some(Event::Rejected { cause: RejectCause::RetriesExhausted { phase }, .. }) = dropped
         else {
             panic!("waiter must exhaust its retry budget");
         };
@@ -244,10 +244,7 @@ mod tests {
         assert!(
             events.iter().any(|e| matches!(
                 e,
-                QueueEvent::Rejected {
-                    reason: RejectReason::Permanent { phase: Phase::Binding },
-                    ..
-                }
+                Event::Rejected { cause: RejectCause::Permanent { phase: Phase::Binding }, .. }
             )),
             "no retry budget wasted on a request that can never fit: {events:?}"
         );
@@ -268,7 +265,7 @@ mod tests {
         let events = admitd.expire(110);
         assert!(matches!(
             events.as_slice(),
-            [QueueEvent::Rejected { ticket, reason: RejectReason::Timeout, waited: 100, .. }]
+            [Event::Rejected { ticket, cause: RejectCause::Timeout, waited: 100, .. }]
             if *ticket == waiter
         ));
         assert_eq!(admitd.queue_depth(), 0);
@@ -286,7 +283,7 @@ mod tests {
         assert_eq!(events.len(), 2);
         assert!(events
             .iter()
-            .all(|e| matches!(e, QueueEvent::Rejected { reason: RejectReason::Shutdown, .. })));
+            .all(|e| matches!(e, Event::Rejected { cause: RejectCause::Shutdown, .. })));
         assert!(admitd.queue().is_empty());
     }
 
@@ -328,8 +325,8 @@ mod tests {
         let preempted = events
             .iter()
             .find_map(|e| match e {
-                QueueEvent::Preempted { victim, class, ticket, by } => {
-                    Some((*victim, *class, *ticket, *by))
+                Event::Preempted { victim, class, requeued_as, by } => {
+                    Some((*victim, *class, *requeued_as, *by))
                 }
                 _ => None,
             })
@@ -340,7 +337,7 @@ mod tests {
         assert!(
             events.iter().any(|e| matches!(
                 e,
-                QueueEvent::Admitted { ticket, .. } if *ticket == crit
+                Event::Admitted { ticket, .. } if *ticket == crit
             )),
             "the critical must be admitted in the same call: {events:?}"
         );
@@ -349,7 +346,7 @@ mod tests {
         assert!(
             events.iter().any(|e| matches!(
                 e,
-                QueueEvent::Enqueued { ticket, class: PriorityClass::Low, .. }
+                Event::Queued { ticket, class: PriorityClass::Low, .. }
                     if *ticket == preempted.2
             )),
             "victim re-enters the queue: {events:?}"
@@ -364,7 +361,7 @@ mod tests {
         assert!(ok);
         assert!(events.iter().any(|e| matches!(
             e,
-            QueueEvent::Admitted { ticket, .. } if *ticket == preempted.2
+            Event::Admitted { ticket, .. } if *ticket == preempted.2
         )));
     }
 
@@ -380,7 +377,7 @@ mod tests {
         // A single-task critical needs exactly one victim.
         let (_, events) = admitd.submit(chain_with("c", 1, 900), PriorityClass::Critical, 1);
         let evicted: Vec<_> =
-            events.iter().filter(|e| matches!(e, QueueEvent::Preempted { .. })).collect();
+            events.iter().filter(|e| matches!(e, Event::Preempted { .. })).collect();
         assert_eq!(evicted.len(), 1, "one eviction suffices: {events:?}");
         assert_eq!(admitd.kairos().admitted_count(), 4, "three residents plus the critical");
     }
@@ -390,7 +387,7 @@ mod tests {
         let mut admitd = front(preempt_policy(PreemptionPolicy::Disabled));
         admitd.submit(chain("fill", 4), PriorityClass::Low, 0);
         let (crit, events) = admitd.submit(chain("crit", 4), PriorityClass::Critical, 1);
-        assert!(events.iter().all(|e| !matches!(e, QueueEvent::Preempted { .. })));
+        assert!(events.iter().all(|e| !matches!(e, Event::Preempted { .. })));
         assert!(admitd.queue().tickets().contains(&crit), "the critical waits");
     }
 
@@ -429,22 +426,20 @@ mod tests {
 
         let (crit, events) = admitd.submit(chain_with("crit", 2, 700), PriorityClass::Critical, 5);
         assert!(
-            events
-                .iter()
-                .any(|e| matches!(e, QueueEvent::Admitted { ticket, .. } if *ticket == crit)),
+            events.iter().any(|e| matches!(e, Event::Admitted { ticket, .. } if *ticket == crit)),
             "the critical must get in: {events:?}"
         );
         assert!(
             events.iter().any(|e| matches!(
                 e,
-                QueueEvent::Migrated { app, by, .. } if *app == low && *by == crit
+                Event::Migrated { app, ticket, .. } if *app == low && *ticket == crit
             )),
             "the small victim is migrated, not evicted: {events:?}"
         );
         assert!(
             events.iter().any(|e| matches!(
                 e,
-                QueueEvent::Preempted { victim, .. } if normals.contains(victim)
+                Event::Preempted { victim, .. } if normals.contains(victim)
             )),
             "the unmigratable 600-CPU victim falls back to eviction: {events:?}"
         );
@@ -483,14 +478,14 @@ mod tests {
         assert!(
             events.iter().any(|e| matches!(
                 e,
-                QueueEvent::Preempted { victim, by, .. } if *victim == resident && *by == knock
+                Event::Preempted { victim, by, .. } if *victim == resident && *by == knock
             )),
             "the door-knock preempts the low resident: {events:?}"
         );
         assert!(
             events.iter().any(|e| matches!(
                 e,
-                QueueEvent::Admitted { ticket, waited: 0, .. } if *ticket == knock
+                Event::Admitted { ticket, waited: 0, .. } if *ticket == knock
             )),
             "the door-knock is admitted without ever queueing: {events:?}"
         );
@@ -512,7 +507,7 @@ mod tests {
         let (_, e) = admitd.release(a_id, 10);
         assert!(e.iter().any(|ev| matches!(
             ev,
-            QueueEvent::Admitted { ticket, waited: 10, .. } if *ticket == b_ticket
+            Event::Admitted { ticket, waited: 10, .. } if *ticket == b_ticket
         )));
         let b_id = admitted_id(&e).unwrap();
 
@@ -522,7 +517,9 @@ mod tests {
         let b_requeue = e
             .iter()
             .find_map(|ev| match ev {
-                QueueEvent::Preempted { victim, ticket, .. } if *victim == b_id => Some(*ticket),
+                Event::Preempted { victim, requeued_as, .. } if *victim == b_id => {
+                    Some(*requeued_as)
+                }
                 _ => None,
             })
             .expect("B is preempted");
@@ -534,9 +531,7 @@ mod tests {
         let waited = e
             .iter()
             .find_map(|ev| match ev {
-                QueueEvent::Admitted { ticket, waited, .. } if *ticket == b_requeue => {
-                    Some(*waited)
-                }
+                Event::Admitted { ticket, waited, .. } if *ticket == b_requeue => Some(*waited),
                 _ => None,
             })
             .expect("B re-admits after the critical departs");
@@ -549,11 +544,11 @@ mod tests {
     /// the same victims, whichever hook fires.
     #[test]
     fn door_and_drain_hooks_select_identical_victims() {
-        let victims_of = |events: &[QueueEvent]| -> Vec<kairos_platform::AppId> {
+        let victims_of = |events: &[Event]| -> Vec<kairos_platform::AppId> {
             events
                 .iter()
                 .filter_map(|e| match e {
-                    QueueEvent::Preempted { victim, .. } => Some(*victim),
+                    Event::Preempted { victim, .. } => Some(*victim),
                     _ => None,
                 })
                 .collect()
@@ -589,7 +584,7 @@ mod tests {
         let (_, door_events) = door_path.submit(chain("crit", 2), PriorityClass::Critical, 1);
         let door_victims = victims_of(&door_events);
         assert!(
-            door_events.iter().any(|e| matches!(e, QueueEvent::Admitted { waited: 0, .. })),
+            door_events.iter().any(|e| matches!(e, Event::Admitted { waited: 0, .. })),
             "the door-knock admits without queueing: {door_events:?}"
         );
         assert_eq!(door_victims, drain_victims, "both hooks share one victim-selection path");
@@ -608,11 +603,11 @@ mod tests {
             let large = admitted_id(&e).unwrap();
             (small, large)
         };
-        let victims_of = |events: &[QueueEvent]| -> Vec<kairos_platform::AppId> {
+        let victims_of = |events: &[Event]| -> Vec<kairos_platform::AppId> {
             events
                 .iter()
                 .filter_map(|e| match e {
-                    QueueEvent::Preempted { victim, .. } => Some(*victim),
+                    Event::Preempted { victim, .. } => Some(*victim),
                     _ => None,
                 })
                 .collect()
@@ -643,13 +638,13 @@ mod tests {
         let mut seq_admitted = 0;
         for (app, class) in wave.clone() {
             let (_, e) = sequential.submit(app, class, 5);
-            seq_admitted += e.iter().filter(|ev| matches!(ev, QueueEvent::Admitted { .. })).count();
+            seq_admitted += e.iter().filter(|ev| matches!(ev, Event::Admitted { .. })).count();
         }
         let (tickets, events) = batched.submit_batch(wave, 5);
         assert_eq!(tickets.len(), 3);
         assert_eq!(tickets, vec![Ticket(0), Ticket(1), Ticket(2)], "submission-order tickets");
         let batch_admitted =
-            events.iter().filter(|ev| matches!(ev, QueueEvent::Admitted { .. })).count();
+            events.iter().filter(|ev| matches!(ev, Event::Admitted { .. })).count();
         assert_eq!(batch_admitted, seq_admitted);
         assert_eq!(batched.kairos().admitted_count(), sequential.kairos().admitted_count());
         // The batch shares one top-level platform transaction where the
@@ -678,7 +673,7 @@ mod tests {
         let admitted: Vec<Ticket> = events
             .iter()
             .filter_map(|e| match e {
-                QueueEvent::Admitted { ticket, .. } => Some(*ticket),
+                Event::Admitted { ticket, .. } => Some(*ticket),
                 _ => None,
             })
             .collect();
@@ -759,7 +754,7 @@ mod tests {
         assert!(
             events.iter().any(|e| matches!(
                 e,
-                QueueEvent::Preempted { victim, by, .. }
+                Event::Preempted { victim, by, .. }
                     if *victim == report.app_id && *by == crit
             )),
             "the imported app is preemptible: {events:?}"
@@ -787,6 +782,6 @@ mod tests {
         assert_eq!(victims, vec![fill_id]);
         assert!(events
             .iter()
-            .any(|e| matches!(e, QueueEvent::Admitted { ticket, .. } if *ticket == waiter)));
+            .any(|e| matches!(e, Event::Admitted { ticket, .. } if *ticket == waiter)));
     }
 }

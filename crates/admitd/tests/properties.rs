@@ -8,7 +8,7 @@ use std::collections::HashSet;
 use proptest::prelude::*;
 
 use kairos_admitd::{
-    AdmitPolicy, Admitd, PreemptionPolicy, PriorityClass, QueueEvent, RejectReason, Ticket,
+    AdmitPolicy, Admitd, Event, PreemptionPolicy, PriorityClass, RejectCause, Ticket,
 };
 use kairos_app::{Application, ApplicationBuilder, Implementation, TaskRole};
 use kairos_core::{Kairos, KairosConfig};
@@ -52,7 +52,7 @@ fn apply_op(
     op: (u8, u8),
     now: u64,
     n: usize,
-) -> Vec<QueueEvent> {
+) -> Vec<Event> {
     let (kind, detail) = op;
     match kind {
         // Submit: class and demand derived from the generated byte.
@@ -77,19 +77,40 @@ fn apply_op(
     }
 }
 
+/// Runs `ops` against a fresh front-end under `policy` on the zero phase
+/// clock, returning every event it produced, in order.
+fn replay(policy: AdmitPolicy, ops: &[(u8, u8)]) -> Vec<Event> {
+    let config = KairosConfig { deterministic: true, ..KairosConfig::default() };
+    let mut admitd = Admitd::new(Kairos::new(topology::dsp_mesh(2, 2), config), policy);
+    let mut live: Vec<AppId> = Vec::new();
+    let mut stream = Vec::new();
+    for (n, &op) in ops.iter().enumerate() {
+        let events = apply_op(&mut admitd, &mut live, op, n as u64, n);
+        for e in &events {
+            match e {
+                Event::Admitted { report, .. } => live.push(report.app_id),
+                Event::Preempted { victim, .. } => live.retain(|id| id != victim),
+                _ => {}
+            }
+        }
+        stream.extend(events);
+    }
+    stream
+}
+
 /// The tickets of a batch that belong to the queue walk (everything but
 /// enqueues and queue-full refusals), paired with their class.
-fn walk_order(events: &[QueueEvent]) -> Vec<(usize, u64)> {
+fn walk_order(events: &[Event]) -> Vec<(usize, u64)> {
     events
         .iter()
         .filter_map(|e| match e {
-            QueueEvent::Enqueued { .. }
-            | QueueEvent::Rejected { reason: RejectReason::QueueFull, .. }
-            | QueueEvent::Preempted { .. }
-            | QueueEvent::Migrated { .. } => None,
-            QueueEvent::Admitted { ticket, class, .. }
-            | QueueEvent::AttemptFailed { ticket, class, .. }
-            | QueueEvent::Rejected { ticket, class, .. } => Some((class.index(), ticket.0)),
+            Event::Rejected { cause: RejectCause::QueueFull, .. } => None,
+            Event::Admitted { ticket, class, .. }
+            | Event::AttemptFailed { ticket, class, .. }
+            | Event::Rejected { ticket, class, .. } => Some((class.index(), ticket.0)),
+            // Enqueues and relocations are not walk steps (and command
+            // results are the service's to emit).
+            _ => None,
         })
         .collect()
 }
@@ -109,7 +130,7 @@ proptest! {
         for (n, &op) in ops.iter().enumerate() {
             let events = apply_op(&mut admitd, &mut live, op, n as u64, n);
             for e in &events {
-                if let QueueEvent::Admitted { report, .. } = e {
+                if let Event::Admitted { report, .. } = e {
                     live.push(report.app_id);
                 }
             }
@@ -147,7 +168,7 @@ proptest! {
         for (n, &op) in ops.iter().enumerate() {
             let events = apply_op(&mut admitd, &mut live, op, n as u64, n);
             for e in &events {
-                if let QueueEvent::Admitted { report, .. } = e {
+                if let Event::Admitted { report, .. } = e {
                     live.push(report.app_id);
                 }
             }
@@ -156,10 +177,10 @@ proptest! {
         all_events.extend(admitd.shutdown(ops.len() as u64));
         for e in &all_events {
             match e {
-                QueueEvent::Admitted { ticket, .. } => {
+                Event::Admitted { ticket, .. } => {
                     prop_assert!(admitted.insert(*ticket), "{ticket} admitted twice");
                 }
-                QueueEvent::Rejected { ticket, .. } => {
+                Event::Rejected { ticket, .. } => {
                     prop_assert!(dropped.insert(*ticket), "{ticket} dropped twice");
                 }
                 _ => {}
@@ -177,53 +198,14 @@ proptest! {
     }
 
     /// The front-end is a pure function of its call sequence: replaying
-    /// the same ops yields an identical logical event stream (wall-clock
-    /// phase timings inside admission reports are the only non-replayable
-    /// part and are excluded).
+    /// the same ops yields the identical event stream, whole events
+    /// compared (on the zero phase clock, so the admission reports inside
+    /// them carry no wall-clock timings).
     #[test]
     fn identical_op_sequences_reproduce_identical_events(
         ops in proptest::collection::vec((0u8..8, 0u8..=255), 1..40),
     ) {
-        let run = || {
-            let mut admitd = front();
-            let mut live: Vec<AppId> = Vec::new();
-            let mut log = String::new();
-            for (n, &op) in ops.iter().enumerate() {
-                let events = apply_op(&mut admitd, &mut live, op, n as u64, n);
-                for e in &events {
-                    let line = match e {
-                        QueueEvent::Enqueued { ticket, class, depth } => {
-                            format!("enq {ticket} {class} {depth}")
-                        }
-                        QueueEvent::Admitted { ticket, class, report, waited, attempts, app } => {
-                            live.push(report.app_id);
-                            format!(
-                                "adm {ticket} {class} {} {waited} {attempts} {} {:?}",
-                                report.app_id,
-                                app.name(),
-                                report.layout.placement,
-                            )
-                        }
-                        QueueEvent::AttemptFailed { ticket, class, attempt, phase } => {
-                            format!("try {ticket} {class} {attempt} {phase}")
-                        }
-                        QueueEvent::Rejected { ticket, class, reason, waited } => {
-                            format!("rej {ticket} {class} {reason:?} {waited}")
-                        }
-                        QueueEvent::Preempted { victim, class, ticket, by } => {
-                            format!("pre {victim} {class} {ticket} {by}")
-                        }
-                        QueueEvent::Migrated { app, class, moved_tasks, by } => {
-                            format!("mig {app} {class} {moved_tasks} {by}")
-                        }
-                    };
-                    log.push_str(&line);
-                    log.push('\n');
-                }
-            }
-            log
-        };
-        prop_assert_eq!(run(), run());
+        prop_assert_eq!(replay(test_policy(), &ops), replay(test_policy(), &ops));
     }
 
     /// Relocation invariants under arbitrary op sequences with preemption
@@ -248,7 +230,7 @@ proptest! {
             let events = apply_op(&mut admitd, &mut live, op, n as u64, n);
             for e in &events {
                 match e {
-                    QueueEvent::Admitted { report, .. } => {
+                    Event::Admitted { report, .. } => {
                         prop_assert!(
                             !live.contains(&report.app_id),
                             "{} admitted while already live",
@@ -256,7 +238,7 @@ proptest! {
                         );
                         live.push(report.app_id);
                     }
-                    QueueEvent::Preempted { victim, .. } => {
+                    Event::Preempted { victim, .. } => {
                         let pos = live.iter().position(|id| id == victim);
                         prop_assert!(
                             pos.is_some(),
@@ -264,7 +246,7 @@ proptest! {
                         );
                         live.remove(pos.unwrap());
                     }
-                    QueueEvent::Migrated { app, .. } => {
+                    Event::Migrated { app, .. } => {
                         prop_assert!(live.contains(app), "{app} migrated but not live");
                     }
                     _ => {}
@@ -295,51 +277,6 @@ proptest! {
             preemption: if migrate == 1 { PreemptionPolicy::Migrate } else { PreemptionPolicy::Evict },
             ..test_policy()
         };
-        let run = || {
-            let mut admitd = Admitd::new(
-                Kairos::new(topology::dsp_mesh(2, 2), KairosConfig::default()),
-                policy,
-            );
-            let mut live: Vec<AppId> = Vec::new();
-            let mut log = String::new();
-            for (n, &op) in ops.iter().enumerate() {
-                let events = apply_op(&mut admitd, &mut live, op, n as u64, n);
-                for e in &events {
-                    if let QueueEvent::Admitted { report, .. } = e {
-                        live.push(report.app_id);
-                    }
-                    if let QueueEvent::Preempted { victim, .. } = e {
-                        live.retain(|id| id != victim);
-                    }
-                    let line = match e {
-                        QueueEvent::Enqueued { ticket, class, depth } => {
-                            format!("enq {ticket} {class} {depth}")
-                        }
-                        QueueEvent::Admitted { ticket, class, report, waited, attempts, .. } => {
-                            format!(
-                                "adm {ticket} {class} {} {waited} {attempts} {:?}",
-                                report.app_id, report.layout.placement,
-                            )
-                        }
-                        QueueEvent::AttemptFailed { ticket, class, attempt, phase } => {
-                            format!("try {ticket} {class} {attempt} {phase}")
-                        }
-                        QueueEvent::Rejected { ticket, class, reason, waited } => {
-                            format!("rej {ticket} {class} {reason:?} {waited}")
-                        }
-                        QueueEvent::Preempted { victim, class, ticket, by } => {
-                            format!("pre {victim} {class} {ticket} {by}")
-                        }
-                        QueueEvent::Migrated { app, class, moved_tasks, by } => {
-                            format!("mig {app} {class} {moved_tasks} {by}")
-                        }
-                    };
-                    log.push_str(&line);
-                    log.push('\n');
-                }
-            }
-            log
-        };
-        prop_assert_eq!(run(), run());
+        prop_assert_eq!(replay(policy, &ops), replay(policy, &ops));
     }
 }

@@ -846,9 +846,9 @@ impl ResourceService for ClusterService {
 
     /// Per-element activity over every shard, with shard-local element ids
     /// translated back to the global platform through each shard's region
-    /// slice and each entry tagged with its owning shard — ordered by shard
-    /// then local id, which for contiguous region slices is global-id
-    /// order (matching the monolithic service on a one-shard cluster).
+    /// slice and each entry tagged with its owning shard — in global-id
+    /// order, as the trait promises. Regions are contiguous in the
+    /// topology, not in element ids, so shard-major order is not that.
     fn element_activity(&self) -> Vec<ElementActivity> {
         let mut out = Vec::new();
         for (shard_index, s) in self.shards.iter().enumerate() {
@@ -858,6 +858,7 @@ impl ResourceService for ClusterService {
                 out.push(activity);
             }
         }
+        out.sort_by_key(|activity| activity.element);
         out
     }
 }
@@ -1321,5 +1322,20 @@ mod tests {
         assert!(occ.element_utilisation > 0.0 && occ.element_utilisation < 1.0);
         assert!(occ.resource_utilisation > 0.0);
         assert_eq!(cluster.shard_count_admitted(), 4);
+    }
+
+    /// On the 4x4 mesh cut three ways a region's ids are not a contiguous
+    /// run (shard 1 holds 6, 7, 9, 10, 11 and shard 2 starts at 8), so
+    /// shard-major order is not global-id order; the trait promises the
+    /// latter.
+    #[test]
+    fn element_activity_is_in_global_element_id_order() {
+        let cluster =
+            ClusterBuilder::new(topology::dsp_mesh(4, 4), 3).deterministic(true).build().unwrap();
+        let activity = cluster.element_activity();
+        let ids: Vec<usize> = activity.iter().map(|a| a.element.index()).collect();
+        assert_eq!(ids, (0..16).collect::<Vec<_>>());
+        let shards: Vec<usize> = activity.iter().map(|a| a.shard).collect();
+        assert!(shards.windows(2).any(|w| w[0] > w[1]), "this cut interleaves shards: {shards:?}");
     }
 }

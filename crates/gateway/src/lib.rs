@@ -30,12 +30,6 @@
 //!   slots in ticket order while holding the earlier ones, is forwarded
 //!   as one [`ResourceService::submit_batch`], and returns the slots
 //!   member by member.
-//! * **Completion streams** — [`Gateway::subscribe`] returns a
-//!   [`CompletionStream`]: an iterator over the events correlated to one
-//!   ticket that have been delivered so far, with
-//!   [`CompletionStream::is_done`] turning true at the terminal event
-//!   (admitted, rejected, released, …) — the "response stream" of the
-//!   serving front-end.
 //! * **One service surface** — [`Gateway`] itself implements
 //!   [`ResourceService`], driving each submission to completion before
 //!   returning. As the outermost layer the gateway mints each request's
@@ -89,7 +83,7 @@
 #![deny(missing_docs)]
 
 use std::collections::btree_map::Entry;
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::collections::{BTreeMap, BTreeSet};
 use std::sync::{Arc, Mutex, MutexGuard};
 
 use kairos_core::{CacheStats, ElementActivity, Kairos, OccupancySnapshot};
@@ -145,8 +139,8 @@ pub struct GatewayCounters {
     pub parked: u64,
 }
 
-/// Locks state shared with a handle that can outlive the gateway (the
-/// counters, the stream buffers). Poisoned only if a holder panicked.
+/// Locks the counters, shared with handles that can outlive the gateway.
+/// Poisoned only if a holder panicked.
 fn locked<T>(shared: &Mutex<T>) -> MutexGuard<'_, T> {
     shared.lock().expect("a holder of this gateway lock panicked")
 }
@@ -292,15 +286,6 @@ struct Pending {
     task: u64,
 }
 
-/// Per-subscriber event buffer for one ticket.
-#[derive(Debug, Default)]
-struct SubState {
-    queue: VecDeque<Event>,
-    done: bool,
-}
-
-type Streams = Arc<Mutex<BTreeMap<Ticket, SubState>>>;
-
 /// The queueing front-end. See the crate docs for the model.
 pub struct Gateway {
     inner: Box<dyn ResourceService + Send>,
@@ -327,8 +312,6 @@ pub struct Gateway {
     metrics: Option<GatewayMetrics>,
     /// Shared with every [`GatewayStats`] handle.
     counters: Arc<Mutex<GatewayCounters>>,
-    /// Shared with every [`CompletionStream`].
-    streams: Streams,
 }
 
 impl std::fmt::Debug for Gateway {
@@ -382,7 +365,6 @@ impl Gateway {
             config: GatewayConfig { channel_capacity: capacity, ..config },
             metrics: GatewayMetrics::new(&telemetry),
             counters: Arc::default(),
-            streams: Arc::default(),
         }
     }
 
@@ -464,17 +446,6 @@ impl Gateway {
             requests.into_iter().map(|request| self.accept(request, key)).unzip();
         self.spawn(key, tickets.clone(), Forward::Batch(requests));
         tickets
-    }
-
-    /// The events correlated to `ticket`, buffered as they are delivered;
-    /// [`CompletionStream::is_done`] turns true at the terminal event.
-    /// Subscribe before driving: events delivered earlier are not
-    /// replayed, so the stream of an already-finished ticket is empty
-    /// and done at once.
-    pub fn subscribe(&mut self, ticket: Ticket) -> CompletionStream {
-        let finished = ticket.0 < self.next_ticket && !self.pending.contains_key(&ticket);
-        locked(&self.streams).entry(ticket).or_default().done |= finished;
-        CompletionStream { ticket, streams: Arc::clone(&self.streams) }
     }
 
     /// Runs the queue until no task can make progress: steps every
@@ -607,35 +578,21 @@ impl Gateway {
         out
     }
 
-    /// Books `events` coming out of the inner service: feeds the
-    /// completion streams, and retires each ticket that reached its
-    /// expected terminal event, making its task runnable.
+    /// Books `events` coming out of the inner service: retires each
+    /// ticket that reached its expected terminal event, making its task
+    /// runnable.
     fn deliver(&mut self, events: &[Event]) {
-        let mut streams = locked(&self.streams);
         for event in events {
-            let ticket = event.ticket();
-            let finished = match self.pending.entry(ticket) {
-                Entry::Occupied(entry) if entry.get().expect.is_terminal(event) => {
-                    Some(entry.remove())
-                }
-                _ => None,
-            };
-            if let Some(sub) = streams.get_mut(&ticket) {
-                sub.queue.push_back(event.clone());
-                // A preemption requeue runs under a ticket the inner
-                // service derived (`Ticket::requeue_of`), so it has no
-                // `pending` entry; its life ends the way an admission's
-                // does.
-                sub.done |= finished.is_some()
-                    || matches!(event, Event::Admitted { .. } | Event::Rejected { .. });
+            let Entry::Occupied(entry) = self.pending.entry(event.ticket()) else { continue };
+            if !entry.get().expect.is_terminal(event) {
+                continue;
             }
-            if let Some(Pending { accepted_at, task, .. }) = finished {
-                if let Some(metrics) = &self.metrics {
-                    metrics.completion.record(self.now.saturating_sub(accepted_at));
-                }
-                locked(&self.counters).completions += 1;
-                self.runnable.insert(task);
+            let Pending { accepted_at, task, .. } = entry.remove();
+            if let Some(metrics) = &self.metrics {
+                metrics.completion.record(self.now.saturating_sub(accepted_at));
             }
+            locked(&self.counters).completions += 1;
+            self.runnable.insert(task);
         }
     }
 }
@@ -725,42 +682,6 @@ impl ResourceService for Gateway {
     }
 }
 
-/// The per-ticket event stream returned by [`Gateway::subscribe`]: an
-/// iterator over the events correlated to the ticket that have been
-/// delivered and not yet taken. `next()` returning `None` means "nothing
-/// more *yet*" until [`CompletionStream::is_done`] says the terminal
-/// event is in; after that it means the stream has ended. Dropping the
-/// stream unsubscribes.
-#[derive(Debug)]
-pub struct CompletionStream {
-    ticket: Ticket,
-    streams: Streams,
-}
-
-impl CompletionStream {
-    /// Whether the ticket's terminal event has been delivered, so no
-    /// event will follow the ones already buffered.
-    pub fn is_done(&self) -> bool {
-        locked(&self.streams).get(&self.ticket).is_none_or(|sub| sub.done)
-    }
-}
-
-impl Iterator for CompletionStream {
-    type Item = Event;
-
-    fn next(&mut self) -> Option<Event> {
-        locked(&self.streams).get_mut(&self.ticket)?.queue.pop_front()
-    }
-}
-
-impl Drop for CompletionStream {
-    fn drop(&mut self) {
-        if let Ok(mut streams) = self.streams.lock() {
-            streams.remove(&self.ticket);
-        }
-    }
-}
-
 // Compile-time thread-safety pin: the gateway is handed across threads
 // by serving drivers (and the sim's report finalizer holds its stats
 // handle); if any layer silently stopped being `Send`, that would
@@ -768,7 +689,6 @@ impl Drop for CompletionStream {
 const fn _assert_send<T: Send>() {}
 const _: () = _assert_send::<Gateway>();
 const _: () = _assert_send::<GatewayStats>();
-const _: () = _assert_send::<CompletionStream>();
 
 #[cfg(test)]
 mod tests {
@@ -898,33 +818,6 @@ mod tests {
         assert_eq!(run(), run());
     }
 
-    /// A subscription streams the ticket's events and ends at its
-    /// terminal event.
-    #[test]
-    fn completion_streams_end_at_the_terminal_event() {
-        let mut gateway = Gateway::new(queued_service([8, 8, 16, 8]), GatewayConfig::default());
-        let mut requests = admits(2, 9);
-        let second = requests.pop().unwrap();
-        let ticket = gateway.enqueue(requests.pop().unwrap());
-        let mut stream = gateway.subscribe(ticket);
-        gateway.enqueue(second);
-        gateway.drive();
-        gateway.pump(CapacityEvent::Shutdown { now: 300 });
-        assert!(stream.is_done());
-        let mut kinds = Vec::new();
-        for event in stream.by_ref() {
-            assert_eq!(event.ticket(), ticket);
-            kinds.push(match event {
-                Event::Queued { .. } => "queued",
-                Event::Admitted { .. } => "admitted",
-                Event::Rejected { .. } => "rejected",
-                _ => "other",
-            });
-        }
-        assert_eq!(kinds.first(), Some(&"queued"));
-        assert!(matches!(kinds.last(), Some(&"admitted") | Some(&"rejected")));
-    }
-
     /// Lanes stripe one-per-shard over a clustered inner service.
     #[test]
     fn lanes_stripe_per_cluster_shard() {
@@ -967,8 +860,7 @@ mod tests {
     }
 
     /// Per-ticket state is retired with the ticket: once every request
-    /// has reached its terminal event nothing is left behind, and a late
-    /// subscription to a finished ticket ends at once instead of hanging.
+    /// has reached its terminal event nothing is left behind.
     #[test]
     fn finished_tickets_leave_no_per_ticket_state() {
         let cluster = ClusterBuilder::new(topology::crisp(), 2)
@@ -977,9 +869,9 @@ mod tests {
             .build()
             .unwrap();
         let mut gateway = Gateway::new(Box::new(cluster), GatewayConfig::default());
-        let tickets: Vec<Ticket> =
-            admits(12, 21).into_iter().map(|request| gateway.enqueue(request)).collect();
-        let stream = gateway.subscribe(tickets[0]);
+        for request in admits(12, 21) {
+            gateway.enqueue(request);
+        }
         gateway.drive();
         let admitted: Vec<_> = gateway
             .take_events()
@@ -996,60 +888,9 @@ mod tests {
         gateway.drive();
         // Whatever is still queued reaches its terminal event here.
         gateway.pump(CapacityEvent::Shutdown { now: 30 });
-        drop(stream);
         assert_eq!(gateway.inflight(), 0);
         assert!(gateway.runnable.is_empty());
         assert!(gateway.pending.is_empty(), "tickets leaked: {:?}", gateway.pending);
-        assert!(gateway.streams.lock().unwrap().is_empty());
-        let mut late = gateway.subscribe(tickets[0]);
-        assert!(late.is_done() && late.next().is_none(), "a finished ticket's stream is over");
-    }
-
-    /// A preemption requeue runs under a ticket no command of the
-    /// gateway's carries; its completion stream still ends when the
-    /// requeue is admitted or rejected.
-    #[test]
-    fn requeue_completion_streams_end() {
-        use kairos_admitd::PreemptionPolicy;
-        let inner = ServiceBuilder::new(topology::crisp())
-            .deterministic(true)
-            .admission(AdmitPolicy {
-                class_capacity: [8, 8, 8, 8],
-                preemption: PreemptionPolicy::Evict,
-                ..AdmitPolicy::default()
-            })
-            .build()
-            .unwrap();
-        let mut gateway = Gateway::new(Box::new(inner), GatewayConfig::default());
-        let mut generator = AppGenerator::new(GeneratorConfig::default(), 17);
-        let mut admit = |gateway: &mut Gateway, class| {
-            gateway.submit(Request::admit(0, generator.generate("app"), class));
-            gateway.take_events()
-        };
-        // Low-class residents until the platform is full (the first one
-        // left waiting), then criticals until one has to evict a resident.
-        while admit(&mut gateway, PriorityClass::Low)
-            .iter()
-            .any(|event| matches!(event, Event::Admitted { .. }))
-        {}
-        let requeued_as = (0..32)
-            .find_map(|_| {
-                admit(&mut gateway, PriorityClass::Critical).into_iter().find_map(|event| {
-                    match event {
-                        Event::Preempted { requeued_as, .. } => Some(requeued_as),
-                        _ => None,
-                    }
-                })
-            })
-            .expect("a critical preempts a low-class resident");
-        let mut stream = gateway.subscribe(requeued_as);
-        assert!(!stream.is_done());
-        gateway.drive();
-        gateway.pump(CapacityEvent::Shutdown { now: 50 });
-        let events: Vec<Event> = stream.by_ref().collect();
-        assert!(events.iter().all(|event| event.ticket() == requeued_as));
-        assert!(matches!(events.last(), Some(Event::Admitted { .. } | Event::Rejected { .. })));
-        assert!(stream.is_done(), "the requeue's terminal event ends its stream");
     }
 
     /// Records every call the gateway makes into the service below it, in

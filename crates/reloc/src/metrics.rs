@@ -9,7 +9,7 @@ use kairos_telemetry::{Counter, Telemetry};
 /// path never touch the registry's name map.
 ///
 /// Hold one wherever relocation is driven repeatedly (the admission
-/// front-end resolves one in `set_telemetry`, the sim's defrag event
+/// front-end resolves one when it is built, the sim's defrag event
 /// reuses the front-end's); the free [`select_victims`](crate::select_victims)
 /// / [`compact`](crate::compact) wrappers resolve a fresh set per call
 /// for standalone use.

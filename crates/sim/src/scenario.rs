@@ -439,6 +439,38 @@ pub struct Scenario {
 }
 
 impl Scenario {
+    /// A scenario named `name` running `phases` on `platform`, with every
+    /// optional subsystem off: no faults, direct admission, no defrag,
+    /// one monolithic manager, no gateway, no telemetry, tracing, cache,
+    /// watching or metering. Name what a scenario turns on with struct
+    /// update syntax over this.
+    pub fn new(
+        name: impl Into<String>,
+        seed: u64,
+        sample_period: u64,
+        platform: PlatformSpec,
+        phases: Vec<PhaseSpec>,
+    ) -> Self {
+        Scenario {
+            name: name.into(),
+            seed,
+            sample_period,
+            platform,
+            phases,
+            faults: Vec::new(),
+            readmit_evicted: false,
+            admission: None,
+            defrag: None,
+            cluster: None,
+            gateway: None,
+            telemetry: false,
+            trace: false,
+            cache: false,
+            watch: None,
+            power: None,
+        }
+    }
+
     /// Total virtual duration: the sum of all phase durations.
     pub fn horizon(&self) -> u64 {
         self.phases.iter().map(|p| p.duration).sum()
@@ -770,28 +802,12 @@ fn small_mix() -> Vec<MixEntry> {
 /// Steady-state churn: applications arrive and depart at a balanced rate,
 /// keeping the platform at moderate occupancy for a long horizon.
 fn steady_churn() -> Scenario {
-    Scenario {
-        name: "steady-churn".to_owned(),
-        seed: 0xC0FFEE,
-        sample_period: 50,
-        platform: PlatformSpec::Crisp,
-        phases: vec![
-            PhaseSpec::new("warmup", 500, 40, 400, small_mix()),
-            PhaseSpec::new("steady", 2000, 25, 300, small_mix()),
-            PhaseSpec::new("drain", 1500, 0, 0, Vec::new()),
-        ],
-        faults: Vec::new(),
-        readmit_evicted: false,
-        admission: None,
-        defrag: None,
-        cluster: None,
-        gateway: None,
-        telemetry: false,
-        trace: false,
-        cache: false,
-        watch: None,
-        power: None,
-    }
+    let phases = vec![
+        PhaseSpec::new("warmup", 500, 40, 400, small_mix()),
+        PhaseSpec::new("steady", 2000, 25, 300, small_mix()),
+        PhaseSpec::new("drain", 1500, 0, 0, Vec::new()),
+    ];
+    Scenario::new("steady-churn", 0xC0FFEE, 50, PlatformSpec::Crisp, phases)
 }
 
 /// Bursty arrivals: tight bursts alternate with quiet lulls, stressing
@@ -801,30 +817,14 @@ fn bursty_arrivals() -> Scenario {
         MixEntry::new(spec(Orientation::Communication, SizeClass::Small), 3),
         MixEntry::new(spec(Orientation::Communication, SizeClass::Medium), 1),
     ];
-    Scenario {
-        name: "bursty-arrivals".to_owned(),
-        seed: 0xB0057,
-        sample_period: 25,
-        platform: PlatformSpec::Crisp,
-        phases: vec![
-            PhaseSpec::new("burst-1", 300, 5, 250, burst_mix.clone()),
-            PhaseSpec::new("lull-1", 500, 150, 250, burst_mix.clone()),
-            PhaseSpec::new("burst-2", 300, 4, 250, burst_mix.clone()),
-            PhaseSpec::new("lull-2", 500, 150, 250, burst_mix),
-            PhaseSpec::new("drain", 800, 0, 0, Vec::new()),
-        ],
-        faults: Vec::new(),
-        readmit_evicted: false,
-        admission: None,
-        defrag: None,
-        cluster: None,
-        gateway: None,
-        telemetry: false,
-        trace: false,
-        cache: false,
-        watch: None,
-        power: None,
-    }
+    let phases = vec![
+        PhaseSpec::new("burst-1", 300, 5, 250, burst_mix.clone()),
+        PhaseSpec::new("lull-1", 500, 150, 250, burst_mix.clone()),
+        PhaseSpec::new("burst-2", 300, 4, 250, burst_mix.clone()),
+        PhaseSpec::new("lull-2", 500, 150, 250, burst_mix),
+        PhaseSpec::new("drain", 800, 0, 0, Vec::new()),
+    ];
+    Scenario::new("bursty-arrivals", 0xB0057, 25, PlatformSpec::Crisp, phases)
 }
 
 /// High-occupancy saturation: long-lived, resource-heavy applications pile
@@ -835,28 +835,12 @@ fn saturation() -> Scenario {
         MixEntry::new(spec(Orientation::Computation, SizeClass::Medium), 2),
         MixEntry::new(spec(Orientation::Computation, SizeClass::Large), 1),
     ];
-    Scenario {
-        name: "saturation".to_owned(),
-        seed: 0x5A7,
-        sample_period: 40,
-        platform: PlatformSpec::Crisp,
-        phases: vec![
-            PhaseSpec::new("fill", 1200, 15, 0, heavy_mix.clone()),
-            PhaseSpec::new("saturated", 1200, 20, 6000, heavy_mix),
-            PhaseSpec::new("drain", 600, 0, 0, Vec::new()),
-        ],
-        faults: Vec::new(),
-        readmit_evicted: false,
-        admission: None,
-        defrag: None,
-        cluster: None,
-        gateway: None,
-        telemetry: false,
-        trace: false,
-        cache: false,
-        watch: None,
-        power: None,
-    }
+    let phases = vec![
+        PhaseSpec::new("fill", 1200, 15, 0, heavy_mix.clone()),
+        PhaseSpec::new("saturated", 1200, 20, 6000, heavy_mix),
+        PhaseSpec::new("drain", 600, 0, 0, Vec::new()),
+    ];
+    Scenario::new("saturation", 0x5A7, 40, PlatformSpec::Crisp, phases)
 }
 
 /// Hotspot element failures: a steady workload while the DSPs of the
@@ -875,28 +859,16 @@ fn hotspot_failures() -> Scenario {
             repair_after: Some(700),
         })
         .collect();
+    let phases = vec![
+        PhaseSpec::new("warmup", 400, 12, 900, small_mix()),
+        PhaseSpec::new("failing", 1600, 12, 800, small_mix()),
+        PhaseSpec::new("recovered", 800, 20, 400, small_mix()),
+        PhaseSpec::new("drain", 1200, 0, 0, Vec::new()),
+    ];
     Scenario {
-        name: "hotspot-failures".to_owned(),
-        seed: 0xFA17,
-        sample_period: 40,
-        platform: PlatformSpec::Crisp,
-        phases: vec![
-            PhaseSpec::new("warmup", 400, 12, 900, small_mix()),
-            PhaseSpec::new("failing", 1600, 12, 800, small_mix()),
-            PhaseSpec::new("recovered", 800, 20, 400, small_mix()),
-            PhaseSpec::new("drain", 1200, 0, 0, Vec::new()),
-        ],
         faults,
         readmit_evicted: true,
-        admission: None,
-        defrag: None,
-        cluster: None,
-        gateway: None,
-        telemetry: false,
-        trace: false,
-        cache: false,
-        watch: None,
-        power: None,
+        ..Scenario::new("hotspot-failures", 0xFA17, 40, PlatformSpec::Crisp, phases)
     }
 }
 
@@ -904,27 +876,11 @@ fn hotspot_failures() -> Scenario {
 /// reproducing the paper's heterogeneous admission mix as a long-running
 /// stream.
 fn mixed_datasets() -> Scenario {
-    Scenario {
-        name: "mixed-datasets".to_owned(),
-        seed: 0x717C,
-        sample_period: 50,
-        platform: PlatformSpec::Crisp,
-        phases: vec![
-            PhaseSpec::new("mixed", 2500, 35, 350, WorkloadMix::all_datasets().entries().to_vec()),
-            PhaseSpec::new("drain", 1200, 0, 0, Vec::new()),
-        ],
-        faults: Vec::new(),
-        readmit_evicted: false,
-        admission: None,
-        defrag: None,
-        cluster: None,
-        gateway: None,
-        telemetry: false,
-        trace: false,
-        cache: false,
-        watch: None,
-        power: None,
-    }
+    let phases = vec![
+        PhaseSpec::new("mixed", 2500, 35, 350, WorkloadMix::all_datasets().entries().to_vec()),
+        PhaseSpec::new("drain", 1200, 0, 0, Vec::new()),
+    ];
+    Scenario::new("mixed-datasets", 0x717C, 50, PlatformSpec::Crisp, phases)
 }
 
 /// Priority inversion probe: a saturating stream of low-priority,
@@ -937,20 +893,14 @@ fn priority_inversion() -> Scenario {
         MixEntry::new(spec(Orientation::Computation, SizeClass::Medium), 2),
         MixEntry::new(spec(Orientation::Computation, SizeClass::Large), 1),
     ];
+    let phases = vec![
+        PhaseSpec::new("fill-low", 900, 12, 2200, heavy_mix.clone())
+            .with_priority(PriorityClass::Low),
+        PhaseSpec::new("critical-burst", 700, 25, 500, small_mix())
+            .with_priority(PriorityClass::Critical),
+        PhaseSpec::new("drain", 2400, 0, 0, Vec::new()),
+    ];
     Scenario {
-        name: "priority-inversion".to_owned(),
-        seed: 0x1A2B3C,
-        sample_period: 40,
-        platform: PlatformSpec::Crisp,
-        phases: vec![
-            PhaseSpec::new("fill-low", 900, 12, 2200, heavy_mix.clone())
-                .with_priority(PriorityClass::Low),
-            PhaseSpec::new("critical-burst", 700, 25, 500, small_mix())
-                .with_priority(PriorityClass::Critical),
-            PhaseSpec::new("drain", 2400, 0, 0, Vec::new()),
-        ],
-        faults: Vec::new(),
-        readmit_evicted: false,
         admission: Some(AdmitPolicy {
             class_capacity: [12, 8, 8, 16],
             max_wait: Some(1500),
@@ -959,14 +909,7 @@ fn priority_inversion() -> Scenario {
             backoff_cap: 4,
             ..AdmitPolicy::default()
         }),
-        defrag: None,
-        cluster: None,
-        gateway: None,
-        telemetry: false,
-        trace: false,
-        cache: false,
-        watch: None,
-        power: None,
+        ..Scenario::new("priority-inversion", 0x1A2B3C, 40, PlatformSpec::Crisp, phases)
     }
 }
 
@@ -980,18 +923,12 @@ fn overload_backpressure() -> Scenario {
         MixEntry::new(spec(Orientation::Communication, SizeClass::Medium), 1),
         MixEntry::new(spec(Orientation::Computation, SizeClass::Large), 1),
     ];
+    let phases = vec![
+        PhaseSpec::new("overload", 1800, 6, 1200, heavy_mix)
+            .with_arrival(ArrivalDistribution::Pareto { alpha_centi: 160 }),
+        PhaseSpec::new("drain", 2000, 0, 0, Vec::new()),
+    ];
     Scenario {
-        name: "overload-backpressure".to_owned(),
-        seed: 0x0F10AD,
-        sample_period: 25,
-        platform: PlatformSpec::Crisp,
-        phases: vec![
-            PhaseSpec::new("overload", 1800, 6, 1200, heavy_mix)
-                .with_arrival(ArrivalDistribution::Pareto { alpha_centi: 160 }),
-            PhaseSpec::new("drain", 2000, 0, 0, Vec::new()),
-        ],
-        faults: Vec::new(),
-        readmit_evicted: false,
         admission: Some(AdmitPolicy {
             class_capacity: [4, 4, 8, 4],
             max_wait: Some(600),
@@ -1000,14 +937,7 @@ fn overload_backpressure() -> Scenario {
             backoff_cap: 8,
             ..AdmitPolicy::default()
         }),
-        defrag: None,
-        cluster: None,
-        gateway: None,
-        telemetry: false,
-        trace: false,
-        cache: false,
-        watch: None,
-        power: None,
+        ..Scenario::new("overload-backpressure", 0x0F10AD, 25, PlatformSpec::Crisp, phases)
     }
 }
 
@@ -1021,19 +951,13 @@ fn retry_storm() -> Scenario {
         MixEntry::new(spec(Orientation::Computation, SizeClass::Medium), 3),
         MixEntry::new(spec(Orientation::Communication, SizeClass::Small), 1),
     ];
+    let phases = vec![
+        PhaseSpec::new("residents", 600, 18, 0, resident_mix).with_priority(PriorityClass::Low),
+        PhaseSpec::new("storm", 1500, 14, 260, churn_mix)
+            .with_arrival(ArrivalDistribution::Deterministic),
+        PhaseSpec::new("drain", 1600, 0, 0, Vec::new()),
+    ];
     Scenario {
-        name: "retry-storm".to_owned(),
-        seed: 0x57083,
-        sample_period: 30,
-        platform: PlatformSpec::Crisp,
-        phases: vec![
-            PhaseSpec::new("residents", 600, 18, 0, resident_mix).with_priority(PriorityClass::Low),
-            PhaseSpec::new("storm", 1500, 14, 260, churn_mix)
-                .with_arrival(ArrivalDistribution::Deterministic),
-            PhaseSpec::new("drain", 1600, 0, 0, Vec::new()),
-        ],
-        faults: Vec::new(),
-        readmit_evicted: false,
         admission: Some(AdmitPolicy {
             class_capacity: [8, 8, 24, 12],
             max_wait: Some(900),
@@ -1042,14 +966,7 @@ fn retry_storm() -> Scenario {
             backoff_cap: 2,
             ..AdmitPolicy::default()
         }),
-        defrag: None,
-        cluster: None,
-        gateway: None,
-        telemetry: false,
-        trace: false,
-        cache: false,
-        watch: None,
-        power: None,
+        ..Scenario::new("retry-storm", 0x57083, 30, PlatformSpec::Crisp, phases)
     }
 }
 
@@ -1064,19 +981,13 @@ fn critical_preempt() -> Scenario {
         MixEntry::new(spec(Orientation::Computation, SizeClass::Medium), 2),
         MixEntry::new(spec(Orientation::Computation, SizeClass::Large), 1),
     ];
+    let phases = vec![
+        PhaseSpec::new("fill-low", 900, 12, 2600, heavy_mix).with_priority(PriorityClass::Low),
+        PhaseSpec::new("critical-surge", 700, 28, 450, small_mix())
+            .with_priority(PriorityClass::Critical),
+        PhaseSpec::new("drain", 2600, 0, 0, Vec::new()),
+    ];
     Scenario {
-        name: "critical-preempt".to_owned(),
-        seed: 0x9EE47,
-        sample_period: 40,
-        platform: PlatformSpec::Crisp,
-        phases: vec![
-            PhaseSpec::new("fill-low", 900, 12, 2600, heavy_mix).with_priority(PriorityClass::Low),
-            PhaseSpec::new("critical-surge", 700, 28, 450, small_mix())
-                .with_priority(PriorityClass::Critical),
-            PhaseSpec::new("drain", 2600, 0, 0, Vec::new()),
-        ],
-        faults: Vec::new(),
-        readmit_evicted: false,
         admission: Some(AdmitPolicy {
             class_capacity: [12, 8, 8, 24],
             max_wait: Some(1600),
@@ -1087,14 +998,7 @@ fn critical_preempt() -> Scenario {
             max_victims: 4,
             ..AdmitPolicy::default()
         }),
-        defrag: None,
-        cluster: None,
-        gateway: None,
-        telemetry: false,
-        trace: false,
-        cache: false,
-        watch: None,
-        power: None,
+        ..Scenario::new("critical-preempt", 0x9EE47, 40, PlatformSpec::Crisp, phases)
     }
 }
 
@@ -1117,19 +1021,13 @@ fn migrate_vs_evict() -> Scenario {
         MixEntry::new(spec(Orientation::Computation, SizeClass::Medium), 2),
         MixEntry::new(spec(Orientation::Communication, SizeClass::Medium), 1),
     ];
+    let phases = vec![
+        PhaseSpec::new("fill-low", 900, 12, 3000, light_mix).with_priority(PriorityClass::Low),
+        PhaseSpec::new("critical-surge", 800, 40, 500, crit_mix)
+            .with_priority(PriorityClass::Critical),
+        PhaseSpec::new("drain", 2600, 0, 0, Vec::new()),
+    ];
     Scenario {
-        name: "migrate-vs-evict".to_owned(),
-        seed: 0x316A7E,
-        sample_period: 40,
-        platform: PlatformSpec::Crisp,
-        phases: vec![
-            PhaseSpec::new("fill-low", 900, 12, 3000, light_mix).with_priority(PriorityClass::Low),
-            PhaseSpec::new("critical-surge", 800, 40, 500, crit_mix)
-                .with_priority(PriorityClass::Critical),
-            PhaseSpec::new("drain", 2600, 0, 0, Vec::new()),
-        ],
-        faults: Vec::new(),
-        readmit_evicted: false,
         admission: Some(AdmitPolicy {
             class_capacity: [12, 8, 8, 32],
             max_wait: Some(1600),
@@ -1140,14 +1038,7 @@ fn migrate_vs_evict() -> Scenario {
             max_victims: 6,
             ..AdmitPolicy::default()
         }),
-        defrag: None,
-        cluster: None,
-        gateway: None,
-        telemetry: false,
-        trace: false,
-        cache: false,
-        watch: None,
-        power: None,
+        ..Scenario::new("migrate-vs-evict", 0x316A7E, 40, PlatformSpec::Crisp, phases)
     }
 }
 
@@ -1163,26 +1054,13 @@ fn defrag_sweep() -> Scenario {
         MixEntry::new(spec(Orientation::Communication, SizeClass::Small), 2),
         MixEntry::new(spec(Orientation::Computation, SizeClass::Medium), 1),
     ];
+    let phases = vec![
+        PhaseSpec::new("churn", 2400, 18, 220, churn_mix),
+        PhaseSpec::new("drain", 1200, 0, 0, Vec::new()),
+    ];
     Scenario {
-        name: "defrag-sweep".to_owned(),
-        seed: 0xDF,
-        sample_period: 30,
-        platform: PlatformSpec::Crisp,
-        phases: vec![
-            PhaseSpec::new("churn", 2400, 18, 220, churn_mix),
-            PhaseSpec::new("drain", 1200, 0, 0, Vec::new()),
-        ],
-        faults: Vec::new(),
-        readmit_evicted: false,
-        admission: None,
         defrag: Some(DefragSpec { period: 150, max_moves: 4 }),
-        cluster: None,
-        gateway: None,
-        telemetry: false,
-        trace: false,
-        cache: false,
-        watch: None,
-        power: None,
+        ..Scenario::new("defrag-sweep", 0xDF, 30, PlatformSpec::Crisp, phases)
     }
 }
 
@@ -1203,22 +1081,16 @@ fn batch_arrival_wave() -> Scenario {
         MixEntry::new(spec(Orientation::Computation, SizeClass::Small), 2),
         MixEntry::new(spec(Orientation::Communication, SizeClass::Small), 1),
     ];
+    let phases = vec![
+        PhaseSpec::new("normal-waves", 1500, 120, 500, wave_mix)
+            .with_arrival(ArrivalDistribution::Deterministic)
+            .with_batch(6),
+        PhaseSpec::new("critical-waves", 600, 150, 400, crit_mix)
+            .with_priority(PriorityClass::Critical)
+            .with_batch(4),
+        PhaseSpec::new("drain", 1500, 0, 0, Vec::new()),
+    ];
     Scenario {
-        name: "batch-arrival-wave".to_owned(),
-        seed: 0xBA7C4,
-        sample_period: 30,
-        platform: PlatformSpec::Crisp,
-        phases: vec![
-            PhaseSpec::new("normal-waves", 1500, 120, 500, wave_mix)
-                .with_arrival(ArrivalDistribution::Deterministic)
-                .with_batch(6),
-            PhaseSpec::new("critical-waves", 600, 150, 400, crit_mix)
-                .with_priority(PriorityClass::Critical)
-                .with_batch(4),
-            PhaseSpec::new("drain", 1500, 0, 0, Vec::new()),
-        ],
-        faults: Vec::new(),
-        readmit_evicted: false,
         admission: Some(AdmitPolicy {
             class_capacity: [8, 8, 24, 16],
             max_wait: Some(800),
@@ -1227,14 +1099,7 @@ fn batch_arrival_wave() -> Scenario {
             backoff_cap: 4,
             ..AdmitPolicy::default()
         }),
-        defrag: None,
-        cluster: None,
-        gateway: None,
-        telemetry: false,
-        trace: false,
-        cache: false,
-        watch: None,
-        power: None,
+        ..Scenario::new("batch-arrival-wave", 0xBA7C4, 30, PlatformSpec::Crisp, phases)
     }
 }
 
@@ -1254,18 +1119,12 @@ fn sharded_arrival_storm() -> Scenario {
         MixEntry::new(spec(Orientation::Communication, SizeClass::Small), 3),
         MixEntry::new(spec(Orientation::Computation, SizeClass::Medium), 1),
     ];
+    let phases = vec![
+        PhaseSpec::new("storm", 1600, 7, 400, storm_mix)
+            .with_arrival(ArrivalDistribution::Pareto { alpha_centi: 150 }),
+        PhaseSpec::new("drain", 1800, 0, 0, Vec::new()),
+    ];
     Scenario {
-        name: "sharded-arrival-storm".to_owned(),
-        seed: 0x54A2D,
-        sample_period: 30,
-        platform: PlatformSpec::Crisp,
-        phases: vec![
-            PhaseSpec::new("storm", 1600, 7, 400, storm_mix)
-                .with_arrival(ArrivalDistribution::Pareto { alpha_centi: 150 }),
-            PhaseSpec::new("drain", 1800, 0, 0, Vec::new()),
-        ],
-        faults: Vec::new(),
-        readmit_evicted: false,
         admission: Some(AdmitPolicy {
             class_capacity: [6, 6, 12, 6],
             max_wait: Some(700),
@@ -1274,18 +1133,12 @@ fn sharded_arrival_storm() -> Scenario {
             backoff_cap: 4,
             ..AdmitPolicy::default()
         }),
-        defrag: None,
         cluster: Some(ClusterSpec {
             shards: 3,
             policy: PlacementPolicyKind::LeastLoaded,
             rebalance: None,
         }),
-        gateway: None,
-        telemetry: false,
-        trace: false,
-        cache: false,
-        watch: None,
-        power: None,
+        ..Scenario::new("sharded-arrival-storm", 0x54A2D, 30, PlatformSpec::Crisp, phases)
     }
 }
 
@@ -1303,31 +1156,18 @@ fn cross_shard_rebalance() -> Scenario {
         MixEntry::new(spec(Orientation::Communication, SizeClass::Small), 2),
         MixEntry::new(spec(Orientation::Computation, SizeClass::Medium), 1),
     ];
+    let phases = vec![
+        PhaseSpec::new("skewed-fill", 900, 16, 2800, resident_mix.clone()),
+        PhaseSpec::new("steady", 900, 30, 700, resident_mix),
+        PhaseSpec::new("drain", 1400, 0, 0, Vec::new()),
+    ];
     Scenario {
-        name: "cross-shard-rebalance".to_owned(),
-        seed: 0xC7055,
-        sample_period: 30,
-        platform: PlatformSpec::Crisp,
-        phases: vec![
-            PhaseSpec::new("skewed-fill", 900, 16, 2800, resident_mix.clone()),
-            PhaseSpec::new("steady", 900, 30, 700, resident_mix),
-            PhaseSpec::new("drain", 1400, 0, 0, Vec::new()),
-        ],
-        faults: Vec::new(),
-        readmit_evicted: false,
-        admission: None,
-        defrag: None,
         cluster: Some(ClusterSpec {
             shards: 3,
             policy: PlacementPolicyKind::FirstFit,
             rebalance: Some(RebalanceSpec { period: 150, max_moves: 2 }),
         }),
-        gateway: None,
-        telemetry: false,
-        trace: false,
-        cache: false,
-        watch: None,
-        power: None,
+        ..Scenario::new("cross-shard-rebalance", 0xC7055, 30, PlatformSpec::Crisp, phases)
     }
 }
 
@@ -1353,19 +1193,13 @@ fn telemetry_probe_latency() -> Scenario {
         MixEntry::new(spec(Orientation::Computation, SizeClass::Medium), 2),
         MixEntry::new(spec(Orientation::Communication, SizeClass::Medium), 1),
     ];
+    let phases = vec![
+        PhaseSpec::new("fill-low", 900, 10, 2800, light_mix).with_priority(PriorityClass::Low),
+        PhaseSpec::new("critical-surge", 700, 35, 500, crit_mix)
+            .with_priority(PriorityClass::Critical),
+        PhaseSpec::new("drain", 2400, 0, 0, Vec::new()),
+    ];
     Scenario {
-        name: "telemetry-probe-latency".to_owned(),
-        seed: 0x7E1E,
-        sample_period: 30,
-        platform: PlatformSpec::Crisp,
-        phases: vec![
-            PhaseSpec::new("fill-low", 900, 10, 2800, light_mix).with_priority(PriorityClass::Low),
-            PhaseSpec::new("critical-surge", 700, 35, 500, crit_mix)
-                .with_priority(PriorityClass::Critical),
-            PhaseSpec::new("drain", 2400, 0, 0, Vec::new()),
-        ],
-        faults: Vec::new(),
-        readmit_evicted: false,
         admission: Some(AdmitPolicy {
             class_capacity: [10, 8, 8, 24],
             max_wait: Some(1400),
@@ -1376,18 +1210,13 @@ fn telemetry_probe_latency() -> Scenario {
             max_victims: 4,
             ..AdmitPolicy::default()
         }),
-        defrag: None,
         cluster: Some(ClusterSpec {
             shards: 3,
             policy: PlacementPolicyKind::LeastLoaded,
             rebalance: None,
         }),
-        gateway: None,
         telemetry: true,
-        trace: false,
-        cache: false,
-        watch: None,
-        power: None,
+        ..Scenario::new("telemetry-probe-latency", 0x7E1E, 30, PlatformSpec::Crisp, phases)
     }
 }
 
@@ -1410,19 +1239,13 @@ fn traced_preemption_storm() -> Scenario {
         MixEntry::new(spec(Orientation::Computation, SizeClass::Medium), 2),
         MixEntry::new(spec(Orientation::Communication, SizeClass::Medium), 1),
     ];
+    let phases = vec![
+        PhaseSpec::new("fill-low", 900, 10, 2800, light_mix).with_priority(PriorityClass::Low),
+        PhaseSpec::new("critical-storm", 700, 30, 600, crit_mix)
+            .with_priority(PriorityClass::Critical),
+        PhaseSpec::new("drain", 2400, 0, 0, Vec::new()),
+    ];
     Scenario {
-        name: "traced-preemption-storm".to_owned(),
-        seed: 0x7ACE,
-        sample_period: 30,
-        platform: PlatformSpec::Crisp,
-        phases: vec![
-            PhaseSpec::new("fill-low", 900, 10, 2800, light_mix).with_priority(PriorityClass::Low),
-            PhaseSpec::new("critical-storm", 700, 30, 600, crit_mix)
-                .with_priority(PriorityClass::Critical),
-            PhaseSpec::new("drain", 2400, 0, 0, Vec::new()),
-        ],
-        faults: Vec::new(),
-        readmit_evicted: false,
         admission: Some(AdmitPolicy {
             class_capacity: [10, 8, 8, 24],
             max_wait: Some(1400),
@@ -1433,18 +1256,13 @@ fn traced_preemption_storm() -> Scenario {
             max_victims: 4,
             ..AdmitPolicy::default()
         }),
-        defrag: None,
         cluster: Some(ClusterSpec {
             shards: 3,
             policy: PlacementPolicyKind::LeastLoaded,
             rebalance: None,
         }),
-        gateway: None,
-        telemetry: false,
         trace: true,
-        cache: false,
-        watch: None,
-        power: None,
+        ..Scenario::new("traced-preemption-storm", 0x7ACE, 30, PlatformSpec::Crisp, phases)
     }
 }
 
@@ -1473,31 +1291,19 @@ fn cache_warm_storm() -> Scenario {
         MixEntry::new(spec(Orientation::Computation, SizeClass::Small), 3),
         MixEntry::new(spec(Orientation::Communication, SizeClass::Small), 1),
     ];
+    let phases = vec![
+        PhaseSpec::new("storm", 1800, 8, 200, storm_mix)
+            .with_arrival(ArrivalDistribution::Deterministic),
+        PhaseSpec::new("drain", 1000, 0, 0, Vec::new()),
+    ];
     Scenario {
-        name: "cache-warm-storm".to_owned(),
-        seed: 0xCA4E5,
-        sample_period: 30,
-        platform: PlatformSpec::Crisp,
-        phases: vec![
-            PhaseSpec::new("storm", 1800, 8, 200, storm_mix)
-                .with_arrival(ArrivalDistribution::Deterministic),
-            PhaseSpec::new("drain", 1000, 0, 0, Vec::new()),
-        ],
-        faults: Vec::new(),
-        readmit_evicted: false,
-        admission: None,
-        defrag: None,
         cluster: Some(ClusterSpec {
             shards: 3,
             policy: PlacementPolicyKind::LeastLoaded,
             rebalance: None,
         }),
-        gateway: None,
-        telemetry: false,
-        trace: false,
         cache: true,
-        watch: None,
-        power: None,
+        ..Scenario::new("cache-warm-storm", 0xCA4E5, 30, PlatformSpec::Crisp, phases)
     }
 }
 
@@ -1529,31 +1335,21 @@ fn cache_invalidation_churn() -> Scenario {
             repair_after: Some(600),
         })
         .collect();
+    let phases = vec![
+        PhaseSpec::new("warmup", 500, 14, 600, churn_mix.clone()),
+        PhaseSpec::new("faulting", 1700, 14, 500, churn_mix),
+        PhaseSpec::new("drain", 1200, 0, 0, Vec::new()),
+    ];
     Scenario {
-        name: "cache-invalidation-churn".to_owned(),
-        seed: 0x1CACE,
-        sample_period: 40,
-        platform: PlatformSpec::Crisp,
-        phases: vec![
-            PhaseSpec::new("warmup", 500, 14, 600, churn_mix.clone()),
-            PhaseSpec::new("faulting", 1700, 14, 500, churn_mix),
-            PhaseSpec::new("drain", 1200, 0, 0, Vec::new()),
-        ],
         faults,
         readmit_evicted: true,
-        admission: None,
-        defrag: None,
         cluster: Some(ClusterSpec {
             shards: 3,
             policy: PlacementPolicyKind::LeastLoaded,
             rebalance: None,
         }),
-        gateway: None,
-        telemetry: false,
-        trace: false,
         cache: true,
-        watch: None,
-        power: None,
+        ..Scenario::new("cache-invalidation-churn", 0x1CACE, 40, PlatformSpec::Crisp, phases)
     }
 }
 
@@ -1573,31 +1369,19 @@ fn gateway_arrival_storm() -> Scenario {
         MixEntry::new(spec(Orientation::Communication, SizeClass::Small), 2),
         MixEntry::new(spec(Orientation::Computation, SizeClass::Medium), 1),
     ];
+    let phases = vec![
+        PhaseSpec::new("storm", 1600, 8, 300, storm_mix.clone()),
+        PhaseSpec::new("tail", 600, 40, 300, storm_mix),
+        PhaseSpec::new("drain", 1000, 0, 0, Vec::new()),
+    ];
     Scenario {
-        name: "gateway-arrival-storm".to_owned(),
-        seed: 0x6A7E,
-        sample_period: 30,
-        platform: PlatformSpec::Crisp,
-        phases: vec![
-            PhaseSpec::new("storm", 1600, 8, 300, storm_mix.clone()),
-            PhaseSpec::new("tail", 600, 40, 300, storm_mix),
-            PhaseSpec::new("drain", 1000, 0, 0, Vec::new()),
-        ],
-        faults: Vec::new(),
-        readmit_evicted: false,
-        admission: None,
-        defrag: None,
         cluster: Some(ClusterSpec {
             shards: 3,
             policy: PlacementPolicyKind::LeastLoaded,
             rebalance: None,
         }),
         gateway: Some(GatewaySpec::default()),
-        telemetry: false,
-        trace: false,
-        cache: false,
-        watch: None,
-        power: None,
+        ..Scenario::new("gateway-arrival-storm", 0x6A7E, 30, PlatformSpec::Crisp, phases)
     }
 }
 
@@ -1618,17 +1402,11 @@ fn gateway_backpressure() -> Scenario {
         MixEntry::new(spec(Orientation::Communication, SizeClass::Medium), 1),
         MixEntry::new(spec(Orientation::Computation, SizeClass::Large), 1),
     ];
+    let phases = vec![
+        PhaseSpec::new("surge", 1200, 6, 900, surge_mix),
+        PhaseSpec::new("drain", 1400, 0, 0, Vec::new()),
+    ];
     Scenario {
-        name: "gateway-backpressure".to_owned(),
-        seed: 0x6A7E8,
-        sample_period: 25,
-        platform: PlatformSpec::Crisp,
-        phases: vec![
-            PhaseSpec::new("surge", 1200, 6, 900, surge_mix),
-            PhaseSpec::new("drain", 1400, 0, 0, Vec::new()),
-        ],
-        faults: Vec::new(),
-        readmit_evicted: false,
         admission: Some(AdmitPolicy {
             class_capacity: [16, 16, 16, 48],
             max_wait: Some(900),
@@ -1637,14 +1415,8 @@ fn gateway_backpressure() -> Scenario {
             backoff_cap: 4,
             ..AdmitPolicy::default()
         }),
-        defrag: None,
-        cluster: None,
         gateway: Some(GatewaySpec { channel_capacity: 4, coalesce: false }),
-        telemetry: false,
-        trace: false,
-        cache: false,
-        watch: None,
-        power: None,
+        ..Scenario::new("gateway-backpressure", 0x6A7E8, 25, PlatformSpec::Crisp, phases)
     }
 }
 
@@ -1666,19 +1438,13 @@ fn slo_burn_storm() -> Scenario {
         MixEntry::new(spec(Orientation::Communication, SizeClass::Medium), 1),
         MixEntry::new(spec(Orientation::Computation, SizeClass::Large), 1),
     ];
+    let phases = vec![
+        PhaseSpec::new("calm", 600, 30, 250, small_mix()),
+        PhaseSpec::new("surge", 1200, 6, 900, surge_mix),
+        PhaseSpec::new("recovery", 1600, 40, 150, small_mix()),
+        PhaseSpec::new("drain", 800, 0, 0, Vec::new()),
+    ];
     Scenario {
-        name: "slo-burn-storm".to_owned(),
-        seed: 0x510B,
-        sample_period: 25,
-        platform: PlatformSpec::Crisp,
-        phases: vec![
-            PhaseSpec::new("calm", 600, 30, 250, small_mix()),
-            PhaseSpec::new("surge", 1200, 6, 900, surge_mix),
-            PhaseSpec::new("recovery", 1600, 40, 150, small_mix()),
-            PhaseSpec::new("drain", 800, 0, 0, Vec::new()),
-        ],
-        faults: Vec::new(),
-        readmit_evicted: false,
         admission: Some(AdmitPolicy {
             class_capacity: [16, 16, 16, 48],
             max_wait: Some(900),
@@ -1687,14 +1453,8 @@ fn slo_burn_storm() -> Scenario {
             backoff_cap: 4,
             ..AdmitPolicy::default()
         }),
-        defrag: None,
-        cluster: None,
-        gateway: None,
-        telemetry: false,
-        trace: false,
-        cache: false,
         watch: Some(WatchSpec { anomaly_z_centi: 0, ..WatchSpec::default() }),
-        power: None,
+        ..Scenario::new("slo-burn-storm", 0x510B, 25, PlatformSpec::Crisp, phases)
     }
 }
 
@@ -1719,32 +1479,22 @@ fn power_cap_skew() -> Scenario {
     let faults = (25u32..=30)
         .map(|element| FaultSpec { at: 900, element, repair_after: Some(600) })
         .collect();
+    let phases = vec![
+        PhaseSpec::new("fill", 600, 20, 0, resident_mix),
+        PhaseSpec::new("steady", 1800, 0, 0, Vec::new()),
+    ];
     Scenario {
-        name: "power-cap-skew".to_owned(),
-        seed: 0x50CA9,
-        sample_period: 30,
-        platform: PlatformSpec::Crisp,
-        phases: vec![
-            PhaseSpec::new("fill", 600, 20, 0, resident_mix),
-            PhaseSpec::new("steady", 1800, 0, 0, Vec::new()),
-        ],
         faults,
-        readmit_evicted: false,
-        admission: None,
-        defrag: None,
         cluster: Some(ClusterSpec {
             shards: 3,
             policy: PlacementPolicyKind::FirstFit,
             rebalance: None,
         }),
-        gateway: None,
-        telemetry: false,
-        trace: false,
-        cache: false,
         watch: Some(WatchSpec { queue_fire_depth: 0, ..WatchSpec::default() }),
         power: Some(PowerSpec {
             overrides: vec![PowerOverride { kind: "dsp".to_owned(), busy_mw: 400, idle_mw: 100 }],
         }),
+        ..Scenario::new("power-cap-skew", 0x50CA9, 30, PlatformSpec::Crisp, phases)
     }
 }
 

@@ -43,17 +43,11 @@ pub fn generated(
     clustered: bool,
     preempt: bool,
 ) -> Scenario {
+    let phases = vec![
+        PhaseSpec::new("churn", 500, interarrival, lifetime, small_mix()),
+        PhaseSpec::new("drain", 1200, 0, 0, Vec::new()),
+    ];
     Scenario {
-        name: "generated".to_owned(),
-        seed,
-        sample_period: 40,
-        platform: PlatformSpec::Crisp,
-        phases: vec![
-            PhaseSpec::new("churn", 500, interarrival, lifetime, small_mix()),
-            PhaseSpec::new("drain", 1200, 0, 0, Vec::new()),
-        ],
-        faults: Vec::new(),
-        readmit_evicted: false,
         admission: queued.then(|| AdmitPolicy {
             class_capacity: [4, 4, 6, 8],
             max_wait: Some(400),
@@ -68,18 +62,12 @@ pub fn generated(
             max_victims: 3,
             ..AdmitPolicy::default()
         }),
-        defrag: None,
         cluster: clustered.then_some(ClusterSpec {
             shards: 2,
             policy: PlacementPolicyKind::LeastLoaded,
             rebalance: None,
         }),
-        gateway: None,
-        telemetry: false,
-        trace: false,
-        cache: false,
-        watch: None,
-        power: None,
+        ..Scenario::new("generated", seed, 40, PlatformSpec::Crisp, phases)
     }
 }
 

@@ -13,27 +13,11 @@ fn light_mix() -> Vec<MixEntry> {
 
 /// A short scenario whose applications all depart well before the horizon.
 fn churn_and_drain(seed: u64) -> Scenario {
-    Scenario {
-        name: "test-churn".to_owned(),
-        seed,
-        sample_period: 25,
-        platform: PlatformSpec::Crisp,
-        phases: vec![
-            PhaseSpec::new("churn", 600, 20, 60, light_mix()),
-            PhaseSpec::new("drain", 2000, 0, 0, Vec::new()),
-        ],
-        faults: Vec::new(),
-        readmit_evicted: false,
-        admission: None,
-        defrag: None,
-        cluster: None,
-        gateway: None,
-        telemetry: false,
-        trace: false,
-        cache: false,
-        watch: None,
-        power: None,
-    }
+    let phases = vec![
+        PhaseSpec::new("churn", 600, 20, 60, light_mix()),
+        PhaseSpec::new("drain", 2000, 0, 0, Vec::new()),
+    ];
+    Scenario::new("test-churn", seed, 25, PlatformSpec::Crisp, phases)
 }
 
 #[test]

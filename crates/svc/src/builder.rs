@@ -140,17 +140,18 @@ impl ServiceBuilder {
     ///
     /// The admission policy's [`AdmitPolicy::validate`] error, if any.
     pub fn build(self) -> Result<KairosService, String> {
-        let kairos = Kairos::new(self.platform, self.config);
-        let mut service = match self.admission {
+        let mut kairos = Kairos::new(self.platform, self.config);
+        // The hub goes onto the manager once; every wrapper built over it
+        // below resolves its own instruments from there.
+        if self.telemetry.enabled() {
+            kairos.set_telemetry(self.telemetry);
+        }
+        Ok(match self.admission {
             None => KairosService::direct(kairos),
             Some(policy) => {
                 policy.validate()?;
                 KairosService::queued(Admitd::new(kairos, policy))
             }
-        };
-        if self.telemetry.enabled() {
-            service.set_telemetry(self.telemetry);
-        }
-        Ok(service)
+        })
     }
 }

@@ -17,8 +17,10 @@
 //!   of calling subsystem methods.
 //! * **One event stream** — everything observable is a tagged [`Event`]
 //!   carrying a stable service [`Ticket`] (and, once admitted, the
-//!   application's stable `AppId`), replacing the per-crate
-//!   `QueueEvent`/`AdmissionReport`/relocation-notification types.
+//!   application's stable `AppId`). The vocabulary is defined once, in
+//!   `kairos-admitd` beside the ticket: what the front-end decides
+//!   passes through this crate as the very value it built, and the
+//!   service adds only the results of its own commands.
 //! * **Batches are first-class** —
 //!   [`ResourceService::submit_batch`] admits a whole arrival wave as
 //!   one operation: class-sorted, inside one platform transaction, with
@@ -62,17 +64,19 @@
 
 mod builder;
 mod command;
-mod event;
 mod service;
 
 pub use builder::ServiceBuilder;
 pub use command::{CapacityEvent, Command, Request};
-pub use event::{Event, RejectCause, Ticket};
 pub use service::{KairosService, ResourceService};
 
 // The low-level layer, re-exported so service users have one import for
 // subsystem access.
 pub use kairos_admitd::{AdmitPolicy, Admitd, PreemptionPolicy, PriorityClass, VictimOrder};
+// The event stream's vocabulary and the workspace's single ticket type
+// are defined once, beside the admission queue; these are re-exports,
+// not copies.
+pub use kairos_admitd::{Event, RejectCause, Ticket};
 pub use kairos_core::{Kairos, KairosConfig};
 
 /// Compile-time thread-safety pin: nothing in the product spawns a

@@ -3,7 +3,7 @@
 
 use std::sync::Arc;
 
-use kairos_admitd::{Admitd, PriorityClass, QueueEvent};
+use kairos_admitd::{Admitd, Event, PriorityClass, RejectCause, Ticket};
 use kairos_app::Application;
 use kairos_core::{CacheStats, ElementActivity, Kairos, OccupancySnapshot};
 use kairos_platform::AppId;
@@ -11,7 +11,6 @@ use kairos_reloc::RelocMetrics;
 use kairos_telemetry::{Counter, Telemetry, TraceContext};
 
 use crate::command::{CapacityEvent, Command, Request};
-use crate::event::{Event, RejectCause, Ticket};
 
 /// The one typed surface applications (and the `kairos-sim` scenario
 /// engine) talk to the run-time through.
@@ -196,52 +195,41 @@ pub struct KairosService {
     /// Events accumulated since the last [`ResourceService::take_events`].
     events: Vec<Event>,
     metrics: Option<SvcMetrics>,
-    /// Relocation instruments for the direct backend's defrag sweeps,
-    /// resolved once at [`KairosService::set_telemetry`] time (a queued
-    /// backend resolves its own inside `Admitd`).
+    /// Relocation instruments for the direct backend's defrag sweeps (a
+    /// queued backend resolves its own inside `Admitd`).
     reloc_metrics: Option<RelocMetrics>,
 }
 
 impl KairosService {
     /// A queue-less service over `kairos`: admissions run the pipeline
     /// once and reject immediately on failure, the paper's behaviour.
+    /// Like every wrapper, the service reads the hub of the manager it
+    /// wraps: over a lit one ([`Kairos::set_telemetry`]) the
+    /// `kairos.svc.*` dispatch counters are registered, over a dark one
+    /// nothing is.
     pub fn direct(kairos: Kairos) -> Self {
         KairosService {
+            metrics: SvcMetrics::new(kairos.telemetry()),
+            reloc_metrics: RelocMetrics::new(kairos.telemetry()),
             backend: Backend::Direct(kairos),
             next_ticket: 0,
             events: Vec::new(),
-            metrics: None,
-            reloc_metrics: None,
         }
     }
 
-    /// A queued service over an existing front-end.
+    /// A queued service over an existing front-end (whose manager's hub
+    /// it reads, as [`KairosService::direct`] does).
     pub fn queued(admitd: Admitd) -> Self {
         KairosService {
+            metrics: SvcMetrics::new(admitd.telemetry()),
+            reloc_metrics: None,
             backend: Backend::Queued(admitd),
             next_ticket: 0,
             events: Vec::new(),
-            metrics: None,
-            reloc_metrics: None,
         }
     }
 
-    /// Attaches an observability hub down the whole stack this service
-    /// owns: the `kairos.svc.*` dispatch counters here, the
-    /// `kairos.admitd.*` queue metrics on a queued backend, and the
-    /// `kairos.core.*` pipeline instrumentation on the manager.
-    /// [`ServiceBuilder::telemetry`](crate::ServiceBuilder::telemetry)
-    /// calls this at construction time.
-    pub fn set_telemetry(&mut self, telemetry: Telemetry) {
-        self.metrics = SvcMetrics::new(&telemetry);
-        self.reloc_metrics = RelocMetrics::new(&telemetry);
-        match &mut self.backend {
-            Backend::Direct(kairos) => kairos.set_telemetry(telemetry),
-            Backend::Queued(admitd) => admitd.set_telemetry(telemetry),
-        }
-    }
-
-    /// The attached observability hub (disabled by default).
+    /// The managed manager's observability hub (disabled by default).
     pub fn telemetry(&self) -> &Telemetry {
         self.kairos().telemetry()
     }
@@ -252,11 +240,6 @@ impl KairosService {
             Backend::Direct(_) => None,
             Backend::Queued(admitd) => Some(admitd),
         }
-    }
-
-    /// Buffers a front-end event batch as service events.
-    fn ingest(&mut self, queue_events: Vec<QueueEvent>) {
-        self.events.extend(queue_events.into_iter().map(Event::from));
     }
 
     /// One direct-path admission: run the pipeline once, admit or reject.
@@ -323,7 +306,7 @@ impl KairosService {
                     Backend::Queued(admitd) => admitd.release(app, at),
                 };
                 self.events.push(Event::Released { ticket, app, found });
-                self.ingest(queued);
+                self.events.extend(queued);
             }
             Command::Migrate { app, avoid } => {
                 let (result, queued) = match &mut self.backend {
@@ -342,7 +325,7 @@ impl KairosService {
                         error: Box::new(error),
                     }),
                 }
-                self.ingest(queued);
+                self.events.extend(queued);
             }
             Command::Defrag { max_moves } => {
                 let (moves, queued) = match &mut self.backend {
@@ -357,7 +340,7 @@ impl KairosService {
                     }
                 };
                 self.events.push(Event::Defragged { ticket, moves });
-                self.ingest(queued);
+                self.events.extend(queued);
             }
             Command::InjectFault { element } => {
                 let (evicted, queued) = match &mut self.backend {
@@ -365,7 +348,7 @@ impl KairosService {
                     Backend::Queued(admitd) => admitd.fail_element(element, at),
                 };
                 self.events.push(Event::ElementFailed { ticket, element, evicted });
-                self.ingest(queued);
+                self.events.extend(queued);
             }
             Command::Repair { element } => {
                 let queued = match &mut self.backend {
@@ -376,7 +359,7 @@ impl KairosService {
                     Backend::Queued(admitd) => admitd.repair_element(element, at),
                 };
                 self.events.push(Event::ElementRepaired { ticket, element });
-                self.ingest(queued);
+                self.events.extend(queued);
             }
             Command::Rebalance { .. } => {
                 // One manager owns the whole platform: there is no shard
@@ -446,11 +429,10 @@ impl KairosService {
     /// release must be reported — while waiters admitted into the freed
     /// room are real and are.
     pub fn release_now(&mut self, app: AppId, at: u64) -> (bool, Vec<Event>) {
-        let (found, queued) = match &mut self.backend {
+        match &mut self.backend {
             Backend::Direct(kairos) => (kairos.release(app), Vec::new()),
             Backend::Queued(admitd) => admitd.release(app, at),
-        };
-        (found, queued.into_iter().map(Event::from).collect())
+        }
     }
 }
 
@@ -473,7 +455,7 @@ impl ResourceService for KairosService {
                 }
                 Backend::Queued(admitd) => {
                     let (_, queued) = admitd.submit_traced(app, class, at, ctx, Some(ticket));
-                    self.ingest(queued);
+                    self.events.extend(queued);
                 }
             }
         } else {
@@ -544,7 +526,7 @@ impl ResourceService for KairosService {
                         .map(|(ticket, _, app, class, ctx)| (app, class, ctx, Some(ticket)))
                         .collect();
                     let (_, queued) = admitd.submit_batch_traced(wave, wave_at);
-                    self.ingest(queued);
+                    self.events.extend(queued);
                 }
             }
         }
@@ -556,12 +538,11 @@ impl ResourceService for KairosService {
     }
 
     fn pump(&mut self, event: CapacityEvent) -> Vec<Event> {
-        let queued = match (&mut self.backend, event) {
+        let events = match (&mut self.backend, event) {
             (Backend::Direct(_), _) => Vec::new(),
             (Backend::Queued(admitd), CapacityEvent::Tick { now }) => admitd.expire(now),
             (Backend::Queued(admitd), CapacityEvent::Shutdown { now }) => admitd.shutdown(now),
         };
-        let events: Vec<Event> = queued.into_iter().map(Event::from).collect();
         if let Some(m) = &self.metrics {
             m.events.add(events.len() as u64);
         }

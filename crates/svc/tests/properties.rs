@@ -1,16 +1,19 @@
 //! Property-based and integration tests of the unified service API:
 //! batched submission is outcome-equivalent to sequential submission,
-//! cheaper in platform transactions, and the whole surface replays
-//! deterministically.
+//! cheaper in platform transactions, the whole surface replays
+//! deterministically, and a queued service's stream is its front-end's
+//! own events, value for value.
 
 use proptest::prelude::*;
 
-use kairos_admitd::{AdmitPolicy, PriorityClass};
+use kairos_admitd::{AdmitPolicy, Admitd, PreemptionPolicy, PriorityClass};
 use kairos_app::{Application, ApplicationBuilder, Implementation, TaskRole};
-use kairos_platform::{topology, ElementKind, ResourceVector};
+use kairos_core::{Kairos, KairosConfig};
+use kairos_platform::{topology, AppId, ElementId, ElementKind, ResourceVector};
 use kairos_svc::{
     CapacityEvent, Command, Event, KairosService, Request, ResourceService, ServiceBuilder, Ticket,
 };
+use kairos_telemetry::{Telemetry, TelemetryConfig, TraceContext};
 
 /// A chain of `tasks` DSP tasks, each demanding `cpu`.
 fn chain(name: &str, tasks: usize, cpu: u64) -> Application {
@@ -179,6 +182,124 @@ proptest! {
         };
         prop_assert_eq!(run(), run(), "service replay must be deterministic");
     }
+}
+
+proptest! {
+    /// One event, minted once: a queued service and a bare front-end
+    /// driven with the same operations agree — the service's stream, with
+    /// the results of its own commands (`Released`, `ElementFailed`,
+    /// `ElementRepaired`) removed, *is* the front-end's returned events,
+    /// value for value and in order. Admissions in all four classes,
+    /// releases, faults, repairs, ticks and the shutdown flush, with
+    /// preemption on.
+    #[test]
+    fn a_queued_service_streams_its_front_ends_own_events(
+        ops in proptest::collection::vec((0u8..9, 0u8..=255), 1..50),
+        migrate in any::<bool>(),
+    ) {
+        let policy = AdmitPolicy {
+            class_capacity: [2, 3, 3, 2],
+            max_wait: Some(40),
+            max_attempts: 4,
+            backoff_base: 1,
+            backoff_cap: 4,
+            preemption: if migrate { PreemptionPolicy::Migrate } else { PreemptionPolicy::Evict },
+            ..AdmitPolicy::default()
+        };
+        let front = || {
+            let config = KairosConfig { deterministic: true, ..KairosConfig::default() };
+            Admitd::new(Kairos::new(topology::dsp_mesh(2, 2), config), policy)
+        };
+        let mut service = KairosService::queued(front());
+        let mut admitd = front();
+        let mut live: Vec<AppId> = Vec::new();
+        for (n, &(kind, detail)) in ops.iter().enumerate() {
+            let now = n as u64;
+            let element = ElementId(u32::from(detail % 4));
+            let theirs = match kind {
+                0..=4 => {
+                    let class = PriorityClass::ALL[(detail % 4) as usize];
+                    let cpu = [200, 350, 600, 900][(detail / 16 % 4) as usize];
+                    let app = chain(&format!("a{n}"), 1 + (detail / 4 % 4) as usize, cpu);
+                    // The service mints a ticket per command, the bare
+                    // front-end one per admission: hand the twin the
+                    // service's, as any outer layer would.
+                    let ticket = service.submit(Request::admit(now, app.clone(), class));
+                    admitd.submit_traced(app, class, now, TraceContext::NONE, Some(ticket)).1
+                }
+                5 if live.is_empty() => Vec::new(),
+                5 => {
+                    let id = live.remove(detail as usize % live.len());
+                    service.submit(Request::release(now, id));
+                    admitd.release(id, now).1
+                }
+                6 => {
+                    service.submit(Request::new(now, Command::InjectFault { element }));
+                    admitd.fail_element(element, now).1
+                }
+                7 => {
+                    service.submit(Request::new(now, Command::Repair { element }));
+                    admitd.repair_element(element, now)
+                }
+                _ => {
+                    let ours = service.pump(CapacityEvent::Tick { now });
+                    prop_assert_eq!(ours, admitd.expire(now));
+                    Vec::new()
+                }
+            };
+            let mut ours = service.take_events();
+            for event in &ours {
+                match event {
+                    Event::Admitted { report, .. } => live.push(report.app_id),
+                    Event::Preempted { victim, .. } => live.retain(|id| id != victim),
+                    Event::ElementFailed { evicted, .. } => live.retain(|id| !evicted.contains(id)),
+                    _ => {}
+                }
+            }
+            ours.retain(|event| !matches!(
+                event,
+                Event::Released { .. } | Event::ElementFailed { .. } | Event::ElementRepaired { .. }
+            ));
+            prop_assert_eq!(ours, theirs, "op {} ({}, {})", n, kind, detail);
+        }
+        let now = ops.len() as u64;
+        prop_assert_eq!(service.pump(CapacityEvent::Shutdown { now }), admitd.shutdown(now));
+        prop_assert_eq!(
+            service.kairos().platform().checkpoint(),
+            admitd.kairos().platform().checkpoint()
+        );
+    }
+}
+
+/// Wrappers read the hub of the manager they wrap: over a lit manager the
+/// front-end and the service register their instruments at construction,
+/// over a dark one nothing is registered anywhere.
+#[test]
+fn wrappers_register_their_instruments_on_the_managers_hub() {
+    let registered = |kairos: &Kairos, prefix: &str| {
+        kairos.telemetry().snapshot().metrics.iter().filter(|m| m.name.starts_with(prefix)).count()
+    };
+    let manager = |lit: bool| {
+        let mut kairos = Kairos::new(topology::crisp(), KairosConfig::default());
+        if lit {
+            kairos.set_telemetry(Telemetry::new(TelemetryConfig::default()));
+        }
+        kairos
+    };
+
+    let admitd = Admitd::new(manager(true), AdmitPolicy::default());
+    assert!(registered(admitd.kairos(), "kairos.admitd.") > 0);
+    assert_eq!(registered(admitd.kairos(), "kairos.svc."), 0, "no service above it yet");
+    let queued = KairosService::queued(admitd);
+    assert!(registered(queued.kairos(), "kairos.svc.") > 0);
+
+    let direct = KairosService::direct(manager(true));
+    assert!(registered(direct.kairos(), "kairos.svc.") > 0);
+    assert_eq!(registered(direct.kairos(), "kairos.admitd."), 0, "no front-end below it");
+
+    let dark = KairosService::queued(Admitd::new(manager(false), AdmitPolicy::default()));
+    assert!(dark.telemetry().snapshot().is_empty());
+    assert!(KairosService::direct(manager(false)).telemetry().snapshot().is_empty());
 }
 
 #[test]

@@ -9,35 +9,38 @@
 //!
 //! Everything is deterministic — rerunning prints the identical trace.
 
-use kairos::admitd::{AdmitPolicy, Admitd, PriorityClass, QueueEvent};
+use kairos::admitd::{AdmitPolicy, Admitd, Event, PriorityClass};
 use kairos::appgen::{AppGenerator, DatasetSpec};
 use kairos::core::{Kairos, KairosConfig};
 use kairos::platform::topology;
 
-fn describe(events: &[QueueEvent]) {
+fn describe(events: &[Event]) {
     for event in events {
         match event {
-            QueueEvent::Enqueued { ticket, class, depth } => {
+            Event::Queued { ticket, class, depth } => {
                 println!("  ~ {ticket} [{class}] queued (depth {depth})");
             }
-            QueueEvent::Admitted { ticket, class, report, waited, attempts, .. } => {
+            Event::Admitted { ticket, class, report, waited, attempts, .. } => {
                 println!(
                     "  + {ticket} [{class}] admitted as {} after {waited} ticks, {attempts} attempt(s)",
                     report.app_id
                 );
             }
-            QueueEvent::AttemptFailed { ticket, class, attempt, phase } => {
+            Event::AttemptFailed { ticket, class, attempt, phase } => {
                 println!("  ! {ticket} [{class}] attempt {attempt} failed in {phase}, backing off");
             }
-            QueueEvent::Rejected { ticket, class, reason, waited } => {
-                println!("  - {ticket} [{class}] rejected after {waited} ticks: {reason:?}");
+            Event::Rejected { ticket, class, cause, waited } => {
+                println!("  - {ticket} [{class}] rejected after {waited} ticks: {cause:?}");
             }
-            QueueEvent::Preempted { victim, class, ticket, by } => {
-                println!("  < {victim} [{class}] preempted for {by}, requeued as {ticket}");
+            Event::Preempted { victim, class, requeued_as, by } => {
+                println!("  < {victim} [{class}] preempted for {by}, requeued as {requeued_as}");
             }
-            QueueEvent::Migrated { app, class, moved_tasks, by } => {
-                println!("  > {app} [{class}] migrated ({moved_tasks} tasks moved) for {by}");
+            Event::Migrated { ticket, app, moved_tasks } => {
+                println!("  > {app} migrated ({moved_tasks} tasks moved) for {ticket}");
             }
+            // Command results are the service layer's to emit
+            // (`examples/service.rs`); a bare front-end returns none.
+            _ => {}
         }
     }
 }
@@ -64,10 +67,10 @@ fn main() {
         clock += 5;
         let app = generator.generate(format!("batch-{clock}"));
         let (_, events) = admitd.submit(app, PriorityClass::Low, clock);
-        let admitted = events.iter().any(|e| matches!(e, QueueEvent::Admitted { .. }));
+        let admitted = events.iter().any(|e| matches!(e, Event::Admitted { .. }));
         describe(&events);
         for e in &events {
-            if let QueueEvent::Admitted { report, .. } = e {
+            if let Event::Admitted { report, .. } = e {
                 residents.push(report.app_id);
             }
         }

@@ -42,9 +42,9 @@
 //! * [`gateway`] — the queueing front-end: a decorator over any
 //!   `ResourceService` that streams admissions through per-shard bounded
 //!   request lanes in a deterministic single-threaded ticket-ordered
-//!   queue, keeps tens of thousands of requests in flight, exposes
-//!   per-ticket completion streams, and stays byte-identical to driving
-//!   the service directly under the default knobs;
+//!   queue, keeps tens of thousands of requests in flight, and stays
+//!   byte-identical to driving the service directly under the default
+//!   knobs;
 //! * [`sim`] — a deterministic discrete-event scenario engine driving the
 //!   service through long-running multi-application workloads with
 //!   arrivals (lone or in batched waves), departures and element faults,
