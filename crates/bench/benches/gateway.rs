@@ -6,8 +6,10 @@
 //! streamed through it flushes in *waves* (enqueue a wave, `drive`
 //! once). By default each admission of a wave is forwarded on its own,
 //! and the cluster underneath places it exactly as it places a direct
-//! `submit`: every shard probed in turn, then the winning shard commits
-//! its own probe by replay. The coalescing gateway
+//! `submit`: every shard probed in turn (the bench places least-loaded,
+//! which compares every shard — a first-fit cluster would stop at the
+//! first shard that fits), then the winning shard commits its own probe
+//! by replay. The coalescing gateway
 //! (`GatewayConfig::coalesce`) merges each wave into one batched
 //! submission, which the cluster places with a single pass over the
 //! pre-wave state — but a batched wave's admissions then run the pipeline
@@ -16,7 +18,7 @@
 //! one more pipeline run per request than the per-request path, plus the
 //! batch's own bookkeeping.
 //!
-//! Over the same cluster the coalescing gateway reads 0.55–0.59x the
+//! Over the same cluster the coalescing gateway reads 0.55–0.61x the
 //! default gateway. What this bench pins is that batching has not fallen
 //! off a cliff: at least 0.3x. CI executes the assertion as a smoke
 //! check; ROADMAP items 1(e) and 4(a) retire it with the knob. The sync

@@ -182,14 +182,17 @@ impl ClusterBuilder {
 /// regions; each region is owned by its own [`KairosService`] (direct or
 /// queued, exactly as a monolithic service would be). Traffic flows:
 ///
-/// * **Admissions** fan out as what-if probes across all shards (each
+/// * **Admissions** are placed by what-if probes of the shards (each
 ///   probe runs in a claim-journal transaction that is always rolled
-///   back, so losing probes cost nothing), shard by shard in shard-id
-///   order — a single admission and a batched wave alike — and the
-///   injected [`PlacementPolicy`] picks the winning shard from the
-///   row. The admission is then submitted to that shard's service,
-///   queueing semantics and all. When no shard fits, the policy's
-///   fallback shard takes the request (to queue or reject it).
+///   back, so a losing probe leaves nothing behind — but it is a full
+///   pipeline run), shard by shard in shard-id order — a single
+///   admission and a batched wave alike — until the injected
+///   [`PlacementPolicy`] calls the row
+///   [settled](PlacementPolicy::settled) or every shard has answered,
+///   and the policy picks the winning shard from that row. The admission
+///   is then submitted to that shard's service, queueing semantics and
+///   all. When no shard fits, the policy's fallback shard takes the
+///   request (to queue or reject it).
 /// * **Releases, migrations, faults and repairs** route to the owning
 ///   shard: app ids encode their home shard ([`APP_ID_STRIDE`]), element
 ///   ids translate through the [`RegionMap`].
@@ -242,8 +245,9 @@ pub const SCORE_E6_BOUNDS: &[u64] = &[100_000, 250_000, 500_000, 750_000, 900_00
 /// Pre-resolved registry handles for the cluster layer, built once at
 /// construction. Under the zero clock every recorded probe duration is
 /// `0`, so the per-shard probe histograms are a pure function of the
-/// probe count (`pooled_probe_waves_match_sequential_standalone_probes`
-/// pins them against standalone services).
+/// probes actually run (`pooled_probe_waves_match_sequential_standalone_probes`
+/// pins full rows against standalone services,
+/// `first_fit_probes_up_to_the_first_shard_that_fits` the settled ones).
 #[derive(Debug, Clone)]
 struct ClusterMetrics {
     probe_waves: Arc<Counter>,
@@ -347,59 +351,58 @@ impl ClusterService {
     /// always rolls back. The one-element case of
     /// [`Self::probe_admit_wave`].
     pub fn probe_admit(&mut self, app: &Application) -> Vec<ShardProbe> {
-        self.probe_wave(&[app]).pop().expect("one probe row per application")
+        self.probe_wave(&[app], true).pop().expect("one probe row per application")
     }
 
     /// Probes every shard with a state-neutral what-if admission of a
     /// whole arrival wave: each shard in turn probes *all* of `apps`
-    /// against its region. Returns one shard-id-ordered probe row per
-    /// application (probes are state-neutral, so the rows are independent
-    /// and row `i` is what [`Self::probe_admit`] returns for `apps[i]`) —
-    /// this is what batched submission places its admissions with.
+    /// against its region. Returns one full shard-id-ordered probe row
+    /// per application (probes are state-neutral, so the rows are
+    /// independent and row `i` is what [`Self::probe_admit`] returns for
+    /// `apps[i]`). Submission places its admissions with the same loop,
+    /// but stops growing a row once the policy calls it
+    /// [settled](PlacementPolicy::settled).
     pub fn probe_admit_wave(&mut self, apps: &[Application]) -> Vec<Vec<ShardProbe>> {
         let refs: Vec<&Application> = apps.iter().collect();
-        self.probe_wave(&refs)
+        self.probe_wave(&refs, true)
     }
 
-    /// [`Self::probe_admit_wave`] over borrowed applications (what the
-    /// submission paths call — the wave is still owned by the requests
-    /// being placed).
-    fn probe_wave(&mut self, apps: &[&Application]) -> Vec<Vec<ShardProbe>> {
+    /// The cluster's one probing loop: every shard, **in shard-id
+    /// order**, probes the wave members whose rows are not settled yet,
+    /// so row `a` of the result is the shard-id-ordered prefix of
+    /// `apps[a]`'s full probe row that its placement reads. `full_rows`
+    /// never settles (the public probe surface); the submission paths
+    /// pass `false` and ask [`PlacementPolicy::settled`], so a request
+    /// costs as many pipeline runs as its policy compares shards — one
+    /// when the first shard fits under [`FirstFit`], every shard under a
+    /// policy that leaves `settled` at its default. Counters, per-shard
+    /// histograms and score histograms see the probes actually run.
+    fn probe_wave(&mut self, apps: &[&Application], full_rows: bool) -> Vec<Vec<ShardProbe>> {
         let _span = self.telemetry.span("kairos_cluster", "probe_wave");
+        let mut rows: Vec<Vec<ShardProbe>> =
+            apps.iter().map(|_| Vec::with_capacity(self.shards.len())).collect();
+        for (i, shard) in self.shards.iter_mut().enumerate() {
+            let hist = self.metrics.as_ref().map(|m| &m.probe_ns[i]);
+            for (&app, row) in apps.iter().zip(&mut rows) {
+                if !full_rows && self.policy.settled(row) {
+                    continue;
+                }
+                let start = self.telemetry.clock();
+                let fit = fit_of(shard.service.probe_admit(app).ok());
+                if let Some(hist) = hist {
+                    hist.record(Telemetry::elapsed_ns(start));
+                }
+                row.push(ShardProbe { shard: i, fit });
+            }
+        }
         if let Some(m) = &self.metrics {
             m.probe_waves.inc();
-            m.probes.add((self.shards.len() * apps.len()) as u64);
-        }
-        let per_shard = self.fan_out(apps);
-        let rows: Vec<Vec<ShardProbe>> = (0..apps.len())
-            .map(|a| {
-                per_shard
-                    .iter()
-                    .enumerate()
-                    .map(|(shard, fits)| ShardProbe { shard, fit: fits[a] })
-                    .collect()
-            })
-            .collect();
-        if let Some(m) = &self.metrics {
             for row in &rows {
+                m.probes.add(row.len() as u64);
                 m.note_fits(row);
             }
         }
         rows
-    }
-
-    /// Every shard, in shard-id order, probes the whole wave (outer index
-    /// of the result = shard).
-    fn fan_out(&mut self, apps: &[&Application]) -> Vec<Vec<Option<ShardFit>>> {
-        let (metrics, telemetry) = (&self.metrics, &self.telemetry);
-        self.shards
-            .iter_mut()
-            .enumerate()
-            .map(|(i, shard)| {
-                let hist = metrics.as_ref().map(|m| &m.probe_ns[i]);
-                probe_all(&mut shard.service, apps, telemetry, hist)
-            })
-            .collect()
     }
 
     /// Current per-shard loads, in shard-id order.
@@ -415,19 +418,22 @@ impl ClusterService {
             .collect()
     }
 
-    /// Probes and routes: the shard this admission is submitted to.
+    /// Probes and routes: the shard this admission is submitted to — a
+    /// one-application wave through [`Self::probe_wave`], so up to one
+    /// probe per shard, fewer when the policy settles early.
     fn place(&mut self, app: &Application, ctx: TraceContext, at: u64) -> usize {
         if self.shards.len() == 1 {
             return 0;
         }
-        let probes = self.probe_admit(app);
+        let probes = self.probe_wave(&[app], false).pop().expect("one probe row per application");
         self.route(&probes, ctx, at)
     }
 
     /// Asks the policy, falls back, counts the placement: the shard the
-    /// admission behind probe row `probes` is routed to. A set `ctx` gets
-    /// one `probe.shard{i}` span per probed shard, in shard-id order
-    /// (probes themselves never trace — see `Kairos::probe_admit`).
+    /// admission behind probe row `probes` (possibly cut short by
+    /// [`PlacementPolicy::settled`]) is routed to. A set `ctx` gets one
+    /// `probe.shard{i}` span per probed shard, in shard-id order (probes
+    /// themselves never trace — see `Kairos::probe_admit`).
     fn route(&self, probes: &[ShardProbe], ctx: TraceContext, at: u64) -> usize {
         let (chosen, fell_back) = match self.policy.choose(probes) {
             Some(shard) => (shard, false),
@@ -673,26 +679,6 @@ impl ClusterService {
     }
 }
 
-/// Probes every application of a wave against one shard's manager,
-/// recording each probe's duration on `hist`.
-fn probe_all(
-    service: &mut KairosService,
-    apps: &[&Application],
-    telemetry: &Telemetry,
-    hist: Option<&Arc<Histogram>>,
-) -> Vec<Option<ShardFit>> {
-    apps.iter()
-        .map(|&app| {
-            let start = telemetry.clock();
-            let fit = fit_of(service.probe_admit(app).ok());
-            if let Some(hist) = hist {
-                hist.record(Telemetry::elapsed_ns(start));
-            }
-            fit
-        })
-        .collect()
-}
-
 fn fit_of(probe: Option<AdmissionProbe>) -> Option<ShardFit> {
     probe.map(|p| ShardFit {
         fragmentation: p.after.external_fragmentation,
@@ -712,7 +698,7 @@ impl ResourceService for ClusterService {
     fn submit_batch(&mut self, requests: Vec<Request>) -> Vec<Ticket> {
         // Place every admission against the pre-wave state — probes are
         // state-neutral, so the whole wave is probed in one per-shard
-        // pass ([`Self::probe_admit_wave`]) — group the wave
+        // pass ([`Self::probe_wave`]) — group the wave
         // by winning shard, and hand each shard its sub-wave as one
         // batched submission (one platform transaction, one drain pass —
         // per shard). Non-admission commands run after the wave, in
@@ -749,7 +735,7 @@ impl ResourceService for ClusterService {
             }
         } else {
             let apps: Vec<&Application> = admissions.iter().map(|(_, _, app, _, _)| app).collect();
-            let probes = self.probe_wave(&apps);
+            let probes = self.probe_wave(&apps, false);
             drop(apps);
             for ((ticket, at, app, class, ctx), row) in admissions.into_iter().zip(probes) {
                 let target = self.route(&row, ctx, at);
@@ -1017,6 +1003,53 @@ mod tests {
             assert_eq!(probe_histograms(cluster.telemetry()), probe_histograms(&reference_hub));
             assert_eq!(probe_histograms(&reference_hub).is_empty(), !lit);
         }
+    }
+
+    /// Pins the saving: placement probes as many shards as its policy
+    /// compares. Reads `(kairos.cluster.probes, per-shard probe_ns
+    /// counts, kairos.core.admit.replayed)` off the registry.
+    #[test]
+    fn first_fit_probes_up_to_the_first_shard_that_fits() {
+        let lit = |policy: Box<dyn PlacementPolicy>| {
+            ClusterBuilder::new(topology::crisp(), 3)
+                .deterministic(true)
+                .placement(policy)
+                .telemetry(Telemetry::new(kairos_telemetry::TelemetryConfig::default()))
+                .build()
+                .unwrap()
+        };
+        let read = |cluster: &ClusterService| -> (u64, Vec<u64>, u64) {
+            let m = cluster.metrics.as_ref().expect("lit cluster");
+            let replayed = cluster.telemetry.counter("kairos.core.admit.replayed").unwrap().get();
+            (m.probes.get(), m.probe_ns.iter().map(|h| h.snapshot().count).collect(), replayed)
+        };
+        let admit =
+            |i: u64| Request::admit(i, chain(&format!("a{i}"), 2, 600), PriorityClass::Normal);
+
+        let mut first_fit = lit(Box::new(FirstFit));
+        first_fit.submit(admit(0));
+        assert_eq!(read(&first_fit), (1, vec![1, 0, 0], 1), "shard 0 fits: one pipeline run");
+        assert_eq!(first_fit.shard(0).kairos().admitted_count(), 1);
+        // Fill shards 0 and 1 behind placement's back: the next request
+        // fits only on shard 2, and every shard is asked on the way.
+        for shard in &mut first_fit.shards[..2] {
+            while shard.service.admit_now(&chain("fill", 1, 990), PriorityClass::Normal).is_ok() {}
+        }
+        first_fit.submit(admit(1));
+        assert_eq!(first_fit.shard(2).kairos().admitted_count(), 1, "only shard 2 had room");
+        assert_eq!(read(&first_fit), (4, vec![2, 1, 1], 2));
+        // A batched wave shares the loop: both rows settle on shard 2.
+        first_fit.submit_batch(vec![admit(2), admit(3)]);
+        assert_eq!(first_fit.shard(2).kairos().admitted_count(), 3);
+        assert_eq!(read(&first_fit).0, 10);
+        // The public probe surface still returns full rows.
+        let mut idle = lit(Box::new(FirstFit));
+        assert_eq!(idle.probe_admit(&chain("probe", 2, 600)).len(), 3);
+        assert_eq!(read(&idle), (3, vec![1, 1, 1], 0));
+
+        let mut least_loaded = lit(Box::new(LeastLoaded));
+        least_loaded.submit(admit(0));
+        assert_eq!(read(&least_loaded), (3, vec![1, 1, 1], 1), "a comparing policy asks everyone");
     }
 
     #[test]

@@ -15,14 +15,17 @@
 //!   by its own [`Kairos`](kairos_svc::Kairos) manager (queued behind
 //!   `kairos-admitd` when an admission policy is set — identical knobs to
 //!   the monolithic [`ServiceBuilder`](kairos_svc::ServiceBuilder)).
-//! * **Admission probes** — every admission fans out as state-neutral
-//!   what-if probes across all shards (each a claim-journal transaction
-//!   its shard always rolls back), one shard after another **in
-//!   shard-id order** — a single admission and a batched wave alike. The
-//!   cluster, like everything below it, runs on its caller's thread and
-//!   spawns none: its output is a pure function of its inputs.
+//! * **Admission probes** — every admission is placed by state-neutral
+//!   what-if probes of the shards (each a claim-journal transaction its
+//!   shard always rolls back, each one full pipeline run), one shard
+//!   after another **in shard-id order** — a single admission and a
+//!   batched wave alike — until the placement policy's choice is
+//!   [settled](PlacementPolicy::settled): up to one probe per shard,
+//!   one when the first shard fits under [`FirstFit`]. The cluster, like
+//!   everything below it, runs on its caller's thread and spawns none:
+//!   its output is a pure function of its inputs.
 //! * **Pluggable placement** — a [`PlacementPolicy`] trait object picks
-//!   the winning shard from the merged probes: [`FirstFit`],
+//!   the winning shard from the probed row: [`FirstFit`],
 //!   [`BestFitFragmentation`] (lowest post-admission §III-A
 //!   fragmentation) or [`LeastLoaded`], with a fallback route for
 //!   requests no shard can admit right now.

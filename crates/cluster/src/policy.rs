@@ -1,15 +1,18 @@
 //! Pluggable shard-placement policies.
 //!
 //! When an admission arrives at a [`ClusterService`](crate::ClusterService),
-//! every shard is probed with a state-neutral what-if admission and the
-//! probe results, in shard-id order, are handed to a [`PlacementPolicy`]
-//! to pick the winning shard. The policy is a trait object injected at
-//! construction
+//! shards are probed in shard-id order with a state-neutral what-if
+//! admission — each probe is one full pipeline run — until the
+//! [`PlacementPolicy`] says the row probed so far settles its choice
+//! ([`PlacementPolicy::settled`]) or no shard is left, and the policy
+//! picks the winning shard from that row. The policy is a trait object
+//! injected at construction
 //! ([`ClusterBuilder::placement`](crate::ClusterBuilder::placement)), so
 //! deployments can bring their own scoring; the three built-ins cover the
-//! classic spectrum: [`FirstFit`] (cheapest), [`BestFitFragmentation`]
-//! (keeps every shard's free space contiguous) and [`LeastLoaded`]
-//! (spreads load).
+//! classic spectrum: [`FirstFit`] (cheapest: it stops at the first shard
+//! that fits), [`BestFitFragmentation`] (keeps every shard's free space
+//! contiguous) and [`LeastLoaded`] (spreads load) — the last two compare
+//! every shard, so they probe every shard.
 
 use serde::{Deserialize, Serialize};
 
@@ -61,7 +64,23 @@ pub trait PlacementPolicy: std::fmt::Debug + Send + Sync {
 
     /// The winning shard among `probes` (always passed in shard-id
     /// order), or `None` when no shard can admit the application now.
+    /// `probes` covers shards `0..probes.len()`: every shard, unless
+    /// [`Self::settled`] cut the row short.
     fn choose(&self, probes: &[ShardProbe]) -> Option<usize>;
+
+    /// Whether the shards probed so far already decide the placement, so
+    /// the cluster may skip the remaining shards' pipeline runs. `probed`
+    /// is a shard-id-ordered prefix of the full probe row. The default —
+    /// never — is right for any policy that compares shards.
+    ///
+    /// **The law** a policy signs by overriding this: if `settled(p)`,
+    /// then `choose(r) == choose(p)` for every row `r` that extends `p`
+    /// with further shards' probes, whatever those probes report. The
+    /// cluster relies on it to route from the partial row exactly as it
+    /// would have from the full one.
+    fn settled(&self, _probed: &[ShardProbe]) -> bool {
+        false
+    }
 
     /// Where to route a request no shard can admit right now. On a
     /// queued cluster the request waits in this shard's queue; on a
@@ -82,8 +101,9 @@ pub trait PlacementPolicy: std::fmt::Debug + Send + Sync {
 }
 
 /// Routes every admission to the lowest-id shard that can take it — the
-/// cheapest policy, and the one that concentrates load (useful as the
-/// imbalance-generating baseline for rebalance experiments).
+/// cheapest policy (no shard past the first fit is probed), and the one
+/// that concentrates load (useful as the imbalance-generating baseline
+/// for rebalance experiments).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct FirstFit;
 
@@ -94,6 +114,10 @@ impl PlacementPolicy for FirstFit {
 
     fn choose(&self, probes: &[ShardProbe]) -> Option<usize> {
         probes.iter().find(|p| p.fit.is_some()).map(|p| p.shard)
+    }
+
+    fn settled(&self, probed: &[ShardProbe]) -> bool {
+        probed.last().is_some_and(|p| p.fit.is_some())
     }
 }
 
@@ -175,6 +199,7 @@ impl PlacementPolicyKind {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn fit(fragmentation: f64, resource_utilisation: f64) -> Option<ShardFit> {
         Some(ShardFit { fragmentation, resource_utilisation, free_islands: 1 })
@@ -199,6 +224,46 @@ mod tests {
         assert_eq!(FirstFit.choose(&nobody), None);
         assert_eq!(BestFitFragmentation.choose(&nobody), None);
         assert_eq!(LeastLoaded.choose(&nobody), None);
+        // First-fit is settled by a prefix ending in a fit, and by
+        // nothing shorter; nobody fitting settles nothing.
+        assert!(!FirstFit.settled(&[]));
+        assert!(FirstFit.settled(&probes()[..1]));
+        assert!((0..=3).all(|cut| !FirstFit.settled(&nobody[..cut])));
+    }
+
+    proptest! {
+        /// The [`PlacementPolicy::settled`] law on the built-ins: a
+        /// settled prefix chooses what every extension of it chooses, and
+        /// the two comparing policies never settle on a proper prefix.
+        #[test]
+        fn a_settled_prefix_chooses_what_every_extension_chooses(
+            fits in proptest::collection::vec((any::<bool>(), 0u8..4, 0u8..4), 1..7),
+        ) {
+            let row: Vec<ShardProbe> = fits
+                .iter()
+                .enumerate()
+                .map(|(shard, &(fits, frag, load))| ShardProbe {
+                    shard,
+                    fit: if fits { fit(f64::from(frag) / 4.0, f64::from(load) / 4.0) } else { None },
+                })
+                .collect();
+            let policies: [&dyn PlacementPolicy; 3] = [&FirstFit, &BestFitFragmentation, &LeastLoaded];
+            for policy in policies {
+                for cut in (0..=row.len()).filter(|&cut| policy.settled(&row[..cut])) {
+                    for end in cut..=row.len() {
+                        prop_assert_eq!(
+                            policy.choose(&row[..end]),
+                            policy.choose(&row[..cut]),
+                            "{} settled on {} of {:?}", policy.name(), cut, &row[..end]
+                        );
+                    }
+                }
+            }
+            for cut in 0..row.len() {
+                prop_assert!(!BestFitFragmentation.settled(&row[..cut]));
+                prop_assert!(!LeastLoaded.settled(&row[..cut]));
+            }
+        }
     }
 
     #[test]

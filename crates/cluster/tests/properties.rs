@@ -1,8 +1,9 @@
 //! Property tests of the sharded service: cluster output is a pure
 //! function of its inputs, a probe wave is its applications probed one
 //! by one and changes nothing, a one-shard cluster is indistinguishable
-//! from the monolithic service, and one ticket names a request at every
-//! layer of the stack (monolith, cluster, gateway over cluster).
+//! from the monolithic service, one ticket names a request at every
+//! layer of the stack (monolith, cluster, gateway over cluster), and a
+//! policy that settles early decides what probing every shard decides.
 
 use proptest::prelude::*;
 
@@ -11,7 +12,11 @@ use std::sync::{Arc, Mutex};
 
 use kairos_admitd::{AdmitPolicy, PreemptionPolicy, PriorityClass};
 use kairos_app::{Application, ApplicationBuilder, Implementation, TaskRole};
-use kairos_cluster::{ClusterBuilder, ClusterService, LeastLoaded};
+use kairos_cluster::{
+    BestFitFragmentation, ClusterBuilder, ClusterService, FirstFit, LeastLoaded, PlacementPolicy,
+    ShardLoad, ShardProbe,
+};
+use kairos_core::{CacheConfig, KairosConfig};
 use kairos_gateway::{Gateway, GatewayConfig};
 use kairos_platform::{
     topology, AppId, ElementId, ElementKind, PlatformCheckpoint, ResourceVector,
@@ -282,6 +287,43 @@ fn assert_stamped_tickets_are_honoured(service: &mut dyn ResourceService) {
     assert!(tail > tickets[2]);
 }
 
+/// The same policy, probing eagerly: forwards every decision and leaves
+/// [`PlacementPolicy::settled`] at its default, so the cluster under it
+/// asks every shard — the reference a settling policy is compared with.
+#[derive(Debug)]
+struct Eager<P>(P);
+
+impl<P: PlacementPolicy> PlacementPolicy for Eager<P> {
+    fn name(&self) -> &'static str {
+        self.0.name()
+    }
+    fn choose(&self, probes: &[ShardProbe]) -> Option<usize> {
+        self.0.choose(probes)
+    }
+    fn fallback(&self, loads: &[ShardLoad]) -> usize {
+        self.0.fallback(loads)
+    }
+}
+
+/// A small cluster — twelve DSPs cut `shards` ways, so shards fill up
+/// within a storm — under `policy`, queued and cached as asked.
+fn twin(
+    policy: Box<dyn PlacementPolicy>,
+    shards: usize,
+    queued: bool,
+    cached: bool,
+) -> ClusterService {
+    let cache = cached.then(CacheConfig::default);
+    let mut builder = ClusterBuilder::new(topology::dsp_mesh(4, 3), shards)
+        .config(KairosConfig { cache, ..KairosConfig::default() })
+        .deterministic(true)
+        .placement(policy);
+    if queued {
+        builder = builder.admission(evict_policy());
+    }
+    builder.build().unwrap()
+}
+
 #[test]
 fn every_layer_honours_a_stamped_ticket_and_mints_past_it() {
     assert_stamped_tickets_are_honoured(&mut monolith(false));
@@ -529,5 +571,79 @@ proptest! {
             expected_live,
             "population must balance: {}", trace
         );
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// Lazy == eager, end to end: a cluster whose policy may settle
+    /// before the last shard and its twin under [`Eager`] hand back the
+    /// same tickets, the same event stream in the same order and — shard
+    /// by shard, after every step — the same manager state, through
+    /// `submit` and `submit_batch`, across faults and repairs, with the
+    /// operating-point cache (whose contents the skipped probes do
+    /// change) on and off.
+    #[test]
+    fn settling_early_decides_what_probing_every_shard_decides(
+        ops in proptest::collection::vec((0u8..8, any::<u8>(), any::<u8>()), 1..40),
+        shards in 2usize..5,
+        policy in 0u8..4,
+        queued in any::<bool>(),
+        cached in any::<bool>(),
+    ) {
+        let (lazy, eager): (Box<dyn PlacementPolicy>, Box<dyn PlacementPolicy>) = match policy {
+            0 => (Box::new(BestFitFragmentation), Box::new(Eager(BestFitFragmentation))),
+            1 => (Box::new(LeastLoaded), Box::new(Eager(LeastLoaded))),
+            _ => (Box::new(FirstFit), Box::new(Eager(FirstFit))),
+        };
+        let mut lazy = twin(lazy, shards, queued, cached);
+        let mut eager = twin(eager, shards, queued, cached);
+        let mut live: Vec<AppId> = Vec::new();
+        for (i, &(op, a, b)) in ops.iter().enumerate() {
+            let at = i as u64;
+            let admit = |k: u8| {
+                let (tasks, cpu) = (1 + ((a >> k) % 3) as usize, 400 + 150 * u64::from((b >> k) % 5));
+                let class = PriorityClass::ALL[((b >> k) % 4) as usize];
+                Request::admit(at, chain(&format!("e{i}-{k}"), tasks, cpu), class)
+            };
+            let element = ElementId(u32::from(a) % 12);
+            let requests: Vec<Request> = match op {
+                0..=2 => vec![admit(0)],
+                3 => (0..2 + a % 3).map(admit).collect(),
+                4 | 5 if !live.is_empty() => {
+                    vec![Request::release(at, live[a as usize % live.len()])]
+                }
+                6 => vec![Request::new(at, Command::InjectFault { element })],
+                7 => vec![Request::new(at, Command::Repair { element })],
+                _ => continue,
+            };
+            let batched = requests.len() > 1 || b >= 128;
+            let step = |cluster: &mut ClusterService| -> (Vec<Ticket>, Vec<Event>) {
+                let tickets = match batched {
+                    true => cluster.submit_batch(requests.clone()),
+                    false => requests.iter().cloned().map(|r| cluster.submit(r)).collect(),
+                };
+                (tickets, cluster.take_events())
+            };
+            let answered = step(&mut lazy);
+            prop_assert_eq!(&step(&mut eager), &answered, "step {} diverged", i);
+            for shard in 0..shards {
+                prop_assert_eq!(
+                    lazy.shard(shard).kairos().checkpoint(),
+                    eager.shard(shard).kairos().checkpoint(),
+                    "shard {} after step {}", shard, i
+                );
+            }
+            for event in answered.1 {
+                match event {
+                    Event::Admitted { report, .. } => live.push(report.app_id),
+                    Event::Released { app, .. } => live.retain(|&id| id != app),
+                    Event::Preempted { victim, .. } => live.retain(|&id| id != victim),
+                    Event::ElementFailed { evicted, .. } => live.retain(|id| !evicted.contains(id)),
+                    _ => {}
+                }
+            }
+        }
     }
 }

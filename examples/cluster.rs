@@ -1,6 +1,7 @@
 //! Guided tour of the `kairos-cluster` sharded deployment: partition a
 //! platform into region shards, admit an arrival wave through what-if
-//! probes of every shard, then force a cross-shard rebalance.
+//! probes of the shards (first-fit stops at the first shard that fits),
+//! then force a cross-shard rebalance.
 //!
 //! ```text
 //! cargo run --release --example cluster

@@ -52,7 +52,8 @@ fn main() {
     }
 
     // 2. Per-shard probe latency: each admission fans out as one what-if
-    // probe per shard, timed into that shard's histogram. Under the
+    // probe per shard (the scenario places least-loaded, which compares
+    // every shard), timed into that shard's histogram. Under the
     // deterministic zero clock every duration is 0 ns, so the counts are
     // the signal — and they are byte-reproducible run to run.
     println!("-- probe fan-out, per shard --");

@@ -35,8 +35,9 @@
 //! * [`cluster`] — the sharded deployment: the platform partitioned into
 //!   contiguous capacity-balanced region shards (`RegionMap`), one
 //!   manager per shard behind the same `ResourceService` surface
-//!   (`ClusterService`), what-if admission probes across all shards in
-//!   shard-id order, pluggable placement policies (first-fit /
+//!   (`ClusterService`), what-if admission probes of the shards in
+//!   shard-id order (as many as the placement policy compares),
+//!   pluggable placement policies (first-fit /
 //!   best-fit-by-fragmentation / least-loaded) and cross-shard
 //!   rebalancing sweeps;
 //! * [`gateway`] — the queueing front-end: a decorator over any
