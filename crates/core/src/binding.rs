@@ -44,14 +44,34 @@ pub(crate) struct BindingScratch {
 
 /// Virtual free-resource pool: the platform's free vectors under a small
 /// overlay of the debits made as bindings are decided. Nothing
-/// platform-sized is copied, and every query walks only the elements of
-/// the kind it asks about.
+/// platform-sized is copied or walked: a query reads the platform's
+/// free-capacity rank of the kind it asks about from the first total that
+/// could cover the demand, plus the overlay and whatever elements were
+/// mutated since the rank was last refreshed.
 #[derive(Debug)]
 struct Pool<'a> {
     platform: &'a Platform,
     /// Elements debited so far with what they have left, ascending by
     /// element id; at most one entry per bound task.
     debited: &'a mut Vec<(ElementId, ResourceVector)>,
+}
+
+/// A best-fit candidate: `(free total, id, what it would have left)`.
+type Fit = (u64, ElementId, ResourceVector);
+
+/// Keeps in `best` the lesser by `(free total, id)` of itself and `e` at
+/// `free`, when `free` covers `demand`; `true` when it does.
+fn offer(
+    best: &mut Option<Fit>,
+    e: ElementId,
+    free: ResourceVector,
+    demand: &ResourceVector,
+) -> bool {
+    let Some(left) = free.checked_sub(demand) else { return false };
+    if best.is_none_or(|(total, id, _)| (free.total(), e) < (total, id)) {
+        *best = Some((free.total(), e, left));
+    }
+    true
 }
 
 impl<'a> Pool<'a> {
@@ -61,44 +81,53 @@ impl<'a> Pool<'a> {
         Pool { platform, debited }
     }
 
-    /// The alive elements of `kind` with their virtual free vectors, in
-    /// ascending id order — the order the overlay is kept in, so one
-    /// cursor walks it alongside.
-    fn free_of_kind(
-        &self,
-        kind: ElementKind,
-    ) -> impl Iterator<Item = (ElementId, ResourceVector)> + '_ {
-        let mut debited = self.debited.iter().peekable();
-        self.platform.ids_of_kind(kind).iter().filter(|&&e| !self.platform.is_failed(e)).map(
-            move |&e| {
-                while debited.next_if(|&&(d, _)| d < e).is_some() {}
-                match debited.peek() {
-                    Some(&&(d, left)) if d == e => (e, left),
-                    _ => (e, self.platform.free(e)),
-                }
-            },
-        )
+    fn is_debited(&self, e: ElementId) -> bool {
+        self.debited.binary_search_by_key(&e, |&(d, _)| d).is_ok()
     }
 
     /// `true` when some element of `kind` still covers `demand`.
     fn feasible(&self, kind: ElementKind, demand: &ResourceVector) -> bool {
-        self.free_of_kind(kind).any(|(_, free)| free.fits(demand))
+        self.best_fit(kind, demand).is_some()
     }
 
-    /// The element of `kind` that fits `demand` with the least leftover
-    /// capacity (best fit; the lowest id among equals), with what it would
-    /// have left.
+    /// The alive element of `kind` that fits `demand` with the least
+    /// leftover capacity (best fit; the lowest id among equals), with what
+    /// it would have left.
+    ///
+    /// A fitting element is left with `free.total() - demand.total()`, so
+    /// the best fit is the least `(free total, id)` among fitting elements,
+    /// drawn from three disjoint sources: the debited elements at what they
+    /// have left, the elements mutated since the rank's last refresh at
+    /// their current free vectors, and the rank itself, whose first fitting
+    /// entry from the first total that covers `demand.total()` is the best
+    /// of the rest.
     fn best_fit(
         &self,
         kind: ElementKind,
         demand: &ResourceVector,
     ) -> Option<(ElementId, ResourceVector)> {
-        let mut best: Option<(u64, ElementId, ResourceVector)> = None;
-        for (e, free) in self.free_of_kind(kind) {
-            let Some(left) = free.checked_sub(demand) else { continue };
-            let leftover = left.total();
-            if best.is_none_or(|(least, ..)| leftover < least) {
-                best = Some((leftover, e, left));
+        let platform = self.platform;
+        let mut best = None;
+        for &(e, left) in self.debited.iter() {
+            if platform.element(e).kind() == kind {
+                offer(&mut best, e, left, demand);
+            }
+        }
+        for &e in platform.free_rank_dirty() {
+            if platform.element(e).kind() == kind && !platform.is_failed(e) && !self.is_debited(e) {
+                offer(&mut best, e, platform.free(e), demand);
+            }
+        }
+        let rank = platform.free_rank(kind);
+        let from = rank.partition_point(|&(total, _)| total < demand.total());
+        for &(total, e) in &rank[from..] {
+            if best.is_some_and(|(least, id, _)| (least, id) < (total, e)) {
+                break;
+            }
+            let skip =
+                platform.is_failed(e) || platform.is_free_rank_dirty(e) || self.is_debited(e);
+            if !skip && offer(&mut best, e, platform.free(e), demand) {
+                break;
             }
         }
         best.map(|(_, e, left)| (e, left))
@@ -262,21 +291,60 @@ mod tests {
 
     #[test]
     fn overlay_pool_decides_what_a_dense_copy_decides() {
-        // A loaded heterogeneous platform with dead elements, then a long
-        // run of debits that interleaves kinds and returns to elements
-        // already debited, so the overlay's cursor has to skip entries of
-        // other kinds and update entries in place.
-        let mut platform = topology::heterogeneous_mesh(6, 6);
-        let ids: Vec<_> = platform.element_ids().collect();
+        // A loaded heterogeneous platform with dead elements; equal claims
+        // on equal elements leave ties for the lowest-id rule to break.
+        let mut unrefreshed = topology::heterogeneous_mesh(6, 6);
+        let ids: Vec<_> = unrefreshed.element_ids().collect();
         for (i, &e) in ids.iter().enumerate() {
-            let claimed = platform.free(e).scaled((i as u64 * 7) % 10, 10);
-            platform.claim(e, Occupant { app: AppId(0), task: i as u32, claimed }).unwrap();
+            let claimed = unrefreshed.free(e).scaled((i as u64 * 7) % 10, 10);
+            unrefreshed.claim(e, Occupant { app: AppId(0), task: i as u32, claimed }).unwrap();
             if i % 11 == 3 {
-                platform.fail_element(e);
+                unrefreshed.fail_element(e);
             }
         }
+        assert_eq!(unrefreshed.free_rank_dirty().len(), ids.len());
+        let mut refreshed = unrefreshed.clone();
+        refreshed.refresh_free_rank();
+        assert!(refreshed.free_rank_dirty().is_empty());
+
+        // The refreshed platform under pending mutations — what the frozen
+        // benchmark's `bind` sees on a platform it mutates in a loop: claims
+        // and releases that move elements both ways past stale rank
+        // entries, a repair, a committed and a rolled-back transaction.
+        let mut pending = refreshed.clone();
+        let grow = ResourceVector::new(40, 2, 0, 0);
+        for (i, &e) in ids.iter().enumerate().filter(|(i, _)| i % 3 == 1) {
+            if i % 2 == 0 {
+                pending.release(e, AppId(0), i as u32).unwrap();
+            } else {
+                let _ = pending.claim(e, Occupant { app: AppId(1), task: i as u32, claimed: grow });
+            }
+        }
+        pending.repair_element(ids[3]);
+        pending.begin_txn();
+        pending.release(ids[5], AppId(0), 5).unwrap();
+        pending.claim(ids[6], Occupant { app: AppId(2), task: 0, claimed: grow }).unwrap();
+        pending.commit_txn();
+        let settled = pending.checkpoint();
+        pending.begin_txn();
+        pending.release(ids[8], AppId(0), 8).unwrap();
+        pending.claim(ids[9], Occupant { app: AppId(2), task: 1, claimed: grow }).unwrap();
+        pending.rollback_txn();
+        assert_eq!(pending.checkpoint(), settled);
+        assert!(pending.free_rank_dirty().len() > ids.len() / 3);
+
+        for platform in [&unrefreshed, &refreshed, &pending] {
+            decides_what_a_dense_copy_decides(platform);
+        }
+    }
+
+    /// A long run of debits on `platform` that interleaves kinds and
+    /// returns to elements already debited, each query checked against the
+    /// dense walk.
+    fn decides_what_a_dense_copy_decides(platform: &Platform) {
+        let ids: Vec<_> = platform.element_ids().collect();
         let mut debited = vec![(ElementId(0), ResourceVector::ZERO)];
-        let mut pool = Pool::of(&platform, &mut debited);
+        let mut pool = Pool::of(platform, &mut debited);
         assert!(pool.debited.is_empty(), "a pool starts undebited, whatever the buffer held");
         let mut dense: Vec<ResourceVector> = ids.iter().map(|&e| platform.free(e)).collect();
         let mut committed = 0;
@@ -290,7 +358,7 @@ mod tests {
                 ElementKind::TestUnit, // none on this platform
             ][step as usize % 6];
             let demand = ResourceVector::new(step * 37 % 150, step * 13 % 8, 0, 0);
-            let expected = dense_best_fit(&platform, &dense, kind, &demand);
+            let expected = dense_best_fit(platform, &dense, kind, &demand);
             assert_eq!(pool.best_fit(kind, &demand).map(|(e, _)| e.index()), expected);
             assert_eq!(pool.feasible(kind, &demand), expected.is_some());
             assert_eq!(pool.commit(kind, &demand), expected.is_some());

@@ -17,11 +17,14 @@
 //!   not of who the residents are — so a decision can come back any
 //!   number of admissions later, and under other tenants, as long as the
 //!   same resources are free in the same places. What makes leaving
-//!   identity out sound: the only reader of it on the admission path is
-//!   `CostContext::fragmentation_bonus` ("does this neighbour hold a task
-//!   of the application I am placing?"), and `Kairos::place` is always
-//!   handed an id no resident carries (asserted there in debug builds),
-//!   so every pre-existing occupant answers "no" whatever its id.
+//!   identity out sound: nothing on the admission path reads it. The
+//!   mapper's cost function asks the platform only whether a neighbour
+//!   is used (`Platform::is_used`) and learns which used neighbours hold
+//!   its own tasks or their peers from the placement it is building
+//!   (`CostTables`), never from occupant ids — exact because
+//!   `Kairos::place` and `map_application` are always handed an id no
+//!   resident carries (asserted in debug builds), so everything resident
+//!   before a placement starts is someone else's.
 //!   Neither half is computed per lookup: the shape is a field the
 //!   application hashed when it was built, and the stamp is a sum of
 //!   per-record digests the platform maintains, re-digesting at a lookup

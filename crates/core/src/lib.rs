@@ -75,8 +75,8 @@ pub use manager::{
 // `kairos-opcache` dependency.
 pub use kairos_opcache::{CacheConfig, CacheStats};
 pub use mapping::{
-    map_application, CostContext, CostPolicy, CostWeights, ElementSearch, GapState, KnapsackItem,
-    KnapsackSolver, MapperConfig, MappingReport, DEFAULT_MISS_PENALTY,
+    map_application, CostContext, CostPolicy, CostTables, CostWeights, ElementSearch, GapState,
+    KnapsackItem, KnapsackSolver, MapperConfig, MappingReport, DEFAULT_MISS_PENALTY,
 };
 pub use metrics::{ElementActivity, OccupancySnapshot, PhaseClock, PhaseStart, PhaseTimings};
 pub use routing::{release_routes, route_channels, RouteAlgorithm};

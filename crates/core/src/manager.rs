@@ -390,6 +390,11 @@ fn capture_seats(
 impl Kairos {
     /// Creates a resource manager owning `platform`, with telemetry
     /// disabled (attach a hub with [`Kairos::set_telemetry`]).
+    ///
+    /// Whatever already resides on `platform` must not carry an id this
+    /// manager hands out (`config.app_id_base` upwards): every placement
+    /// assumes the id it places is on no element yet, and debug builds
+    /// assert it.
     pub fn new(platform: Platform, config: KairosConfig) -> Self {
         let next_app = config.app_id_base;
         Kairos {
@@ -937,10 +942,12 @@ impl Kairos {
     ) -> Result<(ExecutionLayout, Option<ValidationReport>), AllocationError> {
         let clock = self.phase_clock();
 
-        // Phase 1: binding.
+        // Phase 1: binding, on a free-capacity rank brought up to date with
+        // whatever was mutated since the last cold run.
         let start = clock.start();
         let binding = {
             let _span = self.telemetry.span("kairos_core", "phase.binding");
+            self.platform.refresh_free_rank();
             bind_in(app, &self.platform, &mut self.workspace.binding)
         };
         let elapsed = start.elapsed();

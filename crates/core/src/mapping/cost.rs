@@ -13,9 +13,14 @@
 //!   peers of t, tasks from the same application A, or tasks from other
 //!   applications", plus a bonus for low connectivity (chip-border
 //!   elements), steering allocations toward already-used regions.
+//!
+//! Both terms read the request through [`CostTables`] — each task's mapped
+//! peers and each element's count of the request's own tasks, tabled when
+//! the placement changes — so one evaluation costs the task's peer list
+//! and the element's neighbour row, whatever the platform's size or load.
 
 use kairos_app::{Application, TaskId};
-use kairos_platform::{AppId, ElementId, Platform, SparseDistanceMatrix};
+use kairos_platform::{ElementId, Platform, SparseDistanceMatrix};
 
 /// Neighbor bonus for retaining a communication peer of the task.
 pub const BONUS_PEER: f64 = 3.0;
@@ -95,18 +100,97 @@ impl std::fmt::Display for CostPolicy {
     }
 }
 
+/// What the cost function knows of the request being placed, tabled when
+/// the placement changes instead of re-derived per `(task, element)`
+/// evaluation: each tabled task's mapped communication peers, and how many
+/// of the request's own tasks each element holds.
+///
+/// Both are read off the partial placement, never off the platform's
+/// resident lists, so the cost function reads no occupant identity: the
+/// platform tells it only whether an element is used. That is exact
+/// because the application being placed has a fresh id — nothing resident
+/// before its placement started is its own.
+#[derive(Debug, Clone, Default)]
+pub struct CostTables {
+    /// The mapped peers of the tabled tasks, one entry per channel to a
+    /// mapped peer: `(peer's element, bandwidth / BANDWIDTH_UNIT)`, each
+    /// task's consumers before its producers.
+    peers: Vec<(ElementId, f64)>,
+    /// Per task id: the task's run `start..end` of `peers` (meaningful for
+    /// tabled tasks only).
+    peer_runs: Vec<(u32, u32)>,
+    /// Per element id: the request's placed tasks on it.
+    own: Vec<u32>,
+}
+
+impl CostTables {
+    /// The tables of every task of `app` under the partial `placement`
+    /// (indexed by task id) on a platform of `element_count` elements.
+    pub fn new(app: &Application, placement: &[Option<ElementId>], element_count: usize) -> Self {
+        let mut tables = CostTables::default();
+        tables.reset(app.task_count(), element_count);
+        placement.iter().flatten().for_each(|&e| tables.place(e));
+        tables.table_peers(app, placement, app.task_ids());
+        tables
+    }
+
+    /// Empties the tables for a request of `tasks` tasks on `elements`
+    /// elements: nothing placed, no task tabled.
+    pub(crate) fn reset(&mut self, tasks: usize, elements: usize) {
+        self.peers.clear();
+        self.peer_runs.clear();
+        self.peer_runs.resize(tasks, (0, 0));
+        self.own.clear();
+        self.own.resize(elements, 0);
+    }
+
+    /// Counts one more of the request's tasks placed on `e`.
+    pub(crate) fn place(&mut self, e: ElementId) {
+        self.own[e.index()] += 1;
+    }
+
+    /// Tables the mapped peers of `tasks` under `placement`, replacing
+    /// whatever was tabled before.
+    pub(crate) fn table_peers(
+        &mut self,
+        app: &Application,
+        placement: &[Option<ElementId>],
+        tasks: impl IntoIterator<Item = TaskId>,
+    ) {
+        self.peers.clear();
+        for t in tasks {
+            let start = self.peers.len() as u32;
+            for &(peer, channel) in app.consumers(t).iter().chain(app.producers(t)) {
+                // Unmapped peers are left out of the equation.
+                if let Some(e) = placement[peer.index()] {
+                    let bandwidth = app.channel(channel).bandwidth() as f64 / BANDWIDTH_UNIT;
+                    self.peers.push((e, bandwidth));
+                }
+            }
+            self.peer_runs[t.index()] = (start, self.peers.len() as u32);
+        }
+    }
+
+    /// The mapped peers of tabled task `t`: `(element, bandwidth /
+    /// BANDWIDTH_UNIT)` per channel, consumers first.
+    pub(crate) fn peers(&self, t: TaskId) -> &[(ElementId, f64)] {
+        let (start, end) = self.peer_runs[t.index()];
+        &self.peers[start as usize..end as usize]
+    }
+
+    /// How many of the request's tasks are placed on `e`.
+    pub(crate) fn own_tasks_on(&self, e: ElementId) -> u32 {
+        self.own[e.index()]
+    }
+}
+
 /// Everything the cost function needs to evaluate a `(task, element)` pair.
 #[derive(Debug)]
 pub struct CostContext<'a> {
-    /// The application being mapped.
-    pub app: &'a Application,
-    /// The platform with its current occupancy (committed claims only).
+    /// The platform: its structure, and which elements are used.
     pub platform: &'a Platform,
-    /// Identity of the application being mapped (distinguishes "same app"
-    /// from "other app" in fragmentation bonuses).
-    pub app_id: AppId,
-    /// Partial placement: the committed element of each already-mapped task.
-    pub placement: &'a [Option<ElementId>],
+    /// The request's mapped peers and own placed tasks.
+    pub tables: &'a CostTables,
     /// Distances discovered by the element search so far.
     pub distances: &'a SparseDistanceMatrix,
     /// Objective weights.
@@ -139,13 +223,9 @@ impl CostContext<'_> {
     /// already-mapped communication peers of `t`.
     pub fn communication_term(&self, t: TaskId, e: ElementId) -> f64 {
         let mut total = 0.0;
-        for &(peer, channel) in self.app.consumers(t).iter().chain(self.app.producers(t)) {
-            let Some(peer_element) = self.placement[peer.index()] else {
-                continue; // unmapped peers are left out of the equation
-            };
+        for &(peer_element, bandwidth) in self.tables.peers(t) {
             let hops =
                 self.distances.get_symmetric(peer_element, e).map_or(self.miss_penalty, f64::from);
-            let bandwidth = self.app.channel(channel).bandwidth() as f64 / BANDWIDTH_UNIT;
             total += hops * bandwidth;
         }
         total
@@ -153,28 +233,23 @@ impl CostContext<'_> {
 
     /// The fragmentation bonus of placing `t` on `e` (higher is better).
     ///
-    /// The only reader of occupant identity on the admission path: it asks
-    /// of each neighbour whether it is idle, holds a task of *this*
-    /// application, or holds anyone else's. `Platform::state_stamp` relies
-    /// on that — it digests the used flag and leaves identity out, which is
-    /// sound because `self.app_id` is never resident before its placement
-    /// starts. Reading more of an [`Occupant`](kairos_platform::Occupant)
-    /// here means putting it in the stamp.
+    /// Of each used neighbour it asks whether it holds a mapped peer of
+    /// `t`, another of the request's own tasks, or only other applications'
+    /// — the first two from the tables, so the platform is asked nothing
+    /// but `is_used`. `Platform::state_stamp` relies on that: it digests
+    /// the used flag and leaves resident identity out. Reading an
+    /// [`Occupant`](kairos_platform::Occupant) here means putting what is
+    /// read in the stamp.
     pub fn fragmentation_bonus(&self, t: TaskId, e: ElementId) -> f64 {
-        let is_peer = |task: u32| {
-            self.app.consumers(t).iter().chain(self.app.producers(t)).any(|&(p, _)| p.0 == task)
-        };
+        let peers = self.tables.peers(t);
         let mut bonus = 0.0;
         for &n in self.platform.neighbors(e) {
-            let residents = self.platform.residents(n);
-            if residents.is_empty() {
+            if !self.platform.is_used(n) {
                 continue;
             }
-            let retains_peer = residents.iter().any(|o| o.app == self.app_id && is_peer(o.task));
-            let same_app = residents.iter().any(|o| o.app == self.app_id);
-            bonus += if retains_peer {
+            bonus += if peers.iter().any(|&(p, _)| p == n) {
                 BONUS_PEER
-            } else if same_app {
+            } else if self.tables.own_tasks_on(n) > 0 {
                 BONUS_SAME_APP
             } else {
                 BONUS_OTHER_APP
@@ -193,7 +268,7 @@ impl CostContext<'_> {
 mod tests {
     use super::*;
     use kairos_app::{ApplicationBuilder, Implementation, TaskRole};
-    use kairos_platform::{topology, ElementKind, Occupant, ResourceVector};
+    use kairos_platform::{topology, AppId, ElementKind, Occupant, ResourceVector};
 
     fn pipeline(n: usize) -> Application {
         let imp = Implementation::new(ElementKind::Dsp, ResourceVector::new(500, 16, 0, 0), 100, 1);
@@ -220,6 +295,45 @@ mod tests {
         assert_eq!(CostPolicy::Both.to_string(), "Both");
     }
 
+    /// A context over `tables` under `policy`.
+    fn ctx<'a>(
+        platform: &'a Platform,
+        tables: &'a CostTables,
+        distances: &'a SparseDistanceMatrix,
+        policy: CostPolicy,
+    ) -> CostContext<'a> {
+        CostContext {
+            platform,
+            tables,
+            distances,
+            weights: policy.weights(),
+            miss_penalty: DEFAULT_MISS_PENALTY,
+        }
+    }
+
+    #[test]
+    fn tables_list_mapped_peers_consumers_first_and_count_own_tasks() {
+        // t1 consumes from t0 (bandwidth 200) and produces for t2 (50).
+        let imp = Implementation::new(ElementKind::Dsp, ResourceVector::new(1, 0, 0, 0), 100, 1);
+        let mut b = ApplicationBuilder::new("v");
+        let t: Vec<_> =
+            (0..4).map(|i| b.add_task(format!("t{i}"), TaskRole::Internal, vec![imp])).collect();
+        b.add_channel(t[0], t[1], 200, 1);
+        b.add_channel(t[1], t[2], 50, 1);
+        b.add_channel(t[3], t[2], 10, 1);
+        let app = b.build().unwrap();
+        let (e0, e1) = (ElementId(0), ElementId(1));
+        let tables = CostTables::new(&app, &[Some(e0), None, Some(e1), Some(e1)], 3);
+        assert_eq!(tables.peers(t[1]), [(e1, 0.5), (e0, 2.0)], "consumers, then producers");
+        assert_eq!(tables.peers(t[2]), [(e1, 0.1)], "t1 is unmapped, t3 is not");
+        assert_eq!(tables.peers(t[3]), [(e1, 0.1)]);
+        assert_eq!(
+            [0, 1, 2].map(|e| tables.own_tasks_on(ElementId(e))),
+            [1, 2, 0],
+            "own tasks per element"
+        );
+    }
+
     #[test]
     fn communication_term_uses_recorded_distances() {
         let app = pipeline(2);
@@ -227,19 +341,11 @@ mod tests {
         let e: Vec<_> = platform.element_ids().collect();
         let mut distances = SparseDistanceMatrix::new();
         distances.record(e[0], e[2], 2);
-        let placement = vec![Some(e[0]), None];
-        let ctx = CostContext {
-            app: &app,
-            platform: &platform,
-            app_id: AppId(0),
-            placement: &placement,
-            distances: &distances,
-            weights: CostPolicy::Communication.weights(),
-            miss_penalty: DEFAULT_MISS_PENALTY,
-        };
+        let tables = CostTables::new(&app, &[Some(e[0]), None], 3);
         // t1's peer t0 sits on e0; distance e0 -> e2 recorded as 2 hops,
         // channel bandwidth 200 -> 2 * 200/100 = 4.
-        let cost = ctx.mapping_cost(TaskId(1), e[2]);
+        let cost = ctx(&platform, &tables, &distances, CostPolicy::Communication)
+            .mapping_cost(TaskId(1), e[2]);
         assert!((cost - 4.0).abs() < 1e-9);
     }
 
@@ -249,15 +355,10 @@ mod tests {
         let platform = topology::dsp_line(3);
         let e: Vec<_> = platform.element_ids().collect();
         let distances = SparseDistanceMatrix::new();
-        let placement = vec![Some(e[0]), None];
+        let tables = CostTables::new(&app, &[Some(e[0]), None], 3);
         let ctx = CostContext {
-            app: &app,
-            platform: &platform,
-            app_id: AppId(0),
-            placement: &placement,
-            distances: &distances,
-            weights: CostPolicy::Communication.weights(),
             miss_penalty: 99.0,
+            ..ctx(&platform, &tables, &distances, CostPolicy::Communication)
         };
         let cost = ctx.mapping_cost(TaskId(1), e[1]);
         assert!((cost - 99.0 * 2.0).abs() < 1e-9);
@@ -269,16 +370,8 @@ mod tests {
         let platform = topology::dsp_line(3);
         let e: Vec<_> = platform.element_ids().collect();
         let distances = SparseDistanceMatrix::new();
-        let placement = vec![None, None, None];
-        let ctx = CostContext {
-            app: &app,
-            platform: &platform,
-            app_id: AppId(0),
-            placement: &placement,
-            distances: &distances,
-            weights: CostPolicy::Communication.weights(),
-            miss_penalty: 99.0,
-        };
+        let tables = CostTables::new(&app, &[None, None, None], 3);
+        let ctx = ctx(&platform, &tables, &distances, CostPolicy::Communication);
         assert_eq!(ctx.mapping_cost(TaskId(1), e[0]), 0.0);
     }
 
@@ -287,21 +380,13 @@ mod tests {
         let app = pipeline(2);
         let mut platform = topology::dsp_line(4);
         let e: Vec<_> = platform.element_ids().collect();
-        // t0 of app 0 lives on e1.
+        // t0 lives on e1.
         platform
             .claim(e[1], Occupant { app: AppId(0), task: 0, claimed: ResourceVector::ZERO })
             .unwrap();
         let distances = SparseDistanceMatrix::new();
-        let placement = vec![Some(e[1]), None];
-        let ctx = CostContext {
-            app: &app,
-            platform: &platform,
-            app_id: AppId(0),
-            placement: &placement,
-            distances: &distances,
-            weights: CostPolicy::Fragmentation.weights(),
-            miss_penalty: DEFAULT_MISS_PENALTY,
-        };
+        let tables = CostTables::new(&app, &[Some(e[1]), None], 4);
+        let ctx = ctx(&platform, &tables, &distances, CostPolicy::Fragmentation);
         // e0 and e2 neighbor the peer-holding e1 -> peer bonus; e3 does not.
         let near = ctx.fragmentation_bonus(TaskId(1), e[2]);
         let far = ctx.fragmentation_bonus(TaskId(1), e[3]);
@@ -312,56 +397,42 @@ mod tests {
 
     #[test]
     fn bonus_hierarchy_peer_over_same_app_over_other_app() {
-        let app = pipeline(2);
+        // t1's peers are t0 and t2; t3 is the same application's non-peer.
+        // One leaf of a star holds, in turn, the peer, the non-peer, another
+        // application's task and nothing; t1 is priced on the hub. Whose
+        // task it is comes from the placement alone — the occupant's id is
+        // the same every time.
+        let app = pipeline(4);
         let mut platform = topology::star(3);
         let els: Vec<_> = platform.element_ids().collect();
-        let hub = els[0];
-        let leaves = &els[1..];
-        let ctx_placement: Vec<Option<ElementId>> = vec![None, None];
+        let (hub, leaf) = (els[0], els[1]);
         let distances = SparseDistanceMatrix::new();
-
-        // leaf0 holds the peer (app 0 / task 0), leaf1 a same-app non-peer,
-        // leaf2 a foreign app task.
-        platform
-            .claim(leaves[0], Occupant { app: AppId(0), task: 0, claimed: ResourceVector::ZERO })
-            .unwrap();
-        fn ctx<'a>(
-            app: &'a Application,
-            platform: &'a Platform,
-            placement: &'a [Option<ElementId>],
-            distances: &'a SparseDistanceMatrix,
-        ) -> CostContext<'a> {
-            CostContext {
-                app,
-                platform,
-                app_id: AppId(0),
-                placement,
-                distances,
-                weights: CostPolicy::Fragmentation.weights(),
-                miss_penalty: DEFAULT_MISS_PENALTY,
+        let mut bonus = |resident: Option<usize>, used: bool| {
+            let mut placement = vec![None; 4];
+            if let Some(task) = resident {
+                placement[task] = Some(leaf);
             }
-        }
-        let with_peer =
-            ctx(&app, &platform, &ctx_placement, &distances).fragmentation_bonus(TaskId(1), hub);
-        platform.release(leaves[0], AppId(0), 0);
-        platform
-            .claim(leaves[0], Occupant { app: AppId(0), task: 9, claimed: ResourceVector::ZERO })
-            .unwrap();
-        let with_same_app =
-            ctx(&app, &platform, &ctx_placement, &distances).fragmentation_bonus(TaskId(1), hub);
-        platform.release(leaves[0], AppId(0), 9);
-        platform
-            .claim(leaves[0], Occupant { app: AppId(7), task: 0, claimed: ResourceVector::ZERO })
-            .unwrap();
-        let with_other_app =
-            ctx(&app, &platform, &ctx_placement, &distances).fragmentation_bonus(TaskId(1), hub);
-        platform.release(leaves[0], AppId(7), 0);
-        let with_nothing =
-            ctx(&app, &platform, &ctx_placement, &distances).fragmentation_bonus(TaskId(1), hub);
+            let occupant = Occupant { app: AppId(5), task: 0, claimed: ResourceVector::ZERO };
+            if used {
+                platform.claim(leaf, occupant).unwrap();
+            }
+            let tables = CostTables::new(&app, &placement, els.len());
+            let bonus = ctx(&platform, &tables, &distances, CostPolicy::Fragmentation)
+                .fragmentation_bonus(TaskId(1), hub);
+            if used {
+                platform.release(leaf, AppId(5), 0).unwrap();
+            }
+            bonus
+        };
+        let with_peer = bonus(Some(0), true);
+        let with_same_app = bonus(Some(3), true);
+        let with_other_app = bonus(None, true);
+        let with_nothing = bonus(None, false);
 
-        assert!(with_peer > with_same_app);
-        assert!(with_same_app > with_other_app);
-        assert!(with_other_app > with_nothing);
+        assert_eq!(with_peer - with_same_app, BONUS_PEER - BONUS_SAME_APP);
+        assert_eq!(with_same_app - with_other_app, BONUS_SAME_APP - BONUS_OTHER_APP);
+        assert_eq!(with_other_app - with_nothing, BONUS_OTHER_APP);
+        assert!(with_peer > with_same_app && with_same_app > with_other_app);
     }
 
     #[test]
@@ -370,38 +441,25 @@ mod tests {
         let platform = topology::dsp_mesh(3, 3);
         let e: Vec<_> = platform.element_ids().collect();
         let distances = SparseDistanceMatrix::new();
-        let placement = vec![None];
-        let ctx = CostContext {
-            app: &app,
-            platform: &platform,
-            app_id: AppId(0),
-            placement: &placement,
-            distances: &distances,
-            weights: CostPolicy::Fragmentation.weights(),
-            miss_penalty: DEFAULT_MISS_PENALTY,
-        };
-        // e[0] is a corner (degree 2), e[4] the center (degree 4).
-        let corner = ctx.fragmentation_bonus(TaskId(0), e[0]);
-        let center = ctx.fragmentation_bonus(TaskId(0), e[4]);
-        assert!(corner > center);
+        let tables = CostTables::new(&app, &[None], 9);
+        let ctx = ctx(&platform, &tables, &distances, CostPolicy::Fragmentation);
+        // e[0] is a corner (degree 2), e[4] the center (degree 4): the
+        // border term is (4 - degree) / 4 on an idle mesh.
+        assert_eq!(ctx.fragmentation_bonus(TaskId(0), e[0]), BONUS_BORDER * 0.5);
+        assert_eq!(ctx.fragmentation_bonus(TaskId(0), e[4]), 0.0);
     }
 
     #[test]
     fn none_policy_costs_are_all_zero() {
         let app = pipeline(2);
-        let platform = topology::dsp_line(2);
+        let mut platform = topology::dsp_line(2);
         let e: Vec<_> = platform.element_ids().collect();
+        platform
+            .claim(e[0], Occupant { app: AppId(0), task: 0, claimed: ResourceVector::ZERO })
+            .unwrap();
         let distances = SparseDistanceMatrix::new();
-        let placement = vec![Some(e[0]), None];
-        let ctx = CostContext {
-            app: &app,
-            platform: &platform,
-            app_id: AppId(0),
-            placement: &placement,
-            distances: &distances,
-            weights: CostPolicy::None.weights(),
-            miss_penalty: DEFAULT_MISS_PENALTY,
-        };
+        let tables = CostTables::new(&app, &[Some(e[0]), None], 2);
+        let ctx = ctx(&platform, &tables, &distances, CostPolicy::None);
         assert_eq!(ctx.mapping_cost(TaskId(1), e[1]), 0.0);
     }
 }

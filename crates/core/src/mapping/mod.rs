@@ -22,13 +22,15 @@ mod gap;
 mod knapsack;
 mod search;
 
-pub use cost::{CostContext, CostPolicy, CostWeights, DEFAULT_MISS_PENALTY};
+pub use cost::{CostContext, CostPolicy, CostTables, CostWeights, DEFAULT_MISS_PENALTY};
 pub use gap::GapState;
 pub use knapsack::{KnapsackItem, KnapsackSolver};
 pub use search::ElementSearch;
 
 use kairos_app::{Application, TaskId, TaskRings};
-use kairos_platform::{AppId, ElementId, Occupant, Platform, ResourceVector, SparseDistanceMatrix};
+use kairos_platform::{
+    AppId, ElementId, ElementKind, Occupant, Platform, ResourceVector, SparseDistanceMatrix,
+};
 
 use crate::error::MappingError;
 use crate::layout::{Binding, Placement};
@@ -131,6 +133,11 @@ pub(crate) fn map_application_in(
     config: &MapperConfig,
     scratch: &mut MappingScratch,
 ) -> Result<MappingReport, MappingError> {
+    debug_assert!(
+        platform.element_ids().flat_map(|e| platform.residents(e)).all(|o| o.app != app_id),
+        "{app_id} is already resident: the cost function counts the request's own tasks \
+         from its placement, so nothing resident may carry the id being placed"
+    );
     platform.begin_txn();
     match map_inner(app, binding, platform, app_id, config, scratch) {
         Ok(report) => {
@@ -144,48 +151,41 @@ pub(crate) fn map_application_in(
     }
 }
 
-fn demand_of(app: &Application, binding: &Binding, t: TaskId) -> ResourceVector {
-    binding.implementation(app, t).requires()
+/// A task's bound implementation as the mapper reads it: the element kind
+/// it targets and the resources it claims.
+type Bound = (ElementKind, ResourceVector);
+
+/// `av(e, t)` for a task bound to `(kind, demand)`: kind-compatible, alive
+/// and enough free resources.
+fn available(platform: &Platform, &(kind, demand): &Bound, e: ElementId) -> bool {
+    platform.element(e).kind() == kind && platform.is_available(e, &demand)
 }
 
-/// `av(e, t)`: kind-compatible, alive and enough free resources.
-fn available(
-    app: &Application,
-    binding: &Binding,
+/// Every element with `av(e, t)` for a task bound to `(kind, demand)`,
+/// ascending — read off the platform's per-kind table, so the other kinds
+/// are never visited.
+fn available_elements(
     platform: &Platform,
-    t: TaskId,
-    e: ElementId,
-) -> bool {
-    let imp = binding.implementation(app, t);
-    platform.element(e).kind() == imp.target() && platform.is_available(e, &imp.requires())
+    (kind, demand): Bound,
+) -> impl Iterator<Item = ElementId> + '_ {
+    platform.ids_of_kind(kind).iter().copied().filter(move |&e| platform.is_available(e, &demand))
 }
 
-/// Every element with `av(e, t)`, ascending — read off the platform's
-/// per-kind table, so the other kinds are never visited.
-fn available_elements<'a>(
-    app: &Application,
-    binding: &Binding,
-    platform: &'a Platform,
-    t: TaskId,
-) -> impl Iterator<Item = ElementId> + 'a {
-    let imp = binding.implementation(app, t);
-    let demand = imp.requires();
-    platform
-        .ids_of_kind(imp.target())
-        .iter()
-        .copied()
-        .filter(move |&e| platform.is_available(e, &demand))
-}
-
-fn claim_task(
-    app: &Application,
-    binding: &Binding,
+/// Claims `e` for task `t` and records the placement, in `placement` and
+/// in the own-task count of `tables`.
+fn place_task(
     platform: &mut Platform,
     app_id: AppId,
+    placement: &mut [Option<ElementId>],
+    tables: &mut CostTables,
     t: TaskId,
+    demand: ResourceVector,
     e: ElementId,
 ) -> Result<(), kairos_platform::ClaimError> {
-    platform.claim(e, Occupant { app: app_id, task: t.0, claimed: demand_of(app, binding, t) })
+    platform.claim(e, Occupant { app: app_id, task: t.0, claimed: demand })?;
+    placement[t.index()] = Some(e);
+    tables.place(e);
+    Ok(())
 }
 
 /// Working memory of one [`map_application`] call. Every set the element
@@ -198,8 +198,14 @@ pub(crate) struct MappingScratch {
     distances: SparseDistanceMatrix,
     search: ElementSearch,
     gap: GapState,
+    /// Each task's bound `(kind, demand)`, by task id: what availability,
+    /// `SolveGAP`'s demands and the claims read, looked up once per call.
+    bound: Vec<Bound>,
     /// The partial placement: the committed element of each mapped task.
     placement: Vec<Option<ElementId>>,
+    /// What the cost function reads of the request: the mapped peers of
+    /// the tasks being priced, and the placement's own-task counts.
+    tables: CostTables,
     /// The cheapest starts of an unpinned application, cheapest first.
     starts: Vec<(ElementId, f64)>,
     /// The tasks `placement` holds when a ring decomposition starts, and
@@ -226,15 +232,21 @@ fn map_inner(
     scratch: &mut MappingScratch,
 ) -> Result<MappingReport, MappingError> {
     scratch.distances.reset(platform.element_count());
+    scratch.bound.clear();
+    scratch.bound.extend(app.task_ids().map(|t| {
+        let imp = binding.implementation(app, t);
+        (imp.target(), imp.requires())
+    }));
     scratch.placement.clear();
     scratch.placement.resize(app.task_count(), None);
+    scratch.tables.reset(app.task_count(), platform.element_count());
 
     // --- M0: pinned tasks (exactly one available element). -----------------
     // Only "none, one or more" matters, so each scan stops at the second
     // available element. Nothing is claimed before every task was scanned:
     // a claim would change what the later scans see.
     for t in app.task_ids() {
-        let mut candidates = available_elements(app, binding, platform, t);
+        let mut candidates = available_elements(platform, scratch.bound[t.index()]);
         match (candidates.next(), candidates.next()) {
             (None, _) => return Err(MappingError::NoStartingPoint { task: t }),
             (Some(only), None) => scratch.placement[t.index()] = Some(only),
@@ -245,11 +257,20 @@ fn map_inner(
     if scratch.placement.iter().any(Option::is_some) {
         for t in app.task_ids() {
             if let Some(e) = scratch.placement[t.index()] {
-                claim_task(app, binding, platform, app_id, t, e)
-                    .map_err(|_| MappingError::PinnedTaskInfeasible { task: t, element: e })?;
+                let demand = scratch.bound[t.index()].1;
+                place_task(
+                    platform,
+                    app_id,
+                    &mut scratch.placement,
+                    &mut scratch.tables,
+                    t,
+                    demand,
+                    e,
+                )
+                .map_err(|_| MappingError::PinnedTaskInfeasible { task: t, element: e })?;
             }
         }
-        return map_rings(app, binding, platform, app_id, config, scratch);
+        return map_rings(app, platform, app_id, config, scratch);
     }
 
     // --- M0 fallback: minimum-degree task on the cheapest element. ---------
@@ -262,18 +283,17 @@ fn map_inner(
     let t0 = *app.min_degree_tasks().first().expect("applications are validated non-empty");
     let attempts = config.start_retries as usize + 1;
     scratch.starts.clear();
+    scratch.tables.table_peers(app, &scratch.placement, [t0]);
     {
         let ctx = CostContext {
-            app,
             platform,
-            app_id,
-            placement: &scratch.placement,
+            tables: &scratch.tables,
             distances: &scratch.distances,
             weights: config.weights,
             miss_penalty: config.distance_miss_penalty,
         };
         let starts = &mut scratch.starts;
-        for e in available_elements(app, binding, platform, t0) {
+        for e in available_elements(platform, scratch.bound[t0.index()]) {
             let cost = ctx.mapping_cost(t0, e);
             let rank = starts.partition_point(|&(_, ranked)| ranked <= cost);
             if rank < attempts {
@@ -291,9 +311,11 @@ fn map_inner(
         let (e0, _) = scratch.starts[attempt];
         platform.begin_txn();
         scratch.placement.fill(None);
-        claim_task(app, binding, platform, app_id, t0, e0).expect("availability was checked above");
-        scratch.placement[t0.index()] = Some(e0);
-        match map_rings(app, binding, platform, app_id, config, scratch) {
+        scratch.tables.reset(app.task_count(), platform.element_count());
+        let demand = scratch.bound[t0.index()].1;
+        place_task(platform, app_id, &mut scratch.placement, &mut scratch.tables, t0, demand, e0)
+            .expect("availability was checked above");
+        match map_rings(app, platform, app_id, config, scratch) {
             Ok(report) => {
                 platform.commit_txn();
                 return Ok(report);
@@ -311,7 +333,6 @@ fn map_inner(
 /// seeds it holds, claiming each ring as it is solved.
 fn map_rings(
     app: &Application,
-    binding: &Binding,
     platform: &mut Platform,
     app_id: AppId,
     config: &MapperConfig,
@@ -321,7 +342,9 @@ fn map_rings(
         distances,
         search,
         gap,
+        bound,
         placement,
+        tables,
         starts: _,
         seeds,
         rings,
@@ -373,6 +396,7 @@ fn map_rings(
 
         search.restart_on(platform.element_count(), forward_origins, backward_origins);
         gap.restart(tasks);
+        tables.table_peers(app, placement, tasks.iter().copied());
         fresh.clear();
         hosted.clear();
         hosted.resize(tasks.len(), false);
@@ -393,7 +417,7 @@ fn map_rings(
                     *has_host = *has_host
                         || fresh[ring_start..]
                             .iter()
-                            .any(|&e| available(app, binding, platform, t, e));
+                            .any(|&e| available(platform, &bound[t.index()], e));
                 }
                 sufficient = search.discovered().len() >= tasks.len() && hosted.iter().all(|&h| h);
             }
@@ -408,10 +432,8 @@ fn map_rings(
 
             let solved = {
                 let ctx = CostContext {
-                    app,
                     platform,
-                    app_id,
-                    placement,
+                    tables,
                     distances,
                     weights: config.weights,
                     miss_penalty: config.distance_miss_penalty,
@@ -421,8 +443,8 @@ fn map_rings(
                     fresh,
                     config.knapsack,
                     |e| platform.free(e),
-                    |t, e| available(app, binding, platform, t, e),
-                    |t| demand_of(app, binding, t),
+                    |t, e| available(platform, &bound[t.index()], e),
+                    |t| bound[t.index()].1,
                     |t, e| ctx.mapping_cost(t, e),
                 )
             };
@@ -438,9 +460,8 @@ fn map_rings(
 
         // Commit the ring: claim resources and fix the placement.
         for (t, e) in gap.assignments() {
-            claim_task(app, binding, platform, app_id, t, e)
+            place_task(platform, app_id, placement, tables, t, bound[t.index()].1, e)
                 .expect("GAP overlay respects platform capacity");
-            placement[t.index()] = Some(e);
         }
     }
 

@@ -1,9 +1,10 @@
 //! The mapping cost function is evaluated once per `(task, element)` pair
 //! the search considers, so it must not allocate: every structural query it
 //! makes of the platform (`neighbors`, `degree`, `max_degree`) is a table
-//! read. Before PR 16 each evaluation re-derived the platform's maximum
-//! degree — one sorted, deduplicated `Vec` per element — and this test
-//! counted more than |E| allocations per call.
+//! read, and everything it knows of the request (mapped peers, own-task
+//! counts) is a `CostTables` read. Before PR 16 each evaluation re-derived
+//! the platform's maximum degree — one sorted, deduplicated `Vec` per
+//! element — and this test counted more than |E| allocations per call.
 //!
 //! The same counting allocator holds a whole warm admission to a budget:
 //! see [`a_warm_admission_allocates_only_what_outlives_it`].
@@ -15,7 +16,7 @@ use std::hint::black_box;
 use kairos_app::TaskId;
 use kairos_appgen::{generate_dataset, DatasetSpec};
 use kairos_core::{
-    bind, map_application, CostContext, CostPolicy, Kairos, KairosConfig, MapperConfig,
+    bind, map_application, CostContext, CostPolicy, CostTables, Kairos, KairosConfig, MapperConfig,
     DEFAULT_MISS_PENALTY,
 };
 use kairos_platform::{
@@ -59,7 +60,7 @@ fn allocations() -> u64 {
 #[test]
 fn mapping_cost_does_not_allocate() {
     // A loaded 16x16 mesh: residents of other applications around, so the
-    // fragmentation bonus walks occupied neighbours.
+    // fragmentation bonus walks used neighbours.
     let mut platform = topology::heterogeneous_mesh(16, 16);
     let config = MapperConfig::with_policy(CostPolicy::Both);
     let mut resident = 0;
@@ -73,9 +74,9 @@ fn mapping_cost_does_not_allocate() {
     }
     assert!(resident >= 8, "the mesh is meant to be loaded, {resident} applications fit");
 
-    // The application under evaluation: mapped for real, so its own tasks
-    // are resident too (peer and same-application bonuses), then every task
-    // but the last is presented as already placed.
+    // The application under evaluation: mapped for real, so its tasks sit
+    // where a mapper would put them, then every task but the last is
+    // presented as already placed (peer and same-application bonuses).
     let app_id = AppId(999);
     let (app, placement) = generate_dataset(DatasetSpec::all()[1], 16, 7)
         .into_iter()
@@ -100,11 +101,10 @@ fn mapping_cost_does_not_allocate() {
         }
     }
 
+    let tables = CostTables::new(&app, &partial, platform.element_count());
     let ctx = CostContext {
-        app: &app,
         platform: &platform,
-        app_id,
-        placement: &partial,
+        tables: &tables,
         distances: &distances,
         weights: config.weights,
         miss_penalty: DEFAULT_MISS_PENALTY,

@@ -10,11 +10,13 @@
 //! platform. The state can be checkpointed and restored in O(|E|+|L|), and
 //! a claim journal undoes a failed allocation attempt in O(its mutations).
 //!
-//! Beside the state sit two *history* fields that never take part in
-//! equality: the mutation epoch ([`Platform::state_epoch`]) and the stamp
+//! Beside the state sit three *history* fields that never take part in
+//! equality: the mutation epoch ([`Platform::state_epoch`]), the stamp
 //! ledger behind [`Platform::state_stamp`], a 128-bit digest of what an
 //! admission reads of the mutable state that costs only the records
-//! mutated since it was last asked for.
+//! mutated since it was last asked for, and the rank ledger behind
+//! [`Platform::free_rank`], each kind's elements ordered by free capacity
+//! and re-ranked only where mutated since its last refresh.
 
 use std::fmt;
 
@@ -28,10 +30,10 @@ use crate::resource::ResourceVector;
 
 /// Identifier of an admitted application instance.
 ///
-/// Assigned by the resource manager at admission; the platform only uses it
-/// to distinguish "task of the same application" from "task of another
-/// application" in occupancy queries (the fragmentation bonus of the mapping
-/// cost function needs exactly this distinction).
+/// Assigned by the resource manager at admission; the platform records it
+/// with every claim so that an application's occupants can be released,
+/// relabelled or listed. The admission pipeline itself never reads it back
+/// (see [`Platform::state_stamp`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
 pub struct AppId(pub u32);
 
@@ -141,14 +143,17 @@ impl PlatformState {
     /// index is part of the digest, so equal contents on two elements never
     /// cancel in the stamp's sum.
     ///
-    /// *Who* resides there is deliberately absent. The admission pipeline
-    /// reads occupant identity in one place — `CostContext::
-    /// fragmentation_bonus` in `kairos-core` asks whether a neighbour holds
-    /// a task of the application being placed — and that application's id
-    /// is fresh (`Kairos::place` asserts no resident carries it), so every
-    /// pre-existing occupant answers "another application" whatever its id,
-    /// task or claim. A new reader of `Occupant` fields on the admission
-    /// path must either keep that property or put what it reads here.
+    /// *Who* resides there is deliberately absent: the admission pipeline
+    /// reads no occupant identity at all. Of an element's residents the
+    /// mapper's cost function asks only whether there are any (the used
+    /// flag above); it tells its own tasks from everyone else's by the
+    /// placement it is building — a per-element count of the request's
+    /// placed tasks and each task's placed peers — not by occupant ids.
+    /// That split is exact because the id being placed is fresh
+    /// (`Kairos::place` and `map_application` assert no resident carries
+    /// it), so everything resident before the placement started belongs to
+    /// someone else. A reader of `Occupant` fields on the admission path
+    /// must put what it reads here.
     fn element_digest(&self, idx: usize) -> u128 {
         let mut d = Digest::new(ELEMENT_RECORD);
         d.word(idx as u64);
@@ -256,6 +261,87 @@ impl StampLedger {
     }
 }
 
+/// The bookkeeping behind [`Platform::free_rank`]: each kind's elements
+/// ordered by `(free total, id)` as of the last refresh, one segment per
+/// kind laid over the platform's `kind_ids` / `kind_offsets`, and which
+/// elements were mutated since.
+///
+/// Like [`StampLedger`] it describes history, not state, and opts out of
+/// equality: how recently a platform's rank was refreshed says nothing
+/// about its resources.
+#[derive(Debug, Clone, Default)]
+struct RankLedger {
+    /// `(ranked total, id)` per element, ascending within each kind's
+    /// segment `entries[kind_offsets[k] .. kind_offsets[k + 1]]`.
+    entries: Vec<(u64, ElementId)>,
+    /// The total each element is ranked under, by element id: where to
+    /// find its entry when it moves.
+    ranked: Vec<u64>,
+    /// Elements mutated since the last refresh, each listed once. Never
+    /// longer than the element count, so a warm list never reallocates.
+    dirty: Vec<ElementId>,
+    /// Membership flags of `dirty`, one per element.
+    is_dirty: Vec<bool>,
+}
+
+impl PartialEq for RankLedger {
+    fn eq(&self, _: &Self) -> bool {
+        true
+    }
+}
+
+impl RankLedger {
+    #[inline]
+    fn mark(&mut self, e: ElementId) {
+        if !self.is_dirty[e.index()] {
+            self.is_dirty[e.index()] = true;
+            self.dirty.push(e);
+        }
+    }
+
+    /// Ranks every element of `state` from scratch, forgetting the dirty
+    /// set.
+    fn rebuild(&mut self, state: &PlatformState, kind_ids: &[ElementId], kind_offsets: &[u32]) {
+        let n = state.free.len();
+        self.ranked.clear();
+        self.ranked.extend(state.free.iter().map(ResourceVector::total));
+        self.entries.clear();
+        self.entries.extend(kind_ids.iter().map(|&e| (self.ranked[e.index()], e)));
+        for k in kind_offsets.windows(2) {
+            self.entries[k[0] as usize..k[1] as usize].sort_unstable();
+        }
+        self.dirty.clear();
+        self.dirty.reserve(n);
+        self.is_dirty.clear();
+        self.is_dirty.resize(n, false);
+    }
+
+    /// Moves each dirty element's entry to where its current total ranks
+    /// it within its kind's segment, in O(log segment + distance moved).
+    fn refresh(&mut self, state: &PlatformState, elements: &[Element], kind_offsets: &[u32]) {
+        for e in self.dirty.drain(..) {
+            self.is_dirty[e.index()] = false;
+            let total = state.free[e.index()].total();
+            let was = std::mem::replace(&mut self.ranked[e.index()], total);
+            if was == total {
+                continue;
+            }
+            let k = elements[e.index()].kind() as usize;
+            let segment = &mut self.entries[kind_offsets[k] as usize..kind_offsets[k + 1] as usize];
+            let from = segment.binary_search(&(was, e)).expect("every element is ranked");
+            let to = segment.partition_point(|&entry| entry < (total, e));
+            if to > from {
+                // `to` counted the old entry itself.
+                segment[from..to].rotate_left(1);
+                segment[to - 1] = (total, e);
+            } else {
+                segment[to..=from].rotate_right(1);
+                segment[to] = (total, e);
+            }
+        }
+    }
+}
+
 /// A heterogeneous MPSoC platform: elements, directed links and the
 /// run-time resource ledger.
 ///
@@ -321,6 +407,8 @@ pub struct Platform {
     epoch: MutationEpoch,
     /// The maintained state stamp; see [`Platform::state_stamp`].
     stamp: StampLedger,
+    /// The kept free-capacity rank; see [`Platform::free_rank`].
+    rank: RankLedger,
 }
 
 /// The [`Platform::state_epoch`] counter. A newtype so it can opt out of
@@ -382,6 +470,8 @@ impl Platform {
             links: links.iter().map(LinkState::idle).collect(),
             failed: vec![false; n],
         };
+        let mut rank = RankLedger::default();
+        rank.rebuild(&state, &kind_ids, &kind_offsets);
         Platform {
             name,
             elements,
@@ -399,6 +489,7 @@ impl Platform {
             txns_begun: Counter::new(),
             epoch: MutationEpoch::default(),
             stamp: StampLedger::new(),
+            rank,
         }
     }
 
@@ -447,12 +538,13 @@ impl Platform {
     }
 
     /// Notes a mutation of element `e`'s record: bumps the epoch and marks
-    /// the record for the next stamp. Every element mutator and undo arm
-    /// calls it.
+    /// the record for the next stamp and the element for the next rank
+    /// refresh. Every element mutator and undo arm calls it.
     #[inline]
     fn touch_element(&mut self, e: ElementId) {
         self.epoch.0 += 1;
         self.stamp.mark(e.index());
+        self.rank.mark(e);
     }
 
     /// [`Self::touch_element`] for link `l`'s record.
@@ -460,6 +552,40 @@ impl Platform {
     fn touch_link(&mut self, l: LinkId) {
         self.epoch.0 += 1;
         self.stamp.mark(self.elements.len() + l.index());
+    }
+
+    /// The elements of `kind`, failed ones included, as `(free total, id)`
+    /// pairs in ascending order — as of the last
+    /// [`Self::refresh_free_rank`]. An element listed by
+    /// [`Self::free_rank_dirty`] was mutated since, so its entry may be
+    /// stale; every other entry's total is its current
+    /// `free(e).total()`. A best-fit search reads the segment from the
+    /// first total that could cover a demand and consults the dirty
+    /// elements directly, which keeps it exact on a platform with pending
+    /// mutations.
+    pub fn free_rank(&self, kind: ElementKind) -> &[(u64, ElementId)] {
+        let k = kind as usize;
+        &self.rank.entries[self.kind_offsets[k] as usize..self.kind_offsets[k + 1] as usize]
+    }
+
+    /// Elements mutated since the last [`Self::refresh_free_rank`] (or
+    /// [`Self::restore`]), each listed once, in the order first touched.
+    pub fn free_rank_dirty(&self) -> &[ElementId] {
+        &self.rank.dirty
+    }
+
+    /// Whether `e` is listed by [`Self::free_rank_dirty`].
+    pub fn is_free_rank_dirty(&self, e: ElementId) -> bool {
+        self.rank.is_dirty[e.index()]
+    }
+
+    /// Re-ranks the elements mutated since the last refresh: each moves to
+    /// where its current free total ranks it within its kind, in
+    /// O(log |kind| + distance moved), and the dirty set empties. Lazy by
+    /// design — the mutators only mark, so a claim that a rollback takes
+    /// back before anyone reads the rank costs two marks and no move.
+    pub fn refresh_free_rank(&mut self) {
+        self.rank.refresh(&self.state, &self.elements, &self.kind_offsets);
     }
 
     /// The platform's name.
@@ -943,9 +1069,11 @@ impl Platform {
         // without the wholesale mark the next stamp would answer for the
         // pre-restore state. A checkpoint carries no digests (it would
         // double in size for a path nothing hot takes), so the next stamp
-        // starts from scratch.
+        // starts from scratch. The free rank is rebuilt here instead: the
+        // mutators keep marking into it whether or not anyone reads it.
         self.epoch.0 += 1;
         self.stamp.stale = true;
+        self.rank.rebuild(&self.state, &self.kind_ids, &self.kind_offsets);
     }
 
     /// `true` when no resources are claimed anywhere (all elements idle,

@@ -1,6 +1,7 @@
 //! Property-based tests of the platform substrate: resource-vector algebra,
 //! ledger conservation, checkpoint/rollback, distance symmetry, the
-//! precomputed structure tables and the maintained state stamp.
+//! precomputed structure tables, the maintained state stamp and the kept
+//! free-capacity rank.
 
 use proptest::prelude::*;
 
@@ -295,7 +296,11 @@ struct Driven {
 
 impl Driven {
     fn new() -> Self {
-        Driven { platform: stamp_platform(), live: Vec::new(), open: Vec::new(), saved: None }
+        Driven::on(stamp_platform())
+    }
+
+    fn on(platform: Platform) -> Self {
+        Driven { platform, live: Vec::new(), open: Vec::new(), saved: None }
     }
 
     fn apply(&mut self, step: usize, (op, a, b, amount): Op) {
@@ -423,4 +428,86 @@ proptest! {
         // Nor does an element record ever stand in for a link record.
         prop_assert!(seated_on(elements.0) != reserved_on(links.0));
     }
+
+    /// The kept free rank through the same storm, on a heterogeneous mesh
+    /// (five DSPs, two memories, an FPGA and an ARM, so kinds rank apart):
+    /// after every refresh each kind's segment is the from-scratch sort of
+    /// `(free total, id)`, and between refreshes every entry that is out of
+    /// date belongs to an element listed dirty — the invariant binding's
+    /// best fit stands on. One platform is refreshed after every step, a
+    /// twin only now and then, so its dirty set spans several mutations,
+    /// rollbacks and restores at a time; both refresh to the definition,
+    /// and the twins compare equal throughout (the rank is history, not
+    /// state, and no part of equality).
+    #[test]
+    fn free_rank_is_the_from_scratch_sort_after_every_refresh(
+        ops in proptest::collection::vec((0u8..14, 0u32..64, 0u32..64, 0u64..700), 1..80),
+        refresh_lazy in proptest::collection::vec(any::<bool>(), 80),
+    ) {
+        let mut eager = Driven::on(topology::heterogeneous_mesh(3, 3));
+        let mut lazy = Driven::on(topology::heterogeneous_mesh(3, 3));
+        for (step, &op) in ops.iter().enumerate() {
+            eager.apply(step, op);
+            lazy.apply(step, op);
+            assert_stale_entries_are_dirty(&eager.platform);
+            eager.platform.refresh_free_rank();
+            assert_rank_is_the_definition(&eager.platform);
+            assert_stale_entries_are_dirty(&lazy.platform);
+            if refresh_lazy[step] {
+                lazy.platform.refresh_free_rank();
+                assert_rank_is_the_definition(&lazy.platform);
+            }
+            prop_assert_eq!(&eager.platform, &lazy.platform);
+        }
+        let mut clone = lazy.platform.clone();
+        clone.refresh_free_rank();
+        assert_rank_is_the_definition(&clone);
+        lazy.platform.refresh_free_rank();
+        assert_rank_is_the_definition(&lazy.platform);
+
+        // A restore ranks from scratch: nothing is left dirty.
+        let mut restored = topology::heterogeneous_mesh(3, 3);
+        restored.restore(eager.platform.checkpoint());
+        assert_rank_is_the_definition(&restored);
+    }
+}
+
+/// The definition [`Platform::free_rank`] keeps: each kind's elements as
+/// `(free total, id)`, ascending.
+fn free_rank_from_scratch(p: &Platform, kind: ElementKind) -> Vec<(u64, ElementId)> {
+    let mut rank: Vec<_> = p.ids_of_kind(kind).iter().map(|&e| (p.free(e).total(), e)).collect();
+    rank.sort_unstable();
+    rank
+}
+
+/// A refreshed rank: every kind's segment is the definition and nothing
+/// is dirty.
+fn assert_rank_is_the_definition(p: &Platform) {
+    assert!(p.free_rank_dirty().is_empty());
+    for kind in ElementKind::ALL {
+        assert_eq!(p.free_rank(kind), free_rank_from_scratch(p, kind).as_slice(), "{kind:?}");
+    }
+}
+
+/// A rank with pending mutations: each segment is still a strictly
+/// ascending permutation of the kind's ids, every entry of an element not
+/// listed dirty carries its current total, and the dirty list and flags
+/// agree, each element listed once.
+fn assert_stale_entries_are_dirty(p: &Platform) {
+    for kind in ElementKind::ALL {
+        let rank = p.free_rank(kind);
+        assert!(rank.windows(2).all(|w| w[0] < w[1]), "{kind:?} ascending");
+        let mut ids: Vec<_> = rank.iter().map(|&(_, e)| e).collect();
+        ids.sort_unstable();
+        assert_eq!(ids, p.ids_of_kind(kind));
+        for &(total, e) in rank {
+            assert!(p.is_free_rank_dirty(e) || total == p.free(e).total(), "{e} is stale");
+        }
+    }
+    let mut dirty = p.free_rank_dirty().to_vec();
+    assert!(dirty.iter().all(|&e| p.is_free_rank_dirty(e)));
+    dirty.sort_unstable();
+    dirty.dedup();
+    assert_eq!(dirty.len(), p.free_rank_dirty().len(), "listed once");
+    assert_eq!(dirty.len(), p.element_ids().filter(|&e| p.is_free_rank_dirty(e)).count());
 }

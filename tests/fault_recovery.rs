@@ -104,9 +104,10 @@ fn cascading_failures_degrade_gracefully() {
             kairos.fail_element(d);
         }
         // Count how many of the original apps would still be admitted onto
-        // the degraded platform from scratch.
-        let mut probe = Kairos::new(kairos.platform().clone(), *kairos.config());
+        // the degraded platform from scratch: the manager's copy, emptied.
+        let mut probe = kairos.clone();
         probe.release_all();
+        assert!(probe.platform().is_idle());
         let now = apps.iter().filter(|a| probe.admit(a).is_ok()).count();
         assert!(now <= apps.len());
         still_admittable = now;
