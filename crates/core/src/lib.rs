@@ -18,8 +18,8 @@
 //! 4. **[`validate`]** — SDF throughput analysis of the resulting execution
 //!    layout against the application's constraints.
 //!
-//! [`Kairos`] packages the pipeline as a resource manager with admission,
-//! release, per-phase timing, transactional rollback and fault handling.
+//! [`Kairos`] packages the pipeline as a resource manager — the phases
+//! decide, one writer commits — with release, timing and fault handling.
 //! [`baseline`] adds first-fit and exact-placement comparators for
 //! heuristic-quality studies.
 //!

@@ -2,11 +2,13 @@
 //!
 //! [`Kairos`] owns the platform state and processes allocation requests
 //! exactly as the paper's prototype does: binding → mapping → routing →
-//! validation, with per-phase wall-clock timing, and transactional rollback
-//! of all claims when any phase rejects the application. Admitted
-//! applications can later be released (their elements and links are
-//! reclaimed), and element failures can be injected to exercise the
-//! fault-tolerance scenario that motivates run-time resource management.
+//! validation, with per-phase wall-clock timing. The four phases decide a
+//! layout and write nothing; only an admitted layout is written, by the
+//! one writer (`cache::replay_point`), so a request any phase rejects
+//! leaves the platform untouched. Admitted applications can later be
+//! released (their elements and links are reclaimed), and element
+//! failures can be injected to exercise the fault-tolerance scenario that
+//! motivates run-time resource management.
 
 use std::collections::HashMap;
 use std::fmt;
@@ -16,11 +18,11 @@ use kairos_app::Application;
 use kairos_opcache::{
     shape_of, stamp_of, CacheConfig, CacheStats, MappingCache, ShapeKey, StateStamp,
 };
-use kairos_platform::{AppId, ElementId, Occupant, Platform, PlatformCheckpoint, ResourceVector};
+use kairos_platform::{AppId, ElementId, Platform, PlatformCheckpoint, ResourceVector};
 use kairos_telemetry::{Counter, Gauge, Histogram, Level, Telemetry, TraceContext};
 
 use crate::binding::bind_in;
-use crate::cache::{CachedDecision, CachedPoint};
+use crate::cache::{replay_point, CachedDecision, CachedPoint};
 use crate::error::{AllocationError, Phase};
 use crate::layout::ExecutionLayout;
 use crate::mapping::{map_application_in, CostWeights, KnapsackSolver, MapperConfig};
@@ -165,7 +167,6 @@ struct AdmittedApp {
     /// migration, preemption re-queueing) can re-run the pipeline for it.
     app: Application,
     layout: ExecutionLayout,
-    channel_bandwidths: Vec<u64>,
 }
 
 /// Why a live migration failed. The platform is always left exactly as it
@@ -361,30 +362,25 @@ fn duration_ns(elapsed: std::time::Duration) -> u64 {
     u64::try_from(elapsed.as_nanos()).unwrap_or(u64::MAX)
 }
 
-/// The freshly admitted application's per-element claims in final
-/// resident order — the replay recipe of a cached operating point.
-/// The application's occupants sit behind every earlier resident of an
-/// element, so their order among themselves does not depend on who those
-/// are: replaying the claims in this order seats each occupant where a
-/// cold run from the replay's own starting state would have left it, and
-/// the warm platform equals that cold one.
-fn capture_seats(
-    platform: &Platform,
-    app_id: AppId,
-    layout: &ExecutionLayout,
-) -> Vec<(ElementId, u32, ResourceVector)> {
-    let mut elements: Vec<ElementId> = layout.placement.iter().map(|(_, e)| e).collect();
-    elements.sort_unstable();
-    elements.dedup();
-    let mut seats = Vec::new();
-    for element in elements {
-        for occupant in platform.residents(element) {
-            if occupant.app == app_id {
-                seats.push((element, occupant.task, occupant.claimed));
-            }
-        }
+/// What an admission decided, before anything is written.
+type Decided = Result<Decision, AllocationError>;
+
+/// What an admission wrote: the layout and its validation report.
+type Admitted = Result<(ExecutionLayout, Option<ValidationReport>), AllocationError>;
+
+/// A decided admission: the cold run's layout, whose seats are in the
+/// workspace, or a point a carrier brought back.
+enum Decision {
+    Cold(ExecutionLayout, Option<ValidationReport>),
+    Carried(CachedPoint),
+}
+
+/// A kept decision as the writer takes it.
+fn carried(decision: CachedDecision) -> Decided {
+    match decision {
+        CachedDecision::Admit(point) => Ok(Decision::Carried(point)),
+        CachedDecision::Refuse(error) => Err(error),
     }
-    seats
 }
 
 impl Kairos {
@@ -392,8 +388,8 @@ impl Kairos {
     /// disabled (attach a hub with [`Kairos::set_telemetry`]).
     ///
     /// Whatever already resides on `platform` must not carry an id this
-    /// manager hands out (`config.app_id_base` upwards): every placement
-    /// assumes the id it places is on no element yet, and debug builds
+    /// manager hands out (`config.app_id_base` upwards): the writer claims
+    /// an admission under an id no occupant carries yet, and debug builds
     /// assert it.
     pub fn new(platform: Platform, config: KairosConfig) -> Self {
         let next_app = config.app_id_base;
@@ -560,8 +556,8 @@ impl Kairos {
     /// Attempts to admit `app`, running all four phases.
     ///
     /// On success all claims stay on the platform and the app is tracked
-    /// under the returned id; on failure the platform is returned to its
-    /// pre-admission state.
+    /// under the returned id; on failure nothing was written, so the
+    /// platform is in its pre-admission state.
     ///
     /// # Errors
     ///
@@ -594,9 +590,8 @@ impl Kairos {
         now: u64,
     ) -> Result<AdmissionReport, AdmissionFailure> {
         let _span = self.telemetry.span("kairos_core", "admit");
-        // Claim-journal transaction instead of a full occupancy clone: the
-        // rollback cost is proportional to the claims actually made by this
-        // attempt, not to the platform size (see `Platform::begin_txn`).
+        // Every admission is one transaction (a batch scope folds them into
+        // one top-level transaction); a refusal rolls back an empty one.
         self.txn_begin();
         let app_id = AppId(self.next_app);
         let mut timings = PhaseTimings::default();
@@ -606,7 +601,15 @@ impl Kairos {
         let handoff = self.handoff.take().filter(|h| h.1 == epoch && h.0 == shape_of(app));
         let result = match handoff {
             Some((_, _, decision)) => {
-                self.commit_handoff(decision, app, app_id, &mut timings, ctx, now)
+                // One `commit.replay` span where the `phase.*` spans would
+                // be; `timings` stays zero, as on a cache hit.
+                let result = carried(decision)
+                    .and_then(|d| self.commit(d, app, app_id, &mut timings, ctx, now));
+                if let Some(m) = &self.metrics {
+                    m.admit_replayed.inc();
+                }
+                self.trace_phase(ctx, now, "commit.replay", result.is_ok());
+                result
             }
             None => self.place(app, app_id, &mut timings, ctx, now),
         };
@@ -614,11 +617,8 @@ impl Kairos {
             Ok((layout, validation)) => {
                 self.txn_commit();
                 self.next_app += 1;
-                let channel_bandwidths = app.channels().map(|c| c.bandwidth()).collect();
-                self.admitted.insert(
-                    app_id,
-                    AdmittedApp { app: app.clone(), layout: layout.clone(), channel_bandwidths },
-                );
+                self.admitted
+                    .insert(app_id, AdmittedApp { app: app.clone(), layout: layout.clone() });
                 if let Some(m) = &self.metrics {
                     m.admit_ok.inc();
                     self.telemetry.event(
@@ -680,7 +680,8 @@ impl Kairos {
     fn release_claims_of(&mut self, id: AppId) {
         let Some(admitted) = self.admitted.get(&id) else { return };
         self.platform.release_app(id);
-        release_routes(&mut self.platform, &admitted.layout.routes, &admitted.channel_bandwidths);
+        let bandwidths = admitted.app.channels().map(|c| c.bandwidth());
+        release_routes(&mut self.platform, &admitted.layout.routes, bandwidths);
     }
 
     /// Probes whether `app` could be admitted right now, leaving the
@@ -691,16 +692,17 @@ impl Kairos {
     /// This is the fan-out query behind sharded admission
     /// (`kairos-cluster`): every shard manager is probed in turn and a
     /// placement policy compares the returned [`AdmissionProbe`]s to
-    /// pick the winning shard. The whole probe runs in one claim-journal
-    /// transaction that is always rolled back.
+    /// pick the winning shard. The pipeline decides first; only a probe
+    /// that fits writes its claims, inside one claim-journal transaction
+    /// that is rolled back as soon as the occupancy they leave is read.
     ///
     /// A manager without an operating-point cache remembers what the
     /// probe decided, so the winning shard's [`Kairos::admit`] that
     /// follows commits it in O(claims) instead of running the pipeline
     /// again; any platform mutation or [`Kairos::set_weights`] in
     /// between voids the memory and that admission runs cold. The record
-    /// is built on every such probe, used or not (a layout clone and the
-    /// seat capture — within measurement noise of a pipeline run).
+    /// is built on every such probe, used or not (a layout clone and a
+    /// copy of the seats — within measurement noise of a pipeline run).
     ///
     /// # Errors
     ///
@@ -716,16 +718,17 @@ impl Kairos {
         // Probes never trace: the phases of a trial that is rolled back
         // are not part of the request's causal chain (the cluster records
         // one `probe.shard{i}` span per probe instead).
-        let result = self.place(app, scratch, &mut timings, TraceContext::NONE, 0);
-        // Captured while the trial claims are still seated; with a cache
-        // `place` has already stored the same decision there.
-        let decision = self.cache.is_none().then(|| self.decision_of(app, scratch, &result));
+        let decided = self.decide(app, &mut timings, TraceContext::NONE, 0);
+        // With a cache `decide` has already stored the same record there.
+        let record = self.cache.is_none().then(|| self.record_of(&decided));
+        let result =
+            decided.and_then(|d| self.commit(d, app, scratch, &mut timings, TraceContext::NONE, 0));
         let probe = match result {
             Ok((layout, _)) => Ok(AdmissionProbe { layout, after: self.occupancy() }),
             Err(error) => Err(AdmissionFailure { error, timings }),
         };
         self.txn_rollback();
-        self.handoff = decision.map(|d| (shape_of(app), self.platform.state_epoch(), d));
+        self.handoff = record.map(|r| (shape_of(app), self.platform.state_epoch(), r));
         probe
     }
 
@@ -735,9 +738,10 @@ impl Kairos {
     ///
     /// This is the what-if query behind preemption planning: a relocation
     /// planner grows a victim set and asks, per candidate set, whether
-    /// evicting it actually unblocks the request. The whole probe — the
-    /// victims' releases and every claim of the trial admission — runs in
-    /// one claim-journal transaction that is always rolled back.
+    /// evicting it actually unblocks the request. The victims' releases
+    /// run in one claim-journal transaction that is always rolled back,
+    /// and the trial admission is decided against them without writing
+    /// anything. A victim listed twice is released once.
     ///
     /// # Errors
     ///
@@ -752,17 +756,17 @@ impl Kairos {
         if let Some(m) = &self.metrics {
             m.probes.inc();
         }
-        for &victim in without {
-            self.release_claims_of(victim);
+        for (i, &victim) in without.iter().enumerate() {
+            if !without[..i].contains(&victim) {
+                self.release_claims_of(victim);
+            }
         }
-        // The scratch id is `next_app` *un-incremented*: it can never
-        // collide with an admitted application, and a probe admits nothing.
-        let scratch = AppId(self.next_app);
         let mut timings = PhaseTimings::default();
-        let result = self.place(app, scratch, &mut timings, TraceContext::NONE, 0);
+        let decided = self.decide(app, &mut timings, TraceContext::NONE, 0);
         self.txn_rollback();
-        match result {
-            Ok((layout, _)) => Ok(layout),
+        match decided {
+            Ok(Decision::Cold(layout, _)) => Ok(layout),
+            Ok(Decision::Carried(point)) => Ok(point.layout),
             Err(error) => Err(AdmissionFailure { error, timings }),
         }
     }
@@ -932,14 +936,17 @@ impl Kairos {
         }
     }
 
+    /// The four phases, deciding `app` against the platform as it stands.
+    /// They read it through `&Platform` and write nothing; the one write
+    /// here is the free rank's refresh before binding, which is history,
+    /// not state. An admission's seats are left in the workspace.
     fn run_phases(
         &mut self,
         app: &Application,
-        app_id: AppId,
         timings: &mut PhaseTimings,
         ctx: TraceContext,
         now: u64,
-    ) -> Result<(ExecutionLayout, Option<ValidationReport>), AllocationError> {
+    ) -> Decided {
         let clock = self.phase_clock();
 
         // Phase 1: binding, on a free-capacity rank brought up to date with
@@ -950,6 +957,7 @@ impl Kairos {
             self.platform.refresh_free_rank();
             bind_in(app, &self.platform, &mut self.workspace.binding)
         };
+        let platform = &self.platform;
         let elapsed = start.elapsed();
         timings.set(Phase::Binding, elapsed);
         if let Some(m) = &self.metrics {
@@ -958,18 +966,12 @@ impl Kairos {
         self.trace_phase(ctx, now, "phase.binding", binding.is_ok());
         let binding = binding?;
 
-        // Phase 2: mapping (claims element resources).
+        // Phase 2: mapping, through the request's own per-element debits.
         let start = clock.start();
         let mapping = {
             let _span = self.telemetry.span("kairos_core", "phase.mapping");
-            map_application_in(
-                app,
-                &binding,
-                &mut self.platform,
-                app_id,
-                &self.config.mapper(),
-                &mut self.workspace.mapping,
-            )
+            let mapper = self.config.mapper();
+            map_application_in(app, &binding, platform, &mapper, &mut self.workspace.mapping)
         };
         let elapsed = start.elapsed();
         timings.set(Phase::Mapping, elapsed);
@@ -979,14 +981,14 @@ impl Kairos {
         self.trace_phase(ctx, now, "phase.mapping", mapping.is_ok());
         let mapping = mapping?;
 
-        // Phase 3: routing (claims link resources).
+        // Phase 3: routing, through the request's own per-link debits.
         let start = clock.start();
         let routes = {
             let _span = self.telemetry.span("kairos_core", "phase.routing");
             route_channels_in(
                 app,
                 &mapping.placement,
-                &mut self.platform,
+                platform,
                 self.config.route_algorithm,
                 &mut self.workspace.routing,
             )
@@ -1019,27 +1021,11 @@ impl Kairos {
             None
         };
 
-        Ok((layout, validation))
+        Ok(Decision::Cold(layout, validation))
     }
 
-    /// The pipeline entry point behind every admission, probe and
-    /// migration attempt: consults the operating-point cache when one is
-    /// configured, replaying a stored decision on a hit and falling back
-    /// to (and populating from) the cold four-phase pipeline on a miss.
-    ///
-    /// A hit requires the exact `(shape, admission-view)` key — the stamp
-    /// digests what the pipeline reads of the platform, not who resides
-    /// on it — so the replayed claims land on the platform a cold run
-    /// from this state would have produced. That rests on `app_id` being
-    /// fresh: the pipeline tells its own occupants from everyone else's
-    /// and nothing more, so a resident already carrying `app_id` is the
-    /// one thing the key could not see (asserted below). Both halves of
-    /// the key are kept, not computed: the shape is a field of the
-    /// application and the stamp re-digests only the platform records
-    /// mutated since the previous lookup.
-    /// `timings` stays zero on the warm path (there are no phases to
-    /// time — deterministic drivers zero the cold path's clock too, so
-    /// the cache never changes report bytes).
+    /// Decides `app` and admits the decision under `app_id`: the pipeline
+    /// entry point behind every admission and migration attempt.
     fn place(
         &mut self,
         app: &Application,
@@ -1047,18 +1033,37 @@ impl Kairos {
         timings: &mut PhaseTimings,
         ctx: TraceContext,
         now: u64,
-    ) -> Result<(ExecutionLayout, Option<ValidationReport>), AllocationError> {
+    ) -> Admitted {
+        let decision = self.decide(app, timings, ctx, now)?;
+        self.commit(decision, app, app_id, timings, ctx, now)
+    }
+
+    /// Decides `app` against the platform as it stands, writing nothing:
+    /// consults the operating-point cache when one is configured, carrying
+    /// a stored decision back on a hit, and runs the cold four-phase
+    /// pipeline on a miss, storing what it decided under the pre-run
+    /// `(shape, stamp)` key, so the identical question asked from the
+    /// identical platform state is answered from the cache instead.
+    ///
+    /// A hit requires the exact `(shape, admission-view)` key — the stamp
+    /// digests what the pipeline reads of the platform, not who resides
+    /// on it, and the pipeline decides under no id at all — so the stored
+    /// decision is the one a cold run from this state would make. Both
+    /// halves of the key are kept, not computed: the shape is a field of
+    /// the application and the stamp re-digests only the platform records
+    /// mutated since the previous lookup. `timings` stays zero on a hit
+    /// (there are no phases to time — deterministic drivers zero the cold
+    /// path's clock too, so the cache never changes report bytes).
+    fn decide(
+        &mut self,
+        app: &Application,
+        timings: &mut PhaseTimings,
+        ctx: TraceContext,
+        now: u64,
+    ) -> Decided {
         let Some(cache) = self.cache.as_mut() else {
-            return self.run_phases(app, app_id, timings, ctx, now);
+            return self.run_phases(app, timings, ctx, now);
         };
-        debug_assert!(
-            self.platform
-                .element_ids()
-                .flat_map(|e| self.platform.residents(e))
-                .all(|o| o.app != app_id),
-            "{app_id} is already resident: the state stamp leaves resident identity out \
-             because the id being placed is never on the platform"
-        );
         let shape = shape_of(app);
         let stamp = StateStamp::maintained(&mut self.platform);
         debug_assert_eq!(
@@ -1077,144 +1082,77 @@ impl Kairos {
                 &[("outcome", outcome.to_owned())],
             );
         }
-        match cached {
-            Some(CachedDecision::Refuse(error)) => {
-                if let Some(m) = &self.metrics {
-                    m.cache_hits.inc();
-                }
-                Err(error)
+        if let Some(decision) = cached {
+            if let Some(m) = &self.metrics {
+                m.cache_hits.inc();
             }
-            Some(CachedDecision::Admit(point)) => {
-                if self.replay_point(&point, app_id) {
-                    if let Some(m) = &self.metrics {
-                        m.cache_hits.inc();
-                    }
-                    Ok((point.layout, point.validation))
-                } else {
-                    // Unreachable short of a 128-bit stamp collision: the
-                    // key pins every free vector, failure mark and link
-                    // the claims succeeded against. Degrade to the cold
-                    // pipeline regardless — a collision must never change
-                    // an admission outcome.
-                    self.place_cold(app, app_id, shape, stamp, timings, ctx, now)
-                }
-            }
-            None => self.place_cold(app, app_id, shape, stamp, timings, ctx, now),
+            return carried(decision);
         }
-    }
-
-    /// Runs the cold pipeline and stores its decision — admission or
-    /// refusal — under the pre-run `(shape, stamp)` key, so the identical
-    /// question asked from the identical platform state replays instead.
-    #[allow(clippy::too_many_arguments)]
-    fn place_cold(
-        &mut self,
-        app: &Application,
-        app_id: AppId,
-        shape: ShapeKey,
-        stamp: StateStamp,
-        timings: &mut PhaseTimings,
-        ctx: TraceContext,
-        now: u64,
-    ) -> Result<(ExecutionLayout, Option<ValidationReport>), AllocationError> {
         if let Some(m) = &self.metrics {
             m.cache_misses.inc();
         }
-        let result = self.run_phases(app, app_id, timings, ctx, now);
-        let decision = self.decision_of(app, app_id, &result);
-        let cache = self.cache.as_mut().expect("place_cold runs only with a cache");
+        let decided = self.run_phases(app, timings, ctx, now);
+        let record = self.record_of(&decided);
+        let cache = self.cache.as_mut().expect("checked above");
         let before = cache.len() as i64;
-        cache.insert(shape, stamp, decision);
+        cache.insert(shape, stamp, record);
         if let Some(m) = &self.metrics {
             // Delta update, not `set`: cluster shards share this gauge by
             // name, so it reads as the resident-point total across every
             // manager on the hub.
             m.cache_points.add(cache.len() as i64 - before);
         }
-        result
+        decided
     }
 
-    /// The replayable record of a pipeline `result` whose claims (made
-    /// under `app_id`) are still on the platform: what the cache stores
-    /// and what the probe hand-off carries.
-    fn decision_of(
-        &self,
-        app: &Application,
-        app_id: AppId,
-        result: &Result<(ExecutionLayout, Option<ValidationReport>), AllocationError>,
-    ) -> CachedDecision {
-        match result {
-            Ok((layout, validation)) => CachedDecision::Admit(CachedPoint {
+    /// The replayable record of a decision, seats copied out of the
+    /// workspace: what the cache stores and what the probe hand-off
+    /// carries.
+    fn record_of(&self, decided: &Decided) -> CachedDecision {
+        match decided {
+            Ok(Decision::Cold(layout, validation)) => CachedDecision::Admit(CachedPoint {
                 layout: layout.clone(),
-                seats: capture_seats(&self.platform, app_id, layout),
-                bandwidths: app.channels().map(|c| c.bandwidth()).collect(),
+                seats: self.workspace.mapping.seats().to_vec(),
                 validation: validation.clone(),
             }),
+            Ok(Decision::Carried(point)) => CachedDecision::Admit(point.clone()),
             Err(error) => CachedDecision::Refuse(error.clone()),
         }
     }
 
-    /// Commits the decision the preceding [`Kairos::probe_admit`] handed
-    /// off, in place of a pipeline run: replays the probed point's claims
-    /// under `app_id`, or returns the probed refusal. Recorded as one
-    /// `commit.replay` trace span where the four `phase.*` spans would
-    /// be; `timings` stays zero, as on a cache hit.
-    fn commit_handoff(
+    /// Admits a decision onto the platform under `app_id` through the one
+    /// writer. A cold decision was made against this very state, so it
+    /// always lands. A carried one lands unless something short of a
+    /// 128-bit stamp collision carried it to a state it does not fit; then
+    /// the cold pipeline decides instead — a carrier must never change an
+    /// admission outcome.
+    fn commit(
         &mut self,
-        decision: CachedDecision,
+        decision: Decision,
         app: &Application,
         app_id: AppId,
         timings: &mut PhaseTimings,
         ctx: TraceContext,
         now: u64,
-    ) -> Result<(ExecutionLayout, Option<ValidationReport>), AllocationError> {
-        let result = match decision {
-            CachedDecision::Admit(point) => {
-                if !self.replay_point(&point, app_id) {
-                    // Unreachable while the epoch guard holds: the claims
-                    // succeeded against this exact state a moment ago.
-                    // Degrade to the cold pipeline regardless — a replay
-                    // must never change an admission outcome.
-                    return self.run_phases(app, app_id, timings, ctx, now);
+    ) -> Admitted {
+        let bandwidths = app.channels().map(|c| c.bandwidth());
+        match decision {
+            Decision::Cold(layout, validation) => {
+                let seats = self.workspace.mapping.seats();
+                let landed =
+                    replay_point(&mut self.platform, app_id, seats, &layout.routes, bandwidths);
+                assert!(landed, "a decision lands on the state it was decided against");
+                Ok((layout, validation))
+            }
+            Decision::Carried(point) => {
+                let (seats, routes) = (&point.seats, &point.layout.routes);
+                if replay_point(&mut self.platform, app_id, seats, routes, bandwidths) {
+                    return Ok((point.layout, point.validation));
                 }
-                Ok((point.layout, point.validation))
-            }
-            CachedDecision::Refuse(error) => Err(error),
-        };
-        if let Some(m) = &self.metrics {
-            m.admit_replayed.inc();
-        }
-        self.trace_phase(ctx, now, "commit.replay", result.is_ok());
-        result
-    }
-
-    /// Replays a cached point's claims under `app_id` inside a nested raw
-    /// platform transaction (not metric-counted: `kairos.core.txn.*`
-    /// tracks pipeline attempts, and the enclosing entry point already
-    /// opened one). Seats are claimed in recorded resident order and
-    /// route links in layout order, so a successful replay leaves the
-    /// platform equal to what the cold pipeline would have left from the
-    /// same starting state. Any claim failure rolls the nested
-    /// transaction back completely and reports `false`.
-    fn replay_point(&mut self, point: &CachedPoint, app_id: AppId) -> bool {
-        self.platform.begin_txn();
-        for &(element, task, claimed) in &point.seats {
-            let occupant = Occupant { app: app_id, task, claimed };
-            if self.platform.claim(element, occupant).is_err() {
-                self.platform.rollback_txn();
-                return false;
+                let decision = self.run_phases(app, timings, ctx, now)?;
+                self.commit(decision, app, app_id, timings, ctx, now)
             }
         }
-        for (route, &bandwidth) in point.layout.routes.iter().zip(&point.bandwidths) {
-            for &link in route.links() {
-                if self.platform.claim_link(link, bandwidth).is_err() {
-                    self.platform.rollback_txn();
-                    return false;
-                }
-            }
-        }
-        self.platform.commit_txn();
-        true
     }
 
     /// Drops every cached operating point that places work on any of
@@ -1236,7 +1174,7 @@ impl Kairos {
     fn note_invalidated(&self, dropped: u64) {
         if let Some(m) = &self.metrics {
             m.cache_invalidations.add(dropped);
-            // Delta, not `set` — see `place_cold`: the gauge is shared
+            // Delta, not `set` — see `decide`: the gauge is shared
             // across cluster shards.
             m.cache_points.add(-(dropped as i64));
         }
@@ -1285,9 +1223,9 @@ impl Kairos {
     /// Without a batch scope, each [`Kairos::admit`] opens (and commits or
     /// rolls back) its own top-level platform transaction; a wave of N
     /// admissions pays N. Inside a batch scope the whole wave shares a
-    /// single top-level transaction — the per-admission transactions nest,
-    /// so a failed admission still rolls back exactly its own claims while
-    /// successful ones stay. `kairos-svc` drives this from
+    /// single top-level transaction — the per-admission transactions nest;
+    /// a failed admission writes nothing and successful ones stay.
+    /// `kairos-svc` drives this from
     /// `submit_batch`; compare the two paths with
     /// `cargo bench -p kairos-bench --bench service_batch`.
     ///
@@ -1311,12 +1249,8 @@ impl Kairos {
     /// Releases an admitted application, reclaiming all its element and
     /// link resources. Returns `false` when `id` is unknown.
     pub fn release(&mut self, id: AppId) -> bool {
-        let Some(admitted) = self.admitted.remove(&id) else {
-            return false;
-        };
-        self.platform.release_app(id);
-        release_routes(&mut self.platform, &admitted.layout.routes, &admitted.channel_bandwidths);
-        true
+        self.release_claims_of(id);
+        self.admitted.remove(&id).is_some()
     }
 
     /// Releases every admitted application.
@@ -1551,6 +1485,20 @@ mod tests {
     }
 
     #[test]
+    fn a_victim_named_twice_is_released_once() {
+        // Three non-local routes: a second release of them would return
+        // link capacity the platform never lent.
+        let mut kairos = Kairos::new(topology::dsp_mesh(2, 2), KairosConfig::default());
+        let resident = kairos.admit(&chain("fill", 4, 900, 100)).unwrap().app_id;
+        let before = kairos.platform().checkpoint();
+        let blocked = chain("blocked", 2, 900, 100);
+        let once = kairos.probe_admit_without(&blocked, &[resident]);
+        assert!(once.is_ok());
+        assert_eq!(kairos.probe_admit_without(&blocked, &[resident, resident]), once);
+        assert_eq!(kairos.platform().checkpoint(), before, "probe must be state-neutral");
+    }
+
+    #[test]
     fn migrate_keeps_id_and_balances_claims() {
         let mut kairos = Kairos::new(topology::crisp(), KairosConfig::default());
         let app = chain("mover", 3, 700, 100);
@@ -1621,7 +1569,7 @@ mod tests {
         kairos.begin_batch();
         kairos.admit(&app).unwrap();
         kairos.admit(&app).unwrap();
-        // A failed admission inside the scope rolls back only itself.
+        // A failed admission inside the scope leaves the others standing.
         assert!(kairos.admit(&chain("big", 70, 980, 10)).is_err());
         kairos.commit_batch();
         assert_eq!(kairos.platform().txn_count(), before + 1, "the whole batch is one txn");

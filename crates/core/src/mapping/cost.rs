@@ -108,8 +108,8 @@ impl std::fmt::Display for CostPolicy {
 /// Both are read off the partial placement, never off the platform's
 /// resident lists, so the cost function reads no occupant identity: the
 /// platform tells it only whether an element is used. That is exact
-/// because the application being placed has a fresh id — nothing resident
-/// before its placement started is its own.
+/// because the request claims nothing until its placement is decided —
+/// everything resident is someone else's.
 #[derive(Debug, Clone, Default)]
 pub struct CostTables {
     /// The mapped peers of the tabled tasks, one entry per channel to a
@@ -179,6 +179,7 @@ impl CostTables {
     }
 
     /// How many of the request's tasks are placed on `e`.
+    #[inline]
     pub(crate) fn own_tasks_on(&self, e: ElementId) -> u32 {
         self.own[e.index()]
     }
@@ -233,18 +234,20 @@ impl CostContext<'_> {
 
     /// The fragmentation bonus of placing `t` on `e` (higher is better).
     ///
-    /// Of each used neighbour it asks whether it holds a mapped peer of
-    /// `t`, another of the request's own tasks, or only other applications'
-    /// — the first two from the tables, so the platform is asked nothing
-    /// but `is_used`. `Platform::state_stamp` relies on that: it digests
-    /// the used flag and leaves resident identity out. Reading an
-    /// [`Occupant`](kairos_platform::Occupant) here means putting what is
-    /// read in the stamp.
+    /// A neighbour is used when the platform says so or it holds one of
+    /// the request's own placed tasks (the request decides before it
+    /// claims anything). Of each used neighbour it asks whether it holds a
+    /// mapped peer of `t`, another of the request's own tasks, or only
+    /// other applications' — the first two from the tables, so the
+    /// platform is asked nothing but `is_used`. `Platform::state_stamp`
+    /// relies on that: it digests the used flag and leaves resident
+    /// identity out. Reading an [`Occupant`](kairos_platform::Occupant)
+    /// here means putting what is read in the stamp.
     pub fn fragmentation_bonus(&self, t: TaskId, e: ElementId) -> f64 {
         let peers = self.tables.peers(t);
         let mut bonus = 0.0;
         for &n in self.platform.neighbors(e) {
-            if !self.platform.is_used(n) {
+            if !self.platform.is_used(n) && self.tables.own_tasks_on(n) == 0 {
                 continue;
             }
             bonus += if peers.iter().any(|&(p, _)| p == n) {

@@ -29,9 +29,10 @@ pub use search::ElementSearch;
 
 use kairos_app::{Application, TaskId, TaskRings};
 use kairos_platform::{
-    AppId, ElementId, ElementKind, Occupant, Platform, ResourceVector, SparseDistanceMatrix,
+    AppId, ElementId, ElementKind, Platform, ResourceVector, SparseDistanceMatrix,
 };
 
+use crate::cache::{replay_point, Seat};
 use crate::error::MappingError;
 use crate::layout::{Binding, Placement};
 
@@ -85,10 +86,11 @@ pub struct MappingReport {
 }
 
 /// Runs the mapping phase: places every task of `app` on an element of
-/// `platform`, claiming element resources as it commits each neighborhood.
+/// `platform` and claims the placement there.
 ///
-/// On success the claims for all tasks remain on the platform (tagged with
-/// `app_id`); on failure every claim made by this call is rolled back.
+/// On success the claims for all tasks are on the platform (tagged with
+/// `app_id`); on failure the platform is untouched — the placement is
+/// decided first and claimed only once complete.
 ///
 /// # Errors
 ///
@@ -121,49 +123,21 @@ pub fn map_application(
     app_id: AppId,
     config: &MapperConfig,
 ) -> Result<MappingReport, MappingError> {
-    map_application_in(app, binding, platform, app_id, config, &mut MappingScratch::default())
-}
-
-/// [`map_application`] in a manager's working memory.
-pub(crate) fn map_application_in(
-    app: &Application,
-    binding: &Binding,
-    platform: &mut Platform,
-    app_id: AppId,
-    config: &MapperConfig,
-    scratch: &mut MappingScratch,
-) -> Result<MappingReport, MappingError> {
-    debug_assert!(
-        platform.element_ids().flat_map(|e| platform.residents(e)).all(|o| o.app != app_id),
-        "{app_id} is already resident: the cost function counts the request's own tasks \
-         from its placement, so nothing resident may carry the id being placed"
-    );
-    platform.begin_txn();
-    match map_inner(app, binding, platform, app_id, config, scratch) {
-        Ok(report) => {
-            platform.commit_txn();
-            Ok(report)
-        }
-        Err(e) => {
-            platform.rollback_txn();
-            Err(e)
-        }
-    }
+    let mut scratch = MappingScratch::default();
+    let report = map_application_in(app, binding, platform, config, &mut scratch)?;
+    let committed = replay_point(platform, app_id, scratch.seats(), &[], []);
+    assert!(committed, "a placement is claimed on the platform it was decided on");
+    Ok(report)
 }
 
 /// A task's bound implementation as the mapper reads it: the element kind
 /// it targets and the resources it claims.
 type Bound = (ElementKind, ResourceVector);
 
-/// `av(e, t)` for a task bound to `(kind, demand)`: kind-compatible, alive
-/// and enough free resources.
-fn available(platform: &Platform, &(kind, demand): &Bound, e: ElementId) -> bool {
-    platform.element(e).kind() == kind && platform.is_available(e, &demand)
-}
-
-/// Every element with `av(e, t)` for a task bound to `(kind, demand)`,
-/// ascending — read off the platform's per-kind table, so the other kinds
-/// are never visited.
+/// Every element with `av(e, t)` for a task bound to `(kind, demand)` on the
+/// platform as it stands, ascending — read off the platform's per-kind
+/// table, so the other kinds are never visited. For the scans made before
+/// anything is placed.
 fn available_elements(
     platform: &Platform,
     (kind, demand): Bound,
@@ -171,21 +145,63 @@ fn available_elements(
     platform.ids_of_kind(kind).iter().copied().filter(move |&e| platform.is_available(e, &demand))
 }
 
-/// Claims `e` for task `t` and records the placement, in `placement` and
-/// in the own-task count of `tables`.
-fn place_task(
-    platform: &mut Platform,
-    app_id: AppId,
-    placement: &mut [Option<ElementId>],
-    tables: &mut CostTables,
-    t: TaskId,
-    demand: ResourceVector,
-    e: ElementId,
-) -> Result<(), kairos_platform::ClaimError> {
-    platform.claim(e, Occupant { app: app_id, task: t.0, claimed: demand })?;
-    placement[t.index()] = Some(e);
-    tables.place(e);
-    Ok(())
+/// The request's partial placement in every form the mapper reads it: by
+/// task, as the cost function's tables, as a per-element debit of the
+/// request's own demand against the platform's free vectors, and as the
+/// seats taken, in the order they were taken.
+#[derive(Debug, Default)]
+struct OwnPlacement {
+    /// The element of each placed task, by task id.
+    placement: Vec<Option<ElementId>>,
+    /// What the cost function reads of the request: the mapped peers of
+    /// the tasks being priced, and the placement's own-task counts — so
+    /// an element is used if the platform says so or it holds an own task.
+    tables: CostTables,
+    /// The request's placed demand per element — zero on every element
+    /// `seats` does not list: what `e` has free for the request is
+    /// `platform.free(e)` less this.
+    debit: Vec<ResourceVector>,
+    /// The placement's claims in placing order: what the writer replays.
+    seats: Vec<Seat>,
+}
+
+impl OwnPlacement {
+    /// Forgets every placed task, for a request of `tasks` tasks on a
+    /// platform of `elements` elements.
+    fn reset(&mut self, tasks: usize, elements: usize) {
+        self.placement.clear();
+        self.placement.resize(tasks, None);
+        self.tables.reset(tasks, elements);
+        // Only what the seats list was debited.
+        for &(e, ..) in &self.seats {
+            self.debit[e.index()] = ResourceVector::ZERO;
+        }
+        self.debit.resize(elements, ResourceVector::ZERO);
+        self.seats.clear();
+    }
+
+    /// Places task `t`, demanding `demand`, on `e`.
+    fn place(&mut self, t: TaskId, demand: ResourceVector, e: ElementId) {
+        self.placement[t.index()] = Some(e);
+        self.tables.place(e);
+        let debit = &mut self.debit[e.index()];
+        *debit = debit.saturating_add(&demand);
+        self.seats.push((e, t.0, demand));
+    }
+
+    /// What `e` has free for the request: the platform's free vector less
+    /// the request's own demand placed there.
+    fn free(&self, platform: &Platform, e: ElementId) -> ResourceVector {
+        platform.free(e).saturating_sub(&self.debit[e.index()])
+    }
+
+    /// `av(e, t)` for a task bound to `(kind, demand)`: kind-compatible,
+    /// alive and enough free resources left for it — room for the demand
+    /// on top of the request's own.
+    fn available(&self, platform: &Platform, &(kind, demand): &Bound, e: ElementId) -> bool {
+        platform.element(e).kind() == kind
+            && platform.is_available(e, &demand.saturating_add(&self.debit[e.index()]))
+    }
 }
 
 /// Working memory of one [`map_application`] call. Every set the element
@@ -199,13 +215,10 @@ pub(crate) struct MappingScratch {
     search: ElementSearch,
     gap: GapState,
     /// Each task's bound `(kind, demand)`, by task id: what availability,
-    /// `SolveGAP`'s demands and the claims read, looked up once per call.
+    /// `SolveGAP`'s demands and the seats read, looked up once per call.
     bound: Vec<Bound>,
-    /// The partial placement: the committed element of each mapped task.
-    placement: Vec<Option<ElementId>>,
-    /// What the cost function reads of the request: the mapped peers of
-    /// the tasks being priced, and the placement's own-task counts.
-    tables: CostTables,
+    /// The partial placement.
+    own: OwnPlacement,
     /// The cheapest starts of an unpinned application, cheapest first.
     starts: Vec<(ElementId, f64)>,
     /// The tasks `placement` holds when a ring decomposition starts, and
@@ -223,11 +236,19 @@ pub(crate) struct MappingScratch {
     backward_origins: Vec<ElementId>,
 }
 
-fn map_inner(
+impl MappingScratch {
+    /// The seats of the last placement decided here, in placing order.
+    pub(crate) fn seats(&self) -> &[Seat] {
+        &self.own.seats
+    }
+}
+
+/// [`map_application`]'s decision in a manager's working memory: the
+/// placement, with its seats left in `scratch`, and nothing written.
+pub(crate) fn map_application_in(
     app: &Application,
     binding: &Binding,
-    platform: &mut Platform,
-    app_id: AppId,
+    platform: &Platform,
     config: &MapperConfig,
     scratch: &mut MappingScratch,
 ) -> Result<MappingReport, MappingError> {
@@ -237,40 +258,32 @@ fn map_inner(
         let imp = binding.implementation(app, t);
         (imp.target(), imp.requires())
     }));
-    scratch.placement.clear();
-    scratch.placement.resize(app.task_count(), None);
-    scratch.tables.reset(app.task_count(), platform.element_count());
+    scratch.own.reset(app.task_count(), platform.element_count());
 
     // --- M0: pinned tasks (exactly one available element). -----------------
     // Only "none, one or more" matters, so each scan stops at the second
-    // available element. Nothing is claimed before every task was scanned:
-    // a claim would change what the later scans see.
+    // available element. Nothing is placed before every task was scanned:
+    // a placement would change what the later scans see.
     for t in app.task_ids() {
         let mut candidates = available_elements(platform, scratch.bound[t.index()]);
         match (candidates.next(), candidates.next()) {
             (None, _) => return Err(MappingError::NoStartingPoint { task: t }),
-            (Some(only), None) => scratch.placement[t.index()] = Some(only),
+            (Some(only), None) => scratch.own.placement[t.index()] = Some(only),
             _ => {}
         }
     }
 
-    if scratch.placement.iter().any(Option::is_some) {
+    if scratch.own.placement.iter().any(Option::is_some) {
         for t in app.task_ids() {
-            if let Some(e) = scratch.placement[t.index()] {
+            if let Some(e) = scratch.own.placement[t.index()] {
                 let demand = scratch.bound[t.index()].1;
-                place_task(
-                    platform,
-                    app_id,
-                    &mut scratch.placement,
-                    &mut scratch.tables,
-                    t,
-                    demand,
-                    e,
-                )
-                .map_err(|_| MappingError::PinnedTaskInfeasible { task: t, element: e })?;
+                if !scratch.own.free(platform, e).fits(&demand) {
+                    return Err(MappingError::PinnedTaskInfeasible { task: t, element: e });
+                }
+                scratch.own.place(t, demand, e);
             }
         }
-        return map_rings(app, platform, app_id, config, scratch);
+        return map_rings(app, platform, config, scratch);
     }
 
     // --- M0 fallback: minimum-degree task on the cheapest element. ---------
@@ -283,11 +296,11 @@ fn map_inner(
     let t0 = *app.min_degree_tasks().first().expect("applications are validated non-empty");
     let attempts = config.start_retries as usize + 1;
     scratch.starts.clear();
-    scratch.tables.table_peers(app, &scratch.placement, [t0]);
+    scratch.own.tables.table_peers(app, &scratch.own.placement, [t0]);
     {
         let ctx = CostContext {
             platform,
-            tables: &scratch.tables,
+            tables: &scratch.own.tables,
             distances: &scratch.distances,
             weights: config.weights,
             miss_penalty: config.distance_miss_penalty,
@@ -309,32 +322,21 @@ fn map_inner(
     let mut last_err = None;
     for attempt in 0..scratch.starts.len() {
         let (e0, _) = scratch.starts[attempt];
-        platform.begin_txn();
-        scratch.placement.fill(None);
-        scratch.tables.reset(app.task_count(), platform.element_count());
-        let demand = scratch.bound[t0.index()].1;
-        place_task(platform, app_id, &mut scratch.placement, &mut scratch.tables, t0, demand, e0)
-            .expect("availability was checked above");
-        match map_rings(app, platform, app_id, config, scratch) {
-            Ok(report) => {
-                platform.commit_txn();
-                return Ok(report);
-            }
-            Err(e) => {
-                platform.rollback_txn();
-                last_err = Some(e);
-            }
+        scratch.own.reset(app.task_count(), platform.element_count());
+        scratch.own.place(t0, scratch.bound[t0.index()].1, e0);
+        match map_rings(app, platform, config, scratch) {
+            Ok(report) => return Ok(report),
+            Err(e) => last_err = Some(e),
         }
     }
     Err(last_err.expect("at least one attempt was made"))
 }
 
-/// Places every task `scratch.placement` leaves open, ring by ring from the
-/// seeds it holds, claiming each ring as it is solved.
+/// Places every task the partial placement leaves open, ring by ring from
+/// the seeds it holds, fixing each ring as it is solved.
 fn map_rings(
     app: &Application,
-    platform: &mut Platform,
-    app_id: AppId,
+    platform: &Platform,
     config: &MapperConfig,
     scratch: &mut MappingScratch,
 ) -> Result<MappingReport, MappingError> {
@@ -343,8 +345,7 @@ fn map_rings(
         search,
         gap,
         bound,
-        placement,
-        tables,
+        own,
         starts: _,
         seeds,
         rings,
@@ -358,7 +359,7 @@ fn map_rings(
 
     // --- Neighborhood decomposition from the seeds. -------------------------
     seeds.clear();
-    seeds.extend(app.task_ids().filter(|t| placement[t.index()].is_some()));
+    seeds.extend(app.task_ids().filter(|t| own.placement[t.index()].is_some()));
     app.neighborhood_rings_into(seeds, rings);
 
     let mut stats_rings = 0usize;
@@ -367,7 +368,7 @@ fn map_rings(
 
     for (i, ring) in rings.iter().enumerate().skip(1) {
         tasks.clear();
-        tasks.extend(ring.iter().copied().filter(|t| placement[t.index()].is_none()));
+        tasks.extend(ring.iter().copied().filter(|t| own.placement[t.index()].is_none()));
         if tasks.is_empty() {
             continue;
         }
@@ -378,25 +379,25 @@ fn map_rings(
         backward_origins.clear();
         for &t2 in tasks.iter() {
             for &(t1, _) in app.producers(t2) {
-                if let Some(e1) = placement[t1.index()] {
+                if let Some(e1) = own.placement[t1.index()] {
                     forward_origins.push(e1); // data flows t1 -> t2
                 }
             }
             for &(t1, _) in app.consumers(t2) {
-                if let Some(e1) = placement[t1.index()] {
+                if let Some(e1) = own.placement[t1.index()] {
                     backward_origins.push(e1); // data flows t2 -> t1
                 }
             }
         }
         if forward_origins.is_empty() && backward_origins.is_empty() {
             // Disconnected component: restart from every mapped element.
-            forward_origins.extend(placement.iter().flatten());
+            forward_origins.extend(own.placement.iter().flatten());
             backward_origins.extend_from_slice(forward_origins);
         }
 
         search.restart_on(platform.element_count(), forward_origins, backward_origins);
         gap.restart(tasks);
-        tables.table_peers(app, placement, tasks.iter().copied());
+        own.tables.table_peers(app, &own.placement, tasks.iter().copied());
         fresh.clear();
         hosted.clear();
         hosted.resize(tasks.len(), false);
@@ -409,7 +410,7 @@ fn map_rings(
 
             // Grow until the candidate set looks sufficient (every task has
             // a compatible discovered element, and there are at least as
-            // many candidates as tasks). Nothing is claimed inside this
+            // many candidates as tasks). Nothing is placed inside this
             // loop, so availability is fixed, the test is monotone in the
             // discovered set, and only the new ring has to be looked at.
             if !sufficient {
@@ -417,7 +418,7 @@ fn map_rings(
                     *has_host = *has_host
                         || fresh[ring_start..]
                             .iter()
-                            .any(|&e| available(platform, &bound[t.index()], e));
+                            .any(|&e| own.available(platform, &bound[t.index()], e));
                 }
                 sufficient = search.discovered().len() >= tasks.len() && hosted.iter().all(|&h| h);
             }
@@ -433,7 +434,7 @@ fn map_rings(
             let solved = {
                 let ctx = CostContext {
                     platform,
-                    tables,
+                    tables: &own.tables,
                     distances,
                     weights: config.weights,
                     miss_penalty: config.distance_miss_penalty,
@@ -442,8 +443,8 @@ fn map_rings(
                 gap.solve(
                     fresh,
                     config.knapsack,
-                    |e| platform.free(e),
-                    |t, e| available(platform, &bound[t.index()], e),
+                    |e| own.free(platform, e),
+                    |t, e| own.available(platform, &bound[t.index()], e),
                     |t| bound[t.index()].1,
                     |t, e| ctx.mapping_cost(t, e),
                 )
@@ -458,15 +459,14 @@ fn map_rings(
         }
         stats_elements += search.discovered().len();
 
-        // Commit the ring: claim resources and fix the placement.
+        // Fix the ring's placement.
         for (t, e) in gap.assignments() {
-            place_task(platform, app_id, placement, tables, t, bound[t.index()].1, e)
-                .expect("GAP overlay respects platform capacity");
+            own.place(t, bound[t.index()].1, e);
         }
     }
 
     let final_placement: Vec<ElementId> =
-        placement.iter().map(|p| p.expect("all rings committed")).collect();
+        own.placement.iter().map(|p| p.expect("all rings placed")).collect();
     Ok(MappingReport {
         placement: Placement::new(final_placement),
         rings: stats_rings,
@@ -480,7 +480,7 @@ mod tests {
     use super::*;
     use crate::binding::bind;
     use kairos_app::{ApplicationBuilder, Implementation, TaskRole};
-    use kairos_platform::{topology, ElementKind};
+    use kairos_platform::{topology, ElementKind, Occupant};
 
     fn dsp(cpu: u64) -> Implementation {
         Implementation::new(ElementKind::Dsp, ResourceVector::new(cpu, 16, 0, 0), 100, 1)

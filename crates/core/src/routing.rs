@@ -12,8 +12,9 @@ use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
 use kairos_app::{Application, ChannelId};
-use kairos_platform::{ElementId, LinkId, Platform};
+use kairos_platform::{AppId, ElementId, LinkId, Platform};
 
+use crate::cache::replay_point;
 use crate::error::RoutingError;
 use crate::layout::{Placement, Route};
 use crate::workspace::Marks;
@@ -45,8 +46,8 @@ impl std::fmt::Display for RouteAlgorithm {
 /// standard heuristic for sequential virtual-channel reservation. Channels
 /// whose endpoints share an element need no links at all.
 ///
-/// On success the link claims stay on the platform; on failure all claims
-/// made by this call are rolled back.
+/// On success the link claims are on the platform; on failure the platform
+/// is untouched — every route is found first and claimed only once all are.
 ///
 /// # Errors
 ///
@@ -58,28 +59,13 @@ pub fn route_channels(
     platform: &mut Platform,
     algorithm: RouteAlgorithm,
 ) -> Result<Vec<Route>, RoutingError> {
-    route_channels_in(app, placement, platform, algorithm, &mut RoutingScratch::default())
-}
-
-/// [`route_channels`] in a manager's working memory.
-pub(crate) fn route_channels_in(
-    app: &Application,
-    placement: &Placement,
-    platform: &mut Platform,
-    algorithm: RouteAlgorithm,
-    scratch: &mut RoutingScratch,
-) -> Result<Vec<Route>, RoutingError> {
-    platform.begin_txn();
-    match route_inner(app, placement, platform, algorithm, scratch) {
-        Ok(routes) => {
-            platform.commit_txn();
-            Ok(routes)
-        }
-        Err(e) => {
-            platform.rollback_txn();
-            Err(e)
-        }
-    }
+    let routes =
+        route_channels_in(app, placement, platform, algorithm, &mut RoutingScratch::default())?;
+    let bandwidths = app.channels().map(|c| c.bandwidth());
+    // Routes alone claim no seat, so no id is read.
+    let committed = replay_point(platform, AppId(0), &[], &routes, bandwidths);
+    assert!(committed, "routes are claimed on the platform they were found on");
+    Ok(routes)
 }
 
 /// Working memory of one [`route_channels`] call: the path searches' tables,
@@ -103,20 +89,32 @@ pub(crate) struct RoutingScratch {
     /// Dijkstra's tentative distances and frontier.
     dist: Vec<u64>,
     heap: BinaryHeap<Reverse<(u64, u32)>>,
+    /// Per link, the virtual channels and bandwidth the request's routes
+    /// found so far take — zero on every link `links` does not list: what
+    /// the searches see of a link is the platform's free state less this.
+    taken: Vec<(u16, u64)>,
 }
 
-fn route_inner(
+/// [`route_channels`]' decision in a manager's working memory: a route per
+/// channel, found against the platform less the request's own earlier
+/// routes, and nothing written.
+pub(crate) fn route_channels_in(
     app: &Application,
     placement: &Placement,
-    platform: &mut Platform,
+    platform: &Platform,
     algorithm: RouteAlgorithm,
     scratch: &mut RoutingScratch,
 ) -> Result<Vec<Route>, RoutingError> {
+    // Only the links of the last call's routes were taken.
+    for &l in &scratch.links {
+        scratch.taken[l.index()] = (0, 0);
+    }
+    scratch.taken.resize(platform.link_count(), (0, 0));
+    scratch.links.clear();
     scratch.order.clear();
     scratch.order.extend(app.channels().map(|c| c.id()));
     // Ids break ties, so the order is total and needs no stable sort.
     scratch.order.sort_unstable_by_key(|&c| (Reverse(app.channel(c).bandwidth()), c));
-    scratch.links.clear();
     scratch.spans.clear();
     scratch.spans.resize(app.channel_count(), (0, 0));
     scratch.prev.resize(platform.element_count(), (ElementId(0), LinkId(0)));
@@ -139,9 +137,9 @@ fn route_inner(
             return Err(RoutingError::NoRoute { channel: channel.id(), src, dst });
         }
         for &l in &scratch.links[start..] {
-            platform
-                .claim_link(l, channel.bandwidth())
-                .expect("path search only returns links with available capacity");
+            let (vcs, bandwidth) = &mut scratch.taken[l.index()];
+            *vcs += 1;
+            *bandwidth += channel.bandwidth();
         }
         scratch.spans[channel.id().index()] = (start as u32, scratch.links.len() as u32);
     }
@@ -149,6 +147,19 @@ fn route_inner(
         Route::new(channel.id(), scratch.links[start as usize..end as usize].to_vec())
     });
     Ok(routes.collect())
+}
+
+/// `(free virtual channels, free bandwidth)` of `l` left to the request:
+/// the platform's free state less what its earlier routes take.
+fn link_left(platform: &Platform, taken: &[(u16, u64)], l: LinkId) -> (u16, u64) {
+    let (vcs, bandwidth) = taken[l.index()];
+    (platform.link_free_virtual_channels(l) - vcs, platform.link_free_bandwidth(l) - bandwidth)
+}
+
+/// Whether `l` can still carry a channel of `bandwidth` for the request.
+fn link_available(platform: &Platform, taken: &[(u16, u64)], l: LinkId, bandwidth: u64) -> bool {
+    let (vcs, free) = link_left(platform, taken, l);
+    vcs > 0 && free >= bandwidth
 }
 
 /// Appends to `scratch.links` the fewest-hops path from `src` to `dst` over
@@ -162,7 +173,7 @@ fn bfs_path(
     bandwidth: u64,
     scratch: &mut RoutingScratch,
 ) -> bool {
-    let RoutingScratch { links, visited, prev, queue, .. } = scratch;
+    let RoutingScratch { links, visited, prev, queue, taken, .. } = scratch;
     visited.reset(platform.element_count());
     visited.insert(src.index());
     queue.clear();
@@ -176,7 +187,7 @@ fn bfs_path(
         }
         for &(next, link) in platform.successors(e) {
             if visited.contains(next.index())
-                || !platform.link_available(link, bandwidth)
+                || !link_available(platform, taken, link, bandwidth)
                 || (platform.is_failed(next) && next != dst)
             {
                 continue;
@@ -199,7 +210,7 @@ fn dijkstra_path(
     bandwidth: u64,
     scratch: &mut RoutingScratch,
 ) -> bool {
-    let RoutingScratch { links, prev, dist, heap, .. } = scratch;
+    let RoutingScratch { links, prev, dist, heap, taken, .. } = scratch;
     dist.clear();
     dist.resize(platform.element_count(), u64::MAX);
     heap.clear();
@@ -215,13 +226,13 @@ fn dijkstra_path(
             return true;
         }
         for &(next, link) in platform.successors(e) {
-            if !platform.link_available(link, bandwidth)
+            if !link_available(platform, taken, link, bandwidth)
                 || (platform.is_failed(next) && next != dst)
             {
                 continue;
             }
             let capacity = platform.link(link).bandwidth().max(1);
-            let used = capacity - platform.link_free_bandwidth(link);
+            let used = capacity - link_left(platform, taken, link).1;
             let weight = 1000 + 1000 * used / capacity;
             let nd = d.saturating_add(weight);
             if nd < dist[next.index()] {
@@ -254,15 +265,19 @@ fn reconstruct(
 
 /// Releases the link claims of previously established routes.
 ///
-/// Local (zero-hop) routes hold no link resources. The `bandwidths` slice
-/// must give the bandwidth of each route's channel, indexed like `routes`.
+/// Local (zero-hop) routes hold no link resources. `bandwidths` must give
+/// the bandwidth of each route's channel, in the order of `routes`.
 ///
 /// # Panics
 ///
 /// Panics if a release exceeds a link's capacity, indicating the routes were
 /// not established on this platform.
-pub fn release_routes(platform: &mut Platform, routes: &[Route], bandwidths: &[u64]) {
-    for (route, &bw) in routes.iter().zip(bandwidths) {
+pub fn release_routes(
+    platform: &mut Platform,
+    routes: &[Route],
+    bandwidths: impl IntoIterator<Item = u64>,
+) {
+    for (route, bw) in routes.iter().zip(bandwidths) {
         for &l in route.links() {
             platform.release_link(l, bw);
         }
@@ -301,7 +316,7 @@ mod tests {
             assert_eq!(platform.link_free_bandwidth(l), 900);
         }
         // Releasing restores everything.
-        release_routes(&mut platform, &routes, &[100]);
+        release_routes(&mut platform, &routes, [100]);
         assert!(platform.is_idle());
     }
 

@@ -2,20 +2,22 @@
 //!
 //! Every transient structure the four phases fill while deciding one
 //! admission — binding's candidate lists, regret order and debit overlay,
-//! mapping's search sets, distance rows, GAP state and ring decomposition,
-//! routing's BFS tables and route buffer, validation's layout model and
-//! cycle-ratio vectors — lives in one [`Workspace`] that a [`Kairos`]
-//! keeps between calls, so a warm admission takes from the heap only what
-//! outlives it. Each phase's part is declared beside the code that uses it;
-//! this module assembles them and provides the one shared building block,
-//! the generation-stamped [`Marks`].
+//! mapping's search sets, distance rows, GAP state, ring decomposition,
+//! debit overlay and seats, routing's BFS tables, link overlay and route
+//! buffer, validation's layout model and cycle-ratio vectors — lives in one
+//! [`Workspace`] that a [`Kairos`] keeps between calls, so a warm admission
+//! takes from the heap only what outlives it. Each phase's part is declared
+//! beside the code that uses it; this module assembles them and provides
+//! the one shared building block, the generation-stamped [`Marks`].
 //!
 //! The rule every part follows is **clear before use**: a phase empties (or
 //! re-stamps) each buffer before its first read of it, sized for the
-//! platform and application at hand. Nothing is read across calls, so a
-//! workspace carries capacity and never a decision — which is why
-//! [`Workspace::clone`] hands out an empty one, checkpoints leave it out,
-//! and the public phase functions can run on a throw-away instance.
+//! platform and application at hand (the two debit overlays through the
+//! list of what the last call wrote there: its seats, its route links).
+//! No decision reads anything across calls, so a workspace carries
+//! capacity and never a decision — which is why [`Workspace::clone`] hands
+//! out an empty one, checkpoints leave it out, and the public phase
+//! functions can run on a throw-away instance.
 //!
 //! [`Kairos`]: crate::Kairos
 
@@ -64,11 +66,13 @@ impl Marks {
     }
 
     /// Adds `index`; `true` when it was not yet a member.
+    #[inline]
     pub fn insert(&mut self, index: usize) -> bool {
         std::mem::replace(&mut self.stamp[index], self.generation) != self.generation
     }
 
     /// Whether `index` is a member.
+    #[inline]
     pub fn contains(&self, index: usize) -> bool {
         self.stamp[index] == self.generation
     }
@@ -78,6 +82,7 @@ impl Marks {
 mod tests {
     use super::*;
     use crate::binding::bind_in;
+    use crate::cache::replay_point;
     use crate::error::AllocationError;
     use crate::layout::ExecutionLayout;
     use crate::mapping::{map_application_in, MapperConfig};
@@ -86,7 +91,8 @@ mod tests {
     use kairos_app::{Application, ApplicationBuilder, Implementation, TaskRole};
     use kairos_platform::{topology, AppId, ElementKind, Platform, ResourceVector};
 
-    /// The four phases on `platform`, in `workspace`.
+    /// The four phases on `platform`, in `workspace`, and the admission
+    /// committed.
     fn pipeline(
         workspace: &mut Workspace,
         app: &Application,
@@ -97,7 +103,6 @@ mod tests {
             app,
             &binding,
             platform,
-            AppId(7),
             &MapperConfig::default(),
             &mut workspace.mapping,
         )?
@@ -112,6 +117,9 @@ mod tests {
         let layout = ExecutionLayout { binding, placement, routes };
         let config = ValidationConfig::default();
         let report = validate_in(app, &layout, &config, &mut workspace.validation)?;
+        let bandwidths = app.channels().map(|c| c.bandwidth());
+        let seats = workspace.mapping.seats();
+        assert!(replay_point(platform, AppId(7), seats, &layout.routes, bandwidths));
         Ok((layout, report))
     }
 

@@ -131,8 +131,11 @@ fn mapping_cost_does_not_allocate() {
 /// application clones by reference count. An admitted request pays for its
 /// layout twice (the report's and the registry's: a binding, a placement,
 /// the route list and one link list per non-local channel, 10.4 on this
-/// churn) and for the registry's bandwidth list; a refused one for the
-/// binding and placement it got to before the refusal. At `292cf97`, where
+/// churn), 20.8 in all: since PR 26 the registry keeps no bandwidth list
+/// beside the application that holds one, and the platform's resident
+/// lists grow only under admissions, never under refusals that claim
+/// nothing. A refused one pays for the binding and placement it got to
+/// before the refusal. At `292cf97`, where
 /// every phase rebuilt its working sets per call, this churn read 171.07
 /// and 158.67 (most refusals here come from routing, after a full mapping
 /// run). The counts are exact: a change that moves them is a change to what

@@ -575,3 +575,60 @@ proptest! {
         }
     }
 }
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(4))]
+
+    /// A refusal writes nothing. The phases decide over the platform
+    /// without claiming, and only an admitted decision is written, so an
+    /// `admit` or `probe_admit` that is refused — cold, from the cache or
+    /// from the probe hand-off — leaves the mutation epoch where it was
+    /// and marks no element for the free rank: the list is empty when the
+    /// cold pipeline refreshed it, and untouched when a carrier answered.
+    /// On CRISP the hostile applications come behind [`package_walls`], so
+    /// each phase refuses something.
+    #[test]
+    fn a_refusal_writes_nothing(seed in any::<u64>()) {
+        let mut refusals = [0u32; 4];
+        let storm = storm_apps(seed, 6);
+        let hostile = hostile_apps();
+        let pool: Vec<&Application> = storm.iter().chain(&hostile).collect();
+        for (platform, walled) in [(topology::crisp(), true), (topology::heterogeneous_mesh(6, 6), false)] {
+            for cached in [false, true] {
+                let config = KairosConfig {
+                    deterministic: true,
+                    cache: cached.then(CacheConfig::default),
+                    ..KairosConfig::default()
+                };
+                let mut kairos = Kairos::new(platform.clone(), config);
+                for (i, app) in pool.iter().enumerate() {
+                    if walled && i == storm.len() {
+                        package_walls(&platform).iter().for_each(|&e| drop(kairos.fail_element(e)));
+                    }
+                    for probe in [true, false] {
+                        let epoch = kairos.platform().state_epoch();
+                        let dirty = kairos.platform().free_rank_dirty().to_vec();
+                        let refused = if probe {
+                            kairos.probe_admit(app).err()
+                        } else {
+                            kairos.admit(app).err()
+                        };
+                        let Some(failure) = refused else { continue };
+                        refusals[failure.phase() as usize] += 1;
+                        let what = format!("{} ({:?}, probe {probe}, cache {cached})", app.name(), failure.phase());
+                        prop_assert_eq!(kairos.platform().state_epoch(), epoch, "{}", what);
+                        let after = kairos.platform().free_rank_dirty();
+                        prop_assert!(after.is_empty() || after == dirty, "{}", what);
+                    }
+                    // Churn: every third step the oldest resident leaves.
+                    if i % 3 == 2 {
+                        if let Some(&oldest) = kairos.admitted_ids().first() {
+                            kairos.release(oldest);
+                        }
+                    }
+                }
+            }
+        }
+        prop_assert!(refusals[1..].iter().all(|&n| n > 0), "refusals per phase: {refusals:?}");
+    }
+}

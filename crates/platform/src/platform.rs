@@ -149,11 +149,11 @@ impl PlatformState {
     /// flag above); it tells its own tasks from everyone else's by the
     /// placement it is building — a per-element count of the request's
     /// placed tasks and each task's placed peers — not by occupant ids.
-    /// That split is exact because the id being placed is fresh
-    /// (`Kairos::place` and `map_application` assert no resident carries
-    /// it), so everything resident before the placement started belongs to
-    /// someone else. A reader of `Occupant` fields on the admission path
-    /// must put what it reads here.
+    /// That split is exact because the phases decide before anything is
+    /// claimed: a request's own tasks are never resident while it is
+    /// decided, so everything resident belongs to someone else. A reader
+    /// of `Occupant` fields on the admission path must put what it reads
+    /// here.
     fn element_digest(&self, idx: usize) -> u128 {
         let mut d = Digest::new(ELEMENT_RECORD);
         d.word(idx as u64);
@@ -608,6 +608,7 @@ impl Platform {
     /// # Panics
     ///
     /// Panics if `id` is out of range for this platform.
+    #[inline]
     pub fn element(&self, id: ElementId) -> &Element {
         &self.elements[id.index()]
     }
@@ -650,6 +651,7 @@ impl Platform {
     }
 
     /// Outgoing `(neighbor, link)` pairs of `e`.
+    #[inline]
     pub fn successors(&self, e: ElementId) -> &[(ElementId, LinkId)] {
         &self.out_adj[e.index()]
     }
@@ -662,6 +664,7 @@ impl Platform {
     /// All distinct neighbors of `e`, ignoring link direction, in ascending
     /// id order. A borrowed row of the adjacency table built at
     /// construction: no allocation, no sorting.
+    #[inline]
     pub fn neighbors(&self, e: ElementId) -> &[ElementId] {
         let row = self.neighbor_offsets[e.index()] as usize
             ..self.neighbor_offsets[e.index() + 1] as usize;
@@ -685,18 +688,22 @@ impl Platform {
     }
 
     // ---- dynamic state: elements ------------------------------------------------
+    // (The phases read the small accessors per element and per search edge.)
 
     /// Free resources currently available on `e`.
+    #[inline]
     pub fn free(&self, e: ElementId) -> ResourceVector {
         self.state.free[e.index()]
     }
 
     /// `true` when at least one task resides on `e`.
+    #[inline]
     pub fn is_used(&self, e: ElementId) -> bool {
         !self.state.residents[e.index()].is_empty()
     }
 
     /// `true` when `e` has been marked failed.
+    #[inline]
     pub fn is_failed(&self, e: ElementId) -> bool {
         self.state.failed[e.index()]
     }
@@ -708,6 +715,7 @@ impl Platform {
 
     /// Availability test `av(e, t)` on the quantity axis: the element is
     /// alive and provides at least `demand` free resources.
+    #[inline]
     pub fn is_available(&self, e: ElementId, demand: &ResourceVector) -> bool {
         !self.is_failed(e) && self.free(e).fits(demand)
     }
@@ -824,16 +832,19 @@ impl Platform {
     // ---- dynamic state: links ---------------------------------------------------
 
     /// Remaining bandwidth on link `l`.
+    #[inline]
     pub fn link_free_bandwidth(&self, l: LinkId) -> u64 {
         self.state.links[l.index()].free_bandwidth
     }
 
     /// Remaining virtual channels on link `l`.
+    #[inline]
     pub fn link_free_virtual_channels(&self, l: LinkId) -> u16 {
         self.state.links[l.index()].free_virtual_channels
     }
 
     /// `true` when link `l` can still accept a channel of `bandwidth`.
+    #[inline]
     pub fn link_available(&self, l: LinkId, bandwidth: u64) -> bool {
         let s = &self.state.links[l.index()];
         s.free_virtual_channels > 0 && s.free_bandwidth >= bandwidth

@@ -13,16 +13,17 @@
 //! * **Preemption planning** ([`select_victims`]) — given a blocked
 //!   request and an ordered list of preemptible running applications, find
 //!   a victim set whose eviction provably unblocks the request
-//!   ([`Kairos::probe_admit_without`] runs the full pipeline inside an
-//!   always-rolled-back transaction), *minimal* with respect to
+//!   ([`Kairos::probe_admit_without`] releases the candidates inside an
+//!   always-rolled-back transaction and runs the full pipeline against
+//!   what is left, which claims nothing), *minimal* with respect to
 //!   single-victim removal: dropping any one victim from the set leaves
 //!   the request blocked.
 //! * **Live migration** (re-exported [`Kairos::migrate`] /
 //!   [`Kairos::migrate_if`]) — re-bind a running application to a
-//!   different tile/route set via a journal-backed two-phase move (claim
-//!   new under a scratch id → transfer → release old) instead of evicting
-//!   and re-admitting it. The application's id is stable across the move
-//!   and a failure at any point rolls back atomically.
+//!   different tile/route set via a journal-backed two-phase move (decide,
+//!   claim new under a scratch id → release old → transfer) instead of
+//!   evicting and re-admitting it. The application's id is stable across
+//!   the move and a failure at any point rolls back atomically.
 //! * **Defragmentation** ([`compact`]) — a sweep that migrates admitted
 //!   applications one at a time, keeping only moves that strictly reduce
 //!   external resource fragmentation (the paper's §III-A metric, computed

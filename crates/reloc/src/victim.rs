@@ -43,8 +43,10 @@ impl VictimPlan {
 /// `v` in the returned set, the probe without `set \ {v}` still fails, so
 /// no victim is evicted gratuitously.
 ///
-/// The platform is left exactly as found — every probe runs in a
-/// rolled-back transaction. Identical inputs produce identical plans.
+/// The platform is left exactly as found — every probe's releases run in
+/// a rolled-back transaction, and its trial admission claims nothing. A
+/// candidate listed twice is released once. Identical inputs produce
+/// identical plans.
 ///
 /// Resolves a fresh [`RelocMetrics`] per call; repeated drivers should
 /// resolve once and call [`select_victims_with`].
