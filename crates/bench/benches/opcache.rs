@@ -1,6 +1,6 @@
 //! Warm operating-point cache versus the cold four-phase pipeline.
 //!
-//! The `kairos-opcache` mapping cache stores the pipeline's decision per
+//! The operating-point cache stores the pipeline's decision per
 //! `(application shape, platform state)` key; when the identical
 //! question recurs, admission replays the stored claims in O(claims)
 //! instead of re-running binding, mapping, routing and validation over

@@ -1,6 +1,6 @@
-//! Replayable pipeline decisions, the two carriers that bring one back to
-//! the manager that computed it, and [`replay_point`], the one writer every
-//! admission ends in — cold run, cache hit and probe hand-off alike. The
+//! The manager's decision store — every pipeline decision a
+//! [`Kairos`](crate::Kairos) remembers, in one field — and [`replay_point`], the one writer every
+//! admission ends in: cold run, keyed hit and probe hand-off alike. The
 //! phases decide over `&Platform` and write nothing, so a refusal from any
 //! source touches nothing.
 //!
@@ -13,53 +13,105 @@
 //! tasks from everyone else's by the placement they are building
 //! (`CostTables`, the debit overlay). So replaying one is sound from any
 //! state that agrees on those reads, and lands on the platform a cold run
-//! from that state would have produced. A carrier changes *which work
-//! runs*, never *what is decided*. Each carrier proves the state its own
-//! way:
+//! from that state would have produced. The store changes *which work
+//! runs*, never *what is decided*.
 //!
-//! * the **operating-point cache** (`kairos-opcache`, when
-//!   `KairosConfig::cache` is set) keys decisions by
-//!   `(ShapeKey, StateStamp)` — a digest of exactly that admission view,
-//!   not of who the residents are — so a decision can come back any
-//!   number of admissions later, and under other tenants, as long as the
-//!   same resources are free in the same places. Neither half is computed
-//!   per lookup: the shape is a field the application hashed when it was
-//!   built, and the stamp is a sum of per-record digests the platform
+//! [`DecisionStore`] has two tiers, and alone decides which one serves:
+//!
+//! * the **keyed tier**, present iff `KairosConfig::cache` is set, keys
+//!   decisions by `(shape, state stamp)` — the stamp digests exactly that
+//!   admission view, not who the residents are — so a decision can come
+//!   back any number of admissions later, and under other tenants, as long
+//!   as the same resources are free in the same places. Neither half is
+//!   computed per lookup: the shape is `Application::shape_hash`, hashed
+//!   when the application was built, and the stamp is
+//!   `Platform::state_stamp`, a sum of per-record digests the platform
 //!   maintains, re-digesting at a lookup only the records mutated since
-//!   the previous one (only `Platform::restore` voids all of them).
-//!   `Kairos::decide` asserts it equal to the from-scratch
-//!   `kairos_opcache::stamp_of` on every lookup in debug builds;
-//! * the **probe hand-off** (the `handoff` field of an uncached
-//!   `Kairos`) keeps the last `probe_admit`'s decision beside the
-//!   platform's `state_epoch`, read after the probe — a refusal writes
-//!   nothing, rollback restores the bytes exactly and every later
-//!   mutation bumps the epoch, so an equal epoch proves the same state
-//!   without digesting anything. It serves the one admission that
-//!   follows the probe.
+//!   the previous one (only `Platform::restore` voids all of them). Every
+//!   lookup asserts it equal to the from-scratch
+//!   `Platform::state_stamp_from_scratch` in debug builds. It holds
+//!   [`KEYED_CAPACITY`] decisions and evicts the oldest first; faults,
+//!   repairs, migrations and rebalances drop the decisions that place work
+//!   on the elements they touch (the stamp alone already keeps a stale
+//!   decision from being *used*; eager invalidation keeps dead elements
+//!   from pinning capacity, and is what `kairos.opcache.invalidations`
+//!   counts);
+//! * the **last-probe tier**, consulted only when there is no keyed tier,
+//!   keeps the last `probe_admit`'s decision beside the platform's
+//!   `state_epoch`, read after the probe — a refusal writes nothing,
+//!   rollback restores the bytes exactly and every later mutation bumps
+//!   the epoch, so an equal epoch proves the same state without digesting
+//!   anything. It serves the one admission that follows the probe. (With a
+//!   keyed tier the probe's decision is already stored there.)
 //!
-//! Neither key covers the cost weights: `Kairos::set_weights` voids both.
+//! Neither key covers the cost weights: `Kairos::set_weights` clears both.
 
-use kairos_opcache::OperatingPoint;
+use std::collections::{BTreeMap, VecDeque};
+
 use kairos_platform::{AppId, ElementId, Occupant, Platform, ResourceVector};
 
 use crate::error::AllocationError;
 use crate::layout::{ExecutionLayout, Route};
 use crate::validation::ValidationReport;
 
+/// Switches on the keyed tier of a manager's decision store: set
+/// [`KairosConfig::cache`](crate::KairosConfig::cache) to
+/// `Some(CacheConfig::default())`. It has no knobs; the tier holds 1024
+/// decisions.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+#[non_exhaustive]
+pub struct CacheConfig {}
+
+/// How many decisions the keyed tier holds; a fresh insertion beyond it
+/// evicts the oldest (FIFO).
+pub(crate) const KEYED_CAPACITY: usize = 1024;
+
+/// Lifetime counters of a manager's keyed tier, surfaced through
+/// `ResourceService::cache_stats` and the sim report's `cache` section.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct CacheStats {
+    /// Lookups that found a decision for the exact (shape, state) key.
+    pub hits: u64,
+    /// Lookups that found nothing and fell back to the cold pipeline.
+    pub misses: u64,
+    /// Decisions removed by element-level invalidation (faults, repairs,
+    /// migrations, rebalances) or by a weight change.
+    pub invalidations: u64,
+    /// Decisions stored after cold pipeline runs.
+    pub insertions: u64,
+    /// Decisions dropped by FIFO capacity eviction.
+    pub evictions: u64,
+    /// Decisions currently stored.
+    pub points: u64,
+}
+
+impl CacheStats {
+    /// Field-wise sum, for aggregating per-shard stores into one view.
+    pub fn merge(self, other: CacheStats) -> CacheStats {
+        CacheStats {
+            hits: self.hits + other.hits,
+            misses: self.misses + other.misses,
+            invalidations: self.invalidations + other.invalidations,
+            insertions: self.insertions + other.insertions,
+            evictions: self.evictions + other.evictions,
+            points: self.points + other.points,
+        }
+    }
+}
+
 /// One claim of a decided placement: `(element, task, claimed)`.
 pub(crate) type Seat = (ElementId, u32, ResourceVector);
 
-/// One cached pipeline decision: either a replayable admission or the
-/// exact refusal the pipeline produced. Refusals are cached too —
-/// re-asking a saturated platform the same question is the common case
-/// in arrival storms, and the answer is a pure function of the key.
-#[derive(Debug, Clone)]
-pub(crate) enum CachedDecision {
-    /// The pipeline admitted the shape; the point replays its claims.
-    Admit(CachedPoint),
-    /// The pipeline refused the shape with this phase-tagged error.
-    Refuse(AllocationError),
-}
+/// A decision as the store records it: the layout and its validation
+/// report, or the refusal.
+pub(crate) type Outcome<'a> =
+    Result<(&'a ExecutionLayout, &'a Option<ValidationReport>), &'a AllocationError>;
+
+/// One remembered pipeline decision: a replayable admission, or the exact
+/// phase-tagged refusal the pipeline produced. Refusals are remembered
+/// too — re-asking a saturated platform the same question is the common
+/// case in arrival storms, and the answer is a pure function of the key.
+pub(crate) type CachedDecision = Result<CachedPoint, AllocationError>;
 
 /// A replayable operating point.
 #[derive(Debug, Clone)]
@@ -73,16 +125,188 @@ pub(crate) struct CachedPoint {
     pub validation: Option<ValidationReport>,
 }
 
-impl OperatingPoint for CachedDecision {
-    fn uses_element(&self, element: ElementId) -> bool {
-        match self {
-            CachedDecision::Admit(point) => {
-                point.layout.placement.iter().any(|(_, e)| e == element)
-            }
-            // A refusal claims nothing; element-targeted invalidation
-            // never needs to drop it (the state stamp already keys it).
-            CachedDecision::Refuse(_) => false,
+/// The record of a cold decision whose placement took `seats`.
+pub(crate) fn record(decided: Outcome<'_>, seats: &[Seat]) -> CachedDecision {
+    let (layout, validation) = decided.map_err(Clone::clone)?;
+    Ok(CachedPoint {
+        layout: layout.clone(),
+        seats: seats.to_vec(),
+        validation: validation.clone(),
+    })
+}
+
+/// A keyed-tier key: `(Application::shape_hash, Platform::state_stamp)`.
+type Key = (u128, u128);
+
+/// What [`DecisionStore::recall`] found for a request.
+pub(crate) enum Recall {
+    /// There is no keyed tier: decide cold, remember nothing.
+    Cold,
+    /// The keyed tier held this decision for the request's key.
+    Hit(CachedDecision),
+    /// The keyed tier held none: decide cold and hand the record to
+    /// [`DecisionStore::remember`] under this key.
+    Miss(Key),
+}
+
+/// Every decision a manager remembers (see the module documentation).
+#[derive(Debug, Clone)]
+pub(crate) struct DecisionStore {
+    /// The keyed tier, present iff `KairosConfig::cache` is set.
+    keyed: Option<Keyed>,
+    /// The last-probe tier: `(shape, state epoch read after the probe's
+    /// rollback, decision)` of the last `probe_admit`, until the next
+    /// admission takes it. Only ever set without a keyed tier.
+    last_probe: Option<(u128, u64, CachedDecision)>,
+}
+
+impl DecisionStore {
+    pub(crate) fn new(config: Option<CacheConfig>) -> Self {
+        let keyed = config.map(|_| Keyed::with_capacity(KEYED_CAPACITY));
+        DecisionStore { keyed, last_probe: None }
+    }
+
+    /// What the keyed tier holds for `shape` on `platform` as it stands,
+    /// counting the hit or miss.
+    pub(crate) fn recall(&mut self, shape: u128, platform: &mut Platform) -> Recall {
+        let Some(keyed) = &mut self.keyed else { return Recall::Cold };
+        let stamp = platform.state_stamp();
+        debug_assert_eq!(
+            stamp,
+            platform.state_stamp_from_scratch(),
+            "a platform mutation went unmarked in the stamp ledger"
+        );
+        match keyed.lookup((shape, stamp)) {
+            Some(decision) => Recall::Hit(decision),
+            None => Recall::Miss((shape, stamp)),
         }
+    }
+
+    /// Stores the cold decision a [`Recall::Miss`] asked for; returns by
+    /// how much that changed the number of stored decisions.
+    pub(crate) fn remember(&mut self, key: Key, decision: CachedDecision) -> i64 {
+        self.keyed.as_mut().map_or(0, |keyed| keyed.insert(key, decision))
+    }
+
+    /// The decision the probe right before left for `shape`, if nothing
+    /// has mutated the platform since (`epoch` is its current
+    /// `state_epoch`). Taken whatever it holds, so a probe's decision
+    /// serves one admission.
+    pub(crate) fn take_probed(&mut self, shape: u128, epoch: u64) -> Option<CachedDecision> {
+        let (s, e, decision) = self.last_probe.take()?;
+        (e == epoch && s == shape).then_some(decision)
+    }
+
+    /// Offers what a `probe_admit` of `shape` decided — `probed`, whose
+    /// seats are `seats` — with the `state_epoch` its rollback left. The
+    /// last-probe tier keeps it; a keyed tier stored it when the probe
+    /// decided.
+    pub(crate) fn keep_probed(&mut self, shape: u128, epoch: u64, probed: Outcome, seats: &[Seat]) {
+        if self.keyed.is_none() {
+            self.last_probe = Some((shape, epoch, record(probed, seats)));
+        }
+    }
+
+    /// Drops every keyed decision that places work on any of `elements`,
+    /// returning how many were dropped.
+    pub(crate) fn invalidate(&mut self, elements: &[ElementId]) -> u64 {
+        self.keyed.as_mut().map_or(0, |keyed| keyed.invalidate(elements))
+    }
+
+    /// Forgets every decision, returning how many keyed ones were dropped:
+    /// for a change no key covers, the cost weights.
+    pub(crate) fn clear(&mut self) -> u64 {
+        self.last_probe = None;
+        self.keyed.as_mut().map_or(0, Keyed::clear)
+    }
+
+    /// The keyed tier's lifetime counters, `None` without one.
+    pub(crate) fn stats(&self) -> Option<CacheStats> {
+        self.keyed.as_ref().map(Keyed::stats)
+    }
+}
+
+/// The keyed tier: a deterministic map from `(shape, stamp)` to a
+/// decision, with FIFO capacity eviction and element-level invalidation.
+/// Iteration and eviction order are deterministic: entries live in a
+/// `BTreeMap` and leave in insertion order once `capacity` is reached.
+#[derive(Debug, Clone)]
+struct Keyed {
+    capacity: usize,
+    entries: BTreeMap<Key, CachedDecision>,
+    /// Insertion order of exactly the keys of `entries`, oldest first.
+    order: VecDeque<Key>,
+    /// Lifetime counters; `points` is read off `entries` instead.
+    counts: CacheStats,
+}
+
+impl Keyed {
+    fn with_capacity(capacity: usize) -> Self {
+        let (entries, order, counts) = (BTreeMap::new(), VecDeque::new(), CacheStats::default());
+        Keyed { capacity, entries, order, counts }
+    }
+
+    /// The decision stored under `key`, counting the hit or miss.
+    fn lookup(&mut self, key: Key) -> Option<CachedDecision> {
+        let found = self.entries.get(&key).cloned();
+        match found {
+            Some(_) => self.counts.hits += 1,
+            None => self.counts.misses += 1,
+        }
+        found
+    }
+
+    /// Stores `decision` under `key`, evicting the oldest entry when the
+    /// tier is full; overwrites silently on a key collision. Returns by
+    /// how much the number of entries changed.
+    fn insert(&mut self, key: Key, decision: CachedDecision) -> i64 {
+        self.counts.insertions += 1;
+        if self.entries.insert(key, decision).is_some() {
+            return 0;
+        }
+        self.order.push_back(key);
+        if self.entries.len() <= self.capacity {
+            return 1;
+        }
+        let oldest = self.order.pop_front().expect("the order queue lists every entry");
+        self.entries.remove(&oldest);
+        self.counts.evictions += 1;
+        0
+    }
+
+    /// Removes every admission that places work on any of `elements`,
+    /// counting each once; returns how many were dropped. A refusal
+    /// claims nothing and stays (the state stamp already keys it).
+    fn invalidate(&mut self, elements: &[ElementId]) -> u64 {
+        let before = self.entries.len();
+        self.entries.retain(|_, decision| match decision {
+            Ok(point) => !point.layout.placement.iter().any(|(_, e)| elements.contains(&e)),
+            Err(_) => true,
+        });
+        let dropped = (before - self.entries.len()) as u64;
+        if dropped > 0 {
+            // A key left behind would be pushed a second time when it is
+            // inserted again, and the eviction that reaches the stale
+            // position would drop that newest entry instead of the oldest.
+            let entries = &self.entries;
+            self.order.retain(|key| entries.contains_key(key));
+        }
+        self.counts.invalidations += dropped;
+        dropped
+    }
+
+    /// Removes every decision, counted as invalidations; the lifetime
+    /// counters survive.
+    fn clear(&mut self) -> u64 {
+        let dropped = self.entries.len() as u64;
+        self.entries.clear();
+        self.order.clear();
+        self.counts.invalidations += dropped;
+        dropped
+    }
+
+    fn stats(&self) -> CacheStats {
+        CacheStats { points: self.entries.len() as u64, ..self.counts }
     }
 }
 
@@ -118,4 +342,132 @@ pub(crate) fn replay_point(
         platform.rollback_txn();
     }
     written
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::layout::{Binding, Placement};
+    use kairos_platform::topology;
+
+    /// A stored admission placing one task on each of `elements`.
+    fn point(elements: &[u32]) -> CachedDecision {
+        Ok(CachedPoint {
+            layout: ExecutionLayout {
+                binding: Binding::new(Vec::new()),
+                placement: Placement::new(elements.iter().map(|&e| ElementId(e)).collect()),
+                routes: Vec::new(),
+            },
+            seats: Vec::new(),
+            validation: None,
+        })
+    }
+
+    /// The elements a stored decision places work on.
+    fn elements(decision: Option<CachedDecision>) -> Option<Vec<ElementId>> {
+        match decision? {
+            Ok(p) => Some(p.layout.placement.iter().map(|(_, e)| e).collect()),
+            Err(_) => Some(Vec::new()),
+        }
+    }
+
+    const SHAPE: u128 = 7;
+
+    #[test]
+    fn stamp_tracks_state_not_epoch() {
+        let mut p = topology::crisp();
+        let idle = p.state_stamp_from_scratch();
+        let e = p.element_ids().next().unwrap();
+        p.claim(e, Occupant { app: AppId(0), task: 0, claimed: ResourceVector::ZERO }).unwrap();
+        let occupied = p.state_stamp_from_scratch();
+        assert_ne!(idle, occupied, "a zero-vector occupant still makes the element used");
+        p.release(e, AppId(0), 0).unwrap();
+        assert_eq!(p.state_stamp_from_scratch(), idle, "identical state stamps identically");
+        p.fail_element(e);
+        assert_ne!(p.state_stamp_from_scratch(), idle, "failure marks are part of the stamp");
+    }
+
+    #[test]
+    fn lookup_hit_miss_and_fifo_eviction() {
+        let mut keyed = Keyed::with_capacity(2);
+        assert!(keyed.lookup((SHAPE, 0)).is_none());
+        assert_eq!(keyed.insert((SHAPE, 0), point(&[0])), 1);
+        assert_eq!(keyed.insert((SHAPE, 1), point(&[1])), 1);
+        assert_eq!(elements(keyed.lookup((SHAPE, 0))), Some(vec![ElementId(0)]));
+        assert_eq!(keyed.insert((SHAPE, 2), point(&[2])), 0, "one in, the oldest out");
+        assert!(keyed.lookup((SHAPE, 0)).is_none(), "oldest entry evicted first");
+        let stats = keyed.stats();
+        assert_eq!((stats.hits, stats.misses), (1, 2));
+        assert_eq!((stats.insertions, stats.evictions, stats.points), (3, 1, 2));
+    }
+
+    #[test]
+    fn invalidation_drops_exactly_the_overlapping_points() {
+        let mut keyed = Keyed::with_capacity(KEYED_CAPACITY);
+        keyed.insert((SHAPE, 0), point(&[0, 1]));
+        keyed.insert((SHAPE, 1), point(&[2]));
+        let task = kairos_app::TaskId(0);
+        let refusal =
+            crate::error::BindingError::NoFeasibleImplementation { task, structural: true };
+        keyed.insert((SHAPE, 2), Err(AllocationError::Binding(refusal)));
+        assert_eq!(keyed.invalidate(&[ElementId(1)]), 1);
+        assert_eq!(keyed.invalidate(&[ElementId(1)]), 0, "already gone");
+        assert_eq!(keyed.invalidate(&[ElementId(2), ElementId(3)]), 1);
+        assert_eq!(keyed.stats().points, 1, "a refusal uses no element");
+        assert_eq!(keyed.stats().invalidations, 2);
+        keyed.insert((SHAPE, 3), point(&[4]));
+        assert_eq!(keyed.stats().evictions, 0);
+    }
+
+    #[test]
+    fn eviction_stays_fifo_after_invalidate_and_reinsert() {
+        let mut keyed = Keyed::with_capacity(3);
+        keyed.insert((SHAPE, 0), point(&[0]));
+        keyed.insert((SHAPE, 1), point(&[1]));
+        assert_eq!(keyed.invalidate(&[ElementId(0)]), 1);
+        keyed.insert((SHAPE, 2), point(&[2]));
+        // Key 0 comes back as the *newest* entry. A copy of it left at the
+        // front of the queue would make the next eviction drop it instead
+        // of key 1, the oldest.
+        keyed.insert((SHAPE, 0), point(&[0]));
+        keyed.insert((SHAPE, 3), point(&[3]));
+        assert!(keyed.lookup((SHAPE, 1)).is_none(), "the oldest entry is the one evicted");
+        assert!(keyed.lookup((SHAPE, 0)).is_some(), "the re-inserted entry is the newest");
+        assert_eq!((keyed.stats().points, keyed.stats().evictions), (3, 1));
+    }
+
+    #[test]
+    fn invalidation_churn_keeps_the_queue_as_long_as_the_map() {
+        // Invalidation keeps this tier well below capacity, so nothing is
+        // ever evicted; the queue must not remember the dropped keys.
+        let mut keyed = Keyed::with_capacity(64);
+        for round in 0..50u128 {
+            for i in 0..4 {
+                keyed.insert((SHAPE, round * 4 + i), point(&[i as u32]));
+            }
+            keyed.invalidate(&[ElementId(0), ElementId(1), ElementId(2)]);
+            assert_eq!(keyed.order.len(), keyed.entries.len());
+        }
+        assert_eq!(keyed.stats().points, 50);
+        assert_eq!(keyed.stats().evictions, 0);
+    }
+
+    #[test]
+    fn clear_drops_every_point_and_keeps_the_lifetime_counters() {
+        let mut keyed = Keyed::with_capacity(2);
+        keyed.insert((SHAPE, 0), point(&[0]));
+        keyed.insert((SHAPE, 1), point(&[]));
+        assert!(keyed.lookup((SHAPE, 0)).is_some());
+        assert_eq!(keyed.clear(), 2);
+        assert_eq!(keyed.clear(), 0, "already empty");
+        assert!(keyed.lookup((SHAPE, 0)).is_none());
+        let stats = keyed.stats();
+        assert_eq!((stats.hits, stats.misses, stats.insertions), (1, 1, 2));
+        assert_eq!((stats.invalidations, stats.evictions, stats.points), (2, 0, 0));
+        // The eviction queue was emptied with the entries: refilling to
+        // capacity evicts nothing.
+        keyed.insert((SHAPE, 2), point(&[]));
+        keyed.insert((SHAPE, 3), point(&[]));
+        assert_eq!((keyed.stats().points, keyed.stats().evictions), (2, 0));
+    }
 }

@@ -61,6 +61,7 @@ mod validation;
 mod workspace;
 
 pub use binding::bind;
+pub use cache::{CacheConfig, CacheStats};
 pub use error::{
     AllocationError, BindingError, FailureDurability, MappingError, Phase, RoutingError,
     ValidationError,
@@ -70,10 +71,6 @@ pub use manager::{
     AdmissionFailure, AdmissionProbe, AdmissionReport, Kairos, KairosCheckpoint, KairosConfig,
     MigrationError, MigrationReport, DURATION_NS_BOUNDS,
 };
-// The opcache vocabulary types ride along so downstream layers (svc
-// builder knob, cluster stats merge, sim report) need no direct
-// `kairos-opcache` dependency.
-pub use kairos_opcache::{CacheConfig, CacheStats};
 pub use mapping::{
     map_application, CostContext, CostPolicy, CostTables, CostWeights, ElementSearch, GapState,
     KnapsackItem, KnapsackSolver, MapperConfig, MappingReport, DEFAULT_MISS_PENALTY,

@@ -15,14 +15,13 @@ use std::fmt;
 use std::sync::Arc;
 
 use kairos_app::Application;
-use kairos_opcache::{
-    shape_of, stamp_of, CacheConfig, CacheStats, MappingCache, ShapeKey, StateStamp,
-};
 use kairos_platform::{AppId, ElementId, Platform, PlatformCheckpoint, ResourceVector};
 use kairos_telemetry::{Counter, Gauge, Histogram, Level, Telemetry, TraceContext};
 
 use crate::binding::bind_in;
-use crate::cache::{replay_point, CachedDecision, CachedPoint};
+use crate::cache::{
+    record, replay_point, CacheConfig, CacheStats, CachedPoint, DecisionStore, Recall,
+};
 use crate::error::{AllocationError, Phase};
 use crate::layout::ExecutionLayout;
 use crate::mapping::{map_application_in, CostWeights, KnapsackSolver, MapperConfig};
@@ -66,14 +65,16 @@ pub struct KairosConfig {
     /// id alone identifies its home shard. The default of `0` is the
     /// single-manager behaviour.
     pub app_id_base: u32,
-    /// The design-time operating-point cache (`kairos-opcache`): when
-    /// set, every pipeline entry point first looks up the request's
-    /// `(shape, platform-state)` key and replays the stored decision on a
-    /// hit — O(claims) instead of a full pipeline run. Keys pin everything
-    /// an admission reads of the platform (what is free where, what is
-    /// used, what has failed — not who the residents are), so a warm
-    /// cache changes *which work runs*, never *what is decided*. `None`
-    /// (the default) bypasses the cache code path entirely.
+    /// The design-time operating-point cache, the keyed tier of the
+    /// manager's decision store: when set, every pipeline entry point
+    /// first looks up the request's `(shape, platform-state)` key and
+    /// replays the stored decision on a hit — O(claims) instead of a full
+    /// pipeline run. Keys pin everything an admission reads of the
+    /// platform (what is free where, what is used, what has failed — not
+    /// who the residents are), so a warm cache changes *which work runs*,
+    /// never *what is decided*. `None` (the default) leaves the store
+    /// only its last-probe tier, which carries a `probe_admit`'s decision
+    /// to the admission that follows it.
     pub cache: Option<CacheConfig>,
 }
 
@@ -268,21 +269,14 @@ pub struct Kairos {
     next_app: u32,
     telemetry: Telemetry,
     metrics: Option<CoreMetrics>,
-    /// The operating-point cache, present iff [`KairosConfig::cache`] is.
-    cache: Option<MappingCache<CachedDecision>>,
-    /// The probe-to-admission hand-off of an uncached manager: what the
-    /// last [`Kairos::probe_admit`] decided, as `(shape, state epoch read
-    /// after the probe's rollback, decision)`, so the admission that
-    /// follows commits that decision instead of recomputing it.
-    /// Rollback restores the platform bytes exactly and every later
-    /// mutation bumps `state_epoch`, so an equal epoch proves the state
-    /// the decision was computed against. Hence only `probe_admit` writes
-    /// it — `probe_admit_without` and a declined `migrate_if` decide
-    /// against a state their rollback erases — `admit_traced` alone
-    /// takes it, and `set_weights`, the one decision input no epoch
-    /// covers, clears it. Always `None` with a cache configured: the
-    /// cache already carries a probe's decision to the admission.
-    handoff: Option<(ShapeKey, u64, CachedDecision)>,
+    /// Every decision the manager remembers: the keyed tier iff
+    /// [`KairosConfig::cache`] is set, the last-probe tier otherwise (see
+    /// `cache.rs`). Only `probe_admit` offers the last-probe tier a
+    /// decision — `probe_admit_without` and a declined `migrate_if`
+    /// decide against a state their rollback erases — `admit_traced`
+    /// alone takes it, and `set_weights`, the one decision input no key
+    /// covers, clears the store.
+    store: DecisionStore,
     /// The working memory of `run_phases`: capacity, never state. Every
     /// phase clears what it uses before reading it, so no decision depends
     /// on what an earlier call left here — which is why a clone starts
@@ -365,22 +359,15 @@ fn duration_ns(elapsed: std::time::Duration) -> u64 {
 /// What an admission decided, before anything is written.
 type Decided = Result<Decision, AllocationError>;
 
-/// What an admission wrote: the layout and its validation report.
+/// What an admission wrote, or what a cold run decided (its seats left in
+/// the workspace): the layout and its validation report, or the refusal.
 type Admitted = Result<(ExecutionLayout, Option<ValidationReport>), AllocationError>;
 
 /// A decided admission: the cold run's layout, whose seats are in the
-/// workspace, or a point a carrier brought back.
+/// workspace, or a point the decision store brought back.
 enum Decision {
     Cold(ExecutionLayout, Option<ValidationReport>),
     Carried(CachedPoint),
-}
-
-/// A kept decision as the writer takes it.
-fn carried(decision: CachedDecision) -> Decided {
-    match decision {
-        CachedDecision::Admit(point) => Ok(Decision::Carried(point)),
-        CachedDecision::Refuse(error) => Err(error),
-    }
 }
 
 impl Kairos {
@@ -400,8 +387,7 @@ impl Kairos {
             next_app,
             telemetry: Telemetry::disabled(),
             metrics: None,
-            cache: config.cache.map(MappingCache::new),
-            handoff: None,
+            store: DecisionStore::new(config.cache),
             workspace: Workspace::default(),
         }
     }
@@ -437,11 +423,8 @@ impl Kairos {
     /// dropped (cached points count as invalidations).
     pub fn set_weights(&mut self, weights: CostWeights) {
         self.config.weights = weights;
-        self.handoff = None;
-        if let Some(cache) = self.cache.as_mut() {
-            let dropped = cache.clear();
-            self.note_invalidated(dropped);
-        }
+        let dropped = self.store.clear();
+        self.note_invalidated(dropped);
     }
 
     /// Number of currently admitted applications.
@@ -596,14 +579,13 @@ impl Kairos {
         let app_id = AppId(self.next_app);
         let mut timings = PhaseTimings::default();
 
-        // Taken whatever it holds, so a hand-off serves one admission.
-        let epoch = self.platform.state_epoch();
-        let handoff = self.handoff.take().filter(|h| h.1 == epoch && h.0 == shape_of(app));
-        let result = match handoff {
-            Some((_, _, decision)) => {
+        let probed = self.store.take_probed(app.shape_hash(), self.platform.state_epoch());
+        let result = match probed {
+            Some(decision) => {
                 // One `commit.replay` span where the `phase.*` spans would
                 // be; `timings` stays zero, as on a cache hit.
-                let result = carried(decision)
+                let result = decision
+                    .map(Decision::Carried)
                     .and_then(|d| self.commit(d, app, app_id, &mut timings, ctx, now));
                 if let Some(m) = &self.metrics {
                     m.admit_replayed.inc();
@@ -696,13 +678,15 @@ impl Kairos {
     /// that fits writes its claims, inside one claim-journal transaction
     /// that is rolled back as soon as the occupancy they leave is read.
     ///
-    /// A manager without an operating-point cache remembers what the
-    /// probe decided, so the winning shard's [`Kairos::admit`] that
-    /// follows commits it in O(claims) instead of running the pipeline
-    /// again; any platform mutation or [`Kairos::set_weights`] in
-    /// between voids the memory and that admission runs cold. The record
-    /// is built on every such probe, used or not (a layout clone and a
-    /// copy of the seats — within measurement noise of a pipeline run).
+    /// The manager remembers what the probe decided, so the winning
+    /// shard's [`Kairos::admit`] that follows commits it in O(claims)
+    /// instead of running the pipeline again: with an operating-point
+    /// cache the decision is stored there; without one the last-probe
+    /// tier keeps it, and any platform mutation or
+    /// [`Kairos::set_weights`] in between voids it, so that admission
+    /// runs cold. That record is built on every such probe, used or not
+    /// (a layout clone and a copy of the seats — within measurement noise
+    /// of a pipeline run).
     ///
     /// # Errors
     ///
@@ -719,17 +703,16 @@ impl Kairos {
         // are not part of the request's causal chain (the cluster records
         // one `probe.shard{i}` span per probe instead).
         let decided = self.decide(app, &mut timings, TraceContext::NONE, 0);
-        // With a cache `decide` has already stored the same record there.
-        let record = self.cache.is_none().then(|| self.record_of(&decided));
         let result =
             decided.and_then(|d| self.commit(d, app, scratch, &mut timings, TraceContext::NONE, 0));
-        let probe = match result {
-            Ok((layout, _)) => Ok(AdmissionProbe { layout, after: self.occupancy() }),
-            Err(error) => Err(AdmissionFailure { error, timings }),
-        };
+        let probe = result.map(|(layout, validation)| {
+            (AdmissionProbe { layout, after: self.occupancy() }, validation)
+        });
         self.txn_rollback();
-        self.handoff = record.map(|r| (shape_of(app), self.platform.state_epoch(), r));
-        probe
+        let (shape, epoch) = (app.shape_hash(), self.platform.state_epoch());
+        let probed = probe.as_ref().map(|(probe, validation)| (&probe.layout, validation));
+        self.store.keep_probed(shape, epoch, probed, self.workspace.mapping.seats());
+        probe.map(|(probe, _)| probe).map_err(|error| AdmissionFailure { error, timings })
     }
 
     /// Probes whether `app` could be admitted if the applications in
@@ -946,7 +929,7 @@ impl Kairos {
         timings: &mut PhaseTimings,
         ctx: TraceContext,
         now: u64,
-    ) -> Decided {
+    ) -> Admitted {
         let clock = self.phase_clock();
 
         // Phase 1: binding, on a free-capacity rank brought up to date with
@@ -1021,7 +1004,7 @@ impl Kairos {
             None
         };
 
-        Ok(Decision::Cold(layout, validation))
+        Ok((layout, validation))
     }
 
     /// Decides `app` and admits the decision under `app_id`: the pipeline
@@ -1039,21 +1022,19 @@ impl Kairos {
     }
 
     /// Decides `app` against the platform as it stands, writing nothing:
-    /// consults the operating-point cache when one is configured, carrying
-    /// a stored decision back on a hit, and runs the cold four-phase
-    /// pipeline on a miss, storing what it decided under the pre-run
-    /// `(shape, stamp)` key, so the identical question asked from the
-    /// identical platform state is answered from the cache instead.
+    /// asks the decision store's keyed tier, when there is one, carrying a
+    /// stored decision back on a hit, and runs the cold four-phase
+    /// pipeline otherwise, storing what it decided on a miss under the
+    /// pre-run `(shape, stamp)` key, so the identical question asked from
+    /// the identical platform state is answered from the store instead.
     ///
     /// A hit requires the exact `(shape, admission-view)` key — the stamp
     /// digests what the pipeline reads of the platform, not who resides
     /// on it, and the pipeline decides under no id at all — so the stored
-    /// decision is the one a cold run from this state would make. Both
-    /// halves of the key are kept, not computed: the shape is a field of
-    /// the application and the stamp re-digests only the platform records
-    /// mutated since the previous lookup. `timings` stays zero on a hit
-    /// (there are no phases to time — deterministic drivers zero the cold
-    /// path's clock too, so the cache never changes report bytes).
+    /// decision is the one a cold run from this state would make.
+    /// `timings` stays zero on a hit (there are no phases to time —
+    /// deterministic drivers zero the cold path's clock too, so the cache
+    /// never changes report bytes).
     fn decide(
         &mut self,
         app: &Application,
@@ -1061,62 +1042,42 @@ impl Kairos {
         ctx: TraceContext,
         now: u64,
     ) -> Decided {
-        let Some(cache) = self.cache.as_mut() else {
-            return self.run_phases(app, timings, ctx, now);
-        };
-        let shape = shape_of(app);
-        let stamp = StateStamp::maintained(&mut self.platform);
-        debug_assert_eq!(
-            stamp,
-            stamp_of(&self.platform),
-            "a platform mutation went unmarked in the stamp ledger"
-        );
-        let cached = cache.lookup(shape, stamp);
-        if ctx.is_some() {
-            let outcome = if cached.is_some() { "hit" } else { "miss" };
-            self.telemetry.trace_child(
-                ctx,
-                "cache.lookup",
-                now,
-                now,
-                &[("outcome", outcome.to_owned())],
-            );
-        }
-        if let Some(decision) = cached {
-            if let Some(m) = &self.metrics {
-                m.cache_hits.inc();
+        let key = match self.store.recall(app.shape_hash(), &mut self.platform) {
+            Recall::Cold => {
+                return self.run_phases(app, timings, ctx, now).map(|(l, v)| Decision::Cold(l, v))
             }
-            return carried(decision);
-        }
-        if let Some(m) = &self.metrics {
-            m.cache_misses.inc();
-        }
+            Recall::Hit(decision) => {
+                self.note_lookup(ctx, now, true);
+                return decision.map(Decision::Carried);
+            }
+            Recall::Miss(key) => {
+                self.note_lookup(ctx, now, false);
+                key
+            }
+        };
         let decided = self.run_phases(app, timings, ctx, now);
-        let record = self.record_of(&decided);
-        let cache = self.cache.as_mut().expect("checked above");
-        let before = cache.len() as i64;
-        cache.insert(shape, stamp, record);
+        let outcome = decided.as_ref().map(|(layout, validation)| (layout, validation));
+        let added = self.store.remember(key, record(outcome, self.workspace.mapping.seats()));
         if let Some(m) = &self.metrics {
             // Delta update, not `set`: cluster shards share this gauge by
             // name, so it reads as the resident-point total across every
             // manager on the hub.
-            m.cache_points.add(cache.len() as i64 - before);
+            m.cache_points.add(added);
         }
-        decided
+        decided.map(|(layout, validation)| Decision::Cold(layout, validation))
     }
 
-    /// The replayable record of a decision, seats copied out of the
-    /// workspace: what the cache stores and what the probe hand-off
-    /// carries.
-    fn record_of(&self, decided: &Decided) -> CachedDecision {
-        match decided {
-            Ok(Decision::Cold(layout, validation)) => CachedDecision::Admit(CachedPoint {
-                layout: layout.clone(),
-                seats: self.workspace.mapping.seats().to_vec(),
-                validation: validation.clone(),
-            }),
-            Ok(Decision::Carried(point)) => CachedDecision::Admit(point.clone()),
-            Err(error) => CachedDecision::Refuse(error.clone()),
+    /// Records a keyed-tier lookup: a `cache.lookup` child span of `ctx`
+    /// with its outcome, and the hit or miss counter.
+    fn note_lookup(&self, ctx: TraceContext, now: u64, hit: bool) {
+        if ctx.is_some() {
+            let outcome = if hit { "hit" } else { "miss" };
+            let args = [("outcome", outcome.to_owned())];
+            self.telemetry.trace_child(ctx, "cache.lookup", now, now, &args);
+        }
+        if let Some(m) = &self.metrics {
+            let counter = if hit { &m.cache_hits } else { &m.cache_misses };
+            counter.inc();
         }
     }
 
@@ -1124,8 +1085,8 @@ impl Kairos {
     /// writer. A cold decision was made against this very state, so it
     /// always lands. A carried one lands unless something short of a
     /// 128-bit stamp collision carried it to a state it does not fit; then
-    /// the cold pipeline decides instead — a carrier must never change an
-    /// admission outcome.
+    /// the cold pipeline decides instead — the decision store must never
+    /// change an admission outcome.
     fn commit(
         &mut self,
         decision: Decision,
@@ -1149,8 +1110,8 @@ impl Kairos {
                 if replay_point(&mut self.platform, app_id, seats, routes, bandwidths) {
                     return Ok((point.layout, point.validation));
                 }
-                let decision = self.run_phases(app, timings, ctx, now)?;
-                self.commit(decision, app, app_id, timings, ctx, now)
+                let (layout, validation) = self.run_phases(app, timings, ctx, now)?;
+                self.commit(Decision::Cold(layout, validation), app, app_id, timings, ctx, now)
             }
         }
     }
@@ -1164,8 +1125,7 @@ impl Kairos {
     /// plus defence in depth (even a stamp collision cannot admit onto a
     /// dead element). A no-op without a configured cache.
     pub fn invalidate_cached_points(&mut self, elements: &[ElementId]) -> u64 {
-        let Some(cache) = self.cache.as_mut() else { return 0 };
-        let dropped = cache.invalidate_elements(elements);
+        let dropped = self.store.invalidate(elements);
         self.note_invalidated(dropped);
         dropped
     }
@@ -1183,17 +1143,18 @@ impl Kairos {
     /// Lifetime counters of the operating-point cache, `None` when no
     /// cache is configured.
     pub fn cache_stats(&self) -> Option<CacheStats> {
-        self.cache.as_ref().map(|c| c.stats())
+        self.store.stats()
     }
 
     /// Captures the manager's complete admission state — platform ledger,
     /// admission registry and id counter — for a later
-    /// [`Kairos::restore`]. The operating-point cache is *not* part of
-    /// the image: cached decisions are keyed by platform state, so they
-    /// stay valid across a rewind. What makes that safe is that
+    /// [`Kairos::restore`]. The decision store is *not* part of the
+    /// image: cached decisions are keyed by platform state, so they stay
+    /// valid across a rewind. What makes that safe is that
     /// `Platform::restore` voids the maintained stamp wholesale, so the
     /// next cache lookup digests the restored state instead of trusting
-    /// per-record digests from before the rewind.
+    /// per-record digests from before the rewind; and it bumps the state
+    /// epoch, which voids a kept probe decision.
     ///
     /// A checkpoint may be taken while a transaction is open; see
     /// `Platform::checkpoint`.
@@ -1280,12 +1241,16 @@ impl Kairos {
         sorted
     }
 
-    /// Clears the failure mark on `element`, dropping any cached
+    /// Clears the failure mark on a failed `element`, dropping any cached
     /// operating points that placed work on it (their keyed states date
-    /// from before the fault epoch and will not recur).
+    /// from before the fault epoch and will not recur). Repairing a
+    /// healthy element is no mutation: it changes nothing, not even the
+    /// state epoch or the cache.
     pub fn repair_element(&mut self, element: ElementId) {
-        self.platform.repair_element(element);
-        self.invalidate_cached_points(&[element]);
+        if self.platform.is_failed(element) {
+            self.platform.repair_element(element);
+            self.invalidate_cached_points(&[element]);
+        }
     }
 }
 

@@ -1,9 +1,11 @@
 //! Property-based tests of the resource-manager core: knapsack safety and
 //! dominance, GAP capacity respect, whole-pipeline invariants on random
-//! workloads, the invisibility of the probe-to-admission hand-off, the
-//! soundness of keying the operating-point cache on what an admission reads
-//! of the platform instead of on who resides there, and the emptiness — as
-//! far as any decision can tell — of a manager's working memory.
+//! workloads, the decision store (the invisibility of its last-probe
+//! tier, the probe-to-admission hand-off; the soundness of keying its
+//! keyed tier on what an admission reads of the platform instead of on
+//! who resides there; the platform audited after every step), and the
+//! emptiness — as far as any decision can tell — of a manager's working
+//! memory.
 
 use std::sync::atomic::{AtomicU32, Ordering};
 
@@ -12,11 +14,10 @@ use proptest::prelude::*;
 use kairos_app::{Application, ApplicationBuilder, Constraint, Implementation, TaskId, TaskRole};
 use kairos_appgen::{generate_dataset, DatasetSpec};
 use kairos_core::{
-    bind, map_application, AdmissionFailure, AdmissionReport, AllocationError, CostPolicy,
-    ExecutionLayout, GapState, Kairos, KairosConfig, KnapsackItem, KnapsackSolver, MapperConfig,
-    ValidationConfig, ValidationReport,
+    bind, map_application, AdmissionFailure, AdmissionReport, AllocationError, CacheConfig,
+    CostPolicy, ExecutionLayout, GapState, Kairos, KairosConfig, KnapsackItem, KnapsackSolver,
+    MapperConfig, ValidationConfig, ValidationReport,
 };
-use kairos_opcache::{shape_of, CacheConfig};
 use kairos_platform::{
     topology, AppId, ElementId, ElementKind, Occupant, Platform, ResourceVector,
 };
@@ -180,15 +181,22 @@ proptest! {
 
 /// A manager on the zero clock (so whole admission results compare
 /// equal) with a lit hub (so `kairos.core.admit.replayed` counts).
-fn lit_manager(platform: Platform) -> Kairos {
+fn lit_manager(platform: Platform, cache: Option<CacheConfig>) -> Kairos {
     let config = KairosConfig {
         deterministic: true,
         validation: ValidationConfig { max_events: 10_000, ..ValidationConfig::default() },
+        cache,
         ..KairosConfig::default()
     };
     let mut kairos = Kairos::new(platform, config);
     kairos.set_telemetry(Telemetry::new(TelemetryConfig::default()));
     kairos
+}
+
+/// Audits a clone of `kairos`'s platform, so the manager's own stamp and
+/// free-rank dirty sets stay as its operations left them.
+fn audited(kairos: &Kairos) {
+    assert_eq!(kairos.platform().clone().audit(), Ok(()));
 }
 
 fn replayed(kairos: &Kairos) -> u64 {
@@ -212,7 +220,7 @@ fn storm_apps(seed: u64, per_dataset: usize) -> Vec<Application> {
 /// (layout, id, validation report, or the same refusal) and reach the
 /// same platform bytes and occupancy. Returns whether `app` was admitted
 /// and how many of `a`'s admissions committed a hand-off.
-fn handoff_differential(
+fn hand_off_differential(
     a: &mut Kairos,
     probe: impl FnOnce(&mut Kairos),
     between: impl Fn(&mut Kairos),
@@ -228,6 +236,7 @@ fn handoff_differential(
     assert_eq!(result, reference.admit(app), "{}: a different decision", app.name());
     assert_eq!(a.platform().checkpoint(), reference.platform().checkpoint(), "{}", app.name());
     assert_eq!(a.occupancy(), reference.occupancy(), "{}", app.name());
+    audited(a);
     (result.is_ok(), replayed(a) - before)
 }
 
@@ -245,12 +254,12 @@ proptest! {
     /// the probed decision — admission or refusal — and nothing in the
     /// result or on the platform tells it from a cold run.
     #[test]
-    fn the_probe_handoff_is_invisible(seed in any::<u64>()) {
+    fn the_probe_hand_off_is_invisible(seed in any::<u64>()) {
         for platform in [topology::crisp(), topology::heterogeneous_mesh(6, 6)] {
-            let mut a = lit_manager(platform);
+            let mut a = lit_manager(platform, None);
             let (mut admitted, mut refused) = (0, 0);
             for (i, app) in storm_apps(seed, 8).iter().enumerate() {
-                let (ok, commits) = handoff_differential(&mut a, probe_of(app), |_| {}, app);
+                let (ok, commits) = hand_off_differential(&mut a, probe_of(app), |_| {}, app);
                 prop_assert_eq!(commits, 1, "every probe→admit pair commits the hand-off");
                 if ok { admitted += 1 } else { refused += 1 }
                 // Churn: every third step the oldest resident leaves.
@@ -268,8 +277,8 @@ proptest! {
     /// the decision leaves the hand-off unused: the admission equals the
     /// cold run and `admit.replayed` does not move.
     #[test]
-    fn a_stale_handoff_is_never_committed(seed in any::<u64>()) {
-        let mut base = lit_manager(topology::crisp());
+    fn a_stale_hand_off_is_never_committed(seed in any::<u64>()) {
+        let mut base = lit_manager(topology::crisp(), None);
         let apps = storm_apps(seed, 3);
         let (fill, candidates) = apps.split_at(10);
         for app in fill {
@@ -279,7 +288,7 @@ proptest! {
         let seat = base.layout(x).unwrap().placement.iter().next().unwrap().1;
         for app in candidates {
             // A probe of an equal shape would legitimately hand off.
-            let other = fill.iter().find(|other| shape_of(other) != shape_of(app));
+            let other = fill.iter().find(|other| other.shape_hash() != app.shape_hash());
             let other = other.expect("ten applications of six datasets are not all one shape");
             let nothing: Step = &|_| {};
             let probe: Step = &probe_of(app);
@@ -295,15 +304,33 @@ proptest! {
                 ("probe_admit_without", &|k| drop(k.probe_admit_without(app, &[x])), nothing),
             ];
             for (what, probe, between) in stale {
-                let (_, commits) = handoff_differential(&mut base.clone(), probe, between, app);
+                let (_, commits) = hand_off_differential(&mut base.clone(), probe, between, app);
                 prop_assert_eq!(commits, 0, "{} / admit", what);
             }
             // Consumed once: the admission right after the probe commits
             // it, the one after that runs cold.
             let mut a = base.clone();
-            let (_, first) = handoff_differential(&mut a, probe, nothing, app);
-            let (_, second) = handoff_differential(&mut a, nothing, nothing, app);
+            let (_, first) = hand_off_differential(&mut a, probe, nothing, app);
+            let (_, second) = hand_off_differential(&mut a, nothing, nothing, app);
             prop_assert_eq!((first, second), (1, 0), "probe / admit / admit");
+        }
+    }
+}
+
+/// The store's tier rule: a probe's decision — admission or refusal —
+/// reaches the admission that follows as one cache hit when there is a
+/// keyed tier, and as one committed hand-off (`admit.replayed`) of the
+/// last-probe tier when there is not; never both.
+#[test]
+fn a_probe_reaches_its_admission_through_exactly_one_tier() {
+    for app in &storm_apps(0x7137, 2) {
+        for cache in [Some(CacheConfig::default()), None] {
+            let mut kairos = lit_manager(topology::crisp(), cache);
+            drop(kairos.probe_admit(app));
+            drop(kairos.admit(app));
+            let hits = kairos.cache_stats().map(|stats| stats.hits);
+            let expected = if cache.is_some() { (Some(1), 0) } else { (None, 1) };
+            assert_eq!((hits, replayed(&kairos)), expected, "{}", app.name());
         }
     }
 }
@@ -406,6 +433,7 @@ proptest! {
                     }
                 }
             }
+            audited(&first);
         }
 
         let other = retenanted(&first, topology::crisp(), &modes);
@@ -447,6 +475,7 @@ proptest! {
                 "{}: the replay and the cold run left different bytes", app.name()
             );
             prop_assert_eq!(carrier.occupancy(), reference.occupancy());
+            audited(&carrier);
         }
     }
 }
@@ -557,6 +586,7 @@ proptest! {
                 (18, _) => warm.restore(saved.clone()),
                 _ => {}
             }
+            audited(&warm);
         }
 
         let image = warm.checkpoint();
@@ -584,7 +614,7 @@ proptest! {
     /// `admit` or `probe_admit` that is refused — cold, from the cache or
     /// from the probe hand-off — leaves the mutation epoch where it was
     /// and marks no element for the free rank: the list is empty when the
-    /// cold pipeline refreshed it, and untouched when a carrier answered.
+    /// cold pipeline refreshed it, and untouched when the store answered.
     /// On CRISP the hostile applications come behind [`package_walls`], so
     /// each phase refuses something.
     #[test]
@@ -613,6 +643,7 @@ proptest! {
                         } else {
                             kairos.admit(app).err()
                         };
+                        audited(&kairos);
                         let Some(failure) = refused else { continue };
                         refusals[failure.phase() as usize] += 1;
                         let what = format!("{} ({:?}, probe {probe}, cache {cached})", app.name(), failure.phase());

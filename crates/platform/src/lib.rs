@@ -65,7 +65,7 @@ pub use frag::{
     adjacent_pair_counts, element_utilisation, external_fragmentation, free_island_count,
 };
 pub use link::{Link, LinkId};
-pub use platform::{AppId, ClaimError, Occupant, Platform, PlatformCheckpoint};
+pub use platform::{AppId, AuditError, ClaimError, Occupant, Platform, PlatformCheckpoint};
 pub use power::{PowerModel, PowerRate};
 pub use region::RegionMap;
 pub use render::{render_link_load, render_occupancy, render_strip};

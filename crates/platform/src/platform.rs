@@ -94,6 +94,88 @@ impl fmt::Display for ClaimError {
 
 impl std::error::Error for ClaimError {}
 
+/// The first record [`Platform::audit`] found disagreeing with its
+/// definition.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum AuditError {
+    /// The element's free vector plus what its residents claimed is not
+    /// its capacity.
+    ElementFree {
+        /// The element.
+        element: ElementId,
+        /// Its free vector.
+        free: ResourceVector,
+        /// The sum of its residents' claims.
+        claimed: ResourceVector,
+    },
+    /// The link has more bandwidth or virtual channels free than it has.
+    LinkFree {
+        /// The link.
+        link: LinkId,
+        /// Its free bandwidth.
+        free_bandwidth: u64,
+        /// Its free virtual channels.
+        free_virtual_channels: u16,
+    },
+    /// The claim journal holds this many ops while no transaction is open.
+    Journal(usize),
+    /// The maintained stamp's digest of this element's record is stale.
+    ElementStamp(ElementId),
+    /// The maintained stamp's digest of this link's record is stale.
+    LinkStamp(LinkId),
+    /// Every kept digest is current, yet the maintained stamp is not
+    /// their sum.
+    StampSum {
+        /// [`Platform::state_stamp`].
+        maintained: u128,
+        /// [`Platform::state_stamp_from_scratch`].
+        from_scratch: u128,
+    },
+    /// After a refresh, a kind's free rank departs from the sort of its
+    /// elements by `(free total, id)`.
+    Rank {
+        /// The kind.
+        kind: ElementKind,
+        /// The first position that differs.
+        position: usize,
+        /// The rank's entry there.
+        found: (u64, ElementId),
+        /// The sort's entry there.
+        expected: (u64, ElementId),
+    },
+}
+
+impl fmt::Display for AuditError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            AuditError::ElementFree { element, free, claimed } => {
+                write!(
+                    f,
+                    "element {element}: {free} free and {claimed} claimed are not its capacity"
+                )
+            }
+            AuditError::LinkFree { link, free_bandwidth, free_virtual_channels } => write!(
+                f,
+                "link {link}: {free_bandwidth} bandwidth and {free_virtual_channels} virtual \
+                 channels free exceed its capacity"
+            ),
+            AuditError::Journal(ops) => write!(f, "{ops} journal ops outside any transaction"),
+            AuditError::ElementStamp(e) => write!(f, "element {e}: stale stamp digest"),
+            AuditError::LinkStamp(l) => write!(f, "link {l}: stale stamp digest"),
+            AuditError::StampSum { maintained, from_scratch } => write!(
+                f,
+                "maintained stamp {maintained:#x} is not the from-scratch sum {from_scratch:#x}"
+            ),
+            AuditError::Rank { kind, position, found, expected } => write!(
+                f,
+                "{kind} free rank holds {found:?} at {position} where the sort holds {expected:?}"
+            ),
+        }
+    }
+}
+
+impl std::error::Error for AuditError {}
+
 /// Snapshot of the mutable platform state, produced by
 /// [`Platform::checkpoint`] and consumed by [`Platform::restore`].
 #[derive(Debug, Clone, PartialEq)]
@@ -1106,6 +1188,78 @@ impl Platform {
     pub fn total_capacity(&self) -> ResourceVector {
         self.elements.iter().filter(|e| !self.is_failed(e.id())).map(|e| e.capacity()).sum()
     }
+
+    // ---- audit ------------------------------------------------------------------
+
+    /// Checks the ledger against its definitions, naively, and names the
+    /// first record that disagrees: every element's free vector is its
+    /// capacity less its residents' claims; no link has more bandwidth or
+    /// virtual channels free than it has; the journal is empty outside a
+    /// transaction; the maintained [`Self::state_stamp`] digests every
+    /// record as [`Self::state_stamp_from_scratch`] does; and, refreshed,
+    /// each kind's [`Self::free_rank`] is the sort of its elements by
+    /// `(free total, id)`.
+    ///
+    /// Brings the stamp and the rank up to date first — history, not
+    /// state, so neither equality nor any decision moves — which is why
+    /// it takes `&mut self`; audit a clone to leave the original's dirty
+    /// sets alone.
+    ///
+    /// # Errors
+    ///
+    /// The first disagreement found, in the order above.
+    pub fn audit(&mut self) -> Result<(), AuditError> {
+        for (i, element) in self.elements.iter().enumerate() {
+            let free = self.state.free[i];
+            let claimed: ResourceVector = self.state.residents[i].iter().map(|o| o.claimed).sum();
+            if free.saturating_add(&claimed) != element.capacity() {
+                return Err(AuditError::ElementFree { element: element.id(), free, claimed });
+            }
+        }
+        for (link, s) in self.links.iter().zip(&self.state.links) {
+            if s.free_bandwidth > link.bandwidth()
+                || s.free_virtual_channels > link.virtual_channels()
+            {
+                return Err(AuditError::LinkFree {
+                    link: link.id(),
+                    free_bandwidth: s.free_bandwidth,
+                    free_virtual_channels: s.free_virtual_channels,
+                });
+            }
+        }
+        if self.txn_marks.is_empty() && !self.journal.is_empty() {
+            return Err(AuditError::Journal(self.journal.len()));
+        }
+
+        let maintained = self.state_stamp();
+        let mut from_scratch = 0u128;
+        for (record, &kept) in self.stamp.digests.iter().enumerate() {
+            let fresh = self.state.record_digest(record);
+            if kept != fresh {
+                return Err(match record.checked_sub(self.elements.len()) {
+                    None => AuditError::ElementStamp(ElementId(record as u32)),
+                    Some(link) => AuditError::LinkStamp(LinkId(link as u32)),
+                });
+            }
+            from_scratch = from_scratch.wrapping_add(fresh);
+        }
+        if maintained != from_scratch {
+            return Err(AuditError::StampSum { maintained, from_scratch });
+        }
+
+        self.refresh_free_rank();
+        for kind in ElementKind::ALL {
+            let mut sorted: Vec<(u64, ElementId)> =
+                self.ids_of_kind(kind).iter().map(|&e| (self.free(e).total(), e)).collect();
+            sorted.sort_unstable();
+            let rank = self.free_rank(kind);
+            if let Some(position) = rank.iter().zip(&sorted).position(|(a, b)| a != b) {
+                let (found, expected) = (rank[position], sorted[position]);
+                return Err(AuditError::Rank { kind, position, found, expected });
+            }
+        }
+        Ok(())
+    }
 }
 
 impl fmt::Display for Platform {
@@ -1438,6 +1592,48 @@ mod tests {
         let restored_epoch = p.state_epoch();
         p.restore(fuller);
         assert!(p.state_epoch() > restored_epoch, "restore must bump the epoch");
+    }
+
+    #[test]
+    fn audit_names_the_first_record_that_disagrees() {
+        let (mut p, a, c) = two_dsp();
+        p.claim(a, occ(0, 0, ResourceVector::new(10, 1, 0, 0))).unwrap();
+        let l = p.link_between(a, c).unwrap();
+        p.claim_link(l, 100).unwrap();
+        assert_eq!(p.audit(), Ok(()));
+
+        // Each corruption goes around the mutators, as a bug in one would.
+        let mut bad = p.clone();
+        bad.state.free[c.index()] = ResourceVector::new(99, 10, 0, 0);
+        let claimed = ResourceVector::ZERO;
+        let free = ResourceVector::new(99, 10, 0, 0);
+        assert_eq!(bad.audit(), Err(AuditError::ElementFree { element: c, free, claimed }));
+
+        let mut bad = p.clone();
+        bad.state.links[l.index()].free_virtual_channels = 3;
+        assert!(matches!(bad.audit(), Err(AuditError::LinkFree { link, .. }) if link == l));
+
+        let mut bad = p.clone();
+        bad.journal.push(JournalOp::SetFailed { element: a, was: false });
+        assert_eq!(bad.audit(), Err(AuditError::Journal(1)));
+
+        // An unmarked mutation: the kept digest and rank entry go stale.
+        let mut bad = p.clone();
+        bad.state.failed[c.index()] = true;
+        assert_eq!(bad.audit(), Err(AuditError::ElementStamp(c)));
+        let mut bad = p.clone();
+        bad.state.links[l.index()] = LinkState::idle(&bad.links[l.index()]);
+        assert_eq!(bad.audit(), Err(AuditError::LinkStamp(l)));
+        let mut bad = p.clone();
+        bad.stamp.sum = bad.stamp.sum.wrapping_add(1);
+        assert!(matches!(bad.audit(), Err(AuditError::StampSum { .. })));
+        let mut bad = p.clone();
+        bad.rank.entries.swap(0, 1);
+        assert!(matches!(
+            bad.audit(),
+            Err(AuditError::Rank { kind: ElementKind::Dsp, position: 0, .. })
+        ));
+        assert_eq!(p.audit(), Ok(()), "the clones were corrupted, not the original");
     }
 
     #[test]

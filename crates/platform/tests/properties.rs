@@ -1,7 +1,7 @@
 //! Property-based tests of the platform substrate: resource-vector algebra,
 //! ledger conservation, checkpoint/rollback, distance symmetry, the
-//! precomputed structure tables, the maintained state stamp and the kept
-//! free-capacity rank.
+//! precomputed structure tables, and — through `Platform::audit` — the
+//! maintained state stamp and the kept free-capacity rank.
 
 use proptest::prelude::*;
 
@@ -368,15 +368,16 @@ impl Driven {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
-    /// The maintained stamp equals the from-scratch sum after every step of
-    /// any sequence of claims, releases, transfers, link claims and
-    /// releases, faults, repairs, nested transactions and restores — on a
-    /// platform stamped after every step, and on a twin stamped only now
-    /// and then, whose dirty set therefore spans several mutations,
-    /// rollbacks and restores at a time. The twins compare equal
-    /// throughout (the ledger is no part of equality), and a third
-    /// platform brought to the same state by a single restore stamps the
-    /// same: the stamp is a function of the state, not of its history.
+    /// The platform audits clean — the maintained stamp equal to the
+    /// from-scratch sum among the rest — after every step of any sequence
+    /// of claims, releases, transfers, link claims and releases, faults,
+    /// repairs, nested transactions and restores: on a platform audited
+    /// after every step, and on a twin audited only now and then, whose
+    /// dirty set therefore spans several mutations, rollbacks and restores
+    /// at a time. The twins compare equal throughout (the ledger is no part
+    /// of equality), and a third platform brought to the same state by a
+    /// single restore stamps the same: the stamp is a function of the
+    /// state, not of its history.
     #[test]
     fn state_stamp_is_the_from_scratch_sum_after_every_step(
         ops in proptest::collection::vec((0u8..14, 0u32..64, 0u32..64, 0u64..700), 1..80),
@@ -387,16 +388,16 @@ proptest! {
         for (step, &op) in ops.iter().enumerate() {
             eager.apply(step, op);
             lazy.apply(step, op);
-            let expected = eager.platform.state_stamp_from_scratch();
-            prop_assert_eq!(eager.platform.state_stamp(), expected, "step {}: {:?}", step, op);
+            prop_assert_eq!(eager.platform.audit(), Ok(()), "step {}: {:?}", step, op);
             if stamp_lazy[step] {
-                prop_assert_eq!(lazy.platform.state_stamp(), expected, "step {}: {:?}", step, op);
+                prop_assert_eq!(lazy.platform.audit(), Ok(()), "step {}: {:?}", step, op);
             }
             prop_assert_eq!(&eager.platform, &lazy.platform);
         }
+        prop_assert_eq!(lazy.platform.clone().audit(), Ok(()), "a clone carries the ledger");
+        prop_assert_eq!(lazy.platform.audit(), Ok(()));
         let expected = eager.platform.state_stamp_from_scratch();
         prop_assert_eq!(lazy.platform.state_stamp(), expected);
-        prop_assert_eq!(lazy.platform.clone().state_stamp(), expected, "a clone carries the ledger");
 
         let mut restored = stamp_platform();
         restored.restore(eager.platform.checkpoint());
@@ -431,14 +432,14 @@ proptest! {
 
     /// The kept free rank through the same storm, on a heterogeneous mesh
     /// (five DSPs, two memories, an FPGA and an ARM, so kinds rank apart):
-    /// after every refresh each kind's segment is the from-scratch sort of
-    /// `(free total, id)`, and between refreshes every entry that is out of
-    /// date belongs to an element listed dirty — the invariant binding's
-    /// best fit stands on. One platform is refreshed after every step, a
-    /// twin only now and then, so its dirty set spans several mutations,
-    /// rollbacks and restores at a time; both refresh to the definition,
-    /// and the twins compare equal throughout (the rank is history, not
-    /// state, and no part of equality).
+    /// between refreshes every entry that is out of date belongs to an
+    /// element listed dirty — the invariant binding's best fit stands on —
+    /// and the audit, which refreshes, finds each kind's segment the
+    /// from-scratch sort of `(free total, id)`. One platform is audited
+    /// after every step, a twin only now and then, so its dirty set spans
+    /// several mutations, rollbacks and restores at a time; both refresh
+    /// to the definition, and the twins compare equal throughout (the rank
+    /// is history, not state, and no part of equality).
     #[test]
     fn free_rank_is_the_from_scratch_sort_after_every_refresh(
         ops in proptest::collection::vec((0u8..14, 0u32..64, 0u32..64, 0u64..700), 1..80),
@@ -450,43 +451,85 @@ proptest! {
             eager.apply(step, op);
             lazy.apply(step, op);
             assert_stale_entries_are_dirty(&eager.platform);
-            eager.platform.refresh_free_rank();
-            assert_rank_is_the_definition(&eager.platform);
+            prop_assert_eq!(eager.platform.audit(), Ok(()), "step {}: {:?}", step, op);
             assert_stale_entries_are_dirty(&lazy.platform);
             if refresh_lazy[step] {
-                lazy.platform.refresh_free_rank();
-                assert_rank_is_the_definition(&lazy.platform);
+                prop_assert_eq!(lazy.platform.audit(), Ok(()), "step {}: {:?}", step, op);
             }
             prop_assert_eq!(&eager.platform, &lazy.platform);
         }
-        let mut clone = lazy.platform.clone();
-        clone.refresh_free_rank();
-        assert_rank_is_the_definition(&clone);
-        lazy.platform.refresh_free_rank();
-        assert_rank_is_the_definition(&lazy.platform);
+        prop_assert_eq!(lazy.platform.clone().audit(), Ok(()));
+        prop_assert_eq!(lazy.platform.audit(), Ok(()));
 
-        // A restore ranks from scratch: nothing is left dirty.
+        // A restore ranks from scratch: nothing is left dirty, and nothing
+        // is stale.
         let mut restored = topology::heterogeneous_mesh(3, 3);
         restored.restore(eager.platform.checkpoint());
-        assert_rank_is_the_definition(&restored);
+        prop_assert!(restored.free_rank_dirty().is_empty());
+        prop_assert_eq!(restored.audit(), Ok(()));
     }
 }
 
-/// The definition [`Platform::free_rank`] keeps: each kind's elements as
-/// `(free total, id)`, ascending.
-fn free_rank_from_scratch(p: &Platform, kind: ElementKind) -> Vec<(u64, ElementId)> {
-    let mut rank: Vec<_> = p.ids_of_kind(kind).iter().map(|&e| (p.free(e).total(), e)).collect();
-    rank.sort_unstable();
-    rank
+/// The stamp digests what is free, used and failed where — not who holds
+/// it, nor in what order.
+#[test]
+fn stamp_sees_what_is_free_not_who_holds_the_rest() {
+    let seat = |app: u32, task: u32, cpu: u64| Occupant {
+        app: AppId(app),
+        task,
+        claimed: ResourceVector::new(cpu, 4, 0, 0),
+    };
+    let e = topology::crisp().element_ids().next().unwrap();
+    let stamp_with = |seats: &[Occupant]| {
+        let mut p = topology::crisp();
+        seats.iter().for_each(|&s| p.claim(e, s).unwrap());
+        p.state_stamp_from_scratch()
+    };
+    let one = stamp_with(&[seat(1, 0, 100)]);
+    assert_eq!(one, stamp_with(&[seat(7, 3, 100)]), "another tenant, the same hole");
+    assert_ne!(one, stamp_with(&[seat(1, 0, 101)]), "one unit less free is another state");
+    // Two residents whose claims sum to one resident's: the same free
+    // vector, the same used flag — and different platforms.
+    let split = [
+        Occupant { claimed: ResourceVector::new(60, 3, 0, 0), ..seat(2, 0, 0) },
+        Occupant { claimed: ResourceVector::new(40, 1, 0, 0), ..seat(3, 0, 0) },
+    ];
+    assert_eq!(one, stamp_with(&split));
+    assert_eq!(stamp_with(&split), stamp_with(&[split[1], split[0]]), "in either order");
 }
 
-/// A refreshed rank: every kind's segment is the definition and nothing
-/// is dirty.
-fn assert_rank_is_the_definition(p: &Platform) {
-    assert!(p.free_rank_dirty().is_empty());
-    for kind in ElementKind::ALL {
-        assert_eq!(p.free_rank(kind), free_rank_from_scratch(p, kind).as_slice(), "{kind:?}");
-    }
+/// The maintained stamp through a probe's claim-and-rollback and through
+/// a restore, which must void the per-record digests wholesale.
+#[test]
+fn maintained_stamp_follows_the_state_across_rollback_and_restore() {
+    let mut p = topology::crisp();
+    let e = p.element_ids().next().unwrap();
+    let seat = Occupant { app: AppId(1), task: 0, claimed: ResourceVector::ZERO };
+    let s0 = p.state_stamp();
+    assert_eq!(s0, p.state_stamp_from_scratch(), "the maintained stamp is the from-scratch sum");
+    assert_eq!(p.state_stamp(), s0, "unchanged state, unchanged stamp");
+
+    // A probe: the claim and its rollback both mark the record, and
+    // the stamp comes back to where it was although the epoch moved.
+    let epoch = p.state_epoch();
+    p.begin_txn();
+    p.claim(e, seat).unwrap();
+    assert_ne!(p.state_stamp(), s0);
+    p.rollback_txn();
+    assert!(p.state_epoch() > epoch);
+    assert_eq!(p.state_stamp(), s0, "the state is back, so is the stamp");
+
+    let cp = p.checkpoint();
+    p.claim(e, seat).unwrap();
+    let s1 = p.state_stamp();
+    assert_ne!(s0, s1);
+
+    // restore() rewrites every record without touching any mutator:
+    // it must void the ledger wholesale, otherwise this stamp would
+    // still answer `s1` for a platform equal to the checkpoint.
+    p.restore(cp);
+    assert_eq!(p.state_stamp(), s0, "restore voids the maintained digests");
+    assert_eq!(p.state_stamp_from_scratch(), s0);
 }
 
 /// A rank with pending mutations: each segment is still a strictly

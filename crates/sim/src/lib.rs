@@ -27,7 +27,7 @@
 //!   with [`Scenario::telemetry`] recording enabled (see
 //!   `docs/OBSERVABILITY.md`), `traced-preemption-storm`, which runs
 //!   with [`Scenario::trace`] causal tracing enabled, and two that
-//!   exercise the `kairos-opcache` operating-point cache with
+//!   exercise the operating-point cache (the manager's keyed tier) with
 //!   [`Scenario::cache`] enabled — `cache-warm-storm` (a repeating
 //!   same-shape admission storm replayed from the cache) and
 //!   `cache-invalidation-churn` (element faults and repairs sweeping

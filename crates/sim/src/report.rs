@@ -198,7 +198,7 @@ pub struct TraceReport {
 }
 
 /// End-of-run operating-point cache statistics, summed over every shard
-/// manager's `kairos-opcache` [`MappingCache`](kairos_core::CacheConfig).
+/// manager's operating-point cache ([`CacheConfig`](kairos_core::CacheConfig)).
 /// The cache changes which work runs, never what is decided, so this
 /// section is the *only* difference between a cache-enabled report and
 /// its cache-off twin (the `opcache_equivalence` suite pins exactly

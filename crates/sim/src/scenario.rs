@@ -23,7 +23,7 @@
 //! preempting workload with [`Scenario::telemetry`] enabled and embeds
 //! the metric snapshot in its report), one exercising per-request causal
 //! tracing (`traced-preemption-storm`, with [`Scenario::trace`] enabled),
-//! and two exercising the `kairos-opcache` operating-point cache
+//! and two exercising the manager's operating-point cache
 //! (`cache-warm-storm`, a small-application storm over three cached
 //! shards whose every commit replays the point its own probe stored, and
 //! `cache-invalidation-churn`, which interleaves
@@ -416,7 +416,8 @@ pub struct Scenario {
     /// itself is byte-reproducible run to run.
     pub trace: bool,
     /// Whether every manager runs with the design-time operating-point
-    /// cache (`kairos-opcache`, [`kairos_core::KairosConfig::cache`])
+    /// cache ([`kairos_core::KairosConfig::cache`], the keyed tier of
+    /// its decision store)
     /// enabled: pipeline decisions are stored per
     /// `(application shape, platform state)` key and replayed on exact
     /// recurrence. The cache changes which work runs, never what is
@@ -1270,8 +1271,8 @@ fn traced_preemption_storm() -> Scenario {
 /// three-shard CRISP cluster under the least-loaded policy takes a long
 /// deterministic storm of short-lived applications drawn from a mixture
 /// of just two datasets, with [`Scenario::cache`] enabled so every shard
-/// manager runs a `kairos-opcache`
-/// [`MappingCache`](kairos_core::CacheConfig). What it shows is the
+/// manager runs an operating-point cache
+/// ([`CacheConfig`](kairos_core::CacheConfig)). What it shows is the
 /// probe-to-commit replay, not recurrence: the sampler draws a *new*
 /// application per arrival, and two sampled applications of one dataset
 /// never share a shape, so every probe of the fan-out misses and runs the

@@ -83,7 +83,7 @@ impl ServiceBuilder {
     }
 
     /// Enables the design-time operating-point cache
-    /// ([`KairosConfig::cache`], `kairos-opcache`): pipeline decisions
+    /// ([`KairosConfig::cache`]): pipeline decisions
     /// are stored per `(application shape, platform state)` key and
     /// replayed in O(claims) when the identical question recurs. The
     /// cache changes which work runs, never what is decided; its

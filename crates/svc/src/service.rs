@@ -72,7 +72,7 @@ pub trait ResourceService: std::fmt::Debug {
         self.kairos().occupancy()
     }
 
-    /// Lifetime counters of the operating-point cache (`kairos-opcache`),
+    /// Lifetime counters of the operating-point cache,
     /// summed over every shard for multi-manager services; `None` when no
     /// cache is configured.
     fn cache_stats(&self) -> Option<CacheStats> {

@@ -1,4 +1,5 @@
-//! The cache/cold equivalence pin for `kairos-opcache`: enabling the
+//! The cache/cold equivalence pin for the operating-point cache (the keyed
+//! tier of the manager's decision store): enabling the
 //! operating-point mapping cache changes *which work runs*, never *what
 //! is decided*. A cache-enabled run produces a byte-identical
 //! `SimReport` (apart from the extra `cache` section) and an identical
@@ -23,8 +24,7 @@ use kairos::admitd::{AdmitPolicy, PriorityClass};
 use kairos::app::Application;
 use kairos::appgen::{generate_dataset, DatasetSpec};
 use kairos::cluster::{ClusterBuilder, ClusterService};
-use kairos::core::{CostPolicy, Kairos, KairosConfig};
-use kairos::opcache::{CacheConfig, CacheStats};
+use kairos::core::{CacheConfig, CacheStats, CostPolicy, Kairos, KairosConfig};
 use kairos::platform::{topology, AppId, PlatformCheckpoint};
 use kairos::sim::testkit::generated;
 use kairos::sim::{Scenario, Simulator};

@@ -1,4 +1,4 @@
-//! The invalidation fault matrix for `kairos-opcache`: every platform
+//! The invalidation fault matrix for the operating-point cache: every platform
 //! mutation that can strand a cached operating point — element faults,
 //! repairs, live migrations, checkpoint rewinds — against points that do
 //! and do not overlap the touched elements. Overlapping points are swept
@@ -218,4 +218,22 @@ fn restore_rewinds_the_stamp_memo_not_just_the_bytes() {
         cold.platform(),
         "warm and cold managers end in identical platform states"
     );
+}
+
+/// Repairing an element that is not failed is no mutation: the stored
+/// point that uses it survives, the state epoch stays, and the same
+/// question asked again hits.
+#[test]
+fn repairing_a_healthy_element_sweeps_nothing() {
+    let (mut kairos, _) = cached_kairos();
+    let app = chain("c", 3, 600, 80);
+    let first = kairos.admit(&app).unwrap();
+    kairos.release(first.app_id);
+    let (before, epoch) = (kairos.cache_stats().unwrap(), kairos.platform().state_epoch());
+    kairos.repair_element(footprint(&first.layout)[0]);
+    assert_eq!(kairos.platform().state_epoch(), epoch);
+    assert_eq!(kairos.cache_stats().unwrap().invalidations, before.invalidations);
+    let second = kairos.admit(&app).unwrap();
+    assert_eq!(second.layout, first.layout);
+    assert_eq!(kairos.cache_stats().unwrap().hits, before.hits + 1, "the stored point replays");
 }
