@@ -320,15 +320,15 @@ impl Admitd {
         (ticket, events)
     }
 
-    /// Submits a whole arrival wave in one call, sharing one batch scope
-    /// and one drain pass.
+    /// Submits a whole arrival wave in one call, sharing one drain pass.
     ///
     /// Each request passes the door exactly as under [`Admitd::submit`]
     /// (enqueue, `QueueFull` backpressure, the critical door-preemption
     /// hook), but the queue is drained *once*, after every request is in —
     /// so a wave of N uncontended requests costs one priority-ordered
-    /// walk and, thanks to [`Kairos::begin_batch`], one top-level
-    /// platform transaction instead of N of each. Admission outcomes for
+    /// walk instead of N. The wave is no transaction: each admission is
+    /// written by the manager's one writer as it is decided, and a refusal
+    /// writes nothing, so there is nothing to roll back. Admission outcomes for
     /// an uncontended wave are identical to N sequential submissions
     /// (the `kairos-svc` property tests pin this); under contention the
     /// single drain hands capacity out in priority-then-FIFO order, which
@@ -358,7 +358,6 @@ impl Admitd {
         now: u64,
     ) -> (Vec<Ticket>, Vec<Event>) {
         let _span = self.kairos.telemetry().span("kairos_admitd", "submit_batch");
-        self.kairos.begin_batch();
         let mut tickets = Vec::with_capacity(requests.len());
         let mut events = Vec::new();
         for (app, class, ctx, ticket) in requests {
@@ -366,7 +365,6 @@ impl Admitd {
             tickets.push(ticket);
         }
         events.extend(self.drain(now));
-        self.kairos.commit_batch();
         self.record_events(&events);
         (tickets, events)
     }

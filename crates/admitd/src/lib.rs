@@ -647,14 +647,6 @@ mod tests {
             events.iter().filter(|ev| matches!(ev, Event::Admitted { .. })).count();
         assert_eq!(batch_admitted, seq_admitted);
         assert_eq!(batched.kairos().admitted_count(), sequential.kairos().admitted_count());
-        // The batch shares one top-level platform transaction where the
-        // sequential path pays one per admission attempt.
-        assert!(
-            batched.kairos().platform().txn_count() < sequential.kairos().platform().txn_count(),
-            "batched: {} vs sequential: {}",
-            batched.kairos().platform().txn_count(),
-            sequential.kairos().platform().txn_count()
-        );
     }
 
     #[test]

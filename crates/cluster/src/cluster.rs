@@ -700,8 +700,8 @@ impl ResourceService for ClusterService {
         // state-neutral, so the whole wave is probed in one per-shard
         // pass ([`Self::probe_wave`]) — group the wave
         // by winning shard, and hand each shard its sub-wave as one
-        // batched submission (one platform transaction, one drain pass —
-        // per shard). Non-admission commands run after the wave, in
+        // batched submission (one class sort, one drain pass — per
+        // shard). Non-admission commands run after the wave, in
         // submission order, exactly as the monolithic service does.
         //
         // Tickets are settled up front in submission order — batching
@@ -917,11 +917,6 @@ mod tests {
         assert_eq!(mono.submit_batch(wave(0)), one.submit_batch(wave(0)));
         let (a, b) = (mono.take_events(), one.take_events());
         assert_eq!(format!("{a:?}"), format!("{b:?}"));
-        assert_eq!(
-            mono.kairos().platform().txn_count(),
-            one.shard(0).kairos().platform().txn_count(),
-            "one batch transaction either way"
-        );
     }
 
     /// Pins the probe fan-out against a reference that is not production

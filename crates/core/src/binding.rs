@@ -310,7 +310,7 @@ mod tests {
         // The refreshed platform under pending mutations — what the frozen
         // benchmark's `bind` sees on a platform it mutates in a loop: claims
         // and releases that move elements both ways past stale rank
-        // entries, a repair, a committed and a rolled-back transaction.
+        // entries, a repair, and a release and a claim each taken back.
         let mut pending = refreshed.clone();
         let grow = ResourceVector::new(40, 2, 0, 0);
         for (i, &e) in ids.iter().enumerate().filter(|(i, _)| i % 3 == 1) {
@@ -321,15 +321,13 @@ mod tests {
             }
         }
         pending.repair_element(ids[3]);
-        pending.begin_txn();
         pending.release(ids[5], AppId(0), 5).unwrap();
         pending.claim(ids[6], Occupant { app: AppId(2), task: 0, claimed: grow }).unwrap();
-        pending.commit_txn();
         let settled = pending.checkpoint();
-        pending.begin_txn();
-        pending.release(ids[8], AppId(0), 8).unwrap();
+        let held = pending.release(ids[8], AppId(0), 8).unwrap();
+        pending.claim(ids[8], Occupant { app: AppId(0), task: 8, claimed: held }).unwrap();
         pending.claim(ids[9], Occupant { app: AppId(2), task: 1, claimed: grow }).unwrap();
-        pending.rollback_txn();
+        pending.release(ids[9], AppId(2), 1).unwrap();
         assert_eq!(pending.checkpoint(), settled);
         assert!(pending.free_rank_dirty().len() > ids.len() / 3);
 

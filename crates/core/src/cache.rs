@@ -207,6 +207,11 @@ impl DecisionStore {
         }
     }
 
+    /// The `state_epoch` the kept probe decision was read at, if any.
+    pub(crate) fn probed_epoch(&self) -> Option<u64> {
+        self.last_probe.as_ref().map(|&(_, epoch, _)| epoch)
+    }
+
     /// Drops every keyed decision that places work on any of `elements`,
     /// returning how many were dropped.
     pub(crate) fn invalidate(&mut self, elements: &[ElementId]) -> u64 {
@@ -347,8 +352,13 @@ pub(crate) fn replay_point(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::binding::bind_in;
     use crate::layout::{Binding, Placement};
-    use kairos_platform::topology;
+    use crate::mapping::{map_application_in, MapperConfig};
+    use crate::routing::{route_channels_in, RouteAlgorithm};
+    use crate::workspace::Workspace;
+    use kairos_app::{Application, ApplicationBuilder, Implementation, TaskRole};
+    use kairos_platform::{topology, ElementKind, LinkId};
 
     /// A stored admission placing one task on each of `elements`.
     fn point(elements: &[u32]) -> CachedDecision {
@@ -469,5 +479,101 @@ mod tests {
         keyed.insert((SHAPE, 2), point(&[]));
         keyed.insert((SHAPE, 3), point(&[]));
         assert_eq!((keyed.stats().points, keyed.stats().evictions), (2, 0));
+    }
+
+    /// A chain of `tasks` DSP tasks of `cpu` each over `bandwidth` channels.
+    fn chain(tasks: usize, cpu: u64, bandwidth: u64) -> Application {
+        let imp = Implementation::new(ElementKind::Dsp, ResourceVector::new(cpu, 8, 0, 0), 30, 1);
+        let mut b = ApplicationBuilder::new(format!("chain{tasks}"));
+        let ids: Vec<_> = (0..tasks)
+            .map(|i| b.add_task(format!("t{i}"), TaskRole::Internal, vec![imp]))
+            .collect();
+        for pair in ids.windows(2) {
+            b.add_channel(pair[0], pair[1], bandwidth, 1);
+        }
+        b.build().unwrap()
+    }
+
+    /// Runs the writer on `platform`, where one of its claims was made to
+    /// fail, and checks that it left nothing behind.
+    fn crashes_cleanly(
+        platform: &mut Platform,
+        app: AppId,
+        seats: &[Seat],
+        routes: &[Route],
+        bandwidths: &[u64],
+    ) {
+        let (bytes, stamp, epoch) =
+            (platform.checkpoint(), platform.state_stamp(), platform.state_epoch());
+        assert!(!replay_point(platform, app, seats, routes, bandwidths.iter().copied()));
+        assert_eq!(platform.checkpoint(), bytes, "a failed write rolls back to the same bytes");
+        assert_eq!(platform.state_stamp(), stamp);
+        assert!(platform.state_epoch() >= epoch, "the epoch never runs backwards");
+        assert!(!platform.txn_active());
+        assert_eq!(platform.audit(), Ok(()));
+    }
+
+    /// Every crash point of the one writer. For each seat k and each link
+    /// claim k of real CRISP decisions — taken on a platform the earlier
+    /// decisions already load — exactly that claim is made to fail on a
+    /// clone: its element failed, or, when an earlier seat shares the
+    /// element, its free capacity used up to one unit short of the claim;
+    /// its link's virtual channels used up to those the earlier claims on
+    /// it need. The write must then leave the clone as it found it.
+    #[test]
+    fn every_crash_point_of_the_writer_leaves_the_platform_as_it_was() {
+        let mut platform = topology::crisp();
+        let mut workspace = Workspace::default();
+        let apps = [chain(6, 300, 90), chain(4, 700, 150), chain(8, 250, 60), chain(3, 500, 200)];
+        let (mut failed, mut starved, mut links) = (0, 0, 0);
+        for (i, app) in apps.iter().enumerate() {
+            let binding = bind_in(app, &platform, &mut workspace.binding).unwrap();
+            let mapper = MapperConfig::default();
+            let mapping =
+                map_application_in(app, &binding, &platform, &mapper, &mut workspace.mapping);
+            let placement = mapping.unwrap().placement;
+            let routing = &mut workspace.routing;
+            let routes =
+                route_channels_in(app, &placement, &platform, RouteAlgorithm::Bfs, routing);
+            let routes = routes.unwrap();
+            let seats = workspace.mapping.seats().to_vec();
+            let bandwidths: Vec<u64> = app.channels().map(|c| c.bandwidth()).collect();
+            let id = AppId(i as u32);
+
+            for (k, &(element, _, claimed)) in seats.iter().enumerate() {
+                let mut clone = platform.clone();
+                let earlier: Vec<ResourceVector> =
+                    seats[..k].iter().filter(|s| s.0 == element).map(|s| s.2).collect();
+                if earlier.is_empty() {
+                    clone.fail_element(element);
+                    failed += 1;
+                } else {
+                    let (kind, _) = claimed.iter().find(|&(_, n)| n > 0).unwrap();
+                    let room = earlier.iter().fold(claimed, |sum, c| sum.saturating_add(c));
+                    let left = clone.free(element).checked_sub(&room).unwrap();
+                    let blocker = left.saturating_add(&ResourceVector::with(kind, 1));
+                    clone
+                        .claim(element, Occupant { app: AppId(999), task: 0, claimed: blocker })
+                        .unwrap();
+                    starved += 1;
+                }
+                crashes_cleanly(&mut clone, id, &seats, &routes, &bandwidths);
+            }
+
+            let claims: Vec<LinkId> =
+                routes.iter().flat_map(|r| r.links().iter().copied()).collect();
+            for (k, &link) in claims.iter().enumerate() {
+                let mut clone = platform.clone();
+                let earlier = claims[..k].iter().filter(|&&l| l == link).count() as u16;
+                while clone.link_free_virtual_channels(link) > earlier {
+                    clone.claim_link(link, 0).unwrap();
+                }
+                crashes_cleanly(&mut clone, id, &seats, &routes, &bandwidths);
+                links += 1;
+            }
+
+            assert!(replay_point(&mut platform, id, &seats, &routes, bandwidths.iter().copied()));
+        }
+        assert!(failed > 0 && starved > 0 && links > 0, "{failed} / {starved} / {links}");
     }
 }

@@ -68,8 +68,8 @@ pub use error::{
 };
 pub use layout::{Binding, ExecutionLayout, Placement, Route};
 pub use manager::{
-    AdmissionFailure, AdmissionProbe, AdmissionReport, Kairos, KairosCheckpoint, KairosConfig,
-    MigrationError, MigrationReport, DURATION_NS_BOUNDS,
+    AdmissionFailure, AdmissionProbe, AdmissionReport, Kairos, KairosAuditError, KairosCheckpoint,
+    KairosConfig, MigrationError, MigrationReport, DURATION_NS_BOUNDS,
 };
 pub use mapping::{
     map_application, CostContext, CostPolicy, CostTables, CostWeights, ElementSearch, GapState,

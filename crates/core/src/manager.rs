@@ -30,6 +30,10 @@ use crate::routing::{release_routes, route_channels_in, RouteAlgorithm};
 use crate::validation::{validate_in, ValidationConfig, ValidationReport};
 use crate::workspace::Workspace;
 
+mod audit;
+
+pub use audit::KairosAuditError;
+
 /// Configuration of the resource manager, covering all four phases.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct KairosConfig {
@@ -303,9 +307,6 @@ struct CoreMetrics {
     /// (each also counts in `admit_ok` or `admit_fail`).
     admit_replayed: Arc<Counter>,
     probes: Arc<Counter>,
-    txn_begin: Arc<Counter>,
-    txn_commit: Arc<Counter>,
-    txn_rollback: Arc<Counter>,
     migrate_attempts: Arc<Counter>,
     migrate_claims: Arc<Counter>,
     migrate_transfers: Arc<Counter>,
@@ -334,9 +335,6 @@ impl CoreMetrics {
             admit_fail: registry.counter("kairos.core.admit.fail"),
             admit_replayed: registry.counter("kairos.core.admit.replayed"),
             probes: registry.counter("kairos.core.probes"),
-            txn_begin: registry.counter("kairos.core.txn.begin"),
-            txn_commit: registry.counter("kairos.core.txn.commit"),
-            txn_rollback: registry.counter("kairos.core.txn.rollback"),
             migrate_attempts: registry.counter("kairos.core.migrate.attempts"),
             migrate_claims: registry.counter("kairos.core.migrate.claims"),
             migrate_transfers: registry.counter("kairos.core.migrate.transfers"),
@@ -573,9 +571,6 @@ impl Kairos {
         now: u64,
     ) -> Result<AdmissionReport, AdmissionFailure> {
         let _span = self.telemetry.span("kairos_core", "admit");
-        // Every admission is one transaction (a batch scope folds them into
-        // one top-level transaction); a refusal rolls back an empty one.
-        self.txn_begin();
         let app_id = AppId(self.next_app);
         let mut timings = PhaseTimings::default();
 
@@ -597,7 +592,6 @@ impl Kairos {
         };
         match result {
             Ok((layout, validation)) => {
-                self.txn_commit();
                 self.next_app += 1;
                 self.admitted
                     .insert(app_id, AdmittedApp { app: app.clone(), layout: layout.clone() });
@@ -612,7 +606,6 @@ impl Kairos {
                 Ok(AdmissionReport { app_id, timings, layout, validation })
             }
             Err(error) => {
-                self.txn_rollback();
                 let failure = AdmissionFailure { error, timings };
                 if let Some(m) = &self.metrics {
                     m.admit_fail.inc();
@@ -620,7 +613,7 @@ impl Kairos {
                         Level::WARN,
                         "kairos_core",
                         format!(
-                            "admit {}: rejected in {} phase, claims rolled back",
+                            "admit {}: rejected in {} phase, nothing written",
                             app.name(),
                             failure.phase()
                         ),
@@ -628,30 +621,6 @@ impl Kairos {
                 }
                 Err(failure)
             }
-        }
-    }
-
-    /// Opens a platform transaction, counting it when instrumented.
-    fn txn_begin(&mut self) {
-        self.platform.begin_txn();
-        if let Some(m) = &self.metrics {
-            m.txn_begin.inc();
-        }
-    }
-
-    /// Commits the innermost platform transaction, counting it.
-    fn txn_commit(&mut self) {
-        self.platform.commit_txn();
-        if let Some(m) = &self.metrics {
-            m.txn_commit.inc();
-        }
-    }
-
-    /// Rolls back the innermost platform transaction, counting it.
-    fn txn_rollback(&mut self) {
-        self.platform.rollback_txn();
-        if let Some(m) = &self.metrics {
-            m.txn_rollback.inc();
         }
     }
 
@@ -693,7 +662,7 @@ impl Kairos {
     /// The [`AdmissionFailure`] the pipeline would report, if any.
     pub fn probe_admit(&mut self, app: &Application) -> Result<AdmissionProbe, AdmissionFailure> {
         let _span = self.telemetry.span("kairos_core", "probe_admit");
-        self.txn_begin();
+        self.platform.begin_txn();
         if let Some(m) = &self.metrics {
             m.probes.inc();
         }
@@ -708,7 +677,7 @@ impl Kairos {
         let probe = result.map(|(layout, validation)| {
             (AdmissionProbe { layout, after: self.occupancy() }, validation)
         });
-        self.txn_rollback();
+        self.platform.rollback_txn();
         let (shape, epoch) = (app.shape_hash(), self.platform.state_epoch());
         let probed = probe.as_ref().map(|(probe, validation)| (&probe.layout, validation));
         self.store.keep_probed(shape, epoch, probed, self.workspace.mapping.seats());
@@ -735,7 +704,7 @@ impl Kairos {
         without: &[AppId],
     ) -> Result<ExecutionLayout, AdmissionFailure> {
         let _span = self.telemetry.span("kairos_core", "probe_admit_without");
-        self.txn_begin();
+        self.platform.begin_txn();
         if let Some(m) = &self.metrics {
             m.probes.inc();
         }
@@ -746,7 +715,7 @@ impl Kairos {
         }
         let mut timings = PhaseTimings::default();
         let decided = self.decide(app, &mut timings, TraceContext::NONE, 0);
-        self.txn_rollback();
+        self.platform.rollback_txn();
         match decided {
             Ok(Decision::Cold(layout, _)) => Ok(layout),
             Ok(Decision::Carried(point)) => Ok(point.layout),
@@ -813,7 +782,7 @@ impl Kairos {
         if let Some(m) = &self.metrics {
             m.migrate_attempts.inc();
         }
-        self.txn_begin();
+        self.platform.begin_txn();
         // Failure-mark the avoided elements so the pipeline's searches skip
         // them; only elements not already failed are restored afterwards.
         let mut masked: Vec<ElementId> = Vec::new();
@@ -828,7 +797,7 @@ impl Kairos {
         let mut timings = PhaseTimings::default();
         match self.place(&app, scratch, &mut timings, TraceContext::NONE, 0) {
             Err(error) => {
-                self.txn_rollback();
+                self.platform.rollback_txn();
                 let failure = AdmissionFailure { error, timings };
                 if let Some(m) = &self.metrics {
                     m.migrate_rollbacks.inc();
@@ -859,7 +828,7 @@ impl Kairos {
                     self.platform.repair_element(e);
                 }
                 if !accept(&old_layout, &new_layout, &self.platform) {
-                    self.txn_rollback();
+                    self.platform.rollback_txn();
                     if let Some(m) = &self.metrics {
                         m.migrate_rollbacks.inc();
                         self.telemetry.event(
@@ -870,7 +839,7 @@ impl Kairos {
                     }
                     return Err(MigrationError::Declined);
                 }
-                self.txn_commit();
+                self.platform.commit_txn();
                 if let Some(m) = &self.metrics {
                     m.migrate_commits.inc();
                 }
@@ -1155,9 +1124,6 @@ impl Kairos {
     /// next cache lookup digests the restored state instead of trusting
     /// per-record digests from before the rewind; and it bumps the state
     /// epoch, which voids a kept probe decision.
-    ///
-    /// A checkpoint may be taken while a transaction is open; see
-    /// `Platform::checkpoint`.
     pub fn checkpoint(&self) -> KairosCheckpoint {
         KairosCheckpoint {
             platform: self.platform.checkpoint(),
@@ -1170,41 +1136,12 @@ impl Kairos {
     ///
     /// # Panics
     ///
-    /// Panics if a transaction is open or the checkpoint belongs to a
-    /// structurally different platform (see `Platform::restore`).
+    /// Panics if the checkpoint belongs to a structurally different
+    /// platform (see `Platform::restore`).
     pub fn restore(&mut self, checkpoint: KairosCheckpoint) {
         self.platform.restore(checkpoint.platform);
         self.admitted = checkpoint.admitted;
         self.next_app = checkpoint.next_app;
-    }
-
-    /// Opens a batch scope: one platform transaction that every operation
-    /// until the matching [`Kairos::commit_batch`] nests inside.
-    ///
-    /// Without a batch scope, each [`Kairos::admit`] opens (and commits or
-    /// rolls back) its own top-level platform transaction; a wave of N
-    /// admissions pays N. Inside a batch scope the whole wave shares a
-    /// single top-level transaction — the per-admission transactions nest;
-    /// a failed admission writes nothing and successful ones stay.
-    /// `kairos-svc` drives this from
-    /// `submit_batch`; compare the two paths with
-    /// `cargo bench -p kairos-bench --bench service_batch`.
-    ///
-    /// Scopes must be balanced: every `begin_batch` needs its
-    /// `commit_batch`. Nesting batch scopes is allowed (they fold like
-    /// the transactions they wrap).
-    pub fn begin_batch(&mut self) {
-        self.txn_begin();
-    }
-
-    /// Closes the innermost batch scope opened by
-    /// [`Kairos::begin_batch`], keeping everything the batch did.
-    ///
-    /// # Panics
-    ///
-    /// Panics when no batch scope (or other transaction) is open.
-    pub fn commit_batch(&mut self) {
-        self.txn_commit();
     }
 
     /// Releases an admitted application, reclaiming all its element and
@@ -1223,8 +1160,13 @@ impl Kairos {
 
     /// Marks `element` as failed and evicts every application with a task
     /// placed on it, returning the evicted ids (candidates for re-admission
-    /// on the remaining healthy elements).
+    /// on the remaining healthy elements). Failing an element that is
+    /// already failed is no mutation: it changes nothing, not even the
+    /// state epoch or the cache, and evicts no one (nothing sits there).
     pub fn fail_element(&mut self, element: ElementId) -> Vec<AppId> {
+        if self.platform.is_failed(element) {
+            return Vec::new();
+        }
         self.platform.fail_element(element);
         self.invalidate_cached_points(&[element]);
         let victims: Vec<AppId> = self
@@ -1524,23 +1466,6 @@ mod tests {
         let mut full = Kairos::new(topology::dsp_mesh(2, 2), config);
         let failure = full.admit(&chain("big", 5, 1000, 100)).unwrap_err();
         assert_eq!(failure.timings, PhaseTimings::default());
-    }
-
-    #[test]
-    fn batch_scope_shares_one_top_level_transaction() {
-        let mut kairos = Kairos::new(topology::crisp(), KairosConfig::default());
-        let app = chain("c", 2, 500, 50);
-        let before = kairos.platform().txn_count();
-        kairos.begin_batch();
-        kairos.admit(&app).unwrap();
-        kairos.admit(&app).unwrap();
-        // A failed admission inside the scope leaves the others standing.
-        assert!(kairos.admit(&chain("big", 70, 980, 10)).is_err());
-        kairos.commit_batch();
-        assert_eq!(kairos.platform().txn_count(), before + 1, "the whole batch is one txn");
-        assert_eq!(kairos.admitted_count(), 2);
-        kairos.release_all();
-        assert!(kairos.platform().is_idle(), "batched claims release cleanly");
     }
 
     #[test]

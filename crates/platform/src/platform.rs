@@ -20,7 +20,6 @@
 
 use std::fmt;
 
-use kairos_telemetry::Counter;
 use serde::{Deserialize, Serialize};
 
 use crate::digest::Digest;
@@ -473,13 +472,6 @@ pub struct Platform {
     /// Journal positions of the currently open (possibly nested)
     /// transactions, innermost last.
     txn_marks: Vec<usize>,
-    /// Count of *top-level* transactions ever begun (nested transactions
-    /// are not counted): the batching metric — one batched submission of N
-    /// requests opens one top-level transaction where N sequential
-    /// submissions open N. A `kairos-telemetry` counter (the workspace's
-    /// one counter implementation); its `Clone` copies the value, so
-    /// checkpoints freeze the tally exactly like the former plain field.
-    txns_begun: Counter,
     /// Monotone mutation epoch: bumped by every mutation of the ledger
     /// state, including each undone op of a transaction rollback and
     /// checkpoint restores. The epoch over-approximates change — a bump
@@ -568,7 +560,6 @@ impl Platform {
             state,
             journal: Vec::new(),
             txn_marks: Vec::new(),
-            txns_begun: Counter::new(),
             epoch: MutationEpoch::default(),
             stamp: StampLedger::new(),
             rank,
@@ -1014,19 +1005,7 @@ impl Platform {
     /// admission hot path's cheap alternative to [`Self::checkpoint`]: cost
     /// is proportional to the mutations actually made, not to `|E| + |L|`.
     pub fn begin_txn(&mut self) {
-        if self.txn_marks.is_empty() {
-            self.txns_begun.inc();
-        }
         self.txn_marks.push(self.journal.len());
-    }
-
-    /// Number of top-level transactions begun over the platform's lifetime
-    /// (nested transactions fold into their enclosing one and are not
-    /// counted). Batched service submission exists to shrink this number:
-    /// `cargo bench -p kairos-bench --bench service_batch` reports it for
-    /// batched versus sequential admission of the same arrival wave.
-    pub fn txn_count(&self) -> u64 {
-        self.txns_begun.get()
     }
 
     /// Closes the innermost transaction, keeping its mutations.
@@ -1447,21 +1426,6 @@ mod tests {
         p.commit_txn();
         p.rollback_txn();
         assert_eq!(p.checkpoint(), before);
-    }
-
-    #[test]
-    fn txn_count_tracks_top_level_transactions_only() {
-        let (mut p, a, _) = two_dsp();
-        assert_eq!(p.txn_count(), 0);
-        p.begin_txn();
-        p.begin_txn(); // nested: not counted
-        p.claim(a, occ(0, 0, ResourceVector::new(10, 0, 0, 0))).unwrap();
-        p.rollback_txn();
-        p.commit_txn();
-        assert_eq!(p.txn_count(), 1);
-        p.begin_txn();
-        p.rollback_txn();
-        assert_eq!(p.txn_count(), 2, "rolled-back top-level transactions count too");
     }
 
     #[test]

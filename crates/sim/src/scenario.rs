@@ -122,7 +122,7 @@ pub struct PhaseSpec {
     /// Applications arriving *together* at each arrival instant — a
     /// synchronized wave. `1` is a lone arrival; larger waves are
     /// admitted through `ResourceService::submit_batch` as one batched
-    /// operation (one platform transaction, one drain pass).
+    /// operation (class-sorted, one drain pass).
     pub batch: u64,
 }
 
@@ -1069,7 +1069,7 @@ fn defrag_sweep() -> Scenario {
 /// bursts — the multi-application reconfiguration points of Khasanov &
 /// Castrillon's runtime — and each wave is admitted through
 /// `ResourceService::submit_batch` as one operation: class-sorted, one
-/// platform transaction, one priority-ordered drain pass. A smaller
+/// arrival time, one priority-ordered drain pass. A smaller
 /// critical wave phase interleaves priorities so the batched drain's
 /// class ordering is actually exercised.
 fn batch_arrival_wave() -> Scenario {
@@ -1178,7 +1178,7 @@ fn cross_shard_rebalance() -> Scenario {
 /// live-migrates victims — with [`Scenario::telemetry`] enabled, so the
 /// report embeds the full metric snapshot: per-shard probe-latency
 /// histograms and placement-score distributions from the probe
-/// fan-out, pipeline-phase and transaction counters from every shard
+/// fan-out, pipeline-phase and probe counters from every shard
 /// manager, queue-transition counters from the admission front-ends, and
 /// the two-phase migration tallies. Under the engine's deterministic zero
 /// clock the snapshot is byte-reproducible run to run.

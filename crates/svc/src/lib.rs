@@ -23,10 +23,10 @@
 //!   service adds only the results of its own commands.
 //! * **Batches are first-class** —
 //!   [`ResourceService::submit_batch`] admits a whole arrival wave as
-//!   one operation: class-sorted, inside one platform transaction, with
-//!   one drain pass instead of N independent submissions
-//!   (`cargo bench -p kairos-bench --bench service_batch` measures the
-//!   difference; the property tests pin outcome equivalence).
+//!   one operation: class-sorted, stamped with the wave's earliest
+//!   arrival time, with one drain pass instead of N independent
+//!   submissions (the property tests pin outcome equivalence). A wave is
+//!   not a transaction: each admission is written as it is decided.
 //! * **Policies injected at construction** — [`ServiceBuilder`] takes
 //!   the mapping cost policy, the admission policy, the preemption
 //!   policy and the victim ordering; the service's behaviour is fixed at

@@ -22,9 +22,9 @@ use crate::command::{CapacityEvent, Command, Request};
 ///   service [`Ticket`]; the events it caused accumulate until
 ///   [`ResourceService::take_events`] drains them.
 /// * [`ResourceService::submit_batch`] performs a whole arrival wave as
-///   one operation: admissions share one top-level platform transaction
-///   and one class-ordered drain pass instead of N independent
-///   submissions (`cargo bench -p kairos-bench --bench service_batch`).
+///   one operation: its admissions are class-sorted, stamped with the
+///   wave's earliest arrival time and, on a queued service, drained in
+///   one pass instead of N.
 /// * [`ResourceService::pump`] feeds lifecycle events (time advancing,
 ///   shutdown) and returns the decisions they forced.
 ///
@@ -43,9 +43,11 @@ pub trait ResourceService: std::fmt::Debug {
     ///
     /// Admissions in the wave are handled collectively: sorted by
     /// priority class (stable, so FIFO within a class is preserved),
-    /// admitted inside a single platform transaction, and — on a queued
-    /// service — drained in one pass. Non-admission commands execute
-    /// after the wave's admissions, in submission order.
+    /// stamped with the wave's earliest arrival time and — on a queued
+    /// service — drained in one pass. A wave is not a transaction: each
+    /// admission is written as it is decided, exactly as under
+    /// [`Self::submit`], and a refusal writes nothing. Non-admission
+    /// commands execute after the wave's admissions, in submission order.
     fn submit_batch(&mut self, requests: Vec<Request>) -> Vec<Ticket>;
 
     /// Feeds one lifecycle event and returns the decisions it forced
@@ -499,11 +501,8 @@ impl ResourceService for KairosService {
             match &mut self.backend {
                 Backend::Direct(kairos) => {
                     // Class-sort (stable: FIFO within a class), mirroring
-                    // the drain order a queued service would use, then
-                    // admit the whole wave inside one platform
-                    // transaction.
+                    // the drain order a queued service would use.
                     admissions.sort_by_key(|(_, _, _, class, _)| class.index());
-                    kairos.begin_batch();
                     for (ticket, _, app, class, ctx) in admissions {
                         Self::admit_direct(
                             kairos,
@@ -515,12 +514,11 @@ impl ResourceService for KairosService {
                             &mut self.events,
                         );
                     }
-                    kairos.commit_batch();
                 }
                 Backend::Queued(admitd) => {
                     // The front-end's batch path: every request through
                     // the door, then one drain pass (which is itself
-                    // priority-then-FIFO ordered) in one batch scope.
+                    // priority-then-FIFO ordered).
                     let wave = admissions
                         .into_iter()
                         .map(|(ticket, _, app, class, ctx)| (app, class, ctx, Some(ticket)))

@@ -395,43 +395,6 @@ fn preemption_requeues_run_under_the_ticket_derived_from_the_victim() {
     assert_eq!(next.0, crit.0 + 1);
 }
 
-/// The batching acceptance criterion: a batched wave costs strictly
-/// fewer top-level platform transactions than the same wave submitted
-/// sequentially — on both backends.
-#[test]
-fn batched_waves_cost_strictly_fewer_platform_transactions() {
-    let wave = |n: usize| -> Vec<Request> {
-        (0..n)
-            .map(|i| {
-                Request::admit(0, chain(&format!("w{i}"), 1 + i % 3, 120), PriorityClass::Normal)
-            })
-            .collect()
-    };
-    let build = |queued: bool| -> KairosService {
-        let b = ServiceBuilder::new(topology::crisp()).deterministic(true);
-        if queued { b.admission(roomy_policy()).build() } else { b.build() }.unwrap()
-    };
-    for queued in [false, true] {
-        let mut sequential = build(queued);
-        for request in wave(8) {
-            sequential.submit(request);
-        }
-        let mut batched = build(queued);
-        batched.submit_batch(wave(8));
-        let (seq_txns, batch_txns) =
-            (sequential.kairos().platform().txn_count(), batched.kairos().platform().txn_count());
-        assert!(
-            batch_txns < seq_txns,
-            "queued={queued}: batch must pay fewer top-level txns ({batch_txns} vs {seq_txns})"
-        );
-        assert_eq!(
-            batched.kairos().admitted_count(),
-            sequential.kairos().admitted_count(),
-            "queued={queued}: same admissions either way"
-        );
-    }
-}
-
 #[test]
 fn builder_rejects_invalid_admission_policies() {
     let err = ServiceBuilder::new(topology::crisp())

@@ -5,15 +5,13 @@ use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 
 /// A monotonically increasing event count.
 ///
-/// This is *the* counter implementation of the workspace — subsystem
-/// tallies (`Platform::txn_count`, the sim engine's totals) embed it
-/// directly, and the [`Registry`](crate::Registry) shares it behind an
-/// `Arc` — so every layer counts the same way.
+/// This is *the* counter implementation of the workspace — the sim
+/// engine's totals hold one of their own when no registry is attached, and
+/// the [`Registry`](crate::Registry) shares it behind an `Arc` — so every
+/// layer counts the same way.
 ///
 /// Interior mutability keeps increments `&self` (hot paths hold shared
-/// handles); [`Clone`] copies the *current value* into an independent
-/// counter, so cloning an owner (a checkpointed `Platform`) freezes its
-/// tallies exactly like a plain integer field would.
+/// handles).
 #[derive(Debug, Default)]
 pub struct Counter {
     value: AtomicU64,
@@ -43,20 +41,6 @@ impl Counter {
         self.value.load(Ordering::Relaxed)
     }
 }
-
-impl Clone for Counter {
-    fn clone(&self) -> Self {
-        Counter { value: AtomicU64::new(self.get()) }
-    }
-}
-
-impl PartialEq for Counter {
-    fn eq(&self, other: &Self) -> bool {
-        self.get() == other.get()
-    }
-}
-
-impl Eq for Counter {}
 
 /// An instantaneous signed value (queue depths, admitted populations).
 #[derive(Debug, Default)]
@@ -232,16 +216,11 @@ mod tests {
     use super::*;
 
     #[test]
-    fn counters_count_and_clone_by_value() {
+    fn counters_count() {
         let c = Counter::new();
         c.inc();
         c.add(4);
         assert_eq!(c.get(), 5);
-        let frozen = c.clone();
-        c.inc();
-        assert_eq!(frozen.get(), 5, "a clone is an independent snapshot");
-        assert_eq!(c.get(), 6);
-        assert_ne!(frozen, c);
     }
 
     #[test]

@@ -77,13 +77,8 @@ fn main() {
     println!("-- a synchronized arrival wave, admitted as one batch --");
     let wave: Vec<Request> =
         (0..8).map(|_| Request::admit(0, sampler.next_app(), PriorityClass::Low)).collect();
-    let tickets = service.submit_batch(wave);
+    service.submit_batch(wave);
     show(&service.take_events());
-    println!(
-        "   wave of {} cost {} platform transaction(s)",
-        tickets.len(),
-        service.kairos().platform().txn_count()
-    );
 
     println!("-- a critical arrival may relocate lower-priority work --");
     service.submit(Request::admit(10, sampler.next_app(), PriorityClass::Critical));

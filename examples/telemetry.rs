@@ -1,7 +1,7 @@
 //! Guided tour of the `kairos-telemetry` observability layer: run the
 //! sharded `telemetry-probe-latency` storm with metrics on, read the
-//! embedded snapshot, render the Prometheus text exposition, trigger a
-//! transaction rollback, and dump the flight recorder.
+//! embedded snapshot, render the Prometheus text exposition, refuse a
+//! hopeless admission under observation, and dump the flight recorder.
 //!
 //! ```text
 //! cargo run --release --example telemetry
@@ -42,9 +42,6 @@ fn main() {
         "kairos.admitd.enqueued",
         "kairos.cluster.probe.waves",
         "kairos.cluster.probes",
-        "kairos.core.txn.begin",
-        "kairos.core.txn.commit",
-        "kairos.core.txn.rollback",
         "kairos.core.migrate.attempts",
         "kairos.core.migrate.commits",
     ] {
@@ -76,10 +73,9 @@ fn main() {
         }
     }
 
-    // 4. Rollback, observed: a fresh two-shard cluster with its own hub
-    // admits one app, then probes one far too large to place. Probes and
-    // the failed admission are transactions that roll back on every
-    // shard they touch — visible as txn.rollback ticks on the registry.
+    // 4. Refusal, observed: a fresh two-shard cluster with its own hub
+    // admits one app, then probes one far too large to place. Every
+    // shard's probe refuses it and rolls back; nothing is written.
     println!("-- a hopeless admission rolls back under observation --");
     let telemetry = Telemetry::new(TelemetryConfig::default());
     let mut cluster = ClusterBuilder::new(topology::crisp(), 2)
@@ -104,13 +100,6 @@ fn main() {
             other => println!("   {other:?}"),
         }
     }
-    let after = telemetry.snapshot();
-    println!(
-        "   txn.begin = {}, txn.commit = {}, txn.rollback = {}",
-        counter(&after, "kairos.core.txn.begin"),
-        counter(&after, "kairos.core.txn.commit"),
-        counter(&after, "kairos.core.txn.rollback"),
-    );
 
     // 5. The flight recorder: a bounded ring of the most recent trace
     // events (span enter/exit, lifecycle events), kept cheap enough to

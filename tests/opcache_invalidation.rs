@@ -237,3 +237,27 @@ fn repairing_a_healthy_element_sweeps_nothing() {
     assert_eq!(second.layout, first.layout);
     assert_eq!(kairos.cache_stats().unwrap().hits, before.hits + 1, "the stored point replays");
 }
+
+/// Failing an element that is already failed is no mutation either: the
+/// state epoch stays, so the decision an uncached manager's probe kept
+/// just before still reaches the admission that follows.
+#[test]
+fn failing_a_failed_element_changes_nothing() {
+    let mut kairos = Kairos::new(
+        topology::crisp(),
+        KairosConfig { deterministic: true, ..KairosConfig::default() },
+    );
+    kairos.set_telemetry(Telemetry::new(TelemetryConfig::default()));
+    let app = chain("c", 3, 600, 80);
+    let dead = footprint(&kairos.probe_admit(&app).unwrap().layout)[0];
+    assert!(kairos.fail_element(dead).is_empty());
+    drop(kairos.probe_admit(&app));
+    let (epoch, image) = (kairos.platform().state_epoch(), kairos.checkpoint());
+    assert!(kairos.fail_element(dead).is_empty(), "nothing sits on a failed element");
+    assert_eq!(kairos.platform().state_epoch(), epoch);
+    assert_eq!(kairos.checkpoint(), image);
+    let admitted = kairos.admit(&app).unwrap();
+    assert!(!footprint(&admitted.layout).contains(&dead));
+    let replayed = kairos.telemetry().counter("kairos.core.admit.replayed").unwrap().get();
+    assert_eq!(replayed, 1, "the probe's decision reached the admission");
+}
