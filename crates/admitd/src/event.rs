@@ -21,8 +21,9 @@ use crate::queue::{PriorityClass, Ticket};
 pub enum RejectCause {
     /// Its priority class's queue was at capacity (backpressure).
     QueueFull,
-    /// A queue-less service ran the pipeline once and `phase` rejected
-    /// it — the paper's immediate-rejection behaviour.
+    /// A front-end built without a policy ran the pipeline once at the
+    /// door and `phase` rejected it — the paper's immediate-rejection
+    /// behaviour.
     Refused {
         /// The pipeline phase that rejected the request.
         phase: Phase,

@@ -78,6 +78,11 @@ impl AdmitdMetrics {
 /// rejects permanently hopeless requests immediately using
 /// [`FailureDurability`] introspection.
 ///
+/// Built without a policy it is the paper's manager instead: the door
+/// runs the pipeline once and its verdict is final
+/// ([`RejectCause::Refused`] on failure), nothing ever queues, and the
+/// drain every capacity event triggers finds an empty queue.
+///
 /// # Examples
 ///
 /// ```
@@ -87,7 +92,7 @@ impl AdmitdMetrics {
 /// use kairos_platform::{topology, ElementKind, ResourceVector};
 ///
 /// let kairos = Kairos::new(topology::crisp(), KairosConfig::default());
-/// let mut admitd = Admitd::new(kairos, AdmitPolicy::default());
+/// let mut admitd = Admitd::new(kairos, Some(AdmitPolicy::default()));
 /// let imp = Implementation::new(ElementKind::Dsp, ResourceVector::new(700, 32, 0, 0), 90, 4);
 /// let mut b = ApplicationBuilder::new("stream");
 /// let t0 = b.add_task("in", TaskRole::Input, vec![imp]);
@@ -103,7 +108,9 @@ impl AdmitdMetrics {
 #[derive(Debug)]
 pub struct Admitd {
     kairos: Kairos,
-    policy: AdmitPolicy,
+    /// The queueing policy; `None` makes the door the whole admission
+    /// (the paper's immediate admit-or-reject).
+    policy: Option<AdmitPolicy>,
     queue: AdmissionQueue,
     /// Mint for requests that arrive without a ticket (a standalone
     /// front-end is then the outermost layer).
@@ -124,23 +131,28 @@ pub struct Admitd {
 }
 
 impl Admitd {
-    /// A front-end managing `kairos` under `policy`. Observability comes
-    /// with the manager: over one whose hub is lit
+    /// A front-end managing `kairos`, queueing under `policy` — or, with
+    /// `None`, admitting or refusing every request at the door.
+    /// Observability comes with the manager: over one whose hub is lit
     /// ([`Kairos::set_telemetry`]) queue transitions land on the
-    /// `kairos.admitd.*` metrics; over a dark one nothing is registered.
+    /// `kairos.admitd.*` metrics (a queue-less front-end has none to
+    /// register) and defrag sweeps and victim plans on `kairos.reloc.*`;
+    /// over a dark one nothing is registered.
     ///
     /// # Panics
     ///
     /// Panics when the policy fails [`AdmitPolicy::validate`].
-    pub fn new(kairos: Kairos, policy: AdmitPolicy) -> Self {
-        policy.validate().unwrap_or_else(|e| panic!("invalid admission policy: {e}"));
+    pub fn new(kairos: Kairos, policy: Option<AdmitPolicy>) -> Self {
+        if let Some(policy) = &policy {
+            policy.validate().unwrap_or_else(|e| panic!("invalid admission policy: {e}"));
+        }
         Admitd {
-            queue: AdmissionQueue::with_capacity(policy.class_capacity),
+            queue: AdmissionQueue::with_capacity(policy.map_or([0; 4], |p| p.class_capacity)),
+            metrics: policy.and_then(|_| AdmitdMetrics::new(kairos.telemetry())),
             policy,
             next_ticket: 0,
             capacity_events: 0,
             admitted_meta: BTreeMap::new(),
-            metrics: AdmitdMetrics::new(kairos.telemetry()),
             reloc_metrics: RelocMetrics::new(kairos.telemetry()),
             kairos,
         }
@@ -191,8 +203,8 @@ impl Admitd {
                 Event::Rejected { ticket, class, cause, waited } => {
                     match cause {
                         RejectCause::QueueFull => m.rejected_queue_full.inc(),
-                        // `Refused` is the queue-less service's one-shot
-                        // verdict; the front-end never emits it.
+                        // `Refused` is the queue-less door's verdict, and a
+                        // queue-less front-end resolves no instruments.
                         RejectCause::Refused { .. } => {}
                         RejectCause::Permanent { .. } => m.rejected_permanent.inc(),
                         RejectCause::Timeout => m.rejected_timeout.inc(),
@@ -249,9 +261,15 @@ impl Admitd {
         &mut self.kairos
     }
 
-    /// The front-end's policy.
-    pub fn policy(&self) -> &AdmitPolicy {
-        &self.policy
+    /// The front-end's queueing policy; `None` for a queue-less one.
+    pub fn policy(&self) -> Option<&AdmitPolicy> {
+        self.policy.as_ref()
+    }
+
+    /// The policy queued work runs under. Only a front-end with a policy
+    /// enqueues a request or plans a preemption, so every caller has one.
+    fn queueing(&self) -> AdmitPolicy {
+        self.policy.expect("only a front-end with a policy queues or preempts")
     }
 
     /// The current queue contents (read-only).
@@ -280,7 +298,8 @@ impl Admitd {
     /// [`RejectCause::QueueFull`] when its class is at capacity) and a
     /// drain pass runs immediately, so an uncontended request is admitted
     /// in the same call with zero wait. The returned events may also
-    /// concern *other* requests the drain reached.
+    /// concern *other* requests the drain reached. A queue-less
+    /// front-end admits or refuses it on the spot instead.
     ///
     /// A critical request hitting a full critical queue gets one last
     /// chance under an enabled [`AdmitPolicy::preemption`] policy: if a
@@ -311,9 +330,9 @@ impl Admitd {
         ticket: Option<Ticket>,
     ) -> (Ticket, Vec<Event>) {
         let _span = self.kairos.telemetry().span("kairos_admitd", "submit");
+        let ticket = Ticket::resolve(ticket, &mut self.next_ticket);
         let mut events = Vec::new();
-        let (ticket, entered) = self.through_the_door(app, class, now, ctx, ticket, &mut events);
-        if entered {
+        if self.through_the_door(app, class, now, ctx, ticket, &mut events) {
             events.extend(self.drain(now));
         }
         self.record_events(&events);
@@ -333,7 +352,8 @@ impl Admitd {
     /// (the `kairos-svc` property tests pin this); under contention the
     /// single drain hands capacity out in priority-then-FIFO order, which
     /// is exactly the order sequential submission of a class-sorted wave
-    /// would use.
+    /// would use. A queue-less front-end takes the wave through the door
+    /// in that order itself: class-sorted, FIFO within a class.
     ///
     /// Returns one ticket per request, in submission order, plus the full
     /// ordered event list.
@@ -358,40 +378,54 @@ impl Admitd {
         now: u64,
     ) -> (Vec<Ticket>, Vec<Event>) {
         let _span = self.kairos.telemetry().span("kairos_admitd", "submit_batch");
-        let mut tickets = Vec::with_capacity(requests.len());
+        // Tickets settle in submission order, whatever order the door
+        // then takes the wave in.
+        let mut wave: Vec<_> = requests
+            .into_iter()
+            .map(|(app, class, ctx, ticket)| {
+                (app, class, ctx, Ticket::resolve(ticket, &mut self.next_ticket))
+            })
+            .collect();
+        let tickets = wave.iter().map(|&(_, _, _, ticket)| ticket).collect();
+        if self.policy.is_none() {
+            // Nothing queues, so the door decides the wave in the order
+            // a queued wave's one drain pass would (stable: FIFO within
+            // a class).
+            wave.sort_by_key(|(_, class, _, _)| class.index());
+        }
         let mut events = Vec::new();
-        for (app, class, ctx, ticket) in requests {
-            let (ticket, _) = self.through_the_door(app, class, now, ctx, ticket, &mut events);
-            tickets.push(ticket);
+        for (app, class, ctx, ticket) in wave {
+            self.through_the_door(app, class, now, ctx, ticket, &mut events);
         }
         events.extend(self.drain(now));
         self.record_events(&events);
         (tickets, events)
     }
 
-    /// Takes one request through the door: enqueues it (emitting
-    /// `Queued`), or resolves it at the door — `QueueFull`
-    /// backpressure, with the critical preemption hook as the last
-    /// resort. Returns the request's ticket (`stamped`, or minted here)
-    /// and whether the request actually entered the queue (and so needs a
-    /// drain pass).
+    /// Takes one request through the door. Without a policy the door is
+    /// the whole admission: the pipeline runs once and its verdict is
+    /// final. With one, the request is enqueued (emitting `Queued`) or
+    /// resolved at the door — `QueueFull` backpressure, with the critical
+    /// preemption hook as the last resort. Returns whether the request
+    /// actually entered the queue (and so needs a drain pass).
     fn through_the_door(
         &mut self,
         app: Application,
         class: PriorityClass,
         now: u64,
         ctx: TraceContext,
-        stamped: Option<Ticket>,
+        ticket: Ticket,
         events: &mut Vec<Event>,
-    ) -> (Ticket, bool) {
-        let ticket = Ticket::resolve(stamped, &mut self.next_ticket);
+    ) -> bool {
+        let Some(policy) = self.policy else {
+            events.push(self.verdict(app, class, now, ctx, ticket));
+            return false;
+        };
         if self.queue.is_full(class) {
-            if class == PriorityClass::Critical
-                && self.policy.preemption != PreemptionPolicy::Disabled
-            {
+            if class == PriorityClass::Critical && policy.preemption != PreemptionPolicy::Disabled {
                 if let Some(door_events) = self.try_preempt_admit(&app, ticket, class, now, ctx) {
                     events.extend(door_events);
-                    return (ticket, false);
+                    return false;
                 }
             }
             self.trace_terminal(ctx, now, 0, "rejected", Some("QueueFull"), 0);
@@ -401,14 +435,14 @@ impl Admitd {
                 cause: RejectCause::QueueFull,
                 waited: 0,
             });
-            return (ticket, false);
+            return false;
         }
         self.queue.push(QueuedRequest {
             ticket,
             app,
             class,
             submitted_at: now,
-            deadline: self.policy.max_wait.map(|w| now.saturating_add(w)),
+            deadline: policy.max_wait.map(|w| now.saturating_add(w)),
             attempts: 0,
             eligible_at_event: 0,
             prior_wait: 0,
@@ -416,7 +450,53 @@ impl Admitd {
             trace: ctx,
         });
         events.push(Event::Queued { ticket, class, depth: self.queue.len() });
-        (ticket, true)
+        true
+    }
+
+    /// The queue-less door's one-shot verdict: the pipeline runs once and
+    /// admits or refuses on the spot. Nothing waited, so the trace root
+    /// closes without a `queue` span.
+    fn verdict(
+        &mut self,
+        app: Application,
+        class: PriorityClass,
+        now: u64,
+        ctx: TraceContext,
+        ticket: Ticket,
+    ) -> Event {
+        match self.kairos.admit_traced(&app, ctx, now) {
+            Ok(report) => {
+                self.close_trace(ctx, now, "admitted", None, 1);
+                self.admitted_at_door(ticket, class, app, report)
+            }
+            Err(failure) => {
+                let phase = failure.phase();
+                if ctx.is_some() {
+                    self.close_trace(ctx, now, "rejected", Some(&format!("{phase:?}")), 0);
+                }
+                Event::Rejected { ticket, class, cause: RejectCause::Refused { phase }, waited: 0 }
+            }
+        }
+    }
+
+    /// Registers an admission made at the door — zero wait, one attempt —
+    /// in the victim registry and builds its event.
+    fn admitted_at_door(
+        &mut self,
+        ticket: Ticket,
+        class: PriorityClass,
+        app: Application,
+        report: AdmissionReport,
+    ) -> Event {
+        self.admitted_meta.insert(report.app_id, AdmittedMeta { class, waited: 0 });
+        Event::Admitted {
+            ticket,
+            class,
+            app: Box::new(app),
+            report: Box::new(report),
+            waited: 0,
+            attempts: 1,
+        }
     }
 
     /// Probes whether `app` could be admitted right now, leaving the
@@ -558,8 +638,24 @@ impl Admitd {
         if ctx.is_none() {
             return;
         }
-        let telemetry = self.kairos.telemetry();
-        telemetry.trace_child(ctx, "queue", now.saturating_sub(waited), now, &[]);
+        self.kairos.telemetry().trace_child(ctx, "queue", now.saturating_sub(waited), now, &[]);
+        self.close_trace(ctx, now, outcome, cause, attempts);
+    }
+
+    /// Closes the trace root with the request's outcome, its cause when
+    /// it has one and its attempt count when it made any. No-op on
+    /// [`TraceContext::NONE`].
+    fn close_trace(
+        &self,
+        ctx: TraceContext,
+        now: u64,
+        outcome: &str,
+        cause: Option<&str>,
+        attempts: u32,
+    ) {
+        if ctx.is_none() {
+            return;
+        }
         let mut args = vec![("outcome", outcome.to_owned())];
         if let Some(cause) = cause {
             args.push(("cause", cause.to_owned()));
@@ -567,7 +663,7 @@ impl Admitd {
         if attempts > 0 {
             args.push(("attempts", attempts.to_string()));
         }
-        telemetry.trace_close(ctx, now, &args);
+        self.kairos.telemetry().trace_close(ctx, now, &args);
     }
 
     /// Removes the request at `(class, i)` and builds its rejection event,
@@ -634,13 +730,14 @@ impl Admitd {
                         events.push(self.reject_at(class, i, cause, now));
                     }
                     Err(failure) => {
+                        let policy = self.queueing();
                         // Preemption hook: a blocked critical may relocate
                         // running lower-priority work once, then is
                         // re-attempted immediately against the freed room.
                         let can_preempt = {
                             let req = self.queue.get(class, i).expect("index bounded by class_len");
                             req.class == PriorityClass::Critical
-                                && self.policy.preemption != PreemptionPolicy::Disabled
+                                && policy.preemption != PreemptionPolicy::Disabled
                                 && req.preempt_attempts == 0
                         };
                         if can_preempt && self.relocate_for(class, i, now, &mut events) {
@@ -654,7 +751,7 @@ impl Admitd {
                             let req =
                                 self.queue.get_mut(class, i).expect("index bounded by class_len");
                             req.attempts += 1;
-                            req.attempts >= self.policy.max_attempts
+                            req.attempts >= policy.max_attempts
                         };
                         if exhausted {
                             let cause = RejectCause::RetriesExhausted { phase: failure.phase() };
@@ -665,7 +762,7 @@ impl Admitd {
                                     .queue
                                     .get_mut(class, i)
                                     .expect("index bounded by class_len");
-                                let b = self.policy.backoff(req.attempts);
+                                let b = policy.backoff(req.attempts);
                                 req.eligible_at_event = self.capacity_events.saturating_add(b);
                                 (req.ticket, req.class, req.attempts, req.trace)
                             };
@@ -721,7 +818,7 @@ impl Admitd {
                 (meta.class.index(), tasks, id)
             })
             .collect();
-        let order = self.policy.victim_order;
+        let order = self.queueing().victim_order;
         candidates.sort_by(|a, b| {
             let size = match order {
                 VictimOrder::SmallestFirst => a.1.cmp(&b.1),
@@ -749,11 +846,12 @@ impl Admitd {
         events: &mut Vec<Event>,
     ) -> bool {
         let candidates = self.preemption_candidates(class);
+        let max_victims = self.queueing().max_victims;
         let Some(plan) = select_victims_with(
             &mut self.kairos,
             app,
             &candidates,
-            self.policy.max_victims,
+            max_victims,
             self.reloc_metrics.as_ref(),
         ) else {
             return false;
@@ -790,7 +888,7 @@ impl Admitd {
         let targets = plan.target_elements();
         for victim in plan.victims {
             let meta = *self.admitted_meta.get(&victim).expect("candidates are admitted");
-            let migrated = match self.policy.preemption {
+            let migrated = match self.queueing().preemption {
                 PreemptionPolicy::Migrate => self.kairos.migrate(victim, &targets).ok(),
                 _ => None,
             };
@@ -872,7 +970,7 @@ impl Admitd {
                             app,
                             class: meta.class,
                             submitted_at: now,
-                            deadline: self.policy.max_wait.map(|w| now.saturating_add(w)),
+                            deadline: self.queueing().max_wait.map(|w| now.saturating_add(w)),
                             attempts: 0,
                             eligible_at_event: 0,
                             prior_wait: meta.waited,
@@ -903,18 +1001,9 @@ impl Admitd {
         ctx: TraceContext,
     ) -> Option<Vec<Event>> {
         let mut events = Vec::new();
-        // Door admissions never queued: zero wait, one attempt.
         let door_admit = |this: &mut Self, report: AdmissionReport| {
             this.trace_terminal(ctx, now, 0, "admitted", None, 1);
-            this.admitted_meta.insert(report.app_id, AdmittedMeta { class, waited: 0 });
-            Event::Admitted {
-                ticket,
-                class,
-                app: Box::new(app.clone()),
-                report: Box::new(report),
-                waited: 0,
-                attempts: 1,
-            }
+            this.admitted_at_door(ticket, class, app.clone(), report)
         };
         // A request that fits outright needs no victims — only plan a
         // relocation when the request is actually blocked by occupancy.

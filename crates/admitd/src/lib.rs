@@ -33,6 +33,12 @@
 //!   identity intact ([`Event::Migrated`]). [`Admitd::defrag`] runs
 //!   the same migration machinery as a fragmentation-reducing sweep.
 //!
+//! Built without an [`AdmitPolicy`], the front-end is the paper's manager
+//! itself: the door runs the pipeline once and admits or refuses on the
+//! spot ([`RejectCause::Refused`]), a wave is decided class by class, and
+//! nothing ever queues. It is the one admission path of `kairos-svc`, in
+//! both modes.
+//!
 //! Every mutating call returns the ordered [`Event`] list of what
 //! happened — the workspace's one event vocabulary, defined here beside
 //! [`Ticket`] and re-exported by `kairos-svc`, which adds its
@@ -82,7 +88,7 @@ mod tests {
     }
 
     fn front(policy: AdmitPolicy) -> Admitd {
-        Admitd::new(Kairos::new(topology::dsp_mesh(2, 2), KairosConfig::default()), policy)
+        Admitd::new(Kairos::new(topology::dsp_mesh(2, 2), KairosConfig::default()), Some(policy))
     }
 
     fn admitted_id(events: &[Event]) -> Option<kairos_platform::AppId> {
@@ -107,6 +113,46 @@ mod tests {
         }
         assert_eq!(admitd.queue_depth(), 0);
         assert_eq!(admitd.kairos().admitted_count(), 1);
+    }
+
+    #[test]
+    fn a_queue_less_front_end_decides_at_the_door() {
+        let mut admitd =
+            Admitd::new(Kairos::new(topology::dsp_mesh(2, 2), KairosConfig::default()), None);
+        assert!(admitd.policy().is_none());
+        let (_, events) = admitd.submit(chain("fill", 4), PriorityClass::Low, 0);
+        let fill = admitted_id(&events).expect("the fill app admits");
+        assert!(matches!(events.as_slice(), [Event::Admitted { waited: 0, attempts: 1, .. }]));
+        assert_eq!(admitd.admitted_class(fill), Some(PriorityClass::Low));
+        // A full platform refuses on the spot: nothing queues, nothing
+        // retries on the next capacity event.
+        let (_, events) = admitd.submit(chain("blocked", 4), PriorityClass::Critical, 1);
+        assert!(matches!(
+            events.as_slice(),
+            [Event::Rejected {
+                cause: RejectCause::Refused { phase: Phase::Binding },
+                waited: 0,
+                ..
+            }]
+        ));
+        assert_eq!(admitd.queue_depth(), 0);
+        let (ok, events) = admitd.release(fill, 2);
+        assert!(ok && events.is_empty(), "an empty queue drains nothing: {events:?}");
+        // A wave is decided class by class, FIFO within a class; its
+        // tickets still follow submission order.
+        let wave = vec![
+            (chain("low", 4), PriorityClass::Low),
+            (chain("crit", 4), PriorityClass::Critical),
+            (chain("norm", 4), PriorityClass::Normal),
+        ];
+        let (tickets, events) = admitd.submit_batch(wave, 3);
+        let order: Vec<Ticket> = events.iter().map(Event::ticket).collect();
+        assert_eq!(order, vec![tickets[1], tickets[2], tickets[0]]);
+        assert_eq!(
+            admitted_id(&events).map(|id| admitd.admitted_class(id)),
+            Some(Some(PriorityClass::Critical))
+        );
+        assert!(admitd.shutdown(4).is_empty());
     }
 
     #[test]
@@ -695,7 +741,7 @@ mod tests {
     fn defrag_compacts_and_drains() {
         let policy = AdmitPolicy { max_wait: None, ..AdmitPolicy::default() };
         let kairos = Kairos::new(topology::dsp_line(8), kairos_core::KairosConfig::default());
-        let mut admitd = Admitd::new(kairos, policy);
+        let mut admitd = Admitd::new(kairos, Some(policy));
         // Checkerboard the line, then release every other app.
         let mut ids = Vec::new();
         for i in 0..8 {

@@ -41,7 +41,7 @@ fn test_policy() -> AdmitPolicy {
 }
 
 fn front() -> Admitd {
-    Admitd::new(Kairos::new(topology::dsp_mesh(2, 2), KairosConfig::default()), test_policy())
+    Admitd::new(Kairos::new(topology::dsp_mesh(2, 2), KairosConfig::default()), Some(test_policy()))
 }
 
 /// Interprets one generated op against the front-end, returning the event
@@ -81,7 +81,7 @@ fn apply_op(
 /// clock, returning every event it produced, in order.
 fn replay(policy: AdmitPolicy, ops: &[(u8, u8)]) -> Vec<Event> {
     let config = KairosConfig { deterministic: true, ..KairosConfig::default() };
-    let mut admitd = Admitd::new(Kairos::new(topology::dsp_mesh(2, 2), config), policy);
+    let mut admitd = Admitd::new(Kairos::new(topology::dsp_mesh(2, 2), config), Some(policy));
     let mut live: Vec<AppId> = Vec::new();
     let mut stream = Vec::new();
     for (n, &op) in ops.iter().enumerate() {
@@ -146,7 +146,7 @@ proptest! {
             let depths = admitd.queue().depths();
             for (class, &depth) in depths.iter().enumerate() {
                 prop_assert!(
-                    depth <= admitd.policy().class_capacity[class],
+                    depth <= admitd.policy().expect("queued").class_capacity[class],
                     "class {class} depth {depth} exceeds its capacity"
                 );
             }
@@ -224,7 +224,7 @@ proptest! {
             ..test_policy()
         };
         let mut admitd =
-            Admitd::new(Kairos::new(topology::dsp_mesh(2, 2), KairosConfig::default()), policy);
+            Admitd::new(Kairos::new(topology::dsp_mesh(2, 2), KairosConfig::default()), Some(policy));
         let mut live: Vec<AppId> = Vec::new();
         for (n, &op) in ops.iter().enumerate() {
             let events = apply_op(&mut admitd, &mut live, op, n as u64, n);

@@ -608,7 +608,7 @@ impl ClusterService {
                 let class = self.shards[src]
                     .service
                     .admitd()
-                    .and_then(|a| a.admitted_class(id))
+                    .admitted_class(id)
                     .unwrap_or(PriorityClass::Normal);
                 // Captured before the release erases the layout: the
                 // source-side elements the move frees, for cache
@@ -1249,7 +1249,7 @@ mod tests {
         for &(_, to) in moves {
             let home = cluster.shard_of_app(to);
             assert_eq!(
-                cluster.shard(home).admitd().unwrap().admitted_class(to),
+                cluster.shard(home).admitd().admitted_class(to),
                 Some(PriorityClass::Low),
                 "the import registered in the destination victim registry"
             );

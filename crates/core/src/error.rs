@@ -4,6 +4,7 @@ use std::fmt;
 
 use kairos_app::{ChannelId, TaskId};
 use kairos_platform::ElementId;
+use kairos_sdf::StateSpaceError;
 
 /// The four run-time phases of spatial resource allocation (paper Fig. 1).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -162,7 +163,7 @@ pub enum ValidationError {
     /// The model has no period: the application's task graph has a cycle
     /// (the model deadlocks) or its cycle counts overflow the analysis.
     /// Inherent to the application, whatever the layout.
-    Analysis(String),
+    Analysis(StateSpaceError),
 }
 
 impl fmt::Display for ValidationError {
@@ -306,7 +307,7 @@ mod tests {
             RoutingError::NoRoute { channel: ChannelId(0), src: ElementId(0), dst: ElementId(1) }
                 .into();
         assert_eq!(e.phase(), Phase::Routing);
-        let e: AllocationError = ValidationError::Analysis("x".into()).into();
+        let e: AllocationError = ValidationError::Analysis(StateSpaceError::Deadlock).into();
         assert_eq!(e.phase(), Phase::Validation);
     }
 
@@ -343,7 +344,7 @@ mod tests {
         }
         let permanent: [AllocationError; 2] = [
             BindingError::NoFeasibleImplementation { task: TaskId(0), structural: true }.into(),
-            ValidationError::Analysis("deadlock".into()).into(),
+            ValidationError::Analysis(StateSpaceError::Deadlock).into(),
         ];
         for e in &permanent {
             assert_eq!(e.durability(), FailureDurability::Permanent, "{e}");

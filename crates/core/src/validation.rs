@@ -216,7 +216,7 @@ pub(crate) fn validate_in(
     // Reference actor: the first output task, or task 0 for sink-less graphs.
     let reference = sink.map_or(0, |t| t.index());
     let period = max_cycle_ratio_in(&model.exec, &model.edges, reference, solver)
-        .map_err(|e| ValidationError::Analysis(e.to_string()))?;
+        .map_err(ValidationError::Analysis)?;
     let throughput = period.iterations as f64 / period.cycles as f64;
     let iteration_period = 1.0 / throughput;
 
@@ -264,6 +264,7 @@ mod tests {
     use crate::layout::{Binding, Placement, Route};
     use kairos_app::{ApplicationBuilder, Constraint, ImplId, Implementation, TaskRole};
     use kairos_platform::{ElementId, ElementKind, LinkId, ResourceVector};
+    use kairos_sdf::{SdfAnalysisError, StateSpaceError};
 
     fn imp(cycles: u64) -> Implementation {
         Implementation::new(ElementKind::Dsp, ResourceVector::splat(1), cycles, 1)
@@ -430,7 +431,9 @@ mod tests {
         let app = pipeline_app(&[u64::MAX / 2; 3]);
         let err = validate(&app, &layout_for(&app, &[0, 1]), &ValidationConfig::default());
         match err {
-            Err(ValidationError::Analysis(message)) => assert!(message.contains("overflow")),
+            Err(ValidationError::Analysis(error)) => {
+                assert_eq!(error, StateSpaceError::Analysis(SdfAnalysisError::Overflow));
+            }
             other => panic!("expected an analysis error, got {other:?}"),
         }
         let hostile = ValidationConfig { hop_latency_cycles: u64::MAX, ..Default::default() };
@@ -455,7 +458,11 @@ mod tests {
         for hops in [[0, 0, 0], [1, 4, 2], [9, 0, 7]] {
             let err =
                 validate(&app, &layout_for(&app, &hops), &ValidationConfig::default()).unwrap_err();
-            assert_eq!(err, ValidationError::Analysis("self-timed execution deadlocked".into()));
+            assert_eq!(err, ValidationError::Analysis(StateSpaceError::Deadlock));
+            assert_eq!(
+                err.to_string(),
+                "throughput analysis failed: self-timed execution deadlocked"
+            );
             let failure = crate::error::AllocationError::from(err);
             assert_eq!(failure.durability(), crate::error::FailureDurability::Permanent);
         }

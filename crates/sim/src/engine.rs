@@ -19,7 +19,7 @@
 //! service (requests queue under their phase's priority class, retry on
 //! capacity events, time out, and are flushed at the horizon — all of it
 //! surfacing in the report's queue section); scenarios without one get a
-//! direct service that admits or rejects immediately, the paper's
+//! queue-less service that admits or rejects immediately, the paper's
 //! behaviour. The engine itself no longer touches `Admitd` or
 //! `kairos_reloc` — the service owns that glue.
 
@@ -734,7 +734,7 @@ impl Simulator {
             }
             // Evicted applications are offered for re-admission under
             // their original class, keeping their departure instant: an
-            // immediate outcome on a direct service, a queued retryable
+            // immediate outcome on a queue-less service, a queued retryable
             // request on a queued one.
             let ticket = self.service.submit(Request::admit(at, live.app.clone(), live.class));
             self.pending.insert(
@@ -757,7 +757,7 @@ impl Simulator {
     ///
     /// Queue statistics (`QueueReport`) count *first-class requests only*:
     /// the re-submissions of fault-evicted applications surface under
-    /// `readmissions`/`lost_to_faults` exactly as on the direct path, so
+    /// `readmissions`/`lost_to_faults` exactly as without a queue, so
     /// `queued == admitted + dropped` style balances hold with or without
     /// faults in the scenario.
     fn apply_events(&mut self, at: u64, events: Vec<Event>) {
@@ -863,7 +863,7 @@ impl Simulator {
                     self.totals.rejections.inc();
                     self.phase_accum[info.phase].rejections += 1;
                     if let RejectCause::Refused { phase } = cause {
-                        // The direct path's immediate rejection: pipeline
+                        // The queue-less door's immediate rejection: pipeline
                         // attribution only, no queue involved.
                         self.rejections_by_phase[phase_index(phase)] += 1;
                         continue;

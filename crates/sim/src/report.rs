@@ -271,7 +271,7 @@ pub struct SimReport {
     pub rejections_by_phase: Vec<(String, u64)>,
     /// Per-workload-phase statistics.
     pub phases: Vec<PhaseStats>,
-    /// Admission-queue statistics (all-zero for direct-admission runs).
+    /// Admission-queue statistics (all-zero for queue-less runs).
     pub queue: QueueReport,
     /// Sampled metric time-series.
     pub samples: Vec<SamplePoint>,

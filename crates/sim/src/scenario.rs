@@ -377,7 +377,7 @@ pub struct Scenario {
     /// Whether applications evicted by a fault are immediately offered for
     /// re-admission on the remaining healthy elements.
     pub readmit_evicted: bool,
-    /// Admission front-end policy. `None` admits directly (reject when
+    /// Admission front-end policy. `None` admits at the door (reject when
     /// full, the paper's behaviour); `Some` routes every request through
     /// a `kairos-admitd` priority queue with backpressure, retry and —
     /// under an enabled [`kairos_admitd::PreemptionPolicy`] — preemption
@@ -441,7 +441,7 @@ pub struct Scenario {
 
 impl Scenario {
     /// A scenario named `name` running `phases` on `platform`, with every
-    /// optional subsystem off: no faults, direct admission, no defrag,
+    /// optional subsystem off: no faults, queue-less admission, no defrag,
     /// one monolithic manager, no gateway, no telemetry, tracing, cache,
     /// watching or metering. Name what a scenario turns on with struct
     /// update syntax over this.
@@ -1517,7 +1517,7 @@ mod tests {
         assert_eq!(names.len(), 22, "catalog names must be unique");
         // The queueing, preemption and batching scenarios all carry an
         // admission policy; the five legacy scenarios and the defrag
-        // sweep stay on the direct path.
+        // sweep stay queue-less.
         let queued: Vec<&str> =
             catalog.iter().filter(|s| s.admission.is_some()).map(|s| s.name.as_str()).collect();
         assert_eq!(

@@ -105,7 +105,7 @@ fn defrag_sweep_compacts_without_touching_accounting() {
 }
 
 /// A queued scenario with defrag exercises `Admitd::defrag` (the catalog
-/// sweep runs on the direct path); byte-reproducibility must hold there
+/// sweep runs queue-less); byte-reproducibility must hold there
 /// too, and compaction must not disturb the queue accounting balances.
 #[test]
 fn queued_defrag_stays_balanced_and_reproducible() {

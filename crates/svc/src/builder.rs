@@ -12,10 +12,11 @@ use crate::service::KairosService;
 ///
 /// * the **cost policy** of the mapping phase ([`ServiceBuilder::cost_policy`]
 ///   / [`ServiceBuilder::weights`], or a whole [`KairosConfig`]);
-/// * the **admission policy** ([`ServiceBuilder::admission`]): without
-///   one the service admits or rejects immediately (the paper's
-///   behaviour); with one, requests queue under the `kairos-admitd`
-///   front-end with backpressure, retry and timeouts;
+/// * the **admission policy** ([`ServiceBuilder::admission`]): every
+///   request passes the `kairos-admitd` front-end's door; without a
+///   policy the door admits or rejects immediately (the paper's
+///   behaviour), with one requests queue with backpressure, retry and
+///   timeouts;
 /// * the **preemption policy** and **victim ordering**
 ///   ([`ServiceBuilder::preemption`], [`ServiceBuilder::victim_order`]):
 ///   how blocked criticals may relocate running lower-priority work.
@@ -32,7 +33,7 @@ use crate::service::KairosService;
 ///     .preemption(PreemptionPolicy::Migrate)
 ///     .victim_order(VictimOrder::SmallestFirst)
 ///     .build()?;
-/// assert!(service.admitd().is_some(), "preemption implies the queued front-end");
+/// assert!(service.admitd().policy().is_some(), "preemption implies an admission queue");
 /// # Ok::<(), String>(())
 /// ```
 #[derive(Debug, Clone)]
@@ -94,9 +95,9 @@ impl ServiceBuilder {
         self
     }
 
-    /// Fronts the manager with a `kairos-admitd` priority queue under
-    /// `policy`. Without this (or one of the preemption knobs below) the
-    /// service admits directly and rejects when full.
+    /// Gives the `kairos-admitd` front-end a priority queue under
+    /// `policy`. Without this (or one of the preemption knobs below) its
+    /// door admits on the spot and rejects when full.
     pub fn admission(mut self, policy: AdmitPolicy) -> Self {
         self.admission = Some(policy);
         self
@@ -146,12 +147,9 @@ impl ServiceBuilder {
         if self.telemetry.enabled() {
             kairos.set_telemetry(self.telemetry);
         }
-        Ok(match self.admission {
-            None => KairosService::direct(kairos),
-            Some(policy) => {
-                policy.validate()?;
-                KairosService::queued(Admitd::new(kairos, policy))
-            }
-        })
+        if let Some(policy) = &self.admission {
+            policy.validate()?;
+        }
+        Ok(KairosService::new(Admitd::new(kairos, self.admission)))
     }
 }

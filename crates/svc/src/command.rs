@@ -23,8 +23,8 @@ pub enum Command {
     Admit {
         /// The application requesting admission.
         app: Application,
-        /// Its priority class (ignored by queue-less services except as
-        /// event metadata).
+        /// Its priority class (on a queue-less service it only orders a
+        /// batched wave and labels events).
         class: PriorityClass,
     },
     /// Release the admitted application `app`, freeing all its element

@@ -27,15 +27,19 @@
 //!   arrival time, with one drain pass instead of N independent
 //!   submissions (the property tests pin outcome equivalence). A wave is
 //!   not a transaction: each admission is written as it is decided.
+//! * **One admission path** — every command runs through one
+//!   [`Admitd`] front-end. Built without an admission policy, its door
+//!   admits or refuses on the spot (the paper's manager) and nothing
+//!   queues; with one, requests queue, retry and may preempt.
 //! * **Policies injected at construction** — [`ServiceBuilder`] takes
 //!   the mapping cost policy, the admission policy, the preemption
 //!   policy and the victim ordering; the service's behaviour is fixed at
 //!   build time and deterministic thereafter.
 //!
-//! The low-level layer stays public: [`Kairos`], [`Admitd`] and the
-//! `kairos-reloc` planner are re-exported below for callers that need
-//! subsystem access, and [`ResourceService::kairos`] exposes the managed
-//! manager for inspection.
+//! The low-level layer stays public: [`Kairos`] and [`Admitd`] are
+//! re-exported below for callers that need subsystem access,
+//! [`KairosService::admitd`] exposes the front-end and
+//! [`ResourceService::kairos`] the managed manager for inspection.
 //!
 //! ## Example
 //!

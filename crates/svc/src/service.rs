@@ -3,11 +3,10 @@
 
 use std::sync::Arc;
 
-use kairos_admitd::{Admitd, Event, PriorityClass, RejectCause, Ticket};
+use kairos_admitd::{Admitd, Event, PriorityClass, Ticket};
 use kairos_app::Application;
 use kairos_core::{CacheStats, ElementActivity, Kairos, OccupancySnapshot};
 use kairos_platform::AppId;
-use kairos_reloc::RelocMetrics;
 use kairos_telemetry::{Counter, Telemetry, TraceContext};
 
 use crate::command::{CapacityEvent, Command, Request};
@@ -99,17 +98,6 @@ pub trait ResourceService: std::fmt::Debug {
     }
 }
 
-/// The admission path behind a [`KairosService`]: the bare manager (the
-/// paper's immediate admit-or-reject), or the `kairos-admitd` priority
-/// front-end. One long-lived instance per service, so the variant size
-/// difference is irrelevant.
-#[derive(Debug)]
-#[allow(clippy::large_enum_variant)]
-enum Backend {
-    Direct(Kairos),
-    Queued(Admitd),
-}
-
 /// Pre-resolved registry handles for the service surface: one counter per
 /// command kind dispatched, one for batched waves, one for events handed
 /// back to the consumer.
@@ -158,10 +146,10 @@ impl SvcMetrics {
     }
 }
 
-/// The canonical [`ResourceService`]: owns a [`Kairos`] manager — behind
-/// a `kairos-admitd` front-end when built with an admission policy — and
-/// the `kairos-reloc` relocation machinery, all under one typed
-/// command/event surface.
+/// The canonical [`ResourceService`]: one `kairos-admitd` front-end over
+/// a [`Kairos`] manager — queue-less (the paper's immediate
+/// admit-or-reject) or queueing under an admission policy — under one
+/// typed command/event surface.
 ///
 /// Built by [`ServiceBuilder`](crate::ServiceBuilder), which is where
 /// policies (cost weights, admission queueing, preemption, victim
@@ -190,42 +178,24 @@ impl SvcMetrics {
 /// ```
 #[derive(Debug)]
 pub struct KairosService {
-    backend: Backend,
+    admitd: Admitd,
     /// Mint for requests that arrive without a ticket (this service is
     /// then the outermost layer); allocation order is submission order.
     next_ticket: u64,
     /// Events accumulated since the last [`ResourceService::take_events`].
     events: Vec<Event>,
     metrics: Option<SvcMetrics>,
-    /// Relocation instruments for the direct backend's defrag sweeps (a
-    /// queued backend resolves its own inside `Admitd`).
-    reloc_metrics: Option<RelocMetrics>,
 }
 
 impl KairosService {
-    /// A queue-less service over `kairos`: admissions run the pipeline
-    /// once and reject immediately on failure, the paper's behaviour.
-    /// Like every wrapper, the service reads the hub of the manager it
-    /// wraps: over a lit one ([`Kairos::set_telemetry`]) the
-    /// `kairos.svc.*` dispatch counters are registered, over a dark one
-    /// nothing is.
-    pub fn direct(kairos: Kairos) -> Self {
-        KairosService {
-            metrics: SvcMetrics::new(kairos.telemetry()),
-            reloc_metrics: RelocMetrics::new(kairos.telemetry()),
-            backend: Backend::Direct(kairos),
-            next_ticket: 0,
-            events: Vec::new(),
-        }
-    }
-
-    /// A queued service over an existing front-end (whose manager's hub
-    /// it reads, as [`KairosService::direct`] does).
-    pub fn queued(admitd: Admitd) -> Self {
+    /// A service over `admitd`. Like every wrapper, the service reads the
+    /// hub of the manager it wraps: over a lit one
+    /// ([`Kairos::set_telemetry`]) the `kairos.svc.*` dispatch counters
+    /// are registered, over a dark one nothing is.
+    pub fn new(admitd: Admitd) -> Self {
         KairosService {
             metrics: SvcMetrics::new(admitd.telemetry()),
-            reloc_metrics: None,
-            backend: Backend::Queued(admitd),
+            admitd,
             next_ticket: 0,
             events: Vec::new(),
         }
@@ -233,143 +203,58 @@ impl KairosService {
 
     /// The managed manager's observability hub (disabled by default).
     pub fn telemetry(&self) -> &Telemetry {
-        self.kairos().telemetry()
+        self.admitd.telemetry()
     }
 
-    /// The admission front-end, when the service runs with one.
-    pub fn admitd(&self) -> Option<&Admitd> {
-        match &self.backend {
-            Backend::Direct(_) => None,
-            Backend::Queued(admitd) => Some(admitd),
-        }
-    }
-
-    /// One direct-path admission: run the pipeline once, admit or reject.
-    /// The queue-less path has no residency, so the trace (when `ctx` is
-    /// set) is just the pipeline's phase spans under a root closed here —
-    /// no `queue` span is ever recorded for it.
-    fn admit_direct(
-        kairos: &mut Kairos,
-        ticket: Ticket,
-        app: Application,
-        class: PriorityClass,
-        ctx: TraceContext,
-        at: u64,
-        events: &mut Vec<Event>,
-    ) {
-        match kairos.admit_traced(&app, ctx, at) {
-            Ok(report) => {
-                if ctx.is_some() {
-                    kairos.telemetry().trace_close(
-                        ctx,
-                        at,
-                        &[("outcome", "admitted".to_owned()), ("attempts", "1".to_owned())],
-                    );
-                }
-                events.push(Event::Admitted {
-                    ticket,
-                    class,
-                    app: Box::new(app),
-                    report: Box::new(report),
-                    waited: 0,
-                    attempts: 1,
-                });
-            }
-            Err(failure) => {
-                if ctx.is_some() {
-                    kairos.telemetry().trace_close(
-                        ctx,
-                        at,
-                        &[
-                            ("outcome", "rejected".to_owned()),
-                            ("cause", format!("{:?}", failure.phase())),
-                        ],
-                    );
-                }
-                events.push(Event::Rejected {
-                    ticket,
-                    class,
-                    cause: RejectCause::Refused { phase: failure.phase() },
-                    waited: 0,
-                });
-            }
-        }
+    /// The admission front-end every request passes through.
+    pub fn admitd(&self) -> &Admitd {
+        &self.admitd
     }
 
     /// Performs one non-admission command under an already-allocated
-    /// ticket. Admissions are handled by the callers (they differ between
-    /// single and batched submission).
+    /// ticket, followed by whatever the front-end's drain admitted or
+    /// dropped. Admissions are handled by the callers (they differ
+    /// between single and batched submission).
     fn perform(&mut self, ticket: Ticket, at: u64, command: Command) {
-        match command {
+        let drained = match command {
             Command::Admit { .. } => unreachable!("admissions are routed by the callers"),
             Command::Release { app } => {
-                let (found, queued) = match &mut self.backend {
-                    Backend::Direct(kairos) => (kairos.release(app), Vec::new()),
-                    Backend::Queued(admitd) => admitd.release(app, at),
-                };
+                let (found, drained) = self.admitd.release(app, at);
                 self.events.push(Event::Released { ticket, app, found });
-                self.events.extend(queued);
+                drained
             }
             Command::Migrate { app, avoid } => {
-                let (result, queued) = match &mut self.backend {
-                    Backend::Direct(kairos) => (kairos.migrate(app, &avoid), Vec::new()),
-                    Backend::Queued(admitd) => admitd.migrate(app, &avoid, at),
-                };
-                match result {
-                    Ok(report) => self.events.push(Event::Migrated {
-                        ticket,
-                        app,
-                        moved_tasks: report.moved_tasks,
-                    }),
-                    Err(error) => self.events.push(Event::MigrationFailed {
-                        ticket,
-                        app,
-                        error: Box::new(error),
-                    }),
-                }
-                self.events.extend(queued);
+                let (result, drained) = self.admitd.migrate(app, &avoid, at);
+                self.events.push(match result {
+                    Ok(report) => Event::Migrated { ticket, app, moved_tasks: report.moved_tasks },
+                    Err(error) => Event::MigrationFailed { ticket, app, error: Box::new(error) },
+                });
+                drained
             }
             Command::Defrag { max_moves } => {
-                let (moves, queued) = match &mut self.backend {
-                    Backend::Direct(kairos) => (
-                        kairos_reloc::compact_with(kairos, max_moves, self.reloc_metrics.as_ref())
-                            .move_count(),
-                        Vec::new(),
-                    ),
-                    Backend::Queued(admitd) => {
-                        let (report, queued) = admitd.defrag(at, max_moves);
-                        (report.move_count(), queued)
-                    }
-                };
-                self.events.push(Event::Defragged { ticket, moves });
-                self.events.extend(queued);
+                let (report, drained) = self.admitd.defrag(at, max_moves);
+                self.events.push(Event::Defragged { ticket, moves: report.move_count() });
+                drained
             }
             Command::InjectFault { element } => {
-                let (evicted, queued) = match &mut self.backend {
-                    Backend::Direct(kairos) => (kairos.fail_element(element), Vec::new()),
-                    Backend::Queued(admitd) => admitd.fail_element(element, at),
-                };
+                let (evicted, drained) = self.admitd.fail_element(element, at);
                 self.events.push(Event::ElementFailed { ticket, element, evicted });
-                self.events.extend(queued);
+                drained
             }
             Command::Repair { element } => {
-                let queued = match &mut self.backend {
-                    Backend::Direct(kairos) => {
-                        kairos.repair_element(element);
-                        Vec::new()
-                    }
-                    Backend::Queued(admitd) => admitd.repair_element(element, at),
-                };
+                let drained = self.admitd.repair_element(element, at);
                 self.events.push(Event::ElementRepaired { ticket, element });
-                self.events.extend(queued);
+                drained
             }
             Command::Rebalance { .. } => {
                 // One manager owns the whole platform: there is no shard
                 // boundary to move anything across. `kairos-cluster`'s
                 // `ClusterService` implements the real sweep.
                 self.events.push(Event::Rebalanced { ticket, moves: Vec::new() });
+                Vec::new()
             }
-        }
+        };
+        self.events.extend(drained);
     }
 
     /// Probes whether `app` could be admitted right now, leaving the
@@ -383,17 +268,14 @@ impl KairosService {
         &mut self,
         app: &Application,
     ) -> Result<kairos_core::AdmissionProbe, kairos_core::AdmissionFailure> {
-        match &mut self.backend {
-            Backend::Direct(kairos) => kairos.probe_admit(app),
-            Backend::Queued(admitd) => admitd.probe_admit(app),
-        }
+        self.admitd.probe_admit(app)
     }
 
     /// Admits `app` immediately under `class`, bypassing any admission
-    /// queue — no ticket, no buffered events. On a queued service the
-    /// admission is registered in the preemption victim registry, so the
-    /// import behaves exactly like a drained admission afterwards. This
-    /// is the target-shard half of a cross-shard rebalance move; ordinary
+    /// queue — no ticket, no buffered events. The admission is registered
+    /// in the front-end's preemption victim registry, so the import
+    /// behaves exactly like a drained admission afterwards. This is the
+    /// target-shard half of a cross-shard rebalance move; ordinary
     /// traffic belongs in [`ResourceService::submit`].
     ///
     /// # Errors
@@ -405,10 +287,7 @@ impl KairosService {
         app: &Application,
         class: PriorityClass,
     ) -> Result<kairos_core::AdmissionReport, kairos_core::AdmissionFailure> {
-        match &mut self.backend {
-            Backend::Direct(kairos) => kairos.admit(app),
-            Backend::Queued(admitd) => admitd.admit_direct(app, class),
-        }
+        self.admitd.admit_direct(app, class)
     }
 
     /// Drops every cached operating point touching `elements` from the
@@ -417,24 +296,18 @@ impl KairosService {
     /// rebalancer calls this on both sides of a completed move; a no-op
     /// without a configured cache.
     pub fn invalidate_cached_points(&mut self, elements: &[kairos_platform::ElementId]) -> u64 {
-        match &mut self.backend {
-            Backend::Direct(kairos) => kairos.invalidate_cached_points(elements),
-            Backend::Queued(admitd) => admitd.kairos_mut().invalidate_cached_points(elements),
-        }
+        self.admitd.kairos_mut().invalidate_cached_points(elements)
     }
 
     /// Releases `app` without emitting a `Released` event of its own,
     /// returning whether the id was admitted plus the events of the drain
-    /// the freed capacity triggered (queued services only). The
+    /// the freed capacity triggered (none without a queue). The
     /// source-shard half of a cross-shard rebalance move: the application
     /// is leaving this manager but not the system, so no caller-visible
     /// release must be reported — while waiters admitted into the freed
     /// room are real and are.
     pub fn release_now(&mut self, app: AppId, at: u64) -> (bool, Vec<Event>) {
-        match &mut self.backend {
-            Backend::Direct(kairos) => (kairos.release(app), Vec::new()),
-            Backend::Queued(admitd) => admitd.release(app, at),
-        }
+        self.admitd.release(app, at)
     }
 }
 
@@ -451,15 +324,8 @@ impl ResourceService for KairosService {
             // context already stamped on the request (a sharded service
             // forwarding to its shard) is honoured as-is.
             let ctx = self.telemetry().request_root(trace, at, &class);
-            match &mut self.backend {
-                Backend::Direct(kairos) => {
-                    Self::admit_direct(kairos, ticket, app, class, ctx, at, &mut self.events);
-                }
-                Backend::Queued(admitd) => {
-                    let (_, queued) = admitd.submit_traced(app, class, at, ctx, Some(ticket));
-                    self.events.extend(queued);
-                }
-            }
+            let (_, events) = self.admitd.submit_traced(app, class, at, ctx, Some(ticket));
+            self.events.extend(events);
         } else {
             self.perform(ticket, at, command);
         }
@@ -477,8 +343,8 @@ impl ResourceService for KairosService {
         // Settle every ticket up front, in submission order — batching
         // changes how work is performed, never how it is identified.
         let mut tickets = Vec::with_capacity(requests.len());
-        let mut admissions: Vec<(Ticket, u64, Application, PriorityClass, TraceContext)> =
-            Vec::new();
+        let mut wave: Vec<(Application, PriorityClass, TraceContext, Option<Ticket>)> = Vec::new();
+        let mut wave_at = u64::MAX;
         let mut rest: Vec<(Ticket, u64, Command)> = Vec::new();
         for Request { at, command, trace, ticket } in requests {
             let ticket = Ticket::resolve(ticket, &mut self.next_ticket);
@@ -486,47 +352,20 @@ impl ResourceService for KairosService {
             match command {
                 Command::Admit { app, class } => {
                     // Roots are minted here, in submission order, so trace
-                    // id allocation never depends on the class sort below.
+                    // id allocation never depends on the door's order.
                     let ctx = self.telemetry().request_root(trace, at, &class);
-                    admissions.push((ticket, at, app, class, ctx));
+                    // Batches model synchronized arrivals: the earliest
+                    // request time stamps the whole wave.
+                    wave_at = wave_at.min(at);
+                    wave.push((app, class, ctx, Some(ticket)));
                 }
                 other => rest.push((ticket, at, other)),
             }
         }
 
-        if !admissions.is_empty() {
-            // The wave's timestamp: batches model synchronized arrivals,
-            // so the earliest request time stamps the whole wave.
-            let wave_at = admissions.iter().map(|(_, at, _, _, _)| *at).min().expect("non-empty");
-            match &mut self.backend {
-                Backend::Direct(kairos) => {
-                    // Class-sort (stable: FIFO within a class), mirroring
-                    // the drain order a queued service would use.
-                    admissions.sort_by_key(|(_, _, _, class, _)| class.index());
-                    for (ticket, _, app, class, ctx) in admissions {
-                        Self::admit_direct(
-                            kairos,
-                            ticket,
-                            app,
-                            class,
-                            ctx,
-                            wave_at,
-                            &mut self.events,
-                        );
-                    }
-                }
-                Backend::Queued(admitd) => {
-                    // The front-end's batch path: every request through
-                    // the door, then one drain pass (which is itself
-                    // priority-then-FIFO ordered).
-                    let wave = admissions
-                        .into_iter()
-                        .map(|(ticket, _, app, class, ctx)| (app, class, ctx, Some(ticket)))
-                        .collect();
-                    let (_, queued) = admitd.submit_batch_traced(wave, wave_at);
-                    self.events.extend(queued);
-                }
-            }
+        if !wave.is_empty() {
+            let (_, events) = self.admitd.submit_batch_traced(wave, wave_at);
+            self.events.extend(events);
         }
 
         for (ticket, at, command) in rest {
@@ -536,10 +375,9 @@ impl ResourceService for KairosService {
     }
 
     fn pump(&mut self, event: CapacityEvent) -> Vec<Event> {
-        let events = match (&mut self.backend, event) {
-            (Backend::Direct(_), _) => Vec::new(),
-            (Backend::Queued(admitd), CapacityEvent::Tick { now }) => admitd.expire(now),
-            (Backend::Queued(admitd), CapacityEvent::Shutdown { now }) => admitd.shutdown(now),
+        let events = match event {
+            CapacityEvent::Tick { now } => self.admitd.expire(now),
+            CapacityEvent::Shutdown { now } => self.admitd.shutdown(now),
         };
         if let Some(m) = &self.metrics {
             m.events.add(events.len() as u64);
@@ -556,16 +394,10 @@ impl ResourceService for KairosService {
     }
 
     fn kairos(&self) -> &Kairos {
-        match &self.backend {
-            Backend::Direct(kairos) => kairos,
-            Backend::Queued(admitd) => admitd.kairos(),
-        }
+        self.admitd.kairos()
     }
 
     fn queue_depth(&self) -> usize {
-        match &self.backend {
-            Backend::Direct(_) => 0,
-            Backend::Queued(admitd) => admitd.queue_depth(),
-        }
+        self.admitd.queue_depth()
     }
 }

@@ -1,8 +1,7 @@
 //! Property-based and integration tests of the unified service API:
 //! batched submission is outcome-equivalent to sequential submission,
-//! cheaper in platform transactions, the whole surface replays
-//! deterministically, and a queued service's stream is its front-end's
-//! own events, value for value.
+//! the whole surface replays deterministically, and a service's stream is
+//! its front-end's own events, value for value, with or without a queue.
 
 use proptest::prelude::*;
 
@@ -185,61 +184,104 @@ proptest! {
 }
 
 proptest! {
-    /// One event, minted once: a queued service and a bare front-end
-    /// driven with the same operations agree — the service's stream, with
-    /// the results of its own commands (`Released`, `ElementFailed`,
-    /// `ElementRepaired`) removed, *is* the front-end's returned events,
-    /// value for value and in order. Admissions in all four classes,
-    /// releases, faults, repairs, ticks and the shutdown flush, with
-    /// preemption on.
+    /// One event, minted once, one admission path: a service and a bare
+    /// front-end driven with the same operations agree — the service's
+    /// stream *is* the front-end's returned events behind the result of
+    /// the service's own command (`Released`, `Migrated`, `Defragged`, …),
+    /// value for value and in order. Single and batched admissions in all
+    /// four classes, releases (of live and unknown ids), migrations,
+    /// defrag sweeps, faults, repairs, ticks and the shutdown flush —
+    /// queue-less, and queued with either preemption policy. The manager
+    /// audits clean after every operation.
     #[test]
-    fn a_queued_service_streams_its_front_ends_own_events(
-        ops in proptest::collection::vec((0u8..9, 0u8..=255), 1..50),
-        migrate in any::<bool>(),
+    fn a_service_streams_its_front_ends_own_events(
+        ops in proptest::collection::vec((0u8..12, 0u8..=255), 1..50),
+        mode in 0u8..3,
     ) {
-        let policy = AdmitPolicy {
+        let policy = (mode > 0).then(|| AdmitPolicy {
             class_capacity: [2, 3, 3, 2],
             max_wait: Some(40),
             max_attempts: 4,
             backoff_base: 1,
             backoff_cap: 4,
-            preemption: if migrate { PreemptionPolicy::Migrate } else { PreemptionPolicy::Evict },
+            preemption: if mode == 2 { PreemptionPolicy::Migrate } else { PreemptionPolicy::Evict },
             ..AdmitPolicy::default()
-        };
+        });
         let front = || {
             let config = KairosConfig { deterministic: true, ..KairosConfig::default() };
             Admitd::new(Kairos::new(topology::dsp_mesh(2, 2), config), policy)
         };
-        let mut service = KairosService::queued(front());
+        let mut service = KairosService::new(front());
         let mut admitd = front();
         let mut live: Vec<AppId> = Vec::new();
+        let unknown = AppId(9_999);
         for (n, &(kind, detail)) in ops.iter().enumerate() {
             let now = n as u64;
             let element = ElementId(u32::from(detail % 4));
+            let app = |i: u8| {
+                let detail = detail.wrapping_add(i.wrapping_mul(37));
+                let class = PriorityClass::ALL[(detail % 4) as usize];
+                let cpu = [200, 350, 600, 900][(detail / 16 % 4) as usize];
+                (chain(&format!("a{n}.{i}"), 1 + (detail / 4 % 4) as usize, cpu), class)
+            };
+            let pick = |live: &[AppId]| {
+                if live.is_empty() { unknown } else { live[detail as usize % live.len()] }
+            };
+            // The service mints a ticket per command, the bare front-end
+            // one per admission: hand the twin the service's, as any
+            // outer layer would.
             let theirs = match kind {
                 0..=4 => {
-                    let class = PriorityClass::ALL[(detail % 4) as usize];
-                    let cpu = [200, 350, 600, 900][(detail / 16 % 4) as usize];
-                    let app = chain(&format!("a{n}"), 1 + (detail / 4 % 4) as usize, cpu);
-                    // The service mints a ticket per command, the bare
-                    // front-end one per admission: hand the twin the
-                    // service's, as any outer layer would.
+                    let (app, class) = app(0);
                     let ticket = service.submit(Request::admit(now, app.clone(), class));
                     admitd.submit_traced(app, class, now, TraceContext::NONE, Some(ticket)).1
                 }
-                5 if live.is_empty() => Vec::new(),
                 5 => {
-                    let id = live.remove(detail as usize % live.len());
-                    service.submit(Request::release(now, id));
-                    admitd.release(id, now).1
+                    let wave: Vec<_> = (0..1 + detail % 3).map(app).collect();
+                    let requests =
+                        wave.iter().map(|(app, class)| Request::admit(now, app.clone(), *class));
+                    let tickets = service.submit_batch(requests.collect());
+                    let wave = wave
+                        .into_iter()
+                        .zip(tickets)
+                        .map(|((app, class), ticket)| (app, class, TraceContext::NONE, Some(ticket)))
+                        .collect();
+                    admitd.submit_batch_traced(wave, now).1
                 }
                 6 => {
-                    service.submit(Request::new(now, Command::InjectFault { element }));
-                    admitd.fail_element(element, now).1
+                    let app = pick(&live);
+                    live.retain(|&id| id != app);
+                    let ticket = service.submit(Request::release(now, app));
+                    let (found, drained) = admitd.release(app, now);
+                    [Event::Released { ticket, app, found }].into_iter().chain(drained).collect()
                 }
                 7 => {
-                    service.submit(Request::new(now, Command::Repair { element }));
-                    admitd.repair_element(element, now)
+                    let app = pick(&live);
+                    let ticket =
+                        service.submit(Request::new(now, Command::Migrate { app, avoid: vec![element] }));
+                    let (result, drained) = admitd.migrate(app, &[element], now);
+                    let result = match result {
+                        Ok(report) => Event::Migrated { ticket, app, moved_tasks: report.moved_tasks },
+                        Err(error) => Event::MigrationFailed { ticket, app, error: Box::new(error) },
+                    };
+                    [result].into_iter().chain(drained).collect()
+                }
+                8 => {
+                    let max_moves = 1 + usize::from(detail % 3);
+                    let ticket = service.submit(Request::new(now, Command::Defrag { max_moves }));
+                    let (report, drained) = admitd.defrag(now, max_moves);
+                    let moves = report.move_count();
+                    [Event::Defragged { ticket, moves }].into_iter().chain(drained).collect()
+                }
+                9 => {
+                    let ticket = service.submit(Request::new(now, Command::InjectFault { element }));
+                    let (evicted, drained) = admitd.fail_element(element, now);
+                    [Event::ElementFailed { ticket, element, evicted }].into_iter().chain(drained).collect()
+                }
+                10 => {
+                    let ticket = service.submit(Request::new(now, Command::Repair { element }));
+                    let drained = admitd.repair_element(element, now);
+                    [Event::ElementRepaired { ticket, element }].into_iter().chain(drained).collect()
                 }
                 _ => {
                     let ours = service.pump(CapacityEvent::Tick { now });
@@ -247,20 +289,20 @@ proptest! {
                     Vec::new()
                 }
             };
-            let mut ours = service.take_events();
+            let ours = service.take_events();
             for event in &ours {
                 match event {
                     Event::Admitted { report, .. } => live.push(report.app_id),
                     Event::Preempted { victim, .. } => live.retain(|id| id != victim),
                     Event::ElementFailed { evicted, .. } => live.retain(|id| !evicted.contains(id)),
+                    Event::Queued { .. } | Event::AttemptFailed { .. } => {
+                        prop_assert!(policy.is_some(), "a queue-less service queued: {:?}", event);
+                    }
                     _ => {}
                 }
             }
-            ours.retain(|event| !matches!(
-                event,
-                Event::Released { .. } | Event::ElementFailed { .. } | Event::ElementRepaired { .. }
-            ));
             prop_assert_eq!(ours, theirs, "op {} ({}, {})", n, kind, detail);
+            prop_assert_eq!(service.kairos().audit(), Ok(()), "op {} ({}, {})", n, kind, detail);
         }
         let now = ops.len() as u64;
         prop_assert_eq!(service.pump(CapacityEvent::Shutdown { now }), admitd.shutdown(now));
@@ -272,8 +314,9 @@ proptest! {
 }
 
 /// Wrappers read the hub of the manager they wrap: over a lit manager the
-/// front-end and the service register their instruments at construction,
-/// over a dark one nothing is registered anywhere.
+/// front-end and the service register their instruments at construction
+/// (a queue-less front-end has no queue instruments to register), over a
+/// dark one nothing is registered anywhere.
 #[test]
 fn wrappers_register_their_instruments_on_the_managers_hub() {
     let registered = |kairos: &Kairos, prefix: &str| {
@@ -287,67 +330,21 @@ fn wrappers_register_their_instruments_on_the_managers_hub() {
         kairos
     };
 
-    let admitd = Admitd::new(manager(true), AdmitPolicy::default());
+    let admitd = Admitd::new(manager(true), Some(AdmitPolicy::default()));
     assert!(registered(admitd.kairos(), "kairos.admitd.") > 0);
     assert_eq!(registered(admitd.kairos(), "kairos.svc."), 0, "no service above it yet");
-    let queued = KairosService::queued(admitd);
+    let queued = KairosService::new(admitd);
     assert!(registered(queued.kairos(), "kairos.svc.") > 0);
 
-    let direct = KairosService::direct(manager(true));
-    assert!(registered(direct.kairos(), "kairos.svc.") > 0);
-    assert_eq!(registered(direct.kairos(), "kairos.admitd."), 0, "no front-end below it");
+    let queue_less = KairosService::new(Admitd::new(manager(true), None));
+    assert!(registered(queue_less.kairos(), "kairos.svc.") > 0);
+    assert!(registered(queue_less.kairos(), "kairos.reloc.") > 0, "defrag sweeps still report");
+    assert_eq!(registered(queue_less.kairos(), "kairos.admitd."), 0, "no queue, no queue metrics");
 
-    let dark = KairosService::queued(Admitd::new(manager(false), AdmitPolicy::default()));
-    assert!(dark.telemetry().snapshot().is_empty());
-    assert!(KairosService::direct(manager(false)).telemetry().snapshot().is_empty());
-}
-
-#[test]
-fn direct_service_runs_every_command_kind() {
-    let mut service = ServiceBuilder::new(topology::crisp()).deterministic(true).build().unwrap();
-    assert!(service.admitd().is_none());
-
-    let t0 = service.submit(Request::admit(0, chain("a", 3, 700), PriorityClass::Normal));
-    let events = service.take_events();
-    let Some(Event::Admitted { report, .. }) = events.first() else {
-        panic!("expected an admission, got {events:?}");
-    };
-    let id = report.app_id;
-    let host = report.layout.placement.iter().next().unwrap().1;
-    assert_eq!(events[0].ticket(), t0);
-
-    // Migrate off the hosting element.
-    let t1 = service.submit(Request::new(1, Command::Migrate { app: id, avoid: vec![host] }));
-    let events = service.take_events();
-    assert!(
-        matches!(&events[..], [Event::Migrated { ticket, app, .. }] if *ticket == t1 && *app == id)
-    );
-
-    // Fault the (now different) hosting element: the app is evicted.
-    let host = service.kairos().layout(id).unwrap().placement.iter().next().unwrap().1;
-    let t2 = service.submit(Request::new(2, Command::InjectFault { element: host }));
-    let events = service.take_events();
-    assert!(matches!(
-        &events[..],
-        [Event::ElementFailed { ticket, evicted, .. }] if *ticket == t2 && evicted.contains(&id)
-    ));
-
-    let t3 = service.submit(Request::new(3, Command::Repair { element: host }));
-    let events = service.take_events();
-    assert!(matches!(&events[..], [Event::ElementRepaired { ticket, .. }] if *ticket == t3));
-
-    // Pump is a no-op without a queue.
-    assert!(service.pump(CapacityEvent::Tick { now: 4 }).is_empty());
-    assert!(service.pump(CapacityEvent::Shutdown { now: 5 }).is_empty());
-
-    // Releasing an unknown id reports found: false.
-    let t4 = service.submit(Request::release(6, id));
-    let events = service.take_events();
-    assert!(matches!(
-        &events[..],
-        [Event::Released { ticket, found: false, .. }] if *ticket == t4
-    ));
-    assert!(service.kairos().platform().is_idle());
+    for policy in [None, Some(AdmitPolicy::default())] {
+        let dark = KairosService::new(Admitd::new(manager(false), policy));
+        assert!(dark.telemetry().snapshot().is_empty());
+    }
 }
 
 #[test]

@@ -55,7 +55,8 @@ fn main() {
         ..AdmitPolicy::default()
     };
     println!("policy: {policy:?}\n");
-    let mut admitd = Admitd::new(Kairos::new(topology::crisp(), KairosConfig::default()), policy);
+    let mut admitd =
+        Admitd::new(Kairos::new(topology::crisp(), KairosConfig::default()), Some(policy));
 
     // Phase 1: low-priority batch work until the platform refuses more.
     println!("== filling the platform with low-priority batch work ==");

@@ -124,6 +124,21 @@ fn priority_inversion_favours_critical_requests() {
     );
 }
 
+/// The guarantee holds where every run ends: after the whole catalog —
+/// queue-less, queued, clustered (shard 0's manager), gatewayed, faulted,
+/// preempted, defragmented, rebalanced — the manager's registry and the
+/// platform's claims agree with each other and every admitted layout
+/// still validates.
+#[test]
+fn every_catalog_scenario_ends_with_a_clean_audit() {
+    for scenario in Scenario::catalog() {
+        let name = scenario.name.clone();
+        let mut sim = Simulator::new(scenario).unwrap();
+        sim.run();
+        assert_eq!(sim.manager().audit(), Ok(()), "{name}");
+    }
+}
+
 #[test]
 fn changing_the_seed_changes_the_run() {
     let scenario = Scenario::by_name("steady-churn").unwrap();

@@ -318,16 +318,16 @@ fn computed_period_is_the_explored_period_on_random_applications() {
                 periods += 1;
                 fractional += usize::from(ours.period_iterations > 1);
             }
-            (Err(ValidationError::Analysis(message)), Err(oracle)) => {
+            (Err(ValidationError::Analysis(error)), Err(oracle)) => {
                 // On a disconnected application the oracle tells "everything
                 // stopped" (`Deadlock`) from "the reference's component
                 // stopped while another keeps running" (`ReferenceStarved`);
                 // the solver only ever looks at the reference's component
                 // and calls both a deadlock.
                 if case.is_connected() {
-                    assert_eq!(message, oracle.to_string(), "{what}");
+                    assert_eq!(error, oracle, "{what}");
                 } else {
-                    assert_eq!(message, StateSpaceError::Deadlock.to_string(), "{what}");
+                    assert_eq!(error, StateSpaceError::Deadlock, "{what}");
                     assert!(
                         matches!(
                             oracle,
