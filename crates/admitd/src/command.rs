@@ -5,21 +5,21 @@
 //! time. Making operations data (rather than one method per operation) is
 //! what makes batches first-class: a `Vec<Request>` *is* an arrival wave,
 //! and [`ResourceService::submit_batch`](crate::ResourceService::submit_batch)
-//! can sort, group and transact over it.
+//! can sort and group it.
 
-use kairos_admitd::{PriorityClass, Ticket};
 use kairos_app::Application;
 use kairos_platform::{AppId, ElementId};
 use kairos_telemetry::TraceContext;
+
+use crate::queue::{PriorityClass, Ticket};
 
 /// One operation against the managed platform.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Command {
     /// Admit `app` under priority `class`: queued, retried and — for
     /// blocked criticals under an enabled preemption policy — relocated
-    /// for, exactly as the `kairos-admitd` front-end does. On a service
-    /// without an admission queue the command admits or rejects
-    /// immediately (the paper's behaviour).
+    /// for. On a service without an admission queue the command admits
+    /// or rejects immediately (the paper's behaviour).
     Admit {
         /// The application requesting admission.
         app: Application,
@@ -45,6 +45,7 @@ pub enum Command {
         /// (which translates them for the owning shard) — not the
         /// shard-local ids found inside an
         /// [`Event::Admitted`](crate::Event::Admitted) report there.
+        /// Ids outside the platform are skipped.
         avoid: Vec<ElementId>,
     },
     /// Run one defragmenting compaction sweep *per managed platform*,
@@ -63,14 +64,16 @@ pub enum Command {
     /// The evicted ids come back in the resulting
     /// [`Event::ElementFailed`](crate::Event::ElementFailed) for the
     /// caller's re-submission policy; a non-empty eviction is a capacity
-    /// event.
+    /// event. An already-failed element, or an id outside the platform,
+    /// changes nothing and evicts no one.
     InjectFault {
         /// The element to fail.
         element: ElementId,
     },
     /// Clear the failure mark on `element`. Repairing an actually-failed
-    /// element is a capacity event; repairing a healthy one is a no-op
-    /// that must not burn anyone's retry budget.
+    /// element is a capacity event; repairing a healthy one (or an id
+    /// outside the platform) is a no-op that must not burn anyone's retry
+    /// budget.
     Repair {
         /// The element to repair.
         element: ElementId,

@@ -1,10 +1,10 @@
 //! The workspace's one event vocabulary.
 //!
-//! Every mutating call of the front-end returns the ordered [`Event`]
-//! list of what happened, and `kairos-svc` passes those values through
-//! untouched, adding the command-result variants (`Released`,
-//! `ElementFailed`, …) it wraps around its own calls — an outcome is
-//! constructed once, where it is decided. Every event carries a
+//! Everything a request to the service caused lands in one ordered
+//! [`Event`] buffer: a command's own result (`Released`,
+//! `ElementFailed`, …) first, then the queue transitions it triggered —
+//! an outcome is constructed once, where it is decided, and outer layers
+//! pass it on untouched. Every event carries a
 //! [`Ticket`] correlating it to the request that caused it — or, for
 //! relocation events, to the blocked request they were performed for —
 //! and admitted applications are additionally correlated by their stable

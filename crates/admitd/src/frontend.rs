@@ -1,19 +1,20 @@
-//! The admission-control front-end itself.
+//! The front-end itself: [`Admitd`] and its [`ResourceService`]
+//! implementation.
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use kairos_app::Application;
-use kairos_core::{
-    AdmissionReport, FailureDurability, Kairos, MigrationError, MigrationReport, OccupancySnapshot,
-};
+use kairos_core::{AdmissionFailure, AdmissionProbe, AdmissionReport, FailureDurability, Kairos};
 use kairos_platform::{AppId, ElementId};
-use kairos_reloc::{compact_with, select_victims_with, CompactReport, RelocMetrics, VictimPlan};
+use kairos_reloc::{compact_with, select_victims_with, RelocMetrics, VictimPlan};
 use kairos_telemetry::{Counter, Gauge, Histogram, Level, Telemetry, TraceContext};
 
+use crate::command::{CapacityEvent, Command, Request};
 use crate::event::{Event, RejectCause};
 use crate::policy::{AdmitPolicy, PreemptionPolicy, VictimOrder};
 use crate::queue::{AdmissionQueue, PriorityClass, QueuedRequest, Ticket};
+use crate::service::{ResourceService, SvcMetrics};
 
 /// What the front-end remembers about an admitted application, for the
 /// benefit of the preemption hook: the class decides who may be
@@ -69,7 +70,8 @@ impl AdmitdMetrics {
     }
 }
 
-/// Priority admission-control front-end over a [`Kairos`] manager.
+/// The Kairos resource service: one [`ResourceService`] over one
+/// [`Kairos`] manager, with priority admission control at its door.
 ///
 /// Sits between request sources and `Kairos::admit`: holds requests in a
 /// bounded priority queue instead of dropping them, retries transient
@@ -83,10 +85,15 @@ impl AdmitdMetrics {
 /// ([`RejectCause::Refused`] on failure), nothing ever queues, and the
 /// drain every capacity event triggers finds an empty queue.
 ///
+/// Every [`Request`] is settled under one ticket from the front-end's
+/// own mint (or the one an outer layer stamped on it), and everything
+/// it caused lands in one event buffer, drained by
+/// [`ResourceService::take_events`].
+///
 /// # Examples
 ///
 /// ```
-/// use kairos_admitd::{AdmitPolicy, Admitd, Event, PriorityClass};
+/// use kairos_admitd::{AdmitPolicy, Admitd, Event, PriorityClass, Request, ResourceService};
 /// use kairos_core::{Kairos, KairosConfig};
 /// use kairos_app::{ApplicationBuilder, TaskRole, Implementation};
 /// use kairos_platform::{topology, ElementKind, ResourceVector};
@@ -100,9 +107,10 @@ impl AdmitdMetrics {
 /// b.add_channel(t0, t1, 150, 1);
 /// let app = b.build()?;
 ///
-/// let (ticket, events) = admitd.submit(app, PriorityClass::Normal, 0);
-/// assert!(events.iter().any(|e| matches!(e, Event::Admitted { .. })));
-/// assert_eq!(events[0].ticket(), ticket);
+/// let ticket = admitd.submit(Request::admit(0, app, PriorityClass::Normal));
+/// let events = admitd.take_events();
+/// assert!(matches!(&events[..], [Event::Queued { .. }, Event::Admitted { .. }]));
+/// assert!(events.iter().all(|e| e.ticket() == ticket));
 /// # Ok::<(), Box<dyn std::error::Error>>(())
 /// ```
 #[derive(Debug)]
@@ -112,9 +120,11 @@ pub struct Admitd {
     /// (the paper's immediate admit-or-reject).
     policy: Option<AdmitPolicy>,
     queue: AdmissionQueue,
-    /// Mint for requests that arrive without a ticket (a standalone
-    /// front-end is then the outermost layer).
+    /// Mint for requests that arrive without a ticket (the front-end is
+    /// then the outermost layer); allocation order is submission order.
     next_ticket: u64,
+    /// Events accumulated since the last [`ResourceService::take_events`].
+    events: Vec<Event>,
     /// Monotone count of capacity-freeing events (releases, repairs,
     /// evictions, relocations); the clock retry backoff is measured
     /// against.
@@ -124,6 +134,7 @@ pub struct Admitd {
     /// enumeration is deterministic.
     admitted_meta: BTreeMap<AppId, AdmittedMeta>,
     metrics: Option<AdmitdMetrics>,
+    svc_metrics: Option<SvcMetrics>,
     /// The relocation planner's instruments, resolved once alongside
     /// [`AdmitdMetrics`] — the planners themselves never touch the
     /// registry's name map on the hot path.
@@ -134,10 +145,10 @@ impl Admitd {
     /// A front-end managing `kairos`, queueing under `policy` — or, with
     /// `None`, admitting or refusing every request at the door.
     /// Observability comes with the manager: over one whose hub is lit
-    /// ([`Kairos::set_telemetry`]) queue transitions land on the
-    /// `kairos.admitd.*` metrics (a queue-less front-end has none to
-    /// register) and defrag sweeps and victim plans on `kairos.reloc.*`;
-    /// over a dark one nothing is registered.
+    /// ([`Kairos::set_telemetry`]) commands land on the `kairos.svc.*`
+    /// metrics, defrag sweeps and victim plans on `kairos.reloc.*` and
+    /// queue transitions on `kairos.admitd.*` (a queue-less front-end has
+    /// none to register); over a dark one nothing is registered.
     ///
     /// # Panics
     ///
@@ -149,8 +160,10 @@ impl Admitd {
         Admitd {
             queue: AdmissionQueue::with_capacity(policy.map_or([0; 4], |p| p.class_capacity)),
             metrics: policy.and_then(|_| AdmitdMetrics::new(kairos.telemetry())),
+            svc_metrics: SvcMetrics::new(kairos.telemetry()),
             policy,
             next_ticket: 0,
+            events: Vec::new(),
             capacity_events: 0,
             admitted_meta: BTreeMap::new(),
             reloc_metrics: RelocMetrics::new(kairos.telemetry()),
@@ -166,8 +179,9 @@ impl Admitd {
     /// Folds a finished call's event list onto the registry: one counter
     /// bump per transition, the wait histogram for everything that left
     /// the queue, a flight-recorder line per noteworthy transition, and
-    /// the live depth gauge. Called exactly once per public entry point,
-    /// on the final event list, so no transition is double-counted.
+    /// the live depth gauge. Called exactly once per finished event list
+    /// — an admission's or a wave's, one capacity event's drain, a tick's
+    /// or the shutdown flush — so no transition is double-counted.
     fn record_events(&self, events: &[Event]) {
         let Some(m) = &self.metrics else { return };
         let telemetry = self.kairos.telemetry();
@@ -234,8 +248,7 @@ impl Admitd {
                         format!("{app} migrated for {ticket}, {moved_tasks} tasks moved"),
                     );
                 }
-                // Command results: the service wraps these around its
-                // calls into the front-end, which never builds one.
+                // Command results are no queue transitions.
                 Event::MigrationFailed { .. }
                 | Event::Released { .. }
                 | Event::ElementFailed { .. }
@@ -245,20 +258,6 @@ impl Admitd {
             }
         }
         m.depth.set(i64::try_from(self.queue.len()).unwrap_or(i64::MAX));
-    }
-
-    /// Read access to the managed resource manager.
-    pub fn kairos(&self) -> &Kairos {
-        &self.kairos
-    }
-
-    /// Mutable access to the managed resource manager, for maintenance
-    /// that bypasses the queue (the cross-shard rebalancer's
-    /// operating-point-cache invalidation). Callers must not admit or
-    /// release through this handle — that would desynchronize the
-    /// queue's admission bookkeeping.
-    pub fn kairos_mut(&mut self) -> &mut Kairos {
-        &mut self.kairos
     }
 
     /// The front-end's queueing policy; `None` for a queue-less one.
@@ -277,137 +276,20 @@ impl Admitd {
         &self.queue
     }
 
-    /// Total queued requests.
-    pub fn queue_depth(&self) -> usize {
-        self.queue.len()
-    }
-
     /// Capacity-freeing events observed so far.
     pub fn capacity_events(&self) -> u64 {
         self.capacity_events
     }
 
-    /// An occupancy snapshot of the managed platform.
-    pub fn occupancy(&self) -> OccupancySnapshot {
-        self.kairos.occupancy()
-    }
-
-    /// Submits `app` for admission at virtual time `now`.
-    ///
-    /// The request is enqueued (or refused with
-    /// [`RejectCause::QueueFull`] when its class is at capacity) and a
-    /// drain pass runs immediately, so an uncontended request is admitted
-    /// in the same call with zero wait. The returned events may also
-    /// concern *other* requests the drain reached. A queue-less
-    /// front-end admits or refuses it on the spot instead.
-    ///
-    /// A critical request hitting a full critical queue gets one last
-    /// chance under an enabled [`AdmitPolicy::preemption`] policy: if a
-    /// relocation plan exists, victims are evicted or migrated and the
-    /// request is admitted directly — the `QueueFull` preemption hook.
-    pub fn submit(
-        &mut self,
-        app: Application,
-        class: PriorityClass,
-        now: u64,
-    ) -> (Ticket, Vec<Event>) {
-        self.submit_traced(app, class, now, TraceContext::NONE, None)
-    }
-
-    /// [`Admitd::submit`] under an externally minted trace context and
-    /// ticket. `ctx` rides through queue residency and every retry; the
-    /// terminal outcome records the cumulative `queue` span and closes
-    /// the root — the front-end owns the queued request's end of its
-    /// trace. [`TraceContext::NONE`] traces nothing. A `Some` ticket (an
-    /// outer service already minted it) is used verbatim and returned;
-    /// `None` mints one here.
-    pub fn submit_traced(
-        &mut self,
-        app: Application,
-        class: PriorityClass,
-        now: u64,
-        ctx: TraceContext,
-        ticket: Option<Ticket>,
-    ) -> (Ticket, Vec<Event>) {
-        let _span = self.kairos.telemetry().span("kairos_admitd", "submit");
-        let ticket = Ticket::resolve(ticket, &mut self.next_ticket);
-        let mut events = Vec::new();
-        if self.through_the_door(app, class, now, ctx, ticket, &mut events) {
-            events.extend(self.drain(now));
-        }
-        self.record_events(&events);
-        (ticket, events)
-    }
-
-    /// Submits a whole arrival wave in one call, sharing one drain pass.
-    ///
-    /// Each request passes the door exactly as under [`Admitd::submit`]
-    /// (enqueue, `QueueFull` backpressure, the critical door-preemption
-    /// hook), but the queue is drained *once*, after every request is in —
-    /// so a wave of N uncontended requests costs one priority-ordered
-    /// walk instead of N. The wave is no transaction: each admission is
-    /// written by the manager's one writer as it is decided, and a refusal
-    /// writes nothing, so there is nothing to roll back. Admission outcomes for
-    /// an uncontended wave are identical to N sequential submissions
-    /// (the `kairos-svc` property tests pin this); under contention the
-    /// single drain hands capacity out in priority-then-FIFO order, which
-    /// is exactly the order sequential submission of a class-sorted wave
-    /// would use. A queue-less front-end takes the wave through the door
-    /// in that order itself: class-sorted, FIFO within a class.
-    ///
-    /// Returns one ticket per request, in submission order, plus the full
-    /// ordered event list.
-    pub fn submit_batch(
-        &mut self,
-        requests: Vec<(Application, PriorityClass)>,
-        now: u64,
-    ) -> (Vec<Ticket>, Vec<Event>) {
-        let requests = requests
-            .into_iter()
-            .map(|(app, class)| (app, class, TraceContext::NONE, None))
-            .collect();
-        self.submit_batch_traced(requests, now)
-    }
-
-    /// [`Admitd::submit_batch`] with a trace context and an optional
-    /// pre-minted ticket per request — the batch analogue of
-    /// [`Admitd::submit_traced`].
-    pub fn submit_batch_traced(
-        &mut self,
-        requests: Vec<(Application, PriorityClass, TraceContext, Option<Ticket>)>,
-        now: u64,
-    ) -> (Vec<Ticket>, Vec<Event>) {
-        let _span = self.kairos.telemetry().span("kairos_admitd", "submit_batch");
-        // Tickets settle in submission order, whatever order the door
-        // then takes the wave in.
-        let mut wave: Vec<_> = requests
-            .into_iter()
-            .map(|(app, class, ctx, ticket)| {
-                (app, class, ctx, Ticket::resolve(ticket, &mut self.next_ticket))
-            })
-            .collect();
-        let tickets = wave.iter().map(|&(_, _, _, ticket)| ticket).collect();
-        if self.policy.is_none() {
-            // Nothing queues, so the door decides the wave in the order
-            // a queued wave's one drain pass would (stable: FIFO within
-            // a class).
-            wave.sort_by_key(|(_, class, _, _)| class.index());
-        }
-        let mut events = Vec::new();
-        for (app, class, ctx, ticket) in wave {
-            self.through_the_door(app, class, now, ctx, ticket, &mut events);
-        }
-        events.extend(self.drain(now));
-        self.record_events(&events);
-        (tickets, events)
-    }
-
     /// Takes one request through the door. Without a policy the door is
     /// the whole admission: the pipeline runs once and its verdict is
-    /// final. With one, the request is enqueued (emitting `Queued`) or
-    /// resolved at the door — `QueueFull` backpressure, with the critical
-    /// preemption hook as the last resort. Returns whether the request
-    /// actually entered the queue (and so needs a drain pass).
+    /// final. With one, the request is enqueued (emitting `Queued`; the
+    /// drain pass that follows admits an uncontended request with zero
+    /// wait) or resolved at the door — `QueueFull` backpressure, with the
+    /// critical preemption hook (relocate victims under an enabled
+    /// [`AdmitPolicy::preemption`], then admit directly) as the last
+    /// resort. Returns whether the request actually entered the queue
+    /// (and so needs a drain pass).
     fn through_the_door(
         &mut self,
         app: Application,
@@ -499,18 +381,16 @@ impl Admitd {
         }
     }
 
+    // ---- the cluster's hooks ----------------------------------------------------
+
     /// Probes whether `app` could be admitted right now, leaving the
     /// platform, the queue and every registry exactly as they were. The
-    /// pass-through of [`Kairos::probe_admit`] sharded deployments use to
-    /// compare queued shard managers without enqueueing anything.
+    /// per-shard half of `kairos-cluster`'s admission probe fan-out.
     ///
     /// # Errors
     ///
-    /// The [`kairos_core::AdmissionFailure`] the pipeline would report.
-    pub fn probe_admit(
-        &mut self,
-        app: &Application,
-    ) -> Result<kairos_core::AdmissionProbe, kairos_core::AdmissionFailure> {
+    /// The [`AdmissionFailure`] the pipeline would report.
+    pub fn probe_admit(&mut self, app: &Application) -> Result<AdmissionProbe, AdmissionFailure> {
         self.kairos.probe_admit(app)
     }
 
@@ -518,95 +398,125 @@ impl Admitd {
     /// events, no retry. The admitted application is registered in the
     /// preemption victim registry under `class` (zero accumulated wait),
     /// so later preemption planning treats it exactly like a drained
-    /// admission. This is the import half of a cross-shard rebalance
-    /// move: the application already waited its wait on another shard and
-    /// must not re-enter a queue here.
+    /// admission. This is the target-shard half of a cross-shard
+    /// rebalance move: the application already waited its wait on
+    /// another shard and must not re-enter a queue here. Ordinary traffic
+    /// belongs in [`ResourceService::submit`].
     ///
     /// # Errors
     ///
-    /// The pipeline's [`kairos_core::AdmissionFailure`], if any; nothing
-    /// changes then.
-    pub fn admit_direct(
+    /// The pipeline's [`AdmissionFailure`], if any; nothing changes then.
+    pub fn admit_now(
         &mut self,
         app: &Application,
         class: PriorityClass,
-    ) -> Result<AdmissionReport, kairos_core::AdmissionFailure> {
+    ) -> Result<AdmissionReport, AdmissionFailure> {
         let report = self.kairos.admit(app)?;
         self.admitted_meta.insert(report.app_id, AdmittedMeta { class, waited: 0 });
         Ok(report)
     }
 
-    /// Releases an admitted application; on success this is a capacity
-    /// event, so the queue is drained in priority order. Returns whether
-    /// the id was known, plus everything the drain did.
-    pub fn release(&mut self, id: AppId, now: u64) -> (bool, Vec<Event>) {
-        if !self.kairos.release(id) {
+    /// Releases `app` without buffering a `Released` event of its own,
+    /// returning whether the id was admitted plus the events of the drain
+    /// the freed capacity triggered (none without a queue). The
+    /// source-shard half of a cross-shard rebalance move: the application
+    /// is leaving this manager but not the system, so no caller-visible
+    /// release must be reported — while waiters admitted into the freed
+    /// room are real and are.
+    pub fn release_now(&mut self, app: AppId, at: u64) -> (bool, Vec<Event>) {
+        if !self.kairos.release(app) {
             return (false, Vec::new());
         }
-        self.admitted_meta.remove(&id);
-        self.capacity_events += 1;
-        let events = self.drain(now);
-        self.record_events(&events);
-        (true, events)
+        self.admitted_meta.remove(&app);
+        (true, self.capacity_event(at))
     }
 
-    /// Marks `element` failed and evicts its applications (returned for
-    /// the caller's re-admission bookkeeping). Evictions free claims, so
-    /// a non-empty eviction counts as a capacity event and triggers a
-    /// drain — some queued request may fit the surviving elements.
-    pub fn fail_element(&mut self, element: ElementId, now: u64) -> (Vec<AppId>, Vec<Event>) {
-        let victims = self.kairos.fail_element(element);
-        if victims.is_empty() {
-            return (victims, Vec::new());
-        }
-        for victim in &victims {
-            self.admitted_meta.remove(victim);
-        }
-        self.capacity_events += 1;
-        let events = self.drain(now);
-        self.record_events(&events);
-        (victims, events)
+    /// Drops every cached operating point touching `elements` from the
+    /// manager's decision store ([`Kairos::invalidate_cached_points`]).
+    /// The cross-shard rebalancer calls this on both sides of a completed
+    /// move; a no-op without a configured cache.
+    pub fn invalidate_cached_points(&mut self, elements: &[ElementId]) -> u64 {
+        self.kairos.invalidate_cached_points(elements)
     }
 
-    /// Repairs `element`. A repair of an actually-failed element is a
-    /// capacity event and drains the queue; repairing a healthy element
-    /// is a no-op and must not burn anyone's retry budget.
-    pub fn repair_element(&mut self, element: ElementId, now: u64) -> Vec<Event> {
-        if !self.kairos.platform().is_failed(element) {
-            return Vec::new();
-        }
-        self.kairos.repair_element(element);
+    // ---- commands ---------------------------------------------------------------
+
+    /// Performs one non-admission command under its settled ticket:
+    /// buffers the command's own result event, then whatever the drain
+    /// its freed capacity triggered admitted or dropped. Only a command
+    /// that changed the shape of free capacity is a capacity event: a
+    /// release of a known id, a completed migration, a sweep that moved
+    /// something, a fault that evicted someone, the repair of a failed
+    /// element. An element id outside the platform changes nothing.
+    fn perform(&mut self, ticket: Ticket, at: u64, command: Command) {
+        let (result, drained) = match command {
+            Command::Admit { .. } => unreachable!("admissions go through the door"),
+            Command::Release { app } => {
+                let (found, drained) = self.release_now(app, at);
+                (Event::Released { ticket, app, found }, drained)
+            }
+            Command::Migrate { app, avoid } => match self.kairos.migrate(app, &avoid) {
+                Ok(report) => {
+                    let moved_tasks = report.moved_tasks;
+                    (Event::Migrated { ticket, app, moved_tasks }, self.capacity_event(at))
+                }
+                Err(error) => {
+                    (Event::MigrationFailed { ticket, app, error: Box::new(error) }, Vec::new())
+                }
+            },
+            Command::Defrag { max_moves } => {
+                let moves = compact_with(&mut self.kairos, max_moves, self.reloc_metrics.as_ref())
+                    .move_count();
+                let drained = if moves == 0 { Vec::new() } else { self.capacity_event(at) };
+                (Event::Defragged { ticket, moves }, drained)
+            }
+            Command::InjectFault { element } => {
+                let evicted = self.kairos.fail_element(element);
+                for victim in &evicted {
+                    self.admitted_meta.remove(victim);
+                }
+                let drained = if evicted.is_empty() { Vec::new() } else { self.capacity_event(at) };
+                (Event::ElementFailed { ticket, element, evicted }, drained)
+            }
+            Command::Repair { element } => {
+                let repaired = self.kairos.repair_element(element);
+                let drained = if repaired { self.capacity_event(at) } else { Vec::new() };
+                (Event::ElementRepaired { ticket, element }, drained)
+            }
+            // One manager owns the whole platform: there is no shard
+            // boundary to move anything across. `kairos-cluster`'s
+            // `ClusterService` implements the real sweep.
+            Command::Rebalance { .. } => {
+                (Event::Rebalanced { ticket, moves: Vec::new() }, Vec::new())
+            }
+        };
+        self.events.push(result);
+        self.events.extend(drained);
+    }
+
+    /// Counts one capacity event and drains the queue against it.
+    fn capacity_event(&mut self, now: u64) -> Vec<Event> {
         self.capacity_events += 1;
         let events = self.drain(now);
         self.record_events(&events);
         events
     }
 
-    /// Drops every queued request whose deadline has passed by `now`.
-    /// Unlike a drain this makes no admission attempts — nothing freed up.
-    pub fn expire(&mut self, now: u64) -> Vec<Event> {
+    /// Drops queued requests with `cause` — on [`RejectCause::Timeout`]
+    /// those whose deadline has passed by `now` (unlike a drain this makes
+    /// no admission attempts: nothing freed up), on
+    /// [`RejectCause::Shutdown`] every one, the end-of-run flush that
+    /// keeps request accounting conservative.
+    fn reject_queued(&mut self, cause: RejectCause, now: u64) -> Vec<Event> {
         let mut events = Vec::new();
         for class in 0..4 {
             let mut i = 0;
             while i < self.queue.class_len(class) {
-                if self.is_overdue(class, i, now) {
-                    events.push(self.reject_at(class, i, RejectCause::Timeout, now));
+                if cause == RejectCause::Shutdown || self.is_overdue(class, i, now) {
+                    events.push(self.reject_at(class, i, cause, now));
                 } else {
                     i += 1;
                 }
-            }
-        }
-        self.record_events(&events);
-        events
-    }
-
-    /// Drops every queued request with [`RejectCause::Shutdown`] — the
-    /// end-of-run flush that keeps request accounting conservative.
-    pub fn shutdown(&mut self, now: u64) -> Vec<Event> {
-        let mut events = Vec::new();
-        for class in 0..4 {
-            while self.queue.class_len(class) > 0 {
-                events.push(self.reject_at(class, 0, RejectCause::Shutdown, now));
             }
         }
         self.record_events(&events);
@@ -1033,43 +943,108 @@ impl Admitd {
         events.extend(self.drain(now));
         Some(events)
     }
+}
 
-    /// Runs one defragmenting compaction sweep
-    /// ([`kairos_reloc::compact`]) over the managed platform, migrating
-    /// at most `max_moves` applications to strictly reduce external
-    /// fragmentation. A sweep that moved anything counts as a capacity
-    /// event (contiguous room appeared) and drains the queue.
-    pub fn defrag(&mut self, now: u64, max_moves: usize) -> (CompactReport, Vec<Event>) {
-        let report = compact_with(&mut self.kairos, max_moves, self.reloc_metrics.as_ref());
-        if report.move_count() == 0 {
-            return (report, Vec::new());
+impl ResourceService for Admitd {
+    fn submit(&mut self, request: Request) -> Ticket {
+        let _span = self.kairos.telemetry().span("kairos_svc", "submit");
+        let Request { at, command, trace, ticket } = request;
+        if let Some(m) = &self.svc_metrics {
+            m.note_command(&command);
         }
-        self.capacity_events += 1;
-        let events = self.drain(now);
+        let ticket = Ticket::resolve(ticket, &mut self.next_ticket);
+        let Command::Admit { app, class } = command else {
+            self.perform(ticket, at, command);
+            return ticket;
+        };
+        // The outermost service mints the request's trace root; a context
+        // already stamped on the request (a sharded service forwarding to
+        // its shard) is honoured as-is.
+        let ctx = self.kairos.telemetry().request_root(trace, at, &class);
+        let mut events = Vec::new();
+        if self.through_the_door(app, class, at, ctx, ticket, &mut events) {
+            events.extend(self.drain(at));
+        }
         self.record_events(&events);
-        (report, events)
+        self.events.extend(events);
+        ticket
     }
 
-    /// Live-migrates an admitted application off the `avoid` elements
-    /// ([`Kairos::migrate`]): make-before-break, identity stable across
-    /// the move. A completed migration changed the shape of free capacity
-    /// — contiguous room may have appeared where there was none — so it
-    /// counts as a capacity event and drains the queue. A failed
-    /// migration changes nothing and returns no events.
-    pub fn migrate(
-        &mut self,
-        id: AppId,
-        avoid: &[ElementId],
-        now: u64,
-    ) -> (Result<MigrationReport, MigrationError>, Vec<Event>) {
-        match self.kairos.migrate(id, avoid) {
-            Ok(report) => {
-                self.capacity_events += 1;
-                let events = self.drain(now);
-                self.record_events(&events);
-                (Ok(report), events)
+    fn submit_batch(&mut self, requests: Vec<Request>) -> Vec<Ticket> {
+        let _span = self.kairos.telemetry().span("kairos_svc", "submit_batch");
+        if let Some(m) = &self.svc_metrics {
+            m.batches.inc();
+            for request in &requests {
+                m.note_command(&request.command);
             }
-            Err(error) => (Err(error), Vec::new()),
         }
+        // Settle every ticket up front, in submission order — batching
+        // changes how work is performed, never how it is identified.
+        let mut tickets = Vec::with_capacity(requests.len());
+        let mut wave = Vec::new();
+        let mut wave_at = u64::MAX;
+        let mut rest = Vec::new();
+        for Request { at, command, trace, ticket } in requests {
+            let ticket = Ticket::resolve(ticket, &mut self.next_ticket);
+            tickets.push(ticket);
+            match command {
+                Command::Admit { app, class } => {
+                    // Roots are minted here, in submission order, so trace
+                    // id allocation never depends on the door's order.
+                    let ctx = self.kairos.telemetry().request_root(trace, at, &class);
+                    // Batches model synchronized arrivals: the earliest
+                    // request time stamps the whole wave.
+                    wave_at = wave_at.min(at);
+                    wave.push((app, class, ctx, ticket));
+                }
+                other => rest.push((ticket, at, other)),
+            }
+        }
+        if !wave.is_empty() {
+            if self.policy.is_none() {
+                // Nothing queues, so the door decides the wave in the
+                // order a queued wave's one drain pass would (stable:
+                // FIFO within a class).
+                wave.sort_by_key(|(_, class, _, _)| class.index());
+            }
+            let mut events = Vec::new();
+            for (app, class, ctx, ticket) in wave {
+                self.through_the_door(app, class, wave_at, ctx, ticket, &mut events);
+            }
+            events.extend(self.drain(wave_at));
+            self.record_events(&events);
+            self.events.extend(events);
+        }
+        for (ticket, at, command) in rest {
+            self.perform(ticket, at, command);
+        }
+        tickets
+    }
+
+    fn pump(&mut self, event: CapacityEvent) -> Vec<Event> {
+        let events = match event {
+            CapacityEvent::Tick { now } => self.reject_queued(RejectCause::Timeout, now),
+            CapacityEvent::Shutdown { now } => self.reject_queued(RejectCause::Shutdown, now),
+        };
+        if let Some(m) = &self.svc_metrics {
+            m.events.add(events.len() as u64);
+        }
+        events
+    }
+
+    fn take_events(&mut self) -> Vec<Event> {
+        let events = std::mem::take(&mut self.events);
+        if let Some(m) = &self.svc_metrics {
+            m.events.add(events.len() as u64);
+        }
+        events
+    }
+
+    fn kairos(&self) -> &Kairos {
+        &self.kairos
+    }
+
+    fn queue_depth(&self) -> usize {
+        self.queue.len()
     }
 }

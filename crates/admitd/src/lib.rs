@@ -1,11 +1,34 @@
 //! # kairos-admitd
 //!
-//! A priority admission-control front-end for the Kairos resource manager.
+//! The Kairos resource service: one typed command/event surface over one
+//! manager, with priority admission control at its door.
 //!
-//! The paper's manager decides admission one request at a time and simply
-//! rejects when the platform is full. A production run-time needs the
-//! layer this crate provides between request sources and
-//! [`Kairos::admit`](kairos_core::Kairos::admit):
+//! The paper's manager is a single run-time entity applications talk to
+//! through one request interface. [`Admitd`] is that entity: built by
+//! [`ServiceBuilder`] over one [`Kairos`](kairos_core::Kairos) manager,
+//! it implements [`ResourceService`] — the surface `kairos-cluster`,
+//! `kairos-gateway` and the `kairos-sim` engine all speak:
+//!
+//! * **Operations as data** — every request is a [`Command`]
+//!   (`Admit`, `Release`, `Migrate`, `Defrag`, `InjectFault`, `Repair`,
+//!   `Rebalance`) wrapped in a time-stamped [`Request`]; callers build
+//!   traffic instead of calling subsystem methods.
+//! * **One ticket, one event stream** — every request runs under one
+//!   [`Ticket`], minted once by the outermost layer, and everything
+//!   observable is a tagged [`Event`] carrying it (and, once admitted,
+//!   the application's stable `AppId`). An outcome is constructed once,
+//!   where it is decided, and buffered until
+//!   [`ResourceService::take_events`] drains it.
+//! * **Batches are first-class** — [`ResourceService::submit_batch`]
+//!   admits a whole arrival wave as one operation: class-sorted, stamped
+//!   with the wave's earliest arrival time, with one drain pass instead
+//!   of N independent submissions. A wave is not a transaction: each
+//!   admission is written as it is decided.
+//!
+//! Built without an [`AdmitPolicy`], the front-end is the paper's manager
+//! itself: the door runs the pipeline once and admits or refuses on the
+//! spot ([`RejectCause::Refused`]), a wave is decided class by class, and
+//! nothing ever queues. With one, the door fronts the manager with:
 //!
 //! * **Priority queueing** — four priority classes drained
 //!   highest-priority-first, FIFO within a class ([`AdmissionQueue`]);
@@ -30,41 +53,68 @@
 //!   and re-queued as retryable requests ([`Event::Preempted`] —
 //!   preempted, not dropped, with cumulative wait preserved across the
 //!   requeue) or live-migrated off the request's target region with their
-//!   identity intact ([`Event::Migrated`]). [`Admitd::defrag`] runs
-//!   the same migration machinery as a fragmentation-reducing sweep.
+//!   identity intact ([`Event::Migrated`]). [`Command::Defrag`] runs the
+//!   same migration machinery as a fragmentation-reducing sweep.
 //!
-//! Built without an [`AdmitPolicy`], the front-end is the paper's manager
-//! itself: the door runs the pipeline once and admits or refuses on the
-//! spot ([`RejectCause::Refused`]), a wave is decided class by class, and
-//! nothing ever queues. It is the one admission path of `kairos-svc`, in
-//! both modes.
+//! Everything is deterministic: same request sequence, same events —
+//! the property the `kairos-sim` byte-reproducibility tests lean on.
 //!
-//! Every mutating call returns the ordered [`Event`] list of what
-//! happened — the workspace's one event vocabulary, defined here beside
-//! [`Ticket`] and re-exported by `kairos-svc`, which adds its
-//! command-result variants around these calls and translates nothing.
-//! Everything is deterministic: same call sequence, same events — the
-//! property the `kairos-sim` byte-reproducibility tests lean on.
+//! ## Example
+//!
+//! ```
+//! use kairos_admitd::{Event, PriorityClass, Request, ResourceService, ServiceBuilder};
+//! use kairos_appgen::{AppGenerator, GeneratorConfig};
+//! use kairos_platform::topology;
+//!
+//! let mut service = ServiceBuilder::new(topology::crisp()).deterministic(true).build()?;
+//! let mut generator = AppGenerator::new(GeneratorConfig::default(), 7);
+//!
+//! // A synchronized arrival wave, admitted as one batch.
+//! let wave: Vec<Request> = (0..4)
+//!     .map(|i| Request::admit(0, generator.generate(format!("app-{i}")), PriorityClass::Normal))
+//!     .collect();
+//! let tickets = service.submit_batch(wave);
+//! let events = service.take_events();
+//! assert_eq!(tickets.len(), 4);
+//! assert!(events.iter().any(|e| matches!(e, Event::Admitted { .. })));
+//! # Ok::<(), String>(())
+//! ```
 
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
 
+mod builder;
+mod command;
 mod event;
 mod frontend;
 mod policy;
 mod queue;
+mod service;
 
+pub use builder::ServiceBuilder;
+pub use command::{CapacityEvent, Command, Request};
 pub use event::{Event, RejectCause};
 pub use frontend::{Admitd, WAIT_TICKS_BOUNDS};
 pub use policy::{AdmitPolicy, PreemptionPolicy, VictimOrder};
 pub use queue::{AdmissionQueue, PriorityClass, Ticket};
+pub use service::ResourceService;
+
+/// Compile-time thread-safety pin: nothing in the product spawns a
+/// thread, but callers box services as `dyn ResourceService + Send` (the
+/// gateway's wrapped service among them), so the service must stay
+/// `Send` (and `Sync`, so it can be shared behind a reference). A field
+/// change that silently dropped either would break them — fail the build
+/// here instead.
+const fn _assert_send_sync<T: Send + Sync>() {}
+const _: () = _assert_send_sync::<Admitd>();
+const _: () = _assert_send_sync::<Event>();
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use kairos_app::{Application, ApplicationBuilder, Implementation, TaskRole};
     use kairos_core::{Kairos, KairosConfig, Phase};
-    use kairos_platform::{topology, ElementKind, ResourceVector};
+    use kairos_platform::{topology, AppId, ElementId, ElementKind, ResourceVector};
 
     /// A `tasks`-task chain demanding `cpu` per task on the 2x2 DSP mesh.
     fn chain_with(name: &str, tasks: usize, cpu: u64) -> Application {
@@ -91,7 +141,45 @@ mod tests {
         Admitd::new(Kairos::new(topology::dsp_mesh(2, 2), KairosConfig::default()), Some(policy))
     }
 
-    fn admitted_id(events: &[Event]) -> Option<kairos_platform::AppId> {
+    /// Submits `request`: its ticket and every event it caused.
+    fn run(admitd: &mut Admitd, request: Request) -> (Ticket, Vec<Event>) {
+        let ticket = admitd.submit(request);
+        (ticket, admitd.take_events())
+    }
+
+    fn admit(
+        admitd: &mut Admitd,
+        app: Application,
+        class: PriorityClass,
+        at: u64,
+    ) -> (Ticket, Vec<Event>) {
+        run(admitd, Request::admit(at, app, class))
+    }
+
+    /// Submits `wave` as one batch arriving at `at`.
+    fn batch(
+        admitd: &mut Admitd,
+        wave: Vec<(Application, PriorityClass)>,
+        at: u64,
+    ) -> (Vec<Ticket>, Vec<Event>) {
+        let wave = wave.into_iter().map(|(app, class)| Request::admit(at, app, class)).collect();
+        let tickets = admitd.submit_batch(wave);
+        (tickets, admitd.take_events())
+    }
+
+    /// Releases `id` at `at`: whether it was admitted, and what the drain
+    /// behind the `Released` result did.
+    fn release(admitd: &mut Admitd, id: AppId, at: u64) -> (bool, Vec<Event>) {
+        let (ticket, mut events) = run(admitd, Request::release(at, id));
+        match events.remove(0) {
+            Event::Released { ticket: t, app, found } if t == ticket && app == id => {
+                (found, events)
+            }
+            other => panic!("a release reports first: {other:?}"),
+        }
+    }
+
+    fn admitted_id(events: &[Event]) -> Option<AppId> {
         events.iter().find_map(|e| match e {
             Event::Admitted { report, .. } => Some(report.app_id),
             _ => None,
@@ -101,7 +189,7 @@ mod tests {
     #[test]
     fn uncontended_requests_admit_immediately_with_zero_wait() {
         let mut admitd = front(AdmitPolicy::default());
-        let (ticket, events) = admitd.submit(chain("a", 2), PriorityClass::Normal, 5);
+        let (ticket, events) = admit(&mut admitd, chain("a", 2), PriorityClass::Normal, 5);
         let admitted = events
             .iter()
             .find(|e| matches!(e, Event::Admitted { .. }))
@@ -120,13 +208,13 @@ mod tests {
         let mut admitd =
             Admitd::new(Kairos::new(topology::dsp_mesh(2, 2), KairosConfig::default()), None);
         assert!(admitd.policy().is_none());
-        let (_, events) = admitd.submit(chain("fill", 4), PriorityClass::Low, 0);
+        let (_, events) = admit(&mut admitd, chain("fill", 4), PriorityClass::Low, 0);
         let fill = admitted_id(&events).expect("the fill app admits");
         assert!(matches!(events.as_slice(), [Event::Admitted { waited: 0, attempts: 1, .. }]));
         assert_eq!(admitd.admitted_class(fill), Some(PriorityClass::Low));
         // A full platform refuses on the spot: nothing queues, nothing
         // retries on the next capacity event.
-        let (_, events) = admitd.submit(chain("blocked", 4), PriorityClass::Critical, 1);
+        let (_, events) = admit(&mut admitd, chain("blocked", 4), PriorityClass::Critical, 1);
         assert!(matches!(
             events.as_slice(),
             [Event::Rejected {
@@ -136,7 +224,7 @@ mod tests {
             }]
         ));
         assert_eq!(admitd.queue_depth(), 0);
-        let (ok, events) = admitd.release(fill, 2);
+        let (ok, events) = release(&mut admitd, fill, 2);
         assert!(ok && events.is_empty(), "an empty queue drains nothing: {events:?}");
         // A wave is decided class by class, FIFO within a class; its
         // tickets still follow submission order.
@@ -145,14 +233,14 @@ mod tests {
             (chain("crit", 4), PriorityClass::Critical),
             (chain("norm", 4), PriorityClass::Normal),
         ];
-        let (tickets, events) = admitd.submit_batch(wave, 3);
+        let (tickets, events) = batch(&mut admitd, wave, 3);
         let order: Vec<Ticket> = events.iter().map(Event::ticket).collect();
         assert_eq!(order, vec![tickets[1], tickets[2], tickets[0]]);
         assert_eq!(
             admitted_id(&events).map(|id| admitd.admitted_class(id)),
             Some(Some(PriorityClass::Critical))
         );
-        assert!(admitd.shutdown(4).is_empty());
+        assert!(admitd.pump(CapacityEvent::Shutdown { now: 4 }).is_empty());
     }
 
     #[test]
@@ -160,17 +248,17 @@ mod tests {
         let policy = AdmitPolicy { class_capacity: [0, 0, 1, 0], ..AdmitPolicy::default() };
         let mut admitd = front(policy);
         // Fill the platform so subsequent requests queue.
-        admitd.submit(chain("fill", 4), PriorityClass::Normal, 0);
+        admit(&mut admitd, chain("fill", 4), PriorityClass::Normal, 0);
         // One queues, the second is refused.
-        let (_, e1) = admitd.submit(chain("q1", 1), PriorityClass::Normal, 1);
+        let (_, e1) = admit(&mut admitd, chain("q1", 1), PriorityClass::Normal, 1);
         assert!(e1.iter().any(|e| matches!(e, Event::AttemptFailed { .. })));
-        let (_, e2) = admitd.submit(chain("q2", 1), PriorityClass::Normal, 2);
+        let (_, e2) = admit(&mut admitd, chain("q2", 1), PriorityClass::Normal, 2);
         assert!(matches!(
             e2.as_slice(),
             [Event::Rejected { cause: RejectCause::QueueFull, waited: 0, .. }]
         ));
         // A disabled class refuses instantly.
-        let (_, e3) = admitd.submit(chain("c", 1), PriorityClass::Critical, 3);
+        let (_, e3) = admit(&mut admitd, chain("c", 1), PriorityClass::Critical, 3);
         assert!(matches!(e3.as_slice(), [Event::Rejected { cause: RejectCause::QueueFull, .. }]));
         assert_eq!(admitd.queue_depth(), 1, "memory stays bounded at the class capacity");
     }
@@ -180,18 +268,18 @@ mod tests {
         let policy =
             AdmitPolicy { class_capacity: [4, 4, 4, 4], max_wait: None, ..AdmitPolicy::default() };
         let mut admitd = front(policy);
-        let (_, fill) = admitd.submit(chain("fill", 4), PriorityClass::Low, 0);
+        let (_, fill) = admit(&mut admitd, chain("fill", 4), PriorityClass::Low, 0);
         let fill_id = admitted_id(&fill).expect("the fill app admits");
         // Three waiters: low first, then normal, then critical.
-        let (low, _) = admitd.submit(chain("w-low", 4), PriorityClass::Low, 1);
-        let (norm, _) = admitd.submit(chain("w-norm", 4), PriorityClass::Normal, 2);
-        let (crit, _) = admitd.submit(chain("w-crit", 4), PriorityClass::Critical, 3);
+        let (low, _) = admit(&mut admitd, chain("w-low", 4), PriorityClass::Low, 1);
+        let (norm, _) = admit(&mut admitd, chain("w-norm", 4), PriorityClass::Normal, 2);
+        let (crit, _) = admit(&mut admitd, chain("w-crit", 4), PriorityClass::Critical, 3);
         assert_eq!(admitd.queue_depth(), 3);
 
         // Releasing the fill app frees the whole mesh: the drain must
         // attempt critical before normal before low, and the first fit
         // wins the capacity.
-        let (ok, events) = admitd.release(fill_id, 10);
+        let (ok, events) = release(&mut admitd, fill_id, 10);
         assert!(ok);
         let admitted: Vec<Ticket> = events
             .iter()
@@ -217,24 +305,24 @@ mod tests {
             ..AdmitPolicy::default()
         };
         let mut admitd = front(policy);
-        let (_, fill) = admitd.submit(chain("fill", 4), PriorityClass::Low, 0);
+        let (_, fill) = admit(&mut admitd, chain("fill", 4), PriorityClass::Low, 0);
         let fill_id = admitted_id(&fill).unwrap();
-        let (waiter, e) = admitd.submit(chain("w", 4), PriorityClass::Normal, 1);
+        let (waiter, e) = admit(&mut admitd, chain("w", 4), PriorityClass::Normal, 1);
         assert!(e.iter().any(
             |ev| matches!(ev, Event::AttemptFailed { ticket, attempt: 1, .. } if *ticket == waiter)
         ));
         // Backoff after attempt 1 is 2 capacity events: an admit+release
         // of a tiny app (one event) must NOT re-attempt the waiter...
-        let (_, e) = admitd.submit(chain_with("tiny", 1, 50), PriorityClass::Normal, 2);
+        let (_, e) = admit(&mut admitd, chain_with("tiny", 1, 50), PriorityClass::Normal, 2);
         let tiny_id = admitted_id(&e).unwrap();
-        let (_, e) = admitd.release(tiny_id, 3);
+        let (_, e) = release(&mut admitd, tiny_id, 3);
         assert!(
             !e.iter().any(|ev| ev.ticket() == waiter),
             "parked request must sit out the first capacity event"
         );
         // ...but the second capacity event re-attempts it, and with the
         // fill app gone it is admitted.
-        let (_, e) = admitd.release(fill_id, 4);
+        let (_, e) = release(&mut admitd, fill_id, 4);
         assert!(e.iter().any(
             |ev| matches!(ev, Event::Admitted { ticket, attempts: 2, waited: 3, .. } if *ticket == waiter)
         ));
@@ -251,15 +339,16 @@ mod tests {
             ..AdmitPolicy::default()
         };
         let mut admitd = front(policy);
-        admitd.submit(chain("fill", 4), PriorityClass::Low, 0);
+        admit(&mut admitd, chain("fill", 4), PriorityClass::Low, 0);
         // A 4-task waiter can never fit while the fill app stays: admit
         // and release unrelated tiny apps to burn capacity events.
-        let (waiter, _) = admitd.submit(chain("w", 4), PriorityClass::Normal, 1);
+        let (waiter, _) = admit(&mut admitd, chain("w", 4), PriorityClass::Normal, 1);
         let mut dropped = None;
         for round in 0..10u64 {
-            let (_, e) = admitd.submit(chain_with("tiny", 1, 50), PriorityClass::Normal, 2 + round);
+            let (_, e) =
+                admit(&mut admitd, chain_with("tiny", 1, 50), PriorityClass::Normal, 2 + round);
             let id = admitted_id(&e).unwrap();
-            let (_, e) = admitd.release(id, 3 + round);
+            let (_, e) = release(&mut admitd, id, 3 + round);
             if let Some(ev) = e.iter().find(|ev| {
                 matches!(
                     ev,
@@ -286,7 +375,7 @@ mod tests {
             Implementation::new(ElementKind::Dsp, ResourceVector::new(100_000, 0, 0, 0), 10, 1);
         let mut b = ApplicationBuilder::new("huge");
         b.add_task("t", TaskRole::Internal, vec![imp]);
-        let (_, events) = admitd.submit(b.build().unwrap(), PriorityClass::Critical, 0);
+        let (_, events) = admit(&mut admitd, b.build().unwrap(), PriorityClass::Critical, 0);
         assert!(
             events.iter().any(|e| matches!(
                 e,
@@ -305,10 +394,10 @@ mod tests {
             ..AdmitPolicy::default()
         };
         let mut admitd = front(policy);
-        admitd.submit(chain("fill", 4), PriorityClass::Low, 0);
-        let (waiter, _) = admitd.submit(chain("w", 4), PriorityClass::Normal, 10);
-        assert!(admitd.expire(109).is_empty(), "not yet overdue");
-        let events = admitd.expire(110);
+        admit(&mut admitd, chain("fill", 4), PriorityClass::Low, 0);
+        let (waiter, _) = admit(&mut admitd, chain("w", 4), PriorityClass::Normal, 10);
+        assert!(admitd.pump(CapacityEvent::Tick { now: 109 }).is_empty(), "not yet overdue");
+        let events = admitd.pump(CapacityEvent::Tick { now: 110 });
         assert!(matches!(
             events.as_slice(),
             [Event::Rejected { ticket, cause: RejectCause::Timeout, waited: 100, .. }]
@@ -322,10 +411,10 @@ mod tests {
         let policy =
             AdmitPolicy { class_capacity: [4, 4, 4, 4], max_wait: None, ..AdmitPolicy::default() };
         let mut admitd = front(policy);
-        admitd.submit(chain("fill", 4), PriorityClass::Low, 0);
-        admitd.submit(chain("w1", 4), PriorityClass::Normal, 1);
-        admitd.submit(chain("w2", 4), PriorityClass::Low, 2);
-        let events = admitd.shutdown(50);
+        admit(&mut admitd, chain("fill", 4), PriorityClass::Low, 0);
+        admit(&mut admitd, chain("w1", 4), PriorityClass::Normal, 1);
+        admit(&mut admitd, chain("w2", 4), PriorityClass::Low, 2);
+        let events = admitd.pump(CapacityEvent::Shutdown { now: 50 });
         assert_eq!(events.len(), 2);
         assert!(events
             .iter()
@@ -338,13 +427,14 @@ mod tests {
         let policy =
             AdmitPolicy { class_capacity: [4, 4, 4, 4], max_wait: None, ..AdmitPolicy::default() };
         let mut admitd = front(policy);
-        admitd.submit(chain("fill", 4), PriorityClass::Low, 0);
-        let (waiter, _) = admitd.submit(chain("w", 4), PriorityClass::Normal, 1);
+        admit(&mut admitd, chain("fill", 4), PriorityClass::Low, 0);
+        let (waiter, _) = admit(&mut admitd, chain("w", 4), PriorityClass::Normal, 1);
         let before = admitd.capacity_events();
         // Repairing an element that never failed must not drain (and so
         // must not burn the waiter's retry budget).
-        let events = admitd.repair_element(kairos_platform::ElementId(0), 2);
-        assert!(events.is_empty(), "no-op repair produced {events:?}");
+        let (ticket, events) =
+            run(&mut admitd, Request::new(2, Command::Repair { element: ElementId(0) }));
+        assert_eq!(events, vec![Event::ElementRepaired { ticket, element: ElementId(0) }]);
         assert_eq!(admitd.capacity_events(), before);
         assert!(admitd.queue().tickets().contains(&waiter));
     }
@@ -361,13 +451,13 @@ mod tests {
     #[test]
     fn blocked_critical_evicts_and_requeues_lower_priority_work() {
         let mut admitd = front(preempt_policy(PreemptionPolicy::Evict));
-        let (_, fill) = admitd.submit(chain("fill", 4), PriorityClass::Low, 0);
+        let (_, fill) = admit(&mut admitd, chain("fill", 4), PriorityClass::Low, 0);
         let fill_id = admitted_id(&fill).expect("fill admits");
         assert_eq!(admitd.admitted_class(fill_id), Some(PriorityClass::Low));
 
         // A critical that cannot fit while the fill app runs: under the
         // preemption policy it evicts the fill app and admits immediately.
-        let (crit, events) = admitd.submit(chain("crit", 4), PriorityClass::Critical, 10);
+        let (crit, events) = admit(&mut admitd, chain("crit", 4), PriorityClass::Critical, 10);
         let preempted = events
             .iter()
             .find_map(|e| match e {
@@ -403,7 +493,7 @@ mod tests {
 
         // Releasing the critical lets the requeued victim back in.
         let crit_id = admitted_id(&events).unwrap();
-        let (ok, events) = admitd.release(crit_id, 20);
+        let (ok, events) = release(&mut admitd, crit_id, 20);
         assert!(ok);
         assert!(events.iter().any(|e| matches!(
             e,
@@ -417,11 +507,12 @@ mod tests {
         // Four independent single-task residents fill the mesh.
         let mut ids = Vec::new();
         for i in 0..4 {
-            let (_, e) = admitd.submit(chain_with(&format!("r{i}"), 1, 900), PriorityClass::Low, 0);
+            let (_, e) =
+                admit(&mut admitd, chain_with(&format!("r{i}"), 1, 900), PriorityClass::Low, 0);
             ids.push(admitted_id(&e).unwrap());
         }
         // A single-task critical needs exactly one victim.
-        let (_, events) = admitd.submit(chain_with("c", 1, 900), PriorityClass::Critical, 1);
+        let (_, events) = admit(&mut admitd, chain_with("c", 1, 900), PriorityClass::Critical, 1);
         let evicted: Vec<_> =
             events.iter().filter(|e| matches!(e, Event::Preempted { .. })).collect();
         assert_eq!(evicted.len(), 1, "one eviction suffices: {events:?}");
@@ -431,8 +522,8 @@ mod tests {
     #[test]
     fn disabled_preemption_leaves_criticals_waiting() {
         let mut admitd = front(preempt_policy(PreemptionPolicy::Disabled));
-        admitd.submit(chain("fill", 4), PriorityClass::Low, 0);
-        let (crit, events) = admitd.submit(chain("crit", 4), PriorityClass::Critical, 1);
+        admit(&mut admitd, chain("fill", 4), PriorityClass::Low, 0);
+        let (crit, events) = admit(&mut admitd, chain("crit", 4), PriorityClass::Critical, 1);
         assert!(events.iter().all(|e| !matches!(e, Event::Preempted { .. })));
         assert!(admitd.queue().tickets().contains(&crit), "the critical waits");
     }
@@ -450,12 +541,12 @@ mod tests {
         let mut normals = Vec::new();
         for i in 0..3 {
             let (_, e) =
-                admitd.submit(chain_with(&format!("n{i}"), 1, 600), PriorityClass::Normal, 0);
+                admit(&mut admitd, chain_with(&format!("n{i}"), 1, 600), PriorityClass::Normal, 0);
             normals.push(admitted_id(&e).unwrap());
         }
-        let (_, e) = admitd.submit(chain_with("low", 1, 350), PriorityClass::Low, 0);
+        let (_, e) = admit(&mut admitd, chain_with("low", 1, 350), PriorityClass::Low, 0);
         let low = admitted_id(&e).unwrap();
-        let (_, e) = admitd.submit(chain_with("n3", 1, 600), PriorityClass::Normal, 0);
+        let (_, e) = admit(&mut admitd, chain_with("n3", 1, 600), PriorityClass::Normal, 0);
         normals.push(admitted_id(&e).unwrap());
         let low_host =
             admitd.kairos().layout(low).unwrap().placement.element(kairos_app::TaskId(0));
@@ -468,9 +559,10 @@ mod tests {
                     != low_host
             })
             .unwrap();
-        admitd.release(doomed, 1);
+        release(&mut admitd, doomed, 1);
 
-        let (crit, events) = admitd.submit(chain_with("crit", 2, 700), PriorityClass::Critical, 5);
+        let (crit, events) =
+            admit(&mut admitd, chain_with("crit", 2, 700), PriorityClass::Critical, 5);
         assert!(
             events.iter().any(|e| matches!(e, Event::Admitted { ticket, .. } if *ticket == crit)),
             "the critical must get in: {events:?}"
@@ -509,18 +601,19 @@ mod tests {
         let mut admitd = front(policy);
         // A 3-element critical resident (not preemptible) plus a
         // low-priority resident on the remaining element.
-        let (_, e) = admitd.submit(chain_with("c0", 3, 800), PriorityClass::Critical, 0);
+        let (_, e) = admit(&mut admitd, chain_with("c0", 3, 800), PriorityClass::Critical, 0);
         assert!(admitted_id(&e).is_some());
-        let (_, e) = admitd.submit(chain_with("r", 1, 600), PriorityClass::Low, 0);
+        let (_, e) = admit(&mut admitd, chain_with("r", 1, 600), PriorityClass::Low, 0);
         let resident = admitted_id(&e).unwrap();
         // A hopelessly large critical fills the capacity-1 critical queue:
         // even evicting the low resident frees just one element of the
         // four it needs, so no relocation plan exists and it waits.
-        let (waiter, _) = admitd.submit(chain_with("w", 4, 600), PriorityClass::Critical, 1);
+        let (waiter, _) = admit(&mut admitd, chain_with("w", 4, 600), PriorityClass::Critical, 1);
         assert!(admitd.queue().tickets().contains(&waiter), "the waiter stays queued");
         // The door-knock critical arrives to a full queue and relocates
         // its way in directly, never entering the queue.
-        let (knock, events) = admitd.submit(chain_with("k", 1, 700), PriorityClass::Critical, 2);
+        let (knock, events) =
+            admit(&mut admitd, chain_with("k", 1, 700), PriorityClass::Critical, 2);
         assert!(
             events.iter().any(|e| matches!(
                 e,
@@ -546,11 +639,11 @@ mod tests {
     #[test]
     fn preempted_requeues_accumulate_wait_across_lives() {
         let mut admitd = front(preempt_policy(PreemptionPolicy::Evict));
-        let (_, e) = admitd.submit(chain("a", 4), PriorityClass::Low, 0);
+        let (_, e) = admit(&mut admitd, chain("a", 4), PriorityClass::Low, 0);
         let a_id = admitted_id(&e).unwrap();
         // B waits 10 ticks behind A before its first admission.
-        let (b_ticket, _) = admitd.submit(chain("b", 4), PriorityClass::Low, 0);
-        let (_, e) = admitd.release(a_id, 10);
+        let (b_ticket, _) = admit(&mut admitd, chain("b", 4), PriorityClass::Low, 0);
+        let (_, e) = release(&mut admitd, a_id, 10);
         assert!(e.iter().any(|ev| matches!(
             ev,
             Event::Admitted { ticket, waited: 10, .. } if *ticket == b_ticket
@@ -558,7 +651,7 @@ mod tests {
         let b_id = admitted_id(&e).unwrap();
 
         // At t=20 a critical preempts B; B requeues carrying waited=10.
-        let (_, e) = admitd.submit(chain("crit", 4), PriorityClass::Critical, 20);
+        let (_, e) = admit(&mut admitd, chain("crit", 4), PriorityClass::Critical, 20);
         let crit_id = admitted_id(&e).unwrap();
         let b_requeue = e
             .iter()
@@ -573,7 +666,7 @@ mod tests {
         // The critical departs at t=25: B re-admits having waited
         // 10 (first life) + 5 (requeue), not 5 (reset) and not 25
         // (counted from its original enqueue instant).
-        let (_, e) = admitd.release(crit_id, 25);
+        let (_, e) = release(&mut admitd, crit_id, 25);
         let waited = e
             .iter()
             .find_map(|ev| match ev {
@@ -590,7 +683,7 @@ mod tests {
     /// the same victims, whichever hook fires.
     #[test]
     fn door_and_drain_hooks_select_identical_victims() {
-        let victims_of = |events: &[Event]| -> Vec<kairos_platform::AppId> {
+        let victims_of = |events: &[Event]| -> Vec<AppId> {
             events
                 .iter()
                 .filter_map(|e| match e {
@@ -611,9 +704,10 @@ mod tests {
             ..AdmitPolicy::default()
         };
         let mut drain_path = front(drain_policy);
-        drain_path.submit(chain_with("r0", 1, 900), PriorityClass::Low, 0);
-        drain_path.submit(chain_with("r1", 2, 900), PriorityClass::Low, 0);
-        let (_, drain_events) = drain_path.submit(chain("crit", 2), PriorityClass::Critical, 1);
+        admit(&mut drain_path, chain_with("r0", 1, 900), PriorityClass::Low, 0);
+        admit(&mut drain_path, chain_with("r1", 2, 900), PriorityClass::Low, 0);
+        let (_, drain_events) =
+            admit(&mut drain_path, chain("crit", 2), PriorityClass::Critical, 1);
         let drain_victims = victims_of(&drain_events);
         assert!(!drain_victims.is_empty(), "the drain hook must preempt: {drain_events:?}");
 
@@ -623,11 +717,11 @@ mod tests {
         // relocates at the door instead.
         let door_policy = AdmitPolicy { class_capacity: [1, 4, 4, 4], ..drain_policy };
         let mut door_path = front(door_policy);
-        door_path.submit(chain_with("r0", 1, 900), PriorityClass::Low, 0);
-        door_path.submit(chain_with("r1", 2, 900), PriorityClass::Low, 0);
-        door_path.submit(chain("plug", 4), PriorityClass::Critical, 0);
+        admit(&mut door_path, chain_with("r0", 1, 900), PriorityClass::Low, 0);
+        admit(&mut door_path, chain_with("r1", 2, 900), PriorityClass::Low, 0);
+        admit(&mut door_path, chain("plug", 4), PriorityClass::Critical, 0);
         assert_eq!(door_path.queue_depth(), 1, "the plug must stay queued");
-        let (_, door_events) = door_path.submit(chain("crit", 2), PriorityClass::Critical, 1);
+        let (_, door_events) = admit(&mut door_path, chain("crit", 2), PriorityClass::Critical, 1);
         let door_victims = victims_of(&door_events);
         assert!(
             door_events.iter().any(|e| matches!(e, Event::Admitted { waited: 0, .. })),
@@ -643,13 +737,13 @@ mod tests {
             // element; a 2-task critical is unblocked by evicting *either*
             // resident alone, so the greedy planner takes whichever the
             // victim order offers first.
-            let (_, e) = admitd.submit(chain_with("small", 1, 900), PriorityClass::Low, 0);
+            let (_, e) = admit(admitd, chain_with("small", 1, 900), PriorityClass::Low, 0);
             let small = admitted_id(&e).unwrap();
-            let (_, e) = admitd.submit(chain_with("large", 2, 900), PriorityClass::Low, 0);
+            let (_, e) = admit(admitd, chain_with("large", 2, 900), PriorityClass::Low, 0);
             let large = admitted_id(&e).unwrap();
             (small, large)
         };
-        let victims_of = |events: &[Event]| -> Vec<kairos_platform::AppId> {
+        let victims_of = |events: &[Event]| -> Vec<AppId> {
             events
                 .iter()
                 .filter_map(|e| match e {
@@ -660,7 +754,7 @@ mod tests {
         };
         let mut smallest = front(preempt_policy(PreemptionPolicy::Evict));
         let (small, _) = submit_residents(&mut smallest);
-        let (_, e) = smallest.submit(chain("crit", 2), PriorityClass::Critical, 1);
+        let (_, e) = admit(&mut smallest, chain("crit", 2), PriorityClass::Critical, 1);
         assert_eq!(victims_of(&e), vec![small], "smallest-first evicts the 1-task resident");
 
         let mut largest = front(AdmitPolicy {
@@ -668,7 +762,7 @@ mod tests {
             ..preempt_policy(PreemptionPolicy::Evict)
         });
         let (_, large) = submit_residents(&mut largest);
-        let (_, e) = largest.submit(chain("crit", 2), PriorityClass::Critical, 1);
+        let (_, e) = admit(&mut largest, chain("crit", 2), PriorityClass::Critical, 1);
         assert_eq!(victims_of(&e), vec![large], "largest-first evicts the 2-task resident");
     }
 
@@ -683,10 +777,10 @@ mod tests {
             .collect();
         let mut seq_admitted = 0;
         for (app, class) in wave.clone() {
-            let (_, e) = sequential.submit(app, class, 5);
+            let (_, e) = admit(&mut sequential, app, class, 5);
             seq_admitted += e.iter().filter(|ev| matches!(ev, Event::Admitted { .. })).count();
         }
-        let (tickets, events) = batched.submit_batch(wave, 5);
+        let (tickets, events) = batch(&mut batched, wave, 5);
         assert_eq!(tickets.len(), 3);
         assert_eq!(tickets, vec![Ticket(0), Ticket(1), Ticket(2)], "submission-order tickets");
         let batch_admitted =
@@ -707,7 +801,7 @@ mod tests {
             (chain("norm", 4), PriorityClass::Normal),
             (chain("crit", 4), PriorityClass::Critical),
         ];
-        let (tickets, events) = admitd.submit_batch(wave, 0);
+        let (tickets, events) = batch(&mut admitd, wave, 0);
         let admitted: Vec<Ticket> = events
             .iter()
             .filter_map(|e| match e {
@@ -723,17 +817,18 @@ mod tests {
         let policy =
             AdmitPolicy { class_capacity: [4, 4, 4, 4], max_wait: None, ..AdmitPolicy::default() };
         let mut admitd = front(policy);
-        let (_, e) = admitd.submit(chain_with("mover", 1, 600), PriorityClass::Normal, 0);
+        let (_, e) = admit(&mut admitd, chain_with("mover", 1, 600), PriorityClass::Normal, 0);
         let mover = admitted_id(&e).unwrap();
         let host = admitd.kairos().layout(mover).unwrap().placement.element(kairos_app::TaskId(0));
         let before = admitd.capacity_events();
-        let (result, _) = admitd.migrate(mover, &[host], 1);
-        assert!(result.is_ok());
+        let (_, events) =
+            run(&mut admitd, Request::new(1, Command::Migrate { app: mover, avoid: vec![host] }));
+        assert!(matches!(events[0], Event::Migrated { app, .. } if app == mover), "{events:?}");
         assert_eq!(admitd.capacity_events(), before + 1);
         // Migrating an unknown app changes nothing.
-        let (result, events) = admitd.migrate(kairos_platform::AppId(999), &[], 2);
-        assert!(result.is_err());
-        assert!(events.is_empty());
+        let unknown = Command::Migrate { app: AppId(999), avoid: Vec::new() };
+        let (_, events) = run(&mut admitd, Request::new(2, unknown));
+        assert!(matches!(events.as_slice(), [Event::MigrationFailed { .. }]), "{events:?}");
         assert_eq!(admitd.capacity_events(), before + 1);
     }
 
@@ -746,22 +841,22 @@ mod tests {
         let mut ids = Vec::new();
         for i in 0..8 {
             let (_, e) =
-                admitd.submit(chain_with(&format!("c{i}"), 1, 900), PriorityClass::Normal, 0);
+                admit(&mut admitd, chain_with(&format!("c{i}"), 1, 900), PriorityClass::Normal, 0);
             ids.push(admitted_id(&e).unwrap());
         }
         for id in ids.iter().skip(1).step_by(2) {
-            admitd.release(*id, 1);
+            release(&mut admitd, *id, 1);
         }
         let frag_before = admitd.occupancy().external_fragmentation;
         let before_events = admitd.capacity_events();
-        let (report, _) = admitd.defrag(2, 8);
-        assert!(report.move_count() > 0, "the checkerboard must compact");
+        let (_, events) = run(&mut admitd, Request::new(2, Command::Defrag { max_moves: 8 }));
+        assert!(matches!(events[0], Event::Defragged { moves, .. } if moves > 0), "must compact");
         assert!(admitd.occupancy().external_fragmentation < frag_before);
         assert_eq!(admitd.capacity_events(), before_events + 1, "a sweep is one capacity event");
         // An idle follow-up sweep is free.
-        let (report, events) = admitd.defrag(3, 8);
-        if report.move_count() == 0 {
-            assert!(events.is_empty());
+        let (_, events) = run(&mut admitd, Request::new(3, Command::Defrag { max_moves: 8 }));
+        if matches!(events[0], Event::Defragged { moves: 0, .. }) {
+            assert_eq!(events.len(), 1);
             assert_eq!(admitd.capacity_events(), before_events + 1);
         }
     }
@@ -769,7 +864,7 @@ mod tests {
     #[test]
     fn probe_admit_is_state_neutral_through_the_front_end() {
         let mut admitd = front(AdmitPolicy::default());
-        admitd.submit(chain_with("resident", 1, 600), PriorityClass::Normal, 0);
+        admit(&mut admitd, chain_with("resident", 1, 600), PriorityClass::Normal, 0);
         let before = admitd.kairos().platform().checkpoint();
         let depth = admitd.queue_depth();
         let probe = admitd.probe_admit(&chain_with("ghost", 2, 500)).unwrap();
@@ -781,14 +876,14 @@ mod tests {
     }
 
     #[test]
-    fn admit_direct_bypasses_the_queue_but_joins_the_victim_registry() {
+    fn admit_now_bypasses_the_queue_but_joins_the_victim_registry() {
         let mut admitd = front(preempt_policy(PreemptionPolicy::Evict));
-        let report = admitd.admit_direct(&chain("import", 4), PriorityClass::Low).unwrap();
+        let report = admitd.admit_now(&chain("import", 4), PriorityClass::Low).unwrap();
         assert_eq!(admitd.queue_depth(), 0, "no ticket, no queue entry");
         assert_eq!(admitd.admitted_class(report.app_id), Some(PriorityClass::Low));
         // The import is a first-class preemption candidate: a blocked
         // critical may relocate it like any drained admission.
-        let (crit, events) = admitd.submit(chain("crit", 4), PriorityClass::Critical, 1);
+        let (crit, events) = admit(&mut admitd, chain("crit", 4), PriorityClass::Critical, 1);
         assert!(
             events.iter().any(|e| matches!(
                 e,
@@ -799,9 +894,9 @@ mod tests {
         );
         // A failing direct admission changes nothing.
         let mut full = front(AdmitPolicy::default());
-        full.admit_direct(&chain("fill", 4), PriorityClass::Normal).unwrap();
+        full.admit_now(&chain("fill", 4), PriorityClass::Normal).unwrap();
         let before = full.kairos().platform().checkpoint();
-        assert!(full.admit_direct(&chain("no-room", 4), PriorityClass::Normal).is_err());
+        assert!(full.admit_now(&chain("no-room", 4), PriorityClass::Normal).is_err());
         assert_eq!(full.kairos().platform().checkpoint(), before);
     }
 
@@ -810,14 +905,17 @@ mod tests {
         let policy =
             AdmitPolicy { class_capacity: [4, 4, 4, 4], max_wait: None, ..AdmitPolicy::default() };
         let mut admitd = front(policy);
-        let (_, fill) = admitd.submit(chain("fill", 4), PriorityClass::Low, 0);
+        let (_, fill) = admit(&mut admitd, chain("fill", 4), PriorityClass::Low, 0);
         let fill_id = admitted_id(&fill).unwrap();
-        let (waiter, _) = admitd.submit(chain("w", 1), PriorityClass::Normal, 1);
+        let (waiter, _) = admit(&mut admitd, chain("w", 1), PriorityClass::Normal, 1);
         // Fail an element hosting the fill app: everything it claimed is
         // released, so the 1-task waiter fits on a surviving DSP.
         let hosting = admitd.kairos().layout(fill_id).unwrap().placement.iter().next().unwrap().1;
-        let (victims, events) = admitd.fail_element(hosting, 5);
-        assert_eq!(victims, vec![fill_id]);
+        let (_, events) =
+            run(&mut admitd, Request::new(5, Command::InjectFault { element: hosting }));
+        assert!(
+            matches!(&events[0], Event::ElementFailed { evicted, .. } if *evicted == [fill_id])
+        );
         assert!(events
             .iter()
             .any(|e| matches!(e, Event::Admitted { ticket, .. } if *ticket == waiter)));

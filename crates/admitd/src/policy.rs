@@ -44,7 +44,7 @@ impl fmt::Display for PreemptionPolicy {
 /// planner in — the front-end's eviction-cost policy. Candidates are
 /// always grouped lowest priority class first; the order decides ties
 /// within a class. Injectable at service construction through
-/// `kairos-svc`'s `ServiceBuilder`.
+/// [`AdmitPolicy::victim_order`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
 pub enum VictimOrder {
     /// Fewest tasks first: prefer the cheapest reconfiguration, evicting

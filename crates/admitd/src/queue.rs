@@ -57,8 +57,7 @@ impl fmt::Display for PriorityClass {
 }
 
 /// Identity of one request, unique across the whole service stack for its
-/// lifetime — the one ticket type of the workspace (`kairos-svc`
-/// re-exports it).
+/// lifetime — the one ticket type of the workspace.
 ///
 /// One rule governs it: the *outermost* layer that sees a request without
 /// a ticket mints one from its own counter, and every layer below carries

@@ -1,18 +1,20 @@
-//! Property-based tests of the admission front-end's queue invariants:
-//! drain order respects priority-then-FIFO, no request is both admitted
-//! and dropped, queue depth never exceeds the configured capacity, and
-//! identical operation sequences reproduce identical event streams.
+//! Property-based tests of the front-end: drain order respects
+//! priority-then-FIFO, no request is both admitted and dropped, queue
+//! depth never exceeds the configured capacity, identical operation
+//! sequences reproduce identical event streams, and every command kind
+//! keeps the one ticket mint, the one event buffer and the manager whole.
 
 use std::collections::HashSet;
 
 use proptest::prelude::*;
 
 use kairos_admitd::{
-    AdmitPolicy, Admitd, Event, PreemptionPolicy, PriorityClass, RejectCause, Ticket,
+    AdmitPolicy, Admitd, CapacityEvent, Command, Event, PreemptionPolicy, PriorityClass,
+    RejectCause, Request, ResourceService, Ticket,
 };
 use kairos_app::{Application, ApplicationBuilder, Implementation, TaskRole};
 use kairos_core::{Kairos, KairosConfig};
-use kairos_platform::{topology, AppId, ElementKind, ResourceVector};
+use kairos_platform::{topology, AppId, ElementId, ElementKind, ResourceVector};
 
 /// A chain of `tasks` DSP tasks, each demanding `cpu`.
 fn chain(name: &str, tasks: usize, cpu: u64) -> Application {
@@ -59,21 +61,27 @@ fn apply_op(
         0..=5 => {
             let class = PriorityClass::ALL[(detail % 4) as usize];
             let tasks = 1 + (detail % 4) as usize;
-            let (_, events) = admitd.submit(chain(&format!("a{n}"), tasks, 600), class, now);
-            events
+            admitd.submit(Request::admit(now, chain(&format!("a{n}"), tasks, 600), class));
+            admitd.take_events()
         }
-        // Release one live app (a capacity event), if any.
+        // Release one live app (a capacity event), if any; the drain's
+        // events follow the release's own result.
         6 => match live.is_empty() {
             true => Vec::new(),
             false => {
                 let id = live.remove(detail as usize % live.len());
-                let (ok, events) = admitd.release(id, now);
-                assert!(ok, "released id was live");
+                admitd.submit(Request::release(now, id));
+                let mut events = admitd.take_events();
+                let released = events.remove(0);
+                assert!(
+                    matches!(released, Event::Released { found: true, .. }),
+                    "released id was live: {released:?}"
+                );
                 events
             }
         },
         // Expire overdue requests.
-        _ => admitd.expire(now),
+        _ => admitd.pump(CapacityEvent::Tick { now }),
     }
 }
 
@@ -108,8 +116,7 @@ fn walk_order(events: &[Event]) -> Vec<(usize, u64)> {
             Event::Admitted { ticket, class, .. }
             | Event::AttemptFailed { ticket, class, .. }
             | Event::Rejected { ticket, class, .. } => Some((class.index(), ticket.0)),
-            // Enqueues and relocations are not walk steps (and command
-            // results are the service's to emit).
+            // Enqueues and relocations are not walk steps.
             _ => None,
         })
         .collect()
@@ -174,7 +181,7 @@ proptest! {
             }
             all_events.extend(events);
         }
-        all_events.extend(admitd.shutdown(ops.len() as u64));
+        all_events.extend(admitd.pump(CapacityEvent::Shutdown { now: ops.len() as u64 }));
         for e in &all_events {
             match e {
                 Event::Admitted { ticket, .. } => {
@@ -254,10 +261,14 @@ proptest! {
             }
             prop_assert_eq!(admitd.kairos().admitted_count(), live.len());
         }
-        admitd.shutdown(ops.len() as u64);
+        admitd.pump(CapacityEvent::Shutdown { now: ops.len() as u64 });
         for id in live {
-            let (ok, _) = admitd.release(id, ops.len() as u64 + 1);
-            prop_assert!(ok, "{id} double-released");
+            admitd.submit(Request::release(ops.len() as u64 + 1, id));
+            let released = admitd.take_events().remove(0);
+            prop_assert!(
+                matches!(released, Event::Released { found: true, .. }),
+                "{id} double-released"
+            );
         }
         prop_assert!(
             admitd.kairos().platform().is_idle(),
@@ -278,5 +289,121 @@ proptest! {
             ..test_policy()
         };
         prop_assert_eq!(replay(policy, &ops), replay(policy, &ops));
+    }
+}
+
+/// The terminal outcomes an admission ticket reached in `events`.
+fn terminals(events: &[Event], ticket: Ticket) -> usize {
+    events
+        .iter()
+        .filter(|e| matches!(e, Event::Admitted { .. } | Event::Rejected { .. }))
+        .filter(|e| e.ticket() == ticket)
+        .count()
+}
+
+proptest! {
+    /// One front-end, one mint, one buffer: every command kind — single
+    /// and batched admissions in all four classes, releases of live and
+    /// unknown ids, migrations, defrag sweeps, faults, repairs (on every
+    /// element and on one id past the platform), ticks and the shutdown
+    /// flush — queue-less, and queued with either preemption policy.
+    /// Tickets come back dense and in submission order; a non-admission
+    /// command's result is the first event its submission buffers, and
+    /// the only one under its ticket; a queue-less front-end never queues;
+    /// the manager audits clean after every operation; and after shutdown
+    /// every admission ticket has exactly one terminal event.
+    #[test]
+    fn every_command_keeps_the_front_end_whole(
+        ops in proptest::collection::vec((0u8..12, 0u8..=255), 1..50),
+        mode in 0u8..3,
+    ) {
+        let policy = (mode > 0).then(|| AdmitPolicy {
+            preemption: if mode == 2 { PreemptionPolicy::Migrate } else { PreemptionPolicy::Evict },
+            ..test_policy()
+        });
+        let config = KairosConfig { deterministic: true, ..KairosConfig::default() };
+        let mut admitd = Admitd::new(Kairos::new(topology::dsp_mesh(2, 2), config), policy);
+        let mut live: Vec<AppId> = Vec::new();
+        let mut minted: Vec<Ticket> = Vec::new();
+        let mut admissions: Vec<Ticket> = Vec::new();
+        let mut stream: Vec<Event> = Vec::new();
+        let unknown = AppId(9_999);
+        for (n, &(kind, detail)) in ops.iter().enumerate() {
+            let now = n as u64;
+            // Four DSPs: id 4 lies one past the platform.
+            let element = ElementId(u32::from(detail % 5));
+            let app = |i: u8| {
+                let detail = detail.wrapping_add(i.wrapping_mul(37));
+                let class = PriorityClass::ALL[(detail % 4) as usize];
+                let cpu = [200, 350, 600, 900][(detail / 16 % 4) as usize];
+                Request::admit(now, chain(&format!("a{n}.{i}"), 1 + (detail / 4 % 4) as usize, cpu), class)
+            };
+            let pick = |live: &[AppId]| {
+                if live.is_empty() { unknown } else { live[detail as usize % live.len()] }
+            };
+            let command = match kind {
+                0..=5 => None,
+                6 => {
+                    let app = pick(&live);
+                    live.retain(|&id| id != app);
+                    Some(Command::Release { app })
+                }
+                7 => Some(Command::Migrate { app: pick(&live), avoid: vec![element] }),
+                8 => Some(Command::Defrag { max_moves: 1 + usize::from(detail % 3) }),
+                9 => Some(Command::InjectFault { element }),
+                10 => Some(Command::Repair { element }),
+                _ => {
+                    stream.extend(admitd.pump(CapacityEvent::Tick { now }));
+                    continue;
+                }
+            };
+            let events = match command {
+                Some(command) => {
+                    let ticket = admitd.submit(Request::new(now, command));
+                    minted.push(ticket);
+                    let events = admitd.take_events();
+                    let first = events.first().map(Event::ticket);
+                    prop_assert_eq!(first, Some(ticket), "op {} ({}, {})", n, kind, detail);
+                    prop_assert!(
+                        events.iter().skip(1).all(|e| e.ticket() != ticket),
+                        "op {} ({}, {}): {:?}", n, kind, detail, events
+                    );
+                    events
+                }
+                None if kind == 5 => {
+                    let tickets = admitd.submit_batch((0..1 + detail % 3).map(app).collect());
+                    minted.extend(&tickets);
+                    admissions.extend(tickets);
+                    admitd.take_events()
+                }
+                None => {
+                    let ticket = admitd.submit(app(0));
+                    minted.push(ticket);
+                    admissions.push(ticket);
+                    admitd.take_events()
+                }
+            };
+            for event in &events {
+                match event {
+                    Event::Admitted { report, .. } => live.push(report.app_id),
+                    Event::Preempted { victim, .. } => live.retain(|id| id != victim),
+                    Event::ElementFailed { evicted, .. } => live.retain(|id| !evicted.contains(id)),
+                    Event::Queued { .. } | Event::AttemptFailed { .. } => {
+                        prop_assert!(policy.is_some(), "a queue-less front-end queued: {:?}", event);
+                    }
+                    _ => {}
+                }
+            }
+            stream.extend(events);
+            prop_assert_eq!(admitd.kairos().audit(), Ok(()), "op {} ({}, {})", n, kind, detail);
+        }
+        let dense: Vec<Ticket> = (0..minted.len() as u64).map(Ticket).collect();
+        prop_assert_eq!(minted, dense, "one mint, in submission order");
+        stream.extend(admitd.pump(CapacityEvent::Shutdown { now: ops.len() as u64 }));
+        prop_assert!(admitd.queue().is_empty());
+        prop_assert_eq!(admitd.kairos().audit(), Ok(()));
+        for ticket in admissions {
+            prop_assert_eq!(terminals(&stream, ticket), 1, "{} after shutdown", ticket);
+        }
     }
 }

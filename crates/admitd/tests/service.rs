@@ -1,18 +1,18 @@
-//! Property-based and integration tests of the unified service API:
+//! Property-based and integration tests of the service surface:
 //! batched submission is outcome-equivalent to sequential submission,
-//! the whole surface replays deterministically, and a service's stream is
-//! its front-end's own events, value for value, with or without a queue.
+//! the whole surface replays deterministically, and the cluster's hooks
+//! compose like a rebalance move.
 
 use proptest::prelude::*;
 
-use kairos_admitd::{AdmitPolicy, Admitd, PreemptionPolicy, PriorityClass};
+use kairos_admitd::{
+    AdmitPolicy, Admitd, CapacityEvent, Command, Event, PreemptionPolicy, PriorityClass,
+    RejectCause, Request, ResourceService, ServiceBuilder, Ticket,
+};
 use kairos_app::{Application, ApplicationBuilder, Implementation, TaskRole};
 use kairos_core::{Kairos, KairosConfig};
-use kairos_platform::{topology, AppId, ElementId, ElementKind, ResourceVector};
-use kairos_svc::{
-    CapacityEvent, Command, Event, KairosService, Request, ResourceService, ServiceBuilder, Ticket,
-};
-use kairos_telemetry::{Telemetry, TelemetryConfig, TraceContext};
+use kairos_platform::{topology, ElementId, ElementKind, ResourceVector};
+use kairos_telemetry::{Telemetry, TelemetryConfig};
 
 /// A chain of `tasks` DSP tasks, each demanding `cpu`.
 fn chain(name: &str, tasks: usize, cpu: u64) -> Application {
@@ -183,144 +183,14 @@ proptest! {
     }
 }
 
-proptest! {
-    /// One event, minted once, one admission path: a service and a bare
-    /// front-end driven with the same operations agree — the service's
-    /// stream *is* the front-end's returned events behind the result of
-    /// the service's own command (`Released`, `Migrated`, `Defragged`, …),
-    /// value for value and in order. Single and batched admissions in all
-    /// four classes, releases (of live and unknown ids), migrations,
-    /// defrag sweeps, faults, repairs, ticks and the shutdown flush —
-    /// queue-less, and queued with either preemption policy. The manager
-    /// audits clean after every operation.
-    #[test]
-    fn a_service_streams_its_front_ends_own_events(
-        ops in proptest::collection::vec((0u8..12, 0u8..=255), 1..50),
-        mode in 0u8..3,
-    ) {
-        let policy = (mode > 0).then(|| AdmitPolicy {
-            class_capacity: [2, 3, 3, 2],
-            max_wait: Some(40),
-            max_attempts: 4,
-            backoff_base: 1,
-            backoff_cap: 4,
-            preemption: if mode == 2 { PreemptionPolicy::Migrate } else { PreemptionPolicy::Evict },
-            ..AdmitPolicy::default()
-        });
-        let front = || {
-            let config = KairosConfig { deterministic: true, ..KairosConfig::default() };
-            Admitd::new(Kairos::new(topology::dsp_mesh(2, 2), config), policy)
-        };
-        let mut service = KairosService::new(front());
-        let mut admitd = front();
-        let mut live: Vec<AppId> = Vec::new();
-        let unknown = AppId(9_999);
-        for (n, &(kind, detail)) in ops.iter().enumerate() {
-            let now = n as u64;
-            let element = ElementId(u32::from(detail % 4));
-            let app = |i: u8| {
-                let detail = detail.wrapping_add(i.wrapping_mul(37));
-                let class = PriorityClass::ALL[(detail % 4) as usize];
-                let cpu = [200, 350, 600, 900][(detail / 16 % 4) as usize];
-                (chain(&format!("a{n}.{i}"), 1 + (detail / 4 % 4) as usize, cpu), class)
-            };
-            let pick = |live: &[AppId]| {
-                if live.is_empty() { unknown } else { live[detail as usize % live.len()] }
-            };
-            // The service mints a ticket per command, the bare front-end
-            // one per admission: hand the twin the service's, as any
-            // outer layer would.
-            let theirs = match kind {
-                0..=4 => {
-                    let (app, class) = app(0);
-                    let ticket = service.submit(Request::admit(now, app.clone(), class));
-                    admitd.submit_traced(app, class, now, TraceContext::NONE, Some(ticket)).1
-                }
-                5 => {
-                    let wave: Vec<_> = (0..1 + detail % 3).map(app).collect();
-                    let requests =
-                        wave.iter().map(|(app, class)| Request::admit(now, app.clone(), *class));
-                    let tickets = service.submit_batch(requests.collect());
-                    let wave = wave
-                        .into_iter()
-                        .zip(tickets)
-                        .map(|((app, class), ticket)| (app, class, TraceContext::NONE, Some(ticket)))
-                        .collect();
-                    admitd.submit_batch_traced(wave, now).1
-                }
-                6 => {
-                    let app = pick(&live);
-                    live.retain(|&id| id != app);
-                    let ticket = service.submit(Request::release(now, app));
-                    let (found, drained) = admitd.release(app, now);
-                    [Event::Released { ticket, app, found }].into_iter().chain(drained).collect()
-                }
-                7 => {
-                    let app = pick(&live);
-                    let ticket =
-                        service.submit(Request::new(now, Command::Migrate { app, avoid: vec![element] }));
-                    let (result, drained) = admitd.migrate(app, &[element], now);
-                    let result = match result {
-                        Ok(report) => Event::Migrated { ticket, app, moved_tasks: report.moved_tasks },
-                        Err(error) => Event::MigrationFailed { ticket, app, error: Box::new(error) },
-                    };
-                    [result].into_iter().chain(drained).collect()
-                }
-                8 => {
-                    let max_moves = 1 + usize::from(detail % 3);
-                    let ticket = service.submit(Request::new(now, Command::Defrag { max_moves }));
-                    let (report, drained) = admitd.defrag(now, max_moves);
-                    let moves = report.move_count();
-                    [Event::Defragged { ticket, moves }].into_iter().chain(drained).collect()
-                }
-                9 => {
-                    let ticket = service.submit(Request::new(now, Command::InjectFault { element }));
-                    let (evicted, drained) = admitd.fail_element(element, now);
-                    [Event::ElementFailed { ticket, element, evicted }].into_iter().chain(drained).collect()
-                }
-                10 => {
-                    let ticket = service.submit(Request::new(now, Command::Repair { element }));
-                    let drained = admitd.repair_element(element, now);
-                    [Event::ElementRepaired { ticket, element }].into_iter().chain(drained).collect()
-                }
-                _ => {
-                    let ours = service.pump(CapacityEvent::Tick { now });
-                    prop_assert_eq!(ours, admitd.expire(now));
-                    Vec::new()
-                }
-            };
-            let ours = service.take_events();
-            for event in &ours {
-                match event {
-                    Event::Admitted { report, .. } => live.push(report.app_id),
-                    Event::Preempted { victim, .. } => live.retain(|id| id != victim),
-                    Event::ElementFailed { evicted, .. } => live.retain(|id| !evicted.contains(id)),
-                    Event::Queued { .. } | Event::AttemptFailed { .. } => {
-                        prop_assert!(policy.is_some(), "a queue-less service queued: {:?}", event);
-                    }
-                    _ => {}
-                }
-            }
-            prop_assert_eq!(ours, theirs, "op {} ({}, {})", n, kind, detail);
-            prop_assert_eq!(service.kairos().audit(), Ok(()), "op {} ({}, {})", n, kind, detail);
-        }
-        let now = ops.len() as u64;
-        prop_assert_eq!(service.pump(CapacityEvent::Shutdown { now }), admitd.shutdown(now));
-        prop_assert_eq!(
-            service.kairos().platform().checkpoint(),
-            admitd.kairos().platform().checkpoint()
-        );
-    }
-}
-
-/// Wrappers read the hub of the manager they wrap: over a lit manager the
-/// front-end and the service register their instruments at construction
-/// (a queue-less front-end has no queue instruments to register), over a
-/// dark one nothing is registered anywhere.
+/// One constructor wires every instrument from the manager's hub: over a
+/// lit manager `kairos.svc.*` and `kairos.reloc.*` always, and
+/// `kairos.admitd.*` iff a policy is set (a queue-less front-end has no
+/// queue instruments to register); over a dark one nothing at all.
 #[test]
 fn wrappers_register_their_instruments_on_the_managers_hub() {
-    let registered = |kairos: &Kairos, prefix: &str| {
-        kairos.telemetry().snapshot().metrics.iter().filter(|m| m.name.starts_with(prefix)).count()
+    let registered = |admitd: &Admitd, prefix: &str| {
+        admitd.telemetry().snapshot().metrics.iter().filter(|m| m.name.starts_with(prefix)).count()
     };
     let manager = |lit: bool| {
         let mut kairos = Kairos::new(topology::crisp(), KairosConfig::default());
@@ -329,22 +199,51 @@ fn wrappers_register_their_instruments_on_the_managers_hub() {
         }
         kairos
     };
-
-    let admitd = Admitd::new(manager(true), Some(AdmitPolicy::default()));
-    assert!(registered(admitd.kairos(), "kairos.admitd.") > 0);
-    assert_eq!(registered(admitd.kairos(), "kairos.svc."), 0, "no service above it yet");
-    let queued = KairosService::new(admitd);
-    assert!(registered(queued.kairos(), "kairos.svc.") > 0);
-
-    let queue_less = KairosService::new(Admitd::new(manager(true), None));
-    assert!(registered(queue_less.kairos(), "kairos.svc.") > 0);
-    assert!(registered(queue_less.kairos(), "kairos.reloc.") > 0, "defrag sweeps still report");
-    assert_eq!(registered(queue_less.kairos(), "kairos.admitd."), 0, "no queue, no queue metrics");
-
     for policy in [None, Some(AdmitPolicy::default())] {
-        let dark = KairosService::new(Admitd::new(manager(false), policy));
+        let lit = Admitd::new(manager(true), policy);
+        assert!(registered(&lit, "kairos.svc.") > 0);
+        assert!(registered(&lit, "kairos.reloc.") > 0, "defrag sweeps report either way");
+        assert_eq!(registered(&lit, "kairos.admitd.") > 0, policy.is_some(), "{policy:?}");
+        let dark = Admitd::new(manager(false), policy);
         assert!(dark.telemetry().snapshot().is_empty());
     }
+}
+
+/// Element ids outside the platform get an answer, not a panic: a fault
+/// or a repair there is reported with no eviction and no capacity event,
+/// a migration skips them in its avoidance set, and nothing else moves.
+#[test]
+fn hostile_element_ids_get_an_answer_not_a_panic() {
+    let mut service = ServiceBuilder::new(topology::dsp_mesh(2, 2))
+        .deterministic(true)
+        .admission(roomy_policy())
+        .build()
+        .unwrap();
+    service.submit(Request::admit(0, chain("r", 2, 600), PriorityClass::Normal));
+    let Event::Admitted { report, .. } = service.take_events().remove(1) else {
+        panic!("the resident admits")
+    };
+    let before = service.kairos().platform().checkpoint();
+    let outside = ElementId(4);
+    let fault = service.submit(Request::new(1, Command::InjectFault { element: outside }));
+    let repair = service.submit(Request::new(2, Command::Repair { element: outside }));
+    assert_eq!(
+        service.take_events(),
+        vec![
+            Event::ElementFailed { ticket: fault, element: outside, evicted: Vec::new() },
+            Event::ElementRepaired { ticket: repair, element: outside },
+        ]
+    );
+    assert_eq!(service.capacity_events(), 0);
+    assert_eq!(service.kairos().platform().checkpoint(), before);
+    let avoid = vec![outside, ElementId(u32::MAX)];
+    service.submit(Request::new(3, Command::Migrate { app: report.app_id, avoid }));
+    let events = service.take_events();
+    assert!(
+        matches!(events.as_slice(), [Event::Migrated { .. } | Event::MigrationFailed { .. }]),
+        "{events:?}"
+    );
+    assert_eq!(service.kairos().audit(), Ok(()));
 }
 
 #[test]
@@ -357,7 +256,7 @@ fn direct_rejections_carry_the_refusing_phase() {
     let events = service.take_events();
     assert!(matches!(
         &events[..],
-        [Event::Rejected { cause: kairos_svc::RejectCause::Refused { .. }, waited: 0, .. }]
+        [Event::Rejected { cause: RejectCause::Refused { .. }, waited: 0, .. }]
     ));
 }
 
@@ -365,8 +264,11 @@ fn direct_rejections_carry_the_refusing_phase() {
 fn preemption_requeues_run_under_the_ticket_derived_from_the_victim() {
     let mut service = ServiceBuilder::new(topology::dsp_mesh(2, 2))
         .deterministic(true)
-        .admission(AdmitPolicy { max_wait: None, ..roomy_policy() })
-        .preemption(kairos_svc::PreemptionPolicy::Evict)
+        .admission(AdmitPolicy {
+            max_wait: None,
+            preemption: PreemptionPolicy::Evict,
+            ..roomy_policy()
+        })
         .build()
         .unwrap();
     let low = service.submit(Request::admit(0, chain("low", 4, 900), PriorityClass::Low));

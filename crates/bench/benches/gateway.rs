@@ -27,14 +27,13 @@
 
 use std::time::Instant;
 
-use kairos_admitd::PriorityClass;
+use kairos_admitd::{PriorityClass, Request, ResourceService, ServiceBuilder};
 use kairos_app::Application;
 use kairos_appgen::{DatasetSpec, MixEntry, Orientation, SizeClass, WorkloadMix, WorkloadSampler};
 use kairos_bench::print_table;
 use kairos_cluster::{ClusterBuilder, ClusterService, LeastLoaded};
 use kairos_gateway::{Gateway, GatewayConfig};
 use kairos_platform::topology;
-use kairos_svc::{Request, ResourceService, ServiceBuilder};
 
 /// Mostly small applications with a medium tail — the storm fits tens of
 /// admissions onto CRISP, so every path does real placement work.

@@ -4,16 +4,16 @@
 
 use std::sync::Arc;
 
-use kairos_admitd::{AdmitPolicy, PriorityClass};
+use kairos_admitd::{
+    AdmitPolicy, Admitd, CapacityEvent, Command, Event, PriorityClass, Request, ResourceService,
+    ServiceBuilder, Ticket,
+};
 use kairos_app::Application;
 use kairos_core::{
     AdmissionProbe, CacheStats, ElementActivity, Kairos, KairosConfig, OccupancySnapshot,
     DURATION_NS_BOUNDS,
 };
 use kairos_platform::{adjacent_pair_counts, AppId, ElementId, Platform, RegionMap};
-use kairos_svc::{
-    CapacityEvent, Command, Event, KairosService, Request, ResourceService, ServiceBuilder, Ticket,
-};
 use kairos_telemetry::{Counter, Histogram, Level, Telemetry, TraceContext};
 
 use crate::policy::{FirstFit, PlacementPolicy, ShardFit, ShardLoad, ShardProbe};
@@ -32,7 +32,7 @@ const REBALANCE_GAP: f64 = 0.05;
 /// space.
 #[derive(Debug)]
 struct Shard {
-    service: KairosService,
+    service: Admitd,
     /// Local element index → global element id.
     globals: Vec<ElementId>,
 }
@@ -140,7 +140,7 @@ impl ClusterBuilder {
 
     /// Builds the cluster: partitions the platform into contiguous
     /// capacity-balanced regions ([`RegionMap::new`]) and starts one
-    /// [`KairosService`] per region.
+    /// [`Admitd`] service per region.
     ///
     /// # Errors
     ///
@@ -179,8 +179,8 @@ impl ClusterBuilder {
 /// A fleet of shard managers behind one [`ResourceService`] surface.
 ///
 /// The platform is partitioned into contiguous, capacity-balanced
-/// regions; each region is owned by its own [`KairosService`] (direct or
-/// queued, exactly as a monolithic service would be). Traffic flows:
+/// regions; each region is owned by its own [`Admitd`] service (queue-less
+/// or queued, exactly as a monolithic service would be). Traffic flows:
 ///
 /// * **Admissions** are placed by what-if probes of the shards (each
 ///   probe runs in a claim-journal transaction that is always rolled
@@ -195,7 +195,9 @@ impl ClusterBuilder {
 ///   request (to queue or reject it).
 /// * **Releases, migrations, faults and repairs** route to the owning
 ///   shard: app ids encode their home shard ([`APP_ID_STRIDE`]), element
-///   ids translate through the [`RegionMap`].
+///   ids translate through the [`RegionMap`]. An element id outside the
+///   platform reaches no shard: its fault or repair is answered by the
+///   cluster with no eviction, and a migration skips it.
 /// * **[`Command::Defrag`]** compacts every shard in shard-id order
 ///   (`kairos-reloc` migration stays shard-local) and reports one sweep.
 /// * **[`Command::Rebalance`]** moves running applications from the
@@ -211,8 +213,7 @@ impl ClusterBuilder {
 ///
 /// ```
 /// use kairos_cluster::ClusterBuilder;
-/// use kairos_svc::{Request, ResourceService, Event};
-/// use kairos_admitd::PriorityClass;
+/// use kairos_admitd::{Event, PriorityClass, Request, ResourceService};
 /// use kairos_appgen::{AppGenerator, GeneratorConfig};
 /// use kairos_platform::topology;
 ///
@@ -324,7 +325,7 @@ impl ClusterService {
     /// # Panics
     ///
     /// Panics when `shard` is out of range.
-    pub fn shard(&self, shard: usize) -> &KairosService {
+    pub fn shard(&self, shard: usize) -> &Admitd {
         &self.shards[shard].service
     }
 
@@ -492,24 +493,33 @@ impl ClusterService {
             Command::Migrate { app, avoid } => {
                 let target = self.shard_of_app(app);
                 // Only elements of the owning shard can host the app;
-                // avoided elements elsewhere are unreachable anyway.
+                // avoided elements elsewhere (or nowhere) are unreachable
+                // anyway.
                 let avoid: Vec<ElementId> = avoid
                     .into_iter()
-                    .filter(|&e| self.region.region_of(e) == target)
-                    .map(|e| self.region.to_local(e))
+                    .filter_map(|e| self.region.locate(e))
+                    .filter_map(|(region, local)| (region == target).then_some(local))
                     .collect();
                 self.forward(target, ticket, Request::new(at, Command::Migrate { app, avoid }));
             }
-            Command::InjectFault { element } => {
-                let target = self.region.region_of(element);
-                let element = self.region.to_local(element);
-                self.forward(target, ticket, Request::new(at, Command::InjectFault { element }));
-            }
-            Command::Repair { element } => {
-                let target = self.region.region_of(element);
-                let element = self.region.to_local(element);
-                self.forward(target, ticket, Request::new(at, Command::Repair { element }));
-            }
+            Command::InjectFault { element } => match self.region.locate(element) {
+                Some((target, element)) => {
+                    self.forward(
+                        target,
+                        ticket,
+                        Request::new(at, Command::InjectFault { element }),
+                    );
+                }
+                None => {
+                    self.events.push(Event::ElementFailed { ticket, element, evicted: Vec::new() })
+                }
+            },
+            Command::Repair { element } => match self.region.locate(element) {
+                Some((target, element)) => {
+                    self.forward(target, ticket, Request::new(at, Command::Repair { element }));
+                }
+                None => self.events.push(Event::ElementRepaired { ticket, element }),
+            },
             Command::Defrag { max_moves } => self.run_defrag(at, ticket, max_moves),
             Command::Rebalance { max_moves } => self.run_rebalance(at, ticket, max_moves),
         }
@@ -605,11 +615,8 @@ impl ClusterService {
                 {
                     continue;
                 }
-                let class = self.shards[src]
-                    .service
-                    .admitd()
-                    .admitted_class(id)
-                    .unwrap_or(PriorityClass::Normal);
+                let class =
+                    self.shards[src].service.admitted_class(id).unwrap_or(PriorityClass::Normal);
                 // Captured before the release erases the layout: the
                 // source-side elements the move frees, for cache
                 // invalidation once the move is final.
@@ -939,7 +946,7 @@ mod tests {
                 .telemetry(hub())
                 .build()
                 .unwrap();
-            let mut standalone: Vec<KairosService> = (0..3)
+            let mut standalone: Vec<Admitd> = (0..3)
                 .map(|r| {
                     ServiceBuilder::new(cluster.regions().extract(&platform, r))
                         .config(KairosConfig {
@@ -969,14 +976,14 @@ mod tests {
             let mut reference_rows = |apps: &[Application]| -> Vec<Vec<ShardProbe>> {
                 apps.iter()
                     .map(|app| {
-                        let probe = |(shard, service): (usize, &mut KairosService)| {
+                        let probe = |(i, service): (usize, &mut Admitd)| {
                             let start = reference_hub.clock();
                             let fit = fit_of(service.probe_admit(app).ok());
-                            let name = format!("kairos.cluster.shard{shard}.probe.ns");
+                            let name = format!("kairos.cluster.shard{i}.probe.ns");
                             if let Some(hist) = reference_hub.histogram(&name, DURATION_NS_BOUNDS) {
                                 hist.record(Telemetry::elapsed_ns(start));
                             }
-                            ShardProbe { shard, fit }
+                            ShardProbe { shard: i, fit }
                         };
                         standalone.iter_mut().enumerate().map(probe).collect()
                     })
@@ -1131,6 +1138,42 @@ mod tests {
         assert_eq!(cluster.occupancy().failed_elements, 0);
     }
 
+    /// Element ids outside the platform reach no shard: the cluster
+    /// answers a fault or a repair there itself, with no eviction and no
+    /// capacity event, a migration skips them, and nothing else moves.
+    #[test]
+    fn hostile_element_ids_get_an_answer_not_a_panic() {
+        let mut cluster = cluster(3);
+        cluster.submit(Request::admit(0, chain("r", 2, 600), PriorityClass::Normal));
+        let Some(Event::Admitted { report, .. }) = cluster.take_events().pop() else {
+            panic!("the resident admits")
+        };
+        let checkpoints = |cluster: &ClusterService| -> Vec<_> {
+            (0..3).map(|s| cluster.shard(s).kairos().platform().checkpoint()).collect()
+        };
+        let before = checkpoints(&cluster);
+        let outside = ElementId(topology::crisp().element_count() as u32);
+        let fault = cluster.submit(Request::new(1, Command::InjectFault { element: outside }));
+        let repair = cluster.submit(Request::new(2, Command::Repair { element: outside }));
+        assert_eq!(
+            cluster.take_events(),
+            vec![
+                Event::ElementFailed { ticket: fault, element: outside, evicted: Vec::new() },
+                Event::ElementRepaired { ticket: repair, element: outside },
+            ]
+        );
+        assert_eq!(checkpoints(&cluster), before);
+        assert!((0..3).all(|s| cluster.shard(s).capacity_events() == 0));
+        let avoid = vec![outside, ElementId(u32::MAX)];
+        cluster.submit(Request::new(3, Command::Migrate { app: report.app_id, avoid }));
+        let events = cluster.take_events();
+        assert!(
+            matches!(events.as_slice(), [Event::Migrated { .. } | Event::MigrationFailed { .. }]),
+            "{events:?}"
+        );
+        assert!((0..3).all(|s| cluster.shard(s).kairos().audit().is_ok()));
+    }
+
     #[test]
     fn probes_are_deterministic_and_state_neutral() {
         let mut cluster = ClusterBuilder::new(topology::crisp(), 4)
@@ -1249,7 +1292,7 @@ mod tests {
         for &(_, to) in moves {
             let home = cluster.shard_of_app(to);
             assert_eq!(
-                cluster.shard(home).admitd().admitted_class(to),
+                cluster.shard(home).admitted_class(to),
                 Some(PriorityClass::Low),
                 "the import registered in the destination victim registry"
             );

@@ -1,7 +1,7 @@
 //! # kairos-cluster
 //!
 //! Sharded platform regions with what-if admission probes behind the
-//! [`ResourceService`](kairos_svc::ResourceService) surface — the first
+//! [`ResourceService`](kairos_admitd::ResourceService) surface — the first
 //! step from one resource manager to a fleet of them.
 //!
 //! The paper manages one flat spatial resource pool; every deployment of
@@ -12,9 +12,9 @@
 //! * **Partitioning** — [`kairos_platform::RegionMap`] splits the
 //!   platform into N disjoint *contiguous* element groups balanced by
 //!   resource capacity; each region becomes a standalone platform owned
-//!   by its own [`Kairos`](kairos_svc::Kairos) manager (queued behind
-//!   `kairos-admitd` when an admission policy is set — identical knobs to
-//!   the monolithic [`ServiceBuilder`](kairos_svc::ServiceBuilder)).
+//!   by its own [`Admitd`](kairos_admitd::Admitd) service (queued when an
+//!   admission policy is set — identical knobs to the monolithic
+//!   [`ServiceBuilder`](kairos_admitd::ServiceBuilder)).
 //! * **Admission probes** — every admission is placed by state-neutral
 //!   what-if probes of the shards (each a claim-journal transaction its
 //!   shard always rolls back, each one full pipeline run), one shard
@@ -30,7 +30,7 @@
 //!   fragmentation) or [`LeastLoaded`], with a fallback route for
 //!   requests no shard can admit right now.
 //! * **One service surface** — [`ClusterService`] implements
-//!   [`ResourceService`](kairos_svc::ResourceService), so every existing
+//!   [`ResourceService`](kairos_admitd::ResourceService), so every existing
 //!   driver — the `kairos-sim` scenario engine included — runs unchanged
 //!   over a fleet of managers. Tickets ride down to the shards by value
 //!   (the cluster stamps each forwarded request, so nothing is
@@ -39,19 +39,18 @@
 //!   translate between the shard-local and global spaces; a one-shard
 //!   cluster reproduces the monolithic service byte for byte.
 //! * **Cross-shard rebalancing** —
-//!   [`Command::Rebalance`](kairos_svc::Command::Rebalance) pairs the
+//!   [`Command::Rebalance`](kairos_admitd::Command::Rebalance) pairs the
 //!   most- with the least-loaded shard and moves running applications
 //!   across the boundary by two-phase evict-and-readmit (claim the new
 //!   home, then free the old; rollback on any failure), while
-//!   [`Command::Defrag`](kairos_svc::Command::Defrag) keeps using
+//!   [`Command::Defrag`](kairos_admitd::Command::Defrag) keeps using
 //!   `kairos-reloc` live migration *within* each shard.
 //!
 //! ## Example
 //!
 //! ```
 //! use kairos_cluster::{ClusterBuilder, BestFitFragmentation};
-//! use kairos_svc::{Request, ResourceService};
-//! use kairos_admitd::PriorityClass;
+//! use kairos_admitd::{PriorityClass, Request, ResourceService};
 //! use kairos_appgen::{AppGenerator, GeneratorConfig};
 //! use kairos_platform::topology;
 //!
@@ -85,7 +84,7 @@ impl ClusterService {
     /// Sum of admitted applications over all shards (convenience for the
     /// crate example; equals `occupancy().admitted_apps`).
     pub fn shard_count_admitted(&self) -> usize {
-        use kairos_svc::ResourceService as _;
+        use kairos_admitd::ResourceService as _;
         (0..self.shard_count()).map(|s| self.shard(s).kairos().admitted_count()).sum()
     }
 }
@@ -99,9 +98,8 @@ impl ClusterService {
 const fn _assert_send<T: Send>() {}
 const fn _assert_send_sync<T: Send + Sync>() {}
 const _: () = _assert_send_sync::<kairos_platform::Platform>();
-const _: () = _assert_send_sync::<kairos_svc::Kairos>();
+const _: () = _assert_send_sync::<kairos_core::Kairos>();
 const _: () = _assert_send_sync::<kairos_app::Application>();
-const _: () = _assert_send::<kairos_svc::KairosService>();
 const _: () = _assert_send::<ClusterService>();
 const _: () = _assert_send_sync::<Box<dyn PlacementPolicy>>();
 const _: () = _assert_send_sync::<PlacementPolicyKind>();

@@ -10,20 +10,19 @@ use proptest::prelude::*;
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::{Arc, Mutex};
 
-use kairos_admitd::{AdmitPolicy, PreemptionPolicy, PriorityClass};
+use kairos_admitd::{
+    AdmitPolicy, Admitd, CapacityEvent, Command, Event, PreemptionPolicy, PriorityClass, Request,
+    ResourceService, ServiceBuilder, Ticket,
+};
 use kairos_app::{Application, ApplicationBuilder, Implementation, TaskRole};
 use kairos_cluster::{
     BestFitFragmentation, ClusterBuilder, ClusterService, FirstFit, LeastLoaded, PlacementPolicy,
     ShardLoad, ShardProbe,
 };
-use kairos_core::{CacheConfig, KairosConfig};
+use kairos_core::{CacheConfig, Kairos, KairosConfig};
 use kairos_gateway::{Gateway, GatewayConfig};
 use kairos_platform::{
     topology, AppId, ElementId, ElementKind, PlatformCheckpoint, ResourceVector,
-};
-use kairos_svc::{
-    CapacityEvent, Command, Event, Kairos, KairosService, Request, ResourceService, ServiceBuilder,
-    Ticket,
 };
 use kairos_telemetry::{Telemetry, TelemetryConfig};
 
@@ -114,7 +113,7 @@ fn cluster(shards: usize, queued: bool) -> ClusterService {
     builder.build().unwrap()
 }
 
-fn monolith(queued: bool) -> KairosService {
+fn monolith(queued: bool) -> Admitd {
     let builder = ServiceBuilder::new(topology::crisp()).deterministic(true);
     if queued {
         builder.admission(AdmitPolicy {
@@ -445,7 +444,7 @@ proptest! {
             .build()
             .unwrap();
         let (tickets, events) =
-            storm(&mut monolith, KairosService::submit, KairosService::take_events, &ops);
+            storm(&mut monolith, Admitd::submit, Admitd::take_events, &ops);
         check_ticket_laws(&tickets, &events);
 
         let (tickets, events) =

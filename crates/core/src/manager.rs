@@ -757,7 +757,7 @@ impl Kairos {
     ///
     /// Elements in `avoid` are off-limits to the new placement (they are
     /// failure-marked for the duration of the pipeline run and restored
-    /// before `accept` runs).
+    /// before `accept` runs); ids outside the platform are skipped.
     ///
     /// # Errors
     ///
@@ -787,7 +787,7 @@ impl Kairos {
         // them; only elements not already failed are restored afterwards.
         let mut masked: Vec<ElementId> = Vec::new();
         for &e in avoid {
-            if !self.platform.is_failed(e) && !masked.contains(&e) {
+            if self.is_live_element(e) && !masked.contains(&e) {
                 self.platform.fail_element(e);
                 masked.push(e);
             }
@@ -1161,10 +1161,11 @@ impl Kairos {
     /// Marks `element` as failed and evicts every application with a task
     /// placed on it, returning the evicted ids (candidates for re-admission
     /// on the remaining healthy elements). Failing an element that is
-    /// already failed is no mutation: it changes nothing, not even the
-    /// state epoch or the cache, and evicts no one (nothing sits there).
+    /// already failed, or an id outside the platform, is no mutation: it
+    /// changes nothing, not even the state epoch or the cache, and evicts
+    /// no one (nothing sits there).
     pub fn fail_element(&mut self, element: ElementId) -> Vec<AppId> {
-        if self.platform.is_failed(element) {
+        if !self.is_live_element(element) {
             return Vec::new();
         }
         self.platform.fail_element(element);
@@ -1185,14 +1186,23 @@ impl Kairos {
 
     /// Clears the failure mark on a failed `element`, dropping any cached
     /// operating points that placed work on it (their keyed states date
-    /// from before the fault epoch and will not recur). Repairing a
-    /// healthy element is no mutation: it changes nothing, not even the
-    /// state epoch or the cache.
-    pub fn repair_element(&mut self, element: ElementId) {
-        if self.platform.is_failed(element) {
+    /// from before the fault epoch and will not recur), and returns
+    /// whether it did. Repairing a healthy element, or an id outside the
+    /// platform, is no mutation: it changes nothing, not even the state
+    /// epoch or the cache.
+    pub fn repair_element(&mut self, element: ElementId) -> bool {
+        let failed =
+            element.index() < self.platform.element_count() && self.platform.is_failed(element);
+        if failed {
             self.platform.repair_element(element);
             self.invalidate_cached_points(&[element]);
         }
+        failed
+    }
+
+    /// Whether `element` is on the platform and not failed.
+    fn is_live_element(&self, element: ElementId) -> bool {
+        element.index() < self.platform.element_count() && !self.platform.is_failed(element)
     }
 }
 

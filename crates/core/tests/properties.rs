@@ -575,10 +575,12 @@ proptest! {
             match (op, resident) {
                 (0..=7, _) => note(warm.admit(app)),
                 (8 | 9, Some(id)) => assert!(warm.release(id)),
-                (10, _) if warm.platform().is_failed(element) => warm.repair_element(element),
+                (10, _) if warm.platform().is_failed(element) => assert!(warm.repair_element(element)),
                 (10, _) => drop(warm.fail_element(element)),
                 (11, _) if warm.platform().is_failed(walls[0]) => {
-                    walls.iter().for_each(|&e| warm.repair_element(e));
+                    walls.iter().for_each(|&e| {
+                        warm.repair_element(e);
+                    });
                 }
                 (11 | 12, _) => walls.iter().for_each(|&e| drop(warm.fail_element(e))),
                 (13, Some(id)) => drop(warm.migrate(id, &[element])),

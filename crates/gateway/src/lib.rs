@@ -61,7 +61,7 @@
 //!
 //! ```
 //! use kairos_gateway::{Gateway, GatewayConfig};
-//! use kairos_svc::{Request, ResourceService, ServiceBuilder, PriorityClass};
+//! use kairos_admitd::{PriorityClass, Request, ResourceService, ServiceBuilder};
 //! use kairos_appgen::{AppGenerator, GeneratorConfig};
 //! use kairos_platform::topology;
 //!
@@ -86,8 +86,8 @@ use std::collections::btree_map::Entry;
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::{Arc, Mutex, MutexGuard};
 
+use kairos_admitd::{CapacityEvent, Command, Event, Request, ResourceService, Ticket};
 use kairos_core::{CacheStats, ElementActivity, Kairos, OccupancySnapshot};
-use kairos_svc::{CapacityEvent, Command, Event, Request, ResourceService, Ticket};
 use kairos_telemetry::{Counter, Gauge, Histogram, Telemetry};
 
 /// Power-of-two bucket bounds for the completion-latency histogram
@@ -694,11 +694,10 @@ const _: () = _assert_send::<GatewayStats>();
 mod tests {
     use super::*;
 
-    use kairos_admitd::AdmitPolicy;
+    use kairos_admitd::{AdmitPolicy, PriorityClass, ServiceBuilder};
     use kairos_appgen::{AppGenerator, GeneratorConfig};
     use kairos_cluster::ClusterBuilder;
     use kairos_platform::topology;
-    use kairos_svc::{PriorityClass, ServiceBuilder};
 
     fn direct_service() -> Box<dyn ResourceService + Send> {
         Box::new(ServiceBuilder::new(topology::crisp()).deterministic(true).build().unwrap())

@@ -208,6 +208,12 @@ impl RegionMap {
         ElementId(self.home[e.index()].1)
     }
 
+    /// The region owning global element `e` and `e`'s local id there, or
+    /// `None` when `e` does not belong to the partitioned platform.
+    pub fn locate(&self, e: ElementId) -> Option<(usize, ElementId)> {
+        self.home.get(e.index()).map(|&(region, local)| (region as usize, ElementId(local)))
+    }
+
     /// The global id of `local` inside `region`.
     ///
     /// # Panics

@@ -9,34 +9,34 @@
 //! determinism tests rely on.
 //!
 //! All scenario traffic flows through the unified
-//! [`ResourceService`](kairos_svc::ResourceService) API: every simulation
-//! action is a typed [`Command`](kairos_svc::Command) (arrivals are
+//! [`ResourceService`](kairos_admitd::ResourceService) API: every simulation
+//! action is a typed [`Command`](kairos_admitd::Command) (arrivals are
 //! `Admit` requests — batched waves go through `submit_batch` as one
 //! operation — departures are `Release`, scripted faults are
 //! `InjectFault`, and so on), and every accounting decision is driven by
-//! the service's single [`Event`](kairos_svc::Event) stream. Scenarios
+//! the service's single [`Event`](kairos_admitd::Event) stream. Scenarios
 //! with an [`AdmitPolicy`](kairos_admitd::AdmitPolicy) get a queued
 //! service (requests queue under their phase's priority class, retry on
 //! capacity events, time out, and are flushed at the horizon — all of it
 //! surfacing in the report's queue section); scenarios without one get a
 //! queue-less service that admits or rejects immediately, the paper's
-//! behaviour. The engine itself no longer touches `Admitd` or
-//! `kairos_reloc` — the service owns that glue.
+//! behaviour. The engine talks to the service through the trait alone
+//! and never touches `kairos_reloc` — the service owns that glue.
 
 use std::cmp::Reverse;
 use std::collections::{BTreeMap, BinaryHeap, HashMap};
 use std::sync::Arc;
 
-use kairos_admitd::PriorityClass;
+use kairos_admitd::{
+    CapacityEvent, Command, Event, PriorityClass, RejectCause, Request, ResourceService,
+    ServiceBuilder,
+};
 use kairos_app::Application;
 use kairos_appgen::{WorkloadMix, WorkloadSampler};
 use kairos_cluster::ClusterBuilder;
 use kairos_core::{CacheConfig, Kairos, KairosConfig, Phase};
 use kairos_gateway::{Gateway, GatewayConfig, GatewayStats};
 use kairos_platform::{AppId, ElementId};
-use kairos_svc::{
-    CapacityEvent, Command, Event, RejectCause, Request, ResourceService, ServiceBuilder,
-};
 use kairos_telemetry::{Counter, Gauge, Histogram, Telemetry, TelemetryConfig};
 use kairos_watch::{EnergyMeter, Watcher};
 
@@ -468,9 +468,11 @@ impl Simulator {
         self.service.kairos()
     }
 
-    /// The service the engine drives all scenario traffic through (the
-    /// monolithic `KairosService`, or a `kairos-cluster` shard fleet when
-    /// the scenario sets [`crate::ClusterSpec`]).
+    /// The service the engine drives all scenario traffic through: one
+    /// `kairos_admitd::Admitd` over the whole platform, or a
+    /// `kairos-cluster` shard fleet of them when the scenario sets
+    /// [`crate::ClusterSpec`] — either behind a `kairos-gateway` when it
+    /// sets [`crate::GatewaySpec`].
     pub fn service(&self) -> &dyn ResourceService {
         self.service.as_ref()
     }

@@ -44,11 +44,11 @@
 //!   per-package power anomaly detector);
 //! * [`Simulator`] — the event queue + virtual clock driving all
 //!   scenario traffic through the unified
-//!   [`kairos_svc::ResourceService`] API: arrivals are `Admit` commands
+//!   [`kairos_admitd::ResourceService`] API: arrivals are `Admit` commands
 //!   (waves go through `submit_batch` as one batched operation),
 //!   departures are `Release`, scripted faults are `InjectFault`, and
 //!   every accounting decision is read off the service's single
-//!   [`kairos_svc::Event`] stream — with or without a
+//!   [`kairos_admitd::Event`] stream — with or without a
 //!   [`kairos_admitd::AdmitPolicy`] priority queue (backpressure,
 //!   bounded retry, timeouts, preemption), plus periodic defragmenting
 //!   compaction sweeps ([`DefragSpec`]);

@@ -639,7 +639,7 @@ impl SimReport {
     /// `kairos-top`-style dump the scenario runner renders under
     /// `--status`. `shards` is the service's shard count (the report
     /// itself does not retain it; ask
-    /// [`ResourceService::shard_count`](kairos_svc::ResourceService::shard_count)).
+    /// [`ResourceService::shard_count`](kairos_admitd::ResourceService::shard_count)).
     pub fn status(&self, shards: usize) -> StatusSnapshot {
         StatusSnapshot {
             scenario: self.scenario.clone(),

@@ -14,7 +14,7 @@
 //! backpressure, retry storms), three exercising the `kairos-reloc`
 //! relocation subsystem (preemption of low-priority work for criticals,
 //! migration versus evict-and-readmit, defragmenting compaction sweeps),
-//! one exercising batched submission through the `kairos-svc` service
+//! one exercising batched submission through the `ResourceService`
 //! API (synchronized arrival waves), two exercising the
 //! `kairos-cluster` sharded deployment (a probe-fan-out arrival storm
 //! over four region shards, and cross-shard rebalancing of a skewed
@@ -186,7 +186,7 @@ pub struct DefragSpec {
 }
 
 /// A periodic cross-shard rebalancing sweep
-/// ([`kairos_svc::Command::Rebalance`]): every `period` ticks the engine
+/// ([`kairos_admitd::Command::Rebalance`]): every `period` ticks the engine
 /// asks the cluster to move up to `max_moves` running applications from
 /// its most- to its least-loaded shard (evict-and-readmit across the
 /// boundary, two-phase). Only meaningful inside a [`ClusterSpec`].

@@ -7,7 +7,7 @@
 
 use std::collections::VecDeque;
 
-use kairos_svc::PriorityClass;
+use kairos_admitd::PriorityClass;
 use serde::{Deserialize, Serialize};
 
 /// A per-class admission-latency SLO with multi-window burn-rate firing.

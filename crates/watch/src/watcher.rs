@@ -5,8 +5,8 @@
 use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex};
 
+use kairos_admitd::{Event, RejectCause};
 use kairos_core::ElementActivity;
-use kairos_svc::{Event, RejectCause};
 use kairos_telemetry::{Counter, Gauge, Level, Telemetry};
 use serde::{Deserialize, Serialize};
 

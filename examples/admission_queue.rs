@@ -9,7 +9,9 @@
 //!
 //! Everything is deterministic — rerunning prints the identical trace.
 
-use kairos::admitd::{AdmitPolicy, Admitd, Event, PriorityClass};
+use kairos::admitd::{
+    AdmitPolicy, Admitd, CapacityEvent, Event, PriorityClass, Request, ResourceService,
+};
 use kairos::appgen::{AppGenerator, DatasetSpec};
 use kairos::core::{Kairos, KairosConfig};
 use kairos::platform::topology;
@@ -38,8 +40,8 @@ fn describe(events: &[Event]) {
             Event::Migrated { ticket, app, moved_tasks } => {
                 println!("  > {app} migrated ({moved_tasks} tasks moved) for {ticket}");
             }
-            // Command results are the service layer's to emit
-            // (`examples/service.rs`); a bare front-end returns none.
+            // Command results (`Released`, …) are not queue transitions;
+            // `examples/service.rs` shows them.
             _ => {}
         }
     }
@@ -67,7 +69,8 @@ fn main() {
     loop {
         clock += 5;
         let app = generator.generate(format!("batch-{clock}"));
-        let (_, events) = admitd.submit(app, PriorityClass::Low, clock);
+        admitd.submit(Request::admit(clock, app, PriorityClass::Low));
+        let events = admitd.take_events();
         let admitted = events.iter().any(|e| matches!(e, Event::Admitted { .. }));
         describe(&events);
         for e in &events {
@@ -100,8 +103,8 @@ fn main() {
     {
         clock += 5;
         let app = generator.generate(format!("burst-{i}"));
-        let (_, events) = admitd.submit(app, class, clock);
-        describe(&events);
+        admitd.submit(Request::admit(clock, app, class));
+        describe(&admitd.take_events());
     }
     println!("queue depths by class (critical/high/normal/low): {:?}\n", admitd.queue().depths());
 
@@ -112,8 +115,8 @@ fn main() {
     for id in residents.into_iter().take(6) {
         clock += 10;
         println!("t={clock}: release {id}");
-        let (_, events) = admitd.release(id, clock);
-        describe(&events);
+        admitd.submit(Request::release(clock, id));
+        describe(&admitd.take_events());
         if admitd.queue().is_empty() {
             break;
         }
@@ -122,10 +125,8 @@ fn main() {
     // Anything still queued at the end of the day times out or is flushed.
     clock += 500;
     println!("\n== end of run (t={clock}) ==");
-    let events = admitd.expire(clock);
-    describe(&events);
-    let events = admitd.shutdown(clock);
-    describe(&events);
+    describe(&admitd.pump(CapacityEvent::Tick { now: clock }));
+    describe(&admitd.pump(CapacityEvent::Shutdown { now: clock }));
     println!(
         "final: {} admitted, queue empty: {}",
         admitd.kairos().admitted_count(),

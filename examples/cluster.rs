@@ -10,11 +10,10 @@
 //! Output is deterministic (zero phase clock, fixed workload seed, probe
 //! results merged in shard-id order) — run it twice and diff.
 
-use kairos::admitd::PriorityClass;
+use kairos::admitd::{Command, Event, PriorityClass, Request, ResourceService};
 use kairos::appgen::{WorkloadMix, WorkloadSampler};
 use kairos::cluster::{ClusterBuilder, ClusterService, FirstFit};
 use kairos::platform::topology;
-use kairos::svc::{Command, Event, Request, ResourceService};
 
 fn shard_population(cluster: &ClusterService) -> String {
     (0..cluster.shard_count())

@@ -1,4 +1,4 @@
-//! Drives the unified `kairos-svc` service API through a small session:
+//! Drives the `kairos-admitd` resource service through a small session:
 //! a batched arrival wave, a preempting critical, a fault, and releases —
 //! all through typed commands, observed on the single event stream.
 //!
@@ -9,12 +9,12 @@
 //! Output is deterministic (the service runs on the zero phase clock and
 //! a fixed workload seed) — run it twice and diff.
 
+use kairos::admitd::{
+    AdmitPolicy, CapacityEvent, Command, Event, PreemptionPolicy, PriorityClass, Request,
+    ResourceService, ServiceBuilder, VictimOrder,
+};
 use kairos::appgen::{WorkloadMix, WorkloadSampler};
 use kairos::platform::topology;
-use kairos::svc::{
-    CapacityEvent, Command, Event, PreemptionPolicy, PriorityClass, Request, ResourceService,
-    ServiceBuilder, VictimOrder,
-};
 
 fn show(events: &[Event]) {
     for event in events {
@@ -64,12 +64,15 @@ fn show(events: &[Event]) {
 }
 
 fn main() {
-    // One typed service over core + admitd + reloc: policies are injected
-    // at construction, behaviour is deterministic thereafter.
+    // One typed service over the manager: policies are injected at
+    // construction, behaviour is deterministic thereafter.
     let mut service = ServiceBuilder::new(topology::crisp())
         .deterministic(true)
-        .preemption(PreemptionPolicy::Migrate)
-        .victim_order(VictimOrder::SmallestFirst)
+        .admission(AdmitPolicy {
+            preemption: PreemptionPolicy::Migrate,
+            victim_order: VictimOrder::SmallestFirst,
+            ..AdmitPolicy::default()
+        })
         .build()
         .expect("default policies are valid");
     let mut sampler = WorkloadSampler::new("service-demo", WorkloadMix::all_datasets(), 42);

@@ -11,12 +11,11 @@
 //! it twice and diff. See `docs/OBSERVABILITY.md` for the full metric
 //! catalogue and the determinism rules this example demonstrates.
 
-use kairos::admitd::PriorityClass;
+use kairos::admitd::{Event, PriorityClass, Request, ResourceService};
 use kairos::appgen::{AppGenerator, GeneratorConfig};
 use kairos::cluster::{ClusterBuilder, LeastLoaded};
 use kairos::platform::topology;
 use kairos::sim::{Scenario, Simulator};
-use kairos::svc::{Event, Request, ResourceService};
 use kairos::telemetry::{MetricValue, Snapshot, Telemetry, TelemetryConfig};
 
 fn counter(snapshot: &Snapshot, name: &str) -> u64 {

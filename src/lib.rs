@@ -22,16 +22,16 @@
 //!   hand-off — either changes which work runs, never what is decided;
 //! * [`reloc`] — the relocation planner: preemption victim selection,
 //!   journal-backed live migration and defragmenting compaction;
-//! * [`admitd`] — the priority admission-control front-end: bounded
+//! * [`admitd`] — the resource service: one typed command/event surface
+//!   (`ResourceService`) over one manager, implemented by the `Admitd`
+//!   front-end, with operations as data (`Command`), one ticket mint and
+//!   one correlated `Event` stream, first-class batched submission of
+//!   arrival waves and construction-time policy injection
+//!   (`ServiceBuilder`); under an admission policy its door adds bounded
 //!   per-class queues with backpressure, deterministic capacity-event
 //!   retry with exponential backoff, timeouts, batch drains and the
 //!   preemption hook that evicts or migrates lower-priority work for
 //!   blocked criticals;
-//! * [`svc`] — the unified service API: one typed command/event surface
-//!   (`ResourceService`) over core + admitd + reloc, with operations as
-//!   data (`Command`), one correlated `Event` stream, first-class batched
-//!   submission of arrival waves, and construction-time policy injection
-//!   (`ServiceBuilder`);
 //! * [`cluster`] — the sharded deployment: the platform partitioned into
 //!   contiguous capacity-balanced region shards (`RegionMap`), one
 //!   manager per shard behind the same `ResourceService` surface
@@ -98,9 +98,17 @@ pub use kairos_platform as platform;
 pub use kairos_reloc as reloc;
 pub use kairos_sdf as sdf;
 pub use kairos_sim as sim;
-pub use kairos_svc as svc;
 pub use kairos_telemetry as telemetry;
 pub use kairos_watch as watch;
+
+/// The service surface's former crate path, kept only for the frozen
+/// benchmark's imports: the surface now lives in [`admitd`].
+pub mod svc {
+    pub use kairos_admitd::{
+        CapacityEvent, Command, Event, RejectCause, Request, ResourceService, ServiceBuilder,
+        Ticket,
+    };
+}
 
 /// The operating-point cache's former crate path, kept for the frozen
 /// benchmark's imports: the keyed tier's switch and counters, and the two

@@ -7,7 +7,10 @@
 //! a winning shard that commits its own probe decides exactly what a
 //! shard that never saw a probe decides.
 
-use kairos::admitd::{AdmitPolicy, PriorityClass};
+use kairos::admitd::{
+    AdmitPolicy, Admitd, CapacityEvent, Command, Event, PriorityClass, Request, ResourceService,
+    ServiceBuilder, Ticket,
+};
 use kairos::app::Application;
 use kairos::appgen::{WorkloadMix, WorkloadSampler};
 use kairos::cluster::{
@@ -18,9 +21,6 @@ use kairos::core::{KairosConfig, DURATION_NS_BOUNDS};
 use kairos::platform::{topology, AppId, ElementId, RegionMap};
 use kairos::sim::testkit::clustered_once;
 use kairos::sim::{Scenario, Simulator};
-use kairos::svc::{
-    CapacityEvent, Command, Event, KairosService, Request, ResourceService, ServiceBuilder, Ticket,
-};
 use kairos::telemetry::{Telemetry, TelemetryConfig};
 
 #[test]
@@ -99,7 +99,7 @@ fn catalog_grew_to_twenty_two() {
 /// that wins always decides cold — the reference a cluster whose
 /// winning shard commits its own probe must be indistinguishable from.
 struct ProbeBlind {
-    shards: Vec<KairosService>,
+    shards: Vec<Admitd>,
     regions: RegionMap,
     policy: Box<dyn PlacementPolicy>,
     events: Vec<Event>,

@@ -20,7 +20,10 @@
 
 use std::collections::VecDeque;
 
-use kairos::admitd::{AdmitPolicy, PriorityClass};
+use kairos::admitd::{
+    AdmitPolicy, Admitd, CapacityEvent, Command, Event, PriorityClass, Request, ResourceService,
+    ServiceBuilder,
+};
 use kairos::app::Application;
 use kairos::appgen::{generate_dataset, DatasetSpec};
 use kairos::cluster::{ClusterBuilder, ClusterService};
@@ -28,9 +31,6 @@ use kairos::core::{CacheConfig, CacheStats, CostPolicy, Kairos, KairosConfig};
 use kairos::platform::{topology, AppId, PlatformCheckpoint};
 use kairos::sim::testkit::generated;
 use kairos::sim::{Scenario, Simulator};
-use kairos::svc::{
-    CapacityEvent, Command, Event, KairosService, Request, ResourceService, ServiceBuilder,
-};
 use proptest::prelude::*;
 
 proptest! {
@@ -230,7 +230,7 @@ fn recurring_differential<S: ResourceService>(
 /// cannot come from there.
 #[test]
 fn recurring_shapes_replay_across_requests_and_change_nothing() {
-    let one = |s: &KairosService| vec![s.kairos().platform().checkpoint()];
+    let one = |s: &Admitd| vec![s.kairos().platform().checkpoint()];
     let direct = recurring_differential(
         "direct",
         |config| ServiceBuilder::new(topology::crisp()).config(config).build().unwrap(),
