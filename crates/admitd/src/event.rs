@@ -11,7 +11,7 @@
 //! [`AppId`].
 
 use kairos_app::Application;
-use kairos_core::{AdmissionReport, MigrationError, Phase};
+use kairos_core::{AdmissionReport, AllocationError, MigrationError, Phase};
 use kairos_platform::{AppId, ElementId};
 
 use crate::queue::{PriorityClass, Ticket};
@@ -29,8 +29,8 @@ pub enum RejectCause {
         phase: Phase,
     },
     /// The failure can never clear up
-    /// ([`FailureDurability::Permanent`](kairos_core::FailureDurability));
-    /// `phase` rejected it permanently.
+    /// ([`AllocationError::is_permanent`]); `phase` rejected it
+    /// permanently.
     Permanent {
         /// The pipeline phase that rejected the request.
         phase: Phase,
@@ -44,18 +44,6 @@ pub enum RejectCause {
     },
     /// The service shut down with the request still queued.
     Shutdown,
-}
-
-impl RejectCause {
-    /// The rejecting pipeline phase, for causes that carry one.
-    pub fn phase(&self) -> Option<Phase> {
-        match *self {
-            RejectCause::Refused { phase }
-            | RejectCause::Permanent { phase }
-            | RejectCause::RetriesExhausted { phase } => Some(phase),
-            RejectCause::QueueFull | RejectCause::Timeout | RejectCause::Shutdown => None,
-        }
-    }
 }
 
 /// One observable state change of the service — the single stream every
@@ -104,6 +92,11 @@ pub enum Event {
         attempt: u32,
         /// The pipeline phase that rejected the attempt.
         phase: Phase,
+        /// The rejecting phase's own error, as the pipeline built it —
+        /// what the attempt was short of. Element and link ids are in the
+        /// admitting manager's own coordinate space, as in
+        /// [`Event::Admitted`]'s layout.
+        reason: Box<AllocationError>,
     },
     /// An admission request left the service unadmitted.
     Rejected {
@@ -113,6 +106,11 @@ pub enum Event {
         class: PriorityClass,
         /// Why it was rejected.
         cause: RejectCause,
+        /// The rejecting phase's own error, exactly when `cause` carries a
+        /// phase (`Refused`, `Permanent`, `RetriesExhausted`: the final
+        /// attempt's). Ids are in the admitting manager's own coordinate
+        /// space, as in [`Event::AttemptFailed`].
+        reason: Option<Box<AllocationError>>,
         /// Ticks spent queued (`0` when it never entered the queue).
         waited: u64,
     },

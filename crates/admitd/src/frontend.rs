@@ -5,7 +5,7 @@ use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use kairos_app::Application;
-use kairos_core::{AdmissionFailure, AdmissionProbe, AdmissionReport, FailureDurability, Kairos};
+use kairos_core::{AdmissionFailure, AdmissionProbe, AdmissionReport, AllocationError, Kairos};
 use kairos_platform::{AppId, ElementId};
 use kairos_reloc::{compact_with, select_victims_with, RelocMetrics, VictimPlan};
 use kairos_telemetry::{Counter, Gauge, Histogram, Level, Telemetry, TraceContext};
@@ -25,6 +25,10 @@ struct AdmittedMeta {
     class: PriorityClass,
     waited: u64,
 }
+
+/// Why a traced request left unadmitted: its cause and, when a phase
+/// refused it, that phase's error. `None` for an admission.
+type Rejection<'a> = Option<(&'a str, Option<&'a AllocationError>)>;
 
 /// Bucket bounds for the queue-wait histogram, in virtual-time ticks.
 pub const WAIT_TICKS_BOUNDS: &[u64] = &[1, 2, 4, 8, 16, 32, 64, 128];
@@ -77,8 +81,8 @@ impl AdmitdMetrics {
 /// bounded priority queue instead of dropping them, retries transient
 /// mapping failures when a release or repair actually frees capacity
 /// (deterministic exponential backoff, measured in capacity events), and
-/// rejects permanently hopeless requests immediately using
-/// [`FailureDurability`] introspection.
+/// rejects permanently hopeless requests immediately
+/// ([`AllocationError::is_permanent`]).
 ///
 /// Built without a policy it is the paper's manager instead: the door
 /// runs the pipeline once and its verdict is final
@@ -214,7 +218,7 @@ impl Admitd {
                         format!("{ticket} attempt {attempt} failed in {phase} phase, backing off"),
                     );
                 }
-                Event::Rejected { ticket, class, cause, waited } => {
+                Event::Rejected { ticket, class, cause, waited, .. } => {
                     match cause {
                         RejectCause::QueueFull => m.rejected_queue_full.inc(),
                         // `Refused` is the queue-less door's verdict, and a
@@ -310,11 +314,12 @@ impl Admitd {
                     return false;
                 }
             }
-            self.trace_terminal(ctx, now, 0, "rejected", Some("QueueFull"), 0);
+            self.trace_terminal(ctx, now, 0, Some(("QueueFull", None)), 0);
             events.push(Event::Rejected {
                 ticket,
                 class,
                 cause: RejectCause::QueueFull,
+                reason: None,
                 waited: 0,
             });
             return false;
@@ -348,15 +353,17 @@ impl Admitd {
     ) -> Event {
         match self.kairos.admit_traced(&app, ctx, now) {
             Ok(report) => {
-                self.close_trace(ctx, now, "admitted", None, 1);
+                self.close_trace(ctx, now, None, 1);
                 self.admitted_at_door(ticket, class, app, report)
             }
             Err(failure) => {
-                let phase = failure.phase();
+                let reason = failure.error;
+                let phase = reason.phase();
                 if ctx.is_some() {
-                    self.close_trace(ctx, now, "rejected", Some(&format!("{phase:?}")), 0);
+                    self.close_trace(ctx, now, Some((&format!("{phase:?}"), Some(&reason))), 0);
                 }
-                Event::Rejected { ticket, class, cause: RejectCause::Refused { phase }, waited: 0 }
+                let cause = RejectCause::Refused { phase };
+                Event::Rejected { ticket, class, cause, reason: Some(reason), waited: 0 }
             }
         }
     }
@@ -513,7 +520,7 @@ impl Admitd {
             let mut i = 0;
             while i < self.queue.class_len(class) {
                 if cause == RejectCause::Shutdown || self.is_overdue(class, i, now) {
-                    events.push(self.reject_at(class, i, cause, now));
+                    events.push(self.reject_at(class, i, cause, None, now));
                 } else {
                     i += 1;
                 }
@@ -541,34 +548,31 @@ impl Admitd {
         ctx: TraceContext,
         now: u64,
         waited: u64,
-        outcome: &str,
-        cause: Option<&str>,
+        rejected: Rejection<'_>,
         attempts: u32,
     ) {
         if ctx.is_none() {
             return;
         }
         self.kairos.telemetry().trace_child(ctx, "queue", now.saturating_sub(waited), now, &[]);
-        self.close_trace(ctx, now, outcome, cause, attempts);
+        self.close_trace(ctx, now, rejected, attempts);
     }
 
-    /// Closes the trace root with the request's outcome, its cause when
-    /// it has one and its attempt count when it made any. No-op on
-    /// [`TraceContext::NONE`].
-    fn close_trace(
-        &self,
-        ctx: TraceContext,
-        now: u64,
-        outcome: &str,
-        cause: Option<&str>,
-        attempts: u32,
-    ) {
+    /// Closes the trace root with the request's outcome — for a
+    /// rejection its cause, and the refusing phase's error as `reason`
+    /// when there is one — and its attempt count when it made any. No-op
+    /// on [`TraceContext::NONE`].
+    fn close_trace(&self, ctx: TraceContext, now: u64, rejected: Rejection<'_>, attempts: u32) {
         if ctx.is_none() {
             return;
         }
+        let outcome = if rejected.is_some() { "rejected" } else { "admitted" };
         let mut args = vec![("outcome", outcome.to_owned())];
-        if let Some(cause) = cause {
+        if let Some((cause, reason)) = rejected {
             args.push(("cause", cause.to_owned()));
+            if let Some(reason) = reason {
+                args.push(("reason", reason.to_string()));
+            }
         }
         if attempts > 0 {
             args.push(("attempts", attempts.to_string()));
@@ -577,13 +581,23 @@ impl Admitd {
     }
 
     /// Removes the request at `(class, i)` and builds its rejection event,
-    /// reporting the cumulative wait across requeues.
-    fn reject_at(&mut self, class: usize, i: usize, cause: RejectCause, now: u64) -> Event {
+    /// reporting the cumulative wait across requeues and, when a phase
+    /// refused it, that phase's error.
+    fn reject_at(
+        &mut self,
+        class: usize,
+        i: usize,
+        cause: RejectCause,
+        reason: Option<Box<AllocationError>>,
+        now: u64,
+    ) -> Event {
         let req = self.queue.remove(class, i);
         let waited = req.waited(now);
-        let why = format!("{cause:?}");
-        self.trace_terminal(req.trace, now, waited, "rejected", Some(&why), req.attempts);
-        Event::Rejected { ticket: req.ticket, class: req.class, cause, waited }
+        if req.trace.is_some() {
+            let rejected = Some((&*format!("{cause:?}"), reason.as_deref()));
+            self.trace_terminal(req.trace, now, waited, rejected, req.attempts);
+        }
+        Event::Rejected { ticket: req.ticket, class: req.class, cause, reason, waited }
     }
 
     /// One batch drain pass at `now`: walks the queue in priority-then-
@@ -598,7 +612,7 @@ impl Admitd {
             let mut i = 0;
             while i < self.queue.class_len(class) {
                 if self.is_overdue(class, i, now) {
-                    events.push(self.reject_at(class, i, RejectCause::Timeout, now));
+                    events.push(self.reject_at(class, i, RejectCause::Timeout, None, now));
                     continue;
                 }
                 let eligible =
@@ -616,14 +630,7 @@ impl Admitd {
                     Ok(report) => {
                         let req = self.queue.remove(class, i);
                         let waited = req.waited(now);
-                        self.trace_terminal(
-                            req.trace,
-                            now,
-                            waited,
-                            "admitted",
-                            None,
-                            req.attempts + 1,
-                        );
+                        self.trace_terminal(req.trace, now, waited, None, req.attempts + 1);
                         self.admitted_meta
                             .insert(report.app_id, AdmittedMeta { class: req.class, waited });
                         events.push(Event::Admitted {
@@ -635,9 +642,10 @@ impl Admitd {
                             attempts: req.attempts + 1,
                         });
                     }
-                    Err(failure) if failure.durability() == FailureDurability::Permanent => {
+                    Err(failure) if failure.error.is_permanent() => {
                         let cause = RejectCause::Permanent { phase: failure.phase() };
-                        events.push(self.reject_at(class, i, cause, now));
+                        let reason = Some(failure.error);
+                        events.push(self.reject_at(class, i, cause, reason, now));
                     }
                     Err(failure) => {
                         let policy = self.queueing();
@@ -663,9 +671,11 @@ impl Admitd {
                             req.attempts += 1;
                             req.attempts >= policy.max_attempts
                         };
+                        let phase = failure.phase();
+                        let reason = failure.error;
                         if exhausted {
-                            let cause = RejectCause::RetriesExhausted { phase: failure.phase() };
-                            events.push(self.reject_at(class, i, cause, now));
+                            let cause = RejectCause::RetriesExhausted { phase };
+                            events.push(self.reject_at(class, i, cause, Some(reason), now));
                         } else {
                             let backoff = {
                                 let req = self
@@ -684,7 +694,8 @@ impl Admitd {
                                     now,
                                     &[
                                         ("attempt", backoff.2.to_string()),
-                                        ("phase", format!("{:?}", failure.phase())),
+                                        ("phase", format!("{phase:?}")),
+                                        ("reason", reason.to_string()),
                                     ],
                                 );
                             }
@@ -692,7 +703,8 @@ impl Admitd {
                                 ticket: backoff.0,
                                 class: backoff.1,
                                 attempt: backoff.2,
-                                phase: failure.phase(),
+                                phase,
+                                reason,
                             });
                             i += 1;
                         }
@@ -860,18 +872,13 @@ impl Admitd {
                         ],
                     );
                     if self.queue.is_full(meta.class) {
-                        self.trace_terminal(
-                            victim_trace,
-                            now,
-                            meta.waited,
-                            "rejected",
-                            Some("QueueFull"),
-                            0,
-                        );
+                        let rejected = Some(("QueueFull", None));
+                        self.trace_terminal(victim_trace, now, meta.waited, rejected, 0);
                         events.push(Event::Rejected {
                             ticket,
                             class: meta.class,
                             cause: RejectCause::QueueFull,
+                            reason: None,
                             waited: meta.waited,
                         });
                     } else {
@@ -912,7 +919,7 @@ impl Admitd {
     ) -> Option<Vec<Event>> {
         let mut events = Vec::new();
         let door_admit = |this: &mut Self, report: AdmissionReport| {
-            this.trace_terminal(ctx, now, 0, "admitted", None, 1);
+            this.trace_terminal(ctx, now, 0, None, 1);
             this.admitted_at_door(ticket, class, app.clone(), report)
         };
         // A request that fits outright needs no victims — only plan a
@@ -930,11 +937,12 @@ impl Admitd {
                 // Migration side effects can, in rare routing-contention
                 // cases, leave the probed layout unreachable; the request
                 // still cannot enter the full queue.
-                self.trace_terminal(ctx, now, 0, "rejected", Some("QueueFull"), 0);
+                self.trace_terminal(ctx, now, 0, Some(("QueueFull", None)), 0);
                 events.push(Event::Rejected {
                     ticket,
                     class,
                     cause: RejectCause::QueueFull,
+                    reason: None,
                     waited: 0,
                 });
             }

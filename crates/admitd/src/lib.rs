@@ -37,7 +37,7 @@
 //!   under any overload;
 //! * **Bounded retry** — transient failures (mapping/routing contention,
 //!   load-dependent binding failures; see
-//!   [`FailureDurability`](kairos_core::FailureDurability)) are retried
+//!   [`AllocationError::is_permanent`](kairos_core::AllocationError::is_permanent)) are retried
 //!   with deterministic exponential backoff measured in *capacity events*
 //!   (releases, repairs, evictions), never on a blind timer, and bounded
 //!   by [`AdmitPolicy::max_attempts`]. Structurally hopeless requests are

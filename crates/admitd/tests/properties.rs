@@ -310,7 +310,9 @@ proptest! {
     /// Tickets come back dense and in submission order; a non-admission
     /// command's result is the first event its submission buffers, and
     /// the only one under its ticket; a queue-less front-end never queues;
-    /// the manager audits clean after every operation; and after shutdown
+    /// a refusal carries the refusing phase's own error exactly where its
+    /// cause names a phase, and that error is of the phase named; the
+    /// manager audits clean after every operation; and after shutdown
     /// every admission ticket has exactly one terminal event.
     #[test]
     fn every_command_keeps_the_front_end_whole(
@@ -404,6 +406,23 @@ proptest! {
         prop_assert_eq!(admitd.kairos().audit(), Ok(()));
         for ticket in admissions {
             prop_assert_eq!(terminals(&stream, ticket), 1, "{} after shutdown", ticket);
+        }
+        for event in &stream {
+            match event {
+                Event::AttemptFailed { phase, reason, .. } => {
+                    prop_assert_eq!(reason.phase(), *phase, "{:?}", event);
+                }
+                Event::Rejected { cause, reason, .. } => {
+                    let phase = match *cause {
+                        RejectCause::Refused { phase }
+                        | RejectCause::Permanent { phase }
+                        | RejectCause::RetriesExhausted { phase } => Some(phase),
+                        RejectCause::QueueFull | RejectCause::Timeout | RejectCause::Shutdown => None,
+                    };
+                    prop_assert_eq!(reason.as_ref().map(|r| r.phase()), phase, "{:?}", event);
+                }
+                _ => {}
+            }
         }
     }
 }

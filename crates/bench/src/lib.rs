@@ -216,14 +216,8 @@ pub fn aggregate_positions(
 pub struct FailureHistogram {
     /// Successful admissions.
     pub successes: usize,
-    /// Rejections in the binding phase.
-    pub binding: usize,
-    /// Rejections in the mapping phase.
-    pub mapping: usize,
-    /// Rejections in the routing phase.
-    pub routing: usize,
-    /// Rejections in the validation phase.
-    pub validation: usize,
+    /// Rejections per phase, indexed by `phase as usize` (pipeline order).
+    pub rejected: [usize; 4],
 }
 
 impl FailureHistogram {
@@ -231,16 +225,13 @@ impl FailureHistogram {
     pub fn record(&mut self, outcome: &SequenceOutcome) {
         match outcome.result {
             Ok(_) => self.successes += 1,
-            Err(Phase::Binding) => self.binding += 1,
-            Err(Phase::Mapping) => self.mapping += 1,
-            Err(Phase::Routing) => self.routing += 1,
-            Err(Phase::Validation) => self.validation += 1,
+            Err(phase) => self.rejected[phase as usize] += 1,
         }
     }
 
     /// Total rejected attempts.
     pub fn failures(&self) -> usize {
-        self.binding + self.mapping + self.routing + self.validation
+        self.rejected.iter().sum()
     }
 
     /// The failure share of `phase`, in percent of all failures
@@ -250,13 +241,7 @@ impl FailureHistogram {
         if failures == 0 {
             return 0.0;
         }
-        let count = match phase {
-            Phase::Binding => self.binding,
-            Phase::Mapping => self.mapping,
-            Phase::Routing => self.routing,
-            Phase::Validation => self.validation,
-        };
-        100.0 * count as f64 / failures as f64
+        100.0 * self.rejected[phase as usize] as f64 / failures as f64
     }
 }
 
@@ -360,7 +345,7 @@ mod tests {
 
     #[test]
     fn histogram_shares_sum_to_100() {
-        let h = FailureHistogram { binding: 3, routing: 7, ..FailureHistogram::default() };
+        let h = FailureHistogram { rejected: [3, 0, 7, 0], ..FailureHistogram::default() };
         let sum: f64 = Phase::ALL.iter().map(|&p| h.share(p)).sum();
         assert!((sum - 100.0).abs() < 1e-9);
         assert_eq!(FailureHistogram::default().share(Phase::Binding), 0.0);

@@ -14,7 +14,9 @@
 //! remaining platform capacity is rejected here — exactly the failure mode
 //! that dominates the computation-oriented datasets of Table I.
 
-use kairos_app::{Application, ImplId, Implementation, TaskId};
+use std::cmp::Reverse;
+
+use kairos_app::{Application, ImplId, Implementation, Task, TaskId};
 use kairos_platform::{ElementId, ElementKind, Platform, ResourceVector};
 
 use crate::error::BindingError;
@@ -133,6 +135,18 @@ impl<'a> Pool<'a> {
         best.map(|(_, e, left)| (e, left))
     }
 
+    /// The free vector, debits included, of the alive element of `kind`
+    /// with the greatest free total (the lowest id among equals).
+    fn largest_free(&self, kind: ElementKind) -> Option<ResourceVector> {
+        let platform = self.platform;
+        let free = |e: ElementId| match self.debited.binary_search_by_key(&e, |&(d, _)| d) {
+            Ok(at) => self.debited[at].1,
+            Err(_) => platform.free(e),
+        };
+        let alive = platform.ids_of_kind(kind).iter().filter(|&&e| !platform.is_failed(e));
+        alive.map(|&e| free(e)).min_by_key(|free| Reverse(free.total()))
+    }
+
     /// Debits `demand` from the best-fit element of `kind`.
     fn commit(&mut self, kind: ElementKind, demand: &ResourceVector) -> bool {
         let Some((e, left)) = self.best_fit(kind, demand) else { return false };
@@ -166,6 +180,25 @@ fn structurally_infeasible(task_impls: &[Implementation], platform: &Platform) -
     task_impls.iter().all(|imp| {
         !platform.elements_of_kind(imp.target()).any(|e| e.capacity().fits(&imp.requires()))
     })
+}
+
+/// The refusal of `task`, which no implementation fits `pool`: what its
+/// cheapest implementation (candidate order) asks of which kind, against
+/// the most that is free on an element of that kind.
+fn refusal(task: &Task, pool: &Pool<'_>) -> BindingError {
+    let implementations = task.implementations();
+    let (_, cheapest) = implementations
+        .iter()
+        .enumerate()
+        .min_by_key(|&(i, imp)| (imp.energy(), i))
+        .expect("an application's tasks each have an implementation");
+    BindingError::NoFeasibleImplementation {
+        task: task.id(),
+        structural: structurally_infeasible(implementations, pool.platform),
+        kind: cheapest.target(),
+        requested: cheapest.requires(),
+        largest_free: pool.largest_free(cheapest.target()),
+    }
 }
 
 /// Runs the binding phase of an allocation attempt.
@@ -213,12 +246,7 @@ pub(crate) fn bind_in(
     for task in app.tasks() {
         feasible_candidates(task.implementations(), &pool, candidates);
         let regret = match candidates.as_slice() {
-            [] => {
-                return Err(BindingError::NoFeasibleImplementation {
-                    task: task.id(),
-                    structural: structurally_infeasible(task.implementations(), platform),
-                })
-            }
+            [] => return Err(refusal(task, &pool)),
             [_] => u64::MAX,
             [first, second, ..] => second.energy - first.energy,
         };
@@ -242,12 +270,7 @@ pub(crate) fn bind_in(
         });
         match bound {
             Some(cand) => choices[task_id.index()] = cand.impl_id,
-            None => {
-                return Err(BindingError::NoFeasibleImplementation {
-                    task: task_id,
-                    structural: structurally_infeasible(task.implementations(), platform),
-                })
-            }
+            None => return Err(refusal(task, &pool)),
         }
     }
 
@@ -387,10 +410,16 @@ mod tests {
         let mut b = ApplicationBuilder::new("x");
         b.add_task("t", TaskRole::Internal, vec![arm_impl(100, 1)]);
         let app = b.build().unwrap();
-        assert_eq!(
+        assert!(matches!(
             bind(&app, &platform).unwrap_err(),
-            BindingError::NoFeasibleImplementation { task: TaskId(0), structural: true }
-        );
+            BindingError::NoFeasibleImplementation {
+                task: TaskId(0),
+                structural: true,
+                kind: ElementKind::Arm,
+                largest_free: None,
+                ..
+            }
+        ));
     }
 
     #[test]
@@ -399,31 +428,55 @@ mod tests {
         let mut b = ApplicationBuilder::new("x");
         b.add_task("t", TaskRole::Internal, vec![dsp_impl(100_000, 1)]);
         let app = b.build().unwrap();
+        let first = platform.element_ids().next().unwrap();
         assert_eq!(
             bind(&app, &platform).unwrap_err(),
-            BindingError::NoFeasibleImplementation { task: TaskId(0), structural: true }
+            BindingError::NoFeasibleImplementation {
+                task: TaskId(0),
+                structural: true,
+                kind: ElementKind::Dsp,
+                requested: ResourceVector::new(100_000, 16, 0, 0),
+                largest_free: Some(platform.element(first).capacity()),
+            }
         );
     }
 
     #[test]
     fn load_dependent_failures_are_not_structural() {
-        // The task fits an idle DSP, but both DSPs are mostly claimed.
+        // The task fits an idle DSP, but both DSPs are mostly claimed, the
+        // second one less so.
         let mut platform = topology::dsp_mesh(1, 2);
-        for e in platform.element_ids().collect::<Vec<_>>() {
-            platform
-                .claim(
-                    e,
-                    Occupant { app: AppId(0), task: 0, claimed: ResourceVector::new(900, 0, 0, 0) },
-                )
-                .unwrap();
+        let ids: Vec<_> = platform.element_ids().collect();
+        for (&e, cpu) in ids.iter().zip([900, 600]) {
+            let claimed = ResourceVector::new(cpu, 0, 0, 0);
+            platform.claim(e, Occupant { app: AppId(0), task: 0, claimed }).unwrap();
         }
         let mut b = ApplicationBuilder::new("x");
-        b.add_task("t", TaskRole::Internal, vec![dsp_impl(500, 1)]);
+        // The cheaper implementation is the one the refusal describes.
+        b.add_task("t", TaskRole::Internal, vec![dsp_impl(600, 2), dsp_impl(500, 1)]);
         let app = b.build().unwrap();
         assert_eq!(
             bind(&app, &platform).unwrap_err(),
-            BindingError::NoFeasibleImplementation { task: TaskId(0), structural: false }
+            BindingError::NoFeasibleImplementation {
+                task: TaskId(0),
+                structural: false,
+                kind: ElementKind::Dsp,
+                requested: ResourceVector::new(500, 16, 0, 0),
+                largest_free: Some(platform.free(ids[1])),
+            }
         );
+        // Debits count: the first of two tasks takes the roomier DSP, and
+        // the second is refused against what the first left there.
+        let mut b = ApplicationBuilder::new("y");
+        b.add_task("a", TaskRole::Internal, vec![dsp_impl(250, 1)]);
+        b.add_task("b", TaskRole::Internal, vec![dsp_impl(250, 1)]);
+        let app = b.build().unwrap();
+        let left = platform.free(ids[1]).checked_sub(&ResourceVector::new(250, 16, 0, 0));
+        assert!(matches!(
+            bind(&app, &platform).unwrap_err(),
+            BindingError::NoFeasibleImplementation { task: TaskId(1), largest_free, .. }
+                if largest_free == left
+        ));
     }
 
     #[test]

@@ -416,9 +416,13 @@ mod tests {
         let mut keyed = Keyed::with_capacity(KEYED_CAPACITY);
         keyed.insert((SHAPE, 0), point(&[0, 1]));
         keyed.insert((SHAPE, 1), point(&[2]));
-        let task = kairos_app::TaskId(0);
-        let refusal =
-            crate::error::BindingError::NoFeasibleImplementation { task, structural: true };
+        let refusal = crate::error::BindingError::NoFeasibleImplementation {
+            task: kairos_app::TaskId(0),
+            structural: true,
+            kind: ElementKind::Dsp,
+            requested: ResourceVector::splat(1),
+            largest_free: None,
+        };
         keyed.insert((SHAPE, 2), Err(AllocationError::Binding(refusal)));
         assert_eq!(keyed.invalidate(&[ElementId(1)]), 1);
         assert_eq!(keyed.invalidate(&[ElementId(1)]), 0, "already gone");

@@ -3,7 +3,7 @@
 use std::fmt;
 
 use kairos_app::{ChannelId, TaskId};
-use kairos_platform::ElementId;
+use kairos_platform::{ElementId, ElementKind, LinkId, ResourceVector};
 use kairos_sdf::StateSpaceError;
 
 /// The four run-time phases of spatial resource allocation (paper Fig. 1).
@@ -35,20 +35,6 @@ impl fmt::Display for Phase {
     }
 }
 
-/// Whether a failed admission could succeed later without changing the
-/// request, used by admission front-ends (`kairos-admitd`) to decide
-/// between queue-and-retry and immediate permanent rejection.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum FailureDurability {
-    /// The rejection reflects *current* occupancy — freed or repaired
-    /// capacity may let the identical request through. Worth retrying.
-    Transient,
-    /// The request can never be admitted on this platform, regardless of
-    /// load (e.g. a task too large for every element's raw capacity).
-    /// Retrying is pointless.
-    Permanent,
-}
-
 /// Binding-phase failure.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum BindingError {
@@ -61,16 +47,33 @@ pub enum BindingError {
         /// *raw capacity* either — the application can never be admitted
         /// on this platform, no matter how empty it gets.
         structural: bool,
+        /// The kind of element the task's cheapest implementation (by
+        /// energy, then implementation id: binding's candidate order)
+        /// targets.
+        kind: ElementKind,
+        /// What that implementation requires.
+        requested: ResourceVector,
+        /// The free vector, the request's own debits included, of the
+        /// alive element of `kind` with the greatest free total (the lowest
+        /// id among equals); `None` when no element of `kind` is alive.
+        largest_free: Option<ResourceVector>,
     },
 }
 
 impl fmt::Display for BindingError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            BindingError::NoFeasibleImplementation { task, structural } => {
-                let kind = if *structural { "structurally infeasible" } else { "no feasible" };
-                write!(f, "{kind} implementation for task {task}")
-            }
+        let BindingError::NoFeasibleImplementation {
+            task,
+            structural,
+            kind,
+            requested,
+            largest_free,
+        } = self;
+        let what = if *structural { "structurally infeasible" } else { "no feasible" };
+        write!(f, "{what} implementation for task {task}: {kind} needs {requested}, ")?;
+        match largest_free {
+            Some(free) => write!(f, "largest free {free}"),
+            None => f.write_str("none alive"),
         }
     }
 }
@@ -133,16 +136,21 @@ pub enum RoutingError {
         src: ElementId,
         /// Destination element of the route.
         dst: ElementId,
+        /// The first link, in search order, the path search turned down
+        /// for capacity, with the virtual channels and bandwidth it had
+        /// left for the request; `None` when no link was short of either.
+        blocked: Option<(LinkId, u16, u64)>,
     },
 }
 
 impl fmt::Display for RoutingError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            RoutingError::NoRoute { channel, src, dst } => {
-                write!(f, "no route for channel {channel} from {src} to {dst}")
-            }
+        let RoutingError::NoRoute { channel, src, dst, blocked } = self;
+        write!(f, "no route for channel {channel} from {src} to {dst}")?;
+        if let Some((link, vcs, bandwidth)) = blocked {
+            write!(f, ", first blocked at {link} ({vcs} vcs, bandwidth {bandwidth} free)")?;
         }
+        Ok(())
     }
 }
 
@@ -184,6 +192,19 @@ impl fmt::Display for ValidationError {
 
 impl std::error::Error for ValidationError {}
 
+/// Every refusal cause, in the order [`AllocationError::cause_index`]
+/// numbers them.
+pub(crate) const CAUSES: [&str; 8] = [
+    "binding.no_implementation",
+    "binding.structural",
+    "mapping.pinned",
+    "mapping.no_start",
+    "mapping.search_exhausted",
+    "routing.no_route",
+    "validation.constraint",
+    "validation.analysis",
+];
+
 /// A failed allocation attempt, tagged with the phase that rejected it.
 #[derive(Debug, Clone, PartialEq)]
 pub enum AllocationError {
@@ -208,32 +229,46 @@ impl AllocationError {
         }
     }
 
-    /// Whether the failure could clear up once capacity is released or
-    /// repaired ([`FailureDurability::Transient`]) or can never succeed on
-    /// this platform ([`FailureDurability::Permanent`]).
-    ///
-    /// The classification is conservative: `Permanent` is only reported
-    /// when the request is provably hopeless: a task that exceeds every
-    /// element's raw capacity, or a [`ValidationError::Analysis`]. The
-    /// throughput analysis is a computation without a budget, so it fails
-    /// only when the application's task graph has a cycle (its model
-    /// deadlocks under any layout) or its cycle counts overflow the
-    /// arithmetic — neither depends on where the tasks landed or on how
-    /// many hops their channels took. Everything load-dependent — mapping and
-    /// routing contention, pool exhaustion under occupancy, constraint
-    /// violations that a less contended layout might avoid — is
-    /// `Transient`; retry front-ends bound such retries by policy.
-    pub fn durability(&self) -> FailureDurability {
+    /// The refusal's cause: the rejecting phase and, within it, the
+    /// variant — one of `binding.no_implementation`, `binding.structural`,
+    /// `mapping.pinned`, `mapping.no_start`, `mapping.search_exhausted`,
+    /// `routing.no_route`, `validation.constraint` and
+    /// `validation.analysis`. A lit manager counts each refusal on
+    /// `kairos.core.reject.` followed by its cause.
+    pub fn cause_name(&self) -> &'static str {
+        CAUSES[self.cause_index()]
+    }
+
+    /// The position of the refusal's cause in [`CAUSES`].
+    pub(crate) fn cause_index(&self) -> usize {
         match self {
+            AllocationError::Binding(BindingError::NoFeasibleImplementation {
+                structural, ..
+            }) => usize::from(*structural),
+            AllocationError::Mapping(MappingError::PinnedTaskInfeasible { .. }) => 2,
+            AllocationError::Mapping(MappingError::NoStartingPoint { .. }) => 3,
+            AllocationError::Mapping(MappingError::SearchExhausted { .. }) => 4,
+            AllocationError::Routing(RoutingError::NoRoute { .. }) => 5,
+            AllocationError::Validation(ValidationError::ConstraintViolated { .. }) => 6,
+            AllocationError::Validation(ValidationError::Analysis(_)) => 7,
+        }
+    }
+
+    /// Whether the request can never be admitted on this platform, so
+    /// retrying it is pointless. Conservative: only a task that exceeds
+    /// every element's raw capacity, or a [`ValidationError::Analysis`] —
+    /// the model of a cyclic task graph deadlocks, and overflowing cycle
+    /// counts overflow, under any layout. Everything load-dependent may
+    /// clear up once capacity is released or repaired; retry front-ends
+    /// bound such retries by policy.
+    pub fn is_permanent(&self) -> bool {
+        matches!(
+            self,
             AllocationError::Binding(BindingError::NoFeasibleImplementation {
                 structural: true,
                 ..
-            }) => FailureDurability::Permanent,
-            AllocationError::Validation(ValidationError::Analysis(_)) => {
-                FailureDurability::Permanent
-            }
-            _ => FailureDurability::Transient,
-        }
+            }) | AllocationError::Validation(ValidationError::Analysis(_))
+        )
     }
 }
 
@@ -287,6 +322,37 @@ impl From<ValidationError> for AllocationError {
 mod tests {
     use super::*;
 
+    /// One refusal of each cause, in [`CAUSES`] order.
+    fn refusals() -> [AllocationError; 8] {
+        let (task, element, kind) = (TaskId(3), ElementId(0), ElementKind::Dsp);
+        let (requested, free) =
+            (ResourceVector::new(900, 8, 0, 0), ResourceVector::new(400, 64, 0, 0));
+        let unbound = |structural| BindingError::NoFeasibleImplementation {
+            task,
+            structural,
+            kind,
+            requested,
+            largest_free: Some(free),
+        };
+        let (channel, dst, blocked) = (ChannelId(0), ElementId(1), Some((LinkId(7), 2, 150)));
+        let (constraint_index, allowed_period, achieved_period) = (0, 10, 20.0);
+        [
+            unbound(false).into(),
+            unbound(true).into(),
+            MappingError::PinnedTaskInfeasible { task, element }.into(),
+            MappingError::NoStartingPoint { task }.into(),
+            MappingError::SearchExhausted { ring: 2, unmapped: vec![task] }.into(),
+            RoutingError::NoRoute { channel, src: element, dst, blocked }.into(),
+            ValidationError::ConstraintViolated {
+                constraint_index,
+                allowed_period,
+                achieved_period,
+            }
+            .into(),
+            ValidationError::Analysis(StateSpaceError::Deadlock).into(),
+        ]
+    }
+
     #[test]
     fn phases_are_ordered() {
         assert!(Phase::Binding < Phase::Mapping);
@@ -296,58 +362,33 @@ mod tests {
     }
 
     #[test]
-    fn allocation_error_reports_phase() {
-        let e: AllocationError =
-            BindingError::NoFeasibleImplementation { task: TaskId(3), structural: false }.into();
-        assert_eq!(e.phase(), Phase::Binding);
-        assert!(e.to_string().contains("binding"));
-        let e: AllocationError = MappingError::SearchExhausted { ring: 2, unmapped: vec![] }.into();
-        assert_eq!(e.phase(), Phase::Mapping);
-        let e: AllocationError =
-            RoutingError::NoRoute { channel: ChannelId(0), src: ElementId(0), dst: ElementId(1) }
-                .into();
-        assert_eq!(e.phase(), Phase::Routing);
-        let e: AllocationError = ValidationError::Analysis(StateSpaceError::Deadlock).into();
-        assert_eq!(e.phase(), Phase::Validation);
+    fn every_refusal_names_its_phase_cause_and_permanence() {
+        for (i, e) in refusals().iter().enumerate() {
+            let phase = e.phase().to_string();
+            assert_eq!(e.cause_index(), i, "{e}");
+            assert_eq!(e.cause_name().split_once('.').map(|(p, _)| p), Some(&*phase), "{e}");
+            assert!(e.to_string().starts_with(&format!("{phase} failed: ")), "{e}");
+            let hopeless = matches!(e.cause_name(), "binding.structural" | "validation.analysis");
+            assert_eq!(e.is_permanent(), hopeless, "{e}");
+        }
     }
 
     #[test]
     fn errors_have_sources_and_messages() {
         use std::error::Error;
-        let e: AllocationError = ValidationError::ConstraintViolated {
-            constraint_index: 0,
-            allowed_period: 10,
-            achieved_period: 20.0,
-        }
-        .into();
-        assert!(e.source().is_some());
-        assert!(e.to_string().contains("violated"));
+        let [unbound, _, _, _, _, unrouted, too_slow, _] = refusals();
+        assert!(too_slow.source().is_some());
+        assert!(too_slow.to_string().contains("violated"));
         assert_eq!(Phase::Mapping.to_string(), "mapping");
-    }
-
-    #[test]
-    fn durability_separates_retryable_from_hopeless() {
-        let transient: [AllocationError; 4] = [
-            BindingError::NoFeasibleImplementation { task: TaskId(0), structural: false }.into(),
-            MappingError::SearchExhausted { ring: 1, unmapped: vec![TaskId(0)] }.into(),
-            RoutingError::NoRoute { channel: ChannelId(0), src: ElementId(0), dst: ElementId(1) }
-                .into(),
-            ValidationError::ConstraintViolated {
-                constraint_index: 0,
-                allowed_period: 10,
-                achieved_period: 20.0,
-            }
-            .into(),
-        ];
-        for e in &transient {
-            assert_eq!(e.durability(), FailureDurability::Transient, "{e}");
-        }
-        let permanent: [AllocationError; 2] = [
-            BindingError::NoFeasibleImplementation { task: TaskId(0), structural: true }.into(),
-            ValidationError::Analysis(StateSpaceError::Deadlock).into(),
-        ];
-        for e in &permanent {
-            assert_eq!(e.durability(), FailureDurability::Permanent, "{e}");
-        }
+        assert_eq!(
+            unbound.to_string(),
+            "binding failed: no feasible implementation for task t3: \
+             dsp needs [cpu:900 mem:8 area:0 io:0], largest free [cpu:400 mem:64 area:0 io:0]"
+        );
+        assert_eq!(
+            unrouted.to_string(),
+            "routing failed: no route for channel c0 from e0 to e1, \
+             first blocked at l7 (2 vcs, bandwidth 150 free)"
+        );
     }
 }

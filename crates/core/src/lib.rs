@@ -63,8 +63,7 @@ mod workspace;
 pub use binding::bind;
 pub use cache::{CacheConfig, CacheStats};
 pub use error::{
-    AllocationError, BindingError, FailureDurability, MappingError, Phase, RoutingError,
-    ValidationError,
+    AllocationError, BindingError, MappingError, Phase, RoutingError, ValidationError,
 };
 pub use layout::{Binding, ExecutionLayout, Placement, Route};
 pub use manager::{

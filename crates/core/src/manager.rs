@@ -133,8 +133,10 @@ pub struct AdmissionReport {
 /// A failed admission: the phase-tagged error plus the time spent reaching it.
 #[derive(Debug, Clone, PartialEq)]
 pub struct AdmissionFailure {
-    /// What went wrong, tagged with the rejecting phase.
-    pub error: AllocationError,
+    /// What went wrong, tagged with the rejecting phase and naming what
+    /// the request was short of. Boxed once, where the refusal is handed
+    /// up, so that layers above can move it on as it is.
+    pub error: Box<AllocationError>,
     /// Wall-clock time spent per phase (later phases read zero).
     pub timings: PhaseTimings,
 }
@@ -143,18 +145,6 @@ impl AdmissionFailure {
     /// The phase that rejected the application.
     pub fn phase(&self) -> Phase {
         self.error.phase()
-    }
-
-    /// Whether the failure is worth retrying once capacity frees up
-    /// (see [`AllocationError::durability`]).
-    pub fn durability(&self) -> crate::error::FailureDurability {
-        self.error.durability()
-    }
-
-    /// `true` when the identical request might succeed after a release or
-    /// repair — the signal admission queues key their retry policy on.
-    pub fn is_transient(&self) -> bool {
-        self.durability() == crate::error::FailureDurability::Transient
     }
 }
 
@@ -303,6 +293,9 @@ struct CoreMetrics {
     phase_ns: [Arc<Histogram>; 4],
     admit_ok: Arc<Counter>,
     admit_fail: Arc<Counter>,
+    /// Refused admissions by cause, in `AllocationError::cause_index`
+    /// order: a partition of `admit_fail`.
+    reject: [Arc<Counter>; 8],
     /// Admissions decided by a probe hand-off instead of a pipeline run
     /// (each also counts in `admit_ok` or `admit_fail`).
     admit_replayed: Arc<Counter>,
@@ -333,6 +326,16 @@ impl CoreMetrics {
             ],
             admit_ok: registry.counter("kairos.core.admit.ok"),
             admit_fail: registry.counter("kairos.core.admit.fail"),
+            reject: [
+                registry.counter("kairos.core.reject.binding.no_implementation"),
+                registry.counter("kairos.core.reject.binding.structural"),
+                registry.counter("kairos.core.reject.mapping.pinned"),
+                registry.counter("kairos.core.reject.mapping.no_start"),
+                registry.counter("kairos.core.reject.mapping.search_exhausted"),
+                registry.counter("kairos.core.reject.routing.no_route"),
+                registry.counter("kairos.core.reject.validation.constraint"),
+                registry.counter("kairos.core.reject.validation.analysis"),
+            ],
             admit_replayed: registry.counter("kairos.core.admit.replayed"),
             probes: registry.counter("kairos.core.probes"),
             migrate_attempts: registry.counter("kairos.core.migrate.attempts"),
@@ -606,9 +609,10 @@ impl Kairos {
                 Ok(AdmissionReport { app_id, timings, layout, validation })
             }
             Err(error) => {
-                let failure = AdmissionFailure { error, timings };
+                let failure = AdmissionFailure { error: Box::new(error), timings };
                 if let Some(m) = &self.metrics {
                     m.admit_fail.inc();
+                    m.reject[failure.error.cause_index()].inc();
                     self.telemetry.event(
                         Level::WARN,
                         "kairos_core",
@@ -681,7 +685,9 @@ impl Kairos {
         let (shape, epoch) = (app.shape_hash(), self.platform.state_epoch());
         let probed = probe.as_ref().map(|(probe, validation)| (&probe.layout, validation));
         self.store.keep_probed(shape, epoch, probed, self.workspace.mapping.seats());
-        probe.map(|(probe, _)| probe).map_err(|error| AdmissionFailure { error, timings })
+        probe
+            .map(|(probe, _)| probe)
+            .map_err(|error| AdmissionFailure { error: Box::new(error), timings })
     }
 
     /// Probes whether `app` could be admitted if the applications in
@@ -719,7 +725,7 @@ impl Kairos {
         match decided {
             Ok(Decision::Cold(layout, _)) => Ok(layout),
             Ok(Decision::Carried(point)) => Ok(point.layout),
-            Err(error) => Err(AdmissionFailure { error, timings }),
+            Err(error) => Err(AdmissionFailure { error: Box::new(error), timings }),
         }
     }
 
@@ -798,7 +804,7 @@ impl Kairos {
         match self.place(&app, scratch, &mut timings, TraceContext::NONE, 0) {
             Err(error) => {
                 self.platform.rollback_txn();
-                let failure = AdmissionFailure { error, timings };
+                let failure = AdmissionFailure { error: Box::new(error), timings };
                 if let Some(m) = &self.metrics {
                     m.migrate_rollbacks.inc();
                     self.telemetry.event(
@@ -1253,6 +1259,17 @@ mod tests {
         assert_eq!(kairos.admitted_count(), 0);
         assert!(failure.timings.binding > std::time::Duration::ZERO);
         assert_eq!(failure.timings.mapping, std::time::Duration::ZERO);
+    }
+
+    #[test]
+    fn each_reject_counter_is_named_after_its_cause() {
+        let telemetry = Telemetry::new(kairos_telemetry::TelemetryConfig::default());
+        let metrics = CoreMetrics::new(&telemetry).unwrap();
+        let registry = telemetry.registry().unwrap();
+        for (counter, cause) in metrics.reject.iter().zip(crate::error::CAUSES) {
+            let named = registry.counter(&["kairos.core.reject", cause].join("."));
+            assert!(Arc::ptr_eq(counter, &named), "{cause}");
+        }
     }
 
     #[test]

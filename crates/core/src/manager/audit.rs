@@ -312,6 +312,9 @@ mod tests {
         let refusal = AllocationError::Binding(BindingError::NoFeasibleImplementation {
             task: TaskId(0),
             structural: true,
+            kind: ElementKind::Dsp,
+            requested: bound,
+            largest_free: None,
         });
         ahead.store.keep_probed(0, epoch, Err(&refusal), &[]);
         let expected = KairosAuditError::ProbeAhead { kept: epoch, platform: epoch - 1 };

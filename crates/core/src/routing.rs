@@ -133,8 +133,12 @@ pub(crate) fn route_channels_in(
                 dijkstra_path(platform, src, dst, channel.bandwidth(), scratch)
             }
         };
-        if !found {
-            return Err(RoutingError::NoRoute { channel: channel.id(), src, dst });
+        if let Err(blocked) = found {
+            let blocked = blocked.map(|l| {
+                let (vcs, bandwidth) = link_left(platform, &scratch.taken, l);
+                (l, vcs, bandwidth)
+            });
+            return Err(RoutingError::NoRoute { channel: channel.id(), src, dst, blocked });
         }
         for &l in &scratch.links[start..] {
             let (vcs, bandwidth) = &mut scratch.taken[l.index()];
@@ -163,17 +167,19 @@ fn link_available(platform: &Platform, taken: &[(u16, u64)], l: LinkId, bandwidt
 }
 
 /// Appends to `scratch.links` the fewest-hops path from `src` to `dst` over
-/// links that can still carry `bandwidth`; `false` when there is none.
-/// Failed elements are not traversed (but `src` and `dst` themselves are
-/// permitted, so that draining routes stay discoverable).
+/// links that can still carry `bandwidth`; without one, the first link it
+/// turned down for capacity, if any. Failed elements are not traversed
+/// (but `src` and `dst` themselves are permitted, so that draining routes
+/// stay discoverable).
 fn bfs_path(
     platform: &Platform,
     src: ElementId,
     dst: ElementId,
     bandwidth: u64,
     scratch: &mut RoutingScratch,
-) -> bool {
+) -> Result<(), Option<LinkId>> {
     let RoutingScratch { links, visited, prev, queue, taken, .. } = scratch;
+    let mut blocked = None;
     visited.reset(platform.element_count());
     visited.insert(src.index());
     queue.clear();
@@ -183,13 +189,14 @@ fn bfs_path(
         head += 1;
         if e == dst {
             reconstruct(prev, src, dst, links);
-            return true;
+            return Ok(());
         }
         for &(next, link) in platform.successors(e) {
-            if visited.contains(next.index())
-                || !link_available(platform, taken, link, bandwidth)
-                || (platform.is_failed(next) && next != dst)
-            {
+            if visited.contains(next.index()) || (platform.is_failed(next) && next != dst) {
+                continue;
+            }
+            if !link_available(platform, taken, link, bandwidth) {
+                blocked = blocked.or(Some(link));
                 continue;
             }
             visited.insert(next.index());
@@ -197,7 +204,7 @@ fn bfs_path(
             queue.push(next);
         }
     }
-    false
+    Err(blocked)
 }
 
 /// Load-aware shortest path, appended to `scratch.links` like
@@ -209,8 +216,9 @@ fn dijkstra_path(
     dst: ElementId,
     bandwidth: u64,
     scratch: &mut RoutingScratch,
-) -> bool {
+) -> Result<(), Option<LinkId>> {
     let RoutingScratch { links, prev, dist, heap, taken, .. } = scratch;
+    let mut blocked = None;
     dist.clear();
     dist.resize(platform.element_count(), u64::MAX);
     heap.clear();
@@ -223,12 +231,14 @@ fn dijkstra_path(
         }
         if e == dst {
             reconstruct(prev, src, dst, links);
-            return true;
+            return Ok(());
         }
         for &(next, link) in platform.successors(e) {
-            if !link_available(platform, taken, link, bandwidth)
-                || (platform.is_failed(next) && next != dst)
-            {
+            if platform.is_failed(next) && next != dst {
+                continue;
+            }
+            if !link_available(platform, taken, link, bandwidth) {
+                blocked = blocked.or(Some(link));
                 continue;
             }
             let capacity = platform.link(link).bandwidth().max(1);
@@ -242,7 +252,7 @@ fn dijkstra_path(
             }
         }
     }
-    false
+    Err(blocked)
 }
 
 /// Appends the links of the path the search left in `prev`, in traversal
@@ -344,7 +354,8 @@ mod tests {
         let app = two_task_app(100);
         let placement = Placement::new(vec![e[0], e[1]]);
         let err = route_channels(&app, &placement, &mut platform, RouteAlgorithm::Bfs).unwrap_err();
-        assert!(matches!(err, RoutingError::NoRoute { .. }));
+        let blocked = Some((l, 0, platform.link_free_bandwidth(l)));
+        assert!(matches!(err, RoutingError::NoRoute { blocked: b, .. } if b == blocked));
         assert_eq!(platform.checkpoint(), before, "failed routing must roll back");
     }
 
@@ -354,7 +365,13 @@ mod tests {
         let e: Vec<_> = platform.element_ids().collect();
         let app = two_task_app(1500); // link capacity is 1000
         let placement = Placement::new(vec![e[0], e[1]]);
-        assert!(route_channels(&app, &placement, &mut platform, RouteAlgorithm::Bfs).is_err());
+        let l = platform.link_between(e[0], e[1]).unwrap();
+        let vcs = kairos_platform::topology::DEFAULT_VIRTUAL_CHANNELS;
+        for algorithm in [RouteAlgorithm::Bfs, RouteAlgorithm::Dijkstra] {
+            let err = route_channels(&app, &placement, &mut platform, algorithm).unwrap_err();
+            let blocked = Some((l, vcs, 1000));
+            assert!(matches!(err, RoutingError::NoRoute { blocked: b, .. } if b == blocked));
+        }
     }
 
     #[test]

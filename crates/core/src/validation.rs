@@ -464,7 +464,7 @@ mod tests {
                 "throughput analysis failed: self-timed execution deadlocked"
             );
             let failure = crate::error::AllocationError::from(err);
-            assert_eq!(failure.durability(), crate::error::FailureDurability::Permanent);
+            assert!(failure.is_permanent());
         }
     }
 

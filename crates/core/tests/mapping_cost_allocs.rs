@@ -135,7 +135,9 @@ fn mapping_cost_does_not_allocate() {
 /// beside the application that holds one, and the platform's resident
 /// lists grow only under admissions, never under refusals that claim
 /// nothing. A refused one pays for the binding and placement it got to
-/// before the refusal. At `292cf97`, where
+/// before the refusal (1.93 on this churn) and for the boxed
+/// `AllocationError` it returns, which a front-end moves into its event as
+/// it is: 2.93 in all. At `292cf97`, where
 /// every phase rebuilt its working sets per call, this churn read 171.07
 /// and 158.67 (most refusals here come from routing, after a full mapping
 /// run). The counts are exact: a change that moves them is a change to what
@@ -179,5 +181,5 @@ fn a_warm_admission_allocates_only_what_outlives_it() {
     let per_admitted = admitted.1 as f64 / admitted.0 as f64;
     let per_refused = refused.1 as f64 / refused.0 as f64;
     assert!(per_admitted <= 21.8, "{per_admitted:.2} allocations per admitted request");
-    assert!(per_refused <= 2.0, "{per_refused:.2} allocations per refused request");
+    assert!(per_refused <= 3.0, "{per_refused:.2} allocations per refused request");
 }

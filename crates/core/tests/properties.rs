@@ -11,15 +11,18 @@ use std::sync::atomic::{AtomicU32, Ordering};
 
 use proptest::prelude::*;
 
-use kairos_app::{Application, ApplicationBuilder, Constraint, Implementation, TaskId, TaskRole};
+use kairos_app::{
+    Application, ApplicationBuilder, ChannelId, Constraint, Implementation, TaskId, TaskRole,
+};
 use kairos_appgen::{generate_dataset, DatasetSpec};
 use kairos_core::{
-    bind, map_application, AdmissionFailure, AdmissionReport, AllocationError, CacheConfig,
-    CostPolicy, ExecutionLayout, GapState, Kairos, KairosConfig, KnapsackItem, KnapsackSolver,
-    MapperConfig, ValidationConfig, ValidationReport,
+    bind, map_application, AdmissionFailure, AdmissionReport, AllocationError, BindingError,
+    CacheConfig, CostPolicy, ExecutionLayout, GapState, Kairos, KairosConfig, KnapsackItem,
+    KnapsackSolver, MapperConfig, MappingError, RoutingError, ValidationConfig, ValidationError,
+    ValidationReport,
 };
 use kairos_platform::{
-    topology, AppId, ElementId, ElementKind, Occupant, Platform, ResourceVector,
+    topology, AppId, ElementId, ElementKind, LinkId, Occupant, Platform, ResourceVector,
 };
 use kairos_telemetry::{Telemetry, TelemetryConfig};
 
@@ -341,7 +344,7 @@ fn a_probe_reaches_its_admission_through_exactly_one_tier() {
 fn decision_of(
     result: Result<AdmissionReport, AdmissionFailure>,
 ) -> Result<(ExecutionLayout, Option<ValidationReport>), AllocationError> {
-    result.map(|r| (r.layout, r.validation)).map_err(|f| f.error)
+    result.map(|r| (r.layout, r.validation)).map_err(|f| *f.error)
 }
 
 /// First id of the stand-in tenants of [`retenanted`]: far above anything
@@ -526,6 +529,69 @@ fn package_walls(platform: &Platform) -> Vec<ElementId> {
         .collect();
     assert_eq!(walls.len(), 8);
     walls
+}
+
+/// Each hostile application is refused for its own cause, and the refusal
+/// says short of what: on an idle CRISP behind [`package_walls`], the
+/// unbindable task asks a DSP for more than the roomiest one has (a whole
+/// idle DSP), the walled chain runs out of connected DSPs, the unroutable
+/// channel's first blocked link has less bandwidth free than it needs, and
+/// the pair held to one cycle misses it. A lit manager counts each cause
+/// once.
+#[test]
+fn every_hostile_refusal_names_its_cause_and_detail() {
+    let mut kairos = lit_manager(topology::crisp(), None);
+    package_walls(kairos.platform()).iter().for_each(|&e| drop(kairos.fail_element(e)));
+    let expected: [(&str, AllocationError); 4] = [
+        (
+            "binding.structural",
+            BindingError::NoFeasibleImplementation {
+                task: TaskId(0),
+                structural: true,
+                kind: ElementKind::Dsp,
+                requested: ResourceVector::new(1_000_000, 8, 0, 0),
+                largest_free: Some(ResourceVector::new(1000, 64, 0, 0)),
+            }
+            .into(),
+        ),
+        (
+            "mapping.search_exhausted",
+            MappingError::SearchExhausted { ring: 7, unmapped: vec![TaskId(7)] }.into(),
+        ),
+        (
+            "routing.no_route",
+            RoutingError::NoRoute {
+                channel: ChannelId(0),
+                src: ElementId(1),
+                dst: ElementId(2),
+                blocked: Some((LinkId(0), 6, 1000)),
+            }
+            .into(),
+        ),
+        (
+            "validation.constraint",
+            ValidationError::ConstraintViolated {
+                constraint_index: 0,
+                allowed_period: 1,
+                achieved_period: 40.0,
+            }
+            .into(),
+        ),
+    ];
+    for (app, (cause, refusal)) in hostile_apps().iter().zip(expected) {
+        let failure = kairos.admit(app).expect_err(app.name());
+        assert_eq!(
+            (failure.error.cause_name(), &*failure.error),
+            (cause, &refusal),
+            "{}",
+            app.name()
+        );
+        let counted = format!("kairos.core.reject.{cause}");
+        assert_eq!(kairos.telemetry().counter(&counted).map(|c| c.get()), Some(1), "{counted}");
+    }
+    let channel_bandwidth = hostile_apps()[2].channel(ChannelId(0)).bandwidth();
+    assert!(1000 < channel_bandwidth, "the blocked link is short of the channel's bandwidth");
+    assert_eq!(kairos.telemetry().counter("kairos.core.admit.fail").map(|c| c.get()), Some(4));
 }
 
 /// Refusals per phase over every case of the property below, and the

@@ -43,8 +43,9 @@
 //!   work happens, never what is decided.
 //! * **Optional admit coalescing** — [`GatewayConfig::coalesce`] merges
 //!   contiguous single admissions flushed in one drive pass into one
-//!   [`ResourceService::submit_batch`] wave (one platform transaction,
-//!   one drain pass). That changes how the inner service is driven, so
+//!   [`ResourceService::submit_batch`] wave (one arrival time, one drain
+//!   pass; each admission is still written as it is decided). That
+//!   changes how the inner service is driven, so
 //!   it is off by default and excluded from the sync-equivalence
 //!   guarantee; the `gateway` bench measures it against the default path.
 //!

@@ -848,7 +848,7 @@ impl Simulator {
                     // a failed preemption-migration falls back to eviction
                     // inside the service and never surfaces here.
                 }
-                Event::Rejected { ticket, class, cause, waited } => {
+                Event::Rejected { ticket, class, cause, waited, .. } => {
                     let info =
                         self.pending.remove(&ticket.0).expect("rejected tickets are pending");
                     match info.origin {
@@ -867,7 +867,7 @@ impl Simulator {
                     if let RejectCause::Refused { phase } = cause {
                         // The queue-less door's immediate rejection: pipeline
                         // attribution only, no queue involved.
-                        self.rejections_by_phase[phase_index(phase)] += 1;
+                        self.rejections_by_phase[phase as usize] += 1;
                         continue;
                     }
                     self.queue_accum.class_dropped[class.index()] += 1;
@@ -876,7 +876,7 @@ impl Simulator {
                         RejectCause::QueueFull => self.queue_accum.rejected_queue_full.inc(),
                         RejectCause::Permanent { phase } => {
                             self.queue_accum.rejected_permanent.inc();
-                            self.rejections_by_phase[phase_index(phase)] += 1;
+                            self.rejections_by_phase[phase as usize] += 1;
                             self.record_wait(class, waited);
                         }
                         RejectCause::Timeout => {
@@ -885,7 +885,7 @@ impl Simulator {
                         }
                         RejectCause::RetriesExhausted { phase } => {
                             self.queue_accum.dropped_retries_exhausted.inc();
-                            self.rejections_by_phase[phase_index(phase)] += 1;
+                            self.rejections_by_phase[phase as usize] += 1;
                             self.record_wait(class, waited);
                         }
                         RejectCause::Shutdown => {
@@ -1139,14 +1139,4 @@ fn nearest_rank(sorted: &[u64], p: u64) -> u64 {
     }
     let rank = (sorted.len() as u128 * u128::from(p)).div_ceil(100).max(1) as usize;
     sorted[rank.min(sorted.len()) - 1]
-}
-
-/// Pipeline-order index of an admission phase.
-fn phase_index(phase: Phase) -> usize {
-    match phase {
-        Phase::Binding => 0,
-        Phase::Mapping => 1,
-        Phase::Routing => 2,
-        Phase::Validation => 3,
-    }
 }

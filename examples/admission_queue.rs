@@ -28,10 +28,10 @@ fn describe(events: &[Event]) {
                     report.app_id
                 );
             }
-            Event::AttemptFailed { ticket, class, attempt, phase } => {
+            Event::AttemptFailed { ticket, class, attempt, phase, .. } => {
                 println!("  ! {ticket} [{class}] attempt {attempt} failed in {phase}, backing off");
             }
-            Event::Rejected { ticket, class, cause, waited } => {
+            Event::Rejected { ticket, class, cause, waited, .. } => {
                 println!("  - {ticket} [{class}] rejected after {waited} ticks: {cause:?}");
             }
             Event::Preempted { victim, class, requeued_as, by } => {

@@ -21,7 +21,7 @@ use kairos::core::{KairosConfig, DURATION_NS_BOUNDS};
 use kairos::platform::{topology, AppId, ElementId, RegionMap};
 use kairos::sim::testkit::clustered_once;
 use kairos::sim::{Scenario, Simulator};
-use kairos::telemetry::{Telemetry, TelemetryConfig};
+use kairos::telemetry::{MetricValue, Telemetry, TelemetryConfig};
 
 #[test]
 fn every_unclustered_scenario_is_byte_identical_through_a_one_shard_cluster() {
@@ -287,6 +287,19 @@ fn storm_differential(admission: Option<AdmitPolicy>, policy: fn() -> Box<dyn Pl
             - replayed,
         "queued={queued}"
     );
+    // Every refusal is counted once, under its cause.
+    let snapshot = hub.snapshot();
+    let causes: Vec<u64> = snapshot
+        .metrics
+        .iter()
+        .filter(|m| m.name.starts_with("kairos.core.reject."))
+        .map(|m| match m.value {
+            MetricValue::Counter(n) => n,
+            _ => panic!("{} is a counter", m.name),
+        })
+        .collect();
+    assert_eq!(causes.len(), 8, "queued={queued}");
+    assert_eq!(causes.iter().sum::<u64>(), count("kairos.core.admit.fail"), "queued={queued}");
 }
 
 #[test]

@@ -144,7 +144,7 @@ fn a_weight_change_voids_every_cached_decision() {
                     kairos.release(report.app_id);
                 }
                 kairos.set_weights(CostPolicy::Communication.weights());
-                let layout = kairos.admit(&app).map(|r| r.layout).map_err(|f| f.error);
+                let layout = kairos.admit(&app).map(|r| r.layout).map_err(|f| *f.error);
                 (layout, kairos.cache_stats())
             });
             compared += 1;
