@@ -182,10 +182,9 @@ impl ClusterBuilder {
 /// regions; each region is owned by its own [`Admitd`] service (queue-less
 /// or queued, exactly as a monolithic service would be). Traffic flows:
 ///
-/// * **Admissions** are placed by what-if probes of the shards (each
-///   probe runs in a claim-journal transaction that is always rolled
-///   back, so a losing probe leaves nothing behind — but it is a full
-///   pipeline run), shard by shard in shard-id order — a single
+/// * **Admissions** are placed by what-if probes of the shards (a probe
+///   writes nothing, so a losing probe leaves nothing behind — but it is
+///   a full pipeline run), shard by shard in shard-id order — a single
 ///   admission and a batched wave alike — until the injected
 ///   [`PlacementPolicy`] calls the row
 ///   [settled](PlacementPolicy::settled) or every shard has answered,
@@ -348,8 +347,7 @@ impl ClusterService {
 
     /// Probes every shard with a state-neutral what-if admission of
     /// `app` and returns the results in shard-id order. Nothing changes
-    /// anywhere: each probe runs in a claim-journal transaction its shard
-    /// always rolls back. The one-element case of
+    /// anywhere: a probe writes nothing. The one-element case of
     /// [`Self::probe_admit_wave`].
     pub fn probe_admit(&mut self, app: &Application) -> Vec<ShardProbe> {
         self.probe_wave(&[app], true).pop().expect("one probe row per application")

@@ -16,8 +16,8 @@
 //!   admission policy is set — identical knobs to the monolithic
 //!   [`ServiceBuilder`](kairos_admitd::ServiceBuilder)).
 //! * **Admission probes** — every admission is placed by state-neutral
-//!   what-if probes of the shards (each a claim-journal transaction its
-//!   shard always rolls back, each one full pipeline run), one shard
+//!   what-if probes of the shards (each writes nothing and is one full
+//!   pipeline run), one shard
 //!   after another **in shard-id order** — a single admission and a
 //!   batched wave alike — until the placement policy's choice is
 //!   [settled](PlacementPolicy::settled): up to one probe per shard,

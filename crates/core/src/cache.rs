@@ -1,8 +1,9 @@
 //! The manager's decision store — every pipeline decision a
 //! [`Kairos`](crate::Kairos) remembers, in one field — and [`replay_point`], the one writer every
-//! admission ends in: cold run, keyed hit and probe hand-off alike. The
-//! phases decide over `&Platform` and write nothing, so a refusal from any
-//! source touches nothing.
+//! admission ends in: cold run, keyed hit and probe hand-off alike, behind
+//! [`point_fits`], the check that leaves it nothing to undo. The phases
+//! decide over `&Platform` and write nothing, so a refusal from any source
+//! touches nothing.
 //!
 //! [`CachedDecision`] is the complete outcome of one `run_phases` call —
 //! a [`CachedPoint`] (layout, and the *seats*: the placement's claims in
@@ -38,11 +39,11 @@
 //!   counts);
 //! * the **last-probe tier**, consulted only when there is no keyed tier,
 //!   keeps the last `probe_admit`'s decision beside the platform's
-//!   `state_epoch`, read after the probe — a refusal writes nothing,
-//!   rollback restores the bytes exactly and every later mutation bumps
-//!   the epoch, so an equal epoch proves the same state without digesting
-//!   anything. It serves the one admission that follows the probe. (With a
-//!   keyed tier the probe's decision is already stored there.)
+//!   `state_epoch` — a probe writes nothing, and every later mutation
+//!   bumps the epoch, so an equal epoch proves the same state without
+//!   digesting anything. It serves the one admission that follows the
+//!   probe. (With a keyed tier the probe's decision is already stored
+//!   there.)
 //!
 //! Neither key covers the cost weights: `Kairos::set_weights` clears both.
 
@@ -154,9 +155,9 @@ pub(crate) enum Recall {
 pub(crate) struct DecisionStore {
     /// The keyed tier, present iff `KairosConfig::cache` is set.
     keyed: Option<Keyed>,
-    /// The last-probe tier: `(shape, state epoch read after the probe's
-    /// rollback, decision)` of the last `probe_admit`, until the next
-    /// admission takes it. Only ever set without a keyed tier.
+    /// The last-probe tier: `(shape, state epoch the probe decided at,
+    /// decision)` of the last `probe_admit`, until the next admission
+    /// takes it. Only ever set without a keyed tier.
     last_probe: Option<(u128, u64, CachedDecision)>,
 }
 
@@ -198,7 +199,7 @@ impl DecisionStore {
     }
 
     /// Offers what a `probe_admit` of `shape` decided — `probed`, whose
-    /// seats are `seats` — with the `state_epoch` its rollback left. The
+    /// seats are `seats` — with the `state_epoch` it decided at. The
     /// last-probe tier keeps it; a keyed tier stored it when the probe
     /// decided.
     pub(crate) fn keep_probed(&mut self, shape: u128, epoch: u64, probed: Outcome, seats: &[Seat]) {
@@ -315,38 +316,90 @@ impl Keyed {
     }
 }
 
+/// The working memory of [`point_fits`]: per element the summed claims of
+/// a point's seats, per link its uses and summed bandwidth, dense over the
+/// platform. Each call clears exactly the entries it is about to sum,
+/// through the point's own seats and links, so nothing is read across
+/// calls.
+#[derive(Debug, Default)]
+pub(crate) struct FitScratch {
+    seated: Vec<ResourceVector>,
+    routed: Vec<(u32, u64)>,
+}
+
+/// Whether a point fits `platform` as it stands: its `seats`, and one
+/// virtual channel of each route's bandwidth (`bandwidths`, aligned with
+/// `routes`) on its links. Per element, it is not failed and its seats'
+/// summed claims are within its free vector; per link, its uses are within
+/// its free virtual channels and their summed bandwidth within its free
+/// bandwidth — exactly when every claim [`replay_point`] makes, in its
+/// order, succeeds. Reads only.
+pub(crate) fn point_fits(
+    platform: &Platform,
+    seats: &[Seat],
+    routes: &[Route],
+    bandwidths: impl IntoIterator<Item = u64>,
+    scratch: &mut FitScratch,
+) -> bool {
+    let FitScratch { seated, routed } = scratch;
+    if seated.len() < platform.element_count() {
+        seated.resize(platform.element_count(), ResourceVector::ZERO);
+    }
+    if routed.len() < platform.link_count() {
+        routed.resize(platform.link_count(), (0, 0));
+    }
+    seats.iter().for_each(|&(element, _, _)| seated[element.index()] = ResourceVector::ZERO);
+    for &(element, _, claimed) in seats {
+        seated[element.index()] = seated[element.index()].saturating_add(&claimed);
+    }
+    let links = || routes.iter().flat_map(Route::links);
+    links().for_each(|link| routed[link.index()] = (0, 0));
+    for (route, bandwidth) in routes.iter().zip(bandwidths) {
+        for link in route.links() {
+            let (uses, sum) = &mut routed[link.index()];
+            *uses += 1;
+            *sum = sum.saturating_add(bandwidth);
+        }
+    }
+    seats.iter().all(|&(element, _, _)| platform.is_available(element, &seated[element.index()]))
+        && links().all(|&link| {
+            let (uses, bandwidth) = routed[link.index()];
+            uses <= u32::from(platform.link_free_virtual_channels(link))
+                && bandwidth <= platform.link_free_bandwidth(link)
+        })
+}
+
 /// The one writer: claims `seats` under `app` in order — so each element
 /// seats the occupants behind its earlier residents as a cold run would —
 /// then one virtual channel of each route's bandwidth (`bandwidths`,
-/// aligned with `routes`) on its links, in one nested transaction that a
-/// failed claim rolls back whole (`false`). `app` must be on no element
-/// yet: an `(app, task)` pair names one occupant (debug-asserted).
+/// aligned with `routes`) on its links. The point must [`point_fits`] the
+/// platform: a carried decision is checked first, and a cold one was
+/// decided against this very state. `app` must be on no element yet: an
+/// `(app, task)` pair names one occupant (debug-asserted).
 pub(crate) fn replay_point(
     platform: &mut Platform,
     app: AppId,
     seats: &[Seat],
     routes: &[Route],
     bandwidths: impl IntoIterator<Item = u64>,
-) -> bool {
+) {
     debug_assert!(
         seats.is_empty()
             || platform.element_ids().flat_map(|e| platform.residents(e)).all(|o| o.app != app),
         "{app} is already resident: an admission's claims need an id no occupant carries"
     );
-    platform.begin_txn();
-    let seated = seats.iter().all(|&(element, task, claimed)| {
-        platform.claim(element, Occupant { app, task, claimed }).is_ok()
-    });
-    let written = seated
-        && routes.iter().zip(bandwidths).all(|(route, bandwidth)| {
-            route.links().iter().all(|&link| platform.claim_link(link, bandwidth).is_ok())
-        });
-    if written {
-        platform.commit_txn();
-    } else {
-        platform.rollback_txn();
+    for &(element, task, claimed) in seats {
+        platform
+            .claim(element, Occupant { app, task, claimed })
+            .expect("the point fits: its element is live and its seats sum within the free vector");
     }
-    written
+    for (route, bandwidth) in routes.iter().zip(bandwidths) {
+        for &link in route.links() {
+            platform.claim_link(link, bandwidth).expect(
+                "the point fits: the link's uses and bandwidth are within what it has free",
+            );
+        }
+    }
 }
 
 #[cfg(test)]
@@ -357,8 +410,9 @@ mod tests {
     use crate::mapping::{map_application_in, MapperConfig};
     use crate::routing::{route_channels_in, RouteAlgorithm};
     use crate::workspace::Workspace;
-    use kairos_app::{Application, ApplicationBuilder, Implementation, TaskRole};
+    use kairos_app::{Application, ApplicationBuilder, ChannelId, Implementation, TaskRole};
     use kairos_platform::{topology, ElementKind, LinkId};
+    use proptest::prelude::*;
 
     /// A stored admission placing one task on each of `elements`.
     fn point(elements: &[u32]) -> CachedDecision {
@@ -498,23 +552,20 @@ mod tests {
         b.build().unwrap()
     }
 
-    /// Runs the writer on `platform`, where one of its claims was made to
-    /// fail, and checks that it left nothing behind.
+    /// The check refuses a point on `platform`, where one of its claims
+    /// was made to fail, and leaves bytes, stamp and epoch as they were.
     fn crashes_cleanly(
         platform: &mut Platform,
-        app: AppId,
         seats: &[Seat],
         routes: &[Route],
         bandwidths: &[u64],
+        scratch: &mut FitScratch,
     ) {
         let (bytes, stamp, epoch) =
             (platform.checkpoint(), platform.state_stamp(), platform.state_epoch());
-        assert!(!replay_point(platform, app, seats, routes, bandwidths.iter().copied()));
-        assert_eq!(platform.checkpoint(), bytes, "a failed write rolls back to the same bytes");
-        assert_eq!(platform.state_stamp(), stamp);
-        assert!(platform.state_epoch() >= epoch, "the epoch never runs backwards");
-        assert!(!platform.txn_active());
-        assert_eq!(platform.audit(), Ok(()));
+        assert!(!point_fits(platform, seats, routes, bandwidths.iter().copied(), scratch));
+        assert_eq!(platform.checkpoint(), bytes, "the check reads only");
+        assert_eq!((platform.state_stamp(), platform.state_epoch()), (stamp, epoch));
     }
 
     /// Every crash point of the one writer. For each seat k and each link
@@ -523,11 +574,14 @@ mod tests {
     /// clone: its element failed, or, when an earlier seat shares the
     /// element, its free capacity used up to one unit short of the claim;
     /// its link's virtual channels used up to those the earlier claims on
-    /// it need. The write must then leave the clone as it found it.
+    /// it need. The check must refuse the point there, before anything is
+    /// written; on the platform itself it accepts, and the write lands.
+    /// One warm scratch serves every check.
     #[test]
     fn every_crash_point_of_the_writer_leaves_the_platform_as_it_was() {
         let mut platform = topology::crisp();
         let mut workspace = Workspace::default();
+        let mut scratch = FitScratch::default();
         let apps = [chain(6, 300, 90), chain(4, 700, 150), chain(8, 250, 60), chain(3, 500, 200)];
         let (mut failed, mut starved, mut links) = (0, 0, 0);
         for (i, app) in apps.iter().enumerate() {
@@ -561,7 +615,7 @@ mod tests {
                         .unwrap();
                     starved += 1;
                 }
-                crashes_cleanly(&mut clone, id, &seats, &routes, &bandwidths);
+                crashes_cleanly(&mut clone, &seats, &routes, &bandwidths, &mut scratch);
             }
 
             let claims: Vec<LinkId> =
@@ -572,12 +626,67 @@ mod tests {
                 while clone.link_free_virtual_channels(link) > earlier {
                     clone.claim_link(link, 0).unwrap();
                 }
-                crashes_cleanly(&mut clone, id, &seats, &routes, &bandwidths);
+                crashes_cleanly(&mut clone, &seats, &routes, &bandwidths, &mut scratch);
                 links += 1;
             }
 
-            assert!(replay_point(&mut platform, id, &seats, &routes, bandwidths.iter().copied()));
+            let bandwidths = bandwidths.iter().copied();
+            assert!(point_fits(&platform, &seats, &routes, bandwidths.clone(), &mut scratch));
+            replay_point(&mut platform, id, &seats, &routes, bandwidths);
+            assert_eq!(platform.audit(), Ok(()));
         }
         assert!(failed > 0 && starved > 0 && links > 0, "{failed} / {starved} / {links}");
+    }
+
+    proptest! {
+        /// The check is the writer's claims, made in order on a clone, all
+        /// succeeding: on random loads of a 3x3 DSP mesh (some elements
+        /// failed, some link capacity reserved), for random seats and
+        /// routes that share elements and links.
+        #[test]
+        fn the_check_agrees_with_the_claims(
+            load in proptest::collection::vec((0u32..9, 0u64..700, 0u64..40), 0..12),
+            failed in proptest::collection::vec(0u32..9, 0..3),
+            reserved in proptest::collection::vec((0u32..24, 0u64..600), 0..20),
+            seats in proptest::collection::vec((0u32..9, 0u64..600, 0u64..40), 0..6),
+            routes in proptest::collection::vec(
+                (proptest::collection::vec(0u32..24, 0..4), 0u64..400),
+                0..5,
+            ),
+        ) {
+            let mut platform = topology::dsp_mesh(3, 3);
+            for (task, &(e, cpu, mem)) in load.iter().enumerate() {
+                let claimed = ResourceVector::new(cpu, mem, 0, 0);
+                let seat = Occupant { app: AppId(1), task: task as u32, claimed };
+                let _ = platform.claim(ElementId(e), seat);
+            }
+            failed.iter().for_each(|&e| platform.fail_element(ElementId(e)));
+            for &(l, bandwidth) in &reserved {
+                let _ = platform.claim_link(LinkId(l), bandwidth);
+            }
+            let seats: Vec<Seat> = seats
+                .iter()
+                .enumerate()
+                .map(|(t, &(e, cpu, mem))| (ElementId(e), t as u32, ResourceVector::new(cpu, mem, 0, 0)))
+                .collect();
+            let bandwidths: Vec<u64> = routes.iter().map(|&(_, bandwidth)| bandwidth).collect();
+            let routes: Vec<Route> = routes
+                .iter()
+                .enumerate()
+                .map(|(c, (links, _))| {
+                    Route::new(ChannelId(c as u32), links.iter().map(|&l| LinkId(l)).collect())
+                })
+                .collect();
+
+            let mut clone = platform.clone();
+            let claimed = seats.iter().all(|&(element, task, claimed)| {
+                clone.claim(element, Occupant { app: AppId(0), task, claimed }).is_ok()
+            }) && routes.iter().zip(&bandwidths).all(|(route, &bandwidth)| {
+                route.links().iter().all(|&link| clone.claim_link(link, bandwidth).is_ok())
+            });
+            let bandwidths = bandwidths.iter().copied();
+            let fits = point_fits(&platform, &seats, &routes, bandwidths, &mut FitScratch::default());
+            prop_assert_eq!(fits, claimed);
+        }
     }
 }

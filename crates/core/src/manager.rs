@@ -15,12 +15,13 @@ use std::fmt;
 use std::sync::Arc;
 
 use kairos_app::Application;
-use kairos_platform::{AppId, ElementId, Platform, PlatformCheckpoint, ResourceVector};
+use kairos_platform::{AppId, ElementId, Platform, PlatformCheckpoint, ResourceVector, UsageView};
 use kairos_telemetry::{Counter, Gauge, Histogram, Level, Telemetry, TraceContext};
 
 use crate::binding::bind_in;
 use crate::cache::{
-    record, replay_point, CacheConfig, CacheStats, CachedPoint, DecisionStore, Recall,
+    point_fits, record, replay_point, CacheConfig, CacheStats, CachedPoint, DecisionStore, Recall,
+    Seat,
 };
 use crate::error::{AllocationError, Phase};
 use crate::layout::ExecutionLayout;
@@ -28,7 +29,7 @@ use crate::mapping::{map_application_in, CostWeights, KnapsackSolver, MapperConf
 use crate::metrics::{ElementActivity, OccupancySnapshot, PhaseClock, PhaseTimings};
 use crate::routing::{release_routes, route_channels_in, RouteAlgorithm};
 use crate::validation::{validate_in, ValidationConfig, ValidationReport};
-use crate::workspace::Workspace;
+use crate::workspace::{Marks, Workspace};
 
 mod audit;
 
@@ -215,9 +216,10 @@ pub struct MigrationReport {
 pub struct AdmissionProbe {
     /// The execution layout the pipeline computed.
     pub layout: ExecutionLayout,
-    /// The occupancy snapshot with the trial claims in place (its
-    /// `admitted_apps` count does *not* include the probed application —
-    /// a probe admits nothing).
+    /// The occupancy snapshot the platform would read with the decision
+    /// written, computed from the platform and the decision's seats
+    /// without writing them (its `admitted_apps` count does *not* include
+    /// the probed application — a probe admits nothing).
     pub after: OccupancySnapshot,
 }
 
@@ -266,10 +268,10 @@ pub struct Kairos {
     /// Every decision the manager remembers: the keyed tier iff
     /// [`KairosConfig::cache`] is set, the last-probe tier otherwise (see
     /// `cache.rs`). Only `probe_admit` offers the last-probe tier a
-    /// decision — `probe_admit_without` and a declined `migrate_if`
-    /// decide against a state their rollback erases — `admit_traced`
-    /// alone takes it, and `set_weights`, the one decision input no key
-    /// covers, clears the store.
+    /// decision — `probe_admit_without` and `migrate_if` decide on the
+    /// what-if copy, a state the live platform never takes —
+    /// `admit_traced` alone takes it, and `set_weights`, the one decision
+    /// input no key covers, clears the store.
     store: DecisionStore,
     /// The working memory of `run_phases`: capacity, never state. Every
     /// phase clears what it uses before reading it, so no decision depends
@@ -364,11 +366,73 @@ type Decided = Result<Decision, AllocationError>;
 /// the workspace): the layout and its validation report, or the refusal.
 type Admitted = Result<(ExecutionLayout, Option<ValidationReport>), AllocationError>;
 
-/// A decided admission: the cold run's layout, whose seats are in the
-/// workspace, or a point the decision store brought back.
-enum Decision {
-    Cold(ExecutionLayout, Option<ValidationReport>),
-    Carried(CachedPoint),
+/// A decided admission: the layout and its validation report, and the
+/// seats of a point the decision store brought back — `None` for a cold
+/// run, whose seats are in the workspace.
+struct Decision {
+    layout: ExecutionLayout,
+    validation: Option<ValidationReport>,
+    carried: Option<Vec<Seat>>,
+}
+
+impl Decision {
+    fn cold((layout, validation): (ExecutionLayout, Option<ValidationReport>)) -> Self {
+        Decision { layout, validation, carried: None }
+    }
+
+    fn carried(point: CachedPoint) -> Self {
+        Decision { layout: point.layout, validation: point.validation, carried: Some(point.seats) }
+    }
+
+    /// The decision's seats: a carried point's, or `cold`, the workspace's.
+    fn seats<'a>(&'a self, cold: &'a [Seat]) -> &'a [Seat] {
+        self.carried.as_deref().unwrap_or(cold)
+    }
+}
+
+/// The platform as a probed decision would leave it, read without writing
+/// the decision: an element is used when it hosts a task already or one of
+/// the decision's seats lands on it (`seated`).
+struct Seated<'a> {
+    platform: &'a Platform,
+    seated: &'a Marks,
+}
+
+impl UsageView for Seated<'_> {
+    fn platform(&self) -> &Platform {
+        self.platform
+    }
+
+    fn is_used(&self, e: ElementId) -> bool {
+        self.platform.is_used(e) || self.seated.contains(e.index())
+    }
+}
+
+/// `(used elements, failed elements, resource utilisation)` of `view`,
+/// which claims `claimed` resource units beyond its platform — one walk for
+/// what `total_free`, `total_capacity`, `element_utilisation` and
+/// `failed_elements` would each walk for: this runs after every fitting
+/// probe.
+fn tally(view: &impl UsageView, claimed: u64) -> (usize, usize, f64) {
+    let platform = view.platform();
+    let (mut free, mut capacity) = (ResourceVector::ZERO, ResourceVector::ZERO);
+    let (mut used, mut failed) = (0usize, 0usize);
+    for element in platform.elements() {
+        let id = element.id();
+        used += usize::from(view.is_used(id));
+        if platform.is_failed(id) {
+            failed += 1;
+        } else {
+            free += platform.free(id);
+            capacity += element.capacity();
+        }
+    }
+    // Exact integers: the claims lie on live elements, within their free
+    // vectors, so this is what the platform would read with them written.
+    let free = free.as_array().iter().sum::<u64>() - claimed;
+    let capacity: u64 = capacity.as_array().iter().sum();
+    let utilisation = if capacity == 0 { 0.0 } else { 1.0 - free as f64 / capacity as f64 };
+    (used, failed, utilisation)
 }
 
 impl Kairos {
@@ -465,14 +529,21 @@ impl Kairos {
     /// An instantaneous snapshot of all occupancy metrics, for time-series
     /// sampling by long-running drivers (the `kairos-sim` scenario engine).
     pub fn occupancy(&self) -> OccupancySnapshot {
-        let (used, failed, resource_utilisation) = self.tally();
+        self.occupancy_of(&self.platform, 0)
+    }
+
+    /// The occupancy snapshot of `view`, which claims `claimed` resource
+    /// units more than the platform does: the platform itself, or the
+    /// platform as a probed decision would leave it.
+    fn occupancy_of(&self, view: &impl UsageView, claimed: u64) -> OccupancySnapshot {
+        let (used, failed, resource_utilisation) = tally(view, claimed);
         let elements = self.platform.element_count();
         OccupancySnapshot {
             admitted_apps: self.admitted.len(),
             element_utilisation: if elements == 0 { 0.0 } else { used as f64 / elements as f64 },
             resource_utilisation,
-            external_fragmentation: kairos_platform::external_fragmentation(&self.platform),
-            free_islands: kairos_platform::free_island_count(&self.platform),
+            external_fragmentation: kairos_platform::external_fragmentation(view),
+            free_islands: kairos_platform::free_island_count(view),
             failed_elements: failed,
         }
     }
@@ -482,30 +553,7 @@ impl Kairos {
     /// fragmentation walk and the island flood fill the rest of the
     /// snapshot costs.
     pub fn resource_utilisation(&self) -> f64 {
-        self.tally().2
-    }
-
-    /// `(used elements, failed elements, resource utilisation)` — one walk
-    /// for what `total_free`, `total_capacity`, `element_utilisation` and
-    /// `failed_elements` would each walk for: this runs after every
-    /// successful probe.
-    fn tally(&self) -> (usize, usize, f64) {
-        let (mut free, mut capacity) = (ResourceVector::ZERO, ResourceVector::ZERO);
-        let (mut used, mut failed) = (0usize, 0usize);
-        for element in self.platform.elements() {
-            let id = element.id();
-            used += usize::from(self.platform.is_used(id));
-            if self.platform.is_failed(id) {
-                failed += 1;
-            } else {
-                free += self.platform.free(id);
-                capacity += element.capacity();
-            }
-        }
-        let free: u64 = free.as_array().iter().sum();
-        let capacity: u64 = capacity.as_array().iter().sum();
-        let utilisation = if capacity == 0 { 0.0 } else { 1.0 - free as f64 / capacity as f64 };
-        (used, failed, utilisation)
+        tally(&self.platform, 0).2
     }
 
     /// Per-element busy/failed/resident-apps activity, in element-id order.
@@ -583,7 +631,7 @@ impl Kairos {
                 // One `commit.replay` span where the `phase.*` spans would
                 // be; `timings` stays zero, as on a cache hit.
                 let result = decision
-                    .map(Decision::Carried)
+                    .map(Decision::carried)
                     .and_then(|d| self.commit(d, app, app_id, &mut timings, ctx, now));
                 if let Some(m) = &self.metrics {
                     m.admit_replayed.inc();
@@ -630,8 +678,9 @@ impl Kairos {
 
     /// Releases the platform claims (element resources and link
     /// reservations) of an admitted application *without* touching the
-    /// admission registry. Callers inside an open transaction use this for
-    /// undoable what-if releases; `release` wraps it for the real thing.
+    /// admission registry: the what-ifs release on the what-if copy, where
+    /// the registry must stay as it is; `release` wraps it for the real
+    /// thing.
     fn release_claims_of(&mut self, id: AppId) {
         let Some(admitted) = self.admitted.get(&id) else { return };
         self.platform.release_app(id);
@@ -639,17 +688,16 @@ impl Kairos {
         release_routes(&mut self.platform, &admitted.layout.routes, bandwidths);
     }
 
-    /// Probes whether `app` could be admitted right now, leaving the
-    /// platform state exactly as it was, and reports the layout the
-    /// pipeline would produce together with the occupancy the platform
-    /// would reach.
+    /// Probes whether `app` could be admitted right now, writing nothing,
+    /// and reports the layout the pipeline would produce together with the
+    /// occupancy the platform would reach.
     ///
     /// This is the fan-out query behind sharded admission
     /// (`kairos-cluster`): every shard manager is probed in turn and a
     /// placement policy compares the returned [`AdmissionProbe`]s to
-    /// pick the winning shard. The pipeline decides first; only a probe
-    /// that fits writes its claims, inside one claim-journal transaction
-    /// that is rolled back as soon as the occupancy they leave is read.
+    /// pick the winning shard. The pipeline decides; the occupancy a
+    /// decision that fits would leave is read through a view of the
+    /// platform with the decision's seats added, not by writing them.
     ///
     /// The manager remembers what the probe decided, so the winning
     /// shard's [`Kairos::admit`] that follows commits it in O(claims)
@@ -666,27 +714,28 @@ impl Kairos {
     /// The [`AdmissionFailure`] the pipeline would report, if any.
     pub fn probe_admit(&mut self, app: &Application) -> Result<AdmissionProbe, AdmissionFailure> {
         let _span = self.telemetry.span("kairos_core", "probe_admit");
-        self.platform.begin_txn();
         if let Some(m) = &self.metrics {
             m.probes.inc();
         }
-        let scratch = AppId(self.next_app);
         let mut timings = PhaseTimings::default();
-        // Probes never trace: the phases of a trial that is rolled back
+        // Probes never trace: the phases of a trial that is not admitted
         // are not part of the request's causal chain (the cluster records
         // one `probe.shard{i}` span per probe instead).
-        let decided = self.decide(app, &mut timings, TraceContext::NONE, 0);
-        let result =
-            decided.and_then(|d| self.commit(d, app, scratch, &mut timings, TraceContext::NONE, 0));
-        let probe = result.map(|(layout, validation)| {
-            (AdmissionProbe { layout, after: self.occupancy() }, validation)
-        });
-        self.platform.rollback_txn();
-        let (shape, epoch) = (app.shape_hash(), self.platform.state_epoch());
-        let probed = probe.as_ref().map(|(probe, validation)| (&probe.layout, validation));
-        self.store.keep_probed(shape, epoch, probed, self.workspace.mapping.seats());
+        let probe = self
+            .decide(app, &mut timings, TraceContext::NONE, 0)
+            .and_then(|d| self.settle(d, app, &mut timings, TraceContext::NONE, 0))
+            .map(|decision| {
+                let after = self.occupancy_after(&decision);
+                (decision, after)
+            });
+        // Nothing was written: the epoch is the one the probe decided at.
+        let epoch = self.platform.state_epoch();
+        let cold = self.workspace.mapping.seats();
+        let seats = probe.as_ref().map_or(&[][..], |(decision, _)| decision.seats(cold));
+        let probed = probe.as_ref().map(|(decision, _)| (&decision.layout, &decision.validation));
+        self.store.keep_probed(app.shape_hash(), epoch, probed, seats);
         probe
-            .map(|(probe, _)| probe)
+            .map(|(decision, after)| AdmissionProbe { layout: decision.layout, after })
             .map_err(|error| AdmissionFailure { error: Box::new(error), timings })
     }
 
@@ -696,10 +745,10 @@ impl Kairos {
     ///
     /// This is the what-if query behind preemption planning: a relocation
     /// planner grows a victim set and asks, per candidate set, whether
-    /// evicting it actually unblocks the request. The victims' releases
-    /// run in one claim-journal transaction that is always rolled back,
-    /// and the trial admission is decided against them without writing
-    /// anything. A victim listed twice is released once.
+    /// evicting it actually unblocks the request. The victims are released
+    /// on the manager's what-if copy of the platform and the trial
+    /// admission is decided there; the live platform is not written. A
+    /// victim listed twice is released once.
     ///
     /// # Errors
     ///
@@ -710,23 +759,21 @@ impl Kairos {
         without: &[AppId],
     ) -> Result<ExecutionLayout, AdmissionFailure> {
         let _span = self.telemetry.span("kairos_core", "probe_admit_without");
-        self.platform.begin_txn();
         if let Some(m) = &self.metrics {
             m.probes.inc();
         }
-        for (i, &victim) in without.iter().enumerate() {
-            if !without[..i].contains(&victim) {
-                self.release_claims_of(victim);
-            }
-        }
         let mut timings = PhaseTimings::default();
-        let decided = self.decide(app, &mut timings, TraceContext::NONE, 0);
-        self.platform.rollback_txn();
-        match decided {
-            Ok(Decision::Cold(layout, _)) => Ok(layout),
-            Ok(Decision::Carried(point)) => Ok(point.layout),
-            Err(error) => Err(AdmissionFailure { error: Box::new(error), timings }),
-        }
+        let decided = self.on_copy(|this| {
+            for (i, &victim) in without.iter().enumerate() {
+                if !without[..i].contains(&victim) {
+                    this.release_claims_of(victim);
+                }
+            }
+            this.decide(app, &mut timings, TraceContext::NONE, 0)
+        });
+        decided
+            .map(|decision| decision.layout)
+            .map_err(|error| AdmissionFailure { error: Box::new(error), timings })
     }
 
     /// Live-migrates an admitted application to a fresh placement computed
@@ -747,22 +794,24 @@ impl Kairos {
     /// Live-migrates an admitted application, letting `accept` veto the
     /// move after seeing the would-be result.
     ///
-    /// The move is journal-backed and two-phase, make-before-break:
+    /// The move is decided and tried on the manager's what-if copy of the
+    /// platform, then committed on the live one, make-before-break:
     ///
-    /// 1. **claim new** — the pipeline re-runs for the application with
-    ///    its old claims still in place (so a migration needs room for
-    ///    both footprints at once), claiming the new placement under a
-    ///    scratch id that cannot collide with the old claims;
-    /// 2. **transfer** — the old claims are released and the scratch
-    ///    claims are relabelled to the application's real id
-    ///    ([`Platform::transfer_app`]); the id is stable across the move;
-    /// 3. **release old / decide** — `accept` sees the old layout, the new
-    ///    layout and the post-move platform. Accepting commits the
-    ///    transaction; declining (or any earlier failure) rolls the whole
-    ///    journal back, so the application is never left half-moved.
+    /// 1. **decide** — on the copy, the pipeline re-runs for the
+    ///    application with its old claims still in place (so a migration
+    ///    needs room for both footprints at once);
+    /// 2. **move the copy** — the old claims are released there and the
+    ///    new placement is written under the application's own id, which
+    ///    is stable across the move;
+    /// 3. **accept, then commit** — `accept` sees the old layout, the new
+    ///    layout and the moved copy. Accepting commits the move on the
+    ///    live platform: the old claims are released, then the one writer
+    ///    claims the new placement. Declining (or any earlier failure)
+    ///    leaves the live platform as it was, so the application is never
+    ///    left half-moved.
     ///
     /// Elements in `avoid` are off-limits to the new placement (they are
-    /// failure-marked for the duration of the pipeline run and restored
+    /// failure-marked on the copy for the pipeline run and restored
     /// before `accept` runs); ids outside the platform are skipped.
     ///
     /// # Errors
@@ -771,7 +820,7 @@ impl Kairos {
     /// [`MigrationError::Admission`] when no alternate placement exists
     /// under the avoidance set and current occupancy, and
     /// [`MigrationError::Declined`] when `accept` vetoed the move. In
-    /// every error case the platform is byte-identical to before the call.
+    /// every error case the platform was not written at all.
     pub fn migrate_if(
         &mut self,
         id: AppId,
@@ -788,22 +837,31 @@ impl Kairos {
         if let Some(m) = &self.metrics {
             m.migrate_attempts.inc();
         }
-        self.platform.begin_txn();
-        // Failure-mark the avoided elements so the pipeline's searches skip
-        // them; only elements not already failed are restored afterwards.
-        let mut masked: Vec<ElementId> = Vec::new();
-        for &e in avoid {
-            if self.is_live_element(e) && !masked.contains(&e) {
-                self.platform.fail_element(e);
-                masked.push(e);
-            }
-        }
-
-        let scratch = AppId(self.next_app);
         let mut timings = PhaseTimings::default();
-        match self.place(&app, scratch, &mut timings, TraceContext::NONE, 0) {
+        let moved = self.on_copy(|this| {
+            // Failure-mark the avoided elements so the pipeline's searches
+            // skip them; only elements not already failed are restored
+            // afterwards.
+            let mut masked: Vec<ElementId> = Vec::new();
+            for &e in avoid {
+                if this.is_live_element(e) && !masked.contains(&e) {
+                    this.platform.fail_element(e);
+                    masked.push(e);
+                }
+            }
+            let decision = this
+                .decide(&app, &mut timings, TraceContext::NONE, 0)
+                .and_then(|d| this.settle(d, &app, &mut timings, TraceContext::NONE, 0))?;
+            for e in masked {
+                this.platform.repair_element(e);
+            }
+            this.release_claims_of(id);
+            this.write_decision(&decision, &app, id);
+            let accepted = accept(&old_layout, &decision.layout, &this.platform);
+            Ok((decision, accepted))
+        });
+        match moved {
             Err(error) => {
-                self.platform.rollback_txn();
                 let failure = AdmissionFailure { error: Box::new(error), timings };
                 if let Some(m) = &self.metrics {
                     m.migrate_rollbacks.inc();
@@ -818,23 +876,14 @@ impl Kairos {
                 }
                 Err(MigrationError::Admission(failure))
             }
-            Ok((new_layout, _)) => {
-                // The alternate placement is claimed under the scratch id:
-                // phase one of the two-phase move.
+            Ok((decision, accepted)) => {
+                // The alternate placement was found, and the move made on
+                // the copy.
                 if let Some(m) = &self.metrics {
                     m.migrate_claims.inc();
-                }
-                // Transfer: drop the old footprint, relabel the new one.
-                self.release_claims_of(id);
-                self.platform.transfer_app(scratch, id);
-                if let Some(m) = &self.metrics {
                     m.migrate_transfers.inc();
                 }
-                for e in masked {
-                    self.platform.repair_element(e);
-                }
-                if !accept(&old_layout, &new_layout, &self.platform) {
-                    self.platform.rollback_txn();
+                if !accepted {
                     if let Some(m) = &self.metrics {
                         m.migrate_rollbacks.inc();
                         self.telemetry.event(
@@ -845,7 +894,11 @@ impl Kairos {
                     }
                     return Err(MigrationError::Declined);
                 }
-                self.platform.commit_txn();
+                // Commit on the live platform: the new placement fit beside
+                // the old one, so it lands once the old claims are gone.
+                self.release_claims_of(id);
+                self.write_decision(&decision, &app, id);
+                let new_layout = decision.layout;
                 if let Some(m) = &self.metrics {
                     m.migrate_commits.inc();
                 }
@@ -1018,12 +1071,10 @@ impl Kairos {
         now: u64,
     ) -> Decided {
         let key = match self.store.recall(app.shape_hash(), &mut self.platform) {
-            Recall::Cold => {
-                return self.run_phases(app, timings, ctx, now).map(|(l, v)| Decision::Cold(l, v))
-            }
+            Recall::Cold => return self.run_phases(app, timings, ctx, now).map(Decision::cold),
             Recall::Hit(decision) => {
                 self.note_lookup(ctx, now, true);
-                return decision.map(Decision::Carried);
+                return decision.map(Decision::carried);
             }
             Recall::Miss(key) => {
                 self.note_lookup(ctx, now, false);
@@ -1039,7 +1090,7 @@ impl Kairos {
             // manager on the hub.
             m.cache_points.add(added);
         }
-        decided.map(|(layout, validation)| Decision::Cold(layout, validation))
+        decided.map(Decision::cold)
     }
 
     /// Records a keyed-tier lookup: a `cache.lookup` child span of `ctx`
@@ -1056,12 +1107,8 @@ impl Kairos {
         }
     }
 
-    /// Admits a decision onto the platform under `app_id` through the one
-    /// writer. A cold decision was made against this very state, so it
-    /// always lands. A carried one lands unless something short of a
-    /// 128-bit stamp collision carried it to a state it does not fit; then
-    /// the cold pipeline decides instead — the decision store must never
-    /// change an admission outcome.
+    /// Admits a decision onto the platform under `app_id`: settled, then
+    /// written by the one writer.
     fn commit(
         &mut self,
         decision: Decision,
@@ -1071,24 +1118,75 @@ impl Kairos {
         ctx: TraceContext,
         now: u64,
     ) -> Admitted {
+        let decision = self.settle(decision, app, timings, ctx, now)?;
+        self.write_decision(&decision, app, app_id);
+        Ok((decision.layout, decision.validation))
+    }
+
+    /// Makes `decision` one that fits the platform as it stands, writing
+    /// nothing. A cold decision was made against this very state, so it
+    /// fits (debug-asserted). A carried one fits unless something short of
+    /// a 128-bit stamp collision carried it to a state it does not fit;
+    /// then the cold pipeline decides instead — the decision store must
+    /// never change an admission outcome.
+    fn settle(
+        &mut self,
+        decision: Decision,
+        app: &Application,
+        timings: &mut PhaseTimings,
+        ctx: TraceContext,
+        now: u64,
+    ) -> Decided {
+        let seats = decision.seats(self.workspace.mapping.seats());
+        let routes = &decision.layout.routes;
         let bandwidths = app.channels().map(|c| c.bandwidth());
-        match decision {
-            Decision::Cold(layout, validation) => {
-                let seats = self.workspace.mapping.seats();
-                let landed =
-                    replay_point(&mut self.platform, app_id, seats, &layout.routes, bandwidths);
-                assert!(landed, "a decision lands on the state it was decided against");
-                Ok((layout, validation))
-            }
-            Decision::Carried(point) => {
-                let (seats, routes) = (&point.seats, &point.layout.routes);
-                if replay_point(&mut self.platform, app_id, seats, routes, bandwidths) {
-                    return Ok((point.layout, point.validation));
-                }
-                let (layout, validation) = self.run_phases(app, timings, ctx, now)?;
-                self.commit(Decision::Cold(layout, validation), app, app_id, timings, ctx, now)
-            }
+        if decision.carried.is_none() {
+            debug_assert!(
+                point_fits(&self.platform, seats, routes, bandwidths, &mut self.workspace.fit),
+                "a decision fits the state it was decided against"
+            );
+            return Ok(decision);
         }
+        if point_fits(&self.platform, seats, routes, bandwidths, &mut self.workspace.fit) {
+            return Ok(decision);
+        }
+        self.run_phases(app, timings, ctx, now).map(Decision::cold)
+    }
+
+    /// Writes a settled decision onto the platform under `app_id`.
+    fn write_decision(&mut self, decision: &Decision, app: &Application, app_id: AppId) {
+        let seats = decision.seats(self.workspace.mapping.seats());
+        let bandwidths = app.channels().map(|c| c.bandwidth());
+        replay_point(&mut self.platform, app_id, seats, &decision.layout.routes, bandwidths);
+    }
+
+    /// [`Kairos::occupancy`] as the platform would read with `decision`
+    /// written, computed through a [`Seated`] view instead of writing it.
+    fn occupancy_after(&mut self, decision: &Decision) -> OccupancySnapshot {
+        let seated = &mut self.workspace.seated;
+        seated.reset(self.platform.element_count());
+        let mut claimed = 0;
+        for &(element, _, claim) in decision.seats(self.workspace.mapping.seats()) {
+            seated.insert(element.index());
+            claimed += claim.total();
+        }
+        let view = Seated { platform: &self.platform, seated: &self.workspace.seated };
+        self.occupancy_of(&view, claimed)
+    }
+
+    /// Runs `what_if` on the manager's what-if copy of its platform,
+    /// brought to the live state first (into the buffers the last what-if
+    /// left): for the call, `self.platform` *is* the copy, so releases,
+    /// decisions and the writer all work on it while the live platform is
+    /// out of reach. Afterwards `self.platform` is the live platform again,
+    /// untouched, and the copy goes back to the workspace.
+    fn on_copy<R>(&mut self, what_if: impl FnOnce(&mut Self) -> R) -> R {
+        let mut copy = self.workspace.what_if.take().unwrap_or_else(|| self.platform.clone());
+        copy.copy_state_from(&self.platform);
+        let live = std::mem::replace(&mut self.platform, copy);
+        let result = what_if(self);
+        self.workspace.what_if = Some(std::mem::replace(&mut self.platform, live));
+        result
     }
 
     /// Drops every cached operating point that places work on any of

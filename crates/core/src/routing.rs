@@ -63,8 +63,7 @@ pub fn route_channels(
         route_channels_in(app, placement, platform, algorithm, &mut RoutingScratch::default())?;
     let bandwidths = app.channels().map(|c| c.bandwidth());
     // Routes alone claim no seat, so no id is read.
-    let committed = replay_point(platform, AppId(0), &[], &routes, bandwidths);
-    assert!(committed, "routes are claimed on the platform they were found on");
+    replay_point(platform, AppId(0), &[], &routes, bandwidths);
     Ok(routes)
 }
 

@@ -6,14 +6,19 @@
 //! debit overlay and seats, routing's BFS tables, link overlay and route
 //! buffer, validation's layout model and cycle-ratio vectors — lives in one
 //! [`Workspace`] that a [`Kairos`] keeps between calls, so a warm admission
-//! takes from the heap only what outlives it. Each phase's part is declared
-//! beside the code that uses it; this module assembles them and provides
-//! the one shared building block, the generation-stamped [`Marks`].
+//! takes from the heap only what outlives it. So does what the manager
+//! needs around the phases: the writer check's sums, the seat marks of a
+//! probe's occupancy view, and the what-if copy of the platform. Each
+//! phase's part is declared beside the code that uses it; this module
+//! assembles them and provides the one shared building block, the
+//! generation-stamped [`Marks`].
 //!
 //! The rule every part follows is **clear before use**: a phase empties (or
 //! re-stamps) each buffer before its first read of it, sized for the
 //! platform and application at hand (the two debit overlays through the
-//! list of what the last call wrote there: its seats, its route links).
+//! list of what the last call wrote there: its seats, its route links;
+//! the writer check likewise), and the what-if copy is brought to the live
+//! platform's state before each use.
 //! No decision reads anything across calls, so a workspace carries
 //! capacity and never a decision — which is why [`Workspace::clone`] hands
 //! out an empty one, checkpoints leave it out, and the public phase
@@ -21,7 +26,10 @@
 //!
 //! [`Kairos`]: crate::Kairos
 
+use kairos_platform::Platform;
+
 use crate::binding::BindingScratch;
+use crate::cache::FitScratch;
 use crate::mapping::MappingScratch;
 use crate::routing::RoutingScratch;
 use crate::validation::ValidationScratch;
@@ -33,6 +41,13 @@ pub(crate) struct Workspace {
     pub mapping: MappingScratch,
     pub routing: RoutingScratch,
     pub validation: ValidationScratch,
+    /// The writer's check, `cache::point_fits`.
+    pub fit: FitScratch,
+    /// The elements a probed decision seats on (`Kairos::probe_admit`).
+    pub seated: Marks,
+    /// The platform the manager decides its what-ifs on, made on first
+    /// use (`Kairos::on_copy`).
+    pub what_if: Option<Platform>,
 }
 
 impl Clone for Workspace {
@@ -119,7 +134,7 @@ mod tests {
         let report = validate_in(app, &layout, &config, &mut workspace.validation)?;
         let bandwidths = app.channels().map(|c| c.bandwidth());
         let seats = workspace.mapping.seats();
-        assert!(replay_point(platform, AppId(7), seats, &layout.routes, bandwidths));
+        replay_point(platform, AppId(7), seats, &layout.routes, bandwidths);
         Ok((layout, report))
     }
 

@@ -18,8 +18,8 @@ use kairos_appgen::{generate_dataset, DatasetSpec};
 use kairos_core::{
     bind, map_application, AdmissionFailure, AdmissionReport, AllocationError, BindingError,
     CacheConfig, CostPolicy, ExecutionLayout, GapState, Kairos, KairosConfig, KnapsackItem,
-    KnapsackSolver, MapperConfig, MappingError, RoutingError, ValidationConfig, ValidationError,
-    ValidationReport,
+    KnapsackSolver, MapperConfig, MappingError, OccupancySnapshot, RoutingError, ValidationConfig,
+    ValidationError, ValidationReport,
 };
 use kairos_platform::{
     topology, AppId, ElementId, ElementKind, LinkId, Occupant, Platform, ResourceVector,
@@ -318,6 +318,55 @@ proptest! {
             let (_, second) = hand_off_differential(&mut a, nothing, nothing, app);
             prop_assert_eq!((first, second), (1, 0), "probe / admit / admit");
         }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(4))]
+
+    /// A probe reads the occupancy its decision would leave without
+    /// writing it. Over storm states on CRISP and a 6x6 heterogeneous
+    /// mesh, some elements failed on the way, every fitting `probe_admit`
+    /// reports as `after` exactly the `occupancy()` of a clone that admits
+    /// the same application — `admitted_apps` one lower, every float
+    /// bit-identical — and leaves the probed manager's platform bytes and
+    /// state epoch as they were.
+    #[test]
+    fn a_probe_reads_the_occupancy_its_admission_writes(seed in any::<u64>()) {
+        let mut fitting = 0;
+        for platform in [topology::crisp(), topology::heterogeneous_mesh(6, 6)] {
+            let config = KairosConfig { deterministic: true, ..KairosConfig::default() };
+            let mut kairos = Kairos::new(platform, config);
+            let elements = kairos.platform().element_count() as u64;
+            for (i, app) in storm_apps(seed, 6).iter().enumerate() {
+                if i % 7 == 3 {
+                    let e = ElementId((seed.wrapping_add(i as u64) % elements) as u32);
+                    drop(kairos.fail_element(e));
+                }
+                let (bytes, epoch) =
+                    (kairos.platform().checkpoint(), kairos.platform().state_epoch());
+                let probed = kairos.probe_admit(app);
+                prop_assert_eq!(kairos.platform().checkpoint(), bytes, "{}", app.name());
+                prop_assert_eq!(kairos.platform().state_epoch(), epoch, "{}", app.name());
+                if let Ok(probe) = probed {
+                    let mut written = kairos.clone();
+                    prop_assert!(written.admit(app).is_ok(), "{}", app.name());
+                    let admitted_apps = written.admitted_count() - 1;
+                    let expected = OccupancySnapshot { admitted_apps, ..written.occupancy() };
+                    prop_assert_eq!(probe.after, expected, "{}", app.name());
+                    fitting += 1;
+                }
+                let _ = kairos.admit(app);
+                audited(&kairos);
+                // Churn: every third step the oldest resident leaves.
+                if i % 3 == 2 {
+                    if let Some(&oldest) = kairos.admitted_ids().first() {
+                        kairos.release(oldest);
+                    }
+                }
+            }
+        }
+        prop_assert!(fitting > 0);
     }
 }
 

@@ -9,8 +9,8 @@
 //! directed NoC [`Link`]s with virtual-channel reservation. Elements provide
 //! vector-valued resources ([`ResourceVector`]); the crate keeps a run-time
 //! ledger of claims (tasks residing on elements, channels occupying links),
-//! supports O(|E|+|L|) checkpoint/rollback for failed allocation attempts,
-//! fault injection for dependability experiments, and the *external resource
+//! supports O(|E|+|L|) checkpoint/restore and in-place state copies for
+//! what-if decisions, fault injection for dependability experiments, and the *external resource
 //! fragmentation* metric of §III-A.
 //!
 //! The CRISP General Stream Processor used in the paper's evaluation (ARM +
@@ -62,7 +62,7 @@ pub use digest::Digest;
 pub use distance::{bfs_distances, hop_distance, SearchDirection, SparseDistanceMatrix};
 pub use element::{Element, ElementId, ElementKind};
 pub use frag::{
-    adjacent_pair_counts, element_utilisation, external_fragmentation, free_island_count,
+    adjacent_pair_counts, element_utilisation, external_fragmentation, free_island_count, UsageView,
 };
 pub use link::{Link, LinkId};
 pub use platform::{AppId, AuditError, ClaimError, Occupant, Platform, PlatformCheckpoint};

@@ -7,8 +7,11 @@
 //! from tables built once at
 //! construction, so the mapping phase's cost function can ask them per
 //! `(task, element)` evaluation without allocating or re-scanning the
-//! platform. The state can be checkpointed and restored in O(|E|+|L|), and
-//! a claim journal undoes a failed allocation attempt in O(its mutations).
+//! platform. The state can be checkpointed and restored in O(|E|+|L|), or
+//! copied onto a structurally equal platform in place
+//! ([`Platform::copy_state_from`]): a what-if copy kept beside a live
+//! platform, so that a decision about a hypothetical state is made there
+//! and the live platform is written only by what actually happens.
 //!
 //! Beside the state sit three *history* fields that never take part in
 //! equality: the mutation epoch ([`Platform::state_epoch`]), the stamp
@@ -30,8 +33,8 @@ use crate::resource::ResourceVector;
 /// Identifier of an admitted application instance.
 ///
 /// Assigned by the resource manager at admission; the platform records it
-/// with every claim so that an application's occupants can be released,
-/// relabelled or listed. The admission pipeline itself never reads it back
+/// with every claim so that an application's occupants can be released or
+/// listed. The admission pipeline itself never reads it back
 /// (see [`Platform::state_stamp`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
 pub struct AppId(pub u32);
@@ -116,8 +119,6 @@ pub enum AuditError {
         /// Its free virtual channels.
         free_virtual_channels: u16,
     },
-    /// The claim journal holds this many ops while no transaction is open.
-    Journal(usize),
     /// The maintained stamp's digest of this element's record is stale.
     ElementStamp(ElementId),
     /// The maintained stamp's digest of this link's record is stale.
@@ -158,7 +159,6 @@ impl fmt::Display for AuditError {
                 "link {link}: {free_bandwidth} bandwidth and {free_virtual_channels} virtual \
                  channels free exceed its capacity"
             ),
-            AuditError::Journal(ops) => write!(f, "{ops} journal ops outside any transaction"),
             AuditError::ElementStamp(e) => write!(f, "element {e}: stale stamp digest"),
             AuditError::LinkStamp(l) => write!(f, "link {l}: stale stamp digest"),
             AuditError::StampSum { maintained, from_scratch } => write!(
@@ -180,30 +180,6 @@ impl std::error::Error for AuditError {}
 #[derive(Debug, Clone, PartialEq)]
 pub struct PlatformCheckpoint {
     state: PlatformState,
-}
-
-/// One undoable ledger mutation, recorded while a transaction is open.
-///
-/// Each op stores exactly what [`Platform::rollback_txn`] needs to invert
-/// it; the journal is the cheap alternative to cloning the whole
-/// [`PlatformState`] per allocation attempt.
-#[derive(Debug, Clone, PartialEq)]
-enum JournalOp {
-    /// `claim` succeeded: undo by releasing `(app, task)` from `element`.
-    Claim { element: ElementId, app: AppId, task: u32 },
-    /// `release` succeeded: undo by re-seating the occupant at `pos`,
-    /// exactly inverting the `swap_remove` that evicted it (so rollback
-    /// restores resident order byte-for-byte, which what-if probes over
-    /// pre-transaction occupants rely on).
-    Release { element: ElementId, occupant: Occupant, pos: usize },
-    /// `claim_link` succeeded: undo by returning the virtual channel.
-    ClaimLink { link: LinkId, bandwidth: u64 },
-    /// `release_link` ran: undo by re-reserving the virtual channel.
-    ReleaseLink { link: LinkId, bandwidth: u64 },
-    /// `fail_element`/`repair_element` flipped the mark from `was`.
-    SetFailed { element: ElementId, was: bool },
-    /// `transfer_app` relabelled one occupant: undo by relabelling back.
-    Transfer { element: ElementId, task: u32, from: AppId, to: AppId },
 }
 
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -466,18 +442,14 @@ pub struct Platform {
     kind_offsets: [u32; ElementKind::ALL.len() + 1],
     kind_ids: Vec<ElementId>,
     state: PlatformState,
-    /// Undo log of ledger mutations since the outermost open transaction.
-    /// Empty whenever no transaction is open.
-    journal: Vec<JournalOp>,
-    /// Journal positions of the currently open (possibly nested)
-    /// transactions, innermost last.
-    txn_marks: Vec<usize>,
+    /// The checkpoints [`Self::begin_txn`] pushed that no
+    /// [`Self::rollback_txn`] has restored yet, innermost last.
+    txn_checkpoints: Vec<PlatformCheckpoint>,
     /// Monotone mutation epoch: bumped by every mutation of the ledger
-    /// state, including each undone op of a transaction rollback and
-    /// checkpoint restores. The epoch over-approximates change — a bump
-    /// does not guarantee the state differs, but an unchanged epoch
-    /// guarantees it is byte-identical, which is what the resource
-    /// manager's probe hand-off keys on.
+    /// state, checkpoint restores included. The epoch over-approximates
+    /// change — a bump does not guarantee the state differs, but an
+    /// unchanged epoch guarantees it is byte-identical, which is what the
+    /// resource manager's probe hand-off keys on.
     epoch: MutationEpoch,
     /// The maintained state stamp; see [`Platform::state_stamp`].
     stamp: StampLedger,
@@ -558,8 +530,7 @@ impl Platform {
             kind_offsets,
             kind_ids,
             state,
-            journal: Vec::new(),
-            txn_marks: Vec::new(),
+            txn_checkpoints: Vec::new(),
             epoch: MutationEpoch::default(),
             stamp: StampLedger::new(),
             rank,
@@ -568,8 +539,8 @@ impl Platform {
 
     /// The current mutation epoch (see the field documentation): strictly
     /// monotone over the platform's lifetime, bumped by every state
-    /// mutation — claims, releases, failure-mark flips, transfers, every
-    /// op a transaction rollback undoes *and* [`Self::restore`].
+    /// mutation — claims, releases, link claims and releases, failure-mark
+    /// flips *and* [`Self::restore`].
     pub fn state_epoch(&self) -> u64 {
         self.epoch.0
     }
@@ -589,11 +560,11 @@ impl Platform {
     /// free in the same places. Byte equality is `==` on
     /// [`Self::checkpoint`]s.
     ///
-    /// The sum is *maintained*: every mutator, and every op a rollback
-    /// undoes, marks the record it touched, and this call re-digests only
-    /// the marked records — O(records mutated since the last stamp), not
-    /// O(|E|+|L|). A claim that a rollback takes back costs two marks of
-    /// one record and leaves the stamp where it was. The first stamp, and
+    /// The sum is *maintained*: every mutator marks the record it touched,
+    /// and this call re-digests only the marked records — O(records
+    /// mutated since the last stamp), not O(|E|+|L|). A claim released
+    /// again before the next stamp costs two marks of one record and leaves
+    /// the stamp where it was. The first stamp, and
     /// the first after a [`Self::restore`] (a checkpoint carries state,
     /// not digests), digests every record.
     /// [`Self::state_stamp_from_scratch`] is the definition this must
@@ -612,7 +583,7 @@ impl Platform {
 
     /// Notes a mutation of element `e`'s record: bumps the epoch and marks
     /// the record for the next stamp and the element for the next rank
-    /// refresh. Every element mutator and undo arm calls it.
+    /// refresh. Every element mutator calls it.
     #[inline]
     fn touch_element(&mut self, e: ElementId) {
         self.epoch.0 += 1;
@@ -655,8 +626,8 @@ impl Platform {
     /// Re-ranks the elements mutated since the last refresh: each moves to
     /// where its current free total ranks it within its kind, in
     /// O(log |kind| + distance moved), and the dirty set empties. Lazy by
-    /// design — the mutators only mark, so a claim that a rollback takes
-    /// back before anyone reads the rank costs two marks and no move.
+    /// design — the mutators only mark, so a claim released again before
+    /// anyone reads the rank costs two marks and no move.
     pub fn refresh_free_rank(&mut self) {
         self.rank.refresh(&self.state, &self.elements, &self.kind_offsets);
     }
@@ -808,11 +779,6 @@ impl Platform {
         match free.checked_sub(&occupant.claimed) {
             Some(rest) => {
                 self.state.free[e.index()] = rest;
-                self.record(|| JournalOp::Claim {
-                    element: e,
-                    app: occupant.app,
-                    task: occupant.task,
-                });
                 self.state.residents[e.index()].push(occupant);
                 self.touch_element(e);
                 Ok(())
@@ -833,7 +799,6 @@ impl Platform {
             self.state.residents[e.index()].iter().position(|o| o.app == app && o.task == task)?;
         let occupant = self.state.residents[e.index()].swap_remove(pos);
         self.state.free[e.index()] = self.state.free[e.index()].saturating_add(&occupant.claimed);
-        self.record(|| JournalOp::Release { element: e, occupant, pos });
         self.touch_element(e);
         Some(occupant.claimed)
     }
@@ -849,53 +814,10 @@ impl Platform {
                 if self.state.residents[idx][i].app == app {
                     let occ = self.state.residents[idx].swap_remove(i);
                     self.state.free[idx] = self.state.free[idx].saturating_add(&occ.claimed);
-                    let element = ElementId(idx as u32);
-                    self.record(|| JournalOp::Release { element, occupant: occ, pos: i });
-                    self.touch_element(element);
+                    self.touch_element(ElementId(idx as u32));
                     count += 1;
                 } else {
                     i += 1;
-                }
-            }
-        }
-        count
-    }
-
-    /// Reassigns every occupant of application `from` to application `to`,
-    /// keeping elements, task indices and claimed resources untouched, and
-    /// returns how many occupants changed hands.
-    ///
-    /// This is the *transfer* step of a live migration: the resource
-    /// manager claims the new placement under a scratch id (so claims of
-    /// the moving application never collide with its own old ones),
-    /// releases the old placement, then transfers the scratch claims to
-    /// the application's real id. Each relabel is journaled, so a
-    /// transaction rollback restores the original ownership exactly.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `to` already has an occupant with the same task index
-    /// on an element hosting a `from` occupant of that task: the
-    /// `(app, task)` pair identifies occupants within an element, so such
-    /// a transfer would make later releases — and the journaled undo —
-    /// ambiguous. Live migration never hits this (the old claims are
-    /// released before the transfer).
-    pub fn transfer_app(&mut self, from: AppId, to: AppId) -> usize {
-        let mut count = 0;
-        for idx in 0..self.elements.len() {
-            for pos in 0..self.state.residents[idx].len() {
-                if self.state.residents[idx][pos].app == from {
-                    let task = self.state.residents[idx][pos].task;
-                    assert!(
-                        !self.state.residents[idx].iter().any(|o| o.app == to && o.task == task),
-                        "transfer of {from} task {task} to {to} collides with an existing \
-                         occupant on element {idx}"
-                    );
-                    self.state.residents[idx][pos].app = to;
-                    let element = ElementId(idx as u32);
-                    self.record(|| JournalOp::Transfer { element, task, from, to });
-                    self.touch_element(element);
-                    count += 1;
                 }
             }
         }
@@ -936,7 +858,6 @@ impl Platform {
         }
         s.free_virtual_channels -= 1;
         s.free_bandwidth -= bandwidth;
-        self.record(|| JournalOp::ClaimLink { link: l, bandwidth });
         self.touch_link(l);
         Ok(())
     }
@@ -957,7 +878,6 @@ impl Platform {
                 && s.free_bandwidth <= cap.bandwidth(),
             "unbalanced link release on {l}"
         );
-        self.record(|| JournalOp::ReleaseLink { link: l, bandwidth });
         self.touch_link(l);
     }
 
@@ -967,17 +887,13 @@ impl Platform {
     /// resource manager decides what to re-allocate); new claims are refused
     /// and searches skip the element.
     pub fn fail_element(&mut self, e: ElementId) {
-        let was = self.state.failed[e.index()];
         self.state.failed[e.index()] = true;
-        self.record(|| JournalOp::SetFailed { element: e, was });
         self.touch_element(e);
     }
 
     /// Clears the failure mark on `e`.
     pub fn repair_element(&mut self, e: ElementId) {
-        let was = self.state.failed[e.index()];
         self.state.failed[e.index()] = false;
-        self.record(|| JournalOp::SetFailed { element: e, was });
         self.touch_element(e);
     }
 
@@ -986,127 +902,70 @@ impl Platform {
         self.element_ids().filter(|&e| self.is_failed(e)).collect()
     }
 
-    // ---- transactions -----------------------------------------------------------
+    // ---- what-if copies ----------------------------------------------------------
 
-    /// Records `op()` when at least one transaction is open.
-    #[inline]
-    fn record(&mut self, op: impl FnOnce() -> JournalOp) {
-        if !self.txn_marks.is_empty() {
-            self.journal.push(op());
-        }
+    /// Brings this platform to `other`'s state — free vectors, residents in
+    /// their order, link occupancy, failure marks — and the history kept
+    /// beside it (epoch, stamp ledger, free rank), so a decision made here
+    /// is the one `other` would make. A resource manager answers its
+    /// what-ifs on such a copy kept beside the live platform. Copies into
+    /// this platform's own buffers: once warm it allocates nothing and
+    /// costs O(|E| + |L| + residents), not a clone of the structure.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `other` is structurally different (element or link
+    /// count), as [`Self::restore`] does.
+    pub fn copy_state_from(&mut self, other: &Platform) {
+        assert!(
+            self.elements.len() == other.elements.len() && self.links.len() == other.links.len(),
+            "a state copy needs a platform of the same structure"
+        );
+        let (state, from) = (&mut self.state, &other.state);
+        state.free.clone_from(&from.free);
+        state.residents.clone_from(&from.residents);
+        state.links.clone_from(&from.links);
+        state.failed.clone_from(&from.failed);
+        self.epoch = other.epoch;
+        let (stamp, from) = (&mut self.stamp, &other.stamp);
+        stamp.digests.clone_from(&from.digests);
+        stamp.sum = from.sum;
+        stamp.dirty.clone_from(&from.dirty);
+        stamp.is_dirty.clone_from(&from.is_dirty);
+        stamp.stale = from.stale;
+        let (rank, from) = (&mut self.rank, &other.rank);
+        rank.entries.clone_from(&from.entries);
+        rank.ranked.clone_from(&from.ranked);
+        rank.dirty.clone_from(&from.dirty);
+        rank.is_dirty.clone_from(&from.is_dirty);
     }
 
-    /// Opens a transaction: every subsequent ledger mutation (element and
-    /// link claims/releases, failure-mark flips) is journaled until the
-    /// matching [`Self::commit_txn`] or [`Self::rollback_txn`].
-    ///
-    /// Transactions nest: an inner rollback undoes only the inner ops, an
-    /// inner commit folds them into the enclosing transaction. This is the
-    /// admission hot path's cheap alternative to [`Self::checkpoint`]: cost
-    /// is proportional to the mutations actually made, not to `|E| + |L|`.
+    /// Pushes a [`Self::checkpoint`] for the matching
+    /// [`Self::rollback_txn`] to restore. Nothing in the product writes the
+    /// platform speculatively; the frozen benchmark's `platform.rollback_us`
+    /// row is the only caller, and both methods go with that row (ROADMAP
+    /// item 2(d)).
+    #[doc(hidden)]
     pub fn begin_txn(&mut self) {
-        self.txn_marks.push(self.journal.len());
+        let checkpoint = self.checkpoint();
+        self.txn_checkpoints.push(checkpoint);
     }
 
-    /// Closes the innermost transaction, keeping its mutations.
+    /// Restores the checkpoint of the innermost open [`Self::begin_txn`].
     ///
     /// # Panics
     ///
-    /// Panics when no transaction is open.
-    pub fn commit_txn(&mut self) {
-        self.txn_marks.pop().expect("commit_txn without an open transaction");
-        if self.txn_marks.is_empty() {
-            self.journal.clear();
-        }
-    }
-
-    /// Closes the innermost transaction, undoing its mutations in reverse
-    /// order. The rollback is an exact inverse: resource quantities,
-    /// occupant ownership *and* resident record order are restored
-    /// byte-for-byte — what-if probes (preemption planning, migration)
-    /// release pre-transaction occupants and rely on a rolled-back state
-    /// being indistinguishable from the original.
-    ///
-    /// # Panics
-    ///
-    /// Panics when no transaction is open.
+    /// Panics when no `begin_txn` is open.
+    #[doc(hidden)]
     pub fn rollback_txn(&mut self) {
-        let mark = self.txn_marks.pop().expect("rollback_txn without an open transaction");
-        while self.journal.len() > mark {
-            let op = self.journal.pop().expect("journal length checked");
-            self.undo(op);
-        }
-    }
-
-    /// Whether a transaction is currently open.
-    pub fn txn_active(&self) -> bool {
-        !self.txn_marks.is_empty()
-    }
-
-    /// Inverts one journaled op, bypassing journal recording. An undo is a
-    /// mutation like any other: each arm touches the record it rewrites.
-    fn undo(&mut self, op: JournalOp) {
-        match op {
-            JournalOp::Claim { element, app, task } => {
-                let residents = &mut self.state.residents[element.index()];
-                let pos = residents
-                    .iter()
-                    .rposition(|o| o.app == app && o.task == task)
-                    .expect("journaled claim is still seated");
-                let occ = residents.swap_remove(pos);
-                self.state.free[element.index()] =
-                    self.state.free[element.index()].saturating_add(&occ.claimed);
-                self.touch_element(element);
-            }
-            JournalOp::Release { element, occupant, pos } => {
-                self.state.free[element.index()] = self.state.free[element.index()]
-                    .checked_sub(&occupant.claimed)
-                    .expect("undoing a journaled release fits by construction");
-                // Exactly invert the release's `swap_remove(pos)`: append,
-                // then swap the appended occupant back into `pos`.
-                let residents = &mut self.state.residents[element.index()];
-                residents.push(occupant);
-                let last = residents.len() - 1;
-                residents.swap(pos, last);
-                self.touch_element(element);
-            }
-            JournalOp::ClaimLink { link, bandwidth } => {
-                let s = &mut self.state.links[link.index()];
-                s.free_virtual_channels += 1;
-                s.free_bandwidth += bandwidth;
-                self.touch_link(link);
-            }
-            JournalOp::ReleaseLink { link, bandwidth } => {
-                let s = &mut self.state.links[link.index()];
-                s.free_virtual_channels -= 1;
-                s.free_bandwidth -= bandwidth;
-                self.touch_link(link);
-            }
-            JournalOp::SetFailed { element, was } => {
-                self.state.failed[element.index()] = was;
-                self.touch_element(element);
-            }
-            JournalOp::Transfer { element, task, from, to } => {
-                let occ = self.state.residents[element.index()]
-                    .iter_mut()
-                    .find(|o| o.app == to && o.task == task)
-                    .expect("journaled transfer target is still seated");
-                occ.app = from;
-                self.touch_element(element);
-            }
-        }
+        let checkpoint =
+            self.txn_checkpoints.pop().expect("rollback_txn without an open transaction");
+        self.restore(checkpoint);
     }
 
     // ---- checkpointing ----------------------------------------------------------
 
     /// Captures the complete mutable state.
-    ///
-    /// A checkpoint may be taken while a transaction is open — it captures
-    /// the live state including any not-yet-committed journal mutations,
-    /// and stays valid after the transaction commits or rolls back. The
-    /// restriction is on the other side: [`Self::restore`] refuses to run
-    /// while a transaction is open, because overwriting the state would
-    /// orphan the journal entries describing how to undo it.
     pub fn checkpoint(&self) -> PlatformCheckpoint {
         PlatformCheckpoint { state: self.state.clone() }
     }
@@ -1115,15 +974,9 @@ impl Platform {
     ///
     /// # Panics
     ///
-    /// Panics if a transaction is open (commit or roll back first — see
-    /// [`Self::checkpoint`]), or if the checkpoint was taken from a
-    /// structurally different platform (different element or link count).
+    /// Panics if the checkpoint was taken from a structurally different
+    /// platform (different element or link count).
     pub fn restore(&mut self, checkpoint: PlatformCheckpoint) {
-        assert!(
-            self.txn_marks.is_empty(),
-            "restore during an open transaction would corrupt the journal; \
-             roll back or commit first"
-        );
         assert_eq!(
             checkpoint.state.free.len(),
             self.elements.len(),
@@ -1173,8 +1026,8 @@ impl Platform {
     /// Checks the ledger against its definitions, naively, and names the
     /// first record that disagrees: every element's free vector is its
     /// capacity less its residents' claims; no link has more bandwidth or
-    /// virtual channels free than it has; the journal is empty outside a
-    /// transaction; the maintained [`Self::state_stamp`] digests every
+    /// virtual channels free than it has; the maintained
+    /// [`Self::state_stamp`] digests every
     /// record as [`Self::state_stamp_from_scratch`] does; and, refreshed,
     /// each kind's [`Self::free_rank`] is the sort of its elements by
     /// `(free total, id)`.
@@ -1206,10 +1059,6 @@ impl Platform {
                 });
             }
         }
-        if self.txn_marks.is_empty() && !self.journal.is_empty() {
-            return Err(AuditError::Journal(self.journal.len()));
-        }
-
         let maintained = self.state_stamp();
         let mut from_scratch = 0u128;
         for (record, &kept) in self.stamp.digests.iter().enumerate() {
@@ -1376,153 +1225,10 @@ mod tests {
     }
 
     #[test]
-    fn txn_rollback_is_an_exact_inverse() {
-        let (mut p, a, c) = two_dsp();
-        // Pre-existing occupant outside any transaction.
-        p.claim(a, occ(7, 0, ResourceVector::new(10, 1, 0, 0))).unwrap();
-        let before = p.checkpoint();
-
-        p.begin_txn();
-        p.claim(a, occ(0, 0, ResourceVector::new(30, 2, 0, 0))).unwrap();
-        p.claim(c, occ(0, 1, ResourceVector::new(40, 3, 0, 0))).unwrap();
-        // Backtrack one of our own claims mid-transaction.
-        assert!(p.release(a, AppId(0), 0).is_some());
-        p.claim(a, occ(0, 2, ResourceVector::new(5, 0, 0, 0))).unwrap();
-        let l = p.link_between(a, c).unwrap();
-        p.claim_link(l, 200).unwrap();
-        p.release_link(l, 200);
-        p.claim_link(l, 300).unwrap();
-        p.fail_element(c);
-        p.rollback_txn();
-
-        assert_eq!(p.checkpoint(), before, "rollback must restore the exact pre-txn state");
-        assert!(!p.txn_active());
-    }
-
-    #[test]
-    fn txn_commit_keeps_mutations_and_nests() {
-        let (mut p, a, c) = two_dsp();
-        p.begin_txn();
-        p.claim(a, occ(0, 0, ResourceVector::new(10, 0, 0, 0))).unwrap();
-        // Inner transaction rolled back: its claim disappears, the outer
-        // claim survives.
-        p.begin_txn();
-        p.claim(c, occ(0, 1, ResourceVector::new(20, 0, 0, 0))).unwrap();
-        p.rollback_txn();
-        assert!(p.txn_active());
-        // Inner transaction committed: folded into the outer one.
-        p.begin_txn();
-        p.claim(c, occ(0, 2, ResourceVector::new(30, 0, 0, 0))).unwrap();
-        p.commit_txn();
-        p.commit_txn();
-        assert!(!p.txn_active());
-        assert_eq!(p.free(a), ResourceVector::new(90, 10, 0, 0));
-        assert_eq!(p.free(c), ResourceVector::new(70, 10, 0, 0));
-        // An outer rollback after a nested commit undoes everything.
-        let before = p.checkpoint();
-        p.begin_txn();
-        p.begin_txn();
-        p.claim(a, occ(1, 0, ResourceVector::new(15, 0, 0, 0))).unwrap();
-        p.commit_txn();
-        p.rollback_txn();
-        assert_eq!(p.checkpoint(), before);
-    }
-
-    #[test]
-    fn transfer_app_relabels_occupants_and_rolls_back() {
-        let (mut p, a, c) = two_dsp();
-        p.claim(a, occ(3, 0, ResourceVector::new(10, 1, 0, 0))).unwrap();
-        p.claim(c, occ(3, 1, ResourceVector::new(20, 2, 0, 0))).unwrap();
-        p.claim(c, occ(4, 0, ResourceVector::new(5, 0, 0, 0))).unwrap();
-        let before = p.checkpoint();
-
-        p.begin_txn();
-        assert_eq!(p.transfer_app(AppId(3), AppId(9)), 2);
-        assert!(p.residents(a).iter().all(|o| o.app == AppId(9)));
-        assert!(p.residents(c).iter().any(|o| o.app == AppId(9) && o.task == 1));
-        assert!(p.residents(c).iter().any(|o| o.app == AppId(4)), "other apps untouched");
-        assert_eq!(p.free(a), ResourceVector::new(90, 9, 0, 0), "no resources move");
-        p.rollback_txn();
-        assert_eq!(p.checkpoint(), before, "rollback restores the original ownership");
-
-        p.begin_txn();
-        assert_eq!(p.transfer_app(AppId(3), AppId(9)), 2);
-        p.commit_txn();
-        assert_eq!(p.release_app(AppId(9)), 2);
-        assert_eq!(p.release_app(AppId(3)), 0);
-    }
-
-    #[test]
-    #[should_panic(expected = "collides with an existing occupant")]
-    fn ambiguous_transfer_is_refused() {
-        // A transfer that would seat two (app, task) duplicates on one
-        // element would make releases and journal undo ambiguous.
-        let (mut p, a, _) = two_dsp();
-        p.claim(a, occ(1, 0, ResourceVector::new(10, 0, 0, 0))).unwrap();
-        p.claim(a, occ(2, 0, ResourceVector::new(10, 0, 0, 0))).unwrap();
-        p.transfer_app(AppId(2), AppId(1));
-    }
-
-    #[test]
-    fn transfer_of_unknown_app_is_a_noop() {
-        let (mut p, a, _) = two_dsp();
-        p.claim(a, occ(1, 0, ResourceVector::new(10, 0, 0, 0))).unwrap();
-        let before = p.checkpoint();
-        assert_eq!(p.transfer_app(AppId(7), AppId(8)), 0);
-        assert_eq!(p.checkpoint(), before);
-    }
-
-    #[test]
     #[should_panic(expected = "without an open transaction")]
     fn rollback_without_txn_panics() {
         let (mut p, _, _) = two_dsp();
         p.rollback_txn();
-    }
-
-    #[test]
-    #[should_panic(expected = "open transaction")]
-    fn restore_during_txn_panics() {
-        let (mut p, _, _) = two_dsp();
-        let cp = p.checkpoint();
-        p.begin_txn();
-        p.restore(cp);
-    }
-
-    #[test]
-    fn checkpoint_restore_round_trips_across_transactions() {
-        // The PR 2 journal migration left checkpoint()/restore() for
-        // baselines and tests; this pins how the two mechanisms compose.
-        let (mut p, a, c) = two_dsp();
-        p.claim(a, occ(1, 0, ResourceVector::new(25, 2, 0, 0))).unwrap();
-
-        // A checkpoint taken *inside* an open transaction captures the
-        // live (uncommitted) state and stays valid after the txn ends.
-        p.begin_txn();
-        p.claim(c, occ(1, 1, ResourceVector::new(40, 4, 0, 0))).unwrap();
-        let mid_txn = p.checkpoint();
-        p.commit_txn();
-        assert_eq!(p.checkpoint(), mid_txn, "commit keeps exactly what the checkpoint saw");
-
-        // A rolled-back transaction diverges from a mid-txn checkpoint;
-        // restore brings the captured state back byte-for-byte.
-        p.begin_txn();
-        assert!(p.release(c, AppId(1), 1).is_some());
-        p.claim(a, occ(2, 0, ResourceVector::new(5, 1, 0, 0))).unwrap();
-        p.rollback_txn();
-        assert_eq!(p.checkpoint(), mid_txn, "rollback already restored the pre-txn state");
-        p.release(c, AppId(1), 1).unwrap();
-        assert_ne!(p.checkpoint(), mid_txn);
-        p.restore(mid_txn.clone());
-        assert_eq!(p.checkpoint(), mid_txn, "restore is an exact round-trip");
-
-        // The journal machinery is fully functional after a restore: a
-        // fresh transaction rolls back to the restored state exactly.
-        p.begin_txn();
-        p.claim(a, occ(3, 0, ResourceVector::new(10, 0, 0, 0))).unwrap();
-        let l = p.link_between(a, c).unwrap();
-        p.claim_link(l, 150).unwrap();
-        p.rollback_txn();
-        assert_eq!(p.checkpoint(), mid_txn, "post-restore transactions roll back cleanly");
     }
 
     #[test]
@@ -1535,14 +1241,14 @@ mod tests {
         p.claim(a, occ(0, 0, ResourceVector::new(10, 0, 0, 0))).unwrap();
         assert!(p.state_epoch() > e0);
 
-        // Rollback restores the state bytes but advances the epoch.
+        // A claim released again restores the state bytes but advances
+        // the epoch.
         let cp = p.checkpoint();
-        let before_txn = p.state_epoch();
-        p.begin_txn();
+        let before = p.state_epoch();
         p.claim(c, occ(1, 0, ResourceVector::new(5, 0, 0, 0))).unwrap();
-        p.rollback_txn();
-        assert_eq!(p.checkpoint(), cp, "rollback restored the state");
-        assert!(p.state_epoch() > before_txn, "rollback still bumps the epoch");
+        p.release(c, AppId(1), 0).unwrap();
+        assert_eq!(p.checkpoint(), cp, "the release restored the state");
+        assert!(p.state_epoch() > before, "and still bumped the epoch");
 
         // The PR 8 regression: restore() is a mutation too. An unchanged
         // epoch across restore would let an epoch-keyed observer (the
@@ -1576,10 +1282,6 @@ mod tests {
         let mut bad = p.clone();
         bad.state.links[l.index()].free_virtual_channels = 3;
         assert!(matches!(bad.audit(), Err(AuditError::LinkFree { link, .. }) if link == l));
-
-        let mut bad = p.clone();
-        bad.journal.push(JournalOp::SetFailed { element: a, was: false });
-        assert_eq!(bad.audit(), Err(AuditError::Journal(1)));
 
         // An unmarked mutation: the kept digest and rank entry go stale.
         let mut bad = p.clone();

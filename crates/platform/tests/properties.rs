@@ -287,8 +287,8 @@ struct Driven {
     platform: Platform,
     /// Outstanding link claims, so releases stay balanced.
     live: Vec<(LinkId, u64)>,
-    /// Open transactions, innermost last: the exact state and the
-    /// outstanding link claims when each was opened.
+    /// Open `begin_txn` checkpoints, innermost last: the exact state and
+    /// the outstanding link claims when each was pushed.
     open: Vec<(PlatformCheckpoint, Vec<(LinkId, u64)>)>,
     /// The last checkpoint taken, with its outstanding link claims.
     saved: Option<(PlatformCheckpoint, Vec<(LinkId, u64)>)>,
@@ -310,8 +310,8 @@ impl Driven {
         let app = AppId(b % 4);
         match op {
             0 | 1 => {
-                // Task indices are unique per step, so a transfer can never
-                // seat two occupants under one `(app, task)`.
+                // Task indices are unique per step: an `(app, task)` pair
+                // names one occupant.
                 let claimed = ResourceVector::new(amount, amount % 7, 0, 0);
                 let _ = p.claim(e, Occupant { app, task: step as u32, claimed });
             }
@@ -320,8 +320,7 @@ impl Driven {
                     p.release(e, o.app, o.task).unwrap();
                 }
             }
-            3 => drop(p.release_app(app)),
-            4 => drop(p.transfer_app(app, AppId(4 + b % 4))),
+            3 | 4 => drop(p.release_app(app)),
             5 | 6 => {
                 if p.claim_link(l, amount).is_ok() {
                     self.live.push((l, amount));
@@ -341,22 +340,17 @@ impl Driven {
             }
             11 => {
                 if let Some((state_at_begin, live_at_begin)) = self.open.pop() {
-                    if amount % 2 == 0 {
-                        p.commit_txn();
-                    } else {
-                        // Whatever length the journal reached, undoing it
-                        // brings the pre-transaction state back — every
-                        // byte, resident order included, which the stamp
-                        // would not see.
-                        p.rollback_txn();
-                        self.live = live_at_begin;
-                        assert_eq!(p.checkpoint(), state_at_begin);
-                    }
+                    // Whatever happened since, the checkpoint `begin_txn`
+                    // pushed comes back — every byte, resident order
+                    // included, which the stamp would not see.
+                    p.rollback_txn();
+                    self.live = live_at_begin;
+                    assert_eq!(p.checkpoint(), state_at_begin);
                 }
             }
             12 => self.saved = Some((p.checkpoint(), self.live.clone())),
             _ => {
-                if let (true, Some((checkpoint, live))) = (self.open.is_empty(), &self.saved) {
+                if let Some((checkpoint, live)) = &self.saved {
                     p.restore(checkpoint.clone());
                     self.live = live.clone();
                 }
@@ -370,14 +364,16 @@ proptest! {
 
     /// The platform audits clean — the maintained stamp equal to the
     /// from-scratch sum among the rest — after every step of any sequence
-    /// of claims, releases, transfers, link claims and releases, faults,
-    /// repairs, nested transactions and restores: on a platform audited
+    /// of claims, releases, link claims and releases, faults, repairs,
+    /// nested checkpoint-stack rollbacks and restores: on a platform audited
     /// after every step, and on a twin audited only now and then, whose
     /// dirty set therefore spans several mutations, rollbacks and restores
     /// at a time. The twins compare equal throughout (the ledger is no part
     /// of equality), and a third platform brought to the same state by a
     /// single restore stamps the same: the stamp is a function of the
-    /// state, not of its history.
+    /// state, not of its history. A what-if copy, brought to the lazy
+    /// twin's state in place after every step, carries its dirty sets
+    /// along: its audit passes and it stamps and ranks as the twin does.
     #[test]
     fn state_stamp_is_the_from_scratch_sum_after_every_step(
         ops in proptest::collection::vec((0u8..14, 0u32..64, 0u32..64, 0u64..700), 1..80),
@@ -385,10 +381,16 @@ proptest! {
     ) {
         let mut eager = Driven::new();
         let mut lazy = Driven::new();
+        let mut copy = stamp_platform();
         for (step, &op) in ops.iter().enumerate() {
             eager.apply(step, op);
             lazy.apply(step, op);
             prop_assert_eq!(eager.platform.audit(), Ok(()), "step {}: {:?}", step, op);
+            copy.copy_state_from(&lazy.platform);
+            prop_assert_eq!(copy.checkpoint(), lazy.platform.checkpoint());
+            prop_assert_eq!(copy.state_epoch(), lazy.platform.state_epoch());
+            prop_assert_eq!(copy.free_rank_dirty(), lazy.platform.free_rank_dirty());
+            prop_assert_eq!(copy.audit(), Ok(()), "copy after step {}: {:?}", step, op);
             if stamp_lazy[step] {
                 prop_assert_eq!(lazy.platform.audit(), Ok(()), "step {}: {:?}", step, op);
             }
@@ -498,10 +500,10 @@ fn stamp_sees_what_is_free_not_who_holds_the_rest() {
     assert_eq!(stamp_with(&split), stamp_with(&[split[1], split[0]]), "in either order");
 }
 
-/// The maintained stamp through a probe's claim-and-rollback and through
-/// a restore, which must void the per-record digests wholesale.
+/// The maintained stamp through a claim and its release and through a
+/// restore, which must void the per-record digests wholesale.
 #[test]
-fn maintained_stamp_follows_the_state_across_rollback_and_restore() {
+fn maintained_stamp_follows_the_state_across_release_and_restore() {
     let mut p = topology::crisp();
     let e = p.element_ids().next().unwrap();
     let seat = Occupant { app: AppId(1), task: 0, claimed: ResourceVector::ZERO };
@@ -509,13 +511,12 @@ fn maintained_stamp_follows_the_state_across_rollback_and_restore() {
     assert_eq!(s0, p.state_stamp_from_scratch(), "the maintained stamp is the from-scratch sum");
     assert_eq!(p.state_stamp(), s0, "unchanged state, unchanged stamp");
 
-    // A probe: the claim and its rollback both mark the record, and
-    // the stamp comes back to where it was although the epoch moved.
+    // The claim and its release both mark the record, and the stamp
+    // comes back to where it was although the epoch moved.
     let epoch = p.state_epoch();
-    p.begin_txn();
     p.claim(e, seat).unwrap();
     assert_ne!(p.state_stamp(), s0);
-    p.rollback_txn();
+    p.release(e, AppId(1), 0).unwrap();
     assert!(p.state_epoch() > epoch);
     assert_eq!(p.state_stamp(), s0, "the state is back, so is the stamp");
 

@@ -43,8 +43,8 @@ impl CompactReport {
 ///
 /// Each candidate move runs through [`Kairos::migrate_if`]: the
 /// acceptance check compares fragmentation after the completed move
-/// against the value before it, and any declined or infeasible move rolls
-/// back atomically, so a sweep can only ever improve the metric. At most
+/// against the value before it, and a declined or infeasible move writes
+/// nothing, so a sweep can only ever improve the metric. At most
 /// `max_moves` applications are moved per sweep (bounding the
 /// reconfiguration work a single sweep may impose on running
 /// applications); `0` makes the sweep a no-op probe of current

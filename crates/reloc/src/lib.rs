@@ -6,24 +6,26 @@
 //! The paper's run-time manager only ever admits or rejects — once a
 //! mapping is claimed it is frozen until the application leaves, so
 //! high-criticality arrivals starve behind fragmented low-priority
-//! occupancy. This crate closes that gap with three mechanisms, all built
-//! on the platform's claim-journal transactions so no operation ever
-//! leaves an application half-moved:
+//! occupancy. This crate closes that gap with three mechanisms, all of
+//! which decide before anything is written — on the manager's what-if copy
+//! of the platform — so no operation ever leaves an application
+//! half-moved:
 //!
 //! * **Preemption planning** ([`select_victims`]) — given a blocked
 //!   request and an ordered list of preemptible running applications, find
 //!   a victim set whose eviction provably unblocks the request
-//!   ([`Kairos::probe_admit_without`] releases the candidates inside an
-//!   always-rolled-back transaction and runs the full pipeline against
-//!   what is left, which claims nothing), *minimal* with respect to
+//!   ([`Kairos::probe_admit_without`] releases the candidates on the
+//!   what-if copy and runs the full pipeline against what is left; the
+//!   live platform is not written), *minimal* with respect to
 //!   single-victim removal: dropping any one victim from the set leaves
 //!   the request blocked.
 //! * **Live migration** (re-exported [`Kairos::migrate`] /
 //!   [`Kairos::migrate_if`]) — re-bind a running application to a
-//!   different tile/route set via a journal-backed two-phase move (decide,
-//!   claim new under a scratch id → release old → transfer) instead of
-//!   evicting and re-admitting it. The application's id is stable across
-//!   the move and a failure at any point rolls back atomically.
+//!   different tile/route set via a make-before-break move (decide and
+//!   move on the what-if copy, then release old → write new on the live
+//!   platform) instead of evicting and re-admitting it. The application's
+//!   id is stable across the move, and a failed or declined move writes
+//!   nothing.
 //! * **Defragmentation** ([`compact`]) — a sweep that migrates admitted
 //!   applications one at a time, keeping only moves that strictly reduce
 //!   external resource fragmentation (the paper's §III-A metric, computed

@@ -43,8 +43,8 @@ impl VictimPlan {
 /// `v` in the returned set, the probe without `set \ {v}` still fails, so
 /// no victim is evicted gratuitously.
 ///
-/// The platform is left exactly as found — every probe's releases run in
-/// a rolled-back transaction, and its trial admission claims nothing. A
+/// The platform is left exactly as found — every probe's releases run on
+/// the manager's what-if copy, and its trial admission claims nothing. A
 /// candidate listed twice is released once. Identical inputs produce
 /// identical plans.
 ///

@@ -21,7 +21,7 @@
 //!   fault/repair/migration invalidation) and the probe-to-admission
 //!   hand-off — either changes which work runs, never what is decided;
 //! * [`reloc`] — the relocation planner: preemption victim selection,
-//!   journal-backed live migration and defragmenting compaction;
+//!   make-before-break live migration and defragmenting compaction;
 //! * [`admitd`] — the resource service: one typed command/event surface
 //!   (`ResourceService`) over one manager, implemented by the `Admitd`
 //!   front-end, with operations as data (`Command`), one ticket mint and
