@@ -13,12 +13,13 @@ use kairos_bench::{
     filtered_dataset, print_table, run_sequence, shuffled_orders, BenchScale, FailureHistogram,
     EXPERIMENT_SEED,
 };
-use kairos_core::{KairosConfig, KnapsackSolver};
+use kairos_core::{KairosConfig, KnapsackSolver, MapperConfig};
 use kairos_platform::topology;
 
 fn evaluate(solver: KnapsackSolver, scale: BenchScale) -> (usize, f64, f64) {
     let platform = topology::crisp();
-    let config = KairosConfig { knapsack: solver, ..KairosConfig::default() };
+    let mapper = MapperConfig { knapsack: solver, ..MapperConfig::default() };
+    let config = KairosConfig { mapper, ..KairosConfig::default() };
     let mut histogram = FailureHistogram::default();
     let mut hops_sum = 0.0;
     let mut hops_n = 0usize;

@@ -9,7 +9,7 @@
 
 use kairos_appgen::beamforming_app;
 use kairos_bench::print_table;
-use kairos_core::{CostPolicy, Kairos, KairosConfig};
+use kairos_core::{CostPolicy, Kairos, KairosConfig, MapperConfig};
 use kairos_platform::topology;
 
 fn main() {
@@ -19,10 +19,11 @@ fn main() {
     let mut totals = kairos_core::PhaseTimings::default();
     let mut last = None;
     for _ in 0..samples {
-        let config = KairosConfig {
+        let mapper = MapperConfig {
             extra_search_rings: 5, // widened search: the 45-of-45-DSP fill needs freedom
-            ..KairosConfig::with_policy(CostPolicy::Both)
+            ..MapperConfig::with_policy(CostPolicy::Both)
         };
+        let config = KairosConfig { mapper, ..KairosConfig::default() };
         let mut kairos = Kairos::new(topology::crisp(), config);
         let report = kairos
             .admit(&app)

@@ -11,7 +11,7 @@
 //! fragmentation weight; `KAIROS_PAPER_SCALE=1` samples the full paper grid.
 
 use kairos_appgen::beamforming_app;
-use kairos_core::{CostWeights, Kairos, KairosConfig};
+use kairos_core::{CostWeights, Kairos, KairosConfig, MapperConfig};
 use kairos_platform::topology;
 
 fn main() {
@@ -25,7 +25,11 @@ fn main() {
     // search is widened (paper SIII-B: "the local search can be extended to
     // gather even more elements") so the weights have enough placement
     // freedom to matter on this 45-of-45-DSP instance.
-    let base = KairosConfig { validate: false, extra_search_rings: 5, ..KairosConfig::default() };
+    let base = KairosConfig {
+        validate: false,
+        mapper: MapperConfig { extra_search_rings: 5, ..MapperConfig::default() },
+        ..KairosConfig::default()
+    };
 
     let comm_weights: Vec<u32> = (0..=25).step_by(comm_step as usize).collect();
     let frag_weights: Vec<u32> = (0..=1000).step_by(frag_step as usize).collect();
@@ -43,10 +47,8 @@ fn main() {
     for &fw in frag_weights.iter().rev() {
         let mut line = String::new();
         for &cw in &comm_weights {
-            let config = KairosConfig {
-                weights: CostWeights { communication: cw as f64, fragmentation: fw as f64 },
-                ..base
-            };
+            let weights = CostWeights { communication: cw as f64, fragmentation: fw as f64 };
+            let config = KairosConfig { mapper: MapperConfig { weights, ..base.mapper }, ..base };
             let mut kairos = Kairos::new(platform.clone(), config);
             let ok = kairos.admit(&app).is_ok();
             line.push(if ok { '#' } else { '.' });

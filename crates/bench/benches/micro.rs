@@ -199,8 +199,9 @@ fn bench_beamformer_admission(c: &mut Criterion) {
     let app = beamforming_app();
     // Same configuration as the casestudy bench: the 45-of-45-DSP fill
     // needs the widened candidate search to admit.
-    let config =
-        KairosConfig { extra_search_rings: 5, ..KairosConfig::with_policy(CostPolicy::Both) };
+    let mapper =
+        MapperConfig { extra_search_rings: 5, ..MapperConfig::with_policy(CostPolicy::Both) };
+    let config = KairosConfig { mapper, ..KairosConfig::default() };
     c.bench_function("casestudy/beamformer_admission", |b| {
         b.iter_batched(
             || Kairos::new(topology::crisp(), config),

@@ -72,7 +72,8 @@ pub use manager::{
 };
 pub use mapping::{
     map_application, CostContext, CostPolicy, CostTables, CostWeights, ElementSearch, GapState,
-    KnapsackItem, KnapsackSolver, MapperConfig, MappingReport, DEFAULT_MISS_PENALTY,
+    KnapsackItem, KnapsackSolver, MapperConfig, MappingReport, DISTANCE_MISS_PENALTY,
+    START_RETRIES,
 };
 pub use metrics::{ElementActivity, OccupancySnapshot, PhaseClock, PhaseStart, PhaseTimings};
 pub use routing::{release_routes, route_channels, RouteAlgorithm};

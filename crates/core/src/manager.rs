@@ -25,7 +25,7 @@ use crate::cache::{
 };
 use crate::error::{AllocationError, Phase};
 use crate::layout::ExecutionLayout;
-use crate::mapping::{map_application_in, CostWeights, KnapsackSolver, MapperConfig};
+use crate::mapping::{map_application_in, CostWeights, MapperConfig};
 use crate::metrics::{ElementActivity, OccupancySnapshot, PhaseClock, PhaseTimings};
 use crate::routing::{release_routes, route_channels_in, RouteAlgorithm};
 use crate::validation::{validate_in, ValidationConfig, ValidationReport};
@@ -38,16 +38,8 @@ pub use audit::KairosAuditError;
 /// Configuration of the resource manager, covering all four phases.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct KairosConfig {
-    /// Mapping cost-function weights.
-    pub weights: CostWeights,
-    /// Knapsack solver used by `SolveGAP`.
-    pub knapsack: KnapsackSolver,
-    /// Extra BFS rings beyond the first sufficient candidate set.
-    pub extra_search_rings: u32,
-    /// Penalty for failed distance lookups in the cost function.
-    pub distance_miss_penalty: f64,
-    /// Alternative mapping start points retried for unpinned applications.
-    pub start_retries: u32,
+    /// The mapping phase's knobs.
+    pub mapper: MapperConfig,
     /// Path-search algorithm of the routing phase.
     pub route_algorithm: RouteAlgorithm,
     /// Whether the validation phase runs at all. The paper's synthetic-
@@ -86,11 +78,7 @@ pub struct KairosConfig {
 impl Default for KairosConfig {
     fn default() -> Self {
         KairosConfig {
-            weights: CostWeights::default(),
-            knapsack: KnapsackSolver::default(),
-            extra_search_rings: 1,
-            distance_miss_penalty: crate::mapping::DEFAULT_MISS_PENALTY,
-            start_retries: 3,
+            mapper: MapperConfig::default(),
             route_algorithm: RouteAlgorithm::Bfs,
             validate: true,
             validation: ValidationConfig::default(),
@@ -104,17 +92,7 @@ impl Default for KairosConfig {
 impl KairosConfig {
     /// A configuration with the given cost policy and defaults elsewhere.
     pub fn with_policy(policy: crate::mapping::CostPolicy) -> Self {
-        KairosConfig { weights: policy.weights(), ..KairosConfig::default() }
-    }
-
-    fn mapper(&self) -> MapperConfig {
-        MapperConfig {
-            weights: self.weights,
-            knapsack: self.knapsack,
-            extra_search_rings: self.extra_search_rings,
-            distance_miss_penalty: self.distance_miss_penalty,
-            start_retries: self.start_retries,
-        }
+        KairosConfig { mapper: MapperConfig::with_policy(policy), ..KairosConfig::default() }
     }
 }
 
@@ -487,7 +465,7 @@ impl Kairos {
     /// the shape key nor the platform state records them, so all are
     /// dropped (cached points count as invalidations).
     pub fn set_weights(&mut self, weights: CostWeights) {
-        self.config.weights = weights;
+        self.config.mapper.weights = weights;
         let dropped = self.store.clear();
         self.note_invalidated(dropped);
     }
@@ -981,8 +959,8 @@ impl Kairos {
         let start = clock.start();
         let mapping = {
             let _span = self.telemetry.span("kairos_core", "phase.mapping");
-            let mapper = self.config.mapper();
-            map_application_in(app, &binding, platform, &mapper, &mut self.workspace.mapping)
+            let mapper = &self.config.mapper;
+            map_application_in(app, &binding, platform, mapper, &mut self.workspace.mapping)
         };
         let elapsed = start.elapsed();
         timings.set(Phase::Mapping, elapsed);

@@ -32,8 +32,8 @@ pub const BONUS_OTHER_APP: f64 = 1.0;
 pub const BONUS_BORDER: f64 = 1.0;
 /// Bandwidth normaliser for the communication term.
 pub const BANDWIDTH_UNIT: f64 = 100.0;
-/// Default penalty charged when a distance lookup fails.
-pub const DEFAULT_MISS_PENALTY: f64 = 64.0;
+/// Hops charged when a distance lookup fails.
+pub const DISTANCE_MISS_PENALTY: f64 = 64.0;
 
 /// Weight parameters mixing the two mapping objectives.
 ///
@@ -196,8 +196,6 @@ pub struct CostContext<'a> {
     pub distances: &'a SparseDistanceMatrix,
     /// Objective weights.
     pub weights: CostWeights,
-    /// Penalty for failed distance lookups.
-    pub miss_penalty: f64,
 }
 
 impl CostContext<'_> {
@@ -225,8 +223,10 @@ impl CostContext<'_> {
     pub fn communication_term(&self, t: TaskId, e: ElementId) -> f64 {
         let mut total = 0.0;
         for &(peer_element, bandwidth) in self.tables.peers(t) {
-            let hops =
-                self.distances.get_symmetric(peer_element, e).map_or(self.miss_penalty, f64::from);
+            let hops = self
+                .distances
+                .get_symmetric(peer_element, e)
+                .map_or(DISTANCE_MISS_PENALTY, f64::from);
             total += hops * bandwidth;
         }
         total
@@ -305,13 +305,7 @@ mod tests {
         distances: &'a SparseDistanceMatrix,
         policy: CostPolicy,
     ) -> CostContext<'a> {
-        CostContext {
-            platform,
-            tables,
-            distances,
-            weights: policy.weights(),
-            miss_penalty: DEFAULT_MISS_PENALTY,
-        }
+        CostContext { platform, tables, distances, weights: policy.weights() }
     }
 
     #[test]
@@ -359,12 +353,10 @@ mod tests {
         let e: Vec<_> = platform.element_ids().collect();
         let distances = SparseDistanceMatrix::new();
         let tables = CostTables::new(&app, &[Some(e[0]), None], 3);
-        let ctx = CostContext {
-            miss_penalty: 99.0,
-            ..ctx(&platform, &tables, &distances, CostPolicy::Communication)
-        };
-        let cost = ctx.mapping_cost(TaskId(1), e[1]);
-        assert!((cost - 99.0 * 2.0).abs() < 1e-9);
+        let cost = ctx(&platform, &tables, &distances, CostPolicy::Communication)
+            .mapping_cost(TaskId(1), e[1]);
+        assert_eq!(DISTANCE_MISS_PENALTY, 64.0);
+        assert!((cost - DISTANCE_MISS_PENALTY * 2.0).abs() < 1e-9);
     }
 
     #[test]

@@ -22,7 +22,7 @@ mod gap;
 mod knapsack;
 mod search;
 
-pub use cost::{CostContext, CostPolicy, CostTables, CostWeights, DEFAULT_MISS_PENALTY};
+pub use cost::{CostContext, CostPolicy, CostTables, CostWeights, DISTANCE_MISS_PENALTY};
 pub use gap::GapState;
 pub use knapsack::{KnapsackItem, KnapsackSolver};
 pub use search::ElementSearch;
@@ -36,6 +36,10 @@ use crate::cache::{replay_point, Seat};
 use crate::error::MappingError;
 use crate::layout::{Binding, Placement};
 
+/// Alternative starting elements retried when an unpinned application
+/// dead-ends from its first start.
+pub const START_RETRIES: u32 = 3;
+
 /// Tuning knobs of the mapping phase.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MapperConfig {
@@ -46,11 +50,6 @@ pub struct MapperConfig {
     /// Extra BFS rings searched beyond the first sufficient candidate set
     /// (the paper performs "a single additional search step").
     pub extra_search_rings: u32,
-    /// Penalty charged by the cost function for failed distance lookups.
-    pub distance_miss_penalty: f64,
-    /// Number of alternative starting elements retried when an unpinned
-    /// application dead-ends from its first start (0 = no retries).
-    pub start_retries: u32,
 }
 
 impl Default for MapperConfig {
@@ -59,8 +58,6 @@ impl Default for MapperConfig {
             weights: CostWeights::default(),
             knapsack: KnapsackSolver::default(),
             extra_search_rings: 1,
-            distance_miss_penalty: DEFAULT_MISS_PENALTY,
-            start_retries: 3,
         }
     }
 }
@@ -289,11 +286,11 @@ pub(crate) fn map_application_in(
     // Rank every available start by the cost function; when the mapping
     // dead-ends from a start (e.g. its free region is too small), retry the
     // whole process from the next-best start — "multiple iterations are
-    // required to improve the solution". Only `start_retries + 1` starts
+    // required to improve the solution". Only `START_RETRIES + 1` starts
     // are ever tried, so only that many are kept: cheapest first, equal
     // costs in id order — the head of a stable sort of all of them.
     let t0 = *app.min_degree_tasks().first().expect("applications are validated non-empty");
-    let attempts = config.start_retries as usize + 1;
+    let attempts = START_RETRIES as usize + 1;
     scratch.starts.clear();
     scratch.own.tables.table_peers(app, &scratch.own.placement, [t0]);
     {
@@ -302,7 +299,6 @@ pub(crate) fn map_application_in(
             tables: &scratch.own.tables,
             distances: &scratch.distances,
             weights: config.weights,
-            miss_penalty: config.distance_miss_penalty,
         };
         let starts = &mut scratch.starts;
         for e in available_elements(platform, scratch.bound[t0.index()]) {
@@ -436,7 +432,6 @@ fn map_rings(
                     tables: &own.tables,
                     distances,
                     weights: config.weights,
-                    miss_penalty: config.distance_miss_penalty,
                 };
                 stats_gap += 1;
                 gap.solve(
@@ -627,6 +622,7 @@ mod tests {
         )
         .unwrap();
         assert_eq!(report.placement.len(), 4);
+        assert_eq!(START_RETRIES, 3);
         // Everything must be claimed exactly once.
         let claimed: usize = platform.element_ids().map(|e| platform.residents(e).len()).sum();
         assert_eq!(claimed, 4);

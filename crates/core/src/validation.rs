@@ -25,10 +25,7 @@
 //! against. See `docs/ARCHITECTURE.md`, "The validation phase".
 
 use kairos_app::{Application, ChannelId, TaskRole};
-use kairos_sdf::{
-    max_cycle_ratio_in, measure_latency, ActorId, CycleRatioScratch, LatencyConfig, SdfGraph,
-    SdfGraphBuilder,
-};
+use kairos_sdf::{max_cycle_ratio_in, ActorId, CycleRatioScratch, SdfGraph, SdfGraphBuilder};
 
 use crate::error::ValidationError;
 use crate::layout::ExecutionLayout;
@@ -43,13 +40,13 @@ pub struct ValidationConfig {
     /// Buffer tokens per channel direction (back-edge initial tokens),
     /// multiplied by the channel's tokens-per-firing.
     pub buffer_depth: u32,
-    /// Event budget of the optional [`measure_latency`](Self::measure_latency)
-    /// simulation. The throughput analysis is computed, not explored: it has
-    /// no budget and never reads this.
+    /// Inert: the throughput analysis is computed, not explored, so it has
+    /// no event budget and never reads this. The frozen benchmark is its
+    /// only user — `benchmark/src/drive.rs` sets it and
+    /// `benchmark/src/layers.rs` hands it to the state-space oracle — and
+    /// it goes when that benchmark is next changed (ROADMAP item 2(b)).
+    #[doc(hidden)]
     pub max_events: usize,
-    /// Also measure steady-state end-to-end latency (first input task to
-    /// first output task). Costs a bounded simulation of the model.
-    pub measure_latency: bool,
 }
 
 impl Default for ValidationConfig {
@@ -59,7 +56,6 @@ impl Default for ValidationConfig {
             transport_overhead_cycles: 4,
             buffer_depth: 2,
             max_events: 200_000,
-            measure_latency: false,
         }
     }
 }
@@ -80,10 +76,6 @@ pub struct ValidationReport {
     pub period_iterations: u64,
     /// Number of SDF actors in the analysed model (tasks + transports).
     pub actors: usize,
-    /// Steady-state end-to-end latency (input start to output completion),
-    /// in cycles, when [`ValidationConfig::measure_latency`] is set and the
-    /// application has both an input and an output task.
-    pub end_to_end_latency: Option<u64>,
 }
 
 /// The performance model of a layout, flat: what [`validate`] hands the
@@ -152,8 +144,8 @@ impl LayoutModel {
         self.rates.extend([rate, rate]);
     }
 
-    /// The model as a named multirate graph, for the latency simulation,
-    /// the state-space oracle and inspection.
+    /// The model as a named multirate graph, for the state-space oracle
+    /// and inspection.
     fn to_graph(&self, app: &Application) -> SdfGraph {
         let mut b = SdfGraphBuilder::new(format!("{}::model", app.name()));
         let (tasks, transports) = self.exec.split_at(app.task_count());
@@ -231,30 +223,12 @@ pub(crate) fn validate_in(
         }
     }
 
-    let end_to_end_latency = if config.measure_latency {
-        let source = app.tasks().find(|t| t.role() == TaskRole::Input).map(|t| t.id());
-        match (source, sink) {
-            (Some(source), Some(sink)) => measure_latency(
-                &model.to_graph(app),
-                ActorId(source.0),
-                ActorId(sink.0),
-                &LatencyConfig { max_events: config.max_events, ..LatencyConfig::default() },
-            )
-            .ok()
-            .map(|r| r.max_latency),
-            _ => None,
-        }
-    } else {
-        None
-    };
-
     Ok(ValidationReport {
         iteration_period,
         throughput,
         period_cycles: period.cycles,
         period_iterations: period.iterations,
         actors: model.exec.len(),
-        end_to_end_latency,
     })
 }
 
@@ -385,18 +359,6 @@ mod tests {
     }
 
     #[test]
-    fn latency_measurement_is_optional_and_sane() {
-        let app = pipeline_app(&[10, 20, 30]);
-        let layout = layout_for(&app, &[0, 0]);
-        let off = validate(&app, &layout, &ValidationConfig::default()).unwrap();
-        assert_eq!(off.end_to_end_latency, None);
-        let config = ValidationConfig { measure_latency: true, ..ValidationConfig::default() };
-        let on = validate(&app, &layout, &config).unwrap();
-        let latency = on.end_to_end_latency.expect("input and output tasks exist");
-        assert!(latency >= 60, "wavefront must traverse all three stages, got {latency}");
-    }
-
-    #[test]
     fn exact_fit_constraints_are_met() {
         // A bottleneck of `c` cycles against "period <= c": `1.0 / (1.0 / c)`
         // rounds above `c` for 140 of these (49, 98, 103, 107, 196, ...).
@@ -469,15 +431,11 @@ mod tests {
     }
 
     #[test]
-    fn the_event_budget_only_bounds_the_latency_simulation() {
+    fn max_events_changes_no_validation() {
         let app = pipeline_app(&[7, 31, 13, 5]);
         let layout = layout_for(&app, &[2, 0, 5]);
         let default = validate(&app, &layout, &ValidationConfig::default()).unwrap();
         let starved = ValidationConfig { max_events: 1, ..ValidationConfig::default() };
-        assert_eq!(validate(&app, &layout, &starved).unwrap(), default);
-        // With the simulation on, the budget is what runs out — and only
-        // the latency goes missing.
-        let starved = ValidationConfig { measure_latency: true, ..starved };
         assert_eq!(validate(&app, &layout, &starved).unwrap(), default);
     }
 

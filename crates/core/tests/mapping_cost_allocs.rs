@@ -17,7 +17,6 @@ use kairos_app::TaskId;
 use kairos_appgen::{generate_dataset, DatasetSpec};
 use kairos_core::{
     bind, map_application, CostContext, CostPolicy, CostTables, Kairos, KairosConfig, MapperConfig,
-    DEFAULT_MISS_PENALTY,
 };
 use kairos_platform::{
     bfs_distances, topology, AppId, ElementId, SearchDirection, SparseDistanceMatrix,
@@ -107,7 +106,6 @@ fn mapping_cost_does_not_allocate() {
         tables: &tables,
         distances: &distances,
         weights: config.weights,
-        miss_penalty: DEFAULT_MISS_PENALTY,
     };
     let elements = platform.element_count() as u32;
     let tasks = app.task_count() as u32;

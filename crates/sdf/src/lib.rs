@@ -39,7 +39,6 @@
 
 mod analysis;
 mod graph;
-mod latency;
 mod mcr;
 mod statespace;
 
@@ -47,7 +46,6 @@ pub use analysis::{check_deadlock_free, is_consistent, repetition_vector, SdfAna
 pub use graph::{
     Actor, ActorId, SdfChannel, SdfChannelId, SdfGraph, SdfGraphBuilder, SdfGraphError,
 };
-pub use latency::{measure_latency, LatencyConfig, LatencyReport};
 pub use mcr::{max_cycle_ratio, max_cycle_ratio_in, CycleRatio, CycleRatioScratch};
 pub use statespace::{
     throughput, throughput_with, StateSpaceConfig, StateSpaceError, ThroughputReport,

@@ -9,28 +9,23 @@ use crate::metric::{Counter, Gauge, Histogram};
 use crate::registry::{Registry, Snapshot};
 use crate::trace::{SpanRecord, TraceContext, TraceSink};
 
+/// Events each flight recorder retains before overwriting the oldest.
+pub const FLIGHT_CAPACITY: usize = 256;
+
 /// Construction knobs for a [`Telemetry`] hub.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct TelemetryConfig {
     /// Whether span durations are measured on the wall clock. `false`
     /// (the default) is the deterministic mode: every recorded duration
     /// is zero, so snapshots are a pure function of the operation
     /// sequence — the telemetry analogue of the zero `PhaseClock`.
     pub wall_clock: bool,
-    /// Events each flight recorder retains before overwriting the oldest.
-    pub flight_capacity: usize,
     /// Whether request-scoped causal tracing is on: roots are minted per
     /// service request and every layer records spans into the hub's
     /// shared trace sink. Off by default; tracing is strictly additive
     /// and never perturbs the simulation (the observer-effect tests pin
     /// this).
     pub tracing: bool,
-}
-
-impl Default for TelemetryConfig {
-    fn default() -> Self {
-        TelemetryConfig { wall_clock: false, flight_capacity: 256, tracing: false }
-    }
 }
 
 #[derive(Debug)]
@@ -71,7 +66,7 @@ impl Telemetry {
             inner: Some(Arc::new(Inner {
                 config,
                 registry: Arc::new(Registry::new()),
-                recorder: FlightRecorder::new("main", config.flight_capacity),
+                recorder: FlightRecorder::new("main", FLIGHT_CAPACITY),
                 tracer: config.tracing.then(|| Arc::new(TraceSink::default())),
             })),
         }
@@ -87,7 +82,7 @@ impl Telemetry {
                 inner: Some(Arc::new(Inner {
                     config: inner.config,
                     registry: inner.registry.clone(),
-                    recorder: FlightRecorder::new(label, inner.config.flight_capacity),
+                    recorder: FlightRecorder::new(label, FLIGHT_CAPACITY),
                     tracer: inner.tracer.clone(),
                 })),
             },
@@ -326,6 +321,9 @@ mod tests {
         shard.event(Level::INFO, "test", "shard-local".into());
         assert!(t.flight_dump().is_empty(), "recorders are per child");
         assert_eq!(shard.flight().unwrap().label(), "shard0");
+        assert_eq!(FLIGHT_CAPACITY, 256);
+        assert_eq!(t.flight().unwrap().capacity(), FLIGHT_CAPACITY);
+        assert_eq!(shard.flight().unwrap().capacity(), FLIGHT_CAPACITY);
         assert!(!Telemetry::disabled().child("shard0").enabled());
     }
 

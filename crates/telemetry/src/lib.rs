@@ -89,7 +89,7 @@ mod registry;
 mod trace;
 
 pub use flight::{FlightRecorder, TraceEvent};
-pub use hub::{SpanGuard, Telemetry, TelemetryConfig};
+pub use hub::{SpanGuard, Telemetry, TelemetryConfig, FLIGHT_CAPACITY};
 pub use level::Level;
 pub use metric::{Counter, Gauge, Histogram, HistogramSnapshot};
 pub use registry::{MetricSnapshot, MetricValue, Registry, Snapshot};

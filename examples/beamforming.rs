@@ -7,7 +7,7 @@
 //! ```
 
 use kairos::appgen::beamforming::beamforming_app;
-use kairos::core::{CostWeights, Kairos, KairosConfig, Phase};
+use kairos::core::{CostWeights, Kairos, KairosConfig, MapperConfig, Phase};
 use kairos::platform::topology;
 
 fn main() {
@@ -20,8 +20,11 @@ fn main() {
     let mut kairos = Kairos::new(
         topology::crisp(),
         KairosConfig {
-            weights: CostWeights { communication: 5.0, fragmentation: 10.0 },
-            extra_search_rings: 5,
+            mapper: MapperConfig {
+                weights: CostWeights { communication: 5.0, fragmentation: 10.0 },
+                extra_search_rings: 5,
+                ..MapperConfig::default()
+            },
             ..KairosConfig::default()
         },
     );
@@ -61,8 +64,11 @@ fn main() {
         let mut row = format!("  {fw:9} ");
         for cw in [0.0, 1.0, 5.0, 10.0, 25.0] {
             let config = KairosConfig {
-                weights: CostWeights { communication: cw, fragmentation: fw },
-                extra_search_rings: 5,
+                mapper: MapperConfig {
+                    weights: CostWeights { communication: cw, fragmentation: fw },
+                    extra_search_rings: 5,
+                    ..MapperConfig::default()
+                },
                 validate: false,
                 ..KairosConfig::default()
             };

@@ -2,14 +2,15 @@
 //! weights (paper §IV-A).
 
 use kairos::appgen::beamforming::beamforming_app;
-use kairos::core::{CostPolicy, Kairos, KairosConfig};
+use kairos::core::{CostPolicy, Kairos, KairosConfig, MapperConfig};
 use kairos::platform::topology;
 
 #[test]
 fn beamformer_admits_with_both_objectives() {
     let app = beamforming_app();
-    let config =
-        KairosConfig { extra_search_rings: 5, ..KairosConfig::with_policy(CostPolicy::Both) };
+    let mapper =
+        MapperConfig { extra_search_rings: 5, ..MapperConfig::with_policy(CostPolicy::Both) };
+    let config = KairosConfig { mapper, ..KairosConfig::default() };
     let mut kairos = Kairos::new(topology::crisp(), config);
     match kairos.admit(&app) {
         Ok(report) => {

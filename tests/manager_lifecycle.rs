@@ -47,7 +47,7 @@ fn weight_changes_take_effect_between_admissions() {
         let _ = kairos.admit(app);
     }
     kairos.set_weights(CostWeights { communication: 9.0, fragmentation: 0.5 });
-    assert_eq!(kairos.config().weights.communication, 9.0);
+    assert_eq!(kairos.config().mapper.weights.communication, 9.0);
     for app in &apps {
         let _ = kairos.admit(app);
     }

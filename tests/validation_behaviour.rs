@@ -105,20 +105,6 @@ fn hop_latency_config_scales_transport_cost() {
 }
 
 #[test]
-fn latency_exceeds_period_for_pipelines() {
-    let app = pipeline_app(5, 30);
-    let (layout, _) = layout_on_line(&app);
-    let config = ValidationConfig { measure_latency: true, ..ValidationConfig::default() };
-    let report = validate(&app, &layout, &config).unwrap();
-    let latency = report.end_to_end_latency.expect("pipeline has input and output");
-    assert!(
-        latency as f64 >= report.iteration_period,
-        "a 5-stage wavefront cannot beat one period"
-    );
-    assert!(latency >= 5 * 30, "latency below the critical path");
-}
-
-#[test]
 fn constraints_gate_admission_end_to_end() {
     // Identical apps, one feasible and one infeasible constraint.
     let feasible = {
