@@ -5,9 +5,10 @@ use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use kairos_app::Application;
-use kairos_core::{AdmissionFailure, AdmissionProbe, AdmissionReport, AllocationError, Kairos};
+use kairos_core::{
+    AdmissionFailure, AdmissionProbe, AdmissionReport, AllocationError, Kairos, VictimPlan,
+};
 use kairos_platform::{AppId, ElementId};
-use kairos_reloc::{compact_with, select_victims_with, RelocMetrics, VictimPlan};
 use kairos_telemetry::{Counter, Gauge, Histogram, Level, Telemetry, TraceContext};
 
 use crate::command::{CapacityEvent, Command, Request};
@@ -139,10 +140,6 @@ pub struct Admitd {
     admitted_meta: BTreeMap<AppId, AdmittedMeta>,
     metrics: Option<AdmitdMetrics>,
     svc_metrics: Option<SvcMetrics>,
-    /// The relocation planner's instruments, resolved once alongside
-    /// [`AdmitdMetrics`] — the planners themselves never touch the
-    /// registry's name map on the hot path.
-    reloc_metrics: Option<RelocMetrics>,
 }
 
 impl Admitd {
@@ -150,9 +147,10 @@ impl Admitd {
     /// `None`, admitting or refusing every request at the door.
     /// Observability comes with the manager: over one whose hub is lit
     /// ([`Kairos::set_telemetry`]) commands land on the `kairos.svc.*`
-    /// metrics, defrag sweeps and victim plans on `kairos.reloc.*` and
-    /// queue transitions on `kairos.admitd.*` (a queue-less front-end has
-    /// none to register); over a dark one nothing is registered.
+    /// metrics and queue transitions on `kairos.admitd.*` (a queue-less
+    /// front-end has none to register), beside the manager's own
+    /// `kairos.core.*` and `kairos.reloc.*`; over a dark one nothing is
+    /// registered.
     ///
     /// # Panics
     ///
@@ -170,7 +168,6 @@ impl Admitd {
             events: Vec::new(),
             capacity_events: 0,
             admitted_meta: BTreeMap::new(),
-            reloc_metrics: RelocMetrics::new(kairos.telemetry()),
             kairos,
         }
     }
@@ -472,8 +469,7 @@ impl Admitd {
                 }
             },
             Command::Defrag { max_moves } => {
-                let moves = compact_with(&mut self.kairos, max_moves, self.reloc_metrics.as_ref())
-                    .move_count();
+                let moves = self.kairos.compact(max_moves).move_count();
                 let drained = if moves == 0 { Vec::new() } else { self.capacity_event(at) };
                 (Event::Defragged { ticket, moves }, drained)
             }
@@ -728,7 +724,7 @@ impl Admitd {
     /// Running applications of a class *strictly lower* than `than`, in
     /// eviction-preference order: lowest class first, then the policy's
     /// [`VictimOrder`] tie-break (fewest or most tasks first), then id —
-    /// a deterministic order the `kairos-reloc` planner treats as
+    /// a deterministic order [`Kairos::select_victims`] treats as
     /// cheapest-first.
     fn preemption_candidates(&self, than: PriorityClass) -> Vec<AppId> {
         let mut candidates: Vec<(usize, usize, AppId)> = self
@@ -769,13 +765,7 @@ impl Admitd {
     ) -> bool {
         let candidates = self.preemption_candidates(class);
         let max_victims = self.queueing().max_victims;
-        let Some(plan) = select_victims_with(
-            &mut self.kairos,
-            app,
-            &candidates,
-            max_victims,
-            self.reloc_metrics.as_ref(),
-        ) else {
+        let Some(plan) = self.kairos.select_victims(app, &candidates, max_victims) else {
             return false;
         };
         self.apply_relocation(plan, by, ctx, now, events);

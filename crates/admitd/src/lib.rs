@@ -49,12 +49,13 @@
 //!   dropped ([`RejectCause::Timeout`]);
 //! * **Preemption** — under an enabled [`PreemptionPolicy`], a blocked
 //!   critical request may relocate running lower-priority applications: a
-//!   minimal victim set is planned by `kairos-reloc`, then either evicted
-//!   and re-queued as retryable requests ([`Event::Preempted`] —
-//!   preempted, not dropped, with cumulative wait preserved across the
-//!   requeue) or live-migrated off the request's target region with their
-//!   identity intact ([`Event::Migrated`]). [`Command::Defrag`] runs the
-//!   same migration machinery as a fragmentation-reducing sweep.
+//!   minimal victim set is planned by `Kairos::select_victims`, then
+//!   either evicted and re-queued as retryable requests
+//!   ([`Event::Preempted`] — preempted, not dropped, with cumulative wait
+//!   preserved across the requeue) or live-migrated off the request's
+//!   target region with their identity intact ([`Event::Migrated`]).
+//!   [`Command::Defrag`] runs the same migration machinery as a
+//!   fragmentation-reducing sweep.
 //!
 //! Everything is deterministic: same request sequence, same events —
 //! the property the `kairos-sim` byte-reproducibility tests lean on.

@@ -4,15 +4,15 @@ use serde::{Deserialize, Serialize};
 
 use std::fmt;
 
-use crate::queue::PriorityClass;
-
-/// How the front-end reacts when a [`PriorityClass::Critical`] request is
+/// How the front-end reacts when a
+/// [`PriorityClass::Critical`](crate::PriorityClass::Critical) request is
 /// blocked by the occupancy of running lower-priority applications (or
 /// refused at the door of a full critical queue).
 ///
 /// Victims are always of a *strictly lower* priority class than the
-/// blocked request, chosen by the `kairos-reloc` planner as a minimal set
-/// whose removal provably unblocks the request.
+/// blocked request, chosen by
+/// [`Kairos::select_victims`](kairos_core::Kairos::select_victims) as a
+/// minimal set whose removal provably unblocks the request.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
 pub enum PreemptionPolicy {
     /// Never preempt: blocked criticals wait like everyone else (the
@@ -40,7 +40,7 @@ impl fmt::Display for PreemptionPolicy {
     }
 }
 
-/// The order preemption candidates are offered to the `kairos-reloc`
+/// The order preemption candidates are offered to the manager's victim
 /// planner in — the front-end's eviction-cost policy. Candidates are
 /// always grouped lowest priority class first; the order decides ties
 /// within a class. Injectable at service construction through
@@ -141,11 +141,6 @@ impl AdmitPolicy {
         Ok(())
     }
 
-    /// Capacity of `class`'s queue.
-    pub fn capacity_of(&self, class: PriorityClass) -> usize {
-        self.class_capacity[class.index()]
-    }
-
     /// Total queue capacity over all classes (the memory bound).
     pub fn total_capacity(&self) -> usize {
         self.class_capacity.iter().sum()
@@ -167,7 +162,6 @@ mod tests {
     fn default_policy_is_valid() {
         AdmitPolicy::default().validate().unwrap();
         assert_eq!(AdmitPolicy::default().total_capacity(), 88);
-        assert_eq!(AdmitPolicy::default().capacity_of(PriorityClass::Critical), 8);
     }
 
     #[test]

@@ -78,18 +78,6 @@ impl Channel {
     pub fn tokens_per_firing(&self) -> u32 {
         self.tokens_per_firing
     }
-
-    /// The task on the far side of this channel from `t`, if `t` is an
-    /// endpoint.
-    pub fn peer_of(&self, t: TaskId) -> Option<TaskId> {
-        if t == self.src {
-            Some(self.dst)
-        } else if t == self.dst {
-            Some(self.src)
-        } else {
-            None
-        }
-    }
 }
 
 impl fmt::Display for Channel {
@@ -103,16 +91,13 @@ mod tests {
     use super::*;
 
     #[test]
-    fn accessors_and_peer() {
+    fn accessors() {
         let c = Channel::new(ChannelId(1), TaskId(0), TaskId(2), 150, 1);
         assert_eq!(c.id(), ChannelId(1));
         assert_eq!(c.src(), TaskId(0));
         assert_eq!(c.dst(), TaskId(2));
         assert_eq!(c.bandwidth(), 150);
         assert_eq!(c.tokens_per_firing(), 1);
-        assert_eq!(c.peer_of(TaskId(0)), Some(TaskId(2)));
-        assert_eq!(c.peer_of(TaskId(2)), Some(TaskId(0)));
-        assert_eq!(c.peer_of(TaskId(7)), None);
     }
 
     #[test]

@@ -4,26 +4,14 @@
 //! The `kairos-gateway` front-end accepts admissions into bounded lanes
 //! and drives the service from its deterministic task queue, so a storm
 //! streamed through it flushes in *waves* (enqueue a wave, `drive`
-//! once). By default each admission of a wave is forwarded on its own,
-//! and the cluster underneath places it exactly as it places a direct
-//! `submit`: every shard probed in turn (the bench places least-loaded,
-//! which compares every shard — a first-fit cluster would stop at the
-//! first shard that fits), then the winning shard commits its own probe
-//! by replay. The coalescing gateway
-//! (`GatewayConfig::coalesce`) merges each wave into one batched
-//! submission, which the cluster places with a single pass over the
-//! pre-wave state — but a batched wave's admissions then run the pipeline
-//! cold (a shard remembers only its last probe, and each admission of the
-//! sub-wave moves the state the others were probed against), so it pays
-//! one more pipeline run per request than the per-request path, plus the
-//! batch's own bookkeeping.
-//!
-//! Over the same cluster the coalescing gateway reads 0.55–0.61x the
-//! default gateway. What this bench pins is that batching has not fallen
-//! off a cliff: at least 0.3x. CI executes the assertion as a smoke
-//! check; ROADMAP items 1(e) and 4(a) retire it with the knob. The sync
-//! cluster is reported beside the default gateway (they differ by lane
-//! bookkeeping only, ~0.9–1.0x).
+//! once). Each admission of a wave is forwarded on its own, and the
+//! cluster underneath places it exactly as it places a direct `submit`:
+//! every shard probed in turn (the bench places least-loaded, which
+//! compares every shard — a first-fit cluster would stop at the first
+//! shard that fits), then the winning shard commits its own probe by
+//! replay. The sync cluster is reported beside the gateway (they differ
+//! by lane bookkeeping only, ~0.9–1.0x). The bench prints a table and
+//! asserts nothing.
 
 use std::time::Instant;
 
@@ -79,18 +67,9 @@ fn sync_run(mut service: Box<dyn ResourceService + Send>, apps: &[Application]) 
 }
 
 /// Gateway path: the storm streamed through the lanes in arrival waves —
-/// enqueue a wave, `drive` once — each admission forwarded on its own,
-/// or with `coalesce` the whole wave merged into one batched submission.
-fn gateway_run(
-    shards: usize,
-    wave_len: usize,
-    coalesce: bool,
-    apps: &[Application],
-) -> (f64, usize) {
-    let mut gateway = Gateway::new(
-        Box::new(cluster(shards)),
-        GatewayConfig { coalesce, ..GatewayConfig::default() },
-    );
+/// enqueue a wave, `drive` once — each admission forwarded on its own.
+fn gateway_run(shards: usize, wave_len: usize, apps: &[Application]) -> (f64, usize) {
+    let mut gateway = Gateway::new(Box::new(cluster(shards)), GatewayConfig::default());
     let waves = requests(apps);
     let start = Instant::now();
     let mut waves = waves.into_iter().peekable();
@@ -112,7 +91,7 @@ fn main() {
     let apps = storm(APPS, 0x6A7E);
 
     type Path<'a> = (String, Box<dyn Fn() -> (f64, usize) + 'a>);
-    let paths: [Path; 4] = [
+    let paths: [Path; 3] = [
         (
             "monolith (sync)".to_owned(),
             Box::new(|| {
@@ -126,16 +105,12 @@ fn main() {
         ),
         (
             format!("cluster x{SHARDS} (gateway, waves of {WAVE})"),
-            Box::new(|| gateway_run(SHARDS, WAVE, false, &apps)),
-        ),
-        (
-            format!("cluster x{SHARDS} (coalescing gateway, waves of {WAVE})"),
-            Box::new(|| gateway_run(SHARDS, WAVE, true, &apps)),
+            Box::new(|| gateway_run(SHARDS, WAVE, &apps)),
         ),
     ];
     // Best of `REPS` per path, the paths interleaved rep by rep so a noisy
     // stretch of the host falls on all of them alike.
-    let mut best = [(f64::INFINITY, 0usize); 4];
+    let mut best = [(f64::INFINITY, 0usize); 3];
     for _ in 0..REPS {
         for ((_, run), best) in paths.iter().zip(&mut best) {
             let (micros, admitted) = run();
@@ -160,19 +135,5 @@ fn main() {
         &format!("storm of {APPS} admissions: serving path throughput"),
         &["path", "wall us", "admissions/s", "admitted"],
         &rows,
-    );
-
-    let [_, sync, queued, coalesced] = best.map(rate);
-    // A smoke floor, not a cost model: see the module docs.
-    let floor = 0.3;
-    assert!(
-        coalesced >= floor * queued,
-        "the coalescing gateway must admit at least {floor:.2}x as fast as the default gateway \
-         ({coalesced:.0}/s vs {queued:.0}/s)"
-    );
-    println!(
-        "OK: coalescing gateway {coalesced:.0} admissions/s vs default gateway \
-         {queued:.0}/s ({:.2}x, floor {floor:.2}x); sync cluster {sync:.0}/s",
-        coalesced / queued
     );
 }

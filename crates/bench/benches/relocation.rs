@@ -22,7 +22,6 @@ use kairos_app::{Application, ApplicationBuilder, Implementation, TaskRole};
 use kairos_bench::print_table;
 use kairos_core::{Kairos, KairosConfig};
 use kairos_platform::{external_fragmentation, topology, AppId, ElementKind, ResourceVector};
-use kairos_reloc::select_victims;
 
 /// A `tasks`-task DSP chain, each task demanding `cpu` CPU units.
 fn chain(name: &str, tasks: usize, cpu: u64) -> Application {
@@ -75,7 +74,7 @@ struct Outcome {
 fn run_evict(residents: usize, critical: &Application) -> Outcome {
     let (mut kairos, survivors) = fragmented_platform(residents);
     let start = Instant::now();
-    let plan = select_victims(&mut kairos, critical, &survivors, 8);
+    let plan = kairos.select_victims(critical, &survivors, 8);
     let mut evictions = 0;
     let mut kept = 0;
     let mut admitted = false;
@@ -107,7 +106,7 @@ fn run_evict(residents: usize, critical: &Application) -> Outcome {
 fn run_migrate(residents: usize, critical: &Application) -> Outcome {
     let (mut kairos, survivors) = fragmented_platform(residents);
     let start = Instant::now();
-    let plan = select_victims(&mut kairos, critical, &survivors, 8);
+    let plan = kairos.select_victims(critical, &survivors, 8);
     let mut evictions = 0;
     let mut kept = 0;
     let mut admitted = false;

@@ -198,7 +198,7 @@ impl ClusterBuilder {
 ///   platform reaches no shard: its fault or repair is answered by the
 ///   cluster with no eviction, and a migration skips it.
 /// * **[`Command::Defrag`]** compacts every shard in shard-id order
-///   (`kairos-reloc` migration stays shard-local) and reports one sweep.
+///   (each manager's live migration stays shard-local) and reports one sweep.
 /// * **[`Command::Rebalance`]** moves running applications from the
 ///   most- to the least-loaded shard by evict-and-readmit across the
 ///   boundary — two-phase (claim the new home, then free the old; any

@@ -44,7 +44,7 @@
 //!   across the boundary by two-phase evict-and-readmit (claim the new
 //!   home, then free the old; rollback on any failure), while
 //!   [`Command::Defrag`](kairos_admitd::Command::Defrag) keeps using
-//!   `kairos-reloc` live migration *within* each shard.
+//!   each shard manager's live migration *within* its shard.
 //!
 //! ## Example
 //!

@@ -455,7 +455,7 @@ proptest! {
         // parked requests out of ticket order.
         let calls = Arc::new(Mutex::new(Vec::new()));
         let tap = Tap { inner: Box::new(storm_cluster()), calls: Arc::clone(&calls) };
-        let config = GatewayConfig { channel_capacity: 2, ..GatewayConfig::default() };
+        let config = GatewayConfig { channel_capacity: 2 };
         let settle = |gateway: &mut Gateway| {
             gateway.drive();
             gateway.take_events()

@@ -94,11 +94,6 @@ impl Placement {
     pub fn iter(&self) -> impl Iterator<Item = (TaskId, ElementId)> + '_ {
         self.elements.iter().enumerate().map(|(i, &e)| (TaskId(i as u32), e))
     }
-
-    /// Tasks hosted on `element`.
-    pub fn tasks_on(&self, element: ElementId) -> Vec<TaskId> {
-        self.iter().filter(|&(_, e)| e == element).map(|(t, _)| t).collect()
-    }
 }
 
 /// The routing-phase result for one channel: the ordered links of its route.
@@ -204,8 +199,6 @@ mod tests {
     fn placement_queries() {
         let p = Placement::new(vec![ElementId(5), ElementId(5), ElementId(7)]);
         assert_eq!(p.element(TaskId(2)), ElementId(7));
-        assert_eq!(p.tasks_on(ElementId(5)), vec![TaskId(0), TaskId(1)]);
-        assert_eq!(p.tasks_on(ElementId(9)), Vec::<TaskId>::new());
         assert_eq!(p.len(), 3);
     }
 

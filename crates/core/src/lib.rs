@@ -19,7 +19,10 @@
 //!    layout against the application's constraints.
 //!
 //! [`Kairos`] packages the pipeline as a resource manager — the phases
-//! decide, one writer commits — with release, timing and fault handling.
+//! decide, one writer commits — with release, timing and fault handling,
+//! and relocation beyond the paper: live migration, minimal preemption
+//! plans ([`Kairos::select_victims`]) and defragmenting compaction
+//! ([`Kairos::compact`]).
 //! [`baseline`] adds first-fit and exact-placement comparators for
 //! heuristic-quality studies.
 //!
@@ -67,8 +70,9 @@ pub use error::{
 };
 pub use layout::{Binding, ExecutionLayout, Placement, Route};
 pub use manager::{
-    AdmissionFailure, AdmissionProbe, AdmissionReport, Kairos, KairosAuditError, KairosCheckpoint,
-    KairosConfig, MigrationError, MigrationReport, DURATION_NS_BOUNDS,
+    AdmissionFailure, AdmissionProbe, AdmissionReport, CompactMove, CompactReport, Kairos,
+    KairosAuditError, KairosCheckpoint, KairosConfig, MigrationError, MigrationReport, VictimPlan,
+    DURATION_NS_BOUNDS,
 };
 pub use mapping::{
     map_application, CostContext, CostPolicy, CostTables, CostWeights, ElementSearch, GapState,

@@ -32,8 +32,10 @@ use crate::validation::{validate_in, ValidationConfig, ValidationReport};
 use crate::workspace::{Marks, Workspace};
 
 mod audit;
+mod reloc;
 
 pub use audit::KairosAuditError;
+pub use reloc::{CompactMove, CompactReport, VictimPlan};
 
 /// Configuration of the resource manager, covering all four phases.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -289,6 +291,12 @@ struct CoreMetrics {
     cache_misses: Arc<Counter>,
     cache_invalidations: Arc<Counter>,
     cache_points: Arc<Gauge>,
+    reloc_plans_requested: Arc<Counter>,
+    reloc_plans_none: Arc<Counter>,
+    reloc_plans_found: Arc<Counter>,
+    reloc_plan_victims: Arc<Counter>,
+    reloc_compact_sweeps: Arc<Counter>,
+    reloc_compact_moves: Arc<Counter>,
 }
 
 impl CoreMetrics {
@@ -327,6 +335,12 @@ impl CoreMetrics {
             cache_misses: registry.counter("kairos.opcache.misses"),
             cache_invalidations: registry.counter("kairos.opcache.invalidations"),
             cache_points: registry.gauge("kairos.opcache.points"),
+            reloc_plans_requested: registry.counter("kairos.reloc.plans.requested"),
+            reloc_plans_none: registry.counter("kairos.reloc.plans.none"),
+            reloc_plans_found: registry.counter("kairos.reloc.plans.found"),
+            reloc_plan_victims: registry.counter("kairos.reloc.plan.victims"),
+            reloc_compact_sweeps: registry.counter("kairos.reloc.compact.sweeps"),
+            reloc_compact_moves: registry.counter("kairos.reloc.compact.moves"),
         })
     }
 }
@@ -436,7 +450,8 @@ impl Kairos {
     }
 
     /// Attaches an observability hub: pipeline spans land in its flight
-    /// recorder and the `kairos.core.*` metrics are registered eagerly.
+    /// recorder and the `kairos.core.*`, `kairos.opcache.*` and
+    /// `kairos.reloc.*` metrics are registered eagerly.
     /// Attaching a disabled hub detaches instrumentation again.
     pub fn set_telemetry(&mut self, telemetry: Telemetry) {
         self.metrics = CoreMetrics::new(&telemetry);

@@ -8,7 +8,6 @@ use proptest::prelude::*;
 use kairos_app::{Application, ApplicationBuilder, Implementation, TaskRole};
 use kairos_core::{Kairos, KairosConfig, MigrationError};
 use kairos_platform::{topology, AppId, ElementKind, ResourceVector};
-use kairos_reloc::{compact, select_victims};
 
 /// A chain of `tasks` DSP tasks, each demanding `cpu`.
 fn chain(name: &str, tasks: usize, cpu: u64) -> Application {
@@ -109,7 +108,7 @@ proptest! {
         let before = kairos.platform().checkpoint();
         let request = chain("req", req_tasks as usize, 500 + 150 * req_cpu as u64);
 
-        if let Some(plan) = select_victims(&mut kairos, &request, &ids, ids.len()) {
+        if let Some(plan) = kairos.select_victims(&request, &ids, ids.len()) {
             prop_assert!(!plan.victims.is_empty());
             prop_assert!(
                 kairos.probe_admit_without(&request, &plan.victims).is_ok(),
@@ -150,7 +149,7 @@ proptest! {
             prop_assert!(kairos.release(id));
         }
         let before_ids = kairos.admitted_ids();
-        let report = compact(&mut kairos, budget);
+        let report = kairos.compact(budget);
         prop_assert!(report.fragmentation_after <= report.fragmentation_before);
         prop_assert!(report.move_count() <= budget);
         prop_assert_eq!(kairos.admitted_ids(), before_ids,

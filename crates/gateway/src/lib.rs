@@ -41,13 +41,6 @@
 //!   clustered, preempting and cached regimes). The queueing API
 //!   ([`Gateway::enqueue`] + [`Gateway::drive`]) relaxes only *when*
 //!   work happens, never what is decided.
-//! * **Optional admit coalescing** — [`GatewayConfig::coalesce`] merges
-//!   contiguous single admissions flushed in one drive pass into one
-//!   [`ResourceService::submit_batch`] wave (one arrival time, one drain
-//!   pass; each admission is still written as it is decided). That
-//!   changes how the inner service is driven, so
-//!   it is off by default and excluded from the sync-equivalence
-//!   guarantee; the `gateway` bench measures it against the default path.
 //!
 //! Telemetry: when constructed over a lit hub
 //! ([`Gateway::with_telemetry`]) the gateway registers
@@ -104,16 +97,11 @@ pub struct GatewayConfig {
     /// parks (preserving sync equivalence); serving benchmarks shrink it
     /// to exercise backpressure.
     pub channel_capacity: usize,
-    /// Merge contiguous single admissions flushed in one drive pass into
-    /// one batched wave. Off by default: coalescing changes how the
-    /// inner service is driven (batched drains), so it is excluded from
-    /// the sync-equivalence guarantee.
-    pub coalesce: bool,
 }
 
 impl Default for GatewayConfig {
     fn default() -> Self {
-        GatewayConfig { channel_capacity: 65_536, coalesce: false }
+        GatewayConfig { channel_capacity: 65_536 }
     }
 }
 
@@ -126,10 +114,11 @@ pub struct GatewayCounters {
     pub forwarded: u64,
     /// Forwards that went through `ResourceService::submit`.
     pub singles: u64,
-    /// Forwards that went through `ResourceService::submit_batch`
-    /// (enqueued batches plus coalesced waves).
+    /// Forwards that went through `ResourceService::submit_batch`.
     pub batches: u64,
-    /// Single admissions absorbed into coalesced waves.
+    /// Always 0: the gateway forwards every request as it was enqueued,
+    /// and never merges single admissions into a batched wave. Kept for
+    /// the report's `coalesced` key.
     pub coalesced: u64,
     /// Requests driven to their terminal event.
     pub completions: u64,
@@ -363,7 +352,7 @@ impl Gateway {
             next_ticket: 0,
             outbox: Vec::new(),
             now: 0,
-            config: GatewayConfig { channel_capacity: capacity, ..config },
+            config: GatewayConfig { channel_capacity: capacity },
             metrics: GatewayMetrics::new(&telemetry),
             counters: Arc::default(),
         }
@@ -518,7 +507,6 @@ impl Gateway {
         if forwards.is_empty() {
             return false;
         }
-        let forwards = if self.config.coalesce { self.coalesce(forwards) } else { forwards };
         for forward in forwards {
             let (count, singles, batches) = match forward {
                 Forward::Single(request) => {
@@ -545,38 +533,6 @@ impl Gateway {
             self.outbox.append(&mut events);
         }
         true
-    }
-
-    /// Merges contiguous runs of single admissions into one batched
-    /// wave each; other commands keep their position and break runs.
-    fn coalesce(&mut self, forwards: Vec<Forward>) -> Vec<Forward> {
-        fn flush(run: &mut Vec<Request>, out: &mut Vec<Forward>, coalesced: &mut u64) {
-            match run.len() {
-                0 => {}
-                1 => out.push(Forward::Single(run.remove(0))),
-                n => {
-                    *coalesced += n as u64;
-                    out.push(Forward::Batch(std::mem::take(run)));
-                }
-            }
-        }
-        let mut out = Vec::with_capacity(forwards.len());
-        let mut run: Vec<Request> = Vec::new();
-        let mut coalesced = 0;
-        for forward in forwards {
-            match forward {
-                Forward::Single(request) if matches!(request.command, Command::Admit { .. }) => {
-                    run.push(request);
-                }
-                other => {
-                    flush(&mut run, &mut out, &mut coalesced);
-                    out.push(other);
-                }
-            }
-        }
-        flush(&mut run, &mut out, &mut coalesced);
-        locked(&self.counters).coalesced += coalesced;
-        out
     }
 
     /// Books `events` coming out of the inner service: retires each
@@ -775,7 +731,7 @@ mod tests {
     #[test]
     fn full_lanes_park_requests_until_drain() {
         use kairos_appgen::{generate_dataset, DatasetSpec, Orientation, SizeClass};
-        let config = GatewayConfig { channel_capacity: 2, ..GatewayConfig::default() };
+        let config = GatewayConfig { channel_capacity: 2 };
         let mut gateway = Gateway::new(queued_service([64, 64, 64, 64]), config);
         // Large applications saturate the platform after a handful of
         // admissions; the rest stay queued (non-terminal), holding their
@@ -826,24 +782,6 @@ mod tests {
         let gateway = Gateway::new(Box::new(cluster), GatewayConfig::default());
         assert_eq!(gateway.lane_count(), 3);
         assert_eq!(gateway.shard_count(), 3);
-    }
-
-    /// Coalescing merges a drive pass's contiguous single admissions
-    /// into batched waves without losing completions.
-    #[test]
-    fn coalescing_batches_contiguous_admits() {
-        let config = GatewayConfig { coalesce: true, ..GatewayConfig::default() };
-        let mut gateway = Gateway::new(direct_service(), config);
-        for request in admits(12, 5) {
-            gateway.enqueue(request);
-        }
-        gateway.drive();
-        let stats = gateway.stats();
-        assert_eq!(stats.submitted, 12);
-        assert_eq!(stats.forwarded, 12);
-        assert_eq!(stats.coalesced, 12, "one pass coalesces the whole run");
-        assert_eq!(stats.batches, 1);
-        assert_eq!(stats.completions, 12);
     }
 
     /// The stats handle reads counters after the gateway is gone.
@@ -965,7 +903,7 @@ mod tests {
                 .unwrap();
             let calls = Arc::new(Mutex::new(Vec::new()));
             let tap = Tap { inner: Box::new(cluster), calls: Arc::clone(&calls) };
-            let config = GatewayConfig { channel_capacity, ..GatewayConfig::default() };
+            let config = GatewayConfig { channel_capacity };
             let mut gateway = Gateway::new(Box::new(tap), config);
             let spec =
                 DatasetSpec { orientation: Orientation::Computation, size: SizeClass::Large };

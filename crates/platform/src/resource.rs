@@ -165,12 +165,6 @@ impl ResourceVector {
         ResourceVector(std::array::from_fn(|i| self.0[i].max(rhs.0[i])))
     }
 
-    /// Returns `true` if all components are zero.
-    #[inline]
-    pub fn is_zero(&self) -> bool {
-        self.0.iter().all(|&c| c == 0)
-    }
-
     /// Sum of all components — a crude scalar "size" used by knapsack
     /// tie-breaking and greedy value/size ratios.
     #[inline]
@@ -361,10 +355,8 @@ mod tests {
     }
 
     #[test]
-    fn total_and_is_zero() {
-        assert!(ResourceVector::ZERO.is_zero());
+    fn total_sums_the_components() {
         assert_eq!(ResourceVector::new(1, 2, 3, 4).total(), 10);
-        assert!(!ResourceVector::new(0, 0, 0, 1).is_zero());
     }
 
     #[test]

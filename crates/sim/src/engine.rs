@@ -21,7 +21,7 @@
 //! surfacing in the report's queue section); scenarios without one get a
 //! queue-less service that admits or rejects immediately, the paper's
 //! behaviour. The engine talks to the service through the trait alone
-//! and never touches `kairos_reloc` — the service owns that glue.
+//! and never drives relocation itself — the service owns that glue.
 
 use std::cmp::Reverse;
 use std::collections::{BTreeMap, BinaryHeap, HashMap};
@@ -322,30 +322,22 @@ pub struct Simulator {
 }
 
 impl Simulator {
-    /// A simulator for `scenario` with the default manager configuration.
+    /// A simulator for `scenario` over the default manager configuration.
+    ///
+    /// Reports must be pure functions of the scenario, so the engine
+    /// forces [`KairosConfig::deterministic`] (the pipeline runs on the
+    /// zero phase clock) and takes the operating-point cache from
+    /// [`Scenario::cache`].
     ///
     /// # Errors
     ///
     /// The scenario's [`Scenario::validate`] error, if any.
     pub fn new(scenario: Scenario) -> Result<Self, String> {
-        Simulator::with_config(scenario, KairosConfig::default())
-    }
-
-    /// A simulator with an explicit manager configuration.
-    ///
-    /// The engine always forces [`KairosConfig::deterministic`]: reports
-    /// must be pure functions of the scenario, so the pipeline runs on
-    /// the zero phase clock regardless of what `config` says.
-    ///
-    /// # Errors
-    ///
-    /// The scenario's [`Scenario::validate`] error, if any.
-    pub fn with_config(scenario: Scenario, mut config: KairosConfig) -> Result<Self, String> {
         scenario.validate()?;
-        // The scenario's cache flag overrides the explicit configuration
-        // in both directions: reports must be pure functions of the
-        // scenario, and `Scenario::cache` is part of the scenario.
-        config.cache = scenario.cache.then(CacheConfig::default);
+        let config = KairosConfig {
+            cache: scenario.cache.then(CacheConfig::default),
+            ..KairosConfig::default()
+        };
         // One telemetry hub for the whole stack. The engine's forced
         // deterministic clock keeps the hub's default zero-duration mode:
         // every instrument below the service boundary records pure
@@ -393,10 +385,7 @@ impl Simulator {
             Some(spec) => {
                 let gateway = Gateway::with_telemetry(
                     inner,
-                    GatewayConfig {
-                        channel_capacity: spec.channel_capacity,
-                        coalesce: spec.coalesce,
-                    },
+                    GatewayConfig { channel_capacity: spec.channel_capacity },
                     telemetry.clone(),
                 );
                 gateway_stats = Some(gateway.stats_handle());

@@ -15,8 +15,8 @@
 //!   `steady-churn`, `bursty-arrivals`, `saturation`, `hotspot-failures`,
 //!   `mixed-datasets`, three that exercise the `kairos-admitd` admission
 //!   front-end — `priority-inversion`, `overload-backpressure`,
-//!   `retry-storm` — three that exercise the `kairos-reloc` relocation
-//!   subsystem — `critical-preempt`, `migrate-vs-evict`, `defrag-sweep`
+//!   `retry-storm` — three that exercise the manager's relocation
+//!   planners — `critical-preempt`, `migrate-vs-evict`, `defrag-sweep`
 //!   — `batch-arrival-wave`, which admits synchronized arrival waves
 //!   through the batched service path, two that exercise the
 //!   `kairos-cluster` sharded deployment ([`ClusterSpec`]) —

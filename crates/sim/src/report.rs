@@ -238,11 +238,10 @@ pub struct GatewayReport {
     pub forwarded: u64,
     /// Requests forwarded as single submissions.
     pub singles: u64,
-    /// Batched submissions forwarded (caller batches plus coalesced
-    /// waves).
+    /// Batched submissions forwarded (caller batches).
     pub batches: u64,
-    /// Single admissions merged into coalesced waves (zero unless the
-    /// scenario enables [`GatewaySpec::coalesce`](crate::GatewaySpec)).
+    /// Always 0: the gateway never merges single admissions into a
+    /// batched wave (kept as a report key).
     pub coalesced: u64,
     /// Requests that reached their terminal completion event.
     pub completions: u64,

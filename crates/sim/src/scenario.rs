@@ -11,8 +11,8 @@
 //! regimes the paper motivates (steady churn, bursty arrivals, saturation,
 //! hotspot element failures, a mixed-dataset workload), three exercising
 //! the `kairos-admitd` admission front-end (priority inversion, overload
-//! backpressure, retry storms), three exercising the `kairos-reloc`
-//! relocation subsystem (preemption of low-priority work for criticals,
+//! backpressure, retry storms), three exercising the manager's
+//! relocation planners (preemption of low-priority work for criticals,
 //! migration versus evict-and-readmit, defragmenting compaction sweeps),
 //! one exercising batched submission through the `ResourceService`
 //! API (synchronized arrival waves), two exercising the
@@ -173,7 +173,7 @@ impl PhaseSpec {
     }
 }
 
-/// A periodic defragmenting compaction sweep (`kairos_reloc::compact`):
+/// A periodic defragmenting compaction sweep (`Kairos::compact`):
 /// every `period` ticks the engine live-migrates up to `max_moves`
 /// admitted applications, keeping only moves that strictly reduce
 /// external resource fragmentation.
@@ -227,16 +227,11 @@ pub struct ClusterSpec {
 pub struct GatewaySpec {
     /// Bound of each per-shard request lane (must be at least 1).
     pub channel_capacity: usize,
-    /// Merge contiguous single admissions flushed in one drive pass
-    /// into one batched wave (changes how the service is driven, so
-    /// excluded from the sync-equivalence guarantee).
-    pub coalesce: bool,
 }
 
 impl Default for GatewaySpec {
     fn default() -> Self {
-        let config = kairos_gateway::GatewayConfig::default();
-        GatewaySpec { channel_capacity: config.channel_capacity, coalesce: config.coalesce }
+        GatewaySpec { channel_capacity: kairos_gateway::GatewayConfig::default().channel_capacity }
     }
 }
 
@@ -711,7 +706,6 @@ impl Scenario {
             Some(spec) => {
                 let mut gateway = Json::object();
                 gateway.push("channel_capacity", spec.channel_capacity as u64);
-                gateway.push("coalesce", spec.coalesce);
                 doc.push("gateway", gateway)
             }
         };
@@ -1045,7 +1039,7 @@ fn migrate_vs_evict() -> Scenario {
 
 /// Defragmenting compaction sweeps: high churn of small applications
 /// shreds the platform into scattered free crumbs; every 150 ticks a
-/// `kairos_reloc::compact` sweep live-migrates up to four applications,
+/// `Kairos::compact` sweep live-migrates up to four applications,
 /// keeping only moves that strictly reduce external fragmentation. The
 /// sampled fragmentation series shows the saw-tooth the sweeps cut into
 /// the churn's upward drift.
@@ -1416,7 +1410,7 @@ fn gateway_backpressure() -> Scenario {
             backoff_cap: 4,
             ..AdmitPolicy::default()
         }),
-        gateway: Some(GatewaySpec { channel_capacity: 4, coalesce: false }),
+        gateway: Some(GatewaySpec { channel_capacity: 4 }),
         ..Scenario::new("gateway-backpressure", 0x6A7E8, 25, PlatformSpec::Crisp, phases)
     }
 }

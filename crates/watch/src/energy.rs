@@ -184,11 +184,6 @@ impl EnergyMeter {
         self.series.last().map_or(&[], |p| &p.package_mw)
     }
 
-    /// Whole-platform draw at the latest observation, in milliwatts.
-    pub fn last_total_mw(&self) -> u64 {
-        self.series.last().map_or(0, |p| p.total_mw)
-    }
-
     /// Feeds one activity observation taken at virtual time `at`.
     ///
     /// The previous observation's draw is charged for the elapsed ticks,

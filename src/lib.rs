@@ -19,9 +19,9 @@
 //!   (shape-keyed, state-stamped pipeline decisions replayed in O(claims)
 //!   on re-admission of a known application shape, with
 //!   fault/repair/migration invalidation) and the probe-to-admission
-//!   hand-off — either changes which work runs, never what is decided;
-//! * [`reloc`] — the relocation planner: preemption victim selection,
-//!   make-before-break live migration and defragmenting compaction;
+//!   hand-off — either changes which work runs, never what is decided —
+//!   and relocation: make-before-break live migration, minimal
+//!   preemption victim plans and defragmenting compaction;
 //! * [`admitd`] — the resource service: one typed command/event surface
 //!   (`ResourceService`) over one manager, implemented by the `Admitd`
 //!   front-end, with operations as data (`Command`), one ticket mint and
@@ -95,7 +95,6 @@ pub use kairos_cluster as cluster;
 pub use kairos_core as core;
 pub use kairos_gateway as gateway;
 pub use kairos_platform as platform;
-pub use kairos_reloc as reloc;
 pub use kairos_sdf as sdf;
 pub use kairos_sim as sim;
 pub use kairos_telemetry as telemetry;

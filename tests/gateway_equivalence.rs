@@ -84,7 +84,7 @@ fn arrival_storm_matches_its_ungatewayed_twin() {
     assert!(counters.submitted > 0, "the storm must push real traffic through the lanes");
     assert_eq!(counters.submitted, counters.completions);
     assert_eq!(counters.singles, counters.forwarded, "lockstep admits forward one by one");
-    assert_eq!(counters.coalesced, 0, "coalescing stays off by default");
+    assert_eq!(counters.coalesced, 0, "the gateway never merges admissions");
 
     assert_eq!(
         direct_report.to_json_string(),
