@@ -13,7 +13,7 @@ use kairos_core::{
     AdmissionProbe, CacheStats, ElementActivity, Kairos, KairosConfig, OccupancySnapshot,
     DURATION_NS_BOUNDS,
 };
-use kairos_platform::{adjacent_pair_counts, AppId, ElementId, Platform, RegionMap};
+use kairos_platform::{free_island_count, AppId, ElementId, Platform, RegionMap};
 use kairos_telemetry::{Counter, Histogram, Level, Telemetry, TraceContext};
 
 use crate::policy::{FirstFit, PlacementPolicy, ShardFit, ShardLoad, ShardProbe};
@@ -688,7 +688,6 @@ fn fit_of(probe: Option<AdmissionProbe>) -> Option<ShardFit> {
     probe.map(|p| ShardFit {
         fragmentation: p.after.external_fragmentation,
         resource_utilisation: p.after.resource_utilisation,
-        free_islands: p.after.free_islands,
     })
 }
 
@@ -795,10 +794,11 @@ impl ResourceService for ClusterService {
     }
 
     /// Whole-cluster occupancy, aggregated exactly: utilisations from the
-    /// summed counts, fragmentation over the union of all intra-shard
+    /// summed kept totals, fragmentation over the union of all intra-shard
     /// adjacent pairs (cross-shard pairs are invisible to the shard
     /// managers and excluded — a one-shard cluster therefore matches the
-    /// monolithic snapshot bit for bit), islands and failures summed.
+    /// monolithic snapshot bit for bit), islands and failures summed. The
+    /// island flood fill is the one walk of each shard.
     fn occupancy(&self) -> OccupancySnapshot {
         let mut admitted_apps = 0;
         let mut used = 0usize;
@@ -810,16 +810,16 @@ impl ResourceService for ClusterService {
         for s in &self.shards {
             let kairos = s.service.kairos();
             let p = kairos.platform();
+            let totals = p.totals();
             admitted_apps += kairos.admitted_count();
-            used += p.element_ids().filter(|&e| p.is_used(e)).count();
+            used += totals.used;
             elements += p.element_count();
-            free += p.total_free().as_array().iter().sum::<u64>();
-            capacity += p.total_capacity().as_array().iter().sum::<u64>();
-            let (shard_mixed, shard_pairs) = adjacent_pair_counts(p);
-            mixed += shard_mixed;
-            pairs += shard_pairs;
-            free_islands += kairos_platform::free_island_count(p);
-            failed_elements += p.element_ids().filter(|&e| p.is_failed(e)).count();
+            free += totals.free;
+            capacity += totals.capacity;
+            mixed += totals.mixed_pairs;
+            pairs += p.pair_count();
+            free_islands += free_island_count(p);
+            failed_elements += totals.failed;
         }
         OccupancySnapshot {
             admitted_apps,

@@ -27,7 +27,9 @@ pub struct ShardProbe {
 }
 
 /// The state one shard *would* reach if it admitted the probed
-/// application (nothing is committed by a probe).
+/// application (nothing is committed by a probe): the shard manager's
+/// [`ProbedOccupancy`](kairos_core::ProbedOccupancy), what the built-in
+/// policies compare.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ShardFit {
     /// External resource fragmentation of the shard with the trial claims
@@ -35,8 +37,6 @@ pub struct ShardFit {
     pub fragmentation: f64,
     /// Fraction of the shard's resources that would be claimed.
     pub resource_utilisation: f64,
-    /// Free-island count of the shard with the trial claims in place.
-    pub free_islands: usize,
 }
 
 /// A shard's current load, for routing requests no shard can admit right
@@ -202,7 +202,7 @@ mod tests {
     use proptest::prelude::*;
 
     fn fit(fragmentation: f64, resource_utilisation: f64) -> Option<ShardFit> {
-        Some(ShardFit { fragmentation, resource_utilisation, free_islands: 1 })
+        Some(ShardFit { fragmentation, resource_utilisation })
     }
 
     fn probes() -> Vec<ShardProbe> {

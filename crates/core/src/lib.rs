@@ -79,7 +79,9 @@ pub use mapping::{
     KnapsackItem, KnapsackSolver, MapperConfig, MappingReport, DISTANCE_MISS_PENALTY,
     START_RETRIES,
 };
-pub use metrics::{ElementActivity, OccupancySnapshot, PhaseClock, PhaseStart, PhaseTimings};
+pub use metrics::{
+    ElementActivity, OccupancySnapshot, PhaseClock, PhaseStart, PhaseTimings, ProbedOccupancy,
+};
 pub use routing::{release_routes, route_channels, RouteAlgorithm};
 pub use validation::{layout_to_sdf, validate, ValidationConfig, ValidationReport};
 

@@ -15,7 +15,9 @@ use std::fmt;
 use std::sync::Arc;
 
 use kairos_app::Application;
-use kairos_platform::{AppId, ElementId, Platform, PlatformCheckpoint, ResourceVector, UsageView};
+use kairos_platform::{
+    free_island_count, AppId, ElementId, OccupancyTotals, Platform, PlatformCheckpoint,
+};
 use kairos_telemetry::{Counter, Gauge, Histogram, Level, Telemetry, TraceContext};
 
 use crate::binding::bind_in;
@@ -26,10 +28,12 @@ use crate::cache::{
 use crate::error::{AllocationError, Phase};
 use crate::layout::ExecutionLayout;
 use crate::mapping::{map_application_in, CostWeights, MapperConfig};
-use crate::metrics::{ElementActivity, OccupancySnapshot, PhaseClock, PhaseTimings};
+use crate::metrics::{
+    ElementActivity, OccupancySnapshot, PhaseClock, PhaseTimings, ProbedOccupancy,
+};
 use crate::routing::{release_routes, route_channels_in, RouteAlgorithm};
 use crate::validation::{validate_in, ValidationConfig, ValidationReport};
-use crate::workspace::{Marks, Workspace};
+use crate::workspace::Workspace;
 
 mod audit;
 mod reloc;
@@ -189,18 +193,18 @@ pub struct MigrationReport {
 }
 
 /// Result of a state-neutral what-if admission ([`Kairos::probe_admit`]):
-/// the layout the pipeline would produce, plus the occupancy the platform
-/// *would* reach — everything a placement policy needs to compare shards
-/// without committing anything anywhere.
+/// the layout the pipeline would produce, plus what a placement policy
+/// reads of the occupancy the platform *would* reach — everything it needs
+/// to compare shards without committing anything anywhere.
 #[derive(Debug, Clone, PartialEq)]
 pub struct AdmissionProbe {
     /// The execution layout the pipeline computed.
     pub layout: ExecutionLayout,
-    /// The occupancy snapshot the platform would read with the decision
-    /// written, computed from the platform and the decision's seats
-    /// without writing them (its `admitted_apps` count does *not* include
-    /// the probed application — a probe admits nothing).
-    pub after: OccupancySnapshot,
+    /// The fragmentation and resource utilisation the platform would read
+    /// with the decision written, derived from the platform's kept
+    /// [`OccupancyTotals`] and the decision's seats in O(seats × degree),
+    /// without writing them.
+    pub after: ProbedOccupancy,
 }
 
 /// A point-in-time image of a manager's complete admission state
@@ -382,49 +386,20 @@ impl Decision {
     }
 }
 
-/// The platform as a probed decision would leave it, read without writing
-/// the decision: an element is used when it hosts a task already or one of
-/// the decision's seats lands on it (`seated`).
-struct Seated<'a> {
-    platform: &'a Platform,
-    seated: &'a Marks,
-}
-
-impl UsageView for Seated<'_> {
-    fn platform(&self) -> &Platform {
-        self.platform
-    }
-
-    fn is_used(&self, e: ElementId) -> bool {
-        self.platform.is_used(e) || self.seated.contains(e.index())
+/// `part / whole`, 0 for an empty whole: the element-utilisation and
+/// fragmentation ratios of the kept totals.
+fn share(part: usize, whole: usize) -> f64 {
+    if whole == 0 {
+        0.0
+    } else {
+        part as f64 / whole as f64
     }
 }
 
-/// `(used elements, failed elements, resource utilisation)` of `view`,
-/// which claims `claimed` resource units beyond its platform — one walk for
-/// what `total_free`, `total_capacity`, `element_utilisation` and
-/// `failed_elements` would each walk for: this runs after every fitting
-/// probe.
-fn tally(view: &impl UsageView, claimed: u64) -> (usize, usize, f64) {
-    let platform = view.platform();
-    let (mut free, mut capacity) = (ResourceVector::ZERO, ResourceVector::ZERO);
-    let (mut used, mut failed) = (0usize, 0usize);
-    for element in platform.elements() {
-        let id = element.id();
-        used += usize::from(view.is_used(id));
-        if platform.is_failed(id) {
-            failed += 1;
-        } else {
-            free += platform.free(id);
-            capacity += element.capacity();
-        }
-    }
-    // Exact integers: the claims lie on live elements, within their free
-    // vectors, so this is what the platform would read with them written.
-    let free = free.as_array().iter().sum::<u64>() - claimed;
-    let capacity: u64 = capacity.as_array().iter().sum();
-    let utilisation = if capacity == 0 { 0.0 } else { 1.0 - free as f64 / capacity as f64 };
-    (used, failed, utilisation)
+/// External resource fragmentation of `platform` from its kept totals:
+/// [`kairos_platform::external_fragmentation`] without the walk.
+fn fragmentation_of(platform: &Platform) -> f64 {
+    share(platform.totals().mixed_pairs, platform.pair_count())
 }
 
 impl Kairos {
@@ -509,44 +484,39 @@ impl Kairos {
         self.admitted.get(&id).map(|a| &a.app)
     }
 
-    /// External resource fragmentation of the platform (paper §III-A).
+    /// External resource fragmentation of the platform (paper §III-A),
+    /// read from the platform's kept totals in O(1).
     pub fn fragmentation(&self) -> f64 {
-        kairos_platform::external_fragmentation(&self.platform)
+        fragmentation_of(&self.platform)
     }
 
-    /// Fraction of elements hosting at least one task, in `[0, 1]`.
+    /// Fraction of elements hosting at least one task, in `[0, 1]`, read
+    /// from the platform's kept totals in O(1).
     pub fn utilisation(&self) -> f64 {
-        kairos_platform::element_utilisation(&self.platform)
+        share(self.platform.totals().used, self.platform.element_count())
     }
 
     /// An instantaneous snapshot of all occupancy metrics, for time-series
     /// sampling by long-running drivers (the `kairos-sim` scenario engine).
+    /// Every ratio reads the platform's kept totals; only the island count
+    /// walks the platform (a flood fill), so a caller that needs no islands
+    /// reads [`Self::fragmentation`] and its siblings instead.
     pub fn occupancy(&self) -> OccupancySnapshot {
-        self.occupancy_of(&self.platform, 0)
-    }
-
-    /// The occupancy snapshot of `view`, which claims `claimed` resource
-    /// units more than the platform does: the platform itself, or the
-    /// platform as a probed decision would leave it.
-    fn occupancy_of(&self, view: &impl UsageView, claimed: u64) -> OccupancySnapshot {
-        let (used, failed, resource_utilisation) = tally(view, claimed);
-        let elements = self.platform.element_count();
+        let totals = self.platform.totals();
         OccupancySnapshot {
             admitted_apps: self.admitted.len(),
-            element_utilisation: if elements == 0 { 0.0 } else { used as f64 / elements as f64 },
-            resource_utilisation,
-            external_fragmentation: kairos_platform::external_fragmentation(view),
-            free_islands: kairos_platform::free_island_count(view),
-            failed_elements: failed,
+            element_utilisation: self.utilisation(),
+            resource_utilisation: totals.resource_utilisation(),
+            external_fragmentation: self.fragmentation(),
+            free_islands: free_island_count(&self.platform),
+            failed_elements: totals.failed,
         }
     }
 
-    /// Fraction of the non-failed elements' resources currently claimed:
-    /// [`OccupancySnapshot::resource_utilisation`] without the
-    /// fragmentation walk and the island flood fill the rest of the
-    /// snapshot costs.
+    /// Fraction of the non-failed elements' resources currently claimed,
+    /// read from the platform's kept totals in O(1).
     pub fn resource_utilisation(&self) -> f64 {
-        tally(&self.platform, 0).2
+        self.platform.totals().resource_utilisation()
     }
 
     /// Per-element busy/failed/resident-apps activity, in element-id order.
@@ -683,14 +653,15 @@ impl Kairos {
 
     /// Probes whether `app` could be admitted right now, writing nothing,
     /// and reports the layout the pipeline would produce together with the
-    /// occupancy the platform would reach.
+    /// fragmentation and resource utilisation the platform would reach.
     ///
     /// This is the fan-out query behind sharded admission
     /// (`kairos-cluster`): every shard manager is probed in turn and a
     /// placement policy compares the returned [`AdmissionProbe`]s to
-    /// pick the winning shard. The pipeline decides; the occupancy a
-    /// decision that fits would leave is read through a view of the
-    /// platform with the decision's seats added, not by writing them.
+    /// pick the winning shard. The pipeline decides; what a decision that
+    /// fits would leave is the platform's kept totals plus the decision's
+    /// seats — O(seats × degree), not a walk of the platform — and nothing
+    /// is written.
     ///
     /// The manager remembers what the probe decided, so the winning
     /// shard's [`Kairos::admit`] that follows commits it in O(claims)
@@ -718,7 +689,7 @@ impl Kairos {
             .decide(app, &mut timings, TraceContext::NONE, 0)
             .and_then(|d| self.settle(d, app, &mut timings, TraceContext::NONE, 0))
             .map(|decision| {
-                let after = self.occupancy_after(&decision);
+                let after = self.probed_occupancy(&decision);
                 (decision, after)
             });
         // Nothing was written: the epoch is the one the probe decided at.
@@ -1153,18 +1124,37 @@ impl Kairos {
         replay_point(&mut self.platform, app_id, seats, &decision.layout.routes, bandwidths);
     }
 
-    /// [`Kairos::occupancy`] as the platform would read with `decision`
-    /// written, computed through a [`Seated`] view instead of writing it.
-    fn occupancy_after(&mut self, decision: &Decision) -> OccupancySnapshot {
+    /// The fragmentation and resource utilisation the platform would read
+    /// with `decision` written, from its kept totals and the decision's
+    /// seats instead of writing them: the seats' claims leave the free
+    /// total, and each element a seat newly uses flips its pairs, one flip
+    /// at a time (`seated` holds the flipped ones). Exact integers: the
+    /// claims lie on live elements, within their free vectors.
+    fn probed_occupancy(&mut self, decision: &Decision) -> ProbedOccupancy {
+        let platform = &self.platform;
+        let totals = platform.totals();
+        debug_assert_eq!(
+            totals,
+            platform.totals_from_scratch(),
+            "a platform mutation went unkept in the occupancy totals"
+        );
         let seated = &mut self.workspace.seated;
-        seated.reset(self.platform.element_count());
-        let mut claimed = 0;
+        seated.reset(platform.element_count());
+        let (mut claimed, mut mixed_pairs) = (0, totals.mixed_pairs);
         for &(element, _, claim) in decision.seats(self.workspace.mapping.seats()) {
-            seated.insert(element.index());
             claimed += claim.total();
+            if !platform.is_used(element) && seated.insert(element.index()) {
+                let change = platform.mixed_pair_change(element, |e| {
+                    platform.is_used(e) || seated.contains(e.index())
+                });
+                mixed_pairs = mixed_pairs.wrapping_add_signed(change);
+            }
         }
-        let view = Seated { platform: &self.platform, seated: &self.workspace.seated };
-        self.occupancy_of(&view, claimed)
+        ProbedOccupancy {
+            external_fragmentation: share(mixed_pairs, platform.pair_count()),
+            resource_utilisation: OccupancyTotals { free: totals.free - claimed, ..totals }
+                .resource_utilisation(),
+        }
     }
 
     /// Runs `what_if` on the manager's what-if copy of its platform,
@@ -1445,7 +1435,7 @@ mod tests {
         assert!(busy.resource_utilisation > 0.0);
         assert_eq!(busy.element_utilisation, kairos.utilisation());
 
-        // The snapshot's single walk reads what the platform's own totals
+        // The snapshot's kept totals read what the platform's vector walks
         // read, failed elements excluded from both sides of the ratio.
         let spare = kairos.platform().element_ids().find(|&e| !kairos.platform().is_used(e));
         kairos.fail_element(spare.unwrap());
@@ -1467,10 +1457,17 @@ mod tests {
         let mut kairos = Kairos::new(topology::crisp(), KairosConfig::default());
         let before = kairos.platform().checkpoint();
         let idle = kairos.occupancy();
-        let probe = kairos.probe_admit(&chain("ghost", 3, 700, 100)).unwrap();
+        let ghost = chain("ghost", 3, 700, 100);
+        let probe = kairos.probe_admit(&ghost).unwrap();
         assert_eq!(probe.layout.placement.len(), 3);
         assert!(probe.after.resource_utilisation > idle.resource_utilisation);
-        assert_eq!(probe.after.admitted_apps, 0, "a probe admits nothing");
+        let mut written = kairos.clone();
+        written.admit(&ghost).unwrap();
+        let expected = ProbedOccupancy {
+            external_fragmentation: written.fragmentation(),
+            resource_utilisation: written.resource_utilisation(),
+        };
+        assert_eq!(probe.after, expected, "the probe reads what its admission writes");
         assert_eq!(kairos.platform().checkpoint(), before, "probe must be state-neutral");
         assert_eq!(kairos.occupancy(), idle);
         // A failing probe reports the pipeline's failure, equally traceless.

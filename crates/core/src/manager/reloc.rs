@@ -16,10 +16,10 @@
 //! manager's `kairos.reloc.*` instruments.
 
 use kairos_app::Application;
-use kairos_platform::{external_fragmentation, AppId, ElementId};
+use kairos_platform::{AppId, ElementId};
 use kairos_telemetry::Level;
 
-use super::Kairos;
+use super::{fragmentation_of, Kairos};
 use crate::layout::ExecutionLayout;
 
 /// A validated preemption plan: evicting `victims` (all of them) lets the
@@ -197,20 +197,20 @@ impl Kairos {
         if let Some(m) = &self.metrics {
             m.reloc_compact_sweeps.inc();
         }
-        let fragmentation_before = external_fragmentation(&self.platform);
+        let fragmentation_before = self.fragmentation();
         let mut moves = Vec::new();
         for id in self.admitted_ids() {
             if moves.len() >= max_moves {
                 break;
             }
-            let current = external_fragmentation(&self.platform);
-            if let Ok(report) = self
-                .migrate_if(id, &[], |_, _, platform| external_fragmentation(platform) < current)
+            let current = self.fragmentation();
+            if let Ok(report) =
+                self.migrate_if(id, &[], |_, _, platform| fragmentation_of(platform) < current)
             {
                 moves.push(CompactMove {
                     app_id: id,
                     moved_tasks: report.moved_tasks,
-                    fragmentation_after: external_fragmentation(&self.platform),
+                    fragmentation_after: self.fragmentation(),
                 });
             }
         }
@@ -222,11 +222,7 @@ impl Kairos {
                 format!("compaction sweep moved {} application(s)", moves.len()),
             );
         }
-        CompactReport {
-            fragmentation_before,
-            fragmentation_after: external_fragmentation(&self.platform),
-            moves,
-        }
+        CompactReport { fragmentation_before, fragmentation_after: self.fragmentation(), moves }
     }
 }
 
@@ -235,7 +231,7 @@ mod tests {
     use super::*;
     use crate::KairosConfig;
     use kairos_app::{ApplicationBuilder, Implementation, TaskRole};
-    use kairos_platform::{topology, ElementKind, ResourceVector};
+    use kairos_platform::{external_fragmentation, topology, ElementKind, ResourceVector};
     use kairos_telemetry::{Telemetry, TelemetryConfig};
 
     fn task_app(name: &str, cpu: u64, tasks: usize) -> Application {

@@ -181,6 +181,18 @@ pub struct OccupancySnapshot {
     pub failed_elements: usize,
 }
 
+/// The occupancy a probed admission would leave behind, as far as a
+/// placement reads it ([`AdmissionProbe::after`](crate::AdmissionProbe::after)):
+/// each value the one [`OccupancySnapshot`] would read with the decision
+/// written, to the bit.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct ProbedOccupancy {
+    /// External resource fragmentation (paper §III-A), in `[0, 1]`.
+    pub external_fragmentation: f64,
+    /// Fraction of the non-failed elements' resources claimed, in `[0, 1]`.
+    pub resource_utilisation: f64,
+}
+
 /// Instantaneous activity of one platform element, as seen by an energy
 /// meter or health monitor.
 ///

@@ -7,8 +7,8 @@
 //! buffer, validation's layout model and cycle-ratio vectors — lives in one
 //! [`Workspace`] that a [`Kairos`] keeps between calls, so a warm admission
 //! takes from the heap only what outlives it. So does what the manager
-//! needs around the phases: the writer check's sums, the seat marks of a
-//! probe's occupancy view, and the what-if copy of the platform. Each
+//! needs around the phases: the writer check's sums, the elements a
+//! probed decision newly uses, and the what-if copy of the platform. Each
 //! phase's part is declared beside the code that uses it; this module
 //! assembles them and provides the one shared building block, the
 //! generation-stamped [`Marks`].
@@ -43,7 +43,7 @@ pub(crate) struct Workspace {
     pub validation: ValidationScratch,
     /// The writer's check, `cache::point_fits`.
     pub fit: FitScratch,
-    /// The elements a probed decision seats on (`Kairos::probe_admit`).
+    /// The elements a probed decision newly uses (`Kairos::probe_admit`).
     pub seated: Marks,
     /// The platform the manager decides its what-ifs on, made on first
     /// use (`Kairos::on_copy`).

@@ -18,7 +18,7 @@ use kairos_appgen::{generate_dataset, DatasetSpec};
 use kairos_core::{
     bind, map_application, AdmissionFailure, AdmissionReport, AllocationError, BindingError,
     CacheConfig, CostPolicy, ExecutionLayout, GapState, Kairos, KairosConfig, KnapsackItem,
-    KnapsackSolver, MapperConfig, MappingError, OccupancySnapshot, RoutingError, ValidationConfig,
+    KnapsackSolver, MapperConfig, MappingError, ProbedOccupancy, RoutingError, ValidationConfig,
     ValidationError, ValidationReport,
 };
 use kairos_platform::{
@@ -327,10 +327,10 @@ proptest! {
     /// A probe reads the occupancy its decision would leave without
     /// writing it. Over storm states on CRISP and a 6x6 heterogeneous
     /// mesh, some elements failed on the way, every fitting `probe_admit`
-    /// reports as `after` exactly the `occupancy()` of a clone that admits
-    /// the same application — `admitted_apps` one lower, every float
-    /// bit-identical — and leaves the probed manager's platform bytes and
-    /// state epoch as they were.
+    /// reports as `after` exactly the fragmentation and resource
+    /// utilisation of the `occupancy()` of a clone that admits the same
+    /// application — both floats bit-identical — and leaves the probed
+    /// manager's platform bytes and state epoch as they were.
     #[test]
     fn a_probe_reads_the_occupancy_its_admission_writes(seed in any::<u64>()) {
         let mut fitting = 0;
@@ -351,8 +351,11 @@ proptest! {
                 if let Ok(probe) = probed {
                     let mut written = kairos.clone();
                     prop_assert!(written.admit(app).is_ok(), "{}", app.name());
-                    let admitted_apps = written.admitted_count() - 1;
-                    let expected = OccupancySnapshot { admitted_apps, ..written.occupancy() };
+                    let occupancy = written.occupancy();
+                    let expected = ProbedOccupancy {
+                        external_fragmentation: occupancy.external_fragmentation,
+                        resource_utilisation: occupancy.resource_utilisation,
+                    };
                     prop_assert_eq!(probe.after, expected, "{}", app.name());
                     fitting += 1;
                 }

@@ -6,31 +6,14 @@
 //!
 //! Low fragmentation means used elements form contiguous regions, leaving
 //! contiguous free regions for future applications.
+//!
+//! These are the walks that *define* the occupancy metrics, O(|E| + pairs)
+//! each. A platform keeps the counts behind the ratios current under its
+//! mutators ([`Platform::totals`]); the walks are what those totals are
+//! audited and tested against. Only the island count has no kept total.
 
 use crate::element::ElementId;
 use crate::platform::Platform;
-
-/// What the occupancy walks read: a platform's structure and failure
-/// marks, and whether each element is used. A [`Platform`] is its own
-/// view; a resource manager passes a view of the platform as a decision's
-/// claims would leave it, so a what-if reads the same walks without
-/// writing anything.
-pub trait UsageView {
-    /// The platform whose elements, adjacency and failure marks are read.
-    fn platform(&self) -> &Platform;
-    /// Whether `e` hosts at least one task in this view.
-    fn is_used(&self, e: ElementId) -> bool;
-}
-
-impl UsageView for Platform {
-    fn platform(&self) -> &Platform {
-        self
-    }
-
-    fn is_used(&self, e: ElementId) -> bool {
-        Platform::is_used(self, e)
-    }
-}
 
 /// The unordered adjacent element pairs of the platform, without
 /// materialising them: each `{a, b}` with a link in either direction is
@@ -45,11 +28,11 @@ fn pairs(platform: &Platform) -> impl Iterator<Item = (ElementId, ElementId)> + 
 /// pairs have exactly one used element, and how many pairs there are — the
 /// numerator and denominator of [`external_fragmentation`], for callers
 /// that aggregate the ratio over several platforms.
-pub fn adjacent_pair_counts(view: &impl UsageView) -> (usize, usize) {
+pub fn adjacent_pair_counts(platform: &Platform) -> (usize, usize) {
     let (mut mixed, mut total) = (0usize, 0usize);
-    for (a, b) in pairs(view.platform()) {
+    for (a, b) in pairs(platform) {
         total += 1;
-        mixed += usize::from(view.is_used(a) != view.is_used(b));
+        mixed += usize::from(platform.is_used(a) != platform.is_used(b));
     }
     (mixed, total)
 }
@@ -66,8 +49,8 @@ pub fn adjacent_pair_counts(view: &impl UsageView) -> (usize, usize) {
 /// let platform = topology::dsp_line(3);
 /// assert_eq!(external_fragmentation(&platform), 0.0); // nothing used
 /// ```
-pub fn external_fragmentation(view: &impl UsageView) -> f64 {
-    let (mixed, total) = adjacent_pair_counts(view);
+pub fn external_fragmentation(platform: &Platform) -> f64 {
+    let (mixed, total) = adjacent_pair_counts(platform);
     if total == 0 {
         return 0.0;
     }
@@ -87,9 +70,8 @@ pub fn element_utilisation(platform: &Platform) -> f64 {
 ///
 /// A platform fragmenting into many small free islands is the failure mode
 /// the fragmentation objective of the mapping cost function tries to avoid.
-pub fn free_island_count(view: &impl UsageView) -> usize {
-    let platform = view.platform();
-    let free = |e: ElementId| !view.is_used(e) && !platform.is_failed(e);
+pub fn free_island_count(platform: &Platform) -> usize {
+    let free = |e: ElementId| !platform.is_used(e) && !platform.is_failed(e);
     let mut visited = vec![false; platform.element_count()];
     let mut islands = 0;
     for start in platform.element_ids() {

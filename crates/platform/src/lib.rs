@@ -13,6 +13,15 @@
 //! what-if decisions, fault injection for dependability experiments, and the *external resource
 //! fragmentation* metric of §III-A.
 //!
+//! Beside the ledger a platform keeps its occupancy totals
+//! ([`Platform::totals`]: live free and capacity totals, used and failed
+//! element counts, adjacent pairs with exactly one used end). Unlike the
+//! three history fields — the mutation epoch, the stamp ledger and the
+//! free rank — they are state: a function of the ledger, part of
+//! equality, kept in step by every mutator, recounted by
+//! [`Platform::audit`] through the walks ([`external_fragmentation`] and
+//! its siblings) that define them.
+//!
 //! The CRISP General Stream Processor used in the paper's evaluation (ARM +
 //! FPGA + 5 packages of 9 DSPs, 2 memories and a test unit — Fig. 6) is
 //! available as [`topology::crisp`].
@@ -62,10 +71,12 @@ pub use digest::Digest;
 pub use distance::{bfs_distances, hop_distance, SearchDirection, SparseDistanceMatrix};
 pub use element::{Element, ElementId, ElementKind};
 pub use frag::{
-    adjacent_pair_counts, element_utilisation, external_fragmentation, free_island_count, UsageView,
+    adjacent_pair_counts, element_utilisation, external_fragmentation, free_island_count,
 };
 pub use link::{Link, LinkId};
-pub use platform::{AppId, AuditError, ClaimError, Occupant, Platform, PlatformCheckpoint};
+pub use platform::{
+    AppId, AuditError, ClaimError, OccupancyTotals, Occupant, Platform, PlatformCheckpoint,
+};
 pub use power::{PowerModel, PowerRate};
 pub use region::RegionMap;
 pub use render::{render_link_load, render_occupancy, render_strip};

@@ -13,6 +13,15 @@
 //! platform, so that a decision about a hypothetical state is made there
 //! and the live platform is written only by what actually happens.
 //!
+//! Beside the ledger the platform keeps five occupancy totals
+//! ([`Platform::totals`]): the free and capacity totals of the live
+//! elements, the used and failed element counts, and the adjacent pairs
+//! with exactly one used end. They are state — a function of the ledger,
+//! so they take part in equality — and every mutator keeps them in step
+//! in O(1), or O(degree) when an element's used flag flips, so the
+//! occupancy ratios cost a read, not a walk of the platform. The walks in
+//! `frag.rs` stay their definition ([`Platform::totals_from_scratch`]).
+//!
 //! Beside the state sit three *history* fields that never take part in
 //! equality: the mutation epoch ([`Platform::state_epoch`]), the stamp
 //! ledger behind [`Platform::state_stamp`], a 128-bit digest of what an
@@ -27,6 +36,7 @@ use serde::{Deserialize, Serialize};
 
 use crate::digest::Digest;
 use crate::element::{Element, ElementId, ElementKind};
+use crate::frag::adjacent_pair_counts;
 use crate::link::{Link, LinkId, LinkState};
 use crate::resource::ResourceVector;
 
@@ -143,6 +153,16 @@ pub enum AuditError {
         /// The sort's entry there.
         expected: (u64, ElementId),
     },
+    /// A kept occupancy total ([`Platform::totals`]) is not its recount
+    /// ([`Platform::totals_from_scratch`]).
+    Total {
+        /// The total's field name in [`OccupancyTotals`].
+        name: &'static str,
+        /// The kept value.
+        kept: u64,
+        /// The recounted value.
+        recounted: u64,
+    },
 }
 
 impl fmt::Display for AuditError {
@@ -169,11 +189,56 @@ impl fmt::Display for AuditError {
                 f,
                 "{kind} free rank holds {found:?} at {position} where the sort holds {expected:?}"
             ),
+            AuditError::Total { name, kept, recounted } => {
+                write!(f, "occupancy total {name} is kept as {kept} but recounts to {recounted}")
+            }
         }
     }
 }
 
 impl std::error::Error for AuditError {}
+
+/// The occupancy totals a [`Platform`] keeps beside its ledger
+/// ([`Platform::totals`]), each equal to a walk of the platform
+/// ([`Platform::totals_from_scratch`]).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+pub struct OccupancyTotals {
+    /// The free vectors' [`ResourceVector::total`]s summed over the
+    /// non-failed elements.
+    pub free: u64,
+    /// The capacities' totals summed over the non-failed elements.
+    pub capacity: u64,
+    /// Elements with at least one resident, failed ones included.
+    pub used: usize,
+    /// Elements marked failed.
+    pub failed: usize,
+    /// Unordered adjacent element pairs with exactly one used end: the
+    /// numerator of [`external_fragmentation`](crate::external_fragmentation).
+    pub mixed_pairs: usize,
+}
+
+impl OccupancyTotals {
+    /// Fraction of the non-failed elements' resources claimed, 0 when
+    /// nothing is alive.
+    pub fn resource_utilisation(&self) -> f64 {
+        if self.capacity == 0 {
+            0.0
+        } else {
+            1.0 - self.free as f64 / self.capacity as f64
+        }
+    }
+
+    /// The totals by field name, in declaration order.
+    fn named(&self) -> [(&'static str, u64); 5] {
+        [
+            ("free", self.free),
+            ("capacity", self.capacity),
+            ("used", self.used as u64),
+            ("failed", self.failed as u64),
+            ("mixed_pairs", self.mixed_pairs as u64),
+        ]
+    }
+}
 
 /// Snapshot of the mutable platform state, produced by
 /// [`Platform::checkpoint`] and consumed by [`Platform::restore`].
@@ -441,7 +506,13 @@ pub struct Platform {
     /// with `k` the kind's position in [`ElementKind::ALL`].
     kind_offsets: [u32; ElementKind::ALL.len() + 1],
     kind_ids: Vec<ElementId>,
+    /// Unordered adjacent element pairs: the denominator of
+    /// [`external_fragmentation`](crate::external_fragmentation). Fixed at
+    /// construction.
+    pair_count: usize,
     state: PlatformState,
+    /// The kept occupancy totals; see [`Platform::totals`].
+    totals: OccupancyTotals,
     /// The checkpoints [`Self::begin_txn`] pushed that no
     /// [`Self::rollback_txn`] has restored yet, innermost last.
     txn_checkpoints: Vec<PlatformCheckpoint>,
@@ -518,7 +589,7 @@ impl Platform {
         };
         let mut rank = RankLedger::default();
         rank.rebuild(&state, &kind_ids, &kind_offsets);
-        Platform {
+        let mut platform = Platform {
             name,
             elements,
             links,
@@ -529,12 +600,17 @@ impl Platform {
             max_degree,
             kind_offsets,
             kind_ids,
+            pair_count: 0,
             state,
+            totals: OccupancyTotals::default(),
             txn_checkpoints: Vec::new(),
             epoch: MutationEpoch::default(),
             stamp: StampLedger::new(),
             rank,
-        }
+        };
+        platform.pair_count = adjacent_pair_counts(&platform).1;
+        platform.totals = platform.totals_from_scratch();
+        platform
     }
 
     /// The current mutation epoch (see the field documentation): strictly
@@ -596,6 +672,69 @@ impl Platform {
     fn touch_link(&mut self, l: LinkId) {
         self.epoch.0 += 1;
         self.stamp.mark(self.elements.len() + l.index());
+    }
+
+    /// Writes `e`'s free vector, keeping the live free total in step.
+    #[inline]
+    fn set_free(&mut self, e: ElementId, free: ResourceVector) {
+        let was = std::mem::replace(&mut self.state.free[e.index()], free);
+        if !self.is_failed(e) {
+            self.totals.free = self.totals.free + free.total() - was.total();
+        }
+    }
+
+    /// Keeps the used count and the mixed-pair count in step after `e`'s
+    /// used flag flipped.
+    fn note_used_flip(&mut self, e: ElementId) {
+        let change = self.mixed_pair_change(e, |n| self.is_used(n));
+        let t = &mut self.totals;
+        t.mixed_pairs = t.mixed_pairs.wrapping_add_signed(change);
+        if self.state.residents[e.index()].is_empty() {
+            t.used -= 1;
+        } else {
+            t.used += 1;
+        }
+    }
+
+    /// The occupancy totals kept beside the ledger: state, in equality,
+    /// kept in step by every mutator, copied by [`Self::copy_state_from`]
+    /// and recounted by [`Self::restore`]. O(1).
+    pub fn totals(&self) -> OccupancyTotals {
+        self.totals
+    }
+
+    /// [`Self::totals`] counted from nothing but the current state, by the
+    /// walks of `frag.rs`: O(|E| + pairs). The reference the kept totals
+    /// are audited and tested against.
+    pub fn totals_from_scratch(&self) -> OccupancyTotals {
+        OccupancyTotals {
+            free: self.total_free().total(),
+            capacity: self.total_capacity().total(),
+            used: self.element_ids().filter(|&e| self.is_used(e)).count(),
+            failed: self.element_ids().filter(|&e| self.is_failed(e)).count(),
+            mixed_pairs: adjacent_pair_counts(self).0,
+        }
+    }
+
+    /// The number of unordered adjacent element pairs: the denominator of
+    /// [`external_fragmentation`](crate::external_fragmentation), fixed at
+    /// construction.
+    pub fn pair_count(&self) -> usize {
+        self.pair_count
+    }
+
+    /// How the number of adjacent pairs with exactly one used end changes
+    /// when `e`'s used flag flips, with every element — `e` included — read
+    /// through `is_used` as it stands *after* the flip: each of `e`'s pairs
+    /// turns mixed or unmixed (there are no self-links). O(degree). The
+    /// mutators keep [`OccupancyTotals::mixed_pairs`] with it; a what-if
+    /// adds it up over the elements a decision would newly use, one flip at
+    /// a time.
+    pub fn mixed_pair_change(&self, e: ElementId, is_used: impl Fn(ElementId) -> bool) -> isize {
+        let used = is_used(e);
+        let row = self.neighbors(e);
+        let unmixed = row.iter().filter(|&&n| is_used(n) == used).count();
+        row.len() as isize - 2 * unmixed as isize
     }
 
     /// The elements of `kind`, failed ones included, as `(free total, id)`
@@ -778,8 +917,12 @@ impl Platform {
         let free = self.state.free[e.index()];
         match free.checked_sub(&occupant.claimed) {
             Some(rest) => {
-                self.state.free[e.index()] = rest;
+                let was_used = self.is_used(e);
+                self.set_free(e, rest);
                 self.state.residents[e.index()].push(occupant);
+                if !was_used {
+                    self.note_used_flip(e);
+                }
                 self.touch_element(e);
                 Ok(())
             }
@@ -798,7 +941,10 @@ impl Platform {
         let pos =
             self.state.residents[e.index()].iter().position(|o| o.app == app && o.task == task)?;
         let occupant = self.state.residents[e.index()].swap_remove(pos);
-        self.state.free[e.index()] = self.state.free[e.index()].saturating_add(&occupant.claimed);
+        self.set_free(e, self.free(e).saturating_add(&occupant.claimed));
+        if !self.is_used(e) {
+            self.note_used_flip(e);
+        }
         self.touch_element(e);
         Some(occupant.claimed)
     }
@@ -808,17 +954,21 @@ impl Platform {
     /// resource manager releases routes explicitly.
     pub fn release_app(&mut self, app: AppId) -> usize {
         let mut count = 0;
-        for idx in 0..self.elements.len() {
+        for e in self.element_ids() {
+            let was_used = self.is_used(e);
             let mut i = 0;
-            while i < self.state.residents[idx].len() {
-                if self.state.residents[idx][i].app == app {
-                    let occ = self.state.residents[idx].swap_remove(i);
-                    self.state.free[idx] = self.state.free[idx].saturating_add(&occ.claimed);
-                    self.touch_element(ElementId(idx as u32));
+            while i < self.state.residents[e.index()].len() {
+                if self.state.residents[e.index()][i].app == app {
+                    let occ = self.state.residents[e.index()].swap_remove(i);
+                    self.set_free(e, self.free(e).saturating_add(&occ.claimed));
+                    self.touch_element(e);
                     count += 1;
                 } else {
                     i += 1;
                 }
+            }
+            if was_used && !self.is_used(e) {
+                self.note_used_flip(e);
             }
         }
         count
@@ -885,15 +1035,33 @@ impl Platform {
 
     /// Marks `e` as failed. Already-residing occupants stay recorded (the
     /// resource manager decides what to re-allocate); new claims are refused
-    /// and searches skip the element.
+    /// and searches skip the element. Failing a failed element is no
+    /// mutation: nothing changes, not even the epoch.
     pub fn fail_element(&mut self, e: ElementId) {
-        self.state.failed[e.index()] = true;
-        self.touch_element(e);
+        if !self.is_failed(e) {
+            self.set_failed(e, true);
+        }
     }
 
-    /// Clears the failure mark on `e`.
+    /// Clears the failure mark on `e`. Repairing a healthy element is no
+    /// mutation: nothing changes, not even the epoch.
     pub fn repair_element(&mut self, e: ElementId) {
-        self.state.failed[e.index()] = false;
+        if self.is_failed(e) {
+            self.set_failed(e, false);
+        }
+    }
+
+    /// Flips `e`'s failure mark to `failed`, moving its free and capacity
+    /// totals out of the live sums or back in.
+    fn set_failed(&mut self, e: ElementId, failed: bool) {
+        let (free, capacity) = (self.free(e).total(), self.elements[e.index()].capacity().total());
+        let t = &mut self.totals;
+        if failed {
+            (t.free, t.capacity, t.failed) = (t.free - free, t.capacity - capacity, t.failed + 1);
+        } else {
+            (t.free, t.capacity, t.failed) = (t.free + free, t.capacity + capacity, t.failed - 1);
+        }
+        self.state.failed[e.index()] = failed;
         self.touch_element(e);
     }
 
@@ -905,9 +1073,9 @@ impl Platform {
     // ---- what-if copies ----------------------------------------------------------
 
     /// Brings this platform to `other`'s state — free vectors, residents in
-    /// their order, link occupancy, failure marks — and the history kept
-    /// beside it (epoch, stamp ledger, free rank), so a decision made here
-    /// is the one `other` would make. A resource manager answers its
+    /// their order, link occupancy, failure marks, the occupancy totals —
+    /// and the history kept beside it (epoch, stamp ledger, free rank), so
+    /// a decision made here is the one `other` would make. A resource manager answers its
     /// what-ifs on such a copy kept beside the live platform. Copies into
     /// this platform's own buffers: once warm it allocates nothing and
     /// costs O(|E| + |L| + residents), not a clone of the structure.
@@ -926,6 +1094,7 @@ impl Platform {
         state.residents.clone_from(&from.residents);
         state.links.clone_from(&from.links);
         state.failed.clone_from(&from.failed);
+        self.totals = other.totals;
         self.epoch = other.epoch;
         let (stamp, from) = (&mut self.stamp, &other.stamp);
         stamp.digests.clone_from(&from.digests);
@@ -995,10 +1164,12 @@ impl Platform {
         // pre-restore state. A checkpoint carries no digests (it would
         // double in size for a path nothing hot takes), so the next stamp
         // starts from scratch. The free rank is rebuilt here instead: the
-        // mutators keep marking into it whether or not anyone reads it.
+        // mutators keep marking into it whether or not anyone reads it. So
+        // are the occupancy totals, which every read expects current.
         self.epoch.0 += 1;
         self.stamp.stale = true;
         self.rank.rebuild(&self.state, &self.kind_ids, &self.kind_offsets);
+        self.totals = self.totals_from_scratch();
     }
 
     /// `true` when no resources are claimed anywhere (all elements idle,
@@ -1028,9 +1199,10 @@ impl Platform {
     /// capacity less its residents' claims; no link has more bandwidth or
     /// virtual channels free than it has; the maintained
     /// [`Self::state_stamp`] digests every
-    /// record as [`Self::state_stamp_from_scratch`] does; and, refreshed,
-    /// each kind's [`Self::free_rank`] is the sort of its elements by
-    /// `(free total, id)`.
+    /// record as [`Self::state_stamp_from_scratch`] does; refreshed, each
+    /// kind's [`Self::free_rank`] is the sort of its elements by
+    /// `(free total, id)`; and each of the kept [`Self::totals`] is its
+    /// recount by [`Self::totals_from_scratch`].
     ///
     /// Brings the stamp and the rank up to date first — history, not
     /// state, so neither equality nor any decision moves — which is why
@@ -1086,7 +1258,14 @@ impl Platform {
                 return Err(AuditError::Rank { kind, position, found, expected });
             }
         }
-        Ok(())
+
+        let recount = self.totals_from_scratch().named();
+        match self.totals.named().into_iter().zip(recount).find(|(kept, fresh)| kept != fresh) {
+            Some(((name, kept), (_, recounted))) => {
+                Err(AuditError::Total { name, kept, recounted })
+            }
+            None => Ok(()),
+        }
     }
 }
 
@@ -1303,11 +1482,56 @@ mod tests {
     }
 
     #[test]
-    fn totals_exclude_failed_elements() {
+    fn audit_names_the_first_total_that_disagrees() {
         let (mut p, a, _) = two_dsp();
+        p.claim(a, occ(0, 0, ResourceVector::new(10, 1, 0, 0))).unwrap();
+        assert_eq!(p.totals(), p.totals_from_scratch());
+        let mut bad = p.clone();
+        bad.totals.used += 1;
+        bad.totals.mixed_pairs += 1;
+        assert_eq!(bad.audit(), Err(AuditError::Total { name: "used", kept: 2, recounted: 1 }));
+        let mut bad = p.clone();
+        bad.totals.mixed_pairs = 0;
+        let expected = AuditError::Total { name: "mixed_pairs", kept: 0, recounted: 1 };
+        assert_eq!(bad.audit(), Err(expected));
+        assert_eq!(p.audit(), Ok(()));
+    }
+
+    #[test]
+    fn a_fault_or_repair_that_flips_nothing_changes_nothing() {
+        let (mut p, a, c) = two_dsp();
+        p.claim(a, occ(0, 0, ResourceVector::new(10, 1, 0, 0))).unwrap();
+        p.fail_element(c);
+        p.state_stamp();
+        p.refresh_free_rank();
+        let (epoch, totals, before) = (p.state_epoch(), p.totals(), p.checkpoint());
+        p.fail_element(c);
+        p.repair_element(a);
+        assert_eq!(p.state_epoch(), epoch, "no epoch bump");
+        assert!(p.stamp.dirty.is_empty(), "no stamp mark");
+        assert!(p.free_rank_dirty().is_empty(), "no rank mark");
+        assert_eq!(p.totals(), totals, "no change to the totals");
+        assert_eq!(p.checkpoint(), before);
+        // A flip still is a mutation.
+        p.repair_element(c);
+        assert!(p.state_epoch() > epoch);
+        assert_eq!(p.free_rank_dirty(), [c]);
+        assert_eq!(p.totals().failed, 0);
+        assert_eq!(p.audit(), Ok(()));
+    }
+
+    #[test]
+    fn totals_exclude_failed_elements() {
+        let (mut p, a, c) = two_dsp();
         assert_eq!(p.total_capacity(), ResourceVector::new(200, 20, 0, 0));
+        assert_eq!(p.pair_count(), 1);
+        p.claim(c, occ(0, 0, ResourceVector::new(30, 0, 0, 0))).unwrap();
         p.fail_element(a);
         assert_eq!(p.total_capacity(), ResourceVector::new(100, 10, 0, 0));
-        assert_eq!(p.total_free(), ResourceVector::new(100, 10, 0, 0));
+        assert_eq!(p.total_free(), ResourceVector::new(70, 10, 0, 0));
+        let totals =
+            OccupancyTotals { free: 80, capacity: 110, used: 1, failed: 1, mixed_pairs: 1 };
+        assert_eq!(p.totals(), totals);
+        assert_eq!(p.totals().resource_utilisation(), 1.0 - 80.0 / 110.0);
     }
 }

@@ -1,14 +1,15 @@
 //! Property-based tests of the platform substrate: resource-vector algebra,
 //! ledger conservation, checkpoint/rollback, distance symmetry, the
 //! precomputed structure tables, and — through `Platform::audit` — the
-//! maintained state stamp and the kept free-capacity rank.
+//! maintained state stamp, the kept free-capacity rank and the kept
+//! occupancy totals.
 
 use proptest::prelude::*;
 
 use kairos_platform::{
-    bfs_distances, external_fragmentation, topology, AppId, ElementId, ElementKind, LinkId,
-    Occupant, Platform, PlatformBuilder, PlatformCheckpoint, RegionMap, ResourceVector,
-    SearchDirection,
+    adjacent_pair_counts, bfs_distances, element_utilisation, external_fragmentation, topology,
+    AppId, ElementId, ElementKind, LinkId, OccupancyTotals, Occupant, Platform, PlatformBuilder,
+    PlatformCheckpoint, RegionMap, ResourceVector, SearchDirection,
 };
 
 fn vector() -> impl Strategy<Value = ResourceVector> {
@@ -469,6 +470,64 @@ proptest! {
         restored.restore(eager.platform.checkpoint());
         prop_assert!(restored.free_rank_dirty().is_empty());
         prop_assert_eq!(restored.audit(), Ok(()));
+    }
+}
+
+/// The occupancy totals by the `frag.rs` walks and the platform's own
+/// vector sums, spelled out here rather than through
+/// `Platform::totals_from_scratch`.
+fn walked_totals(p: &Platform) -> OccupancyTotals {
+    let (mixed_pairs, pairs) = adjacent_pair_counts(p);
+    assert_eq!(pairs, p.pair_count());
+    let used = p.element_ids().filter(|&e| p.is_used(e)).count();
+    assert_eq!(element_utilisation(p), used as f64 / p.element_count() as f64);
+    OccupancyTotals {
+        free: p.total_free().total(),
+        capacity: p.total_capacity().total(),
+        used,
+        failed: p.failed_elements().len(),
+        mixed_pairs,
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(96))]
+
+    /// The kept occupancy totals equal the walks after every step of any
+    /// sequence of claims, releases, application releases, faults and
+    /// repairs — on a 3x3 heterogeneous mesh most generated faults and
+    /// repairs are redundant, and those must change nothing, not even the
+    /// epoch — checkpoint-stack rollbacks and restores; and a what-if copy
+    /// brought to the state in place carries them along.
+    #[test]
+    fn occupancy_totals_are_the_walks_after_every_step(
+        ops in proptest::collection::vec((0u8..14, 0u32..64, 0u32..64, 0u64..700), 1..80),
+    ) {
+        let mut driven = Driven::on(topology::heterogeneous_mesh(3, 3));
+        let mut copy = topology::heterogeneous_mesh(3, 3);
+        for (step, &op) in ops.iter().enumerate() {
+            let e = ElementId(op.1 % driven.platform.element_count() as u32);
+            let flips = match op.0 {
+                8 => !driven.platform.is_failed(e),
+                9 => driven.platform.is_failed(e),
+                _ => true,
+            };
+            let (epoch, before) = (driven.platform.state_epoch(), driven.platform.clone());
+            driven.apply(step, op);
+            let p = &driven.platform;
+            if !flips {
+                prop_assert_eq!(p.state_epoch(), epoch, "step {}: {:?}", step, op);
+                prop_assert_eq!(p, &before, "step {}: {:?}", step, op);
+                prop_assert_eq!(p.free_rank_dirty(), before.free_rank_dirty());
+            }
+            prop_assert_eq!(p.totals(), walked_totals(p), "step {}: {:?}", step, op);
+            let frag = p.totals().mixed_pairs as f64 / p.pair_count() as f64;
+            prop_assert_eq!(frag.to_bits(), external_fragmentation(p).to_bits());
+            copy.copy_state_from(p);
+            prop_assert_eq!(copy.totals(), p.totals(), "copy after step {}: {:?}", step, op);
+            prop_assert_eq!(copy.checkpoint(), p.checkpoint());
+        }
+        prop_assert_eq!(driven.platform.audit(), Ok(()));
     }
 }
 

@@ -129,7 +129,6 @@ impl ProbeBlind {
                 let fit = probe.map(|p| ShardFit {
                     fragmentation: p.after.external_fragmentation,
                     resource_utilisation: p.after.resource_utilisation,
-                    free_islands: p.after.free_islands,
                 });
                 ShardProbe { shard, fit }
             })
