@@ -31,7 +31,8 @@ fn main() {
     match kairos.admit(&app) {
         Ok(report) => {
             println!("\nadmitted with balanced weights:");
-            println!("  per-phase: {}", report.timings);
+            // Wall-clock, so on stderr; stdout is pinned by `tests/contract.rs`.
+            eprintln!("  per-phase: {}", report.timings);
             println!("  layout: {}", report.layout);
             println!(
                 "  paper reference on 200 MHz ARM926: binding 70.4 ms, mapping 21.7 ms, \

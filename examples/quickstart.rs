@@ -49,7 +49,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let report = kairos.admit(&radio)?;
 
     println!("\nadmitted as {}:", report.app_id);
-    println!("  timings: {}", report.timings);
+    // Wall-clock phase times go to stderr: stdout stays byte-identical
+    // across runs (the contract test in `tests/contract.rs` pins it).
+    eprintln!("  timings: {}", report.timings);
     println!("  layout:  {}", report.layout);
     for (task, element) in report.layout.placement.iter() {
         println!(

@@ -59,8 +59,10 @@ fn main() {
     let mut simulator = Simulator::new(scenario).expect("catalog scenarios are valid");
     let report = simulator.run();
     if let Some(path) = trace_path {
-        std::fs::write(&path, simulator.telemetry().chrome_trace())
-            .unwrap_or_else(|err| panic!("writing trace to {path}: {err}"));
+        if let Err(err) = std::fs::write(&path, simulator.telemetry().chrome_trace()) {
+            eprintln!("writing trace to {path}: {err}");
+            std::process::exit(1);
+        }
     }
     if status {
         print!("{}", report.status(simulator.service().shard_count()).render());
