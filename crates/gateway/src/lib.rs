@@ -37,9 +37,9 @@
 //!   ([`Request::ticket`]), so the wrapped service answers under the
 //!   very same ticket and its events pass through untranslated; in that
 //!   lockstep mode the event stream is the wrapped service's own, byte
-//!   for byte (the `gateway_equivalence` suite pins this across queued,
-//!   clustered, preempting and cached regimes). The queueing API
-//!   ([`Gateway::enqueue`] + [`Gateway::drive`]) relaxes only *when*
+//!   for byte (`tests/observers/mod.rs` pins this across queued, clustered,
+//!   preempting and cached regimes and the whole catalog). The queueing
+//!   API ([`Gateway::enqueue`] + [`Gateway::drive`]) relaxes only *when*
 //!   work happens, never what is decided.
 //!
 //! Telemetry: when constructed over a lit hub

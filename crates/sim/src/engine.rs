@@ -419,7 +419,7 @@ impl Simulator {
         // The watch layer observes the same streams the report is built
         // from and never feeds anything back: a watched run differs from
         // an unwatched one only in its `energy`/`health` report sections
-        // (`tests/watch_observer.rs` pins that). A watched scenario
+        // (`tests/observers/mod.rs` pins that). A watched scenario
         // meters implicitly; `power` alone meters without monitors.
         let energy = (scenario.power.is_some() || scenario.watch.is_some()).then(|| {
             EnergyMeter::new(scenario.power.clone().unwrap_or_default().model(), &telemetry)

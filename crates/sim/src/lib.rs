@@ -83,8 +83,6 @@ mod engine;
 pub mod json;
 mod report;
 mod scenario;
-#[cfg(feature = "testkit")]
-pub mod testkit;
 
 pub use engine::Simulator;
 pub use report::{

@@ -201,7 +201,7 @@ pub struct TraceReport {
 /// manager's operating-point cache ([`CacheConfig`](kairos_core::CacheConfig)).
 /// The cache changes which work runs, never what is decided, so this
 /// section is the *only* difference between a cache-enabled report and
-/// its cache-off twin (the `opcache_equivalence` suite pins exactly
+/// its cache-off twin (`tests/observers/mod.rs` pins exactly
 /// that). `None` in [`SimReport::cache`] unless the scenario enables
 /// [`Scenario::cache`](crate::Scenario::cache).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
@@ -227,7 +227,7 @@ pub struct CacheReport {
 /// behind. The gateway changes how requests reach the service, never
 /// what the service decides, so with default knobs this section is the
 /// *only* difference between a gatewayed report and its direct twin
-/// (the `gateway_equivalence` suite pins exactly that). `None` in
+/// (`tests/observers/mod.rs` pins exactly that). `None` in
 /// [`SimReport::gateway`] unless the scenario sets
 /// [`Scenario::gateway`](crate::Scenario::gateway).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]

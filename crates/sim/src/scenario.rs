@@ -220,7 +220,7 @@ pub struct ClusterSpec {
 /// per-shard bounded lanes in the gateway's deterministic ticket-ordered
 /// queue, and the report grows a `gateway` section with the serving
 /// counters. Under the default knobs the gateway is byte-identical to
-/// driving the service directly (the `gateway_equivalence` suite pins
+/// driving the service directly (`tests/observers/mod.rs` pins
 /// that); a small [`GatewaySpec::channel_capacity`] makes full lanes park
 /// requests until completions free slots (bounded backpressure).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -241,7 +241,7 @@ impl Default for GatewaySpec {
 /// priority class plus the queue-depth, rejection-rate and anomaly
 /// monitors. The watcher is a pure observer, so a watched run is
 /// byte-identical to an unwatched one apart from the report's extra
-/// `energy` and `health` sections (`tests/watch_observer.rs` pins that).
+/// `energy` and `health` sections (`tests/observers/mod.rs` pins that).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct WatchSpec {
     /// Admission wait (ticks) above which an admission burns SLO budget.
@@ -418,7 +418,7 @@ pub struct Scenario {
     /// recurrence. The cache changes which work runs, never what is
     /// decided, so an enabled run is byte-identical to a disabled one
     /// apart from the extra `cache` section in the report (the
-    /// `opcache_equivalence` suite pins exactly this).
+    /// observer-effect harness, `tests/observers/mod.rs`, pins exactly this).
     pub cache: bool,
     /// Energy/health watching (`kairos-watch`). `None` runs unwatched;
     /// `Some` arms the spec's monitor rule set over the run's event and
@@ -1425,8 +1425,8 @@ fn gateway_backpressure() -> Scenario {
 /// a churning workload's power series is legitimately jumpy, and this
 /// scenario is the SLO story (`power-cap-skew` is the anomaly one). The
 /// canonical fire-AND-clear demonstration for the `kairos-watch`
-/// monitors — CI smoke-diffs it and `tests/watch_observer.rs` asserts
-/// the full alert lifecycle.
+/// monitors — `tests/watch_observer.rs` asserts the full alert
+/// lifecycle.
 fn slo_burn_storm() -> Scenario {
     let surge_mix = vec![
         MixEntry::new(spec(Orientation::Computation, SizeClass::Medium), 2),
@@ -1462,8 +1462,8 @@ fn slo_burn_storm() -> Scenario {
 /// the alert rides to the horizon: a permanent-capability-loss signal,
 /// the complement of `slo-burn-storm`'s fire-and-clear lifecycle. The
 /// scenario also overrides the DSP power rates, exercising the
-/// [`PowerSpec`] override path; CI smoke-diffs the run and
-/// `tests/watch_observer.rs` asserts the anomaly window.
+/// [`PowerSpec`] override path; `tests/watch_observer.rs` asserts the
+/// anomaly window.
 fn power_cap_skew() -> Scenario {
     let resident_mix = vec![
         MixEntry::new(spec(Orientation::Computation, SizeClass::Medium), 2),

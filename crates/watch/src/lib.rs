@@ -31,7 +31,7 @@
 //! watched run differs from an unwatched one in nothing but those
 //! sections — the watcher is a pure judge, never a participant (the same
 //! observer-effect rule the telemetry hub obeys, pinned by
-//! `tests/watch_observer.rs`).
+//! `tests/observers/mod.rs`).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

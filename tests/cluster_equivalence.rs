@@ -1,11 +1,17 @@
 //! The sharding transparency pin: a one-shard cluster behind the
 //! `ResourceService` surface is indistinguishable from the monolithic
-//! service — every catalog scenario reproduces its report byte for byte
-//! when re-run through `ClusterService` with shard count 1 — and the two
-//! clustered catalog scenarios are themselves byte-reproducible. The
-//! differential at the bottom pins the probe hand-off at cluster level:
-//! a winning shard that commits its own probe decides exactly what a
-//! shard that never saw a probe decides.
+//! service. It is a row of the observer-effect harness
+//! (`tests/observers/mod.rs`): generated regimes and every unclustered
+//! catalog scenario reproduce their reports byte for byte when re-run
+//! through `ClusterService` with shard count 1. The two clustered
+//! catalog scenarios are byte-reproducible and do what they were built
+//! to show: the sharded storm queues per shard, and the skewed fill
+//! rebalances without losing an application. The differential at the
+//! bottom pins the probe hand-off at cluster level: a winning shard that
+//! commits its own probe decides exactly what a shard that never saw a
+//! probe decides.
+
+mod observers;
 
 use kairos::admitd::{
     AdmitPolicy, Admitd, CapacityEvent, Command, Event, PriorityClass, Request, ResourceService,
@@ -19,35 +25,33 @@ use kairos::cluster::{
 };
 use kairos::core::{KairosConfig, DURATION_NS_BOUNDS};
 use kairos::platform::{topology, AppId, ElementId, RegionMap};
-use kairos::sim::testkit::clustered_once;
 use kairos::sim::{Scenario, Simulator};
 use kairos::telemetry::{MetricValue, Telemetry, TelemetryConfig};
+use proptest::prelude::*;
 
-#[test]
-fn every_unclustered_scenario_is_byte_identical_through_a_one_shard_cluster() {
-    let unclustered: Vec<Scenario> =
-        Scenario::catalog().into_iter().filter(|s| s.cluster.is_none()).collect();
-    assert_eq!(
-        unclustered.len(),
-        14,
-        "the twelve pre-cluster scenarios plus gateway-backpressure and slo-burn-storm"
-    );
-    for scenario in unclustered {
-        let name = scenario.name.clone();
-        let monolithic = Simulator::new(scenario.clone()).unwrap().run().to_json_string();
-        let sharded_once = Simulator::new(clustered_once(scenario)).unwrap().run().to_json_string();
-        assert_eq!(monolithic, sharded_once, "{name}: shard count 1 must be transparent");
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// A generated regime, its cluster removed, decides the same through
+    /// a one-shard cluster as through the monolithic service.
+    #[test]
+    fn one_shard_cluster_never_perturbs_the_simulation(regime in observers::regimes()) {
+        observers::assert_transparent_in("one-shard cluster", regime);
     }
 }
 
 #[test]
+fn every_unclustered_scenario_is_byte_identical_through_a_one_shard_cluster() {
+    assert_eq!(
+        observers::assert_transparent_across_the_catalog("one-shard cluster"),
+        14,
+        "the twelve pre-cluster scenarios plus gateway-backpressure and slo-burn-storm"
+    );
+}
+
+#[test]
 fn clustered_scenarios_are_byte_reproducible() {
-    for name in ["sharded-arrival-storm", "cross-shard-rebalance"] {
-        let scenario = Scenario::by_name(name).unwrap();
-        let first = Simulator::new(scenario.clone()).unwrap().run().to_json_string();
-        let second = Simulator::new(scenario).unwrap().run().to_json_string();
-        assert_eq!(first, second, "{name} must reproduce byte-for-byte");
-    }
+    observers::assert_catalogued_with_it_reproduce("one-shard cluster");
 }
 
 #[test]
@@ -76,21 +80,6 @@ fn cross_shard_rebalance_moves_work_and_keeps_the_population_consistent() {
         report.totals.admissions - report.totals.departures,
         "rebalancing must never lose or duplicate a running application"
     );
-}
-
-#[test]
-fn catalog_grew_to_twenty_two() {
-    assert_eq!(Scenario::catalog().len(), 22);
-    assert!(Scenario::by_name("sharded-arrival-storm").is_some());
-    assert!(Scenario::by_name("cross-shard-rebalance").is_some());
-    assert!(Scenario::by_name("telemetry-probe-latency").is_some());
-    assert!(Scenario::by_name("traced-preemption-storm").is_some());
-    assert!(Scenario::by_name("cache-warm-storm").is_some());
-    assert!(Scenario::by_name("cache-invalidation-churn").is_some());
-    assert!(Scenario::by_name("gateway-arrival-storm").is_some());
-    assert!(Scenario::by_name("gateway-backpressure").is_some());
-    assert!(Scenario::by_name("slo-burn-storm").is_some());
-    assert!(Scenario::by_name("power-cap-skew").is_some());
 }
 
 /// The cluster's admit/release/fault routing rebuilt from public parts,

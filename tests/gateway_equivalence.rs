@@ -1,15 +1,17 @@
 //! The gateway transparency pin for `kairos-gateway`: running a scenario
 //! behind the async serving front-end must never change what the service
-//! decides. With default knobs a gatewayed run produces a byte-identical
-//! `SimReport` (apart from the extra `gateway` section) and an identical
-//! final platform state, across randomly generated scenarios spanning
-//! queued/unqueued, clustered/monolithic, preempting/plain and
-//! cached/uncached regimes. The two gateway catalog scenarios are
-//! byte-reproducible run to run, `gateway-arrival-storm` matches its
-//! ungatewayed twin exactly, and `gateway-backpressure` demonstrates the
-//! bounded lanes actually parking requests under overload.
+//! decides. A default-knob gateway is a row of the observer-effect
+//! harness (`tests/observers/mod.rs`): outside its `gateway` section a
+//! gatewayed run is byte-identical to a direct one, with an identical
+//! final platform state, across generated queued, clustered, preempting
+//! and cached regimes and across the whole catalog. The two gateway
+//! catalog scenarios are byte-reproducible run to run and do what they
+//! were built to show: `gateway-arrival-storm` matches its ungatewayed
+//! twin exactly, and `gateway-backpressure`'s bounded lanes actually
+//! park requests under overload.
 
-use kairos::sim::testkit::{gatewayed, generated};
+mod observers;
+
 use kairos::sim::{Scenario, Simulator};
 use proptest::prelude::*;
 
@@ -17,57 +19,27 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     /// Transparency: the gatewayed run's report is byte-identical once
-    /// its extra `gateway` section is removed, and both runs leave the
-    /// platform in exactly the same state.
+    /// its extra `gateway` section is removed, every accepted request
+    /// reaches its terminal event, and both runs leave the platform in
+    /// exactly the same state.
     #[test]
-    fn default_gateway_never_perturbs_the_simulation(
-        seed in any::<u64>(),
-        interarrival in 5u64..40,
-        lifetime in 0u64..300,
-        queued in any::<bool>(),
-        clustered in any::<bool>(),
-        preempt in any::<bool>(),
-        cached in any::<bool>(),
-    ) {
-        let mut direct = generated(seed, interarrival, lifetime, queued, clustered, preempt);
-        direct.cache = cached;
-        let wrapped = gatewayed(direct.clone());
-
-        let mut direct_sim = Simulator::new(direct).unwrap();
-        let direct_report = direct_sim.run();
-        let mut wrapped_sim = Simulator::new(wrapped).unwrap();
-        let mut wrapped_report = wrapped_sim.run();
-
-        prop_assert!(direct_report.gateway.is_none());
-        let counters = wrapped_report.gateway.take().expect("gateway section");
-        prop_assert_eq!(
-            counters.submitted, counters.completions,
-            "every accepted request must reach its terminal event"
-        );
-        prop_assert_eq!(counters.forwarded, counters.submitted);
-        prop_assert_eq!(counters.parked, 0, "default lanes must never fill in lockstep");
-
-        prop_assert_eq!(
-            direct_report.to_json_string(),
-            wrapped_report.to_json_string(),
-            "the gateway must not change a single observable byte"
-        );
-        prop_assert_eq!(
-            direct_sim.manager().platform(),
-            wrapped_sim.manager().platform(),
-            "the gateway must not change the final platform state"
-        );
+    fn default_gateway_never_perturbs_the_simulation(regime in observers::regimes()) {
+        observers::assert_transparent_in("gateway", regime);
     }
 }
 
+/// Behind a default-knob gateway, every direct catalog scenario changes
+/// nothing outside its `gateway` section and reproduces byte for byte.
+#[test]
+fn whole_catalog_is_byte_reproducible_behind_a_default_gateway() {
+    observers::assert_transparent_across_the_catalog("gateway");
+}
+
+/// The gateway catalog scenarios, default-knob or not, reproduce byte
+/// for byte, and every accepted request reaches its terminal event.
 #[test]
 fn gateway_scenarios_are_byte_reproducible() {
-    for name in ["gateway-arrival-storm", "gateway-backpressure"] {
-        let scenario = Scenario::by_name(name).unwrap();
-        let first = Simulator::new(scenario.clone()).unwrap().run().to_json_string();
-        let second = Simulator::new(scenario).unwrap().run().to_json_string();
-        assert_eq!(first, second, "{name} must reproduce byte-for-byte");
-    }
+    observers::assert_catalogued_with_it_reproduce("gateway");
 }
 
 #[test]

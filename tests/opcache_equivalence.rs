@@ -1,22 +1,24 @@
-//! The cache/cold equivalence pin for the operating-point cache (the keyed
-//! tier of the manager's decision store): enabling the
-//! operating-point mapping cache changes *which work runs*, never *what
-//! is decided*. A cache-enabled run produces a byte-identical
-//! `SimReport` (apart from the extra `cache` section) and an identical
-//! final platform state, across randomly generated scenarios spanning
-//! queued/unqueued, clustered/monolithic and preempting/plain regimes —
-//! and warm runs are themselves byte-reproducible, cache section
-//! included. The acceptance checks at the bottom pin the two cache
-//! catalog scenarios: the warm storm must actually hit, and the
-//! invalidation churn must actually invalidate. The next test pins the
-//! one decision input no cache key covers, the cost weights.
+//! The operating-point cache (the keyed tier of the manager's decision
+//! store) changes *which work runs*, never *what is decided*. The cache
+//! is a row of the observer-effect harness (`tests/observers/mod.rs`):
+//! outside its `cache` section a warm run is byte-identical to a cold
+//! one, with an identical final platform state, across generated
+//! queued, clustered, preempting and gatewayed regimes and across the
+//! whole catalog, and warm runs reproduce byte for byte, cache section
+//! included. The checks after those pin what the row cannot see. The
+//! two cache catalog scenarios do what they were built to show: the
+//! warm storm actually hits, and the invalidation churn actually
+//! invalidates. The next test pins the one decision input no cache key
+//! covers, the cost weights.
 //!
-//! Everything above draws its arrivals from `generate_dataset`, so no
-//! shape ever comes twice and the only hits those runs see are a winning
-//! shard replaying its own probe. The recurring regime at the bottom is
-//! the pin for what the cache is for: a handful of named applications
-//! cycling through FIFO lifetimes, where occupancies come back under
-//! other tenants and decisions are replayed *across* requests.
+//! Scenario arrivals are drawn per request, so no shape ever comes
+//! twice and the only hits those runs see are a winning shard replaying
+//! its own probe. The recurring regime at the bottom is the pin for what
+//! the cache is for: a handful of named applications cycling through
+//! FIFO lifetimes, where occupancies come back under other tenants and
+//! decisions are replayed *across* requests.
+
+mod observers;
 
 use std::collections::VecDeque;
 
@@ -29,7 +31,6 @@ use kairos::appgen::{generate_dataset, DatasetSpec};
 use kairos::cluster::{ClusterBuilder, ClusterService};
 use kairos::core::{CacheConfig, CacheStats, CostPolicy, Kairos, KairosConfig};
 use kairos::platform::{topology, AppId, PlatformCheckpoint};
-use kairos::sim::testkit::generated;
 use kairos::sim::{Scenario, Simulator};
 use proptest::prelude::*;
 
@@ -40,87 +41,42 @@ proptest! {
     /// extra `cache` section is removed, and both runs leave the
     /// platform in exactly the same state.
     #[test]
-    fn cache_never_changes_what_is_decided(
-        seed in any::<u64>(),
-        interarrival in 5u64..40,
-        lifetime in 0u64..300,
-        queued in any::<bool>(),
-        clustered in any::<bool>(),
-        preempt in any::<bool>(),
-    ) {
-        let cold = generated(seed, interarrival, lifetime, queued, clustered, preempt);
-        let mut warm = cold.clone();
-        warm.cache = true;
-
-        let mut cold_sim = Simulator::new(cold).unwrap();
-        let cold_report = cold_sim.run();
-        let mut warm_sim = Simulator::new(warm).unwrap();
-        let mut warm_report = warm_sim.run();
-
-        prop_assert!(cold_report.cache.is_none());
-        let stats = warm_report.cache.take().expect("warm runs embed a cache section");
-        prop_assert!(stats.hits + stats.misses > 0, "every admission consults the cache");
-        prop_assert_eq!(stats.misses, stats.insertions, "every miss stores its cold decision");
-
-        prop_assert_eq!(
-            cold_report.to_json_string(),
-            warm_report.to_json_string(),
-            "the cache must not change a single observable byte"
-        );
-        prop_assert_eq!(
-            cold_sim.manager().platform(),
-            warm_sim.manager().platform(),
-            "the cache must not change the final platform state"
-        );
+    fn cache_never_changes_what_is_decided(regime in observers::regimes()) {
+        observers::assert_transparent_in("cache", regime);
     }
 
     /// Warm determinism: two cache-enabled runs of the same scenario are
     /// byte-identical, lifetime cache counters included.
     #[test]
-    fn warm_runs_reproduce_byte_for_byte(
-        seed in any::<u64>(),
-        interarrival in 5u64..40,
-        lifetime in 0u64..300,
-        queued in any::<bool>(),
-        clustered in any::<bool>(),
-        preempt in any::<bool>(),
-    ) {
-        let mut scenario = generated(seed, interarrival, lifetime, queued, clustered, preempt);
-        scenario.cache = true;
-        let first = Simulator::new(scenario.clone()).unwrap().run();
-        prop_assert!(first.cache.is_some());
-        let second = Simulator::new(scenario).unwrap().run();
-        prop_assert_eq!(
-            first.to_json_string(),
-            second.to_json_string(),
-            "warm runs must reproduce byte-for-byte, cache section included"
-        );
+    fn warm_runs_reproduce_byte_for_byte(regime in observers::regimes()) {
+        observers::assert_reproducible_in("cache", regime);
     }
 }
 
-/// Acceptance: both cache catalog scenarios reproduce byte-for-byte and
-/// exercise the behaviour they were written for — the warm storm serves
-/// a real share of its admissions from the cache, and the invalidation
-/// churn's faults actually sweep cached points out.
+/// With the cache forced on, every cold catalog scenario changes nothing
+/// outside its `cache` section, and every warm run — forced or
+/// catalogued — reproduces byte for byte.
+#[test]
+fn whole_catalog_is_byte_reproducible_with_cache_forced_on() {
+    observers::assert_transparent_across_the_catalog("cache");
+    observers::assert_catalogued_with_it_reproduce("cache");
+}
+
+/// Acceptance: both cache catalog scenarios exercise the behaviour they
+/// were written for — the warm storm serves a real share of its
+/// admissions from the cache, and the invalidation churn's faults
+/// actually sweep cached points out.
 #[test]
 fn cache_catalog_scenarios_hit_and_invalidate() {
-    for name in ["cache-warm-storm", "cache-invalidation-churn"] {
+    let [_, churn] = ["cache-warm-storm", "cache-invalidation-churn"].map(|name| {
         let scenario = Scenario::by_name(name).unwrap();
         assert!(scenario.cache, "{name} must enable the cache");
-        let first = Simulator::new(scenario.clone()).unwrap().run();
-        let second = Simulator::new(scenario).unwrap().run();
-        assert_eq!(
-            first.to_json_string(),
-            second.to_json_string(),
-            "{name} must reproduce byte-for-byte"
-        );
-        let cache = first.cache.expect("cache section");
+        let report = Simulator::new(scenario).unwrap().run();
+        let cache = report.cache.expect("cache section");
         assert!(cache.hits > 0, "{name} must serve admissions from the cache");
         assert_eq!(cache.misses, cache.insertions, "{name}: every miss stores its decision");
-    }
-
-    let churn =
-        Simulator::new(Scenario::by_name("cache-invalidation-churn").unwrap()).unwrap().run();
+        report
+    });
     let cache = churn.cache.expect("cache section");
     assert!(churn.totals.evictions > 0, "the churn's faults must evict running work");
     assert!(cache.invalidations > 0, "each fault must sweep the points using its element");

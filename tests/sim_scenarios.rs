@@ -1,6 +1,11 @@
 //! End-to-end scenario runs through the `kairos` facade: the catalog
-//! executes, the JSON report carries every advertised section, and seeded
-//! reruns reproduce it exactly.
+//! executes, the JSON report carries every advertised section, the
+//! queueing scenarios show what they were built to show, seeded reruns
+//! reproduce the report exactly and a new seed changes the run. The
+//! reruns are the knob-less row of the observer-effect harness
+//! (`tests/observers/mod.rs`), which audits every run.
+
+mod observers;
 
 use kairos::sim::{Scenario, Simulator};
 
@@ -36,20 +41,13 @@ fn catalog_scenario_produces_a_complete_json_report() {
 
 #[test]
 fn seeded_rerun_reproduces_the_report_exactly() {
-    let scenario = Scenario::by_name("mixed-datasets").unwrap();
-    let first = Simulator::new(scenario.clone()).unwrap().run().to_json_string();
-    let second = Simulator::new(scenario).unwrap().run().to_json_string();
-    assert_eq!(first, second);
+    observers::assert_catalogued_runs_reproduce([Scenario::by_name("mixed-datasets").unwrap()]);
 }
 
 #[test]
 fn queueing_scenarios_are_byte_reproducible() {
-    for name in ["priority-inversion", "overload-backpressure", "retry-storm"] {
-        let scenario = Scenario::by_name(name).unwrap();
-        let first = Simulator::new(scenario.clone()).unwrap().run().to_json_string();
-        let second = Simulator::new(scenario).unwrap().run().to_json_string();
-        assert_eq!(first, second, "{name} must reproduce byte-for-byte");
-    }
+    let names = ["priority-inversion", "overload-backpressure", "retry-storm"];
+    observers::assert_catalogued_runs_reproduce(names.map(|name| Scenario::by_name(name).unwrap()));
 }
 
 #[test]
@@ -128,15 +126,11 @@ fn priority_inversion_favours_critical_requests() {
 /// queue-less, queued, clustered (shard 0's manager), gatewayed, faulted,
 /// preempted, defragmented, rebalanced — the manager's registry and the
 /// platform's claims agree with each other and every admitted layout
-/// still validates.
+/// still validates. Each scenario runs twice in this process, and the
+/// two runs are byte-identical.
 #[test]
 fn every_catalog_scenario_ends_with_a_clean_audit() {
-    for scenario in Scenario::catalog() {
-        let name = scenario.name.clone();
-        let mut sim = Simulator::new(scenario).unwrap();
-        sim.run();
-        assert_eq!(sim.manager().audit(), Ok(()), "{name}");
-    }
+    observers::assert_catalogued_runs_reproduce(Scenario::catalog());
 }
 
 #[test]

@@ -1,59 +1,31 @@
-//! The observer-effect pin for `kairos-telemetry`: turning telemetry on
-//! must never perturb the simulation. A telemetry-enabled run produces a
-//! byte-identical `SimReport` (apart from the extra `telemetry` section)
-//! and an identical final platform state, across randomly generated
-//! scenarios spanning queued/unqueued, clustered/monolithic and
-//! preempting/plain regimes — and with telemetry forced on, the whole
-//! catalog stays byte-reproducible. The acceptance checks at the bottom
-//! pin that every instrumented layer (pipeline phases, txn lifecycle,
-//! queue transitions, migration two-phase, probe fan-out, sim totals)
-//! is visible in both the `telemetry-probe-latency` report snapshot and
-//! the Prometheus text exposition.
+//! The observer-effect pin for `kairos-telemetry`: turning telemetry or
+//! causal tracing on must never perturb the simulation. Both are rows of
+//! the observer-effect harness (`tests/observers/mod.rs`): outside its
+//! own section a lit run is byte-identical to a dark one, with an
+//! identical final platform state, across generated queued, clustered,
+//! preempting, cached and gatewayed regimes — and with telemetry forced
+//! on, the whole catalog stays transparent and byte-reproducible. The
+//! acceptance checks at the bottom pin that every instrumented layer
+//! (pipeline phases, txn lifecycle, queue transitions, migration
+//! two-phase, probe fan-out, sim totals) is visible in both the
+//! `telemetry-probe-latency` report snapshot and the Prometheus text
+//! exposition, and that the gateway's instruments agree with its section.
 
-use kairos::sim::testkit::{counter, generated, histogram_count};
+mod observers;
+
 use kairos::sim::{Scenario, Simulator};
-use kairos::telemetry::MetricValue;
+use observers::{counter, gauge, histogram_count};
 use proptest::prelude::*;
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// Observer effect: the enabled run's report is byte-identical once
-    /// its extra `telemetry` section is removed, and both runs leave the
+    /// Observer effect: the lit run's report is byte-identical once its
+    /// extra `telemetry` section is removed, and both runs leave the
     /// platform in exactly the same state.
     #[test]
-    fn telemetry_never_perturbs_the_simulation(
-        seed in any::<u64>(),
-        interarrival in 5u64..40,
-        lifetime in 0u64..300,
-        queued in any::<bool>(),
-        clustered in any::<bool>(),
-        preempt in any::<bool>(),
-    ) {
-        let dark = generated(seed, interarrival, lifetime, queued, clustered, preempt);
-        let mut lit = dark.clone();
-        lit.telemetry = true;
-
-        let mut dark_sim = Simulator::new(dark).unwrap();
-        let dark_report = dark_sim.run();
-        let mut lit_sim = Simulator::new(lit).unwrap();
-        let mut lit_report = lit_sim.run();
-
-        prop_assert!(!dark_sim.telemetry().enabled());
-        prop_assert!(lit_sim.telemetry().enabled());
-        prop_assert!(dark_report.telemetry.is_none());
-        prop_assert!(lit_report.telemetry.take().is_some());
-
-        prop_assert_eq!(
-            dark_report.to_json_string(),
-            lit_report.to_json_string(),
-            "telemetry must not change a single observable byte"
-        );
-        prop_assert_eq!(
-            dark_sim.manager().platform(),
-            lit_sim.manager().platform(),
-            "telemetry must not change the final platform state"
-        );
+    fn telemetry_never_perturbs_the_simulation(regime in observers::regimes()) {
+        observers::assert_transparent_in("telemetry", regime);
     }
 
     /// Observer effect for causal tracing: flipping `trace` on mints
@@ -61,58 +33,19 @@ proptest! {
     /// report is byte-identical once its extra `trace` section is
     /// removed, and the final platform state matches exactly.
     #[test]
-    fn tracing_never_perturbs_the_simulation(
-        seed in any::<u64>(),
-        interarrival in 5u64..40,
-        lifetime in 0u64..300,
-        queued in any::<bool>(),
-        clustered in any::<bool>(),
-        preempt in any::<bool>(),
-    ) {
-        let dark = generated(seed, interarrival, lifetime, queued, clustered, preempt);
-        let mut lit = dark.clone();
-        lit.trace = true;
-
-        let mut dark_sim = Simulator::new(dark).unwrap();
-        let dark_report = dark_sim.run();
-        let mut lit_sim = Simulator::new(lit).unwrap();
-        let mut lit_report = lit_sim.run();
-
-        prop_assert!(!dark_sim.telemetry().tracing());
-        prop_assert!(lit_sim.telemetry().tracing());
-        prop_assert!(dark_report.trace.is_none());
-        prop_assert!(lit_report.trace.take().is_some());
-
-        prop_assert_eq!(
-            dark_report.to_json_string(),
-            lit_report.to_json_string(),
-            "tracing must not change a single observable byte"
-        );
-        prop_assert_eq!(
-            dark_sim.manager().platform(),
-            lit_sim.manager().platform(),
-            "tracing must not change the final platform state"
-        );
+    fn tracing_never_perturbs_the_simulation(regime in observers::regimes()) {
+        observers::assert_transparent_in("trace", regime);
     }
 }
 
 /// Under the deterministic zero clock, telemetry-enabled runs of every
 /// catalog scenario — including their embedded metric snapshots — stay
-/// byte-reproducible.
+/// byte-reproducible, and forcing telemetry on changes nothing outside
+/// the snapshot.
 #[test]
 fn whole_catalog_is_byte_reproducible_with_telemetry_forced_on() {
-    for mut scenario in Scenario::catalog() {
-        scenario.telemetry = true;
-        let first = Simulator::new(scenario.clone()).unwrap().run();
-        assert!(first.telemetry.is_some(), "{}: snapshot must be embedded", scenario.name);
-        let second = Simulator::new(scenario.clone()).unwrap().run();
-        assert_eq!(
-            first.to_json_string(),
-            second.to_json_string(),
-            "{} must reproduce byte-for-byte with telemetry on",
-            scenario.name
-        );
-    }
+    observers::assert_transparent_across_the_catalog("telemetry");
+    observers::assert_catalogued_with_it_reproduce("telemetry");
 }
 
 /// Acceptance: the `telemetry-probe-latency` catalog scenario makes every
@@ -236,15 +169,7 @@ fn gateway_instruments_are_visible_and_observer_safe() {
         "kairos.gateway.lane1.depth",
         "kairos.gateway.lane2.depth",
     ] {
-        let metric = snapshot
-            .metrics
-            .iter()
-            .find(|m| m.name == name)
-            .unwrap_or_else(|| panic!("{name} missing from snapshot"));
-        match &metric.value {
-            MetricValue::Gauge(v) => assert_eq!(*v, 0, "{name} must drain to zero"),
-            other => panic!("{name} is not a gauge: {other:?}"),
-        }
+        assert_eq!(gauge(&snapshot, name), 0, "{name} must drain to zero");
     }
 
     let text = lit_sim.telemetry().render_text();

@@ -1,31 +1,22 @@
-//! The tracing determinism pin: with `trace` forced on, catalog
-//! scenarios spanning the queued/clustered/preempting regimes export
-//! byte-identical Chrome-trace timelines (and reports) across reruns —
-//! and the `traced-preemption-storm` acceptance scenario assembles, for
-//! every admitted request, the full causal chain the exporter promises:
-//! queue residency, per-shard probe fan-out, pipeline phases (or the
-//! `commit.replay` of the winning probe's decision), and a computed
-//! critical path on the root.
+//! The tracing determinism pin: with `trace` forced on, every untraced
+//! catalog scenario exports a non-empty Chrome-trace timeline that is
+//! byte-identical across reruns, with no report byte moved outside the
+//! `trace` section (the trace row of the observer-effect harness,
+//! `tests/observers/mod.rs`) — and the `traced-preemption-storm`
+//! acceptance scenario assembles, for every admitted request, the full
+//! causal chain the exporter promises: queue residency, per-shard probe
+//! fan-out, pipeline phases (or the `commit.replay` of the winning
+//! probe's decision), and a computed critical path on the root.
 
-use kairos::sim::testkit::traced_run;
+mod observers;
+
 use kairos::sim::{Scenario, Simulator};
 use kairos::telemetry::{summarize, SpanRecord, ROOT_PARENT};
 
 #[test]
 fn traced_runs_export_byte_identical_timelines_across_regimes() {
-    // A queued scenario, a clustered one, a preempting one, and the
-    // traced catalog entry itself (trace already on — forcing it again
-    // is a no-op).
-    for name in
-        ["retry-storm", "sharded-arrival-storm", "migrate-vs-evict", "traced-preemption-storm"]
-    {
-        let scenario = Scenario::by_name(name).unwrap();
-        let (report_a, trace_a) = traced_run(scenario.clone());
-        let (report_b, trace_b) = traced_run(scenario);
-        assert_eq!(report_a, report_b, "{name}: traced report must reproduce byte-for-byte");
-        assert_eq!(trace_a, trace_b, "{name}: timeline must reproduce byte-for-byte");
-        assert_ne!(trace_a, "[\n\n]\n", "{name}: the timeline must not be empty");
-    }
+    observers::assert_transparent_across_the_catalog("trace");
+    observers::assert_catalogued_with_it_reproduce("trace");
 }
 
 /// The spans of one trace, in `(trace, id)` dump order.

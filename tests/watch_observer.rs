@@ -1,22 +1,23 @@
 //! The observer-effect pin for `kairos-watch`: arming the watch layer
-//! must never perturb the simulation. A watched run produces a
-//! byte-identical `SimReport` (apart from the extra `energy` and
-//! `health` sections) and an identical final platform state, across
-//! randomly generated scenarios spanning queued/unqueued,
-//! clustered/monolithic, cached/uncached and gatewayed/direct regimes —
-//! and with watching forced on, the whole catalog stays
-//! byte-reproducible. The acceptance checks at the bottom pin the two
-//! watch catalog scenarios — `slo-burn-storm` must fire *and* clear a
-//! burn-rate alert with a non-empty cause chain, `power-cap-skew` must
-//! produce a per-package power series with a detected anomaly window on
-//! `pkg2` — and that the `kairos.energy.*` / `kairos.watch.*`
-//! instruments agree with the report sections when the telemetry hub is
-//! lit.
+//! must never perturb the simulation. The watch is a row of the
+//! observer-effect harness (`tests/observers/mod.rs`): outside its
+//! `energy` and `health` sections a watched run is byte-identical to an
+//! unwatched one, with an identical final platform state, across
+//! generated queued, clustered, preempting, cached and gatewayed regimes
+//! and across the whole catalog, and watched runs reproduce byte for
+//! byte. The acceptance checks below pin the two watch catalog
+//! scenarios — `slo-burn-storm` must fire *and* clear a burn-rate alert
+//! with a non-empty cause chain, `power-cap-skew` must produce a
+//! per-package power series with a detected anomaly window on `pkg2` —
+//! that the status snapshot renders deterministically, and that the
+//! `kairos.energy.*` / `kairos.watch.*` instruments agree with the report
+//! sections when the telemetry hub is lit.
 
-use kairos::sim::testkit::{counter, gatewayed, generated, watched};
+mod observers;
+
 use kairos::sim::{Scenario, Simulator};
-use kairos::telemetry::MetricValue;
 use kairos::watch::AlertKind;
+use observers::{counter, gauge};
 use proptest::prelude::*;
 
 proptest! {
@@ -26,101 +27,28 @@ proptest! {
     /// its extra `energy` and `health` sections are removed, and both
     /// runs leave the platform in exactly the same state.
     #[test]
-    fn watch_never_perturbs_the_simulation(
-        seed in any::<u64>(),
-        interarrival in 5u64..40,
-        lifetime in 0u64..300,
-        queued in any::<bool>(),
-        clustered in any::<bool>(),
-        preempt in any::<bool>(),
-        cached in any::<bool>(),
-        gateway in any::<bool>(),
-    ) {
-        let mut dark = generated(seed, interarrival, lifetime, queued, clustered, preempt);
-        dark.cache = cached;
-        if gateway {
-            dark = gatewayed(dark);
-        }
-        let lit = watched(dark.clone());
-
-        let mut dark_sim = Simulator::new(dark).unwrap();
-        let dark_report = dark_sim.run();
-        let mut lit_sim = Simulator::new(lit).unwrap();
-        let mut lit_report = lit_sim.run();
-
-        prop_assert!(dark_report.energy.is_none());
-        prop_assert!(dark_report.health.is_none());
-        let energy = lit_report.energy.take().expect("watching implies energy metering");
-        let health = lit_report.health.take().expect("health section");
-        prop_assert!(energy.samples > 0, "the meter must integrate every sample tick");
-        prop_assert!(health.evaluations > 0, "the watcher must evaluate every sample tick");
-
-        prop_assert_eq!(
-            dark_report.to_json_string(),
-            lit_report.to_json_string(),
-            "watching must not change a single observable byte"
-        );
-        prop_assert_eq!(
-            dark_sim.manager().platform(),
-            lit_sim.manager().platform(),
-            "watching must not change the final platform state"
-        );
+    fn watch_never_perturbs_the_simulation(regime in observers::regimes()) {
+        observers::assert_transparent_in("watch", regime);
     }
 
     /// Watched runs are themselves deterministic: two runs of the same
     /// watched scenario agree byte-for-byte, energy and health included.
     #[test]
-    fn watched_runs_are_byte_reproducible(
-        seed in any::<u64>(),
-        interarrival in 5u64..40,
-        lifetime in 0u64..300,
-        queued in any::<bool>(),
-        clustered in any::<bool>(),
-    ) {
-        let scenario = watched(generated(seed, interarrival, lifetime, queued, clustered, false));
-        let first = Simulator::new(scenario.clone()).unwrap().run();
-        prop_assert!(first.energy.is_some());
-        prop_assert!(first.health.is_some());
-        let second = Simulator::new(scenario).unwrap().run();
-        prop_assert_eq!(first.to_json_string(), second.to_json_string());
+    fn watched_runs_are_byte_reproducible(regime in observers::regimes()) {
+        observers::assert_reproducible_in("watch", regime);
     }
 }
 
 /// With watching forced on, every catalog scenario — including the two
-/// already-watched ones — stays byte-reproducible, and the energy
-/// account balances: busy + idle equals total, and the per-kind and
-/// per-package breakdowns both sum to the same total.
+/// already-watched ones — stays byte-reproducible, an unwatched one
+/// changes nothing outside its `energy` and `health` sections, and the
+/// energy account balances: busy + idle
+/// equals total, and the per-kind and per-package breakdowns both sum to
+/// the same total.
 #[test]
 fn whole_catalog_is_byte_reproducible_with_watch_forced_on() {
-    for mut scenario in Scenario::catalog() {
-        if scenario.watch.is_none() {
-            scenario = watched(scenario);
-        }
-        let first = Simulator::new(scenario.clone()).unwrap().run();
-        let energy = first.energy.as_ref().expect("energy section");
-        assert_eq!(
-            energy.total_mw_ticks,
-            energy.busy_mw_ticks + energy.idle_mw_ticks,
-            "{}: busy + idle must equal total",
-            scenario.name
-        );
-        let by_kind: u64 = energy.by_kind.iter().map(|k| k.mw_ticks).sum();
-        let by_package: u64 = energy.packages.iter().map(|p| p.mw_ticks).sum();
-        assert_eq!(by_kind, energy.total_mw_ticks, "{}: per-kind sums to total", scenario.name);
-        assert_eq!(
-            by_package, energy.total_mw_ticks,
-            "{}: per-package sums to total",
-            scenario.name
-        );
-        assert!(first.health.is_some(), "{}: health must be embedded", scenario.name);
-        let second = Simulator::new(scenario.clone()).unwrap().run();
-        assert_eq!(
-            first.to_json_string(),
-            second.to_json_string(),
-            "{} must reproduce byte-for-byte with watch on",
-            scenario.name
-        );
-    }
+    observers::assert_transparent_across_the_catalog("watch");
+    observers::assert_catalogued_with_it_reproduce("watch");
 }
 
 /// Acceptance: `slo-burn-storm`'s surge burns the admission-latency
@@ -177,6 +105,11 @@ fn power_cap_skew_detects_the_package_anomaly() {
     let peak = energy.series.iter().map(|p| p.package_mw[pkg2]).max().unwrap();
     let trough = energy.series.iter().map(|p| p.package_mw[pkg2]).min().unwrap();
     assert!(trough < peak / 2, "the blackout must visibly collapse pkg2's draw");
+    // The overridden rates still balance the account.
+    let total = energy.total_mw_ticks;
+    assert_eq!(total, energy.busy_mw_ticks + energy.idle_mw_ticks);
+    assert_eq!(energy.by_kind.iter().map(|k| k.mw_ticks).sum::<u64>(), total);
+    assert_eq!(energy.packages.iter().map(|p| p.mw_ticks).sum::<u64>(), total);
 
     let health = report.health.as_ref().expect("health section");
     let anomaly = health
@@ -187,6 +120,22 @@ fn power_cap_skew_detects_the_package_anomaly() {
     assert!(anomaly.shard.is_some(), "package anomalies carry shard attribution");
     assert!(!anomaly.cause.is_empty());
     assert_eq!(health.shards.len(), 3, "one health score per cluster shard");
+}
+
+/// The status snapshot is a pure rendering of the report: deterministic
+/// across runs, and it surfaces the scenario name, energy account and
+/// active alerts a `kairos-top` user expects to see.
+#[test]
+fn status_snapshot_renders_deterministically() {
+    let scenario = Scenario::by_name("power-cap-skew").unwrap();
+    let mut first_sim = Simulator::new(scenario.clone()).unwrap();
+    let first = first_sim.run().status(first_sim.service().shard_count()).render();
+    let mut second_sim = Simulator::new(scenario).unwrap();
+    let second = second_sim.run().status(second_sim.service().shard_count()).render();
+    assert_eq!(first, second, "the status snapshot must be byte-deterministic");
+    assert!(first.contains("power-cap-skew"));
+    assert!(first.contains("pkg2"));
+    assert!(first.contains("power-anomaly"));
 }
 
 /// The watch instruments ride the telemetry hub: a lit run of
@@ -211,20 +160,9 @@ fn watch_instruments_agree_with_the_report_sections() {
     assert_eq!(counter(snapshot, "kairos.watch.alerts.cleared"), health.cleared);
     assert_eq!(counter(snapshot, "kairos.watch.evaluations"), health.evaluations);
 
-    let gauge = |name: &str| {
-        let metric = snapshot
-            .metrics
-            .iter()
-            .find(|m| m.name == name)
-            .unwrap_or_else(|| panic!("{name} missing from snapshot"));
-        match &metric.value {
-            MetricValue::Gauge(v) => *v,
-            other => panic!("{name} is not a gauge: {other:?}"),
-        }
-    };
     let last_draw = energy.series.last().expect("non-empty series").total_mw;
-    assert_eq!(gauge("kairos.energy.power.mw"), last_draw as i64);
-    assert_eq!(gauge("kairos.watch.active"), (health.fired - health.cleared) as i64);
+    assert_eq!(gauge(snapshot, "kairos.energy.power.mw"), last_draw as i64);
+    assert_eq!(gauge(snapshot, "kairos.watch.active"), (health.fired - health.cleared) as i64);
 
     let text = simulator.telemetry().render_text();
     for name in ["kairos_energy_total_mwt", "kairos_watch_alerts_fired", "kairos_energy_power_mw"] {
@@ -234,20 +172,4 @@ fn watch_instruments_agree_with_the_report_sections() {
     for name in ["\"kairos.energy.total.mwt\"", "\"kairos.watch.alerts.fired\""] {
         assert!(json.contains(name), "report JSON must expose {name}");
     }
-}
-
-/// The status snapshot is a pure rendering of the report: deterministic
-/// across runs, and it surfaces the scenario name, energy account and
-/// active alerts a `kairos-top` user expects to see.
-#[test]
-fn status_snapshot_renders_deterministically() {
-    let scenario = Scenario::by_name("power-cap-skew").unwrap();
-    let mut first_sim = Simulator::new(scenario.clone()).unwrap();
-    let first = first_sim.run().status(first_sim.service().shard_count()).render();
-    let mut second_sim = Simulator::new(scenario).unwrap();
-    let second = second_sim.run().status(second_sim.service().shard_count()).render();
-    assert_eq!(first, second, "the status snapshot must be byte-deterministic");
-    assert!(first.contains("power-cap-skew"));
-    assert!(first.contains("pkg2"));
-    assert!(first.contains("power-anomaly"));
 }
