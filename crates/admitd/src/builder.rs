@@ -16,20 +16,19 @@ use crate::policy::AdmitPolicy;
 ///   request passes the front-end's door; without a policy the door
 ///   admits or rejects immediately (the paper's behaviour), with one
 ///   requests queue with backpressure, retry, timeouts and — under its
-///   [`AdmitPolicy::preemption`] and [`AdmitPolicy::victim_order`] —
-///   relocation of lower-priority work for blocked criticals.
+///   [`AdmitPolicy::preemption`] — relocation of lower-priority work for
+///   blocked criticals.
 ///
 /// # Examples
 ///
 /// ```
-/// use kairos_admitd::{AdmitPolicy, PreemptionPolicy, ServiceBuilder, VictimOrder};
+/// use kairos_admitd::{AdmitPolicy, PreemptionPolicy, ServiceBuilder};
 /// use kairos_platform::topology;
 ///
 /// let service = ServiceBuilder::new(topology::crisp())
 ///     .deterministic(true)
 ///     .admission(AdmitPolicy {
 ///         preemption: PreemptionPolicy::Migrate,
-///         victim_order: VictimOrder::SmallestFirst,
 ///         ..AdmitPolicy::default()
 ///     })
 ///     .build()?;

@@ -13,7 +13,7 @@ use kairos_telemetry::{Counter, Gauge, Histogram, Level, Telemetry, TraceContext
 
 use crate::command::{CapacityEvent, Command, Request};
 use crate::event::{Event, RejectCause};
-use crate::policy::{AdmitPolicy, PreemptionPolicy, VictimOrder};
+use crate::policy::{AdmitPolicy, PreemptionPolicy};
 use crate::queue::{AdmissionQueue, PriorityClass, QueuedRequest, Ticket};
 use crate::service::{ResourceService, SvcMetrics};
 
@@ -722,10 +722,9 @@ impl Admitd {
     }
 
     /// Running applications of a class *strictly lower* than `than`, in
-    /// eviction-preference order: lowest class first, then the policy's
-    /// [`VictimOrder`] tie-break (fewest or most tasks first), then id —
-    /// a deterministic order [`Kairos::select_victims`] treats as
-    /// cheapest-first.
+    /// eviction-preference order: lowest class first, then fewest tasks
+    /// first (the cheapest reconfiguration), then id — a deterministic
+    /// order [`Kairos::select_victims`] treats as cheapest-first.
     fn preemption_candidates(&self, than: PriorityClass) -> Vec<AppId> {
         let mut candidates: Vec<(usize, usize, AppId)> = self
             .admitted_meta
@@ -736,14 +735,7 @@ impl Admitd {
                 (meta.class.index(), tasks, id)
             })
             .collect();
-        let order = self.queueing().victim_order;
-        candidates.sort_by(|a, b| {
-            let size = match order {
-                VictimOrder::SmallestFirst => a.1.cmp(&b.1),
-                VictimOrder::LargestFirst => b.1.cmp(&a.1),
-            };
-            b.0.cmp(&a.0).then(size).then(a.2.cmp(&b.2))
-        });
+        candidates.sort_by(|a, b| b.0.cmp(&a.0).then(a.1.cmp(&b.1)).then(a.2.cmp(&b.2)));
         candidates.into_iter().map(|(_, _, id)| id).collect()
     }
 

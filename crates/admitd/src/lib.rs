@@ -96,7 +96,7 @@ pub use builder::ServiceBuilder;
 pub use command::{CapacityEvent, Command, Request};
 pub use event::{Event, RejectCause};
 pub use frontend::{Admitd, WAIT_TICKS_BOUNDS};
-pub use policy::{AdmitPolicy, PreemptionPolicy, VictimOrder};
+pub use policy::{AdmitPolicy, PreemptionPolicy};
 pub use queue::{AdmissionQueue, PriorityClass, Ticket};
 pub use service::ResourceService;
 
@@ -732,18 +732,15 @@ mod tests {
     }
 
     #[test]
-    fn victim_order_changes_candidate_preference() {
-        let submit_residents = |admitd: &mut Admitd| {
-            // A 1-task and a 2-task resident of equal class leave one free
-            // element; a 2-task critical is unblocked by evicting *either*
-            // resident alone, so the greedy planner takes whichever the
-            // victim order offers first.
-            let (_, e) = admit(admitd, chain_with("small", 1, 900), PriorityClass::Low, 0);
-            let small = admitted_id(&e).unwrap();
-            let (_, e) = admit(admitd, chain_with("large", 2, 900), PriorityClass::Low, 0);
-            let large = admitted_id(&e).unwrap();
-            (small, large)
-        };
+    fn preemption_offers_the_smallest_resident_first() {
+        // A 1-task and a 2-task resident of equal class leave one free
+        // element; a 2-task critical is unblocked by evicting *either*
+        // resident alone, so the greedy planner takes whichever the
+        // candidate order offers first: fewest tasks.
+        let mut admitd = front(preempt_policy(PreemptionPolicy::Evict));
+        let (_, e) = admit(&mut admitd, chain_with("small", 1, 900), PriorityClass::Low, 0);
+        let small = admitted_id(&e).unwrap();
+        admit(&mut admitd, chain_with("large", 2, 900), PriorityClass::Low, 0);
         let victims_of = |events: &[Event]| -> Vec<AppId> {
             events
                 .iter()
@@ -753,18 +750,8 @@ mod tests {
                 })
                 .collect()
         };
-        let mut smallest = front(preempt_policy(PreemptionPolicy::Evict));
-        let (small, _) = submit_residents(&mut smallest);
-        let (_, e) = admit(&mut smallest, chain("crit", 2), PriorityClass::Critical, 1);
-        assert_eq!(victims_of(&e), vec![small], "smallest-first evicts the 1-task resident");
-
-        let mut largest = front(AdmitPolicy {
-            victim_order: VictimOrder::LargestFirst,
-            ..preempt_policy(PreemptionPolicy::Evict)
-        });
-        let (_, large) = submit_residents(&mut largest);
-        let (_, e) = admit(&mut largest, chain("crit", 2), PriorityClass::Critical, 1);
-        assert_eq!(victims_of(&e), vec![large], "largest-first evicts the 2-task resident");
+        let (_, e) = admit(&mut admitd, chain("crit", 2), PriorityClass::Critical, 1);
+        assert_eq!(victims_of(&e), vec![small], "the 1-task resident is evicted");
     }
 
     #[test]

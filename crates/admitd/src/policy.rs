@@ -1,7 +1,5 @@
 //! Admission-control policy knobs.
 
-use serde::{Deserialize, Serialize};
-
 use std::fmt;
 
 /// How the front-end reacts when a
@@ -13,7 +11,7 @@ use std::fmt;
 /// blocked request, chosen by
 /// [`Kairos::select_victims`](kairos_core::Kairos::select_victims) as a
 /// minimal set whose removal provably unblocks the request.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum PreemptionPolicy {
     /// Never preempt: blocked criticals wait like everyone else (the
     /// pre-relocation behaviour).
@@ -40,38 +38,13 @@ impl fmt::Display for PreemptionPolicy {
     }
 }
 
-/// The order preemption candidates are offered to the manager's victim
-/// planner in — the front-end's eviction-cost policy. Candidates are
-/// always grouped lowest priority class first; the order decides ties
-/// within a class. Injectable at service construction through
-/// [`AdmitPolicy::victim_order`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
-pub enum VictimOrder {
-    /// Fewest tasks first: prefer the cheapest reconfiguration, evicting
-    /// or migrating as little work as possible per victim.
-    #[default]
-    SmallestFirst,
-    /// Most tasks first: prefer the victim that frees the most room, so
-    /// large blocked requests need fewer victims overall.
-    LargestFirst,
-}
-
-impl fmt::Display for VictimOrder {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            VictimOrder::SmallestFirst => f.write_str("smallest-first"),
-            VictimOrder::LargestFirst => f.write_str("largest-first"),
-        }
-    }
-}
-
 /// Tunable policy of an [`Admitd`](crate::Admitd) front-end.
 ///
 /// Everything is deterministic: capacities bound memory, `max_attempts`
 /// bounds retries, and the backoff is measured in *capacity events*
 /// (releases/repairs) rather than wall-clock ticks — a parked request is
 /// reconsidered when something actually freed up, never on a blind timer.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct AdmitPolicy {
     /// Maximum queued requests per priority class (drain order:
     /// critical, high, normal, low). A full class refuses new submissions
@@ -96,9 +69,6 @@ pub struct AdmitPolicy {
     /// collateral damage of admitting a single critical request. Must be
     /// at least 1 while preemption is enabled.
     pub max_victims: usize,
-    /// Tie-break order preemption candidates are offered to the planner
-    /// in (within a priority class).
-    pub victim_order: VictimOrder,
 }
 
 impl Default for AdmitPolicy {
@@ -111,7 +81,6 @@ impl Default for AdmitPolicy {
             backoff_cap: 8,
             preemption: PreemptionPolicy::Disabled,
             max_victims: 4,
-            victim_order: VictimOrder::SmallestFirst,
         }
     }
 }
@@ -201,12 +170,5 @@ mod tests {
         assert_eq!(PreemptionPolicy::Disabled.to_string(), "disabled");
         assert_eq!(PreemptionPolicy::Evict.to_string(), "evict");
         assert_eq!(PreemptionPolicy::Migrate.to_string(), "migrate");
-    }
-
-    #[test]
-    fn victim_order_names_are_stable() {
-        assert_eq!(VictimOrder::default(), VictimOrder::SmallestFirst);
-        assert_eq!(VictimOrder::SmallestFirst.to_string(), "smallest-first");
-        assert_eq!(VictimOrder::LargestFirst.to_string(), "largest-first");
     }
 }

@@ -10,14 +10,12 @@
 use std::collections::VecDeque;
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use kairos_app::Application;
 use kairos_platform::AppId;
 use kairos_telemetry::TraceContext;
 
 /// Priority class of an admission request; lower classes drain first.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum PriorityClass {
     /// Safety- or deadline-critical requests, drained before everything.
     Critical,
@@ -65,7 +63,7 @@ impl fmt::Display for PriorityClass {
 /// preemption requeues, and those are derived from the evicted victim
 /// ([`Ticket::requeue_of`]) instead of minted — so no layer keeps a
 /// translation table.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct Ticket(pub u64);
 
 impl Ticket {

@@ -4,7 +4,6 @@ use std::fmt;
 use std::sync::Arc;
 
 use kairos_platform::Digest;
-use serde::{Deserialize, Serialize};
 
 use crate::channel::{Channel, ChannelId};
 use crate::constraints::Constraint;
@@ -58,14 +57,14 @@ impl std::error::Error for ApplicationError {}
 /// assert_eq!(app.degree(src), 1);
 /// # Ok::<(), kairos_app::ApplicationError>(())
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Application {
     /// An application is immutable once built, so its clones share one
     /// body: `clone` is a reference-count bump, whatever the graph's size.
     body: Arc<Body>,
 }
 
-#[derive(Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, PartialEq)]
 struct Body {
     name: String,
     tasks: Vec<Task>,

@@ -2,12 +2,10 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use crate::task::TaskId;
 
 /// Identifier of a channel within one [`Application`](crate::Application).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct ChannelId(pub u32);
 
 impl ChannelId {
@@ -29,7 +27,7 @@ impl fmt::Display for ChannelId {
 /// The `bandwidth` is reserved (together with one virtual channel) on every
 /// NoC link of the channel's route; `tokens_per_firing` feeds the SDF model
 /// used by the validation phase.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Channel {
     id: ChannelId,
     src: TaskId,

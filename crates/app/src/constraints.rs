@@ -6,10 +6,8 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 /// A performance constraint from the application specification.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Constraint {
     /// The application must complete at least one graph iteration every
     /// `max_period_cycles` cycles (throughput ≥ 1/period).

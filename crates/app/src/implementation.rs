@@ -8,12 +8,10 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use kairos_platform::{ElementKind, ResourceVector};
 
 /// Index of an implementation within one task's alternatives.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct ImplId(pub u16);
 
 impl ImplId {
@@ -31,7 +29,7 @@ impl fmt::Display for ImplId {
 }
 
 /// One concrete way of executing a task.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Implementation {
     target: ElementKind,
     requires: ResourceVector,

@@ -2,15 +2,13 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use crate::implementation::Implementation;
 
 /// Identifier of a task within one [`Application`](crate::Application).
 ///
 /// Ids are dense indices assigned by the
 /// [`ApplicationBuilder`](crate::ApplicationBuilder) in insertion order.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct TaskId(pub u32);
 
 impl TaskId {
@@ -33,7 +31,7 @@ impl fmt::Display for TaskId {
 /// number of input, internal and output tasks; I/O tasks are also the ones
 /// whose locations tend to be fixed by the binding phase (they need specific
 /// interfaces), seeding the initial partial mapping `M0`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum TaskRole {
     /// Consumes data from outside the platform (sources).
     Input,
@@ -57,7 +55,7 @@ impl fmt::Display for TaskRole {
 ///
 /// Every task carries at least one [`Implementation`]; the binding phase
 /// selects exactly one of them per allocation attempt.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Task {
     id: TaskId,
     name: String,

@@ -12,7 +12,6 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 use kairos_app::Application;
 
@@ -26,7 +25,7 @@ use crate::generator::AppGenerator;
 /// fixed-rate codecs), `Pareto` models heavy-tailed bursts where rare long
 /// gaps separate dense clumps of arrivals — the regime that stresses
 /// admission queues hardest.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ArrivalDistribution {
     /// Memoryless exponential gaps (Poisson arrivals) — the default.
     #[default]
@@ -59,7 +58,7 @@ impl ArrivalDistribution {
 }
 
 /// One weighted component of a [`WorkloadMix`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct MixEntry {
     /// The dataset applications of this component are drawn from.
     pub spec: DatasetSpec,
@@ -75,7 +74,7 @@ impl MixEntry {
 }
 
 /// A weighted mixture over application datasets.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct WorkloadMix {
     entries: Vec<MixEntry>,
 }

@@ -11,15 +11,13 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use kairos_app::Application;
 
 use crate::config::GeneratorConfig;
 use crate::generator::AppGenerator;
 
 /// Whether a dataset's tasks are resource-heavy or resource-light.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Orientation {
     /// Light tasks (10–70% of an element), many sharing elements —
     /// stress lands on the interconnect.
@@ -38,7 +36,7 @@ impl fmt::Display for Orientation {
 }
 
 /// Application size class.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum SizeClass {
     /// 3–5 tasks.
     Small,
@@ -70,7 +68,7 @@ impl fmt::Display for SizeClass {
 }
 
 /// One of the paper's six dataset specifications.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct DatasetSpec {
     /// Resource-usage orientation.
     pub orientation: Orientation,

@@ -14,8 +14,6 @@
 //! contiguous) and [`LeastLoaded`] (spreads load) — the last two compare
 //! every shard, so they probe every shard.
 
-use serde::{Deserialize, Serialize};
-
 /// What one shard's what-if probe reported back, in shard-id order.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ShardProbe {
@@ -166,7 +164,7 @@ impl PlacementPolicy for LeastLoaded {
 
 /// Declarative name of a built-in [`PlacementPolicy`], for scenario
 /// descriptions and other serialised configuration.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PlacementPolicyKind {
     /// [`FirstFit`].
     FirstFit,

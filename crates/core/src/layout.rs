@@ -7,13 +7,11 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use kairos_app::{Application, ChannelId, ImplId, Implementation, TaskId};
 use kairos_platform::{ElementId, LinkId};
 
 /// The binding-phase result: one implementation choice per task.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Binding {
     choices: Vec<ImplId>,
 }
@@ -60,7 +58,7 @@ impl Binding {
 }
 
 /// The mapping-phase result: one element per task.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Placement {
     elements: Vec<ElementId>,
 }
@@ -100,7 +98,7 @@ impl Placement {
 ///
 /// An empty link list means producer and consumer share an element and
 /// communicate through local memory (zero hops).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Route {
     channel: ChannelId,
     links: Vec<LinkId>,
@@ -134,7 +132,7 @@ impl Route {
 }
 
 /// A complete execution layout: binding, placement and routes.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ExecutionLayout {
     /// Implementation choice per task.
     pub binding: Binding,

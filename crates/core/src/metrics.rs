@@ -31,8 +31,6 @@
 use std::fmt;
 use std::time::{Duration, Instant};
 
-use serde::{Deserialize, Serialize};
-
 use crate::error::Phase;
 
 /// The clock behind [`PhaseTimings`]: either the wall clock or a zero
@@ -165,7 +163,7 @@ impl fmt::Display for PhaseTimings {
 /// Produced by [`Kairos::occupancy`](crate::Kairos::occupancy); all values
 /// are pure functions of the platform state, so two identical admission
 /// histories yield identical snapshots.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct OccupancySnapshot {
     /// Number of currently admitted applications.
     pub admitted_apps: usize,
@@ -200,7 +198,7 @@ pub struct ProbedOccupancy {
 /// (and aggregated across shards by the service layers); a pure function of
 /// the platform state, so identical admission histories yield identical
 /// activity vectors.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ElementActivity {
     /// Global element id (shard-local ids are translated by the cluster).
     pub element: kairos_platform::ElementId,

@@ -2,15 +2,13 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use crate::resource::ResourceVector;
 
 /// Identifier of a processing element within one [`Platform`](crate::Platform).
 ///
 /// Ids are dense indices assigned by the [`PlatformBuilder`](crate::PlatformBuilder)
 /// in insertion order.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct ElementId(pub u32);
 
 impl ElementId {
@@ -33,7 +31,7 @@ impl fmt::Display for ElementId {
 /// considers elements of the matching kind. The set mirrors the CRISP
 /// platform of the paper (Fig. 6): an ARM host, an FPGA, packages of DSPs,
 /// on-chip memories and hardware test units, plus explicit I/O interfaces.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum ElementKind {
     /// General-purpose host processor (ARM926 in CRISP).
     Arm,
@@ -84,7 +82,7 @@ impl fmt::Display for ElementKind {
 /// The *dynamic* state (free resources, residing tasks, failure status) lives
 /// in the [`Platform`](crate::Platform) so that elements stay cheap immutable
 /// records and platform state can be checkpointed wholesale.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Element {
     id: ElementId,
     kind: ElementKind,

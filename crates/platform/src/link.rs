@@ -7,12 +7,10 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use crate::element::ElementId;
 
 /// Identifier of a directed link within one [`Platform`](crate::Platform).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct LinkId(pub u32);
 
 impl LinkId {
@@ -30,7 +28,7 @@ impl fmt::Display for LinkId {
 }
 
 /// Static description of a directed communication link.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Link {
     id: LinkId,
     src: ElementId,
@@ -92,7 +90,7 @@ impl fmt::Display for Link {
 }
 
 /// Mutable occupancy of a link: remaining bandwidth and free virtual channels.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) struct LinkState {
     pub free_bandwidth: u64,
     pub free_virtual_channels: u16,

@@ -32,8 +32,6 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use crate::digest::Digest;
 use crate::element::{Element, ElementId, ElementKind};
 use crate::frag::adjacent_pair_counts;
@@ -46,7 +44,7 @@ use crate::resource::ResourceVector;
 /// with every claim so that an application's occupants can be released or
 /// listed. The admission pipeline itself never reads it back
 /// (see [`Platform::state_stamp`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct AppId(pub u32);
 
 impl fmt::Display for AppId {
@@ -57,7 +55,7 @@ impl fmt::Display for AppId {
 
 /// A task residing on an element: which application it belongs to and the
 /// task's index within that application's task graph.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Occupant {
     /// Owning application instance.
     pub app: AppId,
@@ -201,7 +199,7 @@ impl std::error::Error for AuditError {}
 /// The occupancy totals a [`Platform`] keeps beside its ledger
 /// ([`Platform::totals`]), each equal to a walk of the platform
 /// ([`Platform::totals_from_scratch`]).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct OccupancyTotals {
     /// The free vectors' [`ResourceVector::total`]s summed over the
     /// non-failed elements.
@@ -247,7 +245,7 @@ pub struct PlatformCheckpoint {
     state: PlatformState,
 }
 
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 struct PlatformState {
     free: Vec<ResourceVector>,
     residents: Vec<Vec<Occupant>>,
@@ -483,7 +481,7 @@ impl RankLedger {
 /// assert_eq!(platform.element_count(), 2);
 /// assert_eq!(platform.link_count(), 2); // connect() adds both directions
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Platform {
     name: String,
     elements: Vec<Element>,

@@ -11,12 +11,10 @@
 //! relative weight of the Table-I element classes of the paper's CRISP
 //! evaluation platform; scenarios may override any class.
 
-use serde::{Deserialize, Serialize};
-
 use crate::element::ElementKind;
 
 /// Busy/idle power draw of one element class, in integer milliwatts.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PowerRate {
     /// Draw while at least one task resides on the element.
     pub busy_mw: u64,
@@ -35,7 +33,7 @@ impl PowerRate {
 ///
 /// Indexed by the position of the kind in [`ElementKind::ALL`]; failed
 /// elements always draw zero regardless of class.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PowerModel {
     rates: [PowerRate; ElementKind::ALL.len()],
 }

@@ -8,8 +8,6 @@
 use std::fmt;
 use std::ops::{Add, AddAssign, Index, Sub, SubAssign};
 
-use serde::{Deserialize, Serialize};
-
 /// Number of distinct resource kinds tracked per element.
 pub const RESOURCE_KIND_COUNT: usize = 4;
 
@@ -18,7 +16,7 @@ pub const RESOURCE_KIND_COUNT: usize = 4;
 /// The concrete set follows the CRISP platform of the paper: computation
 /// capacity (DSP/GPP cycles), local memory, reconfigurable area (FPGA) and
 /// I/O interface slots.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum ResourceKind {
     /// Computation capacity, in abstract cycle-budget units.
     Compute,
@@ -81,9 +79,7 @@ impl fmt::Display for ResourceKind {
 /// let free = capacity.checked_sub(&demand).unwrap();
 /// assert_eq!(free[ResourceKind::Compute], 300);
 /// ```
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct ResourceVector([u64; RESOURCE_KIND_COUNT]);
 
 impl ResourceVector {

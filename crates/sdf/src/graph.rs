@@ -9,10 +9,8 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 /// Identifier of an actor within one [`SdfGraph`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct ActorId(pub u32);
 
 impl ActorId {
@@ -30,7 +28,7 @@ impl fmt::Display for ActorId {
 }
 
 /// Identifier of a channel within one [`SdfGraph`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct SdfChannelId(pub u32);
 
 impl SdfChannelId {
@@ -48,7 +46,7 @@ impl fmt::Display for SdfChannelId {
 }
 
 /// An SDF actor: fires atomically, taking `exec_time` time units per firing.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Actor {
     id: ActorId,
     name: String,
@@ -76,7 +74,7 @@ impl Actor {
 }
 
 /// An SDF channel with fixed production/consumption rates and initial tokens.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SdfChannel {
     id: SdfChannelId,
     src: ActorId,
@@ -162,7 +160,7 @@ impl std::error::Error for SdfGraphError {}
 /// assert_eq!(g.actor_count(), 2);
 /// # Ok::<(), kairos_sdf::SdfGraphError>(())
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SdfGraph {
     name: String,
     actors: Vec<Actor>,

@@ -35,7 +35,7 @@ use kairos_app::Application;
 use kairos_appgen::{WorkloadMix, WorkloadSampler};
 use kairos_cluster::ClusterBuilder;
 use kairos_core::{CacheConfig, Kairos, KairosConfig, Phase};
-use kairos_gateway::{Gateway, GatewayConfig, GatewayStats};
+use kairos_gateway::{Gateway, GatewayStats};
 use kairos_platform::{AppId, ElementId};
 use kairos_telemetry::{Counter, Gauge, Histogram, Telemetry, TelemetryConfig};
 use kairos_watch::{EnergyMeter, Watcher};
@@ -382,12 +382,8 @@ impl Simulator {
         let mut gateway_lanes = 0;
         let service: Box<dyn ResourceService> = match &scenario.gateway {
             None => inner,
-            Some(spec) => {
-                let gateway = Gateway::with_telemetry(
-                    inner,
-                    GatewayConfig { channel_capacity: spec.channel_capacity },
-                    telemetry.clone(),
-                );
+            Some(config) => {
+                let gateway = Gateway::with_telemetry(inner, *config, telemetry.clone());
                 gateway_stats = Some(gateway.stats_handle());
                 gateway_lanes = gateway.lane_count();
                 Box::new(gateway)
@@ -424,7 +420,7 @@ impl Simulator {
         let energy = (scenario.power.is_some() || scenario.watch.is_some()).then(|| {
             EnergyMeter::new(scenario.power.clone().unwrap_or_default().model(), &telemetry)
         });
-        let watch = scenario.watch.map(|spec| Watcher::new(spec.policy(), &telemetry));
+        let watch = scenario.watch.map(|spec| Watcher::new(spec, &telemetry));
         Ok(Simulator {
             scenario,
             service,
@@ -461,7 +457,7 @@ impl Simulator {
     /// `kairos_admitd::Admitd` over the whole platform, or a
     /// `kairos-cluster` shard fleet of them when the scenario sets
     /// [`crate::ClusterSpec`] — either behind a `kairos-gateway` when it
-    /// sets [`crate::GatewaySpec`].
+    /// sets [`crate::Scenario::gateway`].
     pub fn service(&self) -> &dyn ResourceService {
         self.service.as_ref()
     }

@@ -1,7 +1,7 @@
 //! Deterministic JSON emission.
 //!
-//! The offline `serde` shim has no serializers (see `shims/README.md`), so
-//! report serialization is hand-rolled here: a tiny ordered document model
+//! The workspace has no serialization dependency, so report
+//! serialization is hand-rolled here: a tiny ordered document model
 //! plus a writer whose output is byte-for-byte deterministic — object keys
 //! keep insertion order and floats use Rust's shortest-roundtrip `Display`.
 //! That determinism is load-bearing: the sim's reproducibility tests compare

@@ -33,9 +33,9 @@
 //!   `cache-invalidation-churn` (element faults and repairs sweeping
 //!   cached points out from under continuing admissions), and two that
 //!   run behind the `kairos-gateway` queueing front-end
-//!   ([`GatewaySpec`]) — `gateway-arrival-storm` (a sharded storm
-//!   streamed through per-shard bounded lanes, byte-identical to its
-//!   unwrapped twin) and `gateway-backpressure` (a queued overload
+//!   ([`Scenario::gateway`]) — `gateway-arrival-storm` (a sharded
+//!   storm streamed through per-shard bounded lanes, byte-identical to
+//!   its unwrapped twin) and `gateway-backpressure` (a queued overload
 //!   behind a four-slot lane that parks requests in the gateway), and
 //!   two that exercise the `kairos-watch` energy/health layer
 //!   ([`WatchSpec`], [`PowerSpec`]) — `slo-burn-storm` (a queued
@@ -85,11 +85,12 @@ mod report;
 mod scenario;
 
 pub use engine::Simulator;
+pub use kairos_watch::WatchSpec;
 pub use report::{
     CacheReport, ClassQueueStats, GatewayReport, PhaseStats, QueueReport, SamplePoint, SimReport,
     Totals,
 };
 pub use scenario::{
-    ClusterSpec, DefragSpec, FaultSpec, GatewaySpec, PhaseSpec, PlatformSpec, PowerOverride,
-    PowerSpec, RebalanceSpec, Scenario, WatchSpec,
+    ClusterSpec, DefragSpec, FaultSpec, PhaseSpec, PlatformSpec, PowerOverride, PowerSpec,
+    RebalanceSpec, Scenario,
 };

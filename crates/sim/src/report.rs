@@ -10,8 +10,6 @@
 //! reports; the telemetry section holds only name-ordered integers, so
 //! it is byte-stable too.
 
-use serde::{Deserialize, Serialize};
-
 use kairos_core::OccupancySnapshot;
 use kairos_telemetry::{MetricValue, Snapshot};
 use kairos_watch::{EnergyReport, HealthReport, StatusSnapshot, StatusTotals};
@@ -19,7 +17,7 @@ use kairos_watch::{EnergyReport, HealthReport, StatusSnapshot, StatusTotals};
 use crate::json::Json;
 
 /// Total event counts over a whole run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct Totals {
     /// Applications that arrived (offered for admission).
     pub arrivals: u64,
@@ -62,7 +60,7 @@ pub struct Totals {
 }
 
 /// Statistics of one workload phase.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PhaseStats {
     /// Phase name from the scenario.
     pub name: String,
@@ -87,7 +85,7 @@ pub struct PhaseStats {
 }
 
 /// One point of the sampled metric time-series.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SamplePoint {
     /// Virtual time of the sample.
     pub at: u64,
@@ -98,7 +96,7 @@ pub struct SamplePoint {
 }
 
 /// Per-priority-class admission-queue statistics.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ClassQueueStats {
     /// Class name (`critical`, `high`, `normal`, `low`).
     pub class: String,
@@ -123,7 +121,7 @@ pub struct ClassQueueStats {
 
 /// Aggregated admission-queue behaviour over a whole run. All counters
 /// are zero for scenarios without an admission policy.
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct QueueReport {
     /// Whether the scenario ran with an admission queue at all.
     pub enabled: bool,
@@ -160,7 +158,7 @@ pub struct QueueReport {
 /// the run's trace roots (exact nearest-rank percentiles over the sorted
 /// root latencies — the population is complete, so no interpolation is
 /// needed).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ClassTraceStats {
     /// Class name (`critical`, `high`, `normal`, `low`).
     pub class: String,
@@ -183,7 +181,7 @@ pub struct ClassTraceStats {
 /// its latency, tallied by segment name. `None` in [`SimReport::trace`]
 /// unless the scenario enables
 /// [`Scenario::trace`](crate::Scenario::trace).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TraceReport {
     /// Request traces recorded.
     pub traces: u64,
@@ -204,7 +202,7 @@ pub struct TraceReport {
 /// its cache-off twin (`tests/observers/mod.rs` pins exactly
 /// that). `None` in [`SimReport::cache`] unless the scenario enables
 /// [`Scenario::cache`](crate::Scenario::cache).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct CacheReport {
     /// Admissions served by replaying a cached operating point (or a
     /// cached refusal) instead of the four-phase pipeline.
@@ -230,7 +228,7 @@ pub struct CacheReport {
 /// (`tests/observers/mod.rs` pins exactly that). `None` in
 /// [`SimReport::gateway`] unless the scenario sets
 /// [`Scenario::gateway`](crate::Scenario::gateway).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct GatewayReport {
     /// Requests accepted into gateway lanes.
     pub submitted: u64,
@@ -255,7 +253,7 @@ pub struct GatewayReport {
 }
 
 /// The complete result of one scenario run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SimReport {
     /// Scenario name.
     pub scenario: String,

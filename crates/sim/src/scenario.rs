@@ -42,19 +42,19 @@
 //! `docs/SCENARIOS.md` documents every entry; CI checks the two stay in
 //! sync.
 
-use serde::{Deserialize, Serialize};
-
 use kairos_admitd::{AdmitPolicy, PreemptionPolicy, PriorityClass};
 use kairos_appgen::{
     ArrivalDistribution, DatasetSpec, MixEntry, Orientation, SizeClass, WorkloadMix,
 };
 use kairos_cluster::PlacementPolicyKind;
+use kairos_gateway::GatewayConfig;
 use kairos_platform::{topology, Platform};
+use kairos_watch::WatchSpec;
 
 use crate::json::Json;
 
 /// The platform a scenario runs on.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PlatformSpec {
     /// The paper's CRISP General Stream Processor (62 elements).
     Crisp,
@@ -99,7 +99,7 @@ impl PlatformSpec {
 }
 
 /// One workload phase: a time window with its own arrival process.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PhaseSpec {
     /// Phase name, used in per-phase report rows.
     pub name: String,
@@ -177,7 +177,7 @@ impl PhaseSpec {
 /// every `period` ticks the engine live-migrates up to `max_moves`
 /// admitted applications, keeping only moves that strictly reduce
 /// external resource fragmentation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DefragSpec {
     /// Ticks between sweeps (the first sweep runs at `period`).
     pub period: u64,
@@ -190,7 +190,7 @@ pub struct DefragSpec {
 /// asks the cluster to move up to `max_moves` running applications from
 /// its most- to its least-loaded shard (evict-and-readmit across the
 /// boundary, two-phase). Only meaningful inside a [`ClusterSpec`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RebalanceSpec {
     /// Ticks between sweeps (the first sweep runs at `period`).
     pub period: u64,
@@ -204,7 +204,7 @@ pub struct RebalanceSpec {
 /// instead of the monolithic service — same `ResourceService` surface,
 /// same traffic, a fleet of managers underneath. With `shards: 1` the
 /// run is byte-identical to the unsharded scenario.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ClusterSpec {
     /// Number of region shards.
     pub shards: usize,
@@ -214,100 +214,8 @@ pub struct ClusterSpec {
     pub rebalance: Option<RebalanceSpec>,
 }
 
-/// Queueing front-end over the scenario's service: the engine wraps
-/// the (possibly clustered) service in a `kairos-gateway`
-/// [`Gateway`](kairos_gateway::Gateway) — requests stream through
-/// per-shard bounded lanes in the gateway's deterministic ticket-ordered
-/// queue, and the report grows a `gateway` section with the serving
-/// counters. Under the default knobs the gateway is byte-identical to
-/// driving the service directly (`tests/observers/mod.rs` pins
-/// that); a small [`GatewaySpec::channel_capacity`] makes full lanes park
-/// requests until completions free slots (bounded backpressure).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub struct GatewaySpec {
-    /// Bound of each per-shard request lane (must be at least 1).
-    pub channel_capacity: usize,
-}
-
-impl Default for GatewaySpec {
-    fn default() -> Self {
-        GatewaySpec { channel_capacity: kairos_gateway::GatewayConfig::default().channel_capacity }
-    }
-}
-
-/// Energy/health watching over the run (`kairos-watch`): the spec is a
-/// compact knob set the engine expands into a full
-/// [`WatchPolicy`](kairos_watch::WatchPolicy) — one burn-rate SLO per
-/// priority class plus the queue-depth, rejection-rate and anomaly
-/// monitors. The watcher is a pure observer, so a watched run is
-/// byte-identical to an unwatched one apart from the report's extra
-/// `energy` and `health` sections (`tests/observers/mod.rs` pins that).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub struct WatchSpec {
-    /// Admission wait (ticks) above which an admission burns SLO budget.
-    pub slo_target_wait: u64,
-    /// Allowed bad-admission fraction, in centi (`10` = 10%).
-    pub slo_budget_centi: u64,
-    /// Short burn-rate window, ticks.
-    pub slo_short_window: u64,
-    /// Long burn-rate window, ticks; must exceed the short window.
-    pub slo_long_window: u64,
-    /// Queue depth at which the queue monitor fires; `0` disables it.
-    pub queue_fire_depth: u64,
-    /// z-score (centi) firing the power/occupancy anomaly detectors;
-    /// `0` disables both detectors.
-    pub anomaly_z_centi: u64,
-    /// Samples the anomaly detectors consume to seed their baselines.
-    pub anomaly_warmup: u64,
-}
-
-impl Default for WatchSpec {
-    fn default() -> Self {
-        WatchSpec {
-            slo_target_wait: 120,
-            slo_budget_centi: 10,
-            slo_short_window: 200,
-            slo_long_window: 800,
-            queue_fire_depth: 32,
-            anomaly_z_centi: 300,
-            anomaly_warmup: 8,
-        }
-    }
-}
-
-impl WatchSpec {
-    /// The full rule set the engine arms the watcher with.
-    pub fn policy(&self) -> kairos_watch::WatchPolicy {
-        let slo = PriorityClass::ALL
-            .iter()
-            .map(|&class| kairos_watch::SloRule {
-                target_wait: self.slo_target_wait,
-                budget_centi: self.slo_budget_centi,
-                short_window: self.slo_short_window,
-                long_window: self.slo_long_window,
-                ..kairos_watch::SloRule::default_for(class)
-            })
-            .collect();
-        let anomaly = (self.anomaly_z_centi > 0).then(|| kairos_watch::AnomalyRule {
-            z_fire_centi: self.anomaly_z_centi,
-            warmup: self.anomaly_warmup,
-            ..kairos_watch::AnomalyRule::default()
-        });
-        kairos_watch::WatchPolicy {
-            slo,
-            queue: (self.queue_fire_depth > 0).then_some(kairos_watch::QueueDepthRule {
-                fire_depth: self.queue_fire_depth,
-                clear_depth: self.queue_fire_depth / 4,
-            }),
-            rejection: Some(kairos_watch::RejectionRateRule::default()),
-            power_anomaly: anomaly.clone(),
-            occupancy_anomaly: anomaly,
-        }
-    }
-}
-
 /// One per-class override of the platform power model.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PowerOverride {
     /// Element-class label (`arm`, `dsp`, `fpga`, `mem`, `tst`, `io`).
     pub kind: String,
@@ -322,7 +230,7 @@ pub struct PowerOverride {
 /// paper-derived Table-I default rates, adjusted by `overrides`) and
 /// embeds the account as the report's `energy` section. Like
 /// [`WatchSpec`], a pure observer.
-#[derive(Debug, Clone, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct PowerSpec {
     /// Per-class rate overrides; an empty list keeps every default rate.
     pub overrides: Vec<PowerOverride>,
@@ -344,7 +252,7 @@ impl PowerSpec {
 }
 
 /// A scripted element fault (and optional repair).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FaultSpec {
     /// Virtual time of the failure.
     pub at: u64,
@@ -355,7 +263,7 @@ pub struct FaultSpec {
 }
 
 /// A complete, seeded scenario description.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Scenario {
     /// Scenario name (catalog key).
     pub name: String,
@@ -390,9 +298,12 @@ pub struct Scenario {
     /// `Some` wraps it in a `kairos-gateway` [`Gateway`](kairos_gateway::Gateway)
     /// (per-shard bounded request lanes in a deterministic
     /// ticket-ordered queue) and embeds the serving counters as the
-    /// report's `gateway` section. With default knobs the wrapped run is
-    /// byte-identical to the unwrapped one apart from that section.
-    pub gateway: Option<GatewaySpec>,
+    /// report's `gateway` section. With the default config the wrapped
+    /// run is byte-identical to the unwrapped one apart from that section
+    /// (`tests/observers/mod.rs` pins that); a small
+    /// [`GatewayConfig::channel_capacity`] makes full lanes park requests
+    /// until completions free slots (bounded backpressure).
+    pub gateway: Option<GatewayConfig>,
     /// Whether the run records `kairos-telemetry` observability: spans,
     /// the full metric registry (every layer's counters, gauges and
     /// latency histograms) and per-shard flight recorders. The engine
@@ -421,10 +332,13 @@ pub struct Scenario {
     /// observer-effect harness, `tests/observers/mod.rs`, pins exactly this).
     pub cache: bool,
     /// Energy/health watching (`kairos-watch`). `None` runs unwatched;
-    /// `Some` arms the spec's monitor rule set over the run's event and
-    /// sample streams and embeds `energy` and `health` sections in the
-    /// report. The watcher is a pure observer — a watched run is
-    /// byte-identical to an unwatched one apart from those sections.
+    /// `Some` arms the watch's fixed rule set — one burn-rate SLO per
+    /// priority class, the rejection-rate monitor, and the queue-depth
+    /// and anomaly monitors the spec switches on — over the run's event
+    /// and sample streams, and embeds `energy` and `health` sections in
+    /// the report. The watcher is a pure observer — a watched run is
+    /// byte-identical to an unwatched one apart from those sections
+    /// (`tests/observers/mod.rs` pins that).
     pub watch: Option<WatchSpec>,
     /// Energy accounting without alerting. `None` (with [`Scenario::watch`]
     /// also `None`) runs no meter; `Some` integrates sampled activity
@@ -542,20 +456,6 @@ impl Scenario {
                 return Err("gateway channel_capacity must be at least 1".into());
             }
         }
-        if let Some(watch) = &self.watch {
-            if watch.slo_budget_centi == 0 || watch.slo_budget_centi > 100 {
-                return Err(format!(
-                    "watch slo_budget_centi {} must be within 1..=100",
-                    watch.slo_budget_centi
-                ));
-            }
-            if watch.slo_short_window == 0 || watch.slo_short_window >= watch.slo_long_window {
-                return Err(format!(
-                    "watch SLO windows must satisfy 0 < short ({}) < long ({})",
-                    watch.slo_short_window, watch.slo_long_window
-                ));
-            }
-        }
         if let Some(power) = &self.power {
             for over in &power.overrides {
                 if !kairos_platform::ElementKind::ALL.iter().any(|k| k.label() == over.kind) {
@@ -670,7 +570,6 @@ impl Scenario {
                 adm.push("backoff_cap", policy.backoff_cap);
                 adm.push("preemption", policy.preemption.to_string());
                 adm.push("max_victims", policy.max_victims as u64);
-                adm.push("victim_order", policy.victim_order.to_string());
                 doc.push("admission", adm)
             }
         };
@@ -703,9 +602,9 @@ impl Scenario {
         };
         match &self.gateway {
             None => doc.push("gateway", Json::Null),
-            Some(spec) => {
+            Some(config) => {
                 let mut gateway = Json::object();
-                gateway.push("channel_capacity", spec.channel_capacity as u64);
+                gateway.push("channel_capacity", config.channel_capacity as u64);
                 doc.push("gateway", gateway)
             }
         };
@@ -716,13 +615,8 @@ impl Scenario {
             None => doc.push("watch", Json::Null),
             Some(spec) => {
                 let mut watch = Json::object();
-                watch.push("slo_target_wait", spec.slo_target_wait);
-                watch.push("slo_budget_centi", spec.slo_budget_centi);
-                watch.push("slo_short_window", spec.slo_short_window);
-                watch.push("slo_long_window", spec.slo_long_window);
-                watch.push("queue_fire_depth", spec.queue_fire_depth);
-                watch.push("anomaly_z_centi", spec.anomaly_z_centi);
-                watch.push("anomaly_warmup", spec.anomaly_warmup);
+                watch.push("queue_monitor", spec.queue_monitor);
+                watch.push("anomaly_detectors", spec.anomaly_detectors);
                 doc.push("watch", watch)
             }
         };
@@ -991,7 +885,6 @@ fn critical_preempt() -> Scenario {
             backoff_cap: 4,
             preemption: PreemptionPolicy::Evict,
             max_victims: 4,
-            ..AdmitPolicy::default()
         }),
         ..Scenario::new("critical-preempt", 0x9EE47, 40, PlatformSpec::Crisp, phases)
     }
@@ -1031,7 +924,6 @@ fn migrate_vs_evict() -> Scenario {
             backoff_cap: 4,
             preemption: PreemptionPolicy::Migrate,
             max_victims: 6,
-            ..AdmitPolicy::default()
         }),
         ..Scenario::new("migrate-vs-evict", 0x316A7E, 40, PlatformSpec::Crisp, phases)
     }
@@ -1203,7 +1095,6 @@ fn telemetry_probe_latency() -> Scenario {
             backoff_cap: 4,
             preemption: PreemptionPolicy::Migrate,
             max_victims: 4,
-            ..AdmitPolicy::default()
         }),
         cluster: Some(ClusterSpec {
             shards: 3,
@@ -1249,7 +1140,6 @@ fn traced_preemption_storm() -> Scenario {
             backoff_cap: 4,
             preemption: PreemptionPolicy::Evict,
             max_victims: 4,
-            ..AdmitPolicy::default()
         }),
         cluster: Some(ClusterSpec {
             shards: 3,
@@ -1375,7 +1265,7 @@ fn gateway_arrival_storm() -> Scenario {
             policy: PlacementPolicyKind::LeastLoaded,
             rebalance: None,
         }),
-        gateway: Some(GatewaySpec::default()),
+        gateway: Some(GatewayConfig::default()),
         ..Scenario::new("gateway-arrival-storm", 0x6A7E, 30, PlatformSpec::Crisp, phases)
     }
 }
@@ -1410,7 +1300,7 @@ fn gateway_backpressure() -> Scenario {
             backoff_cap: 4,
             ..AdmitPolicy::default()
         }),
-        gateway: Some(GatewaySpec { channel_capacity: 4 }),
+        gateway: Some(GatewayConfig { channel_capacity: 4 }),
         ..Scenario::new("gateway-backpressure", 0x6A7E8, 25, PlatformSpec::Crisp, phases)
     }
 }
@@ -1448,7 +1338,7 @@ fn slo_burn_storm() -> Scenario {
             backoff_cap: 4,
             ..AdmitPolicy::default()
         }),
-        watch: Some(WatchSpec { anomaly_z_centi: 0, ..WatchSpec::default() }),
+        watch: Some(WatchSpec { anomaly_detectors: false, ..WatchSpec::default() }),
         ..Scenario::new("slo-burn-storm", 0x510B, 25, PlatformSpec::Crisp, phases)
     }
 }
@@ -1485,7 +1375,7 @@ fn power_cap_skew() -> Scenario {
             policy: PlacementPolicyKind::FirstFit,
             rebalance: None,
         }),
-        watch: Some(WatchSpec { queue_fire_depth: 0, ..WatchSpec::default() }),
+        watch: Some(WatchSpec { queue_monitor: false, ..WatchSpec::default() }),
         power: Some(PowerSpec {
             overrides: vec![PowerOverride { kind: "dsp".to_owned(), busy_mw: 400, idle_mw: 100 }],
         }),
@@ -1663,14 +1553,6 @@ mod tests {
         s.gateway.as_mut().unwrap().channel_capacity = 0;
         assert!(s.validate().unwrap_err().contains("channel_capacity"));
 
-        let mut s = Scenario::by_name("slo-burn-storm").unwrap();
-        s.watch.as_mut().unwrap().slo_budget_centi = 0;
-        assert!(s.validate().unwrap_err().contains("slo_budget_centi"));
-
-        let mut s = Scenario::by_name("slo-burn-storm").unwrap();
-        s.watch.as_mut().unwrap().slo_short_window = 800;
-        assert!(s.validate().unwrap_err().contains("short"));
-
         let mut s = Scenario::by_name("power-cap-skew").unwrap();
         s.power.as_mut().unwrap().overrides[0].kind = "gpu".to_owned();
         assert!(s.validate().unwrap_err().contains("unknown kind"));
@@ -1734,7 +1616,7 @@ mod tests {
         assert!(a.contains("\"watch\": null"), "unwatched scenarios render a null watch");
         assert!(a.contains("\"power\": null"), "unmetered scenarios render a null power");
         let watched = Scenario::by_name("power-cap-skew").unwrap().to_json().render();
-        for key in ["\"slo_target_wait\"", "\"anomaly_z_centi\"", "\"overrides\"", "\"busy_mw\""] {
+        for key in ["\"queue_monitor\": false", "\"anomaly_detectors\": true", "\"busy_mw\""] {
             assert!(watched.contains(key), "missing {key} in {watched}");
         }
         let queued = Scenario::by_name("retry-storm").unwrap().to_json().render();

@@ -2,10 +2,8 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 /// Which monitor family raised an alert.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum AlertKind {
     /// A per-class admission-latency SLO is burning its error budget
     /// across both burn-rate windows.
@@ -40,7 +38,7 @@ impl fmt::Display for AlertKind {
 }
 
 /// How far past its threshold an alert's signal was when it fired.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum Severity {
     /// The signal crossed the threshold.
     Warning,
@@ -80,7 +78,7 @@ impl fmt::Display for Severity {
 ///
 /// Everything is integers and fixed strings, so alert streams — and the
 /// `SimReport::health` section they land in — are byte-reproducible.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Alert {
     /// Sequence number, unique per watcher, in fire order.
     pub seq: u64,
@@ -110,28 +108,6 @@ impl Alert {
     pub fn active(&self) -> bool {
         self.cleared_at.is_none()
     }
-}
-
-/// An alert lifecycle transition, as delivered to
-/// [`WatchHandle`](crate::WatchHandle) subscribers.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum AlertTransition {
-    /// The alert started firing.
-    Fired,
-    /// The alert stopped firing.
-    Cleared,
-}
-
-/// One subscriber-visible alert event: a transition plus the alert's
-/// state right after it.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct AlertEvent {
-    /// What happened.
-    pub transition: AlertTransition,
-    /// Virtual time of the transition.
-    pub at: u64,
-    /// The alert right after the transition.
-    pub alert: Alert,
 }
 
 #[cfg(test)]

@@ -13,10 +13,9 @@ use std::sync::Arc;
 use kairos_core::ElementActivity;
 use kairos_platform::{ElementKind, PowerModel};
 use kairos_telemetry::{Counter, Gauge, Telemetry};
-use serde::{Deserialize, Serialize};
 
 /// Energy attributed to one element class, in milliwatt-ticks.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct KindEnergy {
     /// The element-class label (`arm`, `dsp`, `fpga`, `mem`, `tst`, `io`).
     pub kind: String,
@@ -28,7 +27,7 @@ pub struct KindEnergy {
 ///
 /// An element's package is the prefix of its name before the first `/`
 /// (`pkg2/dsp4` → `pkg2`); names without a `/` form their own package.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PackageEnergy {
     /// Package name.
     pub name: String,
@@ -39,7 +38,7 @@ pub struct PackageEnergy {
 }
 
 /// One point of the instantaneous power series.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PowerPoint {
     /// Virtual time of the sample.
     pub at: u64,
@@ -53,7 +52,7 @@ pub struct PowerPoint {
 ///
 /// A busy element's draw is split evenly (integer floor) among the
 /// distinct applications resident on it at observation time.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct AppEnergy {
     /// The application's stable id.
     pub app: u64,
@@ -63,7 +62,7 @@ pub struct AppEnergy {
 
 /// The end-of-run energy account: totals, per-class and per-package
 /// breakdowns, the instantaneous power series, and the heaviest consumers.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct EnergyReport {
     /// Virtual time the account covers, `[0, horizon)`.
     pub horizon: u64,

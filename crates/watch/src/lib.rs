@@ -3,8 +3,9 @@
 //! Energy/power accounting, SLO burn-rate monitors and deterministic
 //! health alerting for the Kairos run-time — the *observation half* of a
 //! SARA-style self-aware control loop: this crate turns raw service
-//! signals into judgments; a future controller subscribes to them through
-//! [`WatchHandle`] and closes the loop.
+//! signals into judgments and writes them into the run's report. No
+//! controller acts on them yet, so the crate offers no subscription
+//! surface; one returns with the controller.
 //!
 //! Three layers:
 //!
@@ -14,11 +15,12 @@
 //!   busy/idle milliwatt rates, Table-I-derived defaults) into
 //!   per-class/per-package/per-app energy totals and a virtual-time power
 //!   series, rendered as an [`EnergyReport`].
-//! * **Monitors** — a declarative [`WatchPolicy`] arms per-class
-//!   admission-latency SLOs with multi-window burn-rate firing
-//!   ([`SloRule`]), queue-depth and rejection-rate thresholds, and
-//!   EWMA/z-score anomaly detectors over the power and occupancy series
-//!   ([`AnomalyRule`]). The [`Watcher`] evaluates them over the service
+//! * **Monitors** — a fixed rule set: per-class admission-latency SLOs
+//!   with multi-window burn-rate firing, a rejection-rate threshold, and,
+//!   behind the two switches of [`WatchSpec`], a queue-depth threshold
+//!   and EWMA/z-score anomaly detectors over the power and occupancy
+//!   series. Every threshold is a constant (`docs/OBSERVABILITY.md`
+//!   lists them). The [`Watcher`] evaluates the rules over the service
 //!   event stream and emits deterministic [`Alert`] lifecycles
 //!   (fire/clear, severity, cause chain) into a [`HealthReport`] with
 //!   per-shard health scores.
@@ -42,17 +44,16 @@ mod rules;
 mod status;
 mod watcher;
 
-pub use alert::{Alert, AlertEvent, AlertKind, AlertTransition, Severity};
+pub use alert::{Alert, AlertKind, Severity};
 pub use energy::{
     AppEnergy, EnergyMeter, EnergyMetrics, EnergyReport, KindEnergy, PackageEnergy, PowerPoint,
 };
-pub use rules::{AnomalyRule, QueueDepthRule, RejectionRateRule, SloRule, WatchPolicy};
+pub use rules::WatchSpec;
 pub use status::{StatusSnapshot, StatusTotals};
-pub use watcher::{HealthReport, ShardHealth, WatchHandle, WatchMetrics, Watcher};
+pub use watcher::{HealthReport, ShardHealth, WatchMetrics, Watcher};
 
-/// Compile-time thread-safety pin: handles cross thread boundaries when a
-/// controller subscribes from outside the simulation thread.
+/// Compile-time thread-safety pin: an owner may move a watched stack to
+/// the thread of its choice.
 const fn _assert_send_sync<T: Send + Sync>() {}
-const _: () = _assert_send_sync::<WatchHandle>();
 const _: () = _assert_send_sync::<Watcher>();
 const _: () = _assert_send_sync::<EnergyMeter>();

@@ -3,18 +3,17 @@
 //! end-of-run [`HealthReport`].
 
 use std::collections::BTreeMap;
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
-use kairos_admitd::{Event, RejectCause};
+use kairos_admitd::{Event, PriorityClass, RejectCause};
 use kairos_core::ElementActivity;
 use kairos_telemetry::{Counter, Gauge, Level, Telemetry};
-use serde::{Deserialize, Serialize};
 
-use crate::alert::{Alert, AlertEvent, AlertKind, AlertTransition, Severity};
-use crate::rules::{AnomalyState, QueueState, RejectionState, SloState, Verdict, WatchPolicy};
+use crate::alert::{Alert, AlertKind, Severity};
+use crate::rules::{AnomalyState, QueueState, RejectionState, SloState, Verdict, WatchSpec};
 
 /// Health score of one shard, `0..=100` (100 = no findings).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ShardHealth {
     /// Shard index (0 for a monolithic service).
     pub shard: usize,
@@ -24,9 +23,9 @@ pub struct ShardHealth {
 
 /// The end-of-run judgment: every alert lifecycle the run produced, plus
 /// per-shard health scores.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct HealthReport {
-    /// Rules the policy armed.
+    /// Rules the spec armed.
     pub rules: usize,
     /// Rule evaluation passes (one per sample).
     pub evaluations: u64,
@@ -68,46 +67,6 @@ impl WatchMetrics {
     }
 }
 
-#[derive(Debug, Default)]
-struct HandleState {
-    pending: Vec<AlertEvent>,
-    active: BTreeMap<u64, Alert>,
-}
-
-/// Subscription handle onto a [`Watcher`]'s alert stream — the surface a
-/// future adaptive controller reacts through. Cheap to clone; all clones
-/// share one event queue.
-#[derive(Debug, Clone, Default)]
-pub struct WatchHandle {
-    state: Arc<Mutex<HandleState>>,
-}
-
-impl WatchHandle {
-    /// Drains every alert transition delivered since the last drain, in
-    /// order.
-    pub fn drain(&self) -> Vec<AlertEvent> {
-        std::mem::take(&mut self.state.lock().expect("watch handle").pending)
-    }
-
-    /// The currently firing alerts, in fire order.
-    pub fn active(&self) -> Vec<Alert> {
-        self.state.lock().expect("watch handle").active.values().cloned().collect()
-    }
-
-    fn deliver(&self, event: AlertEvent) {
-        let mut state = self.state.lock().expect("watch handle");
-        match event.transition {
-            AlertTransition::Fired => {
-                state.active.insert(event.alert.seq, event.alert.clone());
-            }
-            AlertTransition::Cleared => {
-                state.active.remove(&event.alert.seq);
-            }
-        }
-        state.pending.push(event);
-    }
-}
-
 /// Identity of one rule instance, used to key its active alert.
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
 enum RuleId {
@@ -118,27 +77,28 @@ enum RuleId {
     Occupancy,
 }
 
-/// Evaluates a [`WatchPolicy`] over the service's event stream and the
-/// periodic activity/power/queue samples, emitting deterministic
-/// [`Alert`] lifecycles.
+/// Evaluates the rules a [`WatchSpec`] arms over the service's event
+/// stream and the periodic activity/power/queue samples, emitting
+/// deterministic [`Alert`] lifecycles.
 ///
 /// A pure observer: it only reads the streams it is fed and never feeds
 /// anything back into admission decisions, so enabling it cannot change
 /// any non-health byte of a run.
 #[derive(Debug)]
 pub struct Watcher {
-    slo: Vec<SloState>,
+    /// One SLO per priority class, in [`PriorityClass::ALL`] order.
+    slo: [SloState; 4],
     queue: Option<QueueState>,
-    rejection: Option<RejectionState>,
-    power_rule: Option<crate::rules::AnomalyRule>,
-    power: BTreeMap<String, AnomalyState>,
+    rejection: RejectionState,
+    /// One power detector per observed package; `None` when the anomaly
+    /// detectors are off.
+    power: Option<BTreeMap<String, AnomalyState>>,
     occupancy: Option<AnomalyState>,
     rules: usize,
     evaluations: u64,
     alerts: Vec<Alert>,
     /// Rule instance → index into `alerts` of its active alert.
     active: BTreeMap<RuleId, usize>,
-    handle: WatchHandle,
     metrics: Option<WatchMetrics>,
     telemetry: Telemetry,
     shard_count: usize,
@@ -146,31 +106,25 @@ pub struct Watcher {
 }
 
 impl Watcher {
-    /// A watcher over `policy`, registering `kairos.watch.*` instruments
-    /// on `telemetry` when the hub is enabled.
-    pub fn new(policy: WatchPolicy, telemetry: &Telemetry) -> Self {
+    /// A watcher over the rules `spec` arms, registering
+    /// `kairos.watch.*` instruments on `telemetry` when the hub is
+    /// enabled.
+    pub fn new(spec: WatchSpec, telemetry: &Telemetry) -> Self {
         Watcher {
-            rules: policy.rule_count(),
-            slo: policy.slo.into_iter().map(SloState::new).collect(),
-            queue: policy.queue.map(QueueState::new),
-            rejection: policy.rejection.map(RejectionState::new),
-            power: BTreeMap::new(),
-            power_rule: policy.power_anomaly,
-            occupancy: policy.occupancy_anomaly.map(AnomalyState::new),
+            rules: spec.rules(),
+            slo: PriorityClass::ALL.map(SloState::new),
+            queue: spec.queue_monitor.then(QueueState::default),
+            rejection: RejectionState::default(),
+            power: spec.anomaly_detectors.then(BTreeMap::new),
+            occupancy: spec.anomaly_detectors.then(AnomalyState::default),
             evaluations: 0,
             alerts: Vec::new(),
             active: BTreeMap::new(),
-            handle: WatchHandle::default(),
             metrics: WatchMetrics::new(telemetry),
             telemetry: telemetry.child("watch"),
             shard_count: 1,
             failed_elements: 0,
         }
-    }
-
-    /// A subscription handle onto this watcher's alert stream.
-    pub fn handle(&self) -> WatchHandle {
-        self.handle.clone()
     }
 
     /// Feeds service events observed at virtual time `at` into the SLO
@@ -180,24 +134,16 @@ impl Watcher {
         for event in events {
             match event {
                 Event::Admitted { class, waited, .. } => {
-                    for slo in self.slo.iter_mut().filter(|s| s.rule.class == *class) {
-                        slo.observe(at, *waited > slo.rule.target_wait);
-                    }
-                    if let Some(r) = &mut self.rejection {
-                        r.observe(at, false);
-                    }
+                    self.slo[class.index()].admitted(at, *waited);
+                    self.rejection.observe(at, false);
                 }
                 // A shutdown flush is the run ending, not a latency
                 // failure; every other rejection consumed the class's
                 // latency budget without an admission.
                 Event::Rejected { cause: RejectCause::Shutdown, .. } => {}
                 Event::Rejected { class, .. } => {
-                    for slo in self.slo.iter_mut().filter(|s| s.rule.class == *class) {
-                        slo.observe(at, true);
-                    }
-                    if let Some(r) = &mut self.rejection {
-                        r.observe(at, true);
-                    }
+                    self.slo[class.index()].refused(at);
+                    self.rejection.observe(at, true);
                 }
                 _ => {}
             }
@@ -226,11 +172,11 @@ impl Watcher {
 
         for i in 0..self.slo.len() {
             let verdict = self.slo[i].evaluate(at);
-            let subject = format!("class:{}", self.slo[i].rule.class);
+            let subject = format!("class:{}", self.slo[i].class);
             self.transition(at, RuleId::Slo(i), AlertKind::SloBurn, subject, None, verdict);
         }
-        if self.queue.is_some() {
-            let verdict = self.queue.as_mut().expect("just checked").evaluate(queue_depth as u64);
+        if let Some(queue) = &mut self.queue {
+            let verdict = queue.evaluate(queue_depth as u64);
             self.transition(
                 at,
                 RuleId::Queue,
@@ -240,24 +186,19 @@ impl Watcher {
                 verdict,
             );
         }
-        if self.rejection.is_some() {
-            let verdict = self.rejection.as_mut().expect("just checked").evaluate(at);
-            self.transition(
-                at,
-                RuleId::Rejection,
-                AlertKind::RejectionRate,
-                "admission".to_string(),
-                None,
-                verdict,
-            );
-        }
-        if let Some(rule) = self.power_rule.clone() {
+        let verdict = self.rejection.evaluate(at);
+        self.transition(
+            at,
+            RuleId::Rejection,
+            AlertKind::RejectionRate,
+            "admission".to_string(),
+            None,
+            verdict,
+        );
+        if self.power.is_some() {
             for (name, &mw) in packages.iter().zip(package_mw) {
-                let verdict = self
-                    .power
-                    .entry(name.clone())
-                    .or_insert_with(|| AnomalyState::new(rule.clone()))
-                    .observe(name, mw);
+                let power = self.power.as_mut().expect("just checked");
+                let verdict = power.entry(name.clone()).or_default().observe(name, mw);
                 let shard = shard_of_package(name, activity);
                 self.transition(
                     at,
@@ -269,10 +210,9 @@ impl Watcher {
                 );
             }
         }
-        if self.occupancy.is_some() {
+        if let Some(occupancy) = &mut self.occupancy {
             let busy = activity.iter().filter(|a| a.busy).count() as u64;
-            let verdict =
-                self.occupancy.as_mut().expect("just checked").observe("busy-elements", busy);
+            let verdict = occupancy.observe("busy-elements", busy);
             self.transition(
                 at,
                 RuleId::Occupancy,
@@ -320,34 +260,23 @@ impl Watcher {
                     m.fired.inc();
                     m.active.add(1);
                 }
-                self.handle.deliver(AlertEvent {
-                    transition: AlertTransition::Fired,
-                    at,
-                    alert: alert.clone(),
-                });
                 self.active.insert(id, self.alerts.len());
                 self.alerts.push(alert);
             }
             Verdict::Clear => {
                 if let Some(index) = self.active.remove(&id) {
                     self.alerts[index].cleared_at = Some(at);
-                    let alert = self.alerts[index].clone();
                     if let Some(flight) = self.telemetry.flight() {
                         flight.record(
                             Level::INFO,
                             "watch",
-                            format!("alert cleared: {} {}", kind, alert.subject),
+                            format!("alert cleared: {} {}", kind, self.alerts[index].subject),
                         );
                     }
                     if let Some(m) = &self.metrics {
                         m.cleared.inc();
                         m.active.add(-1);
                     }
-                    self.handle.deliver(AlertEvent {
-                        transition: AlertTransition::Cleared,
-                        at,
-                        alert,
-                    });
                 }
             }
             Verdict::Hold => {}
@@ -408,18 +337,7 @@ fn shard_of_package(package: &str, activity: &[ElementActivity]) -> Option<usize
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::rules::{AnomalyRule, QueueDepthRule, WatchPolicy};
     use kairos_platform::{ElementId, ElementKind};
-
-    fn quiet_policy() -> WatchPolicy {
-        WatchPolicy {
-            slo: vec![],
-            queue: Some(QueueDepthRule { fire_depth: 4, clear_depth: 1 }),
-            rejection: None,
-            power_anomaly: None,
-            occupancy_anomaly: None,
-        }
-    }
 
     fn dsp(shard: usize, name: &str, busy: bool) -> ElementActivity {
         ElementActivity {
@@ -436,26 +354,25 @@ mod tests {
     #[test]
     fn queue_alert_fires_and_clears_with_full_lifecycle() {
         let telemetry = Telemetry::disabled();
-        let mut w = Watcher::new(quiet_policy(), &telemetry);
-        let handle = w.handle();
-        w.on_sample(10, 2, &[], &[], &[]);
-        assert!(handle.drain().is_empty());
-        w.on_sample(20, 6, &[], &[], &[]);
-        let events = handle.drain();
-        assert_eq!(events.len(), 1);
-        assert_eq!(events[0].transition, AlertTransition::Fired);
-        assert_eq!(handle.active().len(), 1);
-        w.on_sample(30, 0, &[], &[], &[]);
-        let events = handle.drain();
-        assert_eq!(events[0].transition, AlertTransition::Cleared);
-        assert!(handle.active().is_empty());
+        let spec = WatchSpec { queue_monitor: true, anomaly_detectors: false };
+        let mut w = Watcher::new(spec, &telemetry);
+        // Below the fire depth, over it, between the depths (still
+        // firing), then at the clear depth.
+        for (at, depth) in [(10, 31), (20, 40), (30, 20), (40, 8)] {
+            w.on_sample(at, depth, &[], &[], &[]);
+        }
 
         let report = w.finish();
+        assert_eq!(report.rules, spec.rules());
+        assert_eq!(report.evaluations, 4);
         assert_eq!(report.fired, 1);
         assert_eq!(report.cleared, 1);
-        assert_eq!(report.alerts[0].fired_at, 20);
-        assert_eq!(report.alerts[0].cleared_at, Some(30));
-        assert!(!report.alerts[0].cause.is_empty());
+        let alert = &report.alerts[0];
+        assert_eq!((alert.kind, alert.subject.as_str()), (AlertKind::QueueDepth, "queue"));
+        assert_eq!((alert.signal, alert.threshold), (40, 32));
+        assert_eq!(alert.fired_at, 20);
+        assert_eq!(alert.cleared_at, Some(40));
+        assert_eq!(alert.cause, ["queue depth 40 >= 32"]);
         // One cleared global alert: 100 - 10/2.
         assert_eq!(report.shards, vec![ShardHealth { shard: 0, score: 95 }]);
     }
@@ -463,25 +380,15 @@ mod tests {
     #[test]
     fn power_anomaly_is_scoped_to_the_packages_shard() {
         let telemetry = Telemetry::disabled();
-        let policy = WatchPolicy {
-            slo: vec![],
-            queue: None,
-            rejection: None,
-            power_anomaly: Some(AnomalyRule {
-                warmup: 2,
-                consecutive: 1,
-                ..AnomalyRule::default()
-            }),
-            occupancy_anomaly: None,
-        };
-        let mut w = Watcher::new(policy, &telemetry);
+        let mut w = Watcher::new(WatchSpec::default(), &telemetry);
         let activity =
             [dsp(0, "pkg0/dsp0", true), dsp(1, "pkg1/dsp0", true), dsp(1, "pkg1/dsp1", false)];
         let packages = ["pkg0".to_string(), "pkg1".to_string()];
         for at in 0..8 {
             w.on_sample(at * 10, 0, &activity, &packages, &[1000, 2000]);
         }
-        // pkg1 steps down hard; pkg0 stays nominal.
+        // pkg1 steps down hard for two samples; pkg0 stays nominal.
+        w.on_sample(80, 0, &activity, &packages, &[1000, 200]);
         w.on_sample(90, 0, &activity, &packages, &[1000, 200]);
         let report = w.finish();
         assert_eq!(report.fired, 1);
@@ -489,6 +396,7 @@ mod tests {
         assert_eq!(alert.kind, AlertKind::PowerAnomaly);
         assert_eq!(alert.subject, "pkg1");
         assert_eq!(alert.shard, Some(1));
+        assert_eq!(alert.fired_at, 90);
         // Shard 1 carries the active alert's penalty; shard 0 is clean.
         assert_eq!(report.shards.len(), 2);
         assert_eq!(report.shards[0].score, 100);

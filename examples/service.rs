@@ -11,7 +11,7 @@
 
 use kairos::admitd::{
     AdmitPolicy, CapacityEvent, Command, Event, PreemptionPolicy, PriorityClass, Request,
-    ResourceService, ServiceBuilder, VictimOrder,
+    ResourceService, ServiceBuilder,
 };
 use kairos::appgen::{WorkloadMix, WorkloadSampler};
 use kairos::platform::topology;
@@ -68,11 +68,7 @@ fn main() {
     // construction, behaviour is deterministic thereafter.
     let mut service = ServiceBuilder::new(topology::crisp())
         .deterministic(true)
-        .admission(AdmitPolicy {
-            preemption: PreemptionPolicy::Migrate,
-            victim_order: VictimOrder::SmallestFirst,
-            ..AdmitPolicy::default()
-        })
+        .admission(AdmitPolicy { preemption: PreemptionPolicy::Migrate, ..AdmitPolicy::default() })
         .build()
         .expect("default policies are valid");
     let mut sampler = WorkloadSampler::new("service-demo", WorkloadMix::all_datasets(), 42);

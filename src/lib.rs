@@ -63,9 +63,10 @@
 //!   alerting: an `EnergyMeter` integrating periodic element-activity
 //!   observations against per-class busy/idle power rates into
 //!   per-class/per-package/per-app energy totals and a virtual-time
-//!   power series, plus a declarative `WatchPolicy` of per-class SLO
-//!   burn-rate monitors, queue-depth/rejection-rate thresholds and
-//!   EWMA/z-score anomaly detectors whose `Watcher` emits deterministic
+//!   power series, plus a fixed rule set of per-class SLO burn-rate
+//!   monitors and a rejection-rate threshold, with the queue-depth
+//!   threshold and the EWMA/z-score anomaly detectors behind the two
+//!   switches of `WatchSpec`, whose `Watcher` emits deterministic
 //!   fire/clear `Alert` lifecycles with per-shard health scores — a pure
 //!   judge over the event stream, never a participant.
 //!

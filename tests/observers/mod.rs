@@ -41,10 +41,11 @@
 use kairos::admitd::{AdmitPolicy, PreemptionPolicy};
 use kairos::appgen::{DatasetSpec, MixEntry, Orientation, SizeClass};
 use kairos::cluster::PlacementPolicyKind;
+use kairos::gateway::GatewayConfig;
 use kairos::platform::Platform;
 use kairos::sim::json::Json;
 use kairos::sim::{
-    ClusterSpec, GatewaySpec, PhaseSpec, PlatformSpec, Scenario, SimReport, Simulator, WatchSpec,
+    ClusterSpec, PhaseSpec, PlatformSpec, Scenario, SimReport, Simulator, WatchSpec,
 };
 use kairos::telemetry::{MetricValue, Snapshot};
 use proptest::prelude::*;
@@ -113,7 +114,7 @@ static KNOBS: [Knob; 6] = [
     Knob {
         name: "gateway",
         off: |s| Scenario { gateway: None, ..s },
-        on: |s| Scenario { gateway: Some(GatewaySpec::default()), ..s },
+        on: |s| Scenario { gateway: Some(GatewayConfig::default()), ..s },
         sections: &["gateway"],
         sane: |run| {
             let gateway = run.report.gateway.expect("gateway section");
@@ -127,7 +128,7 @@ static KNOBS: [Knob; 6] = [
                 "{}: a request stayed",
                 run.scenario.name
             );
-            if run.scenario.gateway == Some(GatewaySpec::default()) {
+            if run.scenario.gateway == Some(GatewayConfig::default()) {
                 assert_eq!(
                     gateway.parked, 0,
                     "{}: a default lane filled in lockstep",
@@ -285,7 +286,7 @@ fn generated(
         PhaseSpec::new("drain", 1200, 0, 0, Vec::new()),
     ];
     Scenario {
-        admission: queued.then(|| AdmitPolicy {
+        admission: queued.then_some(AdmitPolicy {
             class_capacity: [4, 4, 6, 8],
             max_wait: Some(400),
             max_attempts: 5,
@@ -297,7 +298,6 @@ fn generated(
                 PreemptionPolicy::Disabled
             },
             max_victims: 3,
-            ..AdmitPolicy::default()
         }),
         cluster: clustered.then_some(ClusterSpec {
             shards: 2,
@@ -321,7 +321,7 @@ pub fn regimes() -> impl Strategy<Value = Scenario> {
             );
             let mut scenario = generated(seed, interarrival, lifetime, queued, clustered, preempt);
             scenario.cache = cached;
-            scenario.gateway = gatewayed.then(GatewaySpec::default);
+            scenario.gateway = gatewayed.then(GatewayConfig::default);
             scenario
         },
     )
