@@ -646,7 +646,15 @@ impl Kairos {
     /// thing.
     fn release_claims_of(&mut self, id: AppId) {
         let Some(admitted) = self.admitted.get(&id) else { return };
-        self.platform.release_app(id);
+        // The layout names every element the application holds: release
+        // there, each element once, in ascending id order — the order a
+        // walk of the platform would visit them in.
+        let held = &mut self.workspace.held;
+        held.clear();
+        held.extend(admitted.layout.placement.iter().map(|(_, e)| e));
+        held.sort_unstable();
+        held.dedup();
+        self.platform.release_app(id, held.iter().copied());
         let bandwidths = admitted.app.channels().map(|c| c.bandwidth());
         release_routes(&mut self.platform, &admitted.layout.routes, bandwidths);
     }

@@ -18,6 +18,11 @@
 //! peers and each element's count of the request's own tasks, tabled when
 //! the placement changes — so one evaluation costs the task's peer list
 //! and the element's neighbour row, whatever the platform's size or load.
+//! Before the request has placed anything, and for a task without mapped
+//! peers — the start of an unpinned application — the neighbour row is not
+//! walked either: every used neighbour then earns the same bonus, and the
+//! platform keeps their count ([`Platform::used_neighbours`]), so one
+//! evaluation is O(1).
 
 use kairos_app::{Application, TaskId};
 use kairos_platform::{ElementId, Platform, SparseDistanceMatrix};
@@ -121,6 +126,9 @@ pub struct CostTables {
     peer_runs: Vec<(u32, u32)>,
     /// Per element id: the request's placed tasks on it.
     own: Vec<u32>,
+    /// The element of each placed task, in placing order: where `own` is
+    /// not zero, and whether the request has placed anything.
+    placed: Vec<ElementId>,
 }
 
 impl CostTables {
@@ -140,13 +148,18 @@ impl CostTables {
         self.peers.clear();
         self.peer_runs.clear();
         self.peer_runs.resize(tasks, (0, 0));
-        self.own.clear();
+        // Only where something was placed is a count left.
+        for &e in &self.placed {
+            self.own[e.index()] = 0;
+        }
+        self.placed.clear();
         self.own.resize(elements, 0);
     }
 
     /// Counts one more of the request's tasks placed on `e`.
     pub(crate) fn place(&mut self, e: ElementId) {
         self.own[e.index()] += 1;
+        self.placed.push(e);
     }
 
     /// Tables the mapped peers of `tasks` under `placement`, replacing
@@ -243,8 +256,33 @@ impl CostContext<'_> {
     /// relies on that: it digests the used flag and leaves resident
     /// identity out. Reading an [`Occupant`](kairos_platform::Occupant)
     /// here means putting what is read in the stamp.
+    ///
+    /// Before the request has placed anything, a task without mapped peers
+    /// sees no peer and no own task anywhere: each used neighbour earns
+    /// `BONUS_OTHER_APP`, and the sum is the platform's kept
+    /// [`Platform::used_neighbours`] count times that bonus — the same
+    /// `f64`, bit for bit, as the walk of the neighbour row, which debug
+    /// builds assert.
     pub fn fragmentation_bonus(&self, t: TaskId, e: ElementId) -> f64 {
         let peers = self.tables.peers(t);
+        let mut bonus = if self.tables.placed.is_empty() && peers.is_empty() {
+            let kept = f64::from(self.platform.used_neighbours(e)) * BONUS_OTHER_APP;
+            debug_assert_eq!(kept.to_bits(), self.neighbour_bonus(peers, e).to_bits());
+            kept
+        } else {
+            self.neighbour_bonus(peers, e)
+        };
+        // Low-connectivity elements (chip borders) are more favorable: using
+        // them now avoids isolating them later.
+        let max_degree = self.platform.max_degree().max(1);
+        let degree = self.platform.degree(e);
+        bonus += BONUS_BORDER * (max_degree - degree) as f64 / max_degree as f64;
+        bonus
+    }
+
+    /// The neighbour part of [`Self::fragmentation_bonus`] by a walk of
+    /// `e`'s neighbour row, for a task whose mapped peers are `peers`.
+    fn neighbour_bonus(&self, peers: &[(ElementId, f64)], e: ElementId) -> f64 {
         let mut bonus = 0.0;
         for &n in self.platform.neighbors(e) {
             if !self.platform.is_used(n) && self.tables.own_tasks_on(n) == 0 {
@@ -258,11 +296,6 @@ impl CostContext<'_> {
                 BONUS_OTHER_APP
             };
         }
-        // Low-connectivity elements (chip borders) are more favorable: using
-        // them now avoids isolating them later.
-        let max_degree = self.platform.max_degree().max(1);
-        let degree = self.platform.degree(e);
-        bonus += BONUS_BORDER * (max_degree - degree) as f64 / max_degree as f64;
         bonus
     }
 }

@@ -131,14 +131,22 @@ pub fn map_application(
 type Bound = (ElementKind, ResourceVector);
 
 /// Every element with `av(e, t)` for a task bound to `(kind, demand)` on the
-/// platform as it stands, ascending — read off the platform's per-kind
-/// table, so the other kinds are never visited. For the scans made before
-/// anything is placed.
+/// platform as it stands, in no fixed order: the kind's free-rank entries
+/// from the first total that could cover the demand (an element that fits
+/// has at least the demand's total free), skipping entries of elements
+/// mutated since the last refresh, and those elements read directly. For
+/// the scans made before anything is placed.
 fn available_elements(
     platform: &Platform,
     (kind, demand): Bound,
 ) -> impl Iterator<Item = ElementId> + '_ {
-    platform.ids_of_kind(kind).iter().copied().filter(move |&e| platform.is_available(e, &demand))
+    let rank = platform.free_rank(kind);
+    let from = rank.partition_point(|&(total, _)| total < demand.total());
+    let ranked = rank[from..].iter().map(|&(_, e)| e).filter(|&e| !platform.is_free_rank_dirty(e));
+    let dirty = platform.free_rank_dirty().iter().copied();
+    ranked
+        .chain(dirty.filter(move |&e| platform.element(e).kind() == kind))
+        .filter(move |&e| platform.is_available(e, &demand))
 }
 
 /// The request's partial placement in every form the mapper reads it: by
@@ -288,7 +296,13 @@ pub(crate) fn map_application_in(
     // whole process from the next-best start — "multiple iterations are
     // required to improve the solution". Only `START_RETRIES + 1` starts
     // are ever tried, so only that many are kept: cheapest first, equal
-    // costs in id order — the head of a stable sort of all of them.
+    // costs in id order — the head of a sort of all of them by
+    // `(cost, id)`, which the insertion spells out because the candidates
+    // arrive in free-rank order, not id order. The request has placed
+    // nothing yet and `t0` has no mapped peer, so a start's cost is
+    // `−w_f · (used neighbours + border bonus)`: the cost function reads
+    // the platform's kept used-neighbour count and the element's degree,
+    // O(1) per start, not its neighbour row.
     let t0 = *app.min_degree_tasks().first().expect("applications are validated non-empty");
     let attempts = START_RETRIES as usize + 1;
     scratch.starts.clear();
@@ -303,7 +317,8 @@ pub(crate) fn map_application_in(
         let starts = &mut scratch.starts;
         for e in available_elements(platform, scratch.bound[t0.index()]) {
             let cost = ctx.mapping_cost(t0, e);
-            let rank = starts.partition_point(|&(_, ranked)| ranked <= cost);
+            let rank =
+                starts.partition_point(|&(id, ranked)| ranked < cost || (ranked == cost && id < e));
             if rank < attempts {
                 starts.insert(rank, (e, cost));
                 starts.truncate(attempts);
@@ -660,6 +675,70 @@ mod tests {
                 .unwrap();
         for (_, el) in report.placement.iter() {
             assert_ne!(el, e[1]);
+        }
+    }
+
+    /// The fallback's starts are the head of a brute-force ranking: every
+    /// available element of `t0`'s kind, in id order, priced by
+    /// `mapping_cost` (whose kept-count path debug builds check against
+    /// the neighbour walk), stably sorted, cheapest first — on a loaded
+    /// mesh, under every policy, with the free rank's marks pending and
+    /// refreshed.
+    #[test]
+    fn the_fallback_starts_are_the_brute_force_ranking() {
+        let mut platform = topology::heterogeneous_mesh(8, 8);
+        let ids: Vec<_> = platform.element_ids().collect();
+        for (i, &e) in ids.iter().enumerate() {
+            let cpu = [0, 300, 0, 1000, 700, 0, 0, 200, 1000, 0, 500][i % 11];
+            if cpu > 0 && platform.element(e).kind() == ElementKind::Dsp {
+                let claimed = ResourceVector::new(cpu, 8, 0, 0);
+                platform.claim(e, Occupant { app: AppId(9), task: i as u32, claimed }).unwrap();
+            }
+        }
+        platform.fail_element(ids[18]);
+        // An unpinned star: every task fits many DSPs.
+        let mut b = ApplicationBuilder::new("star");
+        let center = b.add_task("center", TaskRole::Internal, vec![dsp(400)]);
+        for i in 0..3 {
+            let leaf = b.add_task(format!("leaf{i}"), TaskRole::Internal, vec![dsp(300)]);
+            b.add_channel(center, leaf, 50, 1);
+        }
+        let app = b.build().unwrap();
+        let binding = bind(&app, &platform).unwrap();
+        let t0 = app.min_degree_tasks()[0];
+        let bound = (ElementKind::Dsp, binding.implementation(&app, t0).requires());
+        let tables = CostTables::new(&app, &vec![None; app.task_count()], ids.len());
+        let distances = SparseDistanceMatrix::new();
+        let pending = platform.free_rank_dirty().len();
+        assert!(pending > 0, "the claims left marks for the scans to read directly");
+        let mut refreshed = platform.clone();
+        refreshed.refresh_free_rank();
+        for (platform, marks) in [(&platform, "pending"), (&refreshed, "refreshed")] {
+            for policy in CostPolicy::ALL {
+                let config = MapperConfig::with_policy(policy);
+                let mut scratch = MappingScratch::default();
+                let _ = map_application_in(&app, &binding, platform, &config, &mut scratch);
+
+                let ctx = CostContext {
+                    platform,
+                    tables: &tables,
+                    distances: &distances,
+                    weights: config.weights,
+                };
+                let mut ranked: Vec<(ElementId, f64)> = ids
+                    .iter()
+                    .filter(|&&e| platform.element(e).kind() == bound.0)
+                    .filter(|&&e| platform.is_available(e, &bound.1))
+                    .map(|&e| (e, ctx.mapping_cost(t0, e)))
+                    .collect();
+                assert!(
+                    ranked.len() > START_RETRIES as usize + 1,
+                    "{policy}, marks {marks}: many starts"
+                );
+                ranked.sort_by(|a, b| a.1.partial_cmp(&b.1).unwrap());
+                ranked.truncate(START_RETRIES as usize + 1);
+                assert_eq!(scratch.starts, ranked, "{policy}, marks {marks}");
+            }
         }
     }
 

@@ -170,6 +170,22 @@ fn link_available(platform: &Platform, taken: &[(u16, u64)], l: LinkId, bandwidt
 /// turned down for capacity, if any. Failed elements are not traversed
 /// (but `src` and `dst` themselves are permitted, so that draining routes
 /// stay discoverable).
+///
+/// The search pays for the route, not for the mesh, in two ways, and
+/// answers exactly what a breadth-first search that tests for the goal
+/// when it pops an element and exhausts everything reachable on a miss
+/// answers:
+///
+/// - **Goal test at discovery.** `prev[dst]` is written once, when `dst`
+///   is first discovered — the visited marks keep it from being
+///   overwritten — so the path rebuilt then is the one a pop-time test
+///   would rebuild, and the elements queued before `dst` are not expanded.
+/// - **Enclosed destinations stop at the first refusal.** `dst` is
+///   reachable only over one of its in-links, and only from `src` or an
+///   element that is not failed. When no in-link is left that qualifies —
+///   every one is full for the request, or starts at a failed element
+///   other than `src` — the search cannot succeed, and all a miss reports
+///   is the first link turned down. So it stops there.
 fn bfs_path(
     platform: &Platform,
     src: ElementId,
@@ -178,6 +194,10 @@ fn bfs_path(
     scratch: &mut RoutingScratch,
 ) -> Result<(), Option<LinkId>> {
     let RoutingScratch { links, visited, prev, queue, taken, .. } = scratch;
+    let enclosed = platform.predecessors(dst).iter().all(|&(from, link)| {
+        (platform.is_failed(from) && from != src)
+            || !link_available(platform, taken, link, bandwidth)
+    });
     let mut blocked = None;
     visited.reset(platform.element_count());
     visited.insert(src.index());
@@ -186,20 +206,23 @@ fn bfs_path(
     let mut head = 0;
     while let Some(&e) = queue.get(head) {
         head += 1;
-        if e == dst {
-            reconstruct(prev, src, dst, links);
-            return Ok(());
-        }
         for &(next, link) in platform.successors(e) {
             if visited.contains(next.index()) || (platform.is_failed(next) && next != dst) {
                 continue;
             }
             if !link_available(platform, taken, link, bandwidth) {
+                if enclosed {
+                    return Err(Some(link));
+                }
                 blocked = blocked.or(Some(link));
                 continue;
             }
             visited.insert(next.index());
             prev[next.index()] = (e, link);
+            if next == dst {
+                reconstruct(prev, src, dst, links);
+                return Ok(());
+            }
             queue.push(next);
         }
     }
@@ -298,6 +321,173 @@ mod tests {
     use super::*;
     use kairos_app::{ApplicationBuilder, Implementation, TaskRole};
     use kairos_platform::{topology, ElementKind, ResourceVector};
+    use proptest::prelude::*;
+    use std::collections::VecDeque;
+
+    /// The reference the routing phase is checked against: per channel,
+    /// fattest first, a breadth-first search that tests for the goal when
+    /// it pops an element and, on a miss, exhausts everything reachable
+    /// from `src`.
+    fn reference_routes(
+        app: &Application,
+        placement: &Placement,
+        platform: &Platform,
+    ) -> Result<Vec<Route>, RoutingError> {
+        let n = platform.element_count();
+        let mut taken = vec![(0u16, 0u64); platform.link_count()];
+        let left = |taken: &[(u16, u64)], l: LinkId| {
+            let (vcs, bandwidth) = taken[l.index()];
+            (
+                platform.link_free_virtual_channels(l) - vcs,
+                platform.link_free_bandwidth(l) - bandwidth,
+            )
+        };
+        let mut order: Vec<ChannelId> = app.channels().map(|c| c.id()).collect();
+        order.sort_by_key(|&c| (Reverse(app.channel(c).bandwidth()), c));
+        let mut routes = vec![Vec::new(); app.channel_count()];
+        for c in order {
+            let channel = app.channel(c);
+            let (src, dst) = (placement.element(channel.src()), placement.element(channel.dst()));
+            if src == dst {
+                continue;
+            }
+            let mut prev = vec![None; n];
+            let mut seen = vec![false; n];
+            seen[src.index()] = true;
+            let mut queue = VecDeque::from([src]);
+            let mut blocked = None;
+            let mut found = false;
+            while let Some(e) = queue.pop_front() {
+                if e == dst {
+                    found = true;
+                    break;
+                }
+                for &(next, link) in platform.successors(e) {
+                    if seen[next.index()] || (platform.is_failed(next) && next != dst) {
+                        continue;
+                    }
+                    let (vcs, free) = left(&taken, link);
+                    if vcs == 0 || free < channel.bandwidth() {
+                        blocked = blocked.or(Some(link));
+                        continue;
+                    }
+                    seen[next.index()] = true;
+                    prev[next.index()] = Some((e, link));
+                    queue.push_back(next);
+                }
+            }
+            if !found {
+                let blocked = blocked.map(|l| {
+                    let (vcs, free) = left(&taken, l);
+                    (l, vcs, free)
+                });
+                return Err(RoutingError::NoRoute { channel: c, src, dst, blocked });
+            }
+            let mut path = Vec::new();
+            let mut cursor = dst;
+            while let Some((parent, link)) = prev[cursor.index()] {
+                path.push(link);
+                cursor = parent;
+            }
+            path.reverse();
+            for &l in &path {
+                taken[l.index()].0 += 1;
+                taken[l.index()].1 += channel.bandwidth();
+            }
+            routes[c.index()] = path;
+        }
+        let routes = routes.into_iter().enumerate();
+        Ok(routes.map(|(c, links)| Route::new(ChannelId(c as u32), links)).collect())
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// The early-stopping search routes exactly as the reference does —
+        /// the same routes, or the same `NoRoute` with the same first
+        /// blocked link — on random loads of a 6x6 heterogeneous mesh
+        /// (link capacity reserved, elements failed), for random channel
+        /// sets between tasks placed anywhere, failed elements included.
+        #[test]
+        fn the_early_stopping_search_routes_as_the_exhaustive_one(
+            reserved in proptest::collection::vec((0u32..120, 100u64..1000), 0..160),
+            failed in proptest::collection::vec(0u32..36, 0..6),
+            placement in proptest::collection::vec(0u32..36, 2..7),
+            channels in proptest::collection::vec((0usize..7, 0usize..7, 1u64..700), 1..9),
+        ) {
+            let mut platform = topology::heterogeneous_mesh(6, 6);
+            for &(l, bandwidth) in &reserved {
+                let _ = platform.claim_link(LinkId(l), bandwidth);
+            }
+            failed.iter().for_each(|&e| platform.fail_element(ElementId(e)));
+            let imp = Implementation::new(ElementKind::Dsp, ResourceVector::splat(1), 1, 1);
+            let mut b = ApplicationBuilder::new("random");
+            let tasks: Vec<_> = (0..placement.len())
+                .map(|i| b.add_task(format!("t{i}"), TaskRole::Internal, vec![imp]))
+                .collect();
+            for &(x, y, bandwidth) in &channels {
+                let (x, y) = (x % tasks.len(), y % tasks.len());
+                if x != y {
+                    b.add_channel(tasks[x], tasks[y], bandwidth, 1);
+                }
+            }
+            let Ok(app) = b.build() else { return Ok(()) };
+            let placement = Placement::new(placement.iter().map(|&e| ElementId(e)).collect());
+            let mut scratch = RoutingScratch::default();
+            for _ in 0..2 {
+                // Twice on one scratch: nothing read is left from the last call.
+                let found =
+                    route_channels_in(&app, &placement, &platform, RouteAlgorithm::Bfs, &mut scratch);
+                prop_assert_eq!(found, reference_routes(&app, &placement, &platform));
+            }
+        }
+    }
+
+    /// The reference comparison above covers each way out of the search:
+    /// a route found, a miss on an enclosed destination (stopped at its
+    /// first refusal), a miss the search had to exhaust, and a failed
+    /// source next to its destination.
+    #[test]
+    fn each_way_out_of_the_search_agrees_with_the_reference() {
+        let mut platform = topology::dsp_mesh(3, 3);
+        let e: Vec<_> = platform.element_ids().collect();
+        let app = two_task_app(500);
+        let check = |platform: &Platform, dst: ElementId| {
+            let placement = Placement::new(vec![e[0], dst]);
+            let mut scratch = RoutingScratch::default();
+            let found =
+                route_channels_in(&app, &placement, platform, RouteAlgorithm::Bfs, &mut scratch);
+            assert_eq!(found, reference_routes(&app, &placement, platform));
+            found
+        };
+        assert_eq!(check(&platform, e[8]).unwrap()[0].hops(), 4);
+        // Enclose e8: both its in-links full for the request.
+        for (_, l) in platform.predecessors(e[8]).to_vec() {
+            platform.claim_link(l, 600).unwrap();
+        }
+        let enclosed = check(&platform, e[8]).unwrap_err();
+        assert!(matches!(enclosed, RoutingError::NoRoute { blocked: Some(_), .. }));
+        // Cut e4 off by failing its neighbours: nothing is refused for
+        // capacity on the way, and the miss names no link.
+        for n in [e[1], e[3], e[5], e[7]] {
+            platform.fail_element(n);
+        }
+        let exhausted = check(&platform, e[4]).unwrap_err();
+        assert!(matches!(exhausted, RoutingError::NoRoute { blocked: None, .. }));
+
+        // A failed `src` still sends: on the line e0 - e1 - e2, e2's one
+        // in-link starts at the failed e1, which is not enclosing when e1
+        // is the source — even though the search meets a full link first.
+        let mut line = topology::dsp_line(3);
+        let e: Vec<_> = line.element_ids().collect();
+        line.fail_element(e[1]);
+        line.claim_link(line.link_between(e[1], e[0]).unwrap(), 600).unwrap();
+        let placement = Placement::new(vec![e[1], e[2]]);
+        let mut scratch = RoutingScratch::default();
+        let found = route_channels_in(&app, &placement, &line, RouteAlgorithm::Bfs, &mut scratch);
+        assert_eq!(found, reference_routes(&app, &placement, &line));
+        assert_eq!(found.unwrap()[0].hops(), 1);
+    }
 
     fn two_task_app(bw: u64) -> Application {
         let imp = Implementation::new(ElementKind::Dsp, ResourceVector::splat(1), 1, 1);

@@ -8,7 +8,8 @@
 //! [`Workspace`] that a [`Kairos`] keeps between calls, so a warm admission
 //! takes from the heap only what outlives it. So does what the manager
 //! needs around the phases: the writer check's sums, the elements a
-//! probed decision newly uses, and the what-if copy of the platform. Each
+//! probed decision newly uses, the elements a release visits, and the
+//! what-if copy of the platform. Each
 //! phase's part is declared beside the code that uses it; this module
 //! assembles them and provides the one shared building block, the
 //! generation-stamped [`Marks`].
@@ -26,7 +27,7 @@
 //!
 //! [`Kairos`]: crate::Kairos
 
-use kairos_platform::Platform;
+use kairos_platform::{ElementId, Platform};
 
 use crate::binding::BindingScratch;
 use crate::cache::FitScratch;
@@ -45,6 +46,9 @@ pub(crate) struct Workspace {
     pub fit: FitScratch,
     /// The elements a probed decision newly uses (`Kairos::probe_admit`).
     pub seated: Marks,
+    /// The distinct elements of a released application's placement,
+    /// ascending (`Kairos::release_claims_of`).
+    pub held: Vec<ElementId>,
     /// The platform the manager decides its what-ifs on, made on first
     /// use (`Kairos::on_copy`).
     pub what_if: Option<Platform>,

@@ -14,7 +14,7 @@ use std::collections::VecDeque;
 
 use kairos_app::{Application, ApplicationBuilder, Implementation, TaskRole};
 use kairos_appgen::{generate_dataset, DatasetSpec};
-use kairos_core::{bind, map_application, CostPolicy, MapperConfig, MappingError};
+use kairos_core::{bind, map_application, CostPolicy, MapperConfig, MappingError, Placement};
 use kairos_platform::{topology, AppId, ElementId, ElementKind, Platform, ResourceVector};
 
 const SEED: u64 = 2016;
@@ -87,7 +87,7 @@ fn churn(
     let config = MapperConfig::with_policy(policy);
     let mut digest = Fnv::new();
     let mut tally = Tally::default();
-    let mut resident: VecDeque<AppId> = VecDeque::new();
+    let mut resident: VecDeque<(AppId, Placement)> = VecDeque::new();
     let elements = platform.element_count() as u32;
     let idle = platform.clone();
     for (i, app) in apps.iter().enumerate() {
@@ -117,7 +117,7 @@ fn churn(
                 digest.word(report.rings as u64);
                 digest.word(report.elements_discovered as u64);
                 digest.word(report.gap_invocations as u64);
-                resident.push_back(app_id);
+                resident.push_back((app_id, report.placement));
             }
             Some(Err(MappingError::SearchExhausted { ring, unmapped })) => {
                 tally.exhausted += 1;
@@ -140,8 +140,8 @@ fn churn(
             None => digest.word(5),
         }
         if !admitted || resident.len() > cap {
-            if let Some(oldest) = resident.pop_front() {
-                platform.release_app(oldest);
+            if let Some((oldest, placement)) = resident.pop_front() {
+                platform.release_app(oldest, placement.iter().map(|(_, e)| e));
             }
         }
     }

@@ -16,11 +16,16 @@
 //! Beside the ledger the platform keeps five occupancy totals
 //! ([`Platform::totals`]): the free and capacity totals of the live
 //! elements, the used and failed element counts, and the adjacent pairs
-//! with exactly one used end. They are state — a function of the ledger,
+//! with exactly one used end. Per element it keeps one count more, its
+//! used neighbours ([`Platform::used_neighbours`]), which is what the
+//! mapper's fragmentation bonus reads of an element before a request has
+//! placed anything. All of them are state — a function of the ledger,
 //! so they take part in equality — and every mutator keeps them in step
 //! in O(1), or O(degree) when an element's used flag flips, so the
 //! occupancy ratios cost a read, not a walk of the platform. The walks in
-//! `frag.rs` stay their definition ([`Platform::totals_from_scratch`]).
+//! `frag.rs` and the neighbour rows stay their definition
+//! ([`Platform::totals_from_scratch`],
+//! [`Platform::used_neighbours_from_scratch`]).
 //!
 //! Beside the state sit three *history* fields that never take part in
 //! equality: the mutation epoch ([`Platform::state_epoch`]), the stamp
@@ -161,6 +166,17 @@ pub enum AuditError {
         /// The recounted value.
         recounted: u64,
     },
+    /// An element's kept used-neighbour count
+    /// ([`Platform::used_neighbours`]) is not its recount
+    /// ([`Platform::used_neighbours_from_scratch`]).
+    UsedNeighbours {
+        /// The element.
+        element: ElementId,
+        /// The kept count.
+        kept: u32,
+        /// The recounted count.
+        recounted: u32,
+    },
 }
 
 impl fmt::Display for AuditError {
@@ -189,6 +205,9 @@ impl fmt::Display for AuditError {
             ),
             AuditError::Total { name, kept, recounted } => {
                 write!(f, "occupancy total {name} is kept as {kept} but recounts to {recounted}")
+            }
+            AuditError::UsedNeighbours { element, kept, recounted } => {
+                write!(f, "element {element}: {kept} used neighbours kept, {recounted} recounted")
             }
         }
     }
@@ -511,6 +530,8 @@ pub struct Platform {
     state: PlatformState,
     /// The kept occupancy totals; see [`Platform::totals`].
     totals: OccupancyTotals,
+    /// Per element, its used neighbours; see [`Platform::used_neighbours`].
+    used_neighbours: Vec<u32>,
     /// The checkpoints [`Self::begin_txn`] pushed that no
     /// [`Self::rollback_txn`] has restored yet, innermost last.
     txn_checkpoints: Vec<PlatformCheckpoint>,
@@ -601,6 +622,7 @@ impl Platform {
             pair_count: 0,
             state,
             totals: OccupancyTotals::default(),
+            used_neighbours: vec![0; n],
             txn_checkpoints: Vec::new(),
             epoch: MutationEpoch::default(),
             stamp: StampLedger::new(),
@@ -681,16 +703,23 @@ impl Platform {
         }
     }
 
-    /// Keeps the used count and the mixed-pair count in step after `e`'s
-    /// used flag flipped.
+    /// Keeps the used count, the mixed-pair count and the neighbours'
+    /// used-neighbour counts in step after `e`'s used flag flipped.
     fn note_used_flip(&mut self, e: ElementId) {
         let change = self.mixed_pair_change(e, |n| self.is_used(n));
+        let used = self.is_used(e);
+        let row = self.neighbor_offsets[e.index()] as usize
+            ..self.neighbor_offsets[e.index() + 1] as usize;
+        for &n in &self.neighbor_ids[row] {
+            let count = &mut self.used_neighbours[n.index()];
+            *count = if used { *count + 1 } else { *count - 1 };
+        }
         let t = &mut self.totals;
         t.mixed_pairs = t.mixed_pairs.wrapping_add_signed(change);
-        if self.state.residents[e.index()].is_empty() {
-            t.used -= 1;
-        } else {
+        if used {
             t.used += 1;
+        } else {
+            t.used -= 1;
         }
     }
 
@@ -712,6 +741,20 @@ impl Platform {
             failed: self.element_ids().filter(|&e| self.is_failed(e)).count(),
             mixed_pairs: adjacent_pair_counts(self).0,
         }
+    }
+
+    /// How many of `e`'s neighbours are used, failed ones included: kept
+    /// in step by the mutators like [`Self::totals`], copied by
+    /// [`Self::copy_state_from`] and recounted by [`Self::restore`]. O(1).
+    #[inline]
+    pub fn used_neighbours(&self, e: ElementId) -> u32 {
+        self.used_neighbours[e.index()]
+    }
+
+    /// [`Self::used_neighbours`] counted off `e`'s neighbour row:
+    /// O(degree). The reference the kept counts are audited against.
+    pub fn used_neighbours_from_scratch(&self, e: ElementId) -> u32 {
+        self.neighbors(e).iter().filter(|&&n| self.is_used(n)).count() as u32
     }
 
     /// The number of unordered adjacent element pairs: the denominator of
@@ -947,12 +990,21 @@ impl Platform {
         Some(occupant.claimed)
     }
 
-    /// Releases every occupant of application `app` on every element and
-    /// returns how many were released. Link claims are *not* touched; the
-    /// resource manager releases routes explicitly.
-    pub fn release_app(&mut self, app: AppId) -> usize {
+    /// Releases every occupant of application `app` on `elements`, visited
+    /// in the order given, and returns how many were released. The caller
+    /// names the elements the application holds — a resource manager knows
+    /// them from its layout, in ascending id order — so a release costs the
+    /// application's footprint, not a walk of the platform. An element
+    /// listed twice is released once; one where `app` holds nothing is not
+    /// touched. Link claims are *not* touched either; the resource manager
+    /// releases routes explicitly.
+    pub fn release_app(
+        &mut self,
+        app: AppId,
+        elements: impl IntoIterator<Item = ElementId>,
+    ) -> usize {
         let mut count = 0;
-        for e in self.element_ids() {
+        for e in elements {
             let was_used = self.is_used(e);
             let mut i = 0;
             while i < self.state.residents[e.index()].len() {
@@ -1071,7 +1123,8 @@ impl Platform {
     // ---- what-if copies ----------------------------------------------------------
 
     /// Brings this platform to `other`'s state — free vectors, residents in
-    /// their order, link occupancy, failure marks, the occupancy totals —
+    /// their order, link occupancy, failure marks, the occupancy totals and
+    /// used-neighbour counts —
     /// and the history kept beside it (epoch, stamp ledger, free rank), so
     /// a decision made here is the one `other` would make. A resource manager answers its
     /// what-ifs on such a copy kept beside the live platform. Copies into
@@ -1093,6 +1146,7 @@ impl Platform {
         state.links.clone_from(&from.links);
         state.failed.clone_from(&from.failed);
         self.totals = other.totals;
+        self.used_neighbours.clone_from(&other.used_neighbours);
         self.epoch = other.epoch;
         let (stamp, from) = (&mut self.stamp, &other.stamp);
         stamp.digests.clone_from(&from.digests);
@@ -1163,11 +1217,15 @@ impl Platform {
         // double in size for a path nothing hot takes), so the next stamp
         // starts from scratch. The free rank is rebuilt here instead: the
         // mutators keep marking into it whether or not anyone reads it. So
-        // are the occupancy totals, which every read expects current.
+        // are the occupancy totals and used-neighbour counts, which every
+        // read expects current.
         self.epoch.0 += 1;
         self.stamp.stale = true;
         self.rank.rebuild(&self.state, &self.kind_ids, &self.kind_offsets);
         self.totals = self.totals_from_scratch();
+        for e in 0..self.elements.len() {
+            self.used_neighbours[e] = self.used_neighbours_from_scratch(ElementId(e as u32));
+        }
     }
 
     /// `true` when no resources are claimed anywhere (all elements idle,
@@ -1199,8 +1257,10 @@ impl Platform {
     /// [`Self::state_stamp`] digests every
     /// record as [`Self::state_stamp_from_scratch`] does; refreshed, each
     /// kind's [`Self::free_rank`] is the sort of its elements by
-    /// `(free total, id)`; and each of the kept [`Self::totals`] is its
-    /// recount by [`Self::totals_from_scratch`].
+    /// `(free total, id)`; each of the kept [`Self::totals`] is its
+    /// recount by [`Self::totals_from_scratch`]; and each element's
+    /// [`Self::used_neighbours`] is its recount by
+    /// [`Self::used_neighbours_from_scratch`].
     ///
     /// Brings the stamp and the rank up to date first — history, not
     /// state, so neither equality nor any decision moves — which is why
@@ -1258,12 +1318,20 @@ impl Platform {
         }
 
         let recount = self.totals_from_scratch().named();
-        match self.totals.named().into_iter().zip(recount).find(|(kept, fresh)| kept != fresh) {
-            Some(((name, kept), (_, recounted))) => {
-                Err(AuditError::Total { name, kept, recounted })
-            }
-            None => Ok(()),
+        if let Some(((name, kept), (_, recounted))) =
+            self.totals.named().into_iter().zip(recount).find(|(kept, fresh)| kept != fresh)
+        {
+            return Err(AuditError::Total { name, kept, recounted });
         }
+
+        for element in self.element_ids() {
+            let (kept, recounted) =
+                (self.used_neighbours(element), self.used_neighbours_from_scratch(element));
+            if kept != recounted {
+                return Err(AuditError::UsedNeighbours { element, kept, recounted });
+            }
+        }
+        Ok(())
     }
 }
 
@@ -1340,7 +1408,7 @@ mod tests {
         p.claim(a, occ(1, 0, ResourceVector::new(10, 0, 0, 0))).unwrap();
         p.claim(c, occ(1, 1, ResourceVector::new(20, 0, 0, 0))).unwrap();
         p.claim(c, occ(2, 0, ResourceVector::new(30, 0, 0, 0))).unwrap();
-        assert_eq!(p.release_app(AppId(1)), 2);
+        assert_eq!(p.release_app(AppId(1), [a, c]), 2);
         assert_eq!(p.free(a), ResourceVector::new(100, 10, 0, 0));
         assert_eq!(p.free(c), ResourceVector::new(70, 10, 0, 0));
         assert_eq!(p.residents(c).len(), 1);
@@ -1481,7 +1549,7 @@ mod tests {
 
     #[test]
     fn audit_names_the_first_total_that_disagrees() {
-        let (mut p, a, _) = two_dsp();
+        let (mut p, a, c) = two_dsp();
         p.claim(a, occ(0, 0, ResourceVector::new(10, 1, 0, 0))).unwrap();
         assert_eq!(p.totals(), p.totals_from_scratch());
         let mut bad = p.clone();
@@ -1491,6 +1559,10 @@ mod tests {
         let mut bad = p.clone();
         bad.totals.mixed_pairs = 0;
         let expected = AuditError::Total { name: "mixed_pairs", kept: 0, recounted: 1 };
+        assert_eq!(bad.audit(), Err(expected));
+        let mut bad = p.clone();
+        bad.used_neighbours[c.index()] = 0;
+        let expected = AuditError::UsedNeighbours { element: c, kept: 0, recounted: 1 };
         assert_eq!(bad.audit(), Err(expected));
         assert_eq!(p.audit(), Ok(()));
     }

@@ -84,11 +84,74 @@ pub fn crisp() -> Platform {
 /// Panics if `config.packages` is zero.
 pub fn crisp_custom(config: CrispConfig) -> Platform {
     assert!(config.packages > 0, "CRISP platform needs at least one package");
+    let mut b = PlatformBuilder::new(format!("crisp-{}pkg", config.packages));
+    add_crisp_board(&mut b, config, "");
+    b.build()
+}
+
+/// `n` CRISP boards ([`crisp`]'s 62 elements each: an FPGA, five packages,
+/// an ARM host) tiled row by row on a grid `⌈√n⌉` boards wide: a
+/// platform that grows by whole boards. Every board keeps its own FPGA and
+/// ARM, so an application's I/O can find a host on its own board at any
+/// size, where a `heterogeneous_mesh` holds one of each for the whole chip
+/// and stretches requests pinned to them across it. Neighbouring boards are bridged like CRISP's packages, by
+/// chip-to-chip links that keep off the FPGA and ARM: the middle DSP of
+/// a board's last package's east column to the middle DSP of the west
+/// column of the first package east of it, and each package's
+/// bottom-middle memory to the top-middle DSP of the same package on the
+/// board south of it. Board `i`'s element names carry the prefix
+/// `tile{i}/`.
+///
+/// # Panics
+///
+/// Panics if `n` is zero.
+///
+/// # Examples
+///
+/// ```
+/// use kairos_platform::{topology, ElementKind};
+///
+/// let p = topology::crisp_tiles(4);
+/// assert_eq!(p.element_count(), 4 * 62);
+/// assert_eq!(p.elements_of_kind(ElementKind::Fpga).count(), 4);
+/// ```
+pub fn crisp_tiles(n: usize) -> Platform {
+    assert!(n > 0, "a tiled platform needs at least one board");
+    let config = CrispConfig::default();
+    let width = (1..=n).find(|w| w * w >= n).expect("n itself is wide enough");
+    let mut b = PlatformBuilder::new(format!("crisp-tiles-{n}"));
+    let boards: Vec<Vec<Vec<ElementId>>> =
+        (0..n).map(|i| add_crisp_board(&mut b, config, &format!("tile{i}/"))).collect();
+    let (bbw, bvc) = (config.bridge_bandwidth, config.bridge_virtual_channels);
+    for (i, packages) in boards.iter().enumerate() {
+        if (i + 1) % width != 0 && i + 1 < n {
+            let east = packages.last().expect("a board has packages")[5];
+            b.connect(east, boards[i + 1][0][3], bbw, bvc);
+        }
+        if let Some(south) = boards.get(i + width) {
+            for (above, below) in packages.iter().zip(south) {
+                b.connect(above[10], below[1], bbw, bvc);
+            }
+        }
+    }
+    b.build()
+}
+
+/// Adds one CRISP board — elements, intra-package meshes, bridges — to
+/// `b`, its element names prefixed by `prefix`, and returns each
+/// package's 3x4 grid, row-major, DSP rows first.
+fn add_crisp_board(
+    b: &mut PlatformBuilder,
+    config: CrispConfig,
+    prefix: &str,
+) -> Vec<Vec<ElementId>> {
     let bw = config.link_bandwidth;
     let vc = config.virtual_channels;
-    let mut b = PlatformBuilder::new(format!("crisp-{}pkg", config.packages));
-
-    let fpga = b.add_named_element(ElementKind::Fpga, "fpga0", default_capacity(ElementKind::Fpga));
+    let fpga = b.add_named_element(
+        ElementKind::Fpga,
+        format!("{prefix}fpga0"),
+        default_capacity(ElementKind::Fpga),
+    );
 
     // Per package: 3 columns x 4 rows; rows 0..2 are DSPs, row 3 is mem,mem,tst.
     const COLS: usize = 3;
@@ -102,19 +165,19 @@ pub fn crisp_custom(config: CrispConfig) -> Platform {
                 let id = if row < 3 {
                     b.add_named_element(
                         ElementKind::Dsp,
-                        format!("pkg{p}/dsp{idx}"),
+                        format!("{prefix}pkg{p}/dsp{idx}"),
                         default_capacity(ElementKind::Dsp),
                     )
                 } else if col < 2 {
                     b.add_named_element(
                         ElementKind::Memory,
-                        format!("pkg{p}/mem{col}"),
+                        format!("{prefix}pkg{p}/mem{col}"),
                         default_capacity(ElementKind::Memory),
                     )
                 } else {
                     b.add_named_element(
                         ElementKind::TestUnit,
-                        format!("pkg{p}/tst0"),
+                        format!("{prefix}pkg{p}/tst0"),
                         default_capacity(ElementKind::TestUnit),
                     )
                 };
@@ -155,13 +218,17 @@ pub fn crisp_custom(config: CrispConfig) -> Platform {
     }
 
     // ARM host bridges into the last package's east column.
-    let arm = b.add_named_element(ElementKind::Arm, "arm0", default_capacity(ElementKind::Arm));
+    let arm = b.add_named_element(
+        ElementKind::Arm,
+        format!("{prefix}arm0"),
+        default_capacity(ElementKind::Arm),
+    );
     let last = config.packages - 1;
     for row in [0usize, 2] {
         b.connect(packages[last][row * COLS + (COLS - 1)], arm, bbw, bvc);
     }
 
-    b.build()
+    packages
 }
 
 /// A `width x height` mesh of DSP elements with default capacities.
@@ -342,6 +409,35 @@ mod tests {
     #[should_panic(expected = "at least one package")]
     fn crisp_zero_packages_panics() {
         let _ = crisp_custom(CrispConfig { packages: 0, ..CrispConfig::default() });
+    }
+
+    #[test]
+    fn crisp_tiles_repeat_the_board_and_bridge_neighbours() {
+        let one = crisp_tiles(1);
+        let (base, links) = (crisp(), crisp().link_count());
+        assert_eq!(one.element_count(), base.element_count());
+        assert_eq!(one.link_count(), links);
+        // Kinds, capacities and links are CRISP's; only names are prefixed.
+        assert!(one.elements().zip(base.elements()).all(|(a, b)| a.kind() == b.kind()
+            && a.capacity() == b.capacity()
+            && a.name() == format!("tile0/{}", b.name())));
+        assert!(one
+            .links()
+            .zip(base.links())
+            .all(|(a, b)| a.src() == b.src() && a.dst() == b.dst()));
+        for n in [2, 4, 5, 16] {
+            let p = crisp_tiles(n);
+            assert_eq!(p.element_count(), 62 * n);
+            assert_eq!(p.elements_of_kind(ElementKind::Fpga).count(), n);
+            assert_eq!(p.elements_of_kind(ElementKind::Arm).count(), n);
+            let width = (1..=n).find(|w| w * w >= n).unwrap();
+            let east = (0..n).filter(|i| (i + 1) % width != 0 && i + 1 < n).count();
+            let south = n.saturating_sub(width);
+            assert_eq!(p.link_count(), n * links + 2 * (east + 5 * south), "{n} boards");
+            let first = p.element_ids().next().unwrap();
+            let d = bfs_distances(&p, first, SearchDirection::Forward);
+            assert!(d.iter().all(Option::is_some), "{n} boards are connected");
+        }
     }
 
     #[test]

@@ -286,13 +286,24 @@ type Op = (u8, u32, u32, u64);
 /// remembered beside it to keep the operations valid.
 struct Driven {
     platform: Platform,
-    /// Outstanding link claims, so releases stay balanced.
-    live: Vec<(LinkId, u64)>,
+    /// What the operations hold on the platform now.
+    held: Held,
     /// Open `begin_txn` checkpoints, innermost last: the exact state and
-    /// the outstanding link claims when each was pushed.
-    open: Vec<(PlatformCheckpoint, Vec<(LinkId, u64)>)>,
-    /// The last checkpoint taken, with its outstanding link claims.
-    saved: Option<(PlatformCheckpoint, Vec<(LinkId, u64)>)>,
+    /// what was held when each was pushed.
+    open: Vec<(PlatformCheckpoint, Held)>,
+    /// The last checkpoint taken, with what was held then.
+    saved: Option<(PlatformCheckpoint, Held)>,
+}
+
+/// What the generated operations remember of their own claims.
+#[derive(Debug, Clone, Default)]
+struct Held {
+    /// Outstanding link claims, so releases stay balanced.
+    links: Vec<(LinkId, u64)>,
+    /// Per application id, the elements it claimed on since its last
+    /// `release_app`, in claiming order and with repeats: the ids that
+    /// release passes, as a resource manager passes its layout's.
+    seats: [Vec<ElementId>; 4],
 }
 
 impl Driven {
@@ -301,7 +312,7 @@ impl Driven {
     }
 
     fn on(platform: Platform) -> Self {
-        Driven { platform, live: Vec::new(), open: Vec::new(), saved: None }
+        Driven { platform, held: Held::default(), open: Vec::new(), saved: None }
     }
 
     fn apply(&mut self, step: usize, (op, a, b, amount): Op) {
@@ -309,51 +320,64 @@ impl Driven {
         let e = ElementId(a % p.element_count() as u32);
         let l = LinkId(a % p.link_count() as u32);
         let app = AppId(b % 4);
+        let held = &mut self.held;
         match op {
             0 | 1 => {
                 // Task indices are unique per step: an `(app, task)` pair
                 // names one occupant.
                 let claimed = ResourceVector::new(amount, amount % 7, 0, 0);
-                let _ = p.claim(e, Occupant { app, task: step as u32, claimed });
+                if p.claim(e, Occupant { app, task: step as u32, claimed }).is_ok() {
+                    held.seats[app.0 as usize].push(e);
+                }
             }
             2 => {
                 if let Some(o) = p.residents(e).get(b as usize % 3).copied() {
                     p.release(e, o.app, o.task).unwrap();
                 }
             }
-            3 | 4 => drop(p.release_app(app)),
+            3 | 4 => {
+                // The list may name an element twice, or one a single
+                // release already emptied of `app`.
+                let seats = std::mem::take(&mut held.seats[app.0 as usize]);
+                let holds = |p: &Platform| {
+                    p.element_ids().flat_map(|e| p.residents(e)).filter(|o| o.app == app).count()
+                };
+                let before = holds(p);
+                assert_eq!(p.release_app(app, seats), before, "{app} released where it claimed");
+                assert_eq!(holds(p), 0, "{app} still holds a seat");
+            }
             5 | 6 => {
                 if p.claim_link(l, amount).is_ok() {
-                    self.live.push((l, amount));
+                    held.links.push((l, amount));
                 }
             }
             7 => {
-                if !self.live.is_empty() {
-                    let (l, bandwidth) = self.live.swap_remove(b as usize % self.live.len());
+                if !held.links.is_empty() {
+                    let (l, bandwidth) = held.links.swap_remove(b as usize % held.links.len());
                     p.release_link(l, bandwidth);
                 }
             }
             8 => p.fail_element(e),
             9 => p.repair_element(e),
             10 => {
-                self.open.push((p.checkpoint(), self.live.clone()));
+                self.open.push((p.checkpoint(), held.clone()));
                 p.begin_txn();
             }
             11 => {
-                if let Some((state_at_begin, live_at_begin)) = self.open.pop() {
+                if let Some((state_at_begin, held_at_begin)) = self.open.pop() {
                     // Whatever happened since, the checkpoint `begin_txn`
                     // pushed comes back — every byte, resident order
                     // included, which the stamp would not see.
                     p.rollback_txn();
-                    self.live = live_at_begin;
+                    *held = held_at_begin;
                     assert_eq!(p.checkpoint(), state_at_begin);
                 }
             }
-            12 => self.saved = Some((p.checkpoint(), self.live.clone())),
+            12 => self.saved = Some((p.checkpoint(), held.clone())),
             _ => {
-                if let Some((checkpoint, live)) = &self.saved {
+                if let Some((checkpoint, held_then)) = &self.saved {
                     p.restore(checkpoint.clone());
-                    self.live = live.clone();
+                    *held = held_then.clone();
                 }
             }
         }
@@ -493,12 +517,13 @@ fn walked_totals(p: &Platform) -> OccupancyTotals {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
-    /// The kept occupancy totals equal the walks after every step of any
-    /// sequence of claims, releases, application releases, faults and
-    /// repairs — on a 3x3 heterogeneous mesh most generated faults and
-    /// repairs are redundant, and those must change nothing, not even the
-    /// epoch — checkpoint-stack rollbacks and restores; and a what-if copy
-    /// brought to the state in place carries them along.
+    /// The kept occupancy totals and used-neighbour counts equal the walks
+    /// after every step of any sequence of claims, releases, application
+    /// releases, faults and repairs — on a 3x3 heterogeneous mesh most
+    /// generated faults and repairs are redundant, and those must change
+    /// nothing, not even the epoch — checkpoint-stack rollbacks and
+    /// restores; and a what-if copy brought to the state in place carries
+    /// them along.
     #[test]
     fn occupancy_totals_are_the_walks_after_every_step(
         ops in proptest::collection::vec((0u8..14, 0u32..64, 0u32..64, 0u64..700), 1..80),
@@ -523,8 +548,16 @@ proptest! {
             prop_assert_eq!(p.totals(), walked_totals(p), "step {}: {:?}", step, op);
             let frag = p.totals().mixed_pairs as f64 / p.pair_count() as f64;
             prop_assert_eq!(frag.to_bits(), external_fragmentation(p).to_bits());
+            for x in p.element_ids() {
+                let walked = p.neighbors(x).iter().filter(|&&n| p.is_used(n)).count() as u32;
+                prop_assert_eq!(p.used_neighbours(x), walked, "{} after step {}: {:?}", x, step, op);
+            }
             copy.copy_state_from(p);
             prop_assert_eq!(copy.totals(), p.totals(), "copy after step {}: {:?}", step, op);
+            prop_assert!(
+                p.element_ids().all(|x| copy.used_neighbours(x) == p.used_neighbours(x)),
+                "copy after step {}: {:?}", step, op
+            );
             prop_assert_eq!(copy.checkpoint(), p.checkpoint());
         }
         prop_assert_eq!(driven.platform.audit(), Ok(()));
