@@ -1,7 +1,5 @@
 //! Admission-control policy knobs.
 
-use std::fmt;
-
 /// How the front-end reacts when a
 /// [`PriorityClass::Critical`](crate::PriorityClass::Critical) request is
 /// blocked by the occupancy of running lower-priority applications (or
@@ -26,16 +24,6 @@ pub enum PreemptionPolicy {
     /// intact); victims that cannot be migrated — no room for both
     /// footprints — fall back to eviction-and-requeue.
     Migrate,
-}
-
-impl fmt::Display for PreemptionPolicy {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            PreemptionPolicy::Disabled => f.write_str("disabled"),
-            PreemptionPolicy::Evict => f.write_str("evict"),
-            PreemptionPolicy::Migrate => f.write_str("migrate"),
-        }
-    }
 }
 
 /// Tunable policy of an [`Admitd`](crate::Admitd) front-end.
@@ -167,8 +155,5 @@ mod tests {
     #[test]
     fn preemption_policy_names_are_stable() {
         assert_eq!(PreemptionPolicy::default(), PreemptionPolicy::Disabled);
-        assert_eq!(PreemptionPolicy::Disabled.to_string(), "disabled");
-        assert_eq!(PreemptionPolicy::Evict.to_string(), "evict");
-        assert_eq!(PreemptionPolicy::Migrate.to_string(), "migrate");
     }
 }

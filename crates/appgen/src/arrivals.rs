@@ -44,19 +44,6 @@ pub enum ArrivalDistribution {
     },
 }
 
-impl ArrivalDistribution {
-    /// Stable name used in scenario JSON documents.
-    pub fn name(&self) -> String {
-        match *self {
-            ArrivalDistribution::Exponential => "exponential".to_owned(),
-            ArrivalDistribution::Deterministic => "deterministic".to_owned(),
-            ArrivalDistribution::Pareto { alpha_centi } => {
-                format!("pareto-{}.{:02}", alpha_centi / 100, alpha_centi % 100)
-            }
-        }
-    }
-}
-
 /// One weighted component of a [`WorkloadMix`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct MixEntry {
@@ -312,9 +299,6 @@ mod tests {
 
     #[test]
     fn distribution_names_are_stable() {
-        assert_eq!(ArrivalDistribution::Exponential.name(), "exponential");
-        assert_eq!(ArrivalDistribution::Deterministic.name(), "deterministic");
-        assert_eq!(ArrivalDistribution::Pareto { alpha_centi: 150 }.name(), "pareto-1.50");
         assert_eq!(ArrivalDistribution::default(), ArrivalDistribution::Exponential);
     }
 }

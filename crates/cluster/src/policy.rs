@@ -162,8 +162,8 @@ impl PlacementPolicy for LeastLoaded {
     }
 }
 
-/// Declarative name of a built-in [`PlacementPolicy`], for scenario
-/// descriptions and other serialised configuration.
+/// A built-in [`PlacementPolicy`] chosen by value, for scenario
+/// descriptions; [`PlacementPolicyKind::build`] instantiates it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PlacementPolicyKind {
     /// [`FirstFit`].
@@ -181,15 +181,6 @@ impl PlacementPolicyKind {
             PlacementPolicyKind::FirstFit => Box::new(FirstFit),
             PlacementPolicyKind::BestFitFragmentation => Box::new(BestFitFragmentation),
             PlacementPolicyKind::LeastLoaded => Box::new(LeastLoaded),
-        }
-    }
-
-    /// The policy's name, matching [`PlacementPolicy::name`].
-    pub fn name(self) -> &'static str {
-        match self {
-            PlacementPolicyKind::FirstFit => "first-fit",
-            PlacementPolicyKind::BestFitFragmentation => "best-fit-fragmentation",
-            PlacementPolicyKind::LeastLoaded => "least-loaded",
         }
     }
 }
@@ -280,12 +271,12 @@ mod tests {
 
     #[test]
     fn kinds_build_their_policies() {
-        for kind in [
-            PlacementPolicyKind::FirstFit,
-            PlacementPolicyKind::BestFitFragmentation,
-            PlacementPolicyKind::LeastLoaded,
+        for (kind, name) in [
+            (PlacementPolicyKind::FirstFit, "first-fit"),
+            (PlacementPolicyKind::BestFitFragmentation, "best-fit-fragmentation"),
+            (PlacementPolicyKind::LeastLoaded, "least-loaded"),
         ] {
-            assert_eq!(kind.build().name(), kind.name());
+            assert_eq!(kind.build().name(), name);
         }
     }
 }

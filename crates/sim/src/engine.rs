@@ -41,8 +41,8 @@ use kairos_telemetry::{Counter, Gauge, Histogram, Telemetry, TelemetryConfig};
 use kairos_watch::{EnergyMeter, Watcher};
 
 use crate::report::{
-    CacheReport, ClassQueueStats, ClassTraceStats, GatewayReport, PhaseStats, QueueReport,
-    SamplePoint, SimReport, Totals, TraceReport,
+    ClassQueueStats, ClassTraceStats, GatewayReport, PhaseStats, QueueReport, SamplePoint,
+    SimReport, Totals, TraceReport,
 };
 use crate::scenario::Scenario;
 
@@ -417,9 +417,8 @@ impl Simulator {
         // an unwatched one only in its `energy`/`health` report sections
         // (`tests/observers/mod.rs` pins that). A watched scenario
         // meters implicitly; `power` alone meters without monitors.
-        let energy = (scenario.power.is_some() || scenario.watch.is_some()).then(|| {
-            EnergyMeter::new(scenario.power.clone().unwrap_or_default().model(), &telemetry)
-        });
+        let energy = (scenario.power.is_some() || scenario.watch.is_some())
+            .then(|| EnergyMeter::new(scenario.power.clone().unwrap_or_default(), &telemetry));
         let watch = scenario.watch.map(|spec| Watcher::new(spec, &telemetry));
         Ok(Simulator {
             scenario,
@@ -636,7 +635,7 @@ impl Simulator {
         let events = self.service.take_events();
         self.apply_events(at, events);
 
-        let next = at + next_gap;
+        let next = at.saturating_add(next_gap);
         if next < self.phase_end(phase) {
             self.schedule(next, SimEvent::Arrival { phase });
         }
@@ -701,7 +700,7 @@ impl Simulator {
         let element = ElementId(spec.element);
         self.totals.faults_injected.inc();
         if let Some(after) = spec.repair_after {
-            self.schedule(at + after, SimEvent::Repair { element });
+            self.schedule(at.saturating_add(after), SimEvent::Repair { element });
         }
         self.service.submit(Request::new(at, Command::InjectFault { element }));
         let events = self.service.take_events();
@@ -765,7 +764,7 @@ impl Simulator {
                     }
                     self.queue_accum.max_depth.set_max(depth as i64);
                     if let Some(wait) = max_wait {
-                        self.schedule(at + wait, SimEvent::QueueExpiry);
+                        self.schedule(at.saturating_add(wait), SimEvent::QueueExpiry);
                     }
                 }
                 Event::Admitted { ticket, class, app, report, waited, .. } => {
@@ -788,7 +787,8 @@ impl Simulator {
                             }
                         }
                     }
-                    let departs_at = info.fixed_departure.or(info.lifetime.map(|l| at + l));
+                    let departs_at =
+                        info.fixed_departure.or(info.lifetime.map(|l| at.saturating_add(l)));
                     if let Some(departure) = departs_at {
                         // A re-admitted app whose departure is overdue
                         // leaves immediately (next tick processing order).
@@ -1046,30 +1046,10 @@ impl Simulator {
                 None
             },
             trace: self.scenario.trace.then(|| self.trace_report()),
-            cache: self.scenario.cache.then(|| {
-                let stats = self.service.cache_stats().unwrap_or_default();
-                CacheReport {
-                    hits: stats.hits,
-                    misses: stats.misses,
-                    invalidations: stats.invalidations,
-                    insertions: stats.insertions,
-                    evictions: stats.evictions,
-                    points: stats.points,
-                }
-            }),
-            gateway: self.gateway_stats.as_ref().map(|stats| {
-                let counters = stats.snapshot();
-                GatewayReport {
-                    submitted: counters.submitted,
-                    forwarded: counters.forwarded,
-                    singles: counters.singles,
-                    batches: counters.batches,
-                    coalesced: counters.coalesced,
-                    completions: counters.completions,
-                    peak_inflight: counters.peak_inflight,
-                    parked: counters.parked,
-                    lanes: self.gateway_lanes as u64,
-                }
+            cache: self.scenario.cache.then(|| self.service.cache_stats().unwrap_or_default()),
+            gateway: self.gateway_stats.as_ref().map(|stats| GatewayReport {
+                counters: stats.snapshot(),
+                lanes: self.gateway_lanes as u64,
             }),
             energy: self.energy.take().map(|meter| meter.finish(self.scenario.horizon())),
             health: self.watch.take().map(Watcher::finish),

@@ -22,7 +22,7 @@
 //!   `kairos-cluster` sharded deployment ([`ClusterSpec`]) —
 //!   `sharded-arrival-storm` (admission probes fanned out over four region
 //!   shards) and `cross-shard-rebalance` (periodic evict-and-readmit
-//!   sweeps against a skewed first-fit fill, [`RebalanceSpec`]) —
+//!   sweeps against a skewed first-fit fill, [`ClusterSpec::rebalance`]) —
 //!   `telemetry-probe-latency`, which runs a sharded preempting workload
 //!   with [`Scenario::telemetry`] recording enabled (see
 //!   `docs/OBSERVABILITY.md`), `traced-preemption-storm`, which runs
@@ -38,7 +38,7 @@
 //!   its unwrapped twin) and `gateway-backpressure` (a queued overload
 //!   behind a four-slot lane that parks requests in the gateway), and
 //!   two that exercise the `kairos-watch` energy/health layer
-//!   ([`WatchSpec`], [`PowerSpec`]) — `slo-burn-storm` (a queued
+//!   ([`WatchSpec`], [`Scenario::power`]) — `slo-burn-storm` (a queued
 //!   overload that fires and then clears the burn-rate SLO alerts) and
 //!   `power-cap-skew` (a package-wide DSP outage that trips the
 //!   per-package power anomaly detector);
@@ -51,7 +51,7 @@
 //!   [`kairos_admitd::Event`] stream — with or without a
 //!   [`kairos_admitd::AdmitPolicy`] priority queue (backpressure,
 //!   bounded retry, timeouts, preemption), plus periodic defragmenting
-//!   compaction sweeps ([`DefragSpec`]);
+//!   compaction sweeps ([`Scenario::defrag`], a [`SweepSpec`]);
 //! * [`SimReport`] — aggregated admissions, rejections by pipeline phase,
 //!   departures, fault statistics, relocation counters (preemptions,
 //!   migrations, defrag moves), queue behaviour ([`QueueReport`]: depth,
@@ -87,10 +87,6 @@ mod scenario;
 pub use engine::Simulator;
 pub use kairos_watch::WatchSpec;
 pub use report::{
-    CacheReport, ClassQueueStats, GatewayReport, PhaseStats, QueueReport, SamplePoint, SimReport,
-    Totals,
+    ClassQueueStats, GatewayReport, PhaseStats, QueueReport, SamplePoint, SimReport, Totals,
 };
-pub use scenario::{
-    ClusterSpec, DefragSpec, FaultSpec, PhaseSpec, PlatformSpec, PowerOverride, PowerSpec,
-    RebalanceSpec, Scenario,
-};
+pub use scenario::{ClusterSpec, FaultSpec, PhaseSpec, PlatformSpec, Scenario, SweepSpec};

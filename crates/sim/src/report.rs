@@ -10,7 +10,8 @@
 //! reports; the telemetry section holds only name-ordered integers, so
 //! it is byte-stable too.
 
-use kairos_core::OccupancySnapshot;
+use kairos_core::{CacheStats, OccupancySnapshot};
+use kairos_gateway::GatewayCounters;
 use kairos_telemetry::{MetricValue, Snapshot};
 use kairos_watch::{EnergyReport, HealthReport, StatusSnapshot, StatusTotals};
 
@@ -195,31 +196,6 @@ pub struct TraceReport {
     pub critical_paths: Vec<(String, u64)>,
 }
 
-/// End-of-run operating-point cache statistics, summed over every shard
-/// manager's operating-point cache ([`CacheConfig`](kairos_core::CacheConfig)).
-/// The cache changes which work runs, never what is decided, so this
-/// section is the *only* difference between a cache-enabled report and
-/// its cache-off twin (`tests/observers/mod.rs` pins exactly
-/// that). `None` in [`SimReport::cache`] unless the scenario enables
-/// [`Scenario::cache`](crate::Scenario::cache).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct CacheReport {
-    /// Admissions served by replaying a cached operating point (or a
-    /// cached refusal) instead of the four-phase pipeline.
-    pub hits: u64,
-    /// Admissions that missed and ran the cold pipeline.
-    pub misses: u64,
-    /// Cached points dropped by element-level invalidation (faults,
-    /// repairs, migrations, rebalance moves).
-    pub invalidations: u64,
-    /// Points stored after cold pipeline runs.
-    pub insertions: u64,
-    /// Points dropped by FIFO capacity eviction.
-    pub evictions: u64,
-    /// Points still resident when the run ended.
-    pub points: u64,
-}
-
 /// End-of-run serving counters from the `kairos-gateway`
 /// [`Gateway`](kairos_gateway::Gateway) the scenario's service ran
 /// behind. The gateway changes how requests reach the service, never
@@ -230,24 +206,8 @@ pub struct CacheReport {
 /// [`Scenario::gateway`](crate::Scenario::gateway).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct GatewayReport {
-    /// Requests accepted into gateway lanes.
-    pub submitted: u64,
-    /// Requests forwarded to the inner service.
-    pub forwarded: u64,
-    /// Requests forwarded as single submissions.
-    pub singles: u64,
-    /// Batched submissions forwarded (caller batches).
-    pub batches: u64,
-    /// Always 0: the gateway never merges single admissions into a
-    /// batched wave (kept as a report key).
-    pub coalesced: u64,
-    /// Requests that reached their terminal completion event.
-    pub completions: u64,
-    /// Most gateway tasks ever simultaneously in flight (a batch counts
-    /// once).
-    pub peak_inflight: u64,
-    /// Requests that found their lane full and parked for a free slot.
-    pub parked: u64,
+    /// The gateway's lifetime counters at the end of the run.
+    pub counters: GatewayCounters,
     /// Per-shard request lanes the gateway striped traffic over.
     pub lanes: u64,
 }
@@ -287,12 +247,16 @@ pub struct SimReport {
     /// derived from virtual-tick spans, so the section is byte-stable.
     pub trace: Option<TraceReport>,
     /// End-of-run operating-point cache statistics, summed over every
-    /// shard manager. `None` unless the scenario enables
+    /// shard manager's cache ([`CacheConfig`](kairos_core::CacheConfig)).
+    /// `None` unless the scenario enables
     /// [`Scenario::cache`](crate::Scenario::cache); the JSON rendering
     /// omits its `cache` key then, keeping legacy reports
-    /// byte-identical. All fields are lifetime counters, so the section
-    /// is byte-stable.
-    pub cache: Option<CacheReport>,
+    /// byte-identical. The cache changes which work runs, never what is
+    /// decided, so this section is the only difference between a cached
+    /// report and its cache-off twin (`tests/observers/mod.rs` pins
+    /// that). All fields are lifetime counters, so the section is
+    /// byte-stable.
+    pub cache: Option<CacheStats>,
     /// End-of-run gateway serving counters. `None` unless the scenario
     /// sets [`Scenario::gateway`](crate::Scenario::gateway); the JSON
     /// rendering omits its `gateway` key then, keeping legacy reports
@@ -606,14 +570,15 @@ impl SimReport {
         }
         if let Some(gateway) = &self.gateway {
             let mut section = Json::object();
-            section.push("submitted", gateway.submitted);
-            section.push("forwarded", gateway.forwarded);
-            section.push("singles", gateway.singles);
-            section.push("batches", gateway.batches);
-            section.push("coalesced", gateway.coalesced);
-            section.push("completions", gateway.completions);
-            section.push("peak_inflight", gateway.peak_inflight);
-            section.push("parked", gateway.parked);
+            let counters = &gateway.counters;
+            section.push("submitted", counters.submitted);
+            section.push("forwarded", counters.forwarded);
+            section.push("singles", counters.singles);
+            section.push("batches", counters.batches);
+            section.push("coalesced", counters.coalesced);
+            section.push("completions", counters.completions);
+            section.push("peak_inflight", counters.peak_inflight);
+            section.push("parked", counters.parked);
             section.push("lanes", gateway.lanes);
             doc.push("gateway", section);
         }
@@ -652,14 +617,7 @@ impl SimReport {
             admitted: self.final_state.admitted_apps,
             queue_depth: self.samples.last().map_or(0, |s| s.queue_depth as usize),
             failed_elements: self.final_state.failed_elements,
-            cache: self.cache.map(|c| kairos_core::CacheStats {
-                hits: c.hits,
-                misses: c.misses,
-                invalidations: c.invalidations,
-                insertions: c.insertions,
-                evictions: c.evictions,
-                points: c.points,
-            }),
+            cache: self.cache,
             energy: self.energy.clone(),
             health: self.health.clone(),
         }

@@ -48,10 +48,8 @@ use kairos_appgen::{
 };
 use kairos_cluster::PlacementPolicyKind;
 use kairos_gateway::GatewayConfig;
-use kairos_platform::{topology, Platform};
+use kairos_platform::{topology, ElementKind, Platform, PowerModel, PowerRate};
 use kairos_watch::WatchSpec;
-
-use crate::json::Json;
 
 /// The platform a scenario runs on.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -82,17 +80,6 @@ impl PlatformSpec {
             PlatformSpec::DspMesh { width, height } => topology::dsp_mesh(width, height),
             PlatformSpec::HeterogeneousMesh { width, height } => {
                 topology::heterogeneous_mesh(width, height)
-            }
-        }
-    }
-
-    /// Human-readable name used in reports.
-    pub fn name(&self) -> String {
-        match *self {
-            PlatformSpec::Crisp => "crisp".to_owned(),
-            PlatformSpec::DspMesh { width, height } => format!("dsp-mesh-{width}x{height}"),
-            PlatformSpec::HeterogeneousMesh { width, height } => {
-                format!("het-mesh-{width}x{height}")
             }
         }
     }
@@ -173,29 +160,33 @@ impl PhaseSpec {
     }
 }
 
-/// A periodic defragmenting compaction sweep (`Kairos::compact`):
-/// every `period` ticks the engine live-migrates up to `max_moves`
-/// admitted applications, keeping only moves that strictly reduce
-/// external resource fragmentation.
+/// A periodic relocation sweep: every `period` ticks the engine moves up
+/// to `max_moves` admitted applications. [`Scenario::defrag`] runs it as
+/// a defragmenting compaction (`Kairos::compact`, keeping only moves that
+/// strictly reduce external resource fragmentation);
+/// [`ClusterSpec::rebalance`] runs it as a cross-shard rebalance
+/// ([`kairos_admitd::Command::Rebalance`], evict-and-readmit from the
+/// most- to the least-loaded shard, two-phase).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct DefragSpec {
+pub struct SweepSpec {
     /// Ticks between sweeps (the first sweep runs at `period`).
     pub period: u64,
     /// Most applications one sweep may move.
     pub max_moves: usize,
 }
 
-/// A periodic cross-shard rebalancing sweep
-/// ([`kairos_admitd::Command::Rebalance`]): every `period` ticks the engine
-/// asks the cluster to move up to `max_moves` running applications from
-/// its most- to its least-loaded shard (evict-and-readmit across the
-/// boundary, two-phase). Only meaningful inside a [`ClusterSpec`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RebalanceSpec {
-    /// Ticks between sweeps (the first sweep runs at `period`).
-    pub period: u64,
-    /// Most applications one sweep may move across shards.
-    pub max_moves: usize,
+impl SweepSpec {
+    /// Checks the sweep can run and can move something; `what` names it
+    /// in the error.
+    fn validate(&self, what: &str) -> Result<(), String> {
+        if self.period == 0 {
+            return Err(format!("{what} period must be positive"));
+        }
+        if self.max_moves == 0 {
+            return Err(format!("{what} with max_moves of 0 can never move anything"));
+        }
+        Ok(())
+    }
 }
 
 /// Sharded deployment of the scenario's platform: the engine partitions
@@ -211,44 +202,7 @@ pub struct ClusterSpec {
     /// Shard-placement policy admissions are routed by.
     pub policy: PlacementPolicyKind,
     /// Periodic cross-shard rebalancing; `None` never rebalances.
-    pub rebalance: Option<RebalanceSpec>,
-}
-
-/// One per-class override of the platform power model.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct PowerOverride {
-    /// Element-class label (`arm`, `dsp`, `fpga`, `mem`, `tst`, `io`).
-    pub kind: String,
-    /// Draw of a busy element of the class, milliwatts.
-    pub busy_mw: u64,
-    /// Draw of an idle healthy element of the class, milliwatts.
-    pub idle_mw: u64,
-}
-
-/// Energy accounting over the run: the engine integrates sampled element
-/// activity against a [`PowerModel`](kairos_platform::PowerModel) (the
-/// paper-derived Table-I default rates, adjusted by `overrides`) and
-/// embeds the account as the report's `energy` section. Like
-/// [`WatchSpec`], a pure observer.
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
-pub struct PowerSpec {
-    /// Per-class rate overrides; an empty list keeps every default rate.
-    pub overrides: Vec<PowerOverride>,
-}
-
-impl PowerSpec {
-    /// The power model the energy meter integrates against.
-    pub fn model(&self) -> kairos_platform::PowerModel {
-        let mut model = kairos_platform::PowerModel::table1_defaults();
-        for over in &self.overrides {
-            if let Some(kind) =
-                kairos_platform::ElementKind::ALL.iter().find(|k| k.label() == over.kind)
-            {
-                model.set_rate(*kind, kairos_platform::PowerRate::new(over.busy_mw, over.idle_mw));
-            }
-        }
-        model
-    }
+    pub rebalance: Option<SweepSpec>,
 }
 
 /// A scripted element fault (and optional repair).
@@ -287,7 +241,7 @@ pub struct Scenario {
     /// of running lower-priority applications for blocked criticals.
     pub admission: Option<AdmitPolicy>,
     /// Periodic defragmenting compaction sweeps; `None` never compacts.
-    pub defrag: Option<DefragSpec>,
+    pub defrag: Option<SweepSpec>,
     /// Sharded platform deployment. `None` runs the monolithic service
     /// (one manager owning the whole platform); `Some` partitions the
     /// platform into region shards behind a `kairos-cluster` service,
@@ -342,10 +296,11 @@ pub struct Scenario {
     pub watch: Option<WatchSpec>,
     /// Energy accounting without alerting. `None` (with [`Scenario::watch`]
     /// also `None`) runs no meter; `Some` integrates sampled activity
-    /// against the (possibly overridden) platform power model and embeds
-    /// the `energy` section. A watched run meters implicitly — set this to
-    /// override rates or to meter without monitors.
-    pub power: Option<PowerSpec>,
+    /// against this power model and embeds the `energy` section. A
+    /// watched run meters implicitly against
+    /// [`PowerModel::table1_defaults`] — set this to override rates or to
+    /// meter without monitors.
+    pub power: Option<PowerModel>,
 }
 
 impl Scenario {
@@ -424,12 +379,7 @@ impl Scenario {
             policy.validate().map_err(|e| format!("admission policy: {e}"))?;
         }
         if let Some(defrag) = &self.defrag {
-            if defrag.period == 0 {
-                return Err("defrag period must be positive".into());
-            }
-            if defrag.max_moves == 0 {
-                return Err("defrag with max_moves of 0 can never move anything".into());
-            }
+            defrag.validate("defrag")?;
         }
         let elements = self.platform.build().element_count() as u32;
         if let Some(cluster) = &self.cluster {
@@ -443,12 +393,7 @@ impl Scenario {
                 ));
             }
             if let Some(rebalance) = &cluster.rebalance {
-                if rebalance.period == 0 {
-                    return Err("rebalance period must be positive".into());
-                }
-                if rebalance.max_moves == 0 {
-                    return Err("rebalance with max_moves of 0 can never move anything".into());
-                }
+                rebalance.validate("rebalance")?;
             }
         }
         if let Some(gateway) = &self.gateway {
@@ -457,14 +402,14 @@ impl Scenario {
             }
         }
         if let Some(power) = &self.power {
-            for over in &power.overrides {
-                if !kairos_platform::ElementKind::ALL.iter().any(|k| k.label() == over.kind) {
-                    return Err(format!("power override targets unknown kind '{}'", over.kind));
-                }
-                if over.idle_mw > over.busy_mw {
+            for kind in ElementKind::ALL {
+                let rate = power.rate(kind);
+                if rate.idle_mw > rate.busy_mw {
                     return Err(format!(
-                        "power override for '{}' draws more idle ({}) than busy ({})",
-                        over.kind, over.idle_mw, over.busy_mw
+                        "power model for '{}' draws more idle ({}) than busy ({})",
+                        kind.label(),
+                        rate.idle_mw,
+                        rate.busy_mw
                     ));
                 }
             }
@@ -493,7 +438,7 @@ impl Scenario {
             if first.element != second.element {
                 continue;
             }
-            let repaired_by = first.repair_after.map(|after| first.at + after);
+            let repaired_by = first.repair_after.map(|after| first.at.saturating_add(after));
             if repaired_by.is_none_or(|t| t >= second.at) {
                 return Err(format!(
                     "element {} faults again at t={} while its outage from t={} is still active",
@@ -502,144 +447,6 @@ impl Scenario {
             }
         }
         Ok(())
-    }
-
-    /// The scenario as an ordered JSON document.
-    pub fn to_json(&self) -> Json {
-        let mut doc = Json::object();
-        doc.push("name", self.name.as_str());
-        doc.push("seed", self.seed);
-        doc.push("sample_period", self.sample_period);
-        doc.push("platform", self.platform.name());
-        let phases = self
-            .phases
-            .iter()
-            .map(|p| {
-                let mut phase = Json::object();
-                phase.push("name", p.name.as_str());
-                phase.push("duration", p.duration);
-                phase.push("mean_interarrival", p.mean_interarrival);
-                phase.push("mean_lifetime", p.mean_lifetime);
-                phase.push("arrival", p.arrival.name());
-                phase.push("priority", p.priority.to_string());
-                phase.push("batch", p.batch);
-                let mix = p
-                    .mix
-                    .iter()
-                    .map(|e| {
-                        let mut entry = Json::object();
-                        entry.push("dataset", e.spec.name());
-                        entry.push("weight", e.weight);
-                        entry
-                    })
-                    .collect::<Vec<_>>();
-                phase.push("mix", mix);
-                phase
-            })
-            .collect::<Vec<_>>();
-        doc.push("phases", phases);
-        let faults = self
-            .faults
-            .iter()
-            .map(|f| {
-                let mut fault = Json::object();
-                fault.push("at", f.at);
-                fault.push("element", f.element);
-                match f.repair_after {
-                    Some(after) => fault.push("repair_after", after),
-                    None => fault.push("repair_after", Json::Null),
-                };
-                fault
-            })
-            .collect::<Vec<_>>();
-        doc.push("faults", faults);
-        doc.push("readmit_evicted", self.readmit_evicted);
-        match &self.admission {
-            None => doc.push("admission", Json::Null),
-            Some(policy) => {
-                let mut adm = Json::object();
-                let capacities =
-                    policy.class_capacity.iter().map(|&c| Json::UInt(c as u64)).collect::<Vec<_>>();
-                adm.push("class_capacity", capacities);
-                match policy.max_wait {
-                    Some(w) => adm.push("max_wait", w),
-                    None => adm.push("max_wait", Json::Null),
-                };
-                adm.push("max_attempts", policy.max_attempts);
-                adm.push("backoff_base", policy.backoff_base);
-                adm.push("backoff_cap", policy.backoff_cap);
-                adm.push("preemption", policy.preemption.to_string());
-                adm.push("max_victims", policy.max_victims as u64);
-                doc.push("admission", adm)
-            }
-        };
-        match &self.defrag {
-            None => doc.push("defrag", Json::Null),
-            Some(spec) => {
-                let mut defrag = Json::object();
-                defrag.push("period", spec.period);
-                defrag.push("max_moves", spec.max_moves as u64);
-                doc.push("defrag", defrag)
-            }
-        };
-        match &self.cluster {
-            None => doc.push("cluster", Json::Null),
-            Some(spec) => {
-                let mut cluster = Json::object();
-                cluster.push("shards", spec.shards as u64);
-                cluster.push("policy", spec.policy.name());
-                match &spec.rebalance {
-                    None => cluster.push("rebalance", Json::Null),
-                    Some(rebalance) => {
-                        let mut r = Json::object();
-                        r.push("period", rebalance.period);
-                        r.push("max_moves", rebalance.max_moves as u64);
-                        cluster.push("rebalance", r)
-                    }
-                };
-                doc.push("cluster", cluster)
-            }
-        };
-        match &self.gateway {
-            None => doc.push("gateway", Json::Null),
-            Some(config) => {
-                let mut gateway = Json::object();
-                gateway.push("channel_capacity", config.channel_capacity as u64);
-                doc.push("gateway", gateway)
-            }
-        };
-        doc.push("telemetry", self.telemetry);
-        doc.push("trace", self.trace);
-        doc.push("cache", self.cache);
-        match &self.watch {
-            None => doc.push("watch", Json::Null),
-            Some(spec) => {
-                let mut watch = Json::object();
-                watch.push("queue_monitor", spec.queue_monitor);
-                watch.push("anomaly_detectors", spec.anomaly_detectors);
-                doc.push("watch", watch)
-            }
-        };
-        match &self.power {
-            None => doc.push("power", Json::Null),
-            Some(spec) => {
-                let overrides = spec
-                    .overrides
-                    .iter()
-                    .map(|o| {
-                        let mut over = Json::object();
-                        over.push("kind", o.kind.as_str());
-                        over.push("busy_mw", o.busy_mw);
-                        over.push("idle_mw", o.idle_mw);
-                        over
-                    })
-                    .collect::<Vec<_>>();
-                let mut power = Json::object();
-                power.push("overrides", overrides);
-                doc.push("power", power)
-            }
-        };
-        doc
     }
 
     /// The built-in catalog of named scenarios.
@@ -946,7 +753,7 @@ fn defrag_sweep() -> Scenario {
         PhaseSpec::new("drain", 1200, 0, 0, Vec::new()),
     ];
     Scenario {
-        defrag: Some(DefragSpec { period: 150, max_moves: 4 }),
+        defrag: Some(SweepSpec { period: 150, max_moves: 4 }),
         ..Scenario::new("defrag-sweep", 0xDF, 30, PlatformSpec::Crisp, phases)
     }
 }
@@ -1052,7 +859,7 @@ fn cross_shard_rebalance() -> Scenario {
         cluster: Some(ClusterSpec {
             shards: 3,
             policy: PlacementPolicyKind::FirstFit,
-            rebalance: Some(RebalanceSpec { period: 150, max_moves: 2 }),
+            rebalance: Some(SweepSpec { period: 150, max_moves: 2 }),
         }),
         ..Scenario::new("cross-shard-rebalance", 0xC7055, 30, PlatformSpec::Crisp, phases)
     }
@@ -1352,7 +1159,7 @@ fn slo_burn_storm() -> Scenario {
 /// the alert rides to the horizon: a permanent-capability-loss signal,
 /// the complement of `slo-burn-storm`'s fire-and-clear lifecycle. The
 /// scenario also overrides the DSP power rates, exercising the
-/// [`PowerSpec`] override path; `tests/watch_observer.rs` asserts the
+/// [`Scenario::power`] override path; `tests/watch_observer.rs` asserts the
 /// anomaly window.
 fn power_cap_skew() -> Scenario {
     let resident_mix = vec![
@@ -1376,11 +1183,17 @@ fn power_cap_skew() -> Scenario {
             rebalance: None,
         }),
         watch: Some(WatchSpec { queue_monitor: false, ..WatchSpec::default() }),
-        power: Some(PowerSpec {
-            overrides: vec![PowerOverride { kind: "dsp".to_owned(), busy_mw: 400, idle_mw: 100 }],
-        }),
+        power: Some(dsp_skewed_power()),
         ..Scenario::new("power-cap-skew", 0x50CA9, 30, PlatformSpec::Crisp, phases)
     }
+}
+
+/// The Table-I power model with the DSP class redrawn at 400 mW busy and
+/// 100 mW idle.
+fn dsp_skewed_power() -> PowerModel {
+    let mut model = PowerModel::table1_defaults();
+    model.set_rate(ElementKind::Dsp, PowerRate::new(400, 100));
+    model
 }
 
 #[cfg(test)]
@@ -1554,11 +1367,7 @@ mod tests {
         assert!(s.validate().unwrap_err().contains("channel_capacity"));
 
         let mut s = Scenario::by_name("power-cap-skew").unwrap();
-        s.power.as_mut().unwrap().overrides[0].kind = "gpu".to_owned();
-        assert!(s.validate().unwrap_err().contains("unknown kind"));
-
-        let mut s = Scenario::by_name("power-cap-skew").unwrap();
-        s.power.as_mut().unwrap().overrides[0].idle_mw = 10_000;
+        s.power.as_mut().unwrap().set_rate(ElementKind::Dsp, PowerRate::new(400, 10_000));
         assert!(s.validate().unwrap_err().contains("idle"));
     }
 
@@ -1594,42 +1403,6 @@ mod tests {
             FaultSpec { at: 150, element: 6, repair_after: Some(10) },
         ];
         s.validate().unwrap();
-    }
-
-    #[test]
-    fn scenario_json_is_deterministic_and_complete() {
-        let s = Scenario::by_name("hotspot-failures").unwrap();
-        let a = s.to_json().render();
-        let b = s.to_json().render();
-        assert_eq!(a, b);
-        for key in [
-            "\"name\"",
-            "\"seed\"",
-            "\"phases\"",
-            "\"faults\"",
-            "\"readmit_evicted\"",
-            "\"telemetry\"",
-        ] {
-            assert!(a.contains(key), "missing {key} in {a}");
-        }
-        assert!(a.contains("\"admission\": null"), "direct scenarios render a null admission");
-        assert!(a.contains("\"watch\": null"), "unwatched scenarios render a null watch");
-        assert!(a.contains("\"power\": null"), "unmetered scenarios render a null power");
-        let watched = Scenario::by_name("power-cap-skew").unwrap().to_json().render();
-        for key in ["\"queue_monitor\": false", "\"anomaly_detectors\": true", "\"busy_mw\""] {
-            assert!(watched.contains(key), "missing {key} in {watched}");
-        }
-        let queued = Scenario::by_name("retry-storm").unwrap().to_json().render();
-        for key in [
-            "\"class_capacity\"",
-            "\"max_wait\"",
-            "\"max_attempts\"",
-            "\"backoff_base\"",
-            "\"arrival\"",
-        ] {
-            assert!(queued.contains(key), "missing {key} in {queued}");
-        }
-        assert!(queued.contains("\"deterministic\""));
     }
 
     #[test]

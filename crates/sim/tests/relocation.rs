@@ -111,7 +111,7 @@ fn defrag_sweep_compacts_without_touching_accounting() {
 fn queued_defrag_stays_balanced_and_reproducible() {
     let mut scenario = Scenario::by_name("retry-storm").unwrap();
     scenario.name = "test-queued-defrag".to_owned();
-    scenario.defrag = Some(kairos_sim::DefragSpec { period: 120, max_moves: 3 });
+    scenario.defrag = Some(kairos_sim::SweepSpec { period: 120, max_moves: 3 });
     let a = Simulator::new(scenario.clone()).unwrap().run();
     let b = Simulator::new(scenario).unwrap().run();
     assert_eq!(a.to_json_string(), b.to_json_string(), "queued defrag reproduces");

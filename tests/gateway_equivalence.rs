@@ -51,8 +51,9 @@ fn arrival_storm_matches_its_ungatewayed_twin() {
     let direct_report = Simulator::new(direct).unwrap().run();
     let mut wrapped_report = Simulator::new(wrapped).unwrap().run();
 
-    let counters = wrapped_report.gateway.take().expect("gateway section");
-    assert_eq!(counters.lanes, 3, "one lane per cluster shard");
+    let gateway = wrapped_report.gateway.take().expect("gateway section");
+    assert_eq!(gateway.lanes, 3, "one lane per cluster shard");
+    let counters = gateway.counters;
     assert!(counters.submitted > 0, "the storm must push real traffic through the lanes");
     assert_eq!(counters.submitted, counters.completions);
     assert_eq!(counters.singles, counters.forwarded, "lockstep admits forward one by one");
@@ -68,8 +69,9 @@ fn arrival_storm_matches_its_ungatewayed_twin() {
 #[test]
 fn backpressure_scenario_parks_requests_and_still_drains() {
     let report = Simulator::new(Scenario::by_name("gateway-backpressure").unwrap()).unwrap().run();
-    let counters = report.gateway.expect("gateway section");
-    assert_eq!(counters.lanes, 1, "the monolithic service gets a single lane");
+    let gateway = report.gateway.expect("gateway section");
+    assert_eq!(gateway.lanes, 1, "the monolithic service gets a single lane");
+    let counters = gateway.counters;
     assert!(counters.parked > 0, "the four-slot lane must actually hold requests back");
     assert_eq!(
         counters.submitted, counters.completions,

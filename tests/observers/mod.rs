@@ -117,7 +117,7 @@ static KNOBS: [Knob; 6] = [
         on: |s| Scenario { gateway: Some(GatewayConfig::default()), ..s },
         sections: &["gateway"],
         sane: |run| {
-            let gateway = run.report.gateway.expect("gateway section");
+            let gateway = run.report.gateway.expect("gateway section").counters;
             assert_eq!(
                 gateway.submitted, gateway.completions,
                 "{}: a request hung",

@@ -7,7 +7,8 @@
 
 mod observers;
 
-use kairos::sim::{Scenario, Simulator};
+use kairos::platform::ElementId;
+use kairos::sim::{FaultSpec, Scenario, Simulator};
 
 #[test]
 fn catalog_scenario_produces_a_complete_json_report() {
@@ -141,4 +142,32 @@ fn changing_the_seed_changes_the_run() {
     let a = Simulator::new(scenario).unwrap().run();
     let b = Simulator::new(reseeded).unwrap().run();
     assert_ne!(a.to_json_string(), b.to_json_string());
+}
+
+/// `u64::MAX` is a scenario's way to say "never": a repair that never
+/// comes, a queue wait that never times out, a lifetime that outlasts
+/// the run. The engine schedules each as `now + delay`, which must
+/// saturate past the horizon (and so never fire) instead of overflowing
+/// into a panic or wrapping into the past.
+#[test]
+fn never_values_saturate_past_the_horizon() {
+    let element = 28;
+    let mut scenario = Scenario::by_name("overload-backpressure").unwrap();
+    scenario.faults = vec![FaultSpec { at: 400, element, repair_after: Some(u64::MAX) }];
+    scenario.admission.as_mut().unwrap().max_wait = Some(u64::MAX);
+    scenario.phases[0].mean_lifetime = u64::MAX;
+    let mut simulator = Simulator::new(scenario).unwrap();
+    let report = simulator.run();
+    assert_eq!(report.totals.repairs, 0, "a repair after u64::MAX ticks never comes");
+    assert!(
+        simulator.manager().platform().is_failed(ElementId(element)),
+        "the faulted element is still failed at the horizon"
+    );
+    assert!(report.queue.queued > 0, "requests waited in the queue");
+    assert_eq!(report.queue.dropped_timeout, 0, "a wait of u64::MAX ticks never times out");
+    assert_eq!(
+        report.totals.departures, 0,
+        "lifetimes drawn at a mean of u64::MAX outlast the run"
+    );
+    assert_eq!(report.totals.arrivals, report.totals.admissions + report.totals.rejections);
 }

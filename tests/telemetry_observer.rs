@@ -152,7 +152,7 @@ fn gateway_instruments_are_visible_and_observer_safe() {
     let mut lit_report = lit_sim.run();
 
     let snapshot = lit_report.telemetry.take().expect("telemetry section");
-    let counters = lit_report.gateway.expect("gateway section");
+    let counters = lit_report.gateway.expect("gateway section").counters;
     assert_eq!(counter(&snapshot, "kairos.gateway.submitted"), counters.submitted);
     assert_eq!(counter(&snapshot, "kairos.gateway.forwarded"), counters.forwarded);
     assert_eq!(counter(&snapshot, "kairos.gateway.batches"), counters.batches);
