@@ -79,9 +79,9 @@ impl ServiceBuilder {
     /// Attaches an observability hub ([`kairos_telemetry::Telemetry`]) to
     /// the built service: the `kairos.svc.*`, `kairos.admitd.*`,
     /// `kairos.reloc.*` and `kairos.core.*` metrics all land in its
-    /// registry and spans reach its flight recorder. The default is a
-    /// disabled handle, which costs one pointer test per instrumented
-    /// operation.
+    /// registry, and traced requests record into its trace sink. The
+    /// default is a disabled handle, which costs one pointer test per
+    /// instrumented operation.
     pub fn telemetry(mut self, telemetry: Telemetry) -> Self {
         self.telemetry = telemetry;
         self

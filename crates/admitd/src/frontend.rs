@@ -9,7 +9,7 @@ use kairos_core::{
     AdmissionFailure, AdmissionProbe, AdmissionReport, AllocationError, Kairos, VictimPlan,
 };
 use kairos_platform::{AppId, ElementId};
-use kairos_telemetry::{Counter, Gauge, Histogram, Level, Telemetry, TraceContext};
+use kairos_telemetry::{Counter, Gauge, Histogram, Telemetry, TraceContext};
 
 use crate::command::{CapacityEvent, Command, Request};
 use crate::event::{Event, RejectCause};
@@ -179,43 +179,20 @@ impl Admitd {
 
     /// Folds a finished call's event list onto the registry: one counter
     /// bump per transition, the wait histogram for everything that left
-    /// the queue, a flight-recorder line per noteworthy transition, and
-    /// the live depth gauge. Called exactly once per finished event list
+    /// the queue, and the live depth gauge. Called exactly once per finished event list
     /// — an admission's or a wave's, one capacity event's drain, a tick's
     /// or the shutdown flush — so no transition is double-counted.
     fn record_events(&self, events: &[Event]) {
         let Some(m) = &self.metrics else { return };
-        let telemetry = self.kairos.telemetry();
         for event in events {
             match event {
-                Event::Queued { ticket, class, depth } => {
-                    m.enqueued.inc();
-                    telemetry.event(
-                        Level::DEBUG,
-                        "kairos_admitd",
-                        format!("{ticket} enqueued ({class}), depth {depth}"),
-                    );
-                }
-                Event::Admitted { ticket, class, waited, attempts, .. } => {
+                Event::Queued { .. } => m.enqueued.inc(),
+                Event::Admitted { waited, .. } => {
                     m.admitted.inc();
                     m.wait_ticks.record(*waited);
-                    telemetry.event(
-                        Level::INFO,
-                        "kairos_admitd",
-                        format!(
-                            "{ticket} admitted ({class}) after {waited} ticks, {attempts} attempts"
-                        ),
-                    );
                 }
-                Event::AttemptFailed { ticket, attempt, phase, .. } => {
-                    m.attempt_failed.inc();
-                    telemetry.event(
-                        Level::DEBUG,
-                        "kairos_admitd",
-                        format!("{ticket} attempt {attempt} failed in {phase} phase, backing off"),
-                    );
-                }
-                Event::Rejected { ticket, class, cause, waited, .. } => {
+                Event::AttemptFailed { .. } => m.attempt_failed.inc(),
+                Event::Rejected { cause, waited, .. } => {
                     match cause {
                         RejectCause::QueueFull => m.rejected_queue_full.inc(),
                         // `Refused` is the queue-less door's verdict, and a
@@ -227,28 +204,9 @@ impl Admitd {
                         RejectCause::Shutdown => m.rejected_shutdown.inc(),
                     }
                     m.wait_ticks.record(*waited);
-                    telemetry.event(
-                        Level::WARN,
-                        "kairos_admitd",
-                        format!("{ticket} rejected ({class}): {cause:?} after {waited} ticks"),
-                    );
                 }
-                Event::Preempted { victim, requeued_as, by, .. } => {
-                    m.preempted.inc();
-                    telemetry.event(
-                        Level::WARN,
-                        "kairos_admitd",
-                        format!("{victim} preempted for {by}, requeued as {requeued_as}"),
-                    );
-                }
-                Event::Migrated { ticket, app, moved_tasks } => {
-                    m.migrated.inc();
-                    telemetry.event(
-                        Level::INFO,
-                        "kairos_admitd",
-                        format!("{app} migrated for {ticket}, {moved_tasks} tasks moved"),
-                    );
-                }
+                Event::Preempted { .. } => m.preempted.inc(),
+                Event::Migrated { .. } => m.migrated.inc(),
                 // Command results are no queue transitions.
                 Event::MigrationFailed { .. }
                 | Event::Released { .. }
@@ -937,7 +895,6 @@ impl Admitd {
 
 impl ResourceService for Admitd {
     fn submit(&mut self, request: Request) -> Ticket {
-        let _span = self.kairos.telemetry().span("kairos_svc", "submit");
         let Request { at, command, trace, ticket } = request;
         if let Some(m) = &self.svc_metrics {
             m.note_command(&command);
@@ -961,7 +918,6 @@ impl ResourceService for Admitd {
     }
 
     fn submit_batch(&mut self, requests: Vec<Request>) -> Vec<Ticket> {
-        let _span = self.kairos.telemetry().span("kairos_svc", "submit_batch");
         if let Some(m) = &self.svc_metrics {
             m.batches.inc();
             for request in &requests {

@@ -1,8 +1,8 @@
 //! Telemetry overhead — wall-clock cost of running the stack with the
 //! observability layer on versus off.
 //!
-//! Instrumentation sits on the admission hot path (pipeline phase spans,
-//! txn lifecycle counters, probe histograms), so its cost budget is a
+//! Instrumentation sits on the admission hot path (pipeline phase
+//! histograms, admission counters, probe histograms), so its cost budget is a
 //! design constraint: a *disabled* handle must be one pointer test per
 //! site, and an *enabled* one a handful of relaxed atomic increments.
 //! This bench drives the same deterministic scenarios dark and lit and

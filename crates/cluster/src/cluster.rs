@@ -14,7 +14,7 @@ use kairos_core::{
     DURATION_NS_BOUNDS,
 };
 use kairos_platform::{free_island_count, AppId, ElementId, Platform, RegionMap};
-use kairos_telemetry::{Counter, Histogram, Level, Telemetry, TraceContext};
+use kairos_telemetry::{Counter, Histogram, Telemetry, TraceContext};
 
 use crate::policy::{FirstFit, PlacementPolicy, ShardFit, ShardLoad, ShardProbe};
 
@@ -129,10 +129,9 @@ impl ClusterBuilder {
     /// Attaches an observability hub to the whole cluster: the
     /// cluster-level `kairos.cluster.*` metrics (probe fan-out latency
     /// per shard, placement-score distributions, rebalance accounting)
-    /// land in its registry, and every shard gets a
-    /// [`Telemetry::child`] handle labelled `shard{i}` — sharing the
-    /// registry, but recording its spans and events into a flight
-    /// recorder of its own.
+    /// land in its registry, and every shard gets a clone of the hub,
+    /// so the shards' `kairos.core.*` totals aggregate in the one
+    /// registry and their spans land in the one trace sink.
     pub fn telemetry(mut self, telemetry: Telemetry) -> Self {
         self.telemetry = telemetry;
         self
@@ -157,7 +156,7 @@ impl ClusterBuilder {
             let config = KairosConfig { app_id_base: r as u32 * APP_ID_STRIDE, ..self.config };
             let mut builder = ServiceBuilder::new(region.extract(&self.platform, r))
                 .config(config)
-                .telemetry(self.telemetry.child(&format!("shard{r}")));
+                .telemetry(self.telemetry.clone());
             if let Some(policy) = self.admission {
                 builder = builder.admission(policy);
             }
@@ -377,7 +376,6 @@ impl ClusterService {
     /// policy that leaves `settled` at its default. Counters, per-shard
     /// histograms and score histograms see the probes actually run.
     fn probe_wave(&mut self, apps: &[&Application], full_rows: bool) -> Vec<Vec<ShardProbe>> {
-        let _span = self.telemetry.span("kairos_cluster", "probe_wave");
         let mut rows: Vec<Vec<ShardProbe>> =
             apps.iter().map(|_| Vec::with_capacity(self.shards.len())).collect();
         for (i, shard) in self.shards.iter_mut().enumerate() {
@@ -564,7 +562,6 @@ impl ClusterService {
     /// failure in phase 2 (the app vanished) rolls phase 1 back by
     /// releasing the fresh claims, so no move is ever half-made.
     fn run_rebalance(&mut self, at: u64, ticket: Ticket, max_moves: usize) {
-        let _span = self.telemetry.span("kairos_cluster", "rebalance");
         if let Some(m) = &self.metrics {
             m.rebalance_sweeps.inc();
         }
@@ -639,15 +636,6 @@ impl ClusterService {
                     self.shards[dst].service.release_now(report.app_id, at);
                     if let Some(m) = &self.metrics {
                         m.rebalance_aborts.inc();
-                        self.telemetry.event(
-                            Level::WARN,
-                            "kairos_cluster",
-                            format!(
-                                "rebalance move of {id} aborted: source claims vanished, \
-                                 {} rolled back on shard {dst}",
-                                report.app_id
-                            ),
-                        );
                     }
                     continue;
                 }
@@ -673,11 +661,6 @@ impl ClusterService {
         // that renames it (the sim's live-app accounting relies on it).
         if let Some(m) = &self.metrics {
             m.rebalance_moves.add(moves.len() as u64);
-            self.telemetry.event(
-                Level::INFO,
-                "kairos_cluster",
-                format!("rebalance sweep moved {} application(s)", moves.len()),
-            );
         }
         self.events.extend(tail);
         self.events.push(Event::Rebalanced { ticket, moves });

@@ -18,7 +18,7 @@ use kairos_app::Application;
 use kairos_platform::{
     free_island_count, AppId, ElementId, OccupancyTotals, Platform, PlatformCheckpoint,
 };
-use kairos_telemetry::{Counter, Gauge, Histogram, Level, Telemetry, TraceContext};
+use kairos_telemetry::{Counter, Gauge, Histogram, Telemetry, TraceContext};
 
 use crate::binding::bind_in;
 use crate::cache::{
@@ -424,9 +424,10 @@ impl Kairos {
         }
     }
 
-    /// Attaches an observability hub: pipeline spans land in its flight
-    /// recorder and the `kairos.core.*`, `kairos.opcache.*` and
-    /// `kairos.reloc.*` metrics are registered eagerly.
+    /// Attaches an observability hub: the `kairos.core.*`,
+    /// `kairos.opcache.*` and `kairos.reloc.*` metrics are registered
+    /// eagerly, and traced admissions record their phase spans into its
+    /// trace sink.
     /// Attaching a disabled hub detaches instrumentation again.
     pub fn set_telemetry(&mut self, telemetry: Telemetry) {
         self.metrics = CoreMetrics::new(&telemetry);
@@ -584,7 +585,6 @@ impl Kairos {
         ctx: TraceContext,
         now: u64,
     ) -> Result<AdmissionReport, AdmissionFailure> {
-        let _span = self.telemetry.span("kairos_core", "admit");
         let app_id = AppId(self.next_app);
         let mut timings = PhaseTimings::default();
 
@@ -611,11 +611,6 @@ impl Kairos {
                     .insert(app_id, AdmittedApp { app: app.clone(), layout: layout.clone() });
                 if let Some(m) = &self.metrics {
                     m.admit_ok.inc();
-                    self.telemetry.event(
-                        Level::INFO,
-                        "kairos_core",
-                        format!("admit {}: admitted as {app_id}", app.name()),
-                    );
                 }
                 Ok(AdmissionReport { app_id, timings, layout, validation })
             }
@@ -624,15 +619,6 @@ impl Kairos {
                 if let Some(m) = &self.metrics {
                     m.admit_fail.inc();
                     m.reject[failure.error.cause_index()].inc();
-                    self.telemetry.event(
-                        Level::WARN,
-                        "kairos_core",
-                        format!(
-                            "admit {}: rejected in {} phase, nothing written",
-                            app.name(),
-                            failure.phase()
-                        ),
-                    );
                 }
                 Err(failure)
             }
@@ -685,7 +671,6 @@ impl Kairos {
     ///
     /// The [`AdmissionFailure`] the pipeline would report, if any.
     pub fn probe_admit(&mut self, app: &Application) -> Result<AdmissionProbe, AdmissionFailure> {
-        let _span = self.telemetry.span("kairos_core", "probe_admit");
         if let Some(m) = &self.metrics {
             m.probes.inc();
         }
@@ -730,7 +715,6 @@ impl Kairos {
         app: &Application,
         without: &[AppId],
     ) -> Result<ExecutionLayout, AdmissionFailure> {
-        let _span = self.telemetry.span("kairos_core", "probe_admit_without");
         if let Some(m) = &self.metrics {
             m.probes.inc();
         }
@@ -805,7 +789,6 @@ impl Kairos {
         let app = admitted.app.clone();
         let old_layout = admitted.layout.clone();
 
-        let _span = self.telemetry.span("kairos_core", "migrate_if");
         if let Some(m) = &self.metrics {
             m.migrate_attempts.inc();
         }
@@ -837,14 +820,6 @@ impl Kairos {
                 let failure = AdmissionFailure { error: Box::new(error), timings };
                 if let Some(m) = &self.metrics {
                     m.migrate_rollbacks.inc();
-                    self.telemetry.event(
-                        Level::WARN,
-                        "kairos_core",
-                        format!(
-                            "migrate {id}: no alternate placement ({} phase), rolled back",
-                            failure.phase()
-                        ),
-                    );
                 }
                 Err(MigrationError::Admission(failure))
             }
@@ -858,11 +833,6 @@ impl Kairos {
                 if !accepted {
                     if let Some(m) = &self.metrics {
                         m.migrate_rollbacks.inc();
-                        self.telemetry.event(
-                            Level::WARN,
-                            "kairos_core",
-                            format!("migrate {id}: move declined by acceptance gate, rolled back"),
-                        );
                     }
                     return Err(MigrationError::Declined);
                 }
@@ -935,11 +905,8 @@ impl Kairos {
         // Phase 1: binding, on a free-capacity rank brought up to date with
         // whatever was mutated since the last cold run.
         let start = clock.start();
-        let binding = {
-            let _span = self.telemetry.span("kairos_core", "phase.binding");
-            self.platform.refresh_free_rank();
-            bind_in(app, &self.platform, &mut self.workspace.binding)
-        };
+        self.platform.refresh_free_rank();
+        let binding = bind_in(app, &self.platform, &mut self.workspace.binding);
         let platform = &self.platform;
         let elapsed = start.elapsed();
         timings.set(Phase::Binding, elapsed);
@@ -951,11 +918,9 @@ impl Kairos {
 
         // Phase 2: mapping, through the request's own per-element debits.
         let start = clock.start();
-        let mapping = {
-            let _span = self.telemetry.span("kairos_core", "phase.mapping");
-            let mapper = &self.config.mapper;
-            map_application_in(app, &binding, platform, mapper, &mut self.workspace.mapping)
-        };
+        let mapper = &self.config.mapper;
+        let mapping =
+            map_application_in(app, &binding, platform, mapper, &mut self.workspace.mapping);
         let elapsed = start.elapsed();
         timings.set(Phase::Mapping, elapsed);
         if let Some(m) = &self.metrics {
@@ -966,16 +931,13 @@ impl Kairos {
 
         // Phase 3: routing, through the request's own per-link debits.
         let start = clock.start();
-        let routes = {
-            let _span = self.telemetry.span("kairos_core", "phase.routing");
-            route_channels_in(
-                app,
-                &mapping.placement,
-                platform,
-                self.config.route_algorithm,
-                &mut self.workspace.routing,
-            )
-        };
+        let routes = route_channels_in(
+            app,
+            &mapping.placement,
+            platform,
+            self.config.route_algorithm,
+            &mut self.workspace.routing,
+        );
         let elapsed = start.elapsed();
         timings.set(Phase::Routing, elapsed);
         if let Some(m) = &self.metrics {
@@ -989,10 +951,8 @@ impl Kairos {
         // Phase 4: validation.
         let validation = if self.config.validate {
             let start = clock.start();
-            let report = {
-                let _span = self.telemetry.span("kairos_core", "phase.validation");
-                validate_in(app, &layout, &self.config.validation, &mut self.workspace.validation)
-            };
+            let report =
+                validate_in(app, &layout, &self.config.validation, &mut self.workspace.validation);
             let elapsed = start.elapsed();
             timings.set(Phase::Validation, elapsed);
             if let Some(m) = &self.metrics {

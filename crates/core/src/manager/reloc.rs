@@ -12,12 +12,10 @@
 //! `kairos-admitd` front-end drives both: victim plans from its preemption
 //! hook, sweeps from its `Defrag` command.
 //!
-//! Spans and events carry the `kairos_reloc` target; the counters are the
-//! manager's `kairos.reloc.*` instruments.
+//! The counters are the manager's `kairos.reloc.*` instruments.
 
 use kairos_app::Application;
 use kairos_platform::{AppId, ElementId};
-use kairos_telemetry::Level;
 
 use super::{fragmentation_of, Kairos};
 use crate::layout::ExecutionLayout;
@@ -118,7 +116,6 @@ impl Kairos {
         candidates: &[AppId],
         max_victims: usize,
     ) -> Option<VictimPlan> {
-        let _span = self.telemetry.span("kairos_reloc", "select_victims");
         if let Some(m) = &self.metrics {
             m.reloc_plans_requested.inc();
         }
@@ -141,11 +138,6 @@ impl Kairos {
         let Some(mut layout) = layout else {
             if let Some(m) = &self.metrics {
                 m.reloc_plans_none.inc();
-                self.telemetry.event(
-                    Level::DEBUG,
-                    "kairos_reloc",
-                    format!("no victim set of at most {max_victims} unblocks {}", request.name()),
-                );
             }
             return None;
         };
@@ -169,11 +161,6 @@ impl Kairos {
         if let Some(m) = &self.metrics {
             m.reloc_plans_found.inc();
             m.reloc_plan_victims.add(set.len() as u64);
-            self.telemetry.event(
-                Level::INFO,
-                "kairos_reloc",
-                format!("plan for {}: {} victim(s)", request.name(), set.len()),
-            );
         }
         Some(VictimPlan { victims: set, layout })
     }
@@ -193,7 +180,6 @@ impl Kairos {
     /// applications); `0` makes the sweep a no-op probe of current
     /// fragmentation.
     pub fn compact(&mut self, max_moves: usize) -> CompactReport {
-        let _span = self.telemetry.span("kairos_reloc", "compact");
         if let Some(m) = &self.metrics {
             m.reloc_compact_sweeps.inc();
         }
@@ -216,11 +202,6 @@ impl Kairos {
         }
         if let Some(m) = &self.metrics {
             m.reloc_compact_moves.add(moves.len() as u64);
-            self.telemetry.event(
-                Level::INFO,
-                "kairos_reloc",
-                format!("compaction sweep moved {} application(s)", moves.len()),
-            );
         }
         CompactReport { fragmentation_before, fragmentation_after: self.fragmentation(), moves }
     }

@@ -469,8 +469,8 @@ impl Simulator {
     /// The run's telemetry hub: [`Telemetry::disabled`] unless the
     /// scenario sets [`Scenario::telemetry`], in which case it is the
     /// parent handle every service layer (and the engine's own tallies)
-    /// records through — use it to render the text exposition or dump
-    /// flight recorders after a run.
+    /// records through — use it to render the text exposition after a
+    /// run.
     pub fn telemetry(&self) -> &Telemetry {
         &self.telemetry
     }
@@ -520,10 +520,8 @@ impl Simulator {
         // Seed the queue: samples over the whole horizon, the first arrival
         // of every arrival phase, and the scripted faults.
         let horizon = self.scenario.horizon();
-        let mut t = 0;
-        while t <= horizon {
+        for t in ticks(0, self.scenario.sample_period, horizon) {
             self.schedule(t, SimEvent::Sample);
-            t += self.scenario.sample_period;
         }
         for phase in 0..self.scenario.phases.len() {
             if self.samplers[phase].is_some() {
@@ -543,17 +541,13 @@ impl Simulator {
             self.schedule(at, SimEvent::Fault { fault: i });
         }
         if let Some(defrag) = self.scenario.defrag {
-            let mut t = defrag.period;
-            while t <= horizon {
+            for t in ticks(defrag.period, defrag.period, horizon) {
                 self.schedule(t, SimEvent::Defrag);
-                t += defrag.period;
             }
         }
         if let Some(rebalance) = self.scenario.cluster.and_then(|c| c.rebalance) {
-            let mut t = rebalance.period;
-            while t <= horizon {
+            for t in ticks(rebalance.period, rebalance.period, horizon) {
                 self.schedule(t, SimEvent::Rebalance);
-                t += rebalance.period;
             }
         }
 
@@ -1104,4 +1098,12 @@ fn nearest_rank(sorted: &[u64], p: u64) -> u64 {
     }
     let rank = (sorted.len() as u128 * u128::from(p)).div_ceil(100).max(1) as usize;
     sorted[rank.min(sorted.len()) - 1]
+}
+
+/// `first`, `first + period`, … up to `horizon`, stopping where the next
+/// tick would overflow `u64` (a horizon of `u64::MAX` never ends a
+/// `while t <= horizon` loop).
+fn ticks(first: u64, period: u64, horizon: u64) -> impl Iterator<Item = u64> {
+    std::iter::successors(Some(first), move |t| t.checked_add(period))
+        .take_while(move |&t| t <= horizon)
 }

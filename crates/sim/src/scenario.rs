@@ -258,13 +258,13 @@ pub struct Scenario {
     /// [`GatewayConfig::channel_capacity`] makes full lanes park requests
     /// until completions free slots (bounded backpressure).
     pub gateway: Option<GatewayConfig>,
-    /// Whether the run records `kairos-telemetry` observability: spans,
-    /// the full metric registry (every layer's counters, gauges and
-    /// latency histograms) and per-shard flight recorders. The engine
-    /// always runs the deterministic zero phase clock, so an enabled run
-    /// is byte-identical to a disabled one apart from the extra
-    /// `telemetry` section in the report (all duration histograms record
-    /// zero-nanosecond observations and degenerate to attempt counters).
+    /// Whether the run records `kairos-telemetry` metrics: the full
+    /// registry (every layer's counters, gauges and latency histograms).
+    /// The engine always runs the deterministic zero phase clock, so an
+    /// enabled run is byte-identical to a disabled one apart from the
+    /// extra `telemetry` section in the report (all duration histograms
+    /// record zero-nanosecond observations and degenerate to attempt
+    /// counters).
     pub telemetry: bool,
     /// Whether the run records per-request causal traces: every admission
     /// gets a trace root at the outermost service, queue residency and
@@ -336,9 +336,15 @@ impl Scenario {
         }
     }
 
-    /// Total virtual duration: the sum of all phase durations.
+    /// Total virtual duration: the sum of all phase durations
+    /// (`u64::MAX` when that sum overflows, which [`Self::validate`]
+    /// refuses).
     pub fn horizon(&self) -> u64 {
-        self.phases.iter().map(|p| p.duration).sum()
+        self.checked_horizon().unwrap_or(u64::MAX)
+    }
+
+    fn checked_horizon(&self) -> Option<u64> {
+        self.phases.iter().try_fold(0u64, |t, p| t.checked_add(p.duration))
     }
 
     /// Structural sanity checks.
@@ -414,7 +420,7 @@ impl Scenario {
                 }
             }
         }
-        let horizon = self.horizon();
+        let horizon = self.checked_horizon().ok_or("the phase durations overflow u64 ticks")?;
         for fault in &self.faults {
             if fault.element >= elements {
                 return Err(format!(

@@ -3,14 +3,9 @@
 use std::sync::Arc;
 use std::time::Instant;
 
-use crate::flight::{FlightRecorder, TraceEvent};
-use crate::level::Level;
 use crate::metric::{Counter, Gauge, Histogram};
 use crate::registry::{Registry, Snapshot};
 use crate::trace::{SpanRecord, TraceContext, TraceSink};
-
-/// Events each flight recorder retains before overwriting the oldest.
-pub const FLIGHT_CAPACITY: usize = 256;
 
 /// Construction knobs for a [`Telemetry`] hub.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -29,26 +24,24 @@ pub struct TelemetryConfig {
 }
 
 #[derive(Debug)]
-pub(crate) struct Inner {
+struct Inner {
     config: TelemetryConfig,
-    registry: Arc<Registry>,
-    recorder: FlightRecorder,
-    tracer: Option<Arc<TraceSink>>,
+    registry: Registry,
+    tracer: Option<TraceSink>,
 }
 
 /// The one observability handle the whole stack shares: a metrics
-/// [`Registry`], a [`FlightRecorder`] and the determinism configuration,
-/// behind a cheap-clone `Arc`.
+/// [`Registry`], the request-trace sink and the determinism
+/// configuration, behind a cheap-clone `Arc`.
 ///
 /// A disabled handle ([`Telemetry::disabled`], also the [`Default`]) is a
 /// `None` and makes every operation a no-op branch, so instrumented hot
 /// paths cost one pointer test when observability is off — the observer
 /// effect the test-suite pins to zero.
 ///
-/// [`Telemetry::child`] derives per-shard handles that share the registry
-/// (metric totals aggregate across shards) while owning their own flight
-/// recorder (each shard's event order is its own deterministic operation
-/// order).
+/// Clones share everything: a cluster hands each shard a clone, so metric
+/// totals aggregate across shards and every shard's spans land in the one
+/// trace sink.
 #[derive(Debug, Clone, Default)]
 pub struct Telemetry {
     inner: Option<Arc<Inner>>,
@@ -65,27 +58,9 @@ impl Telemetry {
         Telemetry {
             inner: Some(Arc::new(Inner {
                 config,
-                registry: Arc::new(Registry::new()),
-                recorder: FlightRecorder::new("main", FLIGHT_CAPACITY),
-                tracer: config.tracing.then(|| Arc::new(TraceSink::default())),
+                registry: Registry::new(),
+                tracer: config.tracing.then(TraceSink::default),
             })),
-        }
-    }
-
-    /// A handle sharing this hub's registry, trace sink and configuration
-    /// but owning its own flight recorder labelled `label`. Disabled
-    /// handles derive disabled children.
-    pub fn child(&self, label: &str) -> Telemetry {
-        match &self.inner {
-            None => Telemetry::disabled(),
-            Some(inner) => Telemetry {
-                inner: Some(Arc::new(Inner {
-                    config: inner.config,
-                    registry: inner.registry.clone(),
-                    recorder: FlightRecorder::new(label, FLIGHT_CAPACITY),
-                    tracer: inner.tracer.clone(),
-                })),
-            },
         }
     }
 
@@ -103,7 +78,7 @@ impl Telemetry {
 
     /// The shared registry, when enabled.
     pub fn registry(&self) -> Option<&Registry> {
-        self.inner.as_ref().map(|inner| inner.registry.as_ref())
+        self.inner.as_ref().map(|inner| &inner.registry)
     }
 
     /// The counter registered under `name`, when enabled.
@@ -139,36 +114,6 @@ impl Telemetry {
         start.map_or(0, |s| u64::try_from(s.elapsed().as_nanos()).unwrap_or(u64::MAX))
     }
 
-    /// Records one point event into this handle's flight recorder.
-    ///
-    /// Guard the `format!` at the call site with [`Telemetry::enabled`]
-    /// so disabled runs never build the message.
-    pub fn event(&self, level: Level, target: &str, message: String) {
-        if let Some(inner) = &self.inner {
-            inner.recorder.record(level, target, message);
-        }
-    }
-
-    /// Opens a span: records its entry event now and its exit event when
-    /// the returned guard drops. Spans of a disabled handle are free.
-    pub fn span(&self, target: &'static str, name: &'static str) -> SpanGuard {
-        if let Some(inner) = &self.inner {
-            inner.recorder.record(Level::DEBUG, target, format!("enter {name}"));
-        }
-        SpanGuard { inner: self.inner.clone(), target, name }
-    }
-
-    /// This handle's flight recorder, when enabled.
-    pub fn flight(&self) -> Option<&FlightRecorder> {
-        self.inner.as_ref().map(|inner| &inner.recorder)
-    }
-
-    /// The retained flight-recorder events, oldest first (empty when
-    /// disabled).
-    pub fn flight_dump(&self) -> Vec<TraceEvent> {
-        self.flight().map(FlightRecorder::dump).unwrap_or_default()
-    }
-
     /// A point-in-time copy of every registered metric (empty when
     /// disabled).
     pub fn snapshot(&self) -> Snapshot {
@@ -182,7 +127,7 @@ impl Telemetry {
     }
 
     fn tracer(&self) -> Option<&TraceSink> {
-        self.inner.as_ref().and_then(|inner| inner.tracer.as_deref())
+        self.inner.as_ref().and_then(|inner| inner.tracer.as_ref())
     }
 
     /// Whether request-scoped causal tracing is on for this hub.
@@ -265,22 +210,6 @@ impl Telemetry {
     }
 }
 
-/// An open [`Telemetry::span`]; records the matching exit event on drop.
-#[derive(Debug)]
-pub struct SpanGuard {
-    inner: Option<Arc<Inner>>,
-    target: &'static str,
-    name: &'static str,
-}
-
-impl Drop for SpanGuard {
-    fn drop(&mut self) {
-        if let Some(inner) = &self.inner {
-            inner.recorder.record(Level::DEBUG, self.target, format!("exit {}", self.name));
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -293,38 +222,17 @@ mod tests {
         assert!(t.counter("x").is_none());
         assert!(t.clock().is_none());
         assert_eq!(Telemetry::elapsed_ns(None), 0);
-        t.event(Level::ERROR, "test", "ignored".into());
-        drop(t.span("test", "noop"));
         assert!(t.snapshot().is_empty());
-        assert!(t.flight_dump().is_empty());
         assert_eq!(t.render_text(), "");
     }
 
     #[test]
-    fn spans_bracket_their_scope_in_the_recorder() {
+    fn clones_share_the_registry() {
         let t = Telemetry::new(TelemetryConfig::default());
-        {
-            let _span = t.span("kairos_core", "admit");
-            t.event(Level::INFO, "kairos_core", "inside".into());
-        }
-        let dump = t.flight_dump();
-        let messages: Vec<_> = dump.iter().map(|e| e.message.as_str()).collect();
-        assert_eq!(messages, vec!["enter admit", "inside", "exit admit"]);
-    }
-
-    #[test]
-    fn children_share_the_registry_but_not_the_recorder() {
-        let t = Telemetry::new(TelemetryConfig::default());
-        let shard = t.child("shard0");
+        let shard = t.clone();
         shard.counter("hits").unwrap().inc();
         assert_eq!(t.counter("hits").unwrap().get(), 1, "registry is shared");
-        shard.event(Level::INFO, "test", "shard-local".into());
-        assert!(t.flight_dump().is_empty(), "recorders are per child");
-        assert_eq!(shard.flight().unwrap().label(), "shard0");
-        assert_eq!(FLIGHT_CAPACITY, 256);
-        assert_eq!(t.flight().unwrap().capacity(), FLIGHT_CAPACITY);
-        assert_eq!(shard.flight().unwrap().capacity(), FLIGHT_CAPACITY);
-        assert!(!Telemetry::disabled().child("shard0").enabled());
+        assert!(!Telemetry::disabled().clone().enabled());
     }
 
     #[test]
@@ -351,16 +259,16 @@ mod tests {
     }
 
     #[test]
-    fn children_share_the_trace_sink() {
+    fn clones_share_the_trace_sink() {
         let t = Telemetry::new(TelemetryConfig { tracing: true, ..TelemetryConfig::default() });
         assert!(t.tracing());
-        let shard = t.child("shard0");
+        let shard = t.clone();
         let ctx = t.trace_root("request", 3, &[("class", "batch".into())]);
         assert!(ctx.is_some());
         shard.trace_child(ctx, "probe.shard0", 3, 3, &[("fit", "yes".into())]);
         t.trace_close(ctx, 7, &[("outcome", "admitted".into())]);
         let spans = t.trace_dump();
-        assert_eq!(spans.len(), 2, "the child's span lands in the parent's sink");
+        assert_eq!(spans.len(), 2, "the clone's span lands in the shared sink");
         assert_eq!(spans[1].name, "probe.shard0");
         assert_eq!(spans[0].end, 7);
     }

@@ -1,15 +1,15 @@
 //! # kairos-telemetry
 //!
-//! The unified observability layer of the Kairos workspace: levelled
-//! spans and events, an atomic metrics registry and a bounded flight
-//! recorder behind one cheap-clone [`Telemetry`] handle.
+//! The unified observability layer of the Kairos workspace: an atomic
+//! metrics registry and request-scoped causal traces behind one
+//! cheap-clone [`Telemetry`] handle.
 //!
 //! The paper's evaluation measures the run-time cost of every allocation
 //! phase; before this crate that signal existed only as diagnostic-only
 //! `PhaseTimings`, with each subsystem hand-rolling its own tallies. Now
 //! every layer — the core pipeline, the admission front-end, the
 //! relocation planners, the service surface, the cluster fan-out and the
-//! sim engine — records through the same three instruments:
+//! sim engine — records through the same two planes:
 //!
 //! * **Metrics** — named [`Counter`]s, [`Gauge`]s and fixed-bucket
 //!   [`Histogram`]s in a [`Registry`], recorded with single relaxed
@@ -17,13 +17,6 @@
 //!   that renders as a Prometheus text exposition
 //!   ([`Snapshot::render_text`]) or embeds as byte-stable JSON in the sim
 //!   report.
-//! * **Spans and events** — spans ([`Telemetry::span`]) and point events
-//!   ([`Telemetry::event`]), each tagged with a [`Level`] and the
-//!   emitting subsystem, recorded straight into the hub.
-//! * **Flight recorder** — a bounded ring of recent [`TraceEvent`]s per
-//!   shard ([`FlightRecorder`]), cheap enough to leave always-on and
-//!   dumped post-mortem on admission failures, rollbacks or aborted
-//!   rebalance sweeps.
 //! * **Request traces** — with [`TelemetryConfig::tracing`] on, a
 //!   [`TraceContext`] minted per service request
 //!   ([`Telemetry::trace_root`]) propagates by value through queue
@@ -56,41 +49,38 @@
 //!    order. Dumps sort by `(trace, id)`, so trace exports are
 //!    byte-stable too.
 //!
-//! See `docs/OBSERVABILITY.md` for the span taxonomy and the metric-name
+//! See `docs/OBSERVABILITY.md` for the trace model and the metric-name
 //! catalogue.
 //!
 //! ## Example
 //!
 //! ```
-//! use kairos_telemetry::{Level, Telemetry, TelemetryConfig};
+//! use kairos_telemetry::{Telemetry, TelemetryConfig};
 //!
-//! let telemetry = Telemetry::new(TelemetryConfig::default());
+//! let telemetry = Telemetry::new(TelemetryConfig { tracing: true, ..TelemetryConfig::default() });
 //! let admissions = telemetry.counter("kairos.example.admissions").unwrap();
 //! let latency = telemetry.histogram("kairos.example.ns", &[1_000, 1_000_000]).unwrap();
 //!
-//! let span = telemetry.span("example", "admit");
+//! let request = telemetry.trace_root("request", 0, &[]);
+//! let start = telemetry.clock();
 //! admissions.inc();
-//! latency.record(Telemetry::elapsed_ns(telemetry.clock())); // 0 when deterministic
-//! drop(span);
-//! telemetry.event(Level::INFO, "example", "admitted app 0".into());
+//! latency.record(Telemetry::elapsed_ns(start)); // 0 when deterministic
+//! telemetry.trace_child(request, "admit", 0, 2, &[]);
+//! telemetry.trace_close(request, 2, &[("outcome", "admitted".into())]);
 //!
 //! assert!(telemetry.render_text().contains("kairos_example_admissions 1"));
-//! assert_eq!(telemetry.flight_dump().len(), 3); // enter, exit, event
+//! assert_eq!(telemetry.trace_dump().len(), 2); // the root and its child
 //! ```
 
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
 
-mod flight;
 mod hub;
-mod level;
 mod metric;
 mod registry;
 mod trace;
 
-pub use flight::{FlightRecorder, TraceEvent};
-pub use hub::{SpanGuard, Telemetry, TelemetryConfig, FLIGHT_CAPACITY};
-pub use level::Level;
+pub use hub::{Telemetry, TelemetryConfig};
 pub use metric::{Counter, Gauge, Histogram, HistogramSnapshot};
 pub use registry::{MetricSnapshot, MetricValue, Registry, Snapshot};
 pub use trace::{chrome_trace, summarize, SpanRecord, TraceContext, TraceSummary, ROOT_PARENT};

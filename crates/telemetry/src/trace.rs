@@ -104,8 +104,8 @@ struct SinkState {
 }
 
 /// The per-hub store finished spans accumulate in. One sink is shared by
-/// a hub and all its [`child`](crate::Telemetry::child) handles, so a
-/// clustered stack assembles every shard's spans into one set of trees.
+/// a hub and all its clones, so a clustered stack assembles every
+/// shard's spans into one set of trees.
 #[derive(Debug, Default)]
 pub(crate) struct TraceSink {
     state: Mutex<SinkState>,

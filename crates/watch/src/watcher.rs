@@ -7,7 +7,7 @@ use std::sync::Arc;
 
 use kairos_admitd::{Event, PriorityClass, RejectCause};
 use kairos_core::ElementActivity;
-use kairos_telemetry::{Counter, Gauge, Level, Telemetry};
+use kairos_telemetry::{Counter, Gauge, Telemetry};
 
 use crate::alert::{Alert, AlertKind, Severity};
 use crate::rules::{AnomalyState, QueueState, RejectionState, SloState, Verdict, WatchSpec};
@@ -100,7 +100,6 @@ pub struct Watcher {
     /// Rule instance → index into `alerts` of its active alert.
     active: BTreeMap<RuleId, usize>,
     metrics: Option<WatchMetrics>,
-    telemetry: Telemetry,
     shard_count: usize,
     failed_elements: usize,
 }
@@ -121,7 +120,6 @@ impl Watcher {
             alerts: Vec::new(),
             active: BTreeMap::new(),
             metrics: WatchMetrics::new(telemetry),
-            telemetry: telemetry.child("watch"),
             shard_count: 1,
             failed_elements: 0,
         }
@@ -249,13 +247,6 @@ impl Watcher {
                     threshold,
                     cause,
                 };
-                if let Some(flight) = self.telemetry.flight() {
-                    flight.record(
-                        Level::WARN,
-                        "watch",
-                        format!("alert fired: {} {} ({})", kind, alert.subject, alert.severity),
-                    );
-                }
                 if let Some(m) = &self.metrics {
                     m.fired.inc();
                     m.active.add(1);
@@ -266,13 +257,6 @@ impl Watcher {
             Verdict::Clear => {
                 if let Some(index) = self.active.remove(&id) {
                     self.alerts[index].cleared_at = Some(at);
-                    if let Some(flight) = self.telemetry.flight() {
-                        flight.record(
-                            Level::INFO,
-                            "watch",
-                            format!("alert cleared: {} {}", kind, self.alerts[index].subject),
-                        );
-                    }
                     if let Some(m) = &self.metrics {
                         m.cleared.inc();
                         m.active.add(-1);

@@ -1,7 +1,8 @@
 //! Guided tour of the `kairos-telemetry` observability layer: run the
 //! sharded `telemetry-probe-latency` storm with metrics on, read the
 //! embedded snapshot, render the Prometheus text exposition, refuse a
-//! hopeless admission under observation, and dump the flight recorder.
+//! hopeless admission under observation, and read from the registry which
+//! phase refused it.
 //!
 //! ```text
 //! cargo run --release --example telemetry
@@ -100,14 +101,20 @@ fn main() {
         }
     }
 
-    // 5. The flight recorder: a bounded ring of the most recent trace
-    // events (span enter/exit, lifecycle events), kept cheap enough to
-    // leave on and dumped only when something needs explaining — here,
-    // the per-shard probe spans behind the verdicts above.
-    println!("-- flight-recorder dump (most recent events) --");
-    let flight = telemetry.flight_dump();
-    for event in flight.iter().rev().take(6).rev() {
-        println!("   {event}");
+    // 5. Rejected by which phase? The two-shard hub's registry answers:
+    // every refusal counts once in `kairos.core.admit.fail` and once
+    // under its cause in `kairos.core.reject.*`, and
+    // `kairos.cluster.probes` counts the probes the fan-out ran.
+    println!("-- the refusal, read from the registry --");
+    let snapshot = telemetry.snapshot();
+    println!("   kairos.core.admit.fail = {}", counter(&snapshot, "kairos.core.admit.fail"));
+    for metric in &snapshot.metrics {
+        if let MetricValue::Counter(v) = metric.value {
+            if metric.name.starts_with("kairos.core.reject.") && v > 0 {
+                println!("   {} = {v}", metric.name);
+            }
+        }
     }
-    println!("final: {} events retained, every byte of this output reproducible", flight.len());
+    println!("   kairos.cluster.probes = {}", counter(&snapshot, "kairos.cluster.probes"));
+    println!("final: every byte of this output reproducible");
 }

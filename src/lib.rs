@@ -51,12 +51,11 @@
 //!   arrivals (lone or in batched waves), departures and element faults,
 //!   with or without the admission queue;
 //! * [`telemetry`] — the unified observability layer (see
-//!   `docs/OBSERVABILITY.md`): levelled spans and events recorded
-//!   straight into the hub, a registry of named counters,
-//!   gauges and fixed-bucket latency histograms with atomic hot-path
-//!   recording and deterministic snapshot/render (Prometheus-style text
-//!   exposition, byte-stable JSON embedding in sim reports), and bounded
-//!   per-shard flight recorders dumpable after failures. Disabled by
+//!   `docs/OBSERVABILITY.md`): a registry of named counters, gauges and
+//!   fixed-bucket latency histograms with atomic hot-path recording and
+//!   deterministic snapshot/render (Prometheus-style text exposition,
+//!   byte-stable JSON embedding in sim reports), and request-scoped
+//!   causal traces with Chrome-trace export. Disabled by
 //!   default everywhere; a disabled handle costs one pointer test per
 //!   instrumentation site and records nothing;
 //! * [`watch`] — energy/power accounting and deterministic health

@@ -8,7 +8,7 @@
 mod observers;
 
 use kairos::platform::ElementId;
-use kairos::sim::{FaultSpec, Scenario, Simulator};
+use kairos::sim::{FaultSpec, Scenario, Simulator, SweepSpec};
 
 #[test]
 fn catalog_scenario_produces_a_complete_json_report() {
@@ -148,7 +148,9 @@ fn changing_the_seed_changes_the_run() {
 /// comes, a queue wait that never times out, a lifetime that outlasts
 /// the run. The engine schedules each as `now + delay`, which must
 /// saturate past the horizon (and so never fire) instead of overflowing
-/// into a panic or wrapping into the past.
+/// into a panic or wrapping into the past. Horizons near `u64::MAX` are
+/// the same edge: phase durations whose sum overflows are refused, and
+/// periodic events stop where their next tick would overflow.
 #[test]
 fn never_values_saturate_past_the_horizon() {
     let element = 28;
@@ -169,5 +171,25 @@ fn never_values_saturate_past_the_horizon() {
         report.totals.departures, 0,
         "lifetimes drawn at a mean of u64::MAX outlast the run"
     );
+    assert_eq!(report.totals.arrivals, report.totals.admissions + report.totals.rejections);
+
+    let mut overflowing = Scenario::by_name("steady-churn").unwrap();
+    overflowing.phases.truncate(1);
+    overflowing.phases[0].duration = u64::MAX / 2 + 1;
+    overflowing.phases.push(overflowing.phases[0].clone());
+    overflowing.faults.clear();
+    assert!(overflowing.validate().is_err(), "phase durations summing past u64::MAX are refused");
+    assert!(Simulator::new(overflowing).is_err());
+
+    let mut endless = Scenario::by_name("defrag-sweep").unwrap();
+    endless.phases.truncate(1);
+    endless.phases[0].duration = u64::MAX;
+    endless.phases[0].mean_interarrival = u64::MAX / 4;
+    endless.faults.clear();
+    endless.sample_period = u64::MAX / 2;
+    endless.defrag = Some(SweepSpec { period: u64::MAX / 2, max_moves: 1 });
+    let report = Simulator::new(endless).unwrap().run();
+    assert_eq!(report.horizon, u64::MAX);
+    assert_eq!(report.samples.len(), 3, "samples at 0, u64::MAX / 2 and u64::MAX - 1");
     assert_eq!(report.totals.arrivals, report.totals.admissions + report.totals.rejections);
 }
