@@ -13,6 +13,11 @@
 //! element of the pool, so an application whose aggregate demand exceeds the
 //! remaining platform capacity is rejected here — exactly the failure mode
 //! that dominates the computation-oriented datasets of Table I.
+//!
+//! Each implementation is asked about once per pass, cheapest (by energy)
+//! first: the regret pass stops at the first two that fit the undebited
+//! pool, and the commit pass at the first whose debit succeeds. The order
+//! needs only the implementations' static energies, not the pool.
 
 use std::cmp::Reverse;
 
@@ -38,7 +43,7 @@ pub(crate) struct BindingScratch {
     debited: Vec<(ElementId, ResourceVector)>,
     /// Tasks with their regret, highest regret first once sorted.
     order: Vec<(TaskId, u64)>,
-    /// The feasible implementations of the task at hand, cheapest first.
+    /// The implementations of the task at hand, cheapest first.
     candidates: Vec<Candidate>,
     /// The implementation chosen per task, by task id.
     choices: Vec<ImplId>,
@@ -158,16 +163,13 @@ impl<'a> Pool<'a> {
     }
 }
 
-/// Fills `out` with the implementations of a task that still fit `pool`,
-/// cheapest (by energy) first.
-fn feasible_candidates(task_impls: &[Implementation], pool: &Pool<'_>, out: &mut Vec<Candidate>) {
+/// Fills `out` with the implementations of a task, cheapest (by energy)
+/// first, declaration order among equals.
+fn by_energy(task_impls: &[Implementation], out: &mut Vec<Candidate>) {
     out.clear();
-    for (i, imp) in task_impls.iter().enumerate() {
-        if pool.feasible(imp.target(), &imp.requires()) {
-            out.push(Candidate { impl_id: ImplId(i as u16), energy: imp.energy() });
-        }
-    }
-    // Declaration order among equals, without the stable sort's buffer.
+    let all = task_impls.iter().enumerate();
+    out.extend(all.map(|(i, imp)| Candidate { impl_id: ImplId(i as u16), energy: imp.energy() }));
+    // The ids are distinct, so the unstable sort needs no stable buffer.
     out.sort_unstable_by_key(|c| (c.energy, c.impl_id));
 }
 
@@ -241,14 +243,20 @@ pub(crate) fn bind_in(
     let BindingScratch { debited, order, candidates, choices } = scratch;
     let mut pool = Pool::of(platform, debited);
 
-    // Regret pass: candidates per task against the *initial* pool.
+    // Regret pass: the two cheapest implementations per task that fit the
+    // *initial* pool.
     order.clear();
     for task in app.tasks() {
-        feasible_candidates(task.implementations(), &pool, candidates);
-        let regret = match candidates.as_slice() {
-            [] => return Err(refusal(task, &pool)),
-            [_] => u64::MAX,
-            [first, second, ..] => second.energy - first.energy,
+        let implementations = task.implementations();
+        by_energy(implementations, candidates);
+        let mut fitting = candidates.iter().filter(|cand| {
+            let imp = &implementations[cand.impl_id.index()];
+            pool.feasible(imp.target(), &imp.requires())
+        });
+        let regret = match (fitting.next(), fitting.next()) {
+            (None, _) => return Err(refusal(task, &pool)),
+            (Some(_), None) => u64::MAX,
+            (Some(first), Some(second)) => second.energy - first.energy,
         };
         order.push((task.id(), regret));
     }
@@ -261,11 +269,13 @@ pub(crate) fn bind_in(
     choices.resize(app.task_count(), ImplId(0));
     for &(task_id, _) in order.iter() {
         let task = app.task(task_id);
-        // Re-evaluate against the *current* pool: earlier bindings may have
-        // consumed what this task hoped for.
-        feasible_candidates(task.implementations(), &pool, candidates);
+        let implementations = task.implementations();
+        // Against the *current* pool: earlier bindings may have consumed
+        // what this task hoped for. A debit that fails leaves the pool as
+        // it was, so the first that succeeds is the cheapest that fits.
+        by_energy(implementations, candidates);
         let bound = candidates.iter().find(|cand| {
-            let imp = &task.implementations()[cand.impl_id.index()];
+            let imp = &implementations[cand.impl_id.index()];
             pool.commit(imp.target(), &imp.requires())
         });
         match bound {
@@ -282,6 +292,7 @@ mod tests {
     use super::*;
     use kairos_app::{ApplicationBuilder, TaskRole};
     use kairos_platform::{topology, AppId, Occupant};
+    use proptest::prelude::*;
 
     fn dsp_impl(cpu: u64, energy: u64) -> Implementation {
         Implementation::new(ElementKind::Dsp, ResourceVector::new(cpu, 16, 0, 0), 100, energy)
@@ -310,6 +321,111 @@ mod tests {
             }
         }
         best.map(|(i, _)| i)
+    }
+
+    /// The binder the phase is checked against: both passes first collect
+    /// every implementation that fits the pool, cheapest first, then walk
+    /// that list.
+    fn reference_bind(app: &Application, platform: &Platform) -> Result<Binding, BindingError> {
+        let mut debited = Vec::new();
+        let mut pool = Pool::of(platform, &mut debited);
+        let fitting = |task: &Task, pool: &Pool<'_>| {
+            let mut out: Vec<_> = (task.implementations().iter().enumerate())
+                .filter(|(_, imp)| pool.feasible(imp.target(), &imp.requires()))
+                .map(|(i, imp)| Candidate { impl_id: ImplId(i as u16), energy: imp.energy() })
+                .collect();
+            out.sort_by_key(|c| (c.energy, c.impl_id));
+            out
+        };
+        let mut order = Vec::new();
+        for task in app.tasks() {
+            let regret = match fitting(task, &pool).as_slice() {
+                [] => return Err(refusal(task, &pool)),
+                [_] => u64::MAX,
+                [first, second, ..] => second.energy - first.energy,
+            };
+            order.push((task.id(), regret));
+        }
+        order.sort_by(|a, b| b.1.cmp(&a.1).then_with(|| a.0.cmp(&b.0)));
+        let mut choices = vec![ImplId(0); app.task_count()];
+        for (task_id, _) in order {
+            let task = app.task(task_id);
+            let bound = fitting(task, &pool).into_iter().find(|cand| {
+                let imp = &task.implementations()[cand.impl_id.index()];
+                pool.commit(imp.target(), &imp.requires())
+            });
+            match bound {
+                Some(cand) => choices[task_id.index()] = cand.impl_id,
+                None => return Err(refusal(task, &pool)),
+            }
+        }
+        Ok(Binding::new(choices))
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Asking each implementation once binds exactly as filtering the
+        /// pool first does — the same `Binding`, or the same refusal down to
+        /// `largest_free` and `structural` — for random applications (one to
+        /// four implementations per task, kinds shared, energies often
+        /// equal) on random loads of a heterogeneous mesh with failed
+        /// elements and free-rank marks pending.
+        #[test]
+        fn asking_each_implementation_once_binds_as_filtering_first(
+            width in 2usize..7,
+            height in 2usize..7,
+            load in proptest::collection::vec((0usize..64, 0u64..11), 0..48),
+            failed in proptest::collection::vec(0usize..64, 0..5),
+            pending in proptest::collection::vec((0usize..64, 0u64..11, any::<bool>()), 0..12),
+            tasks in proptest::collection::vec(
+                proptest::collection::vec((0usize..5, 0u64..110, 0u64..4), 1..5),
+                1..9,
+            ),
+        ) {
+            let mut platform = topology::heterogeneous_mesh(width, height);
+            let n = platform.element_count();
+            for (task, &(e, tenths)) in load.iter().enumerate() {
+                let e = ElementId((e % n) as u32);
+                let claimed = platform.free(e).scaled(tenths, 10);
+                let _ = platform.claim(e, Occupant { app: AppId(0), task: task as u32, claimed });
+            }
+            failed.iter().for_each(|&e| platform.fail_element(ElementId((e % n) as u32)));
+            platform.refresh_free_rank();
+            for (task, &(e, tenths, release)) in pending.iter().enumerate() {
+                let e = ElementId((e % n) as u32);
+                if release {
+                    let _ = platform.release_app(AppId(0), [e]);
+                } else {
+                    let claimed = platform.free(e).scaled(tenths, 10);
+                    let _ = platform.claim(e, Occupant { app: AppId(1), task: task as u32, claimed });
+                }
+            }
+
+            const KINDS: [ElementKind; 5] = [
+                ElementKind::Dsp,
+                ElementKind::Dsp,
+                ElementKind::Memory,
+                ElementKind::Arm,
+                ElementKind::Fpga,
+            ];
+            let mut b = ApplicationBuilder::new("random");
+            for (i, impls) in tasks.iter().enumerate() {
+                let impls = impls.iter().map(|&(kind, percent, energy)| {
+                    let kind = KINDS[kind];
+                    let requires = topology::default_capacity(kind).scaled(percent, 100);
+                    Implementation::new(kind, requires, 100, energy)
+                });
+                b.add_task(format!("t{i}"), TaskRole::Internal, impls.collect());
+            }
+            let app = b.build().unwrap();
+            let expected = reference_bind(&app, &platform);
+            let mut scratch = BindingScratch::default();
+            for _ in 0..2 {
+                // Twice on one scratch: nothing read is left from the last call.
+                prop_assert_eq!(bind_in(&app, &platform, &mut scratch), expected.clone());
+            }
+        }
     }
 
     #[test]
@@ -439,6 +555,23 @@ mod tests {
                 largest_free: Some(platform.element(first).capacity()),
             }
         );
+    }
+
+    #[test]
+    fn a_demand_whose_total_overflows_is_refused_as_structural() {
+        // The total of this demand does not fit `u64`; the rank search
+        // must see it as larger than any element, not wrap to a small one.
+        let platform = topology::crisp();
+        let mut b = ApplicationBuilder::new("x");
+        let huge = ResourceVector::new(u64::MAX, 1, 0, 0);
+        let imp = Implementation::new(ElementKind::Dsp, huge, 1, 1);
+        b.add_task("t", TaskRole::Internal, vec![imp]);
+        let app = b.build().unwrap();
+        assert!(matches!(
+            bind(&app, &platform).unwrap_err(),
+            BindingError::NoFeasibleImplementation { structural: true, requested, .. }
+                if requested == huge
+        ));
     }
 
     #[test]

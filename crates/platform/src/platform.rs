@@ -505,10 +505,16 @@ pub struct Platform {
     name: String,
     elements: Vec<Element>,
     links: Vec<Link>,
-    /// Outgoing adjacency: for each element, `(neighbor, link)` pairs.
-    out_adj: Vec<Vec<(ElementId, LinkId)>>,
-    /// Incoming adjacency: for each element, `(neighbor, link)` pairs.
-    in_adj: Vec<Vec<(ElementId, LinkId)>>,
+    /// Directed adjacency in compressed rows, in link-id order within a
+    /// row: `e`'s outgoing `(neighbor, link)` pairs are
+    /// `out_links[out_offsets[e] .. out_offsets[e + 1]]`, its incoming ones
+    /// `in_links[in_offsets[e] .. in_offsets[e + 1]]`. Flat like the table
+    /// below, so routing's search reads one contiguous row per hop and a
+    /// clone copies four vectors, not one per element and direction.
+    out_offsets: Vec<u32>,
+    out_links: Vec<(ElementId, LinkId)>,
+    in_offsets: Vec<u32>,
+    in_links: Vec<(ElementId, LinkId)>,
     /// Undirected adjacency in compressed rows: the distinct endpoints of
     /// `e`'s in- and out-links, ascending, are
     /// `neighbor_ids[neighbor_offsets[e] .. neighbor_offsets[e + 1]]`.
@@ -562,22 +568,49 @@ impl PartialEq for MutationEpoch {
     }
 }
 
+/// One direction of the link table in compressed rows: per element `e`,
+/// `(far end, link)` of the links whose `ends(link).0` is `e`, in link-id
+/// order, at `rows[offsets[e] .. offsets[e + 1]]`.
+fn link_rows(
+    n: usize,
+    links: &[Link],
+    ends: impl Fn(&Link) -> (ElementId, ElementId),
+) -> (Vec<u32>, Vec<(ElementId, LinkId)>) {
+    // Counting sort, stable in link order; the counts sit one slot late so
+    // that placing the links leaves `offsets[e]` at the start of `e`'s row.
+    let mut offsets = vec![0u32; n + 2];
+    for link in links {
+        offsets[ends(link).0.index() + 2] += 1;
+    }
+    for e in 2..n + 2 {
+        offsets[e] += offsets[e - 1];
+    }
+    let mut rows = vec![(ElementId(0), LinkId(0)); links.len()];
+    for link in links {
+        let (near, far) = ends(link);
+        let slot = &mut offsets[near.index() + 1];
+        rows[*slot as usize] = (far, link.id());
+        *slot += 1;
+    }
+    offsets.pop();
+    (offsets, rows)
+}
+
 impl Platform {
     pub(crate) fn from_parts(name: String, elements: Vec<Element>, links: Vec<Link>) -> Self {
         let n = elements.len();
-        let mut out_adj = vec![Vec::new(); n];
-        let mut in_adj = vec![Vec::new(); n];
-        for link in &links {
-            out_adj[link.src().index()].push((link.dst(), link.id()));
-            in_adj[link.dst().index()].push((link.src(), link.id()));
-        }
+        let (out_offsets, out_links) = link_rows(n, &links, |l| (l.src(), l.dst()));
+        let (in_offsets, in_links) = link_rows(n, &links, |l| (l.dst(), l.src()));
+        let row_of = |offsets: &[u32], e: usize| offsets[e] as usize..offsets[e + 1] as usize;
         let mut neighbor_offsets = Vec::with_capacity(n + 1);
         let mut neighbor_ids = Vec::new();
         let mut row: Vec<ElementId> = Vec::new();
         neighbor_offsets.push(0);
         for e in 0..n {
             row.clear();
-            row.extend(out_adj[e].iter().chain(&in_adj[e]).map(|&(nb, _)| nb));
+            let out = &out_links[row_of(&out_offsets, e)];
+            let into = &in_links[row_of(&in_offsets, e)];
+            row.extend(out.iter().chain(into).map(|&(nb, _)| nb));
             row.sort_unstable();
             row.dedup();
             neighbor_ids.extend_from_slice(&row);
@@ -612,8 +645,10 @@ impl Platform {
             name,
             elements,
             links,
-            out_adj,
-            in_adj,
+            out_offsets,
+            out_links,
+            in_offsets,
+            in_links,
             neighbor_offsets,
             neighbor_ids,
             max_degree,
@@ -874,15 +909,18 @@ impl Platform {
         &self.kind_ids[self.kind_offsets[k] as usize..self.kind_offsets[k + 1] as usize]
     }
 
-    /// Outgoing `(neighbor, link)` pairs of `e`.
+    /// Outgoing `(neighbor, link)` pairs of `e`, in link-id order.
     #[inline]
     pub fn successors(&self, e: ElementId) -> &[(ElementId, LinkId)] {
-        &self.out_adj[e.index()]
+        let i = e.index();
+        &self.out_links[self.out_offsets[i] as usize..self.out_offsets[i + 1] as usize]
     }
 
-    /// Incoming `(neighbor, link)` pairs of `e`.
+    /// Incoming `(neighbor, link)` pairs of `e`, in link-id order.
+    #[inline]
     pub fn predecessors(&self, e: ElementId) -> &[(ElementId, LinkId)] {
-        &self.in_adj[e.index()]
+        let i = e.index();
+        &self.in_links[self.in_offsets[i] as usize..self.in_offsets[i + 1] as usize]
     }
 
     /// All distinct neighbors of `e`, ignoring link direction, in ascending
@@ -908,7 +946,7 @@ impl Platform {
 
     /// The link from `src` to `dst`, if one exists.
     pub fn link_between(&self, src: ElementId, dst: ElementId) -> Option<LinkId> {
-        self.out_adj[src.index()].iter().find(|&&(n, _)| n == dst).map(|&(_, l)| l)
+        self.successors(src).iter().find(|&&(n, _)| n == dst).map(|&(_, l)| l)
     }
 
     // ---- dynamic state: elements ------------------------------------------------
@@ -1450,6 +1488,44 @@ mod tests {
         p.restore(cp);
         assert!(p.is_idle());
         assert!(!p.is_failed(c));
+    }
+
+    #[test]
+    fn link_rows_list_each_elements_links_in_id_order() {
+        // Directed links, a parallel pair, a one-way cycle and an element
+        // with no link at all.
+        let mut b = PlatformBuilder::new("directed");
+        let e: Vec<_> =
+            (0..6).map(|_| b.add_element(ElementKind::Dsp, ResourceVector::splat(1))).collect();
+        for (src, dst) in [(3, 0), (0, 1), (1, 2), (2, 0), (0, 1), (4, 3), (1, 3)] {
+            b.connect_directed(e[src], e[dst], 10, 1);
+        }
+        let platforms = [
+            crate::topology::crisp(),
+            crate::topology::heterogeneous_mesh(16, 16),
+            crate::topology::crisp_tiles(4),
+            b.build(),
+        ];
+        for p in &platforms {
+            for e in p.element_ids() {
+                let out: Vec<_> =
+                    p.links().filter(|l| l.src() == e).map(|l| (l.dst(), l.id())).collect();
+                let into: Vec<_> =
+                    p.links().filter(|l| l.dst() == e).map(|l| (l.src(), l.id())).collect();
+                assert_eq!(p.successors(e), out, "{}: out of {e}", p.name());
+                assert_eq!(p.predecessors(e), into, "{}: into {e}", p.name());
+                for &n in p.neighbors(e) {
+                    let first = p.links().find(|l| (l.src(), l.dst()) == (e, n)).map(|l| l.id());
+                    assert_eq!(p.link_between(e, n), first, "{}: {e} to {n}", p.name());
+                }
+            }
+            assert_eq!(&p.clone(), p);
+        }
+        let directed = &platforms[3];
+        // The lower id of the parallel pair.
+        assert_eq!(directed.link_between(e[0], e[1]), Some(LinkId(1)));
+        assert_eq!(directed.link_between(e[1], e[0]), None);
+        assert!(directed.successors(e[5]).is_empty() && directed.predecessors(e[5]).is_empty());
     }
 
     #[test]

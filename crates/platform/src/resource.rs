@@ -162,10 +162,11 @@ impl ResourceVector {
     }
 
     /// Sum of all components — a crude scalar "size" used by knapsack
-    /// tie-breaking and greedy value/size ratios.
+    /// tie-breaking and greedy value/size ratios. Saturates at `u64::MAX`,
+    /// so a hostile demand cannot wrap into a small one.
     #[inline]
     pub fn total(&self) -> u64 {
-        self.0.iter().sum()
+        self.0.iter().fold(0, |sum, &x| sum.saturating_add(x))
     }
 
     /// Scales every component by `num/den`, rounding down.
@@ -289,6 +290,13 @@ mod tests {
     fn with_sets_single_component() {
         let v = ResourceVector::with(ResourceKind::Memory, 42);
         assert_eq!(v, ResourceVector::new(0, 42, 0, 0));
+    }
+
+    #[test]
+    fn total_saturates() {
+        assert_eq!(ResourceVector::new(1, 2, 3, 4).total(), 10);
+        assert_eq!(ResourceVector::new(u64::MAX, 1, 0, 0).total(), u64::MAX);
+        assert_eq!(ResourceVector::splat(u64::MAX).total(), u64::MAX);
     }
 
     #[test]

@@ -17,6 +17,16 @@
 //! and potentials are kept scaled by their ratio's denominator, so there is
 //! no epsilon and the answer is the exact rational. One round costs
 //! `O(actors + edges)` and no state is stored.
+//!
+//! Howard's iteration converges from any initial policy. This one starts
+//! from an in-tree: the member that executes longest (the lowest id among
+//! equals) keeps its implicit self-loop as the root, and every member a
+//! breadth-first search reaches from it over out-edges hangs under it. One
+//! evaluation then gives all of them the largest self-loop ratio, which the
+//! self-loops alone would spread one hop per round. Members the tree does
+//! not reach start on their own self-loops.
+
+use std::cmp::Reverse;
 
 use crate::analysis::{gcd, SdfAnalysisError};
 use crate::statespace::StateSpaceError;
@@ -69,6 +79,9 @@ pub struct CycleRatioScratch {
     /// CSR of edge indices by destination: `incoming[first[v]..first[v + 1]]`.
     first: Vec<u32>,
     incoming: Vec<u32>,
+    /// CSR of edge indices by source: `outgoing[first_out[v]..first_out[v + 1]]`.
+    first_out: Vec<u32>,
+    outgoing: Vec<u32>,
     /// The actors the reference depends on, itself included.
     members: Vec<usize>,
     seen: Vec<bool>,
@@ -92,39 +105,57 @@ fn refill<T: Clone>(v: &mut Vec<T>, n: usize, value: T) -> &mut [T] {
     v
 }
 
-/// The graph, indexed by destination.
+/// Fills `first` and `rows` with the CSR of the edge indices grouped by
+/// `end(edge)`, ascending within a row: `rows[first[v]..first[v + 1]]`.
+fn group_edges<'a>(
+    n: usize,
+    edges: &[(u32, u32, u32)],
+    end: impl Fn(&(u32, u32, u32)) -> u32,
+    first: &'a mut Vec<u32>,
+    rows: &'a mut Vec<u32>,
+) -> (&'a [u32], &'a [u32]) {
+    // Counting sort; the counts sit one slot late so that placing the edges
+    // leaves `first[v]` at the start of `v`'s slice.
+    let first = refill(first, n + 2, 0);
+    for edge in edges {
+        first[end(edge) as usize + 2] += 1;
+    }
+    for v in 2..n + 2 {
+        first[v] += first[v - 1];
+    }
+    let rows = refill(rows, edges.len(), 0);
+    for (e, edge) in edges.iter().enumerate() {
+        let slot = &mut first[end(edge) as usize + 1];
+        rows[*slot as usize] = e as u32;
+        *slot += 1;
+    }
+    (first, rows)
+}
+
+/// The graph, indexed by destination and by source.
 struct Graph<'a> {
     exec: &'a [u64],
     edges: &'a [(u32, u32, u32)],
     first: &'a [u32],
     incoming: &'a [u32],
+    first_out: &'a [u32],
+    outgoing: &'a [u32],
 }
 
 impl<'a> Graph<'a> {
     fn new(
         exec: &'a [u64],
         edges: &'a [(u32, u32, u32)],
-        first: &'a mut Vec<u32>,
-        incoming: &'a mut Vec<u32>,
+        (first, incoming): (&'a mut Vec<u32>, &'a mut Vec<u32>),
+        (first_out, outgoing): (&'a mut Vec<u32>, &'a mut Vec<u32>),
     ) -> Self {
         let n = exec.len();
-        // Counting sort by destination; the counts sit one slot late so that
-        // placing the edges leaves `first[v]` at the start of `v`'s slice.
-        let first = refill(first, n + 2, 0);
         for &(src, dst, _) in edges {
             assert!((src as usize) < n && (dst as usize) < n, "edge endpoint out of range");
-            first[dst as usize + 2] += 1;
         }
-        for v in 2..n + 2 {
-            first[v] += first[v - 1];
-        }
-        let incoming = refill(incoming, edges.len(), 0);
-        for (e, &(_, dst, _)) in edges.iter().enumerate() {
-            let slot = &mut first[dst as usize + 1];
-            incoming[*slot as usize] = e as u32;
-            *slot += 1;
-        }
-        Graph { exec, edges, first, incoming }
+        let (first, incoming) = group_edges(n, edges, |&(_, dst, _)| dst, first, incoming);
+        let (first_out, outgoing) = group_edges(n, edges, |&(src, _, _)| src, first_out, outgoing);
+        Graph { exec, edges, first, incoming, first_out, outgoing }
     }
 
     /// `(edge index, source, tokens)` of every explicit edge into `v`.
@@ -133,6 +164,12 @@ impl<'a> Graph<'a> {
             let (src, _, tokens) = self.edges[e as usize];
             (e, src as usize, tokens)
         })
+    }
+
+    /// `(edge index, destination)` of every explicit edge out of `v`.
+    fn outgoing(&self, v: usize) -> impl Iterator<Item = (u32, usize)> + '_ {
+        let row = self.first_out[v] as usize..self.first_out[v + 1] as usize;
+        self.outgoing[row].iter().map(|&e| (e, self.edges[e as usize].1 as usize))
     }
 
     /// Collects into `members` the actors `reference` depends on (itself
@@ -271,9 +308,9 @@ impl Policy<'_> {
 
     /// Policy improvement; `false` when the policy is optimal. An actor
     /// first adopts a predecessor under a larger ratio; only when no actor
-    /// can, one that raises its potential under the same ratio. The implicit
-    /// self-loops are the initial policy and never an improvement: ratios
-    /// only grow from there.
+    /// can, one that raises its potential under the same ratio. An implicit
+    /// self-loop is never an improvement: every actor starts under a ratio
+    /// at least its own self-loop's, and ratios only grow from there.
     fn improve(&mut self, graph: &Graph, members: &[usize]) -> Result<bool, StateSpaceError> {
         let mut changed = false;
         for &v in members {
@@ -307,6 +344,33 @@ impl Policy<'_> {
             }
         }
         Ok(changed)
+    }
+}
+
+/// The initial policy: every member the longest-executing member (the
+/// lowest id among equals) reaches over out-edges chooses the in-edge
+/// it was first reached by, a breadth-first in-tree under that root's
+/// self-loop; every other actor keeps its self-loop. `seen` marks the
+/// members; `queue` is scratch.
+fn plant(
+    policy: &mut Policy,
+    graph: &Graph,
+    members: &[usize],
+    seen: &[bool],
+    queue: &mut Vec<usize>,
+) {
+    let root = members.iter().copied().max_by_key(|&v| (graph.exec[v], Reverse(v)));
+    queue.clear();
+    queue.extend(root);
+    let mut next = 0;
+    while let Some(&u) = queue.get(next) {
+        next += 1;
+        for (e, dst) in graph.outgoing(u) {
+            if seen[dst] && policy.chosen[dst] == SELF_LOOP && Some(dst) != root {
+                policy.chosen[dst] = e;
+                queue.push(dst);
+            }
+        }
     }
 }
 
@@ -369,10 +433,24 @@ pub fn max_cycle_ratio_in(
     reference: usize,
     scratch: &mut CycleRatioScratch,
 ) -> Result<CycleRatio, StateSpaceError> {
+    solve(exec, edges, reference, scratch, plant)
+}
+
+/// [`max_cycle_ratio_in`] from the initial policy `start` lays over the
+/// all-self-loop one.
+fn solve(
+    exec: &[u64],
+    edges: &[(u32, u32, u32)],
+    reference: usize,
+    scratch: &mut CycleRatioScratch,
+    start: impl FnOnce(&mut Policy, &Graph, &[usize], &[bool], &mut Vec<usize>),
+) -> Result<CycleRatio, StateSpaceError> {
     assert!(reference < exec.len(), "reference actor out of range");
     let CycleRatioScratch {
         first,
         incoming,
+        first_out,
+        outgoing,
         members,
         seen,
         blocking,
@@ -383,9 +461,8 @@ pub fn max_cycle_ratio_in(
         walk,
         path,
     } = scratch;
-    let graph = Graph::new(exec, edges, first, incoming);
+    let graph = Graph::new(exec, edges, (first, incoming), (first_out, outgoing));
     graph.upstream_of(reference, members, seen, blocking, ready)?;
-    // Every actor starts on its implicit self-loop.
     let n = exec.len();
     let mut policy = Policy {
         chosen: refill(chosen, n, SELF_LOOP),
@@ -394,6 +471,7 @@ pub fn max_cycle_ratio_in(
         walk: refill(walk, n, Walk::Unseen),
         path,
     };
+    start(&mut policy, &graph, members, seen, ready);
     let mut rounds = 0;
     loop {
         rounds += 1;
@@ -414,6 +492,79 @@ mod tests {
     use super::*;
     use crate::graph::{ActorId, SdfGraphBuilder};
     use crate::statespace::throughput;
+    use proptest::prelude::*;
+
+    /// The solver from the start it had before the in-tree: every actor on
+    /// its implicit self-loop.
+    fn from_self_loops(
+        exec: &[u64],
+        edges: &[(u32, u32, u32)],
+        reference: usize,
+    ) -> Result<CycleRatio, StateSpaceError> {
+        let mut scratch = CycleRatioScratch::default();
+        solve(exec, edges, reference, &mut scratch, |_, _, _, _, _| {})
+    }
+
+    /// `(cycles, iterations)` or the error: what both starts must agree on.
+    fn answer(result: Result<CycleRatio, StateSpaceError>) -> Result<(u64, u64), StateSpaceError> {
+        result.map(|ratio| (ratio.cycles, ratio.iterations))
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// The in-tree start finds what the self-loop start finds — the
+        /// same exact ratio, or the same error — on random homogeneous
+        /// graphs: several components, parallel edges, zero-token cycles,
+        /// zero execution times and execution times of `u64::MAX / 2`.
+        #[test]
+        fn the_in_tree_start_finds_what_the_self_loops_find(
+            exec in proptest::collection::vec((0u64..20, 0u32..12), 1..9),
+            edges in proptest::collection::vec((0u32..9, 0u32..9, 0u32..4), 0..18),
+            reference in 0usize..9,
+        ) {
+            let exec: Vec<u64> =
+                exec.iter().map(|&(e, huge)| if huge == 0 { u64::MAX / 2 } else { e }).collect();
+            let n = exec.len() as u32;
+            let edges: Vec<_> = edges.iter().map(|&(s, d, t)| (s % n, d % n, t)).collect();
+            let reference = reference % exec.len();
+            let mut scratch = CycleRatioScratch::default();
+            let ours = max_cycle_ratio_in(&exec, &edges, reference, &mut scratch);
+            prop_assert_eq!(answer(ours), answer(from_self_loops(&exec, &edges, reference)));
+        }
+    }
+
+    #[test]
+    fn both_starts_agree_on_the_hostile_cases() {
+        let huge = u64::MAX / 2;
+        let edges = [(0, 1, 0), (1, 0, 2), (1, 2, 0), (2, 1, 2)];
+        for (exec, edges, reference) in [
+            (&[huge; 3][..], &edges[..], 2),
+            (&[huge; 2][..], &edges[..2], 1),
+            (&[huge, 1, huge][..], &edges[..], 0),
+            (&[1, huge, 0][..], &edges[..], 2),
+        ] {
+            let ours = max_cycle_ratio(exec, edges, reference);
+            assert_eq!(answer(ours), answer(from_self_loops(exec, edges, reference)), "{exec:?}");
+        }
+    }
+
+    #[test]
+    fn the_in_tree_hands_the_largest_self_loop_on_in_one_evaluation() {
+        // A one-token ring of eight actors, each with a two-token back-edge
+        // and the heaviest at the far end from the reference: the
+        // self-loops spread its ratio one hop per round, the in-tree in one.
+        let n = 8u32;
+        let exec: Vec<u64> = (0..u64::from(n)).map(|i| if i == 5 { 9 } else { 1 }).collect();
+        let mut edges: Vec<_> = (0..n).map(|i| (i, (i + 1) % n, 2)).collect();
+        edges.extend((0..n).map(|i| ((i + 1) % n, i, 2)));
+        let ours = max_cycle_ratio(&exec, &edges, 0).unwrap();
+        let old = from_self_loops(&exec, &edges, 0).unwrap();
+        assert_eq!((ours.cycles, ours.iterations), (old.cycles, old.iterations));
+        assert_eq!((ours.cycles, ours.iterations), (9, 1));
+        assert!(ours.rounds < old.rounds, "{ours:?} vs {old:?}");
+        assert_eq!(ours.rounds, 1);
+    }
 
     /// The solver's ratio, after checking it against the state-space oracle
     /// on the same graph.

@@ -60,3 +60,42 @@ fn foreign_binaries_are_rejected() {
     assert!(binfmt::decode(b"\x7fELF\x02\x01\x01").is_err());
     assert!(binfmt::decode(&[]).is_err());
 }
+
+/// A hostile image never panics the manager: every catalogue app's image,
+/// with one to four bytes flipped at a time, either decodes to an error or
+/// decodes to an application whose admission on CRISP answers `Ok` or
+/// `Err`. Flipped sizes and demands reach the pipeline's arithmetic, so a
+/// sum that can wrap (a resource total, an execution-time sum) shows up
+/// here as a debug-build overflow panic.
+#[test]
+fn flipped_images_decode_to_errors_or_admit_without_panicking() {
+    // SplitMix64: a fixed seed, so every run flips the same bytes.
+    let mut state = 2010u64;
+    let mut next = move || {
+        state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        let mut z = state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        z ^ (z >> 31)
+    };
+    let mut kairos = Kairos::new(topology::crisp(), KairosConfig::default());
+    let (mut decoded, mut admitted) = (0, 0);
+    for app in DatasetSpec::all().into_iter().flat_map(|spec| generate_dataset(spec, 1, 7)) {
+        let image = binfmt::encode(&app).to_vec();
+        for _ in 0..2500 {
+            let mut flipped = image.clone();
+            for _ in 0..1 + next() % 4 {
+                let at = (next() % flipped.len() as u64) as usize;
+                flipped[at] ^= (next() % 255 + 1) as u8;
+            }
+            let Ok(hostile) = binfmt::decode(&flipped) else { continue };
+            decoded += 1;
+            if let Ok(report) = kairos.admit(&hostile) {
+                admitted += 1;
+                assert!(kairos.release(report.app_id));
+            }
+        }
+    }
+    assert!(decoded > 5000 && admitted > 1000, "{decoded} decoded, {admitted} admitted");
+    kairos.audit().expect("every admission released");
+}
