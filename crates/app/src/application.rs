@@ -21,6 +21,9 @@ pub enum ApplicationError {
     SelfChannel(TaskId),
     /// The application has no tasks at all.
     Empty,
+    /// The latency constraint at this index of the constraint list has a
+    /// pipeline depth of zero, which bounds no period.
+    ZeroPipelineDepth(usize),
 }
 
 impl fmt::Display for ApplicationError {
@@ -32,6 +35,9 @@ impl fmt::Display for ApplicationError {
             ApplicationError::UnknownTask(t) => write!(f, "channel references unknown task {t}"),
             ApplicationError::SelfChannel(t) => write!(f, "task {t} has a channel to itself"),
             ApplicationError::Empty => f.write_str("application has no tasks"),
+            ApplicationError::ZeroPipelineDepth(i) => {
+                write!(f, "latency constraint {i} has a pipeline depth of zero")
+            }
         }
     }
 }
@@ -186,6 +192,12 @@ impl Application {
             }
             out_adj[c.src().index()].push((c.dst(), c.id()));
             in_adj[c.dst().index()].push((c.src(), c.id()));
+        }
+        // Validation divides a latency bound by the depth.
+        let zero_depth =
+            |c: &Constraint| matches!(c, Constraint::Latency { pipeline_depth: 0, .. });
+        if let Some(i) = constraints.iter().position(zero_depth) {
+            return Err(ApplicationError::ZeroPipelineDepth(i));
         }
         let shape = shape_hash(&tasks, &channels, &constraints);
 

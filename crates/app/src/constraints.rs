@@ -36,7 +36,9 @@ impl Constraint {
     ///
     /// # Panics
     ///
-    /// Panics when a latency constraint has `pipeline_depth == 0`.
+    /// Panics when a latency constraint has `pipeline_depth == 0`, which
+    /// no built [`Application`](crate::Application) carries: the builder
+    /// refuses it with [`ApplicationError::ZeroPipelineDepth`](crate::ApplicationError::ZeroPipelineDepth).
     pub fn as_max_period_cycles(&self) -> u64 {
         match *self {
             Constraint::Throughput { max_period_cycles } => max_period_cycles,

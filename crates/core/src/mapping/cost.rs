@@ -282,21 +282,29 @@ impl CostContext<'_> {
 
     /// The neighbour part of [`Self::fragmentation_bonus`] by a walk of
     /// `e`'s neighbour row, for a task whose mapped peers are `peers`.
+    ///
+    /// The walk counts peer, same-application and other-application
+    /// neighbours and prices the counts once: the bonuses are small
+    /// integers, so the product-sum is exact in `f64` and equals, bit for
+    /// bit, a sum of one bonus per neighbour in any order. A peer's element
+    /// always holds one of the request's own tasks, so the own count is
+    /// read first and `is_used` only where it is zero.
     fn neighbour_bonus(&self, peers: &[(ElementId, f64)], e: ElementId) -> f64 {
-        let mut bonus = 0.0;
+        let (mut peer, mut same, mut other) = (0u32, 0u32, 0u32);
         for &n in self.platform.neighbors(e) {
-            if !self.platform.is_used(n) && self.tables.own_tasks_on(n) == 0 {
-                continue;
+            if self.tables.own_tasks_on(n) > 0 {
+                if peers.iter().any(|&(p, _)| p == n) {
+                    peer += 1;
+                } else {
+                    same += 1;
+                }
+            } else if self.platform.is_used(n) {
+                other += 1;
             }
-            bonus += if peers.iter().any(|&(p, _)| p == n) {
-                BONUS_PEER
-            } else if self.tables.own_tasks_on(n) > 0 {
-                BONUS_SAME_APP
-            } else {
-                BONUS_OTHER_APP
-            };
         }
-        bonus
+        f64::from(peer) * BONUS_PEER
+            + f64::from(same) * BONUS_SAME_APP
+            + f64::from(other) * BONUS_OTHER_APP
     }
 }
 
@@ -305,6 +313,33 @@ mod tests {
     use super::*;
     use kairos_app::{ApplicationBuilder, Implementation, TaskRole};
     use kairos_platform::{topology, AppId, ElementKind, Occupant, ResourceVector};
+    use proptest::prelude::*;
+
+    impl CostContext<'_> {
+        /// The reference [`CostContext::fragmentation_bonus`]: one bonus
+        /// added per used neighbour, in neighbour-row order, and no kept
+        /// count — the formulation the counted one replaced.
+        fn fragmentation_bonus_walk(&self, t: TaskId, e: ElementId) -> f64 {
+            let peers = self.tables.peers(t);
+            let mut bonus = 0.0;
+            for &n in self.platform.neighbors(e) {
+                if !self.platform.is_used(n) && self.tables.own_tasks_on(n) == 0 {
+                    continue;
+                }
+                bonus += if peers.iter().any(|&(p, _)| p == n) {
+                    BONUS_PEER
+                } else if self.tables.own_tasks_on(n) > 0 {
+                    BONUS_SAME_APP
+                } else {
+                    BONUS_OTHER_APP
+                };
+            }
+            let max_degree = self.platform.max_degree().max(1);
+            let degree = self.platform.degree(e);
+            bonus += BONUS_BORDER * (max_degree - degree) as f64 / max_degree as f64;
+            bonus
+        }
+    }
 
     fn pipeline(n: usize) -> Application {
         let imp = Implementation::new(ElementKind::Dsp, ResourceVector::new(500, 16, 0, 0), 100, 1);
@@ -489,5 +524,56 @@ mod tests {
         let tables = CostTables::new(&app, &[Some(e[0]), None], 2);
         let ctx = ctx(&platform, &tables, &distances, CostPolicy::None);
         assert_eq!(ctx.mapping_cost(TaskId(1), e[1]), 0.0);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        /// The counted bonus is the walk's `f64`, bit for bit, for every
+        /// task on every element of a loaded 8x8 heterogeneous mesh: other
+        /// applications resident anywhere, the request's own tasks placed
+        /// anywhere (several to an element, on used and idle elements
+        /// alike), so neighbours hold peers, own non-peers and strangers —
+        /// and with nothing placed, the kept-count path.
+        #[test]
+        fn the_counted_bonus_is_the_walked_one(
+            strangers in proptest::collection::vec(0u32..64, 0..40),
+            placement in proptest::collection::vec(0u32..96, 1..9),
+            channels in proptest::collection::vec((0usize..9, 0usize..9, 1u64..400), 0..14),
+        ) {
+            let mut platform = topology::heterogeneous_mesh(8, 8);
+            for (i, &e) in strangers.iter().enumerate() {
+                let occupant = Occupant { app: AppId(7), task: i as u32, claimed: ResourceVector::ZERO };
+                platform.claim(ElementId(e), occupant).unwrap();
+            }
+            let imp = Implementation::new(ElementKind::Dsp, ResourceVector::splat(1), 1, 1);
+            let mut b = ApplicationBuilder::new("random");
+            let tasks: Vec<_> = (0..placement.len())
+                .map(|i| b.add_task(format!("t{i}"), TaskRole::Internal, vec![imp]))
+                .collect();
+            for &(x, y, bandwidth) in &channels {
+                let (x, y) = (x % tasks.len(), y % tasks.len());
+                if x != y {
+                    b.add_channel(tasks[x], tasks[y], bandwidth, 1);
+                }
+            }
+            let app = b.build().unwrap();
+            // Ids past the mesh leave their task unplaced.
+            let placement: Vec<_> = placement.iter().map(|&e| (e < 64).then_some(ElementId(e))).collect();
+            let distances = SparseDistanceMatrix::new();
+            for placement in [placement, vec![None; tasks.len()]] {
+                let tables = CostTables::new(&app, &placement, platform.element_count());
+                let ctx = ctx(&platform, &tables, &distances, CostPolicy::Fragmentation);
+                for &t in &tasks {
+                    for e in platform.element_ids() {
+                        prop_assert_eq!(
+                            ctx.fragmentation_bonus(t, e).to_bits(),
+                            ctx.fragmentation_bonus_walk(t, e).to_bits(),
+                            "{} on {}", t, e
+                        );
+                    }
+                }
+            }
+        }
     }
 }

@@ -193,18 +193,24 @@ impl OwnPlacement {
         self.seats.push((e, t.0, demand));
     }
 
-    /// What `e` has free for the request: the platform's free vector less
-    /// the request's own demand placed there.
-    fn free(&self, platform: &Platform, e: ElementId) -> ResourceVector {
-        platform.free(e).saturating_sub(&self.debit[e.index()])
-    }
-
-    /// `av(e, t)` for a task bound to `(kind, demand)`: kind-compatible,
-    /// alive and enough free resources left for it — room for the demand
-    /// on top of the request's own.
-    fn available(&self, platform: &Platform, &(kind, demand): &Bound, e: ElementId) -> bool {
-        platform.element(e).kind() == kind
-            && platform.is_available(e, &demand.saturating_add(&self.debit[e.index()]))
+    /// What `e` has free for the request — its room: the platform's free
+    /// vector less the request's own demand placed there.
+    ///
+    /// A task bound to `(kind, demand)` is available on `e` when `e` is of
+    /// that kind, alive, and its room fits the demand. The room never
+    /// under-runs: the request only ever places within an element's room.
+    /// One corner differs from testing the free vector against the demand
+    /// plus the debit: where a free component is `u64::MAX` and that sum
+    /// would overflow, the room refuses what the saturated sum admitted.
+    /// `SolveGAP` could not have placed such a task there either (its
+    /// knapsack capacity was the room), but the sufficiency test no longer
+    /// counts the element as a host for it. No platform in the tree has a
+    /// `u64::MAX` capacity.
+    fn room(&self, platform: &Platform, e: ElementId) -> ResourceVector {
+        let free = platform.free(e);
+        let debit = &self.debit[e.index()];
+        debug_assert!(free.fits(debit), "{e} holds more of the request than it has free");
+        free.saturating_sub(debit)
     }
 }
 
@@ -231,6 +237,9 @@ pub(crate) struct MappingScratch {
     rings: TaskRings,
     /// Elements discovered since the last `SolveGAP` invocation.
     fresh: Vec<ElementId>,
+    /// Per entry of `fresh`: the element's kind and room, read once for the
+    /// sufficiency test and `SolveGAP` both.
+    rooms: Vec<(ElementKind, ResourceVector)>,
     /// The still-unmapped tasks of the ring being placed.
     tasks: Vec<TaskId>,
     /// Per entry of `tasks`: some discovered element is available to it.
@@ -281,7 +290,7 @@ pub(crate) fn map_application_in(
         for t in app.task_ids() {
             if let Some(e) = scratch.own.placement[t.index()] {
                 let demand = scratch.bound[t.index()].1;
-                if !scratch.own.free(platform, e).fits(&demand) {
+                if !scratch.own.room(platform, e).fits(&demand) {
                     return Err(MappingError::PinnedTaskInfeasible { task: t, element: e });
                 }
                 scratch.own.place(t, demand, e);
@@ -360,6 +369,7 @@ fn map_rings(
         seeds,
         rings,
         fresh,
+        rooms,
         tasks,
         hosted,
         forward_origins,
@@ -409,6 +419,7 @@ fn map_rings(
         gap.restart(tasks);
         own.tables.table_peers(app, &own.placement, tasks.iter().copied());
         fresh.clear();
+        rooms.clear();
         hosted.clear();
         hosted.resize(tasks.len(), false);
         let mut sufficient = false;
@@ -416,7 +427,7 @@ fn map_rings(
 
         loop {
             let ring_start = fresh.len();
-            search.expand(platform, distances, fresh);
+            expand(search, platform, distances, own, fresh, rooms);
 
             // Grow until the candidate set looks sufficient (every task has
             // a compatible discovered element, and there are at least as
@@ -425,10 +436,11 @@ fn map_rings(
             // discovered set, and only the new ring has to be looked at.
             if !sufficient {
                 for (&t, has_host) in tasks.iter().zip(hosted.iter_mut()) {
+                    let (kind, demand) = bound[t.index()];
                     *has_host = *has_host
-                        || fresh[ring_start..]
+                        || rooms[ring_start..]
                             .iter()
-                            .any(|&e| own.available(platform, &bound[t.index()], e));
+                            .any(|&(k, room)| k == kind && room.fits(&demand));
                 }
                 sufficient = search.discovered().len() >= tasks.len() && hosted.iter().all(|&h| h);
             }
@@ -438,7 +450,7 @@ fn map_rings(
             // One extra ring beyond the first sufficient set (§III-B).
             while sufficient && extra_remaining > 0 && !search.is_exhausted() {
                 extra_remaining -= 1;
-                search.expand(platform, distances, fresh);
+                expand(search, platform, distances, own, fresh, rooms);
             }
 
             let solved = {
@@ -451,14 +463,14 @@ fn map_rings(
                 stats_gap += 1;
                 gap.solve(
                     fresh,
+                    rooms,
                     config.knapsack,
-                    |e| own.free(platform, e),
-                    |t, e| own.available(platform, &bound[t.index()], e),
-                    |t| bound[t.index()].1,
+                    |t| bound[t.index()],
                     |t, e| ctx.mapping_cost(t, e),
                 )
             };
             fresh.clear();
+            rooms.clear();
             if solved {
                 break;
             }
@@ -482,6 +494,22 @@ fn map_rings(
         elements_discovered: stats_elements,
         gap_invocations: stats_gap,
     })
+}
+
+/// Advances `search` by one ring into `fresh`, and reads each new element's
+/// kind and room into `rooms`. Fresh elements are never failed: the search
+/// neither reports nor traverses a failed element.
+fn expand(
+    search: &mut ElementSearch,
+    platform: &Platform,
+    distances: &mut SparseDistanceMatrix,
+    own: &OwnPlacement,
+    fresh: &mut Vec<ElementId>,
+    rooms: &mut Vec<(ElementKind, ResourceVector)>,
+) {
+    search.expand(platform, distances, fresh);
+    let new = &fresh[rooms.len()..];
+    rooms.extend(new.iter().map(|&e| (platform.element(e).kind(), own.room(platform, e))));
 }
 
 #[cfg(test)]

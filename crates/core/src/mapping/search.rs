@@ -12,8 +12,12 @@
 //! call: forward along links from elements holding *producers* for the ring
 //! (`E+`), backward along links from elements holding *consumers* (`E-`).
 //! Distances from each origin are recorded into a
-//! [`SparseDistanceMatrix`]; lookups that the search never reached stay
-//! absent and are charged the miss penalty by the cost function.
+//! [`SparseDistanceMatrix`], through one [`RowRecorder`] per frontier entry:
+//! the origin's row is resolved once, not once per link expanded from it.
+//! Lookups that the search never reached stay absent and are charged the
+//! miss penalty by the cost function.
+//!
+//! [`RowRecorder`]: kairos_platform::RowRecorder
 
 use kairos_platform::{ElementId, Platform, SparseDistanceMatrix};
 
@@ -140,11 +144,12 @@ impl ElementSearch {
         } else {
             self.next.clear();
             for &(e, origin) in &self.forward {
+                let mut row = distances.recorder(origin);
                 for &(n, _) in platform.successors(e) {
                     if platform.is_failed(n) {
                         continue;
                     }
-                    distances.record(origin, n, self.depth);
+                    row.record(n, self.depth);
                     if self.visited_forward.insert(n.index()) {
                         self.next.push((n, origin));
                         if self.is_discovered.insert(n.index()) {
@@ -156,11 +161,12 @@ impl ElementSearch {
             std::mem::swap(&mut self.forward, &mut self.next);
             self.next.clear();
             for &(e, origin) in &self.backward {
+                let mut row = distances.recorder(origin);
                 for &(n, _) in platform.predecessors(e) {
                     if platform.is_failed(n) {
                         continue;
                     }
-                    distances.record(origin, n, self.depth);
+                    row.record(n, self.depth);
                     if self.visited_backward.insert(n.index()) {
                         self.next.push((n, origin));
                         if self.is_discovered.insert(n.index()) {

@@ -70,12 +70,13 @@ proptest! {
         let tasks: Vec<TaskId> = (0..demands.len() as u32).map(TaskId).collect();
         let elements: Vec<ElementId> = (0..capacities.len() as u32).map(ElementId).collect();
         let mut state = GapState::new(tasks.clone());
+        let rooms: Vec<_> =
+            capacities.iter().map(|&cpu| ((), ResourceVector::new(cpu, 0, 0, 0))).collect();
         state.solve(
             &elements,
+            &rooms,
             KnapsackSolver::default(),
-            |e| ResourceVector::new(capacities[e.index()], 0, 0, 0),
-            |_, _| true,
-            |t| ResourceVector::new(demands[t.index()], 0, 0, 0),
+            |t| ((), ResourceVector::new(demands[t.index()], 0, 0, 0)),
             |t, e| costs[(t.index() * capacities.len() + e.index()) % costs.len()],
         );
         // Per-element load never exceeds capacity.

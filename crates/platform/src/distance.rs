@@ -3,7 +3,9 @@
 //! The mapping phase of the paper builds a *sparse distance matrix* while it
 //! searches the platform for candidate elements; cost evaluation then looks
 //! distances up in that matrix and charges a penalty when a lookup fails
-//! (§III-D). [`SparseDistanceMatrix`] is that structure; the free functions
+//! (§III-D). [`SparseDistanceMatrix`] is that structure; the search writes
+//! it through a [`RowRecorder`], which resolves an origin's row once for
+//! all the links expanded from one frontier entry. The free functions
 //! provide full single-source BFS for metrics and baselines.
 
 use std::collections::VecDeque;
@@ -72,7 +74,8 @@ pub fn hop_distance(platform: &Platform, src: ElementId, dst: ElementId) -> Opti
 /// Sparse in *origins*, dense per origin: the search records from a handful
 /// of origins (the elements of already-mapped peers) towards many
 /// discovered elements, so each origin owns one row indexed by the
-/// discovered element's id. Recording and looking up are two array reads;
+/// discovered element's id. Recording and looking up are two array reads
+/// (one, through a [`RowRecorder`] already holding the origin's row);
 /// [`SparseDistanceMatrix::clear`] keeps every row's allocation for the
 /// next search.
 ///
@@ -128,7 +131,14 @@ impl SparseDistanceMatrix {
     /// minimum when called twice for the same pair. `hops` must be below
     /// `u32::MAX`, which no hop count on a `u32`-indexed platform reaches.
     pub fn record(&mut self, origin: ElementId, discovered: ElementId, hops: u32) {
-        debug_assert_ne!(hops, UNKNOWN, "hop counts are bounded by the element count");
+        self.recorder(origin).record(discovered, hops);
+    }
+
+    /// A writer into `origin`'s row: the row is resolved (and created and
+    /// sized, on first use) here, once, and each [`RowRecorder::record`]
+    /// then writes one cell — what a search expanding many links from one
+    /// origin calls per frontier entry instead of [`Self::record`] per link.
+    pub fn recorder(&mut self, origin: ElementId) -> RowRecorder<'_> {
         if self.row_of.len() <= origin.index() {
             self.row_of.resize(origin.index() + 1, NO_ROW);
         }
@@ -139,15 +149,12 @@ impl SparseDistanceMatrix {
                 self.rows.push(Vec::new());
             }
         }
+        let width = self.row_of.len();
         let row = &mut self.rows[self.row_of[origin.index()] as usize];
-        if row.len() <= discovered.index() {
-            row.resize(self.row_of.len().max(discovered.index() + 1), UNKNOWN);
+        if row.len() < width {
+            row.resize(width, UNKNOWN);
         }
-        let cell = &mut row[discovered.index()];
-        if *cell == UNKNOWN {
-            self.len += 1;
-        }
-        *cell = (*cell).min(hops);
+        RowRecorder { row, len: &mut self.len }
     }
 
     /// Looks up the recorded distance from `origin` to `discovered`.
@@ -197,6 +204,33 @@ impl SparseDistanceMatrix {
             self.row_of[origin.index()] = NO_ROW;
         }
         self.len = 0;
+    }
+}
+
+/// One origin's row of a [`SparseDistanceMatrix`], open for writing: see
+/// [`SparseDistanceMatrix::recorder`].
+#[derive(Debug)]
+pub struct RowRecorder<'a> {
+    row: &'a mut Vec<u32>,
+    /// The matrix's count of recorded pairs.
+    len: &'a mut usize,
+}
+
+impl RowRecorder<'_> {
+    /// Records the distance from the row's origin to `discovered`, exactly
+    /// as [`SparseDistanceMatrix::record`] does: the minimum is kept, and a
+    /// pair recorded for the first time counts once in the matrix's `len`.
+    #[inline]
+    pub fn record(&mut self, discovered: ElementId, hops: u32) {
+        debug_assert_ne!(hops, UNKNOWN, "hop counts are bounded by the element count");
+        if self.row.len() <= discovered.index() {
+            self.row.resize(discovered.index() + 1, UNKNOWN);
+        }
+        let cell = &mut self.row[discovered.index()];
+        if *cell == UNKNOWN {
+            *self.len += 1;
+        }
+        *cell = (*cell).min(hops);
     }
 }
 
@@ -289,6 +323,40 @@ mod tests {
         presized.record(ElementId(1), ElementId(0), 1);
         assert_eq!(presized.get(ElementId(1), ElementId(0)), Some(1));
         assert_eq!(presized.get(ElementId(1), ElementId(3)), None, "no stale tail in a reused row");
+    }
+
+    /// A recorder writes what `record` writes: interleaved on one matrix,
+    /// the two paths keep the minimum per pair and count each pair once,
+    /// against a matrix fed through `record` alone — including ids beyond
+    /// the sized element count and an origin first seen by a recorder.
+    #[test]
+    fn recorders_and_record_write_the_same_matrix() {
+        let writes = [(1, 3, 4), (1, 3, 2), (2, 0, 1), (1, 5, 3), (2, 9, 6), (4, 1, 2), (1, 3, 7)];
+        let mut plain = SparseDistanceMatrix::with_elements(6);
+        let mut mixed = SparseDistanceMatrix::with_elements(6);
+        for (i, &(o, d, hops)) in writes.iter().enumerate() {
+            let (o, d) = (ElementId(o), ElementId(d));
+            plain.record(o, d, hops);
+            if i % 2 == 0 {
+                mixed.recorder(o).record(d, hops);
+            } else {
+                mixed.record(o, d, hops);
+            }
+            assert_eq!(mixed.len(), plain.len(), "after write {i}");
+        }
+        let mut recorder = mixed.recorder(ElementId(2));
+        recorder.record(ElementId(4), 5);
+        recorder.record(ElementId(4), 3);
+        plain.record(ElementId(2), ElementId(4), 5);
+        plain.record(ElementId(2), ElementId(4), 3);
+        assert_eq!(mixed.len(), plain.len());
+        for a in 0..10 {
+            for b in 0..10 {
+                let (a, b) = (ElementId(a), ElementId(b));
+                assert_eq!(mixed.get(a, b), plain.get(a, b), "{a} -> {b}");
+                assert_eq!(mixed.get_symmetric(a, b), plain.get_symmetric(a, b), "{a} <-> {b}");
+            }
+        }
     }
 
     #[test]

@@ -68,7 +68,9 @@ pub mod topology;
 
 pub use builder::PlatformBuilder;
 pub use digest::Digest;
-pub use distance::{bfs_distances, hop_distance, SearchDirection, SparseDistanceMatrix};
+pub use distance::{
+    bfs_distances, hop_distance, RowRecorder, SearchDirection, SparseDistanceMatrix,
+};
 pub use element::{Element, ElementId, ElementKind};
 pub use frag::{
     adjacent_pair_counts, element_utilisation, external_fragmentation, free_island_count,

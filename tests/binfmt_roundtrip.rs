@@ -2,10 +2,41 @@
 //! encode/decode byte-exactly and allocate identically afterwards — the
 //! property the paper's Linux binary handler relies on.
 
-use kairos::app::binfmt;
+use kairos::app::binfmt::{self, BinfmtError};
+use kairos::app::{Application, ApplicationBuilder, ApplicationError, Constraint};
 use kairos::appgen::{beamforming_app, generate_dataset, DatasetSpec};
 use kairos::core::{Kairos, KairosConfig};
 use kairos::platform::topology;
+
+/// `app` rebuilt with one more constraint, through the builder's checks.
+fn with_constraint(
+    app: &Application,
+    constraint: Constraint,
+) -> Result<Application, ApplicationError> {
+    let mut b = ApplicationBuilder::new(app.name());
+    for task in app.tasks() {
+        b.add_task(task.name(), task.role(), task.implementations().to_vec());
+    }
+    for c in app.channels() {
+        b.add_channel(c.src(), c.dst(), c.bandwidth(), c.tokens_per_firing());
+    }
+    for &c in app.constraints() {
+        b.add_constraint(c);
+    }
+    b.add_constraint(constraint);
+    b.build()
+}
+
+/// SplitMix64 from a fixed seed, so every run flips the same bytes.
+fn split_mix(mut state: u64) -> impl FnMut() -> u64 {
+    move || {
+        state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        let mut z = state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        z ^ (z >> 31)
+    }
+}
 
 #[test]
 fn every_dataset_app_roundtrips() {
@@ -69,15 +100,7 @@ fn foreign_binaries_are_rejected() {
 /// here as a debug-build overflow panic.
 #[test]
 fn flipped_images_decode_to_errors_or_admit_without_panicking() {
-    // SplitMix64: a fixed seed, so every run flips the same bytes.
-    let mut state = 2010u64;
-    let mut next = move || {
-        state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
-        let mut z = state;
-        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-        z ^ (z >> 31)
-    };
+    let mut next = split_mix(2010);
     let mut kairos = Kairos::new(topology::crisp(), KairosConfig::default());
     let (mut decoded, mut admitted) = (0, 0);
     for app in DatasetSpec::all().into_iter().flat_map(|spec| generate_dataset(spec, 1, 7)) {
@@ -97,5 +120,60 @@ fn flipped_images_decode_to_errors_or_admit_without_panicking() {
         }
     }
     assert!(decoded > 5000 && admitted > 1000, "{decoded} decoded, {admitted} admitted");
+    kairos.audit().expect("every admission released");
+}
+
+/// A latency constraint with a pipeline depth of zero bounds no period:
+/// the builder refuses it with a typed error, and an image carrying one
+/// decodes to an error — it never reaches validation, where the
+/// conversion to a period would divide by the depth.
+#[test]
+fn a_zero_pipeline_depth_is_refused_by_the_builder_and_the_decoder() {
+    let app = generate_dataset(DatasetSpec::all()[0], 1, 7).remove(0);
+    let zero = Constraint::Latency { max_latency_cycles: 1 << 30, pipeline_depth: 0 };
+    assert_eq!(with_constraint(&app, zero).unwrap_err(), ApplicationError::ZeroPipelineDepth(0));
+
+    let deep = Constraint::Latency { max_latency_cycles: 1 << 30, pipeline_depth: 3 };
+    let mut image = binfmt::encode(&with_constraint(&app, deep).unwrap()).to_vec();
+    assert!(binfmt::decode(&image).is_ok());
+    // The depth is the image's last field, a little-endian `u32`.
+    let at = image.len() - 4;
+    assert_eq!(image[at..], 3u32.to_le_bytes());
+    image[at] = 0;
+    assert!(matches!(binfmt::decode(&image), Err(BinfmtError::InvalidApplication(_))));
+}
+
+/// The flip loop above, over images that carry a latency constraint (the
+/// catalogue carries none): flipped latency bounds and pipeline depths
+/// decode to errors or to applications whose admission answers `Ok` or
+/// `Err`, never a panic.
+#[test]
+fn flipped_latency_images_decode_to_errors_or_admit_without_panicking() {
+    let mut next = split_mix(2045);
+    let mut kairos = Kairos::new(topology::crisp(), KairosConfig::default());
+    let latency = Constraint::Latency { max_latency_cycles: 1 << 40, pipeline_depth: 2 };
+    let (mut decoded, mut admitted) = (0, 0);
+    for app in DatasetSpec::all().into_iter().flat_map(|spec| generate_dataset(spec, 1, 7)) {
+        let image = binfmt::encode(&with_constraint(&app, latency).unwrap()).to_vec();
+        for _ in 0..1000 {
+            let mut flipped = image.clone();
+            for _ in 0..1 + next() % 4 {
+                // Half the flips land in the constraint's 13 bytes.
+                let at = if next().is_multiple_of(2) {
+                    flipped.len() - 1 - (next() % 13) as usize
+                } else {
+                    (next() % flipped.len() as u64) as usize
+                };
+                flipped[at] ^= (next() % 255 + 1) as u8;
+            }
+            let Ok(hostile) = binfmt::decode(&flipped) else { continue };
+            decoded += 1;
+            if let Ok(report) = kairos.admit(&hostile) {
+                admitted += 1;
+                assert!(kairos.release(report.app_id));
+            }
+        }
+    }
+    assert!(decoded > 1000 && admitted > 300, "{decoded} decoded, {admitted} admitted");
     kairos.audit().expect("every admission released");
 }
