@@ -24,6 +24,9 @@ pub enum ApplicationError {
     /// The latency constraint at this index of the constraint list has a
     /// pipeline depth of zero, which bounds no period.
     ZeroPipelineDepth(usize),
+    /// A channel moves zero tokens per firing: its SDF graph has no
+    /// meaningful period, so no throughput guarantee could hold.
+    ZeroRateChannel(ChannelId),
 }
 
 impl fmt::Display for ApplicationError {
@@ -37,6 +40,9 @@ impl fmt::Display for ApplicationError {
             ApplicationError::Empty => f.write_str("application has no tasks"),
             ApplicationError::ZeroPipelineDepth(i) => {
                 write!(f, "latency constraint {i} has a pipeline depth of zero")
+            }
+            ApplicationError::ZeroRateChannel(c) => {
+                write!(f, "channel {c} moves zero tokens per firing")
             }
         }
     }
@@ -189,6 +195,9 @@ impl Application {
             }
             if c.src() == c.dst() {
                 return Err(ApplicationError::SelfChannel(c.src()));
+            }
+            if c.tokens_per_firing() == 0 {
+                return Err(ApplicationError::ZeroRateChannel(c.id()));
             }
             out_adj[c.src().index()].push((c.dst(), c.id()));
             in_adj[c.dst().index()].push((c.src(), c.id()));

@@ -19,7 +19,7 @@ use kairos_admitd::{PriorityClass, Request, ResourceService, ServiceBuilder};
 use kairos_app::Application;
 use kairos_appgen::{DatasetSpec, MixEntry, Orientation, SizeClass, WorkloadMix, WorkloadSampler};
 use kairos_bench::print_table;
-use kairos_cluster::{ClusterBuilder, ClusterService, LeastLoaded};
+use kairos_cluster::{ClusterBuilder, ClusterService, Placement};
 use kairos_gateway::{Gateway, GatewayConfig};
 use kairos_platform::topology;
 
@@ -42,7 +42,7 @@ fn storm(n: usize, seed: u64) -> Vec<Application> {
 fn cluster(shards: usize) -> ClusterService {
     ClusterBuilder::new(topology::crisp(), shards)
         .deterministic(true)
-        .placement(Box::new(LeastLoaded))
+        .placement(Placement::LeastLoaded)
         .build()
         .expect("shard counts fit CRISP")
 }

@@ -16,7 +16,7 @@ use kairos_core::{
 use kairos_platform::{free_island_count, AppId, ElementId, Platform, RegionMap};
 use kairos_telemetry::{Counter, Histogram, Telemetry, TraceContext};
 
-use crate::policy::{FirstFit, PlacementPolicy, ShardFit, ShardLoad, ShardProbe};
+use crate::policy::{Placement, ShardFit, ShardLoad, ShardProbe};
 
 /// Size of each shard's [`AppId`] namespace: shard `i` mints ids from
 /// `i * APP_ID_STRIDE`, so an id alone identifies its home shard and ids
@@ -57,18 +57,18 @@ fn translate_events(globals: &[ElementId], mut events: Vec<Event>) -> Vec<Event>
 /// Builds a [`ClusterService`]: the platform, the shard count, and the
 /// same policy knobs as [`ServiceBuilder`] — every shard gets an
 /// identical configuration (admission queue included), plus the
-/// cluster-level [`PlacementPolicy`] deciding which shard each admission
+/// cluster-level [`Placement`] deciding which shard each admission
 /// is routed to.
 ///
 /// # Examples
 ///
 /// ```
-/// use kairos_cluster::{ClusterBuilder, LeastLoaded};
+/// use kairos_cluster::{ClusterBuilder, Placement};
 /// use kairos_platform::topology;
 ///
 /// let cluster = ClusterBuilder::new(topology::crisp(), 4)
 ///     .deterministic(true)
-///     .placement(Box::new(LeastLoaded))
+///     .placement(Placement::LeastLoaded)
 ///     .build()?;
 /// assert_eq!(cluster.shard_count(), 4);
 /// # Ok::<(), String>(())
@@ -79,21 +79,21 @@ pub struct ClusterBuilder {
     shards: usize,
     config: KairosConfig,
     admission: Option<AdmitPolicy>,
-    policy: Box<dyn PlacementPolicy>,
+    policy: Placement,
     telemetry: Telemetry,
 }
 
 impl ClusterBuilder {
     /// A builder for a cluster of `shards` region managers over
     /// `platform`, with the default manager configuration, no admission
-    /// queue, [`FirstFit`] placement and telemetry disabled.
+    /// queue, [`Placement::FirstFit`] and telemetry disabled.
     pub fn new(platform: Platform, shards: usize) -> Self {
         ClusterBuilder {
             platform,
             shards,
             config: KairosConfig::default(),
             admission: None,
-            policy: Box::new(FirstFit),
+            policy: Placement::FirstFit,
             telemetry: Telemetry::disabled(),
         }
     }
@@ -120,8 +120,8 @@ impl ClusterBuilder {
         self
     }
 
-    /// Injects the shard-placement policy (default: [`FirstFit`]).
-    pub fn placement(mut self, policy: Box<dyn PlacementPolicy>) -> Self {
+    /// Sets the shard-placement policy (default: [`Placement::FirstFit`]).
+    pub fn placement(mut self, policy: Placement) -> Self {
         self.policy = policy;
         self
     }
@@ -184,9 +184,9 @@ impl ClusterBuilder {
 /// * **Admissions** are placed by what-if probes of the shards (a probe
 ///   writes nothing, so a losing probe leaves nothing behind — but it is
 ///   a full pipeline run), shard by shard in shard-id order — a single
-///   admission and a batched wave alike — until the injected
-///   [`PlacementPolicy`] calls the row
-///   [settled](PlacementPolicy::settled) or every shard has answered,
+///   admission and a batched wave alike — until the cluster's
+///   [`Placement`] calls the row
+///   [settled](Placement::settled) or every shard has answered,
 ///   and the policy picks the winning shard from that row. The admission
 ///   is then submitted to that shard's service, queueing semantics and
 ///   all. When no shard fits, the policy's fallback shard takes the
@@ -226,7 +226,7 @@ impl ClusterBuilder {
 pub struct ClusterService {
     shards: Vec<Shard>,
     region: RegionMap,
-    policy: Box<dyn PlacementPolicy>,
+    policy: Placement,
     /// Mint for requests that arrive without a ticket (the cluster is
     /// then the outermost layer); allocation order is submission order.
     next_ticket: u64,
@@ -327,7 +327,7 @@ impl ClusterService {
         &self.shards[shard].service
     }
 
-    /// The injected placement policy's name.
+    /// The placement policy's name.
     pub fn policy_name(&self) -> &'static str {
         self.policy.name()
     }
@@ -359,7 +359,7 @@ impl ClusterService {
     /// independent and row `i` is what [`Self::probe_admit`] returns for
     /// `apps[i]`). Submission places its admissions with the same loop,
     /// but stops growing a row once the policy calls it
-    /// [settled](PlacementPolicy::settled).
+    /// [settled](Placement::settled).
     pub fn probe_admit_wave(&mut self, apps: &[Application]) -> Vec<Vec<ShardProbe>> {
         let refs: Vec<&Application> = apps.iter().collect();
         self.probe_wave(&refs, true)
@@ -370,10 +370,10 @@ impl ClusterService {
     /// so row `a` of the result is the shard-id-ordered prefix of
     /// `apps[a]`'s full probe row that its placement reads. `full_rows`
     /// never settles (the public probe surface); the submission paths
-    /// pass `false` and ask [`PlacementPolicy::settled`], so a request
+    /// pass `false` and ask [`Placement::settled`], so a request
     /// costs as many pipeline runs as its policy compares shards — one
-    /// when the first shard fits under [`FirstFit`], every shard under a
-    /// policy that leaves `settled` at its default. Counters, per-shard
+    /// when the first shard fits under [`Placement::FirstFit`], every
+    /// shard under [`Placement::LeastLoaded`]. Counters, per-shard
     /// histograms and score histograms see the probes actually run.
     fn probe_wave(&mut self, apps: &[&Application], full_rows: bool) -> Vec<Vec<ShardProbe>> {
         let mut rows: Vec<Vec<ShardProbe>> =
@@ -428,7 +428,7 @@ impl ClusterService {
 
     /// Asks the policy, falls back, counts the placement: the shard the
     /// admission behind probe row `probes` (possibly cut short by
-    /// [`PlacementPolicy::settled`]) is routed to. A set `ctx` gets one
+    /// [`Placement::settled`]) is routed to. A set `ctx` gets one
     /// `probe.shard{i}` span per probed shard, in shard-id order (probes
     /// themselves never trace — see `Kairos::probe_admit`).
     fn route(&self, probes: &[ShardProbe], ctx: TraceContext, at: u64) -> usize {
@@ -840,7 +840,6 @@ impl ResourceService for ClusterService {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::policy::{BestFitFragmentation, LeastLoaded};
     use kairos_app::{ApplicationBuilder, Implementation, TaskRole};
     use kairos_platform::{topology, ElementKind, ResourceVector};
 
@@ -993,7 +992,7 @@ mod tests {
     /// counts, kairos.core.admit.replayed)` off the registry.
     #[test]
     fn first_fit_probes_up_to_the_first_shard_that_fits() {
-        let lit = |policy: Box<dyn PlacementPolicy>| {
+        let lit = |policy: Placement| {
             ClusterBuilder::new(topology::crisp(), 3)
                 .deterministic(true)
                 .placement(policy)
@@ -1009,7 +1008,7 @@ mod tests {
         let admit =
             |i: u64| Request::admit(i, chain(&format!("a{i}"), 2, 600), PriorityClass::Normal);
 
-        let mut first_fit = lit(Box::new(FirstFit));
+        let mut first_fit = lit(Placement::FirstFit);
         first_fit.submit(admit(0));
         assert_eq!(read(&first_fit), (1, vec![1, 0, 0], 1), "shard 0 fits: one pipeline run");
         assert_eq!(first_fit.shard(0).kairos().admitted_count(), 1);
@@ -1026,11 +1025,11 @@ mod tests {
         assert_eq!(first_fit.shard(2).kairos().admitted_count(), 3);
         assert_eq!(read(&first_fit).0, 10);
         // The public probe surface still returns full rows.
-        let mut idle = lit(Box::new(FirstFit));
+        let mut idle = lit(Placement::FirstFit);
         assert_eq!(idle.probe_admit(&chain("probe", 2, 600)).len(), 3);
         assert_eq!(read(&idle), (3, vec![1, 1, 1], 0));
 
-        let mut least_loaded = lit(Box::new(LeastLoaded));
+        let mut least_loaded = lit(Placement::LeastLoaded);
         least_loaded.submit(admit(0));
         assert_eq!(read(&least_loaded), (3, vec![1, 1, 1], 1), "a comparing policy asks everyone");
     }
@@ -1039,7 +1038,7 @@ mod tests {
     fn app_ids_encode_their_home_shard_and_releases_route_back() {
         let mut cluster = ClusterBuilder::new(topology::crisp(), 3)
             .deterministic(true)
-            .placement(Box::new(LeastLoaded))
+            .placement(Placement::LeastLoaded)
             .build()
             .unwrap();
         let mut homes = Vec::new();
@@ -1159,7 +1158,7 @@ mod tests {
     fn probes_are_deterministic_and_state_neutral() {
         let mut cluster = ClusterBuilder::new(topology::crisp(), 4)
             .deterministic(true)
-            .placement(Box::new(BestFitFragmentation))
+            .placement(Placement::LeastLoaded)
             .build()
             .unwrap();
         for i in 0..5 {

@@ -20,15 +20,15 @@
 //!   pipeline run), one shard
 //!   after another **in shard-id order** — a single admission and a
 //!   batched wave alike — until the placement policy's choice is
-//!   [settled](PlacementPolicy::settled): up to one probe per shard,
-//!   one when the first shard fits under [`FirstFit`]. The cluster, like
+//!   [settled](Placement::settled): up to one probe per shard,
+//!   one when the first shard fits under [`Placement::FirstFit`]. The cluster, like
 //!   everything below it, runs on its caller's thread and spawns none:
 //!   its output is a pure function of its inputs.
-//! * **Pluggable placement** — a [`PlacementPolicy`] trait object picks
-//!   the winning shard from the probed row: [`FirstFit`],
-//!   [`BestFitFragmentation`] (lowest post-admission §III-A
-//!   fragmentation) or [`LeastLoaded`], with a fallback route for
-//!   requests no shard can admit right now.
+//! * **Placement** — a [`Placement`] picks the winning shard from the
+//!   probed row: [`Placement::FirstFit`] (the lowest-id shard that fits)
+//!   or [`Placement::LeastLoaded`] (the lowest post-admission resource
+//!   utilisation), with a fallback route for requests no shard can admit
+//!   right now.
 //! * **One service surface** — [`ClusterService`] implements
 //!   [`ResourceService`](kairos_admitd::ResourceService), so every existing
 //!   driver — the `kairos-sim` scenario engine included — runs unchanged
@@ -49,14 +49,14 @@
 //! ## Example
 //!
 //! ```
-//! use kairos_cluster::{ClusterBuilder, BestFitFragmentation};
+//! use kairos_cluster::{ClusterBuilder, Placement};
 //! use kairos_admitd::{PriorityClass, Request, ResourceService};
 //! use kairos_appgen::{AppGenerator, GeneratorConfig};
 //! use kairos_platform::topology;
 //!
 //! let mut cluster = ClusterBuilder::new(topology::crisp(), 4)
 //!     .deterministic(true)
-//!     .placement(Box::new(BestFitFragmentation))
+//!     .placement(Placement::LeastLoaded)
 //!     .build()?;
 //! let mut generator = AppGenerator::new(GeneratorConfig::default(), 7);
 //! for i in 0..8 {
@@ -75,10 +75,7 @@ mod cluster;
 mod policy;
 
 pub use cluster::{ClusterBuilder, ClusterService, APP_ID_STRIDE, SCORE_E6_BOUNDS};
-pub use policy::{
-    BestFitFragmentation, FirstFit, LeastLoaded, PlacementPolicy, PlacementPolicyKind, ShardFit,
-    ShardLoad, ShardProbe,
-};
+pub use policy::{Placement, ShardFit, ShardLoad, ShardProbe};
 
 impl ClusterService {
     /// Sum of admitted applications over all shards (convenience for the
@@ -92,7 +89,7 @@ impl ClusterService {
 // Compile-time thread-safety pins. Nothing here spawns a thread, but the
 // cluster's owner may sit on any: drivers box it as `dyn ResourceService +
 // Send` (the gateway's wrapped service, the benchmark's stacks). If any
-// layer (platform, manager, service, injected policy objects) silently
+// layer (platform, manager, service, placement) silently
 // stopped being `Send`/`Sync`, they would stop compiling — fail the build
 // here instead.
 const fn _assert_send<T: Send>() {}
@@ -101,5 +98,4 @@ const _: () = _assert_send_sync::<kairos_platform::Platform>();
 const _: () = _assert_send_sync::<kairos_core::Kairos>();
 const _: () = _assert_send_sync::<kairos_app::Application>();
 const _: () = _assert_send::<ClusterService>();
-const _: () = _assert_send_sync::<Box<dyn PlacementPolicy>>();
-const _: () = _assert_send_sync::<PlacementPolicyKind>();
+const _: () = _assert_send_sync::<Placement>();

@@ -1,18 +1,15 @@
-//! Pluggable shard-placement policies.
+//! Shard placement.
 //!
 //! When an admission arrives at a [`ClusterService`](crate::ClusterService),
 //! shards are probed in shard-id order with a state-neutral what-if
 //! admission — each probe is one full pipeline run — until the
-//! [`PlacementPolicy`] says the row probed so far settles its choice
-//! ([`PlacementPolicy::settled`]) or no shard is left, and the policy
-//! picks the winning shard from that row. The policy is a trait object
-//! injected at construction
-//! ([`ClusterBuilder::placement`](crate::ClusterBuilder::placement)), so
-//! deployments can bring their own scoring; the three built-ins cover the
-//! classic spectrum: [`FirstFit`] (cheapest: it stops at the first shard
-//! that fits), [`BestFitFragmentation`] (keeps every shard's free space
-//! contiguous) and [`LeastLoaded`] (spreads load) — the last two compare
-//! every shard, so they probe every shard.
+//! [`Placement`] says the row probed so far settles its choice
+//! ([`Placement::settled`]) or no shard is left, and the policy picks the
+//! winning shard from that row. The policy is chosen at construction
+//! ([`ClusterBuilder::placement`](crate::ClusterBuilder::placement)) from
+//! the two the catalogue runs: [`Placement::FirstFit`] (cheapest: it stops
+//! at the first shard that fits) and [`Placement::LeastLoaded`] (spreads
+//! load, so it compares — and probes — every shard).
 
 /// What one shard's what-if probe reported back, in shard-id order.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -50,42 +47,67 @@ pub struct ShardLoad {
     pub queue_depth: usize,
 }
 
-/// Picks the shard an admission is routed to.
+/// The shard-placement policy: which shard an admission is routed to.
 ///
-/// Implementations must be deterministic pure functions of their inputs:
-/// cluster output is a pure function of the request stream, and every
-/// policy must preserve that. `Send + Sync` is required because policies
-/// ride along when a cluster's owner moves it to another thread.
-pub trait PlacementPolicy: std::fmt::Debug + Send + Sync {
+/// Both policies are deterministic pure functions of their inputs, so
+/// cluster output stays a pure function of the request stream.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Placement {
+    /// Routes every admission to the lowest-id shard that can take it —
+    /// the cheapest policy (no shard past the first fit is probed), and
+    /// the one that concentrates load (useful as the imbalance-generating
+    /// baseline for rebalance experiments).
+    FirstFit,
+    /// Routes every admission to the fitting shard whose post-admission
+    /// resource utilisation would be lowest — the spreading policy. Ties
+    /// break toward the lowest shard id.
+    LeastLoaded,
+}
+
+impl Placement {
     /// The policy's name (used in reports and diagnostics).
-    fn name(&self) -> &'static str;
+    pub fn name(self) -> &'static str {
+        match self {
+            Placement::FirstFit => "first-fit",
+            Placement::LeastLoaded => "least-loaded",
+        }
+    }
 
     /// The winning shard among `probes` (always passed in shard-id
     /// order), or `None` when no shard can admit the application now.
     /// `probes` covers shards `0..probes.len()`: every shard, unless
     /// [`Self::settled`] cut the row short.
-    fn choose(&self, probes: &[ShardProbe]) -> Option<usize>;
+    pub fn choose(self, probes: &[ShardProbe]) -> Option<usize> {
+        let mut fits = probes.iter().filter_map(|p| p.fit.map(|f| (p.shard, f)));
+        match self {
+            Placement::FirstFit => fits.next(),
+            Placement::LeastLoaded => fits.min_by(|a, b| {
+                a.1.resource_utilisation.total_cmp(&b.1.resource_utilisation).then(a.0.cmp(&b.0))
+            }),
+        }
+        .map(|(shard, _)| shard)
+    }
 
     /// Whether the shards probed so far already decide the placement, so
     /// the cluster may skip the remaining shards' pipeline runs. `probed`
-    /// is a shard-id-ordered prefix of the full probe row. The default —
-    /// never — is right for any policy that compares shards.
+    /// is a shard-id-ordered prefix of the full probe row. Only
+    /// [`Placement::FirstFit`] settles early — on a prefix ending in a
+    /// fit; [`Placement::LeastLoaded`] compares every shard.
     ///
-    /// **The law** a policy signs by overriding this: if `settled(p)`,
-    /// then `choose(r) == choose(p)` for every row `r` that extends `p`
-    /// with further shards' probes, whatever those probes report. The
-    /// cluster relies on it to route from the partial row exactly as it
-    /// would have from the full one.
-    fn settled(&self, _probed: &[ShardProbe]) -> bool {
-        false
+    /// **The law:** if `settled(p)`, then `choose(r) == choose(p)` for
+    /// every row `r` that extends `p` with further shards' probes,
+    /// whatever those probes report. The cluster relies on it to route
+    /// from the partial row exactly as it would have from the full one.
+    pub fn settled(self, probed: &[ShardProbe]) -> bool {
+        self == Placement::FirstFit && probed.last().is_some_and(|p| p.fit.is_some())
     }
 
     /// Where to route a request no shard can admit right now. On a
     /// queued cluster the request waits in this shard's queue; on a
-    /// direct cluster this shard's pipeline rejects it. The default
-    /// picks the shallowest queue, then the least-loaded shard, then the
+    /// direct cluster this shard's pipeline rejects it. Both policies
+    /// pick the shallowest queue, then the least-loaded shard, then the
     /// lowest id.
-    fn fallback(&self, loads: &[ShardLoad]) -> usize {
+    pub fn fallback(self, loads: &[ShardLoad]) -> usize {
         loads
             .iter()
             .min_by(|a, b| {
@@ -95,93 +117,6 @@ pub trait PlacementPolicy: std::fmt::Debug + Send + Sync {
                     .then(a.shard.cmp(&b.shard))
             })
             .map_or(0, |l| l.shard)
-    }
-}
-
-/// Routes every admission to the lowest-id shard that can take it — the
-/// cheapest policy (no shard past the first fit is probed), and the one
-/// that concentrates load (useful as the imbalance-generating baseline
-/// for rebalance experiments).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct FirstFit;
-
-impl PlacementPolicy for FirstFit {
-    fn name(&self) -> &'static str {
-        "first-fit"
-    }
-
-    fn choose(&self, probes: &[ShardProbe]) -> Option<usize> {
-        probes.iter().find(|p| p.fit.is_some()).map(|p| p.shard)
-    }
-
-    fn settled(&self, probed: &[ShardProbe]) -> bool {
-        probed.last().is_some_and(|p| p.fit.is_some())
-    }
-}
-
-/// Routes every admission to the shard whose post-admission external
-/// fragmentation (§III-A) would be lowest — the placement that keeps
-/// every shard's free space contiguous for future arrivals. Ties break
-/// toward the lowest shard id.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct BestFitFragmentation;
-
-impl PlacementPolicy for BestFitFragmentation {
-    fn name(&self) -> &'static str {
-        "best-fit-fragmentation"
-    }
-
-    fn choose(&self, probes: &[ShardProbe]) -> Option<usize> {
-        probes
-            .iter()
-            .filter_map(|p| p.fit.map(|f| (p.shard, f)))
-            .min_by(|a, b| a.1.fragmentation.total_cmp(&b.1.fragmentation).then(a.0.cmp(&b.0)))
-            .map(|(shard, _)| shard)
-    }
-}
-
-/// Routes every admission to the fitting shard whose post-admission
-/// resource utilisation would be lowest — the spreading policy. Ties
-/// break toward the lowest shard id.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct LeastLoaded;
-
-impl PlacementPolicy for LeastLoaded {
-    fn name(&self) -> &'static str {
-        "least-loaded"
-    }
-
-    fn choose(&self, probes: &[ShardProbe]) -> Option<usize> {
-        probes
-            .iter()
-            .filter_map(|p| p.fit.map(|f| (p.shard, f)))
-            .min_by(|a, b| {
-                a.1.resource_utilisation.total_cmp(&b.1.resource_utilisation).then(a.0.cmp(&b.0))
-            })
-            .map(|(shard, _)| shard)
-    }
-}
-
-/// A built-in [`PlacementPolicy`] chosen by value, for scenario
-/// descriptions; [`PlacementPolicyKind::build`] instantiates it.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum PlacementPolicyKind {
-    /// [`FirstFit`].
-    FirstFit,
-    /// [`BestFitFragmentation`].
-    BestFitFragmentation,
-    /// [`LeastLoaded`].
-    LeastLoaded,
-}
-
-impl PlacementPolicyKind {
-    /// Instantiates the named policy.
-    pub fn build(self) -> Box<dyn PlacementPolicy> {
-        match self {
-            PlacementPolicyKind::FirstFit => Box::new(FirstFit),
-            PlacementPolicyKind::BestFitFragmentation => Box::new(BestFitFragmentation),
-            PlacementPolicyKind::LeastLoaded => Box::new(LeastLoaded),
-        }
     }
 }
 
@@ -205,25 +140,24 @@ mod tests {
 
     #[test]
     fn built_in_policies_rank_as_documented() {
-        assert_eq!(FirstFit.choose(&probes()), Some(0));
-        // Equal fragmentation on shards 2 and 3: the tie breaks low.
-        assert_eq!(BestFitFragmentation.choose(&probes()), Some(2));
-        assert_eq!(LeastLoaded.choose(&probes()), Some(3));
+        assert_eq!(Placement::FirstFit.choose(&probes()), Some(0));
+        assert_eq!(Placement::LeastLoaded.choose(&probes()), Some(3));
         let nobody: Vec<ShardProbe> = (0..3).map(|shard| ShardProbe { shard, fit: None }).collect();
-        assert_eq!(FirstFit.choose(&nobody), None);
-        assert_eq!(BestFitFragmentation.choose(&nobody), None);
-        assert_eq!(LeastLoaded.choose(&nobody), None);
+        assert_eq!(Placement::FirstFit.choose(&nobody), None);
+        assert_eq!(Placement::LeastLoaded.choose(&nobody), None);
         // First-fit is settled by a prefix ending in a fit, and by
         // nothing shorter; nobody fitting settles nothing.
-        assert!(!FirstFit.settled(&[]));
-        assert!(FirstFit.settled(&probes()[..1]));
-        assert!((0..=3).all(|cut| !FirstFit.settled(&nobody[..cut])));
+        assert!(!Placement::FirstFit.settled(&[]));
+        assert!(Placement::FirstFit.settled(&probes()[..1]));
+        assert!((0..=3).all(|cut| !Placement::FirstFit.settled(&nobody[..cut])));
+        assert_eq!(Placement::FirstFit.name(), "first-fit");
+        assert_eq!(Placement::LeastLoaded.name(), "least-loaded");
     }
 
     proptest! {
-        /// The [`PlacementPolicy::settled`] law on the built-ins: a
-        /// settled prefix chooses what every extension of it chooses, and
-        /// the two comparing policies never settle on a proper prefix.
+        /// The [`Placement::settled`] law on both policies: a settled
+        /// prefix chooses what every extension of it chooses, and the
+        /// comparing policy never settles on a proper prefix.
         #[test]
         fn a_settled_prefix_chooses_what_every_extension_chooses(
             fits in proptest::collection::vec((any::<bool>(), 0u8..4, 0u8..4), 1..7),
@@ -236,8 +170,7 @@ mod tests {
                     fit: if fits { fit(f64::from(frag) / 4.0, f64::from(load) / 4.0) } else { None },
                 })
                 .collect();
-            let policies: [&dyn PlacementPolicy; 3] = [&FirstFit, &BestFitFragmentation, &LeastLoaded];
-            for policy in policies {
+            for policy in [Placement::FirstFit, Placement::LeastLoaded] {
                 for cut in (0..=row.len()).filter(|&cut| policy.settled(&row[..cut])) {
                     for end in cut..=row.len() {
                         prop_assert_eq!(
@@ -249,34 +182,22 @@ mod tests {
                 }
             }
             for cut in 0..row.len() {
-                prop_assert!(!BestFitFragmentation.settled(&row[..cut]));
-                prop_assert!(!LeastLoaded.settled(&row[..cut]));
+                prop_assert!(!Placement::LeastLoaded.settled(&row[..cut]));
             }
         }
     }
 
     #[test]
-    fn default_fallback_prefers_shallow_queues_then_low_load() {
+    fn fallback_prefers_shallow_queues_then_low_load() {
         let loads = vec![
             ShardLoad { shard: 0, resource_utilisation: 0.1, queue_depth: 3 },
             ShardLoad { shard: 1, resource_utilisation: 0.8, queue_depth: 1 },
             ShardLoad { shard: 2, resource_utilisation: 0.4, queue_depth: 1 },
         ];
-        assert_eq!(FirstFit.fallback(&loads), 2, "depth ties break on utilisation");
+        assert_eq!(Placement::FirstFit.fallback(&loads), 2, "depth ties break on utilisation");
         let even: Vec<ShardLoad> = (0..3)
             .map(|shard| ShardLoad { shard, resource_utilisation: 0.5, queue_depth: 0 })
             .collect();
-        assert_eq!(FirstFit.fallback(&even), 0, "full ties break on shard id");
-    }
-
-    #[test]
-    fn kinds_build_their_policies() {
-        for (kind, name) in [
-            (PlacementPolicyKind::FirstFit, "first-fit"),
-            (PlacementPolicyKind::BestFitFragmentation, "best-fit-fragmentation"),
-            (PlacementPolicyKind::LeastLoaded, "least-loaded"),
-        ] {
-            assert_eq!(kind.build().name(), name);
-        }
+        assert_eq!(Placement::LeastLoaded.fallback(&even), 0, "full ties break on shard id");
     }
 }

@@ -16,13 +16,12 @@ use kairos_admitd::{
 };
 use kairos_app::{Application, ApplicationBuilder, Implementation, TaskRole};
 use kairos_cluster::{
-    BestFitFragmentation, ClusterBuilder, ClusterService, FirstFit, LeastLoaded, PlacementPolicy,
-    ShardLoad, ShardProbe,
+    ClusterBuilder, ClusterService, Placement, ShardFit, ShardLoad, ShardProbe, APP_ID_STRIDE,
 };
 use kairos_core::{CacheConfig, Kairos, KairosConfig};
 use kairos_gateway::{Gateway, GatewayConfig};
 use kairos_platform::{
-    topology, AppId, ElementId, ElementKind, PlatformCheckpoint, ResourceVector,
+    topology, AppId, ElementId, ElementKind, PlatformCheckpoint, RegionMap, ResourceVector,
 };
 use kairos_telemetry::{Telemetry, TelemetryConfig};
 
@@ -102,7 +101,7 @@ fn drive(service: &mut dyn ResourceService, ops: &[Op]) -> String {
 fn cluster(shards: usize, queued: bool) -> ClusterService {
     let mut builder = ClusterBuilder::new(topology::crisp(), shards)
         .deterministic(true)
-        .placement(Box::new(LeastLoaded));
+        .placement(Placement::LeastLoaded);
     if queued {
         builder = builder.admission(AdmitPolicy {
             class_capacity: [8, 8, 8, 8],
@@ -286,32 +285,9 @@ fn assert_stamped_tickets_are_honoured(service: &mut dyn ResourceService) {
     assert!(tail > tickets[2]);
 }
 
-/// The same policy, probing eagerly: forwards every decision and leaves
-/// [`PlacementPolicy::settled`] at its default, so the cluster under it
-/// asks every shard — the reference a settling policy is compared with.
-#[derive(Debug)]
-struct Eager<P>(P);
-
-impl<P: PlacementPolicy> PlacementPolicy for Eager<P> {
-    fn name(&self) -> &'static str {
-        self.0.name()
-    }
-    fn choose(&self, probes: &[ShardProbe]) -> Option<usize> {
-        self.0.choose(probes)
-    }
-    fn fallback(&self, loads: &[ShardLoad]) -> usize {
-        self.0.fallback(loads)
-    }
-}
-
 /// A small cluster — twelve DSPs cut `shards` ways, so shards fill up
 /// within a storm — under `policy`, queued and cached as asked.
-fn twin(
-    policy: Box<dyn PlacementPolicy>,
-    shards: usize,
-    queued: bool,
-    cached: bool,
-) -> ClusterService {
+fn twin(policy: Placement, shards: usize, queued: bool, cached: bool) -> ClusterService {
     let cache = cached.then(CacheConfig::default);
     let mut builder = ClusterBuilder::new(topology::dsp_mesh(4, 3), shards)
         .config(KairosConfig { cache, ..KairosConfig::default() })
@@ -321,6 +297,142 @@ fn twin(
         builder = builder.admission(evict_policy());
     }
     builder.build().unwrap()
+}
+
+/// The cluster's routing rebuilt from public parts, probing eagerly:
+/// every admission is probed on every shard's service, in the cluster's
+/// shard-major order, and [`Placement::choose`] or
+/// [`Placement::fallback`] routes it — the reference a cluster that
+/// settles before the last shard is compared with.
+struct Eager {
+    shards: Vec<Admitd>,
+    regions: RegionMap,
+    policy: Placement,
+    next_ticket: u64,
+}
+
+impl Eager {
+    /// [`twin`]'s shards, built the way [`ClusterBuilder`] builds them.
+    fn new(policy: Placement, shards: usize, queued: bool, cached: bool) -> Self {
+        let platform = topology::dsp_mesh(4, 3);
+        let regions = RegionMap::new(&platform, shards).unwrap();
+        let shards = (0..shards)
+            .map(|r| {
+                let config = KairosConfig {
+                    app_id_base: r as u32 * APP_ID_STRIDE,
+                    cache: cached.then(CacheConfig::default),
+                    deterministic: true,
+                    ..KairosConfig::default()
+                };
+                let builder = ServiceBuilder::new(regions.extract(&platform, r)).config(config);
+                if queued { builder.admission(evict_policy()) } else { builder }.build().unwrap()
+            })
+            .collect();
+        Eager { shards, regions, policy, next_ticket: 0 }
+    }
+
+    /// Full probe rows for `apps`: shard by shard, every application.
+    fn rows(&mut self, apps: &[&Application]) -> Vec<Vec<ShardProbe>> {
+        let mut rows = vec![Vec::new(); apps.len()];
+        for (shard, service) in self.shards.iter_mut().enumerate() {
+            for (app, row) in apps.iter().zip(&mut rows) {
+                let fit = service.probe_admit(app).ok().map(|p| ShardFit {
+                    fragmentation: p.after.external_fragmentation,
+                    resource_utilisation: p.after.resource_utilisation,
+                });
+                row.push(ShardProbe { shard, fit });
+            }
+        }
+        rows
+    }
+
+    /// The policy's shard for a full row, or its fallback.
+    fn route(&self, row: &[ShardProbe]) -> usize {
+        self.policy.choose(row).unwrap_or_else(|| {
+            let loads: Vec<ShardLoad> = (self.shards.iter().enumerate())
+                .map(|(shard, service)| ShardLoad {
+                    shard,
+                    resource_utilisation: service.kairos().resource_utilisation(),
+                    queue_depth: service.queue_depth(),
+                })
+                .collect();
+            self.policy.fallback(&loads)
+        })
+    }
+
+    /// One shard's events with their element ids translated to global.
+    fn drain(&mut self, shard: usize) -> Vec<Event> {
+        let mut events = self.shards[shard].take_events();
+        for event in &mut events {
+            if let Event::ElementFailed { element, .. } | Event::ElementRepaired { element, .. } =
+                event
+            {
+                *element = self.regions.to_global(shard, *element);
+            }
+        }
+        events
+    }
+
+    /// Routes one stamped request to its shard and returns the fallout.
+    fn forward(&mut self, request: Request) -> Vec<Event> {
+        let (shard, command) = match request.command {
+            Command::Admit { app, class } => {
+                let row = self.rows(&[&app]).pop().unwrap();
+                (self.route(&row), Command::Admit { app, class })
+            }
+            Command::Release { app } => {
+                ((app.0 / APP_ID_STRIDE) as usize, Command::Release { app })
+            }
+            Command::InjectFault { element } => {
+                let (shard, element) = self.regions.locate(element).unwrap();
+                (shard, Command::InjectFault { element })
+            }
+            Command::Repair { element } => {
+                let (shard, element) = self.regions.locate(element).unwrap();
+                (shard, Command::Repair { element })
+            }
+            other => panic!("the storm never submits {other:?}"),
+        };
+        self.shards[shard].submit(Request { command, ..request });
+        self.drain(shard)
+    }
+
+    /// `requests` one by one, or as one wave: the wave's admissions are
+    /// probed against the pre-wave state and handed to each shard as one
+    /// batch, and the rest follow in submission order.
+    fn step(&mut self, requests: Vec<Request>, batched: bool) -> (Vec<Ticket>, Vec<Event>) {
+        let stamped: Vec<Request> = (requests.into_iter())
+            .map(|r| {
+                let ticket = Ticket::resolve(r.ticket, &mut self.next_ticket);
+                r.with_ticket(ticket)
+            })
+            .collect();
+        let tickets = stamped.iter().map(|r| r.ticket.unwrap()).collect();
+        let mut events = Vec::new();
+        let (admissions, rest): (Vec<Request>, Vec<Request>) = match batched {
+            true => stamped.into_iter().partition(|r| matches!(r.command, Command::Admit { .. })),
+            false => (Vec::new(), stamped),
+        };
+        let apps: Vec<&Application> = (admissions.iter())
+            .filter_map(|r| match &r.command {
+                Command::Admit { app, .. } => Some(app),
+                _ => None,
+            })
+            .collect();
+        let rows = self.rows(&apps);
+        let mut waves = vec![Vec::new(); self.shards.len()];
+        for (request, row) in admissions.into_iter().zip(rows) {
+            waves[self.route(&row)].push(request);
+        }
+        for (shard, wave) in waves.into_iter().enumerate().filter(|(_, w)| !w.is_empty()) {
+            self.shards[shard].submit_batch(wave);
+            events.extend(self.drain(shard));
+        }
+        for request in rest {
+            events.extend(self.forward(request));
+        }
+        (tickets, events)
+    }
 }
 
 #[test]
@@ -375,7 +487,7 @@ fn batched_placements_are_counted_like_per_request_ones() {
 fn loads_and_occupancy_equal_their_materialising_definitions() {
     let mut cluster = ClusterBuilder::new(topology::crisp(), 3)
         .deterministic(true)
-        .placement(Box::new(LeastLoaded))
+        .placement(Placement::LeastLoaded)
         .build()
         .unwrap();
     for i in 0..9 {
@@ -577,7 +689,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
     /// Lazy == eager, end to end: a cluster whose policy may settle
-    /// before the last shard and its twin under [`Eager`] hand back the
+    /// before the last shard and the [`Eager`] reference hand back the
     /// same tickets, the same event stream in the same order and — shard
     /// by shard, after every step — the same manager state, through
     /// `submit` and `submit_batch`, across faults and repairs, with the
@@ -591,13 +703,9 @@ proptest! {
         queued in any::<bool>(),
         cached in any::<bool>(),
     ) {
-        let (lazy, eager): (Box<dyn PlacementPolicy>, Box<dyn PlacementPolicy>) = match policy {
-            0 => (Box::new(BestFitFragmentation), Box::new(Eager(BestFitFragmentation))),
-            1 => (Box::new(LeastLoaded), Box::new(Eager(LeastLoaded))),
-            _ => (Box::new(FirstFit), Box::new(Eager(FirstFit))),
-        };
-        let mut lazy = twin(lazy, shards, queued, cached);
-        let mut eager = twin(eager, shards, queued, cached);
+        let policy = if policy == 0 { Placement::LeastLoaded } else { Placement::FirstFit };
+        let mut lazy = twin(policy, shards, queued, cached);
+        let mut eager = Eager::new(policy, shards, queued, cached);
         let mut live: Vec<AppId> = Vec::new();
         for (i, &(op, a, b)) in ops.iter().enumerate() {
             let at = i as u64;
@@ -618,19 +726,16 @@ proptest! {
                 _ => continue,
             };
             let batched = requests.len() > 1 || b >= 128;
-            let step = |cluster: &mut ClusterService| -> (Vec<Ticket>, Vec<Event>) {
-                let tickets = match batched {
-                    true => cluster.submit_batch(requests.clone()),
-                    false => requests.iter().cloned().map(|r| cluster.submit(r)).collect(),
-                };
-                (tickets, cluster.take_events())
+            let tickets = match batched {
+                true => lazy.submit_batch(requests.clone()),
+                false => requests.iter().cloned().map(|r| lazy.submit(r)).collect(),
             };
-            let answered = step(&mut lazy);
-            prop_assert_eq!(&step(&mut eager), &answered, "step {} diverged", i);
+            let answered = (tickets, lazy.take_events());
+            prop_assert_eq!(&eager.step(requests, batched), &answered, "step {} diverged", i);
             for shard in 0..shards {
                 prop_assert_eq!(
                     lazy.shard(shard).kairos().checkpoint(),
-                    eager.shard(shard).kairos().checkpoint(),
+                    eager.shards[shard].kairos().checkpoint(),
                     "shard {} after step {}", shard, i
                 );
             }

@@ -30,6 +30,14 @@
 //!   slots in ticket order while holding the earlier ones, is forwarded
 //!   as one [`ResourceService::submit_batch`], and returns the slots
 //!   member by member.
+//! * **The one decision only the gateway makes** — a request that finds
+//!   its lane full waits, however many are parked, and reaches the
+//!   service when a slot frees; a `kairos-admitd` class queue bounded at
+//!   the same depth refuses it with `QueueFull` instead. Replaying
+//!   `gateway-backpressure` without its gateway, every class-queue
+//!   capacity set to the lane bound (4), first diverges at ticket 8
+//!   (tick 93): the gateway parks it and the service admits it at tick
+//!   922, when ticket 1 times out; the class queue refuses it at once.
 //! * **One service surface** — [`Gateway`] itself implements
 //!   [`ResourceService`], driving each submission to completion before
 //!   returning. As the outermost layer the gateway mints each request's

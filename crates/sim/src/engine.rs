@@ -367,7 +367,7 @@ impl Simulator {
                     .config(config)
                     .deterministic(true)
                     .telemetry(telemetry.clone())
-                    .placement(spec.policy.build());
+                    .placement(spec.policy);
                 if let Some(policy) = &scenario.admission {
                     builder = builder.admission(*policy);
                 }

@@ -46,7 +46,7 @@ use kairos_admitd::{AdmitPolicy, PreemptionPolicy, PriorityClass};
 use kairos_appgen::{
     ArrivalDistribution, DatasetSpec, MixEntry, Orientation, SizeClass, WorkloadMix,
 };
-use kairos_cluster::PlacementPolicyKind;
+use kairos_cluster::Placement;
 use kairos_gateway::GatewayConfig;
 use kairos_platform::{topology, ElementKind, Platform, PowerModel, PowerRate};
 use kairos_watch::WatchSpec;
@@ -200,7 +200,7 @@ pub struct ClusterSpec {
     /// Number of region shards.
     pub shards: usize,
     /// Shard-placement policy admissions are routed by.
-    pub policy: PlacementPolicyKind,
+    pub policy: Placement,
     /// Periodic cross-shard rebalancing; `None` never rebalances.
     pub rebalance: Option<SweepSpec>,
 }
@@ -833,11 +833,7 @@ fn sharded_arrival_storm() -> Scenario {
             backoff_cap: 4,
             ..AdmitPolicy::default()
         }),
-        cluster: Some(ClusterSpec {
-            shards: 3,
-            policy: PlacementPolicyKind::LeastLoaded,
-            rebalance: None,
-        }),
+        cluster: Some(ClusterSpec { shards: 3, policy: Placement::LeastLoaded, rebalance: None }),
         ..Scenario::new("sharded-arrival-storm", 0x54A2D, 30, PlatformSpec::Crisp, phases)
     }
 }
@@ -864,7 +860,7 @@ fn cross_shard_rebalance() -> Scenario {
     Scenario {
         cluster: Some(ClusterSpec {
             shards: 3,
-            policy: PlacementPolicyKind::FirstFit,
+            policy: Placement::FirstFit,
             rebalance: Some(SweepSpec { period: 150, max_moves: 2 }),
         }),
         ..Scenario::new("cross-shard-rebalance", 0xC7055, 30, PlatformSpec::Crisp, phases)
@@ -909,11 +905,7 @@ fn telemetry_probe_latency() -> Scenario {
             preemption: PreemptionPolicy::Migrate,
             max_victims: 4,
         }),
-        cluster: Some(ClusterSpec {
-            shards: 3,
-            policy: PlacementPolicyKind::LeastLoaded,
-            rebalance: None,
-        }),
+        cluster: Some(ClusterSpec { shards: 3, policy: Placement::LeastLoaded, rebalance: None }),
         telemetry: true,
         ..Scenario::new("telemetry-probe-latency", 0x7E1E, 30, PlatformSpec::Crisp, phases)
     }
@@ -954,11 +946,7 @@ fn traced_preemption_storm() -> Scenario {
             preemption: PreemptionPolicy::Evict,
             max_victims: 4,
         }),
-        cluster: Some(ClusterSpec {
-            shards: 3,
-            policy: PlacementPolicyKind::LeastLoaded,
-            rebalance: None,
-        }),
+        cluster: Some(ClusterSpec { shards: 3, policy: Placement::LeastLoaded, rebalance: None }),
         trace: true,
         ..Scenario::new("traced-preemption-storm", 0x7ACE, 30, PlatformSpec::Crisp, phases)
     }
@@ -995,11 +983,7 @@ fn cache_warm_storm() -> Scenario {
         PhaseSpec::new("drain", 1000, 0, 0, Vec::new()),
     ];
     Scenario {
-        cluster: Some(ClusterSpec {
-            shards: 3,
-            policy: PlacementPolicyKind::LeastLoaded,
-            rebalance: None,
-        }),
+        cluster: Some(ClusterSpec { shards: 3, policy: Placement::LeastLoaded, rebalance: None }),
         cache: true,
         ..Scenario::new("cache-warm-storm", 0xCA4E5, 30, PlatformSpec::Crisp, phases)
     }
@@ -1041,11 +1025,7 @@ fn cache_invalidation_churn() -> Scenario {
     Scenario {
         faults,
         readmit_evicted: true,
-        cluster: Some(ClusterSpec {
-            shards: 3,
-            policy: PlacementPolicyKind::LeastLoaded,
-            rebalance: None,
-        }),
+        cluster: Some(ClusterSpec { shards: 3, policy: Placement::LeastLoaded, rebalance: None }),
         cache: true,
         ..Scenario::new("cache-invalidation-churn", 0x1CACE, 40, PlatformSpec::Crisp, phases)
     }
@@ -1073,11 +1053,7 @@ fn gateway_arrival_storm() -> Scenario {
         PhaseSpec::new("drain", 1000, 0, 0, Vec::new()),
     ];
     Scenario {
-        cluster: Some(ClusterSpec {
-            shards: 3,
-            policy: PlacementPolicyKind::LeastLoaded,
-            rebalance: None,
-        }),
+        cluster: Some(ClusterSpec { shards: 3, policy: Placement::LeastLoaded, rebalance: None }),
         gateway: Some(GatewayConfig::default()),
         ..Scenario::new("gateway-arrival-storm", 0x6A7E, 30, PlatformSpec::Crisp, phases)
     }
@@ -1183,11 +1159,7 @@ fn power_cap_skew() -> Scenario {
     ];
     Scenario {
         faults,
-        cluster: Some(ClusterSpec {
-            shards: 3,
-            policy: PlacementPolicyKind::FirstFit,
-            rebalance: None,
-        }),
+        cluster: Some(ClusterSpec { shards: 3, policy: Placement::FirstFit, rebalance: None }),
         watch: Some(WatchSpec { queue_monitor: false, ..WatchSpec::default() }),
         power: Some(dsp_skewed_power()),
         ..Scenario::new("power-cap-skew", 0x50CA9, 30, PlatformSpec::Crisp, phases)

@@ -12,7 +12,7 @@
 
 use kairos::admitd::{Command, Event, PriorityClass, Request, ResourceService};
 use kairos::appgen::{WorkloadMix, WorkloadSampler};
-use kairos::cluster::{ClusterBuilder, ClusterService, FirstFit};
+use kairos::cluster::{ClusterBuilder, ClusterService, Placement};
 use kairos::platform::topology;
 
 fn shard_population(cluster: &ClusterService) -> String {
@@ -29,7 +29,7 @@ fn main() {
     // shards, so the rebalance sweep below has work to do.
     let mut cluster = ClusterBuilder::new(topology::crisp(), 3)
         .deterministic(true)
-        .placement(Box::new(FirstFit))
+        .placement(Placement::FirstFit)
         .build()
         .expect("three shards fit CRISP");
     println!("-- partition: {} shards over 62 elements --", cluster.shard_count());

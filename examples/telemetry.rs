@@ -14,7 +14,7 @@
 
 use kairos::admitd::{Event, PriorityClass, Request, ResourceService};
 use kairos::appgen::{AppGenerator, GeneratorConfig};
-use kairos::cluster::{ClusterBuilder, LeastLoaded};
+use kairos::cluster::{ClusterBuilder, Placement};
 use kairos::platform::topology;
 use kairos::sim::{Scenario, Simulator};
 use kairos::telemetry::{MetricValue, Snapshot, Telemetry, TelemetryConfig};
@@ -80,7 +80,7 @@ fn main() {
     let telemetry = Telemetry::new(TelemetryConfig::default());
     let mut cluster = ClusterBuilder::new(topology::crisp(), 2)
         .deterministic(true)
-        .placement(Box::new(LeastLoaded))
+        .placement(Placement::LeastLoaded)
         .telemetry(telemetry.clone())
         .build()
         .expect("two shards fit CRISP");

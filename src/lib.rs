@@ -36,9 +36,8 @@
 //!   contiguous capacity-balanced region shards (`RegionMap`), one
 //!   manager per shard behind the same `ResourceService` surface
 //!   (`ClusterService`), what-if admission probes of the shards in
-//!   shard-id order (as many as the placement policy compares),
-//!   pluggable placement policies (first-fit /
-//!   best-fit-by-fragmentation / least-loaded) and cross-shard
+//!   shard-id order (as many as the placement policy compares), one
+//!   closed `Placement` (first-fit / least-loaded) and cross-shard
 //!   rebalancing sweeps;
 //! * [`gateway`] — the queueing front-end: a decorator over any
 //!   `ResourceService` that streams admissions through per-shard bounded

@@ -3,10 +3,13 @@
 //! property the paper's Linux binary handler relies on.
 
 use kairos::app::binfmt::{self, BinfmtError};
-use kairos::app::{Application, ApplicationBuilder, ApplicationError, Constraint};
+use kairos::app::{
+    Application, ApplicationBuilder, ApplicationError, ChannelId, Constraint, Implementation,
+    TaskRole,
+};
 use kairos::appgen::{beamforming_app, generate_dataset, DatasetSpec};
 use kairos::core::{Kairos, KairosConfig};
-use kairos::platform::topology;
+use kairos::platform::{topology, ElementKind, ResourceVector};
 
 /// `app` rebuilt with one more constraint, through the builder's checks.
 fn with_constraint(
@@ -176,4 +179,47 @@ fn flipped_latency_images_decode_to_errors_or_admit_without_panicking() {
     }
     assert!(decoded > 1000 && admitted > 300, "{decoded} decoded, {admitted} admitted");
     kairos.audit().expect("every admission released");
+}
+
+/// A two-task application `a → b` under a throughput constraint, its one
+/// channel moving `rate` tokens per firing, or — `cyclic` — `a → b → a`
+/// under a latency constraint.
+fn pair(rate: u32, cyclic: bool) -> Result<Application, ApplicationError> {
+    let imp = Implementation::new(ElementKind::Dsp, ResourceVector::new(300, 8, 0, 0), 50, 1);
+    let mut b = ApplicationBuilder::new("pair");
+    let a = b.add_task("a", TaskRole::Input, vec![imp]);
+    let c = b.add_task("b", TaskRole::Output, vec![imp]);
+    b.add_channel(a, c, 10, rate);
+    if cyclic {
+        b.add_channel(c, a, 10, rate);
+        b.add_constraint(Constraint::Latency { max_latency_cycles: 1 << 30, pipeline_depth: 1 });
+    } else {
+        b.add_constraint(Constraint::Throughput { max_period_cycles: 10_000 });
+    }
+    b.build()
+}
+
+/// An SDF graph whose channel moves zero tokens per firing has no
+/// meaningful period, so no throughput guarantee could hold: the builder
+/// refuses it with a typed error and an image carrying one decodes to an
+/// error, before any board could admit it. A cycle without initial tokens
+/// builds, and its admission is refused, because the self-timed execution
+/// deadlocks.
+#[test]
+fn zero_rate_and_cyclic_graphs_are_refused() {
+    assert_eq!(pair(0, false).unwrap_err(), ApplicationError::ZeroRateChannel(ChannelId(0)));
+
+    let mut image = binfmt::encode(&pair(7, false).unwrap()).to_vec();
+    assert!(binfmt::decode(&image).is_ok());
+    // The rate is the last channel field, a little-endian `u32` before
+    // the constraint count (`u32`), the constraint's tag and its period.
+    let at = image.len() - (4 + 4 + 1 + 8);
+    assert_eq!(image[at..at + 4], 7u32.to_le_bytes());
+    image[at] = 0;
+    assert!(matches!(binfmt::decode(&image), Err(BinfmtError::InvalidApplication(_))));
+
+    let mut kairos = Kairos::new(topology::crisp(), KairosConfig::default());
+    let err = kairos.admit(&pair(1, true).unwrap()).unwrap_err();
+    assert!(err.error.to_string().ends_with("self-timed execution deadlocked"), "{err:?}");
+    assert!(kairos.admit(&pair(1, false).unwrap()).is_ok(), "a live pair is admitted");
 }

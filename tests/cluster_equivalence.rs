@@ -19,10 +19,7 @@ use kairos::admitd::{
 };
 use kairos::app::Application;
 use kairos::appgen::{WorkloadMix, WorkloadSampler};
-use kairos::cluster::{
-    BestFitFragmentation, ClusterBuilder, LeastLoaded, PlacementPolicy, ShardFit, ShardLoad,
-    ShardProbe, APP_ID_STRIDE,
-};
+use kairos::cluster::{ClusterBuilder, Placement, ShardFit, ShardLoad, ShardProbe, APP_ID_STRIDE};
 use kairos::core::{KairosConfig, DURATION_NS_BOUNDS};
 use kairos::platform::{topology, AppId, ElementId, RegionMap};
 use kairos::sim::{Scenario, Simulator};
@@ -90,7 +87,7 @@ fn cross_shard_rebalance_moves_work_and_keeps_the_population_consistent() {
 struct ProbeBlind {
     shards: Vec<Admitd>,
     regions: RegionMap,
-    policy: Box<dyn PlacementPolicy>,
+    policy: Placement,
     events: Vec<Event>,
 }
 
@@ -170,12 +167,12 @@ impl ProbeBlind {
 /// against the probe-blind reference: equal event streams, equal final
 /// platform bytes on every shard, and (the hub is lit) pipeline runs
 /// that add up once replayed admissions are taken out.
-fn storm_differential(admission: Option<AdmitPolicy>, policy: fn() -> Box<dyn PlacementPolicy>) {
+fn storm_differential(admission: Option<AdmitPolicy>, policy: Placement) {
     let platform = topology::crisp();
     let hub = Telemetry::new(TelemetryConfig::default());
     let mut builder = ClusterBuilder::new(platform.clone(), 3)
         .deterministic(true)
-        .placement(policy())
+        .placement(policy)
         .telemetry(hub.clone());
     if let Some(queue) = admission {
         builder = builder.admission(queue);
@@ -196,7 +193,7 @@ fn storm_differential(admission: Option<AdmitPolicy>, policy: fn() -> Box<dyn Pl
             builder.build().unwrap()
         })
         .collect();
-    let mut blind = ProbeBlind { shards, regions, policy: policy(), events: Vec::new() };
+    let mut blind = ProbeBlind { shards, regions, policy, events: Vec::new() };
 
     let mut sampler = WorkloadSampler::new("storm", WorkloadMix::all_datasets(), 0x2010);
     let mut state = 0x2010u64;
@@ -290,9 +287,11 @@ fn storm_differential(admission: Option<AdmitPolicy>, policy: fn() -> Box<dyn Pl
     assert_eq!(causes.iter().sum::<u64>(), count("kairos.core.admit.fail"), "queued={queued}");
 }
 
+/// Unqueued under first-fit, whose early cut the reference's full probe
+/// rows also check end to end; queued under least-loaded.
 #[test]
 fn a_shard_committing_its_own_probe_decides_what_a_probe_blind_shard_does() {
-    storm_differential(None, || Box::new(BestFitFragmentation));
+    storm_differential(None, Placement::FirstFit);
     let queue = AdmitPolicy { max_wait: Some(40), ..AdmitPolicy::default() };
-    storm_differential(Some(queue), || Box::new(LeastLoaded));
+    storm_differential(Some(queue), Placement::LeastLoaded);
 }

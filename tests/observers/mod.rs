@@ -40,7 +40,7 @@
 
 use kairos::admitd::{AdmitPolicy, PreemptionPolicy};
 use kairos::appgen::{DatasetSpec, MixEntry, Orientation, SizeClass};
-use kairos::cluster::PlacementPolicyKind;
+use kairos::cluster::Placement;
 use kairos::gateway::GatewayConfig;
 use kairos::platform::Platform;
 use kairos::sim::json::Json;
@@ -162,11 +162,7 @@ static KNOBS: [Knob; 6] = [
         name: "one-shard cluster",
         off: |s| Scenario { cluster: None, ..s },
         on: |s| Scenario {
-            cluster: Some(ClusterSpec {
-                shards: 1,
-                policy: PlacementPolicyKind::FirstFit,
-                rebalance: None,
-            }),
+            cluster: Some(ClusterSpec { shards: 1, policy: Placement::FirstFit, rebalance: None }),
             ..s
         },
         sections: &[],
@@ -278,7 +274,7 @@ fn generated(
     interarrival: u64,
     lifetime: u64,
     queued: bool,
-    clustered: bool,
+    cluster: Option<ClusterSpec>,
     preempt: bool,
 ) -> Scenario {
     let phases = vec![
@@ -299,27 +295,29 @@ fn generated(
             },
             max_victims: 3,
         }),
-        cluster: clustered.then_some(ClusterSpec {
-            shards: 2,
-            policy: PlacementPolicyKind::LeastLoaded,
-            rebalance: None,
-        }),
+        cluster,
         ..Scenario::new("generated", seed, 40, PlatformSpec::Crisp, phases)
     }
 }
 
 /// The generated regimes: [`generated`] scenarios, some of them cached
-/// and some behind a default-knob gateway.
+/// and some behind a default-knob gateway; a clustered one runs 1–4
+/// shards under either placement.
 pub fn regimes() -> impl Strategy<Value = Scenario> {
     let axes = (any::<bool>(), any::<bool>(), any::<bool>(), any::<bool>(), any::<bool>());
-    (any::<u64>(), 5u64..40, 0u64..300, axes).prop_map(
-        |(seed, interarrival, lifetime, (queued, clustered, preempt, cached, gatewayed))| {
+    (any::<u64>(), 5u64..40, 0u64..300, axes, 1usize..5, any::<bool>()).prop_map(
+        |(seed, interarrival, lifetime, axes, shards, spread)| {
+            let (queued, clustered, preempt, cached, gatewayed) = axes;
+            let policy = if spread { Placement::LeastLoaded } else { Placement::FirstFit };
             // Captured, so printed only when the case fails.
             eprintln!(
                 "seed {seed}, interarrival {interarrival}, lifetime {lifetime}, queued {queued}, \
-                 clustered {clustered}, preempt {preempt}, cached {cached}, gatewayed {gatewayed}"
+                 clustered {clustered}, shards {shards}, placement {}, preempt {preempt}, \
+                 cached {cached}, gatewayed {gatewayed}",
+                policy.name()
             );
-            let mut scenario = generated(seed, interarrival, lifetime, queued, clustered, preempt);
+            let cluster = clustered.then_some(ClusterSpec { shards, policy, rebalance: None });
+            let mut scenario = generated(seed, interarrival, lifetime, queued, cluster, preempt);
             scenario.cache = cached;
             scenario.gateway = gatewayed.then(GatewayConfig::default);
             scenario
