@@ -15,7 +15,10 @@
 //! | `ablation_routing`  | §II claim — BFS vs. Dijkstra routing            |
 //! | `ablation_knapsack` | exact vs. greedy knapsack inside SolveGAP       |
 //! | `ablation_exact`    | future-work ILP comparison (exact baseline)     |
-//! | `micro`             | Criterion micro-benchmarks of all four phases   |
+//!
+//! Beside them, `relocation`, `opcache` (asserts at least 5x), `scale` and
+//! `overhead` (telemetry, tracing and watch, dark versus lit; asserts
+//! under 3x each) time this reproduction's own mechanisms.
 //!
 //! Scale is controlled by `KAIROS_PAPER_SCALE=1` (30 sequences, as in the
 //! paper) versus the quick default (8 sequences); results are deterministic

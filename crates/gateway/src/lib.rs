@@ -57,7 +57,10 @@
 //! gauges and a `kairos.gateway.completion.ticks` histogram of
 //! virtual-tick completion latency. All values derive from the virtual
 //! clock and per-ticket bookkeeping, so a lit run stays byte-identical
-//! to a dark one apart from the report's telemetry section.
+//! to a dark one apart from the report's telemetry section. Over a
+//! tracing hub the gateway mints each admission's trace root as it
+//! accepts it (the inner layers inherit it), and a request that parked
+//! gets a `gateway.park` span from its first park to its forward.
 //!
 //! ## Example
 //!
@@ -231,6 +234,15 @@ enum Forward {
     Batch(Vec<Request>),
 }
 
+impl Forward {
+    fn requests(&self) -> &[Request] {
+        match self {
+            Forward::Single(request) => std::slice::from_ref(request),
+            Forward::Batch(requests) => requests,
+        }
+    }
+}
+
 /// One bounded per-shard request lane.
 #[derive(Debug)]
 struct Lane {
@@ -282,6 +294,9 @@ struct Pending {
     accepted_at: u64,
     /// Key of the task to make runnable at completion.
     task: u64,
+    /// The tick the ticket first parked on a full lane, for its
+    /// `gateway.park` span.
+    parked_at: Option<u64>,
 }
 
 /// The queueing front-end. See the crate docs for the model.
@@ -308,6 +323,8 @@ pub struct Gateway {
     now: u64,
     config: GatewayConfig,
     metrics: Option<GatewayMetrics>,
+    /// The hub admissions are traced on.
+    telemetry: Telemetry,
     /// Shared with every [`GatewayStats`] handle.
     counters: Arc<Mutex<GatewayCounters>>,
 }
@@ -362,6 +379,7 @@ impl Gateway {
             now: 0,
             config: GatewayConfig { channel_capacity: capacity },
             metrics: GatewayMetrics::new(&telemetry),
+            telemetry,
             counters: Arc::default(),
         }
     }
@@ -397,12 +415,19 @@ impl Gateway {
 
     /// Settles `request`'s ticket (minting one unless an outer layer
     /// stamped it), stamps it on the request for the trip inward, and
-    /// opens the ticket's in-flight bookkeeping under task `task`.
-    fn accept(&mut self, request: Request, task: u64) -> (Ticket, Request) {
+    /// opens the ticket's in-flight bookkeeping under task `task`. When
+    /// the hub traces, an admission's trace root is minted here too, so
+    /// a request that parks has a trace to record its wait in; the inner
+    /// service inherits the stamped root.
+    fn accept(&mut self, mut request: Request, task: u64) -> (Ticket, Request) {
         let ticket = Ticket::resolve(request.ticket, &mut self.next_ticket);
         self.now = self.now.max(request.at);
+        if let Command::Admit { class, .. } = &request.command {
+            request.trace = self.telemetry.request_root(request.trace, request.at, class);
+        }
         let expect = Expect::of(&request.command);
-        self.pending.insert(ticket, Pending { expect, accepted_at: request.at, task });
+        let pending = Pending { expect, accepted_at: request.at, task, parked_at: None };
+        self.pending.insert(ticket, pending);
         if let Some(metrics) = &self.metrics {
             metrics.submitted.add(1);
         }
@@ -478,6 +503,9 @@ impl Gateway {
                         if !self.draining && lane.inflight >= lane.capacity {
                             lane.waiters.insert(ticket, key);
                             locked(&self.counters).parked += 1;
+                            if let Some(pending) = self.pending.get_mut(&ticket) {
+                                pending.parked_at.get_or_insert(self.now);
+                            }
                             return;
                         }
                         lane.set_inflight(lane.inflight + 1);
@@ -516,6 +544,7 @@ impl Gateway {
             return false;
         }
         for forward in forwards {
+            self.trace_parks(&forward);
             let (count, singles, batches) = match forward {
                 Forward::Single(request) => {
                     self.inner.submit(request);
@@ -541,6 +570,20 @@ impl Gateway {
             self.outbox.append(&mut events);
         }
         true
+    }
+
+    /// Records a `gateway.park` span for each request of `forward` that
+    /// parked on a full lane: it waited from its first park until now.
+    fn trace_parks(&self, forward: &Forward) {
+        if !self.telemetry.tracing() {
+            return;
+        }
+        for request in forward.requests() {
+            let parked = request.ticket.and_then(|ticket| self.pending.get(&ticket)?.parked_at);
+            if let Some(start) = parked {
+                self.telemetry.trace_child(request.trace, "gateway.park", start, self.now, &[]);
+            }
+        }
     }
 
     /// Books `events` coming out of the inner service: retires each

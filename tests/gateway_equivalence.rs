@@ -7,12 +7,14 @@
 //! and cached regimes and across the whole catalog. The two gateway
 //! catalog scenarios are byte-reproducible run to run and do what they
 //! were built to show: `gateway-arrival-storm` matches its ungatewayed
-//! twin exactly, and `gateway-backpressure`'s bounded lanes actually
-//! park requests under overload.
+//! twin exactly, traced or not, and `gateway-backpressure`'s bounded
+//! lanes actually park requests under overload, each parked request's
+//! trace showing its wait.
 
 mod observers;
 
 use kairos::sim::{Scenario, Simulator};
+use kairos::telemetry::ROOT_PARENT;
 use proptest::prelude::*;
 
 proptest! {
@@ -83,4 +85,40 @@ fn backpressure_scenario_parks_requests_and_still_drains() {
         report.totals.admissions + report.totals.rejections,
         "every arrival reaches exactly one terminal outcome"
     );
+}
+
+/// Traced, the gateway mints each admission's root where the unwrapped
+/// service would, so in lockstep the storm's trace section and its
+/// Chrome-trace export are the unwrapped twin's, byte for byte.
+#[test]
+fn traced_arrival_storm_traces_what_its_ungatewayed_twin_traces() {
+    let wrapped = Scenario { trace: true, ..Scenario::by_name("gateway-arrival-storm").unwrap() };
+    let direct = Scenario { gateway: None, ..wrapped.clone() };
+    let traced = |scenario: Scenario| {
+        let mut simulator = Simulator::new(scenario).unwrap();
+        let trace = simulator.run().trace.expect("trace section");
+        (trace, simulator.telemetry().chrome_trace())
+    };
+    let (direct, wrapped) = (traced(direct), traced(wrapped));
+    assert!(direct.0 == wrapped.0, "the gateway moved the trace section");
+    assert!(direct.1 == wrapped.1, "the gateway moved the trace export");
+}
+
+/// A request that parks on a full lane shows its wait in its trace:
+/// `gateway-backpressure`'s ticket 8 arrives at tick 93, parks behind
+/// four waiters and is forwarded at tick 922, when ticket 1 times out.
+/// The gateway mints roots in acceptance order and the first nine
+/// tickets are all admissions, so ticket 8's trace is trace 8.
+#[test]
+fn a_parked_request_traces_its_wait_in_the_gateway() {
+    let scenario = Scenario { trace: true, ..Scenario::by_name("gateway-backpressure").unwrap() };
+    let mut simulator = Simulator::new(scenario).unwrap();
+    simulator.run();
+    let spans = simulator.telemetry().trace_dump();
+    let trace: Vec<_> = spans.iter().filter(|span| span.trace == 8).collect();
+    let root = trace.iter().find(|span| span.parent == ROOT_PARENT).expect("ticket 8's root");
+    assert_eq!(root.start, 93, "ticket 8 arrives at tick 93");
+    let parks: Vec<_> = trace.iter().filter(|span| span.name == "gateway.park").collect();
+    assert_eq!(parks.len(), 1, "one park span per parked request: {trace:#?}");
+    assert_eq!((parks[0].parent, parks[0].start, parks[0].end), (root.id, 93, 922));
 }

@@ -14,7 +14,8 @@
 //! platform state. Every run the harness makes audits shard 0. Each row
 //! is checked by two legs:
 //! - (a) [`assert_transparent_in`], over the generated queued,
-//!   clustered, preempting, cached and gatewayed [`regimes`];
+//!   clustered, preempting, cached and gatewayed [`regimes`], with
+//!   element faults and defrag / rebalance sweeps;
 //! - (b) [`assert_transparent_across_the_catalog`]: every catalog
 //!   scenario the knob applies to is transparent with it on, and two
 //!   such runs are byte-identical, trace export included. Both runs
@@ -45,7 +46,8 @@ use kairos::gateway::GatewayConfig;
 use kairos::platform::Platform;
 use kairos::sim::json::Json;
 use kairos::sim::{
-    ClusterSpec, PhaseSpec, PlatformSpec, Scenario, SimReport, Simulator, WatchSpec,
+    ClusterSpec, FaultSpec, PhaseSpec, PlatformSpec, Scenario, SimReport, Simulator, SweepSpec,
+    WatchSpec,
 };
 use kairos::telemetry::{MetricValue, Snapshot};
 use proptest::prelude::*;
@@ -302,24 +304,53 @@ fn generated(
 
 /// The generated regimes: [`generated`] scenarios, some of them cached
 /// and some behind a default-knob gateway; a clustered one runs 1–4
-/// shards under either placement.
+/// shards under either placement. Each may also carry up to two element
+/// faults inside the churn phase (on distinct CRISP elements, repaired
+/// 50–400 ticks later or never), a defrag sweep, and — clustered over at
+/// least two shards — a rebalance sweep.
 pub fn regimes() -> impl Strategy<Value = Scenario> {
     let axes = (any::<bool>(), any::<bool>(), any::<bool>(), any::<bool>(), any::<bool>());
-    (any::<u64>(), 5u64..40, 0u64..300, axes, 1usize..5, any::<bool>()).prop_map(
-        |(seed, interarrival, lifetime, axes, shards, spread)| {
+    let elements = PlatformSpec::Crisp.build().element_count() as u32;
+    // (at, repaired, repair_after) of one fault.
+    let fault = (0u64..500, any::<bool>(), 50u64..=400);
+    // (count, first element, offset of the second, the two faults).
+    let faults = (0usize..=2, 0..elements, 1..elements, fault.clone(), fault);
+    // (on, period, max_moves) of one sweep.
+    let sweep = (any::<bool>(), 50u64..300, 1usize..5);
+    let sweeps = (sweep.clone(), sweep);
+    (any::<u64>(), 5u64..40, 0u64..300, axes, 1usize..5, any::<bool>(), faults, sweeps).prop_map(
+        move |(seed, interarrival, lifetime, axes, shards, spread, faults, sweeps)| {
             let (queued, clustered, preempt, cached, gatewayed) = axes;
             let policy = if spread { Placement::LeastLoaded } else { Placement::FirstFit };
+            let (count, first, offset, a, b) = faults;
+            let faults: Vec<FaultSpec> = [(first, a), ((first + offset) % elements, b)]
+                .into_iter()
+                .take(count)
+                .map(|(element, (at, repaired, after))| FaultSpec {
+                    at,
+                    element,
+                    repair_after: repaired.then_some(after),
+                })
+                .collect();
+            let sweep = |(on, period, max_moves): (bool, u64, usize)| {
+                on.then_some(SweepSpec { period, max_moves })
+            };
+            let defrag = sweep(sweeps.0);
+            let rebalance = sweep(sweeps.1).filter(|_| clustered && shards >= 2);
             // Captured, so printed only when the case fails.
             eprintln!(
                 "seed {seed}, interarrival {interarrival}, lifetime {lifetime}, queued {queued}, \
                  clustered {clustered}, shards {shards}, placement {}, preempt {preempt}, \
-                 cached {cached}, gatewayed {gatewayed}",
+                 cached {cached}, gatewayed {gatewayed}, faults {faults:?}, defrag {defrag:?}, \
+                 rebalance {rebalance:?}",
                 policy.name()
             );
-            let cluster = clustered.then_some(ClusterSpec { shards, policy, rebalance: None });
+            let cluster = clustered.then_some(ClusterSpec { shards, policy, rebalance });
             let mut scenario = generated(seed, interarrival, lifetime, queued, cluster, preempt);
             scenario.cache = cached;
             scenario.gateway = gatewayed.then(GatewayConfig::default);
+            scenario.faults = faults;
+            scenario.defrag = defrag;
             scenario
         },
     )
