@@ -13,12 +13,14 @@
 //! Neither half of the key is computed per lookup (the shape is a field
 //! of the application, the stamp re-digests only the records the
 //! previous admit/release cycle touched), so a hit costs its replayed
-//! claims: the warm path reads about 8.7x the cold one on CRISP (8.4-9.0x
-//! over five runs on a shared two-core box; about 10x before the cold
-//! pipeline stopped allocating its working memory per call, 1.8x while
-//! every lookup re-hashed the platform). The run asserts warm at least
-//! [`FLOOR`] times faster, which CI executes as a smoke check; a reading
-//! near 2x means something recomputes a key.
+//! claims: the warm path reads about 6x the cold one on CRISP (5.9-6.5x
+//! interquartile over 15 runs on a shared two-core box, where a hit shares
+//! its stored decision instead of copying it; about 8.7x in earlier
+//! measurements, about 10x before the cold pipeline stopped allocating
+//! its working memory per call, 1.8x while every lookup re-hashed the
+//! platform). The run asserts warm at least [`FLOOR`] times
+//! faster, which CI executes as a smoke check; a reading near 2x means
+//! something recomputes a key.
 
 use std::time::Instant;
 
@@ -78,7 +80,7 @@ fn cycle_micros(kairos: &mut Kairos, apps: &[Application], reps: u32) -> f64 {
     best
 }
 
-/// The asserted warm-over-cold speed-up, well under the usual 8.7x reading.
+/// The asserted warm-over-cold speed-up, under the usual reading of about 6x.
 const FLOOR: f64 = 5.0;
 
 fn main() {

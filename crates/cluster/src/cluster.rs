@@ -667,6 +667,9 @@ impl ClusterService {
     }
 }
 
+/// What placement reads of a shard's probe. The probe's layout, an `Arc`
+/// shared with the decision the shard keeps for its admission, is
+/// dropped unread.
 fn fit_of(probe: Option<AdmissionProbe>) -> Option<ShardFit> {
     probe.map(|p| ShardFit {
         fragmentation: p.after.external_fragmentation,

@@ -1,9 +1,10 @@
 //! The manager's decision store — every pipeline decision a
 //! [`Kairos`](crate::Kairos) remembers, in one field — and [`replay_point`], the one writer every
 //! admission ends in: cold run, keyed hit and probe hand-off alike, behind
-//! [`point_fits`], the check that leaves it nothing to undo. The phases
-//! decide over `&Platform` and write nothing, so a refusal from any source
-//! touches nothing.
+//! [`point_fits`], the check that leaves it nothing to undo (run on a
+//! keyed hit, debug-asserted on a decision made or settled against the
+//! very state it is written to). The phases decide over `&Platform` and
+//! write nothing, so a refusal from any source touches nothing.
 //!
 //! [`CachedDecision`] is the complete outcome of one `run_phases` call —
 //! a [`CachedPoint`] (layout, and the *seats*: the placement's claims in
@@ -17,7 +18,10 @@
 //! from that state would have produced. The store changes *which work
 //! runs*, never *what is decided*.
 //!
-//! [`DecisionStore`] has two tiers, and alone decides which one serves:
+//! [`DecisionStore`] has two tiers, and alone decides which one serves.
+//! Each decision is held once, behind one `Arc`: a keyed hit, a probe's
+//! answer and the hand-off to the admission after it all share it, and a
+//! layout is copied only where an owned one leaves the manager.
 //!
 //! * the **keyed tier**, present iff `KairosConfig::cache` is set, keys
 //!   decisions by `(shape, state stamp)` — the stamp digests exactly that
@@ -37,17 +41,19 @@
 //!   decision from being *used*; eager invalidation keeps dead elements
 //!   from pinning capacity, and is what `kairos.opcache.invalidations`
 //!   counts);
-//! * the **last-probe tier**, consulted only when there is no keyed tier,
-//!   keeps the last `probe_admit`'s decision beside the platform's
+//! * the **last-probe tier**, present with or without a keyed tier, keeps
+//!   the decision the last `probe_admit` settled beside the platform's
 //!   `state_epoch` — a probe writes nothing, and every later mutation
 //!   bumps the epoch, so an equal epoch proves the same state without
 //!   digesting anything. It serves the one admission that follows the
-//!   probe. (With a keyed tier the probe's decision is already stored
-//!   there.)
+//!   probe, with no stamp, no lookup and no second fit check. Under a
+//!   keyed tier that hand-off counts as the hit the lookup it replaces
+//!   would have counted (the probe's decision is stored there too).
 //!
 //! Neither key covers the cost weights: `Kairos::set_weights` clears both.
 
 use std::collections::{BTreeMap, VecDeque};
+use std::sync::Arc;
 
 use kairos_platform::{AppId, ElementId, Occupant, Platform, ResourceVector};
 
@@ -103,22 +109,19 @@ impl CacheStats {
 /// One claim of a decided placement: `(element, task, claimed)`.
 pub(crate) type Seat = (ElementId, u32, ResourceVector);
 
-/// A decision as the store records it: the layout and its validation
-/// report, or the refusal.
-pub(crate) type Outcome<'a> =
-    Result<(&'a ExecutionLayout, &'a Option<ValidationReport>), &'a AllocationError>;
-
-/// One remembered pipeline decision: a replayable admission, or the exact
-/// phase-tagged refusal the pipeline produced. Refusals are remembered
-/// too — re-asking a saturated platform the same question is the common
-/// case in arrival storms, and the answer is a pure function of the key.
-pub(crate) type CachedDecision = Result<CachedPoint, AllocationError>;
+/// One remembered pipeline decision: a replayable admission, shared, or
+/// the exact phase-tagged refusal the pipeline produced. Refusals are
+/// remembered too — re-asking a saturated platform the same question is
+/// the common case in arrival storms, and the answer is a pure function
+/// of the key.
+pub(crate) type CachedDecision = Result<Arc<CachedPoint>, AllocationError>;
 
 /// A replayable operating point.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub(crate) struct CachedPoint {
-    /// The layout the pipeline computed.
-    pub layout: ExecutionLayout,
+    /// The layout the pipeline computed, shared with the probes that
+    /// answered with it.
+    pub layout: Arc<ExecutionLayout>,
     /// The placement's claims in placing order, without an app id: each
     /// replay seats them under its own.
     pub seats: Vec<Seat>,
@@ -126,14 +129,27 @@ pub(crate) struct CachedPoint {
     pub validation: Option<ValidationReport>,
 }
 
-/// The record of a cold decision whose placement took `seats`.
-pub(crate) fn record(decided: Outcome<'_>, seats: &[Seat]) -> CachedDecision {
-    let (layout, validation) = decided.map_err(Clone::clone)?;
-    Ok(CachedPoint {
-        layout: layout.clone(),
-        seats: seats.to_vec(),
-        validation: validation.clone(),
-    })
+impl CachedPoint {
+    /// The record of a cold decision whose placement took `seats`: the
+    /// layout and report move in, the seats are copied.
+    pub(crate) fn shared(
+        layout: ExecutionLayout,
+        validation: Option<ValidationReport>,
+        seats: &[Seat],
+    ) -> Arc<Self> {
+        Arc::new(CachedPoint { layout: Arc::new(layout), seats: seats.to_vec(), validation })
+    }
+
+    /// The layout and report as owned values, moved out when nothing else
+    /// shares them and copied otherwise.
+    pub(crate) fn into_owned(self: Arc<Self>) -> (ExecutionLayout, Option<ValidationReport>) {
+        match Arc::try_unwrap(self) {
+            Ok(point) => {
+                (Arc::try_unwrap(point.layout).unwrap_or_else(|l| (*l).clone()), point.validation)
+            }
+            Err(point) => ((*point.layout).clone(), point.validation.clone()),
+        }
+    }
 }
 
 /// A keyed-tier key: `(Application::shape_hash, Platform::state_stamp)`.
@@ -155,9 +171,9 @@ pub(crate) enum Recall {
 pub(crate) struct DecisionStore {
     /// The keyed tier, present iff `KairosConfig::cache` is set.
     keyed: Option<Keyed>,
-    /// The last-probe tier: `(shape, state epoch the probe decided at,
+    /// The last-probe tier: `(shape, state epoch the probe settled at,
     /// decision)` of the last `probe_admit`, until the next admission
-    /// takes it. Only ever set without a keyed tier.
+    /// takes it.
     last_probe: Option<(u128, u64, CachedDecision)>,
 }
 
@@ -189,23 +205,28 @@ impl DecisionStore {
         self.keyed.as_mut().map_or(0, |keyed| keyed.insert(key, decision))
     }
 
-    /// The decision the probe right before left for `shape`, if nothing
+    /// The decision the probe right before settled for `shape`, if nothing
     /// has mutated the platform since (`epoch` is its current
-    /// `state_epoch`). Taken whatever it holds, so a probe's decision
-    /// serves one admission.
-    pub(crate) fn take_probed(&mut self, shape: u128, epoch: u64) -> Option<CachedDecision> {
+    /// `state_epoch`), and whether it stands in for a keyed-tier lookup —
+    /// counted here as the hit that lookup would have been. Taken whatever
+    /// it holds, so a probe's decision serves one admission.
+    pub(crate) fn take_probed(
+        &mut self,
+        shape: u128,
+        epoch: u64,
+    ) -> Option<(CachedDecision, bool)> {
         let (s, e, decision) = self.last_probe.take()?;
-        (e == epoch && s == shape).then_some(decision)
+        if (s, e) != (shape, epoch) {
+            return None;
+        }
+        let keyed = self.keyed.as_mut().map(|keyed| keyed.counts.hits += 1).is_some();
+        Some((decision, keyed))
     }
 
-    /// Offers what a `probe_admit` of `shape` decided — `probed`, whose
-    /// seats are `seats` — with the `state_epoch` it decided at. The
-    /// last-probe tier keeps it; a keyed tier stored it when the probe
-    /// decided.
-    pub(crate) fn keep_probed(&mut self, shape: u128, epoch: u64, probed: Outcome, seats: &[Seat]) {
-        if self.keyed.is_none() {
-            self.last_probe = Some((shape, epoch, record(probed, seats)));
-        }
+    /// Keeps what a `probe_admit` of `shape` settled, with the
+    /// `state_epoch` it settled at, for the admission that follows.
+    pub(crate) fn keep_probed(&mut self, shape: u128, epoch: u64, settled: CachedDecision) {
+        self.last_probe = Some((shape, epoch, settled));
     }
 
     /// The `state_epoch` the kept probe decision was read at, if any.
@@ -253,13 +274,14 @@ impl Keyed {
     }
 
     /// The decision stored under `key`, counting the hit or miss.
+    /// A hit is an `Arc` clone (or the refusal's).
     fn lookup(&mut self, key: Key) -> Option<CachedDecision> {
-        let found = self.entries.get(&key).cloned();
+        let found = self.entries.get(&key);
         match found {
             Some(_) => self.counts.hits += 1,
             None => self.counts.misses += 1,
         }
-        found
+        found.map(|decision| decision.as_ref().map(Arc::clone).map_err(Clone::clone))
     }
 
     /// Stores `decision` under `key`, evicting the oldest entry when the
@@ -416,15 +438,12 @@ mod tests {
 
     /// A stored admission placing one task on each of `elements`.
     fn point(elements: &[u32]) -> CachedDecision {
-        Ok(CachedPoint {
-            layout: ExecutionLayout {
-                binding: Binding::new(Vec::new()),
-                placement: Placement::new(elements.iter().map(|&e| ElementId(e)).collect()),
-                routes: Vec::new(),
-            },
-            seats: Vec::new(),
-            validation: None,
-        })
+        let layout = ExecutionLayout {
+            binding: Binding::new(Vec::new()),
+            placement: Placement::new(elements.iter().map(|&e| ElementId(e)).collect()),
+            routes: Vec::new(),
+        };
+        Ok(CachedPoint::shared(layout, None, &[]))
     }
 
     /// The elements a stored decision places work on.

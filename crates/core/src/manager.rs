@@ -22,8 +22,8 @@ use kairos_telemetry::{Counter, Gauge, Histogram, Telemetry, TraceContext};
 
 use crate::binding::bind_in;
 use crate::cache::{
-    point_fits, record, replay_point, CacheConfig, CacheStats, CachedPoint, DecisionStore, Recall,
-    Seat,
+    point_fits, replay_point, CacheConfig, CacheStats, CachedDecision, CachedPoint, DecisionStore,
+    Recall, Seat,
 };
 use crate::error::{AllocationError, Phase};
 use crate::layout::ExecutionLayout;
@@ -77,7 +77,7 @@ pub struct KairosConfig {
     /// who the residents are), so a warm cache changes *which work runs*,
     /// never *what is decided*. `None` (the default) leaves the store
     /// only its last-probe tier, which carries a `probe_admit`'s decision
-    /// to the admission that follows it.
+    /// to the admission that follows it under either setting.
     pub cache: Option<CacheConfig>,
 }
 
@@ -198,8 +198,9 @@ pub struct MigrationReport {
 /// to compare shards without committing anything anywhere.
 #[derive(Debug, Clone, PartialEq)]
 pub struct AdmissionProbe {
-    /// The execution layout the pipeline computed.
-    pub layout: ExecutionLayout,
+    /// The execution layout the pipeline computed, shared with the
+    /// manager's record of the decision: a probe copies no layout.
+    pub layout: Arc<ExecutionLayout>,
     /// The fragmentation and resource utilisation the platform would read
     /// with the decision written, derived from the platform's kept
     /// [`OccupancyTotals`] and the decision's seats in O(seats × degree),
@@ -250,7 +251,7 @@ pub struct Kairos {
     telemetry: Telemetry,
     metrics: Option<CoreMetrics>,
     /// Every decision the manager remembers: the keyed tier iff
-    /// [`KairosConfig::cache`] is set, the last-probe tier otherwise (see
+    /// [`KairosConfig::cache`] is set, and the last-probe tier (see
     /// `cache.rs`). Only `probe_admit` offers the last-probe tier a
     /// decision — `probe_admit_without` and `migrate_if` decide on the
     /// what-if copy, a state the live platform never takes —
@@ -362,27 +363,53 @@ type Decided = Result<Decision, AllocationError>;
 /// the workspace): the layout and its validation report, or the refusal.
 type Admitted = Result<(ExecutionLayout, Option<ValidationReport>), AllocationError>;
 
-/// A decided admission: the layout and its validation report, and the
-/// seats of a point the decision store brought back — `None` for a cold
-/// run, whose seats are in the workspace.
-struct Decision {
-    layout: ExecutionLayout,
-    validation: Option<ValidationReport>,
-    carried: Option<Vec<Seat>>,
+/// A decided admission.
+enum Decision {
+    /// What the pipeline just decided against the platform as it stands,
+    /// so it fits: the layout and its validation report. Its seats are in
+    /// the workspace.
+    Cold(ExecutionLayout, Option<ValidationReport>),
+    /// A decision the store shares. `fits` when it was decided or settled
+    /// against the platform as it stands; a point brought back from
+    /// another moment is checked first.
+    Shared { point: Arc<CachedPoint>, fits: bool },
 }
 
 impl Decision {
     fn cold((layout, validation): (ExecutionLayout, Option<ValidationReport>)) -> Self {
-        Decision { layout, validation, carried: None }
+        Decision::Cold(layout, validation)
     }
 
-    fn carried(point: CachedPoint) -> Self {
-        Decision { layout: point.layout, validation: point.validation, carried: Some(point.seats) }
+    fn layout(&self) -> &ExecutionLayout {
+        match self {
+            Decision::Cold(layout, _) => layout,
+            Decision::Shared { point, .. } => &point.layout,
+        }
     }
 
-    /// The decision's seats: a carried point's, or `cold`, the workspace's.
+    /// The decision's seats: a shared point's, or `cold`, the workspace's.
     fn seats<'a>(&'a self, cold: &'a [Seat]) -> &'a [Seat] {
-        self.carried.as_deref().unwrap_or(cold)
+        match self {
+            Decision::Cold(..) => cold,
+            Decision::Shared { point, .. } => &point.seats,
+        }
+    }
+
+    /// The decision as the store shares it; a cold one is recorded with
+    /// `cold`, its seats.
+    fn into_point(self, cold: &[Seat]) -> Arc<CachedPoint> {
+        match self {
+            Decision::Cold(layout, validation) => CachedPoint::shared(layout, validation, cold),
+            Decision::Shared { point, .. } => point,
+        }
+    }
+
+    /// The layout and report as they leave the manager.
+    fn into_owned(self) -> (ExecutionLayout, Option<ValidationReport>) {
+        match self {
+            Decision::Cold(layout, validation) => (layout, validation),
+            Decision::Shared { point, .. } => point.into_owned(),
+        }
     }
 }
 
@@ -572,9 +599,12 @@ impl Kairos {
     /// When the call right before was a [`Kairos::probe_admit`] of the
     /// same application and nothing has touched the platform since, the
     /// probe's decision is committed instead of recomputed: its claims
-    /// are replayed (one `commit.replay` span stands in for the phase
-    /// spans) or its refusal returned, with the result and platform
-    /// state a cold run would have produced and zero `timings`.
+    /// are replayed or its refusal returned, with the result and platform
+    /// state a cold run would have produced and zero `timings`. With an
+    /// operating-point cache that counts as the cache hit (and traces as
+    /// the `cache.lookup` span) the lookup it replaces would have been;
+    /// without one, one `commit.replay` span stands in for the phase
+    /// spans.
     ///
     /// # Errors
     ///
@@ -590,18 +620,7 @@ impl Kairos {
 
         let probed = self.store.take_probed(app.shape_hash(), self.platform.state_epoch());
         let result = match probed {
-            Some(decision) => {
-                // One `commit.replay` span where the `phase.*` spans would
-                // be; `timings` stays zero, as on a cache hit.
-                let result = decision
-                    .map(Decision::carried)
-                    .and_then(|d| self.commit(d, app, app_id, &mut timings, ctx, now));
-                if let Some(m) = &self.metrics {
-                    m.admit_replayed.inc();
-                }
-                self.trace_phase(ctx, now, "commit.replay", result.is_ok());
-                result
-            }
+            Some((decision, keyed)) => self.hand_off(decision, keyed, app, app_id, ctx, now),
             None => self.place(app, app_id, &mut timings, ctx, now),
         };
         match result {
@@ -657,15 +676,13 @@ impl Kairos {
     /// seats — O(seats × degree), not a walk of the platform — and nothing
     /// is written.
     ///
-    /// The manager remembers what the probe decided, so the winning
-    /// shard's [`Kairos::admit`] that follows commits it in O(claims)
-    /// instead of running the pipeline again: with an operating-point
-    /// cache the decision is stored there; without one the last-probe
-    /// tier keeps it, and any platform mutation or
-    /// [`Kairos::set_weights`] in between voids it, so that admission
-    /// runs cold. That record is built on every such probe, used or not
-    /// (a layout clone and a copy of the seats — within measurement noise
-    /// of a pipeline run).
+    /// The manager keeps what the probe decided, so the winning shard's
+    /// [`Kairos::admit`] that follows commits it in O(claims) instead of
+    /// deciding again, with or without an operating-point cache; any
+    /// platform mutation or [`Kairos::set_weights`] in between voids it,
+    /// so that admission decides as usual. The kept decision shares its
+    /// layout with the returned probe; only a cold probe's seats are
+    /// copied into it.
     ///
     /// # Errors
     ///
@@ -678,21 +695,19 @@ impl Kairos {
         // Probes never trace: the phases of a trial that is not admitted
         // are not part of the request's causal chain (the cluster records
         // one `probe.shard{i}` span per probe instead).
-        let probe = self
+        let probed = self
             .decide(app, &mut timings, TraceContext::NONE, 0)
             .and_then(|d| self.settle(d, app, &mut timings, TraceContext::NONE, 0))
             .map(|decision| {
                 let after = self.probed_occupancy(&decision);
-                (decision, after)
+                (decision.into_point(self.workspace.mapping.seats()), after)
             });
-        // Nothing was written: the epoch is the one the probe decided at.
+        // Nothing was written: the epoch is the one the probe settled at.
         let epoch = self.platform.state_epoch();
-        let cold = self.workspace.mapping.seats();
-        let seats = probe.as_ref().map_or(&[][..], |(decision, _)| decision.seats(cold));
-        let probed = probe.as_ref().map(|(decision, _)| (&decision.layout, &decision.validation));
-        self.store.keep_probed(app.shape_hash(), epoch, probed, seats);
-        probe
-            .map(|(decision, after)| AdmissionProbe { layout: decision.layout, after })
+        let settled = probed.as_ref().map(|(point, _)| Arc::clone(point)).map_err(Clone::clone);
+        self.store.keep_probed(app.shape_hash(), epoch, settled);
+        probed
+            .map(|(point, after)| AdmissionProbe { layout: Arc::clone(&point.layout), after })
             .map_err(|error| AdmissionFailure { error: Box::new(error), timings })
     }
 
@@ -728,7 +743,7 @@ impl Kairos {
             this.decide(app, &mut timings, TraceContext::NONE, 0)
         });
         decided
-            .map(|decision| decision.layout)
+            .map(|decision| decision.into_owned().0)
             .map_err(|error| AdmissionFailure { error: Box::new(error), timings })
     }
 
@@ -812,7 +827,7 @@ impl Kairos {
             }
             this.release_claims_of(id);
             this.write_decision(&decision, &app, id);
-            let accepted = accept(&old_layout, &decision.layout, &this.platform);
+            let accepted = accept(&old_layout, decision.layout(), &this.platform);
             Ok((decision, accepted))
         });
         match moved {
@@ -840,7 +855,7 @@ impl Kairos {
                 // the old one, so it lands once the old claims are gone.
                 self.release_claims_of(id);
                 self.write_decision(&decision, &app, id);
-                let new_layout = decision.layout;
+                let new_layout = decision.into_owned().0;
                 if let Some(m) = &self.metrics {
                     m.migrate_commits.inc();
                 }
@@ -1006,23 +1021,26 @@ impl Kairos {
             Recall::Cold => return self.run_phases(app, timings, ctx, now).map(Decision::cold),
             Recall::Hit(decision) => {
                 self.note_lookup(ctx, now, true);
-                return decision.map(Decision::carried);
+                return decision.map(|point| Decision::Shared { point, fits: false });
             }
             Recall::Miss(key) => {
                 self.note_lookup(ctx, now, false);
                 key
             }
         };
-        let decided = self.run_phases(app, timings, ctx, now);
-        let outcome = decided.as_ref().map(|(layout, validation)| (layout, validation));
-        let added = self.store.remember(key, record(outcome, self.workspace.mapping.seats()));
+        // The record takes the layout; what leaves the manager is copied
+        // from it.
+        let recorded: CachedDecision = self
+            .run_phases(app, timings, ctx, now)
+            .map(|(l, v)| CachedPoint::shared(l, v, self.workspace.mapping.seats()));
+        let added = self.store.remember(key, recorded.clone());
         if let Some(m) = &self.metrics {
             // Delta update, not `set`: cluster shards share this gauge by
             // name, so it reads as the resident-point total across every
             // manager on the hub.
             m.cache_points.add(added);
         }
-        decided.map(Decision::cold)
+        recorded.map(|point| Decision::Shared { point, fits: true })
     }
 
     /// Records a keyed-tier lookup: a `cache.lookup` child span of `ctx`
@@ -1052,15 +1070,47 @@ impl Kairos {
     ) -> Admitted {
         let decision = self.settle(decision, app, timings, ctx, now)?;
         self.write_decision(&decision, app, app_id);
-        Ok((decision.layout, decision.validation))
+        Ok(decision.into_owned())
+    }
+
+    /// Commits the decision the probe right before settled at this very
+    /// state: no stamp, no lookup, no copy and no second fit check.
+    /// Under a keyed tier (`keyed`) it accounts as the hit the lookup it
+    /// replaces would have been; without one, as a replayed admission,
+    /// with one `commit.replay` span where the `phase.*` spans would be.
+    /// `timings` stays zero, as on a cache hit.
+    fn hand_off(
+        &mut self,
+        decision: CachedDecision,
+        keyed: bool,
+        app: &Application,
+        app_id: AppId,
+        ctx: TraceContext,
+        now: u64,
+    ) -> Admitted {
+        if keyed {
+            self.note_lookup(ctx, now, true);
+        }
+        let mut timings = PhaseTimings::default();
+        let result = decision.and_then(|point| {
+            let settled = Decision::Shared { point, fits: true };
+            self.commit(settled, app, app_id, &mut timings, ctx, now)
+        });
+        if !keyed {
+            if let Some(m) = &self.metrics {
+                m.admit_replayed.inc();
+            }
+            self.trace_phase(ctx, now, "commit.replay", result.is_ok());
+        }
+        result
     }
 
     /// Makes `decision` one that fits the platform as it stands, writing
-    /// nothing. A cold decision was made against this very state, so it
-    /// fits (debug-asserted). A carried one fits unless something short of
-    /// a 128-bit stamp collision carried it to a state it does not fit;
-    /// then the cold pipeline decides instead — the decision store must
-    /// never change an admission outcome.
+    /// nothing. A decision made or settled against this very state fits
+    /// (debug-asserted). One brought back by a keyed hit fits unless
+    /// something short of a 128-bit stamp collision carried it to a state
+    /// it does not fit; then the cold pipeline decides instead — the
+    /// decision store must never change an admission outcome.
     fn settle(
         &mut self,
         decision: Decision,
@@ -1070,9 +1120,9 @@ impl Kairos {
         now: u64,
     ) -> Decided {
         let seats = decision.seats(self.workspace.mapping.seats());
-        let routes = &decision.layout.routes;
+        let routes = &decision.layout().routes;
         let bandwidths = app.channels().map(|c| c.bandwidth());
-        if decision.carried.is_none() {
+        if matches!(decision, Decision::Cold(..) | Decision::Shared { fits: true, .. }) {
             debug_assert!(
                 point_fits(&self.platform, seats, routes, bandwidths, &mut self.workspace.fit),
                 "a decision fits the state it was decided against"
@@ -1089,7 +1139,7 @@ impl Kairos {
     fn write_decision(&mut self, decision: &Decision, app: &Application, app_id: AppId) {
         let seats = decision.seats(self.workspace.mapping.seats());
         let bandwidths = app.channels().map(|c| c.bandwidth());
-        replay_point(&mut self.platform, app_id, seats, &decision.layout.routes, bandwidths);
+        replay_point(&mut self.platform, app_id, seats, &decision.layout().routes, bandwidths);
     }
 
     /// The fragmentation and resource utilisation the platform would read
@@ -1557,6 +1607,41 @@ mod tests {
         assert_eq!(kairos.fragmentation(), 0.0);
         kairos.admit(&chain("c", 3, 700, 100)).unwrap();
         assert!(kairos.fragmentation() > 0.0);
+    }
+
+    /// Under a keyed tier the admission after a probe takes the probe's
+    /// decision, and accounts exactly as the keyed lookup it replaces:
+    /// one hit, one `cache.lookup` span with outcome `hit`, no
+    /// `commit.replay` span and no `admit.replayed`.
+    #[test]
+    fn a_keyed_hand_off_accounts_as_the_lookup_it_replaces() {
+        let cached =
+            KairosConfig { cache: Some(CacheConfig::default()), ..KairosConfig::default() };
+        let mut kairos = Kairos::new(topology::crisp(), cached);
+        let config = kairos_telemetry::TelemetryConfig { tracing: true, wall_clock: false };
+        let telemetry = Telemetry::new(config);
+        kairos.set_telemetry(telemetry.clone());
+        let count = |name: &str| telemetry.counter(name).unwrap().get();
+        let app = chain("c", 3, 700, 100);
+
+        kairos.probe_admit(&app).unwrap();
+        let probed = CacheStats { misses: 1, insertions: 1, points: 1, ..CacheStats::default() };
+        assert_eq!(kairos.cache_stats(), Some(probed), "the probe decided cold and stored it");
+        let (hits, replayed) = (count("kairos.opcache.hits"), count("kairos.core.admit.replayed"));
+
+        let ctx = telemetry.trace_root("request", 0, &[]);
+        let report = kairos.admit_traced(&app, ctx, 0).unwrap();
+        assert_eq!(report.timings, PhaseTimings::default(), "no phase ran");
+        let spans: Vec<(String, Option<String>)> = telemetry
+            .trace_dump()
+            .iter()
+            .filter(|span| span.parent != kairos_telemetry::ROOT_PARENT)
+            .map(|span| (span.name.clone(), span.arg("outcome").map(str::to_owned)))
+            .collect();
+        assert_eq!(spans, [("cache.lookup".to_owned(), Some("hit".to_owned()))]);
+        assert_eq!(count("kairos.opcache.hits"), hits + 1);
+        assert_eq!(count("kairos.core.admit.replayed"), replayed);
+        assert_eq!(kairos.cache_stats(), Some(CacheStats { hits: 1, ..probed }));
     }
 
     #[test]

@@ -316,7 +316,7 @@ mod tests {
             requested: bound,
             largest_free: None,
         });
-        ahead.store.keep_probed(0, epoch, Err(&refusal), &[]);
+        ahead.store.keep_probed(0, epoch, Err(refusal));
         let expected = KairosAuditError::ProbeAhead { kept: epoch, platform: epoch - 1 };
         assert_eq!(ahead.audit(), Err(expected));
     }

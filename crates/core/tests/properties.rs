@@ -1,7 +1,8 @@
 //! Property-based tests of the resource-manager core: knapsack safety and
 //! dominance, GAP capacity respect, whole-pipeline invariants on random
 //! workloads, the decision store (the invisibility of its last-probe
-//! tier, the probe-to-admission hand-off; the soundness of keying its
+//! tier, the probe-to-admission hand-off deciding what a cold manager
+//! decides under both store configurations; the soundness of keying its
 //! keyed tier on what an admission reads of the platform instead of on
 //! who resides there; the manager audited after every step), and the
 //! emptiness — as far as any decision can tell — of a manager's working
@@ -374,10 +375,11 @@ proptest! {
     }
 }
 
-/// The store's tier rule: a probe's decision — admission or refusal —
-/// reaches the admission that follows as one cache hit when there is a
-/// keyed tier, and as one committed hand-off (`admit.replayed`) of the
-/// last-probe tier when there is not; never both.
+/// The store's accounting rule: a probe's decision — admission or
+/// refusal — reaches the admission that follows through the last-probe
+/// tier's hand-off under both configurations, and counts as the one cache
+/// hit its keyed lookup would have been when there is a keyed tier, and
+/// as one `admit.replayed` when there is not; never both.
 #[test]
 fn a_probe_reaches_its_admission_through_exactly_one_tier() {
     for app in &storm_apps(0x7137, 2) {
@@ -388,6 +390,66 @@ fn a_probe_reaches_its_admission_through_exactly_one_tier() {
             let hits = kairos.cache_stats().map(|stats| stats.hits);
             let expected = if cache.is_some() { (Some(1), 0) } else { (None, 1) };
             assert_eq!((hits, replayed(&kairos)), expected, "{}", app.name());
+        }
+    }
+}
+
+/// Admits `app` on `kairos` and, cold, on a clone whose whole decision
+/// store was emptied first (`set_weights` with the weights it already
+/// has): both must decide the same (layout and validation report, or the
+/// same refusal) and leave the same platform bytes.
+fn admits_as_cold(kairos: &mut Kairos, app: &Application) {
+    let mut cold = kairos.clone();
+    cold.set_telemetry(Telemetry::disabled());
+    cold.set_weights(kairos.config().mapper.weights);
+    let decided = decision_of(kairos.admit(app));
+    assert_eq!(decided, decision_of(cold.admit(app)), "{}: a different decision", app.name());
+    assert_eq!(kairos.platform().checkpoint(), cold.platform().checkpoint(), "{}", app.name());
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(8))]
+
+    /// The probe hand-off decides what a cold manager decides, under both
+    /// store configurations. Keyed and unkeyed managers on CRISP and on a
+    /// 6x6 heterogeneous mesh live through random histories of probes,
+    /// admissions, probe-then-admits, releases and element faults over
+    /// three recurring applications, so a probe is often followed by its
+    /// own admission, with or without a mutation in between. Every
+    /// admission is compared with a cold one on a clone
+    /// ([`admits_as_cold`]), and the manager is audited after every step.
+    #[test]
+    fn the_hand_off_decides_what_a_cold_manager_decides(
+        seed in any::<u64>(),
+        history in proptest::collection::vec((0u8..5, any::<u8>()), 8..40),
+    ) {
+        let apps = &storm_apps(seed, 1)[..3];
+        for platform in [topology::crisp(), topology::heterogeneous_mesh(6, 6)] {
+            for cache in [Some(CacheConfig::default()), None] {
+                let mut kairos = lit_manager(platform.clone(), cache);
+                for &(op, pick) in &history {
+                    let app = &apps[usize::from(pick) % apps.len()];
+                    match op {
+                        0 => drop(kairos.probe_admit(app)),
+                        1 => admits_as_cold(&mut kairos, app),
+                        2 => {
+                            drop(kairos.probe_admit(app));
+                            admits_as_cold(&mut kairos, app);
+                        }
+                        3 => {
+                            let ids = kairos.admitted_ids();
+                            if !ids.is_empty() {
+                                kairos.release(ids[usize::from(pick) % ids.len()]);
+                            }
+                        }
+                        _ => {
+                            let elements = kairos.platform().element_count();
+                            drop(kairos.fail_element(ElementId(u32::from(pick) % elements as u32)));
+                        }
+                    }
+                    audited(&kairos);
+                }
+            }
         }
     }
 }

@@ -197,12 +197,16 @@ pub struct TraceSummary {
     pub start: u64,
     /// Virtual end tick of the root.
     pub end: u64,
-    /// End-to-end latency in virtual ticks.
+    /// End-to-end latency in virtual ticks: from the root's start to the
+    /// later end of the root and its `gateway.park` span, so a request
+    /// the gateway held back counts its wait there even when its root
+    /// closed on arrival.
     pub latency: u64,
     /// The dominating segment (see [`summarize`] for the precedence).
     pub critical: String,
-    /// Ticks attributed to the critical segment (queue wait; `0` for the
-    /// structural segments, whose virtual duration is zero by design).
+    /// Ticks attributed to the critical segment (gateway or queue wait;
+    /// `0` for the structural segments, whose virtual duration is zero by
+    /// design).
     pub critical_ticks: u64,
 }
 
@@ -210,14 +214,18 @@ pub struct TraceSummary {
 /// trace, in trace-id order.
 ///
 /// The critical segment is chosen by a deterministic precedence: under
-/// the virtual clock only queue residency accumulates ticks, so any
-/// nonzero **queue** wait dominates outright; otherwise the latency is
-/// zero and the dominant segment is structural — a **preempt** detour if
-/// one ran, a losing **probe** if the fan-out rejected somewhere, else
-/// the *deciding* pipeline step (the last `phase.*` span: the rejecting
-/// phase of a failure, the final phase of a success — or the
-/// `commit.replay` span of an admission that committed its probe's
-/// decision instead of running the phases), else plain **dispatch**.
+/// the virtual clock only waiting accumulates ticks — in the gateway's
+/// lane (`gateway.park`, which a request spends before its root's
+/// service-side spans open) or in the admission queue (`queue`) — so
+/// the **gateway.park** wait dominates when it is longer than the queue
+/// wait, and any nonzero **queue** wait otherwise. Failing both, the
+/// latency is zero and the dominant segment is structural — a
+/// **preempt** detour if one ran, a losing **probe** if the fan-out
+/// rejected somewhere, else the *deciding* pipeline step (the last
+/// `phase.*` span: the rejecting phase of a failure, the final phase of a
+/// success — or the `commit.replay` span of an admission that committed
+/// its probe's decision instead of running the phases), else plain
+/// **dispatch**.
 pub fn summarize(spans: &[SpanRecord]) -> Vec<TraceSummary> {
     let mut summaries = Vec::new();
     let mut index = 0;
@@ -230,17 +238,18 @@ pub fn summarize(spans: &[SpanRecord]) -> Vec<TraceSummary> {
         let group = &spans[index..end];
         index = end;
         let Some(root) = group.iter().find(|s| s.parent == ROOT_PARENT) else { continue };
-        let queue_ticks: u64 = group
-            .iter()
-            .filter(|s| s.name == "queue")
-            .map(SpanRecord::ticks)
-            .fold(0, u64::saturating_add);
+        let named = |name: &'static str| group.iter().filter(move |s| s.name == name);
+        let ticks_of = |name| named(name).map(SpanRecord::ticks).fold(0, u64::saturating_add);
+        let (queue_ticks, park_ticks) = (ticks_of("queue"), ticks_of("gateway.park"));
+        let finish = named("gateway.park").map(|s| s.end).fold(root.end, u64::max);
         let preempted = group.iter().any(|s| s.name.starts_with("preempt."));
         let losing_probe =
             group.iter().any(|s| s.name.starts_with("probe.") && s.arg("fit") == Some("no"));
         let deciding_phase =
             group.iter().rev().find(|s| s.name.starts_with("phase.") || s.name == "commit.replay");
-        let (critical, critical_ticks) = if queue_ticks > 0 {
+        let (critical, critical_ticks) = if park_ticks > queue_ticks {
+            ("gateway.park".to_owned(), park_ticks)
+        } else if queue_ticks > 0 {
             ("queue".to_owned(), queue_ticks)
         } else if preempted {
             ("preempt".to_owned(), 0)
@@ -258,7 +267,7 @@ pub fn summarize(spans: &[SpanRecord]) -> Vec<TraceSummary> {
             outcome: root.arg("outcome").unwrap_or("").to_owned(),
             start: root.start,
             end: root.end,
-            latency: root.ticks(),
+            latency: finish.saturating_sub(root.start),
             critical,
             critical_ticks,
         });

@@ -14,7 +14,7 @@
 mod observers;
 
 use kairos::sim::{Scenario, Simulator};
-use kairos::telemetry::ROOT_PARENT;
+use kairos::telemetry::{summarize, ROOT_PARENT};
 use proptest::prelude::*;
 
 proptest! {
@@ -121,4 +121,15 @@ fn a_parked_request_traces_its_wait_in_the_gateway() {
     let parks: Vec<_> = trace.iter().filter(|span| span.name == "gateway.park").collect();
     assert_eq!(parks.len(), 1, "one park span per parked request: {trace:#?}");
     assert_eq!((parks[0].parent, parks[0].start, parks[0].end), (root.id, 93, 922));
+
+    // The summary counts the wait: ticket 8's root closes at its arrival
+    // tick, so only the park span carries its 829 ticks. Ticket 9 (parked
+    // 98–922, then timed out) has a queue span that already covers its
+    // park, and that longer wait stays its critical path.
+    let summaries = summarize(&spans);
+    let summary = |trace: u64| summaries.iter().find(|s| s.trace == trace).expect("a summary");
+    let (eight, nine) = (summary(8), summary(9));
+    assert_eq!((eight.latency, eight.critical.as_str()), (829, "gateway.park"));
+    assert_eq!(eight.critical_ticks, 829);
+    assert_eq!((nine.latency, nine.critical.as_str()), (1_724, "queue"));
 }

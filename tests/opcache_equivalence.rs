@@ -181,9 +181,11 @@ fn recurring_differential<S: ResourceService>(
 /// serve decisions *across* requests — and still change nothing. A
 /// service does one lookup per admission attempt, so any hit there is a
 /// decision of an earlier request; a cluster does one per shard probe
-/// plus one for the commit, and the commit replaying its own probe
+/// plus one for the commit — the winning shard's hand-off of its own
+/// probe, counted as the hit that lookup would have been — and that
 /// accounts for at most one hit per arrival — more hits than arrivals
-/// cannot come from there.
+/// cannot come from there. The exact counters of all three regimes are
+/// pinned as well.
 #[test]
 fn recurring_shapes_replay_across_requests_and_change_nothing() {
     let one = |s: &Admitd| vec![s.kairos().platform().checkpoint()];
@@ -193,6 +195,7 @@ fn recurring_shapes_replay_across_requests_and_change_nothing() {
         one,
     );
     assert!(direct.hits * 2 > RECURRING_ARRIVALS, "direct: {direct:?}");
+    assert_eq!(direct, stats(256, 104));
 
     let queue = AdmitPolicy { max_wait: Some(40), ..AdmitPolicy::default() };
     let queued = recurring_differential(
@@ -203,6 +206,7 @@ fn recurring_shapes_replay_across_requests_and_change_nothing() {
         one,
     );
     assert!(queued.hits * 2 > RECURRING_ARRIVALS, "queued: {queued:?}");
+    assert_eq!(queued, stats(672, 395));
 
     let clustered = recurring_differential(
         "2-shard cluster",
@@ -212,4 +216,13 @@ fn recurring_shapes_replay_across_requests_and_change_nothing() {
         },
     );
     assert!(clustered.hits > RECURRING_ARRIVALS, "2-shard cluster: {clustered:?}");
+    assert_eq!(clustered, stats(792, 141));
+}
+
+/// The exact counters of a recurring run that drops nothing: every miss
+/// stores its decision and stays stored. Pinned so that a change to how
+/// the store serves a decision (a probe's hand-off counts as the hit the
+/// lookup it replaces would have been) cannot move the accounting.
+fn stats(hits: u64, misses: u64) -> CacheStats {
+    CacheStats { hits, misses, invalidations: 0, insertions: misses, evictions: 0, points: misses }
 }
