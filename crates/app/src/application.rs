@@ -320,18 +320,6 @@ impl Application {
         &self.body.in_adj[t.index()]
     }
 
-    /// All channels incident to `t`, in both directions.
-    pub fn incident_channels(&self, t: TaskId) -> Vec<ChannelId> {
-        let mut out: Vec<ChannelId> = self.body.out_adj[t.index()]
-            .iter()
-            .map(|&(_, c)| c)
-            .chain(self.body.in_adj[t.index()].iter().map(|&(_, c)| c))
-            .collect();
-        out.sort_unstable();
-        out.dedup();
-        out
-    }
-
     /// Distinct communication peers of `t`, ignoring direction, ascending.
     /// A slice of a table built with the application.
     pub fn peers(&self, t: TaskId) -> &[TaskId] {
@@ -352,24 +340,14 @@ impl Application {
         &self.body.min_degree
     }
 
-    /// Undirected BFS rings from a seed set: element `i` of the result is the
-    /// set of tasks at graph distance exactly `i` from the nearest seed
-    /// (ring 0 is the seeds themselves). Tasks unreachable from any seed are
-    /// appended as one extra trailing ring so that no task is ever lost.
+    /// Undirected BFS rings from a seed set, written into `rings`: ring `i`
+    /// is the set of tasks at graph distance exactly `i` from the nearest
+    /// seed (ring 0 is the seeds themselves). Tasks unreachable from any
+    /// seed are appended as one extra trailing ring so that no task is ever
+    /// lost.
     ///
     /// This realises the paper's sub-problem decomposition: "group the tasks
-    /// in sets with equal distance to the origin task(s)".
-    ///
-    /// # Panics
-    ///
-    /// Panics if any seed id is out of range.
-    pub fn neighborhood_rings(&self, seeds: &[TaskId]) -> Vec<Vec<TaskId>> {
-        let mut rings = TaskRings::default();
-        self.neighborhood_rings_into(seeds, &mut rings);
-        rings.iter().map(<[TaskId]>::to_vec).collect()
-    }
-
-    /// [`Self::neighborhood_rings`] into caller-owned memory: `rings` is
+    /// in sets with equal distance to the origin task(s)". `rings` is
     /// overwritten, and allocates only while it grows to this
     /// application's size.
     ///
@@ -436,11 +414,6 @@ impl Application {
             }
         }
         seen == self.body.tasks.len()
-    }
-
-    /// Sum of bandwidth over all channels — a crude communication weight.
-    pub fn total_bandwidth(&self) -> u64 {
-        self.body.channels.iter().map(|c| c.bandwidth()).sum()
     }
 }
 
@@ -565,7 +538,6 @@ mod tests {
         assert_eq!(app.degree(TaskId(0)), 2);
         assert_eq!(app.degree(TaskId(1)), 2);
         assert_eq!(app.peers(TaskId(1)), [TaskId(0), TaskId(3)]);
-        assert_eq!(app.incident_channels(TaskId(3)), vec![ChannelId(2), ChannelId(3)]);
     }
 
     #[test]
@@ -580,10 +552,17 @@ mod tests {
         assert_eq!(app.min_degree_tasks(), [t0, t2]);
     }
 
+    /// The rings of `app` from `seeds`, one `Vec` per ring.
+    fn rings_of(app: &Application, seeds: &[TaskId]) -> Vec<Vec<TaskId>> {
+        let mut rings = TaskRings::default();
+        app.neighborhood_rings_into(seeds, &mut rings);
+        rings.iter().map(<[TaskId]>::to_vec).collect()
+    }
+
     #[test]
     fn neighborhood_rings_group_by_distance() {
         let app = diamond();
-        let rings = app.neighborhood_rings(&[TaskId(0)]);
+        let rings = rings_of(&app, &[TaskId(0)]);
         assert_eq!(rings.len(), 3);
         assert_eq!(rings[0], vec![TaskId(0)]);
         assert_eq!(rings[1], vec![TaskId(1), TaskId(2)]);
@@ -593,7 +572,7 @@ mod tests {
     #[test]
     fn neighborhood_rings_multiple_seeds() {
         let app = diamond();
-        let rings = app.neighborhood_rings(&[TaskId(0), TaskId(3)]);
+        let rings = rings_of(&app, &[TaskId(0), TaskId(3)]);
         assert_eq!(rings.len(), 2);
         assert_eq!(rings[0], vec![TaskId(0), TaskId(3)]);
         assert_eq!(rings[1], vec![TaskId(1), TaskId(2)]);
@@ -607,7 +586,7 @@ mod tests {
         let t2 = b.add_task("c", TaskRole::Output, vec![imp()]);
         b.add_channel(t0, t1, 1, 1);
         let app = b.build().unwrap();
-        let rings = app.neighborhood_rings(&[t0]);
+        let rings = rings_of(&app, &[t0]);
         assert_eq!(rings.last().unwrap(), &vec![t2]);
         assert!(!app.is_connected());
         assert_eq!(rings.iter().map(Vec::len).sum::<usize>(), 3);
@@ -634,7 +613,6 @@ mod tests {
         // No seed at all: an empty ring 0, then everything as unreachable.
         pair.neighborhood_rings_into(&[], &mut rings);
         assert_eq!(rings.iter().collect::<Vec<_>>(), [&[][..], &[t0, t1][..]]);
-        assert_eq!(pair.neighborhood_rings(&[]), vec![vec![], vec![t0, t1]]);
     }
 
     #[test]
@@ -787,6 +765,5 @@ mod tests {
         b.add_constraint(Constraint::Throughput { max_period_cycles: 100 });
         let app = b.build().unwrap();
         assert_eq!(app.constraints().len(), 1);
-        assert_eq!(app.total_bandwidth(), 0);
     }
 }

@@ -26,7 +26,7 @@
 //! cost-function weights produce contiguous, communication-local layouts
 //! (the Fig. 10 experiment).
 
-use kairos_app::{Application, ApplicationBuilder, Constraint, Implementation, TaskRole};
+use kairos_app::{Application, ApplicationBuilder, Implementation, TaskRole};
 use kairos_platform::{ElementKind, ResourceVector};
 
 /// Number of antenna-channel beam-stage tasks.
@@ -36,33 +36,15 @@ pub const COMBINER_TASKS: usize = 5;
 /// Total task count of the case-study application.
 pub const TOTAL_TASKS: usize = 53;
 
-/// Parameters of the beamforming application.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct BeamformingConfig {
-    /// DSP compute demand per beam/combiner task (out of 1000); anything
-    /// above 500 forces one task per DSP.
-    pub dsp_load: u64,
-    /// Bandwidth of the beam-chain and combiner-chain channels.
-    pub stream_bandwidth: u64,
-    /// Bandwidth of the source fan-out channels.
-    pub feed_bandwidth: u64,
-    /// Steady-state period constraint attached to the app, in cycles
-    /// (checked by the validation phase); `None` for no constraint.
-    pub max_period_cycles: Option<u64>,
-}
+/// DSP compute demand per beam/combiner task (out of 1000); anything above
+/// 500 forces one task per DSP.
+const DSP_LOAD: u64 = 600;
+/// Bandwidth of the beam-chain and combiner-chain channels.
+const STREAM_BANDWIDTH: u64 = 155;
+/// Bandwidth of the source fan-out channels.
+const FEED_BANDWIDTH: u64 = 250;
 
-impl Default for BeamformingConfig {
-    fn default() -> Self {
-        BeamformingConfig {
-            dsp_load: 600,
-            stream_bandwidth: 155,
-            feed_bandwidth: 250,
-            max_period_cycles: None,
-        }
-    }
-}
-
-/// Builds the 53-task beamforming application with default parameters.
+/// Builds the 53-task beamforming application.
 ///
 /// # Examples
 ///
@@ -74,28 +56,14 @@ impl Default for BeamformingConfig {
 /// assert!(app.is_connected());
 /// ```
 pub fn beamforming_app() -> Application {
-    beamforming_app_with(BeamformingConfig::default())
-}
-
-/// Builds the beamforming application with explicit parameters.
-///
-/// # Panics
-///
-/// Panics if `config.dsp_load` exceeds the DSP capacity (1000).
-pub fn beamforming_app_with(config: BeamformingConfig) -> Application {
-    assert!(config.dsp_load <= 1000, "dsp_load exceeds DSP capacity");
     let mut b = ApplicationBuilder::new("beamforming");
 
     let fpga_imp =
         Implementation::new(ElementKind::Fpga, ResourceVector::new(200, 64, 4000, 2), 120, 20);
     let mem_imp =
         Implementation::new(ElementKind::Memory, ResourceVector::new(0, 2500, 0, 0), 60, 5);
-    let dsp_imp = Implementation::new(
-        ElementKind::Dsp,
-        ResourceVector::new(config.dsp_load, 24, 0, 0),
-        100,
-        10,
-    );
+    let dsp_imp =
+        Implementation::new(ElementKind::Dsp, ResourceVector::new(DSP_LOAD, 24, 0, 0), 100, 10);
     let arm_acc =
         Implementation::new(ElementKind::Arm, ResourceVector::new(300, 256, 0, 1), 150, 15);
     let arm_mon = Implementation::new(ElementKind::Arm, ResourceVector::new(150, 128, 0, 1), 80, 8);
@@ -107,7 +75,7 @@ pub fn beamforming_app_with(config: BeamformingConfig) -> Application {
     let mut combiners = Vec::with_capacity(groups);
     for g in 0..groups {
         let dist = b.add_task(format!("dist{g}"), TaskRole::Internal, vec![mem_imp]);
-        b.add_channel(adc, dist, config.feed_bandwidth, 1);
+        b.add_channel(adc, dist, FEED_BANDWIDTH, 1);
         // Systolic beam chain: dist -> beam0 -> beam1 -> ... -> beam7.
         let mut prev = dist;
         for i in 0..beams_per_group {
@@ -116,27 +84,23 @@ pub fn beamforming_app_with(config: BeamformingConfig) -> Application {
                 TaskRole::Internal,
                 vec![dsp_imp],
             );
-            b.add_channel(prev, beam, config.stream_bandwidth, 1);
+            b.add_channel(prev, beam, STREAM_BANDWIDTH, 1);
             prev = beam;
         }
         // Group combiner terminates the chain.
         let comb = b.add_task(format!("comb{g}"), TaskRole::Internal, vec![dsp_imp]);
-        b.add_channel(prev, comb, config.stream_bandwidth, 1);
+        b.add_channel(prev, comb, STREAM_BANDWIDTH, 1);
         combiners.push(comb);
     }
 
     // Partial-sum combiner chain, ending in the ARM accumulator.
     for pair in combiners.windows(2) {
-        b.add_channel(pair[0], pair[1], config.stream_bandwidth, 1);
+        b.add_channel(pair[0], pair[1], STREAM_BANDWIDTH, 1);
     }
     let acc = b.add_task("acc", TaskRole::Output, vec![arm_acc]);
-    b.add_channel(*combiners.last().expect("at least one group"), acc, config.stream_bandwidth, 1);
+    b.add_channel(*combiners.last().expect("at least one group"), acc, STREAM_BANDWIDTH, 1);
     let mon = b.add_task("mon", TaskRole::Internal, vec![arm_mon]);
     b.add_channel(acc, mon, 30, 1);
-
-    if let Some(max_period_cycles) = config.max_period_cycles {
-        b.add_constraint(Constraint::Throughput { max_period_cycles });
-    }
 
     let app = b.build().expect("beamformer is structurally valid");
     debug_assert_eq!(app.task_count(), TOTAL_TASKS);
@@ -188,29 +152,5 @@ mod tests {
                 assert_eq!(app.consumers(task.id()).len(), 1, "{}", task.name());
             }
         }
-    }
-
-    #[test]
-    fn config_is_respected() {
-        let app = beamforming_app_with(BeamformingConfig {
-            dsp_load: 777,
-            max_period_cycles: Some(50_000),
-            ..BeamformingConfig::default()
-        });
-        assert_eq!(app.constraints().len(), 1);
-        let beam0 = app.tasks().find(|t| t.name() == "beam0").unwrap();
-        assert_eq!(
-            beam0.implementations()[0].requires().get(kairos_platform::ResourceKind::Compute),
-            777
-        );
-    }
-
-    #[test]
-    #[should_panic(expected = "exceeds DSP capacity")]
-    fn overloaded_config_panics() {
-        let _ = beamforming_app_with(BeamformingConfig {
-            dsp_load: 2000,
-            ..BeamformingConfig::default()
-        });
     }
 }

@@ -9,6 +9,18 @@
 
 use std::ops::RangeInclusive;
 
+/// Maximum in-degree of any generated task.
+pub(crate) const MAX_IN_DEGREE: u32 = 3;
+/// Maximum out-degree of any generated task (the dangling-source fix may
+/// add one more).
+pub(crate) const MAX_OUT_DEGREE: u32 = 3;
+/// Number of alternative implementations per internal task.
+pub(crate) const IMPLEMENTATIONS_PER_TASK: RangeInclusive<u32> = 1..=3;
+/// Worst-case execution cycles per firing.
+pub(crate) const EXEC_CYCLES: RangeInclusive<u64> = 50..=500;
+/// Energy cost per firing (the binding objective).
+pub(crate) const ENERGY: RangeInclusive<u64> = 1..=100;
+
 /// Parameters of the synthetic application generator.
 #[derive(Debug, Clone, PartialEq)]
 pub struct GeneratorConfig {
@@ -18,22 +30,12 @@ pub struct GeneratorConfig {
     pub internal_tasks: RangeInclusive<u32>,
     /// Number of output (sink) tasks.
     pub output_tasks: RangeInclusive<u32>,
-    /// Maximum in-degree of any generated task.
-    pub max_in_degree: u32,
-    /// Maximum out-degree of any generated task.
-    pub max_out_degree: u32,
-    /// Number of alternative implementations per internal task.
-    pub implementations_per_task: RangeInclusive<u32>,
     /// Task resource demand as a fraction of the target element kind's
     /// reference capacity, in percent (the paper's 70–100% computation /
     /// 10–70% communication bands).
     pub resource_percent: RangeInclusive<u32>,
     /// Channel bandwidth demand range.
     pub channel_bandwidth: RangeInclusive<u64>,
-    /// Worst-case execution cycles per firing.
-    pub exec_cycles: RangeInclusive<u64>,
-    /// Energy cost per firing (the binding objective).
-    pub energy: RangeInclusive<u64>,
     /// Probability that an input (output) task is pinned to the FPGA (ARM)
     /// front-end by a single dedicated implementation; unpinned I/O tasks
     /// target the DSPs like internal tasks. Pinned I/O stubs claim a light
@@ -47,13 +49,8 @@ impl Default for GeneratorConfig {
             input_tasks: 1..=1,
             internal_tasks: 2..=6,
             output_tasks: 1..=1,
-            max_in_degree: 3,
-            max_out_degree: 3,
-            implementations_per_task: 1..=3,
             resource_percent: 10..=70,
             channel_bandwidth: 50..=300,
-            exec_cycles: 50..=500,
-            energy: 1..=100,
             io_pin_probability: 0.25,
         }
     }
@@ -74,15 +71,12 @@ impl GeneratorConfig {
     ///
     /// # Panics
     ///
-    /// Panics when a range is empty, degrees are zero, or the resource
-    /// percentage exceeds 100.
+    /// Panics when a range is empty or the resource percentage is zero or
+    /// exceeds 100.
     pub fn validate(&self) {
         assert!(!self.input_tasks.is_empty(), "input task range must be non-empty");
         assert!(!self.internal_tasks.is_empty(), "internal task range must be non-empty");
         assert!(!self.output_tasks.is_empty(), "output task range must be non-empty");
-        assert!(self.max_in_degree > 0, "max in-degree must be positive");
-        assert!(self.max_out_degree > 0, "max out-degree must be positive");
-        assert!(!self.implementations_per_task.is_empty(), "impl range must be non-empty");
         assert!(*self.resource_percent.end() <= 100, "resource percent is capped at 100");
         assert!(*self.resource_percent.start() > 0, "resource percent must be positive");
         assert!(
@@ -108,13 +102,6 @@ mod tests {
     #[should_panic(expected = "capped at 100")]
     fn overlarge_fraction_panics() {
         let c = GeneratorConfig { resource_percent: 50..=150, ..GeneratorConfig::default() };
-        c.validate();
-    }
-
-    #[test]
-    #[should_panic(expected = "in-degree")]
-    fn zero_degree_panics() {
-        let c = GeneratorConfig { max_in_degree: 0, ..GeneratorConfig::default() };
         c.validate();
     }
 }

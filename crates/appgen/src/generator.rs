@@ -14,7 +14,9 @@ use kairos_app::{Application, ApplicationBuilder, Implementation, TaskId, TaskRo
 use kairos_platform::topology::default_capacity;
 use kairos_platform::ElementKind;
 
-use crate::config::GeneratorConfig;
+use crate::config::{
+    GeneratorConfig, ENERGY, EXEC_CYCLES, IMPLEMENTATIONS_PER_TASK, MAX_IN_DEGREE, MAX_OUT_DEGREE,
+};
 
 /// Seeded generator of synthetic applications.
 ///
@@ -59,8 +61,8 @@ impl AppGenerator {
 
     fn implementation(&mut self, kind: ElementKind) -> Implementation {
         let requires = self.demand(kind);
-        let exec = self.rng.gen_range(self.config.exec_cycles.clone());
-        let energy = self.rng.gen_range(self.config.energy.clone());
+        let exec = self.rng.gen_range(EXEC_CYCLES);
+        let energy = self.rng.gen_range(ENERGY);
         Implementation::new(kind, requires, exec, energy)
     }
 
@@ -69,8 +71,8 @@ impl AppGenerator {
     fn io_stub(&mut self, kind: ElementKind) -> Implementation {
         let percent = self.rng.gen_range(10..=30u64);
         let requires = default_capacity(kind).scaled(percent, 100);
-        let exec = self.rng.gen_range(self.config.exec_cycles.clone());
-        let energy = self.rng.gen_range(self.config.energy.clone());
+        let exec = self.rng.gen_range(EXEC_CYCLES);
+        let energy = self.rng.gen_range(ENERGY);
         Implementation::new(kind, requires, exec, energy)
     }
 
@@ -104,7 +106,7 @@ impl AppGenerator {
         // alternative ("multiple implementations... by different IP
         // manufacturers").
         for i in 0..n_int {
-            let n_impls = self.rng.gen_range(self.config.implementations_per_task.clone());
+            let n_impls = self.rng.gen_range(IMPLEMENTATIONS_PER_TASK);
             let mut impls = vec![self.implementation(ElementKind::Dsp)];
             for _ in 1..n_impls {
                 let kind = if self.rng.gen_bool(0.3) { ElementKind::Arm } else { ElementKind::Dsp };
@@ -144,7 +146,7 @@ impl AppGenerator {
         b.build().expect("generator produces structurally valid graphs")
     }
 
-    /// Wires 1..=max_in_degree incoming channels for `t` from earlier tasks
+    /// Wires 1..=[`MAX_IN_DEGREE`] incoming channels for `t` from earlier tasks
     /// with spare out-degree.
     fn wire_inputs(
         &mut self,
@@ -156,9 +158,9 @@ impl AppGenerator {
         if earlier.is_empty() {
             return;
         }
-        let wanted = self.rng.gen_range(1..=self.config.max_in_degree.min(earlier.len() as u32));
+        let wanted = self.rng.gen_range(1..=MAX_IN_DEGREE.min(earlier.len() as u32));
         let mut candidates: Vec<usize> =
-            (0..earlier.len()).filter(|&i| out_degree[i] < self.config.max_out_degree).collect();
+            (0..earlier.len()).filter(|&i| out_degree[i] < MAX_OUT_DEGREE).collect();
         // Without spare out-degree anywhere, fall back to the most recent
         // task to keep the graph connected.
         if candidates.is_empty() {
@@ -239,17 +241,13 @@ mod tests {
 
     #[test]
     fn degrees_are_bounded() {
-        let config = GeneratorConfig {
-            internal_tasks: 8..=12,
-            max_in_degree: 2,
-            max_out_degree: 2,
-            ..GeneratorConfig::default()
-        };
+        let config = GeneratorConfig { internal_tasks: 8..=12, ..GeneratorConfig::default() };
         for seed in 0..10 {
             let app = AppGenerator::new(config.clone(), seed).generate("t");
             for t in app.task_ids() {
-                assert!(app.producers(t).len() <= 2, "in-degree bound violated");
-                assert!(app.consumers(t).len() <= 3, "out-degree bound (+1 dangling fix)");
+                assert!(app.producers(t).len() as u32 <= MAX_IN_DEGREE, "in-degree bound violated");
+                let out = app.consumers(t).len() as u32;
+                assert!(out <= MAX_OUT_DEGREE + 1, "out-degree bound (+1 dangling fix)");
             }
         }
     }

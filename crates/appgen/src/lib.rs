@@ -29,7 +29,7 @@ mod datasets;
 mod generator;
 
 pub use arrivals::{ArrivalDistribution, MixEntry, WorkloadMix, WorkloadSampler};
-pub use beamforming::{beamforming_app, beamforming_app_with, BeamformingConfig};
+pub use beamforming::beamforming_app;
 pub use config::GeneratorConfig;
 pub use datasets::{generate_dataset, DatasetSpec, Orientation, SizeClass};
 pub use generator::AppGenerator;

@@ -5,19 +5,16 @@
 use proptest::prelude::*;
 
 use kairos_appgen::{
-    beamforming_app_with, generate_dataset, AppGenerator, BeamformingConfig, DatasetSpec,
-    GeneratorConfig, Orientation, SizeClass,
+    generate_dataset, AppGenerator, DatasetSpec, GeneratorConfig, Orientation, SizeClass,
 };
 use kairos_platform::topology::default_capacity;
 
 fn config() -> impl Strategy<Value = GeneratorConfig> {
-    (1u32..3, 1u32..8, 1u32..3, 1u32..5, 1u32..5, 10u32..60, 0.0f64..1.0).prop_map(
-        |(n_in, n_int, n_out, max_in, max_out, pct_lo, pin)| GeneratorConfig {
+    (1u32..3, 1u32..8, 1u32..3, 10u32..60, 0.0f64..1.0).prop_map(
+        |(n_in, n_int, n_out, pct_lo, pin)| GeneratorConfig {
             input_tasks: n_in..=n_in + 1,
             internal_tasks: n_int..=n_int + 2,
             output_tasks: n_out..=n_out + 1,
-            max_in_degree: max_in,
-            max_out_degree: max_out,
             resource_percent: pct_lo..=(pct_lo + 40).min(100),
             io_pin_probability: pin,
             ..GeneratorConfig::default()
@@ -67,24 +64,6 @@ proptest! {
         for c in app.channels() {
             prop_assert!(c.src() < c.dst());
         }
-    }
-
-    /// The beamformer keeps its invariants across the parameter space.
-    #[test]
-    fn beamformer_parameter_space(load in 501u64..1000, stream in 1u64..500, feed in 1u64..500) {
-        let app = beamforming_app_with(BeamformingConfig {
-            dsp_load: load,
-            stream_bandwidth: stream,
-            feed_bandwidth: feed,
-            max_period_cycles: None,
-        });
-        prop_assert_eq!(app.task_count(), 53);
-        prop_assert!(app.is_connected());
-        let dsp_tasks = app
-            .tasks()
-            .filter(|t| t.implementations()[0].target() == kairos_platform::ElementKind::Dsp)
-            .count();
-        prop_assert_eq!(dsp_tasks, 45);
     }
 }
 

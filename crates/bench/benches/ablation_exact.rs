@@ -2,12 +2,12 @@
 //!
 //! The paper's future work proposes comparing against an ILP formulation.
 //! This ablation uses the exhaustive branch-and-bound mapper
-//! ([`kairos_core::baseline::map_exact`]) as the optimum oracle on small
+//! ([`kairos_bench::baseline::map_exact`]) as the optimum oracle on small
 //! instances and reports the heuristic's communication-cost ratio.
 
 use kairos_appgen::{AppGenerator, GeneratorConfig};
+use kairos_bench::baseline::{map_exact, placement_comm_cost};
 use kairos_bench::print_table;
-use kairos_core::baseline::{map_exact, placement_comm_cost};
 use kairos_core::{bind, map_application, CostPolicy, MapperConfig};
 use kairos_platform::{topology, AppId};
 

@@ -13,9 +13,10 @@
 //! Neither half of the key is computed per lookup (the shape is a field
 //! of the application, the stamp re-digests only the records the
 //! previous admit/release cycle touched), so a hit costs its replayed
-//! claims: the warm path reads about 6x the cold one on CRISP (5.9-6.5x
-//! interquartile over 15 runs on a shared two-core box, where a hit shares
-//! its stored decision instead of copying it; about 8.7x in earlier
+//! claims: the warm path reads about 6x the cold one on CRISP (5.5-6.6x
+//! interquartile over 20 runs on a shared two-core box, lowest 5.29, with
+//! cold and warm rounds alternating and a hit sharing its stored decision
+//! instead of copying it; about 8.7x in earlier
 //! measurements, about 10x before the cold pipeline stopped allocating
 //! its working memory per call, 1.8x while every lookup re-hashed the
 //! platform). The run asserts warm at least [`FLOOR`] times
@@ -64,43 +65,59 @@ fn manager(cache: bool) -> Kairos {
 }
 
 /// One admit/release cycle per app, so every admission runs against the
-/// empty platform — the state that recurs. Best of `reps` (best-of damps
-/// scheduler noise).
-fn cycle_micros(kairos: &mut Kairos, apps: &[Application], reps: u32) -> f64 {
-    let mut best = f64::INFINITY;
-    for _ in 0..reps {
-        let start = Instant::now();
-        for app in apps {
-            let report = kairos.admit(app).expect("storm apps fit an empty CRISP platform");
-            std::hint::black_box(&report);
-            kairos.release(report.app_id);
-        }
-        best = best.min(start.elapsed().as_secs_f64() * 1e6);
+/// empty platform — the state that recurs.
+fn cycle(kairos: &mut Kairos, apps: &[Application]) {
+    for app in apps {
+        let report = kairos.admit(app).expect("storm apps fit an empty CRISP platform");
+        std::hint::black_box(&report);
+        kairos.release(report.app_id);
     }
-    best
 }
+
+/// One round of one side: an untimed [`cycle`] to bring this manager's
+/// working set back into the processor caches the other side displaced,
+/// then [`REPS_PER_ROUND`] timed ones. Returns the best timed cycle.
+fn round_micros(kairos: &mut Kairos, apps: &[Application]) -> f64 {
+    cycle(kairos, apps);
+    (0..REPS_PER_ROUND)
+        .map(|_| {
+            let start = Instant::now();
+            cycle(kairos, apps);
+            start.elapsed().as_secs_f64() * 1e6
+        })
+        .fold(f64::INFINITY, f64::min)
+}
+
+/// Timed cycles per side per round.
+const REPS_PER_ROUND: u32 = 3;
 
 /// The asserted warm-over-cold speed-up, under the usual reading of about 6x.
 const FLOOR: f64 = 5.0;
 
 fn main() {
     const APPS: usize = 32;
-    const REPS: u32 = 9;
+    const ROUNDS: u32 = 3;
     let apps = storm(APPS, 0xCA4E5);
 
     // Cold baseline: no cache, every admission runs the full pipeline.
+    // Warm: primed once (every shape-at-empty-platform key stored), so
+    // every timed admission takes the replay path.
     let mut cold = manager(false);
-    let cold_us = cycle_micros(&mut cold, &apps, REPS);
-
-    // Warm: prime once (every shape-at-empty-platform key stored), then
-    // time pure replay-path admissions.
     let mut warm = manager(true);
-    cycle_micros(&mut warm, &apps, 1);
+    cycle(&mut warm, &apps);
     let primed = warm.cache_stats().expect("cache enabled");
-    let warm_us = cycle_micros(&mut warm, &apps, REPS);
+    // Cold and warm rounds alternate, so a burst of load from a neighbour
+    // falls on both sides instead of on one; best of the `ROUNDS *
+    // REPS_PER_ROUND` timed cycles per side damps the rest of the
+    // scheduler noise.
+    let (mut cold_us, mut warm_us) = (f64::INFINITY, f64::INFINITY);
+    for _ in 0..ROUNDS {
+        cold_us = cold_us.min(round_micros(&mut cold, &apps));
+        warm_us = warm_us.min(round_micros(&mut warm, &apps));
+    }
     let stats = warm.cache_stats().expect("cache enabled");
-    let timed_lookups = stats.hits + stats.misses - (primed.hits + primed.misses);
-    let timed_hits = stats.hits - primed.hits;
+    let lookups = stats.hits + stats.misses - (primed.hits + primed.misses);
+    let hits = stats.hits - primed.hits;
 
     print_table(
         &format!("storm of {APPS} same-shape admit/release cycles: warm cache vs cold pipeline"),
@@ -118,12 +135,12 @@ fn main() {
                 format!("{warm_us:.0}"),
                 format!("{:.1}", warm_us / APPS as f64),
                 format!("{:.2}x", cold_us / warm_us),
-                format!("{timed_hits}/{timed_lookups}"),
+                format!("{hits}/{lookups}"),
             ],
         ],
     );
 
-    assert_eq!(timed_hits, timed_lookups, "every timed admission must hit the primed cache");
+    assert_eq!(hits, lookups, "every admission after priming must hit the cache");
     assert!(
         warm_us * FLOOR <= cold_us,
         "warm replay-path admission must be at least {FLOOR}x faster than the cold pipeline \

@@ -1,7 +1,9 @@
 //! Baseline mappers for quality comparison.
 //!
 //! The paper's future work proposes comparing the heuristic against an ILP
-//! formulation. This module provides the comparison substrate:
+//! formulation. This module provides the comparison substrate, outside the
+//! product: the `ablation_exact` bench and the heuristic-quality tests are
+//! its only users.
 //!
 //! * [`map_first_fit`] — topology-blind first-fit placement (the behaviour
 //!   the incremental heuristic degrades to when its cost function is
@@ -11,12 +13,10 @@
 //! * [`placement_comm_cost`] — the objective both are scored with.
 
 use kairos_app::{Application, TaskId};
+use kairos_core::{Binding, MappingError, Placement};
 use kairos_platform::{
     bfs_distances, AppId, ElementId, Occupant, Platform, ResourceVector, SearchDirection,
 };
-
-use crate::error::MappingError;
-use crate::layout::{Binding, Placement};
 
 /// Total bandwidth-weighted hop count of a placement: for every channel,
 /// `hops(src_element, dst_element) * bandwidth`. Unreachable pairs are
@@ -187,9 +187,8 @@ pub fn map_exact(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::binding::bind;
-    use crate::mapping::{map_application, CostPolicy, MapperConfig};
     use kairos_app::{ApplicationBuilder, Implementation, TaskRole};
+    use kairos_core::{bind, map_application, CostPolicy, MapperConfig};
     use kairos_platform::{topology, ElementKind};
 
     fn dsp(cpu: u64) -> Implementation {

@@ -20,12 +20,19 @@
 //! `overhead` (telemetry, tracing and watch, dark versus lit; asserts
 //! under 3x each) time this reproduction's own mechanisms.
 //!
+//! [`baseline`] holds the first-fit and exact (branch-and-bound) mappers
+//! that `ablation_exact` and the root `heuristic_quality` tests compare
+//! the heuristic against; they are analysis tools, not part of the
+//! resource manager.
+//!
 //! Scale is controlled by `KAIROS_PAPER_SCALE=1` (30 sequences, as in the
 //! paper) versus the quick default (8 sequences); results are deterministic
 //! per scale.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+
+pub mod baseline;
 
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;

@@ -28,27 +28,19 @@ pub const APP_ID_STRIDE: u32 = 1 << 24;
 /// [`Command::Rebalance`] sweep moves work across the boundary.
 const REBALANCE_GAP: f64 = 0.05;
 
-/// One region shard: its service and its slice of the global element id
-/// space.
-#[derive(Debug)]
-struct Shard {
-    service: Admitd,
-    /// Local element index → global element id.
-    globals: Vec<ElementId>,
-}
-
-/// Translates one shard's event batch into the cluster's id space:
-/// element ids from the shard's local space back to the global platform.
+/// Translates shard `shard`'s event batch into the cluster's id space:
+/// element ids from the shard's local space back to the global platform,
+/// through the cluster's one [`RegionMap`].
 /// Tickets pass through untouched — the cluster stamped them on the way
 /// down — and so do app ids, globally unique by construction (the
 /// per-shard [`APP_ID_STRIDE`] namespace). Admission-report layouts stay
 /// in shard-local element coordinates; translate them through
 /// [`ClusterService::regions`] when needed.
-fn translate_events(globals: &[ElementId], mut events: Vec<Event>) -> Vec<Event> {
+fn translate_events(region: &RegionMap, shard: usize, mut events: Vec<Event>) -> Vec<Event> {
     for event in &mut events {
         if let Event::ElementFailed { element, .. } | Event::ElementRepaired { element, .. } = event
         {
-            *element = globals[element.index()];
+            *element = region.to_global(shard, *element);
         }
     }
     events
@@ -160,7 +152,7 @@ impl ClusterBuilder {
             if let Some(policy) = self.admission {
                 builder = builder.admission(policy);
             }
-            shards.push(Shard { service: builder.build()?, globals: region.elements(r).to_vec() });
+            shards.push(builder.build()?);
         }
         let metrics = ClusterMetrics::new(&self.telemetry, region.region_count());
         Ok(ClusterService {
@@ -224,7 +216,8 @@ impl ClusterBuilder {
 /// ```
 #[derive(Debug)]
 pub struct ClusterService {
-    shards: Vec<Shard>,
+    /// One service per region, indexed by region.
+    shards: Vec<Admitd>,
     region: RegionMap,
     policy: Placement,
     /// Mint for requests that arrive without a ticket (the cluster is
@@ -324,7 +317,7 @@ impl ClusterService {
     ///
     /// Panics when `shard` is out of range.
     pub fn shard(&self, shard: usize) -> &Admitd {
-        &self.shards[shard].service
+        &self.shards[shard]
     }
 
     /// The placement policy's name.
@@ -385,7 +378,7 @@ impl ClusterService {
                     continue;
                 }
                 let start = self.telemetry.clock();
-                let fit = fit_of(shard.service.probe_admit(app).ok());
+                let fit = fit_of(shard.probe_admit(app).ok());
                 if let Some(hist) = hist {
                     hist.record(Telemetry::elapsed_ns(start));
                 }
@@ -409,8 +402,8 @@ impl ClusterService {
             .enumerate()
             .map(|(shard, s)| ShardLoad {
                 shard,
-                resource_utilisation: s.service.kairos().resource_utilisation(),
-                queue_depth: s.service.queue_depth(),
+                resource_utilisation: s.kairos().resource_utilisation(),
+                queue_depth: s.queue_depth(),
             })
             .collect()
     }
@@ -458,15 +451,14 @@ impl ClusterService {
 
     /// Drains one shard's buffered events into the cluster's, translated.
     fn drain_shard(&mut self, shard: usize) {
-        let s = &mut self.shards[shard];
-        let events = s.service.take_events();
-        self.events.extend(translate_events(&s.globals, events));
+        let events = self.shards[shard].take_events();
+        self.events.extend(translate_events(&self.region, shard, events));
     }
 
     /// Submits `request`, stamped with the cluster ticket `ticket`, to
     /// `shard` and drains the fallout.
     fn forward(&mut self, shard: usize, ticket: Ticket, request: Request) {
-        self.shards[shard].service.submit(request.with_ticket(ticket));
+        self.shards[shard].submit(request.with_ticket(ticket));
         self.drain_shard(shard);
     }
 
@@ -530,9 +522,9 @@ impl ClusterService {
         let mut tail = Vec::new();
         for i in 0..self.shards.len() {
             let s = &mut self.shards[i];
-            s.service.submit(Request::new(at, Command::Defrag { max_moves }).with_ticket(ticket));
-            let events = s.service.take_events();
-            for event in translate_events(&s.globals, events) {
+            s.submit(Request::new(at, Command::Defrag { max_moves }).with_ticket(ticket));
+            let events = s.take_events();
+            for event in translate_events(&self.region, i, events) {
                 match event {
                     Event::Defragged { moves: m, .. } => moves += m,
                     other => tail.push(other),
@@ -592,14 +584,13 @@ impl ClusterService {
             {
                 break;
             }
-            for id in self.shards[src].service.kairos().admitted_ids() {
+            for id in self.shards[src].kairos().admitted_ids() {
                 let app = self.shards[src]
-                    .service
                     .kairos()
                     .application(id)
                     .expect("admitted ids resolve")
                     .clone();
-                let Ok(probe) = self.shards[dst].service.probe_admit(&app) else {
+                let Ok(probe) = self.shards[dst].probe_admit(&app) else {
                     continue;
                 };
                 // Convergence guard: the move must leave the destination
@@ -610,13 +601,11 @@ impl ClusterService {
                 {
                     continue;
                 }
-                let class =
-                    self.shards[src].service.admitted_class(id).unwrap_or(PriorityClass::Normal);
+                let class = self.shards[src].admitted_class(id).unwrap_or(PriorityClass::Normal);
                 // Captured before the release erases the layout: the
                 // source-side elements the move frees, for cache
                 // invalidation once the move is final.
                 let src_elements: Vec<ElementId> = self.shards[src]
-                    .service
                     .kairos()
                     .layout(id)
                     .map(|l| {
@@ -627,13 +616,13 @@ impl ClusterService {
                     })
                     .unwrap_or_default();
                 // Phase 1 (make): claim the new home across the boundary.
-                let Ok(report) = self.shards[dst].service.admit_now(&app, class) else {
+                let Ok(report) = self.shards[dst].admit_now(&app, class) else {
                     continue;
                 };
                 // Phase 2 (break): free the old home, draining waiters.
-                let (found, drained) = self.shards[src].service.release_now(id, at);
+                let (found, drained) = self.shards[src].release_now(id, at);
                 if !found {
-                    self.shards[dst].service.release_now(report.app_id, at);
+                    self.shards[dst].release_now(report.app_id, at);
                     if let Some(m) = &self.metrics {
                         m.rebalance_aborts.inc();
                     }
@@ -643,13 +632,13 @@ impl ClusterService {
                 // changed occupancy on the source's freed elements and
                 // the destination's fresh ones, so cached points touching
                 // either are superseded.
-                self.shards[src].service.invalidate_cached_points(&src_elements);
+                self.shards[src].invalidate_cached_points(&src_elements);
                 let mut dst_elements: Vec<ElementId> =
                     report.layout.placement.iter().map(|(_, e)| e).collect();
                 dst_elements.sort_unstable();
                 dst_elements.dedup();
-                self.shards[dst].service.invalidate_cached_points(&dst_elements);
-                tail.extend(translate_events(&self.shards[src].globals, drained));
+                self.shards[dst].invalidate_cached_points(&dst_elements);
+                tail.extend(translate_events(&self.region, src, drained));
                 moves.push((id, report.app_id));
                 continue 'sweep;
             }
@@ -736,7 +725,7 @@ impl ResourceService for ClusterService {
             if wave.is_empty() {
                 continue;
             }
-            self.shards[i].service.submit_batch(wave);
+            self.shards[i].submit_batch(wave);
             self.drain_shard(i);
         }
         for (ticket, at, command, trace) in rest {
@@ -748,9 +737,8 @@ impl ResourceService for ClusterService {
     fn pump(&mut self, event: CapacityEvent) -> Vec<Event> {
         let mut out = Vec::new();
         for i in 0..self.shards.len() {
-            let s = &mut self.shards[i];
-            let events = s.service.pump(event);
-            out.extend(translate_events(&s.globals, events));
+            let events = self.shards[i].pump(event);
+            out.extend(translate_events(&self.region, i, events));
         }
         out
     }
@@ -760,11 +748,11 @@ impl ResourceService for ClusterService {
     }
 
     fn kairos(&self) -> &Kairos {
-        self.shards[0].service.kairos()
+        self.shards[0].kairos()
     }
 
     fn queue_depth(&self) -> usize {
-        self.shards.iter().map(|s| s.service.queue_depth()).sum()
+        self.shards.iter().map(|s| s.queue_depth()).sum()
     }
 
     fn shard_count(&self) -> usize {
@@ -776,7 +764,7 @@ impl ResourceService for ClusterService {
     /// when no shard has a cache (all shards share one configuration, so
     /// it is all or none).
     fn cache_stats(&self) -> Option<CacheStats> {
-        self.shards.iter().filter_map(|s| s.service.cache_stats()).reduce(CacheStats::merge)
+        self.shards.iter().filter_map(|s| s.cache_stats()).reduce(CacheStats::merge)
     }
 
     /// Whole-cluster occupancy, aggregated exactly: utilisations from the
@@ -794,7 +782,7 @@ impl ResourceService for ClusterService {
         let mut free_islands = 0;
         let mut failed_elements = 0;
         for s in &self.shards {
-            let kairos = s.service.kairos();
+            let kairos = s.kairos();
             let p = kairos.platform();
             let totals = p.totals();
             admitted_apps += kairos.admitted_count();
@@ -829,8 +817,8 @@ impl ResourceService for ClusterService {
     fn element_activity(&self) -> Vec<ElementActivity> {
         let mut out = Vec::new();
         for (shard_index, s) in self.shards.iter().enumerate() {
-            for mut activity in s.service.kairos().element_activity() {
-                activity.element = s.globals[activity.element.index()];
+            for mut activity in s.kairos().element_activity() {
+                activity.element = self.region.to_global(shard_index, activity.element);
                 activity.shard = shard_index;
                 out.push(activity);
             }
@@ -945,7 +933,7 @@ mod tests {
             // bypassing placement (and its probes).
             for i in 0..8 {
                 let app = chain(&format!("p{i}"), 2, 600);
-                cluster.shards[i % 3].service.admit_now(&app, PriorityClass::Normal).unwrap();
+                cluster.shards[i % 3].admit_now(&app, PriorityClass::Normal).unwrap();
                 standalone[i % 3].admit_now(&app, PriorityClass::Normal).unwrap();
             }
             for (s, service) in standalone.iter().enumerate() {
@@ -1018,7 +1006,7 @@ mod tests {
         // Fill shards 0 and 1 behind placement's back: the next request
         // fits only on shard 2, and every shard is asked on the way.
         for shard in &mut first_fit.shards[..2] {
-            while shard.service.admit_now(&chain("fill", 1, 990), PriorityClass::Normal).is_ok() {}
+            while shard.admit_now(&chain("fill", 1, 990), PriorityClass::Normal).is_ok() {}
         }
         first_fit.submit(admit(1));
         assert_eq!(first_fit.shard(2).kairos().admitted_count(), 1, "only shard 2 had room");
@@ -1224,7 +1212,11 @@ mod tests {
             assert!(cluster.shard(1).kairos().admitted_ids().contains(&to));
             assert!(!cluster.shard(0).kairos().admitted_ids().contains(&from));
         }
-        assert_eq!(cluster.shard_count_admitted(), 3, "rebalance moves apps, it never loses them");
+        assert_eq!(
+            cluster.occupancy().admitted_apps,
+            3,
+            "rebalance moves apps, it never loses them"
+        );
         let loads = cluster.loads();
         assert!(
             (loads[0].resource_utilisation - loads[1].resource_utilisation).abs()
@@ -1375,7 +1367,8 @@ mod tests {
         assert_eq!(occ.admitted_apps, 4);
         assert!(occ.element_utilisation > 0.0 && occ.element_utilisation < 1.0);
         assert!(occ.resource_utilisation > 0.0);
-        assert_eq!(cluster.shard_count_admitted(), 4);
+        let per_shard: usize = (0..3).map(|s| cluster.shard(s).kairos().admitted_count()).sum();
+        assert_eq!(per_shard, 4);
     }
 
     /// On the 4x4 mesh cut three ways a region's ids are not a contiguous

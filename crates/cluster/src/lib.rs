@@ -64,7 +64,9 @@
 //! }
 //! let admitted = cluster.take_events().len();
 //! assert!(admitted > 0);
-//! assert_eq!(cluster.occupancy().admitted_apps, cluster.shard_count_admitted());
+//! let per_shard: usize =
+//!     (0..cluster.shard_count()).map(|s| cluster.shard(s).kairos().admitted_count()).sum();
+//! assert_eq!(cluster.occupancy().admitted_apps, per_shard);
 //! # Ok::<(), String>(())
 //! ```
 
@@ -76,15 +78,6 @@ mod policy;
 
 pub use cluster::{ClusterBuilder, ClusterService, APP_ID_STRIDE, SCORE_E6_BOUNDS};
 pub use policy::{Placement, ShardFit, ShardLoad, ShardProbe};
-
-impl ClusterService {
-    /// Sum of admitted applications over all shards (convenience for the
-    /// crate example; equals `occupancy().admitted_apps`).
-    pub fn shard_count_admitted(&self) -> usize {
-        use kairos_admitd::ResourceService as _;
-        (0..self.shard_count()).map(|s| self.shard(s).kairos().admitted_count()).sum()
-    }
-}
 
 // Compile-time thread-safety pins. Nothing here spawns a thread, but the
 // cluster's owner may sit on any: drivers box it as `dyn ResourceService +

@@ -678,7 +678,7 @@ proptest! {
         }
         let expected_live = admitted - released - evicted;
         prop_assert_eq!(
-            service.shard_count_admitted() as i64,
+            service.occupancy().admitted_apps as i64,
             expected_live,
             "population must balance: {}", trace
         );

@@ -23,8 +23,6 @@
 //! and relocation beyond the paper: live migration, minimal preemption
 //! plans ([`Kairos::select_victims`]) and defragmenting compaction
 //! ([`Kairos::compact`]).
-//! [`baseline`] adds first-fit and exact-placement comparators for
-//! heuristic-quality studies.
 //!
 //! ## Example
 //!
@@ -51,7 +49,6 @@
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
 
-pub mod baseline;
 mod binding;
 mod cache;
 mod error;

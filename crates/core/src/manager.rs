@@ -25,7 +25,7 @@ use crate::cache::{
     point_fits, replay_point, CacheConfig, CacheStats, CachedDecision, CachedPoint, DecisionStore,
     Recall, Seat,
 };
-use crate::error::{AllocationError, Phase};
+use crate::error::{AllocationError, Phase, CAUSES};
 use crate::layout::ExecutionLayout;
 use crate::mapping::{map_application_in, CostWeights, MapperConfig};
 use crate::metrics::{
@@ -282,7 +282,7 @@ struct CoreMetrics {
     admit_fail: Arc<Counter>,
     /// Refused admissions by cause, in `AllocationError::cause_index`
     /// order: a partition of `admit_fail`.
-    reject: [Arc<Counter>; 8],
+    reject: [Arc<Counter>; CAUSES.len()],
     /// Admissions decided by a probe hand-off instead of a pipeline run
     /// (each also counts in `admit_ok` or `admit_fail`).
     admit_replayed: Arc<Counter>,
@@ -319,16 +319,7 @@ impl CoreMetrics {
             ],
             admit_ok: registry.counter("kairos.core.admit.ok"),
             admit_fail: registry.counter("kairos.core.admit.fail"),
-            reject: [
-                registry.counter("kairos.core.reject.binding.no_implementation"),
-                registry.counter("kairos.core.reject.binding.structural"),
-                registry.counter("kairos.core.reject.mapping.pinned"),
-                registry.counter("kairos.core.reject.mapping.no_start"),
-                registry.counter("kairos.core.reject.mapping.search_exhausted"),
-                registry.counter("kairos.core.reject.routing.no_route"),
-                registry.counter("kairos.core.reject.validation.constraint"),
-                registry.counter("kairos.core.reject.validation.analysis"),
-            ],
+            reject: CAUSES.map(|cause| registry.counter(&format!("kairos.core.reject.{cause}"))),
             admit_replayed: registry.counter("kairos.core.admit.replayed"),
             probes: registry.counter("kairos.core.probes"),
             migrate_attempts: registry.counter("kairos.core.migrate.attempts"),

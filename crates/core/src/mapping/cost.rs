@@ -405,7 +405,8 @@ mod tests {
         let platform = topology::dsp_line(3);
         let e: Vec<_> = platform.element_ids().collect();
         let mut distances = SparseDistanceMatrix::new();
-        distances.record(e[0], e[2], 2);
+        distances.reset(platform.element_count());
+        distances.recorder(e[0]).record(e[2], 2);
         let tables = CostTables::new(&app, &[Some(e[0]), None], 3);
         // t1's peer t0 sits on e0; distance e0 -> e2 recorded as 2 hops,
         // channel bandwidth 200 -> 2 * 200/100 = 4.

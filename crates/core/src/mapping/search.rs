@@ -136,7 +136,7 @@ impl ElementSearch {
         if self.depth == 0 {
             // Ring 0: report the origins.
             for &(e, origin) in self.forward.iter().chain(self.backward.iter()) {
-                distances.record(origin, e, 0);
+                distances.recorder(origin).record(e, 0);
                 if !platform.is_failed(e) && self.is_discovered.insert(e.index()) {
                     self.discovered.push(e);
                 }
@@ -188,6 +188,13 @@ mod tests {
     use super::*;
     use kairos_platform::topology;
 
+    /// A distance matrix sized for `platform`, as a mapping call sizes it.
+    fn matrix(platform: &Platform) -> SparseDistanceMatrix {
+        let mut m = SparseDistanceMatrix::new();
+        m.reset(platform.element_count());
+        m
+    }
+
     /// One `expand` into a fresh buffer: the ring it discovered.
     fn ring(
         search: &mut ElementSearch,
@@ -203,7 +210,7 @@ mod tests {
     fn rings_expand_in_hop_order() {
         let platform = topology::dsp_line(5);
         let e: Vec<_> = platform.element_ids().collect();
-        let mut dist = SparseDistanceMatrix::new();
+        let mut dist = matrix(&platform);
         let mut search = ElementSearch::new(platform.element_count(), &[e[0]], &[]);
         assert_eq!(ring(&mut search, &platform, &mut dist), vec![e[0]]);
         assert_eq!(ring(&mut search, &platform, &mut dist), vec![e[1]]);
@@ -217,7 +224,7 @@ mod tests {
     fn search_exhausts_on_small_platform() {
         let platform = topology::dsp_line(3);
         let e: Vec<_> = platform.element_ids().collect();
-        let mut dist = SparseDistanceMatrix::new();
+        let mut dist = matrix(&platform);
         let mut search = ElementSearch::new(platform.element_count(), &[e[1]], &[]);
         let mut all = Vec::new();
         loop {
@@ -244,7 +251,7 @@ mod tests {
         b.connect_directed(eb, ec, 10, 1);
         let platform = b.build();
 
-        let mut dist = SparseDistanceMatrix::new();
+        let mut dist = matrix(&platform);
         let mut fwd = ElementSearch::new(platform.element_count(), &[ea], &[]);
         ring(&mut fwd, &platform, &mut dist);
         assert_eq!(ring(&mut fwd, &platform, &mut dist), vec![eb]);
@@ -263,7 +270,7 @@ mod tests {
     fn multi_origin_search_records_per_origin_distances() {
         let platform = topology::dsp_line(5);
         let e: Vec<_> = platform.element_ids().collect();
-        let mut dist = SparseDistanceMatrix::new();
+        let mut dist = matrix(&platform);
         let mut search = ElementSearch::new(platform.element_count(), &[e[0], e[4]], &[]);
         ring(&mut search, &platform, &mut dist); // origins
         ring(&mut search, &platform, &mut dist); // ring 1
@@ -283,7 +290,7 @@ mod tests {
         let mut platform = topology::dsp_line(4);
         let e: Vec<_> = platform.element_ids().collect();
         platform.fail_element(e[1]);
-        let mut dist = SparseDistanceMatrix::new();
+        let mut dist = matrix(&platform);
         let mut search = ElementSearch::new(platform.element_count(), &[e[0]], &[]);
         assert_eq!(ring(&mut search, &platform, &mut dist), vec![e[0]]);
         assert!(ring(&mut search, &platform, &mut dist).is_empty(), "wall of failure");
@@ -293,7 +300,7 @@ mod tests {
     fn duplicate_origins_are_deduplicated() {
         let platform = topology::dsp_line(3);
         let e: Vec<_> = platform.element_ids().collect();
-        let mut dist = SparseDistanceMatrix::new();
+        let mut dist = matrix(&platform);
         let mut search = ElementSearch::new(platform.element_count(), &[e[0], e[0]], &[e[0]]);
         assert_eq!(ring(&mut search, &platform, &mut dist), vec![e[0]]);
     }
@@ -302,7 +309,7 @@ mod tests {
     fn a_restarted_search_forgets_the_previous_one() {
         let platform = topology::dsp_line(4);
         let e: Vec<_> = platform.element_ids().collect();
-        let mut dist = SparseDistanceMatrix::new();
+        let mut dist = matrix(&platform);
         let mut search = ElementSearch::new(platform.element_count(), &[e[0]], &[e[3]]);
         while !search.is_exhausted() {
             ring(&mut search, &platform, &mut dist);

@@ -89,14 +89,16 @@ fn mapping_cost_does_not_allocate() {
     let partial: Vec<Option<ElementId>> =
         placement.iter().map(|(t, e)| (t != open).then_some(e)).collect();
     let mut distances = SparseDistanceMatrix::new();
+    distances.reset(platform.element_count());
     for origin in partial.iter().flatten() {
+        let mut row = distances.recorder(*origin);
         for (e, hops) in bfs_distances(&platform, *origin, SearchDirection::Forward)
             .into_iter()
             .enumerate()
             .filter_map(|(e, hops)| Some((e, hops?)))
             .filter(|&(_, hops)| hops <= 3)
         {
-            distances.record(*origin, ElementId(e as u32), hops);
+            row.record(ElementId(e as u32), hops);
         }
     }
 

@@ -6,7 +6,7 @@
 //! (§III-D). [`SparseDistanceMatrix`] is that structure; the search writes
 //! it through a [`RowRecorder`], which resolves an origin's row once for
 //! all the links expanded from one frontier entry. The free functions
-//! provide full single-source BFS for metrics and baselines.
+//! provide full single-source BFS for metrics and the baseline mappers.
 
 use std::collections::VecDeque;
 
@@ -74,10 +74,11 @@ pub fn hop_distance(platform: &Platform, src: ElementId, dst: ElementId) -> Opti
 /// Sparse in *origins*, dense per origin: the search records from a handful
 /// of origins (the elements of already-mapped peers) towards many
 /// discovered elements, so each origin owns one row indexed by the
-/// discovered element's id. Recording and looking up are two array reads
-/// (one, through a [`RowRecorder`] already holding the origin's row);
-/// [`SparseDistanceMatrix::clear`] keeps every row's allocation for the
-/// next search.
+/// discovered element's id. A matrix is sized for one platform by
+/// [`SparseDistanceMatrix::reset`] before each search; recording goes
+/// through a [`RowRecorder`] holding the origin's row (one array write),
+/// and a lookup is two array reads. Resetting keeps every row's allocation
+/// for the next search.
 ///
 /// # Examples
 ///
@@ -85,19 +86,19 @@ pub fn hop_distance(platform: &Platform, src: ElementId, dst: ElementId) -> Opti
 /// use kairos_platform::{SparseDistanceMatrix, ElementId};
 ///
 /// let mut m = SparseDistanceMatrix::new();
-/// m.record(ElementId(0), ElementId(3), 2);
+/// m.reset(4);
+/// m.recorder(ElementId(0)).record(ElementId(3), 2);
 /// assert_eq!(m.get(ElementId(0), ElementId(3)), Some(2));
 /// assert_eq!(m.get(ElementId(3), ElementId(0)), None);
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct SparseDistanceMatrix {
-    /// `row_of[origin]` is the origin's index into `rows`, or [`NO_ROW`].
-    /// Sized by [`Self::with_elements`], else grown on demand to the
-    /// largest origin id seen.
+    /// `row_of[origin]` is the origin's index into `rows`, or [`NO_ROW`]:
+    /// one entry per element of the platform [`Self::reset`] sized it for.
     row_of: Vec<u32>,
-    /// One row per origin, indexed by discovered element id: allocated as
-    /// long as `row_of` on first use and grown on demand beyond that;
-    /// [`UNKNOWN`] marks pairs never recorded. Only the first
+    /// One row per origin, indexed by discovered element id, as long as
+    /// `row_of` from its origin's first recording on; [`UNKNOWN`] marks
+    /// pairs never recorded. Only the first
     /// `origins.len()` rows are live, the rest are spare allocations kept
     /// by [`Self::clear`].
     rows: Vec<Vec<u32>>,
@@ -114,34 +115,21 @@ const NO_ROW: u32 = u32::MAX;
 const UNKNOWN: u32 = u32::MAX;
 
 impl SparseDistanceMatrix {
-    /// Creates an empty matrix.
+    /// Creates an empty matrix for no platform: [`Self::reset`] sizes it.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// Creates an empty matrix for a platform of `element_count` elements:
-    /// same behaviour as [`Self::new`], but every row is allocated at its
-    /// final length the first time its origin records anything, instead of
-    /// growing as higher element ids are discovered.
-    pub fn with_elements(element_count: usize) -> Self {
-        SparseDistanceMatrix { row_of: vec![NO_ROW; element_count], ..Self::default() }
-    }
-
-    /// Records the distance from `origin` to `discovered`, keeping the
-    /// minimum when called twice for the same pair. `hops` must be below
-    /// `u32::MAX`, which no hop count on a `u32`-indexed platform reaches.
-    pub fn record(&mut self, origin: ElementId, discovered: ElementId, hops: u32) {
-        self.recorder(origin).record(discovered, hops);
     }
 
     /// A writer into `origin`'s row: the row is resolved (and created and
     /// sized, on first use) here, once, and each [`RowRecorder::record`]
     /// then writes one cell — what a search expanding many links from one
-    /// origin calls per frontier entry instead of [`Self::record`] per link.
+    /// origin calls once per frontier entry.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `origin` is not an element of the platform the matrix was
+    /// last [`reset`](Self::reset) for.
     pub fn recorder(&mut self, origin: ElementId) -> RowRecorder<'_> {
-        if self.row_of.len() <= origin.index() {
-            self.row_of.resize(origin.index() + 1, NO_ROW);
-        }
         if self.row_of[origin.index()] == NO_ROW {
             self.row_of[origin.index()] = self.origins.len() as u32;
             self.origins.push(origin);
@@ -189,9 +177,8 @@ impl SparseDistanceMatrix {
     }
 
     /// [`Self::clear`], then sizes the matrix for a platform of
-    /// `element_count` elements as [`Self::with_elements`] does: what a
-    /// long-lived matrix calls before each use, so it serves whatever
-    /// platform it is handed.
+    /// `element_count` elements: what a long-lived matrix calls before
+    /// each use, so it serves whatever platform it is handed.
     pub fn reset(&mut self, element_count: usize) {
         self.clear();
         self.row_of.resize(element_count, NO_ROW);
@@ -217,15 +204,17 @@ pub struct RowRecorder<'a> {
 }
 
 impl RowRecorder<'_> {
-    /// Records the distance from the row's origin to `discovered`, exactly
-    /// as [`SparseDistanceMatrix::record`] does: the minimum is kept, and a
-    /// pair recorded for the first time counts once in the matrix's `len`.
+    /// Records the distance from the row's origin to `discovered`, keeping
+    /// the minimum when a pair is recorded twice; a pair recorded for the
+    /// first time counts once in the matrix's `len`. `hops` must be below
+    /// `u32::MAX`, which no hop count on a `u32`-indexed platform reaches.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `discovered` is not an element of the matrix's platform.
     #[inline]
     pub fn record(&mut self, discovered: ElementId, hops: u32) {
         debug_assert_ne!(hops, UNKNOWN, "hop counts are bounded by the element count");
-        if self.row.len() <= discovered.index() {
-            self.row.resize(discovered.index() + 1, UNKNOWN);
-        }
         let cell = &mut self.row[discovered.index()];
         if *cell == UNKNOWN {
             *self.len += 1;
@@ -289,74 +278,60 @@ mod tests {
     #[test]
     fn sparse_matrix_keeps_minimum() {
         let mut m = SparseDistanceMatrix::new();
-        m.record(ElementId(0), ElementId(1), 5);
-        m.record(ElementId(0), ElementId(1), 3);
-        m.record(ElementId(0), ElementId(1), 9);
+        m.reset(2);
+        let mut row = m.recorder(ElementId(0));
+        for hops in [5, 3, 9] {
+            row.record(ElementId(1), hops);
+        }
         assert_eq!(m.get(ElementId(0), ElementId(1)), Some(3));
         assert_eq!(m.len(), 1);
     }
 
+    /// A recorder counts each pair once however often it is written, and
+    /// a second recorder on the same origin writes the same row.
     #[test]
-    fn presized_matrix_behaves_like_a_grown_one() {
-        let mut grown = SparseDistanceMatrix::new();
-        let mut presized = SparseDistanceMatrix::with_elements(4);
-        for m in [&mut grown, &mut presized] {
-            m.record(ElementId(1), ElementId(3), 2);
-            m.record(ElementId(1), ElementId(3), 1);
-            // Ids beyond the announced element count still work.
-            m.record(ElementId(9), ElementId(7), 4);
+    fn recorders_count_each_pair_once() {
+        let mut m = SparseDistanceMatrix::new();
+        m.reset(6);
+        let writes = [(1, 3, 4), (1, 3, 2), (2, 0, 1), (1, 5, 3), (4, 1, 2), (1, 3, 7)];
+        for &(o, d, hops) in &writes {
+            m.recorder(ElementId(o)).record(ElementId(d), hops);
         }
-        for (a, b) in [(1, 3), (3, 1), (1, 2), (9, 7), (7, 9), (2, 2), (0, 1)] {
-            let (a, b) = (ElementId(a), ElementId(b));
-            assert_eq!(presized.get(a, b), grown.get(a, b), "{a} -> {b}");
-        }
-        assert_eq!(presized.len(), 2);
-        presized.clear();
-        assert!(presized.is_empty());
-        assert_eq!(presized.get(ElementId(1), ElementId(3)), None);
-        presized.record(ElementId(3), ElementId(1), 5);
-        assert_eq!(presized.get_symmetric(ElementId(1), ElementId(3)), Some(5));
-        // Reset for a smaller platform: nothing of the larger one shows.
-        presized.reset(2);
-        assert!(presized.is_empty());
-        assert_eq!(presized.get(ElementId(3), ElementId(1)), None);
-        presized.record(ElementId(1), ElementId(0), 1);
-        assert_eq!(presized.get(ElementId(1), ElementId(0)), Some(1));
-        assert_eq!(presized.get(ElementId(1), ElementId(3)), None, "no stale tail in a reused row");
+        assert_eq!(m.len(), 4);
+        assert_eq!(m.get(ElementId(1), ElementId(3)), Some(2));
+        assert_eq!(m.get(ElementId(3), ElementId(1)), None);
+        assert_eq!(m.get_symmetric(ElementId(3), ElementId(1)), Some(2));
+        assert_eq!(m.get(ElementId(0), ElementId(2)), None);
+        assert_eq!(m.get_symmetric(ElementId(0), ElementId(2)), Some(1));
     }
 
-    /// A recorder writes what `record` writes: interleaved on one matrix,
-    /// the two paths keep the minimum per pair and count each pair once,
-    /// against a matrix fed through `record` alone — including ids beyond
-    /// the sized element count and an origin first seen by a recorder.
     #[test]
-    fn recorders_and_record_write_the_same_matrix() {
-        let writes = [(1, 3, 4), (1, 3, 2), (2, 0, 1), (1, 5, 3), (2, 9, 6), (4, 1, 2), (1, 3, 7)];
-        let mut plain = SparseDistanceMatrix::with_elements(6);
-        let mut mixed = SparseDistanceMatrix::with_elements(6);
-        for (i, &(o, d, hops)) in writes.iter().enumerate() {
-            let (o, d) = (ElementId(o), ElementId(d));
-            plain.record(o, d, hops);
-            if i % 2 == 0 {
-                mixed.recorder(o).record(d, hops);
-            } else {
-                mixed.record(o, d, hops);
-            }
-            assert_eq!(mixed.len(), plain.len(), "after write {i}");
-        }
-        let mut recorder = mixed.recorder(ElementId(2));
-        recorder.record(ElementId(4), 5);
-        recorder.record(ElementId(4), 3);
-        plain.record(ElementId(2), ElementId(4), 5);
-        plain.record(ElementId(2), ElementId(4), 3);
-        assert_eq!(mixed.len(), plain.len());
-        for a in 0..10 {
-            for b in 0..10 {
-                let (a, b) = (ElementId(a), ElementId(b));
-                assert_eq!(mixed.get(a, b), plain.get(a, b), "{a} -> {b}");
-                assert_eq!(mixed.get_symmetric(a, b), plain.get_symmetric(a, b), "{a} <-> {b}");
-            }
-        }
+    fn a_reset_matrix_serves_the_next_platform() {
+        let mut m = SparseDistanceMatrix::new();
+        m.reset(4);
+        m.recorder(ElementId(1)).record(ElementId(3), 2);
+        m.recorder(ElementId(3)).record(ElementId(1), 5);
+        assert_eq!(m.len(), 2);
+        m.clear();
+        assert!(m.is_empty());
+        assert_eq!(m.get(ElementId(1), ElementId(3)), None);
+        m.recorder(ElementId(3)).record(ElementId(1), 5);
+        assert_eq!(m.get_symmetric(ElementId(1), ElementId(3)), Some(5));
+        // Reset for a smaller platform: nothing of the larger one shows.
+        m.reset(2);
+        assert!(m.is_empty());
+        assert_eq!(m.get(ElementId(3), ElementId(1)), None);
+        m.recorder(ElementId(1)).record(ElementId(0), 1);
+        assert_eq!(m.get(ElementId(1), ElementId(0)), Some(1));
+        assert_eq!(m.get(ElementId(1), ElementId(3)), None, "no stale tail in a reused row");
+    }
+
+    #[test]
+    #[should_panic]
+    fn an_origin_beyond_the_platform_is_refused() {
+        let mut m = SparseDistanceMatrix::new();
+        m.reset(2);
+        m.recorder(ElementId(2));
     }
 
     #[test]
@@ -369,7 +344,8 @@ mod tests {
     #[test]
     fn symmetric_lookup_falls_back() {
         let mut m = SparseDistanceMatrix::new();
-        m.record(ElementId(2), ElementId(5), 4);
+        m.reset(7);
+        m.recorder(ElementId(2)).record(ElementId(5), 4);
         assert_eq!(m.get_symmetric(ElementId(5), ElementId(2)), Some(4));
         assert_eq!(m.get_symmetric(ElementId(5), ElementId(6)), None);
         m.clear();

@@ -81,7 +81,7 @@ pub use platform::{
 };
 pub use power::{PowerModel, PowerRate};
 pub use region::RegionMap;
-pub use render::{render_link_load, render_occupancy, render_strip};
+pub use render::render_strip;
 pub use resource::{ResourceKind, ResourceVector, RESOURCE_KIND_COUNT};
 
 /// Compile-time thread-safety pin (nothing in the product spawns a

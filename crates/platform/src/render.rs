@@ -1,8 +1,6 @@
 //! ASCII rendering of platform occupancy — the operator's view of the
-//! resource manager's state, used by the examples and handy when debugging
-//! mapping decisions.
-
-use std::fmt::Write as _;
+//! resource manager's state, printed by the `multi_app` example and handy
+//! when debugging mapping decisions.
 
 use crate::platform::Platform;
 
@@ -19,29 +17,6 @@ fn glyph(platform: &Platform, e: crate::ElementId) -> char {
     }
 }
 
-/// Renders a compact one-line-per-element occupancy listing.
-///
-/// Each line shows the element name, kind, occupancy glyph
-/// (`.` idle, `o` one task, `8` two-three tasks, `#` more, `X` failed),
-/// resident task count and free/capacity compute units.
-pub fn render_occupancy(platform: &Platform) -> String {
-    let mut out = String::new();
-    let _ = writeln!(out, "occupancy of '{}':", platform.name());
-    for e in platform.element_ids() {
-        let el = platform.element(e);
-        let _ = writeln!(
-            out,
-            "  {} {:<12} [{}] tasks={:<2} free={}",
-            glyph(platform, e),
-            el.name(),
-            el.kind(),
-            platform.residents(e).len(),
-            platform.free(e),
-        );
-    }
-    out
-}
-
 /// Renders the occupancy glyphs as a single dense strip in element-id
 /// order — useful for eyeballing fragmentation at a glance.
 ///
@@ -55,33 +30,6 @@ pub fn render_occupancy(platform: &Platform) -> String {
 /// ```
 pub fn render_strip(platform: &Platform) -> String {
     platform.element_ids().map(|e| glyph(platform, e)).collect()
-}
-
-/// Renders per-link utilisation for links with any claims, as
-/// `src->dst: used_bw/bw vc_used/vc` lines. Idle links are omitted.
-pub fn render_link_load(platform: &Platform) -> String {
-    let mut out = String::new();
-    for link in platform.links() {
-        let free_bw = platform.link_free_bandwidth(link.id());
-        let free_vc = platform.link_free_virtual_channels(link.id());
-        if free_bw == link.bandwidth() && free_vc == link.virtual_channels() {
-            continue;
-        }
-        let _ = writeln!(
-            out,
-            "  {}->{}: bw {}/{} vc {}/{}",
-            platform.element(link.src()).name(),
-            platform.element(link.dst()).name(),
-            link.bandwidth() - free_bw,
-            link.bandwidth(),
-            link.virtual_channels() - free_vc,
-            link.virtual_channels(),
-        );
-    }
-    if out.is_empty() {
-        out.push_str("  (all links idle)\n");
-    }
-    out
 }
 
 #[cfg(test)]
@@ -100,26 +48,5 @@ mod tests {
         p.claim(e[1], Occupant { app: AppId(0), task: 2, claimed: ResourceVector::ZERO }).unwrap();
         p.fail_element(e[3]);
         assert_eq!(render_strip(&p), "o8.X");
-    }
-
-    #[test]
-    fn occupancy_listing_mentions_every_element() {
-        let p = topology::dsp_line(3);
-        let s = render_occupancy(&p);
-        assert_eq!(s.lines().count(), 4); // header + 3 elements
-        assert!(s.contains("dsp0") && s.contains("dsp2"));
-    }
-
-    #[test]
-    fn link_load_lists_only_used_links() {
-        let mut p = topology::dsp_line(2);
-        assert!(render_link_load(&p).contains("all links idle"));
-        let e: Vec<_> = p.element_ids().collect();
-        let l = p.link_between(e[0], e[1]).unwrap();
-        p.claim_link(l, 250).unwrap();
-        let s = render_link_load(&p);
-        assert!(s.contains("bw 250/1000"));
-        assert!(s.contains("vc 1/"));
-        assert_eq!(s.lines().count(), 1);
     }
 }

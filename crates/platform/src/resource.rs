@@ -149,18 +149,6 @@ impl ResourceVector {
         ResourceVector(std::array::from_fn(|i| self.0[i].saturating_add(rhs.0[i])))
     }
 
-    /// Component-wise minimum.
-    #[inline]
-    pub fn component_min(&self, rhs: &ResourceVector) -> ResourceVector {
-        ResourceVector(std::array::from_fn(|i| self.0[i].min(rhs.0[i])))
-    }
-
-    /// Component-wise maximum.
-    #[inline]
-    pub fn component_max(&self, rhs: &ResourceVector) -> ResourceVector {
-        ResourceVector(std::array::from_fn(|i| self.0[i].max(rhs.0[i])))
-    }
-
     /// Sum of all components — a crude scalar "size" used by knapsack
     /// tie-breaking and greedy value/size ratios. Saturates at `u64::MAX`,
     /// so a hostile demand cannot wrap into a small one.
@@ -361,14 +349,6 @@ mod tests {
     #[test]
     fn total_sums_the_components() {
         assert_eq!(ResourceVector::new(1, 2, 3, 4).total(), 10);
-    }
-
-    #[test]
-    fn min_max_componentwise() {
-        let a = ResourceVector::new(1, 9, 3, 7);
-        let b = ResourceVector::new(4, 2, 8, 7);
-        assert_eq!(a.component_min(&b), ResourceVector::new(1, 2, 3, 7));
-        assert_eq!(a.component_max(&b), ResourceVector::new(4, 9, 8, 7));
     }
 
     #[test]

@@ -27,33 +27,14 @@ pub fn default_capacity(kind: ElementKind) -> ResourceVector {
     }
 }
 
-/// Configuration knobs for [`crisp_custom`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct CrispConfig {
-    /// Number of DSP packages ("reconfigurable fabric devices"); 5 in CRISP.
-    pub packages: usize,
-    /// Bandwidth of every on-chip NoC link.
-    pub link_bandwidth: u64,
-    /// Virtual channels per on-chip link.
-    pub virtual_channels: u16,
-    /// Bandwidth of chip-to-chip bridge links (package-package, FPGA and
-    /// ARM attachments) — narrower than on-chip links, as off-chip I/O is.
-    pub bridge_bandwidth: u64,
-    /// Virtual channels per bridge link.
-    pub bridge_virtual_channels: u16,
-}
-
-impl Default for CrispConfig {
-    fn default() -> Self {
-        CrispConfig {
-            packages: 5,
-            link_bandwidth: DEFAULT_LINK_BANDWIDTH,
-            virtual_channels: DEFAULT_VIRTUAL_CHANNELS,
-            bridge_bandwidth: 800,
-            bridge_virtual_channels: 4,
-        }
-    }
-}
+/// DSP packages ("reconfigurable fabric devices") on a CRISP board.
+const CRISP_PACKAGES: usize = 5;
+/// Bandwidth of chip-to-chip bridge links (package-package, FPGA and ARM
+/// attachments, board-board) — narrower than on-chip links, as off-chip
+/// I/O is.
+const BRIDGE_BANDWIDTH: u64 = 800;
+/// Virtual channels per bridge link.
+const BRIDGE_VIRTUAL_CHANNELS: u16 = 4;
 
 /// The CRISP platform of the paper: an FPGA (left), five packages of
 /// 9 DSPs + 2 memories + 1 hardware test unit, and an ARM host (right).
@@ -74,18 +55,8 @@ impl Default for CrispConfig {
 /// assert_eq!(p.elements_of_kind(ElementKind::Dsp).count(), 45);
 /// ```
 pub fn crisp() -> Platform {
-    crisp_custom(CrispConfig::default())
-}
-
-/// [`crisp`] with custom package count and link parameters.
-///
-/// # Panics
-///
-/// Panics if `config.packages` is zero.
-pub fn crisp_custom(config: CrispConfig) -> Platform {
-    assert!(config.packages > 0, "CRISP platform needs at least one package");
-    let mut b = PlatformBuilder::new(format!("crisp-{}pkg", config.packages));
-    add_crisp_board(&mut b, config, "");
+    let mut b = PlatformBuilder::new(format!("crisp-{CRISP_PACKAGES}pkg"));
+    add_crisp_board(&mut b, "");
     b.build()
 }
 
@@ -117,12 +88,11 @@ pub fn crisp_custom(config: CrispConfig) -> Platform {
 /// ```
 pub fn crisp_tiles(n: usize) -> Platform {
     assert!(n > 0, "a tiled platform needs at least one board");
-    let config = CrispConfig::default();
     let width = (1..=n).find(|w| w * w >= n).expect("n itself is wide enough");
     let mut b = PlatformBuilder::new(format!("crisp-tiles-{n}"));
     let boards: Vec<Vec<Vec<ElementId>>> =
-        (0..n).map(|i| add_crisp_board(&mut b, config, &format!("tile{i}/"))).collect();
-    let (bbw, bvc) = (config.bridge_bandwidth, config.bridge_virtual_channels);
+        (0..n).map(|i| add_crisp_board(&mut b, &format!("tile{i}/"))).collect();
+    let (bbw, bvc) = (BRIDGE_BANDWIDTH, BRIDGE_VIRTUAL_CHANNELS);
     for (i, packages) in boards.iter().enumerate() {
         if (i + 1) % width != 0 && i + 1 < n {
             let east = packages.last().expect("a board has packages")[5];
@@ -140,13 +110,8 @@ pub fn crisp_tiles(n: usize) -> Platform {
 /// Adds one CRISP board — elements, intra-package meshes, bridges — to
 /// `b`, its element names prefixed by `prefix`, and returns each
 /// package's 3x4 grid, row-major, DSP rows first.
-fn add_crisp_board(
-    b: &mut PlatformBuilder,
-    config: CrispConfig,
-    prefix: &str,
-) -> Vec<Vec<ElementId>> {
-    let bw = config.link_bandwidth;
-    let vc = config.virtual_channels;
+fn add_crisp_board(b: &mut PlatformBuilder, prefix: &str) -> Vec<Vec<ElementId>> {
+    let (bw, vc) = (DEFAULT_LINK_BANDWIDTH, DEFAULT_VIRTUAL_CHANNELS);
     let fpga = b.add_named_element(
         ElementKind::Fpga,
         format!("{prefix}fpga0"),
@@ -157,7 +122,7 @@ fn add_crisp_board(
     const COLS: usize = 3;
     const ROWS: usize = 4;
     let mut packages: Vec<Vec<ElementId>> = Vec::new();
-    for p in 0..config.packages {
+    for p in 0..CRISP_PACKAGES {
         let mut grid = Vec::with_capacity(COLS * ROWS);
         for row in 0..ROWS {
             for col in 0..COLS {
@@ -202,9 +167,8 @@ fn add_crisp_board(
     // Inter-package bridges: east column (col 2) of package p to west column
     // (col 0) of package p+1, on DSP rows 0 and 2 only. Bridges are
     // chip-to-chip and narrower than the on-chip mesh.
-    let bbw = config.bridge_bandwidth;
-    let bvc = config.bridge_virtual_channels;
-    for p in 0..config.packages.saturating_sub(1) {
+    let (bbw, bvc) = (BRIDGE_BANDWIDTH, BRIDGE_VIRTUAL_CHANNELS);
+    for p in 0..CRISP_PACKAGES - 1 {
         for row in [0usize, 2] {
             let east = packages[p][row * COLS + (COLS - 1)];
             let west = packages[p + 1][row * COLS];
@@ -223,7 +187,7 @@ fn add_crisp_board(
         format!("{prefix}arm0"),
         default_capacity(ElementKind::Arm),
     );
-    let last = config.packages - 1;
+    let last = CRISP_PACKAGES - 1;
     for row in [0usize, 2] {
         b.connect(packages[last][row * COLS + (COLS - 1)], arm, bbw, bvc);
     }
@@ -396,19 +360,6 @@ mod tests {
         let crisp_avg = p.link_count() as f64 / p.element_count() as f64;
         let mesh_avg = mesh.link_count() as f64 / mesh.element_count() as f64;
         assert!(crisp_avg < mesh_avg);
-    }
-
-    #[test]
-    fn crisp_custom_scales_packages() {
-        let p = crisp_custom(CrispConfig { packages: 2, ..CrispConfig::default() });
-        assert_eq!(p.element_count(), 2 + 2 * 12);
-        assert_eq!(p.elements_of_kind(ElementKind::Dsp).count(), 18);
-    }
-
-    #[test]
-    #[should_panic(expected = "at least one package")]
-    fn crisp_zero_packages_panics() {
-        let _ = crisp_custom(CrispConfig { packages: 0, ..CrispConfig::default() });
     }
 
     #[test]

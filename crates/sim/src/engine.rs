@@ -212,9 +212,10 @@ const WAIT_HIST_BOUNDS: &[u64] = &[1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024, 
 
 /// Running admission-queue statistics. The monotonic counters and the
 /// depth high-water mark live on registry instruments
-/// (`kairos.sim.queue.*`) exactly like [`TotalsTally`]; the wait sums
-/// and per-class arrays feed derived report fields (means, per-class
-/// rows) and stay plain integers.
+/// (`kairos.sim.queue.*`) exactly like [`TotalsTally`]; the per-class
+/// arrays feed the report's per-class rows and stay plain integers, and
+/// every wait figure — per class and overall — is read off the per-class
+/// wait histograms.
 #[derive(Debug)]
 struct QueueAccum {
     queued: Arc<Counter>,
@@ -227,19 +228,15 @@ struct QueueAccum {
     dropped_retries_exhausted: Arc<Counter>,
     flushed_at_shutdown: Arc<Counter>,
     max_depth: Arc<Gauge>,
-    total_wait: u64,
-    wait_samples: u64,
-    max_wait: u64,
     class_queued: [u64; 4],
     class_admitted: [u64; 4],
     class_dropped: [u64; 4],
-    class_wait: [u64; 4],
-    class_wait_samples: [u64; 4],
-    /// Per-class wait histograms backing the report's interpolated
-    /// percentiles. Standalone instruments, never registered: they must
-    /// exist — and record identically — whether or not the scenario
-    /// enables telemetry, so percentile fields cannot become an observer
-    /// effect.
+    /// Per-class wait histograms: their count, sum and max back the
+    /// report's wait totals, means and maximum, their buckets its
+    /// interpolated percentiles. Standalone instruments, never registered:
+    /// they must exist — and record identically — whether or not the
+    /// scenario enables telemetry, so wait fields cannot become an
+    /// observer effect.
     class_wait_hist: [Histogram; 4],
 }
 
@@ -264,14 +261,9 @@ impl QueueAccum {
             dropped_retries_exhausted: counter("kairos.sim.queue.dropped.retries_exhausted"),
             flushed_at_shutdown: counter("kairos.sim.queue.flushed_at_shutdown"),
             max_depth,
-            total_wait: 0,
-            wait_samples: 0,
-            max_wait: 0,
             class_queued: [0; 4],
             class_admitted: [0; 4],
             class_dropped: [0; 4],
-            class_wait: [0; 4],
-            class_wait_samples: [0; 4],
             class_wait_hist: std::array::from_fn(|_| Histogram::new(WAIT_HIST_BOUNDS)),
         }
     }
@@ -928,11 +920,6 @@ impl Simulator {
     }
 
     fn record_wait(&mut self, class: PriorityClass, waited: u64) {
-        self.queue_accum.total_wait += waited;
-        self.queue_accum.wait_samples += 1;
-        self.queue_accum.max_wait = self.queue_accum.max_wait.max(waited);
-        self.queue_accum.class_wait[class.index()] += waited;
-        self.queue_accum.class_wait_samples[class.index()] += 1;
         self.queue_accum.class_wait_hist[class.index()].record(waited);
     }
 
@@ -982,6 +969,7 @@ impl Simulator {
                 total as f64 / samples as f64
             }
         };
+        let waits = qa.class_wait_hist.each_ref().map(Histogram::snapshot);
         let by_class = PriorityClass::ALL
             .iter()
             .map(|&class| {
@@ -991,11 +979,11 @@ impl Simulator {
                     queued: qa.class_queued[i],
                     admitted: qa.class_admitted[i],
                     dropped: qa.class_dropped[i],
-                    total_wait: qa.class_wait[i],
-                    mean_wait: mean_of(qa.class_wait[i], qa.class_wait_samples[i]),
-                    wait_p50: qa.class_wait_hist[i].snapshot().percentile(50),
-                    wait_p95: qa.class_wait_hist[i].snapshot().percentile(95),
-                    wait_p99: qa.class_wait_hist[i].snapshot().percentile(99),
+                    total_wait: waits[i].sum,
+                    mean_wait: mean_of(waits[i].sum, waits[i].count),
+                    wait_p50: waits[i].percentile(50),
+                    wait_p95: waits[i].percentile(95),
+                    wait_p99: waits[i].percentile(99),
                 }
             })
             .collect();
@@ -1011,8 +999,11 @@ impl Simulator {
             dropped_retries_exhausted: qa.dropped_retries_exhausted.get(),
             flushed_at_shutdown: qa.flushed_at_shutdown.get(),
             max_depth: qa.max_depth.get().max(0) as u64,
-            mean_wait: mean_of(qa.total_wait, qa.wait_samples),
-            max_wait: qa.max_wait,
+            mean_wait: mean_of(
+                waits.iter().map(|w| w.sum).sum(),
+                waits.iter().map(|w| w.count).sum(),
+            ),
+            max_wait: waits.iter().map(|w| w.max).max().unwrap_or(0),
             by_class,
         };
 

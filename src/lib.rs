@@ -14,7 +14,7 @@
 //!   the 53-task beamforming case study;
 //! * [`sdf`] — SDF graphs and self-timed state-space throughput analysis;
 //! * [`core`] — the four-phase resource manager itself: binding, mapping
-//!   (the paper's contribution), routing, validation, plus baselines, and
+//!   (the paper's contribution), routing, validation, and
 //!   its decision store: the design-time operating-point cache
 //!   (shape-keyed, state-stamped pipeline decisions replayed in O(claims)
 //!   on re-admission of a known application shape, with

@@ -80,16 +80,25 @@ fn dsp_capacity_hosts_one_heavy_or_several_light_tasks() {
 
 #[test]
 fn scaled_crisp_variants_are_consistent() {
-    for packages in 1..=6 {
-        let p = topology::crisp_custom(kairos::platform::topology::CrispConfig {
-            packages,
-            ..Default::default()
-        });
-        assert_eq!(p.element_count(), 2 + packages * 12);
-        assert_eq!(p.elements_of_kind(ElementKind::Dsp).count(), packages * 9);
-        // Still one connected component.
+    // Scaled CRISP is whole boards: each keeps its five packages, its FPGA
+    // and its ARM host, and the bridges join them into one component.
+    for n in 1..=6 {
+        let p = topology::crisp_tiles(n);
+        assert_eq!(p.element_count(), 62 * n, "{n} boards");
+        assert_eq!(p.elements_of_kind(ElementKind::Dsp).count(), 45 * n, "{n} boards");
+        assert_eq!(p.elements_of_kind(ElementKind::Fpga).count(), n, "{n} boards");
+        assert_eq!(p.elements_of_kind(ElementKind::Arm).count(), n, "{n} boards");
+        for board in 0..n {
+            let on_board = |kind| {
+                p.elements_of_kind(kind)
+                    .filter(|e| e.name().starts_with(&format!("tile{board}/")))
+                    .count()
+            };
+            assert_eq!(on_board(ElementKind::Fpga), 1, "board {board} of {n}");
+            assert_eq!(on_board(ElementKind::Arm), 1, "board {board} of {n}");
+        }
         let first = p.element_ids().next().unwrap();
         let dist = bfs_distances(&p, first, SearchDirection::Forward);
-        assert!(dist.iter().all(Option::is_some));
+        assert!(dist.iter().all(Option::is_some), "{n} boards are one connected component");
     }
 }

@@ -3,9 +3,9 @@
 //! as future work).
 
 use kairos::appgen::{AppGenerator, GeneratorConfig};
-use kairos::core::baseline::{map_exact, map_first_fit, placement_comm_cost};
 use kairos::core::{bind, map_application, CostPolicy, MapperConfig};
 use kairos::platform::{topology, AppId};
+use kairos_bench::baseline::{map_exact, map_first_fit, placement_comm_cost};
 
 fn small_app_generator(seed: u64) -> AppGenerator {
     AppGenerator::new(

@@ -278,9 +278,10 @@ fn generated(
     queued: bool,
     cluster: Option<ClusterSpec>,
     preempt: bool,
+    batch: u64,
 ) -> Scenario {
     let phases = vec![
-        PhaseSpec::new("churn", 500, interarrival, lifetime, small_mix()),
+        PhaseSpec::new("churn", 500, interarrival, lifetime, small_mix()).with_batch(batch),
         PhaseSpec::new("drain", 1200, 0, 0, Vec::new()),
     ];
     Scenario {
@@ -307,7 +308,8 @@ fn generated(
 /// shards under either placement. Each may also carry up to two element
 /// faults inside the churn phase (on distinct CRISP elements, repaired
 /// 50–400 ticks later or never), a defrag sweep, and — clustered over at
-/// least two shards — a rebalance sweep.
+/// least two shards — a rebalance sweep; and its churn may arrive in
+/// `submit_batch` waves of 2–8 applications.
 pub fn regimes() -> impl Strategy<Value = Scenario> {
     let axes = (any::<bool>(), any::<bool>(), any::<bool>(), any::<bool>(), any::<bool>());
     let elements = PlatformSpec::Crisp.build().element_count() as u32;
@@ -318,8 +320,12 @@ pub fn regimes() -> impl Strategy<Value = Scenario> {
     // (on, period, max_moves) of one sweep.
     let sweep = (any::<bool>(), 50u64..300, 1usize..5);
     let sweeps = (sweep.clone(), sweep);
-    (any::<u64>(), 5u64..40, 0u64..300, axes, 1usize..5, any::<bool>(), faults, sweeps).prop_map(
-        move |(seed, interarrival, lifetime, axes, shards, spread, faults, sweeps)| {
+    // (on, size) of the churn phase's arrival waves.
+    let waves = (any::<bool>(), 2u64..=8);
+    let draws =
+        (any::<u64>(), 5u64..40, 0u64..300, axes, 1usize..5, any::<bool>(), faults, sweeps, waves);
+    draws.prop_map(
+        move |(seed, interarrival, lifetime, axes, shards, spread, faults, sweeps, waves)| {
             let (queued, clustered, preempt, cached, gatewayed) = axes;
             let policy = if spread { Placement::LeastLoaded } else { Placement::FirstFit };
             let (count, first, offset, a, b) = faults;
@@ -337,16 +343,18 @@ pub fn regimes() -> impl Strategy<Value = Scenario> {
             };
             let defrag = sweep(sweeps.0);
             let rebalance = sweep(sweeps.1).filter(|_| clustered && shards >= 2);
+            let batch = if waves.0 { waves.1 } else { 1 };
             // Captured, so printed only when the case fails.
             eprintln!(
                 "seed {seed}, interarrival {interarrival}, lifetime {lifetime}, queued {queued}, \
                  clustered {clustered}, shards {shards}, placement {}, preempt {preempt}, \
                  cached {cached}, gatewayed {gatewayed}, faults {faults:?}, defrag {defrag:?}, \
-                 rebalance {rebalance:?}",
+                 rebalance {rebalance:?}, batch {batch}",
                 policy.name()
             );
             let cluster = clustered.then_some(ClusterSpec { shards, policy, rebalance });
-            let mut scenario = generated(seed, interarrival, lifetime, queued, cluster, preempt);
+            let mut scenario =
+                generated(seed, interarrival, lifetime, queued, cluster, preempt, batch);
             scenario.cache = cached;
             scenario.gateway = gatewayed.then(GatewayConfig::default);
             scenario.faults = faults;

@@ -1,11 +1,10 @@
 //! Integration tests of the platform-level metrics the experiments consume:
-//! fragmentation, free islands, utilisation and the occupancy renderers.
+//! fragmentation, free islands, utilisation and the occupancy strip.
 
 use kairos::appgen::{generate_dataset, DatasetSpec};
 use kairos::core::{CostPolicy, Kairos, KairosConfig};
 use kairos::platform::{
-    element_utilisation, external_fragmentation, free_island_count, render_link_load,
-    render_occupancy, render_strip, topology,
+    element_utilisation, external_fragmentation, free_island_count, render_strip, topology,
 };
 
 #[test]
@@ -61,12 +60,6 @@ fn renderers_reflect_manager_state() {
     let busy_strip = render_strip(kairos.platform());
     assert!(busy_strip.chars().any(|c| c != '.'), "strip must show occupancy");
     assert_eq!(busy_strip.len(), 62);
-
-    let listing = render_occupancy(kairos.platform());
-    assert_eq!(listing.lines().count(), 63); // header + 62 elements
-    let links = render_link_load(kairos.platform());
-    // Some admitted app almost surely routed over at least one link.
-    assert!(links.contains("bw") || links.contains("all links idle"));
 }
 
 #[test]
