@@ -18,13 +18,26 @@
 //! no epsilon and the answer is the exact rational. One round costs
 //! `O(actors + edges)` and no state is stored.
 //!
-//! Howard's iteration converges from any initial policy. This one starts
-//! from an in-tree: the member that executes longest (the lowest id among
-//! equals) keeps its implicit self-loop as the root, and every member a
-//! breadth-first search reaches from it over out-edges hangs under it. One
-//! evaluation then gives all of them the largest self-loop ratio, which the
-//! self-loops alone would spread one hop per round. Members the tree does
-//! not reach start on their own self-loops.
+//! Most graphs run at the pace of their slowest actor, so before iterating
+//! the solver tries to certify that answer with a longest-path pass. Let `λ`
+//! be the largest execution time upstream of the reference. Potentials `π`,
+//! from zero, are relaxed over every in-edge in the topological order of the
+//! zero-token edges, keeping `π(v) ≥ π(u) + exec(u) − λ·tokens(u → v)`; when
+//! a whole sweep raises no `π`, every edge keeps the inequality. Summed
+//! around any cycle the inequalities telescope to `Σ exec − λ·Σ tokens ≤ 0`,
+//! so no cycle's ratio exceeds `λ`, and the slowest actor's own self-loop
+//! reaches it: the period is exactly `λ / 1`. A layout's model whose period
+//! that is quiets by its third sweep almost always; the certificate gives
+//! up after four.
+//!
+//! When the certificate fails, Howard's iteration runs; it converges from
+//! any initial policy. This one starts from an in-tree: the member that
+//! executes longest (the lowest id among equals) keeps its implicit
+//! self-loop as the root, and every member a breadth-first search reaches
+//! from it over out-edges hangs under it. One evaluation then gives all of
+//! them the largest self-loop ratio, which the self-loops alone would spread
+//! one hop per round. Members the tree does not reach start on their own
+//! self-loops.
 
 use std::cmp::Reverse;
 
@@ -39,11 +52,20 @@ pub struct CycleRatio {
     pub cycles: u64,
     /// Graph iterations completed every [`cycles`](Self::cycles) cycles.
     pub iterations: u64,
-    /// Policy-iteration rounds the solver took (each `O(actors + edges)`).
+    /// Rounds the solver took, each `O(actors + edges)`: one when the
+    /// largest-self-loop certificate settles the period (its sweeps count
+    /// as that one round), else Howard's policy-iteration rounds alone (the
+    /// certificate's at most four sweeps before them are not counted).
     pub rounds: u32,
 }
 
 const OVERFLOW: StateSpaceError = StateSpaceError::Analysis(SdfAnalysisError::Overflow);
+
+/// Sweeps the certificate takes before it leaves the period to Howard's
+/// iteration. Three relaxing sweeps and a quiet fourth settle every
+/// catalogue layout whose period is its slowest actor but four in 2 167;
+/// a graph with a heavier cycle never quiets and pays all four.
+const CERTIFICATE_SWEEPS: usize = 4;
 
 /// Marks the implicit self-loop in a policy.
 const SELF_LOOP: u32 = u32::MAX;
@@ -85,9 +107,12 @@ pub struct CycleRatioScratch {
     /// The actors the reference depends on, itself included.
     members: Vec<usize>,
     seen: Vec<bool>,
-    /// Zero-token out-edges per member, and the peeling stack over them.
+    /// Zero-token out-edges per member, the peeling stack over them, and the
+    /// members in the order they were peeled (reverse topological order of
+    /// the zero-token edges).
     blocking: Vec<u32>,
     ready: Vec<usize>,
+    peeled: Vec<usize>,
     /// Howard's iterate: the chosen in-edge of every actor ([`SELF_LOOP`]
     /// for the implicit one), the ratio of the policy cycle it hangs under,
     /// its potential scaled by that ratio's denominator.
@@ -173,9 +198,10 @@ impl<'a> Graph<'a> {
     }
 
     /// Collects into `members` the actors `reference` depends on (itself
-    /// included), or returns the error that makes the analysis pointless: a
-    /// zero-token cycle among them, or execution times whose sum does not
-    /// fit `u64`.
+    /// included) and into `peeled` the same actors in reverse topological
+    /// order of the zero-token edges, or returns the error that makes the
+    /// analysis pointless: a zero-token cycle among them, or execution times
+    /// whose sum does not fit `u64`.
     fn upstream_of(
         &self,
         reference: usize,
@@ -183,6 +209,7 @@ impl<'a> Graph<'a> {
         seen: &mut Vec<bool>,
         blocking: &mut Vec<u32>,
         ready: &mut Vec<usize>,
+        peeled: &mut Vec<usize>,
     ) -> Result<(), StateSpaceError> {
         let seen = refill(seen, self.exec.len(), false);
         seen[reference] = true;
@@ -208,9 +235,9 @@ impl<'a> Graph<'a> {
         // a cycle that holds no token and can never fire.
         ready.clear();
         ready.extend(members.iter().copied().filter(|&v| blocking[v] == 0));
-        let mut peeled = 0;
+        peeled.clear();
         while let Some(v) = ready.pop() {
-            peeled += 1;
+            peeled.push(v);
             for (_, src, tokens) in self.incoming(v) {
                 if tokens == 0 {
                     blocking[src] -= 1;
@@ -220,10 +247,38 @@ impl<'a> Graph<'a> {
                 }
             }
         }
-        if peeled < members.len() {
+        if peeled.len() < members.len() {
             return Err(StateSpaceError::Deadlock);
         }
         Ok(())
+    }
+
+    /// The largest execution time `λ` among the members, when it is their
+    /// period. Potentials `π` start at zero, and each sweep relaxes every
+    /// in-edge in topological order of the zero-token edges (`peeled`
+    /// reversed) to keep `π(v) ≥ π(u) + exec(u) − λ·tokens`; a sweep that
+    /// raises nothing proves the bound. Without a cycle above `λ` the
+    /// potentials stay within `0..=Σ exec`, and in any case they grow by at
+    /// most `Σ exec` a sweep, so nothing overflows `i128`.
+    fn certify(&self, members: &[usize], peeled: &[usize], potential: &mut [i128]) -> Option<u64> {
+        let lambda = members.iter().map(|&v| self.exec[v]).max().filter(|&l| l > 0)?;
+        for _ in 0..CERTIFICATE_SWEEPS {
+            let mut raised = false;
+            for &v in peeled.iter().rev() {
+                for (_, u, tokens) in self.incoming(v) {
+                    let reach = potential[u] + i128::from(self.exec[u])
+                        - i128::from(lambda) * i128::from(tokens);
+                    if reach > potential[v] {
+                        potential[v] = reach;
+                        raised = true;
+                    }
+                }
+            }
+            if !raised {
+                return Some(lambda);
+            }
+        }
+        None
     }
 }
 
@@ -433,16 +488,18 @@ pub fn max_cycle_ratio_in(
     reference: usize,
     scratch: &mut CycleRatioScratch,
 ) -> Result<CycleRatio, StateSpaceError> {
-    solve(exec, edges, reference, scratch, plant)
+    solve(exec, edges, reference, scratch, true, plant)
 }
 
-/// [`max_cycle_ratio_in`] from the initial policy `start` lays over the
-/// all-self-loop one.
+/// [`max_cycle_ratio_in`], trying the certificate first when `certify` is
+/// set, and otherwise iterating from the initial policy `start` lays over
+/// the all-self-loop one.
 fn solve(
     exec: &[u64],
     edges: &[(u32, u32, u32)],
     reference: usize,
     scratch: &mut CycleRatioScratch,
+    certify: bool,
     start: impl FnOnce(&mut Policy, &Graph, &[usize], &[bool], &mut Vec<usize>),
 ) -> Result<CycleRatio, StateSpaceError> {
     assert!(reference < exec.len(), "reference actor out of range");
@@ -455,6 +512,7 @@ fn solve(
         seen,
         blocking,
         ready,
+        peeled,
         chosen,
         ratio,
         dist,
@@ -462,8 +520,13 @@ fn solve(
         path,
     } = scratch;
     let graph = Graph::new(exec, edges, (first, incoming), (first_out, outgoing));
-    graph.upstream_of(reference, members, seen, blocking, ready)?;
+    graph.upstream_of(reference, members, seen, blocking, ready, peeled)?;
     let n = exec.len();
+    if certify {
+        if let Some(lambda) = graph.certify(members, peeled, refill(dist, n, 0)) {
+            return Ok(CycleRatio { cycles: lambda, iterations: 1, rounds: 1 });
+        }
+    }
     let mut policy = Policy {
         chosen: refill(chosen, n, SELF_LOOP),
         ratio: refill(ratio, n, (0, 0)),
@@ -494,20 +557,106 @@ mod tests {
     use crate::statespace::throughput;
     use proptest::prelude::*;
 
-    /// The solver from the start it had before the in-tree: every actor on
-    /// its implicit self-loop.
+    /// Howard's iteration alone from the in-tree: the solver without its
+    /// certificate, which every answer of the solver must equal.
+    fn howard_only(
+        exec: &[u64],
+        edges: &[(u32, u32, u32)],
+        reference: usize,
+    ) -> Result<CycleRatio, StateSpaceError> {
+        solve(exec, edges, reference, &mut CycleRatioScratch::default(), false, plant)
+    }
+
+    /// Howard's iteration alone from the start it had before the in-tree:
+    /// every actor on its implicit self-loop.
     fn from_self_loops(
         exec: &[u64],
         edges: &[(u32, u32, u32)],
         reference: usize,
     ) -> Result<CycleRatio, StateSpaceError> {
         let mut scratch = CycleRatioScratch::default();
-        solve(exec, edges, reference, &mut scratch, |_, _, _, _, _| {})
+        solve(exec, edges, reference, &mut scratch, false, |_, _, _, _, _| {})
     }
 
-    /// `(cycles, iterations)` or the error: what both starts must agree on.
+    /// `(cycles, iterations)` or the error: what every path must agree on.
     fn answer(result: Result<CycleRatio, StateSpaceError>) -> Result<(u64, u64), StateSpaceError> {
         result.map(|ratio| (ratio.cycles, ratio.iterations))
+    }
+
+    /// One execution time in twelve is near `u64::MAX / 2`, one is zero.
+    fn hostile_exec(&(small, pick): &(u64, u32)) -> u64 {
+        match pick {
+            0 => u64::MAX / 2 - small,
+            1 => 0,
+            _ => small,
+        }
+    }
+
+    /// A random homogeneous graph folded onto its actors: several
+    /// components, parallel edges, zero-token cycles.
+    fn random_graph(
+        exec: &[(u64, u32)],
+        edges: &[(u32, u32, u32)],
+        reference: usize,
+    ) -> (Vec<u64>, Vec<(u32, u32, u32)>, usize) {
+        let exec: Vec<u64> = exec.iter().map(hostile_exec).collect();
+        let n = exec.len() as u32;
+        let edges = edges.iter().map(|&(s, d, t)| (s % n, d % n, t)).collect();
+        let reference = reference % exec.len();
+        (exec, edges, reference)
+    }
+
+    /// A graph shaped like a layout's model: every channel `(src, dst,
+    /// buffer, transport)` between two distinct tasks is a zero-token data
+    /// edge mirrored by a back-edge of `buffer` tokens, run through a
+    /// transport actor of `transport − 20` cycles when `transport >= 20`.
+    /// Tasks no channel joins form components of their own, and two
+    /// channels in opposite directions close a zero-token cycle.
+    fn layout_graph(
+        tasks: &[(u64, u32)],
+        channels: &[(u32, u32, u32, u64)],
+        reference: usize,
+    ) -> (Vec<u64>, Vec<(u32, u32, u32)>, usize) {
+        let mut exec: Vec<u64> = tasks.iter().map(hostile_exec).collect();
+        let n = exec.len() as u32;
+        let mut edges = Vec::new();
+        let mut link = |src: u32, dst: u32, buffer: u32| {
+            edges.extend([(src, dst, 0), (dst, src, buffer)]);
+        };
+        for &(src, dst, buffer, transport) in channels {
+            let (src, dst) = (src % n, dst % n);
+            if src == dst {
+                continue;
+            }
+            if transport < 20 {
+                link(src, dst, buffer);
+            } else {
+                let actor = exec.len() as u32;
+                exec.push(transport - 20);
+                link(src, actor, buffer);
+                link(actor, dst, buffer);
+            }
+        }
+        let reference = reference % tasks.len();
+        (exec, edges, reference)
+    }
+
+    /// The solver against Howard's iteration alone: the same exact ratio or
+    /// the same error, and Howard's very rounds unless the certificate
+    /// settled the period in one.
+    fn assert_certified_like_howard(
+        exec: &[u64],
+        edges: &[(u32, u32, u32)],
+        reference: usize,
+    ) -> Result<(), String> {
+        let mut scratch = CycleRatioScratch::default();
+        let ours = max_cycle_ratio_in(exec, edges, reference, &mut scratch);
+        let howard = howard_only(exec, edges, reference);
+        if let (Ok(ours), Ok(howard)) = (&ours, &howard) {
+            prop_assert!(ours == howard || ours.rounds == 1, "{ours:?} vs {howard:?}");
+        }
+        prop_assert_eq!(answer(ours), answer(howard));
+        Ok(())
     }
 
     proptest! {
@@ -516,26 +665,46 @@ mod tests {
         /// The in-tree start finds what the self-loop start finds — the
         /// same exact ratio, or the same error — on random homogeneous
         /// graphs: several components, parallel edges, zero-token cycles,
-        /// zero execution times and execution times of `u64::MAX / 2`.
+        /// zero execution times and execution times near `u64::MAX / 2`.
         #[test]
         fn the_in_tree_start_finds_what_the_self_loops_find(
             exec in proptest::collection::vec((0u64..20, 0u32..12), 1..9),
             edges in proptest::collection::vec((0u32..9, 0u32..9, 0u32..4), 0..18),
             reference in 0usize..9,
         ) {
-            let exec: Vec<u64> =
-                exec.iter().map(|&(e, huge)| if huge == 0 { u64::MAX / 2 } else { e }).collect();
-            let n = exec.len() as u32;
-            let edges: Vec<_> = edges.iter().map(|&(s, d, t)| (s % n, d % n, t)).collect();
-            let reference = reference % exec.len();
-            let mut scratch = CycleRatioScratch::default();
-            let ours = max_cycle_ratio_in(&exec, &edges, reference, &mut scratch);
-            prop_assert_eq!(answer(ours), answer(from_self_loops(&exec, &edges, reference)));
+            let (exec, edges, reference) = random_graph(&exec, &edges, reference);
+            let in_tree = howard_only(&exec, &edges, reference);
+            prop_assert_eq!(answer(in_tree), answer(from_self_loops(&exec, &edges, reference)));
+        }
+
+        /// The certificate settles only what Howard's iteration would find,
+        /// on the same random homogeneous graphs.
+        #[test]
+        fn the_certificate_answers_what_howard_answers(
+            exec in proptest::collection::vec((0u64..20, 0u32..12), 1..9),
+            edges in proptest::collection::vec((0u32..9, 0u32..9, 0u32..4), 0..18),
+            reference in 0usize..9,
+        ) {
+            let (exec, edges, reference) = random_graph(&exec, &edges, reference);
+            assert_certified_like_howard(&exec, &edges, reference)?;
+        }
+
+        /// ...and on layout-shaped graphs, where it settles most periods:
+        /// back-edges of 1–4 tokens, transport actors, components where
+        /// another one holds the largest execution time or deadlocks.
+        #[test]
+        fn the_certificate_answers_what_howard_answers_on_layouts(
+            tasks in proptest::collection::vec((0u64..60, 0u32..12), 1..9),
+            channels in proptest::collection::vec((0u32..9, 0u32..9, 1u32..=4, 0u64..40), 0..14),
+            reference in 0usize..9,
+        ) {
+            let (exec, edges, reference) = layout_graph(&tasks, &channels, reference);
+            assert_certified_like_howard(&exec, &edges, reference)?;
         }
     }
 
     #[test]
-    fn both_starts_agree_on_the_hostile_cases() {
+    fn every_path_agrees_on_the_hostile_cases() {
         let huge = u64::MAX / 2;
         let edges = [(0, 1, 0), (1, 0, 2), (1, 2, 0), (2, 1, 2)];
         for (exec, edges, reference) in [
@@ -543,9 +712,12 @@ mod tests {
             (&[huge; 2][..], &edges[..2], 1),
             (&[huge, 1, huge][..], &edges[..], 0),
             (&[1, huge, 0][..], &edges[..], 2),
+            (&[0, 0, 0][..], &edges[..], 1),
+            (&[0, 0, huge][..], &[(0, 1, 0), (1, 0, 1), (2, 0, 1)][..], 1),
         ] {
-            let ours = max_cycle_ratio(exec, edges, reference);
-            assert_eq!(answer(ours), answer(from_self_loops(exec, edges, reference)), "{exec:?}");
+            let ours = answer(max_cycle_ratio(exec, edges, reference));
+            assert_eq!(ours, answer(howard_only(exec, edges, reference)), "{exec:?}");
+            assert_eq!(ours, answer(from_self_loops(exec, edges, reference)), "{exec:?}");
         }
     }
 
@@ -558,12 +730,27 @@ mod tests {
         let exec: Vec<u64> = (0..u64::from(n)).map(|i| if i == 5 { 9 } else { 1 }).collect();
         let mut edges: Vec<_> = (0..n).map(|i| (i, (i + 1) % n, 2)).collect();
         edges.extend((0..n).map(|i| ((i + 1) % n, i, 2)));
-        let ours = max_cycle_ratio(&exec, &edges, 0).unwrap();
+        let in_tree = howard_only(&exec, &edges, 0).unwrap();
         let old = from_self_loops(&exec, &edges, 0).unwrap();
-        assert_eq!((ours.cycles, ours.iterations), (old.cycles, old.iterations));
-        assert_eq!((ours.cycles, ours.iterations), (9, 1));
-        assert!(ours.rounds < old.rounds, "{ours:?} vs {old:?}");
-        assert_eq!(ours.rounds, 1);
+        assert_eq!((in_tree.cycles, in_tree.iterations), (old.cycles, old.iterations));
+        assert_eq!((in_tree.cycles, in_tree.iterations), (9, 1));
+        assert!(in_tree.rounds < old.rounds, "{in_tree:?} vs {old:?}");
+        assert_eq!(in_tree.rounds, 1);
+        // The certificate settles the same period before Howard's first round.
+        assert_eq!(max_cycle_ratio(&exec, &edges, 0), Ok(CycleRatio { rounds: 1, ..in_tree }));
+    }
+
+    #[test]
+    fn the_certificate_falls_through_when_a_cycle_outweighs_every_self_loop() {
+        // The diamond's critical cycle (18 cycles on one token) is three times
+        // its slowest actor: the certificate cannot settle it, and Howard's
+        // iteration answers alone.
+        let exec = [3, 4, 5, 6];
+        let edges = DIAMOND;
+        let ours = max_cycle_ratio(&exec, &edges, 0).unwrap();
+        let howard = howard_only(&exec, &edges, 0).unwrap();
+        assert_eq!((ours.cycles, ours.iterations), (18, 1));
+        assert_eq!(ours, howard);
     }
 
     /// The solver's ratio, after checking it against the state-space oracle
@@ -600,26 +787,19 @@ mod tests {
         assert_eq!(checked(&[7, 4, 8], &[(0, 1, 1), (1, 2, 1), (2, 0, 0)], 2), (19, 2));
     }
 
+    /// a -> b -> c -> d along the long branch, a -> d along the short
+    /// one; every channel is backed by a two-token back-edge except the
+    /// short one's, which holds one.
+    const DIAMOND: [(u32, u32, u32); 8] =
+        [(0, 1, 0), (1, 0, 2), (1, 2, 0), (2, 1, 2), (2, 3, 0), (3, 2, 2), (0, 3, 0), (3, 0, 1)];
+
     #[test]
     fn diamond_critical_cycle_goes_out_long_and_back_short() {
-        // a -> b -> c -> d along the long branch, a -> d along the short
-        // one; every channel is backed by a two-token back-edge except the
-        // short one's, which holds one. The critical cycle runs forward
-        // through b and c and returns over that single token:
-        // (3 + 4 + 5 + 6) / 1, above every two-actor cycle and self-loop.
-        let exec = [3, 4, 5, 6];
-        let edges = [
-            (0, 1, 0),
-            (1, 0, 2),
-            (1, 2, 0),
-            (2, 1, 2),
-            (2, 3, 0),
-            (3, 2, 2),
-            (0, 3, 0),
-            (3, 0, 1),
-        ];
+        // The critical cycle runs forward through b and c and returns over
+        // the single token: (3 + 4 + 5 + 6) / 1, above every two-actor cycle
+        // and self-loop.
         for reference in 0..4 {
-            assert_eq!(checked(&exec, &edges, reference), (18, 1));
+            assert_eq!(checked(&[3, 4, 5, 6], &DIAMOND, reference), (18, 1));
         }
     }
 
@@ -680,17 +860,7 @@ mod tests {
     fn reused_scratch_answers_like_a_fresh_one() {
         // Large then small then failing then large again: every vector is
         // refilled before it is read, so no call sees the one before it.
-        let diamond_exec = [3, 4, 5, 6];
-        let diamond = [
-            (0, 1, 0),
-            (1, 0, 2),
-            (1, 2, 0),
-            (2, 1, 2),
-            (2, 3, 0),
-            (3, 2, 2),
-            (0, 3, 0),
-            (3, 0, 1),
-        ];
+        let (diamond_exec, diamond) = ([3, 4, 5, 6], DIAMOND);
         type Case<'a> = (&'a [u64], &'a [(u32, u32, u32)], usize);
         let cases: [Case; 6] = [
             (&diamond_exec, &diamond, 3),

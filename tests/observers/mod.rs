@@ -14,7 +14,7 @@
 //! platform state. Every run the harness makes audits shard 0. Each row
 //! is checked by two legs:
 //! - (a) [`assert_transparent_in`], over the generated queued,
-//!   clustered, preempting, cached and gatewayed [`regimes`], with
+//!   clustered, preempting, cached, gatewayed and watched [`regimes`], with
 //!   element faults and defrag / rebalance sweeps;
 //! - (b) [`assert_transparent_across_the_catalog`]: every catalog
 //!   scenario the knob applies to is transparent with it on, and two
@@ -303,15 +303,17 @@ fn generated(
     }
 }
 
-/// The generated regimes: [`generated`] scenarios, some of them cached
-/// and some behind a default-knob gateway; a clustered one runs 1–4
+/// The generated regimes: [`generated`] scenarios, some of them cached,
+/// some behind a default-knob gateway and some watched by the default
+/// [`WatchSpec`]; a clustered one runs 1–4
 /// shards under either placement. Each may also carry up to two element
 /// faults inside the churn phase (on distinct CRISP elements, repaired
 /// 50–400 ticks later or never), a defrag sweep, and — clustered over at
 /// least two shards — a rebalance sweep; and its churn may arrive in
 /// `submit_batch` waves of 2–8 applications.
 pub fn regimes() -> impl Strategy<Value = Scenario> {
-    let axes = (any::<bool>(), any::<bool>(), any::<bool>(), any::<bool>(), any::<bool>());
+    let axes =
+        (any::<bool>(), any::<bool>(), any::<bool>(), any::<bool>(), any::<bool>(), any::<bool>());
     let elements = PlatformSpec::Crisp.build().element_count() as u32;
     // (at, repaired, repair_after) of one fault.
     let fault = (0u64..500, any::<bool>(), 50u64..=400);
@@ -326,7 +328,7 @@ pub fn regimes() -> impl Strategy<Value = Scenario> {
         (any::<u64>(), 5u64..40, 0u64..300, axes, 1usize..5, any::<bool>(), faults, sweeps, waves);
     draws.prop_map(
         move |(seed, interarrival, lifetime, axes, shards, spread, faults, sweeps, waves)| {
-            let (queued, clustered, preempt, cached, gatewayed) = axes;
+            let (queued, clustered, preempt, cached, gatewayed, watched) = axes;
             let policy = if spread { Placement::LeastLoaded } else { Placement::FirstFit };
             let (count, first, offset, a, b) = faults;
             let faults: Vec<FaultSpec> = [(first, a), ((first + offset) % elements, b)]
@@ -348,8 +350,8 @@ pub fn regimes() -> impl Strategy<Value = Scenario> {
             eprintln!(
                 "seed {seed}, interarrival {interarrival}, lifetime {lifetime}, queued {queued}, \
                  clustered {clustered}, shards {shards}, placement {}, preempt {preempt}, \
-                 cached {cached}, gatewayed {gatewayed}, faults {faults:?}, defrag {defrag:?}, \
-                 rebalance {rebalance:?}, batch {batch}",
+                 cached {cached}, gatewayed {gatewayed}, watched {watched}, faults {faults:?}, \
+                 defrag {defrag:?}, rebalance {rebalance:?}, batch {batch}",
                 policy.name()
             );
             let cluster = clustered.then_some(ClusterSpec { shards, policy, rebalance });
@@ -357,6 +359,7 @@ pub fn regimes() -> impl Strategy<Value = Scenario> {
                 generated(seed, interarrival, lifetime, queued, cluster, preempt, batch);
             scenario.cache = cached;
             scenario.gateway = gatewayed.then(GatewayConfig::default);
+            scenario.watch = watched.then(WatchSpec::default);
             scenario.faults = faults;
             scenario.defrag = defrag;
             scenario
