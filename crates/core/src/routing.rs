@@ -7,6 +7,18 @@
 //! differences in terms of successful routes and energy consumption,
 //! compared to Dijkstra's algorithm"; both are implemented here so the
 //! ablation benchmark can test that claim.
+//!
+//! Before its breadth-first search, each channel's search walks depth first
+//! from the source over links that bring it exactly one hop closer to the
+//! destination on the bare topology ([`Platform::hops_to`]), in the order
+//! of each element's successor row, backing out of dead ends. A search that
+//! tests for the goal at discovery returns the least shortest available
+//! path in that order; so does the walk whenever some available path is as
+//! short as the topology's, which is most of the time, and then it costs
+//! O(hops) rather than a ball around the source. (The rows record up to
+//! 16 hops; a farther destination skips the walk.) When it fails, the
+//! breadth-first search runs as it always did and answers for the channel,
+//! so no route and no refusal depends on the walk.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -78,13 +90,17 @@ pub(crate) struct RoutingScratch {
     /// `start..end` of its route in there.
     links: Vec<LinkId>,
     spans: Vec<(u32, u32)>,
-    /// The elements a search has reached, and for each of them the element
-    /// and link it was reached over. A search reads `prev` only at elements
-    /// it reached itself, so the table is never cleared.
+    /// The elements a search has reached (the walk's dead ends, while it
+    /// walks), and for each of them the element and link it was reached
+    /// over. A search reads `prev` only at elements it reached itself, so
+    /// the table is never cleared.
     visited: Marks,
     prev: Vec<(ElementId, LinkId)>,
     /// The BFS frontier: a queue that is only ever appended to.
     queue: Vec<ElementId>,
+    /// The walk's way back: per element left behind on the current path,
+    /// the element and the slot of its successor row to resume from.
+    trail: Vec<(ElementId, u32)>,
     /// Dijkstra's tentative distances and frontier.
     dist: Vec<u64>,
     heap: BinaryHeap<Reverse<(u64, u32)>>,
@@ -171,11 +187,15 @@ fn link_available(platform: &Platform, taken: &[(u16, u64)], l: LinkId, bandwidt
 /// (but `src` and `dst` themselves are permitted, so that draining routes
 /// stay discoverable).
 ///
-/// The search pays for the route, not for the mesh, in two ways, and
+/// The search pays for the route, not for the mesh, in three ways, and
 /// answers exactly what a breadth-first search that tests for the goal
 /// when it pops an element and exhausts everything reachable on a miss
 /// answers:
 ///
+/// - **The walk first.** Unless `dst` is enclosed (below), [`descend`]
+///   tries the path the search would find, in O(hops) when the request
+///   can still use a path as short as the topology's; the search runs only
+///   when it cannot.
 /// - **Goal test at discovery.** `prev[dst]` is written once, when `dst`
 ///   is first discovered — the visited marks keep it from being
 ///   overwritten — so the path rebuilt then is the one a pop-time test
@@ -193,11 +213,14 @@ fn bfs_path(
     bandwidth: u64,
     scratch: &mut RoutingScratch,
 ) -> Result<(), Option<LinkId>> {
-    let RoutingScratch { links, visited, prev, queue, taken, .. } = scratch;
     let enclosed = platform.predecessors(dst).iter().all(|&(from, link)| {
         (platform.is_failed(from) && from != src)
-            || !link_available(platform, taken, link, bandwidth)
+            || !link_available(platform, &scratch.taken, link, bandwidth)
     });
+    if !enclosed && descend(platform, src, dst, bandwidth, scratch) {
+        return Ok(());
+    }
+    let RoutingScratch { links, visited, prev, queue, taken, .. } = scratch;
     let mut blocked = None;
     visited.reset(platform.element_count());
     visited.insert(src.index());
@@ -227,6 +250,64 @@ fn bfs_path(
         }
     }
     Err(blocked)
+}
+
+/// Appends to `scratch.links` the path [`bfs_path`]'s search would find
+/// when that path is as short as the bare topology allows (and `dst` lies
+/// within the radius of [`Platform::hops_to`]'s rows), and returns whether
+/// it was; appends nothing when it returns `false`.
+///
+/// The walk goes depth first from `src`, trying each element's successor
+/// row in order, and takes only a link the request can still use whose far
+/// end is not failed (unless it is `dst`) and lies exactly one static hop
+/// closer to `dst` ([`Platform::hops_to`]). An element with no such link
+/// left is a dead end: it is marked once, and the walk backs out of it.
+/// Every path the walk can take is a shortest available path, and it tries
+/// them in the order of their successor-row slots, so the first one it
+/// completes is the least of them in that order — which is the path a
+/// search that tests for the goal at discovery rebuilds, since such a
+/// search reaches each element first over the least shortest path to it.
+/// It fails exactly when no available path is that short, and then costs
+/// at most one visit per element and one look per link.
+fn descend(
+    platform: &Platform,
+    src: ElementId,
+    dst: ElementId,
+    bandwidth: u64,
+    scratch: &mut RoutingScratch,
+) -> bool {
+    let RoutingScratch { links, visited: dead, trail, taken, .. } = scratch;
+    let hops = platform.hops_to(dst);
+    if hops[src.index()] == u8::MAX {
+        return false;
+    }
+    dead.reset(platform.element_count());
+    trail.clear();
+    let (mut at, mut slot) = (src, 0);
+    loop {
+        let row = platform.successors(at);
+        let closer = hops[at.index()] - 1;
+        let step = row[slot..].iter().position(|&(next, link)| {
+            hops[next.index()] == closer
+                && !dead.contains(next.index())
+                && (!platform.is_failed(next) || next == dst)
+                && link_available(platform, taken, link, bandwidth)
+        });
+        if let Some(i) = step {
+            let (next, link) = row[slot + i];
+            links.push(link);
+            if next == dst {
+                return true;
+            }
+            trail.push((at, (slot + i + 1) as u32));
+            (at, slot) = (next, 0);
+        } else {
+            dead.insert(at.index());
+            let Some((back, resume)) = trail.pop() else { return false };
+            links.pop();
+            (at, slot) = (back, resume as usize);
+        }
+    }
 }
 
 /// Load-aware shortest path, appended to `scratch.links` like
@@ -405,21 +486,17 @@ mod tests {
 
         /// The early-stopping search routes exactly as the reference does —
         /// the same routes, or the same `NoRoute` with the same first
-        /// blocked link — on random loads of a 6x6 heterogeneous mesh
-        /// (link capacity reserved, elements failed), for random channel
-        /// sets between tasks placed anywhere, failed elements included.
+        /// blocked link — on random loads (link capacity reserved, elements
+        /// failed) of a 6x6 heterogeneous mesh, of CRISP and of two tiled
+        /// CRISP boards, for random channel sets between tasks placed
+        /// anywhere, failed elements included.
         #[test]
         fn the_early_stopping_search_routes_as_the_exhaustive_one(
-            reserved in proptest::collection::vec((0u32..120, 100u64..1000), 0..160),
-            failed in proptest::collection::vec(0u32..36, 0..6),
-            placement in proptest::collection::vec(0u32..36, 2..7),
+            reserved in proptest::collection::vec((0u32..1000, 100u64..1000), 0..160),
+            failed in proptest::collection::vec(0u32..1000, 0..6),
+            placement in proptest::collection::vec(0u32..1000, 2..7),
             channels in proptest::collection::vec((0usize..7, 0usize..7, 1u64..700), 1..9),
         ) {
-            let mut platform = topology::heterogeneous_mesh(6, 6);
-            for &(l, bandwidth) in &reserved {
-                let _ = platform.claim_link(LinkId(l), bandwidth);
-            }
-            failed.iter().for_each(|&e| platform.fail_element(ElementId(e)));
             let imp = Implementation::new(ElementKind::Dsp, ResourceVector::splat(1), 1, 1);
             let mut b = ApplicationBuilder::new("random");
             let tasks: Vec<_> = (0..placement.len())
@@ -432,21 +509,49 @@ mod tests {
                 }
             }
             let Ok(app) = b.build() else { return Ok(()) };
-            let placement = Placement::new(placement.iter().map(|&e| ElementId(e)).collect());
+            let platforms =
+                [topology::heterogeneous_mesh(6, 6), topology::crisp(), topology::crisp_tiles(2)];
             let mut scratch = RoutingScratch::default();
-            for _ in 0..2 {
-                // Twice on one scratch: nothing read is left from the last call.
-                let found =
-                    route_channels_in(&app, &placement, &platform, RouteAlgorithm::Bfs, &mut scratch);
-                prop_assert_eq!(found, reference_routes(&app, &placement, &platform));
+            for mut platform in platforms {
+                let (n, links) = (platform.element_count() as u32, platform.link_count() as u32);
+                for &(l, bandwidth) in &reserved {
+                    let _ = platform.claim_link(LinkId(l % links), bandwidth);
+                }
+                failed.iter().for_each(|&e| platform.fail_element(ElementId(e % n)));
+                let placement =
+                    Placement::new(placement.iter().map(|&e| ElementId(e % n)).collect());
+                for _ in 0..2 {
+                    // Twice on one scratch, which also served the last
+                    // platform: nothing read is left from the last call.
+                    let found = route_channels_in(
+                        &app,
+                        &placement,
+                        &platform,
+                        RouteAlgorithm::Bfs,
+                        &mut scratch,
+                    );
+                    prop_assert_eq!(found, reference_routes(&app, &placement, &platform));
+                }
             }
         }
     }
 
+    /// Whether the walk alone routes one channel of `bandwidth` from `src`
+    /// to `dst` on `platform`, with no earlier route of the request.
+    fn walks(platform: &Platform, src: ElementId, dst: ElementId, bandwidth: u64) -> bool {
+        let mut scratch = RoutingScratch::default();
+        scratch.taken.resize(platform.link_count(), (0, 0));
+        let walked = descend(platform, src, dst, bandwidth, &mut scratch);
+        assert_eq!(walked, !scratch.links.is_empty(), "a failed walk appends nothing");
+        walked
+    }
+
     /// The reference comparison above covers each way out of the search:
-    /// a route found, a miss on an enclosed destination (stopped at its
-    /// first refusal), a miss the search had to exhaust, and a failed
-    /// source next to its destination.
+    /// a route the walk finds straight away, one it finds after backing out
+    /// of a dead end, one the search finds after the walk fails because
+    /// every available path is longer than the topology's, a miss on an
+    /// enclosed destination (stopped at its first refusal), a miss the
+    /// search had to exhaust, and a failed source next to its destination.
     #[test]
     fn each_way_out_of_the_search_agrees_with_the_reference() {
         let mut platform = topology::dsp_mesh(3, 3);
@@ -460,7 +565,30 @@ mod tests {
             assert_eq!(found, reference_routes(&app, &placement, platform));
             found
         };
+        assert!(walks(&platform, e[0], e[8], 500));
         assert_eq!(check(&platform, e[8]).unwrap()[0].hops(), 4);
+
+        // A dead end: e0's row tries e1 first, and both of e1's links
+        // towards e8 are full for the request, so the walk backs out of e1
+        // and goes on through e3, still in 4 hops.
+        let mut dead_end = platform.clone();
+        for next in [e[2], e[4]] {
+            dead_end.claim_link(dead_end.link_between(e[1], next).unwrap(), 600).unwrap();
+        }
+        assert!(walks(&dead_end, e[0], e[8], 500));
+        let routes = check(&dead_end, e[8]).unwrap();
+        assert_eq!(routes[0].hops(), 4);
+        assert_eq!(routes[0].links()[0], dead_end.link_between(e[0], e[3]).unwrap());
+
+        // Longer than the topology's: both of e4's in-links on a 2-hop path
+        // from e0 are full, so the walk fails and the search finds a 4-hop
+        // path round them.
+        let mut detour = platform.clone();
+        for from in [e[1], e[3]] {
+            detour.claim_link(detour.link_between(from, e[4]).unwrap(), 600).unwrap();
+        }
+        assert!(!walks(&detour, e[0], e[4], 500));
+        assert_eq!(check(&detour, e[4]).unwrap()[0].hops(), 4);
         // Enclose e8: both its in-links full for the request.
         for (_, l) in platform.predecessors(e[8]).to_vec() {
             platform.claim_link(l, 600).unwrap();
@@ -483,6 +611,7 @@ mod tests {
         line.fail_element(e[1]);
         line.claim_link(line.link_between(e[1], e[0]).unwrap(), 600).unwrap();
         let placement = Placement::new(vec![e[1], e[2]]);
+        assert!(walks(&line, e[1], e[2], 500), "the walk leaves a failed source too");
         let mut scratch = RoutingScratch::default();
         let found = route_channels_in(&app, &placement, &line, RouteAlgorithm::Bfs, &mut scratch);
         assert_eq!(found, reference_routes(&app, &placement, &line));

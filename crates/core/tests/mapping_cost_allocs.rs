@@ -137,7 +137,10 @@ fn mapping_cost_does_not_allocate() {
 /// nothing. A refused one pays for the binding and placement it got to
 /// before the refusal (1.93 on this churn) and for the boxed
 /// `AllocationError` it returns, which a front-end moves into its event as
-/// it is: 2.93 in all. At `292cf97`, where
+/// it is: 2.93, and 2.96 in all, because routing fills a destination's
+/// static hop row on its first use (`Platform::hops_to`: the row and its
+/// search queue), and the measured refusals route to two destinations the
+/// warm-up never did. At `292cf97`, where
 /// every phase rebuilt its working sets per call, this churn read 171.07
 /// and 158.67 (most refusals here come from routing, after a full mapping
 /// run). The counts are exact: a change that moves them is a change to what

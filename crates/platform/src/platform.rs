@@ -34,8 +34,14 @@
 //! mutated since it was last asked for, and the rank ledger behind
 //! [`Platform::free_rank`], each kind's elements ordered by free capacity
 //! and re-ranked only where mutated since its last refresh.
+//!
+//! One structural table is built lazily instead of at construction: per
+//! destination, the static hop count from every element
+//! ([`Platform::hops_to`]), filled on the first read of that destination
+//! and shared by every clone.
 
 use std::fmt;
+use std::sync::{Arc, OnceLock};
 
 use crate::digest::Digest;
 use crate::element::{Element, ElementId, ElementKind};
@@ -524,6 +530,9 @@ pub struct Platform {
     neighbor_ids: Vec<ElementId>,
     /// The largest row length of the table above.
     max_degree: usize,
+    /// Per destination, the static hop counts to it; see
+    /// [`Platform::hops_to`].
+    hop_rows: HopRows,
     /// Element ids grouped by kind, ascending within a kind: the elements
     /// of kind `k` are `kind_ids[kind_offsets[k] .. kind_offsets[k + 1]]`
     /// with `k` the kind's position in [`ElementKind::ALL`].
@@ -565,6 +574,42 @@ struct MutationEpoch(u64);
 impl PartialEq for MutationEpoch {
     fn eq(&self, _: &Self) -> bool {
         true
+    }
+}
+
+/// The farthest hop count a [`Platform::hops_to`] row records. A row
+/// costs a reverse search over the elements within this radius of its
+/// destination, so on a large platform it stays a neighbourhood, not the
+/// platform (about 390 of the 3 968 elements of 64 tiled CRISP boards, 217
+/// of a 16×16 mesh's 256), while routes that long are rare: the benchmark
+/// platforms average 2–5 hops a channel. Rows of 8 hops lost routing's
+/// gain on the 16×16 mesh's slowest admissions, which its long routes set.
+const HOP_ROW_RADIUS: u8 = 16;
+
+/// The rows behind [`Platform::hops_to`], one per destination, each
+/// filled on its first read. Topology only, so a row never changes once
+/// filled: clones share the rows behind one `Arc`, and a row filled
+/// through any of them serves all. Like the epoch the rows opt out of
+/// equality, and `Debug` leaves their contents out: they restate the link
+/// table, and which of them happen to be filled is history.
+#[derive(Clone)]
+struct HopRows(Arc<[OnceLock<Box<[u8]>>]>);
+
+impl HopRows {
+    fn new(n: usize) -> Self {
+        HopRows((0..n).map(|_| OnceLock::new()).collect())
+    }
+}
+
+impl PartialEq for HopRows {
+    fn eq(&self, _: &Self) -> bool {
+        true
+    }
+}
+
+impl fmt::Debug for HopRows {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str("HopRows(..)")
     }
 }
 
@@ -652,6 +697,7 @@ impl Platform {
             neighbor_offsets,
             neighbor_ids,
             max_degree,
+            hop_rows: HopRows::new(n),
             kind_offsets,
             kind_ids,
             pair_count: 0,
@@ -942,6 +988,40 @@ impl Platform {
     /// platform. Fixed at construction.
     pub fn max_degree(&self) -> usize {
         self.max_degree
+    }
+
+    /// Per element, the fewest links a path from it to `dst` takes on the
+    /// bare topology — no load, no failure marks — when that is at most 16;
+    /// `u8::MAX` stands for farther, or for no path at all. The row is
+    /// filled on its first read by one breadth-first search over
+    /// [`predecessors`](Self::predecessors) from `dst` that stops at that
+    /// radius, and then shared by every clone of this platform; nothing the
+    /// platform's state does changes it.
+    pub fn hops_to(&self, dst: ElementId) -> &[u8] {
+        self.hop_rows.0[dst.index()].get_or_init(|| {
+            let mut row = vec![u8::MAX; self.elements.len()].into_boxed_slice();
+            row[dst.index()] = 0;
+            // Sized once, so a fill allocates twice: the row and this.
+            let mut queue = Vec::with_capacity(self.elements.len());
+            queue.push(dst);
+            let mut head = 0;
+            // Elements leave the queue nearest first, so once one sits at
+            // the radius every element still unset is farther away.
+            while let Some(&e) = queue.get(head) {
+                head += 1;
+                let next = row[e.index()] + 1;
+                if next > HOP_ROW_RADIUS {
+                    break;
+                }
+                for &(from, _) in self.predecessors(e) {
+                    if row[from.index()] == u8::MAX {
+                        row[from.index()] = next;
+                        queue.push(from);
+                    }
+                }
+            }
+            row
+        })
     }
 
     /// The link from `src` to `dst`, if one exists.
@@ -1526,6 +1606,72 @@ mod tests {
         assert_eq!(directed.link_between(e[0], e[1]), Some(LinkId(1)));
         assert_eq!(directed.link_between(e[1], e[0]), None);
         assert!(directed.successors(e[5]).is_empty() && directed.predecessors(e[5]).is_empty());
+    }
+
+    #[test]
+    fn hop_rows_are_the_topologys_shared_by_clones_and_outside_equality() {
+        use crate::distance::{bfs_distances, SearchDirection};
+        // One-way links and an element with no link, and a line longer
+        // than a row's radius.
+        let mut b = PlatformBuilder::new("directed");
+        let e: Vec<_> =
+            (0..6).map(|_| b.add_element(ElementKind::Dsp, ResourceVector::splat(1))).collect();
+        for (src, dst) in [(3, 0), (0, 1), (1, 2), (2, 0), (4, 3), (1, 3)] {
+            b.connect_directed(e[src], e[dst], 10, 1);
+        }
+        let static_row = |p: &Platform, dst: ElementId| -> Vec<u8> {
+            let distances = bfs_distances(p, dst, SearchDirection::Backward);
+            let within = |d: u32| u8::try_from(d).ok().filter(|&d| d <= HOP_ROW_RADIUS);
+            distances.iter().map(|d| d.and_then(within).unwrap_or(u8::MAX)).collect()
+        };
+        let platforms = [b.build(), crate::topology::crisp(), crate::topology::dsp_line(40)];
+        for p in &platforms {
+            for dst in p.element_ids() {
+                assert_eq!(p.hops_to(dst), static_row(p, dst), "{}: to {dst}", p.name());
+            }
+        }
+        assert_eq!(platforms[0].hops_to(e[3])[5], u8::MAX, "no path");
+        let line = platforms[2].hops_to(ElementId(0));
+        assert_eq!((line[16], line[17]), (16, u8::MAX), "beyond the radius");
+
+        // A clone shares the rows: those filled before and those filled
+        // through either side after.
+        let p = crate::topology::crisp();
+        let (d0, d1) = (ElementId(0), ElementId(7));
+        let unfailed = static_row(&p, d1);
+        let before = p.hops_to(d0).as_ptr();
+        let mut q = p.clone();
+        assert_eq!(q.hops_to(d0).as_ptr(), before);
+        assert_eq!(q.hops_to(d1).as_ptr(), p.hops_to(d1).as_ptr());
+
+        // No state change touches a row, filled or not: failures, a
+        // restore, a copied state.
+        let checkpoint = q.checkpoint();
+        q.fail_element(ElementId(1));
+        q.fail_element(ElementId(8));
+        let l = q.successors(d0)[0].1;
+        q.claim_link(l, 10).unwrap();
+        let d2 = ElementId(20);
+        assert_eq!(q.hops_to(d2), static_row(&p, d2), "filled while elements are failed");
+        assert_eq!(q.hops_to(d1), unfailed);
+        q.restore(checkpoint);
+        let mut r = crate::topology::crisp();
+        r.copy_state_from(&q);
+        for dst in [d0, d1, d2] {
+            assert_eq!(q.hops_to(dst).as_ptr(), p.hops_to(dst).as_ptr());
+            assert_eq!(r.hops_to(dst), p.hops_to(dst));
+        }
+
+        // Filled rows are not state: a fresh platform equals one whose rows
+        // are all filled, and prints the same.
+        let fresh = crate::topology::crisp();
+        assert!(fresh.hop_rows.0.iter().all(|row| row.get().is_none()));
+        assert!(p.hop_rows.0[d2.index()].get().is_some(), "filled through the clone");
+        for dst in p.element_ids() {
+            p.hops_to(dst);
+        }
+        assert_eq!(fresh, p);
+        assert_eq!(format!("{fresh:?}"), format!("{p:?}"));
     }
 
     #[test]

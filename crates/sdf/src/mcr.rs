@@ -28,7 +28,8 @@
 //! so no cycle's ratio exceeds `λ`, and the slowest actor's own self-loop
 //! reaches it: the period is exactly `λ / 1`. A layout's model whose period
 //! that is quiets by its third sweep almost always; the certificate gives
-//! up after four.
+//! up after four, or sooner, as soon as a potential passes `Σ exec`, which
+//! only a cycle above `λ` can push it to.
 //!
 //! When the certificate fails, Howard's iteration runs; it converges from
 //! any initial policy. This one starts from an in-tree: the member that
@@ -64,7 +65,8 @@ const OVERFLOW: StateSpaceError = StateSpaceError::Analysis(SdfAnalysisError::Ov
 /// Sweeps the certificate takes before it leaves the period to Howard's
 /// iteration. Three relaxing sweeps and a quiet fourth settle every
 /// catalogue layout whose period is its slowest actor but four in 2 167;
-/// a graph with a heavier cycle never quiets and pays all four.
+/// a graph with a heavier cycle never quiets, and pays sweeps until a
+/// potential passes `Σ exec` or all four have run.
 const CERTIFICATE_SWEEPS: usize = 4;
 
 /// Marks the implicit self-loop in a policy.
@@ -257,11 +259,14 @@ impl<'a> Graph<'a> {
     /// period. Potentials `π` start at zero, and each sweep relaxes every
     /// in-edge in topological order of the zero-token edges (`peeled`
     /// reversed) to keep `π(v) ≥ π(u) + exec(u) − λ·tokens`; a sweep that
-    /// raises nothing proves the bound. Without a cycle above `λ` the
-    /// potentials stay within `0..=Σ exec`, and in any case they grow by at
-    /// most `Σ exec` a sweep, so nothing overflows `i128`.
+    /// raises nothing proves the bound. Each `π` is the weight of a walk,
+    /// and a walk without a cycle above `λ` weighs at most `Σ exec`, so the
+    /// first raise past `Σ exec` proves such a cycle and gives up at once.
+    /// The potentials thus stay within `0..=2·Σ exec`, and nothing
+    /// overflows `i128`.
     fn certify(&self, members: &[usize], peeled: &[usize], potential: &mut [i128]) -> Option<u64> {
         let lambda = members.iter().map(|&v| self.exec[v]).max().filter(|&l| l > 0)?;
+        let ceiling: i128 = members.iter().map(|&v| i128::from(self.exec[v])).sum();
         for _ in 0..CERTIFICATE_SWEEPS {
             let mut raised = false;
             for &v in peeled.iter().rev() {
@@ -269,6 +274,9 @@ impl<'a> Graph<'a> {
                     let reach = potential[u] + i128::from(self.exec[u])
                         - i128::from(lambda) * i128::from(tokens);
                     if reach > potential[v] {
+                        if reach > ceiling {
+                            return None;
+                        }
                         potential[v] = reach;
                         raised = true;
                     }
