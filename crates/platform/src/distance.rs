@@ -104,8 +104,6 @@ pub struct SparseDistanceMatrix {
     rows: Vec<Vec<u32>>,
     /// The origins owning `rows[..origins.len()]`, in first-recorded order.
     origins: Vec<ElementId>,
-    /// Number of recorded pairs.
-    len: usize,
 }
 
 /// `row_of` entry of an element that never was an origin.
@@ -142,7 +140,7 @@ impl SparseDistanceMatrix {
         if row.len() < width {
             row.resize(width, UNKNOWN);
         }
-        RowRecorder { row, len: &mut self.len }
+        RowRecorder { row }
     }
 
     /// Looks up the recorded distance from `origin` to `discovered`.
@@ -166,16 +164,6 @@ impl SparseDistanceMatrix {
         self.get(a, b).or_else(|| self.get(b, a))
     }
 
-    /// Number of recorded pairs.
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// `true` when nothing has been recorded.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
     /// [`Self::clear`], then sizes the matrix for a platform of
     /// `element_count` elements: what a long-lived matrix calls before
     /// each use, so it serves whatever platform it is handed.
@@ -190,7 +178,6 @@ impl SparseDistanceMatrix {
             row.clear();
             self.row_of[origin.index()] = NO_ROW;
         }
-        self.len = 0;
     }
 }
 
@@ -199,14 +186,11 @@ impl SparseDistanceMatrix {
 #[derive(Debug)]
 pub struct RowRecorder<'a> {
     row: &'a mut Vec<u32>,
-    /// The matrix's count of recorded pairs.
-    len: &'a mut usize,
 }
 
 impl RowRecorder<'_> {
     /// Records the distance from the row's origin to `discovered`, keeping
-    /// the minimum when a pair is recorded twice; a pair recorded for the
-    /// first time counts once in the matrix's `len`. `hops` must be below
+    /// the minimum when a pair is recorded twice. `hops` must be below
     /// `u32::MAX`, which no hop count on a `u32`-indexed platform reaches.
     ///
     /// # Panics
@@ -216,9 +200,6 @@ impl RowRecorder<'_> {
     pub fn record(&mut self, discovered: ElementId, hops: u32) {
         debug_assert_ne!(hops, UNKNOWN, "hop counts are bounded by the element count");
         let cell = &mut self.row[discovered.index()];
-        if *cell == UNKNOWN {
-            *self.len += 1;
-        }
         *cell = (*cell).min(hops);
     }
 }
@@ -284,20 +265,19 @@ mod tests {
             row.record(ElementId(1), hops);
         }
         assert_eq!(m.get(ElementId(0), ElementId(1)), Some(3));
-        assert_eq!(m.len(), 1);
+        assert_eq!(m.get(ElementId(1), ElementId(0)), None);
     }
 
-    /// A recorder counts each pair once however often it is written, and
-    /// a second recorder on the same origin writes the same row.
+    /// A pair written several times keeps its minimum, and a second
+    /// recorder on the same origin writes the same row.
     #[test]
-    fn recorders_count_each_pair_once() {
+    fn recorders_keep_each_pairs_minimum() {
         let mut m = SparseDistanceMatrix::new();
         m.reset(6);
         let writes = [(1, 3, 4), (1, 3, 2), (2, 0, 1), (1, 5, 3), (4, 1, 2), (1, 3, 7)];
         for &(o, d, hops) in &writes {
             m.recorder(ElementId(o)).record(ElementId(d), hops);
         }
-        assert_eq!(m.len(), 4);
         assert_eq!(m.get(ElementId(1), ElementId(3)), Some(2));
         assert_eq!(m.get(ElementId(3), ElementId(1)), None);
         assert_eq!(m.get_symmetric(ElementId(3), ElementId(1)), Some(2));
@@ -311,16 +291,17 @@ mod tests {
         m.reset(4);
         m.recorder(ElementId(1)).record(ElementId(3), 2);
         m.recorder(ElementId(3)).record(ElementId(1), 5);
-        assert_eq!(m.len(), 2);
+        assert_eq!(m.get(ElementId(1), ElementId(3)), Some(2));
+        assert_eq!(m.get(ElementId(3), ElementId(1)), Some(5));
         m.clear();
-        assert!(m.is_empty());
         assert_eq!(m.get(ElementId(1), ElementId(3)), None);
+        assert_eq!(m.get(ElementId(3), ElementId(1)), None);
         m.recorder(ElementId(3)).record(ElementId(1), 5);
         assert_eq!(m.get_symmetric(ElementId(1), ElementId(3)), Some(5));
         // Reset for a smaller platform: nothing of the larger one shows.
         m.reset(2);
-        assert!(m.is_empty());
         assert_eq!(m.get(ElementId(3), ElementId(1)), None);
+        assert_eq!(m.get(ElementId(1), ElementId(0)), None);
         m.recorder(ElementId(1)).record(ElementId(0), 1);
         assert_eq!(m.get(ElementId(1), ElementId(0)), Some(1));
         assert_eq!(m.get(ElementId(1), ElementId(3)), None, "no stale tail in a reused row");
@@ -338,7 +319,7 @@ mod tests {
     fn sparse_matrix_self_distance_is_zero() {
         let m = SparseDistanceMatrix::new();
         assert_eq!(m.get(ElementId(7), ElementId(7)), Some(0));
-        assert!(m.is_empty());
+        assert_eq!(m.get(ElementId(7), ElementId(6)), None);
     }
 
     #[test]
@@ -349,6 +330,6 @@ mod tests {
         assert_eq!(m.get_symmetric(ElementId(5), ElementId(2)), Some(4));
         assert_eq!(m.get_symmetric(ElementId(5), ElementId(6)), None);
         m.clear();
-        assert!(m.is_empty());
+        assert_eq!(m.get_symmetric(ElementId(5), ElementId(2)), None);
     }
 }

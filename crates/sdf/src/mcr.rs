@@ -32,15 +32,16 @@
 //! only a cycle above `λ` can push it to.
 //!
 //! When the certificate fails, Howard's iteration runs; it converges from
-//! any initial policy. This one starts from an in-tree: the member that
-//! executes longest (the lowest id among equals) keeps its implicit
-//! self-loop as the root, and every member a breadth-first search reaches
-//! from it over out-edges hangs under it. One evaluation then gives all of
-//! them the largest self-loop ratio, which the self-loops alone would spread
-//! one hop per round. Members the tree does not reach start on their own
-//! self-loops.
-
-use std::cmp::Reverse;
+//! any initial policy, and this one starts where the certificate stopped.
+//! Every member takes the in-edge its last sweep's potentials are tightest
+//! on, the one maximising `π(u) + exec(u) − λ·tokens`, or keeps its implicit
+//! self-loop when no in-edge beats that loop's `π(v) + exec(v) − λ`. The
+//! sweeps have already pushed the weight of the heavy walks along those
+//! edges, so the first evaluation usually finds the critical cycle or one
+//! near it. A member that evaluation leaves under a cycle slower than its
+//! own self-loop goes back to that self-loop, and the policy is evaluated
+//! once more: improvement never picks a self-loop, so every member must
+//! start under a ratio at least its own.
 
 use crate::analysis::{gcd, SdfAnalysisError};
 use crate::statespace::StateSpaceError;
@@ -55,7 +56,8 @@ pub struct CycleRatio {
     pub iterations: u64,
     /// Rounds the solver took, each `O(actors + edges)`: one when the
     /// largest-self-loop certificate settles the period (its sweeps count
-    /// as that one round), else Howard's policy-iteration rounds alone (the
+    /// as that one round), else Howard's policy evaluations alone, the one
+    /// that puts members back on their self-loops included (the
     /// certificate's at most four sweeps before them are not counted).
     pub rounds: u32,
 }
@@ -103,9 +105,6 @@ pub struct CycleRatioScratch {
     /// CSR of edge indices by destination: `incoming[first[v]..first[v + 1]]`.
     first: Vec<u32>,
     incoming: Vec<u32>,
-    /// CSR of edge indices by source: `outgoing[first_out[v]..first_out[v + 1]]`.
-    first_out: Vec<u32>,
-    outgoing: Vec<u32>,
     /// The actors the reference depends on, itself included.
     members: Vec<usize>,
     seen: Vec<bool>,
@@ -117,7 +116,8 @@ pub struct CycleRatioScratch {
     peeled: Vec<usize>,
     /// Howard's iterate: the chosen in-edge of every actor ([`SELF_LOOP`]
     /// for the implicit one), the ratio of the policy cycle it hangs under,
-    /// its potential scaled by that ratio's denominator.
+    /// its potential scaled by that ratio's denominator. The certificate
+    /// keeps its potentials in `dist` before Howard's iteration reuses it.
     chosen: Vec<u32>,
     ratio: Vec<Ratio>,
     dist: Vec<i128>,
@@ -159,30 +159,27 @@ fn group_edges<'a>(
     (first, rows)
 }
 
-/// The graph, indexed by destination and by source.
+/// The graph, indexed by destination.
 struct Graph<'a> {
     exec: &'a [u64],
     edges: &'a [(u32, u32, u32)],
     first: &'a [u32],
     incoming: &'a [u32],
-    first_out: &'a [u32],
-    outgoing: &'a [u32],
 }
 
 impl<'a> Graph<'a> {
     fn new(
         exec: &'a [u64],
         edges: &'a [(u32, u32, u32)],
-        (first, incoming): (&'a mut Vec<u32>, &'a mut Vec<u32>),
-        (first_out, outgoing): (&'a mut Vec<u32>, &'a mut Vec<u32>),
+        first: &'a mut Vec<u32>,
+        incoming: &'a mut Vec<u32>,
     ) -> Self {
         let n = exec.len();
         for &(src, dst, _) in edges {
             assert!((src as usize) < n && (dst as usize) < n, "edge endpoint out of range");
         }
         let (first, incoming) = group_edges(n, edges, |&(_, dst, _)| dst, first, incoming);
-        let (first_out, outgoing) = group_edges(n, edges, |&(src, _, _)| src, first_out, outgoing);
-        Graph { exec, edges, first, incoming, first_out, outgoing }
+        Graph { exec, edges, first, incoming }
     }
 
     /// `(edge index, source, tokens)` of every explicit edge into `v`.
@@ -191,12 +188,6 @@ impl<'a> Graph<'a> {
             let (src, _, tokens) = self.edges[e as usize];
             (e, src as usize, tokens)
         })
-    }
-
-    /// `(edge index, destination)` of every explicit edge out of `v`.
-    fn outgoing(&self, v: usize) -> impl Iterator<Item = (u32, usize)> + '_ {
-        let row = self.first_out[v] as usize..self.first_out[v + 1] as usize;
-        self.outgoing[row].iter().map(|&e| (e, self.edges[e as usize].1 as usize))
     }
 
     /// Collects into `members` the actors `reference` depends on (itself
@@ -255,17 +246,26 @@ impl<'a> Graph<'a> {
         Ok(())
     }
 
-    /// The largest execution time `λ` among the members, when it is their
-    /// period. Potentials `π` start at zero, and each sweep relaxes every
-    /// in-edge in topological order of the zero-token edges (`peeled`
+    /// Whether `lambda`, the largest execution time among the members, is
+    /// their period. Potentials `π` start at zero, and each sweep relaxes
+    /// every in-edge in topological order of the zero-token edges (`peeled`
     /// reversed) to keep `π(v) ≥ π(u) + exec(u) − λ·tokens`; a sweep that
     /// raises nothing proves the bound. Each `π` is the weight of a walk,
     /// and a walk without a cycle above `λ` weighs at most `Σ exec`, so the
     /// first raise past `Σ exec` proves such a cycle and gives up at once.
-    /// The potentials thus stay within `0..=2·Σ exec`, and nothing
-    /// overflows `i128`.
-    fn certify(&self, members: &[usize], peeled: &[usize], potential: &mut [i128]) -> Option<u64> {
-        let lambda = members.iter().map(|&v| self.exec[v]).max().filter(|&l| l > 0)?;
+    /// The potentials thus stay within `0..=Σ exec`, a relaxed value within
+    /// `2·Σ exec`, and nothing overflows `i128`. When the certificate gives
+    /// up, `potential` holds where it stopped.
+    fn certify(
+        &self,
+        members: &[usize],
+        peeled: &[usize],
+        lambda: u64,
+        potential: &mut [i128],
+    ) -> bool {
+        if lambda == 0 {
+            return false;
+        }
         let ceiling: i128 = members.iter().map(|&v| i128::from(self.exec[v])).sum();
         for _ in 0..CERTIFICATE_SWEEPS {
             let mut raised = false;
@@ -275,7 +275,7 @@ impl<'a> Graph<'a> {
                         - i128::from(lambda) * i128::from(tokens);
                     if reach > potential[v] {
                         if reach > ceiling {
-                            return None;
+                            return false;
                         }
                         potential[v] = reach;
                         raised = true;
@@ -283,10 +283,28 @@ impl<'a> Graph<'a> {
                 }
             }
             if !raised {
-                return Some(lambda);
+                return true;
             }
         }
-        None
+        false
+    }
+
+    /// Howard's first policy after a certificate that did not settle: each
+    /// member chooses the in-edge maximising `π(u) + exec(u) − λ·tokens`,
+    /// the first among equals, and keeps its implicit self-loop when no
+    /// in-edge beats the loop's own `π(v) + exec(v) − λ`.
+    fn warm_start(&self, members: &[usize], lambda: u64, potential: &[i128], chosen: &mut [u32]) {
+        let lambda = i128::from(lambda);
+        for &v in members {
+            let mut best = potential[v] + i128::from(self.exec[v]) - lambda;
+            for (e, u, tokens) in self.incoming(v) {
+                let reach = potential[u] + i128::from(self.exec[u]) - lambda * i128::from(tokens);
+                if reach > best {
+                    best = reach;
+                    chosen[v] = e;
+                }
+            }
+        }
     }
 }
 
@@ -369,11 +387,29 @@ impl Policy<'_> {
         Ok(())
     }
 
+    /// Puts every member the last evaluation left under a ratio below its
+    /// own self-loop's back on that self-loop; `true` when one moved. One
+    /// pass suffices: a member that moved becomes the root of every member
+    /// hanging under it, which then runs at its self-loop's ratio, above
+    /// the old one and so at least theirs.
+    fn restore_self_loops(&mut self, graph: &Graph, members: &[usize]) -> bool {
+        let mut restored = false;
+        for &v in members {
+            if exceeds((graph.exec[v], 1), self.ratio[v]) {
+                self.chosen[v] = SELF_LOOP;
+                restored = true;
+            }
+        }
+        restored
+    }
+
     /// Policy improvement; `false` when the policy is optimal. An actor
     /// first adopts a predecessor under a larger ratio; only when no actor
     /// can, one that raises its potential under the same ratio. An implicit
-    /// self-loop is never an improvement: every actor starts under a ratio
-    /// at least its own self-loop's, and ratios only grow from there.
+    /// self-loop is never an improvement: after
+    /// [`restore_self_loops`](Self::restore_self_loops) every actor runs
+    /// under a ratio at least its own self-loop's, and ratios only grow
+    /// from there.
     fn improve(&mut self, graph: &Graph, members: &[usize]) -> Result<bool, StateSpaceError> {
         let mut changed = false;
         for &v in members {
@@ -407,33 +443,6 @@ impl Policy<'_> {
             }
         }
         Ok(changed)
-    }
-}
-
-/// The initial policy: every member the longest-executing member (the
-/// lowest id among equals) reaches over out-edges chooses the in-edge
-/// it was first reached by, a breadth-first in-tree under that root's
-/// self-loop; every other actor keeps its self-loop. `seen` marks the
-/// members; `queue` is scratch.
-fn plant(
-    policy: &mut Policy,
-    graph: &Graph,
-    members: &[usize],
-    seen: &[bool],
-    queue: &mut Vec<usize>,
-) {
-    let root = members.iter().copied().max_by_key(|&v| (graph.exec[v], Reverse(v)));
-    queue.clear();
-    queue.extend(root);
-    let mut next = 0;
-    while let Some(&u) = queue.get(next) {
-        next += 1;
-        for (e, dst) in graph.outgoing(u) {
-            if seen[dst] && policy.chosen[dst] == SELF_LOOP && Some(dst) != root {
-                policy.chosen[dst] = e;
-                queue.push(dst);
-            }
-        }
     }
 }
 
@@ -496,26 +505,27 @@ pub fn max_cycle_ratio_in(
     reference: usize,
     scratch: &mut CycleRatioScratch,
 ) -> Result<CycleRatio, StateSpaceError> {
-    solve(exec, edges, reference, scratch, true, plant)
+    solve(exec, edges, reference, scratch, None)
 }
 
-/// [`max_cycle_ratio_in`], trying the certificate first when `certify` is
-/// set, and otherwise iterating from the initial policy `start` lays over
-/// the all-self-loop one.
+/// The first policy of a Howard-only run: it lays its choices over the
+/// all-self-loop policy `chosen` of the members.
+type Start = fn(&Graph, &[usize], &mut [u32]);
+
+/// [`max_cycle_ratio_in`]: the certificate, then Howard's iteration from
+/// its potentials; or, given a `start`, Howard's iteration alone from the
+/// policy it lays.
 fn solve(
     exec: &[u64],
     edges: &[(u32, u32, u32)],
     reference: usize,
     scratch: &mut CycleRatioScratch,
-    certify: bool,
-    start: impl FnOnce(&mut Policy, &Graph, &[usize], &[bool], &mut Vec<usize>),
+    start: Option<Start>,
 ) -> Result<CycleRatio, StateSpaceError> {
     assert!(reference < exec.len(), "reference actor out of range");
     let CycleRatioScratch {
         first,
         incoming,
-        first_out,
-        outgoing,
         members,
         seen,
         blocking,
@@ -527,29 +537,37 @@ fn solve(
         walk,
         path,
     } = scratch;
-    let graph = Graph::new(exec, edges, (first, incoming), (first_out, outgoing));
+    let graph = Graph::new(exec, edges, first, incoming);
     graph.upstream_of(reference, members, seen, blocking, ready, peeled)?;
     let n = exec.len();
-    if certify {
-        if let Some(lambda) = graph.certify(members, peeled, refill(dist, n, 0)) {
-            return Ok(CycleRatio { cycles: lambda, iterations: 1, rounds: 1 });
+    let chosen = refill(chosen, n, SELF_LOOP);
+    match start {
+        Some(start) => start(&graph, members, chosen),
+        None => {
+            let lambda = members.iter().map(|&v| exec[v]).max().unwrap_or(0);
+            let potential = refill(dist, n, 0);
+            if graph.certify(members, peeled, lambda, potential) {
+                return Ok(CycleRatio { cycles: lambda, iterations: 1, rounds: 1 });
+            }
+            graph.warm_start(members, lambda, potential, chosen);
         }
     }
     let mut policy = Policy {
-        chosen: refill(chosen, n, SELF_LOOP),
+        chosen,
         ratio: refill(ratio, n, (0, 0)),
         dist: refill(dist, n, 0),
         walk: refill(walk, n, Walk::Unseen),
         path,
     };
-    start(&mut policy, &graph, members, seen, ready);
-    let mut rounds = 0;
-    loop {
+    let mut rounds = 1;
+    policy.evaluate(&graph, members)?;
+    if policy.restore_self_loops(&graph, members) {
         rounds += 1;
         policy.evaluate(&graph, members)?;
-        if !policy.improve(&graph, members)? {
-            break;
-        }
+    }
+    while policy.improve(&graph, members)? {
+        rounds += 1;
+        policy.evaluate(&graph, members)?;
     }
     let (cycles, iterations) = policy.ratio[reference];
     if cycles == 0 {
@@ -560,19 +578,46 @@ fn solve(
 
 #[cfg(test)]
 mod tests {
+    use std::cmp::Reverse;
+
     use super::*;
     use crate::graph::{ActorId, SdfGraphBuilder};
     use crate::statespace::throughput;
     use proptest::prelude::*;
 
-    /// Howard's iteration alone from the in-tree: the solver without its
-    /// certificate, which every answer of the solver must equal.
+    /// Howard's iteration alone from the in-tree the solver started from
+    /// before the certificate's potentials did: the member that executes
+    /// longest (the lowest id among equals) keeps its self-loop as the
+    /// root, and every member a breadth-first search reaches from it over
+    /// out-edges hangs under the edge it was first reached by.
     fn howard_only(
         exec: &[u64],
         edges: &[(u32, u32, u32)],
         reference: usize,
     ) -> Result<CycleRatio, StateSpaceError> {
-        solve(exec, edges, reference, &mut CycleRatioScratch::default(), false, plant)
+        solve(exec, edges, reference, &mut CycleRatioScratch::default(), Some(plant))
+    }
+
+    fn plant(graph: &Graph, members: &[usize], chosen: &mut [u32]) {
+        let n = graph.exec.len();
+        let (mut first_out, mut outgoing) = (Vec::new(), Vec::new());
+        let (first_out, outgoing) =
+            group_edges(n, graph.edges, |&(src, _, _)| src, &mut first_out, &mut outgoing);
+        let mut member = vec![false; n];
+        members.iter().for_each(|&v| member[v] = true);
+        let root = members.iter().copied().max_by_key(|&v| (graph.exec[v], Reverse(v)));
+        let mut queue: Vec<usize> = root.into_iter().collect();
+        let mut next = 0;
+        while let Some(&u) = queue.get(next) {
+            next += 1;
+            for &e in &outgoing[first_out[u] as usize..first_out[u + 1] as usize] {
+                let dst = graph.edges[e as usize].1 as usize;
+                if member[dst] && chosen[dst] == SELF_LOOP && Some(dst) != root {
+                    chosen[dst] = e;
+                    queue.push(dst);
+                }
+            }
+        }
     }
 
     /// Howard's iteration alone from the start it had before the in-tree:
@@ -582,8 +627,7 @@ mod tests {
         edges: &[(u32, u32, u32)],
         reference: usize,
     ) -> Result<CycleRatio, StateSpaceError> {
-        let mut scratch = CycleRatioScratch::default();
-        solve(exec, edges, reference, &mut scratch, false, |_, _, _, _, _| {})
+        solve(exec, edges, reference, &mut CycleRatioScratch::default(), Some(|_, _, _| {}))
     }
 
     /// `(cycles, iterations)` or the error: what every path must agree on.
@@ -649,21 +693,18 @@ mod tests {
         (exec, edges, reference)
     }
 
-    /// The solver against Howard's iteration alone: the same exact ratio or
-    /// the same error, and Howard's very rounds unless the certificate
-    /// settled the period in one.
+    /// The solver against Howard's iteration alone, from the in-tree and
+    /// from the self-loops: the same exact ratio or the same error. The
+    /// rounds may differ, since the warm start is another first policy.
     fn assert_certified_like_howard(
         exec: &[u64],
         edges: &[(u32, u32, u32)],
         reference: usize,
     ) -> Result<(), String> {
         let mut scratch = CycleRatioScratch::default();
-        let ours = max_cycle_ratio_in(exec, edges, reference, &mut scratch);
-        let howard = howard_only(exec, edges, reference);
-        if let (Ok(ours), Ok(howard)) = (&ours, &howard) {
-            prop_assert!(ours == howard || ours.rounds == 1, "{ours:?} vs {howard:?}");
-        }
-        prop_assert_eq!(answer(ours), answer(howard));
+        let ours = answer(max_cycle_ratio_in(exec, edges, reference, &mut scratch));
+        prop_assert_eq!(ours, answer(howard_only(exec, edges, reference)));
+        prop_assert_eq!(ours, answer(from_self_loops(exec, edges, reference)));
         Ok(())
     }
 
@@ -752,13 +793,34 @@ mod tests {
     fn the_certificate_falls_through_when_a_cycle_outweighs_every_self_loop() {
         // The diamond's critical cycle (18 cycles on one token) is three times
         // its slowest actor: the certificate cannot settle it, and Howard's
-        // iteration answers alone.
+        // iteration answers, from the certificate's potentials in two rounds
+        // where the in-tree takes four.
         let exec = [3, 4, 5, 6];
         let edges = DIAMOND;
         let ours = max_cycle_ratio(&exec, &edges, 0).unwrap();
         let howard = howard_only(&exec, &edges, 0).unwrap();
-        assert_eq!((ours.cycles, ours.iterations), (18, 1));
-        assert_eq!(ours, howard);
+        assert_eq!(ours, CycleRatio { cycles: 18, iterations: 1, rounds: 2 });
+        assert_eq!(howard, CycleRatio { rounds: 4, ..ours });
+    }
+
+    #[test]
+    fn a_member_the_warm_start_leaves_below_its_self_loop_goes_back_to_it() {
+        // A staircase of five 9-cycle pairs x -> y, each y feeding the next
+        // x over one token and the last one feeding the 10-cycle reference.
+        // No cycle but the self-loops: the reference runs at its own 10.
+        // Each sweep climbs one stair, so the certificate gives up after
+        // four, and its potentials hang every actor under the edge it was
+        // raised by: the reference under the first x's 9-cycle self-loop,
+        // which no in-edge improves on. Back on its own self-loop, it reads
+        // 10 in the second evaluation.
+        let mut exec = vec![9; 10];
+        exec.push(10);
+        let edges: Vec<_> =
+            (0..5).flat_map(|k| [(2 * k, 2 * k + 1, 0), (2 * k + 1, 2 * k + 2, 1)]).collect();
+        let ours = max_cycle_ratio(&exec, &edges, 10).unwrap();
+        assert_eq!(ours, CycleRatio { cycles: 10, iterations: 1, rounds: 2 });
+        assert_eq!(answer(Ok(ours)), answer(howard_only(&exec, &edges, 10)));
+        assert_eq!(answer(Ok(ours)), answer(from_self_loops(&exec, &edges, 10)));
     }
 
     /// The solver's ratio, after checking it against the state-space oracle

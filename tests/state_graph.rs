@@ -8,8 +8,11 @@
 //! breadth first from the empty platform under ten operations — admit
 //! each of three DSP chains, release the oldest or the newest resident,
 //! fail and repair two elements, and a compaction sweep — and runs
-//! `Kairos::audit` after every edge. So the first failure it meets comes
-//! with a shortest history that reaches it.
+//! `Kairos::audit` after every edge. On every edge it also rewinds a copy
+//! of the state the edge left to the state the edge reached through
+//! `checkpoint` / `restore`, and releases what an admission edge admitted
+//! to come back to where the edge started. So the first failure it meets
+//! comes with a shortest history that reaches it.
 
 use std::collections::{HashSet, VecDeque};
 
@@ -112,7 +115,9 @@ struct Closure {
 }
 
 /// Walks `platform`'s state graph breadth first to closure, auditing the
-/// manager after every edge; panics with the shortest failing history.
+/// manager after every edge and checking that a restored checkpoint and a
+/// release undoing an admission land where they should; panics with the
+/// shortest failing history.
 fn close(platform: Platform) -> Closure {
     let chains = chains();
     let root = State { kairos: Kairos::new(platform, KairosConfig::default()), residents: vec![] };
@@ -131,6 +136,22 @@ fn close(platform: Platform) -> Closure {
             let mut ids: Vec<AppId> = next.residents.iter().map(|&(id, _)| id).collect();
             ids.sort_unstable();
             assert_eq!(next.kairos.admitted_ids(), ids, "residents after {:?}", path());
+            // The edge's own start, rewound to where the edge led.
+            let mut rewound = state.clone();
+            rewound.kairos.restore(next.kairos.checkpoint());
+            rewound.residents.clone_from(&next.residents);
+            assert_eq!(rewound.key(), next.key(), "restored after {:?}", path());
+            if let Err(e) = rewound.kairos.audit() {
+                panic!("audit failed on the restore after {:?}: {e}", path());
+            }
+            assert_eq!(rewound.kairos.admitted_ids(), ids, "restored after {:?}", path());
+            // An admission released again leaves nothing behind.
+            if matches!(op, Op::Admit(_)) && next.residents.len() > state.residents.len() {
+                let mut undone = next.clone();
+                let (id, _) = undone.residents.pop().expect("just admitted");
+                assert!(undone.kairos.release(id));
+                assert_eq!(undone.key(), state.key(), "released after {:?}", path());
+            }
             if seen.insert(next.key()) {
                 queue.push_back((next, path()));
             }
