@@ -13,10 +13,11 @@
 //! Neither half of the key is computed per lookup (the shape is a field
 //! of the application, the stamp re-digests only the records the
 //! previous admit/release cycle touched), so a hit costs its replayed
-//! claims: the warm path reads about 6x the cold one on CRISP (5.5-6.6x
-//! interquartile over 20 runs on a shared two-core box, lowest 5.29, with
-//! cold and warm rounds alternating and a hit sharing its stored decision
-//! instead of copying it; about 8.7x in earlier
+//! claims: the warm path reads 7.3-8.7x the cold one on CRISP (11 runs
+//! on a shared two-core box, with cold and warm rounds alternating, and a
+//! hit sharing its stored layout with the report and the registry instead
+//! of copying it into each; about 6x while both copied it, 4.3-5.8x and
+//! under the floor in 10 of 16 runs on the same box; about 8.7x in earlier
 //! measurements, about 10x before the cold pipeline stopped allocating
 //! its working memory per call, 1.8x while every lookup re-hashed the
 //! platform). The run asserts warm at least [`FLOOR`] times
@@ -91,7 +92,7 @@ fn round_micros(kairos: &mut Kairos, apps: &[Application]) -> f64 {
 /// Timed cycles per side per round.
 const REPS_PER_ROUND: u32 = 3;
 
-/// The asserted warm-over-cold speed-up, under the usual reading of about 6x.
+/// The asserted warm-over-cold speed-up, under the usual reading of about 8x.
 const FLOOR: f64 = 5.0;
 
 fn main() {

@@ -20,8 +20,9 @@
 //!
 //! [`DecisionStore`] has two tiers, and alone decides which one serves.
 //! Each decision is held once, behind one `Arc`: a keyed hit, a probe's
-//! answer and the hand-off to the admission after it all share it, and a
-//! layout is copied only where an owned one leaves the manager.
+//! answer and the hand-off to the admission after it all share it, and
+//! its layout is the one allocation the admission's report, the
+//! registry and a migration's report hold too; no layout is copied.
 //!
 //! * the **keyed tier**, present iff `KairosConfig::cache` is set, keys
 //!   decisions by `(shape, state stamp)` — the stamp digests exactly that
@@ -120,7 +121,7 @@ pub(crate) type CachedDecision = Result<Arc<CachedPoint>, AllocationError>;
 #[derive(Debug)]
 pub(crate) struct CachedPoint {
     /// The layout the pipeline computed, shared with the probes that
-    /// answered with it.
+    /// answered with it and the admissions it served.
     pub layout: Arc<ExecutionLayout>,
     /// The placement's claims in placing order, without an app id: each
     /// replay seats them under its own.
@@ -131,24 +132,13 @@ pub(crate) struct CachedPoint {
 
 impl CachedPoint {
     /// The record of a cold decision whose placement took `seats`: the
-    /// layout and report move in, the seats are copied.
+    /// layout is shared and the report moves in; the seats are copied.
     pub(crate) fn shared(
-        layout: ExecutionLayout,
+        layout: Arc<ExecutionLayout>,
         validation: Option<ValidationReport>,
         seats: &[Seat],
     ) -> Arc<Self> {
-        Arc::new(CachedPoint { layout: Arc::new(layout), seats: seats.to_vec(), validation })
-    }
-
-    /// The layout and report as owned values, moved out when nothing else
-    /// shares them and copied otherwise.
-    pub(crate) fn into_owned(self: Arc<Self>) -> (ExecutionLayout, Option<ValidationReport>) {
-        match Arc::try_unwrap(self) {
-            Ok(point) => {
-                (Arc::try_unwrap(point.layout).unwrap_or_else(|l| (*l).clone()), point.validation)
-            }
-            Err(point) => ((*point.layout).clone(), point.validation.clone()),
-        }
+        Arc::new(CachedPoint { layout, seats: seats.to_vec(), validation })
     }
 }
 
@@ -443,7 +433,7 @@ mod tests {
             placement: Placement::new(elements.iter().map(|&e| ElementId(e)).collect()),
             routes: Vec::new(),
         };
-        Ok(CachedPoint::shared(layout, None, &[]))
+        Ok(CachedPoint::shared(Arc::new(layout), None, &[]))
     }
 
     /// The elements a stored decision places work on.

@@ -109,8 +109,9 @@ pub struct AdmissionReport {
     pub app_id: AppId,
     /// Wall-clock time spent per phase.
     pub timings: PhaseTimings,
-    /// The computed execution layout.
-    pub layout: ExecutionLayout,
+    /// The computed execution layout, shared with the registry and, when
+    /// it keeps the decision, the decision store; never copied.
+    pub layout: Arc<ExecutionLayout>,
     /// The validation report, when the validation phase ran.
     pub validation: Option<ValidationReport>,
 }
@@ -146,7 +147,9 @@ struct AdmittedApp {
     /// The admitted application itself, retained so relocation (live
     /// migration, preemption re-queueing) can re-run the pipeline for it.
     app: Application,
-    layout: ExecutionLayout,
+    /// The layout the admission (or the last migration) reported, shared
+    /// with that report.
+    layout: Arc<ExecutionLayout>,
 }
 
 /// Why a live migration failed. The platform is always left exactly as it
@@ -177,15 +180,17 @@ impl fmt::Display for MigrationError {
 
 impl std::error::Error for MigrationError {}
 
-/// Report of a completed live migration.
+/// Report of a completed live migration. The new layout is the one the
+/// registry now holds, the old one the one it held before the move: both
+/// shared, never copied.
 #[derive(Debug, Clone, PartialEq)]
 pub struct MigrationReport {
     /// The migrated application (its id is stable across the move).
     pub app_id: AppId,
     /// The layout the application ran under before the move.
-    pub old_layout: ExecutionLayout,
+    pub old_layout: Arc<ExecutionLayout>,
     /// The layout it runs under now.
-    pub new_layout: ExecutionLayout,
+    pub new_layout: Arc<ExecutionLayout>,
     /// Tasks whose hosting element actually changed.
     pub moved_tasks: usize,
     /// Wall-clock time spent per pipeline phase computing the new layout.
@@ -351,15 +356,16 @@ fn duration_ns(elapsed: std::time::Duration) -> u64 {
 type Decided = Result<Decision, AllocationError>;
 
 /// What an admission wrote, or what a cold run decided (its seats left in
-/// the workspace): the layout and its validation report, or the refusal.
-type Admitted = Result<(ExecutionLayout, Option<ValidationReport>), AllocationError>;
+/// the workspace): the layout, built into the one `Arc` everything that
+/// holds it shares, and its validation report, or the refusal.
+type Admitted = Result<(Arc<ExecutionLayout>, Option<ValidationReport>), AllocationError>;
 
 /// A decided admission.
 enum Decision {
     /// What the pipeline just decided against the platform as it stands,
-    /// so it fits: the layout and its validation report. Its seats are in
-    /// the workspace.
-    Cold(ExecutionLayout, Option<ValidationReport>),
+    /// so it fits: the layout, shared from here on, and its validation
+    /// report. Its seats are in the workspace.
+    Cold(Arc<ExecutionLayout>, Option<ValidationReport>),
     /// A decision the store shares. `fits` when it was decided or settled
     /// against the platform as it stands; a point brought back from
     /// another moment is checked first.
@@ -367,7 +373,7 @@ enum Decision {
 }
 
 impl Decision {
-    fn cold((layout, validation): (ExecutionLayout, Option<ValidationReport>)) -> Self {
+    fn cold((layout, validation): (Arc<ExecutionLayout>, Option<ValidationReport>)) -> Self {
         Decision::Cold(layout, validation)
     }
 
@@ -395,11 +401,12 @@ impl Decision {
         }
     }
 
-    /// The layout and report as they leave the manager.
-    fn into_owned(self) -> (ExecutionLayout, Option<ValidationReport>) {
+    /// The layout and report as they leave the manager: the layout
+    /// shared, the report copied.
+    fn into_owned(self) -> (Arc<ExecutionLayout>, Option<ValidationReport>) {
         match self {
             Decision::Cold(layout, validation) => (layout, validation),
-            Decision::Shared { point, .. } => point.into_owned(),
+            Decision::Shared { point, .. } => (Arc::clone(&point.layout), point.validation.clone()),
         }
     }
 }
@@ -493,7 +500,7 @@ impl Kairos {
 
     /// The execution layout of an admitted application.
     pub fn layout(&self, id: AppId) -> Option<&ExecutionLayout> {
-        self.admitted.get(&id).map(|a| &a.layout)
+        self.admitted.get(&id).map(|a| &*a.layout)
     }
 
     /// The admitted application itself. Relocation layers use this to
@@ -617,8 +624,8 @@ impl Kairos {
         match result {
             Ok((layout, validation)) => {
                 self.next_app += 1;
-                self.admitted
-                    .insert(app_id, AdmittedApp { app: app.clone(), layout: layout.clone() });
+                let admitted = AdmittedApp { app: app.clone(), layout: Arc::clone(&layout) };
+                self.admitted.insert(app_id, admitted);
                 if let Some(m) = &self.metrics {
                     m.admit_ok.inc();
                 }
@@ -711,7 +718,9 @@ impl Kairos {
     /// evicting it actually unblocks the request. The victims are released
     /// on the manager's what-if copy of the platform and the trial
     /// admission is decided there; the live platform is not written. A
-    /// victim listed twice is released once.
+    /// victim listed twice is released once. The layout is the decision's
+    /// own, shared with the decision store when it keeps the decision;
+    /// never copied.
     ///
     /// # Errors
     ///
@@ -720,7 +729,7 @@ impl Kairos {
         &mut self,
         app: &Application,
         without: &[AppId],
-    ) -> Result<ExecutionLayout, AdmissionFailure> {
+    ) -> Result<Arc<ExecutionLayout>, AdmissionFailure> {
         if let Some(m) = &self.metrics {
             m.probes.inc();
         }
@@ -793,7 +802,7 @@ impl Kairos {
             return Err(MigrationError::UnknownApp(id));
         };
         let app = admitted.app.clone();
-        let old_layout = admitted.layout.clone();
+        let old_layout = Arc::clone(&admitted.layout);
 
         if let Some(m) = &self.metrics {
             m.migrate_attempts.inc();
@@ -868,7 +877,7 @@ impl Kairos {
                     .filter(|((_, old), (_, new))| old != new)
                     .count();
                 let entry = self.admitted.get_mut(&id).expect("checked above");
-                entry.layout = new_layout.clone();
+                entry.layout = Arc::clone(&new_layout);
                 Ok(MigrationReport { app_id: id, old_layout, new_layout, moved_tasks, timings })
             }
         }
@@ -970,7 +979,7 @@ impl Kairos {
             None
         };
 
-        Ok((layout, validation))
+        Ok((Arc::new(layout), validation))
     }
 
     /// Decides `app` and admits the decision under `app_id`: the pipeline
@@ -1019,8 +1028,7 @@ impl Kairos {
                 key
             }
         };
-        // The record takes the layout; what leaves the manager is copied
-        // from it.
+        // The record takes the layout; what leaves the manager shares it.
         let recorded: CachedDecision = self
             .run_phases(app, timings, ctx, now)
             .map(|(l, v)| CachedPoint::shared(l, v, self.workspace.mapping.seats()));
@@ -1546,7 +1554,7 @@ mod tests {
             assert!(!kairos.platform().is_failed(e));
         }
         assert_eq!(kairos.admitted_count(), 1);
-        assert_eq!(kairos.layout(id), Some(&migration.new_layout));
+        assert_eq!(kairos.layout(id), Some(&*migration.new_layout));
         // Accounting balance: releasing the migrated app restores idle.
         assert!(kairos.release(id));
         assert!(kairos.platform().is_idle(), "claims = releases + live must hold after a move");
@@ -1562,7 +1570,7 @@ mod tests {
         let err = kairos.migrate(report.app_id, &everywhere).unwrap_err();
         assert!(matches!(err, MigrationError::Admission(_)));
         assert_eq!(kairos.platform().checkpoint(), before, "failed move rolls back exactly");
-        assert_eq!(kairos.layout(report.app_id), Some(&report.layout));
+        assert_eq!(kairos.layout(report.app_id), Some(&*report.layout));
         assert!(!kairos.platform().element_ids().any(|e| kairos.platform().is_failed(e)));
     }
 
@@ -1574,7 +1582,7 @@ mod tests {
         let err = kairos.migrate_if(report.app_id, &[], |_, _, _| false).unwrap_err();
         assert_eq!(err, MigrationError::Declined);
         assert_eq!(kairos.platform().checkpoint(), before);
-        assert_eq!(kairos.layout(report.app_id), Some(&report.layout));
+        assert_eq!(kairos.layout(report.app_id), Some(&*report.layout));
         assert!(matches!(
             kairos.migrate(AppId(999), &[]),
             Err(MigrationError::UnknownApp(AppId(999)))

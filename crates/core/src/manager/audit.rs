@@ -267,7 +267,7 @@ mod tests {
         // The registry places task 0 on `idle`: whichever element sorts
         // first names the disagreement.
         let mut moved = kairos.clone();
-        let layout = &mut moved.admitted.get_mut(&b).unwrap().layout;
+        let layout = std::sync::Arc::make_mut(&mut moved.admitted.get_mut(&b).unwrap().layout);
         let mut elements: Vec<ElementId> = layout.placement.iter().map(|(_, e)| e).collect();
         elements[0] = idle;
         layout.placement = crate::layout::Placement::new(elements);

@@ -14,6 +14,8 @@
 //!
 //! The counters are the manager's `kairos.reloc.*` instruments.
 
+use std::sync::Arc;
+
 use kairos_app::Application;
 use kairos_platform::{AppId, ElementId};
 
@@ -28,8 +30,9 @@ pub struct VictimPlan {
     pub victims: Vec<AppId>,
     /// The layout the request would be admitted under once the victims
     /// are gone — preemption-by-migration planners use its placement as
-    /// the region victims must vacate.
-    pub layout: ExecutionLayout,
+    /// the region victims must vacate. The probe's decision itself, shared
+    /// with the decision store when it keeps the decision; never copied.
+    pub layout: Arc<ExecutionLayout>,
 }
 
 impl VictimPlan {

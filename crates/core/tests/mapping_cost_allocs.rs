@@ -129,12 +129,13 @@ fn mapping_cost_does_not_allocate() {
 /// Only what outlives the call may come from the heap, because the
 /// pipeline's working memory lives in the manager's workspace and an
 /// application clones by reference count. An admitted request pays for its
-/// layout twice (the report's and the registry's: a binding, a placement,
-/// the route list and one link list per non-local channel, 10.4 on this
-/// churn), 20.8 in all: since PR 26 the registry keeps no bandwidth list
-/// beside the application that holds one, and the platform's resident
-/// lists grow only under admissions, never under refusals that claim
-/// nothing. A refused one pays for the binding and placement it got to
+/// layout once (a binding, a placement, the route list and one link list
+/// per non-local channel, 10.4 on this churn) plus the `Arc` it is built
+/// into, 11.4 in all: the report and the registry share that one
+/// allocation (each held a copy of its own up to `576c634`, 20.8 in all),
+/// the registry keeps no bandwidth list beside the application that holds
+/// one, and the platform's resident lists grow only under admissions,
+/// never under refusals that claim nothing. A refused one pays for the binding and placement it got to
 /// before the refusal (1.93 on this churn) and for the boxed
 /// `AllocationError` it returns, which a front-end moves into its event as
 /// it is: 2.93, and 2.96 in all, because routing fills a destination's
@@ -183,6 +184,6 @@ fn a_warm_admission_allocates_only_what_outlives_it() {
     assert!(admitted.0 >= 100 && refused.0 >= 50, "{admitted:?} admitted, {refused:?} refused");
     let per_admitted = admitted.1 as f64 / admitted.0 as f64;
     let per_refused = refused.1 as f64 / refused.0 as f64;
-    assert!(per_admitted <= 21.8, "{per_admitted:.2} allocations per admitted request");
+    assert!(per_admitted <= 11.5, "{per_admitted:.2} allocations per admitted request");
     assert!(per_refused <= 3.0, "{per_refused:.2} allocations per refused request");
 }

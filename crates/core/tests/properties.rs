@@ -9,6 +9,7 @@
 //! memory.
 
 use std::sync::atomic::{AtomicU32, Ordering};
+use std::sync::Arc;
 
 use proptest::prelude::*;
 
@@ -458,7 +459,7 @@ proptest! {
 /// it took: the layout and validation report, or the refusal.
 fn decision_of(
     result: Result<AdmissionReport, AdmissionFailure>,
-) -> Result<(ExecutionLayout, Option<ValidationReport>), AllocationError> {
+) -> Result<(Arc<ExecutionLayout>, Option<ValidationReport>), AllocationError> {
     result.map(|r| (r.layout, r.validation)).map_err(|f| *f.error)
 }
 

@@ -76,7 +76,7 @@ proptest! {
                     for (_, e) in report.new_layout.placement.iter() {
                         prop_assert!(!avoid.contains(&e), "avoided element reused");
                     }
-                    prop_assert_eq!(kairos.layout(id).unwrap(), &report.new_layout);
+                    prop_assert_eq!(kairos.layout(id).unwrap(), &*report.new_layout);
                 }
                 Err(_) => {
                     prop_assert_eq!(kairos.layout(id).unwrap(), &layouts[i],

@@ -693,6 +693,24 @@ mod tests {
         (exec, edges, reference)
     }
 
+    /// A staircase: zero-token pairs `x → y` of the given execution times,
+    /// each `y` feeding the next pair's `x` over one token, and the last
+    /// `y` feeding the reference, the last actor, which executes for
+    /// `top`. No cycle but the self-loops, so the reference's period is the
+    /// largest self-loop upstream of it; but each certificate sweep climbs
+    /// one stair, so past [`CERTIFICATE_SWEEPS`] stairs the certificate
+    /// gives up, and its potentials can hang the reference under a slower
+    /// self-loop than its own.
+    fn staircase(pairs: &[(u64, u64)], top: u64) -> (Vec<u64>, Vec<(u32, u32, u32)>, usize) {
+        let mut exec: Vec<u64> = pairs.iter().flat_map(|&(x, y)| [x, y]).collect();
+        exec.push(top);
+        let edges = (0..pairs.len() as u32)
+            .flat_map(|k| [(2 * k, 2 * k + 1, 0), (2 * k + 1, 2 * k + 2, 1)])
+            .collect();
+        let reference = exec.len() - 1;
+        (exec, edges, reference)
+    }
+
     /// The solver against Howard's iteration alone, from the in-tree and
     /// from the self-loops: the same exact ratio or the same error. The
     /// rounds may differ, since the warm start is another first policy.
@@ -748,6 +766,18 @@ mod tests {
             reference in 0usize..9,
         ) {
             let (exec, edges, reference) = layout_graph(&tasks, &channels, reference);
+            assert_certified_like_howard(&exec, &edges, reference)?;
+        }
+
+        /// ...and on staircases, where the warm start can leave the
+        /// reference under a slower self-loop than its own: what
+        /// `Policy::restore_self_loops` puts right.
+        #[test]
+        fn the_certificate_answers_what_howard_answers_on_staircases(
+            pairs in proptest::collection::vec((1u64..20, 1u64..20), 1..9),
+            top in 1u64..24,
+        ) {
+            let (exec, edges, reference) = staircase(&pairs, top);
             assert_certified_like_howard(&exec, &edges, reference)?;
         }
     }

@@ -66,7 +66,7 @@ fn layouts_are_retrievable_while_resident() {
         }
     }
     for (id, layout) in &ids {
-        assert_eq!(kairos.layout(*id), Some(layout));
+        assert_eq!(kairos.layout(*id), Some(&**layout));
     }
     let all = kairos.admitted_ids();
     assert_eq!(all.len(), ids.len());

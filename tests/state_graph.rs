@@ -11,13 +11,23 @@
 //! `Kairos::audit` after every edge. On every edge it also rewinds a copy
 //! of the state the edge left to the state the edge reached through
 //! `checkpoint` / `restore`, and releases what an admission edge admitted
-//! to come back to where the edge started. So the first failure it meets
-//! comes with a shortest history that reaches it.
+//! to come back to where the edge started. On every admission edge it
+//! admits the same chain twice more, through the probe hand-off: once
+//! probed at the edge's start, and once probed one edge earlier, which
+//! whatever that edge changed must void. Both must decide what the cold
+//! admission decided, and a hand-off must share the probe's layout, not
+//! copy it. So the first failure it meets comes with a shortest history
+//! that reaches it.
 
 use std::collections::{HashSet, VecDeque};
+use std::rc::Rc;
+use std::sync::Arc;
 
 use kairos::app::{Application, ApplicationBuilder, Implementation, TaskRole};
-use kairos::core::{Kairos, KairosConfig};
+use kairos::core::{
+    AdmissionFailure, AdmissionReport, AllocationError, ExecutionLayout, Kairos, KairosConfig,
+    ValidationReport,
+};
 use kairos::platform::{topology, AppId, ElementId, ElementKind, Platform, ResourceVector};
 
 /// One edge of the state graph.
@@ -63,6 +73,20 @@ fn chains() -> [Application; 3] {
     })
 }
 
+/// What an admission returned.
+type Admission = Result<AdmissionReport, AdmissionFailure>;
+
+/// What an admission decided, without how long it took: the id, layout
+/// and validation report, or the refusal.
+fn decided(
+    admission: &Admission,
+) -> Result<(AppId, &ExecutionLayout, Option<&ValidationReport>), &AllocationError> {
+    match admission {
+        Ok(report) => Ok((report.app_id, &*report.layout, report.validation.as_ref())),
+        Err(failure) => Err(&*failure.error),
+    }
+}
+
 /// A reached state: the manager, and its residents in admission order with
 /// the chain each one is.
 #[derive(Clone)]
@@ -79,14 +103,13 @@ impl State {
 
     /// The state `op` leads to.
     fn after(&self, op: Op, chains: &[Application]) -> State {
+        if let Op::Admit(chain) = op {
+            return self.admitting(chain, chains).0;
+        }
         let mut next = self.clone();
         let (kairos, residents) = (&mut next.kairos, &mut next.residents);
         match op {
-            Op::Admit(chain) => {
-                if let Ok(report) = kairos.admit(&chains[chain]) {
-                    residents.push((report.app_id, chain));
-                }
-            }
+            Op::Admit(_) => unreachable!("admissions return above"),
             Op::ReleaseOldest | Op::ReleaseNewest if residents.is_empty() => {}
             Op::ReleaseOldest => assert!(kairos.release(residents.remove(0).0)),
             Op::ReleaseNewest => assert!(kairos.release(residents.pop().unwrap().0)),
@@ -103,6 +126,46 @@ impl State {
         }
         next
     }
+
+    /// The state admitting `chain` leads to, and what the admission
+    /// returned.
+    fn admitting(&self, chain: usize, chains: &[Application]) -> (State, Admission) {
+        let mut next = self.clone();
+        let admission = next.kairos.admit(&chains[chain]);
+        if let Ok(report) = &admission {
+            next.residents.push((report.app_id, chain));
+        }
+        (next, admission)
+    }
+
+    /// Probes `chain`, then admits it: the admission takes the probe's
+    /// decision, as nothing moved in between. Checks that the hand-off
+    /// shares the probe's layout with the report and the registry, and
+    /// that probe and admission agree; `path` names the edge.
+    fn probed_then_admitting(
+        &self,
+        chain: usize,
+        chains: &[Application],
+        path: &[Op],
+    ) -> (State, Admission) {
+        let mut start = self.clone();
+        let probe = start.kairos.probe_admit(&chains[chain]);
+        let (next, admission) = start.admitting(chain, chains);
+        match (&probe, &admission) {
+            (Ok(probe), Ok(report)) => {
+                let copied = !Arc::ptr_eq(&probe.layout, &report.layout);
+                assert!(!copied, "the hand-off copied the layout after {path:?}");
+                let registered = next.kairos.layout(report.app_id).expect("admitted");
+                let copied = !std::ptr::eq(registered, &*report.layout);
+                assert!(!copied, "the registry copied the layout after {path:?}");
+            }
+            (Err(probe), Err(failure)) => {
+                assert_eq!(probe.error, failure.error, "refusals after {path:?}");
+            }
+            _ => panic!("the probe and the admission disagree after {path:?}"),
+        }
+        (next, admission)
+    }
 }
 
 /// What closing a platform's state graph found.
@@ -114,22 +177,54 @@ struct Closure {
     deepest: usize,
 }
 
+/// Asserts that `via`, an admission of the same chain from the same
+/// state as the cold edge `(next, cold)` by another route, decided and
+/// reached what the cold one did; `path` names the edge.
+fn same_admission(via: (State, Admission), next: &State, cold: &Admission, path: &[Op]) {
+    let (reached, admission) = via;
+    assert_eq!(decided(&admission), decided(cold), "decided after {path:?}");
+    assert_eq!(reached.key(), next.key(), "reached after {path:?}");
+    assert_eq!(reached.kairos.admitted_ids(), next.kairos.admitted_ids(), "after {path:?}");
+}
+
+/// A state waiting in the walk's queue, with its shortest history and
+/// the edge that reached it (its start and operation), for the probe made
+/// one edge earlier.
+type Queued = (Rc<State>, Vec<Op>, Option<(Rc<State>, Op)>);
+
 /// Walks `platform`'s state graph breadth first to closure, auditing the
-/// manager after every edge and checking that a restored checkpoint and a
-/// release undoing an admission land where they should; panics with the
-/// shortest failing history.
+/// manager after every edge and checking that a restored checkpoint, a
+/// release undoing an admission and the probe hand-offs land where they
+/// should; panics with the shortest failing history.
 fn close(platform: Platform) -> Closure {
     let chains = chains();
     let root = State { kairos: Kairos::new(platform, KairosConfig::default()), residents: vec![] };
     let mut seen = HashSet::from([root.key()]);
-    let mut queue = VecDeque::from([(root, Vec::new())]);
+    let mut queue: VecDeque<Queued> = VecDeque::from([(Rc::new(root), Vec::new(), None)]);
     let (mut edges, mut deepest) = (0, 0);
-    while let Some((state, history)) = queue.pop_front() {
+    while let Some((state, history, reached_by)) = queue.pop_front() {
         deepest = deepest.max(history.len());
         for op in OPS {
-            let next = state.after(op, &chains);
-            edges += 1;
             let path = || [&history[..], &[op]].concat();
+            let next = match op {
+                Op::Admit(chain) => {
+                    let (next, cold) = state.admitting(chain, &chains);
+                    let path = path();
+                    let probed = state.probed_then_admitting(chain, &chains, &path);
+                    same_admission(probed, &next, &cold, &path);
+                    // A probe made before the edge that reached `state`:
+                    // whatever that edge changed voids it.
+                    if let Some((parent, by)) = &reached_by {
+                        let mut early = State::clone(parent);
+                        drop(early.kairos.probe_admit(&chains[chain]));
+                        let early = early.after(*by, &chains).admitting(chain, &chains);
+                        same_admission(early, &next, &cold, &path);
+                    }
+                    next
+                }
+                _ => state.after(op, &chains),
+            };
+            edges += 1;
             if let Err(e) = next.kairos.audit() {
                 panic!("audit failed after {:?}: {e}", path());
             }
@@ -137,7 +232,7 @@ fn close(platform: Platform) -> Closure {
             ids.sort_unstable();
             assert_eq!(next.kairos.admitted_ids(), ids, "residents after {:?}", path());
             // The edge's own start, rewound to where the edge led.
-            let mut rewound = state.clone();
+            let mut rewound = State::clone(&state);
             rewound.kairos.restore(next.kairos.checkpoint());
             rewound.residents.clone_from(&next.residents);
             assert_eq!(rewound.key(), next.key(), "restored after {:?}", path());
@@ -153,7 +248,7 @@ fn close(platform: Platform) -> Closure {
                 assert_eq!(undone.key(), state.key(), "released after {:?}", path());
             }
             if seen.insert(next.key()) {
-                queue.push_back((next, path()));
+                queue.push_back((Rc::new(next), path(), Some((Rc::clone(&state), op))));
             }
         }
     }

@@ -8,6 +8,7 @@
 //! `produce == consume`); a model builder that ever emits a true multirate
 //! channel breaks it, and these tests are the tripwire.
 
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use proptest::prelude::*;
@@ -357,7 +358,7 @@ fn catalogue_layouts(
         for app in generate_dataset(spec, per_dataset, splitmix(CATALOGUE_SEED + i as u64)) {
             if let Ok(report) = manager.admit(&app) {
                 manager.release(report.app_id);
-                layouts.push((app, report.layout));
+                layouts.push((app, Arc::unwrap_or_clone(report.layout)));
             }
         }
     }
