@@ -89,10 +89,9 @@ pub trait ResourceService: std::fmt::Debug {
     }
 
     /// Per-element busy/failed/resident-apps activity over the whole
-    /// service, in global-element-id order — the raw signal behind energy
-    /// accounting and health monitoring (`kairos-watch`). Multi-manager
-    /// services translate shard-local element ids to global ones and tag
-    /// each entry with its owning shard.
+    /// service, in global-element-id order — the raw signal behind the
+    /// simulator's energy accounting. Multi-manager services translate
+    /// shard-local element ids to global ones.
     fn element_activity(&self) -> Vec<ElementActivity> {
         self.kairos().element_activity()
     }

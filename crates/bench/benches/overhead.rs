@@ -1,21 +1,22 @@
 //! Observer overhead — wall-clock cost of running the stack with each
-//! observer (the metrics registry, request tracing, the energy/health
-//! watch) on versus off.
+//! observer (the metrics registry, request tracing, the energy meter) on
+//! versus off.
 //!
 //! Every observer sits on or beside the admission hot path, so its cost
 //! budget is a design constraint: a disabled handle is one pointer test
 //! per site; lit, the registry is a handful of relaxed atomic increments,
 //! tracing a short critical section appending a span to a `Vec`, and the
-//! watch a bounded sweep per sample tick. Each row of [`OBSERVERS`] drives
-//! its three catalogue scenarios dark and lit and reports the paired wall
-//! times; CI runs it and asserts a generous bounded-slowdown gate per
+//! energy meter one activity scan per sample tick. Each row of
+//! [`OBSERVERS`] drives its three catalogue scenarios dark and lit and
+//! reports the paired wall times; CI runs it and asserts a generous bounded-slowdown gate per
 //! observer, so a regression that makes an observer expensive fails
 //! loudly.
 
 use std::time::Instant;
 
 use kairos_bench::print_table;
-use kairos_sim::{Scenario, Simulator, WatchSpec};
+use kairos_platform::PowerModel;
+use kairos_sim::{Scenario, Simulator};
 
 /// One observer: the scenarios it is paired on — one queued monolithic
 /// regime, one sharded probe-heavy regime and the catalogue's own
@@ -42,10 +43,10 @@ const OBSERVERS: [Observer; 3] = [
         lit: |s| Scenario { trace: true, ..s },
     },
     Observer {
-        name: "watch",
+        name: "energy",
         scenarios: ["overload-backpressure", "sharded-arrival-storm", "slo-burn-storm"],
-        dark: |s| Scenario { watch: None, power: None, ..s },
-        lit: |s| Scenario { watch: Some(WatchSpec::default()), ..s },
+        dark: |s| Scenario { power: None, ..s },
+        lit: |s| Scenario { power: Some(PowerModel::default()), ..s },
     },
 ];
 
@@ -99,7 +100,7 @@ fn main() {
     // Smoke gates: no observer may multiply the cost of a run. The bound
     // is deliberately loose — CI machines are noisy and the runs are
     // short — but a 3x regression means an instrumentation site, span
-    // recording or the per-sample sweep started doing real work per
+    // recording or the per-sample scan started doing real work per
     // event (or a disabled site stopped being a pointer test).
     for (observer, worst) in OBSERVERS.iter().zip(worst) {
         let name = observer.name;

@@ -17,7 +17,7 @@
 //! | `ablation_exact`    | future-work ILP comparison (exact baseline)     |
 //!
 //! Beside them, `relocation`, `opcache` (asserts at least 5x), `scale` and
-//! `overhead` (telemetry, tracing and watch, dark versus lit; asserts
+//! `overhead` (telemetry, tracing and energy, dark versus lit; asserts
 //! under 3x each) time this reproduction's own mechanisms.
 //!
 //! [`baseline`] holds the first-fit and exact (branch-and-bound) mappers

@@ -811,15 +811,14 @@ impl ResourceService for ClusterService {
 
     /// Per-element activity over every shard, with shard-local element ids
     /// translated back to the global platform through each shard's region
-    /// slice and each entry tagged with its owning shard — in global-id
-    /// order, as the trait promises. Regions are contiguous in the
-    /// topology, not in element ids, so shard-major order is not that.
+    /// slice — in global-id order, as the trait promises. Regions are
+    /// contiguous in the topology, not in element ids, so shard-major
+    /// order is not that.
     fn element_activity(&self) -> Vec<ElementActivity> {
         let mut out = Vec::new();
         for (shard_index, s) in self.shards.iter().enumerate() {
             for mut activity in s.kairos().element_activity() {
                 activity.element = self.region.to_global(shard_index, activity.element);
-                activity.shard = shard_index;
                 out.push(activity);
             }
         }
@@ -1382,7 +1381,10 @@ mod tests {
         let activity = cluster.element_activity();
         let ids: Vec<usize> = activity.iter().map(|a| a.element.index()).collect();
         assert_eq!(ids, (0..16).collect::<Vec<_>>());
-        let shards: Vec<usize> = activity.iter().map(|a| a.shard).collect();
+        let shards: Vec<usize> = activity
+            .iter()
+            .map(|a| cluster.region.locate(a.element).expect("on the mesh").0)
+            .collect();
         assert!(shards.windows(2).any(|w| w[0] > w[1]), "this cut interleaves shards: {shards:?}");
     }
 }

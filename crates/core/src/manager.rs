@@ -547,11 +547,9 @@ impl Kairos {
 
     /// Per-element busy/failed/resident-apps activity, in element-id order.
     ///
-    /// The raw signal behind energy accounting and health monitoring: a pure
-    /// function of platform state (like [`Kairos::occupancy`]), suitable for
-    /// periodic sampling. The monolithic manager reports every element as
-    /// shard 0; cluster layers translate shard-local ids to global ones and
-    /// tag the owning shard.
+    /// The raw signal behind energy accounting: a pure function of platform
+    /// state (like [`Kairos::occupancy`]), suitable for periodic sampling.
+    /// Cluster layers translate shard-local ids to global ones.
     pub fn element_activity(&self) -> Vec<ElementActivity> {
         self.platform
             .element_ids()
@@ -565,7 +563,6 @@ impl Kairos {
                     element: id,
                     kind: element.kind(),
                     name: element.name().to_string(),
-                    shard: 0,
                     busy: self.platform.is_used(id),
                     failed: self.platform.is_failed(id),
                     apps,

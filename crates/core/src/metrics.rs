@@ -207,8 +207,6 @@ pub struct ElementActivity {
     /// Human-readable name, e.g. `pkg2/dsp4` (the prefix before `/` is the
     /// element's package; names without one form their own package).
     pub name: String,
-    /// Index of the shard managing the element (0 for a monolithic service).
-    pub shard: usize,
     /// `true` while at least one task resides on the element.
     pub busy: bool,
     /// `true` while the element is marked failed.

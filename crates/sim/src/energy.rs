@@ -81,9 +81,8 @@ pub struct EnergyReport {
     pub packages: Vec<PackageEnergy>,
     /// The instantaneous power series, one point per observation.
     pub series: Vec<PowerPoint>,
-    /// The heaviest per-application consumers (at most
-    /// [`EnergyMeter::TOP_APPS`]), sorted by descending energy then
-    /// ascending id.
+    /// The heaviest per-application consumers (at most eight), sorted by
+    /// descending energy then ascending id.
     pub top_apps: Vec<AppEnergy>,
 }
 
@@ -91,7 +90,7 @@ pub struct EnergyReport {
 /// `kairos.gateway.*` / `kairos.reloc.*` pre-resolution pattern: resolved
 /// once at construction, no-ops when the hub is disabled.
 #[derive(Debug, Clone)]
-pub struct EnergyMetrics {
+struct EnergyMetrics {
     /// `kairos.energy.total.mwt` — whole-run energy counter.
     total: Arc<Counter>,
     /// `kairos.energy.busy.mwt` — busy-element energy counter.
@@ -106,7 +105,7 @@ pub struct EnergyMetrics {
 
 impl EnergyMetrics {
     /// Resolves the handles, or `None` when `telemetry` is disabled.
-    pub fn new(telemetry: &Telemetry) -> Option<Self> {
+    fn new(telemetry: &Telemetry) -> Option<Self> {
         let registry = telemetry.registry()?;
         Some(EnergyMetrics {
             total: registry.counter("kairos.energy.total.mwt"),
@@ -122,7 +121,7 @@ impl EnergyMetrics {
 /// [`PowerModel`] — left-rectangle rule over virtual time: the draw
 /// observed at one sample is charged until the next.
 #[derive(Debug)]
-pub struct EnergyMeter {
+pub(crate) struct EnergyMeter {
     model: PowerModel,
     metrics: Option<EnergyMetrics>,
     last_at: Option<u64>,
@@ -143,11 +142,11 @@ pub struct EnergyMeter {
 
 impl EnergyMeter {
     /// Applications kept in [`EnergyReport::top_apps`].
-    pub const TOP_APPS: usize = 8;
+    const TOP_APPS: usize = 8;
 
     /// A meter over `model`, registering `kairos.energy.*` instruments on
     /// `telemetry` when the hub is enabled.
-    pub fn new(model: PowerModel, telemetry: &Telemetry) -> Self {
+    pub(crate) fn new(model: PowerModel, telemetry: &Telemetry) -> Self {
         EnergyMeter {
             model,
             metrics: EnergyMetrics::new(telemetry),
@@ -168,19 +167,8 @@ impl EnergyMeter {
 
     /// The package of an element name: the prefix before the first `/`,
     /// or the whole name.
-    pub fn package_of_name(name: &str) -> &str {
+    fn package_of_name(name: &str) -> &str {
         name.split('/').next().unwrap_or(name)
-    }
-
-    /// Sorted package names, empty before the first observation.
-    pub fn packages(&self) -> &[String] {
-        &self.packages
-    }
-
-    /// Per-package draw at the latest observation, aligned with
-    /// [`EnergyMeter::packages`]; empty before the first observation.
-    pub fn last_package_mw(&self) -> &[u64] {
-        self.series.last().map_or(&[], |p| &p.package_mw)
     }
 
     /// Feeds one activity observation taken at virtual time `at`.
@@ -188,16 +176,16 @@ impl EnergyMeter {
     /// The previous observation's draw is charged for the elapsed ticks,
     /// then `activity`'s instantaneous draw is recorded as a series point.
     /// Observations must be fed in non-decreasing time order.
-    pub fn observe(&mut self, at: u64, activity: &[ElementActivity]) {
+    pub(crate) fn observe(&mut self, at: u64, activity: Vec<ElementActivity>) {
         if self.packages.is_empty() && !activity.is_empty() {
-            self.index_packages(activity);
+            self.index_packages(&activity);
         }
         if let Some(prev_at) = self.last_at {
             self.integrate(at.saturating_sub(prev_at));
         }
-        self.record_point(at, activity);
+        self.record_point(at, &activity);
         self.last_at = Some(at);
-        self.last = activity.to_vec();
+        self.last = activity;
         self.samples += 1;
         if let Some(m) = &self.metrics {
             m.samples.inc();
@@ -206,7 +194,7 @@ impl EnergyMeter {
 
     /// Charges the final observation up to `horizon` and returns the
     /// completed account.
-    pub fn finish(mut self, horizon: u64) -> EnergyReport {
+    pub(crate) fn finish(mut self, horizon: u64) -> EnergyReport {
         if let Some(prev_at) = self.last_at {
             self.integrate(horizon.saturating_sub(prev_at));
         }
@@ -331,7 +319,6 @@ mod tests {
                 element: ElementId(i as u32),
                 kind: ElementKind::Dsp,
                 name: format!("pkg{}/dsp{i}", i / 2),
-                shard: 0,
                 busy,
                 failed,
                 apps: if busy { vec![AppId(7)] } else { vec![] },
@@ -346,8 +333,8 @@ mod tests {
         let rate = PowerModel::table1_defaults().rate(ElementKind::Dsp);
         // Two elements: one busy, one idle, for 10 ticks; then both idle
         // for 10 more.
-        meter.observe(0, &activity(&[true, false], &[false, false]));
-        meter.observe(10, &activity(&[false, false], &[false, false]));
+        meter.observe(0, activity(&[true, false], &[false, false]));
+        meter.observe(10, activity(&[false, false], &[false, false]));
         let report = meter.finish(20);
         assert_eq!(report.busy_mw_ticks, rate.busy_mw * 10);
         assert_eq!(report.idle_mw_ticks, rate.idle_mw * 10 + rate.idle_mw * 20);
@@ -362,7 +349,7 @@ mod tests {
     fn failed_elements_draw_nothing() {
         let telemetry = Telemetry::disabled();
         let mut meter = EnergyMeter::new(PowerModel::table1_defaults(), &telemetry);
-        meter.observe(0, &activity(&[false, false], &[true, true]));
+        meter.observe(0, activity(&[false, false], &[true, true]));
         let report = meter.finish(100);
         assert_eq!(report.total_mw_ticks, 0);
         assert_eq!(report.series[0].total_mw, 0);
@@ -372,14 +359,13 @@ mod tests {
     fn packages_are_indexed_and_series_aligned() {
         let telemetry = Telemetry::disabled();
         let mut meter = EnergyMeter::new(PowerModel::table1_defaults(), &telemetry);
-        meter.observe(0, &activity(&[true, false, false, false], &[false; 4]));
-        assert_eq!(meter.packages(), ["pkg0", "pkg1"]);
+        meter.observe(0, activity(&[true, false, false, false], &[false; 4]));
         let rate = PowerModel::table1_defaults().rate(ElementKind::Dsp);
-        assert_eq!(meter.last_package_mw(), [rate.busy_mw + rate.idle_mw, 2 * rate.idle_mw]);
         let report = meter.finish(10);
-        assert_eq!(report.packages.len(), 2);
+        let names: Vec<&str> = report.packages.iter().map(|p| p.name.as_str()).collect();
+        assert_eq!(names, ["pkg0", "pkg1"]);
         assert_eq!(report.packages[0].peak_mw, rate.busy_mw + rate.idle_mw);
-        assert_eq!(report.series[0].package_mw.len(), 2);
+        assert_eq!(report.series[0].package_mw, [rate.busy_mw + rate.idle_mw, 2 * rate.idle_mw]);
     }
 
     #[test]

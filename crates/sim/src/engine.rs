@@ -36,10 +36,10 @@ use kairos_appgen::{WorkloadMix, WorkloadSampler};
 use kairos_cluster::ClusterBuilder;
 use kairos_core::{CacheConfig, Kairos, KairosConfig, Phase};
 use kairos_gateway::{Gateway, GatewayStats};
-use kairos_platform::{AppId, ElementId};
+use kairos_platform::{AppId, ElementId, PowerModel};
 use kairos_telemetry::{Counter, Gauge, Histogram, Telemetry, TelemetryConfig};
-use kairos_watch::{EnergyMeter, Watcher};
 
+use crate::energy::EnergyMeter;
 use crate::report::{
     ClassQueueStats, ClassTraceStats, GatewayReport, PhaseStats, QueueReport, SamplePoint,
     SimReport, Totals, TraceReport,
@@ -300,11 +300,9 @@ pub struct Simulator {
     gateway_stats: Option<GatewayStats>,
     gateway_lanes: usize,
     /// Energy meter over the sampled element activity; runs when the
-    /// scenario sets `power` or `watch`. A pure observer.
+    /// scenario sets `power` (or `watch`, folded into `power`). A pure
+    /// observer.
     energy: Option<EnergyMeter>,
-    /// Monitor-rule evaluator over the event and sample streams; runs
-    /// when the scenario sets `watch`. A pure observer.
-    watch: Option<Watcher>,
     telemetry: Telemetry,
     totals: TotalsTally,
     rejections_by_phase: [u64; 4],
@@ -324,8 +322,12 @@ impl Simulator {
     /// # Errors
     ///
     /// The scenario's [`Scenario::validate`] error, if any.
-    pub fn new(scenario: Scenario) -> Result<Self, String> {
+    pub fn new(mut scenario: Scenario) -> Result<Self, String> {
         scenario.validate()?;
+        // `watch` means metering against the default power model.
+        if scenario.watch.take().is_some() {
+            scenario.power.get_or_insert_with(PowerModel::default);
+        }
         let config = KairosConfig {
             cache: scenario.cache.then(CacheConfig::default),
             ..KairosConfig::default()
@@ -404,14 +406,10 @@ impl Simulator {
             t += phase.duration;
         }
         let phase_accum = vec![PhaseAccum::default(); scenario.phases.len()];
-        // The watch layer observes the same streams the report is built
-        // from and never feeds anything back: a watched run differs from
-        // an unwatched one only in its `energy`/`health` report sections
-        // (`tests/observers/mod.rs` pins that). A watched scenario
-        // meters implicitly; `power` alone meters without monitors.
-        let energy = (scenario.power.is_some() || scenario.watch.is_some())
-            .then(|| EnergyMeter::new(scenario.power.clone().unwrap_or_default(), &telemetry));
-        let watch = scenario.watch.map(|spec| Watcher::new(spec, &telemetry));
+        // The meter reads the sample stream and never feeds anything
+        // back: a metered run differs from an unmetered one only in its
+        // `energy` report section (`tests/observers/mod.rs` pins that).
+        let energy = scenario.power.clone().map(|model| EnergyMeter::new(model, &telemetry));
         Ok(Simulator {
             scenario,
             service,
@@ -426,7 +424,6 @@ impl Simulator {
             gateway_stats,
             gateway_lanes,
             energy,
-            watch,
             totals: TotalsTally::new(&telemetry),
             rejections_by_phase: [0; 4],
             phase_accum,
@@ -561,7 +558,9 @@ impl Simulator {
                         occupancy: self.service.occupancy(),
                         queue_depth: self.service.queue_depth() as u64,
                     });
-                    self.on_watch_sample(at);
+                    if let Some(meter) = &mut self.energy {
+                        meter.observe(at, self.service.element_activity());
+                    }
                 }
             }
         }
@@ -733,11 +732,6 @@ impl Simulator {
     /// `queued == admitted + dropped` style balances hold with or without
     /// faults in the scenario.
     fn apply_events(&mut self, at: u64, events: Vec<Event>) {
-        // The watcher reads the stream before the engine consumes it —
-        // strictly read-only, so watched accounting stays bit-identical.
-        if let Some(watch) = &mut self.watch {
-            watch.observe_events(at, &events);
-        }
         let max_wait = self.scenario.admission.as_ref().and_then(|p| p.max_wait);
         let queue_enabled = self.queue_enabled();
         for event in events {
@@ -897,28 +891,6 @@ impl Simulator {
         self.queue_accum.max_depth.set_max(self.service.queue_depth() as i64);
     }
 
-    /// One watch-layer observation at sample instant `at`: the energy
-    /// meter integrates the element-activity snapshot, then the watcher
-    /// evaluates every armed rule over the queue depth, the activity and
-    /// the meter's instantaneous per-package draw.
-    fn on_watch_sample(&mut self, at: u64) {
-        if self.energy.is_none() && self.watch.is_none() {
-            return;
-        }
-        let activity = self.service.element_activity();
-        if let Some(meter) = &mut self.energy {
-            meter.observe(at, &activity);
-        }
-        let depth = self.service.queue_depth();
-        let (packages, package_mw): (Vec<String>, Vec<u64>) = match &self.energy {
-            Some(meter) => (meter.packages().to_vec(), meter.last_package_mw().to_vec()),
-            None => (Vec::new(), Vec::new()),
-        };
-        if let Some(watch) = &mut self.watch {
-            watch.on_sample(at, depth, &activity, &packages, &package_mw);
-        }
-    }
-
     fn record_wait(&mut self, class: PriorityClass, waited: u64) {
         self.queue_accum.class_wait_hist[class.index()].record(waited);
     }
@@ -1037,7 +1009,6 @@ impl Simulator {
                 lanes: self.gateway_lanes as u64,
             }),
             energy: self.energy.take().map(|meter| meter.finish(self.scenario.horizon())),
-            health: self.watch.take().map(Watcher::finish),
         }
     }
 

@@ -37,11 +37,10 @@
 //!   storm streamed through per-shard bounded lanes, byte-identical to
 //!   its unwrapped twin) and `gateway-backpressure` (a queued overload
 //!   behind a four-slot lane that parks requests in the gateway), and
-//!   two that exercise the `kairos-watch` energy/health layer
-//!   ([`WatchSpec`], [`Scenario::power`]) — `slo-burn-storm` (a queued
-//!   overload that fires and then clears the burn-rate SLO alerts) and
-//!   `power-cap-skew` (a package-wide DSP outage that trips the
-//!   per-package power anomaly detector);
+//!   two that meter energy ([`Scenario::power`]) — `slo-burn-storm` (a
+//!   queued overload whose admissions wait long before a recovery) and
+//!   `power-cap-skew` (a package-wide DSP outage that collapses one
+//!   package's draw);
 //! * [`Simulator`] — the event queue + virtual clock driving all
 //!   scenario traffic through the unified
 //!   [`kairos_admitd::ResourceService`] API: arrivals are `Admit` commands
@@ -58,9 +57,11 @@
 //!   waits, retries, drops) and metric time-series — plus, for
 //!   telemetry-enabled runs, the end-of-run snapshot of the whole
 //!   stack's metric registry ([`SimReport::telemetry`]) — and, for
-//!   watched/metered runs, the `kairos-watch` energy account
-//!   ([`SimReport::energy`]) and health judgment ([`SimReport::health`])
-//!   — rendered as byte-deterministic JSON.
+//!   metered runs, the energy account ([`SimReport::energy`]: per-class,
+//!   per-package and per-app milliwatt-ticks and a virtual-time power
+//!   series, integrated from sampled element activity against a
+//!   [`kairos_platform::PowerModel`]) — rendered as byte-deterministic
+//!   JSON.
 //!
 //! Identical scenarios yield byte-identical reports: the engine draws every
 //! random choice from the scenario seed and never consults wall-clock time.
@@ -79,14 +80,17 @@
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
 
+mod energy;
 mod engine;
 pub mod json;
 mod report;
 mod scenario;
 
+pub use energy::{AppEnergy, EnergyReport, KindEnergy, PackageEnergy, PowerPoint};
 pub use engine::Simulator;
-pub use kairos_watch::WatchSpec;
 pub use report::{
     ClassQueueStats, GatewayReport, PhaseStats, QueueReport, SamplePoint, SimReport, Totals,
 };
-pub use scenario::{ClusterSpec, FaultSpec, PhaseSpec, PlatformSpec, Scenario, SweepSpec};
+pub use scenario::{
+    ClusterSpec, FaultSpec, PhaseSpec, PlatformSpec, Scenario, SweepSpec, WatchSpec,
+};

@@ -13,8 +13,8 @@
 use kairos_core::{CacheStats, OccupancySnapshot};
 use kairos_gateway::GatewayCounters;
 use kairos_telemetry::{MetricValue, Snapshot};
-use kairos_watch::{EnergyReport, HealthReport, StatusSnapshot, StatusTotals};
 
+use crate::energy::EnergyReport;
 use crate::json::Json;
 
 /// Total event counts over a whole run.
@@ -263,23 +263,15 @@ pub struct SimReport {
     /// byte-identical. All fields are lifetime counters, so the section
     /// is byte-stable.
     pub gateway: Option<GatewayReport>,
-    /// End-of-run energy account from the `kairos-watch`
-    /// [`EnergyMeter`](kairos_watch::EnergyMeter). `None` unless the
-    /// scenario sets [`Scenario::power`](crate::Scenario::power) or
-    /// [`Scenario::watch`](crate::Scenario::watch); the JSON rendering
+    /// End-of-run energy account of the simulator's energy meter.
+    /// `None` unless the scenario sets
+    /// [`Scenario::power`](crate::Scenario::power) (or
+    /// [`Scenario::watch`](crate::Scenario::watch)); the JSON rendering
     /// omits its `energy` key then, keeping legacy reports
     /// byte-identical. Every field is an integer milliwatt-tick or
     /// milliwatt quantity over virtual time, so the section is
     /// byte-stable.
     pub energy: Option<EnergyReport>,
-    /// End-of-run health judgment from the `kairos-watch`
-    /// [`Watcher`](kairos_watch::Watcher): alert lifecycles and per-shard
-    /// health scores. `None` unless the scenario sets
-    /// [`Scenario::watch`](crate::Scenario::watch); the JSON rendering
-    /// omits its `health` key then. All monitor arithmetic is
-    /// integer/fixed-point over virtual time, so the section is
-    /// byte-stable.
-    pub health: Option<HealthReport>,
 }
 
 /// A metric snapshot as an ordered JSON object: one key per metric (the
@@ -389,54 +381,6 @@ fn energy_json(report: &EnergyReport) -> Json {
         })
         .collect::<Vec<_>>();
     doc.push("top_apps", top_apps);
-    doc
-}
-
-/// The health judgment as an ordered JSON object; alerts render their
-/// full lifecycle (fire/clear instants, severity, cause chain), so the
-/// rendering is byte-stable.
-fn health_json(report: &HealthReport) -> Json {
-    let mut doc = Json::object();
-    doc.push("rules", report.rules);
-    doc.push("evaluations", report.evaluations);
-    doc.push("fired", report.fired);
-    doc.push("cleared", report.cleared);
-    let alerts = report
-        .alerts
-        .iter()
-        .map(|a| {
-            let mut alert = Json::object();
-            alert.push("seq", a.seq);
-            alert.push("kind", a.kind.to_string());
-            alert.push("subject", a.subject.as_str());
-            alert.push("severity", a.severity.to_string());
-            match a.shard {
-                Some(shard) => alert.push("shard", shard),
-                None => alert.push("shard", Json::Null),
-            };
-            alert.push("fired_at", a.fired_at);
-            match a.cleared_at {
-                Some(at) => alert.push("cleared_at", at),
-                None => alert.push("cleared_at", Json::Null),
-            };
-            alert.push("signal", a.signal);
-            alert.push("threshold", a.threshold);
-            alert.push("cause", a.cause.iter().map(|c| Json::from(c.as_str())).collect::<Vec<_>>());
-            alert
-        })
-        .collect::<Vec<_>>();
-    doc.push("alerts", alerts);
-    let shards = report
-        .shards
-        .iter()
-        .map(|s| {
-            let mut shard = Json::object();
-            shard.push("shard", s.shard);
-            shard.push("score", s.score);
-            shard
-        })
-        .collect::<Vec<_>>();
-    doc.push("shards", shards);
     doc
 }
 
@@ -585,9 +529,6 @@ impl SimReport {
         if let Some(energy) = &self.energy {
             doc.push("energy", energy_json(energy));
         }
-        if let Some(health) = &self.health {
-            doc.push("health", health_json(health));
-        }
         doc
     }
 
@@ -595,31 +536,5 @@ impl SimReport {
     /// for identical runs.
     pub fn to_json_string(&self) -> String {
         self.to_json().render()
-    }
-
-    /// The run's final state as a `kairos-watch` [`StatusSnapshot`] — the
-    /// `kairos-top`-style dump the scenario runner renders under
-    /// `--status`. `shards` is the service's shard count (the report
-    /// itself does not retain it; ask
-    /// [`ResourceService::shard_count`](kairos_admitd::ResourceService::shard_count)).
-    pub fn status(&self, shards: usize) -> StatusSnapshot {
-        StatusSnapshot {
-            scenario: self.scenario.clone(),
-            horizon: self.horizon,
-            shards,
-            lanes: self.gateway.as_ref().map(|g| g.lanes as usize),
-            totals: StatusTotals {
-                arrivals: self.totals.arrivals,
-                admissions: self.totals.admissions,
-                rejections: self.totals.rejections,
-                departures: self.totals.departures,
-            },
-            admitted: self.final_state.admitted_apps,
-            queue_depth: self.samples.last().map_or(0, |s| s.queue_depth as usize),
-            failed_elements: self.final_state.failed_elements,
-            cache: self.cache,
-            energy: self.energy.clone(),
-            health: self.health.clone(),
-        }
     }
 }

@@ -34,11 +34,11 @@
 //! gateway's default lanes and pinned byte-identical to the unwrapped
 //! run, and `gateway-backpressure`, a queued overload behind a
 //! four-slot lane that parks requests in the gateway; both run with
-//! [`Scenario::gateway`] set), and two exercising the `kairos-watch`
-//! energy/health layer (`slo-burn-storm`, a queued overload that fires
-//! and then clears the burn-rate SLO alerts, and `power-cap-skew`, a
-//! sharded run whose package-wide DSP outage trips the per-package power
-//! anomaly detector; both run with [`Scenario::watch`] set).
+//! [`Scenario::gateway`] set), and two metering energy
+//! (`slo-burn-storm`, a queued overload whose admissions wait long
+//! before a recovery, and `power-cap-skew`, a sharded run
+//! whose package-wide DSP outage collapses one package's draw; both run
+//! with [`Scenario::power`] set).
 //! `docs/SCENARIOS.md` documents every entry; CI checks the two stay in
 //! sync.
 
@@ -49,7 +49,13 @@ use kairos_appgen::{
 use kairos_cluster::Placement;
 use kairos_gateway::GatewayConfig;
 use kairos_platform::{topology, ElementKind, Platform, PowerModel, PowerRate};
-use kairos_watch::WatchSpec;
+
+/// The benchmark's switch for energy metering: `Some(WatchSpec)` meters
+/// against [`PowerModel::default`], exactly as
+/// `power: Some(PowerModel::default())` does, and the engine folds it
+/// into [`Scenario::power`] when it starts. It has nothing to set.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct WatchSpec;
 
 /// The platform a scenario runs on.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -285,29 +291,25 @@ pub struct Scenario {
     /// apart from the extra `cache` section in the report (the
     /// observer-effect harness, `tests/observers/mod.rs`, pins exactly this).
     pub cache: bool,
-    /// Energy/health watching (`kairos-watch`). `None` runs unwatched;
-    /// `Some` arms the watch's fixed rule set — one burn-rate SLO per
-    /// priority class, the rejection-rate monitor, and the queue-depth
-    /// and anomaly monitors the spec switches on — over the run's event
-    /// and sample streams, and embeds `energy` and `health` sections in
-    /// the report. The watcher is a pure observer — a watched run is
-    /// byte-identical to an unwatched one apart from those sections
-    /// (`tests/observers/mod.rs` pins that).
+    /// `Some` meters against the default power model unless
+    /// [`Scenario::power`] names one: the same as
+    /// `power.get_or_insert_with(PowerModel::default)`. Kept for the
+    /// benchmark; set `power` instead.
     pub watch: Option<WatchSpec>,
-    /// Energy accounting without alerting. `None` (with [`Scenario::watch`]
-    /// also `None`) runs no meter; `Some` integrates sampled activity
-    /// against this power model and embeds the `energy` section. A
-    /// watched run meters implicitly against
-    /// [`PowerModel::table1_defaults`] — set this to override rates or to
-    /// meter without monitors.
+    /// Energy accounting. `None` (with [`Scenario::watch`] also `None`)
+    /// runs no meter; `Some` integrates sampled activity against this
+    /// power model and embeds the `energy` section in the report. The
+    /// meter is a pure observer — a metered run is byte-identical to an
+    /// unmetered one apart from that section (`tests/observers/mod.rs`
+    /// pins that).
     pub power: Option<PowerModel>,
 }
 
 impl Scenario {
     /// A scenario named `name` running `phases` on `platform`, with every
     /// optional subsystem off: no faults, queue-less admission, no defrag,
-    /// one monolithic manager, no gateway, no telemetry, tracing, cache,
-    /// watching or metering. Name what a scenario turns on with struct
+    /// one monolithic manager, no gateway, no telemetry, tracing, cache
+    /// or metering. Name what a scenario turns on with struct
     /// update syntax over this.
     pub fn new(
         name: impl Into<String>,
@@ -1096,16 +1098,10 @@ fn gateway_backpressure() -> Scenario {
 
 /// SLO burn storm: a queued monolith rides through a calm warmup, a hard
 /// overload surge, and a long light-traffic recovery. During the surge
-/// almost every admission waits far past the 120-tick SLO target, so both
-/// burn-rate windows blow through the 2x-budget threshold and the
-/// per-class SLO alerts fire (the rejection-rate monitor typically trips
-/// too); the recovery's prompt admissions then drain the windows and the
-/// alerts clear before the horizon. The anomaly detectors are disabled —
-/// a churning workload's power series is legitimately jumpy, and this
-/// scenario is the SLO story (`power-cap-skew` is the anomaly one). The
-/// canonical fire-AND-clear demonstration for the `kairos-watch`
-/// monitors — `tests/watch_observer.rs` asserts the full alert
-/// lifecycle.
+/// admissions wait hundreds of ticks, up to the 900-tick `max_wait`; the
+/// recovery's prompt admissions follow before the horizon. The run is
+/// metered against the default power model, so its `energy` section
+/// follows a churning workload's draw through the surge.
 fn slo_burn_storm() -> Scenario {
     let surge_mix = vec![
         MixEntry::new(spec(Orientation::Computation, SizeClass::Medium), 2),
@@ -1127,22 +1123,19 @@ fn slo_burn_storm() -> Scenario {
             backoff_cap: 4,
             ..AdmitPolicy::default()
         }),
-        watch: Some(WatchSpec { anomaly_detectors: false, ..WatchSpec::default() }),
+        power: Some(PowerModel::default()),
         ..Scenario::new("slo-burn-storm", 0x510B, 25, PlatformSpec::Crisp, phases)
     }
 }
 
 /// Power-cap skew: long-lived residents fill a three-shard CRISP cluster,
 /// then six of package 2's nine DSPs black out for 600 ticks mid-run. The
-/// package's draw collapses, so the per-package EWMA/z-score power
-/// anomaly detector trips on `pkg2` (shard attribution included) — and
-/// because the outage evicts the residents for good (no re-admission, no
-/// later arrivals), the package never returns to its pre-fault draw and
-/// the alert rides to the horizon: a permanent-capability-loss signal,
-/// the complement of `slo-burn-storm`'s fire-and-clear lifecycle. The
-/// scenario also overrides the DSP power rates, exercising the
-/// [`Scenario::power`] override path; `tests/watch_observer.rs` asserts the
-/// anomaly window.
+/// package's draw collapses — and because the outage evicts the residents
+/// for good (no re-admission, no later arrivals), the package never
+/// returns to its pre-fault draw: a permanent capability loss in the
+/// per-package power series. The scenario also overrides the DSP power
+/// rates, exercising the [`Scenario::power`] override path;
+/// `tests/watch_observer.rs` asserts the collapse.
 fn power_cap_skew() -> Scenario {
     let resident_mix = vec![
         MixEntry::new(spec(Orientation::Computation, SizeClass::Medium), 2),
@@ -1160,7 +1153,6 @@ fn power_cap_skew() -> Scenario {
     Scenario {
         faults,
         cluster: Some(ClusterSpec { shards: 3, policy: Placement::FirstFit, rebalance: None }),
-        watch: Some(WatchSpec { queue_monitor: false, ..WatchSpec::default() }),
         power: Some(dsp_skewed_power()),
         ..Scenario::new("power-cap-skew", 0x50CA9, 30, PlatformSpec::Crisp, phases)
     }
@@ -1281,15 +1273,13 @@ mod tests {
         let cached: Vec<&str> =
             catalog.iter().filter(|s| s.cache).map(|s| s.name.as_str()).collect();
         assert_eq!(cached, vec!["cache-warm-storm", "cache-invalidation-churn"]);
-        // Exactly the two watch scenarios run monitored; only the power
-        // skew meters with overridden rates, and every legacy entry keeps
-        // watch-off byte identity with its pre-watch report.
-        let watched: Vec<&str> =
-            catalog.iter().filter(|s| s.watch.is_some()).map(|s| s.name.as_str()).collect();
-        assert_eq!(watched, vec!["slo-burn-storm", "power-cap-skew"]);
+        // Exactly the two energy scenarios meter; no entry sets `watch`,
+        // and every legacy entry keeps metering-off byte identity with
+        // its pre-metering report.
+        assert!(catalog.iter().all(|s| s.watch.is_none()));
         let powered: Vec<&str> =
             catalog.iter().filter(|s| s.power.is_some()).map(|s| s.name.as_str()).collect();
-        assert_eq!(powered, vec!["power-cap-skew"]);
+        assert_eq!(powered, vec!["slo-burn-storm", "power-cap-skew"]);
     }
 
     #[test]
@@ -1381,6 +1371,22 @@ mod tests {
             FaultSpec { at: 150, element: 6, repair_after: Some(10) },
         ];
         s.validate().unwrap();
+    }
+
+    /// `watch` meters against the default model and yields to a model
+    /// `power` names: either way the report is the `power` run's.
+    #[test]
+    fn watch_is_metering_against_the_default_model() {
+        let report = |s: Scenario| crate::Simulator::new(s).unwrap().run().to_json_string();
+        for name in ["slo-burn-storm", "power-cap-skew"] {
+            let catalogued = Scenario::by_name(name).unwrap();
+            let watched = Scenario {
+                watch: Some(WatchSpec),
+                power: (name == "power-cap-skew").then(dsp_skewed_power),
+                ..catalogued.clone()
+            };
+            assert_eq!(report(watched), report(catalogued), "{name}");
+        }
     }
 
     #[test]

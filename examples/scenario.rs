@@ -5,7 +5,6 @@
 //! cargo run --release --example scenario [NAME]
 //! cargo run --release --example scenario -- --list
 //! cargo run --release --example scenario -- NAME --trace out.json
-//! cargo run --release --example scenario -- NAME --status
 //! ```
 //!
 //! Defaults to `steady-churn`. Reports are byte-identical across reruns of
@@ -13,11 +12,7 @@
 //! `--trace PATH` the exported Chrome-trace JSON (load via
 //! `chrome://tracing` or Perfetto) is written to PATH after the run; the
 //! file is byte-identical across reruns too. The export is empty (`[]`)
-//! unless the scenario enables tracing. With `--status` the JSON report
-//! is replaced by the `kairos-watch` status snapshot — a `kairos-top`
-//! style dump of the run's final state (shards, traffic, cache, energy,
-//! alerts); deterministic too, since it is a pure rendering of the
-//! report.
+//! unless the scenario enables tracing.
 
 use kairos::sim::{Scenario, Simulator};
 
@@ -25,11 +20,9 @@ fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut name: Option<String> = None;
     let mut trace_path: Option<String> = None;
-    let mut status = false;
     let mut iter = args.into_iter();
     while let Some(arg) = iter.next() {
         match arg.as_str() {
-            "--status" => status = true,
             "--list" => {
                 for scenario in Scenario::catalog() {
                     println!(
@@ -64,9 +57,5 @@ fn main() {
             std::process::exit(1);
         }
     }
-    if status {
-        print!("{}", report.status(simulator.service().shard_count()).render());
-    } else {
-        print!("{}", report.to_json_string());
-    }
+    print!("{}", report.to_json_string());
 }

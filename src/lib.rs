@@ -48,7 +48,8 @@
 //! * [`sim`] — a deterministic discrete-event scenario engine driving the
 //!   service through long-running multi-application workloads with
 //!   arrivals (lone or in batched waves), departures and element faults,
-//!   with or without the admission queue;
+//!   with or without the admission queue, and optionally metering energy
+//!   against per-class busy/idle power rates (`Scenario::power`);
 //! * [`telemetry`] — the unified observability layer (see
 //!   `docs/OBSERVABILITY.md`): a registry of named counters, gauges and
 //!   fixed-bucket latency histograms with atomic hot-path recording and
@@ -56,17 +57,7 @@
 //!   byte-stable JSON embedding in sim reports), and request-scoped
 //!   causal traces with Chrome-trace export. Disabled by
 //!   default everywhere; a disabled handle costs one pointer test per
-//!   instrumentation site and records nothing;
-//! * [`watch`] — energy/power accounting and deterministic health
-//!   alerting: an `EnergyMeter` integrating periodic element-activity
-//!   observations against per-class busy/idle power rates into
-//!   per-class/per-package/per-app energy totals and a virtual-time
-//!   power series, plus a fixed rule set of per-class SLO burn-rate
-//!   monitors and a rejection-rate threshold, with the queue-depth
-//!   threshold and the EWMA/z-score anomaly detectors behind the two
-//!   switches of `WatchSpec`, whose `Watcher` emits deterministic
-//!   fire/clear `Alert` lifecycles with per-shard health scores — a pure
-//!   judge over the event stream, never a participant.
+//!   instrumentation site and records nothing.
 //!
 //! ## Quickstart
 //!
@@ -97,7 +88,6 @@ pub use kairos_platform as platform;
 pub use kairos_sdf as sdf;
 pub use kairos_sim as sim;
 pub use kairos_telemetry as telemetry;
-pub use kairos_watch as watch;
 
 /// The service surface's former crate path, kept only for the frozen
 /// benchmark's imports: the surface now lives in [`admitd`].

@@ -6,7 +6,6 @@
 //!   `SimReport::to_json()` in key order, so an added or dropped section
 //!   is an added or dropped line);
 //! - the `traced-preemption-storm` Chrome-trace export (`--trace`);
-//! - the `slo-burn-storm` status render (`--status`);
 //! - the stdout of every example, run through `cargo run --example`.
 //!
 //! Every digest is the same in debug and release builds, so one file
@@ -85,22 +84,14 @@ fn recompute() -> Vec<String> {
             undocumented.push(name.clone());
         }
         let mut simulator = Simulator::new(scenario).expect("catalog scenarios are valid");
-        let report = simulator.run();
-        let Json::Object(sections) = report.to_json() else {
+        let Json::Object(sections) = simulator.run().to_json() else {
             panic!("{name}: a report is a JSON object");
         };
         for (key, value) in &sections {
             line(&name, key, value.render().as_bytes());
         }
-        match name.as_str() {
-            "traced-preemption-storm" => {
-                line(&name, "--trace", simulator.telemetry().chrome_trace().as_bytes());
-            }
-            "slo-burn-storm" => {
-                let status = report.status(simulator.service().shard_count()).render();
-                line(&name, "--status", status.as_bytes());
-            }
-            _ => {}
+        if name == "traced-preemption-storm" {
+            line(&name, "--trace", simulator.telemetry().chrome_trace().as_bytes());
         }
     }
     assert!(undocumented.is_empty(), "docs/SCENARIOS.md does not name {undocumented:?}");

@@ -1,9 +1,9 @@
 //! The observer-effect harness, shared by the per-layer suites. The
 //! manager promises real-time guarantees under spatial isolation, so no
 //! layer switched on around it may change what it decides: not an
-//! observer (telemetry, tracing, the watch) and not an infrastructure
-//! layer (the operating-point cache, a default-knob gateway, a one-shard
-//! cluster). Each such knob is one row of [`KNOBS`]: how to switch it
+//! observer (telemetry, tracing, the energy meter) and not an
+//! infrastructure layer (the operating-point cache, a default-knob
+//! gateway, a one-shard cluster). Each such knob is one row of [`KNOBS`]: how to switch it
 //! off and on, the report sections it owns and a sanity check of those
 //! sections.
 //!
@@ -14,8 +14,8 @@
 //! platform state. Every run the harness makes audits shard 0. Each row
 //! is checked by two legs:
 //! - (a) [`assert_transparent_in`], over the generated queued,
-//!   clustered, preempting, cached, gatewayed and watched [`regimes`], with
-//!   element faults and defrag / rebalance sweeps;
+//!   clustered, preempting, cached, gatewayed and metered [`regimes`],
+//!   with element faults and defrag / rebalance sweeps;
 //! - (b) [`assert_transparent_across_the_catalog`]: every catalog
 //!   scenario the knob applies to is transparent with it on, and two
 //!   such runs are byte-identical, trace export included. Both runs
@@ -43,11 +43,10 @@ use kairos::admitd::{AdmitPolicy, PreemptionPolicy};
 use kairos::appgen::{DatasetSpec, MixEntry, Orientation, SizeClass};
 use kairos::cluster::Placement;
 use kairos::gateway::GatewayConfig;
-use kairos::platform::Platform;
+use kairos::platform::{Platform, PowerModel};
 use kairos::sim::json::Json;
 use kairos::sim::{
     ClusterSpec, FaultSpec, PhaseSpec, PlatformSpec, Scenario, SimReport, Simulator, SweepSpec,
-    WatchSpec,
 };
 use kairos::telemetry::{MetricValue, Snapshot};
 use proptest::prelude::*;
@@ -142,12 +141,12 @@ static KNOBS: [Knob; 6] = [
     },
     Knob {
         name: "watch",
-        off: |s| Scenario { watch: None, ..s },
-        on: |s| Scenario { watch: Some(WatchSpec::default()), ..s },
-        sections: &["energy", "health"],
+        off: |s| Scenario { power: None, ..s },
+        on: |s| Scenario { power: Some(PowerModel::default()), ..s },
+        sections: &["energy"],
         sane: |run| {
             let name = &run.scenario.name;
-            let energy = run.report.energy.as_ref().expect("watching implies metering");
+            let energy = run.report.energy.as_ref().expect("energy section");
             assert!(energy.samples > 0, "{name}: the meter integrated no sample");
             let total = energy.total_mw_ticks;
             assert_eq!(total, energy.busy_mw_ticks + energy.idle_mw_ticks, "{name}: busy + idle");
@@ -155,8 +154,6 @@ static KNOBS: [Knob; 6] = [
             let by_package: u64 = energy.packages.iter().map(|p| p.mw_ticks).sum();
             assert_eq!(by_kind, total, "{name}: the per-kind split must sum to the total");
             assert_eq!(by_package, total, "{name}: the per-package split must sum to the total");
-            let health = run.report.health.as_ref().expect("health section");
-            assert!(health.evaluations > 0, "{name}: the watcher evaluated no sample");
         },
         renames_platform: false,
     },
@@ -304,8 +301,8 @@ fn generated(
 }
 
 /// The generated regimes: [`generated`] scenarios, some of them cached,
-/// some behind a default-knob gateway and some watched by the default
-/// [`WatchSpec`]; a clustered one runs 1–4
+/// some behind a default-knob gateway and some metered against the default
+/// [`PowerModel`]; a clustered one runs 1–4
 /// shards under either placement. Each may also carry up to two element
 /// faults inside the churn phase (on distinct CRISP elements, repaired
 /// 50–400 ticks later or never), a defrag sweep, and — clustered over at
@@ -328,7 +325,7 @@ pub fn regimes() -> impl Strategy<Value = Scenario> {
         (any::<u64>(), 5u64..40, 0u64..300, axes, 1usize..5, any::<bool>(), faults, sweeps, waves);
     draws.prop_map(
         move |(seed, interarrival, lifetime, axes, shards, spread, faults, sweeps, waves)| {
-            let (queued, clustered, preempt, cached, gatewayed, watched) = axes;
+            let (queued, clustered, preempt, cached, gatewayed, metered) = axes;
             let policy = if spread { Placement::LeastLoaded } else { Placement::FirstFit };
             let (count, first, offset, a, b) = faults;
             let faults: Vec<FaultSpec> = [(first, a), ((first + offset) % elements, b)]
@@ -350,7 +347,7 @@ pub fn regimes() -> impl Strategy<Value = Scenario> {
             eprintln!(
                 "seed {seed}, interarrival {interarrival}, lifetime {lifetime}, queued {queued}, \
                  clustered {clustered}, shards {shards}, placement {}, preempt {preempt}, \
-                 cached {cached}, gatewayed {gatewayed}, watched {watched}, faults {faults:?}, \
+                 cached {cached}, gatewayed {gatewayed}, metered {metered}, faults {faults:?}, \
                  defrag {defrag:?}, rebalance {rebalance:?}, batch {batch}",
                 policy.name()
             );
@@ -359,7 +356,7 @@ pub fn regimes() -> impl Strategy<Value = Scenario> {
                 generated(seed, interarrival, lifetime, queued, cluster, preempt, batch);
             scenario.cache = cached;
             scenario.gateway = gatewayed.then(GatewayConfig::default);
-            scenario.watch = watched.then(WatchSpec::default);
+            scenario.power = metered.then(PowerModel::default);
             scenario.faults = faults;
             scenario.defrag = defrag;
             scenario

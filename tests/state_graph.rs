@@ -16,10 +16,12 @@
 //! probed at the edge's start, and once probed one edge earlier, which
 //! whatever that edge changed must void. Both must decide what the cold
 //! admission decided, and a hand-off must share the probe's layout, not
-//! copy it. So the first failure it meets comes with a shortest history
-//! that reaches it.
+//! copy it. Each edge runs under `catch_unwind`, so the first failure it
+//! meets — a failed check here or a panic inside the manager — comes with
+//! a shortest history that reaches it.
 
 use std::collections::{HashSet, VecDeque};
+use std::panic::{self, AssertUnwindSafe};
 use std::rc::Rc;
 use std::sync::Arc;
 
@@ -141,28 +143,23 @@ impl State {
     /// Probes `chain`, then admits it: the admission takes the probe's
     /// decision, as nothing moved in between. Checks that the hand-off
     /// shares the probe's layout with the report and the registry, and
-    /// that probe and admission agree; `path` names the edge.
-    fn probed_then_admitting(
-        &self,
-        chain: usize,
-        chains: &[Application],
-        path: &[Op],
-    ) -> (State, Admission) {
+    /// that probe and admission agree.
+    fn probed_then_admitting(&self, chain: usize, chains: &[Application]) -> (State, Admission) {
         let mut start = self.clone();
         let probe = start.kairos.probe_admit(&chains[chain]);
         let (next, admission) = start.admitting(chain, chains);
         match (&probe, &admission) {
             (Ok(probe), Ok(report)) => {
                 let copied = !Arc::ptr_eq(&probe.layout, &report.layout);
-                assert!(!copied, "the hand-off copied the layout after {path:?}");
+                assert!(!copied, "the hand-off copied the layout");
                 let registered = next.kairos.layout(report.app_id).expect("admitted");
                 let copied = !std::ptr::eq(registered, &*report.layout);
-                assert!(!copied, "the registry copied the layout after {path:?}");
+                assert!(!copied, "the registry copied the layout");
             }
             (Err(probe), Err(failure)) => {
-                assert_eq!(probe.error, failure.error, "refusals after {path:?}");
+                assert_eq!(probe.error, failure.error, "refusals");
             }
-            _ => panic!("the probe and the admission disagree after {path:?}"),
+            _ => panic!("the probe and the admission disagree"),
         }
         (next, admission)
     }
@@ -179,12 +176,12 @@ struct Closure {
 
 /// Asserts that `via`, an admission of the same chain from the same
 /// state as the cold edge `(next, cold)` by another route, decided and
-/// reached what the cold one did; `path` names the edge.
-fn same_admission(via: (State, Admission), next: &State, cold: &Admission, path: &[Op]) {
+/// reached what the cold one did.
+fn same_admission(via: (State, Admission), next: &State, cold: &Admission) {
     let (reached, admission) = via;
-    assert_eq!(decided(&admission), decided(cold), "decided after {path:?}");
-    assert_eq!(reached.key(), next.key(), "reached after {path:?}");
-    assert_eq!(reached.kairos.admitted_ids(), next.kairos.admitted_ids(), "after {path:?}");
+    assert_eq!(decided(&admission), decided(cold), "decided");
+    assert_eq!(reached.key(), next.key(), "reached");
+    assert_eq!(reached.kairos.admitted_ids(), next.kairos.admitted_ids(), "admitted");
 }
 
 /// A state waiting in the walk's queue, with its shortest history and
@@ -192,10 +189,58 @@ fn same_admission(via: (State, Admission), next: &State, cold: &Admission, path:
 /// one edge earlier.
 type Queued = (Rc<State>, Vec<Op>, Option<(Rc<State>, Op)>);
 
-/// Walks `platform`'s state graph breadth first to closure, auditing the
-/// manager after every edge and checking that a restored checkpoint, a
-/// release undoing an admission and the probe hand-offs land where they
-/// should; panics with the shortest failing history.
+/// Takes the edge `op` from `state`, reached by `reached_by`, and checks
+/// it: the audit, the residents, a restored checkpoint, a release undoing
+/// an admission and the probe hand-offs. Returns the state it reaches.
+fn edge(
+    state: &State,
+    op: Op,
+    reached_by: Option<&(Rc<State>, Op)>,
+    chains: &[Application],
+) -> State {
+    let next = match op {
+        Op::Admit(chain) => {
+            let (next, cold) = state.admitting(chain, chains);
+            same_admission(state.probed_then_admitting(chain, chains), &next, &cold);
+            // A probe made before the edge that reached `state`: whatever
+            // that edge changed voids it.
+            if let Some((parent, by)) = reached_by {
+                let mut early = State::clone(parent);
+                drop(early.kairos.probe_admit(&chains[chain]));
+                same_admission(early.after(*by, chains).admitting(chain, chains), &next, &cold);
+            }
+            next
+        }
+        _ => state.after(op, chains),
+    };
+    if let Err(e) = next.kairos.audit() {
+        panic!("audit failed: {e}");
+    }
+    let mut ids: Vec<AppId> = next.residents.iter().map(|&(id, _)| id).collect();
+    ids.sort_unstable();
+    assert_eq!(next.kairos.admitted_ids(), ids, "residents");
+    // The edge's own start, rewound to where the edge led.
+    let mut rewound = state.clone();
+    rewound.kairos.restore(next.kairos.checkpoint());
+    rewound.residents.clone_from(&next.residents);
+    assert_eq!(rewound.key(), next.key(), "restored");
+    if let Err(e) = rewound.kairos.audit() {
+        panic!("audit failed on the restore: {e}");
+    }
+    assert_eq!(rewound.kairos.admitted_ids(), ids, "restored");
+    // An admission released again leaves nothing behind.
+    if matches!(op, Op::Admit(_)) && next.residents.len() > state.residents.len() {
+        let mut undone = next.clone();
+        let (id, _) = undone.residents.pop().expect("just admitted");
+        assert!(undone.kairos.release(id));
+        assert_eq!(undone.key(), state.key(), "released");
+    }
+    next
+}
+
+/// Walks `platform`'s state graph breadth first to closure through
+/// [`edge`]; a panic on an edge, whether a check's or the manager's,
+/// prints the shortest history that reaches it and unwinds on.
 fn close(platform: Platform) -> Closure {
     let chains = chains();
     let root = State { kairos: Kairos::new(platform, KairosConfig::default()), residents: vec![] };
@@ -205,50 +250,17 @@ fn close(platform: Platform) -> Closure {
     while let Some((state, history, reached_by)) = queue.pop_front() {
         deepest = deepest.max(history.len());
         for op in OPS {
-            let path = || [&history[..], &[op]].concat();
-            let next = match op {
-                Op::Admit(chain) => {
-                    let (next, cold) = state.admitting(chain, &chains);
-                    let path = path();
-                    let probed = state.probed_then_admitting(chain, &chains, &path);
-                    same_admission(probed, &next, &cold, &path);
-                    // A probe made before the edge that reached `state`:
-                    // whatever that edge changed voids it.
-                    if let Some((parent, by)) = &reached_by {
-                        let mut early = State::clone(parent);
-                        drop(early.kairos.probe_admit(&chains[chain]));
-                        let early = early.after(*by, &chains).admitting(chain, &chains);
-                        same_admission(early, &next, &cold, &path);
-                    }
-                    next
-                }
-                _ => state.after(op, &chains),
-            };
+            let path = [&history[..], &[op]].concat();
+            let taken = panic::catch_unwind(AssertUnwindSafe(|| {
+                edge(&state, op, reached_by.as_ref(), &chains)
+            }));
+            let next = taken.unwrap_or_else(|panicked| {
+                eprintln!("the edge that failed ends the history {path:?}");
+                panic::resume_unwind(panicked)
+            });
             edges += 1;
-            if let Err(e) = next.kairos.audit() {
-                panic!("audit failed after {:?}: {e}", path());
-            }
-            let mut ids: Vec<AppId> = next.residents.iter().map(|&(id, _)| id).collect();
-            ids.sort_unstable();
-            assert_eq!(next.kairos.admitted_ids(), ids, "residents after {:?}", path());
-            // The edge's own start, rewound to where the edge led.
-            let mut rewound = State::clone(&state);
-            rewound.kairos.restore(next.kairos.checkpoint());
-            rewound.residents.clone_from(&next.residents);
-            assert_eq!(rewound.key(), next.key(), "restored after {:?}", path());
-            if let Err(e) = rewound.kairos.audit() {
-                panic!("audit failed on the restore after {:?}: {e}", path());
-            }
-            assert_eq!(rewound.kairos.admitted_ids(), ids, "restored after {:?}", path());
-            // An admission released again leaves nothing behind.
-            if matches!(op, Op::Admit(_)) && next.residents.len() > state.residents.len() {
-                let mut undone = next.clone();
-                let (id, _) = undone.residents.pop().expect("just admitted");
-                assert!(undone.kairos.release(id));
-                assert_eq!(undone.key(), state.key(), "released after {:?}", path());
-            }
             if seen.insert(next.key()) {
-                queue.push_back((Rc::new(next), path(), Some((Rc::clone(&state), op))));
+                queue.push_back((Rc::new(next), path, Some((Rc::clone(&state), op))));
             }
         }
     }

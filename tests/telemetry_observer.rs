@@ -13,7 +13,8 @@
 
 mod observers;
 
-use kairos::sim::{Scenario, Simulator, WatchSpec};
+use kairos::platform::PowerModel;
+use kairos::sim::{Scenario, Simulator};
 use observers::{counter, gauge, histogram_count};
 use proptest::prelude::*;
 
@@ -179,12 +180,14 @@ fn gateway_instruments_are_visible_and_observer_safe() {
     );
 }
 
-/// The instrument catalogue cannot drift from the code: every metric name
-/// a lit run of the catalog registers — each scenario with telemetry on,
-/// and watched with the default rules where it has no watch of its own —
-/// appears in `docs/OBSERVABILITY.md`, in full or without its
-/// `kairos.<layer>.` prefix. Indexed names are compared in their
-/// documented form (`shard{i}`, `lane{i}`, `kairos.core.phase.{name}.ns`).
+/// The instrument catalogue cannot drift from the code, either way: every
+/// metric name a lit run of the catalog registers — each scenario with
+/// telemetry on, and metered against the default power model where it
+/// sets no model of its own — appears in `docs/OBSERVABILITY.md`, in full
+/// or without its `kairos.<layer>.` prefix; and every row of the page's
+/// table names an instrument that run registered (a `….*` row, one under
+/// its prefix). Indexed names are compared in their documented form
+/// (`shard{i}`, `lane{i}`, `kairos.core.phase.{name}.ns`).
 #[test]
 fn every_registered_instrument_is_documented() {
     let doc =
@@ -193,21 +196,40 @@ fn every_registered_instrument_is_documented() {
     let mut names = std::collections::BTreeSet::new();
     for mut scenario in Scenario::catalog() {
         scenario.telemetry = true;
-        scenario.watch.get_or_insert_with(WatchSpec::default);
+        scenario.power.get_or_insert_with(PowerModel::default);
         let mut simulator = Simulator::new(scenario).unwrap();
         simulator.run();
         names.extend(simulator.telemetry().snapshot().metrics.into_iter().map(|m| m.name));
     }
     assert!(names.len() >= 100, "only {} instruments registered: is the hub dark?", names.len());
-    let undocumented: Vec<String> = names
+    let documented: Vec<String> = names.iter().map(|name| documented_form(name)).collect();
+    let undocumented: Vec<&String> = documented
         .iter()
-        .map(|name| documented_form(name))
         .filter(|name| {
             let short = name.strip_prefix("kairos.").and_then(|rest| rest.split_once('.'));
             !doc.contains(name.as_str()) && !short.is_some_and(|(_, short)| doc.contains(short))
         })
         .collect();
     assert!(undocumented.is_empty(), "missing from docs/OBSERVABILITY.md: {undocumented:?}");
+
+    let rows: Vec<&str> =
+        doc.lines().filter_map(|line| line.strip_prefix("| `kairos.")?.split('`').next()).collect();
+    assert!(rows.len() >= 10, "only {} catalogue rows found: has the table moved?", rows.len());
+    let unregistered: Vec<String> = rows
+        .into_iter()
+        .map(|row| format!("kairos.{row}"))
+        .filter(|row| {
+            let registered = |name: &String| match row.strip_suffix('*') {
+                Some(prefix) => name.starts_with(prefix),
+                None => name == row,
+            };
+            !documented.iter().any(registered)
+        })
+        .collect();
+    assert!(
+        unregistered.is_empty(),
+        "rows of docs/OBSERVABILITY.md no lit catalogue run registers: {unregistered:?}"
+    );
 }
 
 /// `name` with shard and lane indices and pipeline phase names replaced
