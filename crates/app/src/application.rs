@@ -1,13 +1,14 @@
 //! Applications — annotated task graphs `A = <T, C>` with constraints.
 
+use std::cmp::Reverse;
 use std::fmt;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use kairos_platform::Digest;
 
 use crate::channel::{Channel, ChannelId};
 use crate::constraints::Constraint;
-use crate::implementation::Implementation;
+use crate::implementation::{ImplId, Implementation};
 use crate::task::{Task, TaskId, TaskRole};
 
 /// Errors detected while building or validating an application.
@@ -95,6 +96,40 @@ struct Body {
     peer_ends: Vec<u32>,
     /// See [`Application::min_degree_tasks`].
     min_degree: Vec<TaskId>,
+    /// What the admission pipeline would otherwise re-derive per run, each
+    /// a function of the fields above: see [`Application::route_order`],
+    /// [`Application::implementations_by_energy`] (flat, with run ends
+    /// like `peers`) and [`Application::first_output`].
+    route_order: Vec<ChannelId>,
+    energy_order: Vec<ImplId>,
+    energy_ends: Vec<u32>,
+    first_output: Option<TaskId>,
+    /// The rings from `min_degree[0]`, tasks and ends only.
+    rings: TaskRings,
+    /// The rings of the first other seed set [`Application::rings_from`]
+    /// was asked for, filled then.
+    kept: KeptRings,
+}
+
+/// A lazily kept decomposition with its seeds. Like the seeds it was asked
+/// for, it is a function of the body's declared fields, so it takes no
+/// part in equality, and `Debug` prints no trace of whether it is filled:
+/// an application that has been mapped is the application it was. Boxed,
+/// so that an application no mapper asks this of carries a pointer, not
+/// an empty decomposition.
+#[derive(Default)]
+struct KeptRings(OnceLock<Box<(Box<[TaskId]>, TaskRings)>>);
+
+impl PartialEq for KeptRings {
+    fn eq(&self, _: &Self) -> bool {
+        true
+    }
+}
+
+impl fmt::Debug for KeptRings {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str("KeptRings(..)")
+    }
 }
 
 /// Hashes everything of an application but its name, in declaration order.
@@ -139,18 +174,31 @@ const UNREACHED: u32 = u32::MAX;
 
 /// The neighbourhood decomposition of a task graph
 /// ([`Application::neighborhood_rings_into`]), flat: reusable from one
-/// decomposition to the next without giving up its allocations.
+/// decomposition to the next without giving up its allocations. Two
+/// decompositions are equal when their rings are.
 #[derive(Debug, Clone, Default)]
 pub struct TaskRings {
     /// Every task, ring after ring, ascending within a ring.
     tasks: Vec<TaskId>,
     /// Ring `i` is `tasks[ends[i - 1]..ends[i]]` (from 0 for ring 0).
     ends: Vec<u32>,
-    /// Graph distance of each task from the nearest seed.
+    /// Graph distance of each task from the nearest seed: working memory
+    /// of the derivation, empty in a decomposition an application keeps.
     dist: Vec<u32>,
 }
 
+impl PartialEq for TaskRings {
+    fn eq(&self, other: &Self) -> bool {
+        self.tasks == other.tasks && self.ends == other.ends
+    }
+}
+
 impl TaskRings {
+    /// The rings alone, in allocations of their own size.
+    fn kept(&self) -> TaskRings {
+        TaskRings { tasks: self.tasks.clone(), ends: self.ends.clone(), dist: Vec::new() }
+    }
+
     /// Number of rings, the seeds' ring 0 included.
     pub fn len(&self) -> usize {
         self.ends.len()
@@ -165,6 +213,59 @@ impl TaskRings {
     pub fn iter(&self) -> impl Iterator<Item = &[TaskId]> {
         let starts = std::iter::once(&0).chain(&self.ends);
         starts.zip(&self.ends).map(|(&start, &end)| &self.tasks[start as usize..end as usize])
+    }
+}
+
+impl Body {
+    fn peers(&self, t: TaskId) -> &[TaskId] {
+        let ends = &self.peer_ends;
+        let start = if t.index() == 0 { 0 } else { ends[t.index() - 1] };
+        &self.peers[start as usize..ends[t.index()] as usize]
+    }
+
+    /// See [`Application::neighborhood_rings_into`].
+    fn rings_into(&self, seeds: &[TaskId], rings: &mut TaskRings) {
+        let n = self.tasks.len();
+        let TaskRings { tasks, ends, dist } = rings;
+        tasks.clear();
+        ends.clear();
+        dist.clear();
+        dist.resize(n, UNREACHED);
+        // `tasks` is the BFS queue and, once drained, its visit order: the
+        // rings back to back, each yet to be put in id order.
+        for &s in seeds {
+            assert!(s.index() < n, "seed task {s} out of range");
+            if dist[s.index()] == UNREACHED {
+                dist[s.index()] = 0;
+                tasks.push(s);
+            }
+        }
+        let mut head = 0;
+        while let Some(&t) = tasks.get(head) {
+            head += 1;
+            for &p in self.peers(t) {
+                if dist[p.index()] == UNREACHED {
+                    dist[p.index()] = dist[t.index()] + 1;
+                    tasks.push(p);
+                }
+            }
+        }
+        ends.extend(
+            (1..tasks.len())
+                .filter(|&i| dist[tasks[i].index()] != dist[tasks[i - 1].index()])
+                .map(|i| i as u32),
+        );
+        // Ring 0 exists even without seeds.
+        ends.push(tasks.len() as u32);
+        if tasks.len() < n {
+            tasks.extend((0..n as u32).map(TaskId).filter(|t| dist[t.index()] == UNREACHED));
+            ends.push(n as u32);
+        }
+        let mut start = 0;
+        for &end in ends.iter() {
+            tasks[start..end as usize].sort_unstable();
+            start = end as usize;
+        }
     }
 }
 
@@ -230,9 +331,26 @@ impl Application {
         }
         let degree = |t: usize| peer_ends[t] - if t == 0 { 0 } else { peer_ends[t - 1] };
         let min = (0..n).map(degree).min().unwrap_or(0);
-        let min_degree = (0..n).filter(|&t| degree(t) == min).map(|t| TaskId(t as u32)).collect();
+        let min_degree: Vec<TaskId> =
+            (0..n).filter(|&t| degree(t) == min).map(|t| TaskId(t as u32)).collect();
 
-        let body = Body {
+        // Ids break ties, so the orders are total and need no stable sort.
+        let mut route_order: Vec<ChannelId> = channels.iter().map(Channel::id).collect();
+        route_order.sort_unstable_by_key(|&c| (Reverse(channels[c.index()].bandwidth()), c));
+        let mut energy_order =
+            Vec::with_capacity(tasks.iter().map(|t| t.implementations().len()).sum());
+        let mut energy_ends = Vec::with_capacity(n);
+        for t in &tasks {
+            let start = energy_order.len();
+            let implementations = t.implementations();
+            energy_order.extend((0..implementations.len()).map(|i| ImplId(i as u16)));
+            energy_order[start..]
+                .sort_unstable_by_key(|&i| (implementations[i.index()].energy(), i));
+            energy_ends.push(energy_order.len() as u32);
+        }
+        let first_output = tasks.iter().find(|t| t.role() == TaskRole::Output).map(Task::id);
+
+        let mut body = Body {
             name,
             tasks,
             channels,
@@ -243,7 +361,16 @@ impl Application {
             peers,
             peer_ends,
             min_degree,
+            route_order,
+            energy_order,
+            energy_ends,
+            first_output,
+            rings: TaskRings::default(),
+            kept: KeptRings::default(),
         };
+        let mut rings = TaskRings::default();
+        body.rings_into(&body.min_degree[..1], &mut rings);
+        body.rings = rings.kept();
         Ok(Application { body: Arc::new(body) })
     }
 
@@ -323,9 +450,7 @@ impl Application {
     /// Distinct communication peers of `t`, ignoring direction, ascending.
     /// A slice of a table built with the application.
     pub fn peers(&self, t: TaskId) -> &[TaskId] {
-        let ends = &self.body.peer_ends;
-        let start = if t.index() == 0 { 0 } else { ends[t.index() - 1] };
-        &self.body.peers[start as usize..ends[t.index()] as usize]
+        self.body.peers(t)
     }
 
     /// The undirected degree `d(t)`: number of distinct peers.
@@ -355,47 +480,61 @@ impl Application {
     ///
     /// Panics if any seed id is out of range.
     pub fn neighborhood_rings_into(&self, seeds: &[TaskId], rings: &mut TaskRings) {
-        let n = self.body.tasks.len();
-        let TaskRings { tasks, ends, dist } = rings;
-        tasks.clear();
-        ends.clear();
-        dist.clear();
-        dist.resize(n, UNREACHED);
-        // `tasks` is the BFS queue and, once drained, its visit order: the
-        // rings back to back, each yet to be put in id order.
-        for &s in seeds {
-            assert!(s.index() < n, "seed task {s} out of range");
-            if dist[s.index()] == UNREACHED {
-                dist[s.index()] = 0;
-                tasks.push(s);
+        self.body.rings_into(seeds, rings);
+    }
+
+    /// The decomposition [`Application::neighborhood_rings_into`] derives
+    /// from `seeds`, without deriving it when the application keeps it:
+    /// the rings from `min_degree_tasks()[0]` are built with the
+    /// application, and those of the first other seed set asked for are
+    /// kept from then on. Any other seed set is derived into `scratch`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if any seed id is out of range.
+    pub fn rings_from<'a>(&'a self, seeds: &[TaskId], scratch: &'a mut TaskRings) -> &'a TaskRings {
+        let body = &*self.body;
+        if seeds == &body.min_degree[..1] {
+            return &body.rings;
+        }
+        let kept = body.kept.0.get();
+        if let Some((kept_seeds, rings)) = kept.map(|kept| &**kept) {
+            if **kept_seeds == *seeds {
+                return rings;
             }
         }
-        let mut head = 0;
-        while let Some(&t) = tasks.get(head) {
-            head += 1;
-            for &p in self.peers(t) {
-                if dist[p.index()] == UNREACHED {
-                    dist[p.index()] = dist[t.index()] + 1;
-                    tasks.push(p);
-                }
-            }
+        body.rings_into(seeds, scratch);
+        if kept.is_none() {
+            // A racing first ask keeps its own seeds; either is exact.
+            let _ = body.kept.0.set(Box::new((seeds.into(), scratch.kept())));
         }
-        ends.extend(
-            (1..tasks.len())
-                .filter(|&i| dist[tasks[i].index()] != dist[tasks[i - 1].index()])
-                .map(|i| i as u32),
-        );
-        // Ring 0 exists even without seeds.
-        ends.push(tasks.len() as u32);
-        if tasks.len() < n {
-            tasks.extend(self.task_ids().filter(|t| dist[t.index()] == UNREACHED));
-            ends.push(n as u32);
-        }
-        let mut start = 0;
-        for &end in ends.iter() {
-            tasks[start..end as usize].sort_unstable();
-            start = end as usize;
-        }
+        scratch
+    }
+
+    /// Channel ids by descending bandwidth, ascending id among equals:
+    /// the fattest-first order the routing phase reserves in. Computed
+    /// once, when the application is built.
+    pub fn route_order(&self) -> &[ChannelId] {
+        &self.body.route_order
+    }
+
+    /// The implementation ids of `t`, cheapest (by energy) first, id order
+    /// among equals: the order the binding phase asks about them in.
+    /// Computed once, when the application is built.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `t` is out of range.
+    pub fn implementations_by_energy(&self, t: TaskId) -> &[ImplId] {
+        let ends = &self.body.energy_ends;
+        let start = if t.index() == 0 { 0 } else { ends[t.index() - 1] };
+        &self.body.energy_order[start as usize..ends[t.index()] as usize]
+    }
+
+    /// The first task in id order whose role is [`TaskRole::Output`], if
+    /// any: the validation phase's reference actor.
+    pub fn first_output(&self) -> Option<TaskId> {
+        self.body.first_output
     }
 
     /// `true` when the task graph is connected (ignoring direction).

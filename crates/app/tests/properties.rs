@@ -1,11 +1,14 @@
 //! Property-based tests of the application model and the binary format.
 
+use std::cmp::Reverse;
+
 use proptest::prelude::*;
 
 use kairos_app::{
-    binfmt, Application, ApplicationBuilder, Constraint, Implementation, TaskId, TaskRings,
-    TaskRole,
+    binfmt, Application, ApplicationBuilder, ChannelId, Constraint, ImplId, Implementation, TaskId,
+    TaskRings, TaskRole,
 };
+use kairos_appgen::{generate_dataset, DatasetSpec};
 use kairos_platform::{ElementKind, ResourceVector};
 
 fn element_kind() -> impl Strategy<Value = ElementKind> {
@@ -84,8 +87,61 @@ fn renamed(app: &Application, name: &str) -> Application {
     b.build().expect("a rebuilt application is as valid as its original")
 }
 
+/// Checks what `app` compiles once against its per-call definitions: the
+/// routing order against a sort of the channels, each task's energy order
+/// against a sort of its implementations, and the rings from the kept
+/// seeds and from other seed sets — the kept, the first other (which the
+/// application keeps from then on) and later ones — against
+/// `neighborhood_rings_into`, each asked twice. The application, once
+/// asked, still equals its `binfmt` round trip and prints as before.
+fn check_compiled(app: &Application) -> Result<(), String> {
+    let printed = format!("{app:?}");
+    let mut order: Vec<ChannelId> = app.channels().map(|c| c.id()).collect();
+    order.sort_by_key(|&c| (Reverse(app.channel(c).bandwidth()), c));
+    prop_assert_eq!(app.route_order(), &order[..]);
+    for task in app.tasks() {
+        let implementations = task.implementations();
+        let mut by_energy: Vec<ImplId> =
+            (0..implementations.len()).map(|i| ImplId(i as u16)).collect();
+        by_energy.sort_by_key(|&i| (implementations[i.index()].energy(), i));
+        prop_assert_eq!(app.implementations_by_energy(task.id()), &by_energy[..]);
+    }
+    let first_output = app.tasks().find(|t| t.role() == TaskRole::Output).map(|t| t.id());
+    prop_assert_eq!(app.first_output(), first_output);
+
+    let last = TaskId(app.task_count() as u32 - 1);
+    let mut seed_sets = vec![app.min_degree_tasks()[..1].to_vec(), app.min_degree_tasks().to_vec()];
+    seed_sets.extend(app.task_ids().map(|t| vec![t]));
+    seed_sets.push(vec![TaskId(0), last]);
+    seed_sets.push(app.task_ids().collect());
+    let mut scratch = TaskRings::default();
+    for seeds in &seed_sets {
+        let mut expected = TaskRings::default();
+        app.neighborhood_rings_into(seeds, &mut expected);
+        for _ in 0..2 {
+            let rings = app.rings_from(seeds, &mut scratch);
+            prop_assert_eq!(rings, &expected, "seeds {:?}", seeds);
+            let (got, want): (Vec<_>, Vec<_>) = (rings.iter().collect(), expected.iter().collect());
+            prop_assert_eq!(got, want);
+        }
+    }
+
+    prop_assert_eq!(format!("{app:?}"), printed, "asking for rings changed what prints");
+    let decoded = binfmt::decode(&binfmt::encode(app)).expect("decode must succeed");
+    prop_assert_eq!(&decoded, app);
+    prop_assert_eq!(format!("{decoded:?}"), printed);
+    Ok(())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
+
+    /// What an application compiles once is what the pipeline derived per
+    /// run, on random graphs.
+    #[test]
+    fn compiled_orders_and_rings_match_their_definitions(app in application()) {
+        check_compiled(&app)?;
+    }
 
     /// The shape hash is a function of everything but the name: a rename,
     /// a clone and a trip through the binary format all keep it.
@@ -182,5 +238,18 @@ proptest! {
         let shallow = Constraint::Latency { max_latency_cycles: l, pipeline_depth: d };
         let deep = Constraint::Latency { max_latency_cycles: l, pipeline_depth: d + 1 };
         prop_assert!(deep.as_max_period_cycles() <= shallow.as_max_period_cycles());
+    }
+}
+
+/// What an application compiles once is what the pipeline derived per run,
+/// on the six Table I datasets.
+#[test]
+fn compiled_orders_and_rings_match_their_definitions_on_table_i() {
+    for spec in DatasetSpec::all() {
+        for app in generate_dataset(spec, 8, 55) {
+            if let Err(e) = check_compiled(&app) {
+                panic!("{spec:?} {}: {e}", app.name());
+            }
+        }
     }
 }

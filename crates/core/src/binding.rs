@@ -17,7 +17,8 @@
 //! Each implementation is asked about once per pass, cheapest (by energy)
 //! first: the regret pass stops at the first two that fit the undebited
 //! pool, and the commit pass at the first whose debit succeeds. The order
-//! needs only the implementations' static energies, not the pool.
+//! needs only the implementations' static energies, not the pool, so the
+//! application computes it once ([`Application::implementations_by_energy`]).
 
 use std::cmp::Reverse;
 
@@ -26,13 +27,6 @@ use kairos_platform::{ElementId, ElementKind, Platform, ResourceVector};
 
 use crate::error::BindingError;
 use crate::layout::Binding;
-
-/// A bound implementation candidate, with its feasibility cost.
-#[derive(Debug, Clone, Copy)]
-struct Candidate {
-    impl_id: ImplId,
-    energy: u64,
-}
 
 /// Working memory of one [`bind`] call, each buffer emptied before it is
 /// filled: what a manager's workspace keeps so that binding takes from the
@@ -43,8 +37,6 @@ pub(crate) struct BindingScratch {
     debited: Vec<(ElementId, ResourceVector)>,
     /// Tasks with their regret, highest regret first once sorted.
     order: Vec<(TaskId, u64)>,
-    /// The implementations of the task at hand, cheapest first.
-    candidates: Vec<Candidate>,
     /// The implementation chosen per task, by task id.
     choices: Vec<ImplId>,
 }
@@ -163,16 +155,6 @@ impl<'a> Pool<'a> {
     }
 }
 
-/// Fills `out` with the implementations of a task, cheapest (by energy)
-/// first, declaration order among equals.
-fn by_energy(task_impls: &[Implementation], out: &mut Vec<Candidate>) {
-    out.clear();
-    let all = task_impls.iter().enumerate();
-    out.extend(all.map(|(i, imp)| Candidate { impl_id: ImplId(i as u16), energy: imp.energy() }));
-    // The ids are distinct, so the unstable sort needs no stable buffer.
-    out.sort_unstable_by_key(|c| (c.energy, c.impl_id));
-}
-
 /// `true` when no implementation of the task fits *any* element's raw
 /// capacity — ignoring current claims and failure marks — so the task can
 /// never be bound on this platform no matter how empty or healthy it gets.
@@ -185,15 +167,11 @@ fn structurally_infeasible(task_impls: &[Implementation], platform: &Platform) -
 }
 
 /// The refusal of `task`, which no implementation fits `pool`: what its
-/// cheapest implementation (candidate order) asks of which kind, against
+/// cheapest implementation (energy order) asks of which kind, against
 /// the most that is free on an element of that kind.
-fn refusal(task: &Task, pool: &Pool<'_>) -> BindingError {
+fn refusal(app: &Application, task: &Task, pool: &Pool<'_>) -> BindingError {
     let implementations = task.implementations();
-    let (_, cheapest) = implementations
-        .iter()
-        .enumerate()
-        .min_by_key(|&(i, imp)| (imp.energy(), i))
-        .expect("an application's tasks each have an implementation");
+    let cheapest = &implementations[app.implementations_by_energy(task.id())[0].index()];
     BindingError::NoFeasibleImplementation {
         task: task.id(),
         structural: structurally_infeasible(implementations, pool.platform),
@@ -240,7 +218,7 @@ pub(crate) fn bind_in(
     platform: &Platform,
     scratch: &mut BindingScratch,
 ) -> Result<Binding, BindingError> {
-    let BindingScratch { debited, order, candidates, choices } = scratch;
+    let BindingScratch { debited, order, choices } = scratch;
     let mut pool = Pool::of(platform, debited);
 
     // Regret pass: the two cheapest implementations per task that fit the
@@ -248,15 +226,15 @@ pub(crate) fn bind_in(
     order.clear();
     for task in app.tasks() {
         let implementations = task.implementations();
-        by_energy(implementations, candidates);
-        let mut fitting = candidates.iter().filter(|cand| {
-            let imp = &implementations[cand.impl_id.index()];
-            pool.feasible(imp.target(), &imp.requires())
-        });
+        let mut fitting = app
+            .implementations_by_energy(task.id())
+            .iter()
+            .map(|i| &implementations[i.index()])
+            .filter(|imp| pool.feasible(imp.target(), &imp.requires()));
         let regret = match (fitting.next(), fitting.next()) {
-            (None, _) => return Err(refusal(task, &pool)),
+            (None, _) => return Err(refusal(app, task, &pool)),
             (Some(_), None) => u64::MAX,
-            (Some(first), Some(second)) => second.energy - first.energy,
+            (Some(first), Some(second)) => second.energy() - first.energy(),
         };
         order.push((task.id(), regret));
     }
@@ -273,14 +251,13 @@ pub(crate) fn bind_in(
         // Against the *current* pool: earlier bindings may have consumed
         // what this task hoped for. A debit that fails leaves the pool as
         // it was, so the first that succeeds is the cheapest that fits.
-        by_energy(implementations, candidates);
-        let bound = candidates.iter().find(|cand| {
-            let imp = &implementations[cand.impl_id.index()];
+        let bound = app.implementations_by_energy(task_id).iter().find(|i| {
+            let imp = &implementations[i.index()];
             pool.commit(imp.target(), &imp.requires())
         });
         match bound {
-            Some(cand) => choices[task_id.index()] = cand.impl_id,
-            None => return Err(refusal(task, &pool)),
+            Some(&i) => choices[task_id.index()] = i,
+            None => return Err(refusal(app, task, &pool)),
         }
     }
 
@@ -330,19 +307,19 @@ mod tests {
         let mut debited = Vec::new();
         let mut pool = Pool::of(platform, &mut debited);
         let fitting = |task: &Task, pool: &Pool<'_>| {
-            let mut out: Vec<_> = (task.implementations().iter().enumerate())
+            let mut out: Vec<(u64, ImplId)> = (task.implementations().iter().enumerate())
                 .filter(|(_, imp)| pool.feasible(imp.target(), &imp.requires()))
-                .map(|(i, imp)| Candidate { impl_id: ImplId(i as u16), energy: imp.energy() })
+                .map(|(i, imp)| (imp.energy(), ImplId(i as u16)))
                 .collect();
-            out.sort_by_key(|c| (c.energy, c.impl_id));
+            out.sort();
             out
         };
         let mut order = Vec::new();
         for task in app.tasks() {
             let regret = match fitting(task, &pool).as_slice() {
-                [] => return Err(refusal(task, &pool)),
+                [] => return Err(refusal(app, task, &pool)),
                 [_] => u64::MAX,
-                [first, second, ..] => second.energy - first.energy,
+                [(first, _), (second, _), ..] => second - first,
             };
             order.push((task.id(), regret));
         }
@@ -350,13 +327,13 @@ mod tests {
         let mut choices = vec![ImplId(0); app.task_count()];
         for (task_id, _) in order {
             let task = app.task(task_id);
-            let bound = fitting(task, &pool).into_iter().find(|cand| {
-                let imp = &task.implementations()[cand.impl_id.index()];
+            let bound = fitting(task, &pool).into_iter().find(|&(_, i)| {
+                let imp = &task.implementations()[i.index()];
                 pool.commit(imp.target(), &imp.requires())
             });
             match bound {
-                Some(cand) => choices[task_id.index()] = cand.impl_id,
-                None => return Err(refusal(task, &pool)),
+                Some((_, i)) => choices[task_id.index()] = i,
+                None => return Err(refusal(app, task, &pool)),
             }
         }
         Ok(Binding::new(choices))

@@ -148,14 +148,21 @@ impl Kairos {
         // Prune to minimality w.r.t. single-victim removal. Later victims
         // are reconsidered first: the last one added was load-bearing by
         // construction, but earlier, cheaper picks may have become
-        // redundant.
+        // redundant. While nothing has been pruned, dropping the last
+        // victim leaves the growth prefix that was just refused, so that
+        // trial is not probed again.
         let mut i = 0;
+        let mut pruned = false;
         while i < set.len() && set.len() > 1 {
+            if !pruned && i == set.len() - 1 {
+                break;
+            }
             let mut trial = set.clone();
             trial.remove(i);
             if let Ok(l) = self.probe_admit_without(request, &trial) {
                 set = trial;
                 layout = l;
+                pruned = true;
             } else {
                 i += 1;
             }

@@ -232,7 +232,7 @@ pub(crate) struct MappingScratch {
     /// The cheapest starts of an unpinned application, cheapest first.
     starts: Vec<(ElementId, f64)>,
     /// The tasks `placement` holds when a ring decomposition starts, and
-    /// the decomposition from them.
+    /// the decomposition from them when the application keeps none.
     seeds: Vec<TaskId>,
     rings: TaskRings,
     /// Elements discovered since the last `SolveGAP` invocation.
@@ -378,9 +378,10 @@ fn map_rings(
     distances.clear();
 
     // --- Neighborhood decomposition from the seeds. -------------------------
+    // The application keeps the rings most calls start from.
     seeds.clear();
     seeds.extend(app.task_ids().filter(|t| own.placement[t.index()].is_some()));
-    app.neighborhood_rings_into(seeds, rings);
+    let rings = app.rings_from(seeds, rings);
 
     let mut stats_rings = 0usize;
     let mut stats_gap = 0usize;

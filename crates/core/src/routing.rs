@@ -23,7 +23,7 @@
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
-use kairos_app::{Application, ChannelId};
+use kairos_app::Application;
 use kairos_platform::{AppId, ElementId, LinkId, Platform};
 
 use crate::cache::replay_point;
@@ -84,8 +84,6 @@ pub fn route_channels(
 /// far, kept flat so that only a complete set is turned into [`Route`]s.
 #[derive(Debug, Default)]
 pub(crate) struct RoutingScratch {
-    /// The channels in routing order.
-    order: Vec<ChannelId>,
     /// Every link of every route found so far, and per channel id the
     /// `start..end` of its route in there.
     links: Vec<LinkId>,
@@ -126,16 +124,12 @@ pub(crate) fn route_channels_in(
     }
     scratch.taken.resize(platform.link_count(), (0, 0));
     scratch.links.clear();
-    scratch.order.clear();
-    scratch.order.extend(app.channels().map(|c| c.id()));
-    // Ids break ties, so the order is total and needs no stable sort.
-    scratch.order.sort_unstable_by_key(|&c| (Reverse(app.channel(c).bandwidth()), c));
     scratch.spans.clear();
     scratch.spans.resize(app.channel_count(), (0, 0));
     scratch.prev.resize(platform.element_count(), (ElementId(0), LinkId(0)));
 
-    for at in 0..scratch.order.len() {
-        let channel = app.channel(scratch.order[at]);
+    for &c in app.route_order() {
+        let channel = app.channel(c);
         let src = placement.element(channel.src());
         let dst = placement.element(channel.dst());
         if src == dst {
@@ -400,7 +394,7 @@ pub fn release_routes(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use kairos_app::{ApplicationBuilder, Implementation, TaskRole};
+    use kairos_app::{ApplicationBuilder, ChannelId, Implementation, TaskRole};
     use kairos_platform::{topology, ElementKind, ResourceVector};
     use proptest::prelude::*;
     use std::collections::VecDeque;

@@ -24,7 +24,7 @@
 //! ([`kairos_sdf::throughput_with`]) remains the oracle the tests compare
 //! against. See `docs/ARCHITECTURE.md`, "The validation phase".
 
-use kairos_app::{Application, ChannelId, TaskRole};
+use kairos_app::{Application, ChannelId};
 use kairos_sdf::{max_cycle_ratio_in, ActorId, CycleRatioScratch, SdfGraph, SdfGraphBuilder};
 
 use crate::error::ValidationError;
@@ -203,10 +203,8 @@ pub(crate) fn validate_in(
 ) -> Result<ValidationReport, ValidationError> {
     let ValidationScratch { model, solver } = scratch;
     model.rebuild(app, layout, config);
-    let sink = app.tasks().find(|t| t.role() == TaskRole::Output).map(|t| t.id());
-
     // Reference actor: the first output task, or task 0 for sink-less graphs.
-    let reference = sink.map_or(0, |t| t.index());
+    let reference = app.first_output().map_or(0, |t| t.index());
     let period = max_cycle_ratio_in(&model.exec, &model.edges, reference, solver)
         .map_err(ValidationError::Analysis)?;
     let throughput = period.iterations as f64 / period.cycles as f64;

@@ -1,10 +1,11 @@
 //! The pipeline's working memory.
 //!
 //! Every transient structure the four phases fill while deciding one
-//! admission — binding's candidate lists, regret order and debit overlay,
-//! mapping's search sets, distance rows, GAP state, ring decomposition,
-//! debit overlay and seats, routing's BFS tables, link overlay and route
-//! buffer, validation's layout model and cycle-ratio vectors — lives in one
+//! admission — binding's regret order and debit overlay, mapping's search
+//! sets, distance rows, GAP state, ring decomposition (for seeds the
+//! application keeps none for), debit overlay and seats, routing's BFS
+//! tables, link overlay and route buffer, validation's layout model and
+//! cycle-ratio vectors — lives in one
 //! [`Workspace`] that a [`Kairos`] keeps between calls, so a warm admission
 //! takes from the heap only what outlives it. So does what the manager
 //! needs around the phases: the writer check's sums, the elements a

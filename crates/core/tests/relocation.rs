@@ -6,8 +6,9 @@
 use proptest::prelude::*;
 
 use kairos_app::{Application, ApplicationBuilder, Implementation, TaskRole};
-use kairos_core::{Kairos, KairosConfig, MigrationError};
+use kairos_core::{Kairos, KairosConfig, MigrationError, VictimPlan};
 use kairos_platform::{topology, AppId, ElementKind, ResourceVector};
+use kairos_telemetry::{Telemetry, TelemetryConfig};
 
 /// A chain of `tasks` DSP tasks, each demanding `cpu`.
 fn chain(name: &str, tasks: usize, cpu: u64) -> Application {
@@ -37,6 +38,81 @@ fn occupied_mesh(specs: &[(u8, u8)]) -> (Kairos, Vec<AppId>) {
         }
     }
     (kairos, ids)
+}
+
+/// The victim planner `Kairos::select_victims` is checked against: grow
+/// along the candidates until a probe admits, then try dropping each
+/// victim in turn, probing every trial — the trial that drops the last
+/// victim before anything was pruned included, although growth has just
+/// probed that very set.
+fn reference_victims(
+    kairos: &mut Kairos,
+    request: &Application,
+    candidates: &[AppId],
+    max_victims: usize,
+) -> Option<VictimPlan> {
+    let mut set = Vec::new();
+    let mut layout = None;
+    for &candidate in candidates.iter().take(max_victims) {
+        set.push(candidate);
+        if let Ok(l) = kairos.probe_admit_without(request, &set) {
+            layout = Some(l);
+            break;
+        }
+    }
+    let mut layout = layout?;
+    let mut i = 0;
+    while i < set.len() && set.len() > 1 {
+        let mut trial = set.clone();
+        trial.remove(i);
+        if let Ok(l) = kairos.probe_admit_without(request, &trial) {
+            set = trial;
+            layout = l;
+        } else {
+            i += 1;
+        }
+    }
+    Some(VictimPlan { victims: set, layout })
+}
+
+proptest! {
+    // Most random fills are unblocked by the first candidate; enough cases
+    // to meet plans that grow past one victim.
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    /// Skipping the pruning trial that repeats the last refused growth
+    /// prefix plans exactly what probing it did — the same victims under
+    /// the same layout, or no plan — and a lit manager's probe counter
+    /// never counts more for the planner than for the reference.
+    #[test]
+    fn victim_plans_equal_the_probe_every_trial_reference(
+        specs in proptest::collection::vec((0u8..=255, 0u8..=255), 2..12),
+        req_tasks in 1u8..7,
+        req_cpu in 0u8..4,
+        rotate in 0usize..12,
+        max_victims in 1usize..10,
+    ) {
+        let (mut kairos, mut ids) = occupied_mesh(&specs);
+        let hub = Telemetry::new(TelemetryConfig::default());
+        kairos.set_telemetry(hub.clone());
+        let probes = || hub.counter("kairos.core.probes").expect("the hub is lit").get();
+        let request = chain("req", req_tasks as usize, 500 + 150 * req_cpu as u64);
+        if !ids.is_empty() {
+            let by = rotate % ids.len();
+            ids.rotate_left(by);
+        }
+
+        let start = probes();
+        let plan = kairos.select_victims(&request, &ids, max_victims);
+        let planned = probes() - start;
+        let expected = reference_victims(&mut kairos, &request, &ids, max_victims);
+        let referenced = probes() - start - planned;
+        prop_assert_eq!(
+            plan.map(|p| (p.victims, p.layout)),
+            expected.map(|p| (p.victims, p.layout))
+        );
+        prop_assert!(planned <= referenced, "{} probes planned, {} in the reference", planned, referenced);
+    }
 }
 
 proptest! {

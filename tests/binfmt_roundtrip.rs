@@ -84,6 +84,11 @@ fn decoded_applications_allocate_identically() {
                 b.is_ok()
             ),
         }
+        // Whatever mapping left the application keeping, equality and
+        // `Debug` do not see it.
+        let fresh = binfmt::decode(&binfmt::encode(app)).unwrap();
+        assert_eq!(*app, fresh, "{} no longer equals its image", app.name());
+        assert_eq!(format!("{app:?}"), format!("{fresh:?}"), "{} prints apart", app.name());
     }
 }
 

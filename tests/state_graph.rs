@@ -18,7 +18,11 @@
 //! admission decided, and a hand-off must share the probe's layout, not
 //! copy it. Each edge runs under `catch_unwind`, so the first failure it
 //! meets — a failed check here or a panic inside the manager — comes with
-//! a shortest history that reaches it.
+//! a shortest history that reaches it. Two platforms are closed in
+//! tier-1: a 2x2 DSP mesh under DSP chains, and a 2x2 mesh of one FPGA,
+//! two DSPs and one ARM under chains pinned to the FPGA and the ARM, so
+//! that single-element kinds fail whole and the mapper starts from pinned
+//! seed sets.
 
 use std::collections::{HashSet, VecDeque};
 use std::panic::{self, AssertUnwindSafe};
@@ -61,18 +65,50 @@ const OPS: [Op; 10] = [
 /// Chains of 2, 3 and 4 DSP tasks over 400-wide channels. A DSP element
 /// has 1 000 of compute, so the chains' tasks take it alone, alone and in
 /// pairs: a few residents fill a tiny mesh, and most admissions route.
-fn chains() -> [Application; 3] {
+fn dsp_chains() -> [Application; 3] {
     [(2, 700), (3, 600), (4, 500)].map(|(tasks, cpu)| {
-        let imp = Implementation::new(ElementKind::Dsp, ResourceVector::new(cpu, 8, 0, 0), 40, 1);
-        let mut b = ApplicationBuilder::new(format!("chain{tasks}"));
-        let ids: Vec<_> = (0..tasks)
-            .map(|i| b.add_task(format!("t{i}"), TaskRole::Internal, vec![imp]))
-            .collect();
-        for pair in ids.windows(2) {
-            b.add_channel(pair[0], pair[1], 400, 1);
-        }
-        b.build().unwrap()
+        let dsp = Implementation::new(ElementKind::Dsp, ResourceVector::new(cpu, 8, 0, 0), 40, 1);
+        chain(tasks, dsp, dsp, dsp)
     })
+}
+
+/// Chains of 2, 3 and 4 tasks for a platform with one FPGA and one ARM:
+/// the first task runs on the FPGA (three fit its area), the last on the
+/// ARM (three fit its compute) and the tasks between on DSPs as in
+/// [`dsp_chains`]. Both ends are pinned, so the mapper starts from seed
+/// sets other than the one an application keeps its rings for.
+fn pinned_chains() -> [Application; 3] {
+    let fpga = Implementation::new(ElementKind::Fpga, ResourceVector::new(0, 8, 3_000, 0), 40, 1);
+    let arm = Implementation::new(ElementKind::Arm, ResourceVector::new(250, 8, 0, 0), 40, 1);
+    [(2, 700), (3, 600), (4, 500)].map(|(tasks, cpu)| {
+        let dsp = Implementation::new(ElementKind::Dsp, ResourceVector::new(cpu, 8, 0, 0), 40, 1);
+        chain(tasks, fpga, dsp, arm)
+    })
+}
+
+/// A chain of `tasks` tasks over 400-wide channels: `first`, then `inner`
+/// for each task between, then `last`.
+fn chain(
+    tasks: usize,
+    first: Implementation,
+    inner: Implementation,
+    last: Implementation,
+) -> Application {
+    let mut b = ApplicationBuilder::new(format!("chain{tasks}"));
+    let ids: Vec<_> = (0..tasks)
+        .map(|i| {
+            let imp = match i {
+                0 => first,
+                _ if i == tasks - 1 => last,
+                _ => inner,
+            };
+            b.add_task(format!("t{i}"), TaskRole::Internal, vec![imp])
+        })
+        .collect();
+    for pair in ids.windows(2) {
+        b.add_channel(pair[0], pair[1], 400, 1);
+    }
+    b.build().unwrap()
 }
 
 /// What an admission returned.
@@ -241,8 +277,7 @@ fn edge(
 /// Walks `platform`'s state graph breadth first to closure through
 /// [`edge`]; a panic on an edge, whether a check's or the manager's,
 /// prints the shortest history that reaches it and unwinds on.
-fn close(platform: Platform) -> Closure {
-    let chains = chains();
+fn close(platform: Platform, chains: [Application; 3]) -> Closure {
     let root = State { kairos: Kairos::new(platform, KairosConfig::default()), residents: vec![] };
     let mut seen = HashSet::from([root.key()]);
     let mut queue: VecDeque<Queued> = VecDeque::from([(Rc::new(root), Vec::new(), None)]);
@@ -269,8 +304,17 @@ fn close(platform: Platform) -> Closure {
 
 #[test]
 fn every_reachable_state_of_a_2x2_mesh_passes_its_audit() {
-    let closure = close(topology::dsp_mesh(2, 2));
+    let closure = close(topology::dsp_mesh(2, 2), dsp_chains());
     assert_eq!(closure, Closure { states: 37, edges: 370, deepest: 6 });
+}
+
+/// One FPGA, two DSPs and one ARM: failing the FPGA or the ARM (elements
+/// 0 and 3) takes a whole kind away, and every chain is pinned at both
+/// ends.
+#[test]
+fn every_reachable_state_of_a_2x2_heterogeneous_mesh_passes_its_audit() {
+    let closure = close(topology::heterogeneous_mesh(2, 2), pinned_chains());
+    assert_eq!(closure, Closure { states: 101, edges: 1_010, deepest: 11 });
 }
 
 /// The same walk on a 2x3 mesh, 66 850 audited edges (under a second in
@@ -279,6 +323,6 @@ fn every_reachable_state_of_a_2x2_mesh_passes_its_audit() {
 #[test]
 #[ignore]
 fn every_reachable_state_of_a_2x3_mesh_passes_its_audit() {
-    let closure = close(topology::dsp_mesh(2, 3));
+    let closure = close(topology::dsp_mesh(2, 3), dsp_chains());
     assert_eq!(closure, Closure { states: 6_685, edges: 66_850, deepest: 32 });
 }
