@@ -24,8 +24,6 @@
 
 use std::fmt;
 
-use bytes::{Buf, BufMut, Bytes, BytesMut};
-
 use kairos_platform::{ElementKind, ResourceVector};
 
 use crate::application::{Application, ApplicationBuilder};
@@ -38,9 +36,18 @@ pub const MAGIC: [u8; 4] = *b"KAIR";
 /// Current format version.
 pub const VERSION: u16 = 1;
 
-/// Errors raised while decoding a Kairos application image.
+/// Errors raised while encoding or decoding a Kairos application image.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum BinfmtError {
+    /// A length or count is too large for the integer field that records
+    /// it (a `u16` string length or implementation count, a `u32` task,
+    /// channel or constraint count); nothing is encoded.
+    FieldTooWide {
+        /// What the field counts.
+        field: &'static str,
+        /// The value that does not fit.
+        len: usize,
+    },
     /// The image does not start with [`MAGIC`].
     BadMagic,
     /// The image version is not supported.
@@ -58,6 +65,9 @@ pub enum BinfmtError {
 impl fmt::Display for BinfmtError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
+            BinfmtError::FieldTooWide { field, len } => {
+                write!(f, "{field} {len} does not fit its field in the image")
+            }
             BinfmtError::BadMagic => f.write_str("not a Kairos application image (bad magic)"),
             BinfmtError::UnsupportedVersion(v) => write!(f, "unsupported image version {v}"),
             BinfmtError::Truncated => f.write_str("image is truncated"),
@@ -110,19 +120,25 @@ fn kind_from_tag(tag: u8) -> Result<ElementKind, BinfmtError> {
     }
 }
 
-fn put_string(buf: &mut BytesMut, s: &str) {
-    debug_assert!(s.len() <= u16::MAX as usize, "string too long for image format");
-    buf.put_u16_le(s.len() as u16);
-    buf.put_slice(s.as_bytes());
+/// `len` as the integer type `T` of the field that records it, or
+/// [`BinfmtError::FieldTooWide`] when it does not fit.
+fn width<T: TryFrom<usize>>(field: &'static str, len: usize) -> Result<T, BinfmtError> {
+    T::try_from(len).map_err(|_| BinfmtError::FieldTooWide { field, len })
 }
 
-fn put_vector(buf: &mut BytesMut, v: &ResourceVector) {
-    for &component in v.as_array() {
-        buf.put_u64_le(component);
-    }
+fn put_string(buf: &mut Vec<u8>, field: &'static str, s: &str) -> Result<(), BinfmtError> {
+    buf.extend(width::<u16>(field, s.len())?.to_le_bytes());
+    buf.extend_from_slice(s.as_bytes());
+    Ok(())
 }
 
 /// Encodes an application into a Kairos binary image.
+///
+/// # Errors
+///
+/// Returns [`BinfmtError::FieldTooWide`] when a name is longer than
+/// `u16::MAX` bytes, a task has more than `u16::MAX` implementations, or
+/// a task, channel or constraint count exceeds `u32::MAX`.
 ///
 /// # Examples
 ///
@@ -134,54 +150,57 @@ fn put_vector(buf: &mut BytesMut, v: &ResourceVector) {
 /// let imp = Implementation::new(ElementKind::Dsp, ResourceVector::splat(1), 10, 1);
 /// b.add_task("only", TaskRole::Internal, vec![imp]);
 /// let app = b.build()?;
-/// let image = binfmt::encode(&app);
+/// let image = binfmt::encode(&app)?;
 /// let back = binfmt::decode(&image)?;
 /// assert_eq!(app, back);
 /// # Ok::<(), Box<dyn std::error::Error>>(())
 /// ```
-pub fn encode(app: &Application) -> Bytes {
-    let mut buf = BytesMut::with_capacity(256);
-    buf.put_slice(&MAGIC);
-    buf.put_u16_le(VERSION);
-    put_string(&mut buf, app.name());
+pub fn encode(app: &Application) -> Result<Vec<u8>, BinfmtError> {
+    let mut buf = Vec::with_capacity(256);
+    buf.extend(MAGIC);
+    buf.extend(VERSION.to_le_bytes());
+    put_string(&mut buf, "application name length", app.name())?;
 
-    buf.put_u32_le(app.task_count() as u32);
+    buf.extend(width::<u32>("task count", app.task_count())?.to_le_bytes());
     for task in app.tasks() {
-        put_string(&mut buf, task.name());
-        buf.put_u8(role_tag(task.role()));
-        buf.put_u16_le(task.implementations().len() as u16);
-        for imp in task.implementations() {
-            buf.put_u8(kind_tag(imp.target()));
-            put_vector(&mut buf, &imp.requires());
-            buf.put_u64_le(imp.exec_cycles());
-            buf.put_u64_le(imp.energy());
+        put_string(&mut buf, "task name length", task.name())?;
+        buf.push(role_tag(task.role()));
+        let impls = task.implementations();
+        buf.extend(width::<u16>("implementation count", impls.len())?.to_le_bytes());
+        for imp in impls {
+            buf.push(kind_tag(imp.target()));
+            for &component in imp.requires().as_array() {
+                buf.extend(component.to_le_bytes());
+            }
+            buf.extend(imp.exec_cycles().to_le_bytes());
+            buf.extend(imp.energy().to_le_bytes());
         }
     }
 
-    buf.put_u32_le(app.channel_count() as u32);
+    buf.extend(width::<u32>("channel count", app.channel_count())?.to_le_bytes());
     for c in app.channels() {
-        buf.put_u32_le(c.src().0);
-        buf.put_u32_le(c.dst().0);
-        buf.put_u64_le(c.bandwidth());
-        buf.put_u32_le(c.tokens_per_firing());
+        buf.extend(c.src().0.to_le_bytes());
+        buf.extend(c.dst().0.to_le_bytes());
+        buf.extend(c.bandwidth().to_le_bytes());
+        buf.extend(c.tokens_per_firing().to_le_bytes());
     }
 
-    buf.put_u32_le(app.constraints().len() as u32);
+    buf.extend(width::<u32>("constraint count", app.constraints().len())?.to_le_bytes());
     for constraint in app.constraints() {
         match *constraint {
             Constraint::Throughput { max_period_cycles } => {
-                buf.put_u8(0);
-                buf.put_u64_le(max_period_cycles);
+                buf.push(0);
+                buf.extend(max_period_cycles.to_le_bytes());
             }
             Constraint::Latency { max_latency_cycles, pipeline_depth } => {
-                buf.put_u8(1);
-                buf.put_u64_le(max_latency_cycles);
-                buf.put_u32_le(pipeline_depth);
+                buf.push(1);
+                buf.extend(max_latency_cycles.to_le_bytes());
+                buf.extend(pipeline_depth.to_le_bytes());
             }
         }
     }
 
-    buf.freeze()
+    Ok(buf)
 }
 
 struct Reader<'a> {
@@ -189,41 +208,39 @@ struct Reader<'a> {
 }
 
 impl<'a> Reader<'a> {
-    fn need(&self, n: usize) -> Result<(), BinfmtError> {
-        if self.buf.remaining() < n {
-            Err(BinfmtError::Truncated)
-        } else {
-            Ok(())
-        }
+    /// The next `n` bytes, or [`BinfmtError::Truncated`] when fewer remain.
+    fn take(&mut self, n: usize) -> Result<&'a [u8], BinfmtError> {
+        let (head, rest) = self.buf.split_at_checked(n).ok_or(BinfmtError::Truncated)?;
+        self.buf = rest;
+        Ok(head)
+    }
+
+    fn array<const N: usize>(&mut self) -> Result<[u8; N], BinfmtError> {
+        let (head, rest) = self.buf.split_first_chunk().ok_or(BinfmtError::Truncated)?;
+        self.buf = rest;
+        Ok(*head)
     }
 
     fn u8(&mut self) -> Result<u8, BinfmtError> {
-        self.need(1)?;
-        Ok(self.buf.get_u8())
+        Ok(self.take(1)?[0])
     }
 
     fn u16(&mut self) -> Result<u16, BinfmtError> {
-        self.need(2)?;
-        Ok(self.buf.get_u16_le())
+        self.array().map(u16::from_le_bytes)
     }
 
     fn u32(&mut self) -> Result<u32, BinfmtError> {
-        self.need(4)?;
-        Ok(self.buf.get_u32_le())
+        self.array().map(u32::from_le_bytes)
     }
 
     fn u64(&mut self) -> Result<u64, BinfmtError> {
-        self.need(8)?;
-        Ok(self.buf.get_u64_le())
+        self.array().map(u64::from_le_bytes)
     }
 
     fn string(&mut self) -> Result<String, BinfmtError> {
         let len = self.u16()? as usize;
-        self.need(len)?;
-        let bytes = &self.buf[..len];
-        let s = std::str::from_utf8(bytes).map_err(|_| BinfmtError::InvalidString)?.to_owned();
-        self.buf.advance(len);
-        Ok(s)
+        let bytes = self.take(len)?;
+        Ok(std::str::from_utf8(bytes).map_err(|_| BinfmtError::InvalidString)?.to_owned())
     }
 
     fn vector(&mut self) -> Result<ResourceVector, BinfmtError> {
@@ -244,11 +261,9 @@ impl<'a> Reader<'a> {
 /// fails [`Application`] validation.
 pub fn decode(image: &[u8]) -> Result<Application, BinfmtError> {
     let mut r = Reader { buf: image };
-    r.need(4)?;
-    if r.buf[..4] != MAGIC {
+    if r.array()? != MAGIC {
         return Err(BinfmtError::BadMagic);
     }
-    r.buf.advance(4);
     let version = r.u16()?;
     if version != VERSION {
         return Err(BinfmtError::UnsupportedVersion(version));
@@ -326,7 +341,7 @@ mod tests {
     #[test]
     fn roundtrip_preserves_everything() {
         let app = sample();
-        let image = encode(&app);
+        let image = encode(&app).unwrap();
         assert!(is_kairos_image(&image));
         let back = decode(&image).unwrap();
         assert_eq!(app, back);
@@ -334,7 +349,7 @@ mod tests {
 
     #[test]
     fn bad_magic_is_rejected() {
-        let mut image = encode(&sample()).to_vec();
+        let mut image = encode(&sample()).unwrap();
         image[0] = b'X';
         assert_eq!(decode(&image), Err(BinfmtError::BadMagic));
         assert!(!is_kairos_image(&image));
@@ -343,14 +358,14 @@ mod tests {
 
     #[test]
     fn bad_version_is_rejected() {
-        let mut image = encode(&sample()).to_vec();
+        let mut image = encode(&sample()).unwrap();
         image[4] = 99;
         assert_eq!(decode(&image), Err(BinfmtError::UnsupportedVersion(99)));
     }
 
     #[test]
     fn truncation_is_detected_everywhere() {
-        let image = encode(&sample());
+        let image = encode(&sample()).unwrap();
         for len in 0..image.len() {
             let err = decode(&image[..len]).unwrap_err();
             assert!(
@@ -362,7 +377,7 @@ mod tests {
 
     #[test]
     fn invalid_utf8_is_rejected() {
-        let mut image = encode(&sample()).to_vec();
+        let mut image = encode(&sample()).unwrap();
         // name starts after magic(4) + version(2) + len(2)
         image[8] = 0xFF;
         image[9] = 0xFE;
@@ -372,35 +387,34 @@ mod tests {
     #[test]
     fn dangling_channel_fails_validation() {
         // Hand-craft an image whose single channel references task 7.
-        let mut buf = BytesMut::new();
-        buf.put_slice(&MAGIC);
-        buf.put_u16_le(VERSION);
-        buf.put_u16_le(3);
-        buf.put_slice(b"bad");
-        buf.put_u32_le(1); // one task
-        buf.put_u16_le(1);
-        buf.put_slice(b"a");
-        buf.put_u8(1); // internal
-        buf.put_u16_le(1); // one impl
-        buf.put_u8(1); // dsp
+        let mut buf = MAGIC.to_vec();
+        buf.extend(VERSION.to_le_bytes());
+        buf.extend(3u16.to_le_bytes());
+        buf.extend(b"bad");
+        buf.extend(1u32.to_le_bytes()); // one task
+        buf.extend(1u16.to_le_bytes());
+        buf.extend(b"a");
+        buf.push(1); // internal
+        buf.extend(1u16.to_le_bytes()); // one impl
+        buf.push(1); // dsp
         for _ in 0..kairos_platform::RESOURCE_KIND_COUNT {
-            buf.put_u64_le(1);
+            buf.extend(1u64.to_le_bytes());
         }
-        buf.put_u64_le(1); // exec
-        buf.put_u64_le(1); // energy
-        buf.put_u32_le(1); // one channel
-        buf.put_u32_le(0); // src t0
-        buf.put_u32_le(7); // dst t7 (dangling)
-        buf.put_u64_le(5);
-        buf.put_u32_le(1);
-        buf.put_u32_le(0); // no constraints
+        buf.extend(1u64.to_le_bytes()); // exec
+        buf.extend(1u64.to_le_bytes()); // energy
+        buf.extend(1u32.to_le_bytes()); // one channel
+        buf.extend(0u32.to_le_bytes()); // src t0
+        buf.extend(7u32.to_le_bytes()); // dst t7 (dangling)
+        buf.extend(5u64.to_le_bytes());
+        buf.extend(1u32.to_le_bytes());
+        buf.extend(0u32.to_le_bytes()); // no constraints
         let err = decode(&buf).unwrap_err();
         assert!(matches!(err, BinfmtError::InvalidApplication(_)));
     }
 
     #[test]
     fn invalid_tags_are_rejected() {
-        let mut image = encode(&sample()).to_vec();
+        let mut image = encode(&sample()).unwrap();
         // task role byte: magic(4) version(2) name(2+6) count(4) tname(2+3) -> role at 23
         let name_len = "sample".len();
         let role_pos = 4 + 2 + 2 + name_len + 4 + 2 + "src".len();

@@ -127,7 +127,7 @@ fn check_compiled(app: &Application) -> Result<(), String> {
     }
 
     prop_assert_eq!(format!("{app:?}"), printed, "asking for rings changed what prints");
-    let decoded = binfmt::decode(&binfmt::encode(app)).expect("decode must succeed");
+    let decoded = binfmt::decode(&binfmt::encode(app).unwrap()).expect("decode must succeed");
     prop_assert_eq!(&decoded, app);
     prop_assert_eq!(format!("{decoded:?}"), printed);
     Ok(())
@@ -152,14 +152,14 @@ proptest! {
         prop_assert!(other != app);
         prop_assert_eq!(other.shape_hash(), shape);
         prop_assert_eq!(app.clone().shape_hash(), shape);
-        let decoded = binfmt::decode(&binfmt::encode(&other)).expect("decode must succeed");
+        let decoded = binfmt::decode(&binfmt::encode(&other).unwrap()).expect("decode must succeed");
         prop_assert_eq!(decoded.shape_hash(), shape);
     }
 
     /// The binary format round-trips every valid application exactly.
     #[test]
     fn binfmt_roundtrip(app in application()) {
-        let image = binfmt::encode(&app);
+        let image = binfmt::encode(&app).expect("encode must succeed");
         prop_assert!(binfmt::is_kairos_image(&image));
         let back = binfmt::decode(&image).expect("decode must succeed");
         prop_assert_eq!(app, back);
@@ -174,7 +174,7 @@ proptest! {
     /// Truncating a valid image always fails cleanly.
     #[test]
     fn binfmt_truncation_fails_cleanly(app in application(), cut in 0.0f64..1.0) {
-        let image = binfmt::encode(&app);
+        let image = binfmt::encode(&app).expect("encode must succeed");
         let len = ((image.len() as f64) * cut) as usize;
         if len < image.len() {
             prop_assert!(binfmt::decode(&image[..len]).is_err());

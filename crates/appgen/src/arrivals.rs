@@ -10,13 +10,11 @@
 //!
 //! Everything is deterministic in the seed, like the rest of this crate.
 
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
-
 use kairos_app::Application;
 
 use crate::datasets::DatasetSpec;
 use crate::generator::AppGenerator;
+use crate::rng::Xoshiro256;
 
 /// The shape of an inter-arrival (or lifetime) delay distribution.
 ///
@@ -118,7 +116,7 @@ impl WorkloadMix {
 pub struct WorkloadSampler {
     label: String,
     mix: WorkloadMix,
-    rng: StdRng,
+    rng: Xoshiro256,
     generated: u64,
 }
 
@@ -126,7 +124,7 @@ impl WorkloadSampler {
     /// A sampler drawing from `mix`, deterministic in `seed`. Generated
     /// applications are named `<label>-<n>`.
     pub fn new(label: impl Into<String>, mix: WorkloadMix, seed: u64) -> Self {
-        WorkloadSampler { label: label.into(), mix, rng: StdRng::seed_from_u64(seed), generated: 0 }
+        WorkloadSampler { label: label.into(), mix, rng: Xoshiro256::new(seed), generated: 0 }
     }
 
     /// Number of applications drawn so far.
@@ -138,7 +136,7 @@ impl WorkloadSampler {
     /// generates one application from a sub-generator seeded off this
     /// sampler's stream.
     pub fn next_app(&mut self) -> Application {
-        let mut pick = self.rng.gen_range(0..self.mix.total_weight());
+        let mut pick = self.rng.gen_range(0..=self.mix.total_weight() - 1);
         let mut spec = self.mix.entries()[0].spec;
         for entry in self.mix.entries() {
             if pick < entry.weight as u64 {
@@ -147,7 +145,7 @@ impl WorkloadSampler {
             }
             pick -= entry.weight as u64;
         }
-        let sub_seed = self.rng.gen_range(0..u64::MAX);
+        let sub_seed = self.rng.gen_range(0..=u64::MAX - 1);
         let name = format!("{}-{}", self.label, self.generated);
         self.generated += 1;
         AppGenerator::new(spec.generator_config(), sub_seed).generate(name)
@@ -177,7 +175,7 @@ impl WorkloadSampler {
         let delay = match dist {
             ArrivalDistribution::Deterministic => return mean.max(1),
             ArrivalDistribution::Exponential => {
-                let u = self.rng.gen_range(0.0f64..1.0);
+                let u = self.rng.next_f64();
                 -(1.0 - u).ln() * mean as f64
             }
             ArrivalDistribution::Pareto { alpha_centi } => {
@@ -185,7 +183,7 @@ impl WorkloadSampler {
                 let alpha = alpha_centi as f64 / 100.0;
                 // Scale x_m chosen so E[X] = alpha * x_m / (alpha - 1) = mean.
                 let scale = mean as f64 * (alpha - 1.0) / alpha;
-                let u = self.rng.gen_range(0.0f64..1.0);
+                let u = self.rng.next_f64();
                 scale / (1.0 - u).powf(1.0 / alpha)
             }
         };

@@ -7,8 +7,7 @@
 //! configured in/out-degrees, so generated graphs are acyclic streaming
 //! pipelines like the paper's.
 
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use std::ops::RangeInclusive;
 
 use kairos_app::{Application, ApplicationBuilder, Implementation, TaskId, TaskRole};
 use kairos_platform::topology::default_capacity;
@@ -17,6 +16,7 @@ use kairos_platform::ElementKind;
 use crate::config::{
     GeneratorConfig, ENERGY, EXEC_CYCLES, IMPLEMENTATIONS_PER_TASK, MAX_IN_DEGREE, MAX_OUT_DEGREE,
 };
+use crate::rng::Xoshiro256;
 
 /// Seeded generator of synthetic applications.
 ///
@@ -35,7 +35,7 @@ use crate::config::{
 #[derive(Debug)]
 pub struct AppGenerator {
     config: GeneratorConfig,
-    rng: StdRng,
+    rng: Xoshiro256,
 }
 
 impl AppGenerator {
@@ -46,7 +46,7 @@ impl AppGenerator {
     /// Panics when the configuration fails [`GeneratorConfig::validate`].
     pub fn new(config: GeneratorConfig, seed: u64) -> Self {
         config.validate();
-        AppGenerator { config, rng: StdRng::seed_from_u64(seed) }
+        AppGenerator { config, rng: Xoshiro256::new(seed) }
     }
 
     /// The generator's configuration.
@@ -55,7 +55,7 @@ impl AppGenerator {
     }
 
     fn demand(&mut self, kind: ElementKind) -> kairos_platform::ResourceVector {
-        let percent = self.rng.gen_range(self.config.resource_percent.clone());
+        let percent = draw(&mut self.rng, &self.config.resource_percent);
         default_capacity(kind).scaled(percent as u64, 100)
     }
 
@@ -69,7 +69,7 @@ impl AppGenerator {
     /// A pinned I/O stub: light fixed slice of the FPGA/ARM front-end,
     /// independent of the orientation band.
     fn io_stub(&mut self, kind: ElementKind) -> Implementation {
-        let percent = self.rng.gen_range(10..=30u64);
+        let percent = self.rng.gen_range(10..=30);
         let requires = default_capacity(kind).scaled(percent, 100);
         let exec = self.rng.gen_range(EXEC_CYCLES);
         let energy = self.rng.gen_range(ENERGY);
@@ -78,9 +78,9 @@ impl AppGenerator {
 
     /// Generates one application.
     pub fn generate(&mut self, name: impl Into<String>) -> Application {
-        let n_in = self.rng.gen_range(self.config.input_tasks.clone());
-        let n_int = self.rng.gen_range(self.config.internal_tasks.clone());
-        let n_out = self.rng.gen_range(self.config.output_tasks.clone());
+        let n_in = draw(&mut self.rng, &self.config.input_tasks);
+        let n_int = draw(&mut self.rng, &self.config.internal_tasks);
+        let n_out = draw(&mut self.rng, &self.config.output_tasks);
 
         let mut b = ApplicationBuilder::new(name);
         let mut out_degree: Vec<u32> = Vec::new();
@@ -106,7 +106,7 @@ impl AppGenerator {
         // alternative ("multiple implementations... by different IP
         // manufacturers").
         for i in 0..n_int {
-            let n_impls = self.rng.gen_range(IMPLEMENTATIONS_PER_TASK);
+            let n_impls = draw(&mut self.rng, &IMPLEMENTATIONS_PER_TASK);
             let mut impls = vec![self.implementation(ElementKind::Dsp)];
             for _ in 1..n_impls {
                 let kind = if self.rng.gen_bool(0.3) { ElementKind::Arm } else { ElementKind::Dsp };
@@ -158,7 +158,7 @@ impl AppGenerator {
         if earlier.is_empty() {
             return;
         }
-        let wanted = self.rng.gen_range(1..=MAX_IN_DEGREE.min(earlier.len() as u32));
+        let wanted = draw(&mut self.rng, &(1..=MAX_IN_DEGREE.min(earlier.len() as u32)));
         let mut candidates: Vec<usize> =
             (0..earlier.len()).filter(|&i| out_degree[i] < MAX_OUT_DEGREE).collect();
         // Without spare out-degree anywhere, fall back to the most recent
@@ -168,7 +168,7 @@ impl AppGenerator {
         }
         let mut chosen = Vec::new();
         for _ in 0..wanted.min(candidates.len() as u32) {
-            let pick = self.rng.gen_range(0..candidates.len());
+            let pick = self.rng.gen_range(0..=candidates.len() as u64 - 1) as usize;
             chosen.push(candidates.swap_remove(pick));
         }
         for i in chosen {
@@ -177,6 +177,11 @@ impl AppGenerator {
             out_degree[i] += 1;
         }
     }
+}
+
+/// A draw from one of the configuration's `u32` ranges.
+fn draw(rng: &mut Xoshiro256, range: &RangeInclusive<u32>) -> u32 {
+    rng.gen_range(u64::from(*range.start())..=u64::from(*range.end())) as u32
 }
 
 #[cfg(test)]

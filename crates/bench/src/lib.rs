@@ -34,12 +34,8 @@
 
 pub mod baseline;
 
-use rand::rngs::StdRng;
-use rand::seq::SliceRandom;
-use rand::SeedableRng;
-
 use kairos_app::Application;
-use kairos_appgen::{generate_dataset, DatasetSpec};
+use kairos_appgen::{generate_dataset, DatasetSpec, Xoshiro256};
 use kairos_core::{Kairos, KairosConfig, Phase, PhaseTimings};
 use kairos_platform::Platform;
 
@@ -121,11 +117,11 @@ fn spec_seed(spec: DatasetSpec) -> u64 {
 
 /// Deterministic random visit orders for sequence experiments.
 pub fn shuffled_orders(n_apps: usize, n_sequences: usize, seed: u64) -> Vec<Vec<usize>> {
-    let mut rng = StdRng::seed_from_u64(seed);
+    let mut rng = Xoshiro256::new(seed);
     (0..n_sequences)
         .map(|_| {
             let mut order: Vec<usize> = (0..n_apps).collect();
-            order.shuffle(&mut rng);
+            rng.shuffle(&mut order);
             order
         })
         .collect()

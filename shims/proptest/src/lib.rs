@@ -1,7 +1,7 @@
 //! Offline shim of `proptest` 1.x.
 //!
 //! The build environment has no access to crates.io, so the workspace ships
-//! minimal local stand-ins for its external dependencies (see
+//! this minimal local stand-in for its one external dev-dependency (see
 //! `shims/README.md`). This crate reimplements the macro surface and the
 //! strategy combinators that the Kairos property tests use — `proptest!`,
 //! `prop_compose!`, `prop_oneof!`, `prop_assert!`/`prop_assert_eq!`,
@@ -16,9 +16,6 @@ pub mod strategy;
 
 pub mod test_runner {
     //! Test configuration and the deterministic RNG driving generation.
-
-    pub use rand::rngs::StdRng as InnerRng;
-    use rand::SeedableRng;
 
     /// Configuration accepted by `proptest!`'s `#![proptest_config(..)]`.
     #[derive(Debug, Clone)]
@@ -40,25 +37,61 @@ pub mod test_runner {
         }
     }
 
-    /// The RNG handed to strategies; deterministic per test name.
+    /// The RNG handed to strategies: xoshiro256\*\* seeded by SplitMix64,
+    /// deterministic per test name. The shim keeps its own copy of the
+    /// generator so that no test dependency reaches into a product crate.
     #[derive(Debug, Clone)]
     pub struct TestRng {
-        inner: InnerRng,
+        state: [u64; 4],
     }
 
     impl TestRng {
         /// An RNG seeded from the FNV-1a hash of the test name.
         pub fn for_test(name: &str) -> Self {
-            let seed = name
+            let mut sm = name
                 .bytes()
                 .fold(0xcbf29ce484222325u64, |h, b| (h ^ b as u64).wrapping_mul(0x100000001b3));
-            TestRng { inner: InnerRng::seed_from_u64(seed) }
+            let mut next = || {
+                sm = sm.wrapping_add(0x9E3779B97F4A7C15);
+                let mut z = sm;
+                z = (z ^ (z >> 30)).wrapping_mul(0xBF58476D1CE4E5B9);
+                z = (z ^ (z >> 27)).wrapping_mul(0x94D049BB133111EB);
+                z ^ (z >> 31)
+            };
+            TestRng { state: [next(), next(), next(), next()] }
+        }
+
+        /// The next 64 random bits.
+        pub fn next_u64(&mut self) -> u64 {
+            let s = &mut self.state;
+            let result = s[1].wrapping_mul(5).rotate_left(7).wrapping_mul(9);
+            let t = s[1] << 17;
+            s[2] ^= s[0];
+            s[3] ^= s[1];
+            s[1] ^= s[2];
+            s[0] ^= s[3];
+            s[2] ^= t;
+            s[3] = s[3].rotate_left(45);
+            result
         }
     }
 
-    impl rand::RngCore for TestRng {
-        fn next_u64(&mut self) -> u64 {
-            self.inner.next_u64()
+    #[cfg(test)]
+    mod tests {
+        use super::TestRng;
+        use crate::strategy::Strategy;
+
+        /// Recorded from the generator this shim carried before it owned
+        /// one: changing either list re-draws every property test's cases.
+        #[test]
+        fn the_stream_of_a_test_name_is_pinned() {
+            let mut rng = TestRng::for_test("kairos");
+            let words: Vec<String> = (0..8).map(|_| format!("{:016x}", rng.next_u64())).collect();
+            let draws: Vec<usize> = (0..8).map(|_| (0usize..=300).generate(&mut rng)).collect();
+            let pinned = "81bc421b74427d50 ede1b56ab7884eba ec5384a185aa7acf feacdf2bf6f9db12 \
+                          9d9dfe3a053173f9 390d1865d1b149f1 2d349a416dff2ee4 0d6ea83204b53843";
+            assert_eq!(words.join(" "), pinned);
+            assert_eq!(draws, [85, 224, 271, 284, 210, 255, 147, 60]);
         }
     }
 }
@@ -68,7 +101,6 @@ pub mod collection {
 
     use crate::strategy::Strategy;
     use crate::test_runner::TestRng;
-    use rand::Rng;
     use std::ops::{Range, RangeInclusive};
 
     /// Size specification of a generated collection, mirroring
@@ -114,7 +146,7 @@ pub mod collection {
         type Value = Vec<S::Value>;
 
         fn generate(&self, rng: &mut TestRng) -> Self::Value {
-            let n = rng.gen_range(self.size.lo..=self.size.hi_inclusive);
+            let n = (self.size.lo..=self.size.hi_inclusive).generate(rng);
             (0..n).map(|_| self.element.generate(rng)).collect()
         }
     }
@@ -125,7 +157,6 @@ pub mod arbitrary {
 
     use crate::strategy::Strategy;
     use crate::test_runner::TestRng;
-    use rand::RngCore;
     use std::marker::PhantomData;
 
     /// Types with a canonical full-domain strategy.

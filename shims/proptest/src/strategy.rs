@@ -2,8 +2,6 @@
 
 use std::ops::{Range, RangeInclusive};
 
-use rand::Rng;
-
 use crate::test_runner::TestRng;
 
 /// A generator of test values. Unlike the real crate there is no shrinking:
@@ -88,7 +86,7 @@ impl<V> Strategy for OneOf<V> {
     type Value = V;
 
     fn generate(&self, rng: &mut TestRng) -> V {
-        let pick = rng.gen_range(0..self.arms.len());
+        let pick = (0..self.arms.len()).generate(rng);
         self.arms[pick].generate(rng)
     }
 }
@@ -113,30 +111,52 @@ impl<V, F: Fn(&mut TestRng) -> V> Strategy for FnStrategy<F> {
     }
 }
 
+// The span is computed in a wide type and the offset added with modular
+// arithmetic, so full-width ranges (e.g. `i32::MIN..1`) sample correctly
+// instead of overflowing in the operand type.
 macro_rules! impl_range_strategy {
-    ($($t:ty),*) => {$(
+    ($(($t:ty, $wide:ty)),*) => {$(
         impl Strategy for Range<$t> {
             type Value = $t;
             fn generate(&self, rng: &mut TestRng) -> $t {
-                rng.gen_range(self.clone())
+                assert!(self.start < self.end, "cannot sample empty range");
+                let span = (self.end as $wide).wrapping_sub(self.start as $wide) as u64 as u128;
+                self.start.wrapping_add((rng.next_u64() as u128 % span) as $t)
             }
         }
         impl Strategy for RangeInclusive<$t> {
             type Value = $t;
             fn generate(&self, rng: &mut TestRng) -> $t {
-                rng.gen_range(self.clone())
+                assert!(self.start() <= self.end(), "cannot sample empty range");
+                let span =
+                    ((*self.end() as $wide).wrapping_sub(*self.start() as $wide) as u64 as u128)
+                        + 1;
+                if span > u64::MAX as u128 {
+                    return rng.next_u64() as $t;
+                }
+                self.start().wrapping_add((rng.next_u64() as u128 % span) as $t)
             }
         }
     )*};
 }
 
-impl_range_strategy!(u8, u16, u32, u64, usize, i32, i64);
+impl_range_strategy!(
+    (u8, u64),
+    (u16, u64),
+    (u32, u64),
+    (u64, u64),
+    (usize, u64),
+    (i32, i64),
+    (i64, i64)
+);
 
 impl Strategy for Range<f64> {
     type Value = f64;
 
     fn generate(&self, rng: &mut TestRng) -> f64 {
-        rng.gen_range(self.clone())
+        assert!(self.start < self.end, "cannot sample empty range");
+        let unit = (rng.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64);
+        self.start + unit * (self.end - self.start)
     }
 }
 

@@ -45,7 +45,7 @@ fn split_mix(mut state: u64) -> impl FnMut() -> u64 {
 fn every_dataset_app_roundtrips() {
     for spec in DatasetSpec::all() {
         for app in generate_dataset(spec, 10, 42) {
-            let image = binfmt::encode(&app);
+            let image = binfmt::encode(&app).expect("encode");
             assert!(binfmt::is_kairos_image(&image));
             let back = binfmt::decode(&image).expect("decode");
             assert_eq!(app, back, "{spec:?}: roundtrip mismatch");
@@ -56,7 +56,7 @@ fn every_dataset_app_roundtrips() {
 #[test]
 fn beamformer_roundtrips() {
     let app = beamforming_app();
-    let image = binfmt::encode(&app);
+    let image = binfmt::encode(&app).expect("encode");
     let back = binfmt::decode(&image).unwrap();
     assert_eq!(app, back);
 }
@@ -67,7 +67,7 @@ fn decoded_applications_allocate_identically() {
     let mut direct = Kairos::new(topology::crisp(), KairosConfig::default());
     let mut via_image = Kairos::new(topology::crisp(), KairosConfig::default());
     for app in &apps {
-        let decoded = binfmt::decode(&binfmt::encode(app)).unwrap();
+        let decoded = binfmt::decode(&binfmt::encode(app).unwrap()).unwrap();
         let a = direct.admit(app);
         let b = via_image.admit(&decoded);
         match (a, b) {
@@ -86,10 +86,36 @@ fn decoded_applications_allocate_identically() {
         }
         // Whatever mapping left the application keeping, equality and
         // `Debug` do not see it.
-        let fresh = binfmt::decode(&binfmt::encode(app)).unwrap();
+        let fresh = binfmt::decode(&binfmt::encode(app).unwrap()).unwrap();
         assert_eq!(*app, fresh, "{} no longer equals its image", app.name());
         assert_eq!(format!("{app:?}"), format!("{fresh:?}"), "{} prints apart", app.name());
     }
+}
+
+/// A length the image cannot record is refused with a typed error, not
+/// wrapped into an image that decodes to another application: a name's
+/// length and a task's implementation count are `u16` fields.
+#[test]
+fn lengths_beyond_their_fields_are_refused_by_the_encoder() {
+    let imp = Implementation::new(ElementKind::Dsp, ResourceVector::new(300, 8, 0, 0), 50, 1);
+    let named = |len: usize| {
+        let mut b = ApplicationBuilder::new("n".repeat(len));
+        b.add_task("only", TaskRole::Internal, vec![imp]);
+        b.build().unwrap()
+    };
+    let widest = named(65_535);
+    assert_eq!(binfmt::decode(&binfmt::encode(&widest).unwrap()).unwrap(), widest);
+    assert_eq!(
+        binfmt::encode(&named(65_536)),
+        Err(BinfmtError::FieldTooWide { field: "application name length", len: 65_536 })
+    );
+
+    let mut b = ApplicationBuilder::new("many");
+    b.add_task("only", TaskRole::Internal, vec![imp; 65_536]);
+    assert_eq!(
+        binfmt::encode(&b.build().unwrap()),
+        Err(BinfmtError::FieldTooWide { field: "implementation count", len: 65_536 })
+    );
 }
 
 #[test]
@@ -112,7 +138,7 @@ fn flipped_images_decode_to_errors_or_admit_without_panicking() {
     let mut kairos = Kairos::new(topology::crisp(), KairosConfig::default());
     let (mut decoded, mut admitted) = (0, 0);
     for app in DatasetSpec::all().into_iter().flat_map(|spec| generate_dataset(spec, 1, 7)) {
-        let image = binfmt::encode(&app).to_vec();
+        let image = binfmt::encode(&app).expect("encode");
         for _ in 0..2500 {
             let mut flipped = image.clone();
             for _ in 0..1 + next() % 4 {
@@ -142,7 +168,7 @@ fn a_zero_pipeline_depth_is_refused_by_the_builder_and_the_decoder() {
     assert_eq!(with_constraint(&app, zero).unwrap_err(), ApplicationError::ZeroPipelineDepth(0));
 
     let deep = Constraint::Latency { max_latency_cycles: 1 << 30, pipeline_depth: 3 };
-    let mut image = binfmt::encode(&with_constraint(&app, deep).unwrap()).to_vec();
+    let mut image = binfmt::encode(&with_constraint(&app, deep).unwrap()).expect("encode");
     assert!(binfmt::decode(&image).is_ok());
     // The depth is the image's last field, a little-endian `u32`.
     let at = image.len() - 4;
@@ -162,7 +188,7 @@ fn flipped_latency_images_decode_to_errors_or_admit_without_panicking() {
     let latency = Constraint::Latency { max_latency_cycles: 1 << 40, pipeline_depth: 2 };
     let (mut decoded, mut admitted) = (0, 0);
     for app in DatasetSpec::all().into_iter().flat_map(|spec| generate_dataset(spec, 1, 7)) {
-        let image = binfmt::encode(&with_constraint(&app, latency).unwrap()).to_vec();
+        let image = binfmt::encode(&with_constraint(&app, latency).unwrap()).expect("encode");
         for _ in 0..1000 {
             let mut flipped = image.clone();
             for _ in 0..1 + next() % 4 {
@@ -214,7 +240,7 @@ fn pair(rate: u32, cyclic: bool) -> Result<Application, ApplicationError> {
 fn zero_rate_and_cyclic_graphs_are_refused() {
     assert_eq!(pair(0, false).unwrap_err(), ApplicationError::ZeroRateChannel(ChannelId(0)));
 
-    let mut image = binfmt::encode(&pair(7, false).unwrap()).to_vec();
+    let mut image = binfmt::encode(&pair(7, false).unwrap()).expect("encode");
     assert!(binfmt::decode(&image).is_ok());
     // The rate is the last channel field, a little-endian `u32` before
     // the constraint count (`u32`), the constraint's tag and its period.
