@@ -8,11 +8,9 @@
 //! activity sequence.
 
 use std::collections::BTreeMap;
-use std::sync::Arc;
 
 use kairos_core::ElementActivity;
 use kairos_platform::{ElementKind, PowerModel};
-use kairos_telemetry::{Counter, Gauge, Telemetry};
 
 /// Energy attributed to one element class, in milliwatt-ticks.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -86,44 +84,12 @@ pub struct EnergyReport {
     pub top_apps: Vec<AppEnergy>,
 }
 
-/// Pre-resolved `kairos.energy.*` registry handles, following the
-/// `kairos.gateway.*` / `kairos.reloc.*` pre-resolution pattern: resolved
-/// once at construction, no-ops when the hub is disabled.
-#[derive(Debug, Clone)]
-struct EnergyMetrics {
-    /// `kairos.energy.total.mwt` — whole-run energy counter.
-    total: Arc<Counter>,
-    /// `kairos.energy.busy.mwt` — busy-element energy counter.
-    busy: Arc<Counter>,
-    /// `kairos.energy.idle.mwt` — idle-element energy counter.
-    idle: Arc<Counter>,
-    /// `kairos.energy.samples` — activity observations integrated.
-    samples: Arc<Counter>,
-    /// `kairos.energy.power.mw` — instantaneous whole-platform draw.
-    power: Arc<Gauge>,
-}
-
-impl EnergyMetrics {
-    /// Resolves the handles, or `None` when `telemetry` is disabled.
-    fn new(telemetry: &Telemetry) -> Option<Self> {
-        let registry = telemetry.registry()?;
-        Some(EnergyMetrics {
-            total: registry.counter("kairos.energy.total.mwt"),
-            busy: registry.counter("kairos.energy.busy.mwt"),
-            idle: registry.counter("kairos.energy.idle.mwt"),
-            samples: registry.counter("kairos.energy.samples"),
-            power: registry.gauge("kairos.energy.power.mw"),
-        })
-    }
-}
-
 /// Integrates periodic [`ElementActivity`] observations against a
 /// [`PowerModel`] — left-rectangle rule over virtual time: the draw
 /// observed at one sample is charged until the next.
 #[derive(Debug)]
 pub(crate) struct EnergyMeter {
     model: PowerModel,
-    metrics: Option<EnergyMetrics>,
     last_at: Option<u64>,
     last: Vec<ElementActivity>,
     /// Sorted unique package names, fixed after the first observation.
@@ -144,12 +110,10 @@ impl EnergyMeter {
     /// Applications kept in [`EnergyReport::top_apps`].
     const TOP_APPS: usize = 8;
 
-    /// A meter over `model`, registering `kairos.energy.*` instruments on
-    /// `telemetry` when the hub is enabled.
-    pub(crate) fn new(model: PowerModel, telemetry: &Telemetry) -> Self {
+    /// A meter over `model`.
+    pub(crate) fn new(model: PowerModel) -> Self {
         EnergyMeter {
             model,
-            metrics: EnergyMetrics::new(telemetry),
             last_at: None,
             last: Vec::new(),
             packages: Vec::new(),
@@ -187,9 +151,6 @@ impl EnergyMeter {
         self.last_at = Some(at);
         self.last = activity;
         self.samples += 1;
-        if let Some(m) = &self.metrics {
-            m.samples.inc();
-        }
     }
 
     /// Charges the final observation up to `horizon` and returns the
@@ -224,22 +185,21 @@ impl EnergyMeter {
         }
     }
 
+    /// Numbers the packages in name order: walking the element slots
+    /// sorted by package name, each new name opens the next package.
     fn index_packages(&mut self, activity: &[ElementActivity]) {
-        let mut names: Vec<String> =
-            activity.iter().map(|a| Self::package_of_name(&a.name).to_string()).collect();
-        names.sort_unstable();
-        names.dedup();
-        self.package_of = activity
-            .iter()
-            .map(|a| {
-                names
-                    .binary_search_by(|p| p.as_str().cmp(Self::package_of_name(&a.name)))
-                    .expect("every package is indexed")
-            })
-            .collect();
-        self.package_mwt = vec![0; names.len()];
-        self.package_peak_mw = vec![0; names.len()];
-        self.packages = names;
+        let mut slots: Vec<usize> = (0..activity.len()).collect();
+        slots.sort_by_key(|&slot| Self::package_of_name(&activity[slot].name));
+        self.package_of = vec![0; activity.len()];
+        for slot in slots {
+            let name = Self::package_of_name(&activity[slot].name);
+            if self.packages.last().map(String::as_str) != Some(name) {
+                self.packages.push(name.to_string());
+            }
+            self.package_of[slot] = self.packages.len() - 1;
+        }
+        self.package_mwt = vec![0; self.packages.len()];
+        self.package_peak_mw = vec![0; self.packages.len()];
     }
 
     /// Charges the previous observation's draw for `dt` ticks.
@@ -250,11 +210,8 @@ impl EnergyMeter {
         for (slot, a) in self.last.iter().enumerate() {
             let mw = self.model.draw_mw(a.kind, a.busy, a.failed);
             let energy = mw * dt;
-            let kind_slot = ElementKind::ALL
-                .iter()
-                .position(|k| *k == a.kind)
-                .expect("every ElementKind appears in ALL");
-            self.kind_mwt[kind_slot] += energy;
+            // `ElementKind::ALL[k] as usize == k`: the discriminant is the slot.
+            self.kind_mwt[a.kind as usize] += energy;
             if let Some(&pkg) = self.package_of.get(slot) {
                 self.package_mwt[pkg] += energy;
             }
@@ -269,19 +226,6 @@ impl EnergyMeter {
             } else {
                 self.idle_mwt += energy;
             }
-        }
-        if let Some(m) = &self.metrics {
-            let charged: u64 =
-                self.last.iter().map(|a| self.model.draw_mw(a.kind, a.busy, a.failed) * dt).sum();
-            let busy: u64 = self
-                .last
-                .iter()
-                .filter(|a| a.busy && !a.failed)
-                .map(|a| self.model.draw_mw(a.kind, a.busy, a.failed) * dt)
-                .sum();
-            m.total.add(charged);
-            m.busy.add(busy);
-            m.idle.add(charged - busy);
         }
     }
 
@@ -298,9 +242,6 @@ impl EnergyMeter {
         }
         for (peak, &mw) in self.package_peak_mw.iter_mut().zip(&package_mw) {
             *peak = (*peak).max(mw);
-        }
-        if let Some(m) = &self.metrics {
-            m.power.set(total_mw as i64);
         }
         self.series.push(PowerPoint { at, total_mw, package_mw });
     }
@@ -328,8 +269,7 @@ mod tests {
 
     #[test]
     fn integrates_left_rectangle_and_splits_busy_idle() {
-        let telemetry = Telemetry::disabled();
-        let mut meter = EnergyMeter::new(PowerModel::table1_defaults(), &telemetry);
+        let mut meter = EnergyMeter::new(PowerModel::table1_defaults());
         let rate = PowerModel::table1_defaults().rate(ElementKind::Dsp);
         // Two elements: one busy, one idle, for 10 ticks; then both idle
         // for 10 more.
@@ -347,8 +287,7 @@ mod tests {
 
     #[test]
     fn failed_elements_draw_nothing() {
-        let telemetry = Telemetry::disabled();
-        let mut meter = EnergyMeter::new(PowerModel::table1_defaults(), &telemetry);
+        let mut meter = EnergyMeter::new(PowerModel::table1_defaults());
         meter.observe(0, activity(&[false, false], &[true, true]));
         let report = meter.finish(100);
         assert_eq!(report.total_mw_ticks, 0);
@@ -357,8 +296,7 @@ mod tests {
 
     #[test]
     fn packages_are_indexed_and_series_aligned() {
-        let telemetry = Telemetry::disabled();
-        let mut meter = EnergyMeter::new(PowerModel::table1_defaults(), &telemetry);
+        let mut meter = EnergyMeter::new(PowerModel::table1_defaults());
         meter.observe(0, activity(&[true, false, false, false], &[false; 4]));
         let rate = PowerModel::table1_defaults().rate(ElementKind::Dsp);
         let report = meter.finish(10);
@@ -366,12 +304,5 @@ mod tests {
         assert_eq!(names, ["pkg0", "pkg1"]);
         assert_eq!(report.packages[0].peak_mw, rate.busy_mw + rate.idle_mw);
         assert_eq!(report.series[0].package_mw, [rate.busy_mw + rate.idle_mw, 2 * rate.idle_mw]);
-    }
-
-    #[test]
-    fn instruments_resolve_only_on_enabled_hubs() {
-        assert!(EnergyMetrics::new(&Telemetry::disabled()).is_none());
-        let telemetry = Telemetry::new(kairos_telemetry::TelemetryConfig::default());
-        assert!(EnergyMetrics::new(&telemetry).is_some());
     }
 }

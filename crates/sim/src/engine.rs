@@ -25,7 +25,6 @@
 
 use std::cmp::Reverse;
 use std::collections::{BTreeMap, BinaryHeap, HashMap};
-use std::sync::Arc;
 
 use kairos_admitd::{
     CapacityEvent, Command, Event, PriorityClass, RejectCause, Request, ResourceService,
@@ -37,7 +36,7 @@ use kairos_cluster::ClusterBuilder;
 use kairos_core::{CacheConfig, Kairos, KairosConfig, Phase};
 use kairos_gateway::{Gateway, GatewayStats};
 use kairos_platform::{AppId, ElementId, PowerModel};
-use kairos_telemetry::{Counter, Gauge, Histogram, Telemetry, TelemetryConfig};
+use kairos_telemetry::{Histogram, Telemetry, TelemetryConfig};
 
 use crate::energy::EnergyMeter;
 use crate::report::{
@@ -59,10 +58,13 @@ enum SimEvent {
     Repair { element: ElementId },
     /// Queued requests whose deadline has passed are dropped.
     QueueExpiry,
-    /// A defragmenting compaction sweep runs (`Scenario::defrag`).
-    Defrag,
+    /// A defragmenting compaction sweep runs (`Scenario::defrag`). Moves
+    /// strictly reduce external fragmentation; on a queued service a sweep
+    /// that moved anything is a capacity event, so its drain may admit
+    /// waiters into the newly contiguous room.
+    Defrag { max_moves: usize },
     /// A cross-shard rebalancing sweep runs (`ClusterSpec::rebalance`).
-    Rebalance,
+    Rebalance { max_moves: usize },
     /// A metric time-series sample is taken.
     Sample,
 }
@@ -132,135 +134,50 @@ struct PhaseAccum {
     departures: u64,
 }
 
-/// The run totals, tallied on the workspace's one counter implementation
-/// ([`kairos_telemetry::Counter`]). With telemetry enabled the handles
-/// are the registry's own `kairos.sim.total.*` counters, so the report's
-/// `totals` section and the embedded metric snapshot are two views of
-/// the same atomics; disabled runs tally on standalone counters with
-/// identical behaviour. [`TotalsTally::materialize`] freezes the handles
-/// into the report's plain-integer [`Totals`], byte-identical to the
-/// pre-registry accounting.
-#[derive(Debug)]
-struct TotalsTally {
-    arrivals: Arc<Counter>,
-    admissions: Arc<Counter>,
-    rejections: Arc<Counter>,
-    departures: Arc<Counter>,
-    faults_injected: Arc<Counter>,
-    repairs: Arc<Counter>,
-    evictions: Arc<Counter>,
-    readmissions: Arc<Counter>,
-    lost_to_faults: Arc<Counter>,
-    preemptions: Arc<Counter>,
-    preempt_readmissions: Arc<Counter>,
-    lost_to_preemption: Arc<Counter>,
-    migrations: Arc<Counter>,
-    defrag_moves: Arc<Counter>,
-    rebalance_moves: Arc<Counter>,
-}
-
-impl TotalsTally {
-    fn new(telemetry: &Telemetry) -> Self {
-        let counter = |name: &str| match telemetry.registry() {
-            Some(registry) => registry.counter(name),
-            None => Arc::new(Counter::new()),
-        };
-        TotalsTally {
-            arrivals: counter("kairos.sim.total.arrivals"),
-            admissions: counter("kairos.sim.total.admissions"),
-            rejections: counter("kairos.sim.total.rejections"),
-            departures: counter("kairos.sim.total.departures"),
-            faults_injected: counter("kairos.sim.total.faults_injected"),
-            repairs: counter("kairos.sim.total.repairs"),
-            evictions: counter("kairos.sim.total.evictions"),
-            readmissions: counter("kairos.sim.total.readmissions"),
-            lost_to_faults: counter("kairos.sim.total.lost_to_faults"),
-            preemptions: counter("kairos.sim.total.preemptions"),
-            preempt_readmissions: counter("kairos.sim.total.preempt_readmissions"),
-            lost_to_preemption: counter("kairos.sim.total.lost_to_preemption"),
-            migrations: counter("kairos.sim.total.migrations"),
-            defrag_moves: counter("kairos.sim.total.defrag_moves"),
-            rebalance_moves: counter("kairos.sim.total.rebalance_moves"),
-        }
-    }
-
-    fn materialize(&self) -> Totals {
-        Totals {
-            arrivals: self.arrivals.get(),
-            admissions: self.admissions.get(),
-            rejections: self.rejections.get(),
-            departures: self.departures.get(),
-            faults_injected: self.faults_injected.get(),
-            repairs: self.repairs.get(),
-            evictions: self.evictions.get(),
-            readmissions: self.readmissions.get(),
-            lost_to_faults: self.lost_to_faults.get(),
-            preemptions: self.preemptions.get(),
-            preempt_readmissions: self.preempt_readmissions.get(),
-            lost_to_preemption: self.lost_to_preemption.get(),
-            migrations: self.migrations.get(),
-            defrag_moves: self.defrag_moves.get(),
-            rebalance_moves: self.rebalance_moves.get(),
-        }
-    }
-}
-
 /// Bucket bounds of the per-class wait histograms, in virtual ticks:
 /// powers of two spanning zero-wait door admissions up to the longest
 /// deadline any catalog scenario allows.
 const WAIT_HIST_BOUNDS: &[u64] = &[1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024, 2048, 4096];
 
-/// Running admission-queue statistics. The monotonic counters and the
-/// depth high-water mark live on registry instruments
-/// (`kairos.sim.queue.*`) exactly like [`TotalsTally`]; the per-class
-/// arrays feed the report's per-class rows and stay plain integers, and
-/// every wait figure — per class and overall — is read off the per-class
-/// wait histograms.
+/// Running admission-queue statistics: plain counts for the report's
+/// queue section, and every wait figure — per class and overall — read
+/// off the per-class wait histograms.
 #[derive(Debug)]
 struct QueueAccum {
-    queued: Arc<Counter>,
-    admitted_immediate: Arc<Counter>,
-    admitted_after_wait: Arc<Counter>,
-    retry_attempts: Arc<Counter>,
-    rejected_queue_full: Arc<Counter>,
-    rejected_permanent: Arc<Counter>,
-    dropped_timeout: Arc<Counter>,
-    dropped_retries_exhausted: Arc<Counter>,
-    flushed_at_shutdown: Arc<Counter>,
-    max_depth: Arc<Gauge>,
+    queued: u64,
+    admitted_immediate: u64,
+    admitted_after_wait: u64,
+    retry_attempts: u64,
+    rejected_queue_full: u64,
+    rejected_permanent: u64,
+    dropped_timeout: u64,
+    dropped_retries_exhausted: u64,
+    flushed_at_shutdown: u64,
+    max_depth: u64,
     class_queued: [u64; 4],
     class_admitted: [u64; 4],
     class_dropped: [u64; 4],
     /// Per-class wait histograms: their count, sum and max back the
     /// report's wait totals, means and maximum, their buckets its
     /// interpolated percentiles. Standalone instruments, never registered:
-    /// they must exist — and record identically — whether or not the
-    /// scenario enables telemetry, so wait fields cannot become an
-    /// observer effect.
+    /// they record identically whether or not the scenario enables
+    /// telemetry, so wait fields cannot become an observer effect.
     class_wait_hist: [Histogram; 4],
 }
 
 impl QueueAccum {
-    fn new(telemetry: &Telemetry) -> Self {
-        let counter = |name: &str| match telemetry.registry() {
-            Some(registry) => registry.counter(name),
-            None => Arc::new(Counter::new()),
-        };
-        let max_depth = match telemetry.registry() {
-            Some(registry) => registry.gauge("kairos.sim.queue.max_depth"),
-            None => Arc::new(Gauge::new()),
-        };
+    fn new() -> Self {
         QueueAccum {
-            queued: counter("kairos.sim.queue.queued"),
-            admitted_immediate: counter("kairos.sim.queue.admitted_immediate"),
-            admitted_after_wait: counter("kairos.sim.queue.admitted_after_wait"),
-            retry_attempts: counter("kairos.sim.queue.retry_attempts"),
-            rejected_queue_full: counter("kairos.sim.queue.rejected.queue_full"),
-            rejected_permanent: counter("kairos.sim.queue.rejected.permanent"),
-            dropped_timeout: counter("kairos.sim.queue.dropped.timeout"),
-            dropped_retries_exhausted: counter("kairos.sim.queue.dropped.retries_exhausted"),
-            flushed_at_shutdown: counter("kairos.sim.queue.flushed_at_shutdown"),
-            max_depth,
+            queued: 0,
+            admitted_immediate: 0,
+            admitted_after_wait: 0,
+            retry_attempts: 0,
+            rejected_queue_full: 0,
+            rejected_permanent: 0,
+            dropped_timeout: 0,
+            dropped_retries_exhausted: 0,
+            flushed_at_shutdown: 0,
+            max_depth: 0,
             class_queued: [0; 4],
             class_admitted: [0; 4],
             class_dropped: [0; 4],
@@ -304,7 +221,7 @@ pub struct Simulator {
     /// observer.
     energy: Option<EnergyMeter>,
     telemetry: Telemetry,
-    totals: TotalsTally,
+    totals: Totals,
     rejections_by_phase: [u64; 4],
     phase_accum: Vec<PhaseAccum>,
     queue_accum: QueueAccum,
@@ -409,7 +326,7 @@ impl Simulator {
         // The meter reads the sample stream and never feeds anything
         // back: a metered run differs from an unmetered one only in its
         // `energy` report section (`tests/observers/mod.rs` pins that).
-        let energy = scenario.power.clone().map(|model| EnergyMeter::new(model, &telemetry));
+        let energy = scenario.power.clone().map(EnergyMeter::new);
         Ok(Simulator {
             scenario,
             service,
@@ -424,10 +341,10 @@ impl Simulator {
             gateway_stats,
             gateway_lanes,
             energy,
-            totals: TotalsTally::new(&telemetry),
+            totals: Totals::default(),
             rejections_by_phase: [0; 4],
             phase_accum,
-            queue_accum: QueueAccum::new(&telemetry),
+            queue_accum: QueueAccum::new(),
             telemetry,
             samples: Vec::new(),
         })
@@ -457,9 +374,9 @@ impl Simulator {
 
     /// The run's telemetry hub: [`Telemetry::disabled`] unless the
     /// scenario sets [`Scenario::telemetry`], in which case it is the
-    /// parent handle every service layer (and the engine's own tallies)
-    /// records through — use it to render the text exposition after a
-    /// run.
+    /// parent handle every service layer records through — use it to
+    /// render the text exposition after a run. The engine's own totals
+    /// live only in the report.
     pub fn telemetry(&self) -> &Telemetry {
         &self.telemetry
     }
@@ -513,16 +430,12 @@ impl Simulator {
             self.schedule(t, SimEvent::Sample);
         }
         for phase in 0..self.scenario.phases.len() {
-            if self.samplers[phase].is_some() {
-                let start = self.phase_starts[phase];
-                let mean = self.scenario.phases[phase].mean_interarrival;
-                let dist = self.scenario.phases[phase].arrival;
-                let gap =
-                    self.samplers[phase].as_mut().expect("checked").next_delay_with(dist, mean);
-                let at = start + gap;
-                if at < self.phase_end(phase) {
-                    self.schedule(at, SimEvent::Arrival { phase });
-                }
+            let mean = self.scenario.phases[phase].mean_interarrival;
+            let dist = self.scenario.phases[phase].arrival;
+            let Some(sampler) = self.samplers[phase].as_mut() else { continue };
+            let at = self.phase_starts[phase] + sampler.next_delay_with(dist, mean);
+            if at < self.phase_end(phase) {
+                self.schedule(at, SimEvent::Arrival { phase });
             }
         }
         let fault_times: Vec<u64> = self.scenario.faults.iter().map(|f| f.at).collect();
@@ -531,12 +444,12 @@ impl Simulator {
         }
         if let Some(defrag) = self.scenario.defrag {
             for t in ticks(defrag.period, defrag.period, horizon) {
-                self.schedule(t, SimEvent::Defrag);
+                self.schedule(t, SimEvent::Defrag { max_moves: defrag.max_moves });
             }
         }
         if let Some(rebalance) = self.scenario.cluster.and_then(|c| c.rebalance) {
             for t in ticks(rebalance.period, rebalance.period, horizon) {
-                self.schedule(t, SimEvent::Rebalance);
+                self.schedule(t, SimEvent::Rebalance { max_moves: rebalance.max_moves });
             }
         }
 
@@ -550,8 +463,12 @@ impl Simulator {
                     let events = self.service.pump(CapacityEvent::Tick { now: at });
                     self.apply_events(at, events);
                 }
-                SimEvent::Defrag => self.on_defrag(at),
-                SimEvent::Rebalance => self.on_rebalance(at),
+                SimEvent::Defrag { max_moves } => {
+                    self.command(at, Command::Defrag { max_moves });
+                }
+                SimEvent::Rebalance { max_moves } => {
+                    self.command(at, Command::Rebalance { max_moves });
+                }
                 SimEvent::Sample => {
                     self.samples.push(SamplePoint {
                         at,
@@ -579,6 +496,7 @@ impl Simulator {
         let dist = self.scenario.phases[phase].arrival;
         let wave = self.scenario.phases[phase].batch.max(1);
         let class = self.scenario.phases[phase].priority;
+        // `run` and this handler schedule `Arrival` only for phases with a sampler.
         let sampler = self.samplers[phase].as_mut().expect("arrival phases have samplers");
         // Draw the whole wave, then the gap to the next one — one fixed
         // consumption order keeps the random streams stable.
@@ -594,27 +512,29 @@ impl Simulator {
         }
         let next_gap = sampler.next_delay_with(dist, mean_gap);
 
-        self.totals.arrivals.add(wave);
+        self.totals.arrivals += wave;
         self.phase_accum[phase].arrivals += wave;
-        if wave == 1 {
-            let (app, lifetime) = arrivals.pop().expect("wave of one");
-            let ticket = self.service.submit(Request::admit(at, app, class));
-            self.pending.insert(
-                ticket.0,
-                Pending { lifetime, fixed_departure: None, phase, origin: Origin::Fresh },
-            );
-        } else {
-            // A synchronized wave: admitted through the batched service
-            // path as one operation.
-            let lifetimes: Vec<Option<u64>> = arrivals.iter().map(|(_, l)| *l).collect();
-            let requests: Vec<Request> =
-                arrivals.into_iter().map(|(app, _)| Request::admit(at, app, class)).collect();
-            let tickets = self.service.submit_batch(requests);
-            for (ticket, lifetime) in tickets.into_iter().zip(lifetimes) {
+        match <[_; 1]>::try_from(arrivals) {
+            Ok([(app, lifetime)]) => {
+                let ticket = self.service.submit(Request::admit(at, app, class));
                 self.pending.insert(
                     ticket.0,
                     Pending { lifetime, fixed_departure: None, phase, origin: Origin::Fresh },
                 );
+            }
+            Err(arrivals) => {
+                // A synchronized wave: admitted through the batched service
+                // path as one operation.
+                let lifetimes: Vec<Option<u64>> = arrivals.iter().map(|(_, l)| *l).collect();
+                let requests: Vec<Request> =
+                    arrivals.into_iter().map(|(app, _)| Request::admit(at, app, class)).collect();
+                let tickets = self.service.submit_batch(requests);
+                for (ticket, lifetime) in tickets.into_iter().zip(lifetimes) {
+                    self.pending.insert(
+                        ticket.0,
+                        Pending { lifetime, fixed_departure: None, phase, origin: Origin::Fresh },
+                    );
+                }
             }
         }
         let events = self.service.take_events();
@@ -634,9 +554,7 @@ impl Simulator {
         // fresh id. The service reports `found: false` then and the
         // release is a no-op.
         let app = self.resolve(app);
-        self.service.submit(Request::release(at, app));
-        let events = self.service.take_events();
-        self.apply_events(at, events);
+        self.command(at, Command::Release { app });
     }
 
     /// The current id of `app`, chasing cross-shard rebalance renames
@@ -648,42 +566,22 @@ impl Simulator {
         app
     }
 
-    /// One cross-shard rebalancing sweep over the clustered platform.
-    fn on_rebalance(&mut self, at: u64) {
-        let max_moves = self
-            .scenario
-            .cluster
-            .and_then(|c| c.rebalance)
-            .expect("Rebalance events need a rebalance spec")
-            .max_moves;
-        self.service.submit(Request::new(at, Command::Rebalance { max_moves }));
-        let events = self.service.take_events();
-        self.apply_events(at, events);
-    }
-
-    /// One defragmenting compaction sweep over the managed platform.
-    /// Moves strictly reduce external fragmentation and are bounded by the
-    /// scenario's `max_moves`; on a queued service a sweep that moved
-    /// anything is a capacity event, so its drain may admit waiters into
-    /// the newly contiguous room.
-    fn on_defrag(&mut self, at: u64) {
-        let max_moves = self.scenario.defrag.expect("Defrag events need a defrag spec").max_moves;
-        self.service.submit(Request::new(at, Command::Defrag { max_moves }));
+    /// Submits one command and folds the events it produced.
+    fn command(&mut self, at: u64, command: Command) {
+        self.service.submit(Request::new(at, command));
         let events = self.service.take_events();
         self.apply_events(at, events);
     }
 
     fn on_repair(&mut self, at: u64, element: ElementId) {
-        self.totals.repairs.inc();
-        self.service.submit(Request::new(at, Command::Repair { element }));
-        let events = self.service.take_events();
-        self.apply_events(at, events);
+        self.totals.repairs += 1;
+        self.command(at, Command::Repair { element });
     }
 
     fn on_fault(&mut self, at: u64, fault: usize) {
         let spec = self.scenario.faults[fault];
         let element = ElementId(spec.element);
-        self.totals.faults_injected.inc();
+        self.totals.faults_injected += 1;
         if let Some(after) = spec.repair_after {
             self.schedule(at.saturating_add(after), SimEvent::Repair { element });
         }
@@ -691,16 +589,17 @@ impl Simulator {
         let events = self.service.take_events();
         let victims: Vec<AppId> = events
             .iter()
-            .find_map(|e| match e {
-                Event::ElementFailed { evicted, .. } => Some(evicted.clone()),
-                _ => None,
+            .flat_map(|e| match e {
+                Event::ElementFailed { evicted, .. } => evicted.as_slice(),
+                _ => &[],
             })
-            .expect("a fault command reports ElementFailed");
+            .copied()
+            .collect();
         self.apply_events(at, events);
         for victim in victims {
             let Some(live) = self.live.remove(&victim) else { continue };
             if !self.scenario.readmit_evicted {
-                self.totals.lost_to_faults.inc();
+                self.totals.lost_to_faults += 1;
                 continue;
             }
             // Evicted applications are offered for re-admission under
@@ -736,13 +635,17 @@ impl Simulator {
         let queue_enabled = self.queue_enabled();
         for event in events {
             match event {
+                // Every ticket the engine holds was inserted into `pending`
+                // when it was submitted (or, for a preemption requeue, when
+                // `Preempted` minted it), before any of its events arrive,
+                // and leaves only at its one terminal event.
                 Event::Queued { ticket, class, depth } => {
                     let info = self.pending[&ticket.0];
                     if info.origin == Origin::Fresh {
-                        self.queue_accum.queued.inc();
+                        self.queue_accum.queued += 1;
                         self.queue_accum.class_queued[class.index()] += 1;
                     }
-                    self.queue_accum.max_depth.set_max(depth as i64);
+                    self.queue_accum.max_depth = self.queue_accum.max_depth.max(depth as u64);
                     if let Some(wait) = max_wait {
                         self.schedule(at.saturating_add(wait), SimEvent::QueueExpiry);
                     }
@@ -751,16 +654,16 @@ impl Simulator {
                     let info =
                         self.pending.remove(&ticket.0).expect("admitted tickets are pending");
                     match info.origin {
-                        Origin::Fault => self.totals.readmissions.inc(),
-                        Origin::Preempt => self.totals.preempt_readmissions.inc(),
+                        Origin::Fault => self.totals.readmissions += 1,
+                        Origin::Preempt => self.totals.preempt_readmissions += 1,
                         Origin::Fresh => {
-                            self.totals.admissions.inc();
+                            self.totals.admissions += 1;
                             self.phase_accum[info.phase].admissions += 1;
                             if queue_enabled {
                                 if waited == 0 {
-                                    self.queue_accum.admitted_immediate.inc();
+                                    self.queue_accum.admitted_immediate += 1;
                                 } else {
-                                    self.queue_accum.admitted_after_wait.inc();
+                                    self.queue_accum.admitted_after_wait += 1;
                                 }
                                 self.queue_accum.class_admitted[class.index()] += 1;
                                 self.record_wait(class, waited);
@@ -783,15 +686,16 @@ impl Simulator {
                     let first_class =
                         self.pending.get(&ticket.0).is_none_or(|p| p.origin == Origin::Fresh);
                     if first_class {
-                        self.queue_accum.retry_attempts.inc();
+                        self.queue_accum.retry_attempts += 1;
                     }
                 }
                 Event::Preempted { victim, requeued_as, .. } => {
                     // The victim leaves the platform but not the system:
                     // its requeue ticket inherits the departure schedule,
-                    // exactly like a fault-evicted re-submission.
+                    // exactly like a fault-evicted re-submission. The
+                    // service preempts only residents, all of them in `live`.
                     let live = self.live.remove(&victim).expect("preemption victims are live apps");
-                    self.totals.preemptions.inc();
+                    self.totals.preemptions += 1;
                     self.pending.insert(
                         requeued_as.0,
                         Pending {
@@ -806,7 +710,7 @@ impl Simulator {
                     // The app keeps running under the same id; only the
                     // placement changed. (Defrag sweeps report their moves
                     // in `Event::Defragged` counts, not here.)
-                    self.totals.migrations.inc();
+                    self.totals.migrations += 1;
                 }
                 Event::MigrationFailed { .. } => {
                     // The engine issues no `Migrate` commands of its own;
@@ -818,43 +722,43 @@ impl Simulator {
                         self.pending.remove(&ticket.0).expect("rejected tickets are pending");
                     match info.origin {
                         Origin::Fault => {
-                            self.totals.lost_to_faults.inc();
+                            self.totals.lost_to_faults += 1;
                             continue;
                         }
                         Origin::Preempt => {
-                            self.totals.lost_to_preemption.inc();
+                            self.totals.lost_to_preemption += 1;
                             continue;
                         }
                         Origin::Fresh => {}
                     }
-                    self.totals.rejections.inc();
+                    self.totals.rejections += 1;
                     self.phase_accum[info.phase].rejections += 1;
-                    if let RejectCause::Refused { phase } = cause {
+                    if !matches!(cause, RejectCause::Refused { .. }) {
+                        self.queue_accum.class_dropped[class.index()] += 1;
+                    }
+                    match cause {
                         // The queue-less door's immediate rejection: pipeline
                         // attribution only, no queue involved.
-                        self.rejections_by_phase[phase as usize] += 1;
-                        continue;
-                    }
-                    self.queue_accum.class_dropped[class.index()] += 1;
-                    match cause {
-                        RejectCause::Refused { .. } => unreachable!("handled above"),
-                        RejectCause::QueueFull => self.queue_accum.rejected_queue_full.inc(),
+                        RejectCause::Refused { phase } => {
+                            self.rejections_by_phase[phase as usize] += 1
+                        }
+                        RejectCause::QueueFull => self.queue_accum.rejected_queue_full += 1,
                         RejectCause::Permanent { phase } => {
-                            self.queue_accum.rejected_permanent.inc();
+                            self.queue_accum.rejected_permanent += 1;
                             self.rejections_by_phase[phase as usize] += 1;
                             self.record_wait(class, waited);
                         }
                         RejectCause::Timeout => {
-                            self.queue_accum.dropped_timeout.inc();
+                            self.queue_accum.dropped_timeout += 1;
                             self.record_wait(class, waited);
                         }
                         RejectCause::RetriesExhausted { phase } => {
-                            self.queue_accum.dropped_retries_exhausted.inc();
+                            self.queue_accum.dropped_retries_exhausted += 1;
                             self.rejections_by_phase[phase as usize] += 1;
                             self.record_wait(class, waited);
                         }
                         RejectCause::Shutdown => {
-                            self.queue_accum.flushed_at_shutdown.inc();
+                            self.queue_accum.flushed_at_shutdown += 1;
                             self.record_wait(class, waited);
                         }
                     }
@@ -862,24 +766,24 @@ impl Simulator {
                 Event::Released { app, found, .. } => {
                     if found {
                         self.live.remove(&app);
-                        self.totals.departures.inc();
+                        self.totals.departures += 1;
                         let phase = self.phase_at(at);
                         self.phase_accum[phase].departures += 1;
                     }
                 }
                 Event::ElementFailed { evicted, .. } => {
-                    self.totals.evictions.add(evicted.len() as u64);
+                    self.totals.evictions += evicted.len() as u64;
                 }
                 Event::ElementRepaired { .. } => {}
                 Event::Defragged { moves, .. } => {
-                    self.totals.defrag_moves.add(moves as u64);
+                    self.totals.defrag_moves += moves as u64;
                 }
                 Event::Rebalanced { moves, .. } => {
                     // Each move re-admitted a live application on another
                     // shard under a fresh id; re-key its bookkeeping and
                     // remember the rename so its scheduled departure still
-                    // finds it.
-                    self.totals.rebalance_moves.add(moves.len() as u64);
+                    // finds it. A sweep moves only residents, all in `live`.
+                    self.totals.rebalance_moves += moves.len() as u64;
                     for (from, to) in moves {
                         let live = self.live.remove(&from).expect("rebalance moves only live apps");
                         self.renames.insert(from, to);
@@ -888,7 +792,8 @@ impl Simulator {
                 }
             }
         }
-        self.queue_accum.max_depth.set_max(self.service.queue_depth() as i64);
+        self.queue_accum.max_depth =
+            self.queue_accum.max_depth.max(self.service.queue_depth() as u64);
     }
 
     fn record_wait(&mut self, class: PriorityClass, waited: u64) {
@@ -961,16 +866,16 @@ impl Simulator {
             .collect();
         let queue = QueueReport {
             enabled: self.scenario.admission.is_some(),
-            queued: qa.queued.get(),
-            admitted_immediate: qa.admitted_immediate.get(),
-            admitted_after_wait: qa.admitted_after_wait.get(),
-            retry_attempts: qa.retry_attempts.get(),
-            rejected_queue_full: qa.rejected_queue_full.get(),
-            rejected_permanent: qa.rejected_permanent.get(),
-            dropped_timeout: qa.dropped_timeout.get(),
-            dropped_retries_exhausted: qa.dropped_retries_exhausted.get(),
-            flushed_at_shutdown: qa.flushed_at_shutdown.get(),
-            max_depth: qa.max_depth.get().max(0) as u64,
+            queued: qa.queued,
+            admitted_immediate: qa.admitted_immediate,
+            admitted_after_wait: qa.admitted_after_wait,
+            retry_attempts: qa.retry_attempts,
+            rejected_queue_full: qa.rejected_queue_full,
+            rejected_permanent: qa.rejected_permanent,
+            dropped_timeout: qa.dropped_timeout,
+            dropped_retries_exhausted: qa.dropped_retries_exhausted,
+            flushed_at_shutdown: qa.flushed_at_shutdown,
+            max_depth: qa.max_depth,
             mean_wait: mean_of(
                 waits.iter().map(|w| w.sum).sum(),
                 waits.iter().map(|w| w.count).sum(),
@@ -983,7 +888,7 @@ impl Simulator {
             scenario: self.scenario.name.clone(),
             seed: self.scenario.seed,
             horizon: self.scenario.horizon(),
-            totals: self.totals.materialize(),
+            totals: self.totals,
             rejections_by_phase: Phase::ALL
                 .iter()
                 .enumerate()
@@ -1029,18 +934,18 @@ impl Simulator {
         }
         let by_class = PriorityClass::ALL
             .iter()
-            .filter(|class| !latencies[class.index()].is_empty())
-            .map(|class| {
-                let sorted = &mut latencies[class.index()].clone();
+            .filter_map(|class| {
+                let sorted = &mut latencies[class.index()];
                 sorted.sort_unstable();
-                ClassTraceStats {
+                let &max = sorted.last()?;
+                Some(ClassTraceStats {
                     class: class.to_string(),
                     count: sorted.len() as u64,
                     p50: nearest_rank(sorted, 50),
                     p95: nearest_rank(sorted, 95),
                     p99: nearest_rank(sorted, 99),
-                    max: *sorted.last().expect("non-empty by filter"),
-                }
+                    max,
+                })
             })
             .collect();
         TraceReport {

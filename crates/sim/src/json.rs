@@ -44,6 +44,7 @@ impl Json {
     pub fn push(&mut self, key: &str, value: impl Into<Json>) -> &mut Self {
         match self {
             Json::Object(entries) => entries.push((key.to_owned(), value.into())),
+            // The documented contract; every caller pushes onto a `Json::object()`.
             _ => panic!("Json::push on a non-object"),
         }
         self

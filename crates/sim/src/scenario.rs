@@ -89,6 +89,25 @@ impl PlatformSpec {
             }
         }
     }
+
+    /// The element count [`PlatformSpec::build`] would produce, read from
+    /// a mesh's dimensions without building it, or why it cannot build:
+    /// `width * height` overflows, or the mesh has fewer cells than its
+    /// topology needs (one for a DSP mesh, four for a heterogeneous one).
+    fn element_count(&self) -> Result<usize, String> {
+        let (width, height, min) = match *self {
+            PlatformSpec::Crisp => return Ok(topology::crisp().element_count()),
+            PlatformSpec::DspMesh { width, height } => (width, height, 1),
+            PlatformSpec::HeterogeneousMesh { width, height } => (width, height, 4),
+        };
+        match width.checked_mul(height) {
+            None => Err(format!("a {width}x{height} mesh overflows the element count")),
+            Some(cells) if cells < min => {
+                Err(format!("a {width}x{height} mesh has {cells} cells; it needs at least {min}"))
+            }
+            Some(cells) => Ok(cells),
+        }
+    }
 }
 
 /// One workload phase: a time window with its own arrival process.
@@ -389,12 +408,12 @@ impl Scenario {
         if let Some(defrag) = &self.defrag {
             defrag.validate("defrag")?;
         }
-        let elements = self.platform.build().element_count() as u32;
+        let elements = self.platform.element_count()?;
         if let Some(cluster) = &self.cluster {
             if cluster.shards == 0 {
                 return Err("a cluster needs at least one shard".into());
             }
-            if cluster.shards > elements as usize {
+            if cluster.shards > elements {
                 return Err(format!(
                     "cannot split {elements} elements into {} shards",
                     cluster.shards
@@ -424,7 +443,7 @@ impl Scenario {
         }
         let horizon = self.checked_horizon().ok_or("the phase durations overflow u64 ticks")?;
         for fault in &self.faults {
-            if fault.element >= elements {
+            if fault.element as usize >= elements {
                 return Err(format!(
                     "fault at t={} targets element {} but the platform has {elements}",
                     fault.at, fault.element
@@ -1337,6 +1356,19 @@ mod tests {
         let mut s = Scenario::by_name("power-cap-skew").unwrap();
         s.power.as_mut().unwrap().set_rate(ElementKind::Dsp, PowerRate::new(400, 10_000));
         assert!(s.validate().unwrap_err().contains("idle"));
+
+        // Unbuildable platforms are refused before anything builds them.
+        let mut s = Scenario::by_name("steady-churn").unwrap();
+        s.platform = PlatformSpec::DspMesh { width: 0, height: 4 };
+        assert!(s.validate().unwrap_err().contains("at least 1"));
+
+        let mut s = Scenario::by_name("steady-churn").unwrap();
+        s.platform = PlatformSpec::HeterogeneousMesh { width: 1, height: 3 };
+        assert!(s.validate().unwrap_err().contains("at least 4"));
+
+        let mut s = Scenario::by_name("steady-churn").unwrap();
+        s.platform = PlatformSpec::DspMesh { width: usize::MAX, height: 2 };
+        assert!(s.validate().unwrap_err().contains("overflows"));
     }
 
     #[test]
@@ -1391,6 +1423,14 @@ mod tests {
 
     #[test]
     fn platform_specs_build() {
+        for spec in [
+            PlatformSpec::Crisp,
+            PlatformSpec::DspMesh { width: 3, height: 2 },
+            PlatformSpec::HeterogeneousMesh { width: 2, height: 2 },
+            PlatformSpec::HeterogeneousMesh { width: 3, height: 3 },
+        ] {
+            assert_eq!(spec.element_count(), Ok(spec.build().element_count()), "{spec:?}");
+        }
         assert_eq!(PlatformSpec::Crisp.build().element_count(), 62);
         assert_eq!(PlatformSpec::DspMesh { width: 3, height: 2 }.build().element_count(), 6);
         assert!(

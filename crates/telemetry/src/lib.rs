@@ -9,7 +9,8 @@
 //! `PhaseTimings`, with each subsystem hand-rolling its own tallies. Now
 //! every layer — the core pipeline, the admission front-end, the
 //! relocation planners, the service surface, the cluster fan-out and the
-//! sim engine — records through the same two planes:
+//! gateway — records through the same two planes, and the sim engine
+//! embeds what they recorded in its report:
 //!
 //! * **Metrics** — named [`Counter`]s, [`Gauge`]s and fixed-bucket
 //!   [`Histogram`]s in a [`Registry`], recorded with single relaxed

@@ -5,9 +5,8 @@ use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 
 /// A monotonically increasing event count.
 ///
-/// This is *the* counter implementation of the workspace — the sim
-/// engine's totals hold one of their own when no registry is attached, and
-/// the [`Registry`](crate::Registry) shares it behind an `Arc` — so every
+/// This is *the* counter implementation of the workspace — the
+/// [`Registry`](crate::Registry) shares it behind an `Arc` — so every
 /// layer counts the same way.
 ///
 /// Interior mutability keeps increments `&self` (hot paths hold shared
@@ -64,12 +63,6 @@ impl Gauge {
     #[inline]
     pub fn add(&self, n: i64) {
         self.value.fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// Raises the value to `value` if it is larger (a high-water mark).
-    #[inline]
-    pub fn set_max(&self, value: i64) {
-        self.value.fetch_max(value, Ordering::Relaxed);
     }
 
     /// The current value.
@@ -224,14 +217,11 @@ mod tests {
     }
 
     #[test]
-    fn gauges_track_instantaneous_and_high_water_values() {
+    fn gauges_track_instantaneous_values() {
         let g = Gauge::new();
         g.set(3);
         g.add(-5);
         assert_eq!(g.get(), -2);
-        g.set_max(7);
-        g.set_max(4);
-        assert_eq!(g.get(), 7);
     }
 
     #[test]

@@ -38,7 +38,7 @@ fn main() {
     let snapshot = report.telemetry.as_ref().expect("telemetry-enabled report");
     println!("   {} metrics registered across the stack", snapshot.metrics.len());
     for name in [
-        "kairos.sim.total.arrivals",
+        "kairos.admitd.admitted",
         "kairos.admitd.enqueued",
         "kairos.cluster.probe.waves",
         "kairos.cluster.probes",
@@ -64,11 +64,11 @@ fn main() {
 
     // 3. The same snapshot renders in the Prometheus text exposition
     // format (names sanitised, `_bucket`/`_sum`/`_count` series per
-    // histogram). Print the counter lines only; the full text is what a
-    // scrape endpoint would serve.
+    // histogram). Print the migration two-phase counters only; the full
+    // text is what a scrape endpoint would serve.
     println!("-- text exposition (counters only) --");
     for line in simulator.telemetry().render_text().lines() {
-        if line.starts_with("kairos_sim_total_") && !line.ends_with(" 0") {
+        if line.starts_with("kairos_core_migrate_") && !line.ends_with(" 0") {
             println!("   {line}");
         }
     }

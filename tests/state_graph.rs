@@ -22,7 +22,11 @@
 //! tier-1: a 2x2 DSP mesh under DSP chains, and a 2x2 mesh of one FPGA,
 //! two DSPs and one ARM under chains pinned to the FPGA and the ARM, so
 //! that single-element kinds fail whole and the mapper starts from pinned
-//! seed sets.
+//! seed sets. Each is closed twice: once without an operating-point
+//! cache, and once with one, where every admission edge also admits the
+//! chain on a cache-free manager built over a clone of the edge's start
+//! platform and checks that the keyed replay decided and wrote what the
+//! cold pipeline does.
 
 use std::collections::{HashSet, VecDeque};
 use std::panic::{self, AssertUnwindSafe};
@@ -31,8 +35,8 @@ use std::sync::Arc;
 
 use kairos::app::{Application, ApplicationBuilder, Implementation, TaskRole};
 use kairos::core::{
-    AdmissionFailure, AdmissionReport, AllocationError, ExecutionLayout, Kairos, KairosConfig,
-    ValidationReport,
+    AdmissionFailure, AdmissionReport, AllocationError, CacheConfig, ExecutionLayout, Kairos,
+    KairosConfig, ValidationReport,
 };
 use kairos::platform::{topology, AppId, ElementId, ElementKind, Platform, ResourceVector};
 
@@ -220,6 +224,50 @@ fn same_admission(via: (State, Admission), next: &State, cold: &Admission) {
     assert_eq!(reached.kairos.admitted_ids(), next.kairos.admitted_ids(), "admitted");
 }
 
+/// Asserts that a cache-free manager over a clone of `state`'s platform
+/// admits `chain` as the edge `(next, cached)` did: the same id, layout
+/// and validation report (or the same refusal), and the same platform
+/// bytes after. The cold manager mints the id the edge's manager minted,
+/// or, for a refusal, one no resident carries.
+fn same_as_cold(state: &State, chain: &Application, next: &State, cached: &Admission) {
+    let app_id_base = match cached {
+        Ok(report) => report.app_id.0,
+        Err(_) => state.residents.iter().map(|&(id, _)| id.0 + 1).max().unwrap_or(0),
+    };
+    let config = KairosConfig { app_id_base, ..KairosConfig::default() };
+    let mut cold = Kairos::new(state.kairos.platform().clone(), config);
+    let admission = cold.admit(chain);
+    assert_eq!(decided(&admission), decided(cached), "cold decided");
+    let same = cold.platform().checkpoint() == next.kairos.platform().checkpoint();
+    assert!(same, "the cold admission left another platform");
+}
+
+/// Rewinds `replayer`, the walk's one manager with a keyed tier, to
+/// `state` and admits `chain` twice, rewinding in between. Its store
+/// holds every decision the walk has made so far, under every state's
+/// key, and the second admission must be a keyed replay of the first.
+/// Both must decide and write what the edge `(next, cold)` did.
+fn replays_agree(
+    replayer: &mut Kairos,
+    state: &State,
+    chain: &Application,
+    next: &State,
+    cold: &Admission,
+) {
+    let hits = |kairos: &Kairos| kairos.cache_stats().map_or(0, |stats| stats.hits);
+    for replay in [false, true] {
+        replayer.restore(state.kairos.checkpoint());
+        let before = hits(replayer);
+        let admission = replayer.admit(chain);
+        assert_eq!(decided(&admission), decided(cold), "replayed");
+        let same = replayer.platform().checkpoint() == next.kairos.platform().checkpoint();
+        assert!(same, "the replay left another platform");
+        if replay {
+            assert_eq!(hits(replayer), before + 1, "the keyed tier answers the replay");
+        }
+    }
+}
+
 /// A state waiting in the walk's queue, with its shortest history and
 /// the edge that reached it (its start and operation), for the probe made
 /// one edge earlier.
@@ -227,16 +275,23 @@ type Queued = (Rc<State>, Vec<Op>, Option<(Rc<State>, Op)>);
 
 /// Takes the edge `op` from `state`, reached by `reached_by`, and checks
 /// it: the audit, the residents, a restored checkpoint, a release undoing
-/// an admission and the probe hand-offs. Returns the state it reaches.
+/// an admission and the probe hand-offs — and, when the walk keeps a
+/// `replayer`, the cold pipeline and the keyed replays. Returns the state
+/// it reaches.
 fn edge(
     state: &State,
     op: Op,
     reached_by: Option<&(Rc<State>, Op)>,
     chains: &[Application],
+    replayer: Option<&mut Kairos>,
 ) -> State {
     let next = match op {
         Op::Admit(chain) => {
             let (next, cold) = state.admitting(chain, chains);
+            if let Some(replayer) = replayer {
+                same_as_cold(state, &chains[chain], &next, &cold);
+                replays_agree(replayer, state, &chains[chain], &next, &cold);
+            }
             same_admission(state.probed_then_admitting(chain, chains), &next, &cold);
             // A probe made before the edge that reached `state`: whatever
             // that edge changed voids it.
@@ -275,10 +330,12 @@ fn edge(
 }
 
 /// Walks `platform`'s state graph breadth first to closure through
-/// [`edge`]; a panic on an edge, whether a check's or the manager's,
-/// prints the shortest history that reaches it and unwinds on.
-fn close(platform: Platform, chains: [Application; 3]) -> Closure {
-    let root = State { kairos: Kairos::new(platform, KairosConfig::default()), residents: vec![] };
+/// [`edge`], on a manager under `config`; a panic on an edge, whether a
+/// check's or the manager's, prints the shortest history that reaches it
+/// and unwinds on.
+fn close(platform: Platform, chains: [Application; 3], config: KairosConfig) -> Closure {
+    let mut replayer = config.cache.map(|_| Kairos::new(platform.clone(), config));
+    let root = State { kairos: Kairos::new(platform, config), residents: vec![] };
     let mut seen = HashSet::from([root.key()]);
     let mut queue: VecDeque<Queued> = VecDeque::from([(Rc::new(root), Vec::new(), None)]);
     let (mut edges, mut deepest) = (0, 0);
@@ -287,7 +344,7 @@ fn close(platform: Platform, chains: [Application; 3]) -> Closure {
         for op in OPS {
             let path = [&history[..], &[op]].concat();
             let taken = panic::catch_unwind(AssertUnwindSafe(|| {
-                edge(&state, op, reached_by.as_ref(), &chains)
+                edge(&state, op, reached_by.as_ref(), &chains, replayer.as_mut())
             }));
             let next = taken.unwrap_or_else(|panicked| {
                 eprintln!("the edge that failed ends the history {path:?}");
@@ -302,10 +359,19 @@ fn close(platform: Platform, chains: [Application; 3]) -> Closure {
     Closure { states: seen.len(), edges, deepest }
 }
 
+/// The two configurations every tier-1 closure walks: cold, and with
+/// the keyed tier of the decision store replaying recurring decisions.
+fn configs() -> [KairosConfig; 2] {
+    let cached = KairosConfig { cache: Some(CacheConfig::default()), ..KairosConfig::default() };
+    [KairosConfig::default(), cached]
+}
+
 #[test]
 fn every_reachable_state_of_a_2x2_mesh_passes_its_audit() {
-    let closure = close(topology::dsp_mesh(2, 2), dsp_chains());
-    assert_eq!(closure, Closure { states: 37, edges: 370, deepest: 6 });
+    for config in configs() {
+        let closure = close(topology::dsp_mesh(2, 2), dsp_chains(), config);
+        assert_eq!(closure, Closure { states: 37, edges: 370, deepest: 6 });
+    }
 }
 
 /// One FPGA, two DSPs and one ARM: failing the FPGA or the ARM (elements
@@ -313,8 +379,10 @@ fn every_reachable_state_of_a_2x2_mesh_passes_its_audit() {
 /// ends.
 #[test]
 fn every_reachable_state_of_a_2x2_heterogeneous_mesh_passes_its_audit() {
-    let closure = close(topology::heterogeneous_mesh(2, 2), pinned_chains());
-    assert_eq!(closure, Closure { states: 101, edges: 1_010, deepest: 11 });
+    for config in configs() {
+        let closure = close(topology::heterogeneous_mesh(2, 2), pinned_chains(), config);
+        assert_eq!(closure, Closure { states: 101, edges: 1_010, deepest: 11 });
+    }
 }
 
 /// The same walk on a 2x3 mesh, 66 850 audited edges (under a second in
@@ -323,6 +391,6 @@ fn every_reachable_state_of_a_2x2_heterogeneous_mesh_passes_its_audit() {
 #[test]
 #[ignore]
 fn every_reachable_state_of_a_2x3_mesh_passes_its_audit() {
-    let closure = close(topology::dsp_mesh(2, 3), dsp_chains());
+    let closure = close(topology::dsp_mesh(2, 3), dsp_chains(), KairosConfig::default());
     assert_eq!(closure, Closure { states: 6_685, edges: 66_850, deepest: 32 });
 }

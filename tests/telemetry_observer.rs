@@ -6,8 +6,8 @@
 //! preempting, cached and gatewayed regimes — and with telemetry forced
 //! on, the whole catalog stays transparent and byte-reproducible. The
 //! acceptance checks at the bottom pin that every instrumented layer
-//! (pipeline phases, txn lifecycle, queue transitions, migration
-//! two-phase, probe fan-out, sim totals) is visible in both the
+//! (pipeline phases, queue transitions, migration two-phase, probe
+//! fan-out) is visible in both the
 //! `telemetry-probe-latency` report snapshot and the Prometheus text
 //! exposition, and that the gateway's instruments agree with its section.
 
@@ -52,8 +52,8 @@ fn whole_catalog_is_byte_reproducible_with_telemetry_forced_on() {
 /// Acceptance: the `telemetry-probe-latency` catalog scenario makes every
 /// instrumented layer visible in its report snapshot *and* in the text
 /// exposition — probe fan-out with per-shard latency histograms, pipeline
-/// phases, admission-queue transitions, the migration two-phase, and the
-/// engine's own totals.
+/// phases, admission-queue transitions and the migration two-phase. The
+/// engine's own totals live only in the report's sections.
 #[test]
 fn probe_latency_scenario_exposes_every_layer() {
     let scenario = Scenario::by_name("telemetry-probe-latency").unwrap();
@@ -82,8 +82,7 @@ fn probe_latency_scenario_exposes_every_layer() {
     // Queue transitions: the surge overflows the per-class capacities.
     assert!(counter(snapshot, "kairos.admitd.enqueued") > 0);
     assert!(
-        counter(snapshot, "kairos.admitd.admitted")
-            >= counter(snapshot, "kairos.sim.total.admissions"),
+        counter(snapshot, "kairos.admitd.admitted") >= report.totals.admissions,
         "the queue admits every first-class admission, plus internal re-submissions"
     );
     assert!(histogram_count(snapshot, "kairos.admitd.wait.ticks") > 0);
@@ -102,10 +101,6 @@ fn probe_latency_scenario_exposes_every_layer() {
         "two-phase: an alternate placement is claimed before any commit"
     );
 
-    // Engine totals ride the same registry.
-    assert_eq!(counter(snapshot, "kairos.sim.total.arrivals"), report.totals.arrivals);
-    assert_eq!(counter(snapshot, "kairos.sim.queue.queued"), report.queue.queued);
-
     // The same metrics appear in the Prometheus text exposition under
     // sanitised names, and in the report's JSON under raw names.
     let text = simulator.telemetry().render_text();
@@ -116,7 +111,6 @@ fn probe_latency_scenario_exposes_every_layer() {
         "kairos_core_probes",
         "kairos_admitd_enqueued",
         "kairos_core_migrate_attempts",
-        "kairos_sim_total_arrivals",
     ] {
         assert!(text.contains(name), "text exposition must expose {name}");
     }
@@ -126,7 +120,6 @@ fn probe_latency_scenario_exposes_every_layer() {
         "\"kairos.core.probes\"",
         "\"kairos.admitd.enqueued\"",
         "\"kairos.core.migrate.attempts\"",
-        "\"kairos.sim.total.arrivals\"",
     ] {
         assert!(json.contains(name), "report JSON must expose {name}");
     }
@@ -201,7 +194,7 @@ fn every_registered_instrument_is_documented() {
         simulator.run();
         names.extend(simulator.telemetry().snapshot().metrics.into_iter().map(|m| m.name));
     }
-    assert!(names.len() >= 100, "only {} instruments registered: is the hub dark?", names.len());
+    assert!(names.len() >= 70, "only {} instruments registered: is the hub dark?", names.len());
     let documented: Vec<String> = names.iter().map(|name| documented_form(name)).collect();
     let undocumented: Vec<&String> = documented
         .iter()
@@ -214,7 +207,7 @@ fn every_registered_instrument_is_documented() {
 
     let rows: Vec<&str> =
         doc.lines().filter_map(|line| line.strip_prefix("| `kairos.")?.split('`').next()).collect();
-    assert!(rows.len() >= 10, "only {} catalogue rows found: has the table moved?", rows.len());
+    assert!(rows.len() >= 8, "only {} catalogue rows found: has the table moved?", rows.len());
     let unregistered: Vec<String> = rows
         .into_iter()
         .map(|row| format!("kairos.{row}"))
