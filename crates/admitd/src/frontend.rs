@@ -8,7 +8,7 @@ use kairos_app::Application;
 use kairos_core::{
     AdmissionFailure, AdmissionProbe, AdmissionReport, AllocationError, Kairos, VictimPlan,
 };
-use kairos_platform::{AppId, ElementId};
+use kairos_platform::AppId;
 use kairos_telemetry::{Counter, Gauge, Histogram, Telemetry, TraceContext};
 
 use crate::command::{CapacityEvent, Command, Request};
@@ -391,14 +391,6 @@ impl Admitd {
         }
         self.admitted_meta.remove(&app);
         (true, self.capacity_event(at))
-    }
-
-    /// Drops every cached operating point touching `elements` from the
-    /// manager's decision store ([`Kairos::invalidate_cached_points`]).
-    /// The cross-shard rebalancer calls this on both sides of a completed
-    /// move; a no-op without a configured cache.
-    pub fn invalidate_cached_points(&mut self, elements: &[ElementId]) -> u64 {
-        self.kairos.invalidate_cached_points(elements)
     }
 
     // ---- commands ---------------------------------------------------------------

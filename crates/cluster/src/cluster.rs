@@ -342,6 +342,7 @@ impl ClusterService {
     /// anywhere: a probe writes nothing. The one-element case of
     /// [`Self::probe_admit_wave`].
     pub fn probe_admit(&mut self, app: &Application) -> Vec<ShardProbe> {
+        // `probe_wave` returns exactly one row per application it is given.
         self.probe_wave(&[app], true).pop().expect("one probe row per application")
     }
 
@@ -415,6 +416,7 @@ impl ClusterService {
         if self.shards.len() == 1 {
             return 0;
         }
+        // `probe_wave` returns exactly one row per application it is given.
         let probes = self.probe_wave(&[app], false).pop().expect("one probe row per application");
         self.route(&probes, ctx, at)
     }
@@ -561,35 +563,29 @@ impl ClusterService {
         let mut tail: Vec<Event> = Vec::new();
         'sweep: while moves.len() < max_moves && self.shards.len() > 1 {
             let loads = self.loads();
-            let src = loads
-                .iter()
-                .max_by(|a, b| {
-                    a.resource_utilisation.total_cmp(&b.resource_utilisation).then(
-                        b.shard.cmp(&a.shard), // ties -> lower id wins the max
-                    )
-                })
-                .expect("at least one shard")
-                .shard;
-            let dst = loads
-                .iter()
-                .min_by(|a, b| {
-                    a.resource_utilisation.total_cmp(&b.resource_utilisation).then(
-                        a.shard.cmp(&b.shard), // ties -> lower id wins the min
-                    )
-                })
-                .expect("at least one shard")
-                .shard;
+            let heaviest = loads.iter().max_by(|a, b| {
+                a.resource_utilisation.total_cmp(&b.resource_utilisation).then(
+                    b.shard.cmp(&a.shard), // ties -> lower id wins the max
+                )
+            });
+            let lightest = loads.iter().min_by(|a, b| {
+                a.resource_utilisation.total_cmp(&b.resource_utilisation).then(
+                    a.shard.cmp(&b.shard), // ties -> lower id wins the min
+                )
+            });
+            let (Some(src), Some(dst)) = (heaviest.map(|l| l.shard), lightest.map(|l| l.shard))
+            else {
+                break;
+            };
             if src == dst
                 || loads[src].resource_utilisation - loads[dst].resource_utilisation < REBALANCE_GAP
             {
                 break;
             }
             for id in self.shards[src].kairos().admitted_ids() {
-                let app = self.shards[src]
-                    .kairos()
-                    .application(id)
-                    .expect("admitted ids resolve")
-                    .clone();
+                let Some(app) = self.shards[src].kairos().application(id).cloned() else {
+                    continue;
+                };
                 let Ok(probe) = self.shards[dst].probe_admit(&app) else {
                     continue;
                 };
@@ -602,19 +598,6 @@ impl ClusterService {
                     continue;
                 }
                 let class = self.shards[src].admitted_class(id).unwrap_or(PriorityClass::Normal);
-                // Captured before the release erases the layout: the
-                // source-side elements the move frees, for cache
-                // invalidation once the move is final.
-                let src_elements: Vec<ElementId> = self.shards[src]
-                    .kairos()
-                    .layout(id)
-                    .map(|l| {
-                        let mut es: Vec<ElementId> = l.placement.iter().map(|(_, e)| e).collect();
-                        es.sort_unstable();
-                        es.dedup();
-                        es
-                    })
-                    .unwrap_or_default();
                 // Phase 1 (make): claim the new home across the boundary.
                 let Ok(report) = self.shards[dst].admit_now(&app, class) else {
                     continue;
@@ -628,16 +611,6 @@ impl ClusterService {
                     }
                     continue;
                 }
-                // Cache hygiene on both sides of the boundary: the move
-                // changed occupancy on the source's freed elements and
-                // the destination's fresh ones, so cached points touching
-                // either are superseded.
-                self.shards[src].invalidate_cached_points(&src_elements);
-                let mut dst_elements: Vec<ElementId> =
-                    report.layout.placement.iter().map(|(_, e)| e).collect();
-                dst_elements.sort_unstable();
-                dst_elements.dedup();
-                self.shards[dst].invalidate_cached_points(&dst_elements);
                 tail.extend(translate_events(&self.region, src, drained));
                 moves.push((id, report.app_id));
                 continue 'sweep;

@@ -35,13 +35,14 @@
 //!   maintains, re-digesting at a lookup only the records mutated since
 //!   the previous one (only `Platform::restore` voids all of them). Every
 //!   lookup asserts it equal to the from-scratch
-//!   `Platform::state_stamp_from_scratch` in debug builds. It holds
-//!   [`KEYED_CAPACITY`] decisions and evicts the oldest first; faults,
-//!   repairs, migrations and rebalances drop the decisions that place work
-//!   on the elements they touch (the stamp alone already keeps a stale
-//!   decision from being *used*; eager invalidation keeps dead elements
-//!   from pinning capacity, and is what `kairos.opcache.invalidations`
-//!   counts);
+//!   `Platform::state_stamp_from_scratch` in debug builds. The key is the
+//!   tier's one guard: faults, repairs, migrations and rebalances change
+//!   the stamp, so they need no hook here, and a decision whose state
+//!   recurs (an outage repaired, a platform idle again) is served again.
+//!   [`point_fits`] re-checks every hit against the platform as it
+//!   stands, so even a stamp collision cannot seat work on a failed
+//!   element. It holds [`KEYED_CAPACITY`] decisions and evicts the oldest
+//!   first;
 //! * the **last-probe tier**, present with or without a keyed tier, keeps
 //!   the decision the last `probe_admit` settled beside the platform's
 //!   `state_epoch` — a probe writes nothing, and every later mutation
@@ -82,8 +83,8 @@ pub struct CacheStats {
     pub hits: u64,
     /// Lookups that found nothing and fell back to the cold pipeline.
     pub misses: u64,
-    /// Decisions removed by element-level invalidation (faults, repairs,
-    /// migrations, rebalances) or by a weight change.
+    /// Decisions dropped by a weight change (`Kairos::set_weights`), the
+    /// one decision input no key covers.
     pub invalidations: u64,
     /// Decisions stored after cold pipeline runs.
     pub insertions: u64,
@@ -224,12 +225,6 @@ impl DecisionStore {
         self.last_probe.as_ref().map(|&(_, epoch, _)| epoch)
     }
 
-    /// Drops every keyed decision that places work on any of `elements`,
-    /// returning how many were dropped.
-    pub(crate) fn invalidate(&mut self, elements: &[ElementId]) -> u64 {
-        self.keyed.as_mut().map_or(0, |keyed| keyed.invalidate(elements))
-    }
-
     /// Forgets every decision, returning how many keyed ones were dropped:
     /// for a change no key covers, the cost weights.
     pub(crate) fn clear(&mut self) -> u64 {
@@ -244,7 +239,7 @@ impl DecisionStore {
 }
 
 /// The keyed tier: a deterministic map from `(shape, stamp)` to a
-/// decision, with FIFO capacity eviction and element-level invalidation.
+/// decision, with FIFO capacity eviction.
 /// Iteration and eviction order are deterministic: entries live in a
 /// `BTreeMap` and leave in insertion order once `capacity` is reached.
 #[derive(Debug, Clone)]
@@ -290,27 +285,6 @@ impl Keyed {
         self.entries.remove(&oldest);
         self.counts.evictions += 1;
         0
-    }
-
-    /// Removes every admission that places work on any of `elements`,
-    /// counting each once; returns how many were dropped. A refusal
-    /// claims nothing and stays (the state stamp already keys it).
-    fn invalidate(&mut self, elements: &[ElementId]) -> u64 {
-        let before = self.entries.len();
-        self.entries.retain(|_, decision| match decision {
-            Ok(point) => !point.layout.placement.iter().any(|(_, e)| elements.contains(&e)),
-            Err(_) => true,
-        });
-        let dropped = (before - self.entries.len()) as u64;
-        if dropped > 0 {
-            // A key left behind would be pushed a second time when it is
-            // inserted again, and the eviction that reaches the stale
-            // position would drop that newest entry instead of the oldest.
-            let entries = &self.entries;
-            self.order.retain(|key| entries.contains_key(key));
-        }
-        self.counts.invalidations += dropped;
-        dropped
     }
 
     /// Removes every decision, counted as invalidations; the lifetime
@@ -472,61 +446,6 @@ mod tests {
         let stats = keyed.stats();
         assert_eq!((stats.hits, stats.misses), (1, 2));
         assert_eq!((stats.insertions, stats.evictions, stats.points), (3, 1, 2));
-    }
-
-    #[test]
-    fn invalidation_drops_exactly_the_overlapping_points() {
-        let mut keyed = Keyed::with_capacity(KEYED_CAPACITY);
-        keyed.insert((SHAPE, 0), point(&[0, 1]));
-        keyed.insert((SHAPE, 1), point(&[2]));
-        let refusal = crate::error::BindingError::NoFeasibleImplementation {
-            task: kairos_app::TaskId(0),
-            structural: true,
-            kind: ElementKind::Dsp,
-            requested: ResourceVector::splat(1),
-            largest_free: None,
-        };
-        keyed.insert((SHAPE, 2), Err(AllocationError::Binding(refusal)));
-        assert_eq!(keyed.invalidate(&[ElementId(1)]), 1);
-        assert_eq!(keyed.invalidate(&[ElementId(1)]), 0, "already gone");
-        assert_eq!(keyed.invalidate(&[ElementId(2), ElementId(3)]), 1);
-        assert_eq!(keyed.stats().points, 1, "a refusal uses no element");
-        assert_eq!(keyed.stats().invalidations, 2);
-        keyed.insert((SHAPE, 3), point(&[4]));
-        assert_eq!(keyed.stats().evictions, 0);
-    }
-
-    #[test]
-    fn eviction_stays_fifo_after_invalidate_and_reinsert() {
-        let mut keyed = Keyed::with_capacity(3);
-        keyed.insert((SHAPE, 0), point(&[0]));
-        keyed.insert((SHAPE, 1), point(&[1]));
-        assert_eq!(keyed.invalidate(&[ElementId(0)]), 1);
-        keyed.insert((SHAPE, 2), point(&[2]));
-        // Key 0 comes back as the *newest* entry. A copy of it left at the
-        // front of the queue would make the next eviction drop it instead
-        // of key 1, the oldest.
-        keyed.insert((SHAPE, 0), point(&[0]));
-        keyed.insert((SHAPE, 3), point(&[3]));
-        assert!(keyed.lookup((SHAPE, 1)).is_none(), "the oldest entry is the one evicted");
-        assert!(keyed.lookup((SHAPE, 0)).is_some(), "the re-inserted entry is the newest");
-        assert_eq!((keyed.stats().points, keyed.stats().evictions), (3, 1));
-    }
-
-    #[test]
-    fn invalidation_churn_keeps_the_queue_as_long_as_the_map() {
-        // Invalidation keeps this tier well below capacity, so nothing is
-        // ever evicted; the queue must not remember the dropped keys.
-        let mut keyed = Keyed::with_capacity(64);
-        for round in 0..50u128 {
-            for i in 0..4 {
-                keyed.insert((SHAPE, round * 4 + i), point(&[i as u32]));
-            }
-            keyed.invalidate(&[ElementId(0), ElementId(1), ElementId(2)]);
-            assert_eq!(keyed.order.len(), keyed.entries.len());
-        }
-        assert_eq!(keyed.stats().points, 50);
-        assert_eq!(keyed.stats().evictions, 0);
     }
 
     #[test]

@@ -483,7 +483,12 @@ impl Kairos {
     pub fn set_weights(&mut self, weights: CostWeights) {
         self.config.mapper.weights = weights;
         let dropped = self.store.clear();
-        self.note_invalidated(dropped);
+        if let Some(m) = &self.metrics {
+            m.cache_invalidations.add(dropped);
+            // Delta, not `set` — see `decide`: the gauge is shared
+            // across cluster shards.
+            m.cache_points.add(-(dropped as i64));
+        }
     }
 
     /// Number of currently admitted applications.
@@ -856,17 +861,6 @@ impl Kairos {
                 if let Some(m) = &self.metrics {
                     m.migrate_commits.inc();
                 }
-                // The move changed occupancy on both footprints; cached
-                // points touching either set of elements are superseded.
-                let mut touched: Vec<ElementId> = old_layout
-                    .placement
-                    .iter()
-                    .map(|(_, e)| e)
-                    .chain(new_layout.placement.iter().map(|(_, e)| e))
-                    .collect();
-                touched.sort_unstable();
-                touched.dedup();
-                self.invalidate_cached_points(&touched);
                 let moved_tasks = old_layout
                     .placement
                     .iter()
@@ -1186,30 +1180,6 @@ impl Kairos {
         result
     }
 
-    /// Drops every cached operating point that places work on any of
-    /// `elements`, returning how many were dropped. This is the
-    /// invalidation hook behind fault injection, repair, migration and
-    /// cross-shard rebalancing. The state stamp already guarantees a
-    /// stale point can never be *replayed* — invalidation is bounded
-    /// staleness (keys for superseded states stop occupying capacity)
-    /// plus defence in depth (even a stamp collision cannot admit onto a
-    /// dead element). A no-op without a configured cache.
-    pub fn invalidate_cached_points(&mut self, elements: &[ElementId]) -> u64 {
-        let dropped = self.store.invalidate(elements);
-        self.note_invalidated(dropped);
-        dropped
-    }
-
-    /// Counts `dropped` cached points on the invalidation instruments.
-    fn note_invalidated(&self, dropped: u64) {
-        if let Some(m) = &self.metrics {
-            m.cache_invalidations.add(dropped);
-            // Delta, not `set` — see `decide`: the gauge is shared
-            // across cluster shards.
-            m.cache_points.add(-(dropped as i64));
-        }
-    }
-
     /// Lifetime counters of the operating-point cache, `None` when no
     /// cache is configured.
     pub fn cache_stats(&self) -> Option<CacheStats> {
@@ -1270,7 +1240,6 @@ impl Kairos {
             return Vec::new();
         }
         self.platform.fail_element(element);
-        self.invalidate_cached_points(&[element]);
         let victims: Vec<AppId> = self
             .admitted
             .iter()
@@ -1285,18 +1254,18 @@ impl Kairos {
         sorted
     }
 
-    /// Clears the failure mark on a failed `element`, dropping any cached
-    /// operating points that placed work on it (their keyed states date
-    /// from before the fault epoch and will not recur), and returns
-    /// whether it did. Repairing a healthy element, or an id outside the
-    /// platform, is no mutation: it changes nothing, not even the state
-    /// epoch or the cache.
+    /// Clears the failure mark on a failed `element` and returns whether it
+    /// did. Cached decisions need no sweep: a state from before the fault
+    /// can recur once the element is back (an idle platform does), and a
+    /// decision stored for it replays then as it would have before.
+    /// Repairing a healthy element, or an id outside the platform, is no
+    /// mutation: it changes nothing, not even the state epoch or the
+    /// cache.
     pub fn repair_element(&mut self, element: ElementId) -> bool {
         let failed =
             element.index() < self.platform.element_count() && self.platform.is_failed(element);
         if failed {
             self.platform.repair_element(element);
-            self.invalidate_cached_points(&[element]);
         }
         failed
     }

@@ -30,8 +30,8 @@
 //!   exercise the operating-point cache (the manager's keyed tier) with
 //!   [`Scenario::cache`] enabled — `cache-warm-storm` (a repeating
 //!   same-shape admission storm replayed from the cache) and
-//!   `cache-invalidation-churn` (element faults and repairs sweeping
-//!   cached points out from under continuing admissions), and two that
+//!   `cache-invalidation-churn` (element faults and repairs under
+//!   continuing cached admissions), and two that
 //!   run behind the `kairos-gateway` queueing front-end
 //!   ([`Scenario::gateway`]) — `gateway-arrival-storm` (a sharded
 //!   storm streamed through per-shard bounded lanes, byte-identical to

@@ -27,8 +27,8 @@
 //! (`cache-warm-storm`, a small-application storm over three cached
 //! shards whose every commit replays the point its own probe stored, and
 //! `cache-invalidation-churn`, which interleaves
-//! element faults and repairs with cached admissions to exercise the
-//! invalidation hooks; both run with [`Scenario::cache`] enabled), and
+//! element faults and repairs with cached admissions; both run with
+//! [`Scenario::cache`] enabled), and
 //! two exercising the `kairos-gateway` queueing front-end
 //! (`gateway-arrival-storm`, a sharded storm streamed through the
 //! gateway's default lanes and pinned byte-identical to the unwrapped
@@ -1012,15 +1012,16 @@ fn cache_warm_storm() -> Scenario {
 
 /// Cache invalidation churn: the cache's fault-tolerance counterpart. A
 /// three-shard CRISP cluster fills with small cached applications, then a
-/// rolling script of element faults and repairs sweeps the fabric while
-/// admissions continue. Every fault and repair bumps the platform's
-/// mutation epoch and fires the invalidation hooks, dropping every cached
-/// operating point that touches the element, so admissions after each
-/// fault miss, fall back to the cold pipeline, and repopulate the cache
-/// against the new platform state — stale points never admit onto dead
-/// elements. The report's `cache` section pins the invalidation count;
-/// the `opcache_invalidation` suite covers the same matrix fault kind by
-/// fault kind.
+/// rolling script of element faults and repairs passes over the fabric
+/// while admissions continue. Every fault and repair changes the
+/// platform's state stamp, so admissions during an outage miss, fall back
+/// to the cold pipeline and store points for the new state, while the
+/// points stored before it stay (the name predates that: nothing is
+/// invalidated, and the report's `cache.invalidations` reads 0). Stale
+/// points never admit onto dead elements, because no outage state stamps
+/// like a healthy one and every hit is re-checked against the platform.
+/// The `opcache_faults` suite covers faults, repairs, migrations and
+/// rewinds one by one.
 fn cache_invalidation_churn() -> Scenario {
     let churn_mix = small_mix();
     // One outage per element, strictly separated in time: 600-tick
@@ -1028,7 +1029,7 @@ fn cache_invalidation_churn() -> Scenario {
     // overlap, so the script passes outage validation. The targets are
     // DSPs spread across packages (and so across shard regions) — the
     // elements the sampled applications actually occupy, so each fault
-    // evicts work and sweeps cached points.
+    // evicts work and changes the state later admissions look up.
     let faults = [5u32, 17, 29, 41]
         .iter()
         .enumerate()

@@ -17,8 +17,8 @@
 //!   (the paper's contribution), routing, validation, and
 //!   its decision store: the design-time operating-point cache
 //!   (shape-keyed, state-stamped pipeline decisions replayed in O(claims)
-//!   on re-admission of a known application shape, with
-//!   fault/repair/migration invalidation) and the probe-to-admission
+//!   on re-admission of a known application shape and platform state;
+//!   the state stamp is its one guard) and the probe-to-admission
 //!   hand-off — either changes which work runs, never what is decided —
 //!   and relocation: make-before-break live migration, minimal
 //!   preemption victim plans and defragmenting compaction;

@@ -7,9 +7,9 @@
 //! whole catalog, and warm runs reproduce byte for byte, cache section
 //! included. The checks after those pin what the row cannot see. The
 //! two cache catalog scenarios do what they were built to show: the
-//! warm storm actually hits, and the invalidation churn actually
-//! invalidates. The next test pins the one decision input no cache key
-//! covers, the cost weights.
+//! warm storm actually hits, and the invalidation churn runs its faults
+//! under a warm cache that they sweep nothing from. The next test pins
+//! the one decision input no cache key covers, the cost weights.
 //!
 //! Scenario arrivals are drawn per request, so no shape ever comes
 //! twice and the only hits those runs see are a winning shard replaying
@@ -64,10 +64,12 @@ fn whole_catalog_is_byte_reproducible_with_cache_forced_on() {
 
 /// Acceptance: both cache catalog scenarios exercise the behaviour they
 /// were written for — the warm storm serves a real share of its
-/// admissions from the cache, and the invalidation churn's faults
-/// actually sweep cached points out.
+/// admissions from the cache, and the invalidation churn's faults evict
+/// running work under a warm cache and sweep none of its points: the
+/// state stamp alone keeps a point decided before a fault from serving
+/// during it.
 #[test]
-fn cache_catalog_scenarios_hit_and_invalidate() {
+fn cache_catalog_scenarios_hit_and_faults_sweep_nothing() {
     let [_, churn] = ["cache-warm-storm", "cache-invalidation-churn"].map(|name| {
         let scenario = Scenario::by_name(name).unwrap();
         assert!(scenario.cache, "{name} must enable the cache");
@@ -79,9 +81,10 @@ fn cache_catalog_scenarios_hit_and_invalidate() {
     });
     let cache = churn.cache.expect("cache section");
     assert!(churn.totals.evictions > 0, "the churn's faults must evict running work");
-    assert!(cache.invalidations > 0, "each fault must sweep the points using its element");
     assert_eq!(churn.totals.faults_injected, 4);
     assert_eq!(churn.totals.repairs, 4);
+    assert_eq!(cache.invalidations, 0, "no fault or repair sweeps a point");
+    assert_eq!(cache.points, cache.insertions, "every stored point is still stored");
 }
 
 /// Regression: the `(shape, state)` key ignores the cost weights, so a

@@ -1,11 +1,12 @@
-//! The invalidation fault matrix for the operating-point cache: every platform
-//! mutation that can strand a cached operating point — element faults,
-//! repairs, live migrations, checkpoint rewinds — against points that do
-//! and do not overlap the touched elements. Overlapping points are swept
-//! (and the `kairos.opcache.invalidations` instrument says so);
-//! non-overlapping points survive; post-fault admissions miss, fall back
-//! to the cold pipeline, avoid the dead element and repopulate the cache
-//! against the new platform state.
+//! The operating-point cache across platform mutations: element faults,
+//! repairs, live migrations and checkpoint rewinds. The `(shape, state
+//! stamp)` key is the keyed tier's one guard, so nothing is swept: while
+//! an element is down the stamp differs and an admission misses, falls
+//! back to the cold pipeline and avoids the dead element; once a state
+//! recurs — an outage repaired, a moved application gone — the point
+//! stored for it replays, deciding what a cache-free manager decides
+//! from the same history. `kairos.opcache.invalidations` counts only
+//! what a weight change clears, so it stays 0 here.
 
 use kairos::app::{Application, ApplicationBuilder, Implementation, TaskRole};
 use kairos::core::{CacheConfig, Kairos, KairosConfig};
@@ -51,126 +52,88 @@ fn footprint(layout: &kairos::core::ExecutionLayout) -> Vec<ElementId> {
     v
 }
 
+/// A cache-free deterministic manager on the CRISP platform: the
+/// reference every replayed decision must equal.
+fn uncached_kairos() -> Kairos {
+    Kairos::new(
+        topology::crisp(),
+        KairosConfig { cache: None, deterministic: true, ..KairosConfig::default() },
+    )
+}
+
+/// Nothing was swept: the ledger and its instrument both read 0.
+fn assert_nothing_swept(kairos: &Kairos, telemetry: &Telemetry) {
+    assert_eq!(kairos.cache_stats().unwrap().invalidations, 0, "no mutation sweeps the cache");
+    let registry = telemetry.registry().expect("telemetry is enabled");
+    assert_eq!(registry.counter("kairos.opcache.invalidations").get(), 0);
+}
+
 #[test]
-fn fault_matrix_sweeps_exactly_the_overlapping_points() {
-    let (mut kairos, telemetry) = cached_kairos();
-    let app = chain("matrix", 3, 700, 100);
+fn a_repaired_outage_replays_the_point_stored_before_it() {
+    let (mut warm, telemetry) = cached_kairos();
+    let mut cold = uncached_kairos();
+    let app = chain("recurring", 3, 700, 100);
 
-    // Cold admission populates the cache; an identical admit/release
-    // cycle returns the platform to the stamped state and hits.
-    let report = kairos.admit(&app).unwrap();
-    let used = footprint(&report.layout);
-    kairos.release(report.app_id);
-    let again = kairos.admit(&app).unwrap();
-    assert_eq!(kairos.cache_stats().unwrap().hits, 1, "exact state recurrence must hit");
-    assert_eq!(again.layout, report.layout, "the replayed point is the cold decision");
-    kairos.release(again.app_id);
+    // The same history on both managers: admit and release on the idle
+    // platform, fail an element the decision used, admit and release
+    // during the outage, repair, admit again.
+    let [warm_layouts, cold_layouts] = [&mut warm, &mut cold].map(|kairos| {
+        let stored = kairos.admit(&app).unwrap();
+        kairos.release(stored.app_id);
+        let dead = footprint(&stored.layout)[0];
+        assert!(kairos.fail_element(dead).is_empty(), "nothing is resident");
+        let during = kairos.admit(&app).unwrap();
+        assert!(!footprint(&during.layout).contains(&dead), "placements avoid the dead element");
+        kairos.release(during.app_id);
+        assert!(kairos.repair_element(dead));
+        let after = kairos.admit(&app).unwrap();
+        [stored.layout, during.layout, after.layout]
+    });
+    let [stored, during, after] = &warm_layouts;
 
-    let outside = (0..62)
-        .map(ElementId)
-        .find(|e| !used.contains(e))
-        .expect("a CRISP placement never covers the whole platform");
-
-    // Non-overlapping fault and repair: no cached point uses the
-    // element, so nothing is swept.
-    let before = kairos.cache_stats().unwrap().invalidations;
-    kairos.fail_element(outside);
-    assert_eq!(
-        kairos.cache_stats().unwrap().invalidations,
-        before,
-        "a fault outside every cached footprint sweeps nothing"
-    );
-    kairos.repair_element(outside);
-    assert_eq!(kairos.cache_stats().unwrap().invalidations, before, "so does its repair");
-
-    // Overlapping fault: the admit point covers `used[0]`, so it is
-    // swept exactly once (defence in depth — its stamp could never
-    // recur on the faulted platform anyway).
-    kairos.fail_element(used[0]);
-    assert_eq!(
-        kairos.cache_stats().unwrap().invalidations,
-        before + 1,
-        "the one overlapping point is swept exactly once"
-    );
-
-    // Post-fault admission: new platform state, so a miss; the cold
-    // fallback avoids the dead element and repopulates the cache.
-    let refreshed = kairos.admit(&app).unwrap();
-    assert!(!footprint(&refreshed.layout).contains(&used[0]), "placements avoid the dead element");
-    let stats = kairos.cache_stats().unwrap();
-    assert_eq!(stats.hits, 1, "a post-fault admission cannot hit a pre-fault point");
-    assert_eq!(stats.points, 1, "only the fallback's fresh point remains after the sweep");
-    kairos.release(refreshed.app_id);
-
-    // Repair of the faulted element: the surviving points all avoided
-    // it, so the sweep finds nothing new.
-    let before_repair = kairos.cache_stats().unwrap().invalidations;
-    kairos.repair_element(used[0]);
-    assert_eq!(
-        kairos.cache_stats().unwrap().invalidations,
-        before_repair,
-        "points placed during the outage avoided the element"
-    );
+    let stats = warm.cache_stats().unwrap();
+    assert_eq!((stats.hits, stats.misses), (1, 2), "the outage misses, the repaired state hits");
+    assert_eq!(stats.points, 2, "the point stored before the fault survived it");
+    assert_ne!(during, stored, "the outage decided around the dead element");
+    assert_eq!(after, stored, "the repaired idle platform replays the point stored on it");
+    assert_eq!(warm_layouts, cold_layouts, "each decision is the cache-free one");
+    assert_eq!(warm.platform(), cold.platform());
+    assert_nothing_swept(&warm, &telemetry);
 
     // The telemetry instruments mirror the cache's own ledger.
-    let stats = kairos.cache_stats().unwrap();
     let registry = telemetry.registry().expect("telemetry is enabled");
-    assert_eq!(registry.counter("kairos.opcache.invalidations").get(), stats.invalidations);
     assert_eq!(registry.counter("kairos.opcache.hits").get(), stats.hits);
     assert_eq!(registry.counter("kairos.opcache.misses").get(), stats.misses);
     assert_eq!(registry.gauge("kairos.opcache.points").get(), stats.points as i64);
 }
 
 #[test]
-fn every_overlapping_fault_bumps_the_invalidation_instrument() {
-    // One cached point per outage target: fault each in turn and pin the
-    // instrument against the injected fault count.
-    let (mut kairos, telemetry) = cached_kairos();
-    let app = chain("storm", 2, 700, 100);
-    let report = kairos.admit(&app).unwrap();
-    let used = footprint(&report.layout);
-    kairos.release(report.app_id);
-
-    let mut swept = 0;
-    for (i, &element) in used.iter().enumerate() {
-        // Before each fault, re-prime a point that covers the element:
-        // the platform state differs per iteration (failure marks
-        // accumulate), so each admission stores a fresh point.
-        let primed = kairos.admit(&app).unwrap();
-        let primed_footprint = footprint(&primed.layout);
-        kairos.release(primed.app_id);
-        kairos.fail_element(element);
-        if primed_footprint.contains(&element) {
-            swept += 1;
-        }
-        assert!(
-            kairos.cache_stats().unwrap().invalidations >= swept,
-            "fault {i} on {element:?} must sweep the point that covers it"
-        );
-    }
-    let stats = kairos.cache_stats().unwrap();
-    assert!(stats.invalidations >= swept);
-    assert_eq!(
-        telemetry.registry().unwrap().counter("kairos.opcache.invalidations").get(),
-        stats.invalidations,
-        "the instrument and the cache ledger agree"
-    );
-}
-
-#[test]
-fn migration_sweeps_points_on_both_footprints() {
-    let (mut kairos, _telemetry) = cached_kairos();
+fn a_migration_leaves_the_points_on_its_footprints_replayable() {
+    let (mut warm, telemetry) = cached_kairos();
+    let mut cold = uncached_kairos();
     let app = chain("mover", 2, 700, 100);
-    let report = kairos.admit(&app).unwrap();
-    let old = footprint(&report.layout);
 
-    let before = kairos.cache_stats().unwrap().invalidations;
-    let moved = kairos.migrate(report.app_id, &[old[0]]).unwrap();
-    assert_ne!(footprint(&moved.new_layout), old, "the avoidance set forces a real move");
-    assert!(
-        kairos.cache_stats().unwrap().invalidations > before,
-        "the move sweeps the cached point using the old footprint"
-    );
+    // The stored point is the idle platform's decision; the migration
+    // moves the application it admitted off that point's first element,
+    // so both footprints overlap it. Once the application leaves, the
+    // platform is idle again and the point's state recurs.
+    let [warm_layouts, cold_layouts] = [&mut warm, &mut cold].map(|kairos| {
+        let first = kairos.admit(&app).unwrap();
+        let old = footprint(&first.layout);
+        let moved = kairos.migrate(first.app_id, &[old[0]]).unwrap();
+        assert_ne!(footprint(&moved.new_layout), old, "the avoidance set forces a real move");
+        assert!(kairos.release(first.app_id));
+        let again = kairos.admit(&app).unwrap();
+        [first.layout, moved.new_layout, again.layout]
+    });
+    let [first, _, again] = &warm_layouts;
+
+    let hits = warm.cache_stats().unwrap().hits;
+    assert_eq!(hits, 1, "the recurring idle state hits the point stored on it");
+    assert_eq!(again, first, "and replays it");
+    assert_eq!(warm_layouts, cold_layouts, "each decision is the cache-free one");
+    assert_eq!(warm.platform(), cold.platform());
+    assert_nothing_swept(&warm, &telemetry);
 }
 
 #[test]
@@ -232,7 +195,6 @@ fn repairing_a_healthy_element_sweeps_nothing() {
     let (before, epoch) = (kairos.cache_stats().unwrap(), kairos.platform().state_epoch());
     kairos.repair_element(footprint(&first.layout)[0]);
     assert_eq!(kairos.platform().state_epoch(), epoch);
-    assert_eq!(kairos.cache_stats().unwrap().invalidations, before.invalidations);
     let second = kairos.admit(&app).unwrap();
     assert_eq!(second.layout, first.layout);
     assert_eq!(kairos.cache_stats().unwrap().hits, before.hits + 1, "the stored point replays");
