@@ -93,15 +93,12 @@ impl ServiceBuilder {
     ///
     /// The admission policy's [`AdmitPolicy::validate`] error, if any.
     pub fn build(self) -> Result<Admitd, String> {
-        if let Some(policy) = &self.admission {
-            policy.validate()?;
-        }
         let mut kairos = Kairos::new(self.platform, self.config);
         // The hub goes onto the manager once; the front-end built over it
         // resolves its own instruments from there.
         if self.telemetry.enabled() {
             kairos.set_telemetry(self.telemetry);
         }
-        Ok(Admitd::new(kairos, self.admission))
+        Admitd::new(kairos, self.admission)
     }
 }

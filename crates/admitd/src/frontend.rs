@@ -104,7 +104,7 @@ impl AdmitdMetrics {
 /// use kairos_platform::{topology, ElementKind, ResourceVector};
 ///
 /// let kairos = Kairos::new(topology::crisp(), KairosConfig::default());
-/// let mut admitd = Admitd::new(kairos, Some(AdmitPolicy::default()));
+/// let mut admitd = Admitd::new(kairos, Some(AdmitPolicy::default()))?;
 /// let imp = Implementation::new(ElementKind::Dsp, ResourceVector::new(700, 32, 0, 0), 90, 4);
 /// let mut b = ApplicationBuilder::new("stream");
 /// let t0 = b.add_task("in", TaskRole::Input, vec![imp]);
@@ -152,14 +152,14 @@ impl Admitd {
     /// `kairos.core.*` and `kairos.reloc.*`; over a dark one nothing is
     /// registered.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics when the policy fails [`AdmitPolicy::validate`].
-    pub fn new(kairos: Kairos, policy: Option<AdmitPolicy>) -> Self {
+    /// The first problem [`AdmitPolicy::validate`] finds in `policy`.
+    pub fn new(kairos: Kairos, policy: Option<AdmitPolicy>) -> Result<Self, String> {
         if let Some(policy) = &policy {
-            policy.validate().unwrap_or_else(|e| panic!("invalid admission policy: {e}"));
+            policy.validate()?;
         }
-        Admitd {
+        Ok(Admitd {
             queue: AdmissionQueue::with_capacity(policy.map_or([0; 4], |p| p.class_capacity)),
             metrics: policy.and_then(|_| AdmitdMetrics::new(kairos.telemetry())),
             svc_metrics: SvcMetrics::new(kairos.telemetry()),
@@ -169,7 +169,7 @@ impl Admitd {
             capacity_events: 0,
             admitted_meta: BTreeMap::new(),
             kairos,
-        }
+        })
     }
 
     /// The managed manager's observability hub (disabled by default).
@@ -222,12 +222,6 @@ impl Admitd {
     /// The front-end's queueing policy; `None` for a queue-less one.
     pub fn policy(&self) -> Option<&AdmitPolicy> {
         self.policy.as_ref()
-    }
-
-    /// The policy queued work runs under. Only a front-end with a policy
-    /// enqueues a request or plans a preemption, so every caller has one.
-    fn queueing(&self) -> AdmitPolicy {
-        self.policy.expect("only a front-end with a policy queues or preempts")
     }
 
     /// The current queue contents (read-only).
@@ -395,16 +389,28 @@ impl Admitd {
 
     // ---- commands ---------------------------------------------------------------
 
-    /// Performs one non-admission command under its settled ticket:
-    /// buffers the command's own result event, then whatever the drain
-    /// its freed capacity triggered admitted or dropped. Only a command
-    /// that changed the shape of free capacity is a capacity event: a
-    /// release of a known id, a completed migration, a sweep that moved
-    /// something, a fault that evicted someone, the repair of a failed
-    /// element. An element id outside the platform changes nothing.
-    fn perform(&mut self, ticket: Ticket, at: u64, command: Command) {
+    /// Performs one command under its settled ticket and buffers what it
+    /// caused. An admission takes its trace root (minted here unless an
+    /// outer layer stamped `trace`) through the door, and through a drain
+    /// pass when it entered the queue. Any other command buffers its own
+    /// result event, then whatever the drain its freed capacity triggered
+    /// admitted or dropped. Only a command that changed the shape of free
+    /// capacity is a capacity event: a release of a known id, a completed
+    /// migration, a sweep that moved something, a fault that evicted
+    /// someone, the repair of a failed element. An element id outside the
+    /// platform changes nothing.
+    fn perform(&mut self, ticket: Ticket, at: u64, trace: TraceContext, command: Command) {
         let (result, drained) = match command {
-            Command::Admit { .. } => unreachable!("admissions go through the door"),
+            Command::Admit { app, class } => {
+                let ctx = self.kairos.telemetry().request_root(trace, at, &class);
+                let mut events = Vec::new();
+                if self.through_the_door(app, class, at, ctx, ticket, &mut events) {
+                    events.extend(self.drain(at));
+                }
+                self.record_events(&events);
+                self.events.extend(events);
+                return;
+            }
             Command::Release { app } => {
                 let (found, drained) = self.release_now(app, at);
                 (Event::Released { ticket, app, found }, drained)
@@ -464,9 +470,9 @@ impl Admitd {
         let mut events = Vec::new();
         for class in 0..4 {
             let mut i = 0;
-            while i < self.queue.class_len(class) {
-                if cause == RejectCause::Shutdown || self.is_overdue(class, i, now) {
-                    events.push(self.reject_at(class, i, cause, None, now));
+            while let Some(req) = self.queue.get(class, i) {
+                if cause == RejectCause::Shutdown || req.is_overdue(now) {
+                    events.extend(self.reject_at(class, i, cause, None, now));
                 } else {
                     i += 1;
                 }
@@ -474,15 +480,6 @@ impl Admitd {
         }
         self.record_events(&events);
         events
-    }
-
-    /// Whether the request at `(class, i)` has waited past its deadline.
-    fn is_overdue(&self, class: usize, i: usize, now: u64) -> bool {
-        self.queue
-            .get(class, i)
-            .expect("index bounded by class_len")
-            .deadline
-            .is_some_and(|d| now >= d)
     }
 
     /// Records the terminal `queue` span (its width is the request's
@@ -528,7 +525,7 @@ impl Admitd {
 
     /// Removes the request at `(class, i)` and builds its rejection event,
     /// reporting the cumulative wait across requeues and, when a phase
-    /// refused it, that phase's error.
+    /// refused it, that phase's error. `None` when nothing is queued there.
     fn reject_at(
         &mut self,
         class: usize,
@@ -536,14 +533,14 @@ impl Admitd {
         cause: RejectCause,
         reason: Option<Box<AllocationError>>,
         now: u64,
-    ) -> Event {
-        let req = self.queue.remove(class, i);
+    ) -> Option<Event> {
+        let req = self.queue.remove(class, i)?;
         let waited = req.waited(now);
         if req.trace.is_some() {
             let rejected = Some((&*format!("{cause:?}"), reason.as_deref()));
             self.trace_terminal(req.trace, now, waited, rejected, req.attempts);
         }
-        Event::Rejected { ticket: req.ticket, class: req.class, cause, reason, waited }
+        Some(Event::Rejected { ticket: req.ticket, class: req.class, cause, reason, waited })
     }
 
     /// One batch drain pass at `now`: walks the queue in priority-then-
@@ -554,27 +551,22 @@ impl Admitd {
     /// could have become admissible by the end.
     fn drain(&mut self, now: u64) -> Vec<Event> {
         let mut events = Vec::new();
+        // A queue-less front-end has nothing queued.
+        let Some(policy) = self.policy else { return events };
         for class in 0..4 {
             let mut i = 0;
-            while i < self.queue.class_len(class) {
-                if self.is_overdue(class, i, now) {
-                    events.push(self.reject_at(class, i, RejectCause::Timeout, None, now));
+            while let Some(req) = self.queue.get(class, i) {
+                if req.is_overdue(now) {
+                    events.extend(self.reject_at(class, i, RejectCause::Timeout, None, now));
                     continue;
                 }
-                let eligible =
-                    self.queue.get(class, i).expect("index bounded by class_len").eligible_at_event
-                        <= self.capacity_events;
-                if !eligible {
+                if req.eligible_at_event > self.capacity_events {
                     i += 1;
                     continue;
                 }
-                let attempt_result = {
-                    let req = self.queue.get(class, i).expect("index bounded by class_len");
-                    self.kairos.admit_traced(&req.app, req.trace, now)
-                };
-                match attempt_result {
+                let failure = match self.kairos.admit_traced(&req.app, req.trace, now) {
                     Ok(report) => {
-                        let req = self.queue.remove(class, i);
+                        let Some(req) = self.queue.remove(class, i) else { break };
                         let waited = req.waited(now);
                         self.trace_terminal(req.trace, now, waited, None, req.attempts + 1);
                         self.admitted_meta
@@ -587,75 +579,63 @@ impl Admitd {
                             waited,
                             attempts: req.attempts + 1,
                         });
+                        continue;
                     }
-                    Err(failure) if failure.error.is_permanent() => {
-                        let cause = RejectCause::Permanent { phase: failure.phase() };
-                        let reason = Some(failure.error);
-                        events.push(self.reject_at(class, i, cause, reason, now));
-                    }
-                    Err(failure) => {
-                        let policy = self.queueing();
-                        // Preemption hook: a blocked critical may relocate
-                        // running lower-priority work once, then is
-                        // re-attempted immediately against the freed room.
-                        let can_preempt = {
-                            let req = self.queue.get(class, i).expect("index bounded by class_len");
-                            req.class == PriorityClass::Critical
-                                && policy.preemption != PreemptionPolicy::Disabled
-                                && req.preempt_attempts == 0
-                        };
-                        if can_preempt && self.relocate_for(class, i, now, &mut events) {
-                            let req =
-                                self.queue.get_mut(class, i).expect("index bounded by class_len");
-                            req.attempts += 1;
-                            req.preempt_attempts += 1;
-                            continue;
-                        }
-                        let exhausted = {
-                            let req =
-                                self.queue.get_mut(class, i).expect("index bounded by class_len");
-                            req.attempts += 1;
-                            req.attempts >= policy.max_attempts
-                        };
-                        let phase = failure.phase();
-                        let reason = failure.error;
-                        if exhausted {
-                            let cause = RejectCause::RetriesExhausted { phase };
-                            events.push(self.reject_at(class, i, cause, Some(reason), now));
-                        } else {
-                            let backoff = {
-                                let req = self
-                                    .queue
-                                    .get_mut(class, i)
-                                    .expect("index bounded by class_len");
-                                let b = policy.backoff(req.attempts);
-                                req.eligible_at_event = self.capacity_events.saturating_add(b);
-                                (req.ticket, req.class, req.attempts, req.trace)
-                            };
-                            if backoff.3.is_some() {
-                                self.kairos.telemetry().trace_child(
-                                    backoff.3,
-                                    "attempt",
-                                    now,
-                                    now,
-                                    &[
-                                        ("attempt", backoff.2.to_string()),
-                                        ("phase", format!("{phase:?}")),
-                                        ("reason", reason.to_string()),
-                                    ],
-                                );
-                            }
-                            events.push(Event::AttemptFailed {
-                                ticket: backoff.0,
-                                class: backoff.1,
-                                attempt: backoff.2,
-                                phase,
-                                reason,
-                            });
-                            i += 1;
-                        }
-                    }
+                    Err(failure) => failure,
+                };
+                if failure.error.is_permanent() {
+                    let cause = RejectCause::Permanent { phase: failure.phase() };
+                    events.extend(self.reject_at(class, i, cause, Some(failure.error), now));
+                    continue;
                 }
+                // Preemption hook: a blocked critical may relocate running
+                // lower-priority work once, then is re-attempted
+                // immediately against the freed room.
+                let blocked = (req.class == PriorityClass::Critical
+                    && policy.preemption != PreemptionPolicy::Disabled
+                    && req.preempt_attempts == 0)
+                    .then(|| (req.app.clone(), req.class, req.ticket, req.trace));
+                let relocated = blocked.is_some_and(|(app, by_class, by, ctx)| {
+                    self.relocate_to_unblock(&app, by_class, by, ctx, now, &mut events)
+                });
+                // Relocation queues victims of lower classes only, so the
+                // request is still at `(class, i)`.
+                let Some(req) = self.queue.get_mut(class, i) else { break };
+                req.attempts += 1;
+                if relocated {
+                    req.preempt_attempts += 1;
+                    continue;
+                }
+                let (attempt, phase, reason) = (req.attempts, failure.phase(), failure.error);
+                if attempt >= policy.max_attempts {
+                    let cause = RejectCause::RetriesExhausted { phase };
+                    events.extend(self.reject_at(class, i, cause, Some(reason), now));
+                    continue;
+                }
+                req.eligible_at_event =
+                    self.capacity_events.saturating_add(policy.backoff(attempt));
+                let (ticket, by_class, trace) = (req.ticket, req.class, req.trace);
+                if trace.is_some() {
+                    self.kairos.telemetry().trace_child(
+                        trace,
+                        "attempt",
+                        now,
+                        now,
+                        &[
+                            ("attempt", attempt.to_string()),
+                            ("phase", format!("{phase:?}")),
+                            ("reason", reason.to_string()),
+                        ],
+                    );
+                }
+                events.push(Event::AttemptFailed {
+                    ticket,
+                    class: by_class,
+                    attempt,
+                    phase,
+                    reason,
+                });
+                i += 1;
             }
         }
         events
@@ -705,24 +685,13 @@ impl Admitd {
         now: u64,
         events: &mut Vec<Event>,
     ) -> bool {
+        let Some(policy) = self.policy else { return false };
         let candidates = self.preemption_candidates(class);
-        let max_victims = self.queueing().max_victims;
-        let Some(plan) = self.kairos.select_victims(app, &candidates, max_victims) else {
+        let Some(plan) = self.kairos.select_victims(app, &candidates, policy.max_victims) else {
             return false;
         };
-        self.apply_relocation(plan, by, ctx, now, events);
+        self.apply_relocation(plan, policy, by, ctx, now, events);
         true
-    }
-
-    /// Plans and applies a relocation for the blocked request at
-    /// `(class, i)`. Returns whether a relocation actually happened (the
-    /// caller then re-attempts the request against the freed room).
-    fn relocate_for(&mut self, class: usize, i: usize, now: u64, events: &mut Vec<Event>) -> bool {
-        let (ticket, req_class, app, ctx) = {
-            let req = self.queue.get(class, i).expect("index bounded by class_len");
-            (req.ticket, req.class, req.app.clone(), req.trace)
-        };
-        self.relocate_to_unblock(&app, req_class, ticket, ctx, now, events)
     }
 
     /// Executes a validated relocation plan: under
@@ -734,6 +703,7 @@ impl Admitd {
     fn apply_relocation(
         &mut self,
         plan: VictimPlan,
+        policy: AdmitPolicy,
         by: Ticket,
         ctx: TraceContext,
         now: u64,
@@ -741,8 +711,9 @@ impl Admitd {
     ) {
         let targets = plan.target_elements();
         for victim in plan.victims {
-            let meta = *self.admitted_meta.get(&victim).expect("candidates are admitted");
-            let migrated = match self.queueing().preemption {
+            // The plan names candidates, which are all admitted.
+            let Some(&meta) = self.admitted_meta.get(&victim) else { continue };
+            let migrated = match policy.preemption {
                 PreemptionPolicy::Migrate => self.kairos.migrate(victim, &targets).ok(),
                 _ => None,
             };
@@ -768,12 +739,9 @@ impl Admitd {
                     });
                 }
                 None => {
-                    let app = self
-                        .kairos
-                        .application(victim)
-                        .expect("victim is admitted until released")
-                        .clone();
-                    assert!(self.kairos.release(victim), "a victim is never double-released");
+                    let Some(app) = self.kairos.application(victim).cloned() else { continue };
+                    // `application` found it admitted, so the release frees it.
+                    self.kairos.release(victim);
                     self.admitted_meta.remove(&victim);
                     if ctx.is_some() {
                         self.kairos.telemetry().trace_child(
@@ -819,7 +787,7 @@ impl Admitd {
                             app,
                             class: meta.class,
                             submitted_at: now,
-                            deadline: self.queueing().max_wait.map(|w| now.saturating_add(w)),
+                            deadline: policy.max_wait.map(|w| now.saturating_add(w)),
                             attempts: 0,
                             eligible_at_event: 0,
                             prior_wait: meta.waited,
@@ -892,20 +860,7 @@ impl ResourceService for Admitd {
             m.note_command(&command);
         }
         let ticket = Ticket::resolve(ticket, &mut self.next_ticket);
-        let Command::Admit { app, class } = command else {
-            self.perform(ticket, at, command);
-            return ticket;
-        };
-        // The outermost service mints the request's trace root; a context
-        // already stamped on the request (a sharded service forwarding to
-        // its shard) is honoured as-is.
-        let ctx = self.kairos.telemetry().request_root(trace, at, &class);
-        let mut events = Vec::new();
-        if self.through_the_door(app, class, at, ctx, ticket, &mut events) {
-            events.extend(self.drain(at));
-        }
-        self.record_events(&events);
-        self.events.extend(events);
+        self.perform(ticket, at, trace, command);
         ticket
     }
 
@@ -935,7 +890,7 @@ impl ResourceService for Admitd {
                     wave_at = wave_at.min(at);
                     wave.push((app, class, ctx, ticket));
                 }
-                other => rest.push((ticket, at, other)),
+                other => rest.push((ticket, at, trace, other)),
             }
         }
         if !wave.is_empty() {
@@ -953,8 +908,8 @@ impl ResourceService for Admitd {
             self.record_events(&events);
             self.events.extend(events);
         }
-        for (ticket, at, command) in rest {
-            self.perform(ticket, at, command);
+        for (ticket, at, trace, command) in rest {
+            self.perform(ticket, at, trace, command);
         }
         tickets
     }

@@ -140,6 +140,7 @@ mod tests {
 
     fn front(policy: AdmitPolicy) -> Admitd {
         Admitd::new(Kairos::new(topology::dsp_mesh(2, 2), KairosConfig::default()), Some(policy))
+            .unwrap()
     }
 
     /// Submits `request`: its ticket and every event it caused.
@@ -207,7 +208,8 @@ mod tests {
     #[test]
     fn a_queue_less_front_end_decides_at_the_door() {
         let mut admitd =
-            Admitd::new(Kairos::new(topology::dsp_mesh(2, 2), KairosConfig::default()), None);
+            Admitd::new(Kairos::new(topology::dsp_mesh(2, 2), KairosConfig::default()), None)
+                .unwrap();
         assert!(admitd.policy().is_none());
         let (_, events) = admit(&mut admitd, chain("fill", 4), PriorityClass::Low, 0);
         let fill = admitted_id(&events).expect("the fill app admits");
@@ -824,7 +826,7 @@ mod tests {
     fn defrag_compacts_and_drains() {
         let policy = AdmitPolicy { max_wait: None, ..AdmitPolicy::default() };
         let kairos = Kairos::new(topology::dsp_line(8), kairos_core::KairosConfig::default());
-        let mut admitd = Admitd::new(kairos, Some(policy));
+        let mut admitd = Admitd::new(kairos, Some(policy)).unwrap();
         // Checkerboard the line, then release every other app.
         let mut ids = Vec::new();
         for i in 0..8 {

@@ -143,6 +143,11 @@ impl QueuedRequest {
     pub(crate) fn waited(&self, now: u64) -> u64 {
         self.prior_wait.saturating_add(now.saturating_sub(self.submitted_at))
     }
+
+    /// Whether the request has waited past its deadline by `now`.
+    pub(crate) fn is_overdue(&self, now: u64) -> bool {
+        self.deadline.is_some_and(|d| now >= d)
+    }
 }
 
 /// Bounded priority-then-FIFO queue of admission requests.
@@ -199,14 +204,9 @@ impl AdmissionQueue {
         self.classes[class].get_mut(position)
     }
 
-    /// Removes and returns the request at `(class, position)`.
-    pub(crate) fn remove(&mut self, class: usize, position: usize) -> QueuedRequest {
-        self.classes[class].remove(position).expect("remove of a present request")
-    }
-
-    /// Number of requests in class index `class`.
-    pub(crate) fn class_len(&self, class: usize) -> usize {
-        self.classes[class].len()
+    /// Removes and returns the request at `(class, position)`, if any.
+    pub(crate) fn remove(&mut self, class: usize, position: usize) -> Option<QueuedRequest> {
+        self.classes[class].remove(position)
     }
 
     /// Tickets currently queued, in drain order.

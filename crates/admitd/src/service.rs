@@ -102,7 +102,6 @@ pub trait ResourceService: std::fmt::Debug {
 /// back to the consumer.
 #[derive(Debug, Clone)]
 pub(crate) struct SvcMetrics {
-    commands: Arc<Counter>,
     admit: Arc<Counter>,
     release: Arc<Counter>,
     migrate: Arc<Counter>,
@@ -118,7 +117,6 @@ impl SvcMetrics {
     pub(crate) fn new(telemetry: &Telemetry) -> Option<Self> {
         let registry = telemetry.registry()?;
         Some(SvcMetrics {
-            commands: registry.counter("kairos.svc.commands"),
             admit: registry.counter("kairos.svc.command.admit"),
             release: registry.counter("kairos.svc.command.release"),
             migrate: registry.counter("kairos.svc.command.migrate"),
@@ -132,7 +130,6 @@ impl SvcMetrics {
     }
 
     pub(crate) fn note_command(&self, command: &Command) {
-        self.commands.inc();
         match command {
             Command::Admit { .. } => self.admit.inc(),
             Command::Release { .. } => self.release.inc(),

@@ -44,6 +44,7 @@ fn test_policy() -> AdmitPolicy {
 
 fn front() -> Admitd {
     Admitd::new(Kairos::new(topology::dsp_mesh(2, 2), KairosConfig::default()), Some(test_policy()))
+        .unwrap()
 }
 
 /// Interprets one generated op against the front-end, returning the event
@@ -89,7 +90,8 @@ fn apply_op(
 /// clock, returning every event it produced, in order.
 fn replay(policy: AdmitPolicy, ops: &[(u8, u8)]) -> Vec<Event> {
     let config = KairosConfig { deterministic: true, ..KairosConfig::default() };
-    let mut admitd = Admitd::new(Kairos::new(topology::dsp_mesh(2, 2), config), Some(policy));
+    let mut admitd =
+        Admitd::new(Kairos::new(topology::dsp_mesh(2, 2), config), Some(policy)).unwrap();
     let mut live: Vec<AppId> = Vec::new();
     let mut stream = Vec::new();
     for (n, &op) in ops.iter().enumerate() {
@@ -231,7 +233,8 @@ proptest! {
             ..test_policy()
         };
         let mut admitd =
-            Admitd::new(Kairos::new(topology::dsp_mesh(2, 2), KairosConfig::default()), Some(policy));
+            Admitd::new(Kairos::new(topology::dsp_mesh(2, 2), KairosConfig::default()), Some(policy))
+                .unwrap();
         let mut live: Vec<AppId> = Vec::new();
         for (n, &op) in ops.iter().enumerate() {
             let events = apply_op(&mut admitd, &mut live, op, n as u64, n);
@@ -324,7 +327,7 @@ proptest! {
             ..test_policy()
         });
         let config = KairosConfig { deterministic: true, ..KairosConfig::default() };
-        let mut admitd = Admitd::new(Kairos::new(topology::dsp_mesh(2, 2), config), policy);
+        let mut admitd = Admitd::new(Kairos::new(topology::dsp_mesh(2, 2), config), policy).unwrap();
         let mut live: Vec<AppId> = Vec::new();
         let mut minted: Vec<Ticket> = Vec::new();
         let mut admissions: Vec<Ticket> = Vec::new();

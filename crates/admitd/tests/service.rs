@@ -200,11 +200,11 @@ fn wrappers_register_their_instruments_on_the_managers_hub() {
         kairos
     };
     for policy in [None, Some(AdmitPolicy::default())] {
-        let lit = Admitd::new(manager(true), policy);
+        let lit = Admitd::new(manager(true), policy).unwrap();
         assert!(registered(&lit, "kairos.svc.") > 0);
         assert!(registered(&lit, "kairos.reloc.") > 0, "defrag sweeps report either way");
         assert_eq!(registered(&lit, "kairos.admitd.") > 0, policy.is_some(), "{policy:?}");
-        let dark = Admitd::new(manager(false), policy);
+        let dark = Admitd::new(manager(false), policy).unwrap();
         assert!(dark.telemetry().snapshot().is_empty());
     }
 }
@@ -294,12 +294,16 @@ fn preemption_requeues_run_under_the_ticket_derived_from_the_victim() {
     assert_eq!(next.0, crit.0 + 1);
 }
 
+/// The builder and the front-end it wraps refuse a policy that fails
+/// `AdmitPolicy::validate` with that very error, and panic on none.
 #[test]
 fn builder_rejects_invalid_admission_policies() {
-    let err = ServiceBuilder::new(topology::crisp())
-        .admission(AdmitPolicy { max_attempts: 0, ..AdmitPolicy::default() })
-        .build();
-    assert!(err.is_err());
+    let policy = AdmitPolicy { max_attempts: 0, ..AdmitPolicy::default() };
+    let expected = policy.validate().unwrap_err();
+    let built = ServiceBuilder::new(topology::crisp()).admission(policy).build();
+    assert_eq!(built.map(drop), Err(expected.clone()));
+    let kairos = Kairos::new(topology::crisp(), KairosConfig::default());
+    assert_eq!(Admitd::new(kairos, Some(policy)).map(drop), Err(expected));
 }
 
 #[test]

@@ -52,7 +52,8 @@
 //!   keyed tier that hand-off counts as the hit the lookup it replaces
 //!   would have counted (the probe's decision is stored there too).
 //!
-//! Neither key covers the cost weights: `Kairos::set_weights` clears both.
+//! Neither key covers the cost weights; they are fixed when the manager
+//! is built (`KairosConfig::mapper`), so nothing ever clears the store.
 
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::Arc;
@@ -83,8 +84,10 @@ pub struct CacheStats {
     pub hits: u64,
     /// Lookups that found nothing and fell back to the cold pipeline.
     pub misses: u64,
-    /// Decisions dropped by a weight change (`Kairos::set_weights`), the
-    /// one decision input no key covers.
+    /// Always 0: the `(shape, stamp)` key covers every input a decision
+    /// reads but the cost weights, which are fixed at construction, so
+    /// nothing drops a stored decision but capacity eviction. Kept for
+    /// the field's readers and the report's `cache.invalidations` key.
     pub invalidations: u64,
     /// Decisions stored after cold pipeline runs.
     pub insertions: u64,
@@ -190,10 +193,11 @@ impl DecisionStore {
         }
     }
 
-    /// Stores the cold decision a [`Recall::Miss`] asked for; returns by
-    /// how much that changed the number of stored decisions.
-    pub(crate) fn remember(&mut self, key: Key, decision: CachedDecision) -> i64 {
-        self.keyed.as_mut().map_or(0, |keyed| keyed.insert(key, decision))
+    /// Stores the cold decision a [`Recall::Miss`] asked for.
+    pub(crate) fn remember(&mut self, key: Key, decision: CachedDecision) {
+        if let Some(keyed) = &mut self.keyed {
+            keyed.insert(key, decision);
+        }
     }
 
     /// The decision the probe right before settled for `shape`, if nothing
@@ -223,13 +227,6 @@ impl DecisionStore {
     /// The `state_epoch` the kept probe decision was read at, if any.
     pub(crate) fn probed_epoch(&self) -> Option<u64> {
         self.last_probe.as_ref().map(|&(_, epoch, _)| epoch)
-    }
-
-    /// Forgets every decision, returning how many keyed ones were dropped:
-    /// for a change no key covers, the cost weights.
-    pub(crate) fn clear(&mut self) -> u64 {
-        self.last_probe = None;
-        self.keyed.as_mut().map_or(0, Keyed::clear)
     }
 
     /// The keyed tier's lifetime counters, `None` without one.
@@ -270,31 +267,18 @@ impl Keyed {
     }
 
     /// Stores `decision` under `key`, evicting the oldest entry when the
-    /// tier is full; overwrites silently on a key collision. Returns by
-    /// how much the number of entries changed.
-    fn insert(&mut self, key: Key, decision: CachedDecision) -> i64 {
+    /// tier is full; overwrites silently on a key collision.
+    fn insert(&mut self, key: Key, decision: CachedDecision) {
         self.counts.insertions += 1;
         if self.entries.insert(key, decision).is_some() {
-            return 0;
+            return;
         }
         self.order.push_back(key);
-        if self.entries.len() <= self.capacity {
-            return 1;
+        if self.entries.len() > self.capacity {
+            let oldest = self.order.pop_front().expect("the order queue lists every entry");
+            self.entries.remove(&oldest);
+            self.counts.evictions += 1;
         }
-        let oldest = self.order.pop_front().expect("the order queue lists every entry");
-        self.entries.remove(&oldest);
-        self.counts.evictions += 1;
-        0
-    }
-
-    /// Removes every decision, counted as invalidations; the lifetime
-    /// counters survive.
-    fn clear(&mut self) -> u64 {
-        let dropped = self.entries.len() as u64;
-        self.entries.clear();
-        self.order.clear();
-        self.counts.invalidations += dropped;
-        dropped
     }
 
     fn stats(&self) -> CacheStats {
@@ -438,33 +422,15 @@ mod tests {
     fn lookup_hit_miss_and_fifo_eviction() {
         let mut keyed = Keyed::with_capacity(2);
         assert!(keyed.lookup((SHAPE, 0)).is_none());
-        assert_eq!(keyed.insert((SHAPE, 0), point(&[0])), 1);
-        assert_eq!(keyed.insert((SHAPE, 1), point(&[1])), 1);
+        keyed.insert((SHAPE, 0), point(&[0]));
+        keyed.insert((SHAPE, 1), point(&[1]));
         assert_eq!(elements(keyed.lookup((SHAPE, 0))), Some(vec![ElementId(0)]));
-        assert_eq!(keyed.insert((SHAPE, 2), point(&[2])), 0, "one in, the oldest out");
+        keyed.insert((SHAPE, 2), point(&[2]));
+        assert_eq!(keyed.stats().points, 2, "one in, the oldest out");
         assert!(keyed.lookup((SHAPE, 0)).is_none(), "oldest entry evicted first");
         let stats = keyed.stats();
         assert_eq!((stats.hits, stats.misses), (1, 2));
         assert_eq!((stats.insertions, stats.evictions, stats.points), (3, 1, 2));
-    }
-
-    #[test]
-    fn clear_drops_every_point_and_keeps_the_lifetime_counters() {
-        let mut keyed = Keyed::with_capacity(2);
-        keyed.insert((SHAPE, 0), point(&[0]));
-        keyed.insert((SHAPE, 1), point(&[]));
-        assert!(keyed.lookup((SHAPE, 0)).is_some());
-        assert_eq!(keyed.clear(), 2);
-        assert_eq!(keyed.clear(), 0, "already empty");
-        assert!(keyed.lookup((SHAPE, 0)).is_none());
-        let stats = keyed.stats();
-        assert_eq!((stats.hits, stats.misses, stats.insertions), (1, 1, 2));
-        assert_eq!((stats.invalidations, stats.evictions, stats.points), (2, 0, 0));
-        // The eviction queue was emptied with the entries: refilling to
-        // capacity evicts nothing.
-        keyed.insert((SHAPE, 2), point(&[]));
-        keyed.insert((SHAPE, 3), point(&[]));
-        assert_eq!((keyed.stats().points, keyed.stats().evictions), (2, 0));
     }
 
     /// A chain of `tasks` DSP tasks of `cpu` each over `bandwidth` channels.

@@ -18,7 +18,7 @@ use kairos_app::Application;
 use kairos_platform::{
     free_island_count, AppId, ElementId, OccupancyTotals, Platform, PlatformCheckpoint,
 };
-use kairos_telemetry::{Counter, Gauge, Histogram, Telemetry, TraceContext};
+use kairos_telemetry::{Counter, Histogram, Telemetry, TraceContext};
 
 use crate::binding::bind_in;
 use crate::cache::{
@@ -27,7 +27,7 @@ use crate::cache::{
 };
 use crate::error::{AllocationError, Phase, CAUSES};
 use crate::layout::ExecutionLayout;
-use crate::mapping::{map_application_in, CostWeights, MapperConfig};
+use crate::mapping::{map_application_in, MapperConfig};
 use crate::metrics::{
     ElementActivity, OccupancySnapshot, PhaseClock, PhaseTimings, ProbedOccupancy,
 };
@@ -260,8 +260,8 @@ pub struct Kairos {
     /// `cache.rs`). Only `probe_admit` offers the last-probe tier a
     /// decision — `probe_admit_without` and `migrate_if` decide on the
     /// what-if copy, a state the live platform never takes —
-    /// `admit_traced` alone takes it, and `set_weights`, the one decision
-    /// input no key covers, clears the store.
+    /// `admit_traced` alone takes it. Nothing clears it: the cost weights,
+    /// the one decision input no key covers, are fixed at construction.
     store: DecisionStore,
     /// The working memory of `run_phases`: capacity, never state. Every
     /// phase clears what it uses before reading it, so no decision depends
@@ -294,13 +294,8 @@ struct CoreMetrics {
     probes: Arc<Counter>,
     migrate_attempts: Arc<Counter>,
     migrate_claims: Arc<Counter>,
-    migrate_transfers: Arc<Counter>,
     migrate_commits: Arc<Counter>,
     migrate_rollbacks: Arc<Counter>,
-    cache_hits: Arc<Counter>,
-    cache_misses: Arc<Counter>,
-    cache_invalidations: Arc<Counter>,
-    cache_points: Arc<Gauge>,
     reloc_plans_requested: Arc<Counter>,
     reloc_plans_none: Arc<Counter>,
     reloc_plans_found: Arc<Counter>,
@@ -329,13 +324,8 @@ impl CoreMetrics {
             probes: registry.counter("kairos.core.probes"),
             migrate_attempts: registry.counter("kairos.core.migrate.attempts"),
             migrate_claims: registry.counter("kairos.core.migrate.claims"),
-            migrate_transfers: registry.counter("kairos.core.migrate.transfers"),
             migrate_commits: registry.counter("kairos.core.migrate.commits"),
             migrate_rollbacks: registry.counter("kairos.core.migrate.rollbacks"),
-            cache_hits: registry.counter("kairos.opcache.hits"),
-            cache_misses: registry.counter("kairos.opcache.misses"),
-            cache_invalidations: registry.counter("kairos.opcache.invalidations"),
-            cache_points: registry.gauge("kairos.opcache.points"),
             reloc_plans_requested: registry.counter("kairos.reloc.plans.requested"),
             reloc_plans_none: registry.counter("kairos.reloc.plans.none"),
             reloc_plans_found: registry.counter("kairos.reloc.plans.found"),
@@ -449,10 +439,9 @@ impl Kairos {
         }
     }
 
-    /// Attaches an observability hub: the `kairos.core.*`,
-    /// `kairos.opcache.*` and `kairos.reloc.*` metrics are registered
-    /// eagerly, and traced admissions record their phase spans into its
-    /// trace sink.
+    /// Attaches an observability hub: the `kairos.core.*` and
+    /// `kairos.reloc.*` metrics are registered eagerly, and traced
+    /// admissions record their phase spans into its trace sink.
     /// Attaching a disabled hub detaches instrumentation again.
     pub fn set_telemetry(&mut self, telemetry: Telemetry) {
         self.metrics = CoreMetrics::new(&telemetry);
@@ -472,23 +461,6 @@ impl Kairos {
     /// The manager's configuration.
     pub fn config(&self) -> &KairosConfig {
         &self.config
-    }
-
-    /// Replaces the cost-function weights for subsequent admissions.
-    ///
-    /// Every remembered decision — each cached operating point and the
-    /// probe hand-off — was computed under the old weights, and neither
-    /// the shape key nor the platform state records them, so all are
-    /// dropped (cached points count as invalidations).
-    pub fn set_weights(&mut self, weights: CostWeights) {
-        self.config.mapper.weights = weights;
-        let dropped = self.store.clear();
-        if let Some(m) = &self.metrics {
-            m.cache_invalidations.add(dropped);
-            // Delta, not `set` — see `decide`: the gauge is shared
-            // across cluster shards.
-            m.cache_points.add(-(dropped as i64));
-        }
     }
 
     /// Number of currently admitted applications.
@@ -679,10 +651,9 @@ impl Kairos {
     /// The manager keeps what the probe decided, so the winning shard's
     /// [`Kairos::admit`] that follows commits it in O(claims) instead of
     /// deciding again, with or without an operating-point cache; any
-    /// platform mutation or [`Kairos::set_weights`] in between voids it,
-    /// so that admission decides as usual. The kept decision shares its
-    /// layout with the returned probe; only a cold probe's seats are
-    /// copied into it.
+    /// platform mutation in between voids it, so that admission decides
+    /// as usual. The kept decision shares its layout with the returned
+    /// probe; only a cold probe's seats are copied into it.
     ///
     /// # Errors
     ///
@@ -845,7 +816,6 @@ impl Kairos {
                 // the copy.
                 if let Some(m) = &self.metrics {
                     m.migrate_claims.inc();
-                    m.migrate_transfers.inc();
                 }
                 if !accepted {
                     if let Some(m) = &self.metrics {
@@ -1011,11 +981,11 @@ impl Kairos {
         let key = match self.store.recall(app.shape_hash(), &mut self.platform) {
             Recall::Cold => return self.run_phases(app, timings, ctx, now).map(Decision::cold),
             Recall::Hit(decision) => {
-                self.note_lookup(ctx, now, true);
+                self.trace_lookup(ctx, now, true);
                 return decision.map(|point| Decision::Shared { point, fits: false });
             }
             Recall::Miss(key) => {
-                self.note_lookup(ctx, now, false);
+                self.trace_lookup(ctx, now, false);
                 key
             }
         };
@@ -1023,27 +993,17 @@ impl Kairos {
         let recorded: CachedDecision = self
             .run_phases(app, timings, ctx, now)
             .map(|(l, v)| CachedPoint::shared(l, v, self.workspace.mapping.seats()));
-        let added = self.store.remember(key, recorded.clone());
-        if let Some(m) = &self.metrics {
-            // Delta update, not `set`: cluster shards share this gauge by
-            // name, so it reads as the resident-point total across every
-            // manager on the hub.
-            m.cache_points.add(added);
-        }
+        self.store.remember(key, recorded.clone());
         recorded.map(|point| Decision::Shared { point, fits: true })
     }
 
-    /// Records a keyed-tier lookup: a `cache.lookup` child span of `ctx`
-    /// with its outcome, and the hit or miss counter.
-    fn note_lookup(&self, ctx: TraceContext, now: u64, hit: bool) {
+    /// Traces a keyed-tier lookup: a `cache.lookup` child span of `ctx`
+    /// with its outcome. The store's own `CacheStats` count it.
+    fn trace_lookup(&self, ctx: TraceContext, now: u64, hit: bool) {
         if ctx.is_some() {
             let outcome = if hit { "hit" } else { "miss" };
             let args = [("outcome", outcome.to_owned())];
             self.telemetry.trace_child(ctx, "cache.lookup", now, now, &args);
-        }
-        if let Some(m) = &self.metrics {
-            let counter = if hit { &m.cache_hits } else { &m.cache_misses };
-            counter.inc();
         }
     }
 
@@ -1079,7 +1039,7 @@ impl Kairos {
         now: u64,
     ) -> Admitted {
         if keyed {
-            self.note_lookup(ctx, now, true);
+            self.trace_lookup(ctx, now, true);
         }
         let mut timings = PhaseTimings::default();
         let result = decision.and_then(|point| {
@@ -1592,7 +1552,7 @@ mod tests {
         kairos.probe_admit(&app).unwrap();
         let probed = CacheStats { misses: 1, insertions: 1, points: 1, ..CacheStats::default() };
         assert_eq!(kairos.cache_stats(), Some(probed), "the probe decided cold and stored it");
-        let (hits, replayed) = (count("kairos.opcache.hits"), count("kairos.core.admit.replayed"));
+        let replayed = count("kairos.core.admit.replayed");
 
         let ctx = telemetry.trace_root("request", 0, &[]);
         let report = kairos.admit_traced(&app, ctx, 0).unwrap();
@@ -1604,7 +1564,6 @@ mod tests {
             .map(|span| (span.name.clone(), span.arg("outcome").map(str::to_owned)))
             .collect();
         assert_eq!(spans, [("cache.lookup".to_owned(), Some("hit".to_owned()))]);
-        assert_eq!(count("kairos.opcache.hits"), hits + 1);
         assert_eq!(count("kairos.core.admit.replayed"), replayed);
         assert_eq!(kairos.cache_stats(), Some(CacheStats { hits: 1, ..probed }));
     }

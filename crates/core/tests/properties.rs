@@ -300,14 +300,11 @@ proptest! {
             let nothing: Step = &|_| {};
             let probe: Step = &probe_of(app);
             // (what runs, the probe, what follows it on both sides)
-            let stale: [(&str, Step, Step); 6] = [
+            let stale: [(&str, Step, Step); 5] = [
                 ("probe of another application", &probe_of(other), nothing),
                 ("probe / release", probe, &|k| assert!(k.release(x))),
                 ("probe / fail_element", probe, &|k| drop(k.fail_element(seat))),
                 ("probe / checkpoint+restore", probe, &|k| k.restore(k.checkpoint())),
-                ("probe / set_weights", probe, &|k| {
-                    k.set_weights(CostPolicy::Communication.weights())
-                }),
                 ("probe_admit_without", &|k| drop(k.probe_admit_without(app, &[x])), nothing),
             ];
             for (what, probe, between) in stale {
@@ -395,15 +392,18 @@ fn a_probe_reaches_its_admission_through_exactly_one_tier() {
     }
 }
 
-/// Admits `app` on `kairos` and, cold, on a clone whose whole decision
-/// store was emptied first (`set_weights` with the weights it already
-/// has): both must decide the same (layout and validation report, or the
-/// same refusal) and leave the same platform bytes.
+/// Admits `app` on `kairos` and, cold, on an uncached manager built over
+/// a clone of the platform as it stood before, numbering from the id the
+/// admission took ([`TENANT_BASE`] after a refusal): both must decide the
+/// same (layout and validation report, or the same refusal) and leave the
+/// same platform bytes.
 fn admits_as_cold(kairos: &mut Kairos, app: &Application) {
-    let mut cold = kairos.clone();
-    cold.set_telemetry(Telemetry::disabled());
-    cold.set_weights(kairos.config().mapper.weights);
-    let decided = decision_of(kairos.admit(app));
+    let before = kairos.platform().clone();
+    let admitted = kairos.admit(app);
+    let app_id_base = admitted.as_ref().map_or(TENANT_BASE, |report| report.app_id.0);
+    let config = KairosConfig { cache: None, app_id_base, ..*kairos.config() };
+    let mut cold = Kairos::new(before, config);
+    let decided = decision_of(admitted);
     assert_eq!(decided, decision_of(cold.admit(app)), "{}: a different decision", app.name());
     assert_eq!(kairos.platform().checkpoint(), cold.platform().checkpoint(), "{}", app.name());
 }
@@ -768,7 +768,6 @@ proptest! {
                 (13, Some(id)) => drop(warm.migrate(id, &[element])),
                 (14, _) => drop(warm.probe_admit(app)),
                 (15, Some(id)) => drop(warm.probe_admit_without(app, &[id])),
-                (16, _) => warm.set_weights(CostPolicy::ALL[pick % 4].weights()),
                 (17, _) => saved = warm.checkpoint(),
                 (18, _) => warm.restore(saved.clone()),
                 _ => {}

@@ -51,16 +51,17 @@
 //!   work happens, never what is decided.
 //!
 //! Telemetry: when constructed over a lit hub
-//! ([`Gateway::with_telemetry`]) the gateway registers
-//! `kairos.gateway.submitted` / `.forwarded` / `.batches` counters, a
+//! ([`Gateway::with_telemetry`]) the gateway registers a
 //! `kairos.gateway.inflight` gauge, per-lane `kairos.gateway.lane{i}.depth`
 //! gauges and a `kairos.gateway.completion.ticks` histogram of
-//! virtual-tick completion latency. All values derive from the virtual
-//! clock and per-ticket bookkeeping, so a lit run stays byte-identical
-//! to a dark one apart from the report's telemetry section. Over a
-//! tracing hub the gateway mints each admission's trace root as it
-//! accepts it (the inner layers inherit it), and a request that parked
-//! gets a `gateway.park` span from its first park to its forward.
+//! virtual-tick completion latency; its request counts live only in
+//! [`GatewayCounters`] ([`Gateway::stats`]). All values derive from the
+//! virtual clock and per-ticket bookkeeping, so a lit run stays
+//! byte-identical to a dark one apart from the report's telemetry
+//! section. Over a tracing hub the gateway mints each admission's trace
+//! root as it accepts it (the inner layers inherit it), and a request
+//! that parked gets a `gateway.park` span from its first park to its
+//! forward.
 //!
 //! ## Example
 //!
@@ -89,11 +90,11 @@
 
 use std::collections::btree_map::Entry;
 use std::collections::{BTreeMap, BTreeSet};
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 use kairos_admitd::{CapacityEvent, Command, Event, Request, ResourceService, Ticket};
 use kairos_core::{CacheStats, ElementActivity, Kairos, OccupancySnapshot};
-use kairos_telemetry::{Counter, Gauge, Histogram, Telemetry};
+use kairos_telemetry::{Gauge, Histogram, Telemetry};
 
 /// Power-of-two bucket bounds for the completion-latency histogram
 /// (virtual ticks from acceptance to terminal event).
@@ -141,9 +142,11 @@ pub struct GatewayCounters {
 }
 
 /// Locks the counters, shared with handles that can outlive the gateway.
-/// Poisoned only if a holder panicked.
+/// A lock poisoned by a panicking holder still hands the counters out:
+/// they are plain counts, read only for reporting, so a holder that
+/// panicked mid-update leaves nothing a reader could trip over.
 fn locked<T>(shared: &Mutex<T>) -> MutexGuard<'_, T> {
-    shared.lock().expect("a holder of this gateway lock panicked")
+    shared.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 /// A cloneable read handle on a gateway's counters, for reporting after
@@ -163,9 +166,6 @@ impl GatewayStats {
 /// Pre-resolved registry handles, present only over a lit hub.
 #[derive(Debug, Clone)]
 struct GatewayMetrics {
-    submitted: Arc<Counter>,
-    forwarded: Arc<Counter>,
-    batches: Arc<Counter>,
     inflight: Arc<Gauge>,
     completion: Arc<Histogram>,
 }
@@ -174,9 +174,6 @@ impl GatewayMetrics {
     fn new(telemetry: &Telemetry) -> Option<Self> {
         let registry = telemetry.registry()?;
         Some(GatewayMetrics {
-            submitted: registry.counter("kairos.gateway.submitted"),
-            forwarded: registry.counter("kairos.gateway.forwarded"),
-            batches: registry.counter("kairos.gateway.batches"),
             inflight: registry.gauge("kairos.gateway.inflight"),
             completion: registry.histogram("kairos.gateway.completion.ticks", &COMPLETION_BOUNDS),
         })
@@ -428,9 +425,6 @@ impl Gateway {
         let expect = Expect::of(&request.command);
         let pending = Pending { expect, accepted_at: request.at, task, parked_at: None };
         self.pending.insert(ticket, pending);
-        if let Some(metrics) = &self.metrics {
-            metrics.submitted.add(1);
-        }
         locked(&self.counters).submitted += 1;
         (ticket, request.with_ticket(ticket))
     }
@@ -561,10 +555,6 @@ impl Gateway {
             counters.singles += singles;
             counters.batches += batches;
             drop(counters);
-            if let Some(metrics) = &self.metrics {
-                metrics.forwarded.add(count);
-                metrics.batches.add(batches);
-            }
             let mut events = self.inner.take_events();
             self.deliver(&events);
             self.outbox.append(&mut events);

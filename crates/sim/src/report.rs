@@ -506,6 +506,7 @@ impl SimReport {
             let mut section = Json::object();
             section.push("hits", cache.hits);
             section.push("misses", cache.misses);
+            // Always 0 (see `CacheStats::invalidations`); kept as a key.
             section.push("invalidations", cache.invalidations);
             section.push("insertions", cache.insertions);
             section.push("evictions", cache.evictions);

@@ -47,7 +47,7 @@ fn describe(events: &[Event]) {
     }
 }
 
-fn main() {
+fn main() -> Result<(), String> {
     let policy = AdmitPolicy {
         class_capacity: [4, 4, 8, 8],
         max_wait: Some(400),
@@ -58,7 +58,7 @@ fn main() {
     };
     println!("policy: {policy:?}\n");
     let mut admitd =
-        Admitd::new(Kairos::new(topology::crisp(), KairosConfig::default()), Some(policy));
+        Admitd::new(Kairos::new(topology::crisp(), KairosConfig::default()), Some(policy))?;
 
     // Phase 1: low-priority batch work until the platform refuses more.
     println!("== filling the platform with low-priority batch work ==");
@@ -132,4 +132,5 @@ fn main() {
         admitd.kairos().admitted_count(),
         admitd.queue().is_empty()
     );
+    Ok(())
 }

@@ -8,8 +8,7 @@
 //! included. The checks after those pin what the row cannot see. The
 //! two cache catalog scenarios do what they were built to show: the
 //! warm storm actually hits, and the invalidation churn runs its faults
-//! under a warm cache that they sweep nothing from. The next test pins
-//! the one decision input no cache key covers, the cost weights.
+//! under a warm cache that they sweep nothing from.
 //!
 //! Scenario arrivals are drawn per request, so no shape ever comes
 //! twice and the only hits those runs see are a winning shard replaying
@@ -29,7 +28,7 @@ use kairos::admitd::{
 use kairos::app::Application;
 use kairos::appgen::{generate_dataset, DatasetSpec};
 use kairos::cluster::{ClusterBuilder, ClusterService};
-use kairos::core::{CacheConfig, CacheStats, CostPolicy, Kairos, KairosConfig};
+use kairos::core::{CacheConfig, CacheStats, KairosConfig};
 use kairos::platform::{topology, AppId, PlatformCheckpoint};
 use kairos::sim::{Scenario, Simulator};
 use proptest::prelude::*;
@@ -85,35 +84,6 @@ fn cache_catalog_scenarios_hit_and_faults_sweep_nothing() {
     assert_eq!(churn.totals.repairs, 4);
     assert_eq!(cache.invalidations, 0, "no fault or repair sweeps a point");
     assert_eq!(cache.points, cache.insertions, "every stored point is still stored");
-}
-
-/// Regression: the `(shape, state)` key ignores the cost weights, so a
-/// point decided under the old weights must not survive `set_weights`.
-/// Re-admitting each application onto the same idle platform after a
-/// weight change must decide what an uncached manager decides.
-#[test]
-fn a_weight_change_voids_every_cached_decision() {
-    let cached = KairosConfig { cache: Some(CacheConfig::default()), ..KairosConfig::default() };
-    let (mut compared, mut differing, mut stale_hits) = (0, 0, 0);
-    for (d, spec) in DatasetSpec::all().into_iter().enumerate() {
-        for app in generate_dataset(spec, 40, 0x5e7 + d as u64) {
-            let [cold, warm] = [KairosConfig::default(), cached].map(|config| {
-                let mut kairos = Kairos::new(topology::crisp(), config);
-                if let Ok(report) = kairos.admit(&app) {
-                    kairos.release(report.app_id);
-                }
-                kairos.set_weights(CostPolicy::Communication.weights());
-                let layout = kairos.admit(&app).map(|r| r.layout).map_err(|f| *f.error);
-                (layout, kairos.cache_stats())
-            });
-            compared += 1;
-            differing += usize::from(cold.0 != warm.0);
-            stale_hits += warm.1.expect("the warm manager has a cache").hits;
-        }
-    }
-    assert_eq!(compared, 240);
-    assert_eq!(differing, 0, "{differing} of {compared} layouts differ after set_weights");
-    assert_eq!(stale_hits, 0, "nothing decided under the old weights may be replayed");
 }
 
 /// The recurring tenants: the first application of each Table-I dataset,

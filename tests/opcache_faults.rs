@@ -5,8 +5,7 @@
 //! back to the cold pipeline and avoids the dead element; once a state
 //! recurs — an outage repaired, a moved application gone — the point
 //! stored for it replays, deciding what a cache-free manager decides
-//! from the same history. `kairos.opcache.invalidations` counts only
-//! what a weight change clears, so it stays 0 here.
+//! from the same history. `CacheStats::invalidations` stays 0.
 
 use kairos::app::{Application, ApplicationBuilder, Implementation, TaskRole};
 use kairos::core::{CacheConfig, Kairos, KairosConfig};
@@ -30,18 +29,14 @@ fn chain(name: &str, n: usize, cpu: u64, bw: u64) -> Application {
     b.build().unwrap()
 }
 
-/// A cache-enabled deterministic manager on the CRISP platform, with a
-/// live telemetry hub so the `kairos.opcache.*` instruments record.
-fn cached_kairos() -> (Kairos, Telemetry) {
+/// A cache-enabled deterministic manager on the CRISP platform.
+fn cached_kairos() -> Kairos {
     let config = KairosConfig {
         cache: Some(CacheConfig::default()),
         deterministic: true,
         ..KairosConfig::default()
     };
-    let mut kairos = Kairos::new(topology::crisp(), config);
-    let telemetry = Telemetry::new(TelemetryConfig::default());
-    kairos.set_telemetry(telemetry.clone());
-    (kairos, telemetry)
+    Kairos::new(topology::crisp(), config)
 }
 
 /// The distinct elements of an admitted layout, sorted.
@@ -61,16 +56,14 @@ fn uncached_kairos() -> Kairos {
     )
 }
 
-/// Nothing was swept: the ledger and its instrument both read 0.
-fn assert_nothing_swept(kairos: &Kairos, telemetry: &Telemetry) {
+/// Nothing was swept: the ledger's invalidations read 0.
+fn assert_nothing_swept(kairos: &Kairos) {
     assert_eq!(kairos.cache_stats().unwrap().invalidations, 0, "no mutation sweeps the cache");
-    let registry = telemetry.registry().expect("telemetry is enabled");
-    assert_eq!(registry.counter("kairos.opcache.invalidations").get(), 0);
 }
 
 #[test]
 fn a_repaired_outage_replays_the_point_stored_before_it() {
-    let (mut warm, telemetry) = cached_kairos();
+    let mut warm = cached_kairos();
     let mut cold = uncached_kairos();
     let app = chain("recurring", 3, 700, 100);
 
@@ -98,18 +91,12 @@ fn a_repaired_outage_replays_the_point_stored_before_it() {
     assert_eq!(after, stored, "the repaired idle platform replays the point stored on it");
     assert_eq!(warm_layouts, cold_layouts, "each decision is the cache-free one");
     assert_eq!(warm.platform(), cold.platform());
-    assert_nothing_swept(&warm, &telemetry);
-
-    // The telemetry instruments mirror the cache's own ledger.
-    let registry = telemetry.registry().expect("telemetry is enabled");
-    assert_eq!(registry.counter("kairos.opcache.hits").get(), stats.hits);
-    assert_eq!(registry.counter("kairos.opcache.misses").get(), stats.misses);
-    assert_eq!(registry.gauge("kairos.opcache.points").get(), stats.points as i64);
+    assert_nothing_swept(&warm);
 }
 
 #[test]
 fn a_migration_leaves_the_points_on_its_footprints_replayable() {
-    let (mut warm, telemetry) = cached_kairos();
+    let mut warm = cached_kairos();
     let mut cold = uncached_kairos();
     let app = chain("mover", 2, 700, 100);
 
@@ -133,7 +120,7 @@ fn a_migration_leaves_the_points_on_its_footprints_replayable() {
     assert_eq!(again, first, "and replays it");
     assert_eq!(warm_layouts, cold_layouts, "each decision is the cache-free one");
     assert_eq!(warm.platform(), cold.platform());
-    assert_nothing_swept(&warm, &telemetry);
+    assert_nothing_swept(&warm);
 }
 
 #[test]
@@ -145,7 +132,7 @@ fn restore_rewinds_the_stamp_memo_not_just_the_bytes() {
     // restored the bytes but kept the digests would leave the stamp
     // answering for the pre-restore state, and the next admission would
     // look up (and replay) against the wrong key.
-    let (mut warm, _telemetry) = cached_kairos();
+    let mut warm = cached_kairos();
     let mut cold = Kairos::new(
         topology::crisp(),
         KairosConfig { cache: None, deterministic: true, ..KairosConfig::default() },
@@ -188,7 +175,7 @@ fn restore_rewinds_the_stamp_memo_not_just_the_bytes() {
 /// question asked again hits.
 #[test]
 fn repairing_a_healthy_element_sweeps_nothing() {
-    let (mut kairos, _) = cached_kairos();
+    let mut kairos = cached_kairos();
     let app = chain("c", 3, 600, 80);
     let first = kairos.admit(&app).unwrap();
     kairos.release(first.app_id);

@@ -126,9 +126,9 @@ fn probe_latency_scenario_exposes_every_layer() {
 }
 
 /// The gateway's serving instruments ride the same hub: a lit run of
-/// `gateway-arrival-storm` exposes the `kairos.gateway.*` counters,
-/// per-lane depth gauges and the completion-latency histogram, their
-/// values agree with the report's `gateway` section — and turning the
+/// `gateway-arrival-storm` exposes the `kairos.gateway.*` in-flight and
+/// per-lane depth gauges and the completion-latency histogram, whose
+/// count agrees with the report's `gateway` section — and turning the
 /// registry on does not change a single other byte of the report.
 #[test]
 fn gateway_instruments_are_visible_and_observer_safe() {
@@ -142,9 +142,6 @@ fn gateway_instruments_are_visible_and_observer_safe() {
 
     let snapshot = lit_report.telemetry.take().expect("telemetry section");
     let counters = lit_report.gateway.expect("gateway section").counters;
-    assert_eq!(counter(&snapshot, "kairos.gateway.submitted"), counters.submitted);
-    assert_eq!(counter(&snapshot, "kairos.gateway.forwarded"), counters.forwarded);
-    assert_eq!(counter(&snapshot, "kairos.gateway.batches"), counters.batches);
     assert_eq!(
         histogram_count(&snapshot, "kairos.gateway.completion.ticks"),
         counters.completions,
@@ -162,7 +159,7 @@ fn gateway_instruments_are_visible_and_observer_safe() {
     }
 
     let text = lit_sim.telemetry().render_text();
-    for name in ["kairos_gateway_submitted", "kairos_gateway_completion_ticks_count"] {
+    for name in ["kairos_gateway_inflight", "kairos_gateway_completion_ticks_count"] {
         assert!(text.contains(name), "text exposition must expose {name}");
     }
 
@@ -194,7 +191,7 @@ fn every_registered_instrument_is_documented() {
         simulator.run();
         names.extend(simulator.telemetry().snapshot().metrics.into_iter().map(|m| m.name));
     }
-    assert!(names.len() >= 70, "only {} instruments registered: is the hub dark?", names.len());
+    assert!(names.len() >= 60, "only {} instruments registered: is the hub dark?", names.len());
     let documented: Vec<String> = names.iter().map(|name| documented_form(name)).collect();
     let undocumented: Vec<&String> = documented
         .iter()
